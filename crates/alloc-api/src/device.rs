@@ -1,83 +1,67 @@
 //! The concurrent allocator front-end: a cloneable, `Send + Sync`
-//! [`DeviceAllocator`] that wraps any [`AllocatorCore`] and shards small
-//! allocation traffic away from the core's mutex.
+//! [`DeviceAllocator`] that wraps any [`AllocatorCore`] and serves warm
+//! traffic from per-stream caches instead of the core's mutex.
 //!
 //! # Why a front-end?
 //!
 //! GMLake's promise is that defragmentation stays off the training critical
 //! path — but a shared pool whose every operation funnels through one mutex
-//! re-serializes the ranks at the allocator instead. The front-end splits
-//! the traffic the way PyTorch's stream-aware caching allocator does:
+//! re-serializes the ranks at the allocator instead. The front-end keeps
+//! warm traffic away from that mutex the way PyTorch's stream-aware caching
+//! allocator does: with **one cache type**, instantiated for two *routes*
+//! that differ only in a small compile-time key policy. A cache is
+//! everything one warm allocate or free touches, behind one lock: free
+//! lists keyed by a `u64`, the live table of the ids it minted, a pending
+//! event ring, and its statistics. A hit or a same-stream park costs
+//! exactly one short cache-lock acquisition and no core traffic.
 //!
-//! * **Small requests** (below the stitch threshold, 2 MiB by default) are
-//!   served from N sharded per-size-class free-list caches, each guarded by
-//!   its own lock. A request's size class picks its shard; the shard holds
-//!   the class's free list, the live table of the ids it minted, and the
-//!   statistics counters, so a warm allocate/deallocate pair costs exactly
-//!   one short shard-lock acquisition each — threads working on different
-//!   size classes never contend, and none of them ever waits behind stitch
-//!   work.
-//! * **Large / stitch requests** (at or above the threshold — the traffic
-//!   GMLake exists for) are served from one *large bank* per stream: an
-//!   exact-size, exact-stream hit costs one bank-lock acquisition, misses
-//!   optimistically re-scan the bank while the core's commit-time mutex is
-//!   contended, and cross-stream large frees take the same event guard as
-//!   the small shards (see [`DeviceAllocatorConfig::max_cached_large_per_bank`]).
-//! * **Cold misses** on either route fall back to the wrapped core behind
-//!   a single mutex — the commit-time lock under which splits and stitches
-//!   commit transactionally.
+//! | | small route | large route |
+//! |---|---|---|
+//! | serves | requests below [`DeviceAllocatorConfig::small_threshold`] | requests at or above it (the stitch traffic GMLake exists for) |
+//! | free-list key = size asked of the core | power-of-two size class | exact requested size |
+//! | caches per stream bank | [`DeviceAllocatorConfig::shards`], picked by the key's hash | one |
+//! | cap | [`DeviceAllocatorConfig::max_cached_per_class`], per key | [`DeviceAllocatorConfig::max_cached_large_per_bank`], per cache |
+//! | a miss at the core | blocking `allocate` | stream-affine `alloc_on_stream`; while the core lock is contended the miss re-scans its cache whenever a park moved the cache's epoch |
+//!
+//! Everything else — take, park, promote, the hit commit, the free rules,
+//! the drain — is the same code. **Cold misses** on either route fall back
+//! to the wrapped core behind a single mutex, the commit-time lock under
+//! which splits and stitches commit transactionally. A cache lock and the
+//! core lock are never held together.
 //!
 //! # Stream-aware routing
 //!
-//! On top of the size-class sharding, the front-end partitions its cache by
-//! **logical GPU stream** ([`StreamId`]): the shard array is organized as
-//! one *bank* of size-class shards per configured stream
-//! ([`DeviceAllocatorConfig::streams`], default 1), and
-//! [`DeviceAllocator::alloc_on_stream`] routes a request to its stream's
-//! bank. Warm allocations on different streams therefore never touch the
-//! same lock — not even for identical sizes — which is what keeps
+//! Each route's cache array is organized as one *bank* per configured
+//! **logical GPU stream** ([`StreamId`], [`DeviceAllocatorConfig::streams`],
+//! default 1), and [`DeviceAllocator::alloc_on_stream`] routes a request to
+//! its stream's bank. Warm allocations on different streams therefore never
+//! touch the same lock — not even for identical sizes — which is what keeps
 //! independent GPU streams from serializing at the allocator.
 //!
-//! Reuse follows PyTorch's event-guarded rule:
+//! Reuse follows PyTorch's event-guarded rule — three cases, spelled out on
+//! [`DeviceAllocator::free_on_stream`], one implementation for both routes:
+//! a **same-stream** free parks the block for immediate reuse (stream order
+//! already guarantees the previous user finished); a **cross-stream** free
+//! records an event on the freeing stream (given an [`EventSource`], see
+//! [`DeviceAllocator::with_config_and_events`]) and the block waits in the
+//! owning cache's *pending ring* until the event completes; otherwise the
+//! block returns to the core, whose mutex is a full synchronization point.
 //!
-//! * a free issued on the **same stream** the block was allocated on parks
-//!   the block in that stream's free list for immediate reuse (stream order
-//!   already guarantees the previous user finished);
-//! * a **cross-stream** free ([`DeviceAllocator::free_on_stream`] with a
-//!   different stream than the allocating one) never lands in a free list
-//!   directly. When the front-end was built with an [`EventSource`]
-//!   (see [`DeviceAllocator::with_config_and_events`]), the free **records
-//!   an event on the freeing stream** and parks the block in the owning
-//!   shard's *pending ring*; the allocation path and
-//!   [`DeviceAllocator::process_events`] promote blocks whose events have
-//!   completed back into the owning stream's free list — so a completed
-//!   cross-stream block is reusable with one shard-lock acquisition instead
-//!   of a core-mutex round trip. Without an event source (the default), the
-//!   block is returned to the core, the conservative pre-event rule: it can
-//!   only come back to *any* stream through the core mutex, a full
-//!   synchronization point standing in for the event.
+//! Every rule compares **exact** [`StreamId`]s: every parked block carries
+//! the stream that allocated it, so even when distinct stream ids fold onto
+//! the same bank (ids at or above the configured stream count), an
+//! allocation only reuses a block its own stream parked — another stream's
+//! block in the shared free list is simply skipped.
 //!
-//! Both halves of the rule compare **exact** [`StreamId`]s: every parked
-//! block carries the stream that parked it, so even when distinct stream
-//! ids fold onto the same bank (ids at or above the configured stream
-//! count), an allocation only reuses a block its own stream parked —
-//! another stream's block in the shared free list is simply skipped.
+//! Front-end ids live in the upper half of the id space (disjoint from
+//! every core's sequential ids) and carry their route in one tag bit and
+//! their cache's index in the low bits, so a deallocation routes back to
+//! the owning cache without any shared lookup.
 //!
-//! [`DeviceAllocator::allocate`] / [`DeviceAllocator::deallocate`] are the
-//! stream-oblivious entry points: they run on [`StreamId::DEFAULT`], so
-//! single-stream callers see exactly the pre-stream behaviour (and pay no
-//! extra cost — one bank is the PR 3 layout).
-//!
-//! Front-end ids encode their shard in the low bits (and live in the upper
-//! half of the id space, disjoint from every core's sequential ids), so a
-//! deallocation routes back to the owning shard — and thereby the owning
-//! stream's bank — without any shared lookup.
-//!
-//! The cache is transparent: blocks parked in a shard remain "live" from
-//! the core's perspective and are returned to it by [`DeviceAllocator::flush`]
-//! (which [`DeviceAllocator::release_cached`], [`DeviceAllocator::compact`],
-//! and the out-of-memory retry path run automatically), so defragmentation
-//! and OOM rescue still see every cached byte.
+//! The caches are transparent: parked blocks remain "live" from the core's
+//! perspective and are returned to it by [`DeviceAllocator::flush`] (which
+//! release, compaction and the out-of-memory retry run automatically), so
+//! defragmentation and OOM rescue still see every cached byte.
 //!
 //! # Example
 //!
@@ -133,18 +117,17 @@ use crate::error::AllocError;
 use crate::events::EventSource;
 use crate::request::{AllocRequest, Allocation};
 use crate::stats::MemStats;
-use crate::traits::AllocatorCore;
+use crate::traits::{forward_allocator_core, AllocatorCore};
 use crate::types::{mib, AllocationId, EventId, StreamId, VirtAddr};
 
 /// Front-end allocation ids live in the top half of the id space so they can
 /// never collide with a core's sequential ids.
 const FRONT_ID_BASE: u64 = 1 << 63;
 
-/// Marks a front-end id as minted by the *large* route (the per-stream
-/// large banks) rather than a small-path shard. Small ids never reach this
-/// bit (`next_seq << shard_bits` stays far below 2^62), so the three id
-/// spaces — core-sequential, front-end small, front-end large — are
-/// disjoint and a free routes without any shared lookup.
+/// Marks a front-end id as minted by the *large* route. Small ids never
+/// reach this bit (`next_seq << index_bits` stays far below 2^62), so the
+/// three id spaces — core-sequential, front-end small, front-end large —
+/// are disjoint.
 const LARGE_ID_BIT: u64 = 1 << 62;
 
 /// Smallest size class (bytes): requests below this round up to it.
@@ -156,13 +139,13 @@ const MIN_CLASS: u64 = 512;
 pub const MAX_STREAMS: usize = 1 << 10;
 
 /// Upper bound on [`DeviceAllocatorConfig::shards`] per bank (1024). With
-/// [`MAX_STREAMS`] this caps the shard array at 2^20 entries, keeping the
-/// `banks * shards` product far from overflow.
+/// [`MAX_STREAMS`] this caps the small route's cache array at 2^20 entries,
+/// keeping the `banks * shards` product far from overflow.
 pub const MAX_SHARDS: usize = 1 << 10;
 
-/// Multiply-shift hasher for the shard maps: every key is a `u64` (size
-/// class or front-end id), so a single multiply + xor-shift beats the
-/// default SipHash by a wide margin on the hot path.
+/// Multiply-shift hasher for the cache maps: every key is a `u64` (free-list
+/// key or front-end id), so a single multiply + xor-shift beats the default
+/// SipHash by a wide margin on the hot path.
 #[derive(Default)]
 struct U64MixHasher(u64);
 
@@ -192,66 +175,50 @@ type U64Map<V> = HashMap<u64, V, BuildHasherDefault<U64MixHasher>>;
 /// Tuning knobs of the [`DeviceAllocator`] front-end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceAllocatorConfig {
-    /// Requests strictly below this size take the sharded fast path
-    /// (default: 2 MiB, GMLake's stitch threshold — everything the stitching
-    /// machinery would not touch anyway). `0` disables the fast path
-    /// entirely, degenerating to the single-mutex behaviour of the old
-    /// `SharedAllocator`; benches use this as the contention baseline.
+    /// Requests strictly below this size take the small route (default:
+    /// 2 MiB, GMLake's stitch threshold — everything the stitching
+    /// machinery would not touch anyway). `0` disables both routes,
+    /// degenerating to one mutex around the core; benches use this as the
+    /// contention baseline.
     pub small_threshold: u64,
-    /// Number of cache shards *per stream bank* (rounded up to a power of
-    /// two, default 16).
+    /// Number of small-route caches *per stream bank* (rounded up to a
+    /// power of two, default 16).
     ///
     /// Must be in `1..=MAX_SHARDS`: [`DeviceAllocatorConfig::validate`]
     /// rejects values outside the range (surfaced by the `try_*`
     /// constructors as [`AllocError::InvalidConfig`]); the infallible
-    /// constructors clamp via [`DeviceAllocatorConfig::normalized`].
+    /// constructors clamp into it.
     pub shards: usize,
     /// Maximum cached blocks per size class; overflowing frees go straight
     /// back to the core (default 64).
     pub max_cached_per_class: usize,
-    /// Capacity of each shard's pending event ring (default 64) — the
+    /// Capacity of each cache's pending event ring (default 64) — the
     /// cross-stream-freed blocks that may wait on event completion per
-    /// shard, **across all of the shard's size classes** (a coarser
-    /// granularity than `max_cached_per_class`, which is per class).
-    /// A full ring sends further cross-stream frees through the core
-    /// fallback; `0` disables event parking entirely, restoring the
-    /// conservative pre-event rule even when an
-    /// [`EventSource`](crate::EventSource) is configured.
+    /// cache, **across all of the cache's keys**. A full ring sends
+    /// further cross-stream frees through the core fallback; `0` disables
+    /// event parking entirely, restoring the conservative rule even when
+    /// an [`EventSource`](crate::EventSource) is configured.
     pub pending_ring_cap: usize,
-    /// Number of logical GPU streams to partition the cache for (rounded up
-    /// to a power of two, default 1). Each stream gets its own bank of
-    /// `shards` size-class shards, so warm allocations on different streams
+    /// Number of logical GPU streams to partition the caches for (rounded
+    /// up to a power of two, default 1). Each stream gets its own bank of
+    /// caches on either route, so warm allocations on different streams
     /// never share a lock. Stream ids at or above the configured count fold
     /// onto the existing banks (placement only: folded streams share locks
-    /// and free lists, but every parked block is tagged with the exact
-    /// [`StreamId`] that parked it, and both reuse and the cross-stream
-    /// free guard compare exact ids — a folded stream never receives
-    /// another stream's block except through the core mutex).
+    /// and free lists, but reuse and the cross-stream free guard compare
+    /// the exact [`StreamId`] every parked block is tagged with).
     ///
-    /// Must be in `1..=MAX_STREAMS` (stream 0 is the default stream):
-    /// [`DeviceAllocatorConfig::validate`] rejects values outside the
-    /// range, and the fallible constructors
-    /// ([`DeviceAllocator::try_with_config`],
-    /// [`DeviceAllocator::try_from_boxed`]) surface that as
-    /// [`AllocError::InvalidConfig`] instead of panicking; the infallible
-    /// constructors clamp via [`DeviceAllocatorConfig::normalized`].
+    /// Must be in `1..=MAX_STREAMS` (stream 0 is the default stream),
+    /// enforced like [`DeviceAllocatorConfig::shards`].
     pub streams: usize,
     /// Maximum blocks cached per *stream bank* on the large route (default
-    /// 32). Requests at or above `small_threshold` are served from a
-    /// per-stream large bank: an exact-size, exact-stream hit costs one
-    /// bank-lock acquisition and never touches the core mutex, and a
-    /// same-stream free parks its block in the bank up to this cap.
-    /// Unlike `max_cached_per_class` this cap is per bank across all sizes
-    /// (large sizes are few and big — a handful of parked multi-MiB blocks
-    /// is already a lot of memory).
+    /// 32). Unlike `max_cached_per_class` this cap is per cache across all
+    /// sizes (large sizes are few and big — a handful of parked multi-MiB
+    /// blocks is already a lot of memory).
     ///
     /// `0` disables the large route entirely: every large allocation and
-    /// free goes through the core mutex (the pre-PR 9 behaviour, and the
-    /// single-mutex baseline `bench_pr9` compares against). Note
-    /// `small_threshold == 0` also bypasses the large banks — that knob
-    /// documents itself as degenerating to the single-mutex
-    /// `SharedAllocator`, and the large cache would silently break that
-    /// contract for the benches built on it.
+    /// free goes through the core mutex (the single-mutex baseline
+    /// `bench_pr9` compares against). `small_threshold == 0` bypasses the
+    /// large route too — that knob promises one mutex around the core.
     pub max_cached_large_per_bank: usize,
 }
 
@@ -269,18 +236,15 @@ impl Default for DeviceAllocatorConfig {
 }
 
 impl DeviceAllocatorConfig {
-    /// Sets the fast-path threshold (`0` disables the fast path).
+    /// Sets the small-route threshold (`0` disables both routes).
     #[must_use]
     pub fn with_small_threshold(mut self, small_threshold: u64) -> Self {
         self.small_threshold = small_threshold;
         self
     }
 
-    /// Sets the shard count (rounded up to a power of two at construction;
-    /// see [`DeviceAllocatorConfig::shards`]). Values outside
-    /// `1..=MAX_SHARDS` are invalid and are reported by
-    /// [`DeviceAllocatorConfig::validate`] / the `try_*` constructors as
-    /// [`AllocError::InvalidConfig`] — never a panic.
+    /// Sets the shard count (see [`DeviceAllocatorConfig::shards`] for the
+    /// valid range).
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -294,7 +258,7 @@ impl DeviceAllocatorConfig {
         self
     }
 
-    /// Sets the per-shard pending event ring capacity (`0` disables event
+    /// Sets the per-cache pending event ring capacity (`0` disables event
     /// parking; see [`DeviceAllocatorConfig::pending_ring_cap`]).
     #[must_use]
     pub fn with_pending_ring_cap(mut self, cap: usize) -> Self {
@@ -302,11 +266,8 @@ impl DeviceAllocatorConfig {
         self
     }
 
-    /// Sets the stream count (rounded up to a power of two at construction;
-    /// see [`DeviceAllocatorConfig::streams`]). Values outside
-    /// `1..=MAX_STREAMS` are invalid and are reported by
-    /// [`DeviceAllocatorConfig::validate`] / the `try_*` constructors as
-    /// [`AllocError::InvalidConfig`] — never a panic.
+    /// Sets the stream count (see [`DeviceAllocatorConfig::streams`] for
+    /// the valid range).
     #[must_use]
     pub fn with_streams(mut self, streams: usize) -> Self {
         self.streams = streams;
@@ -324,93 +285,72 @@ impl DeviceAllocatorConfig {
 
     /// Checks the configuration for values no allocator can be built from.
     ///
-    /// Every check here must have a repair in
-    /// [`DeviceAllocatorConfig::normalized`] — the two functions are the
-    /// strict and the forgiving face of the same rules, and the infallible
-    /// constructors rely on `normalized()` output always validating.
-    ///
     /// # Errors
     ///
-    /// [`AllocError::InvalidConfig`] if `streams` is 0 (there is always at
-    /// least the default stream) or above [`MAX_STREAMS`], or if `shards`
-    /// is 0 (every bank needs a shard) or above [`MAX_SHARDS`]. The upper
-    /// bounds keep the power-of-two round-up and the `banks * shards`
-    /// product at construction from overflowing — out-of-range values are
-    /// an error here, never a panic.
+    /// [`AllocError::InvalidConfig`] if `streams` is outside
+    /// `1..=`[`MAX_STREAMS`] (there is always the default stream) or
+    /// `shards` outside `1..=`[`MAX_SHARDS`] (every bank needs a shard).
+    /// The upper bounds keep the power-of-two round-up and the
+    /// `banks * shards` product at construction from overflowing —
+    /// out-of-range values are an error here, never a panic.
     pub fn validate(&self) -> Result<(), AllocError> {
-        if self.streams == 0 {
-            return Err(AllocError::InvalidConfig(
-                "streams must be >= 1 (stream 0 is the default stream)".to_owned(),
-            ));
-        }
-        if self.streams > MAX_STREAMS {
-            return Err(AllocError::InvalidConfig(format!(
-                "streams must be <= {MAX_STREAMS} (got {})",
-                self.streams
-            )));
-        }
-        if self.shards == 0 {
-            return Err(AllocError::InvalidConfig(
-                "shards must be >= 1 (every stream bank needs a shard)".to_owned(),
-            ));
-        }
-        if self.shards > MAX_SHARDS {
-            return Err(AllocError::InvalidConfig(format!(
-                "shards must be <= {MAX_SHARDS} (got {})",
-                self.shards
-            )));
+        for (name, value, max) in [
+            ("streams", self.streams, MAX_STREAMS),
+            ("shards", self.shards, MAX_SHARDS),
+        ] {
+            if !(1..=max).contains(&value) {
+                return Err(AllocError::InvalidConfig(format!(
+                    "{name} must be in 1..={max} (got {value})"
+                )));
+            }
         }
         Ok(())
     }
 
     /// Repairs every value [`DeviceAllocatorConfig::validate`] would
-    /// reject (currently: `streams` and `shards` are clamped into
-    /// `1..=MAX_STREAMS` / `1..=MAX_SHARDS`), so the result always
-    /// validates. This is what the infallible constructors
-    /// ([`DeviceAllocator::with_config`] / [`DeviceAllocator::from_boxed`])
-    /// apply instead of erroring.
-    #[must_use]
-    pub fn normalized(mut self) -> Self {
+    /// reject, so the result always validates — what the infallible
+    /// constructors apply instead of erroring. Every check there must have
+    /// a repair here.
+    fn normalized(mut self) -> Self {
         self.streams = self.streams.clamp(1, MAX_STREAMS);
         self.shards = self.shards.clamp(1, MAX_SHARDS);
         self
     }
 }
 
-/// A core allocation parked in (or in flight between) the shard caches.
+/// A core allocation parked in (or in flight between) the caches.
 #[derive(Debug, Clone, Copy)]
 struct CachedBlock {
     /// The id the wrapped core knows this block by.
     core_id: AllocationId,
     va: VirtAddr,
     size: u64,
-    /// The stream the block was allocated on — carried through the free
-    /// lists so reuse can compare exact [`StreamId`]s. A free issued on the
-    /// same stream may recycle the block in place, and a parked block is
-    /// only ever handed back to that same stream; any other stream (even
-    /// one folded onto the same bank) must receive it through the core
-    /// mutex (the cross-stream reuse guard).
+    /// The stream the block was allocated on — the only stream a parked
+    /// block is ever handed back to; any other (even one folded onto the
+    /// same bank) must receive it through the core mutex.
     stream: StreamId,
 }
 
-/// A live small allocation handed out under a front-end id.
+/// A live allocation handed out under a front-end id. The live table is
+/// what detects double frees exactly and what lets the free path know the
+/// *allocating* stream — the prerequisite for the cross-stream event guard.
 #[derive(Debug, Clone, Copy)]
-struct LiveSmall {
+struct LiveEntry {
     block: CachedBlock,
-    /// Size class of the original request — the free-list key the block
-    /// returns to on deallocation.
-    class: u64,
+    /// Free-list key of the original request ([`Route::key`]) — where the
+    /// block returns to on deallocation.
+    key: u64,
 }
 
-/// A cross-stream-freed block waiting in a shard's pending ring for its
+/// A cross-stream-freed block waiting in a cache's pending ring for its
 /// event to complete before it may re-enter the owning stream's free list.
 #[derive(Debug, Clone, Copy)]
-struct PendingBlock {
+struct PendingEntry {
     /// The parked block; `block.stream` is still the *owning* (allocating)
     /// stream — the only stream allowed to reuse it after promotion.
     block: CachedBlock,
     /// Free-list key the block is promoted under.
-    class: u64,
+    key: u64,
     /// Event recorded on the *freeing* stream at free time: once it
     /// completes, that stream's in-flight work is done with the block.
     event: EventId,
@@ -420,129 +360,9 @@ struct PendingBlock {
     freed_from: StreamId,
 }
 
-/// A live large allocation handed out under a front-end large id.
-#[derive(Debug, Clone, Copy)]
-struct LiveLarge {
-    block: CachedBlock,
-    /// The exact bytes the caller asked for — the free-list key the block
-    /// returns to on deallocation. The large route reuses only on exact
-    /// requested size (no class rounding above the stitch threshold), so
-    /// the core's `requested` ledger needs no inflation correction.
-    requested: u64,
-}
-
-/// A cross-stream-freed *large* block waiting in its bank's pending ring
-/// for the freeing stream's event to complete (same guard as the small
-/// path's [`PendingBlock`], keyed by requested size instead of class).
-#[derive(Debug, Clone, Copy)]
-struct LargePending {
-    block: CachedBlock,
-    /// Free-list key the block is promoted under (exact requested size).
-    requested: u64,
-    event: EventId,
-    freed_from: StreamId,
-}
-
-/// One per-stream **large bank**: the front-end cache that takes warm
-/// large/stitch traffic off the core mutex. One bank per stream bank, one
-/// lock per bank — threads on different streams never share it, and a warm
-/// exact-size hit or same-stream park costs one bank-lock acquisition with
-/// zero core traffic.
-///
-/// Reuse is exact on `(requested size, StreamId)`: the stream tag is the
-/// *original* id (folded streams share a bank for placement only), and
-/// cross-stream frees go through the same event guard as the small shards
-/// (pend in the ring, or record + synchronize before the core fallback).
-///
-/// `epoch` counts free-list inserts. The allocation miss path records it,
-/// releases the bank lock, and — while the core commit lock is contended —
-/// optimistically re-scans the bank whenever the epoch moved: a concurrent
-/// free can satisfy the request more cheaply than a core split/stitch, and
-/// an unchanged epoch makes the re-check O(1).
-#[derive(Debug, Default)]
-struct LargeBank {
-    /// Free large blocks keyed by exact requested size.
-    free: U64Map<Vec<CachedBlock>>,
-    /// Front-end large id -> live allocation (this is what lets the free
-    /// path know the *allocating* stream of a large block — the
-    /// prerequisite for the cross-stream event guard).
-    live: U64Map<LiveLarge>,
-    /// Cross-stream-freed blocks waiting on event completion.
-    pending: VecDeque<LargePending>,
-    next_seq: u64,
-    stats: ShardStats,
-    /// Bumped on every free-list insert; see the type docs.
-    epoch: u64,
-}
-
-impl LargeBank {
-    /// Mints a fresh front-end large id owned by bank `index`: the bank
-    /// index rides in the low bits, [`LARGE_ID_BIT`] marks the large route,
-    /// and the top bit marks the id as front-end-minted.
-    #[inline]
-    fn mint(&mut self, index: usize, bank_bits: u32) -> u64 {
-        self.next_seq += 1;
-        FRONT_ID_BASE | LARGE_ID_BIT | (self.next_seq << bank_bits) | index as u64
-    }
-
-    /// Takes an exact-size block parked by exactly `stream`, if any.
-    /// A drained stack stays in the map: the same size is about to be
-    /// parked again on the warm cycle, and leaving the entry saves a hash
-    /// remove + re-insert per hit (drains `clear()` the map wholesale).
-    fn take(&mut self, requested: u64, stream: StreamId) -> Option<CachedBlock> {
-        let stack = self.free.get_mut(&requested)?;
-        let pos = stack.iter().rposition(|b| b.stream == stream)?;
-        let block = stack.swap_remove(pos);
-        self.stats.cached_bytes -= block.size;
-        self.stats.cached_blocks -= 1;
-        Some(block)
-    }
-
-    /// Parks `block` in the free list under `requested`, bumping the epoch.
-    fn park(&mut self, block: CachedBlock, requested: u64) {
-        self.stats.cached_bytes += block.size;
-        self.stats.cached_blocks += 1;
-        self.free.entry(requested).or_default().push(block);
-        self.epoch += 1;
-    }
-
-    /// Moves every pending block whose event has completed into its free
-    /// list; returns how many were promoted. Same FIFO-per-freeing-stream
-    /// query discipline as [`Shard::promote_completed`].
-    fn promote_completed(&mut self, events: &dyn EventSource) -> u64 {
-        let mut promoted = 0;
-        let mut stalled: Vec<StreamId> = Vec::new();
-        let mut i = 0;
-        while i < self.pending.len() {
-            let p = &self.pending[i];
-            if stalled.contains(&p.freed_from) {
-                i += 1;
-                continue;
-            }
-            if events.query(p.event) {
-                let p = self.pending.remove(i).expect("index checked");
-                self.stats.pending_bytes -= p.block.size;
-                self.stats.pending_blocks -= 1;
-                self.stats.event_promotions += 1;
-                self.park(p.block, p.requested);
-                promoted += 1;
-            } else {
-                stalled.push(p.freed_from);
-                i += 1;
-            }
-        }
-        promoted
-    }
-}
-
-/// Counters reconciling one shard's fast-path activity with the core's
-/// `MemStats`. Guarded by the shard lock, so the hot path pays no atomic
-/// read-modify-writes; [`DeviceAllocator::stats`] aggregates across shards.
-///
-/// A cache *hit* hands out a block the core still counts as active, and a
-/// cached *free* parks a block the core never sees freed — these counters
-/// carry the difference, so the aggregate stays exact whenever the pool is
-/// quiescent (and a faithful snapshot under concurrency).
+/// Counters reconciling one cache's fast-path activity with the core's
+/// `MemStats` (see [`DeviceAllocator::stats`]). Guarded by the cache lock,
+/// so the hot path pays no atomic read-modify-writes.
 #[derive(Debug, Default, Clone, Copy)]
 struct ShardStats {
     /// Allocations served from the cache (the core saw nothing).
@@ -552,41 +372,35 @@ struct ShardStats {
     /// Frees absorbed by the fast path (the core saw nothing — yet).
     fast_frees: u64,
     /// Core-side deallocations performed for cache maintenance (flush,
-    /// per-class overflow, and cross-stream fallbacks); each undoes the
+    /// cap overflow, and cross-stream fallbacks); each undoes the
     /// core-visible half of a free already counted in `fast_frees`.
     cache_returns: u64,
-    /// Cross-stream frees that recorded an event and parked the block in
-    /// the pending ring (the event-guarded fast path — no core traffic).
+    /// See [`DeviceCacheStats::cross_stream_parked`].
     cross_stream_parked: u64,
-    /// Cross-stream frees returned to the core instead: no event source is
-    /// configured, or the pending ring was full (a subset of
+    /// See [`DeviceCacheStats::cross_stream_fallback`] (a subset of
     /// `cache_returns`).
     cross_stream_fallback: u64,
-    /// Pending-ring blocks promoted into a free list after their event
-    /// completed.
+    /// Pending-ring blocks promoted into a free list.
     event_promotions: u64,
     /// Bytes requested by cache hits (the core never saw the requests).
     requested: u64,
-    /// Bytes of size-class rounding the core recorded as "requested" on
-    /// fast-path misses, subtracted back out of the aggregate.
+    /// Bytes of key rounding the core recorded as "requested" on misses,
+    /// subtracted back out of the aggregate (always 0 on the large route,
+    /// whose key is the exact requested size).
     requested_inflation: u64,
-    /// Bytes currently parked in this shard's free lists (active from the
-    /// core's perspective, free from the caller's).
+    /// Bytes / blocks parked in the free lists (active from the core's
+    /// perspective, free from the caller's).
     cached_bytes: u64,
-    /// Blocks currently parked in this shard's free lists.
     cached_blocks: u64,
-    /// Bytes currently waiting in this shard's pending ring (also active
-    /// from the core's perspective, freed from the caller's — but not yet
+    /// Bytes / blocks waiting in the pending ring (likewise, but not yet
     /// reusable).
     pending_bytes: u64,
-    /// Blocks currently waiting in this shard's pending ring.
     pending_blocks: u64,
 }
 
 impl ShardStats {
     /// Adds `s` into `self` field-wise (the aggregation step of
-    /// [`DeviceAllocator::stats`] / [`DeviceAllocator::cache_stats`], also
-    /// used to fold the large banks' counters into the same reconciliation).
+    /// [`DeviceAllocator::stats`] / [`DeviceAllocator::cache_stats`]).
     fn absorb(&mut self, s: &ShardStats) {
         self.hits += s.hits;
         self.misses += s.misses;
@@ -604,35 +418,173 @@ impl ShardStats {
     }
 }
 
-/// One shard: the free lists of the size classes that hash here, the live
-/// table of the front-end ids this shard minted, its id sequence, and its
-/// statistics — everything one warm allocate or deallocate touches, behind
-/// one lock.
-#[derive(Debug, Default)]
-struct Shard {
-    free: U64Map<Vec<CachedBlock>>,
-    live: U64Map<LiveSmall>,
-    /// Cross-stream-freed blocks waiting for their event to complete (in
-    /// record order — within one freeing stream, completion is FIFO).
-    pending: VecDeque<PendingBlock>,
-    next_seq: u64,
-    stats: ShardStats,
+/// The compile-time policy that tells the two routes apart. This is the
+/// whole difference between them; every routine below is shared.
+trait Route {
+    /// Tag OR-ed into the ids the route mints (with the cache index in the
+    /// low bits), so a free finds its route and cache with no lookup.
+    const ID_TAG: u64;
+    /// Whether the route's cap bounds each key's free list (`true`) or the
+    /// cache's whole parked population (`false`).
+    const CAP_PER_KEY: bool;
+    /// What a miss does at the core. `false`: a blocking `allocate`.
+    /// `true`: a stream-affine `alloc_on_stream` behind a `try_lock` loop
+    /// that re-scans the cache whenever its epoch moved (a block parked
+    /// concurrently by this stream is cheaper than a core split/stitch; an
+    /// unchanged epoch makes the re-check O(1)), plus the `Alloc` telemetry
+    /// record such a request carries when the route is disabled.
+    const STREAM_AFFINE_MISS: bool;
+    /// The route's cache array and cap.
+    fn caches(inner: &Inner) -> &RouteCaches;
+    /// Free-list key of a request of `size` bytes — also the size a miss
+    /// asks of the core, so every block under a key fits every request
+    /// that maps to it.
+    fn key(size: u64) -> u64;
 }
 
-impl Shard {
-    /// Mints a fresh front-end id owned by shard `index`: the shard index
-    /// rides in the low bits (so deallocation routes back here without any
-    /// shared lookup) and the top bit marks the id as front-end-minted.
-    #[inline]
-    fn mint(&mut self, index: usize, shard_bits: u32) -> u64 {
-        self.next_seq += 1;
-        FRONT_ID_BASE | (self.next_seq << shard_bits) | index as u64
+/// Requests below the threshold: power-of-two size classes spread over
+/// several caches per bank, so threads working on different classes never
+/// contend; `requested_inflation` takes the class rounding back out of the
+/// core's `requested` ledger.
+struct SmallRoute;
+
+impl Route for SmallRoute {
+    const ID_TAG: u64 = 0;
+    const CAP_PER_KEY: bool = true;
+    const STREAM_AFFINE_MISS: bool = false;
+
+    fn caches(inner: &Inner) -> &RouteCaches {
+        &inner.small
     }
 
-    /// Moves every pending block whose event has completed into its class
-    /// free list; returns how many were promoted. Called under the shard
-    /// lock; `events` is a lock-order leaf (see the [`EventSource`]
-    /// ordering contract), so querying while holding the lock is safe.
+    fn key(size: u64) -> u64 {
+        size_class(size)
+    }
+}
+
+/// Requests at or above the threshold: exact-size reuse only (no class
+/// rounding or slack above the stitch threshold, which keeps the
+/// differential oracle bit-exact), one cache per bank.
+struct LargeRoute;
+
+impl Route for LargeRoute {
+    const ID_TAG: u64 = LARGE_ID_BIT;
+    const CAP_PER_KEY: bool = false;
+    const STREAM_AFFINE_MISS: bool = true;
+
+    fn caches(inner: &Inner) -> &RouteCaches {
+        &inner.large
+    }
+
+    fn key(size: u64) -> u64 {
+        size
+    }
+}
+
+/// One per-stream cache: everything one warm allocate or deallocate
+/// touches, behind one lock.
+#[derive(Debug, Default)]
+struct StreamCache {
+    /// Parked blocks by free-list key.
+    free: U64Map<Vec<CachedBlock>>,
+    /// Front-end id -> live allocation.
+    live: U64Map<LiveEntry>,
+    /// Cross-stream-freed blocks waiting for their event to complete (in
+    /// record order — within one freeing stream, completion is FIFO).
+    pending: VecDeque<PendingEntry>,
+    next_seq: u64,
+    stats: ShardStats,
+    /// Bumped on every free-list insert; see [`Route::STREAM_AFFINE_MISS`].
+    epoch: u64,
+}
+
+impl StreamCache {
+    /// Mints a fresh front-end id owned by cache `index` of route `R`: the
+    /// index rides in the low bits (so deallocation routes back here
+    /// without any shared lookup), `R::ID_TAG` names the route, and the
+    /// top bit marks the id as front-end-minted.
+    #[inline]
+    fn mint<R: Route>(&mut self, index: usize, index_bits: u32) -> u64 {
+        self.next_seq += 1;
+        FRONT_ID_BASE | R::ID_TAG | (self.next_seq << index_bits) | index as u64
+    }
+
+    /// Books `block` live under a fresh id and builds the caller's handle.
+    fn hand_out<R: Route>(
+        &mut self,
+        index: usize,
+        index_bits: u32,
+        block: CachedBlock,
+        key: u64,
+        requested: u64,
+    ) -> Allocation {
+        let id = self.mint::<R>(index, index_bits);
+        self.live.insert(id, LiveEntry { block, key });
+        Allocation {
+            id: AllocationId::new(id),
+            va: block.va,
+            size: block.size,
+            requested,
+        }
+    }
+
+    /// Takes a block parked under `key` by exactly `stream`, if any.
+    /// Scanning from the back keeps the common case (every entry is this
+    /// stream's) at plain-pop cost; mixed stacks only exist when stream
+    /// ids fold onto one bank.
+    ///
+    /// A drained stack stays in the map: the same key is about to be parked
+    /// again on the warm cycle, and leaving the entry saves a hash remove +
+    /// re-insert per hit (`drain_to_core` empties the map wholesale).
+    fn take(&mut self, key: u64, stream: StreamId) -> Option<CachedBlock> {
+        let stack = self.free.get_mut(&key)?;
+        let pos = stack.iter().rposition(|b| b.stream == stream)?;
+        let block = stack.swap_remove(pos);
+        self.stats.cached_bytes -= block.size;
+        self.stats.cached_blocks -= 1;
+        Some(block)
+    }
+
+    /// Parks `block` in the free list under `key`, bumping the epoch.
+    fn park(&mut self, block: CachedBlock, key: u64) {
+        self.stats.cached_bytes += block.size;
+        self.stats.cached_blocks += 1;
+        self.free.entry(key).or_default().push(block);
+        self.epoch += 1;
+    }
+
+    /// Whether the route's cap leaves room to park one more block under
+    /// `key`.
+    fn has_room<R: Route>(&self, key: u64, cap: usize) -> bool {
+        let parked = if R::CAP_PER_KEY {
+            self.free.get(&key).map_or(0, Vec::len)
+        } else {
+            self.stats.cached_blocks as usize
+        };
+        parked < cap
+    }
+
+    /// Removes, from the population the route's cap bounds, a block parked
+    /// by a stream other than `stream` — a slot `stream` can never reuse.
+    fn evict_foreign<R: Route>(&mut self, key: u64, stream: StreamId) -> Option<CachedBlock> {
+        let foreign = |stack: &mut Vec<CachedBlock>| {
+            let pos = stack.iter().position(|b| b.stream != stream)?;
+            Some(stack.swap_remove(pos))
+        };
+        let evicted = if R::CAP_PER_KEY {
+            self.free.get_mut(&key).and_then(foreign)?
+        } else {
+            self.free.values_mut().find_map(foreign)?
+        };
+        self.stats.cached_bytes -= evicted.size;
+        self.stats.cached_blocks -= 1;
+        Some(evicted)
+    }
+
+    /// Moves every pending block whose event has completed into its free
+    /// list; returns how many were promoted. Called under the cache lock;
+    /// `events` is a lock-order leaf (see the [`EventSource`] ordering
+    /// contract), so querying while holding the lock is safe.
     ///
     /// Events recorded from one freeing stream complete in FIFO order (the
     /// [`EventSource`] monotonicity rule), so once one entry of a stream
@@ -640,10 +592,9 @@ impl Shard {
     /// without querying — a sweep costs at most one query per *distinct*
     /// freeing stream with work in flight, not one per ring entry.
     ///
-    /// Promotion may transiently push a class list past
-    /// `max_cached_per_class`; the overshoot is bounded by the ring's own
-    /// cap and drains as the owner allocates (or at the next flush), so no
-    /// class can hoard unboundedly.
+    /// Promotion may transiently push a free list past the route's cap;
+    /// the overshoot is bounded by the ring's own cap and drains as the
+    /// owner allocates (or at the next flush).
     fn promote_completed(&mut self, events: &dyn EventSource) -> u64 {
         let mut promoted = 0;
         // Freeing streams already seen incomplete this sweep (ring-bounded,
@@ -660,10 +611,8 @@ impl Shard {
                 let p = self.pending.remove(i).expect("index checked");
                 self.stats.pending_bytes -= p.block.size;
                 self.stats.pending_blocks -= 1;
-                self.stats.cached_bytes += p.block.size;
-                self.stats.cached_blocks += 1;
                 self.stats.event_promotions += 1;
-                self.free.entry(p.class).or_default().push(p.block);
+                self.park(p.block, p.key);
                 promoted += 1;
             } else {
                 stalled.push(p.freed_from);
@@ -674,6 +623,41 @@ impl Shard {
     }
 }
 
+/// One route's caches: `banks * per_bank` of them, bank-major.
+struct RouteCaches {
+    caches: Box<[Mutex<StreamCache>]>,
+    /// Caches per stream bank (a power of two); a key's hash picks one.
+    per_bank: usize,
+    /// `log2(caches.len())`: the id bits that carry the cache index.
+    index_bits: u32,
+    /// The route's cap ([`Route::CAP_PER_KEY`] says of what).
+    cap: usize,
+}
+
+impl RouteCaches {
+    fn new(banks: usize, per_bank: usize, cap: usize) -> Self {
+        let total = banks * per_bank;
+        RouteCaches {
+            caches: (0..total).map(|_| Mutex::default()).collect(),
+            per_bank,
+            index_bits: total.trailing_zeros(),
+            cap,
+        }
+    }
+
+    /// The caches forming stream bank `bank`.
+    fn bank(&self, bank: usize) -> &[Mutex<StreamCache>] {
+        &self.caches[bank * self.per_bank..(bank + 1) * self.per_bank]
+    }
+
+    /// Index of the cache serving `key` within `bank` (a Fibonacci hash of
+    /// the key picks the cache inside the bank).
+    #[inline]
+    fn index(&self, bank: usize, key: u64) -> usize {
+        bank * self.per_bank + class_shard_index(key, self.per_bank as u64 - 1)
+    }
+}
+
 /// Point-in-time cache telemetry (see [`DeviceAllocator::cache_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceCacheStats {
@@ -681,19 +665,17 @@ pub struct DeviceCacheStats {
     pub hits: u64,
     /// Fast-path allocations that fell through to the core.
     pub misses: u64,
-    /// Bytes currently parked in the shard free lists.
+    /// Bytes currently parked in the free lists.
     pub cached_bytes: u64,
-    /// Blocks currently parked in the shard free lists.
+    /// Blocks currently parked in the free lists.
     pub cached_blocks: u64,
     /// Cross-stream frees that recorded an event and parked the block in a
     /// pending ring — the event-guarded fast path, which touched no core
-    /// state (requires an [`EventSource`]; see
-    /// [`DeviceAllocator::with_config_and_events`]).
+    /// state (requires an [`EventSource`]).
     pub cross_stream_parked: u64,
     /// Cross-stream frees conservatively returned to the core: no event
-    /// source is configured, or the owning shard's pending ring was full.
-    /// (Before the event subsystem, *every* cross-stream free took this
-    /// path — the counter formerly named `cross_stream_returns`.)
+    /// source is configured, or the owning cache or its pending ring was
+    /// full.
     pub cross_stream_fallback: u64,
     /// Bytes currently waiting in the pending rings (freed by their
     /// cross-stream callers, not yet reusable).
@@ -703,9 +685,9 @@ pub struct DeviceCacheStats {
     /// Pending blocks promoted to a free list after their event completed
     /// (cumulative).
     pub event_promotions: u64,
-    /// Number of cache shards (across all stream banks).
+    /// Number of caches counted (across all stream banks).
     pub shards: usize,
-    /// Number of per-stream shard banks.
+    /// Number of per-stream banks.
     pub streams: usize,
 }
 
@@ -714,31 +696,18 @@ struct Inner {
     /// Backend name, captured at construction so `name()` never locks.
     name: &'static str,
     small_threshold: u64,
-    max_cached_per_class: usize,
-    /// Per-shard pending event ring capacity (0 = event parking disabled).
+    /// Per-cache pending event ring capacity (0 = event parking disabled).
     pending_ring_cap: usize,
-    /// Number of per-stream shard banks (power of two).
+    /// Number of per-stream banks on either route (power of two).
     stream_banks: usize,
-    /// Size-class shards per bank (power of two); the `shards` slice holds
-    /// `stream_banks * class_shards` entries, bank-major.
-    class_shards: usize,
-    /// Mask of the class-shard index within one bank (`class_shards - 1`).
-    class_mask: u64,
-    /// Mask of the *global* shard index — the low bits of a front-end id
-    /// (`stream_banks * class_shards - 1`).
-    shard_mask: u64,
-    shard_bits: u32,
-    shards: Box<[Mutex<Shard>]>,
-    /// Per-bank cap of the large route (0 = large route disabled).
-    max_cached_large_per_bank: usize,
-    /// Bits the large-id sequence is shifted past (`log2(stream_banks)`).
-    bank_bits: u32,
-    /// One large bank per stream bank (see [`LargeBank`]).
-    large_banks: Box<[Mutex<LargeBank>]>,
+    /// `shards` caches per bank, capped per size class.
+    small: RouteCaches,
+    /// One cache per bank, capped as a whole (cap 0 = route disabled).
+    large: RouteCaches,
     /// Stream-completion event source backing the cross-stream reuse fast
     /// path; `None` keeps the conservative free-through-the-core rule.
     events: Option<Arc<dyn EventSource>>,
-    /// Optional observability sink: sampled alloc/free latencies and shard
+    /// Optional observability sink: sampled alloc/free latencies and cache
     /// hit/miss/park/promote trace records. `None` costs one branch.
     telemetry: Option<Arc<PoolTelemetry>>,
 }
@@ -749,11 +718,9 @@ struct Inner {
 ///
 /// This is the only type the runtime, the workload replayers, the examples,
 /// and the benches speak to when a pool is shared between threads; the
-/// wrapped [`AllocatorCore`] stays single-owner behind the front-end.
-///
-/// `DeviceAllocator` also implements [`AllocatorCore`] itself (delegating to
-/// the `&self` methods), so trait-generic code such as the sequential
-/// replayer drives a shared pool unmodified.
+/// wrapped [`AllocatorCore`] stays single-owner behind the front-end. It
+/// also implements [`AllocatorCore`] itself, so trait-generic code such as
+/// the sequential replayer drives a shared pool unmodified.
 #[derive(Clone)]
 pub struct DeviceAllocator {
     inner: Arc<Inner>,
@@ -763,7 +730,7 @@ impl std::fmt::Debug for DeviceAllocator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeviceAllocator")
             .field("name", &self.inner.name)
-            .field("shards", &self.inner.shards.len())
+            .field("shards", &self.inner.small.caches.len())
             .field("small_threshold", &self.inner.small_threshold)
             .finish_non_exhaustive()
     }
@@ -777,10 +744,22 @@ fn size_class(size: u64) -> u64 {
     size.next_power_of_two().max(MIN_CLASS)
 }
 
-/// Fibonacci hash of a size class into a shard index.
+/// Fibonacci hash of a free-list key into a cache index within one bank.
 #[inline]
 fn class_shard_index(class: u64, mask: u64) -> usize {
     ((class.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) & mask) as usize
+}
+
+/// One request at the (locked) core: stream-affine when the route says so.
+fn ask_core(
+    core: &mut dyn AllocatorCore,
+    req: AllocRequest,
+    affine: Option<StreamId>,
+) -> Result<Allocation, AllocError> {
+    match affine {
+        Some(stream) => core.alloc_on_stream(req, stream),
+        None => core.allocate(req),
+    }
 }
 
 impl DeviceAllocator {
@@ -789,15 +768,15 @@ impl DeviceAllocator {
         Self::with_config(core, DeviceAllocatorConfig::default())
     }
 
-    /// Wraps `core` with an explicit configuration. Invalid values are
-    /// repaired via [`DeviceAllocatorConfig::normalized`] (`streams` and
-    /// `shards` are clamped into `1..=MAX_STREAMS` / `1..=MAX_SHARDS`); use
+    /// Wraps `core` with an explicit configuration. Out-of-range `streams`
+    /// and `shards` are clamped into their ranges; use
     /// [`DeviceAllocator::try_with_config`] for strict validation.
     pub fn with_config<A: AllocatorCore + Send + 'static>(
         core: A,
         config: DeviceAllocatorConfig,
     ) -> Self {
-        Self::from_boxed(Box::new(core), config)
+        Self::try_build(Box::new(core), config.normalized(), None, None)
+            .expect("normalized() repairs everything validate() rejects")
     }
 
     /// Like [`DeviceAllocator::with_config`], but rejects an invalid
@@ -810,93 +789,35 @@ impl DeviceAllocator {
         core: A,
         config: DeviceAllocatorConfig,
     ) -> Result<Self, AllocError> {
-        Self::try_from_boxed(Box::new(core), config)
+        Self::try_build(Box::new(core), config, None, None)
     }
 
-    /// Wraps `core` with an explicit configuration **and** a
-    /// stream-completion [`EventSource`], enabling the event-guarded
-    /// cross-stream reuse fast path: a cross-stream free records an event
-    /// and parks the block in a pending ring instead of round-tripping
-    /// through the core mutex (see `docs/streams-and-events.md` and
-    /// [`DeviceAllocator::process_events`]).
+    /// Like [`DeviceAllocator::with_config`], plus a stream-completion
+    /// [`EventSource`] enabling the event-guarded cross-stream reuse fast
+    /// path: a cross-stream free records an event and parks the block in a
+    /// pending ring instead of round-tripping through the core mutex (see
+    /// `docs/streams-and-events.md`).
     ///
     /// The source must uphold the [`EventSource`] ordering contract — in
     /// particular it must never call back into this allocator. When the
     /// wrapped core sits on a simulated device, pass a clone of the same
     /// `CudaDriver` so event completion rides the device's clock and
     /// per-stream frontiers.
-    ///
-    /// Invalid configuration values are repaired via
-    /// [`DeviceAllocatorConfig::normalized`], as in
-    /// [`DeviceAllocator::with_config`].
     pub fn with_config_and_events<A: AllocatorCore + Send + 'static>(
         core: A,
         config: DeviceAllocatorConfig,
         events: Arc<dyn EventSource>,
     ) -> Self {
-        Self::try_from_boxed_with_events(Box::new(core), config.normalized(), Some(events))
+        Self::try_build(Box::new(core), config.normalized(), Some(events), None)
             .expect("normalized() repairs everything validate() rejects")
     }
 
-    /// Wraps an already-boxed core (the registry path of `gmlake-runtime`).
-    /// Invalid values are repaired via [`DeviceAllocatorConfig::normalized`]
-    /// (`streams` and `shards` are clamped into `1..=MAX_STREAMS` /
-    /// `1..=MAX_SHARDS`); use [`DeviceAllocator::try_from_boxed`] for
-    /// strict validation.
-    pub fn from_boxed(core: Box<dyn AllocatorCore + Send>, config: DeviceAllocatorConfig) -> Self {
-        Self::try_from_boxed(core, config.normalized())
-            .expect("normalized() repairs everything validate() rejects")
-    }
-
-    /// Like [`DeviceAllocator::from_boxed`], but rejects an invalid
-    /// configuration instead of normalizing it.
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError::InvalidConfig`] — see [`DeviceAllocatorConfig::validate`].
-    pub fn try_from_boxed(
-        core: Box<dyn AllocatorCore + Send>,
-        config: DeviceAllocatorConfig,
-    ) -> Result<Self, AllocError> {
-        Self::try_from_boxed_with_events(core, config, None)
-    }
-
-    /// The most general constructor: an already-boxed core, a strict
-    /// configuration, and an optional [`EventSource`] enabling the
-    /// event-guarded cross-stream reuse path (see
-    /// [`DeviceAllocator::with_config_and_events`]; `None` keeps the
-    /// conservative free-through-the-core rule).
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError::InvalidConfig`] — see [`DeviceAllocatorConfig::validate`].
-    pub fn try_from_boxed_with_events(
-        core: Box<dyn AllocatorCore + Send>,
-        config: DeviceAllocatorConfig,
-        events: Option<Arc<dyn EventSource>>,
-    ) -> Result<Self, AllocError> {
-        Self::try_build(core, config, events, None)
-    }
-
-    /// Wraps an already-boxed core with an attached [`PoolTelemetry`] sink
-    /// (disabled sinks cost one relaxed atomic load per call; see the
-    /// `gmlake-telemetry` crate docs for the overhead model). Invalid
-    /// configuration values are repaired via
-    /// [`DeviceAllocatorConfig::normalized`], as in
-    /// [`DeviceAllocator::from_boxed`].
-    pub fn from_boxed_with_telemetry(
-        core: Box<dyn AllocatorCore + Send>,
-        config: DeviceAllocatorConfig,
-        telemetry: Arc<PoolTelemetry>,
-    ) -> Self {
-        Self::try_build(core, config.normalized(), None, Some(telemetry))
-            .expect("normalized() repairs everything validate() rejects")
-    }
-
-    /// The most general constructor: an already-boxed core, a strict
-    /// configuration, an optional [`EventSource`] (see
-    /// [`DeviceAllocator::with_config_and_events`]), and an optional
-    /// [`PoolTelemetry`] sink fed by the alloc/free fast paths.
+    /// The general constructor, of which the others are sugar: an
+    /// already-boxed core (the registry path of `gmlake-runtime`), a strict
+    /// configuration, an optional [`EventSource`] (`None` keeps the
+    /// conservative free-through-the-core rule), and an optional
+    /// [`PoolTelemetry`] sink fed by the alloc/free fast paths (a disabled
+    /// sink costs one relaxed atomic load per call).
     ///
     /// # Errors
     ///
@@ -908,26 +829,21 @@ impl DeviceAllocator {
         telemetry: Option<Arc<PoolTelemetry>>,
     ) -> Result<Self, AllocError> {
         config.validate()?;
-        let class_shards = config.shards.next_power_of_two();
         let stream_banks = config.streams.next_power_of_two();
-        let total = stream_banks * class_shards;
         let name = core.name();
         Ok(DeviceAllocator {
             inner: Arc::new(Inner {
                 core: Mutex::new(core),
                 name,
                 small_threshold: config.small_threshold,
-                max_cached_per_class: config.max_cached_per_class,
                 pending_ring_cap: config.pending_ring_cap,
                 stream_banks,
-                class_shards,
-                class_mask: class_shards as u64 - 1,
-                shard_mask: total as u64 - 1,
-                shard_bits: total.trailing_zeros(),
-                shards: (0..total).map(|_| Mutex::default()).collect(),
-                max_cached_large_per_bank: config.max_cached_large_per_bank,
-                bank_bits: stream_banks.trailing_zeros(),
-                large_banks: (0..stream_banks).map(|_| Mutex::default()).collect(),
+                small: RouteCaches::new(
+                    stream_banks,
+                    config.shards.next_power_of_two(),
+                    config.max_cached_per_class,
+                ),
+                large: RouteCaches::new(stream_banks, 1, config.max_cached_large_per_bank),
                 events,
                 telemetry,
             }),
@@ -940,114 +856,10 @@ impl DeviceAllocator {
         self.inner.telemetry.as_ref()
     }
 
-    /// Global shard index of `(stream, class)`: the stream's bank (stream
-    /// ids beyond the configured banks fold modulo — placement only; reuse
-    /// still compares the exact [`StreamId`] tag on each parked block),
-    /// then the class hash within the bank.
-    #[inline]
-    fn shard_index(&self, stream: StreamId, class: u64) -> usize {
-        let bank = stream.as_u32() as usize & (self.inner.stream_banks - 1);
-        bank * self.inner.class_shards + class_shard_index(class, self.inner.class_mask)
-    }
-
-    /// Allocates through the core mutex; on out-of-memory, returns the shard
-    /// caches to the core and retries once (the core's own OOM fallbacks
-    /// cannot reach blocks parked in the front-end).
-    ///
-    /// The retry runs even when this thread's own `flush()` found the shards
-    /// empty: a concurrent flush may have drained the shards but not yet
-    /// handed its blocks to the core, and the retry — sequenced after that
-    /// flush's core deallocations by the core lock — is what rescues the
-    /// allocation in that window. The extra attempt only costs time on the
-    /// already-failing error path.
-    fn core_allocate(&self, req: AllocRequest) -> Result<Allocation, AllocError> {
-        let first = self.inner.core.lock().allocate(req);
-        let Err(AllocError::OutOfMemory { .. }) = &first else {
-            return first;
-        };
-        self.flush();
-        self.inner.core.lock().allocate(req)
-    }
-
-    fn allocate_small(
-        &self,
-        req: AllocRequest,
-        stream: StreamId,
-        tel: Option<&PoolTelemetry>,
-    ) -> Result<Allocation, AllocError> {
-        let class = size_class(req.size);
-        let index = self.shard_index(stream, class);
-        let shard = &self.inner.shards[index];
-        {
-            let mut guard = shard.lock();
-            let g = &mut *guard;
-            // Only a block parked by this exact stream is a hit: distinct
-            // StreamIds folded onto the same bank share the free lists for
-            // placement, but a block must never move between streams without
-            // passing through the core. Scanning from the back keeps the
-            // common case (every entry is this stream's) at plain-pop cost;
-            // mixed stacks only exist when ids fold onto one bank.
-            let take = |g: &mut Shard| {
-                g.free.get_mut(&class).and_then(|stack| {
-                    let pos = stack.iter().rposition(|b| b.stream == stream)?;
-                    Some(stack.swap_remove(pos))
-                })
-            };
-            let mut hit = take(g);
-            if hit.is_none() && !g.pending.is_empty() {
-                // The free list came up empty, but a cross-stream-freed
-                // block may be waiting on a completed event: promote and
-                // rescan — still one shard-lock acquisition, no core mutex.
-                if let Some(events) = &self.inner.events {
-                    if g.promote_completed(&**events) > 0 {
-                        hit = take(g);
-                    }
-                }
-            }
-            if let Some(block) = hit {
-                g.stats.cached_bytes -= block.size;
-                g.stats.cached_blocks -= 1;
-                g.stats.hits += 1;
-                g.stats.requested += req.size;
-                let id = g.mint(index, self.inner.shard_bits);
-                g.live.insert(id, LiveSmall { block, class });
-                if let Some(t) = tel {
-                    t.record(EventKind::ShardHit, class, stream.as_u32() as u64, 0);
-                }
-                return Ok(Allocation {
-                    id: AllocationId::new(id),
-                    va: block.va,
-                    size: block.size,
-                    requested: req.size,
-                });
-            }
-            g.stats.misses += 1;
-        }
-        // Miss: allocate the whole class size from the core (no shard lock
-        // held), so the block can later serve any request of the class. The
-        // core records `class` as requested; `requested_inflation` subtracts
-        // the rounding back out.
-        if let Some(t) = tel {
-            t.record(EventKind::ShardMiss, class, stream.as_u32() as u64, 0);
-        }
-        let core_alloc = self.core_allocate(AllocRequest::new(class).with_tag(req.tag))?;
-        let block = CachedBlock {
-            core_id: core_alloc.id,
-            va: core_alloc.va,
-            size: core_alloc.size,
-            stream,
-        };
-        let mut guard = shard.lock();
-        let g = &mut *guard;
-        g.stats.requested_inflation += class - req.size;
-        let id = g.mint(index, self.inner.shard_bits);
-        g.live.insert(id, LiveSmall { block, class });
-        Ok(Allocation {
-            id: AllocationId::new(id),
-            va: block.va,
-            size: block.size,
-            requested: req.size,
-        })
+    /// Telemetry gate of one call: `None` when detached, disabled, or not
+    /// sampled this call — the call then skips all telemetry work.
+    fn sampled_telemetry(&self) -> Option<&PoolTelemetry> {
+        self.inner.telemetry.as_deref().filter(|t| t.hot_sample())
     }
 
     /// The bank index `stream` folds onto (placement only — guard and
@@ -1057,86 +869,108 @@ impl DeviceAllocator {
         stream.as_u32() as usize & (self.inner.stream_banks - 1)
     }
 
-    /// Serves a large (at-or-above-threshold) request from `stream`'s large
-    /// bank. BestFit-style candidate selection runs entirely outside the
-    /// core mutex:
+    /// Retries `first`'s request once if it ran out of memory, after
+    /// returning every front-end cache to the core (the core's own OOM
+    /// fallbacks cannot reach blocks parked in the front-end).
     ///
-    /// 1. **Hit** — an exact-size block parked by this exact stream (with a
-    ///    promote-and-rescan of the bank's pending ring on a first miss)
-    ///    is handed out under one short bank-lock acquisition; the core
-    ///    mutex is never touched.
-    /// 2. **Miss** — the request must go to the core (whose mutex is the
-    ///    *commit-time lock*: splits and stitches commit transactionally
-    ///    under it). While that lock is contended, the miss path
-    ///    optimistically re-scans its bank whenever the bank `epoch` moved:
-    ///    a block freed concurrently by this stream satisfies the request
-    ///    cheaper than waiting to run a core split/stitch. The epoch check
-    ///    makes each revalidation O(1) when nothing changed.
-    ///
-    /// The bank lock and the core lock are never held simultaneously.
-    fn allocate_large(
+    /// The retry runs even when this thread's own `flush()` found the caches
+    /// empty: a concurrent flush may have drained them but not yet handed
+    /// its blocks to the core, and the retry — sequenced after that
+    /// flush's core deallocations by the core lock — is what rescues the
+    /// allocation in that window.
+    fn retry_after_flush(
+        &self,
+        first: Result<Allocation, AllocError>,
+        req: AllocRequest,
+        affine: Option<StreamId>,
+    ) -> Result<Allocation, AllocError> {
+        let Err(AllocError::OutOfMemory { .. }) = &first else {
+            return first;
+        };
+        self.flush();
+        ask_core(&mut **self.inner.core.lock(), req, affine)
+    }
+
+    /// Serves `req` from `stream`'s cache on route `R`. A **hit** — a block
+    /// parked under the request's key by this exact stream (with a
+    /// promote-and-rescan of the cache's pending ring on a first miss) — is
+    /// handed out under one short cache-lock acquisition; the core mutex is
+    /// never touched. A **miss** goes to the core for a block of the key's
+    /// size, the way [`Route::STREAM_AFFINE_MISS`] says. The cache lock and
+    /// the core lock are never held simultaneously.
+    fn allocate_cached<R: Route>(
         &self,
         req: AllocRequest,
         stream: StreamId,
         tel: Option<&PoolTelemetry>,
     ) -> Result<Allocation, AllocError> {
-        let index = self.bank_index(stream);
-        let bank = &self.inner.large_banks[index];
+        let route = R::caches(&self.inner);
+        let key = R::key(req.size);
+        let index = route.index(self.bank_index(stream), key);
+        let cache = &route.caches[index];
+        // Books a hit under the cache lock: counters, fresh front-end id,
+        // live entry (`take` already left the free list and its counters).
+        let commit_hit = |g: &mut StreamCache, block: CachedBlock| {
+            g.stats.hits += 1;
+            g.stats.requested += req.size;
+            if let Some(t) = tel {
+                t.record(EventKind::ShardHit, key, stream.as_u32() as u64, 0);
+            }
+            g.hand_out::<R>(index, route.index_bits, block, key, req.size)
+        };
         let mut epoch_seen;
         {
-            let mut guard = bank.lock();
+            let mut guard = cache.lock();
             let g = &mut *guard;
-            let mut hit = g.take(req.size, stream);
+            let mut hit = g.take(key, stream);
             if hit.is_none() && !g.pending.is_empty() {
+                // A cross-stream-freed block may be waiting on a completed
+                // event: promote and rescan, still under this one lock.
                 if let Some(events) = &self.inner.events {
                     if g.promote_completed(&**events) > 0 {
-                        hit = g.take(req.size, stream);
+                        hit = g.take(key, stream);
                     }
                 }
             }
             if let Some(block) = hit {
-                return Ok(self.commit_large_hit(g, index, block, req.size, stream, tel));
+                return Ok(commit_hit(g, block));
             }
             g.stats.misses += 1;
             epoch_seen = g.epoch;
         }
         if let Some(t) = tel {
-            t.record(EventKind::ShardMiss, req.size, stream.as_u32() as u64, 0);
+            t.record(EventKind::ShardMiss, key, stream.as_u32() as u64, 0);
         }
-        // Optimistic selection against the commit-time lock: try the core
-        // mutex without blocking; while someone else is committing, watch
-        // the bank epoch for a concurrent free that makes the trip
-        // unnecessary. Neither lock is ever held while taking the other.
-        let first = loop {
-            if let Some(mut core) = self.inner.core.try_lock() {
-                break core.alloc_on_stream(req, stream);
-            }
-            {
-                let mut guard = bank.lock();
-                let g = &mut *guard;
-                if g.epoch != epoch_seen {
-                    epoch_seen = g.epoch;
-                    if let Some(block) = g.take(req.size, stream) {
-                        return Ok(self.commit_large_hit(g, index, block, req.size, stream, tel));
+        // Miss: ask the core for the whole key size (no cache lock held).
+        // The core records `key` as requested; `requested_inflation`
+        // subtracts the rounding back out.
+        let core_req = AllocRequest::new(key).with_tag(req.tag);
+        let affine = R::STREAM_AFFINE_MISS.then_some(stream);
+        let first = if R::STREAM_AFFINE_MISS {
+            // Optimistic selection against the commit-time lock: while
+            // someone else is committing, watch the cache epoch for a
+            // concurrent free that makes the trip unnecessary.
+            loop {
+                if let Some(mut core) = self.inner.core.try_lock() {
+                    break ask_core(&mut **core, core_req, affine);
+                }
+                {
+                    let mut guard = cache.lock();
+                    let g = &mut *guard;
+                    if g.epoch != epoch_seen {
+                        epoch_seen = g.epoch;
+                        if let Some(block) = g.take(key, stream) {
+                            return Ok(commit_hit(g, block));
+                        }
                     }
                 }
+                std::thread::yield_now();
             }
-            std::thread::yield_now();
+        } else {
+            ask_core(&mut **self.inner.core.lock(), core_req, affine)
         };
-        let core_alloc = match first {
-            Err(AllocError::OutOfMemory { .. }) => {
-                // Same rescue as `core_allocate`: hand every front-end
-                // cache (small shards AND large banks) back to the core and
-                // retry once behind a plain lock.
-                self.flush();
-                self.inner.core.lock().alloc_on_stream(req, stream)?
-            }
-            other => other?,
-        };
-        // A core-served large allocation carries the same `Alloc` event it
-        // did when the route was disabled and every large request went
-        // straight through the core mutex.
-        if let Some(t) = tel {
+        let core_alloc = self.retry_after_flush(first, core_req, affine)?;
+        if let Some(t) = tel.filter(|_| R::STREAM_AFFINE_MISS) {
             t.record(EventKind::Alloc, core_alloc.size, stream.as_u32() as u64, 0);
         }
         let block = CachedBlock {
@@ -1145,63 +979,23 @@ impl DeviceAllocator {
             size: core_alloc.size,
             stream,
         };
-        let mut guard = bank.lock();
-        let g = &mut *guard;
-        let id = g.mint(index, self.inner.bank_bits);
-        g.live.insert(
-            id,
-            LiveLarge {
-                block,
-                requested: req.size,
-            },
-        );
-        Ok(Allocation {
-            id: AllocationId::new(id),
-            va: block.va,
-            size: block.size,
-            requested: req.size,
-        })
-    }
-
-    /// Books a large-bank cache hit under the bank lock: counters, fresh
-    /// front-end id, live entry. (`LargeBank::take` already removed the
-    /// block from the free list and its cached counters.)
-    fn commit_large_hit(
-        &self,
-        g: &mut LargeBank,
-        index: usize,
-        block: CachedBlock,
-        requested: u64,
-        stream: StreamId,
-        tel: Option<&PoolTelemetry>,
-    ) -> Allocation {
-        g.stats.hits += 1;
-        g.stats.requested += requested;
-        let id = g.mint(index, self.inner.bank_bits);
-        g.live.insert(id, LiveLarge { block, requested });
-        if let Some(t) = tel {
-            t.record(EventKind::ShardHit, requested, stream.as_u32() as u64, 0);
-        }
-        Allocation {
-            id: AllocationId::new(id),
-            va: block.va,
-            size: block.size,
-            requested,
-        }
+        let mut guard = cache.lock();
+        guard.stats.requested_inflation += key - req.size;
+        Ok(guard.hand_out::<R>(index, route.index_bits, block, key, req.size))
     }
 
     /// Allocates memory for `req` (see [`AllocatorCore::allocate`] for the
-    /// contract) on the default stream. Small requests take the sharded
-    /// fast path; everything else goes to the wrapped core.
+    /// contract) on the default stream — [`DeviceAllocator::alloc_on_stream`]
+    /// with [`StreamId::DEFAULT`].
     pub fn allocate(&self, req: AllocRequest) -> Result<Allocation, AllocError> {
         self.alloc_on_stream(req, StreamId::DEFAULT)
     }
 
-    /// Allocates memory for `req` on behalf of `stream`: small requests are
-    /// served from the stream's own bank of size-class shards, so warm
-    /// allocations on different streams never contend on a lock. Large
-    /// requests go to the core mutex regardless of stream (the core is a
-    /// full synchronization point).
+    /// Allocates memory for `req` on behalf of `stream`: the request is
+    /// served from the stream's own bank of caches — the small route below
+    /// the threshold, the large route at or above it — so warm allocations
+    /// on different streams never contend on a lock. Only a miss (or a
+    /// disabled route) reaches the core mutex.
     ///
     /// # Errors
     ///
@@ -1214,23 +1008,18 @@ impl DeviceAllocator {
         if req.size == 0 {
             return Err(AllocError::ZeroSize);
         }
-        // Telemetry gate: `None` when detached, disabled, or not sampled
-        // this call — everything below then skips all telemetry work.
-        let tel = match &self.inner.telemetry {
-            Some(t) if t.hot_sample() => Some(&**t),
-            _ => None,
-        };
+        let tel = self.sampled_telemetry();
         let start = tel.map(|_| std::time::Instant::now());
         let result = if req.size < self.inner.small_threshold {
-            self.allocate_small(req, stream, tel)
-        } else if self.inner.small_threshold > 0 && self.inner.max_cached_large_per_bank > 0 {
-            self.allocate_large(req, stream, tel)
+            self.allocate_cached::<SmallRoute>(req, stream, tel)
+        } else if self.inner.small_threshold > 0 && self.inner.large.cap > 0 {
+            self.allocate_cached::<LargeRoute>(req, stream, tel)
         } else {
             // Large route disabled (`max_cached_large_per_bank == 0`), or
-            // the whole fast path is off (`small_threshold == 0`, the
-            // single-mutex degeneration the benches baseline against):
-            // straight through the core mutex, core id handed out.
-            let result = self.core_allocate(req);
+            // both routes off (`small_threshold == 0`, the single-mutex
+            // baseline): straight through the core mutex, core id handed out.
+            let first = self.inner.core.lock().allocate(req);
+            let result = self.retry_after_flush(first, req, None);
             if let (Some(t), Ok(a)) = (tel, &result) {
                 t.record(EventKind::Alloc, a.size, stream.as_u32() as u64, 0);
             }
@@ -1243,9 +1032,8 @@ impl DeviceAllocator {
     }
 
     /// Releases the allocation identified by `id` (see
-    /// [`AllocatorCore::deallocate`]) from the default stream. Small
-    /// allocations made on the default stream are parked in their size
-    /// class's shard for reuse instead of being returned to the core.
+    /// [`AllocatorCore::deallocate`]) from the default stream —
+    /// [`DeviceAllocator::free_on_stream`] with [`StreamId::DEFAULT`].
     pub fn deallocate(&self, id: AllocationId) -> Result<(), AllocError> {
         self.free_on_stream(id, StreamId::DEFAULT)
     }
@@ -1253,15 +1041,18 @@ impl DeviceAllocator {
     /// Releases the allocation identified by `id`, where the free is issued
     /// from `stream`.
     ///
-    /// The block always routes back to the shard that minted its id (its
+    /// The block always routes back to the cache that minted its id (its
     /// allocating stream's bank — the id's low bits name it, no shared
     /// lookup). What happens there depends on the freeing stream:
     ///
     /// * **same stream** as the allocation: the block is parked in the
-    ///   stream's free list for immediate reuse;
+    ///   stream's free list for immediate reuse, up to the route's cap —
+    ///   at cap, a block parked by another stream folded onto the same
+    ///   cache is evicted to the core to make room, else the freed block
+    ///   itself goes to the core;
     /// * **different stream**, with an [`EventSource`] configured: an event
     ///   is recorded on the freeing stream and the block waits in the
-    ///   shard's pending ring; once the event completes it is promoted back
+    ///   cache's pending ring; once the event completes it is promoted back
     ///   into the *owning* stream's free list (by the allocation path or
     ///   [`DeviceAllocator::process_events`]) — PyTorch's event-guarded
     ///   cross-stream reuse rule, with no core-mutex round trip. When the
@@ -1269,275 +1060,122 @@ impl DeviceAllocator {
     ///   ([`EventSource::try_record`] reports the event complete), the
     ///   park + promote pair collapses into one step: the block re-pools
     ///   into the owner's free list immediately;
-    /// * **different stream**, without an event source (or with the ring
-    ///   full): the block is returned to the core instead — it can only be
-    ///   handed out again through the core mutex, a full synchronization
-    ///   point standing in for the event.
+    /// * **different stream**, without an event source: the block is
+    ///   returned to the core instead — it can only be handed out again
+    ///   through the core mutex, a full synchronization point standing in
+    ///   for the event. With a source but the ring or the cache full, the
+    ///   block takes the same way after its event is recorded and
+    ///   **synchronized before the core sees it**.
     ///
     /// # Errors
     ///
     /// See [`AllocatorCore::deallocate`].
     pub fn free_on_stream(&self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
-        let tel = match &self.inner.telemetry {
-            Some(t) if t.hot_sample() => Some(&**t),
-            _ => None,
-        };
+        let tel = self.sampled_telemetry();
         let start = tel.map(|_| std::time::Instant::now());
-        let result = self.free_on_stream_impl(id, stream, tel);
+        let raw = id.as_u64();
+        let result = if raw < FRONT_ID_BASE {
+            // A core-minted id (a route is disabled, or the id is
+            // unknown): the core owns it.
+            self.inner.core.lock().deallocate(id)
+        } else if raw & LARGE_ID_BIT != 0 {
+            self.free_cached::<LargeRoute>(id, stream, tel)
+        } else {
+            self.free_cached::<SmallRoute>(id, stream, tel)
+        };
         if let (Some(t), Some(start)) = (tel, start) {
             t.free_ns().record(start.elapsed().as_nanos() as u64);
         }
         result
     }
 
-    fn free_on_stream_impl(
+    /// The three free rules of [`DeviceAllocator::free_on_stream`] for an
+    /// id minted by route `R`.
+    fn free_cached<R: Route>(
         &self,
         id: AllocationId,
         stream: StreamId,
         tel: Option<&PoolTelemetry>,
     ) -> Result<(), AllocError> {
         let raw = id.as_u64();
-        if raw < FRONT_ID_BASE {
-            // A core-minted id (the large route or the whole fast path is
-            // disabled, or the id is unknown): the core owns it. Core ids
-            // and front-end ids live in disjoint halves of the id space,
-            // so a double-freed front-end id can never alias a core
-            // allocation.
-            return self.inner.core.lock().deallocate(id);
-        }
-        if raw & LARGE_ID_BIT != 0 {
-            return self.free_large(id, stream, tel);
-        }
-        // The minting shard rides in the id's low bits; its lock covers the
-        // live entry, the class free list, and the stats in one acquisition.
-        let shard = &self.inner.shards[(raw & self.inner.shard_mask) as usize];
-        // A cross-stream fallback with an event source must synchronize the
-        // freeing stream before the core may re-serve the block (same rule
-        // as `drain_to_core`); carried out of the lock scope.
+        let route = R::caches(&self.inner);
+        // The minting cache rides in the id's low bits.
+        let cache = &route.caches[raw as usize & (route.caches.len() - 1)];
+        // The event a cross-stream fallback must synchronize before the
+        // core may re-serve the block; carried out of the lock scope.
         let mut sync_before_core = None;
         let to_core = {
-            let mut guard = shard.lock();
+            let mut guard = cache.lock();
             let g = &mut *guard;
-            let Some(entry) = g.live.remove(&raw) else {
+            let Some(LiveEntry { block, key }) = g.live.remove(&raw) else {
                 return Err(AllocError::UnknownAllocation(id));
             };
             g.stats.fast_frees += 1;
-            if entry.block.stream != stream {
-                // Cross-stream free: the block must not be reusable until
-                // the freeing stream's in-flight work is done with it. With
-                // an event source, record an event on the freeing stream
-                // and park the block in the pending ring (promotion hands
-                // it back to the OWNING stream once the event completes);
-                // without one — or when the ring is full — fall back to the
-                // return-through-the-core rule.
-                if let Some(events) = &self.inner.events {
-                    if g.pending.len() < self.inner.pending_ring_cap {
-                        match events.try_record(stream) {
-                            Some(event) => {
-                                g.stats.cross_stream_parked += 1;
-                                g.stats.pending_bytes += entry.block.size;
-                                g.stats.pending_blocks += 1;
-                                g.pending.push_back(PendingBlock {
-                                    block: entry.block,
-                                    class: entry.class,
-                                    event,
-                                    freed_from: stream,
-                                });
-                                if let Some(t) = tel {
-                                    t.record(
-                                        EventKind::CrossStreamPark,
-                                        entry.class,
-                                        stream.as_u32() as u64,
-                                        entry.block.stream.as_u32() as u64,
-                                    );
-                                }
-                                return Ok(());
-                            }
-                            None => {
-                                // The event is already complete at record
-                                // time (the freeing stream has nothing in
-                                // flight): skip the ring and park straight
-                                // into the OWNER's free list — the
-                                // park+promote pair collapsed into one
-                                // step, one event-source call total.
-                                let stack = g.free.entry(entry.class).or_default();
-                                if stack.len() < self.inner.max_cached_per_class {
-                                    g.stats.cross_stream_parked += 1;
-                                    g.stats.event_promotions += 1;
-                                    g.stats.cached_bytes += entry.block.size;
-                                    g.stats.cached_blocks += 1;
-                                    stack.push(entry.block);
-                                    if let Some(t) = tel {
-                                        t.record(
-                                            EventKind::CrossStreamPark,
-                                            entry.class,
-                                            stream.as_u32() as u64,
-                                            entry.block.stream.as_u32() as u64,
-                                        );
-                                    }
-                                    return Ok(());
-                                }
-                                // Free list at cap: overflow to the core.
-                                // No synchronization owed — the stream is
-                                // caught up.
-                            }
-                        }
-                    } else {
-                        // Ring full: the block goes to the core, but the
-                        // model still owes the freeing stream a
-                        // synchronization — record the event now (under
-                        // the shard lock, the source is a lock-order
-                        // leaf) and wait it out after the lock drops,
-                        // before the core can re-serve the block.
-                        sync_before_core = Some(events.record(stream));
-                    }
-                }
-                // Without an event source the core round trip itself is
-                // the stand-in for the event: the core mutex is a full
-                // synchronization point (the PR 4 conservative rule).
-                g.stats.cross_stream_fallback += 1;
-                g.stats.cache_returns += 1;
-                Some(entry.block)
-            } else {
+            if block.stream == stream {
                 if let Some(t) = tel {
-                    t.record(EventKind::Free, entry.block.size, stream.as_u32() as u64, 0);
+                    t.record(EventKind::Free, block.size, stream.as_u32() as u64, 0);
                 }
-                let cap = self.inner.max_cached_per_class;
-                let stack = g.free.entry(entry.class).or_default();
-                if stack.len() < cap {
-                    stack.push(entry.block);
-                    g.stats.cached_bytes += entry.block.size;
-                    g.stats.cached_blocks += 1;
+                let overflow = if g.has_room::<R>(key, route.cap) {
+                    g.park(block, key);
                     None
-                } else if let Some(pos) = stack.iter().position(|b| b.stream != stream) {
+                } else if let Some(evicted) = g.evict_foreign::<R>(key, stream) {
                     // Cap reached, but a folded stream's block holds a slot
                     // this stream can never reuse: evict it to the core and
                     // park ours, so an idle foreign stream cannot wedge the
-                    // warm path of every stream sharing the shard.
-                    let evicted = stack.swap_remove(pos);
-                    stack.push(entry.block);
-                    g.stats.cached_bytes += entry.block.size;
-                    g.stats.cached_bytes -= evicted.size;
-                    g.stats.cache_returns += 1;
+                    // warm path of every stream sharing the cache.
+                    g.park(block, key);
                     Some(evicted)
                 } else {
-                    g.stats.cache_returns += 1;
-                    Some(entry.block)
-                }
-            }
-        };
-        if let Some(block) = to_core {
-            if let (Some(event), Some(events)) = (sync_before_core, &self.inner.events) {
-                events.synchronize(event);
-            }
-            self.inner
-                .core
-                .lock()
-                .deallocate(block.core_id)
-                .expect("front-end owns every cached block");
-        }
-        Ok(())
-    }
-
-    /// Releases a large allocation minted by [`DeviceAllocator::allocate_large`].
-    /// The owning bank rides in the id's low bits. Same event-guard rule as
-    /// the small shards, with the bank-wide cache cap:
-    ///
-    /// * **same stream**: park in the bank's free list (up to
-    ///   `max_cached_large_per_bank`), else return to the core;
-    /// * **cross-stream**, events configured: pend in the bank's ring, or
-    ///   — when the freeing stream is caught up — collapse straight into
-    ///   the owner's free list; a full ring (or full cache) records the
-    ///   event and **synchronizes it after the bank lock drops, before the
-    ///   core may re-serve the block** (the `drain_to_core` rule — this is
-    ///   the guard large frees used to bypass entirely);
-    /// * **cross-stream**, no events: conservative core fallback (the core
-    ///   mutex is the synchronization point standing in for the event).
-    fn free_large(
-        &self,
-        id: AllocationId,
-        stream: StreamId,
-        tel: Option<&PoolTelemetry>,
-    ) -> Result<(), AllocError> {
-        let raw = id.as_u64();
-        let bank = &self.inner.large_banks[(raw as usize) & (self.inner.stream_banks - 1)];
-        let cap = self.inner.max_cached_large_per_bank;
-        let mut sync_before_core = None;
-        let to_core = {
-            let mut guard = bank.lock();
-            let g = &mut *guard;
-            let Some(entry) = g.live.remove(&raw) else {
-                return Err(AllocError::UnknownAllocation(id));
-            };
-            g.stats.fast_frees += 1;
-            if entry.block.stream != stream {
-                // Cross-stream large free: the block must not be reusable
-                // (by anyone, on any stream) until the freeing stream's
-                // in-flight work is done with it.
+                    Some(block)
+                };
+                g.stats.cache_returns += u64::from(overflow.is_some());
+                overflow
+            } else {
+                // Cross-stream: not reusable by anyone until the freeing
+                // stream's in-flight work is done with the block.
                 if let Some(events) = &self.inner.events {
                     if g.pending.len() < self.inner.pending_ring_cap
-                        && (g.stats.cached_blocks as usize) < cap
+                        && g.has_room::<R>(key, route.cap)
                     {
                         match events.try_record(stream) {
                             Some(event) => {
-                                g.stats.cross_stream_parked += 1;
-                                g.stats.pending_bytes += entry.block.size;
+                                g.stats.pending_bytes += block.size;
                                 g.stats.pending_blocks += 1;
-                                g.pending.push_back(LargePending {
-                                    block: entry.block,
-                                    requested: entry.requested,
+                                g.pending.push_back(PendingEntry {
+                                    block,
+                                    key,
                                     event,
                                     freed_from: stream,
                                 });
-                                if let Some(t) = tel {
-                                    t.record(
-                                        EventKind::CrossStreamPark,
-                                        entry.requested,
-                                        stream.as_u32() as u64,
-                                        entry.block.stream.as_u32() as u64,
-                                    );
-                                }
-                                return Ok(());
                             }
+                            // Already complete at record time: park + promote
+                            // collapse into one step, one event-source call.
                             None => {
-                                // Caught-up freeing stream: park + promote
-                                // collapse into one step.
-                                g.stats.cross_stream_parked += 1;
                                 g.stats.event_promotions += 1;
-                                g.park(entry.block, entry.requested);
-                                if let Some(t) = tel {
-                                    t.record(
-                                        EventKind::CrossStreamPark,
-                                        entry.requested,
-                                        stream.as_u32() as u64,
-                                        entry.block.stream.as_u32() as u64,
-                                    );
-                                }
-                                return Ok(());
+                                g.park(block, key);
                             }
                         }
+                        g.stats.cross_stream_parked += 1;
+                        if let Some(t) = tel {
+                            t.record(
+                                EventKind::CrossStreamPark,
+                                key,
+                                stream.as_u32() as u64,
+                                block.stream.as_u32() as u64,
+                            );
+                        }
+                        return Ok(());
                     }
-                    // Ring or cache full: the block goes to the core, but
-                    // the freeing stream is still owed a synchronization —
-                    // record now (the source is a lock-order leaf), wait it
-                    // out after the lock drops, before the core can
-                    // re-serve the block.
+                    // Ring or cache full: record the event now (the source
+                    // is a lock-order leaf) and wait it out after the lock
+                    // drops, before the core can re-serve the block.
                     sync_before_core = Some(events.record(stream));
                 }
+                // Without an event source the core mutex itself is the
+                // synchronization point standing in for the event.
                 g.stats.cross_stream_fallback += 1;
                 g.stats.cache_returns += 1;
-                Some(entry.block)
-            } else {
-                if let Some(t) = tel {
-                    t.record(EventKind::Free, entry.block.size, stream.as_u32() as u64, 0);
-                }
-                if (g.stats.cached_blocks as usize) < cap {
-                    g.park(entry.block, entry.requested);
-                    None
-                } else {
-                    g.stats.cache_returns += 1;
-                    Some(entry.block)
-                }
+                Some(block)
             }
         };
         if let Some(block) = to_core {
@@ -1548,35 +1186,33 @@ impl DeviceAllocator {
                 .core
                 .lock()
                 .deallocate(block.core_id)
-                .expect("front-end owns every cached large block");
+                .expect("front-end owns every cached block");
         }
         Ok(())
     }
 
-    /// Drains the free lists **and pending rings** of `shards` and hands
+    /// Drains the free lists **and pending rings** of `caches` and hands
     /// the blocks to the core; returns the bytes handed back.
     ///
     /// Pending blocks are drained even when their event has not completed:
-    /// handing a block to the core is a full synchronization point (the
-    /// core mutex serializes against every stream), so the event is
-    /// [`synchronize`](EventSource::synchronize)d — after the shard locks
-    /// are released, before the core sees the block — exactly as PyTorch
-    /// synchronizes outstanding events when `empty_cache` reclaims
-    /// cross-stream blocks. Defrag and OOM rescue therefore always see
-    /// every cached byte, including not-yet-completed cross-stream blocks.
-    fn drain_to_core(&self, shards: &[Mutex<Shard>]) -> u64 {
+    /// the event is [`synchronize`](EventSource::synchronize)d — after the
+    /// cache locks are released, before the core sees the block — exactly
+    /// as PyTorch synchronizes outstanding events when `empty_cache`
+    /// reclaims cross-stream blocks. Defrag and OOM rescue therefore always
+    /// see every cached byte.
+    fn drain_to_core(&self, caches: &[Mutex<StreamCache>]) -> u64 {
         let mut blocks: Vec<CachedBlock> = Vec::new();
         let mut pending_events: Vec<EventId> = Vec::new();
-        for shard in shards {
-            let mut guard = shard.lock();
+        for cache in caches {
+            let mut guard = cache.lock();
             let g = &mut *guard;
-            for stack in g.free.values_mut() {
-                for block in stack.iter() {
+            for (_, mut stack) in g.free.drain() {
+                for block in &stack {
                     g.stats.cache_returns += 1;
                     g.stats.cached_bytes -= block.size;
                     g.stats.cached_blocks -= 1;
                 }
-                blocks.append(stack);
+                blocks.append(&mut stack);
             }
             while let Some(p) = g.pending.pop_front() {
                 g.stats.cache_returns += 1;
@@ -1604,74 +1240,23 @@ impl DeviceAllocator {
         bytes
     }
 
-    /// Large-bank counterpart of [`DeviceAllocator::drain_to_core`]: drains
-    /// the free lists and pending rings of `banks`, synchronizes the
-    /// pending events after the bank locks drop, and hands every block to
-    /// the core; returns the bytes handed back.
-    fn drain_large_to_core(&self, banks: &[Mutex<LargeBank>]) -> u64 {
-        let mut blocks: Vec<CachedBlock> = Vec::new();
-        let mut pending_events: Vec<EventId> = Vec::new();
-        for bank in banks {
-            let mut guard = bank.lock();
-            let g = &mut *guard;
-            for stack in g.free.values_mut() {
-                for block in stack.iter() {
-                    g.stats.cache_returns += 1;
-                    g.stats.cached_bytes -= block.size;
-                    g.stats.cached_blocks -= 1;
-                }
-                blocks.append(stack);
-            }
-            g.free.clear();
-            while let Some(p) = g.pending.pop_front() {
-                g.stats.cache_returns += 1;
-                g.stats.pending_bytes -= p.block.size;
-                g.stats.pending_blocks -= 1;
-                pending_events.push(p.event);
-                blocks.push(p.block);
-            }
-        }
-        if blocks.is_empty() {
-            return 0;
-        }
-        if let Some(events) = &self.inner.events {
-            for event in pending_events {
-                events.synchronize(event);
-            }
-        }
-        let mut bytes = 0;
-        let mut core = self.inner.core.lock();
-        for block in &blocks {
-            bytes += block.size;
-            core.deallocate(block.core_id)
-                .expect("front-end owns every cached large block");
-        }
-        bytes
-    }
-
-    /// Sweeps every shard's pending ring, promoting each cross-stream-freed
+    /// Sweeps every cache's pending ring, promoting each cross-stream-freed
     /// block whose event has completed into its owning stream's free list;
     /// returns how many blocks were promoted.
     ///
     /// The allocation path already promotes opportunistically (a free-list
-    /// miss checks the shard's own ring before falling through to the
-    /// core), so calling this is optional — it is the *proactive* sweep for
-    /// natural synchronization points (iteration boundaries, scheduler
-    /// ticks), keeping rings short when the owning stream goes idle. A
-    /// no-op without an [`EventSource`].
+    /// miss checks the cache's own ring before falling through to the
+    /// core); this is the *proactive* sweep for natural synchronization
+    /// points (iteration boundaries, scheduler ticks), keeping rings short
+    /// when the owning stream goes idle. A no-op without an [`EventSource`].
     pub fn process_events(&self) -> u64 {
         let Some(events) = &self.inner.events else {
             return 0;
         };
         let mut promoted = 0;
-        for shard in self.inner.shards.iter() {
-            let mut guard = shard.lock();
-            if !guard.pending.is_empty() {
-                promoted += guard.promote_completed(&**events);
-            }
-        }
-        for bank in self.inner.large_banks.iter() {
-            let mut guard = bank.lock();
+        let caches = self.inner.small.caches.iter();
+        for cache in caches.chain(self.inner.large.caches.iter()) {
+            let mut guard = cache.lock();
             if !guard.pending.is_empty() {
                 promoted += guard.promote_completed(&**events);
             }
@@ -1686,16 +1271,14 @@ impl DeviceAllocator {
         promoted
     }
 
-    /// Returns every block parked in the shard caches — across **every**
-    /// stream bank — to the wrapped core and reports the bytes handed back.
-    /// The core decides what happens next (pool them, release them);
-    /// flushing itself frees no physical memory.
-    ///
-    /// This is the flush the defrag/OOM paths run: defragmentation must see
-    /// every cached byte, so it can never be scoped to one stream. Drains
-    /// the large banks as well as the small shards.
+    /// Returns every block parked in the caches — both routes, across
+    /// **every** stream bank — to the wrapped core and reports the bytes
+    /// handed back. The core decides what happens next (pool them, release
+    /// them); flushing itself frees no physical memory. This is the flush
+    /// the defrag/OOM paths run: defragmentation must see every cached
+    /// byte, so it can never be scoped to one stream.
     pub fn flush(&self) -> u64 {
-        self.drain_to_core(&self.inner.shards) + self.drain_large_to_core(&self.inner.large_banks)
+        self.drain_to_core(&self.inner.small.caches) + self.drain_to_core(&self.inner.large.caches)
     }
 
     /// Returns the blocks parked in `stream`'s bank (only) to the wrapped
@@ -1704,74 +1287,46 @@ impl DeviceAllocator {
     /// stream without disturbing the others' warm caches.
     ///
     /// **Folding caveat:** a stream id at or above the configured
-    /// [`DeviceAllocatorConfig::streams`] count folds onto an existing bank
-    /// (see the config docs), so this drains that *shared* bank — e.g.
-    /// `flush_stream(StreamId(8))` on an 8-bank pool drains stream 0's
-    /// warm cache too. Pass only configured stream ids when you want the
-    /// flush to stay targeted.
+    /// [`DeviceAllocatorConfig::streams`] count folds onto an existing
+    /// bank, so this drains that *shared* bank — `flush_stream(StreamId(8))`
+    /// on an 8-bank pool drains stream 0's warm cache too.
     pub fn flush_stream(&self, stream: StreamId) -> u64 {
-        let large = std::slice::from_ref(&self.inner.large_banks[self.bank_index(stream)]);
-        self.drain_to_core(self.bank(stream)) + self.drain_large_to_core(large)
+        let bank = self.bank_index(stream);
+        self.drain_to_core(self.inner.small.bank(bank))
+            + self.drain_to_core(self.inner.large.bank(bank))
     }
 
-    /// The slice of shards forming `stream`'s bank.
-    #[inline]
-    fn bank(&self, stream: StreamId) -> &[Mutex<Shard>] {
-        let bank = stream.as_u32() as usize & (self.inner.stream_banks - 1);
-        let n = self.inner.class_shards;
-        &self.inner.shards[bank * n..(bank + 1) * n]
-    }
-
-    /// Sums the reconciliation counters of a slice of shards.
-    fn sum_shards(shards: &[Mutex<Shard>]) -> ShardStats {
+    /// Sums the reconciliation counters of a slice of caches.
+    fn totals(caches: &[Mutex<StreamCache>]) -> ShardStats {
         let mut total = ShardStats::default();
-        for shard in shards {
-            total.absorb(&shard.lock().stats);
+        for cache in caches {
+            total.absorb(&cache.lock().stats);
         }
         total
     }
 
-    /// Sums the reconciliation counters of a slice of large banks.
-    fn sum_large_banks(banks: &[Mutex<LargeBank>]) -> ShardStats {
-        let mut total = ShardStats::default();
-        for bank in banks {
-            total.absorb(&bank.lock().stats);
-        }
-        total
-    }
-
-    /// Sums the per-shard reconciliation counters across every stream bank.
-    fn shard_totals(&self) -> ShardStats {
-        Self::sum_shards(&self.inner.shards)
-    }
-
-    /// Sums the large banks' reconciliation counters.
-    fn large_totals(&self) -> ShardStats {
-        Self::sum_large_banks(&self.inner.large_banks)
+    /// Sums the reconciliation counters of both routes, every bank.
+    fn all_totals(&self) -> ShardStats {
+        let mut fast = Self::totals(&self.inner.small.caches);
+        fast.absorb(&Self::totals(&self.inner.large.caches));
+        fast
     }
 
     /// Memory statistics of the pool: the wrapped core's counters
-    /// reconciled with the per-shard fast-path counters. Exact whenever the
+    /// reconciled with the per-cache fast-path counters. Exact whenever the
     /// pool is quiescent; a faithful snapshot under concurrency.
     ///
-    /// Blocks waiting in the pending rings count as *freed* here, exactly
-    /// like blocks parked in the free lists: the caller relinquished them,
-    /// only the event machinery still holds them back from reuse.
+    /// A hit never reached the core (`hits`), a parked free is freed from
+    /// the caller's view (`fast_frees` minus `cache_returns`), and parked
+    /// or pending bytes are not active — the caller relinquished them. A
+    /// block between selection and commit is counted exactly once: `take`
+    /// removes it and its cached bytes under the same lock acquisition
+    /// that books the hit.
     ///
     /// Peak watermarks are measured at the core, so bytes parked in the
-    /// shard caches count toward `peak_active_bytes` (an upper bound).
+    /// caches count toward `peak_active_bytes` (an upper bound).
     pub fn stats(&self) -> MemStats {
-        let mut fast = self.shard_totals();
-        // The large banks reconcile through the same counters: a large hit
-        // never reached the core (`hits`), a parked large free is freed
-        // from the caller's view (`fast_frees` minus `cache_returns`), and
-        // parked/pending large bytes are not active. The large route reuses
-        // only on exact requested size, so `requested_inflation` stays 0 —
-        // a block between selection and commit is counted exactly once
-        // (live at the core, no longer cached here: `LargeBank::take`
-        // removes it and its cached bytes under the same bank-lock
-        // acquisition that books the hit).
-        fast.absorb(&self.large_totals());
+        let fast = self.all_totals();
         let mut s = self.inner.core.lock().stats();
         s.alloc_count += fast.hits;
         s.free_count = (s.free_count + fast.fast_frees).saturating_sub(fast.cache_returns);
@@ -1783,7 +1338,7 @@ impl DeviceAllocator {
         s
     }
 
-    /// Projects summed shard counters into the public telemetry shape.
+    /// Projects summed cache counters into the public telemetry shape.
     fn cache_stats_of(fast: ShardStats, shards: usize, streams: usize) -> DeviceCacheStats {
         DeviceCacheStats {
             hits: fast.hits,
@@ -1800,41 +1355,38 @@ impl DeviceAllocator {
         }
     }
 
-    /// Cache telemetry aggregated across every stream bank — small shards
-    /// **and** large banks (see [`DeviceAllocator::large_cache_stats`] for
-    /// the large route alone).
+    /// Cache telemetry aggregated across every stream bank and both routes
+    /// (`shards` reports the small route's cache count; see
+    /// [`DeviceAllocator::large_cache_stats`] for the large route alone).
     pub fn cache_stats(&self) -> DeviceCacheStats {
-        let mut fast = self.shard_totals();
-        fast.absorb(&self.large_totals());
-        Self::cache_stats_of(fast, self.inner.shards.len(), self.inner.stream_banks)
-    }
-
-    /// Cache telemetry of the large route only: the per-stream large banks'
-    /// hits/misses, parked and pending blocks, and event-guard counters
-    /// (`shards` reports the bank count). Empty unless requests at or above
-    /// the threshold ran with `max_cached_large_per_bank > 0`.
-    pub fn large_cache_stats(&self) -> DeviceCacheStats {
+        let inner = &self.inner;
         Self::cache_stats_of(
-            self.large_totals(),
-            self.inner.large_banks.len(),
-            self.inner.stream_banks,
+            self.all_totals(),
+            inner.small.caches.len(),
+            inner.stream_banks,
         )
     }
 
-    /// Cache telemetry of one stream's bank only (`shards` reports the
-    /// bank's shard count, `streams` is 1). Includes the bank's pending-ring
-    /// occupancy ([`DeviceCacheStats::pending_bytes`] /
-    /// [`DeviceCacheStats::pending_blocks`]): cross-stream-freed blocks
-    /// owned by this bank's streams that are still waiting on their event.
+    /// Cache telemetry of the large route only: its hits/misses, parked and
+    /// pending blocks, and event-guard counters (`shards` reports the bank
+    /// count). Empty unless requests at or above the threshold ran with
+    /// `max_cached_large_per_bank > 0`.
+    pub fn large_cache_stats(&self) -> DeviceCacheStats {
+        let large = &self.inner.large.caches;
+        Self::cache_stats_of(Self::totals(large), large.len(), self.inner.stream_banks)
+    }
+
+    /// Cache telemetry of one stream's bank only, both routes (`shards`
+    /// reports the bank's small-route cache count, `streams` is 1),
+    /// including the bank's pending-ring occupancy.
     ///
-    /// **Folding caveat:** a stream id at or above the configured
-    /// [`DeviceAllocatorConfig::streams`] count folds onto an existing bank
-    /// (see the config docs), so the counters reported here are the shared
-    /// bank's — they include activity from every stream folded onto it.
+    /// **Folding caveat:** as for [`DeviceAllocator::flush_stream`], the
+    /// counters include every stream folded onto the bank.
     pub fn stream_cache_stats(&self, stream: StreamId) -> DeviceCacheStats {
-        let mut fast = Self::sum_shards(self.bank(stream));
-        fast.absorb(&self.inner.large_banks[self.bank_index(stream)].lock().stats);
-        Self::cache_stats_of(fast, self.inner.class_shards, 1)
+        let bank = self.bank_index(stream);
+        let mut fast = Self::totals(self.inner.small.bank(bank));
+        fast.absorb(&Self::totals(self.inner.large.bank(bank)));
+        Self::cache_stats_of(fast, self.inner.small.per_bank, 1)
     }
 
     /// Backend name, cached at construction (never takes a lock).
@@ -1848,24 +1400,24 @@ impl DeviceAllocator {
         self.inner.core.lock().iteration_boundary();
     }
 
-    /// Flushes the shard caches into the core, then releases the core's
-    /// cached memory (see [`AllocatorCore::release_cached`]). Returns the
+    /// Flushes the caches into the core, then releases the core's cached
+    /// memory (see [`AllocatorCore::release_cached`]). Returns the
     /// physical bytes released.
     pub fn release_cached(&self) -> u64 {
         self.flush();
         self.inner.core.lock().release_cached()
     }
 
-    /// Flushes the shard caches into the core, then runs the core's
-    /// proactive defrag pass (see [`AllocatorCore::compact`]). Returns the
-    /// physical bytes released.
+    /// Flushes the caches into the core, then runs the core's proactive
+    /// defrag pass (see [`AllocatorCore::compact`]). Returns the physical
+    /// bytes released.
     pub fn compact(&self) -> u64 {
         self.flush();
         self.inner.core.lock().compact()
     }
 
     /// Instantaneous fragmentation ratio over the reconciled [`stats`]
-    /// (bytes parked in shard caches count as reclaimable, not active).
+    /// (bytes parked in the caches count as reclaimable, not active).
     ///
     /// [`stats`]: DeviceAllocator::stats
     pub fn fragmentation(&self) -> f64 {
@@ -1878,7 +1430,7 @@ impl DeviceAllocator {
     }
 
     /// Runs `f` with exclusive access to the wrapped core — the escape
-    /// hatch for implementation-specific calls. The shard caches are *not*
+    /// hatch for implementation-specific calls. The caches are *not*
     /// flushed first (call [`DeviceAllocator::flush`] if `f` needs to see
     /// every block); do not block inside `f`, every core-path caller waits.
     pub fn with_core<R>(&self, f: impl FnOnce(&mut dyn AllocatorCore) -> R) -> R {
@@ -1886,16 +1438,15 @@ impl DeviceAllocator {
     }
 
     /// Forwards [`AllocatorCore::set_stitch_enabled`] to the wrapped core.
-    /// The shard caches are untouched — only the core's composition
-    /// machinery is gated, so small-alloc fast paths stay warm while a
+    /// The caches are untouched, so the fast paths stay warm while a
     /// circuit breaker holds stitching open.
     pub fn set_stitch_enabled(&self, enabled: bool) {
         self.inner.core.lock().set_stitch_enabled(enabled);
     }
 
     /// Forwards [`AllocatorCore::fault_journal_stats`] to the wrapped core
-    /// without flushing the shard caches (journal counters live in the core
-    /// and are unaffected by parked shard blocks).
+    /// without flushing the caches (journal counters live in the core and
+    /// are unaffected by parked blocks).
     pub fn fault_journal_stats(&self) -> crate::stats::FaultJournalStats {
         self.inner.core.lock().fault_journal_stats()
     }
@@ -1915,63 +1466,12 @@ impl DeviceAllocator {
 
 /// `DeviceAllocator` is itself an [`AllocatorCore`] so trait-generic code
 /// (the sequential replayer, ablation harnesses) can drive a shared pool;
-/// every method delegates to the concurrent `&self` inherent API.
+/// every method delegates to the concurrent `&self` inherent API (`*self`
+/// auto-refs to `&DeviceAllocator`, where the inherent method wins over
+/// this trait's `&mut self` one) — except `as_any_mut`: a wrapper must not
+/// masquerade as its inner core.
 impl AllocatorCore for DeviceAllocator {
-    fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
-        DeviceAllocator::allocate(self, req)
-    }
-
-    fn deallocate(&mut self, id: AllocationId) -> Result<(), AllocError> {
-        DeviceAllocator::deallocate(self, id)
-    }
-
-    fn alloc_on_stream(
-        &mut self,
-        req: AllocRequest,
-        stream: StreamId,
-    ) -> Result<Allocation, AllocError> {
-        DeviceAllocator::alloc_on_stream(self, req, stream)
-    }
-
-    fn free_on_stream(&mut self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
-        DeviceAllocator::free_on_stream(self, id, stream)
-    }
-
-    fn stats(&self) -> MemStats {
-        DeviceAllocator::stats(self)
-    }
-
-    fn name(&self) -> &'static str {
-        DeviceAllocator::name(self)
-    }
-
-    fn iteration_boundary(&mut self) {
-        DeviceAllocator::iteration_boundary(self)
-    }
-
-    fn process_events(&mut self) -> u64 {
-        DeviceAllocator::process_events(self)
-    }
-
-    fn release_cached(&mut self) -> u64 {
-        DeviceAllocator::release_cached(self)
-    }
-
-    fn compact(&mut self) -> u64 {
-        DeviceAllocator::compact(self)
-    }
-
-    fn fragmentation(&self) -> f64 {
-        DeviceAllocator::fragmentation(self)
-    }
-
-    fn set_stitch_enabled(&mut self, enabled: bool) {
-        DeviceAllocator::set_stitch_enabled(self, enabled)
-    }
-
-    fn fault_journal_stats(&self) -> crate::stats::FaultJournalStats {
-        DeviceAllocator::fault_journal_stats(self)
-    }
+    forward_allocator_core!(self => (*self));
 }
 
 #[cfg(test)]
@@ -2064,21 +1564,39 @@ mod tests {
 
     #[test]
     fn minted_ids_are_unique_and_route_back_to_their_shard() {
-        let pool = DeviceAllocator::new(TestCore::default());
-        let mask = pool.inner.shard_mask;
+        let pool = DeviceAllocator::with_config(
+            TestCore::default(),
+            DeviceAllocatorConfig::default().with_streams(2),
+        );
         let mut seen = std::collections::HashSet::new();
         for i in 0..200u64 {
-            let size = 512 << (i % 8); // several classes, several shards
-            let a = pool.allocate(AllocRequest::new(size)).unwrap();
-            assert!(a.id.as_u64() >= FRONT_ID_BASE);
+            // Several classes over several shards, and every fourth request
+            // on the large route; both streams.
+            let large = i % 4 == 3;
+            let size = if large {
+                mib(2 + i % 8)
+            } else {
+                512 << (i % 8)
+            };
+            let stream = StreamId((i % 2) as u32);
+            let a = pool
+                .alloc_on_stream(AllocRequest::new(size), stream)
+                .unwrap();
+            let raw = a.id.as_u64();
+            assert!(raw >= FRONT_ID_BASE);
             assert!(seen.insert(a.id), "front-end ids are never reused");
-            let class = size_class(size);
+            assert_eq!(raw & LARGE_ID_BIT != 0, large, "the tag names the route");
+            let (route, key) = if large {
+                (&pool.inner.large, size)
+            } else {
+                (&pool.inner.small, size_class(size))
+            };
             assert_eq!(
-                (a.id.as_u64() & mask) as usize,
-                class_shard_index(class, mask),
-                "the id's low bits name the minting shard"
+                raw as usize & (route.caches.len() - 1),
+                route.index(pool.bank_index(stream), key),
+                "the id's low bits name the minting cache"
             );
-            pool.deallocate(a.id).unwrap();
+            pool.free_on_stream(a.id, stream).unwrap();
         }
     }
 
@@ -2158,7 +1676,8 @@ mod tests {
         pool.deallocate(a.id).unwrap();
         let large = pool.large_cache_stats();
         assert_eq!(large.cached_blocks, 1, "parked in the large bank");
-        assert_eq!(pool.shard_totals().cached_blocks, 0, "shards untouched");
+        let small = DeviceAllocator::totals(&pool.inner.small.caches);
+        assert_eq!(small.cached_blocks, 0, "shards untouched");
         assert_eq!(
             pool.deallocate(a.id).unwrap_err(),
             AllocError::UnknownAllocation(a.id),
@@ -2431,8 +1950,9 @@ mod tests {
         ));
         let err = DeviceAllocator::try_with_config(TestCore::default(), cfg.clone()).unwrap_err();
         assert!(matches!(err, AllocError::InvalidConfig(_)));
-        let err = DeviceAllocator::try_from_boxed(Box::new(TestCore::default()), cfg.clone())
-            .unwrap_err();
+        let err =
+            DeviceAllocator::try_build(Box::new(TestCore::default()), cfg.clone(), None, None)
+                .unwrap_err();
         assert!(matches!(err, AllocError::InvalidConfig(_)));
         // The infallible constructors normalize instead of panicking.
         let pool = DeviceAllocator::with_config(TestCore::default(), cfg);
@@ -2483,8 +2003,8 @@ mod tests {
 
     #[test]
     fn normalized_output_always_validates() {
-        // The contract from_boxed relies on: whatever validate() rejects,
-        // normalized() repairs.
+        // The contract the infallible constructors rely on: whatever
+        // validate() rejects, normalized() repairs.
         for cfg in [
             DeviceAllocatorConfig::default()
                 .with_streams(0)
@@ -2537,9 +2057,10 @@ mod tests {
         let b = pool
             .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
             .unwrap();
+        let mask = pool.inner.small.caches.len() as u64 - 1;
         assert_ne!(
-            a.id.as_u64() & pool.inner.shard_mask,
-            b.id.as_u64() & pool.inner.shard_mask,
+            a.id.as_u64() & mask,
+            b.id.as_u64() & mask,
             "the id's low bits name different shards"
         );
         pool.free_on_stream(a.id, StreamId(0)).unwrap();
@@ -2743,6 +2264,50 @@ mod tests {
         let s = pool.stats();
         assert_eq!((s.alloc_count, s.free_count, s.active_bytes), (4, 4, 0));
         // Full accounting survives a flush.
+        pool.flush();
+        assert_eq!(pool.with_core(|c| c.stats().live_allocations()), 0);
+    }
+
+    #[test]
+    fn large_foreign_blocks_at_cap_are_evicted_not_wedged() {
+        // The large-route twin of the case above: stream 5 folds onto bank
+        // 1 (2 banks), fills the bank to its cap and idles. Stream 1's
+        // frees must evict the foreign blocks instead of paying a core
+        // round trip per large alloc/free until the next flush.
+        let pool = DeviceAllocator::with_config(
+            TestCore::default(),
+            DeviceAllocatorConfig::default()
+                .with_streams(2)
+                .with_max_cached_large_per_bank(2),
+        );
+        // Two sizes: the cap is per bank, so the foreign block to evict
+        // may sit under another key than the one being parked.
+        for size in [mib(4), mib(6)] {
+            let a = pool
+                .alloc_on_stream(AllocRequest::new(size), StreamId(5))
+                .unwrap();
+            pool.free_on_stream(a.id, StreamId(5)).unwrap();
+        }
+        assert_eq!(
+            pool.large_cache_stats().cached_blocks,
+            2,
+            "cap filled by stream 5"
+        );
+        let a = pool
+            .alloc_on_stream(AllocRequest::new(mib(8)), StreamId(1))
+            .unwrap();
+        pool.free_on_stream(a.id, StreamId(1)).unwrap();
+        assert_eq!(pool.large_cache_stats().cached_blocks, 2, "still at cap");
+        let core_allocs = pool.with_core(|c| c.stats().alloc_count);
+        let b = pool
+            .alloc_on_stream(AllocRequest::new(mib(8)), StreamId(1))
+            .unwrap();
+        assert_eq!(b.va, a.va, "stream 1 reuses the block it parked");
+        assert_eq!(pool.large_cache_stats().hits, 1, "a warm hit");
+        assert_eq!(pool.with_core(|c| c.stats().alloc_count), core_allocs);
+        pool.free_on_stream(b.id, StreamId(1)).unwrap();
+        let s = pool.stats();
+        assert_eq!((s.alloc_count, s.free_count, s.active_bytes), (4, 4, 0));
         pool.flush();
         assert_eq!(pool.with_core(|c| c.stats().live_allocations()), 0);
     }

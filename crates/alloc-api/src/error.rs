@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use crate::types::AllocationId;
 
-/// Errors returned by [`GpuAllocator`](crate::GpuAllocator) implementations.
+/// Errors returned by [`AllocatorCore`](crate::AllocatorCore) implementations.
 ///
 /// Allocators must provide *strong exception safety*: a failed call leaves the
 /// allocator and the device in the state they had before the call.

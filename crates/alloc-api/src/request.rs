@@ -47,7 +47,7 @@ impl From<u64> for AllocRequest {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Allocation {
-    /// Identifier to pass to [`GpuAllocator::deallocate`](crate::GpuAllocator::deallocate).
+    /// Identifier to pass to [`AllocatorCore::deallocate`](crate::AllocatorCore::deallocate).
     pub id: AllocationId,
     /// Device virtual address of the first byte. The full `size` bytes behind
     /// it are contiguous in the virtual address space (that is GMLake's whole

@@ -10,7 +10,7 @@
 use std::fmt;
 
 /// Counters exposed by every allocator through
-/// [`GpuAllocator::stats`](crate::GpuAllocator::stats).
+/// [`AllocatorCore::stats`](crate::AllocatorCore::stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemStats {

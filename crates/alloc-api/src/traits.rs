@@ -1,11 +1,6 @@
 //! The backend allocator trait every memory manager in this workspace
-//! implements ([`AllocatorCore`]), plus the deprecated single-mutex
-//! shared-handle shim ([`SharedAllocator`]) superseded by
+//! implements ([`AllocatorCore`]); concurrent callers wrap one in a
 //! [`DeviceAllocator`](crate::DeviceAllocator).
-
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::error::AllocError;
 use crate::request::{AllocRequest, Allocation};
@@ -185,257 +180,95 @@ pub trait AllocatorCore {
     }
 }
 
+/// Writes the body of an [`AllocatorCore`] impl that forwards every method
+/// to the method of the same name on `$target`, an expression over the
+/// `self` token passed first. Every method forwards explicitly — a provided
+/// default would silently drop a wrapped front-end's override (stream
+/// routing above all). Name `as_any_mut` as a second argument to forward
+/// the concrete-type view too; without it the default (`None`) applies.
+macro_rules! forward_allocator_core {
+    ($self_:ident => $target:expr $(, $as_any_mut:ident)?) => {
+        fn allocate(
+            &mut $self_,
+            req: $crate::AllocRequest,
+        ) -> Result<$crate::Allocation, $crate::AllocError> {
+            $target.allocate(req)
+        }
+
+        fn deallocate(&mut $self_, id: $crate::AllocationId) -> Result<(), $crate::AllocError> {
+            $target.deallocate(id)
+        }
+
+        fn alloc_on_stream(
+            &mut $self_,
+            req: $crate::AllocRequest,
+            stream: $crate::StreamId,
+        ) -> Result<$crate::Allocation, $crate::AllocError> {
+            $target.alloc_on_stream(req, stream)
+        }
+
+        fn free_on_stream(
+            &mut $self_,
+            id: $crate::AllocationId,
+            stream: $crate::StreamId,
+        ) -> Result<(), $crate::AllocError> {
+            $target.free_on_stream(id, stream)
+        }
+
+        fn stats(&$self_) -> $crate::MemStats {
+            $target.stats()
+        }
+
+        fn name(&$self_) -> &'static str {
+            $target.name()
+        }
+
+        fn iteration_boundary(&mut $self_) {
+            $target.iteration_boundary()
+        }
+
+        fn process_events(&mut $self_) -> u64 {
+            $target.process_events()
+        }
+
+        fn release_cached(&mut $self_) -> u64 {
+            $target.release_cached()
+        }
+
+        fn compact(&mut $self_) -> u64 {
+            $target.compact()
+        }
+
+        fn fragmentation(&$self_) -> f64 {
+            $target.fragmentation()
+        }
+
+        fn set_stitch_enabled(&mut $self_, enabled: bool) {
+            $target.set_stitch_enabled(enabled)
+        }
+
+        fn fault_journal_stats(&$self_) -> $crate::FaultJournalStats {
+            $target.fault_journal_stats()
+        }
+
+        $(fn $as_any_mut(&mut $self_) -> Option<&mut dyn std::any::Any> {
+            $target.as_any_mut()
+        })?
+    };
+}
+pub(crate) use forward_allocator_core;
+
 /// Blanket impl so `&mut A` can be passed where an `AllocatorCore` is
 /// expected (the replayer takes allocators by `&mut dyn`).
 impl<A: AllocatorCore + ?Sized> AllocatorCore for &mut A {
-    fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
-        (**self).allocate(req)
-    }
-
-    fn deallocate(&mut self, id: AllocationId) -> Result<(), AllocError> {
-        (**self).deallocate(id)
-    }
-
-    // Stream routing must forward explicitly: the provided default would
-    // silently drop a wrapped front-end's override.
-    fn alloc_on_stream(
-        &mut self,
-        req: AllocRequest,
-        stream: StreamId,
-    ) -> Result<Allocation, AllocError> {
-        (**self).alloc_on_stream(req, stream)
-    }
-
-    fn free_on_stream(&mut self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
-        (**self).free_on_stream(id, stream)
-    }
-
-    fn stats(&self) -> MemStats {
-        (**self).stats()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn iteration_boundary(&mut self) {
-        (**self).iteration_boundary()
-    }
-
-    fn process_events(&mut self) -> u64 {
-        (**self).process_events()
-    }
-
-    fn release_cached(&mut self) -> u64 {
-        (**self).release_cached()
-    }
-
-    fn compact(&mut self) -> u64 {
-        (**self).compact()
-    }
-
-    fn fragmentation(&self) -> f64 {
-        (**self).fragmentation()
-    }
-
-    fn set_stitch_enabled(&mut self, enabled: bool) {
-        (**self).set_stitch_enabled(enabled)
-    }
-
-    fn fault_journal_stats(&self) -> FaultJournalStats {
-        (**self).fault_journal_stats()
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        (**self).as_any_mut()
-    }
+    forward_allocator_core!(self => (**self), as_any_mut);
 }
 
 /// Blanket impl for boxed allocators, so `Box<dyn AllocatorCore + Send>` is
 /// itself an `AllocatorCore` (the concurrent front-end stores the wrapped
 /// core this way).
 impl<A: AllocatorCore + ?Sized> AllocatorCore for Box<A> {
-    fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
-        (**self).allocate(req)
-    }
-
-    fn deallocate(&mut self, id: AllocationId) -> Result<(), AllocError> {
-        (**self).deallocate(id)
-    }
-
-    fn alloc_on_stream(
-        &mut self,
-        req: AllocRequest,
-        stream: StreamId,
-    ) -> Result<Allocation, AllocError> {
-        (**self).alloc_on_stream(req, stream)
-    }
-
-    fn free_on_stream(&mut self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
-        (**self).free_on_stream(id, stream)
-    }
-
-    fn stats(&self) -> MemStats {
-        (**self).stats()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn iteration_boundary(&mut self) {
-        (**self).iteration_boundary()
-    }
-
-    fn process_events(&mut self) -> u64 {
-        (**self).process_events()
-    }
-
-    fn release_cached(&mut self) -> u64 {
-        (**self).release_cached()
-    }
-
-    fn compact(&mut self) -> u64 {
-        (**self).compact()
-    }
-
-    fn fragmentation(&self) -> f64 {
-        (**self).fragmentation()
-    }
-
-    fn set_stitch_enabled(&mut self, enabled: bool) {
-        (**self).set_stitch_enabled(enabled)
-    }
-
-    fn fault_journal_stats(&self) -> FaultJournalStats {
-        (**self).fault_journal_stats()
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        (**self).as_any_mut()
-    }
-}
-
-/// Deprecated name of [`AllocatorCore`], kept for one release so downstream
-/// code migrates at its own pace (see the README's "Allocator API" section).
-#[deprecated(
-    since = "0.2.0",
-    note = "renamed to `AllocatorCore`; concurrent callers should wrap it in `DeviceAllocator`"
-)]
-pub use AllocatorCore as GpuAllocator;
-
-/// Deprecated single-mutex shared-handle path: every clone funnels every
-/// call — small or large — through one global mutex, which is exactly the
-/// serialization the sharded [`DeviceAllocator`](crate::DeviceAllocator)
-/// front-end removes.
-///
-/// Kept for one release as a migration shim. The backend name is cached at
-/// construction, so [`AllocatorCore::name`] does not take the lock.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `DeviceAllocator::new` instead; see the README's allocator-API migration table"
-)]
-#[derive(Clone)]
-pub struct SharedAllocator {
-    inner: Arc<Mutex<Box<dyn AllocatorCore + Send>>>,
-    /// Backend name, captured once at construction instead of locking the
-    /// pool on every `name()` call.
-    name: &'static str,
-}
-
-#[allow(deprecated)]
-impl std::fmt::Debug for SharedAllocator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedAllocator")
-            .field("name", &self.name)
-            .finish_non_exhaustive()
-    }
-}
-
-#[allow(deprecated)]
-impl SharedAllocator {
-    /// Wraps an allocator core into the single-mutex shared-handle path.
-    pub fn new<A: AllocatorCore + Send + 'static>(core: A) -> Self {
-        let name = core.name();
-        SharedAllocator {
-            inner: Arc::new(Mutex::new(Box::new(core))),
-            name,
-        }
-    }
-
-    /// Runs `f` with exclusive access to the wrapped core.
-    pub fn with_core<R>(&self, f: impl FnOnce(&mut dyn AllocatorCore) -> R) -> R {
-        f(&mut **self.inner.lock())
-    }
-}
-
-/// Wraps an allocator into the deprecated shared-handle path.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `DeviceAllocator::new` instead; see the README's allocator-API migration table"
-)]
-#[allow(deprecated)]
-pub fn share<A: AllocatorCore + Send + 'static>(alloc: A) -> SharedAllocator {
-    SharedAllocator::new(alloc)
-}
-
-#[allow(deprecated)]
-impl AllocatorCore for SharedAllocator {
-    fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
-        self.inner.lock().allocate(req)
-    }
-
-    fn deallocate(&mut self, id: AllocationId) -> Result<(), AllocError> {
-        self.inner.lock().deallocate(id)
-    }
-
-    fn alloc_on_stream(
-        &mut self,
-        req: AllocRequest,
-        stream: StreamId,
-    ) -> Result<Allocation, AllocError> {
-        self.inner.lock().alloc_on_stream(req, stream)
-    }
-
-    fn free_on_stream(&mut self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
-        self.inner.lock().free_on_stream(id, stream)
-    }
-
-    fn stats(&self) -> MemStats {
-        self.inner.lock().stats()
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn iteration_boundary(&mut self) {
-        self.inner.lock().iteration_boundary()
-    }
-
-    fn process_events(&mut self) -> u64 {
-        self.inner.lock().process_events()
-    }
-
-    fn release_cached(&mut self) -> u64 {
-        self.inner.lock().release_cached()
-    }
-
-    fn compact(&mut self) -> u64 {
-        self.inner.lock().compact()
-    }
-
-    fn fragmentation(&self) -> f64 {
-        self.inner.lock().fragmentation()
-    }
-
-    fn set_stitch_enabled(&mut self, enabled: bool) {
-        self.inner.lock().set_stitch_enabled(enabled)
-    }
-
-    fn fault_journal_stats(&self) -> FaultJournalStats {
-        self.inner.lock().fault_journal_stats()
-    }
+    forward_allocator_core!(self => (**self), as_any_mut);
 }
 
 #[cfg(test)]
@@ -572,46 +405,5 @@ mod tests {
         let mut boxed: Box<dyn AllocatorCore + Send> = Box::new(Bump::default());
         exercise(&mut boxed);
         assert_eq!(boxed.name(), "bump");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shared_handle_still_works_and_caches_its_name() {
-        let shared = share(Bump::default());
-        let mut a = shared.clone();
-        let mut b = shared.clone();
-        let alloc = a.allocate(AllocRequest::new(32)).unwrap();
-        assert_eq!(b.stats().active_bytes, 32, "clones see one allocator");
-        b.deallocate(alloc.id).unwrap();
-        assert_eq!(a.stats().active_bytes, 0);
-        // The name is served from the construction-time cache: even while a
-        // clone holds the pool lock, `name()` answers without blocking.
-        shared.with_core(|_core| {
-            assert_eq!(a.name(), "bump");
-        });
-        assert!(format!("{shared:?}").contains("bump"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shared_handle_is_usable_across_threads() {
-        let shared = share(Bump::default());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let mut h = shared.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..50 {
-                        let a = h.allocate(AllocRequest::new(16)).unwrap();
-                        h.deallocate(a.id).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let s = shared.stats();
-        assert_eq!(s.alloc_count, 200);
-        assert_eq!(s.active_bytes, 0, "no allocation lost or leaked");
     }
 }

@@ -102,8 +102,8 @@ impl From<u64> for VirtAddr {
 
 /// Identifier of a live allocation, unique within one allocator instance.
 ///
-/// Returned by [`GpuAllocator::allocate`](crate::GpuAllocator::allocate) and
-/// consumed by [`GpuAllocator::deallocate`](crate::GpuAllocator::deallocate).
+/// Returned by [`AllocatorCore::allocate`](crate::AllocatorCore::allocate) and
+/// consumed by [`AllocatorCore::deallocate`](crate::AllocatorCore::deallocate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AllocationId(u64);

@@ -167,14 +167,7 @@ impl PoolService {
         device: DeviceId,
         alloc: Box<dyn AllocatorCore + Send>,
     ) -> Result<PoolHandle, RuntimeError> {
-        self.register_device(
-            device,
-            DeviceAllocator::from_boxed_with_telemetry(
-                alloc,
-                DeviceAllocatorConfig::default(),
-                Arc::new(PoolTelemetry::new()),
-            ),
-        )
+        self.insert_entry(device, default_front_end(alloc), None)
     }
 
     /// Registers an existing [`DeviceAllocator`] (e.g. one with a custom
@@ -190,35 +183,6 @@ impl PoolService {
         alloc: DeviceAllocator,
     ) -> Result<PoolHandle, RuntimeError> {
         self.insert_entry(device, alloc, None)
-    }
-
-    /// Registers a deprecated [`SharedAllocator`] shim as the pool for
-    /// `device`, preserving the old single-mutex semantics (the front-end
-    /// fast path is disabled, so clones of the shim driven outside the
-    /// service keep seeing every allocation).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::DuplicateDevice`] if `device` already has a pool.
-    ///
-    /// [`SharedAllocator`]: gmlake_alloc_api::SharedAllocator
-    #[deprecated(
-        since = "0.2.0",
-        note = "wrap the core in a `DeviceAllocator` and use `register_device` instead"
-    )]
-    #[allow(deprecated)]
-    pub fn register_shared(
-        &self,
-        device: DeviceId,
-        alloc: gmlake_alloc_api::SharedAllocator,
-    ) -> Result<PoolHandle, RuntimeError> {
-        self.register_device(
-            device,
-            DeviceAllocator::with_config(
-                alloc,
-                DeviceAllocatorConfig::default().with_small_threshold(0),
-            ),
-        )
     }
 
     /// Like [`PoolService::register`], additionally declaring which
@@ -237,15 +201,7 @@ impl PoolService {
         alloc: Box<dyn AllocatorCore + Send>,
         affinity: u64,
     ) -> Result<PoolHandle, RuntimeError> {
-        self.insert_entry(
-            device,
-            DeviceAllocator::from_boxed_with_telemetry(
-                alloc,
-                DeviceAllocatorConfig::default(),
-                Arc::new(PoolTelemetry::new()),
-            ),
-            Some(affinity),
-        )
+        self.insert_entry(device, default_front_end(alloc), Some(affinity))
     }
 
     fn insert_entry(
@@ -395,6 +351,15 @@ pub(crate) fn fragmentation_of(stats: &MemStats) -> f64 {
     } else {
         1.0 - stats.active_bytes as f64 / stats.reserved_bytes as f64
     }
+}
+
+/// The front-end [`PoolService::register`] wraps a bare core in: default
+/// configuration, no event source, and a (disabled) telemetry sink.
+fn default_front_end(core: Box<dyn AllocatorCore + Send>) -> DeviceAllocator {
+    let config = DeviceAllocatorConfig::default();
+    let telemetry = Some(Arc::new(PoolTelemetry::new()));
+    DeviceAllocator::try_build(core, config, None, telemetry)
+        .expect("the default configuration validates")
 }
 
 /// Captures a [`PoolObservation`] of one pool.
@@ -1132,29 +1097,6 @@ mod tests {
         });
         assert_eq!(stitches, 3);
         pool.deallocate(c.id).unwrap();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shared_allocator_still_registers() {
-        // Migration window: the SharedAllocator shim must keep working at
-        // the service boundary for one release, with its old single-mutex
-        // semantics (no front-end caching that outside clones cannot see).
-        let service = PoolService::new();
-        let shared = gmlake_alloc_api::share(CachingAllocator::new(CudaDriver::new(
-            DeviceConfig::small_test().with_backing(false),
-        )));
-        let mut outside = shared.clone();
-        let pool = service.register_shared(DeviceId(0), shared).unwrap();
-        let a = pool.allocate(AllocRequest::new(1024)).unwrap();
-        assert_eq!(
-            outside.stats().active_bytes,
-            a.size,
-            "outside clone sees the allocation (fast path disabled)"
-        );
-        outside.deallocate(a.id).unwrap();
-        assert_eq!(pool.stats().active_bytes, 0);
-        assert_eq!(pool.name(), "pytorch-caching");
     }
 
     #[test]
