@@ -6,11 +6,16 @@
 //! `probe:indexed` vs `probe:reference` is the headline comparison: the
 //! tiered-index implementation against the retained pre-index reference on
 //! identical pool state. `alloc_free:s1` shows the end-to-end exact-match
-//! round-trip staying flat (logarithmic) as the pool grows.
+//! round-trip staying flat (logarithmic) as the pool grows; `flip_fanout`
+//! is the same round-trip on a dense-sharing pool, where the cost is the
+//! activity flip's fan-out rather than the index.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gmlake_alloc_api::{AllocRequest, AllocatorCore};
-use gmlake_bench::perf::{build_converged_pool, STITCH_PROBE_BYTES, VIEW_BYTES};
+use gmlake_bench::perf::{
+    build_converged_pool, build_dense_sharing_pool, DENSE_PART_BYTES, STITCH_PROBE_BYTES,
+    VIEW_BYTES,
+};
 
 fn bestfit_scaling(c: &mut Criterion) {
     for &n in &[100usize, 1_000, 10_000, 100_000] {
@@ -35,5 +40,25 @@ fn bestfit_scaling(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bestfit_scaling);
+/// The activity flip under dense sharing: an exact-match round-trip of the
+/// largest view of a pool whose `parts` blocks each sit in up to
+/// `parts - 1` views. Cost is `O(parts²)` counter bumps (each part × each
+/// view over it) and must not depend on how often the cycle has run.
+fn flip_fanout(c: &mut Criterion) {
+    for &parts in &[8usize, 32, 128] {
+        let mut lake = build_dense_sharing_pool(parts);
+        let mut group = c.benchmark_group(&format!("flip_fanout/{parts}_parts"));
+        group.bench_function("alloc_free:s1", |b| {
+            b.iter(|| {
+                let a = lake
+                    .allocate(AllocRequest::new(parts as u64 * DENSE_PART_BYTES))
+                    .expect("exact match");
+                lake.deallocate(a.id).expect("live");
+            })
+        });
+        group.finish();
+    }
+}
+
+criterion_group!(benches, bestfit_scaling, flip_fanout);
 criterion_main!(benches);

@@ -69,6 +69,52 @@ pub fn build_converged_pool(n_blocks: usize) -> GmLakeAllocator {
     lake
 }
 
+/// Size of every pBlock of the dense-sharing pool.
+pub const DENSE_PART_BYTES: u64 = mib(2);
+
+/// Builds a GMLake allocator in the *dense-sharing* converged state the
+/// LoRA traces reach: `parts` equal inactive pBlocks woven into
+/// `parts - 1` available views that all overlap (the view of `j` blocks
+/// covers the `j` highest ids, so the highest id sits in every view). An
+/// exact-match request for the largest view (`parts × DENSE_PART_BYTES`)
+/// then flips `parts` blocks that each fan out to up to `parts - 1` views
+/// — the activity-flip cost [`build_converged_pool`]'s disjoint pairs
+/// never show.
+///
+/// Construction: requests of `parts`, `parts - 1`, … 2 blocks' worth each
+/// find no exact match and no single block large enough, so each stitches
+/// the highest-id blocks and is freed again.
+pub fn build_dense_sharing_pool(parts: usize) -> GmLakeAllocator {
+    let parts = parts.max(2) as u64;
+    let dev = DeviceConfig {
+        name: format!("bench-dense-{parts}"),
+        capacity: parts * DENSE_PART_BYTES + mib(64),
+        granularity: mib(2),
+        backing: false,
+        cost: CostModel::zero(),
+    };
+    let cfg = GmLakeConfig::default().with_frag_limit(DENSE_PART_BYTES);
+    let mut lake = GmLakeAllocator::new(CudaDriver::new(dev), cfg);
+    let held: Vec<_> = (0..parts)
+        .map(|_| {
+            let a = lake.allocate(AllocRequest::new(DENSE_PART_BYTES));
+            a.expect("capacity").id
+        })
+        .collect();
+    for id in held {
+        lake.deallocate(id).expect("live");
+    }
+    for j in (2..=parts).rev() {
+        let view = lake
+            .allocate(AllocRequest::new(j * DENSE_PART_BYTES))
+            .expect("stitched from cached blocks");
+        lake.deallocate(view.id).expect("live");
+    }
+    debug_assert_eq!(lake.pblock_count() as u64, parts);
+    debug_assert_eq!(lake.sblock_count() as u64, parts - 1);
+    lake
+}
+
 // ---------------------------------------------------------------------
 // Pool-contention sweep harness, shared by the `pool_contention` criterion
 // bench and the `bench_pr3` snapshot/CI-gate binary so both measure the
@@ -328,6 +374,25 @@ mod tests {
             lake.probe_bestfit_reference(STITCH_PROBE_BYTES, &flat)
         );
         assert_eq!(lake.probe_bestfit_indexed(STITCH_PROBE_BYTES), 3);
+    }
+
+    #[test]
+    fn dense_sharing_pool_has_expected_shape_and_fan_out() {
+        let parts = 16u64;
+        let mut lake = build_dense_sharing_pool(parts as usize);
+        assert_eq!(lake.pblock_count() as u64, parts);
+        assert_eq!(lake.sblock_count() as u64, parts - 1);
+        lake.validate().unwrap();
+        // The largest view exact-matches, and flipping its parts fans out
+        // to every view over them: Σr = 2 + … + parts bumps per direction.
+        let before = lake.work_counters().sblock_bumps;
+        let a = lake
+            .allocate(AllocRequest::new(parts * DENSE_PART_BYTES))
+            .unwrap();
+        lake.deallocate(a.id).unwrap();
+        assert_eq!(lake.state_counters().exact, 1);
+        let bumps = lake.work_counters().sblock_bumps - before;
+        assert_eq!(bumps, 2 * (2..=parts).sum::<u64>());
     }
 
     #[test]

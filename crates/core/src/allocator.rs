@@ -23,14 +23,39 @@
 //!
 //! Blocks live in dense [`Slab`] arenas (ids are sequential, lookups are an
 //! indexed load). Inactive pBlocks are indexed by a [`TieredPIndex`] — one
-//! `(size, id)` set per [`StitchCost`] tier, maintained *incrementally*:
-//! every structural event (activity flip, stitch, split, sBlock teardown)
-//! re-tiers only the blocks whose classification could actually have
-//! changed, so `BestFit` is a few `O(log n)` range probes instead of three
-//! closure-evaluating sweeps of the pool. Each sBlock carries an
-//! active-part counter (fully-inactive ⟺ counter is zero) and eviction
-//! victims come from an `(lru_tick, id)` set instead of an `O(n)` scan.
+//! `(size, id)` set per [`StitchCost`] tier — so `BestFit` is a few
+//! `O(log n)` range probes instead of three closure-evaluating sweeps of
+//! the pool.
+//!
+//! A block's tier is *derived from two counters*, never from a scan. Each
+//! sBlock counts its active parts (fully inactive ⟺ zero); each pBlock
+//! counts the *available* views over it (`avail_refs`: unassigned, zero
+//! active parts), so its stitch cost is `referenced_by.is_empty()` /
+//! `avail_refs > 0`. Availability can only change at four places — an
+//! `active_parts` zero-crossing, `Stitch`, sBlock teardown, and `Split`
+//! (children inherit) — and each bumps the counters of exactly the parts
+//! concerned.
+//!
+//! **Cost model.** With `r` views referencing a pBlock, `p` parts per view
+//! and `x` of the `r` views crossing zero, one activity flip costs
+//! `O(r + x·p)` counter bumps plus `x` updates of the exact-match index
+//! (`s_inactive`) — sharing on converged LoRA pools is dense (`r` ≈ 34,
+//! `p` ≈ 32 measured on the benchmark's `train_lr`), so these are the terms
+//! that matter. The flip moves no pBlock between tiers: a move to or from
+//! the unreferenced tier happens where references change (stitch / destroy
+//! / split), and a move between the two *referenced* tiers is only recorded
+//! as owed (`dirty`). S1 and S2 consult the unreferenced tier and the
+//! *union* of the referenced ones, so they run on the index as placed;
+//! S3/S4 walk tier by tier, so they first settle the `d` owed moves,
+//! `O(d · log n)`. The eviction index `(lru_tick, id)` is touched on
+//! stitch / assign / destroy and when a view an eviction scan dropped as
+//! blocked becomes evictable again — not on a plain flip.
+//!
+//! `validate()` is the oracle for all of it: it re-derives every counter
+//! and tier by scanning `referenced_by`, and allows placement to lag only
+//! for a dirty block and only between the referenced tiers.
 
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -76,6 +101,22 @@ impl FaultJournal {
     pub fn is_leak_free(&self) -> bool {
         self.orphan_vas == 0 && self.orphan_va_bytes == 0 && self.orphan_chunks == 0
     }
+}
+
+/// Deterministic work counts of the activity-flip and tier-maintenance
+/// paths. Hidden: they exist so tests and benches can pin the cost model of
+/// the module docs on counters instead of wall-clock.
+#[doc(hidden)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// sBlock `active_parts` bumps: one per (pBlock flip, referencing view).
+    pub sblock_bumps: u64,
+    /// Part visits: one per part of a view whose availability changed.
+    pub part_visits: u64,
+    /// `referenced_by` oracle scans — `validate()` is the only caller.
+    pub ref_scans: u64,
+    /// Inactive pBlocks moved from one tier of the index to another.
+    pub tier_moves: u64,
 }
 
 /// The GMLake virtual-memory-stitching allocator.
@@ -124,9 +165,27 @@ pub struct GmLakeAllocator {
     p_inactive: TieredPIndex,
     /// sBlocks whose parts are all inactive, keyed `(size, id)`.
     s_inactive: BTreeSet<(u64, SBlockId)>,
-    /// Eviction candidates (unassigned, fully-inactive sBlocks), keyed
-    /// `(lru_tick, id)` so `StitchFree` pops its LRU victim in `O(log n)`.
+    /// Eviction index, keyed `(lru_tick, id)`: every evictable view
+    /// (unassigned, fully inactive) plus views that were evictable once and
+    /// have been blocked since (exactly the sBlocks with `in_evict_index`
+    /// set). A view enters when it becomes evictable and leaves when it is
+    /// assigned or destroyed; a view that merely gets *blocked* stays, and
+    /// `StitchFree` drops it when a victim scan meets it — so an activity
+    /// flip costs this index nothing unless it makes a dropped view
+    /// evictable again.
     s_evictable: BTreeSet<(u64, SBlockId)>,
+    /// Inactive pBlocks whose move between the two referenced tiers is
+    /// still owed (exactly the blocks with `dirty` set), paid by
+    /// [`Self::settle_tiers`] before an S3/S4 candidate walk.
+    dirty: Vec<PBlockId>,
+    work: WorkCounters,
+    /// Calls of the `referenced_by` oracle scan ([`Self::compute_tier`]),
+    /// which takes `&self`; reported through [`WorkCounters::ref_scans`].
+    ref_scans: Cell<u64>,
+    /// Test twin: settle every deferred tier move the moment it is owed,
+    /// i.e. run with the index always exact.
+    #[cfg(test)]
+    settle_eagerly: bool,
     live: HashMap<AllocationId, (Target, u64)>,
     next_alloc: u64,
     tick: u64,
@@ -182,6 +241,11 @@ impl GmLakeAllocator {
             p_inactive: TieredPIndex::new(),
             s_inactive: BTreeSet::new(),
             s_evictable: BTreeSet::new(),
+            dirty: Vec::new(),
+            work: WorkCounters::default(),
+            ref_scans: Cell::new(0),
+            #[cfg(test)]
+            settle_eagerly: false,
             live: HashMap::new(),
             next_alloc: 0,
             tick: 0,
@@ -256,6 +320,29 @@ impl GmLakeAllocator {
         self.journal
     }
 
+    /// Cumulative flip-path work counts (see [`WorkCounters`]).
+    #[doc(hidden)]
+    pub fn work_counters(&self) -> WorkCounters {
+        WorkCounters {
+            ref_scans: self.ref_scans.get(),
+            ..self.work
+        }
+    }
+
+    /// Tier moves currently owed (see [`Self::settle_tiers`]).
+    #[cfg(test)]
+    pub(crate) fn owed_tier_moves(&self) -> usize {
+        self.dirty.len()
+    }
+
+    /// Turns this allocator into the always-settled twin of the lockstep
+    /// differential: no tier move is ever deferred.
+    #[cfg(test)]
+    pub(crate) fn settling_eagerly(mut self) -> Self {
+        self.settle_eagerly = true;
+        self
+    }
+
     /// Whether S3/S4 requests may build stitched views (see
     /// [`AllocatorCore::set_stitch_enabled`]).
     pub fn stitch_is_enabled(&self) -> bool {
@@ -300,7 +387,7 @@ impl GmLakeAllocator {
                 "  p{pid:<4} {:>8.1} MiB {} refs={:?}",
                 p.size as f64 / (1 << 20) as f64,
                 if p.active { "ACTIVE  " } else { "inactive" },
-                p.referenced_by.iter().collect::<Vec<_>>()
+                p.referenced_by
             );
         }
         let _ = writeln!(out, "sPool: {} stitched views", self.sblocks.len());
@@ -344,9 +431,12 @@ impl GmLakeAllocator {
         s.assigned_to.is_none() && s.active_parts == 0
     }
 
-    /// Derives an inactive pBlock's stitch-cost tier from its references,
-    /// using the incremental active-part counters. `O(|referenced_by|)`.
+    /// Derives an inactive pBlock's stitch-cost tier the slow way, by
+    /// scanning its references: `O(|referenced_by|)`. The production paths
+    /// read [`PBlock::stitch_cost`]; this scan survives only as the oracle
+    /// `validate()` checks the counters against.
     fn compute_tier(&self, pid: PBlockId) -> StitchCost {
+        self.ref_scans.set(self.ref_scans.get() + 1);
         let p = &self.pblocks[pid];
         if p.referenced_by.is_empty() {
             StitchCost::Unreferenced
@@ -361,90 +451,143 @@ impl GmLakeAllocator {
         }
     }
 
-    /// Recomputes an *inactive* pBlock's tier and moves it between the
-    /// partitioned indexes when it changed. No-op for active blocks (they
-    /// are unindexed).
-    fn retier_pblock(&mut self, pid: PBlockId) {
-        let (active, size, old) = {
-            let p = &self.pblocks[pid];
-            (p.active, p.size, p.tier)
-        };
-        if active {
+    /// Brings an *inactive* pBlock's placement in line with its stitch cost
+    /// after its references or `avail_refs` changed; no-op for active
+    /// blocks (they are unindexed). A move to or from the unreferenced tier
+    /// happens now — S1/S2 read that boundary. A move between the two
+    /// referenced tiers is only *owed*: S1/S2 consult their union, so the
+    /// block goes on the dirty list and [`Self::settle_tiers`] pays before
+    /// the next S3/S4 walk. A block that flips back and forth between
+    /// settles costs nothing more.
+    fn reindex_pblock(&mut self, pid: PBlockId) {
+        let p = &mut self.pblocks[pid];
+        if p.active {
             return;
         }
-        let new = self.compute_tier(pid);
-        if new != old {
-            self.p_inactive.remove(old, size, pid);
-            self.p_inactive.insert(new, size, pid);
-            self.pblocks[pid].tier = new;
+        let new = p.stitch_cost();
+        let between_referenced =
+            new != p.tier && new != StitchCost::Unreferenced && p.tier != StitchCost::Unreferenced;
+        if !between_referenced {
+            Self::place(&mut self.p_inactive, &mut self.work, p, pid);
+            return;
+        }
+        if !p.dirty {
+            p.dirty = true;
+            self.dirty.push(pid);
+        }
+        #[cfg(test)]
+        if self.settle_eagerly {
+            self.settle_tiers();
         }
     }
 
-    /// Flips a pBlock's activity, maintaining the tiered inactive index,
-    /// each referencing sBlock's active-part counter, and — when a counter
-    /// crosses zero — the sBlock indexes plus the tiers of every part whose
-    /// availability classification changed.
-    fn set_pblock_active(&mut self, pid: PBlockId, active: bool) {
-        let (size, refs): (u64, Vec<SBlockId>) = {
-            let p = self.pblocks.get_mut(pid).expect("pblock exists");
-            if p.active == active {
-                return;
+    /// Pays every deferred move between the referenced tiers, leaving each
+    /// inactive block placed exactly at its stitch cost.
+    fn settle_tiers(&mut self) {
+        for pid in self.dirty.drain(..) {
+            let p = &mut self.pblocks[pid];
+            p.dirty = false;
+            if !p.active {
+                Self::place(&mut self.p_inactive, &mut self.work, p, pid);
             }
-            p.active = active;
-            (p.size, p.referenced_by.iter().copied().collect())
-        };
-        if active {
-            let tier = self.pblocks[pid].tier;
-            self.p_inactive.remove(tier, size, pid);
         }
-        for sid in refs {
-            let (s_size, s_tick, crossed, now_inactive, unassigned) = {
-                let s = self.sblocks.get_mut(sid).expect("sblock exists");
-                let was_zero = s.active_parts == 0;
-                if active {
-                    s.active_parts += 1;
-                } else {
-                    debug_assert!(s.active_parts > 0, "active_parts underflow on s{sid}");
-                    s.active_parts -= 1;
+    }
+
+    /// Moves the indexed (inactive) block `p` to the tier of its stitch
+    /// cost, if it is not there already.
+    fn place(index: &mut TieredPIndex, work: &mut WorkCounters, p: &mut PBlock, pid: PBlockId) {
+        let tier = p.stitch_cost();
+        if tier != p.tier {
+            index.remove(p.tier, p.size, pid);
+            index.insert(tier, p.size, pid);
+            p.tier = tier;
+            work.tier_moves += 1;
+        }
+    }
+
+    /// Removes an inactive pBlock from the arena, the index and the dirty
+    /// list (slab ids are reused, so a stale dirty entry would alias).
+    fn remove_pblock(&mut self, pid: PBlockId) -> PBlock {
+        let p = self.pblocks.remove(pid).expect("pblock exists");
+        self.p_inactive.remove(p.tier, p.size, pid);
+        if p.dirty {
+            let at = self.dirty.iter().position(|&d| d == pid);
+            self.dirty.swap_remove(at.expect("dirty block is listed"));
+        }
+        p
+    }
+
+    /// Flips a pBlock's activity, maintaining the tiered inactive index and
+    /// each referencing sBlock's active-part counter. When a counter crosses
+    /// zero the view's availability flipped: it enters or leaves the
+    /// exact-match index and every part's `avail_refs` moves by one.
+    /// `O(r + x·p)` for `r` referencing views, `x` of which cross, over `p`
+    /// parts each; no `referenced_by` scan and no allocation.
+    fn set_pblock_active(&mut self, pid: PBlockId, active: bool) {
+        let p = &mut self.pblocks[pid];
+        if p.active == active {
+            return;
+        }
+        p.active = active;
+        let size = p.size;
+        if active {
+            self.p_inactive.remove(p.tier, size, pid);
+        }
+        // Taken for the walk and restored below; nothing in between reads
+        // this block's reference set (its own re-index is skipped).
+        let refs = std::mem::take(&mut p.referenced_by);
+        for &sid in &refs {
+            self.work.sblock_bumps += 1;
+            let s = &mut self.sblocks[sid];
+            if active {
+                s.active_parts += 1;
+                if s.active_parts != 1 {
+                    continue;
                 }
-                let is_zero = s.active_parts == 0;
-                (
-                    s.size,
-                    s.lru_tick,
-                    was_zero != is_zero,
-                    is_zero,
-                    s.assigned_to.is_none(),
-                )
-            };
-            if !crossed {
-                continue;
+            } else {
+                debug_assert!(s.active_parts > 0, "active_parts underflow on s{sid}");
+                s.active_parts -= 1;
+                if s.active_parts != 0 {
+                    continue;
+                }
             }
             // Assignment only happens to fully-active sBlocks and is cleared
             // before deactivation, so every zero-crossing is unassigned and
             // flips availability.
-            debug_assert!(unassigned, "assigned sblock s{sid} crossed activity");
-            if now_inactive {
-                self.s_inactive.insert((s_size, sid));
-                self.s_evictable.insert((s_tick, sid));
+            debug_assert!(
+                s.assigned_to.is_none(),
+                "assigned sblock s{sid} crossed activity"
+            );
+            if active {
+                self.s_inactive.remove(&(s.size, sid));
             } else {
-                self.s_inactive.remove(&(s_size, sid));
-                self.s_evictable.remove(&(s_tick, sid));
-            }
-            // The view's availability flipped: every (inactive) sibling part
-            // may change tier. Index-based iteration: `retier_pblock` needs
-            // `&mut self`, and part lists are never long enough to amortize
-            // a clone.
-            for i in 0..self.sblocks[sid].parts.len() {
-                let part = self.sblocks[sid].parts[i];
-                if part != pid {
-                    self.retier_pblock(part);
+                self.s_inactive.insert((s.size, sid));
+                if !s.in_evict_index {
+                    s.in_evict_index = true;
+                    self.s_evictable.insert((s.lru_tick, sid));
                 }
             }
+            let parts = std::mem::take(&mut s.parts);
+            for &part in &parts {
+                self.work.part_visits += 1;
+                let sibling = &mut self.pblocks[part];
+                if active {
+                    debug_assert!(sibling.avail_refs > 0, "avail_refs underflow on p{part}");
+                    sibling.avail_refs -= 1;
+                } else {
+                    sibling.avail_refs += 1;
+                }
+                if part != pid {
+                    self.reindex_pblock(part);
+                }
+            }
+            self.sblocks[sid].parts = parts;
         }
+        let p = &mut self.pblocks[pid];
+        p.referenced_by = refs;
         if !active {
-            let tier = self.compute_tier(pid);
-            self.pblocks[pid].tier = tier;
-            self.p_inactive.insert(tier, size, pid);
+            p.tier = p.stitch_cost();
+            self.p_inactive.insert(p.tier, size, pid);
         }
     }
 
@@ -540,9 +683,8 @@ impl GmLakeAllocator {
     /// rollback: removes it from the arena and index and tears its VA down.
     /// The chunks belong to the block being split and are not released.
     fn undo_pblock_view(&mut self, pid: PBlockId) {
-        let p = self.pblocks.remove(pid).expect("fresh view exists");
+        let p = self.remove_pblock(pid);
         debug_assert!(!p.active && p.referenced_by.is_empty());
-        self.p_inactive.remove(p.tier, p.size, pid);
         self.unwind_va(p.va, p.size, p.size);
     }
 
@@ -595,10 +737,11 @@ impl GmLakeAllocator {
             self.journal.orphan_vas += 1;
             self.journal.orphan_va_bytes += parent_size;
         }
-        let p = self.pblocks.remove(pid).expect("pblock exists");
-        self.p_inactive.remove(p.tier, p.size, pid);
+        let p = self.remove_pblock(pid);
         // Rewrite referencing sBlocks to the two children. Both children are
-        // inactive (the parent was), so no active-part counter changes.
+        // inactive (the parent was), so no active-part counter changes and
+        // no view's availability moves: the children inherit the parent's
+        // references and its available-view count as they are.
         for &sid in &p.referenced_by {
             let s = self.sblocks.get_mut(sid).expect("referenced sblock exists");
             let pos = s
@@ -608,18 +751,17 @@ impl GmLakeAllocator {
                 .expect("sblock lists the split pblock");
             s.parts.splice(pos..=pos, [left, right]);
         }
-        for &child in &[left, right] {
-            let refs = p.referenced_by.clone();
-            self.pblocks
-                .get_mut(child)
-                .expect("child exists")
-                .referenced_by = refs;
-            // The children inherited references: move them off the
-            // unreferenced tier they were created in.
-            self.retier_pblock(child);
-        }
+        let l = &mut self.pblocks[left];
+        l.referenced_by = p.referenced_by.clone();
+        l.avail_refs = p.avail_refs;
+        let r = &mut self.pblocks[right];
+        r.referenced_by = p.referenced_by;
+        r.avail_refs = p.avail_refs;
+        // Move the children off the unreferenced tier they were created in.
+        self.reindex_pblock(left);
+        self.reindex_pblock(right);
         self.counters.splits += 1;
-        self.emit(EventKind::Split, p.size, left_size, 0);
+        self.emit(EventKind::Split, parent_size, left_size, 0);
         Ok((left, right))
     }
 
@@ -658,20 +800,20 @@ impl GmLakeAllocator {
             return Err(e);
         }
         let tick = self.next_tick();
-        let sid = self.sblocks.insert(SBlock::new(va, total, parts, tick));
+        let mut view = SBlock::new(va, total, parts, tick);
+        view.in_evict_index = true;
+        let sid = self.sblocks.insert(view);
         // The new view is unassigned with all parts inactive: it is both
-        // exact-matchable and evictable, and referencing it promotes every
-        // part to the last-resort stitching tier.
+        // exact-matchable and evictable, and one more available view over
+        // every part promotes each to the last-resort stitching tier.
         self.s_inactive.insert((total, sid));
         self.s_evictable.insert((tick, sid));
         for i in 0..self.sblocks[sid].parts.len() {
             let pid = self.sblocks[sid].parts[i];
-            self.pblocks
-                .get_mut(pid)
-                .expect("part exists")
-                .referenced_by
-                .insert(sid);
-            self.retier_pblock(pid);
+            let p = &mut self.pblocks[pid];
+            p.referenced_by.push(sid);
+            p.avail_refs += 1;
+            self.reindex_pblock(pid);
         }
         self.counters.stitches += 1;
         self.emit(
@@ -687,42 +829,50 @@ impl GmLakeAllocator {
     }
 
     /// Picks the next `StitchFree` victim: scans the first
-    /// `evict_scan_window` entries of the LRU-ordered eviction index and
-    /// prefers the view with the fewest *uniquely referenced* parts — a
-    /// pBlock referenced only by its own view drops to the unreferenced
-    /// tier on eviction, so destroying such a view cannibalizes cached
-    /// exact-match coverage that a later request would have to re-stitch,
-    /// while a view whose parts are mostly woven into other cached views
-    /// is near-free to drop. Ties (and a window of 1) fall back to pure
-    /// `(lru_tick, id)` LRU.
-    fn pick_stitchfree_victim(&self) -> Option<(u64, SBlockId)> {
+    /// `evict_scan_window` evictable entries of the LRU-ordered eviction
+    /// index and prefers the view with the fewest *uniquely referenced*
+    /// parts — a pBlock referenced only by its own view drops to the
+    /// unreferenced tier on eviction, so destroying such a view
+    /// cannibalizes cached exact-match coverage that a later request would
+    /// have to re-stitch, while a view whose parts are mostly woven into
+    /// other cached views is near-free to drop. Ties (and a window of 1)
+    /// fall back to pure `(lru_tick, id)` LRU.
+    ///
+    /// Views the scan finds blocked by an active part are dropped from the
+    /// index on the way (they re-enter when they become evictable again),
+    /// so each is skipped once, not once per scan.
+    fn pick_stitchfree_victim(&mut self) -> Option<SBlockId> {
         let window = self.config.evict_scan_window.max(1);
-        let mut best: Option<((u64, SBlockId), usize)> = None;
-        for &key in self.s_evictable.iter().take(window) {
-            let (_, sid) = key;
-            let unique = self.sblocks[sid]
+        let mut candidates = 0;
+        let mut blocked = Vec::new();
+        let mut best: Option<(SBlockId, usize)> = None;
+        for &(tick, sid) in &self.s_evictable {
+            let s = &self.sblocks[sid];
+            if s.active_parts != 0 {
+                blocked.push((tick, sid));
+                continue;
+            }
+            let unique = s
                 .parts
                 .iter()
-                .filter(|&&pid| {
-                    self.pblocks
-                        .get(pid)
-                        .expect("part exists")
-                        .referenced_by
-                        .len()
-                        <= 1
-                })
+                .filter(|&&pid| self.pblocks[pid].referenced_by.len() <= 1)
                 .count();
-            if unique == 0 {
-                // Every part survives in some other view: a free eviction,
-                // and LRU-first among such candidates since the scan runs
-                // in eviction-index order.
-                return Some(key);
-            }
             if best.is_none_or(|(_, b)| unique < b) {
-                best = Some((key, unique));
+                best = Some((sid, unique));
+            }
+            candidates += 1;
+            // `unique == 0`: every part survives in some other view — a free
+            // eviction, and LRU-first among such candidates since the scan
+            // runs in eviction-index order.
+            if unique == 0 || candidates == window {
+                break;
             }
         }
-        best.map(|(key, _)| key)
+        for key in blocked {
+            self.s_evictable.remove(&key);
+            self.sblocks[key.1].in_evict_index = false;
+        }
+        best.map(|(sid, _)| sid)
     }
 
     /// `StitchFree` (§3.3.2): evicts *inactive* sBlock structures while the
@@ -732,7 +882,7 @@ impl GmLakeAllocator {
     fn enforce_spool_capacity(&mut self) {
         while self.sblocks.len() > self.config.max_sblocks {
             match self.pick_stitchfree_victim() {
-                Some((_, sid)) => {
+                Some(sid) => {
                     let size = self.sblocks[sid].size;
                     if self.destroy_sblock(sid).is_err() {
                         // Teardown faulted with the view intact; leave the
@@ -771,15 +921,25 @@ impl GmLakeAllocator {
         }
         let s = self.sblocks.remove(sid).expect("sblock exists");
         self.s_inactive.remove(&(s.size, sid));
-        self.s_evictable.remove(&(s.lru_tick, sid));
+        if s.in_evict_index {
+            self.s_evictable.remove(&(s.lru_tick, sid));
+        }
+        let was_available = Self::sblock_available(&s);
         for &pid in &s.parts {
-            let Some(p) = self.pblocks.get_mut(pid) else {
-                continue;
-            };
-            p.referenced_by.remove(&sid);
+            let p = self
+                .pblocks
+                .get_mut(pid)
+                .expect("sblock lists a live pblock");
+            let at = p.referenced_by.iter().position(|&r| r == sid);
+            p.referenced_by
+                .swap_remove(at.expect("part lists the view"));
+            if was_available {
+                debug_assert!(p.avail_refs > 0, "avail_refs underflow on p{pid}");
+                p.avail_refs -= 1;
+            }
             // Losing a reference may drop the part a tier (down to
             // unreferenced).
-            self.retier_pblock(pid);
+            self.reindex_pblock(pid);
         }
         Ok(())
     }
@@ -814,8 +974,7 @@ impl GmLakeAllocator {
             // from the books so invariants keep holding.
             self.journal.orphan_chunks += chunks.len() as u64;
             self.unwind_va(va, size, if remapped { size } else { 0 });
-            let p = self.pblocks.remove(pid).expect("pblock exists");
-            self.p_inactive.remove(p.tier, p.size, pid);
+            self.remove_pblock(pid);
             self.reserved_phys -= size;
             return Err(e);
         }
@@ -823,8 +982,7 @@ impl GmLakeAllocator {
             self.journal.orphan_vas += 1;
             self.journal.orphan_va_bytes += size;
         }
-        let p = self.pblocks.remove(pid).expect("pblock exists");
-        self.p_inactive.remove(p.tier, p.size, pid);
+        self.remove_pblock(pid);
         self.reserved_phys -= size;
         Ok(())
     }
@@ -848,13 +1006,16 @@ impl GmLakeAllocator {
                 }
             }
             Target::S(sid) => {
-                let parts = self.sblocks[sid].parts.clone();
-                for pid in parts {
+                for i in 0..self.sblocks[sid].parts.len() {
+                    let pid = self.sblocks[sid].parts[i];
                     self.set_pblock_active(pid, true);
                 }
                 let tick = self.next_tick();
                 let s = self.sblocks.get_mut(sid).expect("sblock exists");
                 debug_assert_eq!(s.active_parts, s.parts.len(), "assigning a partial sblock");
+                if std::mem::take(&mut s.in_evict_index) {
+                    self.s_evictable.remove(&(s.lru_tick, sid));
+                }
                 s.assigned_to = Some(id);
                 s.lru_tick = tick;
                 if self.current_stream.is_some() {
@@ -895,11 +1056,27 @@ impl GmLakeAllocator {
         if p.last_stream == Some(stream) {
             return chosen;
         }
-        self.p_inactive
-            .equal_size_in_tier(p.tier, p.size)
-            .take(Self::AFFINITY_SCAN_LIMIT)
-            .find(|&pid| self.pblocks[pid].last_stream == Some(stream))
-            .unwrap_or(chosen)
+        // "Same tier" means the same stitch cost, not the same placement: a
+        // referenced candidate's move between the two referenced tiers may
+        // still be owed, so that scan walks their union in id order. The
+        // limit counts candidates of the chosen tier, as it did when the
+        // index was always exact; what the filter skips is bounded by the
+        // equal-size referenced blocks.
+        let tier = p.stitch_cost();
+        let same_stream = |pid: &PBlockId| self.pblocks[*pid].last_stream == Some(stream);
+        if tier == StitchCost::Unreferenced {
+            self.p_inactive
+                .equal_size_in_tier(tier, p.size)
+                .take(Self::AFFINITY_SCAN_LIMIT)
+                .find(same_stream)
+        } else {
+            self.p_inactive
+                .equal_size_referenced(p.size)
+                .filter(|&pid| self.pblocks[pid].stitch_cost() == tier)
+                .take(Self::AFFINITY_SCAN_LIMIT)
+                .find(same_stream)
+        }
+        .unwrap_or(chosen)
     }
 
     /// Per-stream affinity refinement for S1 sBlock matches (all inactive
@@ -941,14 +1118,24 @@ impl GmLakeAllocator {
         result
     }
 
+    /// Runs the indexed `BestFit`. S1 and S2 only distinguish unreferenced
+    /// from referenced blocks, so they are answered on the index as placed;
+    /// S3/S4 consume candidates tier by tier, so when moves between the
+    /// referenced tiers are owed they are paid first and the walk repeated.
+    fn best_fit(&mut self, aligned: u64) -> BestFit {
+        let frag_limit = self.config.frag_limit;
+        let fit = best_fit_indexed(aligned, &self.s_inactive, &self.p_inactive, frag_limit);
+        let walks_tiers = matches!(fit, BestFit::Multiple { .. } | BestFit::Insufficient { .. });
+        if !walks_tiers || self.dirty.is_empty() {
+            return fit;
+        }
+        self.settle_tiers();
+        best_fit_indexed(aligned, &self.s_inactive, &self.p_inactive, frag_limit)
+    }
+
     fn try_allocate_large_inner(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
         let aligned = self.align_up(req.size);
-        match best_fit_indexed(
-            aligned,
-            &self.s_inactive,
-            &self.p_inactive,
-            self.config.frag_limit,
-        ) {
+        match self.best_fit(aligned) {
             BestFit::ExactS(sid) => {
                 let sid = self.prefer_stream_sblock(sid);
                 self.counters.record(AllocState::ExactMatch);
@@ -1189,7 +1376,10 @@ impl GmLakeAllocator {
     // ------------------------------------------------------------------
 
     /// Runs the indexed `BestFit` for a request of `size` bytes and returns
-    /// the state it classified to (1–4 for S1–S4).
+    /// the state it classified to (1–4 for S1–S4). Reads the index as
+    /// placed: the state code depends on the unreferenced/referenced split
+    /// and on the tiers' total, never on which referenced tier a block is
+    /// in, so owed moves ([`Self::settle_tiers`]) cannot change it.
     #[doc(hidden)]
     pub fn probe_bestfit_indexed(&self, size: u64) -> u8 {
         let fit = best_fit_indexed(
@@ -1237,7 +1427,17 @@ impl GmLakeAllocator {
     #[cfg(test)]
     pub(crate) fn assert_bestfit_agrees(&self, size: u64) {
         let aligned = self.align_up(size);
-        let flat = self.p_inactive.to_flat();
+        // The candidate *lists* do depend on the referenced tiers, and
+        // `&self` cannot settle: compare on a settled copy of the index.
+        let mut settled = self.p_inactive.clone();
+        for &pid in &self.dirty {
+            let p = &self.pblocks[pid];
+            if !p.active {
+                settled.remove(p.tier, p.size, pid);
+                settled.insert(p.stitch_cost(), p.size, pid);
+            }
+        }
+        let flat = settled.to_flat();
         let reference = best_fit_reference(
             aligned,
             &self.s_inactive,
@@ -1245,12 +1445,7 @@ impl GmLakeAllocator {
             self.config.frag_limit,
             |pid| self.reference_stitch_cost(pid),
         );
-        let indexed = best_fit_indexed(
-            aligned,
-            &self.s_inactive,
-            &self.p_inactive,
-            self.config.frag_limit,
-        );
+        let indexed = best_fit_indexed(aligned, &self.s_inactive, &settled, self.config.frag_limit);
         assert_eq!(
             reference, indexed,
             "indexed BestFit diverged from the reference for size {size}"
@@ -1274,6 +1469,13 @@ impl GmLakeAllocator {
         let mut chunk_owner: HashMap<u64, PBlockId> = HashMap::new();
         let mut phys_sum = 0u64;
         let mut inactive_p = 0usize;
+        let dirty: BTreeSet<PBlockId> = self.dirty.iter().copied().collect();
+        if dirty.len() != self.dirty.len() {
+            return Err("dirty list holds a pblock twice".to_string());
+        }
+        if let Some(pid) = dirty.iter().find(|&&pid| self.pblocks.get(pid).is_none()) {
+            return Err(format!("dirty list holds dead pblock {pid}"));
+        }
         for (pid, p) in self.pblocks.iter() {
             if p.chunks.len() as u64 * self.chunk != p.size {
                 return Err(format!("pblock {pid}: chunk count disagrees with size"));
@@ -1283,6 +1485,35 @@ impl GmLakeAllocator {
                 if let Some(prev) = chunk_owner.insert(h.as_u64(), pid) {
                     return Err(format!("chunk {h} owned by both pblock {prev} and {pid}"));
                 }
+            }
+            let distinct: BTreeSet<SBlockId> = p.referenced_by.iter().copied().collect();
+            if distinct.len() != p.referenced_by.len() {
+                return Err(format!("pblock {pid} lists a referencing sblock twice"));
+            }
+            let mut available_views = 0usize;
+            for sid in &p.referenced_by {
+                let s = self
+                    .sblocks
+                    .get(*sid)
+                    .ok_or_else(|| format!("pblock {pid} references dead sblock {sid}"))?;
+                if !s.parts.contains(&pid) {
+                    return Err(format!("sblock {sid} does not list pblock {pid}"));
+                }
+                if Self::sblock_available(s) {
+                    available_views += 1;
+                }
+            }
+            if p.avail_refs != available_views {
+                return Err(format!(
+                    "pblock {pid}: avail_refs says {} but {available_views} views are available",
+                    p.avail_refs
+                ));
+            }
+            if p.dirty != dirty.contains(&pid) {
+                return Err(format!(
+                    "pblock {pid}: dirty={} disagrees with the dirty list",
+                    p.dirty
+                ));
             }
             let indexed_tier = self.p_inactive.tier_of(p.size, pid);
             if p.active {
@@ -1300,26 +1531,29 @@ impl GmLakeAllocator {
                     }
                     Some(_) => {}
                 }
+                // The `referenced_by` scan is the oracle for the counters.
                 let derived = self.compute_tier(pid);
-                if derived != p.tier {
+                if derived != p.stitch_cost() {
                     return Err(format!(
-                        "pblock {pid}: cached tier {:?} but references imply {derived:?}",
-                        p.tier
+                        "pblock {pid}: counters say {:?} but references imply {derived:?}",
+                        p.stitch_cost()
+                    ));
+                }
+                // Placement may lag only for a dirty block, and only
+                // between the two referenced tiers.
+                let lag_owed = p.dirty
+                    && p.tier != StitchCost::Unreferenced
+                    && derived != StitchCost::Unreferenced;
+                if derived != p.tier && !lag_owed {
+                    return Err(format!(
+                        "pblock {pid}: placed in {:?} but references imply {derived:?} (dirty={})",
+                        p.tier, p.dirty
                     ));
                 }
                 inactive_p += 1;
             }
             if p.assigned_to.is_some() && !p.active {
                 return Err(format!("pblock {pid}: assigned but inactive"));
-            }
-            for sid in &p.referenced_by {
-                let s = self
-                    .sblocks
-                    .get(*sid)
-                    .ok_or_else(|| format!("pblock {pid} references dead sblock {sid}"))?;
-                if !s.parts.contains(&pid) {
-                    return Err(format!("sblock {sid} does not list pblock {pid}"));
-                }
             }
         }
         if phys_sum != self.reserved_phys {
@@ -1337,7 +1571,7 @@ impl GmLakeAllocator {
         }
         // 2. sBlock consistency: part lists, counters, and both indexes.
         let mut inactive_s = 0usize;
-        let mut evictable_s = 0usize;
+        let mut evict_indexed_s = 0usize;
         for (sid, s) in self.sblocks.iter() {
             let mut size_sum = 0;
             let mut active_parts = 0usize;
@@ -1376,15 +1610,25 @@ impl GmLakeAllocator {
             if all_inactive {
                 inactive_s += 1;
             }
-            let evictable = s.assigned_to.is_none() && all_inactive;
+            // Eviction index: exactly the flagged views; it must hold every
+            // evictable view and may hold blocked ones, never assigned ones.
             let in_evict = self.s_evictable.contains(&(s.lru_tick, sid));
-            if evictable != in_evict {
+            if in_evict != s.in_evict_index {
                 return Err(format!(
-                    "sblock {sid}: evictable={evictable} but eviction index={in_evict}"
+                    "sblock {sid}: in_evict_index={} but eviction index={in_evict}",
+                    s.in_evict_index
                 ));
             }
-            if evictable {
-                evictable_s += 1;
+            if Self::sblock_available(s) && !in_evict {
+                return Err(format!(
+                    "evictable sblock {sid} missing from eviction index"
+                ));
+            }
+            if s.assigned_to.is_some() && in_evict {
+                return Err(format!("assigned sblock {sid} present in eviction index"));
+            }
+            if in_evict {
+                evict_indexed_s += 1;
             }
             if s.assigned_to.is_some() {
                 let fully_active = s.active_parts == s.parts.len();
@@ -1399,9 +1643,9 @@ impl GmLakeAllocator {
                 self.s_inactive.len()
             ));
         }
-        if self.s_evictable.len() != evictable_s {
+        if self.s_evictable.len() != evict_indexed_s {
             return Err(format!(
-                "s_evictable holds {} entries but {evictable_s} sblocks are evictable",
+                "s_evictable holds {} entries but {evict_indexed_s} sblocks are flagged",
                 self.s_evictable.len()
             ));
         }
@@ -1526,17 +1770,17 @@ impl AllocatorCore for GmLakeAllocator {
                 self.set_pblock_active(pid, false);
             }
             Target::S(sid) => {
-                let parts = {
-                    let tick = self.next_tick();
-                    let s = self.sblocks.get_mut(sid).expect("live sblock");
-                    s.assigned_to = None;
-                    s.lru_tick = tick;
-                    if self.current_stream.is_some() {
-                        s.last_stream = self.current_stream;
-                    }
-                    s.parts.clone()
-                };
-                for pid in parts {
+                let tick = self.next_tick();
+                let s = self.sblocks.get_mut(sid).expect("live sblock");
+                s.assigned_to = None;
+                s.lru_tick = tick;
+                if self.current_stream.is_some() {
+                    s.last_stream = self.current_stream;
+                }
+                // The last part's deactivation re-enters the view into the
+                // eviction index under its new tick.
+                for i in 0..self.sblocks[sid].parts.len() {
+                    let pid = self.sblocks[sid].parts[i];
                     self.set_pblock_active(pid, false);
                 }
             }

@@ -81,7 +81,7 @@ impl StitchCost {
 /// activity and sBlock references change. Partitioning moves the cost
 /// classification off the allocation hot path: `best_fit_indexed` never
 /// evaluates a per-block closure, it just range-probes the right tier.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct TieredPIndex {
     tiers: [BTreeSet<(u64, PBlockId)>; 3],
 }
@@ -123,6 +123,24 @@ impl TieredPIndex {
         self.tiers[tier as usize]
             .range((size, 0)..=(size, u64::MAX))
             .map(|&(_, pid)| pid)
+    }
+
+    /// All *referenced* pBlocks of exactly `size` bytes — both referenced
+    /// tiers merged in id order. The allocator defers moves between those
+    /// two tiers, so a scan that must see a block's true tier walks their
+    /// union and filters on [`PBlock::stitch_cost`](crate::block::PBlock).
+    pub fn equal_size_referenced(&self, size: u64) -> impl Iterator<Item = PBlockId> + '_ {
+        let mut blocked = self
+            .equal_size_in_tier(StitchCost::ReferencedBlocked, size)
+            .peekable();
+        let mut available = self
+            .equal_size_in_tier(StitchCost::ReferencedAvailable, size)
+            .peekable();
+        std::iter::from_fn(move || match (blocked.peek(), available.peek()) {
+            (Some(b), Some(a)) if a < b => available.next(),
+            (Some(_), _) => blocked.next(),
+            (None, _) => available.next(),
+        })
     }
 
     /// The tier a pid of `size` currently sits in, if any (validation).
@@ -571,5 +589,21 @@ mod tests {
         assert!(idx.remove(StitchCost::Unreferenced, 10, 1));
         assert!(!idx.remove(StitchCost::Unreferenced, 10, 1));
         assert_eq!(idx.len(), 1);
+    }
+
+    #[test]
+    fn referenced_tiers_merge_in_id_order() {
+        let mut idx = TieredPIndex::new();
+        for pid in [2, 5, 9] {
+            idx.insert(StitchCost::ReferencedBlocked, 10, pid);
+        }
+        for pid in [1, 6, 7] {
+            idx.insert(StitchCost::ReferencedAvailable, 10, pid);
+        }
+        idx.insert(StitchCost::Unreferenced, 10, 3);
+        idx.insert(StitchCost::ReferencedAvailable, 20, 4);
+        let merged: Vec<_> = idx.equal_size_referenced(10).collect();
+        assert_eq!(merged, vec![1, 2, 5, 6, 7, 9]);
+        assert_eq!(idx.equal_size_referenced(30).count(), 0);
     }
 }

@@ -8,8 +8,6 @@
 //!   their own addresses too — the multi-VA aliasing the CUDA VMM allows).
 //!   An sBlock is active whenever any of its pBlocks is active.
 
-use std::collections::BTreeSet;
-
 use gmlake_alloc_api::{AllocationId, StreamId, VirtAddr};
 use gmlake_gpu_sim::PhysHandle;
 
@@ -34,13 +32,24 @@ pub(crate) struct PBlock {
     /// Allocation currently holding this pBlock *directly* (not through an
     /// sBlock).
     pub assigned_to: Option<AllocationId>,
-    /// sBlocks whose mapping includes this pBlock's chunks.
-    pub referenced_by: BTreeSet<SBlockId>,
-    /// Cached stitch-cost tier — which partition of the inactive index this
-    /// block sits in while inactive. Maintained incrementally by the
-    /// allocator as references and sBlock availability change, so `BestFit`
-    /// never has to re-derive it.
+    /// sBlocks whose mapping includes this pBlock's chunks, each once, in no
+    /// particular order. A flat list because every activity flip walks it
+    /// (dozens of views on converged pools) and only teardown searches it.
+    pub referenced_by: Vec<SBlockId>,
+    /// How many of `referenced_by` are *available* right now (unassigned
+    /// with `active_parts == 0`). Maintained at the only places a view's
+    /// availability can flip — an activity zero-crossing, `Stitch`, sBlock
+    /// teardown, and `Split` (children inherit the parent's count) — so
+    /// [`PBlock::stitch_cost`] never scans `referenced_by`. Always 0 while
+    /// the block is active: an active part blocks every view over it.
+    pub avail_refs: usize,
+    /// *Placement*: the partition of the inactive index this block sits in
+    /// while inactive. Equals [`PBlock::stitch_cost`] except for a `dirty`
+    /// block, whose move between the two referenced tiers is still owed.
     pub tier: StitchCost,
+    /// The block is on the allocator's dirty list: its placement may lag
+    /// its stitch cost, within the two referenced tiers only.
+    pub dirty: bool,
     /// Stream that last held this block (stamped on stream-aware allocate
     /// and free). Exact-match `BestFit` prefers candidates last used by the
     /// requesting stream, so warm blocks stay stream-local without any
@@ -56,9 +65,22 @@ impl PBlock {
             chunks,
             active: false,
             assigned_to: None,
-            referenced_by: BTreeSet::new(),
+            referenced_by: Vec::new(),
+            avail_refs: 0,
             tier: StitchCost::Unreferenced,
+            dirty: false,
             last_stream: None,
+        }
+    }
+
+    /// The block's stitch-cost tier, derived in `O(1)` from its counters.
+    pub fn stitch_cost(&self) -> StitchCost {
+        if self.referenced_by.is_empty() {
+            StitchCost::Unreferenced
+        } else if self.avail_refs > 0 {
+            StitchCost::ReferencedAvailable
+        } else {
+            StitchCost::ReferencedBlocked
         }
     }
 }
@@ -81,6 +103,10 @@ pub(crate) struct SBlock {
     pub active_parts: usize,
     /// Stream that last held this stitched view (see `PBlock::last_stream`).
     pub last_stream: Option<StreamId>,
+    /// Whether `(lru_tick, id)` is in the allocator's eviction index. Set
+    /// when the view becomes evictable; cleared when it is assigned or when
+    /// an eviction scan finds it blocked — *not* on every activity flip.
+    pub in_evict_index: bool,
 }
 
 impl SBlock {
@@ -93,6 +119,7 @@ impl SBlock {
             lru_tick: tick,
             active_parts: 0,
             last_stream: None,
+            in_evict_index: false,
         }
     }
 }

@@ -650,37 +650,113 @@ fn slab_slots_are_recycled_after_destroy() {
     l.validate().unwrap();
 }
 
-mod fault_injection {
-    //! Property: under a random program with one random transient driver
-    //! fault injected at a random point, every operation either succeeds
-    //! or rolls back completely — `validate()` holds and `MemStats`
-    //! reconciles against the test's own ledger after *every* step, and
-    //! the fault journal shows no leaked reservations at the end
-    //! (`mem_address_free` past a commit point may orphan exactly one VA
-    //! reservation; see `docs/fault-model.md`).
+mod program {
+    //! The random allocator program the property tests below share: plain
+    //! and stream-tagged allocs and frees, defrag passes, cache release and
+    //! iteration boundaries.
 
     use super::*;
-    use gmlake_gpu_sim::{FaultOp, FaultPlan};
+    use gmlake_alloc_api::StreamId;
     use proptest::prelude::*;
 
     #[derive(Debug, Clone)]
-    enum Op {
-        Alloc(u64),
-        Free(usize),
+    pub enum Op {
+        /// Allocate this many bytes (rounded internally), streamless for
+        /// stream 0, else on that stream.
+        Alloc(u64, u32),
+        /// Free the n-th (mod live count) live allocation, likewise.
+        Free(usize, u32),
+        /// Proactive defrag pass (sPool GC + dead-fragment release).
         Compact,
+        /// Surrender every cached structure.
         ReleaseCached,
+        /// Iteration boundary (convergence accounting).
         Boundary,
     }
 
-    fn op_strategy() -> impl Strategy<Value = Op> {
+    pub fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
-            6 => (1u64..16 * 1024 * 1024).prop_map(Op::Alloc),
-            5 => any::<usize>().prop_map(Op::Free),
+            6 => (1u64..16 * 1024 * 1024, 0u32..4).prop_map(|(size, s)| Op::Alloc(size, s)),
+            5 => (any::<usize>(), 0u32..4).prop_map(|(n, s)| Op::Free(n, s)),
             1 => Just(Op::Compact),
             1 => Just(Op::ReleaseCached),
             1 => Just(Op::Boundary),
         ]
     }
+
+    /// Applies `op`, keeping `live` (id, rounded size) in step, and returns
+    /// where a successful allocation landed. OOM and rolled-back driver
+    /// faults are legal outcomes; a faulted free leaves the tensor live.
+    pub fn step(
+        l: &mut GmLakeAllocator,
+        op: &Op,
+        live: &mut Vec<(AllocationId, u64)>,
+    ) -> Option<(u64, u64)> {
+        match *op {
+            Op::Alloc(size, stream) => {
+                let req = AllocRequest::new(size);
+                let result = match stream {
+                    0 => l.allocate(req),
+                    s => l.alloc_on_stream(req, StreamId(s)),
+                };
+                match result {
+                    Ok(a) => {
+                        live.push((a.id, a.size));
+                        return Some((a.va.as_u64(), a.size));
+                    }
+                    Err(AllocError::OutOfMemory { .. }) | Err(AllocError::DriverFault { .. }) => {}
+                    Err(e) => panic!("unexpected allocator error: {e}"),
+                }
+            }
+            Op::Free(n, stream) => {
+                if !live.is_empty() {
+                    let (id, size) = live.swap_remove(n % live.len());
+                    let result = match stream {
+                        0 => l.deallocate(id),
+                        s => l.free_on_stream(id, StreamId(s)),
+                    };
+                    match result {
+                        Ok(()) => {}
+                        Err(AllocError::DriverFault { .. }) => live.push((id, size)),
+                        Err(e) => panic!("unexpected free error: {e}"),
+                    }
+                }
+            }
+            Op::Compact => {
+                l.compact();
+            }
+            Op::ReleaseCached => {
+                l.release_cached();
+            }
+            Op::Boundary => l.iteration_boundary(),
+        }
+        None
+    }
+
+    /// The 64 MiB device and 12-view sPool the property tests run on: small
+    /// enough that OOM, `StitchFree` eviction and the rescue path all fire.
+    pub fn small_lake() -> GmLakeAllocator {
+        let dev = DeviceConfig::small_test()
+            .with_capacity(mib(64))
+            .with_backing(false);
+        lake_with(dev, test_config().with_max_sblocks(12))
+    }
+}
+
+mod fault_injection {
+    //! Property: under a random program with one random transient driver
+    //! fault injected at a random point, every operation either succeeds
+    //! or rolls back completely — `validate()` (counters against their
+    //! scan oracles included) holds and `MemStats` reconciles against the
+    //! test's own ledger after *every* step, the faulted one included, and
+    //! the fault journal shows no leaked reservations at the end
+    //! (`mem_address_free` past a commit point may orphan exactly one VA
+    //! reservation; see `docs/fault-model.md`).
+
+    use super::program::{op_strategy, small_lake, step};
+    use super::*;
+    use gmlake_gpu_sim::{FaultOp, FaultPlan};
+    use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -691,49 +767,16 @@ mod fault_injection {
             op_idx in 0usize..FaultOp::COUNT,
             nth in 1u64..24,
         ) {
-            let dev = DeviceConfig::small_test()
-                .with_capacity(mib(64))
-                .with_backing(false);
-            let mut l = lake_with(dev, test_config().with_max_sblocks(12));
+            let mut l = small_lake();
             let fault_op = FaultOp::ALL[op_idx];
             l.driver().set_fault_plan(FaultPlan::new().fail_nth(fault_op, nth));
 
             // The test's own ledger of live tensors: id and rounded size.
             let mut live: Vec<(AllocationId, u64)> = Vec::new();
-            let mut expected_active: u64 = 0;
             for op in &ops {
-                match op {
-                    Op::Alloc(size) => match l.allocate(AllocRequest::new(*size)) {
-                        Ok(a) => {
-                            expected_active += a.size;
-                            live.push((a.id, a.size));
-                        }
-                        Err(AllocError::OutOfMemory { .. })
-                        | Err(AllocError::DriverFault { .. }) => {}
-                        Err(e) => panic!("unexpected allocator error: {e}"),
-                    },
-                    Op::Free(n) => {
-                        if !live.is_empty() {
-                            let (id, size) = live.swap_remove(n % live.len());
-                            match l.deallocate(id) {
-                                Ok(()) => expected_active -= size,
-                                Err(AllocError::DriverFault { .. }) => {
-                                    // Rolled back: the tensor is still live.
-                                    live.push((id, size));
-                                }
-                                Err(e) => panic!("unexpected free error: {e}"),
-                            }
-                        }
-                    }
-                    Op::Compact => {
-                        l.compact();
-                    }
-                    Op::ReleaseCached => {
-                        l.release_cached();
-                    }
-                    Op::Boundary => l.iteration_boundary(),
-                }
+                step(&mut l, op, &mut live);
                 l.validate().unwrap();
+                let expected_active: u64 = live.iter().map(|&(_, size)| size).sum();
                 prop_assert_eq!(l.stats().active_bytes, expected_active);
             }
 
@@ -767,32 +810,9 @@ mod bestfit_oracle {
     //! reference implementation (and every incremental index must satisfy
     //! `validate()`).
 
+    use super::program::{op_strategy, small_lake, step};
     use super::*;
     use proptest::prelude::*;
-
-    #[derive(Debug, Clone)]
-    enum Op {
-        /// Allocate this many bytes (rounded internally).
-        Alloc(u64),
-        /// Free the n-th (mod live count) live allocation.
-        Free(usize),
-        /// Proactive defrag pass (sPool GC + dead-fragment release).
-        Compact,
-        /// Surrender every cached structure.
-        ReleaseCached,
-        /// Iteration boundary (convergence accounting).
-        Boundary,
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            6 => (1u64..16 * 1024 * 1024).prop_map(Op::Alloc),
-            5 => any::<usize>().prop_map(Op::Free),
-            1 => Just(Op::Compact),
-            1 => Just(Op::ReleaseCached),
-            1 => Just(Op::Boundary),
-        ]
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -801,36 +821,13 @@ mod bestfit_oracle {
         fn indexed_bestfit_matches_reference(
             ops in proptest::collection::vec(op_strategy(), 1..120)
         ) {
-            let dev = DeviceConfig::small_test()
-                .with_capacity(mib(64))
-                .with_backing(false);
-            // A tiny sPool keeps `StitchFree` eviction in play.
-            let mut l = lake_with(dev, test_config().with_max_sblocks(12));
-            let mut live: Vec<AllocationId> = Vec::new();
+            let mut l = small_lake();
+            let mut live = Vec::new();
             let probes = [
                 mib(2), mib(3), mib(4), mib(6), mib(10), mib(16), mib(40), mib(200),
             ];
             for op in &ops {
-                match op {
-                    Op::Alloc(size) => match l.allocate(AllocRequest::new(*size)) {
-                        Ok(a) => live.push(a.id),
-                        Err(AllocError::OutOfMemory { .. }) => {}
-                        Err(e) => panic!("unexpected allocator error: {e}"),
-                    },
-                    Op::Free(n) => {
-                        if !live.is_empty() {
-                            let id = live.swap_remove(n % live.len());
-                            l.deallocate(id).unwrap();
-                        }
-                    }
-                    Op::Compact => {
-                        l.compact();
-                    }
-                    Op::ReleaseCached => {
-                        l.release_cached();
-                    }
-                    Op::Boundary => l.iteration_boundary(),
-                }
+                step(&mut l, op, &mut live);
                 l.validate().unwrap();
                 for &p in &probes {
                     l.assert_bestfit_agrees(p);
@@ -838,6 +835,140 @@ mod bestfit_oracle {
             }
         }
     }
+}
+
+mod settled_twin {
+    //! Lockstep differential for the deferred tier moves: the same random
+    //! program — streams, defrag, eviction, optionally one driver fault —
+    //! runs through the allocator and through its always-settled twin,
+    //! whose index is exact after every change. Deferral must be invisible:
+    //! the same block for every allocation, the same S1–S5 / stitch / split
+    //! / eviction counts, the same number of driver calls.
+
+    use super::program::{op_strategy, small_lake, step};
+    use gmlake_gpu_sim::{FaultOp, FaultPlan};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn deferred_tier_moves_are_invisible(
+            ops in proptest::collection::vec(op_strategy(), 1..160),
+            op_idx in 0usize..FaultOp::COUNT,
+            // 0 = no fault; otherwise the n-th call of the op fails once.
+            nth in 0u64..24,
+        ) {
+            let build = || {
+                let l = small_lake();
+                if nth > 0 {
+                    let plan = FaultPlan::new().fail_nth(FaultOp::ALL[op_idx], nth);
+                    l.driver().set_fault_plan(plan);
+                }
+                l
+            };
+            let (mut lazy, mut twin) = (build(), build().settling_eagerly());
+            let (mut live, mut twin_live) = (Vec::new(), Vec::new());
+            for op in &ops {
+                let got = step(&mut lazy, op, &mut live);
+                let want = step(&mut twin, op, &mut twin_live);
+                prop_assert_eq!(got, want, "allocation landed elsewhere on {:?}", op);
+                prop_assert_eq!(lazy.state_counters(), twin.state_counters());
+                prop_assert_eq!(
+                    lazy.driver().stats().total_calls(),
+                    twin.driver().stats().total_calls()
+                );
+                prop_assert_eq!(twin.owed_tier_moves(), 0, "the twin never defers");
+                lazy.validate().unwrap();
+                twin.validate().unwrap();
+            }
+        }
+    }
+}
+
+/// `parts` equal 2 MiB pBlocks woven into `parts - 1` cached views that
+/// all share them: requests of `parts`, `parts - 1`, … 2 blocks' worth each
+/// find no exact match and stitch the highest-id blocks, so the view of `j`
+/// blocks covers the `j` highest ids and the highest id sits in every view.
+fn dense_sharing_pool(parts: u64) -> GmLakeAllocator {
+    let cfg = GmLakeConfig::default().with_frag_limit(mib(2));
+    let mut l = lake_with(DeviceConfig::small_test(), cfg);
+    let held: Vec<_> = (0..parts)
+        .map(|_| l.allocate(AllocRequest::new(mib(2))).unwrap())
+        .collect();
+    for a in held {
+        l.deallocate(a.id).unwrap();
+    }
+    for j in (2..=parts).rev() {
+        let view = l.allocate(AllocRequest::new(mib(2) * j)).unwrap();
+        l.deallocate(view.id).unwrap();
+    }
+    l
+}
+
+/// The deterministic complexity pin: on a fixed dense-sharing pool an S1
+/// sBlock alloc + free costs `O(k·r)` counter bumps, scans no
+/// `referenced_by` set, moves nothing between tiers — and costs exactly
+/// the same however often it is repeated.
+#[test]
+fn s1_flip_cost_is_bounded_by_sharing_and_flat_over_iterations() {
+    let parts = 33u64;
+    let mut l = dense_sharing_pool(parts);
+    assert_eq!(
+        (l.pblock_count() as u64, l.sblock_count() as u64),
+        (parts, parts - 1)
+    );
+    assert_eq!(l.state_counters().stitches, parts - 1);
+    l.validate().unwrap();
+
+    let cycle = |l: &mut GmLakeAllocator| {
+        let (before, exact) = (l.work_counters(), l.state_counters().exact);
+        let a = l.allocate(AllocRequest::new(mib(2) * parts)).unwrap();
+        l.deallocate(a.id).unwrap();
+        assert_eq!(
+            l.state_counters().exact,
+            exact + 1,
+            "S1 on the largest view"
+        );
+        let after = l.work_counters();
+        crate::WorkCounters {
+            sblock_bumps: after.sblock_bumps - before.sblock_bumps,
+            part_visits: after.part_visits - before.part_visits,
+            ref_scans: after.ref_scans - before.ref_scans,
+            tier_moves: after.tier_moves - before.tier_moves,
+        }
+    };
+    let first = cycle(&mut l);
+    // Each of the k = 33 parts bumps its r ≤ 32 views once per direction
+    // (Σr = 2 + … + 33: the view of j blocks references j parts), and each
+    // view crosses zero once per direction, visiting its own parts.
+    let sum_refs: u64 = (2..=parts).sum();
+    assert_eq!(first.sblock_bumps, 2 * sum_refs);
+    assert!(
+        first.sblock_bumps <= 2 * parts * (parts - 1),
+        "k·r per direction"
+    );
+    assert_eq!(first.part_visits, 2 * sum_refs);
+    assert_eq!(
+        first.ref_scans, 0,
+        "no referenced_by scan outside validate()"
+    );
+    assert_eq!(
+        first.tier_moves, 0,
+        "blocked <-> available moves are deferred"
+    );
+    for _ in 0..8 {
+        assert_eq!(
+            cycle(&mut l),
+            first,
+            "per-op cost grew with iteration count"
+        );
+    }
+    l.validate().unwrap();
+    assert!(
+        l.work_counters().ref_scans > 0,
+        "validate() runs the oracle scan"
+    );
 }
 
 /// Defrag-aware `StitchFree` (PR 8): builds a converged pool holding three

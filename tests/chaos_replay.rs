@@ -29,18 +29,106 @@ fn chaos_options() -> ReplayOptions {
     }
 }
 
+/// A GMLake core that re-checks `validate()` — index placement, the
+/// `avail_refs` counters against their `referenced_by` scan, the dirty list
+/// — straight after every call during which the driver injected a fault, so
+/// a faulted stitch / split / destroy that left a counter off by one fails
+/// at the fault instead of (maybe) at the end of the trace.
+struct ValidatedLake {
+    lake: GmLakeAllocator,
+    driver: CudaDriver,
+    faults_seen: u64,
+}
+
+impl ValidatedLake {
+    fn new(driver: &CudaDriver, config: GmLakeConfig) -> Self {
+        ValidatedLake {
+            lake: GmLakeAllocator::new(driver.clone(), config),
+            driver: driver.clone(),
+            faults_seen: 0,
+        }
+    }
+
+    fn checked<R>(&mut self, call: impl FnOnce(&mut GmLakeAllocator) -> R) -> R {
+        let result = call(&mut self.lake);
+        let injected = self.driver.stats().injected_faults;
+        if injected != self.faults_seen {
+            self.faults_seen = injected;
+            self.lake
+                .validate()
+                .unwrap_or_else(|e| panic!("after injected fault #{injected}: {e}"));
+        }
+        result
+    }
+}
+
+impl AllocatorCore for ValidatedLake {
+    fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
+        self.checked(|lake| lake.allocate(req))
+    }
+
+    fn deallocate(&mut self, id: AllocationId) -> Result<(), AllocError> {
+        self.checked(|lake| lake.deallocate(id))
+    }
+
+    fn alloc_on_stream(
+        &mut self,
+        req: AllocRequest,
+        stream: StreamId,
+    ) -> Result<Allocation, AllocError> {
+        self.checked(|lake| lake.alloc_on_stream(req, stream))
+    }
+
+    fn free_on_stream(&mut self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
+        self.checked(|lake| lake.free_on_stream(id, stream))
+    }
+
+    fn stats(&self) -> MemStats {
+        self.lake.stats()
+    }
+
+    fn name(&self) -> &'static str {
+        self.lake.name()
+    }
+
+    fn iteration_boundary(&mut self) {
+        self.lake.iteration_boundary()
+    }
+
+    fn release_cached(&mut self) -> u64 {
+        self.checked(|lake| lake.release_cached())
+    }
+
+    fn compact(&mut self) -> u64 {
+        self.checked(|lake| lake.compact())
+    }
+
+    fn set_stitch_enabled(&mut self, enabled: bool) {
+        self.lake.set_stitch_enabled(enabled)
+    }
+
+    fn fault_journal_stats(&self) -> gmlake_alloc_api::FaultJournalStats {
+        self.lake.fault_journal_stats()
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(&mut self.lake)
+    }
+}
+
 /// Runs `trace` on a fresh GMLake allocator with `plan` installed from the
 /// first event, then checks every invariant the fault model promises.
 fn run_schedule(plan: FaultPlan, label: &str) {
     let cfg = small_workload();
     let trace = TraceGenerator::new(cfg.clone()).generate();
     let driver = CudaDriver::new(DeviceConfig::a100_80g());
-    let mut lake = GmLakeAllocator::new(driver.clone(), GmLakeConfig::default());
+    let mut checked = ValidatedLake::new(&driver, GmLakeConfig::default());
     driver.set_fault_plan(plan);
 
     let report = Replayer::new(driver.clone())
         .with_options(chaos_options())
-        .replay(&mut lake, &trace, &cfg);
+        .replay(&mut checked, &trace, &cfg);
+    let mut lake = checked.lake;
 
     // The device actually injected under this schedule (otherwise the
     // schedule tests nothing).
@@ -97,12 +185,13 @@ fn deterministic_single_fault_schedules_preserve_invariants() {
             let cfg = small_workload();
             let trace = TraceGenerator::new(cfg.clone()).generate();
             let driver = CudaDriver::new(DeviceConfig::a100_80g());
-            let mut lake = GmLakeAllocator::new(driver.clone(), GmLakeConfig::default());
+            let mut checked = ValidatedLake::new(&driver, GmLakeConfig::default());
             driver.set_fault_plan(FaultPlan::new().fail_nth(op, nth));
 
             let report = Replayer::new(driver.clone())
                 .with_options(chaos_options())
-                .replay(&mut lake, &trace, &cfg);
+                .replay(&mut checked, &trace, &cfg);
+            let lake = checked.lake;
 
             if driver.stats().injected_faults == 0 {
                 // This op is never the nth call in this trace (e.g. the
@@ -161,7 +250,7 @@ fn persistent_map_fault_window_degrades_without_leaking() {
     let cfg = small_workload();
     let trace = TraceGenerator::new(cfg.clone()).generate();
     let driver = CudaDriver::new(DeviceConfig::a100_80g());
-    let mut lake = GmLakeAllocator::new(driver.clone(), GmLakeConfig::default());
+    let mut lake = ValidatedLake::new(&driver, GmLakeConfig::default());
     driver.set_fault_plan(FaultPlan::new().fail_from(FaultOp::Map, 3));
 
     let report = Replayer::new(driver.clone())
@@ -170,7 +259,7 @@ fn persistent_map_fault_window_degrades_without_leaking() {
     assert!(driver.stats().injected_faults > 0);
     assert!(report.outcome.is_completed());
     assert!(report.faulted_allocs > 0, "persistent faults must surface");
-    lake.validate().unwrap();
+    lake.lake.validate().unwrap();
 
     // Once the fault clears, the pool serves the same workload again.
     driver.clear_fault_plan();
@@ -179,7 +268,7 @@ fn persistent_map_fault_window_degrades_without_leaking() {
         .replay(&mut lake, &trace, &cfg);
     assert!(report.outcome.is_completed());
     assert_eq!(report.faulted_allocs, 0, "recovered run is fault-free");
-    lake.validate().unwrap();
+    lake.lake.validate().unwrap();
     assert_eq!(lake.stats().active_bytes, 0);
 }
 
@@ -190,12 +279,13 @@ fn probabilistic_soak_is_stable() {
     let cfg = small_workload().with_iterations(5);
     let trace = TraceGenerator::new(cfg.clone()).generate();
     let driver = CudaDriver::new(DeviceConfig::a100_80g());
-    let mut lake = GmLakeAllocator::new(driver.clone(), GmLakeConfig::default());
+    let mut checked = ValidatedLake::new(&driver, GmLakeConfig::default());
     driver.set_fault_plan(FaultPlan::new().with_probabilistic(0xC0FFEE, 250));
 
     let report = Replayer::new(driver.clone())
         .with_options(chaos_options())
-        .replay(&mut lake, &trace, &cfg);
+        .replay(&mut checked, &trace, &cfg);
+    let mut lake = checked.lake;
 
     let injected = driver.stats().injected_faults;
     assert!(injected > 0, "soak never injected");
@@ -228,10 +318,7 @@ fn pool_service_soak_absorbs_transient_faults() {
     let pool = service
         .register(
             DeviceId(0),
-            Box::new(GmLakeAllocator::new(
-                driver.clone(),
-                GmLakeConfig::default(),
-            )),
+            Box::new(ValidatedLake::new(&driver, GmLakeConfig::default())),
         )
         .unwrap();
     driver.set_fault_plan(FaultPlan::new().with_probabilistic(0x5EED, 400));
@@ -279,10 +366,7 @@ fn pool_service_soak_absorbs_transient_faults() {
 fn memmap_fault_inside_optimistic_large_commit_rolls_back() {
     use gmlake_alloc_api::DeviceAllocatorConfig;
     let driver = CudaDriver::new(DeviceConfig::a100_80g());
-    let lake = GmLakeAllocator::new(
-        driver.clone(),
-        GmLakeConfig::default().with_frag_limit(mib(2)),
-    );
+    let lake = ValidatedLake::new(&driver, GmLakeConfig::default().with_frag_limit(mib(2)));
     let pool = DeviceAllocator::with_config_and_events(
         lake,
         DeviceAllocatorConfig::default().with_streams(4),
