@@ -115,9 +115,10 @@ use parking_lot::Mutex;
 
 use crate::error::AllocError;
 use crate::events::EventSource;
+use crate::forward_allocator_core;
 use crate::request::{AllocRequest, Allocation};
 use crate::stats::MemStats;
-use crate::traits::{forward_allocator_core, AllocatorCore};
+use crate::traits::AllocatorCore;
 use crate::types::{mib, AllocationId, EventId, StreamId, VirtAddr};
 
 /// Front-end allocation ids live in the top half of the id space so they can
@@ -216,9 +217,9 @@ pub struct DeviceAllocatorConfig {
     /// blocks is already a lot of memory).
     ///
     /// `0` disables the large route entirely: every large allocation and
-    /// free goes through the core mutex (the single-mutex baseline
-    /// `bench_pr9` compares against). `small_threshold == 0` bypasses the
-    /// large route too — that knob promises one mutex around the core.
+    /// free goes through the core mutex, stream-affine like a large-route
+    /// miss. `small_threshold == 0` bypasses the large route too — that
+    /// knob promises one mutex around the core.
     pub max_cached_large_per_bank: usize,
 }
 
@@ -1017,9 +1018,11 @@ impl DeviceAllocator {
         } else {
             // Large route disabled (`max_cached_large_per_bank == 0`), or
             // both routes off (`small_threshold == 0`, the single-mutex
-            // baseline): straight through the core mutex, core id handed out.
-            let first = self.inner.core.lock().allocate(req);
-            let result = self.retry_after_flush(first, req, None);
+            // baseline): straight through the core mutex, core id handed
+            // out. Stream-affine like a large-route miss, so the core's
+            // stream stamps work with the route off.
+            let first = ask_core(&mut **self.inner.core.lock(), req, Some(stream));
+            let result = self.retry_after_flush(first, req, Some(stream));
             if let (Some(t), Ok(a)) = (tel, &result) {
                 t.record(EventKind::Alloc, a.size, stream.as_u32() as u64, 0);
             }
@@ -1076,8 +1079,8 @@ impl DeviceAllocator {
         let raw = id.as_u64();
         let result = if raw < FRONT_ID_BASE {
             // A core-minted id (a route is disabled, or the id is
-            // unknown): the core owns it.
-            self.inner.core.lock().deallocate(id)
+            // unknown): the core owns it, and is told the freeing stream.
+            self.inner.core.lock().free_on_stream(id, stream)
         } else if raw & LARGE_ID_BIT != 0 {
             self.free_cached::<LargeRoute>(id, stream, tel)
         } else {
@@ -1488,6 +1491,8 @@ mod tests {
         stats: MemStats,
         capacity: u64,
         released: u64,
+        /// The stream of every `alloc_on_stream` / `free_on_stream` call.
+        streams_seen: Vec<StreamId>,
     }
 
     impl TestCore {
@@ -1534,12 +1539,30 @@ mod tests {
             Ok(())
         }
 
+        fn alloc_on_stream(
+            &mut self,
+            req: AllocRequest,
+            stream: StreamId,
+        ) -> Result<Allocation, AllocError> {
+            self.streams_seen.push(stream);
+            self.allocate(req)
+        }
+
+        fn free_on_stream(&mut self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
+            self.streams_seen.push(stream);
+            self.deallocate(id)
+        }
+
         fn stats(&self) -> MemStats {
             self.stats
         }
 
         fn name(&self) -> &'static str {
             "test-core"
+        }
+
+        fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+            Some(self)
         }
 
         fn release_cached(&mut self) -> u64 {
@@ -1693,16 +1716,23 @@ mod tests {
 
     #[test]
     fn large_route_disabled_hands_out_core_ids() {
-        // max_cached_large_per_bank == 0 is the single-mutex baseline: the
-        // pre-PR 9 behaviour, and what bench_pr9 compares against.
+        // max_cached_large_per_bank == 0 is the single-mutex baseline:
+        // every large request and free is the core's, stream included.
         let pool = DeviceAllocator::with_config(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_max_cached_large_per_bank(0),
         );
-        let a = pool.allocate(AllocRequest::new(mib(8))).unwrap();
+        let a = pool
+            .alloc_on_stream(AllocRequest::new(mib(8)), StreamId(3))
+            .unwrap();
         assert!(a.id.as_u64() < FRONT_ID_BASE, "core id handed out");
-        pool.deallocate(a.id).unwrap();
+        pool.free_on_stream(a.id, StreamId(5)).unwrap();
         assert_eq!(pool.large_cache_stats().cached_blocks, 0);
+        assert_eq!(
+            pool.with_core_as(|c: &mut TestCore| c.streams_seen.clone()),
+            Some(vec![StreamId(3), StreamId(5)]),
+            "the core saw the allocating and the freeing stream"
+        );
         assert_eq!(
             pool.deallocate(a.id).unwrap_err(),
             AllocError::UnknownAllocation(a.id),
@@ -2525,11 +2555,17 @@ mod tests {
             .alloc_on_stream(AllocRequest::new(4096), StreamId(1))
             .unwrap();
         assert_eq!(b.va, a.va, "already-complete event: immediate reuse");
+        assert_eq!(
+            pool.with_core(|c| c.stats().alloc_count),
+            1,
+            "no core round trip on the warm event path"
+        );
         let c = pool.cache_stats();
         assert_eq!(
             (c.hits, c.event_promotions, c.cross_stream_parked),
             (1, 1, 1)
         );
+        assert_eq!(c.cross_stream_fallback, 0);
         pool.free_on_stream(b.id, StreamId(1)).unwrap();
     }
 

@@ -186,6 +186,12 @@ pub trait AllocatorCore {
 /// default would silently drop a wrapped front-end's override (stream
 /// routing above all). Name `as_any_mut` as a second argument to forward
 /// the concrete-type view too; without it the default (`None`) applies.
+///
+/// Exported for the wrappers in sibling crates (the runtime's
+/// `PoolHandle`); `$target` must name inherent methods or another
+/// implementor, or the forwards recurse.
+#[doc(hidden)]
+#[macro_export]
 macro_rules! forward_allocator_core {
     ($self_:ident => $target:expr $(, $as_any_mut:ident)?) => {
         fn allocate(
@@ -256,7 +262,6 @@ macro_rules! forward_allocator_core {
         })?
     };
 }
-pub(crate) use forward_allocator_core;
 
 /// Blanket impl so `&mut A` can be passed where an `AllocatorCore` is
 /// expected (the replayer takes allocators by `&mut dyn`).

@@ -6,8 +6,6 @@
 //!
 //! The absolute numbers are host-side wall time (the device cost model is
 //! zeroed); the interesting ratio is sharded-vs-mutex at each thread count.
-//! `bench_pr3` records the same sweep as `BENCH_PR3.json` for the CI
-//! perf-trajectory gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -11,7 +11,7 @@
 //! leak, a failed `validate()`, or a breaker that never tripped or never
 //! recovered.
 //!
-//! Outputs (uploaded as the CI `chaos` job's artifact):
+//! Outputs (uploaded by CI as artifacts):
 //!
 //! * `chaos_soak.json` — summary counters: injected faults, service
 //!   retry/rescue/breaker stats, and the core's fault journal;

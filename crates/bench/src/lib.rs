@@ -20,7 +20,6 @@ use gmlake_workload::{
 };
 
 pub mod perf;
-pub mod report;
 
 /// Which allocator to run a workload against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1371,7 +1371,7 @@ impl GmLakeAllocator {
     // ------------------------------------------------------------------
     // Benchmark probes — classify a hypothetical request without mutating
     // state, through either `BestFit` implementation. Hidden: these exist
-    // so `bestfit_scaling` / `bench_pr2` can measure the indexed hot path
+    // so the `bestfit_scaling` bench can measure the indexed hot path
     // against the retained reference path on identical pool states.
     // ------------------------------------------------------------------
 

@@ -147,12 +147,18 @@ fn s3_stitches_freed_blocks_without_new_memory() {
     let b = l.allocate(AllocRequest::new(mib(6))).unwrap();
     l.deallocate(a.id).unwrap();
     l.deallocate(b.id).unwrap();
-    let before = l.driver().stats().create.calls;
+    let before = l.driver().stats();
     let c = l.allocate(AllocRequest::new(mib(10))).unwrap();
     assert_eq!(c.size, mib(10));
     assert_eq!(l.state_counters().multi, 1);
     assert_eq!(l.state_counters().stitches, 1);
-    assert_eq!(l.driver().stats().create.calls, before, "zero cuMemCreate");
+    let after = l.driver().stats();
+    assert_eq!(after.create.calls, before.create.calls, "zero cuMemCreate");
+    assert_eq!(
+        after.map.calls - before.map.calls,
+        2,
+        "one batched map per part, not one per 2 MiB chunk"
+    );
     assert_eq!(l.reserved_physical(), mib(10));
     l.validate().unwrap();
 }

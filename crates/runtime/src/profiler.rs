@@ -156,7 +156,7 @@ impl MemoryProfiler {
             // sink — attach them here so chaos and serving artifacts carry
             // orphan accounting alongside the timeline.
             let recovery = handle.fault_stats();
-            let journal = handle.allocator().fault_journal_stats();
+            let journal = handle.fault_journal_stats();
             snap.fault = Some(FaultSnapshot {
                 faults: recovery.faults,
                 retries: recovery.retries,

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use gmlake_alloc_api::{
-    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, DeviceAllocator,
-    DeviceAllocatorConfig, MemStats, StreamId,
+    forward_allocator_core, AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore,
+    DeviceAllocator, DeviceAllocatorConfig, FaultJournalStats, MemStats, StreamId,
 };
 use gmlake_telemetry::{EventKind, PoolTelemetry};
 
@@ -777,59 +777,26 @@ impl PoolHandle {
     pub fn fragmentation(&self) -> f64 {
         self.entry.alloc.fragmentation()
     }
+
+    /// Enables or disables the core's stitching (see
+    /// [`DeviceAllocator::set_stitch_enabled`]). The pool's circuit breaker
+    /// flips the same switch on repeated stitch-path faults.
+    pub fn set_stitch_enabled(&self, enabled: bool) {
+        self.entry.alloc.set_stitch_enabled(enabled)
+    }
+
+    /// The core's fault-journal counters (see
+    /// [`DeviceAllocator::fault_journal_stats`]).
+    pub fn fault_journal_stats(&self) -> FaultJournalStats {
+        self.entry.alloc.fault_journal_stats()
+    }
 }
 
 /// Trait-compat layer: lets trait-generic code (the sequential replayer,
 /// ablation harnesses) drive a pool handle; every method delegates to the
 /// concurrent `&self` inherent API.
 impl AllocatorCore for PoolHandle {
-    fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
-        PoolHandle::allocate(self, req)
-    }
-
-    fn deallocate(&mut self, id: AllocationId) -> Result<(), AllocError> {
-        PoolHandle::deallocate(self, id)
-    }
-
-    fn alloc_on_stream(
-        &mut self,
-        req: AllocRequest,
-        stream: StreamId,
-    ) -> Result<Allocation, AllocError> {
-        PoolHandle::alloc_on_stream(self, req, stream)
-    }
-
-    fn free_on_stream(&mut self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
-        PoolHandle::free_on_stream(self, id, stream)
-    }
-
-    fn stats(&self) -> MemStats {
-        PoolHandle::stats(self)
-    }
-
-    fn name(&self) -> &'static str {
-        PoolHandle::name(self)
-    }
-
-    fn iteration_boundary(&mut self) {
-        PoolHandle::iteration_boundary(self)
-    }
-
-    fn process_events(&mut self) -> u64 {
-        PoolHandle::process_events(self)
-    }
-
-    fn release_cached(&mut self) -> u64 {
-        PoolHandle::release_cached(self)
-    }
-
-    fn compact(&mut self) -> u64 {
-        PoolHandle::compact(self)
-    }
-
-    fn fragmentation(&self) -> f64 {
-        PoolHandle::fragmentation(self)
-    }
+    forward_allocator_core!(self => (*self));
 }
 
 #[cfg(test)]
@@ -1331,6 +1298,42 @@ mod tests {
             assert_eq!(lake.validate(), Ok(()));
             assert!(lake.fault_journal().is_leak_free());
         });
+    }
+
+    #[test]
+    fn handle_as_dyn_core_forwards_fault_journal_and_stitch_switch() {
+        use gmlake_gpu_sim::{FaultOp, FaultPlan};
+        let service = PoolService::with_fault_policy(FaultPolicy {
+            backoff_us: 0,
+            ..FaultPolicy::default()
+        });
+        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
+        let lake = GmLakeAllocator::new(
+            driver.clone(),
+            GmLakeConfig::default().with_frag_limit(mib(2)),
+        );
+        let mut pool = service.register(DeviceId(0), Box::new(lake)).unwrap();
+        let core: &mut dyn AllocatorCore = &mut pool;
+        // One faulted-and-retried allocation leaves one journalled op.
+        driver.set_fault_plan(FaultPlan::new().fail_nth(FaultOp::Map, 1));
+        let a = core.allocate(AllocRequest::new(mib(4))).unwrap();
+        let b = core.allocate(AllocRequest::new(mib(6))).unwrap();
+        assert_eq!(core.fault_journal_stats().failed_ops, 1);
+        // With stitching switched off through the trait, the S3-shaped
+        // request below is served without a stitch.
+        core.set_stitch_enabled(false);
+        core.deallocate(a.id).unwrap();
+        core.deallocate(b.id).unwrap();
+        assert_eq!(
+            pool.fault_journal_stats(),
+            pool.allocator().fault_journal_stats()
+        );
+        pool.allocator().flush();
+        pool.allocate(AllocRequest::new(mib(10))).unwrap();
+        let stitches = pool
+            .allocator()
+            .with_core_as(|lake: &mut GmLakeAllocator| lake.state_counters().stitches);
+        assert_eq!(stitches, Some(0));
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! device is consulted.
 //!
 //! See `docs/serving.md` for the design narrative and
-//! `gmlake-workload`'s serving generator + `bench_pr8` for the churn
-//! workloads and p99/p999 latency gates built on top of this crate.
+//! `gmlake-workload`'s serving generator and replayer for the churn
+//! workloads built on top of this crate (the whole-system benchmark's
+//! `serve_churn` workload measures them).
 
 #![warn(missing_docs)]
 

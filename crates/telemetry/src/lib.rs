@@ -33,7 +33,8 @@
 //! the ~100 ns `DeviceAllocator` shard hit pays the timestamp + ring-push
 //! cost only occasionally. Slow paths (BestFit, stitching, driver calls)
 //! record every operation — they are orders of magnitude above the
-//! per-record cost. `bench_pr6` gates both bounds in CI.
+//! per-record cost. The whole-system benchmark reports both costs as its
+//! `telemetry.trace_overhead_ratio` / `telemetry.sink_overhead_ratio` rows.
 //!
 //! # Example
 //!

@@ -360,8 +360,9 @@ fn timed_alloc(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmlake_alloc_api::gib;
+    use gmlake_alloc_api::{gib, mib, AllocatorCore};
     use gmlake_caching::CachingAllocator;
+    use gmlake_core::{GmLakeAllocator, GmLakeConfig};
     use gmlake_gpu_sim::{CudaDriver, DeviceConfig};
     use gmlake_runtime::{DeviceId, PoolService};
     use gmlake_serving::{AdmissionPolicy, ServingConfig};
@@ -400,33 +401,73 @@ mod tests {
         assert!(models.len() >= 4, "footprints drawn across the corpus");
     }
 
-    #[test]
-    fn replay_reaches_quiescence_and_times_allocations() {
-        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-        let pool = PoolService::new()
-            .register(DeviceId(0), Box::new(CachingAllocator::new(driver)))
-            .unwrap();
-        let serving = ServingService::new(
-            pool,
-            ServingConfig::new(gib(2))
-                .with_overcommit(4.0)
-                .with_policy(AdmissionPolicy::Shed)
-                .with_idle_after(4),
-        );
-        let plan = ServingPlan::generate(ServingWorkloadConfig {
-            seed: 11,
-            steps: 48,
-            arrivals_per_step: 1.0,
-            mean_lifetime_steps: 12,
-            shard_range: (256, 1024),
-            requests_per_step: (1, 2),
-        });
-        let report = ServingReplayer::new(plan).run(&serving);
+    /// Replays `workload`'s plan through a fresh service over `core` and
+    /// checks what every replay must end in: each attempt timed, every
+    /// tenant departed, the pool quiescent.
+    fn replay_to_quiescence(
+        core: Box<dyn AllocatorCore + Send>,
+        config: ServingConfig,
+        workload: ServingWorkloadConfig,
+    ) -> ServingReport {
+        let pool = PoolService::new().register(DeviceId(0), core).unwrap();
+        let serving = ServingService::new(pool, config);
+        let report = ServingReplayer::new(ServingPlan::generate(workload)).run(&serving);
         assert!(report.attempts > 0);
         assert_eq!(report.alloc_latency.count(), report.attempts);
         assert!(report.admitted > 0);
         assert_eq!(serving.used_bytes(), 0, "every tenant departed");
         assert_eq!(serving.pool().stats().active_bytes, 0, "pool quiesced");
+        report
+    }
+
+    #[test]
+    fn replay_reaches_quiescence_and_times_allocations() {
+        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
+        let report = replay_to_quiescence(
+            Box::new(CachingAllocator::new(driver)),
+            ServingConfig::new(gib(2))
+                .with_overcommit(4.0)
+                .with_policy(AdmissionPolicy::Shed)
+                .with_idle_after(4),
+            ServingWorkloadConfig {
+                seed: 11,
+                steps: 48,
+                arrivals_per_step: 1.0,
+                mean_lifetime_steps: 12,
+                shard_range: (256, 1024),
+                requests_per_step: (1, 2),
+            },
+        );
         assert!(report.latency_summary().p99_ns >= report.latency_summary().p50_ns);
+    }
+
+    #[test]
+    fn seeded_churn_sustains_100_tenants_on_one_device_without_oom() {
+        // The serving subsystem's acceptance floor: on one simulated
+        // A100-80G a GMLake pool multiplexes at least 100 simultaneous
+        // tenants of this seeded plan, and no device-level OOM leaks
+        // through the tenant rescue ladder.
+        let driver = CudaDriver::new(DeviceConfig::a100_80g().with_backing(false));
+        let report = replay_to_quiescence(
+            Box::new(GmLakeAllocator::new(
+                driver,
+                GmLakeConfig::default().with_frag_limit(mib(32)),
+            )),
+            ServingConfig::new(gib(80))
+                .with_overcommit(1.5)
+                .with_policy(AdmissionPolicy::Shed)
+                .with_idle_after(8)
+                .with_streams(4),
+            ServingWorkloadConfig {
+                seed: 0x5E12_B008,
+                steps: 192,
+                arrivals_per_step: 2.0,
+                mean_lifetime_steps: 96,
+                shard_range: (32, 128),
+                requests_per_step: (1, 4),
+            },
+        );
+        assert!(report.peak_tenants >= 100, "peak {}", report.peak_tenants);
+        assert_eq!(report.oom_failures, 0);
     }
 }
