@@ -10,7 +10,7 @@
 //! `gmlake-runtime` pool service — one OS thread per simulated device (up
 //! to 4 replayed ranks; data-parallel ranks beyond that are statistical
 //! mirrors) — and adds the runtime's contribution on top of the paper's
-//! figure: a periodic `DefragScheduler` supervising the baseline fleet,
+//! figure: a periodic `DefragPolicy` ticking on the baseline fleet,
 //! whose proactive compaction hands back the idle caches a plain caching
 //! fleet keeps reserved to the end.
 
@@ -22,7 +22,7 @@
 //! `gmlake-snapshot/v1` schema before the binary exits 0.
 
 use gmlake_bench::{fmt_gib, fmt_pct, rule, run_scaleout, run_scaleout_profiled, Allocator};
-use gmlake_runtime::DefragScheduler;
+use gmlake_runtime::DefragPolicy;
 use gmlake_telemetry::MemorySnapshot;
 use gmlake_workload::{ModelSpec, ScaleoutReport, StrategySet, TrainConfig};
 
@@ -120,7 +120,7 @@ fn main() {
                 &cfg,
                 ranks,
                 Allocator::Caching,
-                Some(DefragScheduler::periodic(2)),
+                Some(DefragPolicy::periodic(2)),
             );
             let gmlake = run_scaleout(&cfg, ranks, Allocator::GmLake, None);
             println!(
@@ -139,9 +139,9 @@ fn main() {
         }
         println!();
     }
-    println!("end-RM columns: the periodic DefragScheduler (every 2 iterations)");
-    println!("compacts each pool at iteration boundaries, so the supervised fleet");
-    println!("ends holding less reserved memory than the unsupervised one.");
+    println!("end-RM columns: the periodic DefragPolicy (every 2 iterations)");
+    println!("compacts each pool at iteration boundaries, so the defragged fleet");
+    println!("ends holding less reserved memory than the plain one.");
     println!();
     println!("drv-* columns: mean per-rank driver calls (lock round-trips).");
     println!("GMLake's stitching traffic rides the batched VMM entry points");

@@ -12,7 +12,7 @@ use gmlake_alloc_api::{gib, AllocatorCore, DeviceAllocator, DeviceAllocatorConfi
 use gmlake_caching::CachingAllocator;
 use gmlake_core::{GmLakeAllocator, GmLakeConfig};
 use gmlake_gpu_sim::{CudaDriver, DeviceConfig, NativeAllocator};
-use gmlake_runtime::{DefragScheduler, DeviceId, MemoryProfiler, PoolService};
+use gmlake_runtime::{DefragPolicy, DeviceId, MemoryProfiler, PoolService};
 use gmlake_telemetry::{MemorySnapshot, PoolTelemetry};
 use gmlake_workload::{
     ConcurrentReplayer, RankSpec, ReplayOptions, ReplayReport, Replayer, ScaleoutReport,
@@ -78,18 +78,15 @@ pub fn run_pair(cfg: &TrainConfig) -> Pair {
 
 /// Runs a concurrent scale-out fleet: `ranks` data-parallel ranks of `cfg`,
 /// each on its own fresh A100-80G device, all replaying simultaneously on
-/// their own OS threads through one [`PoolService`] (optionally supervised
-/// by a defrag scheduler).
+/// their own OS threads through one [`PoolService`] (optionally ticking a
+/// [`DefragPolicy`] at every iteration boundary).
 pub fn run_scaleout(
     cfg: &TrainConfig,
     ranks: u32,
     which: Allocator,
-    scheduler: Option<DefragScheduler>,
+    defrag: Option<DefragPolicy>,
 ) -> ScaleoutReport {
-    let service = match scheduler {
-        Some(s) => PoolService::with_scheduler(s),
-        None => PoolService::new(),
-    };
+    let service = defrag.map_or_else(PoolService::new, PoolService::with_defrag);
     let specs: Vec<RankSpec> = (0..ranks)
         .map(|rank| {
             let driver = CudaDriver::new(DeviceConfig::a100_80g());

@@ -1,5 +1,5 @@
 //! `gmlake-runtime` — a thread-safe, multi-device memory-pool service with
-//! a pluggable defragmentation scheduler.
+//! a step-driven defragmentation policy.
 //!
 //! The allocator crates below this one (`gmlake-core`, `gmlake-caching`,
 //! `gmlake-gpu-sim`) are single-owner backends: every call takes
@@ -20,17 +20,18 @@
 //!   commit-time lock on the wrapped core. `PoolHandle` also implements
 //!   [`AllocatorCore`], so trait-generic code (like `gmlake-workload`'s
 //!   `Replayer`) drives a shared pool unmodified.
-//! * [`DefragScheduler`] — evaluates a [`DefragPolicy`] ([`PeriodicPolicy`],
-//!   [`FragThresholdPolicy`], [`OomPressurePolicy`], or your own) at every
-//!   pool's iteration boundaries, on explicit
-//!   [`PoolService::defrag_sweep`] calls, and on the allocation OOM path
-//!   (apply-and-retry-once). Proactive defrag calls the allocators'
-//!   [`AllocatorCore::compact`] hook; the nuclear option is
-//!   [`AllocatorCore::release_cached`]. Either way the front-end's shard
-//!   caches *and* per-stream large banks are flushed first, so defrag
-//!   always sees every cached byte.
-//! * [`BackgroundDefragger`] — a sweep thread for deployments with no
-//!   natural iteration boundary.
+//! * [`DefragPolicy`] — four plain values deciding *when* a pool runs the
+//!   passes its allocator already implements: a periodic
+//!   [`AllocatorCore::compact`] every N ticks, escalating to an aggressive
+//!   pass (drain event rings, compact, [`AllocatorCore::release_cached`])
+//!   while churn or fragmentation is at or above its trigger. A service
+//!   built with [`PoolService::with_defrag`] gives every pool its own
+//!   [`Defragger`], ticked once per [`PoolHandle::iteration_boundary`];
+//!   the serving layer ticks one per step with its tenant-churn count.
+//!   Every pass flushes the front-end's shard caches *and* per-stream
+//!   large banks first, so defrag always sees every cached byte.
+//! * The staged OOM rescue on the allocation path (see
+//!   [`PoolHandle::alloc_on_stream`]) is independent of the defrag policy.
 //!
 //! # One pool, many threads
 //!
@@ -68,12 +69,12 @@
 //! memory a no-defrag run would keep reserved until an OOM forced its hand:
 //!
 //! ```
-//! use gmlake_runtime::{DefragScheduler, DeviceId, PoolService};
+//! use gmlake_runtime::{DefragPolicy, DeviceId, PoolService};
 //! use gmlake_caching::CachingAllocator;
 //! use gmlake_gpu_sim::{CudaDriver, DeviceConfig};
 //! use gmlake_alloc_api::{mib, AllocRequest};
 //!
-//! let service = PoolService::with_scheduler(DefragScheduler::periodic(1));
+//! let service = PoolService::with_defrag(DefragPolicy::periodic(1));
 //! let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
 //! let pool = service.register(DeviceId(0), Box::new(CachingAllocator::new(driver)))?;
 //!
@@ -81,9 +82,9 @@
 //! pool.deallocate(a.id)?;
 //! assert_eq!(pool.stats().reserved_bytes, mib(16), "cache retained");
 //!
-//! pool.iteration_boundary(); // scheduler fires here
+//! pool.iteration_boundary(); // tick 1: the periodic pass fires here
 //! assert_eq!(pool.stats().reserved_bytes, 0, "idle cache reclaimed");
-//! assert_eq!(service.scheduler().unwrap().stats().compactions, 1);
+//! assert_eq!(pool.defrag_stats().periodic_passes, 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -125,19 +126,14 @@
 //! [`AllocatorCore::compact`]: gmlake_alloc_api::AllocatorCore::compact
 //! [`AllocatorCore::release_cached`]: gmlake_alloc_api::AllocatorCore::release_cached
 
-mod background;
+mod defrag;
 mod error;
 mod profiler;
 mod recovery;
-mod scheduler;
 mod service;
 
-pub use background::BackgroundDefragger;
+pub use defrag::{DefragPolicy, DefragStats, Defragger};
 pub use error::RuntimeError;
 pub use profiler::MemoryProfiler;
 pub use recovery::{FaultPolicy, FaultRecoveryStats, RescueHook};
-pub use scheduler::{
-    DefragAction, DefragPolicy, DefragScheduler, DefragStats, FragThresholdPolicy,
-    OomPressurePolicy, PeriodicPolicy, PoolObservation,
-};
-pub use service::{DeviceId, PoolHandle, PoolService, SweepOutcome};
+pub use service::{DeviceId, PoolHandle, PoolService};

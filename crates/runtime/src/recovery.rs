@@ -50,17 +50,6 @@ impl Default for FaultPolicy {
 }
 
 impl FaultPolicy {
-    /// A policy that never retries, never sleeps and never trips the
-    /// breaker — the pre-recovery behavior, for A/B measurements.
-    pub fn disabled() -> Self {
-        FaultPolicy {
-            max_retries: 0,
-            backoff_us: 0,
-            breaker_threshold: u32::MAX,
-            breaker_cooldown: 0,
-        }
-    }
-
     /// Backoff before retry number `attempt` (1-based), in microseconds.
     pub(crate) fn backoff_for(&self, attempt: u32) -> u64 {
         self.backoff_us << attempt.saturating_sub(1).min(6)
@@ -138,6 +127,10 @@ mod tests {
         assert_eq!(p.backoff_for(2), 20);
         assert_eq!(p.backoff_for(3), 40);
         assert_eq!(p.backoff_for(100), 10 << 6, "shift is capped");
-        assert_eq!(FaultPolicy::disabled().backoff_for(5), 0);
+        let no_sleep = FaultPolicy {
+            backoff_us: 0,
+            ..FaultPolicy::default()
+        };
+        assert_eq!(no_sleep.backoff_for(5), 0);
     }
 }

@@ -15,9 +15,9 @@ use gmlake_alloc_api::{
 };
 use gmlake_telemetry::{EventKind, PoolTelemetry};
 
+use crate::defrag::{DefragPolicy, DefragStats, Defragger};
 use crate::error::RuntimeError;
 use crate::recovery::{BreakerState, FaultPolicy, FaultRecoveryStats, RescueHook};
-use crate::scheduler::{apply_action, DefragAction, DefragScheduler, PoolObservation};
 
 /// Identifies one device (one memory pool) within a [`PoolService`].
 ///
@@ -32,11 +32,6 @@ impl fmt::Display for DeviceId {
     }
 }
 
-/// Distinguishes successive pools registered under the same [`DeviceId`]
-/// (policies key per-pool state on it; see
-/// [`PoolObservation::pool_epoch`](crate::PoolObservation::pool_epoch)).
-static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
-
 /// One registered pool: the concurrent allocator front-end plus per-pool
 /// telemetry.
 #[derive(Debug)]
@@ -44,8 +39,11 @@ struct PoolEntry {
     alloc: DeviceAllocator,
     /// Training iterations completed through this pool's handles.
     iterations: AtomicU64,
-    /// Process-unique id of this registration (see [`NEXT_EPOCH`]).
-    epoch: u64,
+    /// The pool's own defrag driver, ticked at iteration boundaries
+    /// (`None` when the service was built without a [`DefragPolicy`]). It
+    /// lives and dies with the registration, so a re-registered device
+    /// starts with a clean window and zeroed counters.
+    defrag: Option<Defragger>,
     /// Physical-device key: pools sharing a physical device should be
     /// registered with the same affinity so an OOM rescue on one can
     /// release the others' caches. `None` = the pool's device is its own.
@@ -57,21 +55,10 @@ struct PoolEntry {
     rescue_hook: Mutex<Option<Arc<dyn RescueHook>>>,
 }
 
-/// What one [`PoolService::defrag_sweep`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SweepOutcome {
-    /// Pools the policy was evaluated on.
-    pub pools_evaluated: usize,
-    /// Pools on which an action was applied.
-    pub actions_applied: usize,
-    /// Physical bytes reclaimed across all applied actions.
-    pub bytes_reclaimed: u64,
-}
-
 #[derive(Debug)]
 struct ServiceInner {
     pools: Mutex<BTreeMap<DeviceId, Arc<PoolEntry>>>,
-    scheduler: Option<Arc<DefragScheduler>>,
+    defrag: Option<DefragPolicy>,
     policy: FaultPolicy,
 }
 
@@ -79,8 +66,8 @@ struct ServiceInner {
 ///
 /// The service is a cheap handle (`Clone` shares the registry). Worker
 /// threads obtain a [`PoolHandle`] per device and allocate through it
-/// concurrently; an optional [`DefragScheduler`] observes every pool at
-/// iteration boundaries and triggers proactive defragmentation.
+/// concurrently; an optional [`DefragPolicy`] gives every pool a
+/// [`Defragger`] ticked at its iteration boundaries.
 ///
 /// ```
 /// use gmlake_runtime::{DeviceId, PoolService};
@@ -109,41 +96,31 @@ impl Default for PoolService {
 }
 
 impl PoolService {
-    /// Creates an empty service without a defrag scheduler.
+    /// Creates an empty service whose pools run no defrag pass.
     pub fn new() -> Self {
         Self::build(None, FaultPolicy::default())
     }
 
-    /// Creates an empty service whose pools are supervised by `scheduler`.
-    pub fn with_scheduler(scheduler: DefragScheduler) -> Self {
-        Self::build(Some(scheduler), FaultPolicy::default())
+    /// Creates an empty service whose pools each tick a [`Defragger`] of
+    /// `defrag` at their iteration boundaries.
+    pub fn with_defrag(defrag: DefragPolicy) -> Self {
+        Self::build(Some(defrag), FaultPolicy::default())
     }
 
     /// Creates an empty service with a custom [`FaultPolicy`] and no
-    /// defrag scheduler.
+    /// defrag policy.
     pub fn with_fault_policy(policy: FaultPolicy) -> Self {
         Self::build(None, policy)
     }
 
-    /// Creates an empty service with both a supervising scheduler and a
-    /// custom [`FaultPolicy`].
-    pub fn with_scheduler_and_policy(scheduler: DefragScheduler, policy: FaultPolicy) -> Self {
-        Self::build(Some(scheduler), policy)
-    }
-
-    fn build(scheduler: Option<DefragScheduler>, policy: FaultPolicy) -> Self {
+    fn build(defrag: Option<DefragPolicy>, policy: FaultPolicy) -> Self {
         PoolService {
             inner: Arc::new(ServiceInner {
                 pools: Mutex::new(BTreeMap::new()),
-                scheduler: scheduler.map(Arc::new),
+                defrag,
                 policy,
             }),
         }
-    }
-
-    /// The supervising scheduler, if any.
-    pub fn scheduler(&self) -> Option<&DefragScheduler> {
-        self.inner.scheduler.as_deref()
     }
 
     /// The fault-recovery policy shared by every pool of this service.
@@ -188,9 +165,9 @@ impl PoolService {
     /// Like [`PoolService::register`], additionally declaring which
     /// *physical* device the pool lives on. Pools registered with the same
     /// `affinity` are treated as cohabitants of one device: an OOM-failing
-    /// allocation on one may trigger a defrag action on the others (their
-    /// caches occupy the memory the failing pool needs). Pools registered
-    /// without an affinity are never touched by another pool's rescue.
+    /// allocation on one releases the others' caches (they occupy the
+    /// memory the failing pool needs). Pools registered without an
+    /// affinity are never touched by another pool's rescue.
     ///
     /// # Errors
     ///
@@ -217,7 +194,7 @@ impl PoolService {
         let entry = Arc::new(PoolEntry {
             alloc,
             iterations: AtomicU64::new(0),
-            epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
+            defrag: self.inner.defrag.map(Defragger::new),
             affinity,
             breaker: Mutex::new(BreakerState::default()),
             rescue_hook: Mutex::new(None),
@@ -301,38 +278,6 @@ impl PoolService {
         total
     }
 
-    /// Evaluates the defrag policy on every pool and applies the resulting
-    /// actions. A no-op (all-zero outcome) without a scheduler.
-    ///
-    /// This is the entry point of the background defrag thread
-    /// ([`BackgroundDefragger`](crate::BackgroundDefragger)), and can be
-    /// called inline at convenient synchronization points.
-    pub fn defrag_sweep(&self) -> SweepOutcome {
-        let Some(scheduler) = self.inner.scheduler.as_ref() else {
-            return SweepOutcome::default();
-        };
-        let entries: Vec<(DeviceId, Arc<PoolEntry>)> = self
-            .inner
-            .pools
-            .lock()
-            .iter()
-            .map(|(d, e)| (*d, Arc::clone(e)))
-            .collect();
-        let mut outcome = SweepOutcome::default();
-        for (device, entry) in entries {
-            outcome.pools_evaluated += 1;
-            let obs = observe(device, &entry);
-            let action = scheduler.decide_iteration(&obs);
-            if action != DefragAction::None {
-                let bytes = apply_action(action, &entry.alloc);
-                scheduler.record(action, bytes);
-                outcome.actions_applied += 1;
-                outcome.bytes_reclaimed += bytes;
-            }
-        }
-        outcome
-    }
-
     fn make_handle(&self, device: DeviceId, entry: Arc<PoolEntry>) -> PoolHandle {
         PoolHandle {
             device,
@@ -362,20 +307,8 @@ fn default_front_end(core: Box<dyn AllocatorCore + Send>) -> DeviceAllocator {
         .expect("the default configuration validates")
 }
 
-/// Captures a [`PoolObservation`] of one pool.
-fn observe(device: DeviceId, entry: &PoolEntry) -> PoolObservation {
-    let stats = entry.alloc.stats();
-    PoolObservation {
-        device,
-        pool_epoch: entry.epoch,
-        iteration: entry.iterations.load(Ordering::Relaxed),
-        fragmentation: fragmentation_of(&stats),
-        stats,
-    }
-}
-
 /// A cheap, cloneable, thread-safe front end to one registered pool: the
-/// pool's [`DeviceAllocator`] plus the [`DefragScheduler`] hooks.
+/// pool's [`DeviceAllocator`] plus the defrag tick and the OOM rescue.
 ///
 /// Every allocation method takes `&self` — clone a handle into each worker
 /// thread and allocate away. Small requests ride the front-end's sharded
@@ -385,13 +318,13 @@ fn observe(device: DeviceId, entry: &PoolEntry) -> PoolObservation {
 /// [`Replayer`](../gmlake_workload/struct.Replayer.html) — can drive a
 /// shared pool unmodified.
 ///
-/// Beyond delegation, the handle is where the [`DefragScheduler`] hooks in:
+/// Beyond delegation, the handle adds two things:
 ///
 /// * [`PoolHandle::iteration_boundary`] advances the pool's iteration
-///   counter and lets the policy trigger a proactive defrag pass;
-/// * [`PoolHandle::allocate`] gives the policy a chance to rescue an
-///   out-of-memory failure (apply an action, retry once) before the error
-///   reaches the caller.
+///   counter and ticks the pool's [`Defragger`], if the service has a
+///   [`DefragPolicy`];
+/// * [`PoolHandle::allocate`] runs a staged rescue on an out-of-memory
+///   failure (reclaim, retry) before the error reaches the caller.
 #[derive(Debug, Clone)]
 pub struct PoolHandle {
     device: DeviceId,
@@ -424,27 +357,15 @@ impl PoolHandle {
         self.entry.alloc.with_core(f)
     }
 
-    fn observation(&self) -> PoolObservation {
-        observe(self.device, &self.entry)
-    }
-
-    fn scheduler(&self) -> Option<&Arc<DefragScheduler>> {
-        self.service.scheduler.as_ref()
-    }
-
-    /// Applies `action` to this pool and to every pool registered with the
-    /// same physical-device affinity (see
+    /// Releases the cache of every *other* pool registered with this
+    /// pool's physical-device affinity (see
     /// [`PoolService::register_with_affinity`]): when several pools cohabit
     /// one device, the memory starving this pool may be cached by a sibling
     /// that the failing allocator's own fallback cannot touch. Pools on
     /// other (or undeclared) devices are left alone — flushing their warm
     /// caches could not relieve this device's pressure. Returns the bytes
-    /// reclaimed across the touched pools.
-    fn rescue_same_device(&self, action: DefragAction) -> u64 {
-        let mut bytes = apply_action(action, &self.entry.alloc);
-        if self.entry.affinity.is_none() {
-            return bytes;
-        }
+    /// reclaimed.
+    fn release_cohabitants(&self) -> u64 {
         let cohabitants: Vec<Arc<PoolEntry>> = self
             .service
             .pools
@@ -453,10 +374,7 @@ impl PoolHandle {
             .filter(|e| !Arc::ptr_eq(e, &self.entry) && e.affinity == self.entry.affinity)
             .cloned()
             .collect();
-        for entry in cohabitants {
-            bytes += apply_action(action, &entry.alloc);
-        }
-        bytes
+        cohabitants.iter().map(|e| e.alloc.release_cached()).sum()
     }
 
     /// Allocates memory for `req` through the pool's [`DeviceAllocator`] on
@@ -485,10 +403,10 @@ impl PoolHandle {
     /// * out-of-memory — after the front-end's own flush-and-retry, which
     ///   drains **every** stream's cache — runs the staged rescue
     ///   pipeline: flush shard caches, drain pending event rings, compact,
-    ///   the owner-installed tenant [`RescueHook`] (if any), then the
-    ///   defrag policy's cross-pool rescue spanning the pools cohabiting
-    ///   this pool's physical device, retrying after every stage that
-    ///   reclaimed anything.
+    ///   the owner-installed tenant [`RescueHook`] (if any), then a cache
+    ///   release on the other pools cohabiting this pool's physical device
+    ///   (if it declared one), retrying after every stage that reclaimed
+    ///   anything.
     ///
     /// # Errors
     ///
@@ -531,10 +449,10 @@ impl PoolHandle {
     /// with a progressively wider hammer, and the allocation is retried
     /// after every stage that actually freed something. Stages 1–3 are
     /// local to this pool; stage 4 is the owner-installed tenant
-    /// [`RescueHook`] (skipped when none is installed); stage 5 spans the
-    /// pools cohabiting this pool's physical device via the defrag policy
-    /// (see [`PoolHandle::rescue_same_device`]'s affinity rule). No pool
-    /// lock is held between stages. Every stage that runs emits an
+    /// [`RescueHook`] (skipped when none is installed); stage 5 releases
+    /// the caches of the other pools cohabiting this pool's physical device
+    /// (skipped when the pool declared no affinity). No pool lock is held
+    /// between stages. Every stage that runs emits an
     /// [`EventKind::RescueStage`] trace record when telemetry is enabled.
     fn rescue_oom(
         &self,
@@ -547,10 +465,7 @@ impl PoolHandle {
             let bytes = match stage {
                 // Flush every stream's shard cache into the core and
                 // release the core's cached structures.
-                1 => {
-                    self.entry.alloc.flush();
-                    self.entry.alloc.release_cached()
-                }
+                1 => self.entry.alloc.release_cached(),
                 // Drain the pending cross-stream event rings (returns
                 // blocks promoted, not bytes — any progress counts).
                 2 => self.entry.alloc.process_events(),
@@ -564,20 +479,9 @@ impl PoolHandle {
                         None => continue,
                     }
                 }
-                // Cross-pool policy rescue on the cohabiting pools.
-                5 => {
-                    let Some(scheduler) = self.scheduler() else {
-                        break;
-                    };
-                    let scheduler = Arc::clone(scheduler);
-                    let action = scheduler.decide_oom(&self.observation());
-                    if action == DefragAction::None {
-                        break;
-                    }
-                    let bytes = self.rescue_same_device(action);
-                    scheduler.record_oom_rescue(action, bytes);
-                    bytes
-                }
+                // Cache release on the pools sharing this physical device.
+                5 if self.entry.affinity.is_none() => continue,
+                5 => self.release_cohabitants(),
                 _ => unreachable!(),
             };
             if bytes == 0 {
@@ -715,39 +619,41 @@ impl PoolHandle {
     /// Signals the end of one training iteration: forwards the hint to the
     /// allocator, advances the pool's iteration counter, pushes a
     /// memory-timeline sample when the pool's telemetry is enabled, and
-    /// gives the defrag policy its per-iteration decision point.
+    /// ticks the pool's [`Defragger`] (tick = the iteration just completed,
+    /// churn 0) when the service has a [`DefragPolicy`]. The pool's stats
+    /// are aggregated at most once, and only if the sample or the policy's
+    /// fragmentation trigger reads them.
     pub fn iteration_boundary(&self) {
-        self.entry.alloc.iteration_boundary();
+        let alloc = &self.entry.alloc;
+        alloc.iteration_boundary();
         let iteration = self.entry.iterations.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(tel) = self.entry.alloc.telemetry() {
+        let mut stats = None;
+        if let Some(tel) = alloc.telemetry() {
             if tel.is_enabled() {
-                let stats = self.entry.alloc.stats();
-                let cache = self.entry.alloc.cache_stats();
+                let s = *stats.insert(alloc.stats());
+                let cache = alloc.cache_stats();
                 tel.record_sample(
-                    stats.reserved_bytes,
-                    stats.active_bytes,
+                    s.reserved_bytes,
+                    s.active_bytes,
                     cache.pending_bytes,
-                    fragmentation_of(&stats),
+                    fragmentation_of(&s),
                 );
             }
         }
-        let Some(scheduler) = self.scheduler() else {
-            return;
-        };
-        let scheduler = Arc::clone(scheduler);
-        let stats = self.entry.alloc.stats();
-        let obs = PoolObservation {
-            device: self.device,
-            pool_epoch: self.entry.epoch,
-            iteration,
-            fragmentation: fragmentation_of(&stats),
-            stats,
-        };
-        let action = scheduler.decide_iteration(&obs);
-        if action != DefragAction::None {
-            let bytes = apply_action(action, &self.entry.alloc);
-            scheduler.record(action, bytes);
+        if let Some(defrag) = &self.entry.defrag {
+            defrag.tick_with(iteration, 0, alloc, || {
+                fragmentation_of(&stats.unwrap_or_else(|| alloc.stats()))
+            });
         }
+    }
+
+    /// Counters of the pool's [`Defragger`] (all zero when the service has
+    /// no [`DefragPolicy`]).
+    pub fn defrag_stats(&self) -> DefragStats {
+        self.entry
+            .defrag
+            .as_ref()
+            .map_or_else(DefragStats::default, Defragger::stats)
     }
 
     /// Sweeps the pool's pending event rings, promoting cross-stream-freed
@@ -895,7 +801,7 @@ mod tests {
 
     #[test]
     fn iteration_boundary_counts_and_triggers_periodic_defrag() {
-        let service = PoolService::with_scheduler(DefragScheduler::periodic(2));
+        let service = PoolService::with_defrag(DefragPolicy::periodic(2));
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let pool = service
             .register(DeviceId(0), Box::new(CachingAllocator::new(driver.clone())))
@@ -917,10 +823,50 @@ mod tests {
             0,
             "periodic compact released the idle cache"
         );
-        let sched = service.scheduler().unwrap().stats();
-        assert_eq!(sched.compactions, 1);
-        assert!(sched.bytes_reclaimed >= mib(8));
+        let stats = pool.defrag_stats();
+        assert_eq!(
+            (stats.periodic_passes, stats.aggressive_passes),
+            (1, 0),
+            "one compact at tick 2"
+        );
+        assert!(stats.bytes_reclaimed >= mib(8));
         assert_eq!(driver.phys_in_use(), 0);
+    }
+
+    #[test]
+    fn reregistered_device_starts_with_a_fresh_defragger() {
+        let service = PoolService::with_defrag(DefragPolicy::periodic(2));
+        let first = service.register(DeviceId(0), caching_pool()).unwrap();
+        first.iteration_boundary();
+        first.iteration_boundary();
+        assert_eq!(first.defrag_stats().periodic_passes, 1);
+        service.unregister(DeviceId(0)).unwrap();
+        // The successor's cadence and counters start from zero: tick 1 is
+        // off cadence, tick 2 fires — whatever the dead pool had counted.
+        let second = service.register(DeviceId(0), caching_pool()).unwrap();
+        second.iteration_boundary();
+        assert_eq!(second.defrag_stats(), DefragStats::default());
+        second.iteration_boundary();
+        assert_eq!(second.defrag_stats().periodic_passes, 1);
+        assert_eq!(
+            first.defrag_stats().periodic_passes,
+            1,
+            "old pool untouched"
+        );
+    }
+
+    #[test]
+    fn boundary_without_policy_or_telemetry_runs_no_pass() {
+        let service = PoolService::new();
+        let pool = service.register(DeviceId(0), caching_pool()).unwrap();
+        let a = pool.allocate(AllocRequest::new(mib(8))).unwrap();
+        pool.deallocate(a.id).unwrap();
+        for _ in 0..4 {
+            pool.iteration_boundary();
+        }
+        assert_eq!(pool.iterations(), 4);
+        assert_eq!(pool.defrag_stats(), DefragStats::default());
+        assert!(pool.stats().reserved_bytes >= mib(8), "cache left warm");
     }
 
     #[test]
@@ -928,8 +874,9 @@ mod tests {
         // Two pools sharing ONE 256 MiB device (as two frameworks sharing a
         // GPU would). The sibling pool hoards 160 MiB of idle cache; the
         // failing pool's own internal OOM fallback cannot touch it — only
-        // the service-level rescue can.
-        let service = PoolService::with_scheduler(DefragScheduler::oom_pressure());
+        // the service-level rescue can, and it needs no defrag policy: the
+        // shared affinity alone arms stage 5.
+        let service = PoolService::new();
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let hoarder = service
             .register_with_affinity(
@@ -956,13 +903,15 @@ mod tests {
         }
         assert!(driver.phys_in_use() >= mib(160), "sibling cache retained");
         // 200 MiB cannot coexist with the sibling's 160 MiB of cache on a
-        // 256 MiB device; the OOM-pressure policy must rescue it.
+        // 256 MiB device; the cohabitant release must rescue it.
         let big = pool.allocate(AllocRequest::new(mib(200))).unwrap();
         assert_eq!(big.size, mib(200));
-        let sched = service.scheduler().unwrap().stats();
-        assert_eq!(sched.oom_rescues, 1);
-        assert_eq!(sched.releases, 1);
-        assert!(sched.bytes_reclaimed >= mib(160));
+        assert_eq!(pool.fault_stats().rescues, 1);
+        assert_eq!(
+            hoarder.fault_stats().rescues,
+            0,
+            "counted on the failing pool"
+        );
         assert_eq!(hoarder.stats().reserved_bytes, 0, "sibling cache released");
         pool.deallocate(big.id).unwrap();
     }
@@ -972,7 +921,7 @@ mod tests {
         // The hoarder sits on a DIFFERENT physical device (its own driver,
         // no shared affinity): flushing its warm cache could not relieve
         // the failing pool's pressure, so the rescue must not touch it.
-        let service = PoolService::with_scheduler(DefragScheduler::oom_pressure());
+        let service = PoolService::new();
         let other_driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let hoarder = service
             .register(
@@ -995,42 +944,12 @@ mod tests {
 
     #[test]
     fn oom_still_surfaces_when_rescue_cannot_help() {
-        let service = PoolService::with_scheduler(DefragScheduler::oom_pressure());
+        let service = PoolService::new();
         let pool = service.register(DeviceId(0), caching_pool()).unwrap();
         let hold = pool.allocate(AllocRequest::new(mib(200))).unwrap();
         let err = pool.allocate(AllocRequest::new(mib(200))).unwrap_err();
         assert!(matches!(err, AllocError::OutOfMemory { .. }));
         pool.deallocate(hold.id).unwrap();
-    }
-
-    #[test]
-    fn defrag_sweep_covers_every_pool() {
-        let service = PoolService::with_scheduler(DefragScheduler::frag_threshold(0.5, 1));
-        let handles: Vec<PoolHandle> = (0..3)
-            .map(|i| service.register(DeviceId(i), caching_pool()).unwrap())
-            .collect();
-        // Fragment pools 0 and 2 (idle cache, zero active), keep pool 1 empty.
-        for i in [0usize, 2] {
-            let a = handles[i].allocate(AllocRequest::new(mib(8))).unwrap();
-            handles[i].deallocate(a.id).unwrap();
-        }
-        let outcome = service.defrag_sweep();
-        assert_eq!(outcome.pools_evaluated, 3);
-        assert_eq!(outcome.actions_applied, 2);
-        assert!(outcome.bytes_reclaimed >= 2 * mib(8));
-        assert_eq!(handles[0].stats().reserved_bytes, 0);
-        assert_eq!(handles[2].stats().reserved_bytes, 0);
-        // A second sweep finds nothing fragmented.
-        let outcome2 = service.defrag_sweep();
-        assert_eq!(outcome2.actions_applied, 0);
-    }
-
-    #[test]
-    fn sweep_without_scheduler_is_a_noop() {
-        let service = PoolService::new();
-        service.register(DeviceId(0), caching_pool()).unwrap();
-        assert_eq!(service.defrag_sweep(), SweepOutcome::default());
-        assert!(service.scheduler().is_none());
     }
 
     #[test]
@@ -1052,7 +971,7 @@ mod tests {
         pool.deallocate(b.id).unwrap();
         // Freed large blocks park in the front-end's per-stream banks;
         // flushing hands them to the core's stitcher (what every defrag
-        // sweep does before compacting).
+        // pass does before compacting).
         pool.allocator().flush();
         let before = driver.phys_in_use();
         let c = pool.allocate(AllocRequest::new(mib(10))).unwrap();
@@ -1168,10 +1087,10 @@ mod tests {
     #[test]
     fn oom_rescue_covers_the_stream_alloc_path() {
         // Same sibling-hoarder setup as the default-stream rescue test, but
-        // the failing allocation arrives via alloc_on_stream: the policy
-        // rescue must kick in on that path too.
+        // the failing allocation arrives via alloc_on_stream: the
+        // cohabitant release must kick in on that path too.
         use gmlake_alloc_api::StreamId;
-        let service = PoolService::with_scheduler(DefragScheduler::oom_pressure());
+        let service = PoolService::new();
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let hoarder = service
             .register_with_affinity(
@@ -1198,7 +1117,7 @@ mod tests {
             .alloc_on_stream(AllocRequest::new(mib(200)), StreamId(1))
             .unwrap();
         assert_eq!(big.size, mib(200));
-        assert_eq!(service.scheduler().unwrap().stats().oom_rescues, 1);
+        assert_eq!(pool.fault_stats().rescues, 1);
         pool.free_on_stream(big.id, StreamId(1)).unwrap();
     }
 
@@ -1215,8 +1134,8 @@ mod tests {
 
     #[test]
     fn rescue_hook_runs_as_stage_four_and_saves_the_allocation() {
-        // No scheduler and no affinity: stages 1–3 find nothing (the
-        // failing pool is empty) and stage 5 cannot run, so only the
+        // No affinity: stages 1–3 find nothing (the failing pool is
+        // empty) and stage 5 is skipped, so only the
         // installed hook can save the 200 MiB request from the hoarder's
         // 160 MiB of idle cache on the shared 256 MiB device.
         let service = PoolService::new();

@@ -19,8 +19,12 @@
 //!   [`RescueHook`](gmlake_runtime::RescueHook) that drops *idle*
 //!   tenants' working sets (oldest-idle first) before an active tenant
 //!   can see a device-level OOM;
-//! * [`DefragConfig`] — a step-cadence defrag manager compacting
-//!   periodically and escalating under tenant churn or fragmentation.
+//! * churn-keyed defragmentation — every [`ServingService::step`] ticks
+//!   the runtime's one [`Defragger`](gmlake_runtime::Defragger) with the
+//!   step's tenant arrivals + departures: a periodic compaction,
+//!   escalating under tenant churn or fragmentation
+//!   ([`ServingConfig::defrag`], a
+//!   [`DefragPolicy`](gmlake_runtime::DefragPolicy)).
 //!
 //! Quota violations surface as the recoverable
 //! [`AllocError::QuotaExceeded`](gmlake_alloc_api::AllocError::QuotaExceeded)
@@ -35,11 +39,11 @@
 #![warn(missing_docs)]
 
 mod admission;
-mod defrag;
 mod service;
 mod tenant;
 
 pub use admission::{AdmissionPolicy, AdmissionStats, AdmissionVerdict};
-pub use defrag::{DefragConfig, DefragManagerStats};
+// Former name, still imported by the frozen benchmark; goes when that instrument next changes.
+pub use gmlake_runtime::DefragStats as DefragManagerStats;
 pub use service::{ServingConfig, ServingService, ServingStats, StepOutcome};
 pub use tenant::{TenantId, TenantRegistry, TenantUsage};

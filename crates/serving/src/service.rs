@@ -8,13 +8,12 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 
 use gmlake_alloc_api::{AllocError, AllocRequest, Allocation, AllocationId, StreamId};
-use gmlake_runtime::{PoolHandle, RescueHook};
+use gmlake_runtime::{DefragPolicy, DefragStats, Defragger, PoolHandle, RescueHook};
 use gmlake_telemetry::EventKind;
 
 use crate::admission::{
     AdmissionController, AdmissionPolicy, AdmissionStats, AdmissionVerdict, QueuedArrival,
 };
-use crate::defrag::{DefragConfig, DefragManager, DefragManagerStats};
 use crate::tenant::{ChargeError, TenantId, TenantRegistry, TenantUsage};
 
 /// Sentinel tenant id in [`EventKind::TenantAdmission`] records for
@@ -41,14 +40,15 @@ pub struct ServingConfig {
     /// not exceed the pool front-end's stream banks (extra streams
     /// degrade to cross-stream traffic, not errors).
     pub streams: u64,
-    /// The step-cadence defragmentation knobs.
-    pub defrag: DefragConfig,
+    /// When the pool defragments, ticked once per [`ServingService::step`]
+    /// with the step's tenant arrivals + departures as churn.
+    pub defrag: DefragPolicy,
 }
 
 impl ServingConfig {
     /// A config for a device of `capacity_bytes` with no overcommit, the
     /// [`AdmissionPolicy::Reject`] policy, 4 streams, an 8-step idle
-    /// horizon, and default defrag cadence.
+    /// horizon, and the [`DefragPolicy::serving`] defrag policy.
     pub fn new(capacity_bytes: u64) -> Self {
         ServingConfig {
             capacity_bytes,
@@ -56,7 +56,7 @@ impl ServingConfig {
             policy: AdmissionPolicy::Reject,
             idle_after_steps: 8,
             streams: 4,
-            defrag: DefragConfig::default(),
+            defrag: DefragPolicy::serving(),
         }
     }
 
@@ -88,9 +88,9 @@ impl ServingConfig {
         self
     }
 
-    /// Sets the defrag cadence.
+    /// Sets the defrag policy.
     #[must_use]
-    pub fn with_defrag(mut self, defrag: DefragConfig) -> Self {
+    pub fn with_defrag(mut self, defrag: DefragPolicy) -> Self {
         self.defrag = defrag;
         self
     }
@@ -110,7 +110,7 @@ pub struct StepOutcome {
     pub dequeued: u64,
     /// Queued arrivals that timed out this step.
     pub timed_out: u64,
-    /// Bytes reclaimed by the defrag manager this step.
+    /// Bytes reclaimed by this step's defrag pass, if one ran.
     pub defrag_reclaimed: u64,
 }
 
@@ -134,9 +134,9 @@ struct ServingInner {
     /// Completed service steps (see [`ServingService::step`]).
     step: AtomicU64,
     /// Tenant arrivals + departures since the last step, feeding the
-    /// defrag manager's churn window.
+    /// defragger's churn window.
     churn_since_step: AtomicU64,
-    defrag: Mutex<DefragManager>,
+    defrag: Defragger,
     evictions: Mutex<ServingStats>,
 }
 
@@ -170,9 +170,9 @@ impl RescueHook for TenantRescue {
 /// * **rescue** — the service installs itself as the pool's stage-4
 ///   [`RescueHook`]: a real OOM first drops *idle* tenants' working sets
 ///   (oldest-idle first) before the failure can reach an active tenant;
-/// * **defrag** — a step-cadence [`DefragManager`](crate::DefragConfig)
-///   compacts periodically and escalates while tenant churn or
-///   fragmentation is high.
+/// * **defrag** — every step ticks a [`Defragger`] that compacts
+///   periodically and escalates while tenant churn or fragmentation is
+///   high ([`ServingConfig::defrag`]).
 ///
 /// Cloning is cheap and shares the service. All methods take `&self`.
 ///
@@ -210,7 +210,7 @@ impl ServingService {
             admission: Mutex::new(AdmissionController::new(cfg.limit_bytes(), cfg.policy)),
             step: AtomicU64::new(0),
             churn_since_step: AtomicU64::new(0),
-            defrag: Mutex::new(DefragManager::new(cfg.defrag)),
+            defrag: Defragger::new(cfg.defrag),
             evictions: Mutex::new(ServingStats::default()),
             pool: pool.clone(),
             cfg,
@@ -361,7 +361,7 @@ impl ServingService {
 
     /// Advances the service by one step: retries queued arrivals (FIFO,
     /// admitting while capacity allows), expires overdue ones, and runs
-    /// the defrag manager with this step's churn count.
+    /// ticks the defragger with this step's churn count.
     pub fn step(&self) -> StepOutcome {
         let inner = &self.inner;
         let step = inner.step.fetch_add(1, Ordering::Relaxed) + 1;
@@ -391,7 +391,7 @@ impl ServingService {
         }
         drop(adm);
         let churn = inner.churn_since_step.swap(0, Ordering::Relaxed);
-        outcome.defrag_reclaimed = inner.defrag.lock().on_step(step, churn, &inner.pool);
+        outcome.defrag_reclaimed = inner.defrag.tick(step, churn, inner.pool.allocator());
         outcome
     }
 
@@ -436,9 +436,9 @@ impl ServingService {
         self.inner.admission.lock().queue.len()
     }
 
-    /// Defrag-manager counters.
-    pub fn defrag_stats(&self) -> DefragManagerStats {
-        self.inner.defrag.lock().stats()
+    /// Counters of the service's defrag passes.
+    pub fn defrag_stats(&self) -> DefragStats {
+        self.inner.defrag.stats()
     }
 
     /// Rescue/eviction counters.
@@ -791,12 +791,7 @@ mod tests {
             .unwrap();
         let serving = ServingService::new(
             pool,
-            ServingConfig::new(mib(256)).with_defrag(DefragConfig {
-                period_steps: 2,
-                churn_window_steps: 4,
-                aggressive_churn: u64::MAX,
-                aggressive_frag: 1.1,
-            }),
+            ServingConfig::new(mib(256)).with_defrag(DefragPolicy::periodic(2)),
         );
         let t = serving.offer(mib(64)).tenant().unwrap();
         let a = serving.alloc(t, mib(16)).unwrap();

@@ -236,7 +236,7 @@ mod tests {
     use gmlake_caching::CachingAllocator;
     use gmlake_core::{GmLakeAllocator, GmLakeConfig};
     use gmlake_gpu_sim::DeviceConfig;
-    use gmlake_runtime::DefragScheduler;
+    use gmlake_runtime::DefragPolicy;
 
     fn small_cfg() -> TrainConfig {
         TrainConfig::new(ModelSpec::opt_1_3b(), StrategySet::LR)
@@ -364,11 +364,11 @@ mod tests {
     #[test]
     fn periodic_defrag_lowers_final_reserved_versus_no_defrag() {
         // The acceptance experiment in miniature: identical caching fleets,
-        // one supervised by a periodic defrag scheduler, one not. The
-        // supervised fleet must end with less memory still reserved.
-        let run = |scheduled: bool| {
-            let service = if scheduled {
-                PoolService::with_scheduler(DefragScheduler::periodic(1))
+        // one ticking a periodic defrag policy, one not. The defragged
+        // fleet must end with less memory still reserved.
+        let run = |defrag: bool| {
+            let service = if defrag {
+                PoolService::with_defrag(DefragPolicy::periodic(1))
             } else {
                 PoolService::new()
             };

@@ -364,7 +364,7 @@ mod tests {
     use gmlake_caching::CachingAllocator;
     use gmlake_core::{GmLakeAllocator, GmLakeConfig};
     use gmlake_gpu_sim::{CudaDriver, DeviceConfig};
-    use gmlake_runtime::{DeviceId, PoolService};
+    use gmlake_runtime::{DefragStats, DeviceId, PoolService};
     use gmlake_serving::{AdmissionPolicy, ServingConfig};
 
     #[test]
@@ -408,7 +408,7 @@ mod tests {
         core: Box<dyn AllocatorCore + Send>,
         config: ServingConfig,
         workload: ServingWorkloadConfig,
-    ) -> ServingReport {
+    ) -> (ServingReport, DefragStats) {
         let pool = PoolService::new().register(DeviceId(0), core).unwrap();
         let serving = ServingService::new(pool, config);
         let report = ServingReplayer::new(ServingPlan::generate(workload)).run(&serving);
@@ -417,13 +417,13 @@ mod tests {
         assert!(report.admitted > 0);
         assert_eq!(serving.used_bytes(), 0, "every tenant departed");
         assert_eq!(serving.pool().stats().active_bytes, 0, "pool quiesced");
-        report
+        (report, serving.defrag_stats())
     }
 
     #[test]
     fn replay_reaches_quiescence_and_times_allocations() {
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-        let report = replay_to_quiescence(
+        let (report, _) = replay_to_quiescence(
             Box::new(CachingAllocator::new(driver)),
             ServingConfig::new(gib(2))
                 .with_overcommit(4.0)
@@ -448,7 +448,7 @@ mod tests {
         // tenants of this seeded plan, and no device-level OOM leaks
         // through the tenant rescue ladder.
         let driver = CudaDriver::new(DeviceConfig::a100_80g().with_backing(false));
-        let report = replay_to_quiescence(
+        let (report, defrag) = replay_to_quiescence(
             Box::new(GmLakeAllocator::new(
                 driver,
                 GmLakeConfig::default().with_frag_limit(mib(32)),
@@ -469,5 +469,14 @@ mod tests {
         );
         assert!(report.peak_tenants >= 100, "peak {}", report.peak_tenants);
         assert_eq!(report.oom_failures, 0);
+        assert_eq!(
+            (
+                defrag.periodic_passes,
+                defrag.aggressive_passes,
+                defrag.bytes_reclaimed
+            ),
+            (0, 188, 80_067_166_208),
+            "the serving default policy's passes on this seeded plan (pinned at ce1a93e)"
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! the sharded `DeviceAllocator` front-end — while fragmentation grows with
 //! the shard count (the paper's Observation 2 / Figure 11).
 //!
-//! A second baseline fleet runs under a periodic `DefragScheduler`,
+//! A second baseline fleet runs under a periodic `DefragPolicy`,
 //! showing the runtime's proactive compaction returning idle caches that a
 //! plain fleet keeps reserved.
 //!
@@ -12,7 +12,7 @@
 
 use gmlake::prelude::*;
 use gmlake_bench::{run_scaleout, Allocator};
-use gmlake_runtime::DefragScheduler;
+use gmlake_runtime::DefragPolicy;
 use gmlake_workload::to_gib;
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
             &cfg,
             ranks,
             Allocator::Caching,
-            Some(DefragScheduler::periodic(2)),
+            Some(DefragPolicy::periodic(2)),
         );
         let gml = run_scaleout(&cfg, ranks, Allocator::GmLake, None);
 
@@ -64,5 +64,5 @@ fn main() {
     }
     println!("\nutilization of the splitting baseline degrades as shards shrink;");
     println!("GMLake holds ~99% at every scale. The defrag column is idle cache");
-    println!("the periodic scheduler returned that the plain fleet kept reserved.");
+    println!("the periodic policy returned that the plain fleet kept reserved.");
 }

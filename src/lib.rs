@@ -34,7 +34,7 @@ pub mod prelude {
     pub use gmlake_gpu_sim::{CudaDriver, DeviceConfig, FaultOp, FaultPlan, NativeAllocator};
     pub use gmlake_planning::{MemoryPlan, PlannedConfig, PlannedCore};
     pub use gmlake_runtime::{
-        DefragScheduler, DeviceId, FaultPolicy, MemoryProfiler, PoolHandle, PoolService,
+        DefragPolicy, DeviceId, FaultPolicy, MemoryProfiler, PoolHandle, PoolService,
     };
     pub use gmlake_serving::{AdmissionPolicy, ServingConfig, ServingService, TenantId};
     pub use gmlake_telemetry::{MemorySnapshot, PoolTelemetry};

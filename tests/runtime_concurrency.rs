@@ -1,13 +1,13 @@
 //! Cross-crate concurrency tests of the runtime subsystem: many threads on
 //! one pool, whole fleets of ranks replaying through the service, and the
-//! defrag scheduler's end-to-end effect on reserved memory.
+//! defrag policy's end-to-end effect on reserved memory.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use gmlake::prelude::*;
 use gmlake_core::GmLakeConfig;
-use gmlake_runtime::{BackgroundDefragger, DefragScheduler, DeviceId, PoolService};
+use gmlake_runtime::{DefragPolicy, DeviceId, PoolService};
 use gmlake_workload::{ConcurrentReplayer, RankSpec};
 
 fn a100() -> CudaDriver {
@@ -140,7 +140,7 @@ fn scaleout_four_ranks_four_threads_with_reports() {
     }
 }
 
-/// The defrag scheduler demonstrably reduces reserved memory versus a
+/// A periodic defrag policy demonstrably reduces reserved memory versus a
 /// no-defrag run of the identical fleet.
 #[test]
 fn defrag_scheduler_reduces_reserved_memory() {
@@ -148,11 +148,8 @@ fn defrag_scheduler_reduces_reserved_memory() {
         .with_seq_len(256)
         .with_batch(2)
         .with_iterations(4);
-    let run = |scheduler: Option<DefragScheduler>| {
-        let service = match scheduler {
-            Some(s) => PoolService::with_scheduler(s),
-            None => PoolService::new(),
-        };
+    let run = |defrag: Option<DefragPolicy>| {
+        let service = defrag.map_or_else(PoolService::new, PoolService::with_defrag);
         let ranks: Vec<RankSpec> = (0..2)
             .map(|rank| {
                 let driver = a100();
@@ -172,7 +169,7 @@ fn defrag_scheduler_reduces_reserved_memory() {
     };
 
     let (_, plain) = run(None);
-    let (supervised_service, supervised) = run(Some(DefragScheduler::periodic(2)));
+    let (supervised_service, supervised) = run(Some(DefragPolicy::periodic(2)));
     assert!(plain.all_completed() && supervised.all_completed());
     assert!(
         supervised.total_final_reserved() < plain.total_final_reserved(),
@@ -180,21 +177,27 @@ fn defrag_scheduler_reduces_reserved_memory() {
         supervised.total_final_reserved(),
         plain.total_final_reserved()
     );
-    let sched = supervised_service.scheduler().unwrap().stats();
-    assert!(sched.compactions > 0, "the periodic policy actually fired");
-    assert!(sched.bytes_reclaimed > 0);
+    for device in supervised_service.devices() {
+        let stats = supervised_service.handle(device).unwrap().defrag_stats();
+        assert!(
+            stats.periodic_passes > 0,
+            "the periodic policy actually fired"
+        );
+        assert!(stats.bytes_reclaimed > 0);
+    }
 }
 
-/// The background sweeper coexists with a live concurrent replay: no
-/// deadlock between sweep-side and handle-side locking, and the run's
-/// results stay correct.
+/// A background thread running defrag passes on live handles coexists with
+/// a concurrent replay: no deadlock between pass-side and handle-side
+/// locking, and the run's results stay correct. The thread loops for
+/// exactly as long as the replay runs — no wall-clock sleeps.
 #[test]
 fn background_defragger_runs_alongside_replay() {
     let cfg = TrainConfig::new(ModelSpec::opt_1_3b(), StrategySet::LR)
         .with_seq_len(256)
         .with_batch(2)
         .with_iterations(3);
-    let service = PoolService::with_scheduler(DefragScheduler::frag_threshold(0.6, mib(64)));
+    let service = PoolService::new();
     let ranks: Vec<RankSpec> = (0..2)
         .map(|rank| {
             let driver = a100();
@@ -207,14 +210,35 @@ fn background_defragger_runs_alongside_replay() {
             RankSpec::new(DeviceId(rank), driver, cfg.clone())
         })
         .collect();
-    let defragger =
-        BackgroundDefragger::spawn(service.clone(), std::time::Duration::from_millis(1));
-    let report = ConcurrentReplayer::new(service.clone())
-        .replay_ranks(ranks)
-        .unwrap();
-    let sweeps = defragger.stop();
+    let handles: Vec<_> = service
+        .devices()
+        .into_iter()
+        .map(|d| service.handle(d).unwrap())
+        .collect();
+    let done = AtomicBool::new(false);
+    let (report, passes) = std::thread::scope(|s| {
+        let maintenance = s.spawn(|| {
+            let mut passes = 0u64;
+            // At least one pass even if the replay wins the race to `done`.
+            loop {
+                for pool in &handles {
+                    pool.process_events();
+                    pool.compact();
+                }
+                passes += 1;
+                if done.load(Ordering::Acquire) {
+                    return passes;
+                }
+            }
+        });
+        let report = ConcurrentReplayer::new(service.clone())
+            .replay_ranks(ranks)
+            .unwrap();
+        done.store(true, Ordering::Release);
+        (report, maintenance.join().unwrap())
+    });
     assert!(report.all_completed());
-    assert!(sweeps > 0, "the sweeper actually ran during the replay");
+    assert!(passes > 0, "the maintenance thread ran during the replay");
 }
 
 /// A panic inside a closure holding the pool's allocator lock must not
