@@ -4,11 +4,11 @@
 //! available sBlock.
 //!
 //! `probe:indexed` vs `probe:reference` is the headline comparison: the
-//! tiered-index implementation against the retained pre-index reference on
+//! indexed implementation against the retained pre-index reference on
 //! identical pool state. `alloc_free:s1` shows the end-to-end exact-match
 //! round-trip staying flat (logarithmic) as the pool grows; `flip_fanout`
-//! is the same round-trip on a dense-sharing pool, where the cost is the
-//! activity flip's fan-out rather than the index.
+//! is the same round-trip on dense-sharing pools of a fixed part count and
+//! a growing number of views over them, which it must not depend on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gmlake_alloc_api::{AllocRequest, AllocatorCore};
@@ -32,26 +32,27 @@ fn bestfit_scaling(c: &mut Criterion) {
         group.bench_function("probe:indexed", |b| {
             b.iter(|| lake.probe_bestfit_indexed(STITCH_PROBE_BYTES))
         });
-        let flat = lake.flat_inactive_index();
+        let indexes = lake.reference_indexes();
         group.bench_function("probe:reference", |b| {
-            b.iter(|| lake.probe_bestfit_reference(STITCH_PROBE_BYTES, &flat))
+            b.iter(|| lake.probe_bestfit_reference(STITCH_PROBE_BYTES, &indexes))
         });
         group.finish();
     }
 }
 
 /// The activity flip under dense sharing: an exact-match round-trip of the
-/// largest view of a pool whose `parts` blocks each sit in up to
-/// `parts - 1` views. Cost is `O(parts²)` counter bumps (each part × each
-/// view over it) and must not depend on how often the cycle has run.
+/// largest view of a pool whose `PARTS` blocks each sit in up to `views`
+/// views. Cost is `O(PARTS)` flips and must depend neither on `views` nor
+/// on how often the cycle has run.
 fn flip_fanout(c: &mut Criterion) {
-    for &parts in &[8usize, 32, 128] {
-        let mut lake = build_dense_sharing_pool(parts);
-        let mut group = c.benchmark_group(&format!("flip_fanout/{parts}_parts"));
+    const PARTS: usize = 128;
+    for &views in &[1usize, 8, 32, 127] {
+        let mut lake = build_dense_sharing_pool(PARTS, views);
+        let mut group = c.benchmark_group(&format!("flip_fanout/{PARTS}_parts/{views}_views"));
         group.bench_function("alloc_free:s1", |b| {
             b.iter(|| {
                 let a = lake
-                    .allocate(AllocRequest::new(parts as u64 * DENSE_PART_BYTES))
+                    .allocate(AllocRequest::new(PARTS as u64 * DENSE_PART_BYTES))
                     .expect("exact match");
                 lake.deallocate(a.id).expect("live");
             })

@@ -71,21 +71,22 @@ pub fn build_converged_pool(n_blocks: usize) -> GmLakeAllocator {
 pub const DENSE_PART_BYTES: u64 = mib(2);
 
 /// Builds a GMLake allocator in the *dense-sharing* converged state the
-/// LoRA traces reach: `parts` equal inactive pBlocks woven into
-/// `parts - 1` available views that all overlap (the view of `j` blocks
-/// covers the `j` highest ids, so the highest id sits in every view). An
-/// exact-match request for the largest view (`parts × DENSE_PART_BYTES`)
-/// then flips `parts` blocks that each fan out to up to `parts - 1` views
-/// — the activity-flip cost [`build_converged_pool`]'s disjoint pairs
-/// never show.
+/// LoRA traces reach: `parts` equal inactive pBlocks woven into `views`
+/// (at most `parts - 1`) available views that all overlap — the view of
+/// `j` blocks covers the `j` highest ids, so the highest id sits in every
+/// view. An exact-match request for the largest view
+/// (`parts × DENSE_PART_BYTES`) then flips `parts` blocks that each sit in
+/// up to `views` views — the sharing [`build_converged_pool`]'s disjoint
+/// pairs never show, and which an activity flip must not pay for.
 ///
-/// Construction: requests of `parts`, `parts - 1`, … 2 blocks' worth each
+/// Construction: requests of `parts`, `parts - 1`, … blocks' worth each
 /// find no exact match and no single block large enough, so each stitches
 /// the highest-id blocks and is freed again.
-pub fn build_dense_sharing_pool(parts: usize) -> GmLakeAllocator {
+pub fn build_dense_sharing_pool(parts: usize, views: usize) -> GmLakeAllocator {
     let parts = parts.max(2) as u64;
+    let views = (views as u64).clamp(1, parts - 1);
     let dev = DeviceConfig {
-        name: format!("bench-dense-{parts}"),
+        name: format!("bench-dense-{parts}x{views}"),
         capacity: parts * DENSE_PART_BYTES + mib(64),
         granularity: mib(2),
         backing: false,
@@ -102,14 +103,14 @@ pub fn build_dense_sharing_pool(parts: usize) -> GmLakeAllocator {
     for id in held {
         lake.deallocate(id).expect("live");
     }
-    for j in (2..=parts).rev() {
+    for j in (parts - views + 1..=parts).rev() {
         let view = lake
             .allocate(AllocRequest::new(j * DENSE_PART_BYTES))
             .expect("stitched from cached blocks");
         lake.deallocate(view.id).expect("live");
     }
     debug_assert_eq!(lake.pblock_count() as u64, parts);
-    debug_assert_eq!(lake.sblock_count() as u64, parts - 1);
+    debug_assert_eq!(lake.sblock_count() as u64, views);
     lake
 }
 
@@ -148,18 +149,19 @@ mod tests {
 
     #[test]
     fn converged_pool_has_expected_shape_and_probes_agree() {
-        let lake = build_converged_pool(40);
+        let mut lake = build_converged_pool(40);
         assert_eq!(lake.pblock_count(), 40);
         assert_eq!(lake.sblock_count(), 20);
         lake.validate().unwrap();
         // Exact view size classifies S1; the stitch probe classifies S3 in
         // both implementations.
         assert_eq!(lake.probe_bestfit_indexed(VIEW_BYTES), 1);
-        let flat = lake.flat_inactive_index();
-        assert_eq!(flat.len(), 40, "every pblock is inactive");
+        let indexes = lake.reference_indexes();
+        assert_eq!(indexes.available_views.len(), 20);
+        assert_eq!(indexes.inactive_pblocks.len(), 40);
         assert_eq!(
             lake.probe_bestfit_indexed(STITCH_PROBE_BYTES),
-            lake.probe_bestfit_reference(STITCH_PROBE_BYTES, &flat)
+            lake.probe_bestfit_reference(STITCH_PROBE_BYTES, &indexes)
         );
         assert_eq!(lake.probe_bestfit_indexed(STITCH_PROBE_BYTES), 3);
     }
@@ -167,19 +169,26 @@ mod tests {
     #[test]
     fn dense_sharing_pool_has_expected_shape_and_fan_out() {
         let parts = 16u64;
-        let mut lake = build_dense_sharing_pool(parts as usize);
-        assert_eq!(lake.pblock_count() as u64, parts);
-        assert_eq!(lake.sblock_count() as u64, parts - 1);
-        lake.validate().unwrap();
-        // The largest view exact-matches, and flipping its parts fans out
-        // to every view over them: Σr = 2 + … + parts bumps per direction.
-        let before = lake.work_counters().sblock_bumps;
-        let a = lake
-            .allocate(AllocRequest::new(parts * DENSE_PART_BYTES))
-            .unwrap();
-        lake.deallocate(a.id).unwrap();
-        assert_eq!(lake.state_counters().exact, 1);
-        let bumps = lake.work_counters().sblock_bumps - before;
-        assert_eq!(bumps, 2 * (2..=parts).sum::<u64>());
+        let mut flips = Vec::new();
+        for views in [4, parts - 1] {
+            let mut lake = build_dense_sharing_pool(parts as usize, views as usize);
+            assert_eq!(lake.pblock_count() as u64, parts);
+            assert_eq!(lake.sblock_count() as u64, views);
+            lake.validate().unwrap();
+            // The largest view exact-matches; flipping its parts costs one
+            // flip per part and direction, whatever the fan-out to the
+            // views over them.
+            let before = lake.work_counters();
+            let a = lake
+                .allocate(AllocRequest::new(parts * DENSE_PART_BYTES))
+                .unwrap();
+            lake.deallocate(a.id).unwrap();
+            assert_eq!(lake.state_counters().exact, 1);
+            let after = lake.work_counters();
+            assert_eq!(after.part_flips - before.part_flips, 2 * parts);
+            assert_eq!(after.ref_scans, before.ref_scans);
+            flips.push(after.views_verified - before.views_verified);
+        }
+        assert_eq!(flips, [1, 1], "one availability query per S1");
     }
 }

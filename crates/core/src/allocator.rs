@@ -23,37 +23,42 @@
 //!
 //! Blocks live in dense [`Slab`] arenas (ids are sequential, lookups are an
 //! indexed load). Inactive pBlocks are indexed by a [`TieredPIndex`] — one
-//! `(size, id)` set per [`StitchCost`] tier — so `BestFit` is a few
-//! `O(log n)` range probes instead of three closure-evaluating sweeps of
-//! the pool.
+//! `(size, id)` set for blocks no cached view references and one for the
+//! referenced rest — and unassigned views by size (`s_unassigned`) and by
+//! LRU tick (`s_evictable`). All four change where *structure* changes:
+//! stitch, split, view teardown, assign and free.
 //!
-//! A block's tier is *derived from two counters*, never from a scan. Each
-//! sBlock counts its active parts (fully inactive ⟺ zero); each pBlock
-//! counts the *available* views over it (`avail_refs`: unassigned, zero
-//! active parts), so its stitch cost is `referenced_by.is_empty()` /
-//! `avail_refs > 0`. Availability can only change at four places — an
-//! `active_parts` zero-crossing, `Stitch`, sBlock teardown, and `Split`
-//! (children inherit) — and each bumps the counters of exactly the parts
-//! concerned.
+//! **Availability is a query, not a counter.** Whether a view could serve
+//! an exact match — every part inactive — is never stored: the paper's
+//! `Update` (§3.3.1) flips a pBlock's flag and its index membership and
+//! touches nothing else, however many views share the block. The three
+//! places that need the answer ask for it, by scanning the view's parts
+//! behind a per-view *witness hint* (the part last found active, checked
+//! first — a view that is still blocked costs one load):
 //!
-//! **Cost model.** With `r` views referencing a pBlock, `p` parts per view
-//! and `x` of the `r` views crossing zero, one activity flip costs
-//! `O(r + x·p)` counter bumps plus `x` updates of the exact-match index
-//! (`s_inactive`) — sharing on converged LoRA pools is dense (`r` ≈ 34,
-//! `p` ≈ 32 measured on the benchmark's `train_lr`), so these are the terms
-//! that matter. The flip moves no pBlock between tiers: a move to or from
-//! the unreferenced tier happens where references change (stitch / destroy
-//! / split), and a move between the two *referenced* tiers is only recorded
-//! as owed (`dirty`). S1 and S2 consult the unreferenced tier and the
-//! *union* of the referenced ones, so they run on the index as placed;
-//! S3/S4 walk tier by tier, so they first settle the `d` owed moves,
-//! `O(d · log n)`. The eviction index `(lru_tick, id)` is touched on
-//! stitch / assign / destroy and when a view an eviction scan dropped as
-//! blocked becomes evictable again — not on a plain flip.
+//! * the exact-match walk verifies the unassigned views of the requested
+//!   size in id order and takes the first available one;
+//! * an S3/S4 walk that runs out of unreferenced blocks classifies once:
+//!   it verifies the views in the eviction index, marks the parts of the
+//!   available ones, and defers marked blocks behind the unmarked;
+//! * a `StitchFree` victim scan verifies the candidates it meets, and
+//!   *parks* each blocked one on its witness part — out of the eviction
+//!   index, so neither later scans nor S3/S4 classification see it — until
+//!   that part deactivates.
 //!
-//! `validate()` is the oracle for all of it: it re-derives every counter
-//! and tier by scanning `referenced_by`, and allows placement to lag only
-//! for a dirty block and only between the referenced tiers.
+//! **Cost model.** With `p` parts per view and `r` views referencing a
+//! pBlock, an S1 allocation or free of a view costs `O(p)` flips, each
+//! `O(log n)` for the index and independent of `r` (sharing on converged
+//! LoRA pools is dense — `r` ≈ 34, `p` ≈ 24–32 on the benchmark's
+//! `train_lr` — and an eager counter per view made this `O(p·r)`). The
+//! exact match costs `O(c + p)` for `c` same-size candidates skipped on
+//! their hint. S3/S4 pays `O(u + Σp)` once per call for the `u` unparked
+//! unassigned views and the parts of those it has to scan; a victim scan
+//! pays for the blocked views it meets once each.
+//!
+//! `validate()` is the oracle for all of it: it re-derives availability by
+//! scanning parts, ignoring the hints, and checks the indexes, the parked
+//! lists and the placement against that.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
@@ -103,20 +108,47 @@ impl FaultJournal {
     }
 }
 
-/// Deterministic work counts of the activity-flip and tier-maintenance
+/// Deterministic work counts of the activity-flip and availability-query
 /// paths. Hidden: they exist so tests and benches can pin the cost model of
 /// the module docs on counters instead of wall-clock.
 #[doc(hidden)]
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WorkCounters {
-    /// sBlock `active_parts` bumps: one per (pBlock flip, referencing view).
-    pub sblock_bumps: u64,
-    /// Part visits: one per part of a view whose availability changed.
-    pub part_visits: u64,
-    /// `referenced_by` oracle scans — `validate()` is the only caller.
+    /// pBlock activity flips.
+    pub part_flips: u64,
+    /// Availability queries answered (a view checked for an active part).
+    pub views_verified: u64,
+    /// Parts those queries looked at, the hinted one included.
+    pub parts_scanned: u64,
+    /// `referenced_by` walks deriving a pBlock's three-way stitch cost.
     pub ref_scans: u64,
-    /// Inactive pBlocks moved from one tier of the index to another.
+    /// Inactive pBlocks moved between the unreferenced and referenced tier.
     pub tier_moves: u64,
+}
+
+/// The two `(size, id)` sets [`best_fit_reference`] runs over (see
+/// [`GmLakeAllocator::reference_indexes`]).
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct ReferenceIndexes {
+    /// Unassigned views with every part inactive.
+    pub available_views: BTreeSet<(u64, u64)>,
+    /// Every inactive pBlock, referenced or not.
+    pub inactive_pblocks: BTreeSet<(u64, u64)>,
+}
+
+/// [`WorkCounters`] as kept: the queries run behind `&self`.
+#[derive(Debug, Default)]
+struct Work {
+    part_flips: Cell<u64>,
+    views_verified: Cell<u64>,
+    parts_scanned: Cell<u64>,
+    ref_scans: Cell<u64>,
+    tier_moves: Cell<u64>,
+}
+
+fn bump(counter: &Cell<u64>, by: u64) {
+    counter.set(counter.get() + by);
 }
 
 /// The GMLake virtual-memory-stitching allocator.
@@ -151,9 +183,9 @@ pub struct GmLakeAllocator {
     config: GmLakeConfig,
     chunk: u64,
     host_op_ns: u64,
-    /// Whether BestFit decision logging (`GMLAKE_LOG=debug`, or the legacy
-    /// `GMLAKE_DEBUG_S3` alias) is on — sampled once at construction so
-    /// the per-allocation path never consults the environment.
+    /// Whether BestFit decision logging (`GMLAKE_LOG=debug`) is on —
+    /// sampled once at construction so the per-allocation path never
+    /// consults the environment.
     log_decisions: bool,
     /// Optional observability sink: stitch-decision trace records and the
     /// BestFit latency histogram. `None` costs one branch per decision.
@@ -161,31 +193,22 @@ pub struct GmLakeAllocator {
     small: CachingAllocator,
     pblocks: Slab<PBlock>,
     sblocks: Slab<SBlock>,
-    /// Inactive pBlocks, partitioned by stitch-cost tier, keyed `(size, id)`.
+    /// Inactive pBlocks, unreferenced and referenced, keyed `(size, id)`.
     p_inactive: TieredPIndex,
-    /// sBlocks whose parts are all inactive, keyed `(size, id)`.
-    s_inactive: BTreeSet<(u64, SBlockId)>,
-    /// Eviction index, keyed `(lru_tick, id)`: every evictable view
-    /// (unassigned, fully inactive) plus views that were evictable once and
-    /// have been blocked since (exactly the sBlocks with `in_evict_index`
-    /// set). A view enters when it becomes evictable and leaves when it is
-    /// assigned or destroyed; a view that merely gets *blocked* stays, and
-    /// `StitchFree` drops it when a victim scan meets it — so an activity
-    /// flip costs this index nothing unless it makes a dropped view
-    /// evictable again.
+    /// Unassigned sBlocks, keyed `(size, id)`: the exact-match candidates,
+    /// of which the available ones are found by asking.
+    s_unassigned: BTreeSet<(u64, SBlockId)>,
+    /// Eviction index, keyed `(lru_tick, id)`: every unassigned view that
+    /// is not parked. A view enters when it is stitched or freed and leaves
+    /// when it is assigned or destroyed; one that merely gets *blocked*
+    /// stays until a `StitchFree` scan meets it and parks it on the active
+    /// part it found (`SBlock::parked_on`), to re-enter when that part
+    /// deactivates. S3/S4 classification walks exactly this set.
     s_evictable: BTreeSet<(u64, SBlockId)>,
-    /// Inactive pBlocks whose move between the two referenced tiers is
-    /// still owed (exactly the blocks with `dirty` set), paid by
-    /// [`Self::settle_tiers`] before an S3/S4 candidate walk.
-    dirty: Vec<PBlockId>,
-    work: WorkCounters,
-    /// Calls of the `referenced_by` oracle scan ([`Self::compute_tier`]),
-    /// which takes `&self`; reported through [`WorkCounters::ref_scans`].
-    ref_scans: Cell<u64>,
-    /// Test twin: settle every deferred tier move the moment it is owed,
-    /// i.e. run with the index always exact.
-    #[cfg(test)]
-    settle_eagerly: bool,
+    /// Scratch of S3/S4 classification, indexed by pBlock id: the parts of
+    /// the views found available. Kept to reuse its buffer.
+    available_parts: Vec<bool>,
+    work: Work,
     live: HashMap<AllocationId, (Target, u64)>,
     next_alloc: u64,
     tick: u64,
@@ -239,13 +262,10 @@ impl GmLakeAllocator {
             pblocks: Slab::new(),
             sblocks: Slab::new(),
             p_inactive: TieredPIndex::new(),
-            s_inactive: BTreeSet::new(),
+            s_unassigned: BTreeSet::new(),
             s_evictable: BTreeSet::new(),
-            dirty: Vec::new(),
-            work: WorkCounters::default(),
-            ref_scans: Cell::new(0),
-            #[cfg(test)]
-            settle_eagerly: false,
+            available_parts: Vec::new(),
+            work: Work::default(),
             live: HashMap::new(),
             next_alloc: 0,
             tick: 0,
@@ -320,27 +340,16 @@ impl GmLakeAllocator {
         self.journal
     }
 
-    /// Cumulative flip-path work counts (see [`WorkCounters`]).
+    /// Cumulative flip- and query-path work counts (see [`WorkCounters`]).
     #[doc(hidden)]
     pub fn work_counters(&self) -> WorkCounters {
         WorkCounters {
-            ref_scans: self.ref_scans.get(),
-            ..self.work
+            part_flips: self.work.part_flips.get(),
+            views_verified: self.work.views_verified.get(),
+            parts_scanned: self.work.parts_scanned.get(),
+            ref_scans: self.work.ref_scans.get(),
+            tier_moves: self.work.tier_moves.get(),
         }
-    }
-
-    /// Tier moves currently owed (see [`Self::settle_tiers`]).
-    #[cfg(test)]
-    pub(crate) fn owed_tier_moves(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// Turns this allocator into the always-settled twin of the lockstep
-    /// differential: no tier move is ever deferred.
-    #[cfg(test)]
-    pub(crate) fn settling_eagerly(mut self) -> Self {
-        self.settle_eagerly = true;
-        self
     }
 
     /// Whether S3/S4 requests may build stitched views (see
@@ -425,169 +434,97 @@ impl GmLakeAllocator {
         self.stats.set_reserved(reserved);
     }
 
-    /// An sBlock is *available* when it could serve an exact match right
-    /// now: unassigned with every part inactive.
-    fn sblock_available(s: &SBlock) -> bool {
-        s.assigned_to.is_none() && s.active_parts == 0
+    /// The availability query: the index into `s.parts` of an active part,
+    /// or `None` when every part is inactive. Checks the witness hint first
+    /// and leaves it on the part found. Takes the fields it reads so
+    /// `BestFit` can ask while the scratch buffer is borrowed.
+    fn witness(pblocks: &Slab<PBlock>, work: &Work, s: &SBlock) -> Option<usize> {
+        bump(&work.views_verified, 1);
+        let active = |pid: &PBlockId| pblocks[*pid].active;
+        let hint = s.hint.get();
+        if s.parts.get(hint).is_some_and(active) {
+            bump(&work.parts_scanned, 1);
+            return Some(hint);
+        }
+        let found = s.parts.iter().position(active);
+        bump(
+            &work.parts_scanned,
+            1 + found.map_or(s.parts.len(), |at| at + 1) as u64,
+        );
+        if let Some(at) = found {
+            s.hint.set(at);
+        }
+        found
     }
 
-    /// Derives an inactive pBlock's stitch-cost tier the slow way, by
-    /// scanning its references: `O(|referenced_by|)`. The production paths
-    /// read [`PBlock::stitch_cost`]; this scan survives only as the oracle
-    /// `validate()` checks the counters against.
-    fn compute_tier(&self, pid: PBlockId) -> StitchCost {
-        self.ref_scans.set(self.ref_scans.get() + 1);
+    /// An sBlock is *available* when it could serve an exact match right
+    /// now: unassigned with every part inactive.
+    fn view_available(&self, sid: SBlockId) -> bool {
+        let s = &self.sblocks[sid];
+        s.assigned_to.is_none() && Self::witness(&self.pblocks, &self.work, s).is_none()
+    }
+
+    /// [`Self::view_available`] the slow way, ignoring the hint: the oracle
+    /// `validate()` and the reference `BestFit` differential use.
+    fn scan_available(&self, s: &SBlock) -> bool {
+        s.assigned_to.is_none() && s.parts.iter().all(|&pid| !self.pblocks[pid].active)
+    }
+
+    /// A pBlock's three-way stitch cost, by walking its references and
+    /// asking `available` about each view: `O(|referenced_by|)` queries.
+    fn stitch_cost(&self, pid: PBlockId, available: impl Fn(SBlockId) -> bool) -> StitchCost {
         let p = &self.pblocks[pid];
         if p.referenced_by.is_empty() {
-            StitchCost::Unreferenced
-        } else if p
-            .referenced_by
-            .iter()
-            .any(|&sid| Self::sblock_available(&self.sblocks[sid]))
-        {
+            return StitchCost::Unreferenced;
+        }
+        bump(&self.work.ref_scans, 1);
+        if p.referenced_by.iter().any(|&sid| available(sid)) {
             StitchCost::ReferencedAvailable
         } else {
             StitchCost::ReferencedBlocked
         }
     }
 
-    /// Brings an *inactive* pBlock's placement in line with its stitch cost
-    /// after its references or `avail_refs` changed; no-op for active
-    /// blocks (they are unindexed). A move to or from the unreferenced tier
-    /// happens now — S1/S2 read that boundary. A move between the two
-    /// referenced tiers is only *owed*: S1/S2 consult their union, so the
-    /// block goes on the dirty list and [`Self::settle_tiers`] pays before
-    /// the next S3/S4 walk. A block that flips back and forth between
-    /// settles costs nothing more.
-    fn reindex_pblock(&mut self, pid: PBlockId) {
-        let p = &mut self.pblocks[pid];
-        if p.active {
-            return;
-        }
-        let new = p.stitch_cost();
-        let between_referenced =
-            new != p.tier && new != StitchCost::Unreferenced && p.tier != StitchCost::Unreferenced;
-        if !between_referenced {
-            Self::place(&mut self.p_inactive, &mut self.work, p, pid);
-            return;
-        }
-        if !p.dirty {
-            p.dirty = true;
-            self.dirty.push(pid);
-        }
-        #[cfg(test)]
-        if self.settle_eagerly {
-            self.settle_tiers();
-        }
+    /// Moves an *inactive* pBlock to the other tier of the index, after its
+    /// first reference appeared or its last one went.
+    fn retier_pblock(&mut self, pid: PBlockId) {
+        let p = &self.pblocks[pid];
+        debug_assert!(!p.active, "active blocks are unindexed");
+        let referenced = p.is_referenced();
+        self.p_inactive.remove(!referenced, p.size, pid);
+        self.p_inactive.insert(referenced, p.size, pid);
+        bump(&self.work.tier_moves, 1);
     }
 
-    /// Pays every deferred move between the referenced tiers, leaving each
-    /// inactive block placed exactly at its stitch cost.
-    fn settle_tiers(&mut self) {
-        for pid in self.dirty.drain(..) {
-            let p = &mut self.pblocks[pid];
-            p.dirty = false;
-            if !p.active {
-                Self::place(&mut self.p_inactive, &mut self.work, p, pid);
-            }
-        }
-    }
-
-    /// Moves the indexed (inactive) block `p` to the tier of its stitch
-    /// cost, if it is not there already.
-    fn place(index: &mut TieredPIndex, work: &mut WorkCounters, p: &mut PBlock, pid: PBlockId) {
-        let tier = p.stitch_cost();
-        if tier != p.tier {
-            index.remove(p.tier, p.size, pid);
-            index.insert(tier, p.size, pid);
-            p.tier = tier;
-            work.tier_moves += 1;
-        }
-    }
-
-    /// Removes an inactive pBlock from the arena, the index and the dirty
-    /// list (slab ids are reused, so a stale dirty entry would alias).
+    /// Removes an inactive pBlock from the arena and the index.
     fn remove_pblock(&mut self, pid: PBlockId) -> PBlock {
         let p = self.pblocks.remove(pid).expect("pblock exists");
-        self.p_inactive.remove(p.tier, p.size, pid);
-        if p.dirty {
-            let at = self.dirty.iter().position(|&d| d == pid);
-            self.dirty.swap_remove(at.expect("dirty block is listed"));
-        }
+        debug_assert!(p.parked.is_empty(), "an inactive block parks nothing");
+        self.p_inactive.remove(p.is_referenced(), p.size, pid);
         p
     }
 
-    /// Flips a pBlock's activity, maintaining the tiered inactive index and
-    /// each referencing sBlock's active-part counter. When a counter crosses
-    /// zero the view's availability flipped: it enters or leaves the
-    /// exact-match index and every part's `avail_refs` moves by one.
-    /// `O(r + x·p)` for `r` referencing views, `x` of which cross, over `p`
-    /// parts each; no `referenced_by` scan and no allocation.
+    /// Flips a pBlock's activity — the whole of the paper's `Update`: the
+    /// flag, the block's membership of the inactive index, and on
+    /// deactivation the return of the views parked on it to the eviction
+    /// index. It never walks `referenced_by`: `O(log n)` however many views
+    /// share the block.
     fn set_pblock_active(&mut self, pid: PBlockId, active: bool) {
         let p = &mut self.pblocks[pid];
         if p.active == active {
             return;
         }
         p.active = active;
-        let size = p.size;
+        bump(&self.work.part_flips, 1);
         if active {
-            self.p_inactive.remove(p.tier, size, pid);
+            self.p_inactive.remove(p.is_referenced(), p.size, pid);
+            return;
         }
-        // Taken for the walk and restored below; nothing in between reads
-        // this block's reference set (its own re-index is skipped).
-        let refs = std::mem::take(&mut p.referenced_by);
-        for &sid in &refs {
-            self.work.sblock_bumps += 1;
+        self.p_inactive.insert(p.is_referenced(), p.size, pid);
+        for sid in p.parked.drain(..) {
             let s = &mut self.sblocks[sid];
-            if active {
-                s.active_parts += 1;
-                if s.active_parts != 1 {
-                    continue;
-                }
-            } else {
-                debug_assert!(s.active_parts > 0, "active_parts underflow on s{sid}");
-                s.active_parts -= 1;
-                if s.active_parts != 0 {
-                    continue;
-                }
-            }
-            // Assignment only happens to fully-active sBlocks and is cleared
-            // before deactivation, so every zero-crossing is unassigned and
-            // flips availability.
-            debug_assert!(
-                s.assigned_to.is_none(),
-                "assigned sblock s{sid} crossed activity"
-            );
-            if active {
-                self.s_inactive.remove(&(s.size, sid));
-            } else {
-                self.s_inactive.insert((s.size, sid));
-                if !s.in_evict_index {
-                    s.in_evict_index = true;
-                    self.s_evictable.insert((s.lru_tick, sid));
-                }
-            }
-            let parts = std::mem::take(&mut s.parts);
-            for &part in &parts {
-                self.work.part_visits += 1;
-                let sibling = &mut self.pblocks[part];
-                if active {
-                    debug_assert!(sibling.avail_refs > 0, "avail_refs underflow on p{part}");
-                    sibling.avail_refs -= 1;
-                } else {
-                    sibling.avail_refs += 1;
-                }
-                if part != pid {
-                    self.reindex_pblock(part);
-                }
-            }
-            self.sblocks[sid].parts = parts;
-        }
-        let p = &mut self.pblocks[pid];
-        p.referenced_by = refs;
-        if !active {
-            p.tier = p.stitch_cost();
-            self.p_inactive.insert(p.tier, size, pid);
+            s.parked_on = None;
+            self.s_evictable.insert((s.lru_tick, sid));
         }
     }
 
@@ -651,7 +588,7 @@ impl GmLakeAllocator {
             return Err(e);
         }
         let pid = self.pblocks.insert(PBlock::new(va, size, chunks));
-        self.p_inactive.insert(StitchCost::Unreferenced, size, pid);
+        self.p_inactive.insert(false, size, pid);
         self.reserved_phys += size;
         Ok(pid)
     }
@@ -675,7 +612,7 @@ impl GmLakeAllocator {
             return Err(e);
         }
         let pid = self.pblocks.insert(PBlock::new(va, size, chunks));
-        self.p_inactive.insert(StitchCost::Unreferenced, size, pid);
+        self.p_inactive.insert(false, size, pid);
         Ok(pid)
     }
 
@@ -738,10 +675,10 @@ impl GmLakeAllocator {
             self.journal.orphan_va_bytes += parent_size;
         }
         let p = self.remove_pblock(pid);
-        // Rewrite referencing sBlocks to the two children. Both children are
-        // inactive (the parent was), so no active-part counter changes and
-        // no view's availability moves: the children inherit the parent's
-        // references and its available-view count as they are.
+        // Rewrite referencing sBlocks to the two children, which inherit the
+        // parent's references. Both are inactive (the parent was), so no
+        // view's availability moves, nothing is parked on the parent, and a
+        // witness hint shifted by the splice is still just a hint.
         for &sid in &p.referenced_by {
             let s = self.sblocks.get_mut(sid).expect("referenced sblock exists");
             let pos = s
@@ -751,15 +688,13 @@ impl GmLakeAllocator {
                 .expect("sblock lists the split pblock");
             s.parts.splice(pos..=pos, [left, right]);
         }
-        let l = &mut self.pblocks[left];
-        l.referenced_by = p.referenced_by.clone();
-        l.avail_refs = p.avail_refs;
-        let r = &mut self.pblocks[right];
-        r.referenced_by = p.referenced_by;
-        r.avail_refs = p.avail_refs;
-        // Move the children off the unreferenced tier they were created in.
-        self.reindex_pblock(left);
-        self.reindex_pblock(right);
+        if p.is_referenced() {
+            self.pblocks[left].referenced_by = p.referenced_by.clone();
+            self.pblocks[right].referenced_by = p.referenced_by;
+            // Move the children off the unreferenced tier they were created in.
+            self.retier_pblock(left);
+            self.retier_pblock(right);
+        }
         self.counters.splits += 1;
         self.emit(EventKind::Split, parent_size, left_size, 0);
         Ok((left, right))
@@ -800,20 +735,19 @@ impl GmLakeAllocator {
             return Err(e);
         }
         let tick = self.next_tick();
-        let mut view = SBlock::new(va, total, parts, tick);
-        view.in_evict_index = true;
-        let sid = self.sblocks.insert(view);
+        let sid = self.sblocks.insert(SBlock::new(va, total, parts, tick));
         // The new view is unassigned with all parts inactive: it is both
-        // exact-matchable and evictable, and one more available view over
-        // every part promotes each to the last-resort stitching tier.
-        self.s_inactive.insert((total, sid));
+        // exact-matchable and evictable, and a part's first reference moves
+        // it off the unreferenced tier.
+        self.s_unassigned.insert((total, sid));
         self.s_evictable.insert((tick, sid));
         for i in 0..self.sblocks[sid].parts.len() {
             let pid = self.sblocks[sid].parts[i];
             let p = &mut self.pblocks[pid];
             p.referenced_by.push(sid);
-            p.avail_refs += 1;
-            self.reindex_pblock(pid);
+            if p.referenced_by.len() == 1 {
+                self.retier_pblock(pid);
+            }
         }
         self.counters.stitches += 1;
         self.emit(
@@ -838,9 +772,9 @@ impl GmLakeAllocator {
     /// other cached views is near-free to drop. Ties (and a window of 1)
     /// fall back to pure `(lru_tick, id)` LRU.
     ///
-    /// Views the scan finds blocked by an active part are dropped from the
-    /// index on the way (they re-enter when they become evictable again),
-    /// so each is skipped once, not once per scan.
+    /// Views the scan finds blocked are parked on the active part it found
+    /// (they re-enter when that part deactivates), so each is verified
+    /// once, not once per scan.
     fn pick_stitchfree_victim(&mut self) -> Option<SBlockId> {
         let window = self.config.evict_scan_window.max(1);
         let mut candidates = 0;
@@ -848,8 +782,8 @@ impl GmLakeAllocator {
         let mut best: Option<(SBlockId, usize)> = None;
         for &(tick, sid) in &self.s_evictable {
             let s = &self.sblocks[sid];
-            if s.active_parts != 0 {
-                blocked.push((tick, sid));
+            if let Some(at) = Self::witness(&self.pblocks, &self.work, s) {
+                blocked.push((tick, sid, s.parts[at]));
                 continue;
             }
             let unique = s
@@ -868,9 +802,10 @@ impl GmLakeAllocator {
                 break;
             }
         }
-        for key in blocked {
-            self.s_evictable.remove(&key);
-            self.sblocks[key.1].in_evict_index = false;
+        for (tick, sid, on) in blocked {
+            self.s_evictable.remove(&(tick, sid));
+            self.sblocks[sid].parked_on = Some(on);
+            self.pblocks[on].parked.push(sid);
         }
         best.map(|(sid, _)| sid)
     }
@@ -920,11 +855,18 @@ impl GmLakeAllocator {
             self.journal.orphan_va_bytes += size;
         }
         let s = self.sblocks.remove(sid).expect("sblock exists");
-        self.s_inactive.remove(&(s.size, sid));
-        if s.in_evict_index {
-            self.s_evictable.remove(&(s.lru_tick, sid));
+        debug_assert!(s.assigned_to.is_none(), "destroying an assigned view");
+        self.s_unassigned.remove(&(s.size, sid));
+        match s.parked_on {
+            Some(on) => {
+                let parked = &mut self.pblocks[on].parked;
+                let at = parked.iter().position(|&v| v == sid);
+                parked.swap_remove(at.expect("witness lists the parked view"));
+            }
+            None => {
+                self.s_evictable.remove(&(s.lru_tick, sid));
+            }
         }
-        let was_available = Self::sblock_available(&s);
         for &pid in &s.parts {
             let p = self
                 .pblocks
@@ -933,13 +875,11 @@ impl GmLakeAllocator {
             let at = p.referenced_by.iter().position(|&r| r == sid);
             p.referenced_by
                 .swap_remove(at.expect("part lists the view"));
-            if was_available {
-                debug_assert!(p.avail_refs > 0, "avail_refs underflow on p{pid}");
-                p.avail_refs -= 1;
+            // Losing its last reference drops an indexed part to the
+            // unreferenced tier.
+            if !p.active && !p.is_referenced() {
+                self.retier_pblock(pid);
             }
-            // Losing a reference may drop the part a tier (down to
-            // unreferenced).
-            self.reindex_pblock(pid);
         }
         Ok(())
     }
@@ -1012,10 +952,11 @@ impl GmLakeAllocator {
                 }
                 let tick = self.next_tick();
                 let s = self.sblocks.get_mut(sid).expect("sblock exists");
-                debug_assert_eq!(s.active_parts, s.parts.len(), "assigning a partial sblock");
-                if std::mem::take(&mut s.in_evict_index) {
-                    self.s_evictable.remove(&(s.lru_tick, sid));
-                }
+                // Only an available view is assigned, and nothing available
+                // is parked: it leaves both indexes of unassigned views.
+                debug_assert!(s.parked_on.is_none(), "assigning a parked sblock");
+                self.s_unassigned.remove(&(s.size, sid));
+                self.s_evictable.remove(&(s.lru_tick, sid));
                 s.assigned_to = Some(id);
                 s.lru_tick = tick;
                 if self.current_stream.is_some() {
@@ -1056,31 +997,32 @@ impl GmLakeAllocator {
         if p.last_stream == Some(stream) {
             return chosen;
         }
-        // "Same tier" means the same stitch cost, not the same placement: a
-        // referenced candidate's move between the two referenced tiers may
-        // still be owed, so that scan walks their union in id order. The
-        // limit counts candidates of the chosen tier, as it did when the
-        // index was always exact; what the filter skips is bounded by the
-        // equal-size referenced blocks.
-        let tier = p.stitch_cost();
+        // "Same tier" means the same three-way stitch cost, which for a
+        // referenced candidate is a query per block. The limit counts
+        // candidates of the chosen cost; what the filter skips is bounded by
+        // the equal-size referenced blocks.
+        let cost = |pid: PBlockId| self.stitch_cost(pid, |sid| self.view_available(sid));
+        let tier = cost(chosen);
         let same_stream = |pid: &PBlockId| self.pblocks[*pid].last_stream == Some(stream);
         if tier == StitchCost::Unreferenced {
             self.p_inactive
-                .equal_size_in_tier(tier, p.size)
+                .equal_size(false, p.size)
                 .take(Self::AFFINITY_SCAN_LIMIT)
                 .find(same_stream)
         } else {
             self.p_inactive
-                .equal_size_referenced(p.size)
-                .filter(|&pid| self.pblocks[pid].stitch_cost() == tier)
+                .equal_size(true, p.size)
+                .filter(|&pid| cost(pid) == tier)
                 .take(Self::AFFINITY_SCAN_LIMIT)
                 .find(same_stream)
         }
         .unwrap_or(chosen)
     }
 
-    /// Per-stream affinity refinement for S1 sBlock matches (all inactive
-    /// sBlocks of the exact size are equivalent to Algorithm 1).
+    /// Per-stream affinity refinement for S1 sBlock matches (all available
+    /// sBlocks of the exact size are equivalent to Algorithm 1). `chosen`
+    /// is the first available view of its size and counts against the
+    /// limit; the walk resumes behind it.
     fn prefer_stream_sblock(&self, chosen: SBlockId) -> SBlockId {
         let Some(stream) = self.current_stream else {
             return chosen;
@@ -1090,10 +1032,11 @@ impl GmLakeAllocator {
             return chosen;
         }
         let size = s.size;
-        self.s_inactive
-            .range((size, 0)..=(size, u64::MAX))
-            .take(Self::AFFINITY_SCAN_LIMIT)
+        self.s_unassigned
+            .range((size, chosen + 1)..=(size, u64::MAX))
             .map(|&(_, sid)| sid)
+            .filter(|&sid| self.view_available(sid))
+            .take(Self::AFFINITY_SCAN_LIMIT - 1)
             .find(|&sid| self.sblocks[sid].last_stream == Some(stream))
             .unwrap_or(chosen)
     }
@@ -1118,19 +1061,34 @@ impl GmLakeAllocator {
         result
     }
 
-    /// Runs the indexed `BestFit`. S1 and S2 only distinguish unreferenced
-    /// from referenced blocks, so they are answered on the index as placed;
-    /// S3/S4 consume candidates tier by tier, so when moves between the
-    /// referenced tiers are owed they are paid first and the walk repeated.
+    /// Runs the indexed `BestFit`, answering its availability queries:
+    /// per exact-match candidate, and — only for an S3/S4 walk that reaches
+    /// referenced blocks — once for the whole pool, by verifying the views
+    /// of the eviction index (a parked view is known blocked) and marking
+    /// the parts of the available ones.
     fn best_fit(&mut self, aligned: u64) -> BestFit {
-        let frag_limit = self.config.frag_limit;
-        let fit = best_fit_indexed(aligned, &self.s_inactive, &self.p_inactive, frag_limit);
-        let walks_tiers = matches!(fit, BestFit::Multiple { .. } | BestFit::Insufficient { .. });
-        if !walks_tiers || self.dirty.is_empty() {
-            return fit;
-        }
-        self.settle_tiers();
-        best_fit_indexed(aligned, &self.s_inactive, &self.p_inactive, frag_limit)
+        let (pblocks, sblocks, work) = (&self.pblocks, &self.sblocks, &self.work);
+        let (s_evictable, marks) = (&self.s_evictable, &mut self.available_parts);
+        best_fit_indexed(
+            aligned,
+            &self.s_unassigned,
+            &self.p_inactive,
+            self.config.frag_limit,
+            |sid| Self::witness(pblocks, work, &sblocks[sid]).is_none(),
+            move || {
+                marks.clear();
+                marks.resize(pblocks.slot_count() + 1, false);
+                for &(_, sid) in s_evictable {
+                    let s = &sblocks[sid];
+                    if Self::witness(pblocks, work, s).is_none() {
+                        for &pid in &s.parts {
+                            marks[pid as usize] = true;
+                        }
+                    }
+                }
+                &marks[..]
+            },
+        )
     }
 
     fn try_allocate_large_inner(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
@@ -1351,23 +1309,6 @@ impl GmLakeAllocator {
         released
     }
 
-    /// The pre-index `stitch_cost` closure semantics, kept verbatim for the
-    /// reference `BestFit` path: chase `referenced_by`, look the sBlocks up,
-    /// and probe the inactive index per call.
-    fn reference_stitch_cost(&self, pid: PBlockId) -> StitchCost {
-        let p = &self.pblocks[pid];
-        if p.referenced_by.is_empty() {
-            StitchCost::Unreferenced
-        } else if p.referenced_by.iter().any(|sid| {
-            let s = &self.sblocks[*sid];
-            s.assigned_to.is_none() && self.s_inactive.contains(&(s.size, *sid))
-        }) {
-            StitchCost::ReferencedAvailable
-        } else {
-            StitchCost::ReferencedBlocked
-        }
-    }
-
     // ------------------------------------------------------------------
     // Benchmark probes — classify a hypothetical request without mutating
     // state, through either `BestFit` implementation. Hidden: these exist
@@ -1376,40 +1317,43 @@ impl GmLakeAllocator {
     // ------------------------------------------------------------------
 
     /// Runs the indexed `BestFit` for a request of `size` bytes and returns
-    /// the state it classified to (1–4 for S1–S4). Reads the index as
-    /// placed: the state code depends on the unreferenced/referenced split
-    /// and on the tiers' total, never on which referenced tier a block is
-    /// in, so owed moves ([`Self::settle_tiers`]) cannot change it.
+    /// the state it classified to (1–4 for S1–S4). `&mut` only for the
+    /// classification scratch buffer and the witness hints.
     #[doc(hidden)]
-    pub fn probe_bestfit_indexed(&self, size: u64) -> u8 {
-        let fit = best_fit_indexed(
-            self.align_up(size),
-            &self.s_inactive,
-            &self.p_inactive,
-            self.config.frag_limit,
-        );
+    pub fn probe_bestfit_indexed(&mut self, size: u64) -> u8 {
+        let fit = self.best_fit(self.align_up(size));
         Self::state_code(&fit)
     }
 
-    /// The flat `(size, id)` inactive-pBlock set the reference path
-    /// consumes; build it once per pool state, outside the timed region.
+    /// Builds what the reference path consumes, by scanning; once per pool
+    /// state, outside the timed region.
     #[doc(hidden)]
-    pub fn flat_inactive_index(&self) -> BTreeSet<(u64, u64)> {
-        self.p_inactive.to_flat()
+    pub fn reference_indexes(&self) -> ReferenceIndexes {
+        let views = self.sblocks.iter();
+        let available = views.filter(|(_, s)| self.scan_available(s));
+        ReferenceIndexes {
+            available_views: available.map(|(sid, s)| (s.size, sid)).collect(),
+            inactive_pblocks: self.p_inactive.to_flat(),
+        }
     }
 
-    /// Runs the retained reference `BestFit` (full-pool passes plus the
-    /// per-block cost closure) over `flat` and this allocator's state.
-    #[doc(hidden)]
-    pub fn probe_bestfit_reference(&self, size: u64, flat: &BTreeSet<(u64, u64)>) -> u8 {
-        let fit = best_fit_reference(
-            self.align_up(size),
-            &self.s_inactive,
-            flat,
+    /// The retained reference `BestFit` (full-pool passes plus the per-block
+    /// cost closure, which chases `referenced_by` and scans each view's
+    /// parts) over `indexes` and this allocator's state.
+    fn reference_bestfit(&self, aligned: u64, indexes: &ReferenceIndexes) -> BestFit {
+        best_fit_reference(
+            aligned,
+            &indexes.available_views,
+            &indexes.inactive_pblocks,
             self.config.frag_limit,
-            |pid| self.reference_stitch_cost(pid),
-        );
-        Self::state_code(&fit)
+            |pid| self.stitch_cost(pid, |sid| self.scan_available(&self.sblocks[sid])),
+        )
+    }
+
+    /// Runs [`Self::reference_bestfit`] and returns its state code.
+    #[doc(hidden)]
+    pub fn probe_bestfit_reference(&self, size: u64, indexes: &ReferenceIndexes) -> u8 {
+        Self::state_code(&self.reference_bestfit(self.align_up(size), indexes))
     }
 
     fn state_code(fit: &BestFit) -> u8 {
@@ -1423,31 +1367,15 @@ impl GmLakeAllocator {
 
     /// Differential oracle: asserts the indexed and reference `BestFit`
     /// agree exactly (not just on the state code) for a request of `size`
-    /// bytes against the current pool state.
+    /// bytes against the current pool state — the reference fed the scanned
+    /// available set and the scanned three-way cost.
     #[cfg(test)]
-    pub(crate) fn assert_bestfit_agrees(&self, size: u64) {
+    pub(crate) fn assert_bestfit_agrees(&mut self, size: u64) {
         let aligned = self.align_up(size);
-        // The candidate *lists* do depend on the referenced tiers, and
-        // `&self` cannot settle: compare on a settled copy of the index.
-        let mut settled = self.p_inactive.clone();
-        for &pid in &self.dirty {
-            let p = &self.pblocks[pid];
-            if !p.active {
-                settled.remove(p.tier, p.size, pid);
-                settled.insert(p.stitch_cost(), p.size, pid);
-            }
-        }
-        let flat = settled.to_flat();
-        let reference = best_fit_reference(
-            aligned,
-            &self.s_inactive,
-            &flat,
-            self.config.frag_limit,
-            |pid| self.reference_stitch_cost(pid),
-        );
-        let indexed = best_fit_indexed(aligned, &self.s_inactive, &settled, self.config.frag_limit);
+        let reference = self.reference_bestfit(aligned, &self.reference_indexes());
         assert_eq!(
-            reference, indexed,
+            reference,
+            self.best_fit(aligned),
             "indexed BestFit diverged from the reference for size {size}"
         );
     }
@@ -1465,17 +1393,11 @@ impl GmLakeAllocator {
         self.sblocks
             .validate()
             .map_err(|e| format!("sblock arena: {e}"))?;
-        // 1. pBlock shape + tiered-index consistency.
+        // 1. pBlock shape, placement in the index, parked list.
         let mut chunk_owner: HashMap<u64, PBlockId> = HashMap::new();
         let mut phys_sum = 0u64;
         let mut inactive_p = 0usize;
-        let dirty: BTreeSet<PBlockId> = self.dirty.iter().copied().collect();
-        if dirty.len() != self.dirty.len() {
-            return Err("dirty list holds a pblock twice".to_string());
-        }
-        if let Some(pid) = dirty.iter().find(|&&pid| self.pblocks.get(pid).is_none()) {
-            return Err(format!("dirty list holds dead pblock {pid}"));
-        }
+        let mut parked_entries = 0usize;
         for (pid, p) in self.pblocks.iter() {
             if p.chunks.len() as u64 * self.chunk != p.size {
                 return Err(format!("pblock {pid}: chunk count disagrees with size"));
@@ -1490,7 +1412,6 @@ impl GmLakeAllocator {
             if distinct.len() != p.referenced_by.len() {
                 return Err(format!("pblock {pid} lists a referencing sblock twice"));
             }
-            let mut available_views = 0usize;
             for sid in &p.referenced_by {
                 let s = self
                     .sblocks
@@ -1499,59 +1420,36 @@ impl GmLakeAllocator {
                 if !s.parts.contains(&pid) {
                     return Err(format!("sblock {sid} does not list pblock {pid}"));
                 }
-                if Self::sblock_available(s) {
-                    available_views += 1;
-                }
             }
-            if p.avail_refs != available_views {
+            // Placement is `referenced_by.is_empty()`, for inactive blocks.
+            let placed = self.p_inactive.placement_of(p.size, pid);
+            let expected = (!p.active).then_some(p.is_referenced());
+            if placed != expected {
                 return Err(format!(
-                    "pblock {pid}: avail_refs says {} but {available_views} views are available",
-                    p.avail_refs
+                    "pblock {pid} (active={}): indexed as referenced={placed:?}, expected {expected:?}",
+                    p.active
                 ));
             }
-            if p.dirty != dirty.contains(&pid) {
-                return Err(format!(
-                    "pblock {pid}: dirty={} disagrees with the dirty list",
-                    p.dirty
-                ));
-            }
-            let indexed_tier = self.p_inactive.tier_of(p.size, pid);
-            if p.active {
-                if let Some(t) = indexed_tier {
-                    return Err(format!("active pblock {pid} present in tier {t:?}"));
-                }
-            } else {
-                match indexed_tier {
-                    None => return Err(format!("inactive pblock {pid} missing from index")),
-                    Some(t) if t != p.tier => {
-                        return Err(format!(
-                            "pblock {pid}: cached tier {:?} but indexed in {t:?}",
-                            p.tier
-                        ));
-                    }
-                    Some(_) => {}
-                }
-                // The `referenced_by` scan is the oracle for the counters.
-                let derived = self.compute_tier(pid);
-                if derived != p.stitch_cost() {
-                    return Err(format!(
-                        "pblock {pid}: counters say {:?} but references imply {derived:?}",
-                        p.stitch_cost()
-                    ));
-                }
-                // Placement may lag only for a dirty block, and only
-                // between the two referenced tiers.
-                let lag_owed = p.dirty
-                    && p.tier != StitchCost::Unreferenced
-                    && derived != StitchCost::Unreferenced;
-                if derived != p.tier && !lag_owed {
-                    return Err(format!(
-                        "pblock {pid}: placed in {:?} but references imply {derived:?} (dirty={})",
-                        p.tier, p.dirty
-                    ));
-                }
+            if !p.active {
                 inactive_p += 1;
+                if !p.parked.is_empty() {
+                    return Err(format!("inactive pblock {pid} parks {:?}", p.parked));
+                }
+                // The hinted query agrees with the scan.
+                let hinted = self.stitch_cost(pid, |sid| self.view_available(sid));
+                let scanned = self.stitch_cost(pid, |sid| self.scan_available(&self.sblocks[sid]));
+                if hinted != scanned {
+                    return Err(format!(
+                        "pblock {pid}: queries say {hinted:?} but a scan says {scanned:?}"
+                    ));
+                }
             }
+            for sid in &p.parked {
+                if self.sblocks.get(*sid).and_then(|s| s.parked_on) != Some(pid) {
+                    return Err(format!("pblock {pid} parks sblock {sid}, which disagrees"));
+                }
+            }
+            parked_entries += p.parked.len();
             if p.assigned_to.is_some() && !p.active {
                 return Err(format!("pblock {pid}: assigned but inactive"));
             }
@@ -1569,12 +1467,12 @@ impl GmLakeAllocator {
                 inactive_p
             ));
         }
-        // 2. sBlock consistency: part lists, counters, and both indexes.
-        let mut inactive_s = 0usize;
-        let mut evict_indexed_s = 0usize;
+        // 2. sBlock consistency: part lists, and — against availability
+        //    re-derived by scanning — both indexes and the parked state.
+        let (mut unassigned_s, mut evict_indexed_s, mut parked_s) = (0usize, 0usize, 0usize);
         for (sid, s) in self.sblocks.iter() {
             let mut size_sum = 0;
-            let mut active_parts = 0usize;
+            let mut active = 0usize;
             for pid in &s.parts {
                 let p = self
                     .pblocks
@@ -1585,7 +1483,7 @@ impl GmLakeAllocator {
                 }
                 size_sum += p.size;
                 if p.active {
-                    active_parts += 1;
+                    active += 1;
                 }
             }
             if size_sum != s.size {
@@ -1594,59 +1492,60 @@ impl GmLakeAllocator {
                     s.size
                 ));
             }
-            if active_parts != s.active_parts {
+            if s.hint.get() >= s.parts.len() {
+                return Err(format!("sblock {sid}: witness hint out of bounds"));
+            }
+            let unassigned = s.assigned_to.is_none();
+            if unassigned != self.s_unassigned.contains(&(s.size, sid)) {
                 return Err(format!(
-                    "sblock {sid}: counter says {} active parts, scan says {active_parts}",
-                    s.active_parts
+                    "sblock {sid}: unassigned={unassigned} disagrees with the size index"
                 ));
             }
-            let all_inactive = s.active_parts == 0;
-            let indexed = self.s_inactive.contains(&(s.size, sid));
-            if all_inactive != indexed {
-                return Err(format!(
-                    "sblock {sid}: all_inactive={all_inactive} but index={indexed}"
-                ));
-            }
-            if all_inactive {
-                inactive_s += 1;
-            }
-            // Eviction index: exactly the flagged views; it must hold every
-            // evictable view and may hold blocked ones, never assigned ones.
+            // An unassigned view is in exactly one of {eviction index,
+            // parked}; an assigned one in neither, with every part active.
             let in_evict = self.s_evictable.contains(&(s.lru_tick, sid));
-            if in_evict != s.in_evict_index {
+            if unassigned != (in_evict ^ s.parked_on.is_some()) || (in_evict && !unassigned) {
                 return Err(format!(
-                    "sblock {sid}: in_evict_index={} but eviction index={in_evict}",
-                    s.in_evict_index
+                    "sblock {sid}: unassigned={unassigned}, eviction index={in_evict}, parked_on={:?}",
+                    s.parked_on
                 ));
             }
-            if Self::sblock_available(s) && !in_evict {
+            if active == 0 && unassigned && !in_evict {
                 return Err(format!(
                     "evictable sblock {sid} missing from eviction index"
                 ));
             }
-            if s.assigned_to.is_some() && in_evict {
-                return Err(format!("assigned sblock {sid} present in eviction index"));
+            if !unassigned && active != s.parts.len() {
+                return Err(format!("assigned sblock {sid} has inactive parts"));
             }
-            if in_evict {
-                evict_indexed_s += 1;
-            }
-            if s.assigned_to.is_some() {
-                let fully_active = s.active_parts == s.parts.len();
-                if !fully_active {
-                    return Err(format!("assigned sblock {sid} has inactive parts"));
+            if let Some(on) = s.parked_on {
+                let w = self.pblocks.get(on).filter(|w| w.active);
+                let listed = w.is_some_and(|w| w.parked.contains(&sid));
+                if !listed || !s.parts.contains(&on) {
+                    return Err(format!(
+                        "sblock {sid} parked on {on}, not an active part that lists it"
+                    ));
                 }
+                parked_s += 1;
             }
+            unassigned_s += unassigned as usize;
+            evict_indexed_s += in_evict as usize;
         }
-        if self.s_inactive.len() != inactive_s {
+        if self.s_unassigned.len() != unassigned_s {
             return Err(format!(
-                "s_inactive holds {} entries but {inactive_s} sblocks are fully inactive",
-                self.s_inactive.len()
+                "s_unassigned holds {} entries but {unassigned_s} sblocks are unassigned",
+                self.s_unassigned.len()
             ));
         }
         if self.s_evictable.len() != evict_indexed_s {
             return Err(format!(
-                "s_evictable holds {} entries but {evict_indexed_s} sblocks are flagged",
+                "s_evictable holds {} entries but {evict_indexed_s} sblocks are in it",
                 self.s_evictable.len()
+            ));
+        }
+        if parked_entries != parked_s {
+            return Err(format!(
+                "{parked_entries} parked-list entries but {parked_s} parked sblocks"
             ));
         }
         // 3. Live allocations point at correctly-assigned targets, and no
@@ -1777,8 +1676,10 @@ impl AllocatorCore for GmLakeAllocator {
                 if self.current_stream.is_some() {
                     s.last_stream = self.current_stream;
                 }
-                // The last part's deactivation re-enters the view into the
-                // eviction index under its new tick.
+                // Unassigned again: back into both indexes, under its new
+                // tick.
+                self.s_unassigned.insert((s.size, sid));
+                self.s_evictable.insert((tick, sid));
                 for i in 0..self.sblocks[sid].parts.len() {
                     let pid = self.sblocks[sid].parts[i];
                     self.set_pblock_active(pid, false);
@@ -1864,7 +1765,9 @@ impl AllocatorCore for GmLakeAllocator {
         let blocked: Vec<SBlockId> = self
             .sblocks
             .iter()
-            .filter(|(_, s)| s.assigned_to.is_none() && s.active_parts > 0)
+            .filter(|(_, s)| {
+                s.assigned_to.is_none() && Self::witness(&self.pblocks, &self.work, s).is_some()
+            })
             .map(|(sid, _)| sid)
             .collect();
         for sid in blocked {

@@ -2,11 +2,13 @@
 //! indexes, in two interchangeable implementations:
 //!
 //! * [`best_fit_indexed`] — the production hot path. It runs over a
-//!   [`TieredPIndex`]: three `BTreeSet<(size, id)>` indexes, one per
-//!   [`StitchCost`] tier, maintained incrementally by the allocator. Every
-//!   classification step is a handful of `O(log n)` range probes (plus the
-//!   inherently output-sized greedy walk for S3/S4), with **zero** per-block
-//!   cost-closure calls.
+//!   [`TieredPIndex`] — inactive pBlocks keyed `(size, id)`, split by
+//!   whether any cached view references them — and the `(size, id)` index
+//!   of unassigned views. Whether a view is *available* (every part
+//!   inactive) is not stored anywhere: the two steps that need it ask the
+//!   allocator, through `view_available` for the exact-match candidates and
+//!   through `available_parts` once per S3/S4 walk that reaches referenced
+//!   blocks. Everything else is a handful of `O(log n)` range probes.
 //! * [`best_fit_reference`] — the original transcription over a single
 //!   `(size, id)` set with a per-block cost closure. It makes up to three
 //!   full passes over the pool and calls the closure (which chases
@@ -76,14 +78,16 @@ impl StitchCost {
     ];
 }
 
-/// The cost-partitioned inactive-pBlock index: one `(size, id)` set per
-/// [`StitchCost`] tier, maintained incrementally by the allocator as block
-/// activity and sBlock references change. Partitioning moves the cost
-/// classification off the allocation hot path: `best_fit_indexed` never
-/// evaluates a per-block closure, it just range-probes the right tier.
+/// The inactive-pBlock index: two `(size, id)` sets, *unreferenced* blocks
+/// and blocks some cached view references. That split is all S1 and S2
+/// need, and it only moves where references change (stitch, view teardown,
+/// split) — never on an activity flip. The finer blocked/available split of
+/// [`StitchCost`] depends on the activity of *other* blocks, so it is
+/// queried when an S3/S4 walk needs it instead of being maintained.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct TieredPIndex {
-    tiers: [BTreeSet<(u64, PBlockId)>; 3],
+    /// `[unreferenced, referenced]`.
+    tiers: [BTreeSet<(u64, PBlockId)>; 2],
 }
 
 impl TieredPIndex {
@@ -91,63 +95,39 @@ impl TieredPIndex {
         TieredPIndex::default()
     }
 
-    pub fn insert(&mut self, tier: StitchCost, size: u64, pid: PBlockId) {
-        self.tiers[tier as usize].insert((size, pid));
+    pub fn insert(&mut self, referenced: bool, size: u64, pid: PBlockId) {
+        self.tiers[referenced as usize].insert((size, pid));
     }
 
-    pub fn remove(&mut self, tier: StitchCost, size: u64, pid: PBlockId) -> bool {
-        self.tiers[tier as usize].remove(&(size, pid))
+    pub fn remove(&mut self, referenced: bool, size: u64, pid: PBlockId) -> bool {
+        self.tiers[referenced as usize].remove(&(size, pid))
     }
 
-    pub fn contains(&self, tier: StitchCost, size: u64, pid: PBlockId) -> bool {
-        self.tiers[tier as usize].contains(&(size, pid))
-    }
-
-    /// Total entries across all tiers.
+    /// Total entries across both tiers.
     pub fn len(&self) -> usize {
         self.tiers.iter().map(|t| t.len()).sum()
     }
 
     /// All pBlocks of exactly `size` bytes within one tier, in id order.
     ///
-    /// Exact-match candidates of the same size *and* tier are equivalent to
-    /// Algorithm 1 — the allocator uses this to apply per-stream affinity
-    /// (prefer the candidate last used by the requesting stream) *after*
-    /// [`best_fit_indexed`] has chosen a state, without perturbing the
-    /// classification the reference implementation must agree with.
-    pub fn equal_size_in_tier(
-        &self,
-        tier: StitchCost,
-        size: u64,
-    ) -> impl Iterator<Item = PBlockId> + '_ {
-        self.tiers[tier as usize]
+    /// Exact-match candidates of the same size *and* stitch cost are
+    /// equivalent to Algorithm 1 — the allocator uses this to apply
+    /// per-stream affinity (prefer the candidate last used by the requesting
+    /// stream) *after* [`best_fit_indexed`] has chosen a state, without
+    /// perturbing the classification the reference implementation must agree
+    /// with.
+    pub fn equal_size(&self, referenced: bool, size: u64) -> impl Iterator<Item = PBlockId> + '_ {
+        self.tiers[referenced as usize]
             .range((size, 0)..=(size, u64::MAX))
             .map(|&(_, pid)| pid)
     }
 
-    /// All *referenced* pBlocks of exactly `size` bytes — both referenced
-    /// tiers merged in id order. The allocator defers moves between those
-    /// two tiers, so a scan that must see a block's true tier walks their
-    /// union and filters on [`PBlock::stitch_cost`](crate::block::PBlock).
-    pub fn equal_size_referenced(&self, size: u64) -> impl Iterator<Item = PBlockId> + '_ {
-        let mut blocked = self
-            .equal_size_in_tier(StitchCost::ReferencedBlocked, size)
-            .peekable();
-        let mut available = self
-            .equal_size_in_tier(StitchCost::ReferencedAvailable, size)
-            .peekable();
-        std::iter::from_fn(move || match (blocked.peek(), available.peek()) {
-            (Some(b), Some(a)) if a < b => available.next(),
-            (Some(_), _) => blocked.next(),
-            (None, _) => available.next(),
-        })
-    }
-
-    /// The tier a pid of `size` currently sits in, if any (validation).
-    pub fn tier_of(&self, size: u64, pid: PBlockId) -> Option<StitchCost> {
-        StitchCost::ALL
+    /// Whether a pid of `size` is indexed as referenced, if it is indexed
+    /// at all (validation).
+    pub fn placement_of(&self, size: u64, pid: PBlockId) -> Option<bool> {
+        [false, true]
             .into_iter()
-            .find(|&t| self.contains(t, size, pid))
+            .find(|&r| self.tiers[r as usize].contains(&(size, pid)))
     }
 
     /// Merges the tiers back into the flat `(size, id)` set the reference
@@ -159,24 +139,32 @@ impl TieredPIndex {
 
 /// Runs Algorithm 1 over the incremental indexes — the production hot path.
 ///
-/// `s_inactive` is the `(size, id)` set of sBlocks whose parts are all
-/// inactive; `p_index` partitions inactive pBlocks by [`StitchCost`].
-/// Blocks smaller than `frag_limit` are skipped as *stitching candidates*
-/// (the robustness rule of §4.2.3) but still serve exact matches.
-pub(crate) fn best_fit_indexed(
+/// `s_unassigned` is the `(size, id)` set of views no tensor holds and
+/// `view_available` says whether one of them has every part inactive;
+/// `p_index` holds the inactive pBlocks. `available_parts` is called at
+/// most once, and only when an S3/S4 walk runs out of unreferenced blocks:
+/// it returns, indexed by pBlock id, whether the block is part of an
+/// available view ([`StitchCost::ReferencedAvailable`]). Blocks smaller than
+/// `frag_limit` are skipped as *stitching candidates* (the robustness rule
+/// of §4.2.3) but still serve exact matches.
+pub(crate) fn best_fit_indexed<M: std::ops::Deref<Target = [bool]>>(
     bsize: u64,
-    s_inactive: &BTreeSet<(u64, SBlockId)>,
+    s_unassigned: &BTreeSet<(u64, SBlockId)>,
     p_index: &TieredPIndex,
     frag_limit: u64,
+    view_available: impl Fn(SBlockId) -> bool,
+    available_parts: impl FnOnce() -> M,
 ) -> BestFit {
     debug_assert!(bsize > 0);
-    let [unref, blocked, available] = &p_index.tiers;
+    let [unref, referenced] = &p_index.tiers;
     // S1: exact match. sBlocks are checked first: reusing a cached stitched
-    // block is the paper's steady-state fast path. Among equal-size exact
-    // pBlocks, unreferenced ones are preferred so that blocks woven into
-    // cached sBlocks stay available to those sBlocks; ties break on the
-    // lowest id, as in the reference scan.
-    if let Some(&(_, sid)) = s_inactive.range((bsize, 0)..=(bsize, u64::MAX)).next() {
+    // block is the paper's steady-state fast path — the lowest-id view of
+    // the size that is available right now. Among equal-size exact pBlocks,
+    // unreferenced ones are preferred so that blocks woven into cached
+    // sBlocks stay available to those sBlocks; ties break on the lowest id,
+    // as in the reference scan.
+    let mut views = s_unassigned.range((bsize, 0)..=(bsize, u64::MAX));
+    if let Some(&(_, sid)) = views.find(|&&(_, sid)| view_available(sid)) {
         return BestFit::ExactS(sid);
     }
     let exact = |tier: &BTreeSet<(u64, PBlockId)>| {
@@ -184,14 +172,7 @@ pub(crate) fn best_fit_indexed(
             .next()
             .map(|&(_, pid)| pid)
     };
-    if let Some(pid) = exact(unref) {
-        return BestFit::ExactP(pid);
-    }
-    if let Some(pid) = [exact(blocked), exact(available)]
-        .into_iter()
-        .flatten()
-        .min()
-    {
+    if let Some(pid) = exact(unref).or_else(|| exact(referenced)) {
         return BestFit::ExactP(pid);
     }
     // S2: single pBlock larger than the request — the smallest unreferenced
@@ -204,11 +185,11 @@ pub(crate) fn best_fit_indexed(
             return BestFit::Single(pid);
         }
     }
-    let smallest_any = [above(unref), above(blocked), above(available)]
+    if let Some((_, pid)) = [above(unref), above(referenced)]
         .into_iter()
         .flatten()
-        .min();
-    if let Some((_, pid)) = smallest_any {
+        .min()
+    {
         return BestFit::Single(pid);
     }
     // S3/S4: accumulate candidates in descending size order until they cover
@@ -217,25 +198,48 @@ pub(crate) fn best_fit_indexed(
     // cached views are blocked anyway, and only as a last resort blocks
     // belonging to a fully-inactive cached view (consuming those poisons a
     // ready exact-match candidate and is what sustains re-stitch limit
-    // cycles on periodic workloads). Unlike the reference, each pass walks
-    // only its own tier: the work is sized by the candidates taken, not by
-    // three closure-evaluating sweeps of the whole pool.
+    // cycles on periodic workloads). The referenced blocks are walked once:
+    // blocked ones are taken as they come, available ones are set aside and
+    // follow in the same order — the reference's second and third pass.
     let mut ids = Vec::new();
     let mut sum = 0u64;
-    for tier in &p_index.tiers {
-        for &(size, pid) in tier.iter().rev() {
-            debug_assert!(size < bsize, "larger blocks were handled above");
-            if size < frag_limit {
-                continue; // too small to be worth stitching
+    let mut take = |pid: PBlockId, size: u64| {
+        ids.push(pid);
+        sum += size;
+        sum >= bsize
+    };
+    for &(size, pid) in eligible(unref, frag_limit) {
+        if take(pid, size) {
+            return BestFit::Multiple { ids, sum };
+        }
+    }
+    if eligible(referenced, frag_limit).next().is_some() {
+        let available = available_parts();
+        let mut last_resort = Vec::new();
+        for &(size, pid) in eligible(referenced, frag_limit) {
+            if available[pid as usize] {
+                last_resort.push((pid, size));
+            } else if take(pid, size) {
+                return BestFit::Multiple { ids, sum };
             }
-            ids.push(pid);
-            sum += size;
-            if sum >= bsize {
+        }
+        for (pid, size) in last_resort {
+            if take(pid, size) {
                 return BestFit::Multiple { ids, sum };
             }
         }
     }
     BestFit::Insufficient { ids, sum }
+}
+
+/// A tier's stitching candidates, largest first. Below `frag_limit` a block
+/// is too small to be worth stitching — and in descending order so are all
+/// behind it.
+fn eligible(
+    tier: &BTreeSet<(u64, PBlockId)>,
+    frag_limit: u64,
+) -> impl Iterator<Item = &(u64, PBlockId)> {
+    (tier.iter().rev()).take_while(move |&&(size, _)| size >= frag_limit)
 }
 
 /// The pre-index transcription of Algorithm 1: a single flat `(size, id)`
@@ -341,12 +345,22 @@ mod tests {
         frag_limit: u64,
         stitch_cost: impl Fn(PBlockId) -> StitchCost,
     ) -> BestFit {
+        // Every listed view is available; a block's cost is the closure's.
         let mut index = TieredPIndex::new();
+        let mut available = vec![false; 16];
         for &(size, pid) in p_inactive {
-            index.insert(stitch_cost(pid), size, pid);
+            index.insert(stitch_cost(pid) != StitchCost::Unreferenced, size, pid);
+            available[pid as usize] = stitch_cost(pid) == StitchCost::ReferencedAvailable;
         }
         let reference = best_fit_reference(bsize, s_inactive, p_inactive, frag_limit, stitch_cost);
-        let indexed = best_fit_indexed(bsize, s_inactive, &index, frag_limit);
+        let indexed = best_fit_indexed(
+            bsize,
+            s_inactive,
+            &index,
+            frag_limit,
+            |_| true,
+            || available,
+        );
         assert_eq!(
             reference, indexed,
             "indexed best_fit diverged from the reference for bsize={bsize}"
@@ -577,33 +591,47 @@ mod tests {
     }
 
     #[test]
+    fn exact_sblock_skips_blocked_views() {
+        let s = set(&[(100, 1), (100, 2), (100, 3), (200, 4)]);
+        let fit = |available: &[SBlockId]| {
+            let none = || -> Vec<bool> { unreachable!("S1 and S4 on an empty pool ask nothing") };
+            let ask = |sid| available.contains(&sid);
+            best_fit_indexed(100, &s, &TieredPIndex::new(), NO_LIMIT, ask, none)
+        };
+        assert_eq!(fit(&[2, 3, 4]), BestFit::ExactS(2), "lowest available id");
+        let nothing = BestFit::Insufficient {
+            ids: vec![],
+            sum: 0,
+        };
+        assert_eq!(fit(&[4]), nothing, "another size does not match");
+    }
+
+    #[test]
     fn tiered_index_roundtrips_and_reports_tiers() {
         let mut idx = TieredPIndex::new();
-        idx.insert(StitchCost::Unreferenced, 10, 1);
-        idx.insert(StitchCost::ReferencedAvailable, 20, 2);
+        idx.insert(false, 10, 1);
+        idx.insert(true, 20, 2);
         assert_eq!(idx.len(), 2);
-        assert_eq!(idx.tier_of(10, 1), Some(StitchCost::Unreferenced));
-        assert_eq!(idx.tier_of(20, 2), Some(StitchCost::ReferencedAvailable));
-        assert_eq!(idx.tier_of(10, 2), None);
+        assert_eq!(idx.placement_of(10, 1), Some(false));
+        assert_eq!(idx.placement_of(20, 2), Some(true));
+        assert_eq!(idx.placement_of(10, 2), None);
         assert_eq!(idx.to_flat(), set(&[(10, 1), (20, 2)]));
-        assert!(idx.remove(StitchCost::Unreferenced, 10, 1));
-        assert!(!idx.remove(StitchCost::Unreferenced, 10, 1));
+        assert!(idx.remove(false, 10, 1));
+        assert!(!idx.remove(false, 10, 1));
         assert_eq!(idx.len(), 1);
     }
 
     #[test]
-    fn referenced_tiers_merge_in_id_order() {
+    fn referenced_blocks_of_a_size_walk_in_id_order() {
         let mut idx = TieredPIndex::new();
-        for pid in [2, 5, 9] {
-            idx.insert(StitchCost::ReferencedBlocked, 10, pid);
+        for pid in [9, 2, 6, 1] {
+            idx.insert(true, 10, pid);
         }
-        for pid in [1, 6, 7] {
-            idx.insert(StitchCost::ReferencedAvailable, 10, pid);
-        }
-        idx.insert(StitchCost::Unreferenced, 10, 3);
-        idx.insert(StitchCost::ReferencedAvailable, 20, 4);
-        let merged: Vec<_> = idx.equal_size_referenced(10).collect();
-        assert_eq!(merged, vec![1, 2, 5, 6, 7, 9]);
-        assert_eq!(idx.equal_size_referenced(30).count(), 0);
+        idx.insert(false, 10, 3);
+        idx.insert(true, 20, 4);
+        let same_size: Vec<_> = idx.equal_size(true, 10).collect();
+        assert_eq!(same_size, vec![1, 2, 6, 9]);
+        assert_eq!(idx.equal_size(false, 10).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(idx.equal_size(true, 30).count(), 0);
     }
 }

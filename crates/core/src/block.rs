@@ -8,10 +8,10 @@
 //!   their own addresses too — the multi-VA aliasing the CUDA VMM allows).
 //!   An sBlock is active whenever any of its pBlocks is active.
 
+use std::cell::Cell;
+
 use gmlake_alloc_api::{AllocationId, StreamId, VirtAddr};
 use gmlake_gpu_sim::PhysHandle;
-
-use crate::bestfit::StitchCost;
 
 /// Identifier of a pBlock within one allocator.
 pub(crate) type PBlockId = u64;
@@ -33,23 +33,15 @@ pub(crate) struct PBlock {
     /// sBlock).
     pub assigned_to: Option<AllocationId>,
     /// sBlocks whose mapping includes this pBlock's chunks, each once, in no
-    /// particular order. A flat list because every activity flip walks it
-    /// (dozens of views on converged pools) and only teardown searches it.
+    /// particular order. Empty or not is the block's *placement* in the
+    /// inactive index; an activity flip never walks it.
     pub referenced_by: Vec<SBlockId>,
-    /// How many of `referenced_by` are *available* right now (unassigned
-    /// with `active_parts == 0`). Maintained at the only places a view's
-    /// availability can flip — an activity zero-crossing, `Stitch`, sBlock
-    /// teardown, and `Split` (children inherit the parent's count) — so
-    /// [`PBlock::stitch_cost`] never scans `referenced_by`. Always 0 while
-    /// the block is active: an active part blocks every view over it.
-    pub avail_refs: usize,
-    /// *Placement*: the partition of the inactive index this block sits in
-    /// while inactive. Equals [`PBlock::stitch_cost`] except for a `dirty`
-    /// block, whose move between the two referenced tiers is still owed.
-    pub tier: StitchCost,
-    /// The block is on the allocator's dirty list: its placement may lag
-    /// its stitch cost, within the two referenced tiers only.
-    pub dirty: bool,
+    /// Unassigned views an eviction scan found blocked by this block and
+    /// took out of the eviction index (each has `parked_on` pointing
+    /// here); they re-enter when the block deactivates. Only an active
+    /// block parks views, and an active block is never split or destroyed,
+    /// so the links cannot dangle.
+    pub parked: Vec<SBlockId>,
     /// Stream that last held this block (stamped on stream-aware allocate
     /// and free). Exact-match `BestFit` prefers candidates last used by the
     /// requesting stream, so warm blocks stay stream-local without any
@@ -66,22 +58,14 @@ impl PBlock {
             active: false,
             assigned_to: None,
             referenced_by: Vec::new(),
-            avail_refs: 0,
-            tier: StitchCost::Unreferenced,
-            dirty: false,
+            parked: Vec::new(),
             last_stream: None,
         }
     }
 
-    /// The block's stitch-cost tier, derived in `O(1)` from its counters.
-    pub fn stitch_cost(&self) -> StitchCost {
-        if self.referenced_by.is_empty() {
-            StitchCost::Unreferenced
-        } else if self.avail_refs > 0 {
-            StitchCost::ReferencedAvailable
-        } else {
-            StitchCost::ReferencedBlocked
-        }
+    /// The block's placement in the inactive index.
+    pub fn is_referenced(&self) -> bool {
+        !self.referenced_by.is_empty()
     }
 }
 
@@ -96,17 +80,18 @@ pub(crate) struct SBlock {
     pub assigned_to: Option<AllocationId>,
     /// Monotone tick of the last assignment, for LRU eviction.
     pub lru_tick: u64,
-    /// Number of `parts` currently active. The sBlock is fully inactive
-    /// (eligible for exact matches and eviction) exactly when this is zero —
-    /// maintained incrementally so activity flips never re-scan the part
-    /// list.
-    pub active_parts: usize,
     /// Stream that last held this stitched view (see `PBlock::last_stream`).
     pub last_stream: Option<StreamId>,
-    /// Whether `(lru_tick, id)` is in the allocator's eviction index. Set
-    /// when the view becomes evictable; cleared when it is assigned or when
-    /// an eviction scan finds it blocked — *not* on every activity flip.
-    pub in_evict_index: bool,
+    /// Witness hint: the index into `parts` of the part last found active.
+    /// Whether the view is blocked is a query (scan the parts); a blocked
+    /// view usually stays blocked by the same part, so checking this one
+    /// first answers in one load. An index, not a `PBlockId`: slab ids are
+    /// reused, while an index always names a member — `Split` only ever
+    /// grows `parts`, so it survives as what it is, a hint.
+    pub hint: Cell<usize>,
+    /// The active part this view is parked on (see [`PBlock::parked`]):
+    /// `None` while the view is assigned or in the eviction index.
+    pub parked_on: Option<PBlockId>,
 }
 
 impl SBlock {
@@ -117,9 +102,9 @@ impl SBlock {
             parts,
             assigned_to: None,
             lru_tick: tick,
-            active_parts: 0,
             last_stream: None,
-            in_evict_index: false,
+            hint: Cell::new(0),
+            parked_on: None,
         }
     }
 }

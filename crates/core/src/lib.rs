@@ -47,5 +47,5 @@ mod slab;
 #[cfg(test)]
 mod tests;
 
-pub use allocator::{FaultJournal, GmLakeAllocator, WorkCounters};
+pub use allocator::{FaultJournal, GmLakeAllocator, ReferenceIndexes, WorkCounters};
 pub use config::{AllocState, GmLakeConfig, StateCounters};

@@ -39,6 +39,12 @@ impl<T> Slab<T> {
         self.slots.len() - self.free.len()
     }
 
+    /// Slots ever handed out, live or vacant: every id is `<=` this, so
+    /// `slot_count() + 1` sizes a table indexed by id.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Inserts `value`, reusing a vacant slot when one exists, and returns
     /// its id.
     pub fn insert(&mut self, value: T) -> u64 {

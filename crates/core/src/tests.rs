@@ -910,60 +910,11 @@ mod golden {
     }
 }
 
-mod settled_twin {
-    //! Lockstep differential for the deferred tier moves: the same random
-    //! program — streams, defrag, eviction, optionally one driver fault —
-    //! runs through the allocator and through its always-settled twin,
-    //! whose index is exact after every change. Deferral must be invisible:
-    //! the same block for every allocation, the same S1–S5 / stitch / split
-    //! / eviction counts, the same number of driver calls.
-
-    use super::program::{op_strategy, small_lake, step};
-    use gmlake_gpu_sim::{FaultOp, FaultPlan};
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        #[test]
-        fn deferred_tier_moves_are_invisible(
-            ops in proptest::collection::vec(op_strategy(), 1..160),
-            op_idx in 0usize..FaultOp::COUNT,
-            // 0 = no fault; otherwise the n-th call of the op fails once.
-            nth in 0u64..24,
-        ) {
-            let build = || {
-                let l = small_lake();
-                if nth > 0 {
-                    let plan = FaultPlan::new().fail_nth(FaultOp::ALL[op_idx], nth);
-                    l.driver().set_fault_plan(plan);
-                }
-                l
-            };
-            let (mut lazy, mut twin) = (build(), build().settling_eagerly());
-            let (mut live, mut twin_live) = (Vec::new(), Vec::new());
-            for op in &ops {
-                let got = step(&mut lazy, op, &mut live);
-                let want = step(&mut twin, op, &mut twin_live);
-                prop_assert_eq!(got, want, "allocation landed elsewhere on {:?}", op);
-                prop_assert_eq!(lazy.state_counters(), twin.state_counters());
-                prop_assert_eq!(
-                    lazy.driver().stats().total_calls(),
-                    twin.driver().stats().total_calls()
-                );
-                prop_assert_eq!(twin.owed_tier_moves(), 0, "the twin never defers");
-                lazy.validate().unwrap();
-                twin.validate().unwrap();
-            }
-        }
-    }
-}
-
-/// `parts` equal 2 MiB pBlocks woven into `parts - 1` cached views that
-/// all share them: requests of `parts`, `parts - 1`, … 2 blocks' worth each
-/// find no exact match and stitch the highest-id blocks, so the view of `j`
+/// `parts` equal 2 MiB pBlocks woven into `views` cached views that all
+/// share them: requests of `parts`, `parts - 1`, … blocks' worth each find
+/// no exact match and stitch the highest-id blocks, so the view of `j`
 /// blocks covers the `j` highest ids and the highest id sits in every view.
-fn dense_sharing_pool(parts: u64) -> GmLakeAllocator {
+fn dense_sharing_pool(parts: u64, views: u64) -> GmLakeAllocator {
     let cfg = GmLakeConfig::default().with_frag_limit(mib(2));
     let mut l = lake_with(DeviceConfig::small_test(), cfg);
     let held: Vec<_> = (0..parts)
@@ -972,28 +923,38 @@ fn dense_sharing_pool(parts: u64) -> GmLakeAllocator {
     for a in held {
         l.deallocate(a.id).unwrap();
     }
-    for j in (2..=parts).rev() {
+    for j in (parts - views + 1..=parts).rev() {
         let view = l.allocate(AllocRequest::new(mib(2) * j)).unwrap();
         l.deallocate(view.id).unwrap();
     }
+    assert_eq!(
+        (l.pblock_count() as u64, l.sblock_count() as u64),
+        (parts, views)
+    );
+    l.validate().unwrap();
     l
 }
 
+/// Work done between two readings of the counters.
+fn work_since(l: &GmLakeAllocator, before: crate::WorkCounters) -> crate::WorkCounters {
+    let after = l.work_counters();
+    crate::WorkCounters {
+        part_flips: after.part_flips - before.part_flips,
+        views_verified: after.views_verified - before.views_verified,
+        parts_scanned: after.parts_scanned - before.parts_scanned,
+        ref_scans: after.ref_scans - before.ref_scans,
+        tier_moves: after.tier_moves - before.tier_moves,
+    }
+}
+
 /// The deterministic complexity pin: on a fixed dense-sharing pool an S1
-/// sBlock alloc + free costs `O(k·r)` counter bumps, scans no
-/// `referenced_by` set, moves nothing between tiers — and costs exactly
-/// the same however often it is repeated.
+/// sBlock alloc + free costs `2·p` part flips and one availability query,
+/// walks no `referenced_by` set, moves nothing between tiers — and costs
+/// exactly the same however often it is repeated and however many views
+/// share the parts.
 #[test]
 fn s1_flip_cost_is_bounded_by_sharing_and_flat_over_iterations() {
     let parts = 33u64;
-    let mut l = dense_sharing_pool(parts);
-    assert_eq!(
-        (l.pblock_count() as u64, l.sblock_count() as u64),
-        (parts, parts - 1)
-    );
-    assert_eq!(l.state_counters().stitches, parts - 1);
-    l.validate().unwrap();
-
     let cycle = |l: &mut GmLakeAllocator| {
         let (before, exact) = (l.work_counters(), l.state_counters().exact);
         let a = l.allocate(AllocRequest::new(mib(2) * parts)).unwrap();
@@ -1003,45 +964,126 @@ fn s1_flip_cost_is_bounded_by_sharing_and_flat_over_iterations() {
             exact + 1,
             "S1 on the largest view"
         );
-        let after = l.work_counters();
-        crate::WorkCounters {
-            sblock_bumps: after.sblock_bumps - before.sblock_bumps,
-            part_visits: after.part_visits - before.part_visits,
-            ref_scans: after.ref_scans - before.ref_scans,
-            tier_moves: after.tier_moves - before.tier_moves,
-        }
+        work_since(l, before)
     };
-    let first = cycle(&mut l);
-    // Each of the k = 33 parts bumps its r ≤ 32 views once per direction
-    // (Σr = 2 + … + 33: the view of j blocks references j parts), and each
-    // view crosses zero once per direction, visiting its own parts.
-    let sum_refs: u64 = (2..=parts).sum();
-    assert_eq!(first.sblock_bumps, 2 * sum_refs);
-    assert!(
-        first.sblock_bumps <= 2 * parts * (parts - 1),
-        "k·r per direction"
-    );
-    assert_eq!(first.part_visits, 2 * sum_refs);
-    assert_eq!(
-        first.ref_scans, 0,
-        "no referenced_by scan outside validate()"
-    );
-    assert_eq!(
-        first.tier_moves, 0,
-        "blocked <-> available moves are deferred"
-    );
-    for _ in 0..8 {
-        assert_eq!(
-            cycle(&mut l),
-            first,
-            "per-op cost grew with iteration count"
+    let mut costs = Vec::new();
+    for views in [8, 32] {
+        let mut l = dense_sharing_pool(parts, views);
+        let first = cycle(&mut l);
+        assert_eq!(first.part_flips, 2 * parts, "p flips per direction");
+        // One candidate of the size, found available: the hinted part, then
+        // all `p`.
+        assert_eq!((first.views_verified, first.parts_scanned), (1, 1 + parts));
+        assert_eq!(first.ref_scans, 0, "no referenced_by walk on the S1 path");
+        assert_eq!(first.tier_moves, 0, "a flip moves no block between tiers");
+        for _ in 0..8 {
+            assert_eq!(
+                cycle(&mut l),
+                first,
+                "per-op cost grew with iteration count"
+            );
+        }
+        l.validate().unwrap();
+        assert!(
+            l.work_counters().ref_scans > 0,
+            "validate() runs the oracle scan"
         );
+        costs.push(first);
+    }
+    assert_eq!(costs[0], costs[1], "cost depends on the sharing density r");
+}
+
+/// An S3 that runs out of unreferenced blocks classifies once: it verifies
+/// the unparked unassigned views and scans no more than their parts.
+#[test]
+fn s3_classification_is_bounded_by_the_unparked_views() {
+    let (parts, views) = (33u64, 8u64);
+    let mut l = dense_sharing_pool(parts, views);
+    // 10 blocks' worth: no view or block of that size, no larger block, and
+    // every block is referenced by an available view.
+    let (before, multi) = (l.work_counters(), l.state_counters().multi);
+    let a = l.allocate(AllocRequest::new(mib(2) * 10)).unwrap();
+    assert_eq!(
+        l.state_counters().multi,
+        multi + 1,
+        "S3 over referenced blocks"
+    );
+    let work = work_since(&l, before);
+    assert_eq!(work.views_verified, views, "each unassigned view once");
+    let their_parts: u64 = (parts - views + 1..=parts).sum();
+    assert!(
+        work.parts_scanned <= views + their_parts,
+        "a hint plus its parts per view, at most: {work:?}"
+    );
+    assert_eq!(work.ref_scans, 0, "no per-block referenced_by walk");
+    l.deallocate(a.id).unwrap();
+    l.validate().unwrap();
+}
+
+/// A view a victim scan found blocked is parked: later scans and S3/S4
+/// classification do not verify it again until its witness part flips.
+#[test]
+fn parked_view_is_not_verified_until_its_witness_flips() {
+    let cfg = GmLakeConfig::default()
+        .with_frag_limit(mib(2))
+        .with_max_sblocks(1);
+    let mut l = lake_with(DeviceConfig::small_test(), cfg);
+    let verified = |l: &GmLakeAllocator, before| work_since(l, before).views_verified;
+    // A spare block, held so no stitch consumes it: re-allocating it later
+    // triggers `StitchFree` without touching any view.
+    let spare = l.allocate(AllocRequest::new(mib(14))).unwrap();
+    // View A = [6, 4], then blocked by holding both parts directly.
+    let a = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    let b = l.allocate(AllocRequest::new(mib(6))).unwrap();
+    l.deallocate(a.id).unwrap();
+    l.deallocate(b.id).unwrap();
+    let view_a = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    l.deallocate(view_a.id).unwrap();
+    let hold6 = l.allocate(AllocRequest::new(mib(6))).unwrap();
+    let hold4 = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    // View B = [12, 8] over fresh blocks pushes the sPool over its cap of
+    // one; the victim scan meets A, finds it blocked by the 6 MiB part and
+    // parks it there.
+    let c = l.allocate(AllocRequest::new(mib(8))).unwrap();
+    let d = l.allocate(AllocRequest::new(mib(12))).unwrap();
+    l.deallocate(c.id).unwrap();
+    l.deallocate(d.id).unwrap();
+    let view_b = l.allocate(AllocRequest::new(mib(20))).unwrap();
+    assert_eq!((l.sblock_count(), l.state_counters().evictions), (2, 0));
+    l.validate().unwrap();
+    // Still over the cap, so every allocation scans for a victim — and
+    // finds the index empty: B, the exact-match candidate, is all it asks.
+    l.deallocate(view_b.id).unwrap();
+    let before = l.work_counters();
+    let view_b = l.allocate(AllocRequest::new(mib(20))).unwrap();
+    assert_eq!(verified(&l, before), 1, "A stayed parked");
+    // A 30 MiB S4 has only B's referenced parts to start from: its
+    // classification verifies B and skips A; the victim scan behind it
+    // then finds B blocked by the new view and parks it as well.
+    l.deallocate(view_b.id).unwrap();
+    let before = l.work_counters();
+    let view_c = l.allocate(AllocRequest::new(mib(30))).unwrap();
+    assert_eq!(l.state_counters().stitches, 3, "[12, 8] + fresh chunks");
+    assert_eq!(verified(&l, before), 2, "B twice, A never");
+    l.validate().unwrap();
+    // Releasing the witness returns A to the eviction index; the next scan
+    // verifies it once, finds the 4 MiB part and parks it there.
+    l.deallocate(hold6.id).unwrap();
+    l.deallocate(spare.id).unwrap();
+    let before = l.work_counters();
+    let spare = l.allocate(AllocRequest::new(mib(14))).unwrap();
+    assert_eq!(verified(&l, before), 1, "A re-entered, still blocked");
+    assert_eq!(l.state_counters().evictions, 0);
+    l.validate().unwrap();
+    // With both parts idle the scan after that evicts it.
+    l.deallocate(hold4.id).unwrap();
+    l.deallocate(spare.id).unwrap();
+    let spare = l.allocate(AllocRequest::new(mib(14))).unwrap();
+    assert_eq!((l.sblock_count(), l.state_counters().evictions), (2, 1));
+    for id in [spare.id, view_c.id] {
+        l.deallocate(id).unwrap();
     }
     l.validate().unwrap();
-    assert!(
-        l.work_counters().ref_scans > 0,
-        "validate() runs the oracle scan"
-    );
 }
 
 /// Defrag-aware `StitchFree` (PR 8): builds a converged pool holding three

@@ -3,10 +3,8 @@
 //! A tiny `log`-crate stand-in for the workspace's debug prints. The
 //! active level is read once per process from the `GMLAKE_LOG`
 //! environment variable (`off`, `error`, `warn`, `info`, `debug`,
-//! `trace`; default `off`). Setting the legacy `GMLAKE_DEBUG_S3`
-//! variable — the old ad-hoc switch for `gmlake-core`'s BestFit S2/S3/S4
-//! prints — is a back-compat alias that raises the level to at least
-//! `debug`.
+//! `trace`; default `off`). `gmlake-core`'s BestFit S2/S3/S4 decision
+//! prints appear at `debug`.
 //!
 //! ```
 //! use gmlake_telemetry::log::{self, Level};
@@ -27,7 +25,7 @@ pub enum Level {
     Warn = 2,
     /// High-level lifecycle messages.
     Info = 3,
-    /// Per-decision diagnostics (the old `GMLAKE_DEBUG_S3` prints).
+    /// Per-decision diagnostics (`gmlake-core`'s BestFit prints).
     Debug = 4,
     /// Per-operation firehose.
     Trace = 5,
@@ -60,14 +58,9 @@ fn parse_level(s: &str) -> u8 {
 fn active_level() -> u8 {
     static LEVEL: OnceLock<u8> = OnceLock::new();
     *LEVEL.get_or_init(|| {
-        let mut level = std::env::var("GMLAKE_LOG")
+        std::env::var("GMLAKE_LOG")
             .map(|v| parse_level(&v))
-            .unwrap_or(0);
-        // Back-compat: the pre-telemetry debug switch implies `debug`.
-        if std::env::var_os("GMLAKE_DEBUG_S3").is_some() {
-            level = level.max(Level::Debug as u8);
-        }
-        level
+            .unwrap_or(0)
     })
 }
 

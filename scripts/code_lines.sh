@@ -4,8 +4,12 @@
 #
 # A code line is a non-blank line that does not start with `//` (after
 # indentation). It is a *test* line if its file lives under a `tests/`,
-# `benches/` or `examples/` directory, or if it sits at or below the file's
-# first `#[cfg(test)]`; every other code line is *non-test*.
+# `benches/` or `examples/` directory or is a `tests.rs` (the out-of-line
+# `#[cfg(test)] mod tests;`), or if it sits at or below the file's first
+# unindented `#[cfg(test)]` — the test module at the foot of a file. An
+# indented `#[cfg(test)]` gates one item inside an `impl` or a `struct` and
+# leaves the lines after it what they were. Every other code line is
+# *non-test*.
 #
 # Usage: scripts/code_lines.sh [ROOT]   (default: the repository root)
 set -eu
@@ -22,8 +26,8 @@ count() { # count NAME DIR...
     name=$1
     shift
     find "$@" -name '*.rs' -not -path '*/target/*' 2>/dev/null | sort | xargs awk -v name="$name" '
-        FNR == 1 { in_test = (FILENAME ~ /(^|\/)(tests|benches|examples)\//) }
-        /^[ \t]*#\[cfg\(test\)\]/ { in_test = 1 }
+        FNR == 1 { in_test = (FILENAME ~ /(^|\/)((tests|benches|examples)\/|tests\.rs$)/) }
+        /^#\[cfg\(test\)\]/ { in_test = 1 }
         /^[ \t]*$/ || /^[ \t]*\/\// { next }
         { if (in_test) test++; else code++ }
         END { printf "%s %d %d\n", name, code, test }

@@ -29,11 +29,11 @@ fn chaos_options() -> ReplayOptions {
     }
 }
 
-/// A GMLake core that re-checks `validate()` — index placement, the
-/// `avail_refs` counters against their `referenced_by` scan, the dirty list
+/// A GMLake core that re-checks `validate()` — index placement, both view
+/// indexes and the parked lists against availability re-derived by scanning
 /// — straight after every call during which the driver injected a fault, so
-/// a faulted stitch / split / destroy that left a counter off by one fails
-/// at the fault instead of (maybe) at the end of the trace.
+/// a faulted stitch / split / destroy that left an index or a link behind
+/// fails at the fault instead of (maybe) at the end of the trace.
 struct ValidatedLake {
     lake: GmLakeAllocator,
     driver: CudaDriver,
