@@ -708,6 +708,9 @@ struct Inner {
     /// Stream-completion event source backing the cross-stream reuse fast
     /// path; `None` keeps the conservative free-through-the-core rule.
     events: Option<Arc<dyn EventSource>>,
+    /// Allocating stream of each live core-minted id, kept only with an
+    /// event source (see [`DeviceAllocator::free_on_stream`]).
+    core_streams: Mutex<U64Map<StreamId>>,
     /// Optional observability sink: sampled alloc/free latencies and cache
     /// hit/miss/park/promote trace records. `None` costs one branch.
     telemetry: Option<Arc<PoolTelemetry>>,
@@ -846,6 +849,7 @@ impl DeviceAllocator {
                 ),
                 large: RouteCaches::new(stream_banks, 1, config.max_cached_large_per_bank),
                 events,
+                core_streams: Mutex::default(),
                 telemetry,
             }),
         })
@@ -1023,8 +1027,13 @@ impl DeviceAllocator {
             // stream stamps work with the route off.
             let first = ask_core(&mut **self.inner.core.lock(), req, Some(stream));
             let result = self.retry_after_flush(first, req, Some(stream));
-            if let (Some(t), Ok(a)) = (tel, &result) {
-                t.record(EventKind::Alloc, a.size, stream.as_u32() as u64, 0);
+            if let Ok(a) = &result {
+                if self.inner.events.is_some() {
+                    self.inner.core_streams.lock().insert(a.id.as_u64(), stream);
+                }
+                if let Some(t) = tel {
+                    t.record(EventKind::Alloc, a.size, stream.as_u32() as u64, 0);
+                }
             }
             result
         };
@@ -1070,6 +1079,12 @@ impl DeviceAllocator {
     ///   block takes the same way after its event is recorded and
     ///   **synchronized before the core sees it**.
     ///
+    /// A core-minted id (a disabled route handed it out) goes to the core,
+    /// which is told the freeing stream. With an event source, a free from
+    /// a stream other than the allocating one follows the full-ring rule:
+    /// an event recorded on the freeing stream is synchronized first,
+    /// unless [`EventSource::try_record`] reports it already complete.
+    ///
     /// # Errors
     ///
     /// See [`AllocatorCore::deallocate`].
@@ -1078,9 +1093,7 @@ impl DeviceAllocator {
         let start = tel.map(|_| std::time::Instant::now());
         let raw = id.as_u64();
         let result = if raw < FRONT_ID_BASE {
-            // A core-minted id (a route is disabled, or the id is
-            // unknown): the core owns it, and is told the freeing stream.
-            self.inner.core.lock().free_on_stream(id, stream)
+            self.free_core_minted(id, stream)
         } else if raw & LARGE_ID_BIT != 0 {
             self.free_cached::<LargeRoute>(id, stream, tel)
         } else {
@@ -1088,6 +1101,27 @@ impl DeviceAllocator {
         };
         if let (Some(t), Some(start)) = (tel, start) {
             t.free_ns().record(start.elapsed().as_nanos() as u64);
+        }
+        result
+    }
+
+    /// The core-minted-id rule of [`DeviceAllocator::free_on_stream`]. An
+    /// unknown id has no recorded stream and reaches the core unguarded,
+    /// which reports it.
+    fn free_core_minted(&self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
+        let Some(events) = &self.inner.events else {
+            return self.inner.core.lock().free_on_stream(id, stream);
+        };
+        let owner = self.inner.core_streams.lock().remove(&id.as_u64());
+        if owner.is_some_and(|owner| owner != stream) {
+            if let Some(event) = events.try_record(stream) {
+                events.synchronize(event);
+            }
+        }
+        let result = self.inner.core.lock().free_on_stream(id, stream);
+        if let (Err(_), Some(owner)) = (&result, owner) {
+            // Still live (a rolled-back fault): keep guarding it.
+            self.inner.core_streams.lock().insert(id.as_u64(), owner);
         }
         result
     }
@@ -1716,8 +1750,9 @@ mod tests {
 
     #[test]
     fn large_route_disabled_hands_out_core_ids() {
-        // max_cached_large_per_bank == 0 is the single-mutex baseline:
-        // every large request and free is the core's, stream included.
+        // max_cached_large_per_bank == 0 disables the large route only
+        // (the single-mutex baseline is small_threshold == 0): every large
+        // request and free is the core's, stream included.
         let pool = DeviceAllocator::with_config(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_max_cached_large_per_bank(0),
@@ -1770,6 +1805,39 @@ mod tests {
         assert_eq!(pool.large_cache_stats().event_promotions, 1);
         pool.free_on_stream(b.id, StreamId(1)).unwrap();
         pool.free_on_stream(c.id, StreamId(1)).unwrap();
+    }
+
+    #[test]
+    fn route_off_cross_stream_large_free_waits_for_its_event() {
+        // With the large route off the core mints the id, and a free from
+        // another stream must still record an event on the freeing stream
+        // and synchronize it before the core can re-serve the block.
+        let events = Arc::new(ManualEvents::new());
+        let pool = DeviceAllocator::with_config_and_events(
+            TestCore::default(),
+            DeviceAllocatorConfig::default()
+                .with_streams(2)
+                .with_max_cached_large_per_bank(0),
+            events.clone(),
+        );
+        let a = pool
+            .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(1))
+            .unwrap();
+        assert!(a.id.as_u64() < FRONT_ID_BASE, "core id handed out");
+        pool.free_on_stream(a.id, StreamId(0)).unwrap();
+        assert_eq!(events.pending(), 0, "recorded and synchronized");
+        assert_eq!(pool.with_core(|c| c.stats().free_count), 1);
+        // A same-stream free records nothing: the next event minted is #2.
+        let b = pool
+            .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(1))
+            .unwrap();
+        pool.free_on_stream(b.id, StreamId(1)).unwrap();
+        assert_eq!(events.record(StreamId(0)).as_u64(), 2, "one guard event");
+        assert_eq!(
+            pool.deallocate(a.id).unwrap_err(),
+            AllocError::UnknownAllocation(a.id),
+            "a double free still reaches the core"
+        );
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //!   with whatever leftovers exist;
 //! * **S5** — out of memory.
 //!
+//! `Split` happens in place and makes no driver call: the parent's chunks
+//! are already mapped and access-enabled at its address, so the children
+//! are the two sub-ranges `[va, va + left)` and `[va + left, va + size)`
+//! of the parent's VA reservation. Each chunk is its own mapping, so a
+//! child later tears down its own range alone; the reservation goes back
+//! to the driver with its last piece.
+//!
 //! Deallocation is the `Update` function: it only flips activity state;
 //! physical memory stays cached in the pools. `StitchFree` evicts
 //! least-recently-used inactive sBlock *structures* when the sPool exceeds
@@ -61,7 +68,7 @@
 //! lists and the placement against that.
 
 use std::cell::Cell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use gmlake_alloc_api::{
@@ -73,14 +80,14 @@ use gmlake_telemetry::log::{self as tlog, Level};
 use gmlake_telemetry::{EventKind, PoolTelemetry};
 
 use crate::bestfit::{best_fit_indexed, best_fit_reference, BestFit, StitchCost, TieredPIndex};
-use crate::block::{PBlock, PBlockId, SBlock, SBlockId, Target};
+use crate::block::{PBlock, PBlockId, Reservation, SBlock, SBlockId, Target};
 use crate::config::{AllocState, GmLakeConfig, StateCounters};
 use crate::slab::Slab;
 
 /// Per-allocator record of driver faults survived and what they cost.
 ///
-/// Every multi-call driver sequence (`stitch`, `alloc_new_pblock`, `Split`,
-/// the teardown paths) is *transactional*: when a call fails mid-sequence
+/// Every multi-call driver sequence (`stitch`, `alloc_new_pblock`, the
+/// teardown paths) is *transactional*: when a call fails mid-sequence
 /// the allocator unwinds the already-performed create/map steps with
 /// compensating driver calls and returns [`AllocError::DriverFault`] instead
 /// of panicking. Under a *transient* fault the compensating calls always
@@ -193,6 +200,8 @@ pub struct GmLakeAllocator {
     small: CachingAllocator,
     pblocks: Slab<PBlock>,
     sblocks: Slab<SBlock>,
+    /// The VA reservations pBlocks lie in, by base (`PBlock::resv`).
+    reservations: BTreeMap<VirtAddr, Reservation>,
     /// Inactive pBlocks, unreferenced and referenced, keyed `(size, id)`.
     p_inactive: TieredPIndex,
     /// Unassigned sBlocks, keyed `(size, id)`: the exact-match candidates,
@@ -261,6 +270,7 @@ impl GmLakeAllocator {
             small,
             pblocks: Slab::new(),
             sblocks: Slab::new(),
+            reservations: BTreeMap::new(),
             p_inactive: TieredPIndex::new(),
             s_unassigned: BTreeSet::new(),
             s_evictable: BTreeSet::new(),
@@ -528,19 +538,16 @@ impl GmLakeAllocator {
         }
     }
 
-    /// Best-effort unwind of a VA range that was reserved (and possibly
-    /// partially mapped) before a mid-sequence driver fault. Failures are
+    /// Best-effort return of a VA reservation: unmaps its first `mapped`
+    /// bytes, then frees it — the unwind of a sequence that faulted after
+    /// reserving, and the last step of a committed teardown. Failures are
     /// journaled instead of propagated: under a transient fault the
     /// compensating calls succeed (the fault was consumed by the original
     /// call); under persistent faults the range is orphaned and counted.
     fn unwind_va(&mut self, va: VirtAddr, reserved: u64, mapped: u64) {
-        if mapped > 0 && self.driver.mem_unmap_range(va, mapped).is_err() {
-            // A reservation with live mappings cannot be freed.
-            self.journal.orphan_vas += 1;
-            self.journal.orphan_va_bytes += reserved;
-            return;
-        }
-        if self.driver.mem_address_free(va, reserved).is_err() {
+        // A reservation with live mappings cannot be freed.
+        let unmapped = mapped == 0 || self.driver.mem_unmap_range(va, mapped).is_ok();
+        if !unmapped || self.driver.mem_address_free(va, reserved).is_err() {
             self.journal.orphan_vas += 1;
             self.journal.orphan_va_bytes += reserved;
         }
@@ -587,117 +594,61 @@ impl GmLakeAllocator {
             self.unwind_chunks(&chunks);
             return Err(e);
         }
-        let pid = self.pblocks.insert(PBlock::new(va, size, chunks));
+        let pid = self.pblocks.insert(PBlock::new(va, size, va, chunks));
+        self.reservations
+            .insert(va, Reservation { size, pieces: 1 });
         self.p_inactive.insert(false, size, pid);
         self.reserved_phys += size;
         Ok(pid)
     }
 
-    /// Builds a pBlock over existing chunks (used by `Split`): reserves a
-    /// fresh VA and maps the chunks there in one batched driver call.
+    /// `Split` (§3.3.1): divides an inactive pBlock in place into
+    /// `[va, va + left_size)` and the rest. Both children are already mapped
+    /// and access-enabled pieces of the parent's reservation, so the split
+    /// makes no driver call and cannot fail. Referencing sBlocks keep
+    /// working (their own mappings are untouched) and their part lists are
+    /// rewritten to the two children.
     ///
-    /// Transactional: on `Err` the reservation is unwound and the chunks —
-    /// owned by the caller's original block — are untouched.
-    fn pblock_from_chunks(&mut self, chunks: Vec<PhysHandle>) -> Result<PBlockId, DriverError> {
-        let size = chunks.len() as u64 * self.chunk;
-        let va = self.driver.mem_address_reserve(size)?;
-        if let Err(e) = self.driver.mem_map_range(va, self.chunk, &chunks) {
-            self.journal.failed_ops += 1;
-            self.unwind_va(va, size, 0);
-            return Err(e);
-        }
-        if let Err(e) = self.driver.mem_set_access(va, size, true) {
-            self.journal.failed_ops += 1;
-            self.unwind_va(va, size, size);
-            return Err(e);
-        }
-        let pid = self.pblocks.insert(PBlock::new(va, size, chunks));
-        self.p_inactive.insert(false, size, pid);
-        Ok(pid)
-    }
-
-    /// Reverses a just-created [`Self::pblock_from_chunks`] view during a
-    /// rollback: removes it from the arena and index and tears its VA down.
-    /// The chunks belong to the block being split and are not released.
-    fn undo_pblock_view(&mut self, pid: PBlockId) {
-        let p = self.remove_pblock(pid);
-        debug_assert!(!p.active && p.referenced_by.is_empty());
-        self.unwind_va(p.va, p.size, p.size);
-    }
-
-    /// `Split` (§3.3.1): divides an inactive pBlock into two pBlocks with
-    /// fresh VA ranges and remapped chunks; the original structure is
-    /// removed. Referencing sBlocks keep working (their own mappings are
-    /// untouched) and their part lists are rewritten to the two children.
-    ///
-    /// Transactional: both replacement views are built *before* the parent
-    /// is touched, so a fault at any step before the parent's unmap rolls
-    /// back to the pre-split state. Once the parent's mappings are gone the
-    /// split is committed and any cleanup failure is journaled instead.
-    fn split_pblock(
-        &mut self,
-        pid: PBlockId,
-        left_size: u64,
-    ) -> Result<(PBlockId, PBlockId), DriverError> {
-        debug_assert_eq!(left_size % self.chunk, 0);
-        let (left_chunks, right_chunks, parent_va, parent_size) = {
-            let p = &self.pblocks[pid];
-            debug_assert!(
-                !p.active && p.assigned_to.is_none(),
-                "split of a live block"
-            );
-            debug_assert!(left_size > 0 && left_size < p.size);
-            let k = (left_size / self.chunk) as usize;
-            (p.chunks[..k].to_vec(), p.chunks[k..].to_vec(), p.va, p.size)
+    /// Left is inserted before right and the parent removed last: slab ids
+    /// break BestFit ties, and this is the order the golden decision pin
+    /// records.
+    fn split_pblock(&mut self, pid: PBlockId, left_size: u64) -> (PBlockId, PBlockId) {
+        let p = &mut self.pblocks[pid];
+        debug_assert!(
+            !p.active && p.assigned_to.is_none(),
+            "split of a live block"
+        );
+        debug_assert!(left_size > 0 && left_size < p.size && left_size.is_multiple_of(self.chunk));
+        let (va, size, resv, refs) = (p.va, p.size, p.resv, p.referenced_by.clone());
+        let right_chunks = p.chunks.split_off((left_size / self.chunk) as usize);
+        let left_chunks = std::mem::take(&mut p.chunks);
+        // The children inherit the parent's references, and so its tier.
+        let mut child = |va, size, chunks| {
+            let referenced_by = refs.clone();
+            let id = self.pblocks.insert(PBlock {
+                referenced_by,
+                ..PBlock::new(va, size, resv, chunks)
+            });
+            self.p_inactive.insert(!refs.is_empty(), size, id);
+            id
         };
-        let left = self.pblock_from_chunks(left_chunks)?;
-        let right = match self.pblock_from_chunks(right_chunks) {
-            Ok(right) => right,
-            Err(e) => {
-                self.undo_pblock_view(left);
-                return Err(e);
-            }
-        };
-        // The old VA disappears; physical chunks live on through the new maps.
-        if let Err(e) = self.driver.mem_unmap_range(parent_va, parent_size) {
-            self.journal.failed_ops += 1;
-            self.undo_pblock_view(right);
-            self.undo_pblock_view(left);
-            return Err(e);
-        }
-        // Commit point: the parent's mappings are gone.
-        if self
-            .driver
-            .mem_address_free(parent_va, parent_size)
-            .is_err()
-        {
-            self.journal.orphan_vas += 1;
-            self.journal.orphan_va_bytes += parent_size;
-        }
-        let p = self.remove_pblock(pid);
-        // Rewrite referencing sBlocks to the two children, which inherit the
-        // parent's references. Both are inactive (the parent was), so no
-        // view's availability moves, nothing is parked on the parent, and a
+        let left = child(va, left_size, left_chunks);
+        let right = child(va.offset(left_size), size - left_size, right_chunks);
+        let resv = self.reservations.get_mut(&resv);
+        resv.expect("pblock names a recorded reservation").pieces += 1;
+        self.remove_pblock(pid);
+        // Both children are inactive (the parent was), so no view's
+        // availability moves, nothing is parked on the parent, and a
         // witness hint shifted by the splice is still just a hint.
-        for &sid in &p.referenced_by {
-            let s = self.sblocks.get_mut(sid).expect("referenced sblock exists");
-            let pos = s
-                .parts
-                .iter()
-                .position(|&x| x == pid)
-                .expect("sblock lists the split pblock");
-            s.parts.splice(pos..=pos, [left, right]);
-        }
-        if p.is_referenced() {
-            self.pblocks[left].referenced_by = p.referenced_by.clone();
-            self.pblocks[right].referenced_by = p.referenced_by;
-            // Move the children off the unreferenced tier they were created in.
-            self.retier_pblock(left);
-            self.retier_pblock(right);
+        for &sid in &refs {
+            let parts = &mut self.sblocks[sid].parts;
+            let at = parts.iter().position(|&x| x == pid);
+            let at = at.expect("view lists the split pblock");
+            parts.splice(at..=at, [left, right]);
         }
         self.counters.splits += 1;
-        self.emit(EventKind::Split, parent_size, left_size, 0);
-        Ok((left, right))
+        self.emit(EventKind::Split, size, left_size, 0);
+        (left, right)
     }
 
     /// `Stitch` (§3.3.1): creates an sBlock whose fresh VA range aliases the
@@ -850,10 +801,7 @@ impl GmLakeAllocator {
             self.journal.failed_ops += 1;
             return Err(e);
         }
-        if self.driver.mem_address_free(va, size).is_err() {
-            self.journal.orphan_vas += 1;
-            self.journal.orphan_va_bytes += size;
-        }
+        self.unwind_va(va, size, 0);
         let s = self.sblocks.remove(sid).expect("sblock exists");
         debug_assert!(s.assigned_to.is_none(), "destroying an assigned view");
         self.s_unassigned.remove(&(s.size, sid));
@@ -885,14 +833,17 @@ impl GmLakeAllocator {
     }
 
     /// Returns a pBlock's physical memory to the device. The block must be
-    /// inactive, unassigned and unreferenced. The whole block tears down in
-    /// three driver round-trips (batched unmap, batched release, address
-    /// free) regardless of its chunk count.
+    /// inactive, unassigned and unreferenced. It unmaps its own range and
+    /// releases its chunks — two batched driver round-trips regardless of
+    /// its chunk count — and the last piece of a reservation adds the
+    /// address free.
     ///
     /// Transactional: a faulted unmap leaves the block intact; a faulted
     /// release re-maps the range and aborts the destroy. Only when the
     /// rollback itself fails (persistent faults) is the block dropped from
-    /// the books with its resources journaled as orphans.
+    /// the books with its chunks journaled as orphans (a range that stays
+    /// mapped keeps its reservation busy, which the last piece's address
+    /// free then journals as an orphan VA).
     fn destroy_pblock(&mut self, pid: PBlockId) -> Result<(), DriverError> {
         let (va, size, chunks) = {
             let p = &self.pblocks[pid];
@@ -910,21 +861,33 @@ impl GmLakeAllocator {
             if remapped && self.driver.mem_set_access(va, size, true).is_ok() {
                 return Err(e);
             }
-            // Rollback failed too: orphan the block's resources and drop it
+            // Rollback failed too: orphan the chunks and drop the block
             // from the books so invariants keep holding.
             self.journal.orphan_chunks += chunks.len() as u64;
-            self.unwind_va(va, size, if remapped { size } else { 0 });
-            self.remove_pblock(pid);
-            self.reserved_phys -= size;
+            if remapped {
+                let _ = self.driver.mem_unmap_range(va, size);
+            }
+            self.forget_pblock(pid);
             return Err(e);
         }
-        if self.driver.mem_address_free(va, size).is_err() {
-            self.journal.orphan_vas += 1;
-            self.journal.orphan_va_bytes += size;
-        }
-        self.remove_pblock(pid);
-        self.reserved_phys -= size;
+        self.forget_pblock(pid);
         Ok(())
+    }
+
+    /// Drops a torn-down pBlock from the books and its piece from its
+    /// reservation. The last piece out frees the reservation; a failure is
+    /// journaled as an orphan VA.
+    fn forget_pblock(&mut self, pid: PBlockId) {
+        let p = self.remove_pblock(pid);
+        self.reserved_phys -= p.size;
+        let resv = self.reservations.get_mut(&p.resv);
+        let resv = resv.expect("pblock names a recorded reservation");
+        resv.pieces -= 1;
+        if resv.pieces == 0 {
+            let size = resv.size;
+            self.reservations.remove(&p.resv);
+            self.unwind_va(p.resv, size, 0);
+        }
     }
 
     fn register_allocation(
@@ -1126,12 +1089,10 @@ impl GmLakeAllocator {
                 if remainder >= self.config.frag_limit.max(self.chunk) {
                     // Split; optionally cache an sBlock of the two halves so
                     // a future request of the original size exact-matches.
-                    // Splitting performs driver work, so it counts against
+                    // Splitting reshapes the pool, so it counts against
                     // convergence.
                     self.iter_non_exact += 1;
-                    let (left, right) = self
-                        .split_pblock(pid, aligned)
-                        .map_err(|e| AllocError::driver_fault("split_pblock", e))?;
+                    let (left, right) = self.split_pblock(pid, aligned);
                     if self.config.cache_split_halves && self.stitch_enabled {
                         // Caching the halves is an optimization; a faulted
                         // stitch (already unwound) must not fail the alloc.
@@ -1142,8 +1103,8 @@ impl GmLakeAllocator {
                 } else {
                     // Remainder below the fragmentation limit: use the block
                     // whole (internal waste instead of an unusable fragment).
-                    // This is pure best-fit reuse — zero driver calls — so it
-                    // does not count as an adaptation step.
+                    // This is pure best-fit reuse — the pool keeps its
+                    // shape — so it does not count as an adaptation step.
                     let (va, size) = (self.pblocks[pid].va, self.pblocks[pid].size);
                     Ok(self.register_allocation(Target::P(pid), va, size, req.size))
                 }
@@ -1181,17 +1142,11 @@ impl GmLakeAllocator {
                     let need = aligned - rest_sum;
                     debug_assert!(need > 0 && need <= last_size);
                     if last_size - need >= self.config.frag_limit.max(self.chunk) {
-                        match self.split_pblock(last, need) {
-                            Ok((left, right)) => {
-                                if self.config.cache_split_halves {
-                                    let _ = self.stitch(vec![left, right]);
-                                }
-                                ids.push(left);
-                            }
-                            // Split faulted (and rolled back): degrade to
-                            // using the block whole; the sBlock is oversized.
-                            Err(_) => ids.push(last),
+                        let (left, right) = self.split_pblock(last, need);
+                        if self.config.cache_split_halves {
+                            let _ = self.stitch(vec![left, right]);
                         }
+                        ids.push(left);
                     } else {
                         ids.push(last); // keep whole; sBlock will be oversized
                     }
@@ -1398,10 +1353,12 @@ impl GmLakeAllocator {
         let mut phys_sum = 0u64;
         let mut inactive_p = 0usize;
         let mut parked_entries = 0usize;
+        let mut pieces: Vec<(VirtAddr, u64, u64)> = Vec::new();
         for (pid, p) in self.pblocks.iter() {
             if p.chunks.len() as u64 * self.chunk != p.size {
                 return Err(format!("pblock {pid}: chunk count disagrees with size"));
             }
+            pieces.push((p.resv, p.va.as_u64(), p.va.as_u64() + p.size));
             phys_sum += p.size;
             for h in &p.chunks {
                 if let Some(prev) = chunk_owner.insert(h.as_u64(), pid) {
@@ -1466,6 +1423,32 @@ impl GmLakeAllocator {
                 self.p_inactive.len(),
                 inactive_p
             ));
+        }
+        // 1b. Reservations: every pBlock names a recorded one, and each
+        //     one's `pieces` pBlocks lie inside it, pairwise disjoint.
+        pieces.sort_unstable();
+        let mut rest = &pieces[..];
+        for (base, r) in &self.reservations {
+            let n = rest.iter().take_while(|p| p.0 <= *base).count();
+            let mut cursor = base.as_u64();
+            for &(resv, start, end) in &rest[..n] {
+                if resv != *base || start < cursor || end > base.as_u64() + r.size {
+                    return Err(format!(
+                        "pblock at {start:#x} is no disjoint piece of {resv}"
+                    ));
+                }
+                cursor = end;
+            }
+            if n == 0 || n != r.pieces as usize {
+                return Err(format!(
+                    "reservation {base}: {} pieces, {n} pblocks",
+                    r.pieces
+                ));
+            }
+            rest = &rest[n..];
+        }
+        if let Some((resv, ..)) = rest.first() {
+            return Err(format!("pblocks name the unrecorded reservation {resv}"));
         }
         // 2. sBlock consistency: part lists, and — against availability
         //    re-derived by scanning — both indexes and the parked state.
@@ -1814,7 +1797,9 @@ impl Drop for GmLakeAllocator {
             let p = self.pblocks.remove(pid).expect("listed above");
             let _ = self.driver.mem_unmap_range(p.va, p.size);
             let _ = self.driver.mem_release_batch(&p.chunks);
-            let _ = self.driver.mem_address_free(p.va, p.size);
+        }
+        for (base, resv) in std::mem::take(&mut self.reservations) {
+            let _ = self.driver.mem_address_free(base, resv.size);
         }
     }
 }

@@ -1,8 +1,11 @@
 //! pBlock and sBlock structures (§3.2 of the paper).
 //!
-//! * A **pBlock** (primitive block) owns a VA reservation and the physical
-//!   2 MiB chunks mapped behind it. It is the only structure that owns
-//!   physical memory, and the smallest unit assignable to a tensor.
+//! * A **pBlock** (primitive block) owns a VA range and the physical 2 MiB
+//!   chunks mapped behind it. It is the only structure that owns physical
+//!   memory, and the smallest unit assignable to a tensor. Its range is a
+//!   piece of a [`Reservation`]: `Alloc` reserves one per fresh block and
+//!   `Split` cuts a block in two where it lies, so the pieces of one
+//!   reservation tile (part of) it.
 //! * An **sBlock** (stitched block) owns *only* a VA reservation: its range
 //!   is mapped onto the chunks of several pBlocks (which stay mapped at
 //!   their own addresses too — the multi-VA aliasing the CUDA VMM allows).
@@ -23,6 +26,8 @@ pub(crate) type SBlockId = u64;
 pub(crate) struct PBlock {
     pub va: VirtAddr,
     pub size: u64,
+    /// Base of the [`Reservation`] `[va, va + size)` lies in.
+    pub resv: VirtAddr,
     /// Physical chunks, each of the device granularity, mapped consecutively
     /// at `va`.
     pub chunks: Vec<PhysHandle>,
@@ -50,10 +55,11 @@ pub(crate) struct PBlock {
 }
 
 impl PBlock {
-    pub fn new(va: VirtAddr, size: u64, chunks: Vec<PhysHandle>) -> Self {
+    pub fn new(va: VirtAddr, size: u64, resv: VirtAddr, chunks: Vec<PhysHandle>) -> Self {
         PBlock {
             va,
             size,
+            resv,
             chunks,
             active: false,
             assigned_to: None,
@@ -67,6 +73,15 @@ impl PBlock {
     pub fn is_referenced(&self) -> bool {
         !self.referenced_by.is_empty()
     }
+}
+
+/// A driver VA reservation holding pBlocks, keyed by its base. It goes back
+/// to the driver with its last piece.
+#[derive(Debug)]
+pub(crate) struct Reservation {
+    pub size: u64,
+    /// Live pBlocks lying in it.
+    pub pieces: u32,
 }
 
 /// A stitched block: a VA range aliasing the chunks of `parts`.

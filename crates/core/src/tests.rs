@@ -124,6 +124,83 @@ fn split_does_not_cache_halves_by_default() {
     l.validate().unwrap();
 }
 
+/// A 10 MiB block split in place into a held 4 MiB left child and an idle
+/// 6 MiB right one, on a calibrated device with the halves-cache off (so
+/// the S2 allocation does nothing but split).
+fn split_ten_into_four_and_six() -> (GmLakeAllocator, gmlake_alloc_api::Allocation) {
+    let dev = DeviceConfig::small_test().with_cost(gmlake_gpu_sim::CostModel::calibrated());
+    let mut l = lake_with(dev, GmLakeConfig::default().with_frag_limit(mib(2)));
+    let parent = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    l.deallocate(parent.id).unwrap();
+    let driver = l.driver().clone();
+    let (stats, clock) = (driver.stats(), driver.now_ns());
+    let left = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    assert_eq!(l.state_counters().splits, 1);
+    assert_eq!(driver.stats(), stats, "a split makes no driver call");
+    assert_eq!(driver.now_ns() - clock, driver.host_op_ns(), "host op only");
+    assert_eq!(left.va, parent.va, "the left child keeps the parent's base");
+    assert_eq!(driver.snapshot().reservations, 1);
+    l.validate().unwrap();
+    (l, left)
+}
+
+#[test]
+fn split_in_place_children_tile_the_parent_and_share_its_reservation() {
+    let (mut l, left) = split_ten_into_four_and_six();
+    let driver = l.driver().clone();
+    // The right child is the rest of the parent's range: an exact match.
+    let right = l.allocate(AllocRequest::new(mib(6))).unwrap();
+    assert_eq!(l.state_counters().exact, 1);
+    assert_eq!(right.va, left.va.offset(mib(4)), "children tile the parent");
+    // Bytes written across the children's seam land at the right child.
+    driver
+        .memcpy_htod(left.va.offset(mib(4) - 2), b"seam")
+        .unwrap();
+    let mut buf = [0u8; 2];
+    driver.memcpy_dtoh(right.va, &mut buf).unwrap();
+    assert_eq!(&buf, b"am");
+    // Destroying one child keeps the shared reservation ...
+    l.deallocate(left.id).unwrap();
+    assert_eq!(l.release_cached(), mib(4));
+    assert_eq!(driver.snapshot().reservations, 1, "the right piece remains");
+    assert_eq!(driver.stats().address_free.calls, 0);
+    l.validate().unwrap();
+    // ... and destroying the other frees it.
+    l.deallocate(right.id).unwrap();
+    assert_eq!(l.release_cached(), mib(6));
+    assert_eq!(driver.stats().address_free.calls, 1);
+    assert!(driver.snapshot().is_quiescent());
+    l.validate().unwrap();
+}
+
+#[test]
+fn release_fault_destroying_a_child_rolls_back_with_the_reservation_intact() {
+    use gmlake_gpu_sim::{FaultOp, FaultPlan};
+    let (mut l, left) = split_ten_into_four_and_six();
+    let driver = l.driver().clone();
+    // Only the idle right child is destroyable; its release faults.
+    driver.set_fault_plan(FaultPlan::new().fail_nth(FaultOp::Release, 1));
+    assert_eq!(l.release_cached(), 0);
+    assert_eq!(driver.stats().injected_faults, 1);
+    assert_eq!(l.pblock_count(), 2, "both children survive");
+    assert_eq!(driver.snapshot().reservations, 1);
+    let journal = l.fault_journal();
+    assert_eq!(journal.failed_ops, 1);
+    assert!(journal.is_leak_free(), "{journal:?}");
+    l.validate().unwrap();
+    // The remapped child serves again at its old address.
+    let right = l.allocate(AllocRequest::new(mib(6))).unwrap();
+    assert_eq!(right.va, left.va.offset(mib(4)));
+    driver.memcpy_htod(right.va, b"remapped").unwrap();
+    driver.clear_fault_plan();
+    for id in [left.id, right.id] {
+        l.deallocate(id).unwrap();
+    }
+    assert_eq!(l.release_cached(), mib(10));
+    assert!(driver.snapshot().is_quiescent());
+    l.validate().unwrap();
+}
+
 #[test]
 fn s2_whole_block_when_remainder_below_frag_limit() {
     let mut l = lake_with(
@@ -864,10 +941,13 @@ mod golden {
 
     const DECISIONS: [u64; 2] = [6_858_873_994_934_620_618, 1_789_632_530_537_291_324];
 
+    /// Re-pinned when `Split` went in place: fewer driver calls,
+    /// children at the parent's addresses, and the planned `Map` fault
+    /// landing in a different operation of the third program.
     const TRAFFIC: [u64; 3] = [
-        4_536_345_738_758_774_321,
-        16_589_250_416_346_651_778,
-        390_310_405_222_810_655,
+        5_039_617_282_999_981_527,
+        5_351_002_494_063_479_306,
+        15_367_130_411_849_409_248,
     ];
 
     fn fnv(hash: &mut u64, bytes: &[u8]) {
