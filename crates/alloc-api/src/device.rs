@@ -8,44 +8,41 @@
 //! path — but a shared pool whose every operation funnels through one mutex
 //! re-serializes the ranks at the allocator instead. The front-end keeps
 //! warm traffic away from that mutex the way PyTorch's stream-aware caching
-//! allocator does: with **one cache type**, instantiated for two *routes*
-//! that differ only in a small compile-time key policy. A cache is
-//! everything one warm allocate or free touches, behind one lock: free
-//! lists keyed by a `u64`, the live table of the ids it minted, a pending
-//! event ring, and its statistics. A hit or a same-stream park costs
-//! exactly one short cache-lock acquisition and no core traffic.
-//!
-//! | | small route | large route |
-//! |---|---|---|
-//! | serves | requests below [`DeviceAllocatorConfig::small_threshold`] | requests at or above it (the stitch traffic GMLake exists for) |
-//! | free-list key = size asked of the core | power-of-two size class | exact requested size |
-//! | caches per stream bank | [`DeviceAllocatorConfig::shards`], picked by the key's hash | one |
-//! | cap | [`DeviceAllocatorConfig::max_cached_per_class`], per key | [`DeviceAllocatorConfig::max_cached_large_per_bank`], per cache |
-//! | a miss at the core | blocking `allocate` | stream-affine `alloc_on_stream`; while the core lock is contended the miss re-scans its cache whenever a park moved the cache's epoch |
-//!
-//! Everything else — take, park, promote, the hit commit, the free rules,
-//! the drain — is the same code. **Cold misses** on either route fall back
-//! to the wrapped core behind a single mutex, the commit-time lock under
-//! which splits and stitches commit transactionally. A cache lock and the
-//! core lock are never held together.
+//! allocator does. Small requests — below
+//! [`DeviceAllocatorConfig::small_threshold`] — are cached per stream, in
+//! power-of-two size classes, by caches that each hold everything one warm
+//! allocate or free touches behind one lock: free lists keyed by class, the
+//! live table of the ids the cache minted, a pending event ring, and its
+//! statistics. A hit or a same-stream park costs exactly one short
+//! cache-lock acquisition and no core traffic. Large requests go straight
+//! to the core — a stream-affine `alloc_on_stream` under its mutex, with a
+//! core-minted id — because the stitcher must see every inactive block: a
+//! block parked above the core is one it can neither split nor stitch.
+//! Small-cache misses also fall back to the core mutex, the commit-time lock
+//! under which splits and stitches commit transactionally. A cache lock and
+//! the core lock are never held together.
 //!
 //! # Stream-aware routing
 //!
-//! Each route's cache array is organized as one *bank* per configured
-//! **logical GPU stream** ([`StreamId`], [`DeviceAllocatorConfig::streams`],
-//! default 1), and [`DeviceAllocator::alloc_on_stream`] routes a request to
-//! its stream's bank. Warm allocations on different streams therefore never
+//! The cache array is organized as one *bank* of
+//! [`DeviceAllocatorConfig::shards`] caches per configured **logical GPU
+//! stream** ([`StreamId`], [`DeviceAllocatorConfig::streams`], default 1),
+//! and [`DeviceAllocator::alloc_on_stream`] routes a request to its
+//! stream's bank. Warm allocations on different streams therefore never
 //! touch the same lock — not even for identical sizes — which is what keeps
 //! independent GPU streams from serializing at the allocator.
 //!
 //! Reuse follows PyTorch's event-guarded rule — three cases, spelled out on
-//! [`DeviceAllocator::free_on_stream`], one implementation for both routes:
+//! [`DeviceAllocator::free_on_stream`]:
 //! a **same-stream** free parks the block for immediate reuse (stream order
 //! already guarantees the previous user finished); a **cross-stream** free
 //! records an event on the freeing stream (given an [`EventSource`], see
 //! [`DeviceAllocator::with_config_and_events`]) and the block waits in the
 //! owning cache's *pending ring* until the event completes; otherwise the
 //! block returns to the core, whose mutex is a full synchronization point.
+//! Given an event source, a large block freed from another stream reaches
+//! the core only after an event recorded on the freeing stream is
+//! synchronized.
 //!
 //! Every rule compares **exact** [`StreamId`]s: every parked block carries
 //! the stream that allocated it, so even when distinct stream ids fold onto
@@ -54,9 +51,9 @@
 //! block in the shared free list is simply skipped.
 //!
 //! Front-end ids live in the upper half of the id space (disjoint from
-//! every core's sequential ids) and carry their route in one tag bit and
-//! their cache's index in the low bits, so a deallocation routes back to
-//! the owning cache without any shared lookup.
+//! every core's sequential ids) and carry their cache's index in the low
+//! bits, so a deallocation routes back to the owning cache without any
+//! shared lookup.
 //!
 //! The caches are transparent: parked blocks remain "live" from the core's
 //! perspective and are returned to it by [`DeviceAllocator::flush`] (which
@@ -106,8 +103,7 @@
 //! assert_eq!(stats.active_bytes, 0);
 //! ```
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use gmlake_telemetry::{EventKind, PoolTelemetry};
@@ -119,17 +115,11 @@ use crate::forward_allocator_core;
 use crate::request::{AllocRequest, Allocation};
 use crate::stats::MemStats;
 use crate::traits::AllocatorCore;
-use crate::types::{mib, AllocationId, EventId, StreamId, VirtAddr};
+use crate::types::{mib, AllocationId, EventId, IdMap, StreamId, VirtAddr};
 
 /// Front-end allocation ids live in the top half of the id space so they can
 /// never collide with a core's sequential ids.
 const FRONT_ID_BASE: u64 = 1 << 63;
-
-/// Marks a front-end id as minted by the *large* route. Small ids never
-/// reach this bit (`next_seq << index_bits` stays far below 2^62), so the
-/// three id spaces — core-sequential, front-end small, front-end large —
-/// are disjoint.
-const LARGE_ID_BIT: u64 = 1 << 62;
 
 /// Smallest size class (bytes): requests below this round up to it.
 const MIN_CLASS: u64 = 512;
@@ -140,50 +130,22 @@ const MIN_CLASS: u64 = 512;
 pub const MAX_STREAMS: usize = 1 << 10;
 
 /// Upper bound on [`DeviceAllocatorConfig::shards`] per bank (1024). With
-/// [`MAX_STREAMS`] this caps the small route's cache array at 2^20 entries,
-/// keeping the `banks * shards` product far from overflow.
+/// [`MAX_STREAMS`] this caps the cache array at 2^20 entries, keeping the
+/// `banks * shards` product far from overflow.
 pub const MAX_SHARDS: usize = 1 << 10;
-
-/// Multiply-shift hasher for the cache maps: every key is a `u64` (free-list
-/// key or front-end id), so a single multiply + xor-shift beats the default
-/// SipHash by a wide margin on the hot path.
-#[derive(Default)]
-struct U64MixHasher(u64);
-
-impl Hasher for U64MixHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        let mut h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 29;
-        self.0 = h;
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 keys (unused on the hot path).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-}
-
-type U64Map<V> = HashMap<u64, V, BuildHasherDefault<U64MixHasher>>;
 
 /// Tuning knobs of the [`DeviceAllocator`] front-end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceAllocatorConfig {
-    /// Requests strictly below this size take the small route (default:
+    /// Requests strictly below this size are cached per stream (default:
     /// 2 MiB, GMLake's stitch threshold — everything the stitching
-    /// machinery would not touch anyway). `0` disables both routes,
+    /// machinery would not touch anyway); requests at or above it go
+    /// straight to the core. `0` turns the front-end caches off,
     /// degenerating to one mutex around the core; benches use this as the
     /// contention baseline.
     pub small_threshold: u64,
-    /// Number of small-route caches *per stream bank* (rounded up to a
-    /// power of two, default 16).
+    /// Number of caches *per stream bank* (rounded up to a power of two,
+    /// default 16).
     ///
     /// Must be in `1..=MAX_SHARDS`: [`DeviceAllocatorConfig::validate`]
     /// rejects values outside the range (surfaced by the `try_*`
@@ -202,8 +164,8 @@ pub struct DeviceAllocatorConfig {
     pub pending_ring_cap: usize,
     /// Number of logical GPU streams to partition the caches for (rounded
     /// up to a power of two, default 1). Each stream gets its own bank of
-    /// caches on either route, so warm allocations on different streams
-    /// never share a lock. Stream ids at or above the configured count fold
+    /// caches, so warm allocations on different streams never share a
+    /// lock. Stream ids at or above the configured count fold
     /// onto the existing banks (placement only: folded streams share locks
     /// and free lists, but reuse and the cross-stream free guard compare
     /// the exact [`StreamId`] every parked block is tagged with).
@@ -211,16 +173,6 @@ pub struct DeviceAllocatorConfig {
     /// Must be in `1..=MAX_STREAMS` (stream 0 is the default stream),
     /// enforced like [`DeviceAllocatorConfig::shards`].
     pub streams: usize,
-    /// Maximum blocks cached per *stream bank* on the large route (default
-    /// 32). Unlike `max_cached_per_class` this cap is per cache across all
-    /// sizes (large sizes are few and big — a handful of parked multi-MiB
-    /// blocks is already a lot of memory).
-    ///
-    /// `0` disables the large route entirely: every large allocation and
-    /// free goes through the core mutex, stream-affine like a large-route
-    /// miss. `small_threshold == 0` bypasses the large route too — that
-    /// knob promises one mutex around the core.
-    pub max_cached_large_per_bank: usize,
 }
 
 impl Default for DeviceAllocatorConfig {
@@ -231,13 +183,12 @@ impl Default for DeviceAllocatorConfig {
             max_cached_per_class: 64,
             pending_ring_cap: 64,
             streams: 1,
-            max_cached_large_per_bank: 32,
         }
     }
 }
 
 impl DeviceAllocatorConfig {
-    /// Sets the small-route threshold (`0` disables both routes).
+    /// Sets the caching threshold (`0` turns the front-end caches off).
     #[must_use]
     pub fn with_small_threshold(mut self, small_threshold: u64) -> Self {
         self.small_threshold = small_threshold;
@@ -272,15 +223,6 @@ impl DeviceAllocatorConfig {
     #[must_use]
     pub fn with_streams(mut self, streams: usize) -> Self {
         self.streams = streams;
-        self
-    }
-
-    /// Sets the per-bank large-route cache capacity (`0` disables the
-    /// large route; see
-    /// [`DeviceAllocatorConfig::max_cached_large_per_bank`]).
-    #[must_use]
-    pub fn with_max_cached_large_per_bank(mut self, max: usize) -> Self {
-        self.max_cached_large_per_bank = max;
         self
     }
 
@@ -338,8 +280,8 @@ struct CachedBlock {
 #[derive(Debug, Clone, Copy)]
 struct LiveEntry {
     block: CachedBlock,
-    /// Free-list key of the original request ([`Route::key`]) — where the
-    /// block returns to on deallocation.
+    /// Size class of the original request — where the block returns to on
+    /// deallocation.
     key: u64,
 }
 
@@ -385,9 +327,8 @@ struct ShardStats {
     event_promotions: u64,
     /// Bytes requested by cache hits (the core never saw the requests).
     requested: u64,
-    /// Bytes of key rounding the core recorded as "requested" on misses,
-    /// subtracted back out of the aggregate (always 0 on the large route,
-    /// whose key is the exact requested size).
+    /// Bytes of class rounding the core recorded as "requested" on misses,
+    /// subtracted back out of the aggregate.
     requested_inflation: u64,
     /// Bytes / blocks parked in the free lists (active from the core's
     /// perspective, free from the caller's).
@@ -419,99 +360,33 @@ impl ShardStats {
     }
 }
 
-/// The compile-time policy that tells the two routes apart. This is the
-/// whole difference between them; every routine below is shared.
-trait Route {
-    /// Tag OR-ed into the ids the route mints (with the cache index in the
-    /// low bits), so a free finds its route and cache with no lookup.
-    const ID_TAG: u64;
-    /// Whether the route's cap bounds each key's free list (`true`) or the
-    /// cache's whole parked population (`false`).
-    const CAP_PER_KEY: bool;
-    /// What a miss does at the core. `false`: a blocking `allocate`.
-    /// `true`: a stream-affine `alloc_on_stream` behind a `try_lock` loop
-    /// that re-scans the cache whenever its epoch moved (a block parked
-    /// concurrently by this stream is cheaper than a core split/stitch; an
-    /// unchanged epoch makes the re-check O(1)), plus the `Alloc` telemetry
-    /// record such a request carries when the route is disabled.
-    const STREAM_AFFINE_MISS: bool;
-    /// The route's cache array and cap.
-    fn caches(inner: &Inner) -> &RouteCaches;
-    /// Free-list key of a request of `size` bytes — also the size a miss
-    /// asks of the core, so every block under a key fits every request
-    /// that maps to it.
-    fn key(size: u64) -> u64;
-}
-
-/// Requests below the threshold: power-of-two size classes spread over
-/// several caches per bank, so threads working on different classes never
-/// contend; `requested_inflation` takes the class rounding back out of the
-/// core's `requested` ledger.
-struct SmallRoute;
-
-impl Route for SmallRoute {
-    const ID_TAG: u64 = 0;
-    const CAP_PER_KEY: bool = true;
-    const STREAM_AFFINE_MISS: bool = false;
-
-    fn caches(inner: &Inner) -> &RouteCaches {
-        &inner.small
-    }
-
-    fn key(size: u64) -> u64 {
-        size_class(size)
-    }
-}
-
-/// Requests at or above the threshold: exact-size reuse only (no class
-/// rounding or slack above the stitch threshold, which keeps the
-/// differential oracle bit-exact), one cache per bank.
-struct LargeRoute;
-
-impl Route for LargeRoute {
-    const ID_TAG: u64 = LARGE_ID_BIT;
-    const CAP_PER_KEY: bool = false;
-    const STREAM_AFFINE_MISS: bool = true;
-
-    fn caches(inner: &Inner) -> &RouteCaches {
-        &inner.large
-    }
-
-    fn key(size: u64) -> u64 {
-        size
-    }
-}
-
 /// One per-stream cache: everything one warm allocate or deallocate
 /// touches, behind one lock.
 #[derive(Debug, Default)]
 struct StreamCache {
-    /// Parked blocks by free-list key.
-    free: U64Map<Vec<CachedBlock>>,
+    /// Parked blocks by size class.
+    free: IdMap<u64, Vec<CachedBlock>>,
     /// Front-end id -> live allocation.
-    live: U64Map<LiveEntry>,
+    live: IdMap<u64, LiveEntry>,
     /// Cross-stream-freed blocks waiting for their event to complete (in
     /// record order — within one freeing stream, completion is FIFO).
     pending: VecDeque<PendingEntry>,
     next_seq: u64,
     stats: ShardStats,
-    /// Bumped on every free-list insert; see [`Route::STREAM_AFFINE_MISS`].
-    epoch: u64,
 }
 
 impl StreamCache {
-    /// Mints a fresh front-end id owned by cache `index` of route `R`: the
-    /// index rides in the low bits (so deallocation routes back here
-    /// without any shared lookup), `R::ID_TAG` names the route, and the
-    /// top bit marks the id as front-end-minted.
+    /// Mints a fresh front-end id owned by cache `index`: the index rides
+    /// in the low bits (so deallocation routes back here without any
+    /// shared lookup) and the top bit marks the id as front-end-minted.
     #[inline]
-    fn mint<R: Route>(&mut self, index: usize, index_bits: u32) -> u64 {
+    fn mint(&mut self, index: usize, index_bits: u32) -> u64 {
         self.next_seq += 1;
-        FRONT_ID_BASE | R::ID_TAG | (self.next_seq << index_bits) | index as u64
+        FRONT_ID_BASE | (self.next_seq << index_bits) | index as u64
     }
 
     /// Books `block` live under a fresh id and builds the caller's handle.
-    fn hand_out<R: Route>(
+    fn hand_out(
         &mut self,
         index: usize,
         index_bits: u32,
@@ -519,7 +394,7 @@ impl StreamCache {
         key: u64,
         requested: u64,
     ) -> Allocation {
-        let id = self.mint::<R>(index, index_bits);
+        let id = self.mint(index, index_bits);
         self.live.insert(id, LiveEntry { block, key });
         Allocation {
             id: AllocationId::new(id),
@@ -546,37 +421,25 @@ impl StreamCache {
         Some(block)
     }
 
-    /// Parks `block` in the free list under `key`, bumping the epoch.
+    /// Parks `block` in the free list under `key`.
     fn park(&mut self, block: CachedBlock, key: u64) {
         self.stats.cached_bytes += block.size;
         self.stats.cached_blocks += 1;
         self.free.entry(key).or_default().push(block);
-        self.epoch += 1;
     }
 
-    /// Whether the route's cap leaves room to park one more block under
+    /// Whether the per-class cap leaves room to park one more block under
     /// `key`.
-    fn has_room<R: Route>(&self, key: u64, cap: usize) -> bool {
-        let parked = if R::CAP_PER_KEY {
-            self.free.get(&key).map_or(0, Vec::len)
-        } else {
-            self.stats.cached_blocks as usize
-        };
-        parked < cap
+    fn has_room(&self, key: u64, cap: usize) -> bool {
+        self.free.get(&key).map_or(0, Vec::len) < cap
     }
 
-    /// Removes, from the population the route's cap bounds, a block parked
-    /// by a stream other than `stream` — a slot `stream` can never reuse.
-    fn evict_foreign<R: Route>(&mut self, key: u64, stream: StreamId) -> Option<CachedBlock> {
-        let foreign = |stack: &mut Vec<CachedBlock>| {
-            let pos = stack.iter().position(|b| b.stream != stream)?;
-            Some(stack.swap_remove(pos))
-        };
-        let evicted = if R::CAP_PER_KEY {
-            self.free.get_mut(&key).and_then(foreign)?
-        } else {
-            self.free.values_mut().find_map(foreign)?
-        };
+    /// Removes from `key`'s free list a block parked by a stream other than
+    /// `stream` — a slot `stream` can never reuse.
+    fn evict_foreign(&mut self, key: u64, stream: StreamId) -> Option<CachedBlock> {
+        let stack = self.free.get_mut(&key)?;
+        let pos = stack.iter().position(|b| b.stream != stream)?;
+        let evicted = stack.swap_remove(pos);
         self.stats.cached_bytes -= evicted.size;
         self.stats.cached_blocks -= 1;
         Some(evicted)
@@ -593,9 +456,9 @@ impl StreamCache {
     /// without querying — a sweep costs at most one query per *distinct*
     /// freeing stream with work in flight, not one per ring entry.
     ///
-    /// Promotion may transiently push a free list past the route's cap;
-    /// the overshoot is bounded by the ring's own cap and drains as the
-    /// owner allocates (or at the next flush).
+    /// Promotion may transiently push a free list past its cap; the
+    /// overshoot is bounded by the ring's own cap and drains as the owner
+    /// allocates (or at the next flush).
     fn promote_completed(&mut self, events: &dyn EventSource) -> u64 {
         let mut promoted = 0;
         // Freeing streams already seen incomplete this sweep (ring-bounded,
@@ -621,41 +484,6 @@ impl StreamCache {
             }
         }
         promoted
-    }
-}
-
-/// One route's caches: `banks * per_bank` of them, bank-major.
-struct RouteCaches {
-    caches: Box<[Mutex<StreamCache>]>,
-    /// Caches per stream bank (a power of two); a key's hash picks one.
-    per_bank: usize,
-    /// `log2(caches.len())`: the id bits that carry the cache index.
-    index_bits: u32,
-    /// The route's cap ([`Route::CAP_PER_KEY`] says of what).
-    cap: usize,
-}
-
-impl RouteCaches {
-    fn new(banks: usize, per_bank: usize, cap: usize) -> Self {
-        let total = banks * per_bank;
-        RouteCaches {
-            caches: (0..total).map(|_| Mutex::default()).collect(),
-            per_bank,
-            index_bits: total.trailing_zeros(),
-            cap,
-        }
-    }
-
-    /// The caches forming stream bank `bank`.
-    fn bank(&self, bank: usize) -> &[Mutex<StreamCache>] {
-        &self.caches[bank * self.per_bank..(bank + 1) * self.per_bank]
-    }
-
-    /// Index of the cache serving `key` within `bank` (a Fibonacci hash of
-    /// the key picks the cache inside the bank).
-    #[inline]
-    fn index(&self, bank: usize, key: u64) -> usize {
-        bank * self.per_bank + class_shard_index(key, self.per_bank as u64 - 1)
     }
 }
 
@@ -699,18 +527,22 @@ struct Inner {
     small_threshold: u64,
     /// Per-cache pending event ring capacity (0 = event parking disabled).
     pending_ring_cap: usize,
-    /// Number of per-stream banks on either route (power of two).
+    /// Number of per-stream banks (power of two).
     stream_banks: usize,
-    /// `shards` caches per bank, capped per size class.
-    small: RouteCaches,
-    /// One cache per bank, capped as a whole (cap 0 = route disabled).
-    large: RouteCaches,
+    /// `stream_banks * per_bank` caches, bank-major.
+    caches: Box<[Mutex<StreamCache>]>,
+    /// Caches per stream bank (a power of two); a class's hash picks one.
+    per_bank: usize,
+    /// `log2(caches.len())`: the id bits that carry the cache index.
+    index_bits: u32,
+    /// Cap on each size class's free list.
+    max_cached_per_class: usize,
     /// Stream-completion event source backing the cross-stream reuse fast
     /// path; `None` keeps the conservative free-through-the-core rule.
     events: Option<Arc<dyn EventSource>>,
     /// Allocating stream of each live core-minted id, kept only with an
     /// event source (see [`DeviceAllocator::free_on_stream`]).
-    core_streams: Mutex<U64Map<StreamId>>,
+    core_streams: Mutex<IdMap<u64, StreamId>>,
     /// Optional observability sink: sampled alloc/free latencies and cache
     /// hit/miss/park/promote trace records. `None` costs one branch.
     telemetry: Option<Arc<PoolTelemetry>>,
@@ -734,7 +566,7 @@ impl std::fmt::Debug for DeviceAllocator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeviceAllocator")
             .field("name", &self.inner.name)
-            .field("shards", &self.inner.small.caches.len())
+            .field("shards", &self.inner.caches.len())
             .field("small_threshold", &self.inner.small_threshold)
             .finish_non_exhaustive()
     }
@@ -752,18 +584,6 @@ fn size_class(size: u64) -> u64 {
 #[inline]
 fn class_shard_index(class: u64, mask: u64) -> usize {
     ((class.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) & mask) as usize
-}
-
-/// One request at the (locked) core: stream-affine when the route says so.
-fn ask_core(
-    core: &mut dyn AllocatorCore,
-    req: AllocRequest,
-    affine: Option<StreamId>,
-) -> Result<Allocation, AllocError> {
-    match affine {
-        Some(stream) => core.alloc_on_stream(req, stream),
-        None => core.allocate(req),
-    }
 }
 
 impl DeviceAllocator {
@@ -834,6 +654,8 @@ impl DeviceAllocator {
     ) -> Result<Self, AllocError> {
         config.validate()?;
         let stream_banks = config.streams.next_power_of_two();
+        let per_bank = config.shards.next_power_of_two();
+        let total = stream_banks * per_bank;
         let name = core.name();
         Ok(DeviceAllocator {
             inner: Arc::new(Inner {
@@ -842,12 +664,10 @@ impl DeviceAllocator {
                 small_threshold: config.small_threshold,
                 pending_ring_cap: config.pending_ring_cap,
                 stream_banks,
-                small: RouteCaches::new(
-                    stream_banks,
-                    config.shards.next_power_of_two(),
-                    config.max_cached_per_class,
-                ),
-                large: RouteCaches::new(stream_banks, 1, config.max_cached_large_per_bank),
+                caches: (0..total).map(|_| Mutex::default()).collect(),
+                per_bank,
+                index_bits: total.trailing_zeros(),
+                max_cached_per_class: config.max_cached_per_class,
                 events,
                 core_streams: Mutex::default(),
                 telemetry,
@@ -874,56 +694,58 @@ impl DeviceAllocator {
         stream.as_u32() as usize & (self.inner.stream_banks - 1)
     }
 
-    /// Retries `first`'s request once if it ran out of memory, after
-    /// returning every front-end cache to the core (the core's own OOM
-    /// fallbacks cannot reach blocks parked in the front-end).
+    /// The caches forming `stream`'s bank.
+    fn bank(&self, stream: StreamId) -> &[Mutex<StreamCache>] {
+        let first = self.bank_index(stream) * self.inner.per_bank;
+        &self.inner.caches[first..first + self.inner.per_bank]
+    }
+
+    /// Index of the cache serving size class `key` in `stream`'s bank (a
+    /// Fibonacci hash of the class picks the cache inside the bank).
+    #[inline]
+    fn cache_index(&self, stream: StreamId, key: u64) -> usize {
+        let per_bank = self.inner.per_bank;
+        self.bank_index(stream) * per_bank + class_shard_index(key, per_bank as u64 - 1)
+    }
+
+    /// Runs `ask` against the locked core, and once more if it ran out of
+    /// memory, after returning every front-end cache to the core (the
+    /// core's own OOM fallbacks cannot reach blocks parked in the
+    /// front-end).
     ///
     /// The retry runs even when this thread's own `flush()` found the caches
     /// empty: a concurrent flush may have drained them but not yet handed
     /// its blocks to the core, and the retry — sequenced after that
     /// flush's core deallocations by the core lock — is what rescues the
     /// allocation in that window.
-    fn retry_after_flush(
+    fn ask_core(
         &self,
-        first: Result<Allocation, AllocError>,
-        req: AllocRequest,
-        affine: Option<StreamId>,
+        ask: impl Fn(&mut dyn AllocatorCore) -> Result<Allocation, AllocError>,
     ) -> Result<Allocation, AllocError> {
+        let first = ask(&mut **self.inner.core.lock());
         let Err(AllocError::OutOfMemory { .. }) = &first else {
             return first;
         };
         self.flush();
-        ask_core(&mut **self.inner.core.lock(), req, affine)
+        ask(&mut **self.inner.core.lock())
     }
 
-    /// Serves `req` from `stream`'s cache on route `R`. A **hit** — a block
-    /// parked under the request's key by this exact stream (with a
+    /// Serves a small `req` from `stream`'s cache. A **hit** — a block
+    /// parked under the request's size class by this exact stream (with a
     /// promote-and-rescan of the cache's pending ring on a first miss) — is
     /// handed out under one short cache-lock acquisition; the core mutex is
-    /// never touched. A **miss** goes to the core for a block of the key's
-    /// size, the way [`Route::STREAM_AFFINE_MISS`] says. The cache lock and
-    /// the core lock are never held simultaneously.
-    fn allocate_cached<R: Route>(
+    /// never touched. A **miss** asks the core for a block of the class
+    /// size. The cache lock and the core lock are never held simultaneously.
+    fn allocate_cached(
         &self,
         req: AllocRequest,
         stream: StreamId,
         tel: Option<&PoolTelemetry>,
     ) -> Result<Allocation, AllocError> {
-        let route = R::caches(&self.inner);
-        let key = R::key(req.size);
-        let index = route.index(self.bank_index(stream), key);
-        let cache = &route.caches[index];
-        // Books a hit under the cache lock: counters, fresh front-end id,
-        // live entry (`take` already left the free list and its counters).
-        let commit_hit = |g: &mut StreamCache, block: CachedBlock| {
-            g.stats.hits += 1;
-            g.stats.requested += req.size;
-            if let Some(t) = tel {
-                t.record(EventKind::ShardHit, key, stream.as_u32() as u64, 0);
-            }
-            g.hand_out::<R>(index, route.index_bits, block, key, req.size)
-        };
-        let mut epoch_seen;
+        let key = size_class(req.size);
+        let index = self.cache_index(stream, key);
+        let index_bits = self.inner.index_bits;
+        let cache = &self.inner.caches[index];
         {
             let mut guard = cache.lock();
             let g = &mut *guard;
@@ -938,46 +760,23 @@ impl DeviceAllocator {
                 }
             }
             if let Some(block) = hit {
-                return Ok(commit_hit(g, block));
+                g.stats.hits += 1;
+                g.stats.requested += req.size;
+                if let Some(t) = tel {
+                    t.record(EventKind::ShardHit, key, stream.as_u32() as u64, 0);
+                }
+                return Ok(g.hand_out(index, index_bits, block, key, req.size));
             }
             g.stats.misses += 1;
-            epoch_seen = g.epoch;
         }
         if let Some(t) = tel {
             t.record(EventKind::ShardMiss, key, stream.as_u32() as u64, 0);
         }
-        // Miss: ask the core for the whole key size (no cache lock held).
+        // Miss: ask the core for the whole class size (no cache lock held).
         // The core records `key` as requested; `requested_inflation`
         // subtracts the rounding back out.
         let core_req = AllocRequest::new(key).with_tag(req.tag);
-        let affine = R::STREAM_AFFINE_MISS.then_some(stream);
-        let first = if R::STREAM_AFFINE_MISS {
-            // Optimistic selection against the commit-time lock: while
-            // someone else is committing, watch the cache epoch for a
-            // concurrent free that makes the trip unnecessary.
-            loop {
-                if let Some(mut core) = self.inner.core.try_lock() {
-                    break ask_core(&mut **core, core_req, affine);
-                }
-                {
-                    let mut guard = cache.lock();
-                    let g = &mut *guard;
-                    if g.epoch != epoch_seen {
-                        epoch_seen = g.epoch;
-                        if let Some(block) = g.take(key, stream) {
-                            return Ok(commit_hit(g, block));
-                        }
-                    }
-                }
-                std::thread::yield_now();
-            }
-        } else {
-            ask_core(&mut **self.inner.core.lock(), core_req, affine)
-        };
-        let core_alloc = self.retry_after_flush(first, core_req, affine)?;
-        if let Some(t) = tel.filter(|_| R::STREAM_AFFINE_MISS) {
-            t.record(EventKind::Alloc, core_alloc.size, stream.as_u32() as u64, 0);
-        }
+        let core_alloc = self.ask_core(|core| core.allocate(core_req))?;
         let block = CachedBlock {
             core_id: core_alloc.id,
             va: core_alloc.va,
@@ -986,7 +785,7 @@ impl DeviceAllocator {
         };
         let mut guard = cache.lock();
         guard.stats.requested_inflation += key - req.size;
-        Ok(guard.hand_out::<R>(index, route.index_bits, block, key, req.size))
+        Ok(guard.hand_out(index, index_bits, block, key, req.size))
     }
 
     /// Allocates memory for `req` (see [`AllocatorCore::allocate`] for the
@@ -996,11 +795,13 @@ impl DeviceAllocator {
         self.alloc_on_stream(req, StreamId::DEFAULT)
     }
 
-    /// Allocates memory for `req` on behalf of `stream`: the request is
-    /// served from the stream's own bank of caches — the small route below
-    /// the threshold, the large route at or above it — so warm allocations
-    /// on different streams never contend on a lock. Only a miss (or a
-    /// disabled route) reaches the core mutex.
+    /// Allocates memory for `req` on behalf of `stream`. A request below
+    /// the threshold is served from the stream's own bank of caches, so
+    /// warm small allocations on different streams never contend on a
+    /// lock; only a miss reaches the core mutex. A request at or above it
+    /// goes straight to the core — a stream-affine
+    /// [`AllocatorCore::alloc_on_stream`], handing out the core's id — so
+    /// the stitcher sees every inactive block.
     ///
     /// # Errors
     ///
@@ -1016,17 +817,9 @@ impl DeviceAllocator {
         let tel = self.sampled_telemetry();
         let start = tel.map(|_| std::time::Instant::now());
         let result = if req.size < self.inner.small_threshold {
-            self.allocate_cached::<SmallRoute>(req, stream, tel)
-        } else if self.inner.small_threshold > 0 && self.inner.large.cap > 0 {
-            self.allocate_cached::<LargeRoute>(req, stream, tel)
+            self.allocate_cached(req, stream, tel)
         } else {
-            // Large route disabled (`max_cached_large_per_bank == 0`), or
-            // both routes off (`small_threshold == 0`, the single-mutex
-            // baseline): straight through the core mutex, core id handed
-            // out. Stream-affine like a large-route miss, so the core's
-            // stream stamps work with the route off.
-            let first = ask_core(&mut **self.inner.core.lock(), req, Some(stream));
-            let result = self.retry_after_flush(first, req, Some(stream));
+            let result = self.ask_core(|core| core.alloc_on_stream(req, stream));
             if let Ok(a) = &result {
                 if self.inner.events.is_some() {
                     self.inner.core_streams.lock().insert(a.id.as_u64(), stream);
@@ -1053,12 +846,13 @@ impl DeviceAllocator {
     /// Releases the allocation identified by `id`, where the free is issued
     /// from `stream`.
     ///
-    /// The block always routes back to the cache that minted its id (its
-    /// allocating stream's bank — the id's low bits name it, no shared
-    /// lookup). What happens there depends on the freeing stream:
+    /// A front-end id (a small allocation) always routes back to the cache
+    /// that minted it (its allocating stream's bank — the id's low bits
+    /// name it, no shared lookup). What happens there depends on the
+    /// freeing stream:
     ///
     /// * **same stream** as the allocation: the block is parked in the
-    ///   stream's free list for immediate reuse, up to the route's cap —
+    ///   stream's free list for immediate reuse, up to the class's cap —
     ///   at cap, a block parked by another stream folded onto the same
     ///   cache is evicted to the core to make room, else the freed block
     ///   itself goes to the core;
@@ -1079,11 +873,12 @@ impl DeviceAllocator {
     ///   block takes the same way after its event is recorded and
     ///   **synchronized before the core sees it**.
     ///
-    /// A core-minted id (a disabled route handed it out) goes to the core,
-    /// which is told the freeing stream. With an event source, a free from
-    /// a stream other than the allocating one follows the full-ring rule:
-    /// an event recorded on the freeing stream is synchronized first,
-    /// unless [`EventSource::try_record`] reports it already complete.
+    /// A core-minted id (a large allocation, or any with the caches off)
+    /// goes to the core, which is told the freeing stream. With an event
+    /// source, a free from a stream other than the allocating one follows
+    /// the full-ring rule: an event recorded on the freeing stream is
+    /// synchronized first, unless [`EventSource::try_record`] reports it
+    /// already complete.
     ///
     /// # Errors
     ///
@@ -1091,13 +886,10 @@ impl DeviceAllocator {
     pub fn free_on_stream(&self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
         let tel = self.sampled_telemetry();
         let start = tel.map(|_| std::time::Instant::now());
-        let raw = id.as_u64();
-        let result = if raw < FRONT_ID_BASE {
+        let result = if id.as_u64() < FRONT_ID_BASE {
             self.free_core_minted(id, stream)
-        } else if raw & LARGE_ID_BIT != 0 {
-            self.free_cached::<LargeRoute>(id, stream, tel)
         } else {
-            self.free_cached::<SmallRoute>(id, stream, tel)
+            self.free_cached(id, stream, tel)
         };
         if let (Some(t), Some(start)) = (tel, start) {
             t.free_ns().record(start.elapsed().as_nanos() as u64);
@@ -1126,18 +918,19 @@ impl DeviceAllocator {
         result
     }
 
-    /// The three free rules of [`DeviceAllocator::free_on_stream`] for an
-    /// id minted by route `R`.
-    fn free_cached<R: Route>(
+    /// The three free rules of [`DeviceAllocator::free_on_stream`] for a
+    /// front-end id.
+    fn free_cached(
         &self,
         id: AllocationId,
         stream: StreamId,
         tel: Option<&PoolTelemetry>,
     ) -> Result<(), AllocError> {
         let raw = id.as_u64();
-        let route = R::caches(&self.inner);
+        let caches = &self.inner.caches;
+        let cap = self.inner.max_cached_per_class;
         // The minting cache rides in the id's low bits.
-        let cache = &route.caches[raw as usize & (route.caches.len() - 1)];
+        let cache = &caches[raw as usize & (caches.len() - 1)];
         // The event a cross-stream fallback must synchronize before the
         // core may re-serve the block; carried out of the lock scope.
         let mut sync_before_core = None;
@@ -1152,10 +945,10 @@ impl DeviceAllocator {
                 if let Some(t) = tel {
                     t.record(EventKind::Free, block.size, stream.as_u32() as u64, 0);
                 }
-                let overflow = if g.has_room::<R>(key, route.cap) {
+                let overflow = if g.has_room(key, cap) {
                     g.park(block, key);
                     None
-                } else if let Some(evicted) = g.evict_foreign::<R>(key, stream) {
+                } else if let Some(evicted) = g.evict_foreign(key, stream) {
                     // Cap reached, but a folded stream's block holds a slot
                     // this stream can never reuse: evict it to the core and
                     // park ours, so an idle foreign stream cannot wedge the
@@ -1171,9 +964,7 @@ impl DeviceAllocator {
                 // Cross-stream: not reusable by anyone until the freeing
                 // stream's in-flight work is done with the block.
                 if let Some(events) = &self.inner.events {
-                    if g.pending.len() < self.inner.pending_ring_cap
-                        && g.has_room::<R>(key, route.cap)
-                    {
+                    if g.pending.len() < self.inner.pending_ring_cap && g.has_room(key, cap) {
                         match events.try_record(stream) {
                             Some(event) => {
                                 g.stats.pending_bytes += block.size;
@@ -1291,8 +1082,7 @@ impl DeviceAllocator {
             return 0;
         };
         let mut promoted = 0;
-        let caches = self.inner.small.caches.iter();
-        for cache in caches.chain(self.inner.large.caches.iter()) {
+        for cache in self.inner.caches.iter() {
             let mut guard = cache.lock();
             if !guard.pending.is_empty() {
                 promoted += guard.promote_completed(&**events);
@@ -1308,14 +1098,14 @@ impl DeviceAllocator {
         promoted
     }
 
-    /// Returns every block parked in the caches — both routes, across
-    /// **every** stream bank — to the wrapped core and reports the bytes
-    /// handed back. The core decides what happens next (pool them, release
-    /// them); flushing itself frees no physical memory. This is the flush
-    /// the defrag/OOM paths run: defragmentation must see every cached
-    /// byte, so it can never be scoped to one stream.
+    /// Returns every block parked in the caches — across **every** stream
+    /// bank — to the wrapped core and reports the bytes handed back. The
+    /// core decides what happens next (pool them, release them); flushing
+    /// itself frees no physical memory. This is the flush the defrag/OOM
+    /// paths run: defragmentation must see every cached byte, so it can
+    /// never be scoped to one stream.
     pub fn flush(&self) -> u64 {
-        self.drain_to_core(&self.inner.small.caches) + self.drain_to_core(&self.inner.large.caches)
+        self.drain_to_core(&self.inner.caches)
     }
 
     /// Returns the blocks parked in `stream`'s bank (only) to the wrapped
@@ -1328,9 +1118,7 @@ impl DeviceAllocator {
     /// bank, so this drains that *shared* bank — `flush_stream(StreamId(8))`
     /// on an 8-bank pool drains stream 0's warm cache too.
     pub fn flush_stream(&self, stream: StreamId) -> u64 {
-        let bank = self.bank_index(stream);
-        self.drain_to_core(self.inner.small.bank(bank))
-            + self.drain_to_core(self.inner.large.bank(bank))
+        self.drain_to_core(self.bank(stream))
     }
 
     /// Sums the reconciliation counters of a slice of caches.
@@ -1340,13 +1128,6 @@ impl DeviceAllocator {
             total.absorb(&cache.lock().stats);
         }
         total
-    }
-
-    /// Sums the reconciliation counters of both routes, every bank.
-    fn all_totals(&self) -> ShardStats {
-        let mut fast = Self::totals(&self.inner.small.caches);
-        fast.absorb(&Self::totals(&self.inner.large.caches));
-        fast
     }
 
     /// Memory statistics of the pool: the wrapped core's counters
@@ -1363,7 +1144,7 @@ impl DeviceAllocator {
     /// Peak watermarks are measured at the core, so bytes parked in the
     /// caches count toward `peak_active_bytes` (an upper bound).
     pub fn stats(&self) -> MemStats {
-        let fast = self.all_totals();
+        let fast = Self::totals(&self.inner.caches);
         let mut s = self.inner.core.lock().stats();
         s.alloc_count += fast.hits;
         s.free_count = (s.free_count + fast.fast_frees).saturating_sub(fast.cache_returns);
@@ -1392,38 +1173,33 @@ impl DeviceAllocator {
         }
     }
 
-    /// Cache telemetry aggregated across every stream bank and both routes
-    /// (`shards` reports the small route's cache count; see
-    /// [`DeviceAllocator::large_cache_stats`] for the large route alone).
+    /// Cache telemetry aggregated across every stream bank (`shards`
+    /// reports the total cache count).
     pub fn cache_stats(&self) -> DeviceCacheStats {
         let inner = &self.inner;
-        Self::cache_stats_of(
-            self.all_totals(),
-            inner.small.caches.len(),
-            inner.stream_banks,
-        )
+        let totals = Self::totals(&inner.caches);
+        Self::cache_stats_of(totals, inner.caches.len(), inner.stream_banks)
     }
 
-    /// Cache telemetry of the large route only: its hits/misses, parked and
-    /// pending blocks, and event-guard counters (`shards` reports the bank
-    /// count). Empty unless requests at or above the threshold ran with
-    /// `max_cached_large_per_bank > 0`.
+    /// Always empty apart from `streams`: the large route that used to
+    /// cache requests at or above the threshold is gone — they go straight
+    /// to the core. Kept for the benchmark's `alloc-api.large_*` rows,
+    /// which retire at ROADMAP item 11's instrument change.
     pub fn large_cache_stats(&self) -> DeviceCacheStats {
-        let large = &self.inner.large.caches;
-        Self::cache_stats_of(Self::totals(large), large.len(), self.inner.stream_banks)
+        DeviceCacheStats {
+            streams: self.inner.stream_banks,
+            ..Default::default()
+        }
     }
 
-    /// Cache telemetry of one stream's bank only, both routes (`shards`
-    /// reports the bank's small-route cache count, `streams` is 1),
-    /// including the bank's pending-ring occupancy.
+    /// Cache telemetry of one stream's bank only (`shards` reports the
+    /// bank's cache count, `streams` is 1), including the bank's
+    /// pending-ring occupancy.
     ///
     /// **Folding caveat:** as for [`DeviceAllocator::flush_stream`], the
     /// counters include every stream folded onto the bank.
     pub fn stream_cache_stats(&self, stream: StreamId) -> DeviceCacheStats {
-        let bank = self.bank_index(stream);
-        let mut fast = Self::totals(self.inner.small.bank(bank));
-        fast.absorb(&Self::totals(self.inner.large.bank(bank)));
-        Self::cache_stats_of(fast, self.inner.small.per_bank, 1)
+        Self::cache_stats_of(Self::totals(self.bank(stream)), self.inner.per_bank, 1)
     }
 
     /// Backend name, cached at construction (never takes a lock).
@@ -1628,7 +1404,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for i in 0..200u64 {
             // Several classes over several shards, and every fourth request
-            // on the large route; both streams.
+            // large (a core id); both streams.
             let large = i % 4 == 3;
             let size = if large {
                 mib(2 + i % 8)
@@ -1640,19 +1416,17 @@ mod tests {
                 .alloc_on_stream(AllocRequest::new(size), stream)
                 .unwrap();
             let raw = a.id.as_u64();
-            assert!(raw >= FRONT_ID_BASE);
-            assert!(seen.insert(a.id), "front-end ids are never reused");
-            assert_eq!(raw & LARGE_ID_BIT != 0, large, "the tag names the route");
-            let (route, key) = if large {
-                (&pool.inner.large, size)
+            assert!(seen.insert(a.id), "ids are never reused");
+            if large {
+                assert!(raw < FRONT_ID_BASE, "large requests get core ids");
             } else {
-                (&pool.inner.small, size_class(size))
-            };
-            assert_eq!(
-                raw as usize & (route.caches.len() - 1),
-                route.index(pool.bank_index(stream), key),
-                "the id's low bits name the minting cache"
-            );
+                assert!(raw >= FRONT_ID_BASE);
+                assert_eq!(
+                    raw as usize & (pool.inner.caches.len() - 1),
+                    pool.cache_index(stream, size_class(size)),
+                    "the id's low bits name the minting cache"
+                );
+            }
             pool.free_on_stream(a.id, stream).unwrap();
         }
     }
@@ -1721,48 +1495,16 @@ mod tests {
     }
 
     #[test]
-    fn large_requests_bypass_the_shards() {
-        // Large requests never touch the small size-class shards: they are
-        // served by the per-stream large banks, under ids carrying
-        // LARGE_ID_BIT, and a warm exact-size hit costs no core traffic.
-        let pool = DeviceAllocator::new(TestCore::default());
-        let a = pool.allocate(AllocRequest::new(mib(8))).unwrap();
-        assert!(a.id.as_u64() >= FRONT_ID_BASE, "front-end id handed out");
-        assert_ne!(a.id.as_u64() & LARGE_ID_BIT, 0, "large-route id");
-        assert_eq!(pool.cache_stats().misses, 1);
-        pool.deallocate(a.id).unwrap();
-        let large = pool.large_cache_stats();
-        assert_eq!(large.cached_blocks, 1, "parked in the large bank");
-        let small = DeviceAllocator::totals(&pool.inner.small.caches);
-        assert_eq!(small.cached_blocks, 0, "shards untouched");
-        assert_eq!(
-            pool.deallocate(a.id).unwrap_err(),
-            AllocError::UnknownAllocation(a.id),
-            "large double-free detected by the bank's live table"
-        );
-        let b = pool.allocate(AllocRequest::new(mib(8))).unwrap();
-        assert_eq!(b.va, a.va, "exact-size reuse from the bank");
-        assert_ne!(b.id, a.id, "front-end ids are never reused");
-        assert_eq!(pool.with_core(|c| c.stats().alloc_count), 1, "one miss");
-        pool.deallocate(b.id).unwrap();
-        assert_eq!(pool.flush(), mib(8), "flush drains the large banks");
-    }
-
-    #[test]
     fn large_route_disabled_hands_out_core_ids() {
-        // max_cached_large_per_bank == 0 disables the large route only
-        // (the single-mutex baseline is small_threshold == 0): every large
+        // Requests at or above the threshold bypass the caches: every large
         // request and free is the core's, stream included.
-        let pool = DeviceAllocator::with_config(
-            TestCore::default(),
-            DeviceAllocatorConfig::default().with_max_cached_large_per_bank(0),
-        );
+        let pool = DeviceAllocator::new(TestCore::default());
         let a = pool
             .alloc_on_stream(AllocRequest::new(mib(8)), StreamId(3))
             .unwrap();
         assert!(a.id.as_u64() < FRONT_ID_BASE, "core id handed out");
         pool.free_on_stream(a.id, StreamId(5)).unwrap();
-        assert_eq!(pool.large_cache_stats().cached_blocks, 0);
+        assert_eq!(pool.cache_stats().cached_blocks, 0);
         assert_eq!(
             pool.with_core_as(|c: &mut TestCore| c.streams_seen.clone()),
             Some(vec![StreamId(3), StreamId(5)]),
@@ -1776,48 +1518,14 @@ mod tests {
     }
 
     #[test]
-    fn cross_stream_large_free_waits_for_its_event_before_reuse() {
-        // Satellite-1 regression pin: a large block freed on a
-        // NON-allocating stream must not be reusable (by any path) until
-        // the freeing stream's event completes — and once it is served
-        // again, no event may still be outstanding.
-        let (pool, events) = event_pool(u64::MAX);
-        let a = pool
-            .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(1))
-            .unwrap();
-        pool.free_on_stream(a.id, StreamId(0)).unwrap();
-        let large = pool.large_cache_stats();
-        assert_eq!(large.cross_stream_parked, 1, "event recorded and parked");
-        assert_eq!(large.pending_blocks, 1);
-        assert_eq!(events.pending(), 1, "the guard event is outstanding");
-        // The owner asks again while the event is incomplete: the bank must
-        // NOT hand the block back; the request goes to the core instead.
-        let b = pool
-            .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(1))
-            .unwrap();
-        assert_ne!(b.va, a.va, "pending block must not be re-served");
-        events.complete_all();
-        let c = pool
-            .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(1))
-            .unwrap();
-        assert_eq!(c.va, a.va, "promoted after completion and re-served");
-        assert_eq!(events.pending(), 0, "no event outstanding before reuse");
-        assert_eq!(pool.large_cache_stats().event_promotions, 1);
-        pool.free_on_stream(b.id, StreamId(1)).unwrap();
-        pool.free_on_stream(c.id, StreamId(1)).unwrap();
-    }
-
-    #[test]
     fn route_off_cross_stream_large_free_waits_for_its_event() {
-        // With the large route off the core mints the id, and a free from
-        // another stream must still record an event on the freeing stream
-        // and synchronize it before the core can re-serve the block.
+        // The core mints a large request's id, and a free from another
+        // stream must still record an event on the freeing stream and
+        // synchronize it before the core can re-serve the block.
         let events = Arc::new(ManualEvents::new());
         let pool = DeviceAllocator::with_config_and_events(
             TestCore::default(),
-            DeviceAllocatorConfig::default()
-                .with_streams(2)
-                .with_max_cached_large_per_bank(0),
+            DeviceAllocatorConfig::default().with_streams(2),
             events.clone(),
         );
         let a = pool
@@ -1841,127 +1549,63 @@ mod tests {
     }
 
     #[test]
-    fn cross_stream_large_fallback_synchronizes_before_the_core() {
-        // Ring capacity 0 disables large event parking: the fallback must
-        // still record an event on the freeing stream and synchronize it
-        // before the core dealloc — the drain_to_core rule large frees
-        // used to bypass entirely.
-        let events = Arc::new(ManualEvents::new());
-        let pool = DeviceAllocator::with_config_and_events(
-            TestCore::default(),
-            DeviceAllocatorConfig::default()
-                .with_streams(2)
-                .with_pending_ring_cap(0),
-            events.clone(),
-        );
-        let a = pool
-            .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(1))
-            .unwrap();
-        pool.free_on_stream(a.id, StreamId(0)).unwrap();
-        let large = pool.large_cache_stats();
-        assert_eq!(large.cross_stream_fallback, 1, "fell back to the core");
-        assert_eq!(
-            events.pending(),
-            0,
-            "the guard event was recorded AND synchronized before the core \
-             could re-serve the block"
-        );
-        assert_eq!(pool.with_core(|c| c.stats().free_count), 1);
-    }
-
-    #[test]
-    fn folded_streams_large_path() {
-        // Satellite-2 pin: streams folded onto the same bank (ids at or
-        // above the configured stream count) share a bank for PLACEMENT
-        // only. Affinity keys on the original StreamId — stream 5's parked
-        // block is invisible to stream 1 even though both live in bank 1 —
-        // and the cross-stream guard fires on original ids too.
-        let (pool, events) = event_pool(u64::MAX); // 2 banks
-        let a = pool
-            .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(5))
-            .unwrap();
-        pool.free_on_stream(a.id, StreamId(5)).unwrap(); // same stream: parks
-        assert_eq!(pool.stream_cache_stats(StreamId(5)).cached_blocks, 1);
-        // Stream 1 folds onto the same bank but must not receive 5's block.
-        let b = pool
-            .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(1))
-            .unwrap();
-        assert_ne!(b.va, a.va, "foreign folded block skipped");
-        // A free of stream-1's block issued from stream 5 is cross-stream
-        // (same bank, different original id): the event guard must fire.
-        pool.free_on_stream(b.id, StreamId(5)).unwrap();
-        let large = pool.large_cache_stats();
-        assert_eq!(large.cross_stream_parked, 1, "guard keyed on original id");
-        assert_eq!(events.pending(), 1);
-        // Stream 5 still reuses its own block.
-        let c = pool
-            .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(5))
-            .unwrap();
-        assert_eq!(c.va, a.va, "affinity keyed on original id");
-        pool.free_on_stream(c.id, StreamId(5)).unwrap();
-        events.complete_all();
-        pool.flush();
-        assert_eq!(events.pending(), 0);
-    }
-
-    #[test]
     fn large_stats_reconcile_exactly_at_quiescence() {
-        // Satellite-3 pin: hits, parked frees, and in-flight commits of the
-        // large route never double-count as cached+active; at quiescence
-        // the reconciled counters are exact.
+        // Large requests bypass the caches — the core sees each one and
+        // mints its id — while a small request beside them is cached; at
+        // quiescence the reconciled counters are exact across both id
+        // spaces.
         let pool = DeviceAllocator::new(TestCore::default());
         for _ in 0..5 {
             let a = pool.allocate(AllocRequest::new(mib(4))).unwrap();
+            let b = pool.allocate(AllocRequest::new(1000)).unwrap();
             pool.deallocate(a.id).unwrap();
+            pool.deallocate(b.id).unwrap();
         }
         let s = pool.stats();
-        assert_eq!(s.alloc_count, 5);
-        assert_eq!(s.free_count, 5);
+        assert_eq!(s.alloc_count, 10);
+        assert_eq!(s.free_count, 10);
         assert_eq!(s.active_bytes, 0);
-        assert_eq!(s.requested_bytes_total, 5 * mib(4), "exact requested");
-        let large = pool.large_cache_stats();
-        assert_eq!((large.hits, large.misses), (4, 1));
-        assert_eq!(pool.flush(), mib(4));
-        let s = pool.stats();
-        assert_eq!(s.alloc_count, 5);
-        assert_eq!(s.free_count, 5);
-        assert_eq!(s.active_bytes, 0);
-        assert_eq!(pool.large_cache_stats().cached_blocks, 0);
-    }
-
-    #[test]
-    fn large_bank_cap_overflows_to_the_core() {
-        let pool = DeviceAllocator::with_config(
-            TestCore::default(),
-            DeviceAllocatorConfig::default().with_max_cached_large_per_bank(2),
+        let requested = 5 * (mib(4) + 1000);
+        assert_eq!(s.requested_bytes_total, requested, "exact requested");
+        let cache = pool.cache_stats();
+        assert_eq!((cache.hits, cache.misses), (4, 1), "only small is cached");
+        assert_eq!(pool.with_core(|c| c.stats().alloc_count), 6);
+        assert_eq!(
+            pool.large_cache_stats(),
+            DeviceCacheStats {
+                streams: 1,
+                ..Default::default()
+            }
         );
-        let ids: Vec<_> = (0..4)
-            .map(|_| pool.allocate(AllocRequest::new(mib(4))).unwrap().id)
-            .collect();
-        for id in ids {
-            pool.deallocate(id).unwrap();
-        }
-        let large = pool.large_cache_stats();
-        assert_eq!(large.cached_blocks, 2, "bank cap respected");
-        assert_eq!(pool.with_core(|c| c.stats().free_count), 2, "2 overflowed");
-        assert_eq!(pool.stats().active_bytes, 0);
+        assert_eq!(pool.flush(), 1024, "only the small block was parked");
+        let s = pool.stats();
+        assert_eq!(s.alloc_count, 10);
+        assert_eq!(s.free_count, 10);
+        assert_eq!(s.active_bytes, 0);
+        assert_eq!(s.requested_bytes_total, requested);
     }
 
     #[test]
     fn large_oom_flushes_the_banks_and_retries() {
-        // Capacity fits exactly one 4 MiB block: the parked large block
-        // must be handed back to the core for the next allocation to
-        // succeed (the flush-and-retry reaches the large banks).
+        // Capacity fits exactly four 1 MiB class blocks, all parked in the
+        // stream bank: a large request at the core runs out of memory
+        // until the flush-and-retry hands them back.
         let pool = DeviceAllocator::new(TestCore::bounded(mib(4)));
-        let a = pool.allocate(AllocRequest::new(mib(4))).unwrap();
-        pool.deallocate(a.id).unwrap();
-        assert_eq!(pool.large_cache_stats().cached_blocks, 1);
+        let ids: Vec<_> = (0..4)
+            .map(|_| pool.allocate(AllocRequest::new(mib(1))).unwrap().id)
+            .collect();
+        for id in ids {
+            pool.deallocate(id).unwrap();
+        }
+        assert_eq!(pool.cache_stats().cached_bytes, mib(4));
         let b = pool.allocate(AllocRequest::new(mib(3))).unwrap();
+        assert!(b.id.as_u64() < FRONT_ID_BASE, "served by the core");
         assert_eq!(b.size, mib(3));
+        assert_eq!(pool.cache_stats().cached_bytes, 0, "the retry flushed");
         pool.deallocate(b.id).unwrap();
         let s = pool.stats();
-        assert_eq!(s.alloc_count, 2);
-        assert_eq!(s.free_count, 2);
+        assert_eq!(s.alloc_count, 5);
+        assert_eq!(s.free_count, 5);
         assert_eq!(s.active_bytes, 0);
     }
 
@@ -2155,7 +1799,7 @@ mod tests {
         let b = pool
             .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
             .unwrap();
-        let mask = pool.inner.small.caches.len() as u64 - 1;
+        let mask = pool.inner.caches.len() as u64 - 1;
         assert_ne!(
             a.id.as_u64() & mask,
             b.id.as_u64() & mask,
@@ -2362,50 +2006,6 @@ mod tests {
         let s = pool.stats();
         assert_eq!((s.alloc_count, s.free_count, s.active_bytes), (4, 4, 0));
         // Full accounting survives a flush.
-        pool.flush();
-        assert_eq!(pool.with_core(|c| c.stats().live_allocations()), 0);
-    }
-
-    #[test]
-    fn large_foreign_blocks_at_cap_are_evicted_not_wedged() {
-        // The large-route twin of the case above: stream 5 folds onto bank
-        // 1 (2 banks), fills the bank to its cap and idles. Stream 1's
-        // frees must evict the foreign blocks instead of paying a core
-        // round trip per large alloc/free until the next flush.
-        let pool = DeviceAllocator::with_config(
-            TestCore::default(),
-            DeviceAllocatorConfig::default()
-                .with_streams(2)
-                .with_max_cached_large_per_bank(2),
-        );
-        // Two sizes: the cap is per bank, so the foreign block to evict
-        // may sit under another key than the one being parked.
-        for size in [mib(4), mib(6)] {
-            let a = pool
-                .alloc_on_stream(AllocRequest::new(size), StreamId(5))
-                .unwrap();
-            pool.free_on_stream(a.id, StreamId(5)).unwrap();
-        }
-        assert_eq!(
-            pool.large_cache_stats().cached_blocks,
-            2,
-            "cap filled by stream 5"
-        );
-        let a = pool
-            .alloc_on_stream(AllocRequest::new(mib(8)), StreamId(1))
-            .unwrap();
-        pool.free_on_stream(a.id, StreamId(1)).unwrap();
-        assert_eq!(pool.large_cache_stats().cached_blocks, 2, "still at cap");
-        let core_allocs = pool.with_core(|c| c.stats().alloc_count);
-        let b = pool
-            .alloc_on_stream(AllocRequest::new(mib(8)), StreamId(1))
-            .unwrap();
-        assert_eq!(b.va, a.va, "stream 1 reuses the block it parked");
-        assert_eq!(pool.large_cache_stats().hits, 1, "a warm hit");
-        assert_eq!(pool.with_core(|c| c.stats().alloc_count), core_allocs);
-        pool.free_on_stream(b.id, StreamId(1)).unwrap();
-        let s = pool.stats();
-        assert_eq!((s.alloc_count, s.free_count, s.active_bytes), (4, 4, 0));
         pool.flush();
         assert_eq!(pool.with_core(|c| c.stats().live_allocations()), 0);
     }

@@ -11,13 +11,15 @@
 //! * [`DeviceAllocator`] — the cloneable, `Send + Sync`, `&self`
 //!   *front-end* that wraps any core and is the only type concurrent
 //!   callers (the runtime's pool service, replayers, benches) speak to. It
-//!   serves warm traffic from free-list caches partitioned per logical GPU
-//!   stream ([`StreamId`]) — size classes below the stitch threshold, exact
-//!   sizes above it — with PyTorch's event-guarded cross-stream reuse rule
-//!   (an [`EventSource`] turns cross-stream frees into pending-ring parks
+//!   serves warm requests below the stitch threshold from size-class
+//!   free-list caches partitioned per logical GPU stream ([`StreamId`]),
+//!   with PyTorch's event-guarded cross-stream reuse rule (an
+//!   [`EventSource`] turns cross-stream frees into pending-ring parks
 //!   promoted on event completion; without one the conservative
 //!   through-the-core rule applies), so threads and streams never contend
-//!   with each other or with stitch work.
+//!   with each other or with stitch work. Requests at or above the
+//!   threshold go straight to the core, whose stitcher must see every
+//!   inactive block.
 //!
 //! The trait mirrors the narrow interface a deep-learning framework exposes to
 //! its tensor layer: `allocate`, `deallocate`, plus the cache-management hooks
@@ -52,6 +54,6 @@ pub use request::{AllocRequest, Allocation};
 pub use stats::{FaultJournalStats, MemStats, StatsDelta};
 pub use traits::AllocatorCore;
 pub use types::{
-    gib, kib, mib, AllocTag, AllocationId, EventId, StreamId, VirtAddr, BYTES_PER_GIB,
-    BYTES_PER_KIB, BYTES_PER_MIB,
+    gib, kib, mib, AllocTag, AllocationId, EventId, IdHasher, IdMap, StreamId, VirtAddr,
+    BYTES_PER_GIB, BYTES_PER_KIB, BYTES_PER_MIB,
 };

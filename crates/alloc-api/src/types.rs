@@ -128,6 +128,46 @@ impl fmt::Display for AllocationId {
     }
 }
 
+/// A `HashMap` keyed by ids — [`AllocationId`]s, front-end ids, size
+/// classes, physical handle numbers: anything that hashes as one `u64`.
+///
+/// Its [`IdHasher`] is a multiply + xor-shift, which beats the default
+/// SipHash by a wide margin on the hot path. It is deterministic and not
+/// DoS-resistant: only for keys the program mints itself.
+///
+/// ```
+/// use gmlake_alloc_api::{AllocationId, IdMap};
+/// let mut live: IdMap<AllocationId, u64> = IdMap::default();
+/// live.insert(AllocationId::new(7), 4096);
+/// assert_eq!(live[&AllocationId::new(7)], 4096);
+/// ```
+pub type IdMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IdHasher>>;
+
+/// The hasher of [`IdMap`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let mut h = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^= h >> 29;
+        self.0 = h;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Fallback for keys that are not one `u64` (off the hot path).
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
 /// Identifies one logical GPU stream (execution queue) within a device.
 ///
 /// Streams order the kernels that *use* memory: a block freed and

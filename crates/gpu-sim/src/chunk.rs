@@ -7,7 +7,7 @@
 //! creation reference — physical memory is returned to the device when the
 //! last mapping disappears.
 
-use std::collections::HashMap;
+use gmlake_alloc_api::IdMap;
 
 use crate::error::{DriverError, DriverResult};
 
@@ -40,11 +40,13 @@ pub(crate) struct PhysEntry {
     pub bytes: Option<Box<[u8]>>,
 }
 
-/// Table of all live physical allocations plus capacity accounting.
+/// Table of all live physical allocations plus capacity accounting. Handle
+/// ids are sequential and never reused, so the table hashes them with the
+/// cheap [`IdMap`] hasher.
 #[derive(Debug, Default)]
 pub(crate) struct PhysTable {
     next_id: u64,
-    entries: HashMap<u64, PhysEntry>,
+    entries: IdMap<u64, PhysEntry>,
     pub in_use: u64,
     pub peak_in_use: u64,
     pub created_total: u64,
@@ -102,9 +104,23 @@ impl PhysTable {
             .ok_or(DriverError::InvalidHandle(h.0))
     }
 
-    /// Size of the allocation behind `h`.
-    pub fn size_of(&self, h: PhysHandle) -> DriverResult<u64> {
-        Ok(self.entry(h)?.size)
+    /// Checks that `[offset, offset + len)` of `h` may gain a mapping: the
+    /// handle exists, holds the range, and was not released (CUDA forbids
+    /// new mappings of released handles) — errors in that order.
+    pub fn check_mappable(&self, h: PhysHandle, offset: u64, len: u64) -> DriverResult<()> {
+        let e = self.entry(h)?;
+        if offset + len > e.size {
+            return Err(DriverError::HandleRangeOutOfBounds {
+                handle: h.0,
+                offset,
+                len,
+                size: e.size,
+            });
+        }
+        if e.released {
+            return Err(DriverError::HandleReleased(h.0));
+        }
+        Ok(())
     }
 
     /// Registers one more VA mapping on `h`. Fails if the handle was released
@@ -201,7 +217,11 @@ mod tests {
     fn create_respects_capacity() {
         let mut t = PhysTable::new();
         let h = t.create(512, CAP, false).unwrap();
-        assert_eq!(t.size_of(h).unwrap(), 512);
+        assert_eq!(t.check_mappable(h, 0, 512), Ok(()));
+        assert!(matches!(
+            t.check_mappable(h, 256, 512).unwrap_err(),
+            DriverError::HandleRangeOutOfBounds { size: 512, .. }
+        ));
         assert_eq!(t.in_use, 512);
         let err = t.create(513, CAP, false).unwrap_err();
         assert!(matches!(
@@ -254,6 +274,26 @@ mod tests {
         t.add_map(h).unwrap();
         t.release(h).unwrap();
         assert_eq!(t.add_map(h).unwrap_err(), DriverError::HandleReleased(h.0));
+        assert_eq!(
+            t.check_mappable(h, 0, 128).unwrap_err(),
+            DriverError::HandleReleased(h.0)
+        );
+    }
+
+    #[test]
+    fn destroyed_handle_ids_stay_invalid() {
+        // Ids are never reused, so a destroyed handle's id must keep
+        // missing the table however many handles are created after it.
+        let mut t = PhysTable::new();
+        let dead = t.create(64, CAP, false).unwrap();
+        t.release(dead).unwrap();
+        let live: Vec<_> = (0..8).map(|_| t.create(64, CAP, false).unwrap()).collect();
+        assert!(live.iter().all(|&h| h != dead));
+        let invalid = DriverError::InvalidHandle(dead.0);
+        assert_eq!(t.check_mappable(dead, 0, 64).unwrap_err(), invalid);
+        assert_eq!(t.add_map(dead).unwrap_err(), invalid);
+        assert_eq!(t.release(dead).unwrap_err(), invalid);
+        assert_eq!(t.handle_count(), 8);
     }
 
     #[test]

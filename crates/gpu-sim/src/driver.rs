@@ -401,21 +401,9 @@ impl CudaDriver {
         Self::check_aligned(va.as_u64(), gran)?;
         Self::check_aligned(size, gran)?;
         Self::check_aligned(offset, gran)?;
-        let hsize = g.phys.size_of(h)?;
-        if offset + size > hsize {
-            return Err(DriverError::HandleRangeOutOfBounds {
-                handle: h.as_u64(),
-                offset,
-                len: size,
-                size: hsize,
-            });
-        }
-        // Validate map-count bump is possible before mutating the VA space.
-        g.phys.add_map(h)?;
-        if let Err(e) = g.va.map(va, size, h, offset) {
-            g.phys.remove_map(h).expect("just added");
-            return Err(e);
-        }
+        g.phys.check_mappable(h, offset, size)?;
+        g.va.map(va, size, h, offset)?;
+        g.phys.add_map(h).expect("checked above");
         let ns = g.config.cost.map_ns(size);
         g.charge(ns);
         g.stats.map.record(ns);
@@ -424,20 +412,23 @@ impl CudaDriver {
 
     /// Batched `cuMemMap`: maps `handles[i]` (offset 0) at
     /// `va + i * chunk_size` for every `i`, under a single driver entry.
-    /// Each handle must hold at least `chunk_size` bytes; the target ranges
-    /// must lie inside one reservation and be unmapped. On any failure,
-    /// mappings made so far are rolled back (strong exception safety).
-    /// Advances the clock by the per-call map cost once plus the
-    /// dispatch-free marginal cost per additional chunk — identical to the
-    /// equivalent [`CudaDriver::mem_map`] sequence minus the amortized
-    /// dispatch overhead — and records **one** `map` call in the telemetry.
+    /// Each handle must hold at least `chunk_size` bytes and be unreleased;
+    /// the target ranges must lie inside the one reservation holding `va`
+    /// and be unmapped. Everything is validated before anything is mapped,
+    /// so a failure leaves the device untouched, with the error the
+    /// equivalent [`CudaDriver::mem_map`] sequence meets first. Advances
+    /// the clock by the per-call map cost once plus the dispatch-free
+    /// marginal cost per additional chunk — identical to that sequence
+    /// minus the amortized dispatch overhead — and records **one** `map`
+    /// call in the telemetry.
     pub fn mem_map_range(
         &self,
         va: VirtAddr,
         chunk_size: u64,
         handles: &[PhysHandle],
     ) -> DriverResult<()> {
-        let mut g = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let g = &mut *guard;
         g.inject(FaultOp::Map)?;
         if handles.is_empty() || chunk_size == 0 {
             return Err(DriverError::ZeroSize);
@@ -445,37 +436,11 @@ impl CudaDriver {
         let gran = g.config.granularity;
         Self::check_aligned(va.as_u64(), gran)?;
         Self::check_aligned(chunk_size, gran)?;
-        // Validate handle bounds before any mutation.
+        g.va.map_run(va, chunk_size, handles, |h| {
+            g.phys.check_mappable(h, 0, chunk_size)
+        })?;
         for &h in handles {
-            let hsize = g.phys.size_of(h)?;
-            if chunk_size > hsize {
-                return Err(DriverError::HandleRangeOutOfBounds {
-                    handle: h.as_u64(),
-                    offset: 0,
-                    len: chunk_size,
-                    size: hsize,
-                });
-            }
-        }
-        for (i, &h) in handles.iter().enumerate() {
-            let at = va.offset(i as u64 * chunk_size);
-            let result = g.phys.add_map(h).and_then(|()| {
-                g.va.map(at, chunk_size, h, 0).inspect_err(|_| {
-                    g.phys.remove_map(h).expect("just added");
-                })
-            });
-            if let Err(e) = result {
-                // Roll the partial batch back.
-                for j in 0..i {
-                    let undone =
-                        g.va.unmap(va.offset(j as u64 * chunk_size), chunk_size)
-                            .expect("mapped above");
-                    for u in undone {
-                        g.phys.remove_map(u).expect("mapping existed");
-                    }
-                }
-                return Err(e);
-            }
+            g.phys.add_map(h).expect("checked by map_run");
         }
         let ns = g.config.cost.map_range_ns(chunk_size, handles.len() as u64);
         g.charge(ns);

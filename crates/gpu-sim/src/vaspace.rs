@@ -173,16 +173,66 @@ impl VaSpace {
         Ok(())
     }
 
-    /// Collects the map entries that exactly tile `[va, va+len)`.
+    /// Maps `handles[i]` (`chunk` bytes from its offset 0) at
+    /// `va + i * chunk` for every `i`, inside the one reservation holding
+    /// `va`: one lookup and one overlap probe for the whole run. `check`
+    /// validates a chunk's handle. The error is the one the equivalent
+    /// sequence of per-chunk [`VaSpace::map`] calls (each after its
+    /// `check`) meets first; nothing is mapped unless every chunk passes.
+    pub fn map_run(
+        &mut self,
+        va: VirtAddr,
+        chunk: u64,
+        handles: &[PhysHandle],
+        mut check: impl FnMut(PhysHandle) -> DriverResult<()>,
+    ) -> DriverResult<()> {
+        let n = handles.len() as u64;
+        let found = self.containing_mut(va);
+        // The first chunk whose range fails, and how: over a live mapping,
+        // or past the reservation's end (which wins a tie).
+        let fail = match &found {
+            Err(e) => Some((0, e.clone())),
+            Ok((start, res)) => {
+                let off = va.as_u64() - start;
+                let fit = (res.size - off) / chunk;
+                let hit = match res.maps.range(..=off).next_back() {
+                    Some((&p, e)) if p + e.len > off => Some(off),
+                    _ => res.maps.range(off..off + n * chunk).next().map(|(&s, _)| s),
+                };
+                match hit.map(|s| ((s - off) / chunk, VirtAddr::new(start + s))) {
+                    Some((i, at)) if i < fit => Some((i, DriverError::AlreadyMapped(at))),
+                    _ => (fit < n)
+                        .then(|| (fit, DriverError::InvalidAddress(va.offset(fit * chunk)))),
+                }
+            }
+        };
+        let valid = fail.as_ref().map_or(n, |(i, _)| i + 1);
+        for &h in &handles[..valid as usize] {
+            check(h)?;
+        }
+        if let Some((_, e)) = fail {
+            return Err(e);
+        }
+        let (start, res) = found?;
+        let base = va.as_u64() - start;
+        for (i, &handle) in handles.iter().enumerate() {
+            let entry = MapEntry {
+                len: chunk,
+                handle,
+                handle_off: 0,
+                access: false,
+            };
+            res.maps.insert(base + i as u64 * chunk, entry);
+        }
+        Ok(())
+    }
+
+    /// Checks that the map entries starting in `[va, va+len)` exactly tile
+    /// it, and returns the range's offsets within the reservation.
     ///
     /// Errors with [`DriverError::NotMapped`] on gaps and
     /// [`DriverError::PartialUnmap`] if the range splits an entry.
-    fn covering_offsets(
-        start: u64,
-        res: &Reservation,
-        va: VirtAddr,
-        len: u64,
-    ) -> DriverResult<Vec<u64>> {
+    fn covering(start: u64, res: &Reservation, va: VirtAddr, len: u64) -> DriverResult<(u64, u64)> {
         let off = va.as_u64() - start;
         let end = off + len;
         // An entry straddling the left edge means a split.
@@ -192,24 +242,19 @@ impl VaSpace {
             }
         }
         let mut cursor = off;
-        let mut found = Vec::new();
-        for (&eoff, entry) in res.maps.range(off..) {
-            if eoff >= end {
-                break;
-            }
+        for (&eoff, entry) in res.maps.range(off..end) {
             if eoff != cursor {
                 return Err(DriverError::NotMapped(VirtAddr::new(start + cursor)));
             }
             if eoff + entry.len > end {
                 return Err(DriverError::PartialUnmap(VirtAddr::new(start + eoff)));
             }
-            found.push(eoff);
             cursor = eoff + entry.len;
         }
         if cursor != end {
             return Err(DriverError::NotMapped(VirtAddr::new(start + cursor)));
         }
-        Ok(found)
+        Ok((off, end))
     }
 
     /// Unmaps `[va, va+len)`, which must exactly tile whole map entries.
@@ -220,7 +265,8 @@ impl VaSpace {
             return Err(DriverError::ZeroSize);
         }
         let (start, res) = self.containing_mut(va)?;
-        let offsets = Self::covering_offsets(start, res, va, len)?;
+        let (off, end) = Self::covering(start, res, va, len)?;
+        let offsets: Vec<u64> = res.maps.range(off..end).map(|(&o, _)| o).collect();
         let mut handles = Vec::with_capacity(offsets.len());
         for off in offsets {
             let entry = res.maps.remove(&off).expect("offset collected above");
@@ -238,10 +284,9 @@ impl VaSpace {
             return Err(DriverError::ZeroSize);
         }
         let (start, res) = self.containing_mut(va)?;
-        let offsets = Self::covering_offsets(start, res, va, len)?;
-        let mut lens = Vec::with_capacity(offsets.len());
-        for off in offsets {
-            let entry = res.maps.get_mut(&off).expect("offset collected above");
+        let (off, end) = Self::covering(start, res, va, len)?;
+        let mut lens = Vec::new();
+        for (_, entry) in res.maps.range_mut(off..end) {
             entry.access = enabled;
             lens.push(entry.len);
         }

@@ -27,13 +27,12 @@
 //! [`iteration_boundary`]: AllocatorCore::iteration_boundary
 //! [`release_cached`]: AllocatorCore::release_cached
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use gmlake_alloc_api::{
-    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, FaultJournalStats, MemStats,
-    StreamId, VirtAddr,
+    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, FaultJournalStats, IdMap,
+    MemStats, StreamId, VirtAddr,
 };
 use gmlake_core::{GmLakeAllocator, GmLakeConfig};
 use gmlake_gpu_sim::{CudaDriver, PhysHandle};
@@ -96,31 +95,6 @@ impl PlanCounters {
         }
     }
 }
-
-/// Fibonacci-multiplicative hasher for the route table: route keys are
-/// sequentially minted ids, so a single multiply mixes them better than
-/// the default SipHash at a fraction of the cost — the plan-hit path is
-/// two table touches and must stay in the tens of nanoseconds.
-#[derive(Default)]
-struct FibHasher(u64);
-
-impl Hasher for FibHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FibHasher>>;
 
 /// Where a live allocation handed out by the planned core actually lives.
 #[derive(Debug, Clone, Copy)]
@@ -263,7 +237,9 @@ pub struct PlannedCore {
     recording: bool,
     recorder: IterationRecorder,
     installed: Option<InstalledPlan>,
-    routes: FastMap<AllocationId, Route>,
+    /// Where each live id lives. The plan-hit path is two table touches,
+    /// so the ids take the cheap [`IdMap`] hasher.
+    routes: IdMap<AllocationId, Route>,
     next_id: u64,
     stats: MemStats,
     counters: PlanCounters,
@@ -281,7 +257,7 @@ impl PlannedCore {
             recording: true,
             recorder: IterationRecorder::new(),
             installed: None,
-            routes: FastMap::default(),
+            routes: IdMap::default(),
             next_id: 1,
             stats: MemStats::default(),
             counters: PlanCounters::default(),

@@ -16,10 +16,10 @@
 //! * [`PoolHandle`] — a cheap, cloneable front end to one pool, `&self` on
 //!   every call. Small allocations ride the front-end's sharded
 //!   per-size-class caches without touching the pool mutex; large/stitch
-//!   traffic runs through per-stream large banks whose misses take a
-//!   commit-time lock on the wrapped core. `PoolHandle` also implements
-//!   [`AllocatorCore`], so trait-generic code (like `gmlake-workload`'s
-//!   `Replayer`) drives a shared pool unmodified.
+//!   traffic goes straight to the wrapped core under its commit-time
+//!   lock, so the stitcher sees every inactive block. `PoolHandle` also
+//!   implements [`AllocatorCore`], so trait-generic code (like
+//!   `gmlake-workload`'s `Replayer`) drives a shared pool unmodified.
 //! * [`DefragPolicy`] — four plain values deciding *when* a pool runs the
 //!   passes its allocator already implements: a periodic
 //!   [`AllocatorCore::compact`] every N ticks, escalating to an aggressive
@@ -28,8 +28,8 @@
 //!   built with [`PoolService::with_defrag`] gives every pool its own
 //!   [`Defragger`], ticked once per [`PoolHandle::iteration_boundary`];
 //!   the serving layer ticks one per step with its tenant-churn count.
-//!   Every pass flushes the front-end's shard caches *and* per-stream
-//!   large banks first, so defrag always sees every cached byte.
+//!   Every pass flushes the front-end's shard caches and pending rings
+//!   first, so defrag always sees every cached byte.
 //! * The staged OOM rescue on the allocation path (see
 //!   [`PoolHandle::alloc_on_stream`]) is independent of the defrag policy.
 //!

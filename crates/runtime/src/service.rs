@@ -1275,13 +1275,11 @@ mod tests {
             )
             .unwrap();
         // Build a stitchable pool state: two freed blocks of 4 and 6 MiB,
-        // flushed out of the front-end's large banks so the core's
-        // stitcher sees them.
+        // which large frees hand straight to the core's stitcher.
         let a = pool.allocate(AllocRequest::new(mib(4))).unwrap();
         let b = pool.allocate(AllocRequest::new(mib(6))).unwrap();
         pool.deallocate(a.id).unwrap();
         pool.deallocate(b.id).unwrap();
-        pool.allocator().flush();
         // The next two map-family calls fault: two consecutive stitch
         // attempts fail and trip the breaker.
         driver.set_fault_plan(
@@ -1318,10 +1316,8 @@ mod tests {
             assert_eq!(lake.validate(), Ok(()));
             assert!(lake.fault_journal().is_leak_free());
         });
-        // And it is actually used again: a 14 MiB request stitches cached
-        // blocks without growing physical memory (flush first — the 10 and
-        // 4 MiB blocks freed above are parked in the large banks).
-        pool.allocator().flush();
+        // And it is actually used again: a 14 MiB request stitches the 10
+        // and 4 MiB blocks freed above without growing physical memory.
         let phys = driver.phys_in_use();
         let e = pool.allocate(AllocRequest::new(mib(14))).unwrap();
         assert_eq!(driver.phys_in_use(), phys, "stitched from cache");

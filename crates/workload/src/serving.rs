@@ -469,14 +469,18 @@ mod tests {
         );
         assert!(report.peak_tenants >= 100, "peak {}", report.peak_tenants);
         assert_eq!(report.oom_failures, 0);
+        // Re-pinned when the front-end's large route was deleted: ≥ 2 MiB
+        // blocks are no longer parked above the core between passes, so
+        // the core reuses them and a pass finds fewer bytes to release
+        // (80 067 166 208 at ce1a93e).
         assert_eq!(
             (
                 defrag.periodic_passes,
                 defrag.aggressive_passes,
                 defrag.bytes_reclaimed
             ),
-            (0, 188, 80_067_166_208),
-            "the serving default policy's passes on this seeded plan (pinned at ce1a93e)"
+            (0, 188, 76_778_831_872),
+            "the serving default policy's passes on this seeded plan"
         );
     }
 }

@@ -355,15 +355,16 @@ fn pool_service_soak_absorbs_transient_faults() {
     });
 }
 
-/// A `MemMap` fault landing *inside an optimistic large commit* (PR 9):
-/// the front-end's per-stream large bank misses, takes the commit-time
-/// core lock, and the stitch it commits faults on its map call. The
-/// rollback doctrine must hold exactly as it does under the plain mutex:
-/// the fault surfaces as `AllocError::DriverFault`, the compensating
-/// unwind leaves the core valid and leak-free, the bank's live table has
-/// no ghost entry, and the same request succeeds once the fault clears.
+/// A `MemMap` fault landing *inside a stream-affine core-path stitch*: a
+/// large request on a multi-stream front-end goes straight to the core as
+/// `alloc_on_stream`, and the stitch the core commits under its lock
+/// faults on its map call. The rollback doctrine must hold exactly as it
+/// does on the bare core: the fault surfaces as `AllocError::DriverFault`,
+/// the compensating unwind leaves the core valid and leak-free, the
+/// front-end counts no ghost allocation, and the same request succeeds
+/// once the fault clears.
 #[test]
-fn memmap_fault_inside_optimistic_large_commit_rolls_back() {
+fn memmap_fault_inside_stream_affine_large_stitch_rolls_back() {
     use gmlake_alloc_api::DeviceAllocatorConfig;
     let driver = CudaDriver::new(DeviceConfig::a100_80g());
     let lake = ValidatedLake::new(&driver, GmLakeConfig::default().with_frag_limit(mib(2)));
@@ -372,9 +373,9 @@ fn memmap_fault_inside_optimistic_large_commit_rolls_back() {
         DeviceAllocatorConfig::default().with_streams(4),
         std::sync::Arc::new(driver.clone()),
     );
-    // Prime a 4 + 6 MiB inactive pair *in the core* (flush moves the
-    // bank-parked blocks down), so a 10 MiB request classifies S3 and the
-    // commit under the core lock is a real stitch.
+    // Prime a 4 + 6 MiB inactive pair: large frees reach the core
+    // directly, so a 10 MiB request classifies S3 and the commit under
+    // the core lock is a real stitch.
     let a = pool
         .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(1))
         .unwrap();
@@ -383,7 +384,7 @@ fn memmap_fault_inside_optimistic_large_commit_rolls_back() {
         .unwrap();
     pool.free_on_stream(a.id, StreamId(1)).unwrap();
     pool.free_on_stream(b.id, StreamId(1)).unwrap();
-    pool.flush();
+    assert_eq!(pool.cache_stats().cached_blocks, 0, "nothing parked above");
     let stats_before = pool.stats();
 
     // Arm: the next map call is the stitch's, inside the commit.
@@ -397,7 +398,7 @@ fn memmap_fault_inside_optimistic_large_commit_rolls_back() {
     );
     assert!(driver.stats().injected_faults > 0, "schedule never fired");
 
-    // Rollback doctrine: core valid + leak-free, no ghost bank entry.
+    // Rollback doctrine: core valid + leak-free, no ghost allocation.
     driver.clear_fault_plan();
     pool.with_core_as::<GmLakeAllocator, _>(|lake| {
         lake.validate().unwrap();
@@ -419,7 +420,6 @@ fn memmap_fault_inside_optimistic_large_commit_rolls_back() {
         .unwrap();
     assert_eq!(c.size, mib(10));
     pool.free_on_stream(c.id, StreamId(2)).unwrap();
-    pool.flush();
     pool.with_core_as::<GmLakeAllocator, _>(|lake| lake.validate().unwrap())
         .expect("gmlake core");
     assert_eq!(pool.stats().active_bytes, 0);

@@ -9,6 +9,73 @@ use gmlake::prelude::*;
 use gmlake_alloc_api::DeviceAllocatorConfig;
 use gmlake_core::GmLakeConfig;
 
+/// The front-end adds no bytes above the core on the traffic the stitcher
+/// serves: the ≥ 2 MiB tensors of one seeded training trace, replayed
+/// through `DeviceAllocator::new(GmLakeAllocator)` and through a bare
+/// `GmLakeAllocator`, each on a fresh device, reserve the same peak, take
+/// the same S1–S4 / stitch / split / eviction transitions and make the
+/// same VMM driver calls. Every such request reaches the stitcher, and
+/// nothing the core counts as active is parked above it. (Small requests
+/// are still cached per stream in power-of-two classes — a class miss in
+/// (1, 2) MiB asks the core for a 2 MiB block — so the whole trace
+/// reshapes what the core sees, by design.)
+#[test]
+fn front_end_adds_no_bytes_above_the_core() {
+    use gmlake_gpu_sim::DriverStats;
+    use gmlake_workload::{TraceEvent, TraceGenerator};
+    let cfg = TrainConfig::new(ModelSpec::opt_1_3b(), StrategySet::LR)
+        .with_seq_len(256)
+        .with_batch(2)
+        .with_iterations(5);
+    let mut trace = TraceGenerator::new(cfg.clone()).generate();
+    // Keys are unique among live tensors only, so a small key leaves the
+    // set at its free.
+    let mut small = std::collections::HashSet::new();
+    trace.events.retain(|ev| match *ev {
+        TraceEvent::Alloc { key, size, .. } if size < mib(2) => !small.insert(key),
+        TraceEvent::Free { key, .. } => !small.remove(&key),
+        _ => true,
+    });
+    let run = |front: bool| {
+        let driver = CudaDriver::new(DeviceConfig::a100_80g().with_backing(false));
+        let mut lake = GmLakeAllocator::new(driver.clone(), GmLakeConfig::default());
+        let replayer = Replayer::new(driver.clone());
+        // Driver stats are read before the allocator drops and tears its
+        // pool down.
+        let (report, counters, calls) = if front {
+            let mut pool = DeviceAllocator::new(lake);
+            let report = replayer.replay(&mut pool, &trace, &cfg);
+            let counters = pool.with_core_as(|c: &mut GmLakeAllocator| c.state_counters());
+            (report, counters.expect("gmlake core"), driver.stats())
+        } else {
+            let report = replayer.replay(&mut lake, &trace, &cfg);
+            (report, lake.state_counters(), driver.stats())
+        };
+        assert!(report.outcome.is_completed());
+        (report.peak_reserved, counters, calls)
+    };
+    let (front_peak, front_counters, front_driver) = run(true);
+    let (bare_peak, bare_counters, bare_driver) = run(false);
+    assert_eq!(front_peak, bare_peak, "peak reserved bytes");
+    assert_eq!(front_counters, bare_counters, "core state transitions");
+    let vmm_calls = |s: &DriverStats| {
+        [
+            s.address_reserve.calls,
+            s.address_free.calls,
+            s.create.calls,
+            s.release.calls,
+            s.map.calls,
+            s.unmap.calls,
+            s.set_access.calls,
+        ]
+    };
+    assert_eq!(
+        vmm_calls(&front_driver),
+        vmm_calls(&bare_driver),
+        "VMM calls"
+    );
+}
+
 fn caching_front() -> (DeviceAllocator, CudaDriver) {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
     (

@@ -25,12 +25,10 @@
 //! Program sizes are powers of two, so the front-end's size-class rounding
 //! is the identity and any divergence is a real routing/accounting bug, not
 //! a rounding artifact. Sizes range up to 8 MiB — well above the 2 MiB
-//! stitch threshold — so programs mix small-shard traffic with the PR 9
-//! per-stream *large-bank* route (exact-size reuse, large event guard,
-//! optimistic commit), and the oracle equivalence covers both id spaces and
-//! their interleavings. (Large reuse is exact-requested-size by design,
-//! so the oracle's after-every-op `active_bytes`/`requested_bytes_total`
-//! assertions stay bit-exact on the large path too.)
+//! stitch threshold — so programs mix small-shard traffic with large
+//! requests that go straight to the core: core-minted ids, and the event
+//! guard a cross-stream free of one synchronizes before the core sees it.
+//! The oracle equivalence covers both id spaces and their interleavings.
 
 use std::sync::Arc;
 
@@ -89,10 +87,8 @@ fn run_differential(ops: &[Op], capacity: u64) {
             .with_streams(STREAMS as usize)
             // Small caps: exercise free-list overflow returns AND
             // pending-ring overflow (the cross-stream fallback, which
-            // synchronizes its event before the core sees the block) on
-            // both the small shards and the large banks.
+            // synchronizes its event before the core sees the block).
             .with_max_cached_per_class(4)
-            .with_max_cached_large_per_bank(2)
             .with_pending_ring_cap(4),
         events.clone(),
     );
