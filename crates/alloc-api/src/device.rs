@@ -40,9 +40,10 @@
 //! [`DeviceAllocator::with_config_and_events`]) and the block waits in the
 //! owning cache's *pending ring* until the event completes; otherwise the
 //! block returns to the core, whose mutex is a full synchronization point.
-//! Given an event source, a large block freed from another stream reaches
-//! the core only after an event recorded on the freeing stream is
-//! synchronized.
+//! A large block's free goes straight to the core with its stream: the core
+//! owns the cross-stream rule for its own blocks (`GmLakeAllocator` stamps
+//! the freeing stream's event on them, and the next other stream to get one
+//! waits for it on the GPU), so the front-end never blocks the host there.
 //!
 //! Every rule compares **exact** [`StreamId`]s: every parked block carries
 //! the stream that allocated it, so even when distinct stream ids fold onto
@@ -540,9 +541,6 @@ struct Inner {
     /// Stream-completion event source backing the cross-stream reuse fast
     /// path; `None` keeps the conservative free-through-the-core rule.
     events: Option<Arc<dyn EventSource>>,
-    /// Allocating stream of each live core-minted id, kept only with an
-    /// event source (see [`DeviceAllocator::free_on_stream`]).
-    core_streams: Mutex<IdMap<u64, StreamId>>,
     /// Optional observability sink: sampled alloc/free latencies and cache
     /// hit/miss/park/promote trace records. `None` costs one branch.
     telemetry: Option<Arc<PoolTelemetry>>,
@@ -669,7 +667,6 @@ impl DeviceAllocator {
                 index_bits: total.trailing_zeros(),
                 max_cached_per_class: config.max_cached_per_class,
                 events,
-                core_streams: Mutex::default(),
                 telemetry,
             }),
         })
@@ -774,7 +771,8 @@ impl DeviceAllocator {
         }
         // Miss: ask the core for the whole class size (no cache lock held).
         // The core records `key` as requested; `requested_inflation`
-        // subtracts the rounding back out.
+        // subtracts the rounding back out. The request is streamless, so a
+        // core guarding a cross-stream-freed block waits it out on the host.
         let core_req = AllocRequest::new(key).with_tag(req.tag);
         let core_alloc = self.ask_core(|core| core.allocate(core_req))?;
         let block = CachedBlock {
@@ -820,13 +818,8 @@ impl DeviceAllocator {
             self.allocate_cached(req, stream, tel)
         } else {
             let result = self.ask_core(|core| core.alloc_on_stream(req, stream));
-            if let Ok(a) = &result {
-                if self.inner.events.is_some() {
-                    self.inner.core_streams.lock().insert(a.id.as_u64(), stream);
-                }
-                if let Some(t) = tel {
-                    t.record(EventKind::Alloc, a.size, stream.as_u32() as u64, 0);
-                }
+            if let (Ok(a), Some(t)) = (&result, tel) {
+                t.record(EventKind::Alloc, a.size, stream.as_u32() as u64, 0);
             }
             result
         };
@@ -874,11 +867,9 @@ impl DeviceAllocator {
     ///   **synchronized before the core sees it**.
     ///
     /// A core-minted id (a large allocation, or any with the caches off)
-    /// goes to the core, which is told the freeing stream. With an event
-    /// source, a free from a stream other than the allocating one follows
-    /// the full-ring rule: an event recorded on the freeing stream is
-    /// synchronized first, unless [`EventSource::try_record`] reports it
-    /// already complete.
+    /// goes straight to the core's [`AllocatorCore::free_on_stream`], which
+    /// is told the freeing stream and owns the cross-stream rule for its
+    /// blocks; the front-end records and synchronizes nothing.
     ///
     /// # Errors
     ///
@@ -887,33 +878,12 @@ impl DeviceAllocator {
         let tel = self.sampled_telemetry();
         let start = tel.map(|_| std::time::Instant::now());
         let result = if id.as_u64() < FRONT_ID_BASE {
-            self.free_core_minted(id, stream)
+            self.inner.core.lock().free_on_stream(id, stream)
         } else {
             self.free_cached(id, stream, tel)
         };
         if let (Some(t), Some(start)) = (tel, start) {
             t.free_ns().record(start.elapsed().as_nanos() as u64);
-        }
-        result
-    }
-
-    /// The core-minted-id rule of [`DeviceAllocator::free_on_stream`]. An
-    /// unknown id has no recorded stream and reaches the core unguarded,
-    /// which reports it.
-    fn free_core_minted(&self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
-        let Some(events) = &self.inner.events else {
-            return self.inner.core.lock().free_on_stream(id, stream);
-        };
-        let owner = self.inner.core_streams.lock().remove(&id.as_u64());
-        if owner.is_some_and(|owner| owner != stream) {
-            if let Some(event) = events.try_record(stream) {
-                events.synchronize(event);
-            }
-        }
-        let result = self.inner.core.lock().free_on_stream(id, stream);
-        if let (Err(_), Some(owner)) = (&result, owner) {
-            // Still live (a rolled-back fault): keep guarding it.
-            self.inner.core_streams.lock().insert(id.as_u64(), owner);
         }
         result
     }
@@ -1069,23 +1039,24 @@ impl DeviceAllocator {
     }
 
     /// Sweeps every cache's pending ring, promoting each cross-stream-freed
-    /// block whose event has completed into its owning stream's free list;
-    /// returns how many blocks were promoted.
+    /// block whose event has completed into its owning stream's free list,
+    /// then forwards to the core's [`AllocatorCore::process_events`];
+    /// returns the sum of both.
     ///
     /// The allocation path already promotes opportunistically (a free-list
     /// miss checks the cache's own ring before falling through to the
     /// core); this is the *proactive* sweep for natural synchronization
     /// points (iteration boundaries, scheduler ticks), keeping rings short
-    /// when the owning stream goes idle. A no-op without an [`EventSource`].
+    /// when the owning stream goes idle. Without an [`EventSource`] the
+    /// rings are empty and only the core is swept.
     pub fn process_events(&self) -> u64 {
-        let Some(events) = &self.inner.events else {
-            return 0;
-        };
         let mut promoted = 0;
-        for cache in self.inner.caches.iter() {
-            let mut guard = cache.lock();
-            if !guard.pending.is_empty() {
-                promoted += guard.promote_completed(&**events);
+        if let Some(events) = &self.inner.events {
+            for cache in self.inner.caches.iter() {
+                let mut guard = cache.lock();
+                if !guard.pending.is_empty() {
+                    promoted += guard.promote_completed(&**events);
+                }
             }
         }
         if promoted > 0 {
@@ -1095,7 +1066,7 @@ impl DeviceAllocator {
                 t.record(EventKind::EventPromotion, 0, promoted, 0);
             }
         }
-        promoted
+        promoted + self.inner.core.lock().process_events()
     }
 
     /// Returns every block parked in the caches — across **every** stream
@@ -1518,10 +1489,10 @@ mod tests {
     }
 
     #[test]
-    fn route_off_cross_stream_large_free_waits_for_its_event() {
-        // The core mints a large request's id, and a free from another
-        // stream must still record an event on the freeing stream and
-        // synchronize it before the core can re-serve the block.
+    fn core_minted_cross_stream_free_reaches_the_core_untouched() {
+        // The core mints a large request's id and owns the cross-stream
+        // rule for it: the front-end hands the free over with its stream,
+        // recording and synchronizing nothing itself.
         let events = Arc::new(ManualEvents::new());
         let pool = DeviceAllocator::with_config_and_events(
             TestCore::default(),
@@ -1533,19 +1504,46 @@ mod tests {
             .unwrap();
         assert!(a.id.as_u64() < FRONT_ID_BASE, "core id handed out");
         pool.free_on_stream(a.id, StreamId(0)).unwrap();
-        assert_eq!(events.pending(), 0, "recorded and synchronized");
+        assert_eq!(
+            pool.with_core_as(|c: &mut TestCore| c.streams_seen.clone()),
+            Some(vec![StreamId(1), StreamId(0)]),
+            "the core saw the allocating and the freeing stream"
+        );
         assert_eq!(pool.with_core(|c| c.stats().free_count), 1);
-        // A same-stream free records nothing: the next event minted is #2.
-        let b = pool
-            .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(1))
-            .unwrap();
-        pool.free_on_stream(b.id, StreamId(1)).unwrap();
-        assert_eq!(events.record(StreamId(0)).as_u64(), 2, "one guard event");
+        assert_eq!(events.record(StreamId(0)).as_u64(), 1, "no event recorded");
+        assert_eq!(events.pending(), 1, "none synchronized either");
         assert_eq!(
             pool.deallocate(a.id).unwrap_err(),
             AllocError::UnknownAllocation(a.id),
             "a double free still reaches the core"
         );
+    }
+
+    #[test]
+    fn process_events_forwards_to_the_core() {
+        #[derive(Default)]
+        struct Ticking(TestCore, u64);
+        impl AllocatorCore for Ticking {
+            fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
+                self.0.allocate(req)
+            }
+            fn deallocate(&mut self, id: AllocationId) -> Result<(), AllocError> {
+                self.0.deallocate(id)
+            }
+            fn stats(&self) -> MemStats {
+                self.0.stats()
+            }
+            fn name(&self) -> &'static str {
+                "ticking"
+            }
+            fn process_events(&mut self) -> u64 {
+                self.1 += 1;
+                self.1
+            }
+        }
+        let pool = DeviceAllocator::new(Ticking::default());
+        assert_eq!(pool.process_events(), 1, "no event source, core swept");
+        assert_eq!(pool.process_events(), 2);
     }
 
     #[test]

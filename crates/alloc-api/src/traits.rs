@@ -56,15 +56,16 @@ pub trait AllocatorCore {
 
     /// Allocates memory for `req` on behalf of logical GPU stream `stream`.
     ///
-    /// Backend cores are *stream-oblivious*: every call is serialized behind
-    /// the owner (or the front-end's core mutex), which is itself a full
-    /// synchronization point, so the default implementation simply ignores
-    /// the stream and delegates to [`AllocatorCore::allocate`]. Stream-aware
-    /// front-ends ([`DeviceAllocator`](crate::DeviceAllocator), the
-    /// runtime's `PoolHandle`) override this to route the request to the
-    /// stream's own cache partition — trait-generic callers (the trace
-    /// replayer) can therefore always pass the stream and let each layer do
-    /// the right thing.
+    /// The default ignores the stream and delegates to
+    /// [`AllocatorCore::allocate`]: right for a core that never hands a
+    /// block freed on one stream to another one that could still race it.
+    /// Stream-aware front-ends ([`DeviceAllocator`](crate::DeviceAllocator),
+    /// the runtime's `PoolHandle`) override this to route the request to
+    /// the stream's own cache partition; `GmLakeAllocator` overrides it to
+    /// prefer blocks the stream used last and to make the stream wait, on
+    /// the GPU, for the event a cross-stream free stamped on the block it
+    /// gets. Trait-generic callers (the trace replayer) can therefore always
+    /// pass the stream and let each layer do the right thing.
     ///
     /// # Errors
     ///
@@ -79,10 +80,13 @@ pub trait AllocatorCore {
 
     /// Releases the allocation identified by `id` on behalf of `stream`
     /// (the stream the *free* is issued from, which need not be the stream
-    /// the block was allocated on). Stream-oblivious cores ignore the
-    /// stream; stream-aware front-ends use it to decide whether the block
-    /// may be recycled on its owning stream's free list or must pass
-    /// through the core (the cross-stream reuse guard).
+    /// the block was allocated on). The default ignores the stream.
+    /// Stream-aware front-ends use it to decide whether the block may be
+    /// recycled on its owning stream's free list or must wait for an event;
+    /// a core that serves every stream from one pool (`GmLakeAllocator`)
+    /// records an event on a freeing stream that is not the allocating one
+    /// and stamps it on the block, so that the next other stream to get
+    /// the block waits for it.
     ///
     /// # Errors
     ///
@@ -102,14 +106,15 @@ pub trait AllocatorCore {
     fn iteration_boundary(&mut self) {}
 
     /// Sweeps any stream-completion machinery, returning how many
-    /// cross-stream-freed blocks became reusable. Stream-oblivious cores
-    /// have no such machinery and return 0; the
+    /// cross-stream-freed blocks it settled. The default has no such
+    /// machinery and returns 0. The
     /// [`DeviceAllocator`](crate::DeviceAllocator) front-end (and the
-    /// runtime's `PoolHandle`) override this to promote pending-ring blocks
-    /// whose events have completed. Trait-generic drivers (the trace
-    /// replayers) call it at natural synchronization points — iteration
-    /// boundaries — so parked blocks do not idle past the moment their
-    /// event completes.
+    /// runtime's `PoolHandle`) promote pending-ring blocks whose events
+    /// have completed and forward to their core; `GmLakeAllocator` retires
+    /// the event stamps that completed, so reusing those blocks needs no
+    /// wait. Trait-generic drivers (the trace replayers) call it at natural
+    /// synchronization points — iteration boundaries — so parked blocks do
+    /// not idle past the moment their event completes.
     fn process_events(&mut self) -> u64 {
         0
     }

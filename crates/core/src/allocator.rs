@@ -66,13 +66,30 @@
 //! `validate()` is the oracle for all of it: it re-derives availability by
 //! scanning parts, ignoring the hints, and checks the indexes, the parked
 //! lists and the placement against that.
+//!
+//! # Streams
+//!
+//! Reuse across streams follows the rule of CUDA's stream-ordered allocator
+//! (`cudaMemPoolReuseAllowInternalDependencies`). Every live allocation
+//! remembers the stream that allocated it. A free from *another* stream
+//! records an event on the freeing stream, if it has work in flight, and
+//! stamps the freed pBlocks with it; the blocks stay in every index, so
+//! `BestFit` decides exactly as it would without streams. Handing a stamped
+//! block to a stream other than the freeing one enqueues a GPU-side wait
+//! (`stream_wait_event`) on the receiving stream — the host never blocks.
+//! A streamless `allocate` names no receiving stream, so a stamped block it
+//! gets is waited out on the host instead (a streamless `deallocate` frees
+//! from `StreamId::DEFAULT`). Teardowns that unmap a stamped block
+//! synchronize its event first, and
+//! [`AllocatorCore::process_events`] retires stamps whose events completed.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use gmlake_alloc_api::{
-    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, MemStats, StreamId, VirtAddr,
+    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, EventId, MemStats, StreamId,
+    VirtAddr,
 };
 use gmlake_caching::CachingAllocator;
 use gmlake_gpu_sim::{CudaDriver, DriverError, PhysHandle};
@@ -158,6 +175,27 @@ fn bump(counter: &Cell<u64>, by: u64) {
     counter.set(counter.get() + by);
 }
 
+/// Keeps `event` in `newest` if it is `stream`'s newest so far — events of
+/// one stream complete in id order, so the newest covers the rest.
+fn note_newest(newest: &mut Vec<(StreamId, EventId)>, stream: StreamId, event: EventId) {
+    match newest.iter_mut().find(|(s, _)| *s == stream) {
+        Some(slot) => slot.1 = slot.1.max(event),
+        None => newest.push((stream, event)),
+    }
+}
+
+/// Clears the stamps on `parts` and returns, per freeing stream, the newest
+/// event among them.
+fn take_stamps(pblocks: &mut Slab<PBlock>, parts: &[PBlockId]) -> Vec<(StreamId, EventId)> {
+    let mut newest = Vec::new();
+    for &pid in parts {
+        if let Some((stream, event)) = pblocks[pid].stamp.take() {
+            note_newest(&mut newest, stream, event);
+        }
+    }
+    newest
+}
+
 /// The GMLake virtual-memory-stitching allocator.
 ///
 /// # Example
@@ -218,7 +256,12 @@ pub struct GmLakeAllocator {
     /// the views found available. Kept to reuse its buffer.
     available_parts: Vec<bool>,
     work: Work,
-    live: HashMap<AllocationId, (Target, u64)>,
+    /// Live allocations: target, size, and the stream that allocated them
+    /// (`StreamId::DEFAULT` for a streamless call).
+    live: HashMap<AllocationId, (Target, u64, StreamId)>,
+    /// Per freeing stream with stamps out, the newest event it stamped:
+    /// once that one completes, so has every stamp of the stream.
+    stamp_streams: Vec<(StreamId, EventId)>,
     next_alloc: u64,
     tick: u64,
     stats: MemStats,
@@ -238,7 +281,9 @@ pub struct GmLakeAllocator {
     non_exact_history: Vec<u64>,
     /// Stream of the in-flight `alloc_on_stream`/`free_on_stream` call, if
     /// any. Set for the duration of the call so `register_allocation` and
-    /// `deallocate` can stamp `last_stream` on the touched blocks, and so
+    /// `deallocate` can stamp `last_stream` on the touched blocks and apply
+    /// the cross-stream rule (`None` frees from `StreamId::DEFAULT`, and
+    /// waits out a stamped block it is handed on the host), and so
     /// exact-match `BestFit` results can prefer same-stream candidates.
     current_stream: Option<StreamId>,
 }
@@ -277,6 +322,7 @@ impl GmLakeAllocator {
             available_parts: Vec::new(),
             work: Work::default(),
             live: HashMap::new(),
+            stamp_streams: Vec::new(),
             next_alloc: 0,
             tick: 0,
             stats: MemStats::default(),
@@ -538,6 +584,23 @@ impl GmLakeAllocator {
         }
     }
 
+    /// Waits out on the host the events stamped on `parts`, and clears the
+    /// stamps: what a teardown does before it unmaps memory that a stream
+    /// may still be using.
+    fn sync_stamps(driver: &CudaDriver, pblocks: &mut Slab<PBlock>, parts: &[PBlockId]) {
+        for (_, event) in take_stamps(pblocks, parts) {
+            driver.event_synchronize(event);
+        }
+    }
+
+    /// Tracks a stamp just left by a free as its stream's newest (see
+    /// `stamp_streams`).
+    fn track_stamp(&mut self, stamp: Option<(StreamId, EventId)>) {
+        if let Some((stream, event)) = stamp {
+            note_newest(&mut self.stamp_streams, stream, event);
+        }
+    }
+
     /// Best-effort return of a VA reservation: unmaps its first `mapped`
     /// bytes, then frees it — the unwind of a sequence that faulted after
     /// reserving, and the last step of a committed teardown. Failures are
@@ -619,14 +682,17 @@ impl GmLakeAllocator {
             "split of a live block"
         );
         debug_assert!(left_size > 0 && left_size < p.size && left_size.is_multiple_of(self.chunk));
-        let (va, size, resv, refs) = (p.va, p.size, p.resv, p.referenced_by.clone());
+        let (va, size, resv, stamp) = (p.va, p.size, p.resv, p.stamp);
+        let refs = p.referenced_by.clone();
         let right_chunks = p.chunks.split_off((left_size / self.chunk) as usize);
         let left_chunks = std::mem::take(&mut p.chunks);
-        // The children inherit the parent's references, and so its tier.
+        // The children inherit the parent's references, and so its tier,
+        // and its stamp.
         let mut child = |va, size, chunks| {
             let referenced_by = refs.clone();
             let id = self.pblocks.insert(PBlock {
                 referenced_by,
+                stamp,
                 ..PBlock::new(va, size, resv, chunks)
             });
             self.p_inactive.insert(!refs.is_empty(), size, id);
@@ -797,6 +863,7 @@ impl GmLakeAllocator {
             let s = &self.sblocks[sid];
             (s.va, s.size)
         };
+        Self::sync_stamps(&self.driver, &mut self.pblocks, &self.sblocks[sid].parts);
         if let Err(e) = self.driver.mem_unmap_range(va, size) {
             self.journal.failed_ops += 1;
             return Err(e);
@@ -850,6 +917,7 @@ impl GmLakeAllocator {
             debug_assert!(!p.active && p.assigned_to.is_none() && p.referenced_by.is_empty());
             (p.va, p.size, p.chunks.clone())
         };
+        Self::sync_stamps(&self.driver, &mut self.pblocks, &[pid]);
         if let Err(e) = self.driver.mem_unmap_range(va, size) {
             self.journal.failed_ops += 1;
             return Err(e);
@@ -899,6 +967,25 @@ impl GmLakeAllocator {
     ) -> Allocation {
         self.next_alloc += 1;
         let id = AllocationId::new(self.next_alloc);
+        // A block carries a stamp only while its stream is tracked.
+        if !self.stamp_streams.is_empty() {
+            let stamps = match target {
+                Target::P(pid) => take_stamps(&mut self.pblocks, &[pid]),
+                Target::S(sid) => take_stamps(&mut self.pblocks, &self.sblocks[sid].parts),
+                Target::Small(_) => Vec::new(),
+            };
+            for (freed_from, event) in stamps {
+                match self.current_stream {
+                    // The freeing stream's own order already covers its reuse.
+                    Some(stream) if stream == freed_from => {}
+                    Some(stream) => self.driver.stream_wait_event(stream, event),
+                    // A streamless caller (a front-end refilling a cache for
+                    // some stream) names no queue to order the wait on.
+                    None => self.driver.event_synchronize(event),
+                }
+            }
+        }
+        let stream = self.current_stream.unwrap_or(StreamId::DEFAULT);
         match target {
             Target::P(pid) => {
                 self.set_pblock_active(pid, true);
@@ -928,7 +1015,7 @@ impl GmLakeAllocator {
             }
             Target::Small(_) => {}
         }
-        self.live.insert(id, (target, size));
+        self.live.insert(id, (target, size, stream));
         self.stats.on_alloc(requested, size);
         self.sync_reserved();
         self.iter_allocs += 1;
@@ -1410,6 +1497,17 @@ impl GmLakeAllocator {
             if p.assigned_to.is_some() && !p.active {
                 return Err(format!("pblock {pid}: assigned but inactive"));
             }
+            // A stamp lives on an inactive block, and its stream's newest
+            // tracked event covers it, so `process_events` can retire it.
+            if let Some((stream, event)) = p.stamp {
+                let newest = self.stamp_streams.iter().find(|(s, _)| *s == stream);
+                if p.active || newest.is_none_or(|&(_, n)| n < event) {
+                    return Err(format!(
+                        "pblock {pid} (active={}): stamp {stream:?}/{event:?} is not tracked",
+                        p.active
+                    ));
+                }
+            }
         }
         if phys_sum != self.reserved_phys {
             return Err(format!(
@@ -1534,7 +1632,7 @@ impl GmLakeAllocator {
         // 3. Live allocations point at correctly-assigned targets, and no
         //    pBlock serves two live allocations.
         let mut held: HashMap<PBlockId, AllocationId> = HashMap::new();
-        for (id, (target, _size)) in &self.live {
+        for (id, (target, _, _)) in &self.live {
             match target {
                 Target::P(pid) => {
                     let p = self
@@ -1629,7 +1727,8 @@ impl AllocatorCore for GmLakeAllocator {
 
     fn free_on_stream(&mut self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
         // The freeing stream is the block's last user: stamp it so the next
-        // exact match from that stream finds its own warm block.
+        // exact match from that stream finds its own warm block, and, if it
+        // is not the allocating stream, guard the block with its event.
         self.current_stream = Some(stream);
         let result = self.deallocate(id);
         self.current_stream = None;
@@ -1637,19 +1736,31 @@ impl AllocatorCore for GmLakeAllocator {
     }
 
     fn deallocate(&mut self, id: AllocationId) -> Result<(), AllocError> {
-        let (target, size) = self
+        let (target, size, owner) = self
             .live
             .remove(&id)
             .ok_or(AllocError::UnknownAllocation(id))?;
         self.driver.advance_clock(self.host_op_ns);
+        // A free from a stream other than the allocating one: that stream
+        // may still be using the memory, so its work in flight is captured
+        // in an event before anyone else can get the block.
+        let stream = self.current_stream.unwrap_or(StreamId::DEFAULT);
+        let event = if stream == owner {
+            None
+        } else {
+            self.driver.event_record_if_pending(stream)
+        };
+        let stamp = event.map(|event| (stream, event));
         match target {
             Target::P(pid) => {
                 let p = self.pblocks.get_mut(pid).expect("live pblock");
                 p.assigned_to = None;
+                p.stamp = stamp;
                 if self.current_stream.is_some() {
                     p.last_stream = self.current_stream;
                 }
                 self.set_pblock_active(pid, false);
+                self.track_stamp(stamp);
             }
             Target::S(sid) => {
                 let tick = self.next_tick();
@@ -1665,14 +1776,21 @@ impl AllocatorCore for GmLakeAllocator {
                 self.s_evictable.insert((tick, sid));
                 for i in 0..self.sblocks[sid].parts.len() {
                     let pid = self.sblocks[sid].parts[i];
+                    self.pblocks[pid].stamp = stamp;
                     self.set_pblock_active(pid, false);
                 }
+                self.track_stamp(stamp);
             }
             Target::Small(inner) => {
+                // The small pool's blocks carry no stamp: they wait out the
+                // freeing stream on the host before it can hand them out.
+                if let Some((_, event)) = stamp {
+                    self.driver.event_synchronize(event);
+                }
                 if let Err(e) = self.small.deallocate(inner) {
                     // Keep the allocation live so a rolled-back fault can be
                     // retried; anything else still indicates a bug.
-                    self.live.insert(id, (target, size));
+                    self.live.insert(id, (target, size, owner));
                     return Err(match e {
                         AllocError::DriverFault { .. } => e,
                         other => AllocError::Driver(format!("small pool: {other}")),
@@ -1707,6 +1825,32 @@ impl AllocatorCore for GmLakeAllocator {
         self.non_exact_history.push(self.iter_non_exact);
         self.iter_non_exact = 0;
         self.iter_allocs = 0;
+    }
+
+    /// Retires the stamps whose events completed, with one query per
+    /// freeing stream — on its newest event, which completes last — so a
+    /// block reused afterwards pays no wait. Returns how many blocks it
+    /// cleared.
+    fn process_events(&mut self) -> u64 {
+        let driver = &self.driver;
+        let mut done = Vec::new();
+        self.stamp_streams.retain(|&(stream, newest)| {
+            let complete = driver.event_query(newest);
+            if complete {
+                done.push(stream);
+            }
+            !complete
+        });
+        let mut retired = 0;
+        if !done.is_empty() {
+            for p in self.pblocks.values_mut() {
+                if p.stamp.is_some_and(|(s, _)| done.contains(&s)) {
+                    p.stamp = None;
+                    retired += 1;
+                }
+            }
+        }
+        retired
     }
 
     fn release_cached(&mut self) -> u64 {
@@ -1785,14 +1929,15 @@ impl AllocatorCore for GmLakeAllocator {
 impl Drop for GmLakeAllocator {
     fn drop(&mut self) {
         // Destructors never fail (C-DTOR-FAIL): best-effort teardown via
-        // the batched entry points.
+        // the batched entry points, once no stream uses a stamped block.
+        let pids: Vec<PBlockId> = self.pblocks.keys().collect();
+        Self::sync_stamps(&self.driver, &mut self.pblocks, &pids);
         let sids: Vec<SBlockId> = self.sblocks.keys().collect();
         for sid in sids {
             let s = self.sblocks.remove(sid).expect("listed above");
             let _ = self.driver.mem_unmap_range(s.va, s.size);
             let _ = self.driver.mem_address_free(s.va, s.size);
         }
-        let pids: Vec<PBlockId> = self.pblocks.keys().collect();
         for pid in pids {
             let p = self.pblocks.remove(pid).expect("listed above");
             let _ = self.driver.mem_unmap_range(p.va, p.size);

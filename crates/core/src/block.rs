@@ -13,7 +13,7 @@
 
 use std::cell::Cell;
 
-use gmlake_alloc_api::{AllocationId, StreamId, VirtAddr};
+use gmlake_alloc_api::{AllocationId, EventId, StreamId, VirtAddr};
 use gmlake_gpu_sim::PhysHandle;
 
 /// Identifier of a pBlock within one allocator.
@@ -52,6 +52,12 @@ pub(crate) struct PBlock {
     /// requesting stream, so warm blocks stay stream-local without any
     /// ordering or correctness impact on streamless callers (`None`).
     pub last_stream: Option<StreamId>,
+    /// Left by a cross-stream free while the freeing stream had work in
+    /// flight: that stream and the event recorded on it. The next other
+    /// stream to get the block waits for the event on the GPU; a teardown
+    /// synchronizes it first. Only an inactive block carries one, and
+    /// `Split` children inherit it.
+    pub stamp: Option<(StreamId, EventId)>,
 }
 
 impl PBlock {
@@ -66,6 +72,7 @@ impl PBlock {
             referenced_by: Vec::new(),
             parked: Vec::new(),
             last_stream: None,
+            stamp: None,
         }
     }
 

@@ -85,6 +85,11 @@ impl<T> Slab<T> {
             .filter_map(|(i, slot)| slot.as_ref().map(|v| (i as u64 + 1, v)))
     }
 
+    /// Iterates live entries mutably, in id order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().flatten()
+    }
+
     /// Live ids in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
         self.iter().map(|(id, _)| id)

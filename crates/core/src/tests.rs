@@ -941,13 +941,14 @@ mod golden {
 
     const DECISIONS: [u64; 2] = [6_858_873_994_934_620_618, 1_789_632_530_537_291_324];
 
-    /// Re-pinned when `Split` went in place: fewer driver calls,
-    /// children at the parent's addresses, and the planned `Map` fault
-    /// landing in a different operation of the third program.
+    /// Re-pinned when the core took over the cross-stream rule: every free
+    /// from a stream other than the allocating one now costs one
+    /// `event_record` call (the programs launch no work, so no event is
+    /// ever pending and nothing else moves).
     const TRAFFIC: [u64; 3] = [
-        5_039_617_282_999_981_527,
-        5_351_002_494_063_479_306,
-        15_367_130_411_849_409_248,
+        305_171_975_878_890_873,
+        2_433_451_561_490_521_908,
+        16_524_713_043_193_589_449,
     ];
 
     fn fnv(hash: &mut u64, bytes: &[u8]) {
@@ -1340,4 +1341,369 @@ fn exact_match_prefers_same_stream_sblock() {
     assert_eq!(l.state_counters().stitches, stitches, "pure reuse");
     l.free_on_stream(r.id, StreamId(2)).unwrap();
     l.validate().unwrap();
+}
+
+mod streams {
+    //! The cross-stream rule: a free from a stream other than the
+    //! allocating one stamps the freeing stream's event on the blocks, and
+    //! the next other stream to get them waits for it on the GPU.
+
+    use super::*;
+    use gmlake_alloc_api::{StreamId, VirtAddr};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
+    const S0: StreamId = StreamId(0);
+    const S1: StreamId = StreamId(1);
+    const S2: StreamId = StreamId(2);
+
+    /// A zero-cost lake: the host clock moves only when a test moves it,
+    /// so work launched on a stream stays in flight until then.
+    fn lake_and_driver() -> (GmLakeAllocator, CudaDriver) {
+        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
+        (GmLakeAllocator::new(driver.clone(), test_config()), driver)
+    }
+
+    /// Allocates `size` on `owner`, then frees it from `freeing` while
+    /// `freeing` has 1 ms of work in flight.
+    fn freed_while_busy(
+        l: &mut GmLakeAllocator,
+        d: &CudaDriver,
+        size: u64,
+        owner: StreamId,
+        freeing: StreamId,
+    ) -> VirtAddr {
+        let a = l.alloc_on_stream(AllocRequest::new(size), owner).unwrap();
+        d.stream_launch(freeing, 1_000_000);
+        l.free_on_stream(a.id, freeing).unwrap();
+        l.validate().unwrap();
+        a.va
+    }
+
+    #[test]
+    fn the_next_other_stream_waits_on_the_gpu_not_the_host() {
+        let (mut l, d) = lake_and_driver();
+        let va = freed_while_busy(&mut l, &d, mib(4), S1, S0);
+        assert_eq!(d.outstanding_events(), 1, "the free recorded an event");
+        let b = l.alloc_on_stream(AllocRequest::new(mib(4)), S1).unwrap();
+        assert_eq!(b.va, va, "the stamped block is reused as BestFit chose");
+        let st = d.stats();
+        assert_eq!((st.event_wait.calls, st.event_sync.calls), (1, 0));
+        assert_eq!(d.now_ns(), 0, "the host never waited");
+        assert_eq!(d.stream_frontier_ns(S1), d.stream_frontier_ns(S0));
+        // The stamp is spent: a same-stream cycle and a hand-out to a third
+        // stream wait for nothing more.
+        l.free_on_stream(b.id, S1).unwrap();
+        let c = l.alloc_on_stream(AllocRequest::new(mib(4)), S2).unwrap();
+        assert_eq!(c.va, va);
+        assert_eq!(d.stats().event_wait.calls, 1);
+        l.validate().unwrap();
+    }
+
+    #[test]
+    fn the_freeing_stream_reuses_its_own_stamp_without_a_wait() {
+        let (mut l, d) = lake_and_driver();
+        freed_while_busy(&mut l, &d, mib(4), S1, S0);
+        let b = l.alloc_on_stream(AllocRequest::new(mib(4)), S0).unwrap();
+        assert_eq!(d.stats().event_wait.calls, 0, "stream order covers it");
+        l.free_on_stream(b.id, S0).unwrap();
+        l.validate().unwrap();
+    }
+
+    #[test]
+    fn a_caught_up_freeing_stream_leaves_no_stamp() {
+        let (mut l, d) = lake_and_driver();
+        let a = l.alloc_on_stream(AllocRequest::new(mib(4)), S1).unwrap();
+        l.free_on_stream(a.id, S0).unwrap();
+        assert_eq!(d.stats().event_record.calls, 1, "one costed record");
+        assert_eq!(d.outstanding_events(), 0, "nothing in flight to track");
+        let b = l.alloc_on_stream(AllocRequest::new(mib(4)), S1).unwrap();
+        assert_eq!(d.stats().event_wait.calls, 0);
+        l.free_on_stream(b.id, S1).unwrap();
+        assert_eq!(
+            d.stats().event_record.calls,
+            1,
+            "same-stream frees record nothing"
+        );
+    }
+
+    #[test]
+    fn split_children_inherit_the_stamp() {
+        let (mut l, d) = lake_and_driver();
+        freed_while_busy(&mut l, &d, mib(8), S1, S0);
+        let left = l.alloc_on_stream(AllocRequest::new(mib(4)), S1).unwrap();
+        assert_eq!(l.state_counters().splits, 1, "S2 split the stamped block");
+        let right = l.alloc_on_stream(AllocRequest::new(mib(4)), S2).unwrap();
+        assert_eq!(l.state_counters().exact, 1, "the right half, exactly");
+        assert_eq!(d.stats().event_wait.calls, 2, "each child waited");
+        for (a, s) in [(left, S1), (right, S2)] {
+            l.free_on_stream(a.id, s).unwrap();
+        }
+        l.validate().unwrap();
+    }
+
+    #[test]
+    fn a_replay_boundary_leaks_no_event_and_retires_the_stamps() {
+        // The offload replay's iteration: compute in flight on stream 0,
+        // gather buffers produced on stream 1 and freed by compute, then
+        // the device synchronization and the `process_events` tick.
+        let (mut l, d) = lake_and_driver();
+        let buffers: Vec<_> = [mib(4), mib(6), mib(10)]
+            .map(|size| l.alloc_on_stream(AllocRequest::new(size), S1).unwrap())
+            .into();
+        for a in buffers {
+            d.stream_launch(S0, 1_000_000);
+            l.free_on_stream(a.id, S0).unwrap();
+        }
+        assert_eq!(d.outstanding_events(), 3);
+        d.device_synchronize();
+        assert_eq!(d.outstanding_events(), 0, "no event outlives the boundary");
+        assert_eq!(l.process_events(), 3, "three stamped blocks retired");
+        assert_eq!(
+            d.stats().event_query.calls,
+            1,
+            "one query per freeing stream"
+        );
+        assert_eq!(l.process_events(), 0);
+        l.validate().unwrap();
+        let a = l.alloc_on_stream(AllocRequest::new(mib(6)), S1).unwrap();
+        assert_eq!(
+            d.stats().event_wait.calls,
+            0,
+            "reuse after the tick is free"
+        );
+        l.free_on_stream(a.id, S1).unwrap();
+    }
+
+    #[test]
+    fn process_events_keeps_the_stamps_of_streams_still_running() {
+        let (mut l, d) = lake_and_driver();
+        freed_while_busy(&mut l, &d, mib(4), S1, S0);
+        assert_eq!(l.process_events(), 0, "the event is still pending");
+        l.validate().unwrap();
+        let b = l.alloc_on_stream(AllocRequest::new(mib(4)), S2).unwrap();
+        assert_eq!(d.stats().event_wait.calls, 1, "the stamp still guards");
+        l.free_on_stream(b.id, S2).unwrap();
+    }
+
+    #[test]
+    fn teardown_synchronizes_a_stamped_block_first() {
+        let (mut l, d) = lake_and_driver();
+        freed_while_busy(&mut l, &d, mib(4), S1, S0);
+        let busy_until = d.stream_frontier_ns(S0);
+        assert_eq!(l.release_cached(), mib(4));
+        assert_eq!(d.stats().event_sync.calls, 1);
+        assert!(
+            d.now_ns() >= busy_until,
+            "unmapped only once stream 0 was done"
+        );
+        l.validate().unwrap();
+        // Dropping the allocator synchronizes what it still holds stamped.
+        freed_while_busy(&mut l, &d, mib(4), S1, S0);
+        let busy_until = d.stream_frontier_ns(S0);
+        drop(l);
+        assert!(d.now_ns() >= busy_until);
+        assert!(d.snapshot().is_quiescent());
+    }
+
+    #[test]
+    fn a_small_cross_stream_free_waits_on_the_host() {
+        // The small pool's blocks carry no stamp, so the free itself waits.
+        let (mut l, d) = lake_and_driver();
+        let a = l.alloc_on_stream(AllocRequest::new(4096), S1).unwrap();
+        d.stream_launch(S0, 1_000_000);
+        l.free_on_stream(a.id, S0).unwrap();
+        assert_eq!(d.stats().event_sync.calls, 1);
+        assert!(d.now_ns() >= d.stream_frontier_ns(S0));
+        l.validate().unwrap();
+    }
+
+    #[test]
+    fn a_streamless_hand_out_waits_on_the_host() {
+        // No receiving stream to order a GPU wait on, even when the block
+        // was freed from the default stream.
+        for freeing in [S0, S2] {
+            let (mut l, d) = lake_and_driver();
+            let va = freed_while_busy(&mut l, &d, mib(4), S1, freeing);
+            let busy_until = d.stream_frontier_ns(freeing);
+            let b = l.allocate(AllocRequest::new(mib(4))).unwrap();
+            assert_eq!(b.va, va);
+            let st = d.stats();
+            assert_eq!((st.event_wait.calls, st.event_sync.calls), (0, 1));
+            assert!(d.now_ns() >= busy_until, "freed from {freeing:?}");
+            l.deallocate(b.id).unwrap();
+            l.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_front_end_cache_refill_never_outruns_the_freeing_stream() {
+        // A front-end refills a stream's small cache with a streamless core
+        // request: (1 MiB, 2 MiB) rounds up to the 2 MiB class, which the
+        // lake serves from the stamped 4 MiB block freed below.
+        use gmlake_alloc_api::{DeviceAllocator, DeviceAllocatorConfig};
+        let (l, d) = lake_and_driver();
+        let pool = DeviceAllocator::with_config_and_events(
+            l,
+            DeviceAllocatorConfig::default().with_streams(4),
+            Arc::new(d.clone()),
+        );
+        let a = pool.alloc_on_stream(AllocRequest::new(mib(4)), S1).unwrap();
+        d.stream_launch(S0, 1_000_000);
+        pool.free_on_stream(a.id, S0).unwrap();
+        let busy_until = d.stream_frontier_ns(S0);
+        let b = pool
+            .alloc_on_stream(AllocRequest::new(mib(3) / 2), S2)
+            .unwrap();
+        let chunks = d.translate(a.va, a.size).unwrap();
+        let got = d.translate(b.va, b.size).unwrap();
+        assert!(got.iter().all(|h| chunks.contains(h)), "reused the block");
+        assert!(
+            d.now_ns() >= busy_until || d.stream_frontier_ns(S2) >= busy_until,
+            "stream 2 may run before stream 0 is done with the memory"
+        );
+        pool.free_on_stream(b.id, S2).unwrap();
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Allocate on a stream; stream 3 stands for a streamless caller.
+        Alloc(u64, u32),
+        /// Free the n-th (mod live count) live allocation from a stream.
+        Free(usize, u32),
+        /// Launch this much work on a stream.
+        Launch(u32, u64),
+        /// Let the host clock run.
+        Advance(u64),
+        Tick,
+        /// Device synchronization, iteration boundary, tick.
+        Boundary,
+        Compact,
+        ReleaseCached,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            6 => (mib(2)..mib(16), 0u32..4).prop_map(|(size, s)| Op::Alloc(size, s)),
+            5 => (any::<usize>(), 0u32..3).prop_map(|(n, s)| Op::Free(n, s)),
+            3 => (0u32..3, 1u64..1_000_000).prop_map(|(s, ns)| Op::Launch(s, ns)),
+            2 => (1u64..500_000).prop_map(Op::Advance),
+            1 => Just(Op::Tick),
+            1 => Just(Op::Boundary),
+            1 => Just(Op::Compact),
+            1 => Just(Op::ReleaseCached),
+        ]
+    }
+
+    /// The oracle, kept outside the allocator: it translates every freed
+    /// and every new allocation into physical chunks. A cross-stream free
+    /// records, per chunk, the freeing stream and when the work it had in
+    /// flight completes; the next allocation covering the chunk must come
+    /// from that stream, or from one whose frontier is at least that late.
+    /// A streamless caller names no stream, so the host clock itself must
+    /// have reached that time: nothing it launches next can run earlier.
+    /// Same-stream frees are outside the rule (see
+    /// `docs/streams-and-events.md`), so they record nothing; a streamless
+    /// allocation is owned by `StreamId::DEFAULT`.
+    #[test]
+    fn cross_stream_reuse_never_outruns_the_freeing_streams_work() {
+        let programs = proptest::collection::vec(op_strategy(), 1..160);
+        let config = ProptestConfig::with_cases(64);
+        let (mut guarded, mut host_guarded) = (0u64, 0u64);
+        proptest::run_property("core_stream_order", &config, &programs, |ops| {
+            let dev = DeviceConfig::small_test()
+                .with_capacity(mib(64))
+                .with_backing(false);
+            let d = CudaDriver::new(dev);
+            let mut l = GmLakeAllocator::new(d.clone(), test_config().with_max_sblocks(12));
+            let mut live: Vec<(AllocationId, VirtAddr, u64, StreamId)> = Vec::new();
+            let mut freed: HashMap<u64, (StreamId, u64)> = HashMap::new();
+            for op in &ops {
+                match *op {
+                    Op::Alloc(size, s) => {
+                        let req = AllocRequest::new(size);
+                        let stream = (s < 3).then_some(StreamId(s));
+                        let before = d.now_ns();
+                        let result = match stream {
+                            Some(stream) => l.alloc_on_stream(req, stream),
+                            None => l.allocate(req),
+                        };
+                        match result {
+                            Ok(a) => {
+                                for h in d.translate(a.va, a.size).unwrap() {
+                                    let Some((from, done_at)) = freed.remove(&h.as_u64()) else {
+                                        continue;
+                                    };
+                                    let Some(stream) = stream else {
+                                        let now = d.now_ns();
+                                        assert!(
+                                            now >= done_at,
+                                            "a streamless caller got chunk {h} at {now}, \
+                                             before {from:?}'s work on it ends at {done_at}"
+                                        );
+                                        host_guarded += u64::from(done_at > before);
+                                        continue;
+                                    };
+                                    let frontier = d.stream_frontier_ns(stream);
+                                    assert!(
+                                        from == stream || frontier >= done_at,
+                                        "{stream:?} got chunk {h} at frontier {frontier}, \
+                                         before {from:?}'s work on it ends at {done_at}"
+                                    );
+                                    guarded += u64::from(from != stream && done_at > d.now_ns());
+                                }
+                                let owner = stream.unwrap_or(StreamId::DEFAULT);
+                                live.push((a.id, a.va, a.size, owner));
+                            }
+                            Err(AllocError::OutOfMemory { .. }) => {}
+                            Err(e) => panic!("unexpected allocator error: {e}"),
+                        }
+                    }
+                    Op::Free(n, s) => {
+                        if live.is_empty() {
+                            continue;
+                        }
+                        let (id, va, size, owner) = live.swap_remove(n % live.len());
+                        let stream = StreamId(s);
+                        if stream != owner {
+                            let done_at = d.stream_frontier_ns(stream);
+                            for h in d.translate(va, size).unwrap() {
+                                freed.insert(h.as_u64(), (stream, done_at));
+                            }
+                        }
+                        l.free_on_stream(id, stream).unwrap();
+                    }
+                    Op::Launch(s, ns) => d.stream_launch(StreamId(s), ns),
+                    Op::Advance(ns) => d.advance_clock(ns),
+                    Op::Tick => {
+                        l.process_events();
+                    }
+                    Op::Boundary => {
+                        d.device_synchronize();
+                        l.iteration_boundary();
+                        l.process_events();
+                    }
+                    Op::Compact => {
+                        l.compact();
+                    }
+                    Op::ReleaseCached => {
+                        l.release_cached();
+                    }
+                }
+                l.validate().unwrap();
+            }
+            for (id, _, _, owner) in live {
+                l.free_on_stream(id, owner).unwrap();
+            }
+            d.device_synchronize();
+            l.process_events();
+            l.validate().unwrap();
+            assert_eq!(d.outstanding_events(), 0, "leaked driver events");
+        });
+        assert!(
+            guarded > 0 && host_guarded > 0,
+            "programs hand chunks over while their work runs"
+        );
+    }
 }

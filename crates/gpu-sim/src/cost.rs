@@ -68,6 +68,9 @@ const DISPATCH_NORM: f64 = 0.0003;
 const EVENT_RECORD_NORM: f64 = 0.0006;
 const EVENT_QUERY_NORM: f64 = 0.0002;
 const EVENT_SYNC_NORM: f64 = 0.0008;
+/// `cuStreamWaitEvent` enqueues a wait command on a stream the way a launch
+/// enqueues a kernel: the host pays the dispatch and never blocks.
+const EVENT_WAIT_NORM: f64 = DISPATCH_NORM;
 /// Host-side bookkeeping of a pool allocator (hash/tree operations) per
 /// (de)allocation, in nanoseconds. The paper reports the caching allocator is
 /// ~10× faster end to end than the native path; sub-microsecond bookkeeping
@@ -222,6 +225,12 @@ impl CostModel {
     /// the event's completion time.
     pub fn event_sync_ns(&self) -> u64 {
         self.to_ns(EVENT_SYNC_NORM)
+    }
+
+    /// Cost of one `cuStreamWaitEvent`: the host enqueues the wait and
+    /// returns; the *stream* waits, not the host.
+    pub fn event_wait_ns(&self) -> u64 {
+        self.to_ns(EVENT_WAIT_NORM)
     }
 
     /// Host-side bookkeeping cost charged by pool allocators per operation.
@@ -385,7 +394,9 @@ mod tests {
         assert!(m.event_record_ns() > 0 && m.event_query_ns() > 0);
         assert!(m.event_record_ns() + m.event_query_ns() < m.create_ns(mib(2)));
         assert!(m.event_sync_ns() < m.mem_alloc_ns(mib(2)));
+        assert!(m.event_wait_ns() > 0 && m.event_wait_ns() < m.event_sync_ns());
         let z = CostModel::zero();
+        assert_eq!(z.event_wait_ns(), 0);
         assert_eq!(z.event_record_ns(), 0);
         assert_eq!(z.event_query_ns(), 0);
         assert_eq!(z.event_sync_ns(), 0);

@@ -128,6 +128,9 @@ pub struct DriverStats {
     /// `cuEventSynchronize` / `cuCtxSynchronize` — `time_ns` includes the
     /// simulated wait for incomplete work, not just the call overhead.
     pub event_sync: ApiStats,
+    /// `cuStreamWaitEvent` — a GPU-side wait: `time_ns` is the host's
+    /// enqueue cost only, never the wait itself.
+    pub event_wait: ApiStats,
     /// Asynchronous kernel/work launches (`stream_launch`).
     pub launch: ApiStats,
     /// Faults injected by an installed [`FaultPlan`](crate::FaultPlan).
@@ -161,9 +164,13 @@ impl DriverStats {
     }
 
     /// Total simulated time spent in the event/synchronization APIs
-    /// (record + query + synchronize, waits included).
+    /// (record + query + synchronize, host waits included, + stream waits'
+    /// enqueue cost).
     pub fn event_time_ns(&self) -> u64 {
-        self.event_record.time_ns + self.event_query.time_ns + self.event_sync.time_ns
+        self.event_record.time_ns
+            + self.event_query.time_ns
+            + self.event_sync.time_ns
+            + self.event_wait.time_ns
     }
 
     /// Total driver entries across every API (copies, events, and launches
@@ -185,6 +192,7 @@ impl DriverStats {
             + self.event_record.calls
             + self.event_query.calls
             + self.event_sync.calls
+            + self.event_wait.calls
             + self.launch.calls
     }
 }

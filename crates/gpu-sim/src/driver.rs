@@ -559,9 +559,9 @@ impl CudaDriver {
     }
 
     /// `cuCtxSynchronize`: blocks the host until every stream's in-flight
-    /// work has finished, advancing the clock to the latest frontier.
-    /// Returns the nanoseconds waited. Recorded under the `event_sync`
-    /// telemetry (wait included).
+    /// work has finished, advancing the clock to the latest frontier, and
+    /// forgets every event that completed. Returns the nanoseconds waited.
+    /// Recorded under the `event_sync` telemetry (wait included).
     pub fn device_synchronize(&self) -> u64 {
         let mut g = self.inner.lock();
         let now = g.clock.now_ns();
@@ -569,7 +569,24 @@ impl CudaDriver {
         let ns = wait + g.config.cost.event_sync_ns();
         g.charge(ns);
         g.stats.event_sync.record(ns);
+        let caught_up = g.clock.now_ns();
+        g.events.forget_completed(caught_up);
         wait
+    }
+
+    /// `cuStreamWaitEvent`: makes all work enqueued on `stream` from now on
+    /// wait until `event` completes, without blocking the host — the
+    /// stream's frontier rises to the event's completion and the clock pays
+    /// only the enqueue. An event already complete (or unknown) changes
+    /// nothing. Recorded under the `event_wait` telemetry, never under
+    /// `launch`.
+    pub fn stream_wait_event(&self, stream: StreamId, event: EventId) {
+        let mut g = self.inner.lock();
+        let now = g.clock.now_ns();
+        g.events.wait(stream, event, now);
+        let ns = g.config.cost.event_wait_ns();
+        g.charge(ns);
+        g.stats.event_wait.record(ns);
     }
 
     /// `cuEventRecord`: drops a completion marker into `stream`'s queue and
@@ -674,6 +691,16 @@ impl CudaDriver {
     // ------------------------------------------------------------------
     // Data path
     // ------------------------------------------------------------------
+
+    /// The physical chunks backing `[va, va + len)`, in address order — what
+    /// a kernel touching the range touches. An inspection helper for tests:
+    /// not a driver call, so it is neither costed nor counted. The range
+    /// must be mapped with access enabled.
+    pub fn translate(&self, va: VirtAddr, len: u64) -> DriverResult<Vec<PhysHandle>> {
+        let g = self.inner.lock();
+        let extents = g.va.resolve(va, len)?;
+        Ok(extents.into_iter().map(|e| e.handle).collect())
+    }
 
     /// Copies `data` from host to device at `va`. Requires the device to be
     /// configured with byte backing and the range to be mapped + accessible.
@@ -1239,6 +1266,69 @@ mod tests {
         assert!(d.now_ns() >= d.stream_frontier_ns(StreamId(1)));
         assert!(d.event_query(e0) && d.event_query(e1));
         assert_eq!(d.device_synchronize(), 0, "already caught up");
+    }
+
+    #[test]
+    fn stream_wait_on_a_pending_event_queues_the_stream_not_the_host() {
+        let cfg = DeviceConfig::small_test().with_cost(crate::cost::CostModel::calibrated());
+        let d = CudaDriver::new(cfg);
+        d.stream_launch(StreamId(0), 1_000_000);
+        let ev = d.event_record(StreamId(0));
+        let ready_at = d.stream_frontier_ns(StreamId(0));
+        let t0 = d.now_ns();
+        d.stream_wait_event(StreamId(1), ev);
+        assert_eq!(
+            d.now_ns() - t0,
+            d.cost_model().event_wait_ns(),
+            "no host wait"
+        );
+        assert_eq!(d.stream_frontier_ns(StreamId(1)), ready_at);
+        // Stream 1's next event completes with the awaited one.
+        let after = d.event_record(StreamId(1));
+        d.event_synchronize(after);
+        assert_eq!(d.now_ns(), ready_at + d.cost_model().event_sync_ns());
+        let st = d.stats();
+        assert_eq!((st.event_wait.calls, st.launch.calls), (1, 1));
+        assert_eq!(
+            st.total_calls(),
+            5,
+            "launch, two records, the wait, the sync"
+        );
+    }
+
+    #[test]
+    fn stream_wait_on_a_completed_or_unknown_event_changes_nothing() {
+        let cfg = DeviceConfig::small_test().with_cost(crate::cost::CostModel::calibrated());
+        let d = CudaDriver::new(cfg);
+        d.stream_launch(StreamId(0), 1_000);
+        let done = d.event_record(StreamId(0));
+        d.advance_clock(2_000);
+        d.stream_wait_event(StreamId(1), done);
+        assert_eq!(d.outstanding_events(), 0, "a completed event is forgotten");
+        d.stream_wait_event(StreamId(1), EventId::new(999));
+        assert_eq!(d.stream_frontier_ns(StreamId(1)), d.now_ns(), "caught up");
+        assert_eq!(d.device_synchronize(), 0);
+        assert_eq!(
+            d.stats().event_wait.calls,
+            2,
+            "each wait is one costed call"
+        );
+    }
+
+    #[test]
+    fn device_synchronize_forgets_events_nobody_waited_on() {
+        // The offload replay pattern: compute in flight on stream 0, a
+        // buffer produced on stream 1 freed from stream 0 (its event is
+        // recorded and never queried), then the iteration boundary.
+        let cfg = DeviceConfig::small_test().with_cost(crate::cost::CostModel::calibrated());
+        let d = CudaDriver::new(cfg);
+        for _ in 0..3 {
+            d.stream_launch(StreamId(0), 500_000);
+            assert!(d.event_record_if_pending(StreamId(0)).is_some());
+        }
+        assert_eq!(d.outstanding_events(), 3);
+        d.device_synchronize();
+        assert_eq!(d.outstanding_events(), 0, "the boundary leaks nothing");
     }
 
     #[test]

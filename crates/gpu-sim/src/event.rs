@@ -17,7 +17,12 @@
 //!   host "catches up" to stream work by advancing the clock (driver-call
 //!   costs, compute, explicit synchronization).
 //!
-//! Completed events are garbage-collected on query/synchronize; querying an
+//! A stream can also wait for another stream's event on the GPU
+//! ([`EventEngine::wait`], `cuStreamWaitEvent`): its frontier rises to the
+//! event's completion, and the host clock does not move.
+//!
+//! Completed events are garbage-collected on query, synchronize, stream wait
+//! and device synchronization; querying an
 //! untracked event reports completion, matching the [`EventSource`]
 //! contract (`gmlake-alloc-api`) the driver implements on top of this
 //! engine.
@@ -84,6 +89,26 @@ impl EventEngine {
         self.ready_at.remove(&event.as_u64());
     }
 
+    /// Makes `stream`'s later work wait for `event` at host time `now`: the
+    /// stream's frontier rises to the event's completion. An event already
+    /// complete (or untracked) constrains nothing and is forgotten.
+    pub(crate) fn wait(&mut self, stream: StreamId, event: EventId, now: u64) {
+        match self.completion_of(event) {
+            Some(at) if at > now => {
+                let end = self.frontier(stream, now).max(at);
+                self.frontiers.insert(stream.as_u32(), end);
+            }
+            Some(_) => self.prune(event),
+            None => {}
+        }
+    }
+
+    /// Forgets every event complete at host time `now` — what a device
+    /// synchronization leaves behind, since it completes them all.
+    pub(crate) fn forget_completed(&mut self, now: u64) {
+        self.ready_at.retain(|_, at| *at > now);
+    }
+
     /// The latest frontier across every stream — where a full device
     /// synchronization lands the host clock.
     pub(crate) fn max_frontier(&self, now: u64) -> u64 {
@@ -130,6 +155,24 @@ mod tests {
         e.prune(ev2);
         assert_eq!(e.outstanding(), 0);
         assert!(ev < ev2, "ids mint in record order");
+    }
+
+    #[test]
+    fn wait_raises_the_waiting_frontier_and_forget_completed_drains() {
+        let mut e = EventEngine::default();
+        e.launch(StreamId(0), 0, 100);
+        let (ev, _) = e.record(StreamId(0), 0);
+        e.wait(StreamId(1), ev, 10);
+        assert_eq!(
+            e.frontier(StreamId(1), 10),
+            100,
+            "stream 1 queues behind ev"
+        );
+        assert_eq!(e.outstanding(), 1, "a pending event stays tracked");
+        e.forget_completed(99);
+        assert_eq!(e.outstanding(), 1, "not complete before its frontier");
+        e.forget_completed(100);
+        assert_eq!(e.outstanding(), 0);
     }
 
     #[test]

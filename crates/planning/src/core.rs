@@ -405,25 +405,21 @@ impl PlannedCore {
             }
         }
     }
-}
 
-impl AllocatorCore for PlannedCore {
-    fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
-        self.alloc_on_stream(req, StreamId::DEFAULT)
-    }
-
-    fn deallocate(&mut self, id: AllocationId) -> Result<(), AllocError> {
-        self.free_on_stream(id, StreamId::DEFAULT)
-    }
-
-    fn alloc_on_stream(
+    /// [`AllocatorCore::alloc_on_stream`], with `caller` `None` for a
+    /// streamless [`AllocatorCore::allocate`]: the plan and the recorder
+    /// count that as the default stream, but the fallback is asked
+    /// streamless too, so it waits out on the host a block another stream
+    /// freed (a GPU wait on the default stream would order the wrong one).
+    fn alloc_from(
         &mut self,
         req: AllocRequest,
-        stream: StreamId,
+        caller: Option<StreamId>,
     ) -> Result<Allocation, AllocError> {
         if req.size == 0 {
             return Err(AllocError::ZeroSize);
         }
+        let stream = caller.unwrap_or(StreamId::DEFAULT);
 
         // Plan path: O(1), no driver interaction at all.
         if let Some(installed) = &mut self.installed {
@@ -454,13 +450,17 @@ impl AllocatorCore for PlannedCore {
         // Residue / recording path: the reactive fallback, with full
         // stitching and fault rollback. Plan tables are never touched
         // here, so a fallback fault leaves the plan intact.
-        let mut result = self.fallback.alloc_on_stream(req, stream);
+        let ask_fallback = |fallback: &mut GmLakeAllocator| match caller {
+            Some(stream) => fallback.alloc_on_stream(req, stream),
+            None => fallback.allocate(req),
+        };
+        let mut result = ask_fallback(&mut self.fallback);
         if matches!(result, Err(AllocError::OutOfMemory { .. })) {
             // Last-ditch reclaim: surrender an idle arena and retry once.
             let idle_arena = self.installed.as_ref().is_some_and(|p| p.live_count == 0);
             if idle_arena {
                 self.uninstall_plan();
-                result = self.fallback.alloc_on_stream(req, stream);
+                result = ask_fallback(&mut self.fallback);
             }
         }
         match result {
@@ -484,12 +484,39 @@ impl AllocatorCore for PlannedCore {
             }
         }
     }
+}
+
+impl AllocatorCore for PlannedCore {
+    fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
+        self.alloc_from(req, None)
+    }
+
+    fn deallocate(&mut self, id: AllocationId) -> Result<(), AllocError> {
+        self.free_on_stream(id, StreamId::DEFAULT)
+    }
+
+    fn alloc_on_stream(
+        &mut self,
+        req: AllocRequest,
+        stream: StreamId,
+    ) -> Result<Allocation, AllocError> {
+        self.alloc_from(req, Some(stream))
+    }
 
     fn free_on_stream(&mut self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
         match self.routes.get(&id) {
             Some(&Route::Plan(slot)) => {
                 let installed = self.installed.as_mut().expect("plan route without plan");
-                let size = installed.plan.slots[slot as usize].size;
+                let slot_info = &installed.plan.slots[slot as usize];
+                let (size, owner) = (slot_info.size, slot_info.stream);
+                // Another stream may still be using a slot it frees, and
+                // the plan can hand the range to any stream next: wait that
+                // stream out on the host before the slot is released.
+                if owner != stream.0 {
+                    if let Some(event) = self.driver.event_record_if_pending(stream) {
+                        self.driver.event_synchronize(event);
+                    }
+                }
                 installed.release(slot);
                 self.routes.remove(&id);
                 self.stats.on_free(size);
@@ -536,6 +563,10 @@ impl AllocatorCore for PlannedCore {
             }
         }
         self.sync_reserved();
+    }
+
+    fn process_events(&mut self) -> u64 {
+        self.fallback.process_events()
     }
 
     fn release_cached(&mut self) -> u64 {

@@ -317,3 +317,51 @@ proptest! {
         core.validate().unwrap();
     }
 }
+
+/// A plan slot freed from a stream other than the one it was recorded for
+/// waits that stream out on the host: the plan may hand the range to any
+/// stream next. A same-stream free waits for nothing.
+#[test]
+fn cross_stream_free_of_a_plan_slot_waits_on_the_host() {
+    let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
+    let mut core = PlannedCore::with_defaults(driver.clone());
+    let (s0, s1) = (StreamId(0), StreamId(1));
+    for size in [mib(4), mib(6), mib(8), mib(2)] {
+        let a = core.alloc_on_stream(AllocRequest::new(size), s1).unwrap();
+        core.free_on_stream(a.id, s1).unwrap();
+    }
+    core.iteration_boundary();
+    assert!(core.is_serving());
+    let a = core.alloc_on_stream(AllocRequest::new(mib(4)), s1).unwrap();
+    driver.stream_launch(s0, 1_000_000);
+    core.free_on_stream(a.id, s0).unwrap();
+    assert_eq!(driver.stats().event_sync.calls, 1);
+    assert!(driver.now_ns() >= driver.stream_frontier_ns(s0));
+    let b = core.alloc_on_stream(AllocRequest::new(mib(6)), s1).unwrap();
+    driver.stream_launch(s1, 1_000_000);
+    core.free_on_stream(b.id, s1).unwrap();
+    assert_eq!(driver.stats().event_sync.calls, 1, "same stream: no wait");
+    assert_eq!(core.counters().plan_hits, 2, "both came from the plan");
+    core.validate().unwrap();
+}
+
+/// A streamless residue request reaches the fallback streamless, so a block
+/// another stream freed is waited out on the host: a wait queued on the
+/// default stream would not order the stream a front-end refills for.
+#[test]
+fn streamless_residue_waits_out_a_cross_stream_free_on_the_host() {
+    let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
+    let mut core = PlannedCore::with_defaults(driver.clone());
+    let (s0, s1) = (StreamId(0), StreamId(1));
+    let a = core.alloc_on_stream(AllocRequest::new(mib(4)), s1).unwrap();
+    driver.stream_launch(s0, 1_000_000);
+    core.free_on_stream(a.id, s0).unwrap();
+    let busy_until = driver.stream_frontier_ns(s0);
+    let b = core.allocate(AllocRequest::new(mib(4))).unwrap();
+    assert_eq!(b.va, a.va, "the fallback reused the freed block");
+    let st = driver.stats();
+    assert_eq!((st.event_wait.calls, st.event_sync.calls), (0, 1));
+    assert!(driver.now_ns() >= busy_until);
+    core.deallocate(b.id).unwrap();
+    core.validate().unwrap();
+}
