@@ -144,7 +144,7 @@ fn main() {
     println!("ends holding less reserved memory than the plain one.");
     println!();
     println!("drv-* columns: mean per-rank driver calls (lock round-trips).");
-    println!("GMLake's stitching traffic rides the batched VMM entry points");
-    println!("(mem_create_batch / mem_map_range), so a whole multi-chunk stitch");
-    println!("costs one map call per part instead of one per 2 MiB chunk.");
+    println!("GMLake backs each reservation with one physical handle, so an");
+    println!("Alloc is one create and one map, and a stitch costs one map call");
+    println!("per part instead of one per 2 MiB chunk.");
 }

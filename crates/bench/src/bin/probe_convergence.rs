@@ -1,6 +1,12 @@
-//! Diagnostic: per-workload GMLake state counters and convergence flag.
-//! Not a paper figure — used to verify that the S1-only steady state
-//! (§4.2.2) is reached on each evaluation workload.
+//! Diagnostic: per-workload GMLake state counters and convergence flag, and
+//! the simulated driver time split by API. Not a paper figure — used to
+//! verify that the S1-only steady state (§4.2.2) is reached on each
+//! evaluation workload, and to see which VMM call the allocator's driver
+//! time goes to.
+//!
+//! ```text
+//! cargo run --release -p gmlake-bench --bin probe_convergence
+//! ```
 
 use gmlake_core::{GmLakeAllocator, GmLakeConfig};
 use gmlake_gpu_sim::{CudaDriver, DeviceConfig};
@@ -30,6 +36,17 @@ fn probe(model: ModelSpec, s: StrategySet) {
     println!(
         "    non-exact per iteration: {:?}",
         lake.non_exact_history()
+    );
+    let d = driver.stats();
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let named = d.create.time_ns + d.map.time_ns + d.set_access.time_ns;
+    let rest = d.vmm_time_ns() - named;
+    println!(
+        "    driver ms: create={:.1} map={:.1} set_access={:.1} rest={:.1}",
+        ms(d.create.time_ns),
+        ms(d.map.time_ns),
+        ms(d.set_access.time_ns),
+        ms(rest),
     );
 }
 

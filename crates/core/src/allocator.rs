@@ -5,26 +5,43 @@
 //! the states S1–S4 of Figure 9 and the corresponding post-processing runs:
 //!
 //! * **S1** exact match — hand out a cached sBlock/pBlock unchanged;
-//! * **S2** single larger pBlock — `Split` it (and cache an sBlock stitching
-//!   the two halves so the original size can exact-match later);
+//! * **S2** single larger pBlock — `Split` it, or use it whole when the
+//!   remainder would fall below `frag_limit`;
 //! * **S3** multiple pBlocks — `Stitch` them into a new sBlock (splitting
 //!   the final candidate so the stitched size matches exactly);
-//! * **S4** insufficient — `Alloc` fresh physical chunks, stitching them
-//!   with whatever leftovers exist;
+//! * **S4** insufficient — `Alloc` a fresh reservation, stitching it with
+//!   whatever leftovers exist;
 //! * **S5** — out of memory.
 //!
-//! `Split` happens in place and makes no driver call: the parent's chunks
-//! are already mapped and access-enabled at its address, so the children
-//! are the two sub-ranges `[va, va + left)` and `[va + left, va + size)`
-//! of the parent's VA reservation. Each chunk is its own mapping, so a
-//! child later tears down its own range alone; the reservation goes back
-//! to the driver with its last piece.
+//! # Physical layout
+//!
+//! `Alloc` reserves a VA range and backs the whole of it with one physical
+//! handle: one `mem_create`, one `mem_map`, one `mem_set_access`. `Split`
+//! happens in place and makes no driver call: the children are the two
+//! sub-ranges `[va, va + left)` and `[va + left, va + size)` of the
+//! parent's range, already mapped and access-enabled, and a piece's bytes
+//! sit at offset `va − resv` in its reservation's handle. `Stitch` maps
+//! each part as one entry, a window onto that handle, so a view of `p`
+//! parts is `p` map entries and its `mem_set_access` is charged per part.
+//!
+//! **This layout needs a driver CUDA does not have.** A window starts
+//! inside its handle, which only gpu-sim's hypothetical
+//! [`CudaDriver::mem_map_window`] allows; `cuMemMap` requires offset 0. On
+//! CUDA as it stands a stitched part must be made of whole handles, so
+//! the paper's GMLake backs pBlocks with one handle per 2 MiB chunk and
+//! pays `mem_set_access` per chunk; the stall this layout saves in the
+//! benchmark does not transfer to real hardware (`docs/architecture.md`,
+//! *Physical layout*, has the CUDA-legal alternatives and their cost).
 //!
 //! Deallocation is the `Update` function: it only flips activity state;
 //! physical memory stays cached in the pools. `StitchFree` evicts
 //! least-recently-used inactive sBlock *structures* when the sPool exceeds
-//! its capacity; actual physical memory is surrendered only by
-//! [`GmLakeAllocator::release_cached`] (the OOM fallback) or on drop.
+//! its capacity. CUDA cannot unmap or release part of a mapping, so
+//! physical memory goes back one whole reservation at a time, in the
+//! reclaim walk of [`GmLakeAllocator::release_cached`] (the OOM fallback)
+//! and `compact`, or on drop. The walk visits each reservation's pieces in
+//! VA order, merges idle neighbours (bookkeeping only) and returns the
+//! reservations whose every piece is idle.
 //!
 //! # Hot-path data structures
 //!
@@ -120,13 +137,13 @@ pub struct FaultJournal {
     pub orphan_vas: u64,
     /// Total bytes of those orphaned reservations.
     pub orphan_va_bytes: u64,
-    /// Physical chunk handles the unwind could not release.
+    /// Physical handles the unwind could not release (one per reservation).
     pub orphan_chunks: u64,
 }
 
 impl FaultJournal {
     /// `true` when every unwind ran to completion: no VA reservation or
-    /// physical chunk outlived its failed operation.
+    /// physical handle outlived its failed operation.
     pub fn is_leak_free(&self) -> bool {
         self.orphan_vas == 0 && self.orphan_va_bytes == 0 && self.orphan_chunks == 0
     }
@@ -616,50 +633,54 @@ impl GmLakeAllocator {
         }
     }
 
-    /// Best-effort release of physical chunks created before a mid-sequence
-    /// driver fault; journals the handles it could not return.
-    fn unwind_chunks(&mut self, chunks: &[PhysHandle]) {
-        if self.driver.mem_release_batch(chunks).is_err() {
-            self.journal.orphan_chunks += chunks.len() as u64;
+    /// Best-effort release of a physical handle created before a
+    /// mid-sequence driver fault; journals it if it could not be returned.
+    fn unwind_handle(&mut self, handle: PhysHandle) {
+        if self.driver.mem_release(handle).is_err() {
+            self.journal.orphan_chunks += 1;
         }
     }
 
-    /// `Alloc` (§3.3.1): creates a brand-new pBlock of `size` bytes (a chunk
-    /// multiple) with fresh physical chunks. The only function that
-    /// increases reserved physical memory. Physical chunks are created and
-    /// mapped through the driver's batched entry points: one driver
-    /// round-trip for the creates, one for the maps.
+    /// `Alloc` (§3.3.1): reserves `size` bytes (a chunk multiple) and backs
+    /// them with one fresh physical handle — one create, one map, one
+    /// access call — as a new reservation whose single piece is the new
+    /// pBlock. The only function that increases reserved physical memory.
     ///
     /// Transactional: a fault at any step unwinds the steps already
     /// performed, so an `Err` leaves the allocator exactly as it was.
     fn alloc_new_pblock(&mut self, size: u64) -> Result<PBlockId, DriverError> {
         debug_assert_eq!(size % self.chunk, 0);
         let va = self.driver.mem_address_reserve(size)?;
-        let n = (size / self.chunk) as usize;
-        let chunks: Vec<PhysHandle> = match self.driver.mem_create_batch(self.chunk, n) {
-            Ok(chunks) => chunks,
+        let handle = match self.driver.mem_create(size) {
+            Ok(handle) => handle,
             Err(e) => {
-                // The batch is all-or-nothing: nothing created, nothing mapped.
                 self.journal.failed_ops += 1;
                 self.unwind_va(va, size, 0);
                 return Err(e);
             }
         };
-        if let Err(e) = self.driver.mem_map_range(va, self.chunk, &chunks) {
+        if let Err(e) = self.driver.mem_map(va, size, 0, handle) {
             self.journal.failed_ops += 1;
-            self.unwind_chunks(&chunks);
+            self.unwind_handle(handle);
             self.unwind_va(va, size, 0);
             return Err(e);
         }
         if let Err(e) = self.driver.mem_set_access(va, size, true) {
             self.journal.failed_ops += 1;
             self.unwind_va(va, size, size);
-            self.unwind_chunks(&chunks);
+            self.unwind_handle(handle);
             return Err(e);
         }
-        let pid = self.pblocks.insert(PBlock::new(va, size, va, chunks));
-        self.reservations
-            .insert(va, Reservation { size, pieces: 1 });
+        let pid = self.pblocks.insert(PBlock::new(va, size, va));
+        let pieces = vec![pid];
+        self.reservations.insert(
+            va,
+            Reservation {
+                size,
+                handle,
+                pieces,
+            },
+        );
         self.p_inactive.insert(false, size, pid);
         self.reserved_phys += size;
         Ok(pid)
@@ -670,13 +691,13 @@ impl GmLakeAllocator {
     /// and access-enabled pieces of the parent's reservation, so the split
     /// makes no driver call and cannot fail. Referencing sBlocks keep
     /// working (their own mappings are untouched) and their part lists are
-    /// rewritten to the two children.
+    /// rewritten to the two children. Returns the left child.
     ///
     /// Left is inserted before right and the parent removed last: slab ids
     /// break BestFit ties, and this is the order the golden decision pin
     /// records.
-    fn split_pblock(&mut self, pid: PBlockId, left_size: u64) -> (PBlockId, PBlockId) {
-        let p = &mut self.pblocks[pid];
+    fn split_pblock(&mut self, pid: PBlockId, left_size: u64) -> PBlockId {
+        let p = &self.pblocks[pid];
         debug_assert!(
             !p.active && p.assigned_to.is_none(),
             "split of a live block"
@@ -684,24 +705,24 @@ impl GmLakeAllocator {
         debug_assert!(left_size > 0 && left_size < p.size && left_size.is_multiple_of(self.chunk));
         let (va, size, resv, stamp) = (p.va, p.size, p.resv, p.stamp);
         let refs = p.referenced_by.clone();
-        let right_chunks = p.chunks.split_off((left_size / self.chunk) as usize);
-        let left_chunks = std::mem::take(&mut p.chunks);
         // The children inherit the parent's references, and so its tier,
         // and its stamp.
-        let mut child = |va, size, chunks| {
+        let mut child = |va, size| {
             let referenced_by = refs.clone();
             let id = self.pblocks.insert(PBlock {
                 referenced_by,
                 stamp,
-                ..PBlock::new(va, size, resv, chunks)
+                ..PBlock::new(va, size, resv)
             });
             self.p_inactive.insert(!refs.is_empty(), size, id);
             id
         };
-        let left = child(va, left_size, left_chunks);
-        let right = child(va.offset(left_size), size - left_size, right_chunks);
-        let resv = self.reservations.get_mut(&resv);
-        resv.expect("pblock names a recorded reservation").pieces += 1;
+        let left = child(va, left_size);
+        let right = child(va.offset(left_size), size - left_size);
+        let pieces = &mut self.reservations.get_mut(&resv).expect("recorded").pieces;
+        let at = pieces.binary_search_by_key(&va, |&x| self.pblocks[x].va);
+        let at = at.expect("the reservation lists its piece");
+        pieces.splice(at..=at, [left, right]);
         self.remove_pblock(pid);
         // Both children are inactive (the parent was), so no view's
         // availability moves, nothing is parked on the parent, and a
@@ -714,12 +735,13 @@ impl GmLakeAllocator {
         }
         self.counters.splits += 1;
         self.emit(EventKind::Split, size, left_size, 0);
-        (left, right)
+        left
     }
 
     /// `Stitch` (§3.3.1): creates an sBlock whose fresh VA range aliases the
-    /// chunks of `parts`, in order — one batched map call per part. No
-    /// physical memory is created.
+    /// bytes of `parts`, in order — one map entry per part, a window onto
+    /// its reservation's handle (`mem_map_window`, beyond CUDA: see the
+    /// module docs). No physical memory is created.
     ///
     /// Transactional: a fault while mapping unwinds the already-mapped
     /// prefix and the reservation; on `Err` the parts are untouched.
@@ -731,9 +753,11 @@ impl GmLakeAllocator {
         for &pid in &parts {
             let p = &self.pblocks[pid];
             debug_assert!(!p.active, "stitching an active part");
+            let handle = self.reservations[&p.resv].handle;
+            let at = p.va.as_u64() - p.resv.as_u64();
             if let Err(e) = self
                 .driver
-                .mem_map_range(va.offset(off), self.chunk, &p.chunks)
+                .mem_map_window(va.offset(off), p.size, at, handle)
             {
                 fault = Some(e);
                 break;
@@ -850,15 +874,13 @@ impl GmLakeAllocator {
     }
 
     /// Tears an sBlock structure down: its VA and mappings disappear; the
-    /// chunks stay owned by the pBlocks.
+    /// memory stays with the parts' reservations.
     ///
     /// Transactional: the unmap runs first, so on `Err` the view is fully
     /// intact and still usable. After the unmap the teardown is committed;
     /// a faulted reservation free is journaled, not propagated.
     fn destroy_sblock(&mut self, sid: SBlockId) -> Result<(), DriverError> {
-        // Batched teardown: one driver round-trip for the whole view's
-        // mappings, so a StitchFree/OOM-rescue storm stops paying one
-        // dispatch per chunk.
+        // One driver round-trip for the whole view's mappings.
         let (va, size) = {
             let s = &self.sblocks[sid];
             (s.va, s.size)
@@ -899,63 +921,92 @@ impl GmLakeAllocator {
         Ok(())
     }
 
-    /// Returns a pBlock's physical memory to the device. The block must be
-    /// inactive, unassigned and unreferenced. It unmaps its own range and
-    /// releases its chunks — two batched driver round-trips regardless of
-    /// its chunk count — and the last piece of a reservation adds the
-    /// address free.
+    /// Returns a reservation's physical memory to the device. Every piece
+    /// must be inactive and unreferenced. It unmaps the range, releases the
+    /// handle and frees the address: three driver round-trips however many
+    /// pieces it holds.
     ///
-    /// Transactional: a faulted unmap leaves the block intact; a faulted
-    /// release re-maps the range and aborts the destroy. Only when the
-    /// rollback itself fails (persistent faults) is the block dropped from
-    /// the books with its chunks journaled as orphans (a range that stays
-    /// mapped keeps its reservation busy, which the last piece's address
-    /// free then journals as an orphan VA).
-    fn destroy_pblock(&mut self, pid: PBlockId) -> Result<(), DriverError> {
-        let (va, size, chunks) = {
-            let p = &self.pblocks[pid];
-            debug_assert!(!p.active && p.assigned_to.is_none() && p.referenced_by.is_empty());
-            (p.va, p.size, p.chunks.clone())
-        };
-        Self::sync_stamps(&self.driver, &mut self.pblocks, &[pid]);
-        if let Err(e) = self.driver.mem_unmap_range(va, size) {
+    /// Transactional: a faulted unmap leaves the reservation intact; a
+    /// faulted release re-maps the range, re-enables access and aborts the
+    /// destroy with every piece as it was. Only when that rollback fails
+    /// too (persistent faults) are the pieces dropped from the books and
+    /// the handle journaled as an orphan (a range that stays mapped keeps
+    /// its address busy, which the address free then journals as an
+    /// orphan VA).
+    fn destroy_reservation(&mut self, base: VirtAddr) -> Result<(), DriverError> {
+        let r = &self.reservations[&base];
+        let (size, handle) = (r.size, r.handle);
+        Self::sync_stamps(&self.driver, &mut self.pblocks, &r.pieces);
+        if let Err(e) = self.driver.mem_unmap_range(base, size) {
             self.journal.failed_ops += 1;
             return Err(e);
         }
-        if let Err(e) = self.driver.mem_release_batch(&chunks) {
+        if let Err(e) = self.driver.mem_release(handle) {
             self.journal.failed_ops += 1;
-            // Re-map and abort the destroy; the block stays cached.
-            let remapped = self.driver.mem_map_range(va, self.chunk, &chunks).is_ok();
-            if remapped && self.driver.mem_set_access(va, size, true).is_ok() {
+            let remapped = self.driver.mem_map(base, size, 0, handle).is_ok();
+            if remapped && self.driver.mem_set_access(base, size, true).is_ok() {
                 return Err(e);
             }
-            // Rollback failed too: orphan the chunks and drop the block
-            // from the books so invariants keep holding.
-            self.journal.orphan_chunks += chunks.len() as u64;
+            self.journal.orphan_chunks += 1;
             if remapped {
-                let _ = self.driver.mem_unmap_range(va, size);
+                let _ = self.driver.mem_unmap_range(base, size);
             }
-            self.forget_pblock(pid);
+            self.forget_reservation(base);
             return Err(e);
         }
-        self.forget_pblock(pid);
+        self.forget_reservation(base);
         Ok(())
     }
 
-    /// Drops a torn-down pBlock from the books and its piece from its
-    /// reservation. The last piece out frees the reservation; a failure is
-    /// journaled as an orphan VA.
-    fn forget_pblock(&mut self, pid: PBlockId) {
-        let p = self.remove_pblock(pid);
-        self.reserved_phys -= p.size;
-        let resv = self.reservations.get_mut(&p.resv);
-        let resv = resv.expect("pblock names a recorded reservation");
-        resv.pieces -= 1;
-        if resv.pieces == 0 {
-            let size = resv.size;
-            self.reservations.remove(&p.resv);
-            self.unwind_va(p.resv, size, 0);
+    /// Drops a torn-down reservation and its pieces from the books and
+    /// frees its address; a failure is journaled as an orphan VA.
+    fn forget_reservation(&mut self, base: VirtAddr) {
+        let r = self.reservations.remove(&base).expect("recorded");
+        for pid in r.pieces {
+            debug_assert!(self.pblocks[pid].is_mergeable(), "forgetting a busy piece");
+            self.remove_pblock(pid);
         }
+        self.reserved_phys -= r.size;
+        self.unwind_va(base, r.size, 0);
+    }
+
+    /// The reclaim walk of `release_cached` and `compact`: one pass over
+    /// every reservation's pieces in VA order, `O(pieces)`. It merges each
+    /// run of VA-adjacent mergeable pieces into its first one — bookkeeping
+    /// only, no driver call — and then returns to the device every
+    /// reservation whose pieces are all inactive and unreferenced and each
+    /// `releasable` by size. Returns the bytes released.
+    fn reclaim(&mut self, releasable: impl Fn(u64) -> bool) -> u64 {
+        let mut doomed = Vec::new();
+        for (&base, r) in &mut self.reservations {
+            let (pblocks, index) = (&mut self.pblocks, &mut self.p_inactive);
+            r.pieces.dedup_by(|&mut right, &mut left| {
+                let merge = pblocks[left].is_mergeable() && pblocks[right].is_mergeable();
+                if merge {
+                    let gone = pblocks.remove(right).expect("listed piece");
+                    index.remove(false, gone.size, right);
+                    let p = &mut pblocks[left];
+                    index.remove(false, p.size, left);
+                    p.size += gone.size;
+                    index.insert(false, p.size, left);
+                }
+                merge
+            });
+            let idle = |&pid: &PBlockId| {
+                let p = &self.pblocks[pid];
+                !p.active && !p.is_referenced() && releasable(p.size)
+            };
+            if r.pieces.iter().all(idle) {
+                doomed.push((base, r.size));
+            }
+        }
+        let mut released = 0;
+        for (base, size) in doomed {
+            if self.destroy_reservation(base).is_ok() {
+                released += size;
+            }
+        }
+        released
     }
 
     fn register_allocation(
@@ -1174,17 +1225,10 @@ impl GmLakeAllocator {
                 let block_size = self.pblocks[pid].size;
                 let remainder = block_size - aligned;
                 if remainder >= self.config.frag_limit.max(self.chunk) {
-                    // Split; optionally cache an sBlock of the two halves so
-                    // a future request of the original size exact-matches.
                     // Splitting reshapes the pool, so it counts against
                     // convergence.
                     self.iter_non_exact += 1;
-                    let (left, right) = self.split_pblock(pid, aligned);
-                    if self.config.cache_split_halves && self.stitch_enabled {
-                        // Caching the halves is an optimization; a faulted
-                        // stitch (already unwound) must not fail the alloc.
-                        let _ = self.stitch(vec![left, right]);
-                    }
+                    let left = self.split_pblock(pid, aligned);
                     let (va, size) = (self.pblocks[left].va, self.pblocks[left].size);
                     Ok(self.register_allocation(Target::P(left), va, size, req.size))
                 } else {
@@ -1229,11 +1273,7 @@ impl GmLakeAllocator {
                     let need = aligned - rest_sum;
                     debug_assert!(need > 0 && need <= last_size);
                     if last_size - need >= self.config.frag_limit.max(self.chunk) {
-                        let (left, right) = self.split_pblock(last, need);
-                        if self.config.cache_split_halves {
-                            let _ = self.stitch(vec![left, right]);
-                        }
-                        ids.push(left);
+                        ids.push(self.split_pblock(last, need));
                     } else {
                         ids.push(last); // keep whole; sBlock will be oversized
                     }
@@ -1273,10 +1313,10 @@ impl GmLakeAllocator {
                     let sid = match self.stitch(ids) {
                         Ok(sid) => sid,
                         Err(e) => {
-                            // Roll the fresh physical allocation back; if
-                            // even the teardown faults the block stays
-                            // cached (state is still consistent).
-                            let _ = self.destroy_pblock(new_pid);
+                            // Roll the fresh reservation back; if even the
+                            // teardown faults the block stays cached (state
+                            // is still consistent).
+                            let _ = self.destroy_reservation(self.pblocks[new_pid].resv);
                             self.sync_reserved();
                             return Err(AllocError::driver_fault("stitch", e));
                         }
@@ -1318,9 +1358,9 @@ impl GmLakeAllocator {
     }
 
     /// Frees every cache structure not currently assigned to a tensor:
-    /// all unassigned sBlocks, then every inactive pBlock's physical memory,
-    /// then the small pool's cached segments. Returns bytes of physical
-    /// memory released.
+    /// all unassigned sBlocks, then every reservation with no live piece
+    /// (a partly live one keeps its idle pieces, merged), then the small
+    /// pool's cached segments. Returns bytes of physical memory released.
     fn release_cached_impl(&mut self) -> u64 {
         let unassigned: Vec<SBlockId> = self
             .sblocks
@@ -1333,19 +1373,7 @@ impl GmLakeAllocator {
             // rescue passes will retry.
             let _ = self.destroy_sblock(sid);
         }
-        let idle: Vec<PBlockId> = self
-            .pblocks
-            .iter()
-            .filter(|(_, p)| !p.active && p.assigned_to.is_none() && p.referenced_by.is_empty())
-            .map(|(pid, _)| pid)
-            .collect();
-        let mut released = 0;
-        for pid in idle {
-            let size = self.pblocks[pid].size;
-            if self.destroy_pblock(pid).is_ok() {
-                released += size;
-            }
-        }
+        let mut released = self.reclaim(|_| true);
         released += self.small.release_cached();
         self.sync_reserved();
         released
@@ -1435,23 +1463,12 @@ impl GmLakeAllocator {
         self.sblocks
             .validate()
             .map_err(|e| format!("sblock arena: {e}"))?;
-        // 1. pBlock shape, placement in the index, parked list.
-        let mut chunk_owner: HashMap<u64, PBlockId> = HashMap::new();
+        // 1. pBlock placement in the index, parked list.
         let mut phys_sum = 0u64;
         let mut inactive_p = 0usize;
         let mut parked_entries = 0usize;
-        let mut pieces: Vec<(VirtAddr, u64, u64)> = Vec::new();
         for (pid, p) in self.pblocks.iter() {
-            if p.chunks.len() as u64 * self.chunk != p.size {
-                return Err(format!("pblock {pid}: chunk count disagrees with size"));
-            }
-            pieces.push((p.resv, p.va.as_u64(), p.va.as_u64() + p.size));
             phys_sum += p.size;
-            for h in &p.chunks {
-                if let Some(prev) = chunk_owner.insert(h.as_u64(), pid) {
-                    return Err(format!("chunk {h} owned by both pblock {prev} and {pid}"));
-                }
-            }
             let distinct: BTreeSet<SBlockId> = p.referenced_by.iter().copied().collect();
             if distinct.len() != p.referenced_by.len() {
                 return Err(format!("pblock {pid} lists a referencing sblock twice"));
@@ -1522,31 +1539,35 @@ impl GmLakeAllocator {
                 inactive_p
             ));
         }
-        // 1b. Reservations: every pBlock names a recorded one, and each
-        //     one's `pieces` pBlocks lie inside it, pairwise disjoint.
-        pieces.sort_unstable();
-        let mut rest = &pieces[..];
+        // 1b. Reservations: each one's piece list tiles it exactly in VA
+        //     order with live pBlocks naming it, so together the lists hold
+        //     every pBlock once; no handle backs two of them.
+        let mut handles = BTreeSet::new();
+        let mut listed = 0usize;
         for (base, r) in &self.reservations {
-            let n = rest.iter().take_while(|p| p.0 <= *base).count();
-            let mut cursor = base.as_u64();
-            for &(resv, start, end) in &rest[..n] {
-                if resv != *base || start < cursor || end > base.as_u64() + r.size {
+            if !handles.insert(r.handle) {
+                return Err(format!("{} backs two reservations", r.handle));
+            }
+            let mut cursor = *base;
+            for &pid in &r.pieces {
+                let p = self.pblocks.get(pid);
+                if p.is_none_or(|p| p.resv != *base || p.va != cursor) {
                     return Err(format!(
-                        "pblock at {start:#x} is no disjoint piece of {resv}"
+                        "reservation {base}: piece {pid} is not at {cursor}"
                     ));
                 }
-                cursor = end;
+                cursor = cursor.offset(self.pblocks[pid].size);
             }
-            if n == 0 || n != r.pieces as usize {
-                return Err(format!(
-                    "reservation {base}: {} pieces, {n} pblocks",
-                    r.pieces
-                ));
+            if r.pieces.is_empty() || cursor != base.offset(r.size) {
+                return Err(format!("reservation {base}: pieces end at {cursor}"));
             }
-            rest = &rest[n..];
+            listed += r.pieces.len();
         }
-        if let Some((resv, ..)) = rest.first() {
-            return Err(format!("pblocks name the unrecorded reservation {resv}"));
+        if listed != self.pblocks.len() {
+            return Err(format!(
+                "{listed} listed pieces but {} pblocks",
+                self.pblocks.len()
+            ));
         }
         // 2. sBlock consistency: part lists, and — against availability
         //    re-derived by scanning — both indexes and the parked state.
@@ -1880,11 +1901,12 @@ impl AllocatorCore for GmLakeAllocator {
     ///    (`StitchCost::Unreferenced`) stitching supply. Fully-inactive
     ///    views — the ready exact-match candidates behind the S1 steady
     ///    state — are deliberately kept.
-    /// 2. **Dead-fragment release** — returns the physical memory of
-    ///    inactive, unassigned, unreferenced pBlocks smaller than the
-    ///    fragmentation limit. Such blocks are excluded from stitching by
-    ///    the §4.2.3 robustness rule, so short of an improbable exact match
-    ///    they are stranded capacity.
+    /// 2. **Dead-fragment release** — the reclaim walk merges idle
+    ///    neighbours, then returns every reservation whose remaining
+    ///    pieces are all idle and smaller than the fragmentation limit.
+    ///    Such pieces are excluded from stitching by the §4.2.3 robustness
+    ///    rule, so short of an improbable exact match they are stranded
+    ///    capacity.
     ///
     /// Returns the physical bytes released (structure GC frees only virtual
     /// address space, which is unmetered).
@@ -1902,24 +1924,8 @@ impl AllocatorCore for GmLakeAllocator {
                 self.counters.evictions += 1;
             }
         }
-        let dead: Vec<PBlockId> = self
-            .pblocks
-            .iter()
-            .filter(|(_, p)| {
-                !p.active
-                    && p.assigned_to.is_none()
-                    && p.referenced_by.is_empty()
-                    && p.size < self.config.frag_limit
-            })
-            .map(|(pid, _)| pid)
-            .collect();
-        let mut released = 0;
-        for pid in dead {
-            let size = self.pblocks[pid].size;
-            if self.destroy_pblock(pid).is_ok() {
-                released += size;
-            }
-        }
+        let frag_limit = self.config.frag_limit;
+        let released = self.reclaim(|size| size < frag_limit);
         self.sync_reserved();
         self.emit(EventKind::Defrag, released, 0, 0);
         released
@@ -1932,19 +1938,14 @@ impl Drop for GmLakeAllocator {
         // the batched entry points, once no stream uses a stamped block.
         let pids: Vec<PBlockId> = self.pblocks.keys().collect();
         Self::sync_stamps(&self.driver, &mut self.pblocks, &pids);
-        let sids: Vec<SBlockId> = self.sblocks.keys().collect();
-        for sid in sids {
-            let s = self.sblocks.remove(sid).expect("listed above");
+        for (_, s) in self.sblocks.iter() {
             let _ = self.driver.mem_unmap_range(s.va, s.size);
             let _ = self.driver.mem_address_free(s.va, s.size);
         }
-        for pid in pids {
-            let p = self.pblocks.remove(pid).expect("listed above");
-            let _ = self.driver.mem_unmap_range(p.va, p.size);
-            let _ = self.driver.mem_release_batch(&p.chunks);
-        }
-        for (base, resv) in std::mem::take(&mut self.reservations) {
-            let _ = self.driver.mem_address_free(base, resv.size);
+        for (base, r) in std::mem::take(&mut self.reservations) {
+            let _ = self.driver.mem_unmap_range(base, r.size);
+            let _ = self.driver.mem_release(r.handle);
+            let _ = self.driver.mem_address_free(base, r.size);
         }
     }
 }

@@ -1,15 +1,16 @@
 //! pBlock and sBlock structures (§3.2 of the paper).
 //!
-//! * A **pBlock** (primitive block) owns a VA range and the physical 2 MiB
-//!   chunks mapped behind it. It is the only structure that owns physical
-//!   memory, and the smallest unit assignable to a tensor. Its range is a
-//!   piece of a [`Reservation`]: `Alloc` reserves one per fresh block and
-//!   `Split` cuts a block in two where it lies, so the pieces of one
-//!   reservation tile (part of) it.
+//! * A **pBlock** (primitive block) is a piece of a [`Reservation`]: a VA
+//!   range whose bytes sit at offset `va − resv` in the reservation's one
+//!   physical handle, mapped once at the reservation's base. It is the
+//!   smallest unit assignable to a tensor. `Alloc` creates a reservation as
+//!   a single piece and `Split` cuts a piece in two where it lies, so the
+//!   pieces of one reservation always tile it.
 //! * An **sBlock** (stitched block) owns *only* a VA reservation: its range
-//!   is mapped onto the chunks of several pBlocks (which stay mapped at
-//!   their own addresses too — the multi-VA aliasing the CUDA VMM allows).
-//!   An sBlock is active whenever any of its pBlocks is active.
+//!   maps one entry per part, each a window onto that part's bytes in its
+//!   reservation's handle (which stays mapped at the reservation's base too
+//!   — the multi-VA aliasing the CUDA VMM allows). An sBlock is active
+//!   whenever any of its pBlocks is active.
 
 use std::cell::Cell;
 
@@ -21,23 +22,20 @@ pub(crate) type PBlockId = u64;
 /// Identifier of an sBlock within one allocator.
 pub(crate) type SBlockId = u64;
 
-/// A primitive block: VA range + owned physical chunks.
+/// A primitive block: a piece of a reservation.
 #[derive(Debug)]
 pub(crate) struct PBlock {
     pub va: VirtAddr,
     pub size: u64,
     /// Base of the [`Reservation`] `[va, va + size)` lies in.
     pub resv: VirtAddr,
-    /// Physical chunks, each of the device granularity, mapped consecutively
-    /// at `va`.
-    pub chunks: Vec<PhysHandle>,
     /// Whether the block's memory is currently used by a tensor (directly or
     /// through an assigned sBlock).
     pub active: bool,
     /// Allocation currently holding this pBlock *directly* (not through an
     /// sBlock).
     pub assigned_to: Option<AllocationId>,
-    /// sBlocks whose mapping includes this pBlock's chunks, each once, in no
+    /// sBlocks whose mapping includes this pBlock's bytes, each once, in no
     /// particular order. Empty or not is the block's *placement* in the
     /// inactive index; an activity flip never walks it.
     pub referenced_by: Vec<SBlockId>,
@@ -61,12 +59,11 @@ pub(crate) struct PBlock {
 }
 
 impl PBlock {
-    pub fn new(va: VirtAddr, size: u64, resv: VirtAddr, chunks: Vec<PhysHandle>) -> Self {
+    pub fn new(va: VirtAddr, size: u64, resv: VirtAddr) -> Self {
         PBlock {
             va,
             size,
             resv,
-            chunks,
             active: false,
             assigned_to: None,
             referenced_by: Vec::new(),
@@ -80,18 +77,27 @@ impl PBlock {
     pub fn is_referenced(&self) -> bool {
         !self.referenced_by.is_empty()
     }
+
+    /// Whether a reclaim walk may merge the block with an idle neighbour:
+    /// inactive, in no view, and guarded by no event.
+    pub fn is_mergeable(&self) -> bool {
+        !self.active && !self.is_referenced() && self.stamp.is_none()
+    }
 }
 
-/// A driver VA reservation holding pBlocks, keyed by its base. It goes back
-/// to the driver with its last piece.
+/// A driver VA reservation, keyed by its base, and the one physical handle
+/// mapped across the whole of it. CUDA cannot unmap or release part of a
+/// mapping, so the reservation goes back to the driver whole, once every
+/// piece is idle.
 #[derive(Debug)]
 pub(crate) struct Reservation {
     pub size: u64,
-    /// Live pBlocks lying in it.
-    pub pieces: u32,
+    pub handle: PhysHandle,
+    /// The pBlocks tiling it, in VA order.
+    pub pieces: Vec<PBlockId>,
 }
 
-/// A stitched block: a VA range aliasing the chunks of `parts`.
+/// A stitched block: a VA range aliasing the bytes of `parts`.
 #[derive(Debug)]
 pub(crate) struct SBlock {
     pub va: VirtAddr,

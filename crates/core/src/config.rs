@@ -17,9 +17,8 @@ pub struct GmLakeConfig {
     pub small_threshold: u64,
     /// Blocks smaller than this are never split off as remainders nor used
     /// as multi-block stitching candidates. The paper quotes 128 MiB as an
-    /// example for real hardware, where per-part bookkeeping costs real CPU
-    /// time; in simulation the per-chunk mapping cost is identical either
-    /// way, so we default low (4 MiB) to minimize whole-block internal
+    /// example for real hardware, where every part costs a mapping and its
+    /// access call; we default low (4 MiB) to minimize whole-block internal
     /// waste, and sweep the knob in the `ablation_frag_limit` bench to show
     /// the trade-off the paper describes (§4.2.3).
     pub frag_limit: u64,
@@ -38,14 +37,6 @@ pub struct GmLakeConfig {
     /// the pure `(lru_tick, id)` LRU of the paper's §3.3.2. The window is
     /// a full scan of each candidate's parts, so keep it small.
     pub evict_scan_window: usize,
-    /// Whether every `Split` additionally caches an sBlock stitching the two
-    /// halves (the behaviour illustrated in the paper's Figure 9 S2), so a
-    /// future request of the original size exact-matches. Under workloads
-    /// with hundreds of distinct sizes this densifies pBlock↔sBlock sharing
-    /// until most cached sBlocks are unavailable (some part is always busy),
-    /// which blocks convergence — so it defaults off; the
-    /// `ablation_split_halves` bench quantifies the trade-off.
-    pub cache_split_halves: bool,
     /// Configuration of the embedded small-allocation pool.
     pub small_config: BfcConfig,
 }
@@ -57,7 +48,6 @@ impl Default for GmLakeConfig {
             frag_limit: mib(4),
             max_sblocks: 8192,
             evict_scan_window: 8,
-            cache_split_halves: false,
             small_config: BfcConfig::default(),
         }
     }
@@ -89,13 +79,6 @@ impl GmLakeConfig {
     #[must_use]
     pub fn with_evict_scan_window(mut self, evict_scan_window: usize) -> Self {
         self.evict_scan_window = evict_scan_window;
-        self
-    }
-
-    /// Enables or disables caching an sBlock of the halves on every split.
-    #[must_use]
-    pub fn with_cache_split_halves(mut self, enable: bool) -> Self {
-        self.cache_split_halves = enable;
         self
     }
 }

@@ -12,12 +12,9 @@ fn lake() -> GmLakeAllocator {
     lake_with(DeviceConfig::small_test(), test_config())
 }
 
-/// Tests of the split/stitch machinery run with the Figure-9 halves-cache
-/// enabled (the default keeps it off; see `GmLakeConfig::cache_split_halves`).
+/// The default configuration with a 2 MiB fragmentation limit.
 fn test_config() -> GmLakeConfig {
-    GmLakeConfig::default()
-        .with_frag_limit(mib(2))
-        .with_cache_split_halves(true)
+    GmLakeConfig::default().with_frag_limit(mib(2))
 }
 
 fn lake_with(dev: DeviceConfig, cfg: GmLakeConfig) -> GmLakeAllocator {
@@ -65,37 +62,34 @@ fn free_then_same_size_is_exact_match() {
     let b = l.allocate(AllocRequest::new(mib(10))).unwrap();
     assert_eq!(b.va, a.va, "same pBlock reused");
     assert_eq!(l.state_counters().exact, 1);
-    // The first allocation created its 5 chunks in one batched driver call;
-    // the exact match created nothing.
+    // The first allocation created its one handle; the exact match created
+    // nothing.
     assert_eq!(l.driver().stats().create.calls, 1, "no new create calls");
     assert_eq!(
         l.driver().snapshot().phys_created_total,
         mib(10),
-        "no new chunks"
+        "no new memory"
     );
     l.validate().unwrap();
 }
 
 #[test]
-fn s2_split_creates_remainder_and_cached_sblock() {
+fn s2_split_creates_remainder_without_new_memory() {
     let mut l = lake();
     let a = l.allocate(AllocRequest::new(mib(10))).unwrap();
     l.deallocate(a.id).unwrap();
-    // 4 MiB out of an inactive 10 MiB block: split 4 + 6.
+    // 4 MiB out of an inactive 10 MiB block: split 4 + 6, nothing stitched.
     let b = l.allocate(AllocRequest::new(mib(4))).unwrap();
     assert_eq!(b.size, mib(4));
     let c = l.state_counters();
-    assert_eq!(c.single, 1);
-    assert_eq!(c.splits, 1);
-    assert_eq!(c.stitches, 1, "halves cached as an sBlock");
+    assert_eq!((c.single, c.splits, c.stitches), (1, 1, 0));
     assert_eq!(l.reserved_physical(), mib(10), "no new physical memory");
-    assert_eq!(l.pblock_count(), 2);
-    assert_eq!(l.sblock_count(), 1);
+    assert_eq!((l.pblock_count(), l.sblock_count()), (2, 0));
     l.validate().unwrap();
-    // Free the 4 MiB: now a 10 MiB request exact-matches the cached sBlock.
-    l.deallocate(b.id).unwrap();
-    let d = l.allocate(AllocRequest::new(mib(10))).unwrap();
-    assert_eq!(d.size, mib(10));
+    // The 6 MiB remainder exact-matches a 6 MiB request, still with no new
+    // physical memory.
+    let r = l.allocate(AllocRequest::new(mib(6))).unwrap();
+    assert_eq!(r.va, b.va.offset(mib(4)));
     assert_eq!(l.state_counters().exact, 1);
     assert_eq!(l.reserved_physical(), mib(10));
     l.validate().unwrap();
@@ -103,10 +97,7 @@ fn s2_split_creates_remainder_and_cached_sblock() {
 
 #[test]
 fn split_does_not_cache_halves_by_default() {
-    let mut l = lake_with(
-        DeviceConfig::small_test(),
-        GmLakeConfig::default().with_frag_limit(mib(2)),
-    );
+    let mut l = lake();
     let a = l.allocate(AllocRequest::new(mib(10))).unwrap();
     l.deallocate(a.id).unwrap();
     let b = l.allocate(AllocRequest::new(mib(4))).unwrap();
@@ -125,8 +116,7 @@ fn split_does_not_cache_halves_by_default() {
 }
 
 /// A 10 MiB block split in place into a held 4 MiB left child and an idle
-/// 6 MiB right one, on a calibrated device with the halves-cache off (so
-/// the S2 allocation does nothing but split).
+/// 6 MiB right one, on a calibrated device.
 fn split_ten_into_four_and_six() -> (GmLakeAllocator, gmlake_alloc_api::Allocation) {
     let dev = DeviceConfig::small_test().with_cost(gmlake_gpu_sim::CostModel::calibrated());
     let mut l = lake_with(dev, GmLakeConfig::default().with_frag_limit(mib(2)));
@@ -152,6 +142,12 @@ fn split_in_place_children_tile_the_parent_and_share_its_reservation() {
     let right = l.allocate(AllocRequest::new(mib(6))).unwrap();
     assert_eq!(l.state_counters().exact, 1);
     assert_eq!(right.va, left.va.offset(mib(4)), "children tile the parent");
+    // One handle backs both children, each at its offset in it.
+    let granules = driver.translate(left.va, mib(10)).unwrap();
+    let handle = granules[0].0;
+    let expected: Vec<_> = (0..5).map(|i| (handle, i * mib(2))).collect();
+    assert_eq!(granules, expected, "the reservation's handle, in VA order");
+    assert_eq!(driver.snapshot().handles, 1);
     // Bytes written across the children's seam land at the right child.
     driver
         .memcpy_htod(left.va.offset(mib(4) - 2), b"seam")
@@ -159,44 +155,131 @@ fn split_in_place_children_tile_the_parent_and_share_its_reservation() {
     let mut buf = [0u8; 2];
     driver.memcpy_dtoh(right.va, &mut buf).unwrap();
     assert_eq!(&buf, b"am");
-    // Destroying one child keeps the shared reservation ...
+    // A partly live reservation stays whole ...
     l.deallocate(left.id).unwrap();
-    assert_eq!(l.release_cached(), mib(4));
-    assert_eq!(driver.snapshot().reservations, 1, "the right piece remains");
+    assert_eq!(l.release_cached(), 0);
+    assert_eq!(driver.snapshot().reservations, 1, "the right piece is live");
     assert_eq!(driver.stats().address_free.calls, 0);
     l.validate().unwrap();
-    // ... and destroying the other frees it.
+    // ... and goes back whole with its last piece.
     l.deallocate(right.id).unwrap();
-    assert_eq!(l.release_cached(), mib(6));
+    assert_eq!(l.release_cached(), mib(10));
     assert_eq!(driver.stats().address_free.calls, 1);
     assert!(driver.snapshot().is_quiescent());
     l.validate().unwrap();
 }
 
 #[test]
-fn release_fault_destroying_a_child_rolls_back_with_the_reservation_intact() {
+fn release_fault_on_a_reservation_rolls_back_with_every_piece_intact() {
     use gmlake_gpu_sim::{FaultOp, FaultPlan};
     let (mut l, left) = split_ten_into_four_and_six();
     let driver = l.driver().clone();
-    // Only the idle right child is destroyable; its release faults.
+    driver
+        .memcpy_htod(left.va.offset(mib(4) - 4), b"kept")
+        .unwrap();
+    l.deallocate(left.id).unwrap();
+    // Both pieces are idle: the walk merges them and returns the
+    // reservation, whose release faults.
     driver.set_fault_plan(FaultPlan::new().fail_nth(FaultOp::Release, 1));
     assert_eq!(l.release_cached(), 0);
     assert_eq!(driver.stats().injected_faults, 1);
-    assert_eq!(l.pblock_count(), 2, "both children survive");
-    assert_eq!(driver.snapshot().reservations, 1);
+    assert_eq!(l.pblock_count(), 1, "the merged piece survives");
+    let snap = driver.snapshot();
+    assert_eq!((snap.reservations, snap.handles, snap.mappings), (1, 1, 1));
     let journal = l.fault_journal();
     assert_eq!(journal.failed_ops, 1);
     assert!(journal.is_leak_free(), "{journal:?}");
     l.validate().unwrap();
-    // The remapped child serves again at its old address.
-    let right = l.allocate(AllocRequest::new(mib(6))).unwrap();
-    assert_eq!(right.va, left.va.offset(mib(4)));
-    driver.memcpy_htod(right.va, b"remapped").unwrap();
+    // Re-mapped with access re-enabled: the whole range serves again at
+    // its old address, bytes intact.
+    let whole = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    assert_eq!(whole.va, left.va);
+    let mut buf = [0u8; 4];
+    driver
+        .memcpy_dtoh(whole.va.offset(mib(4) - 4), &mut buf)
+        .unwrap();
+    assert_eq!(&buf, b"kept");
     driver.clear_fault_plan();
-    for id in [left.id, right.id] {
-        l.deallocate(id).unwrap();
-    }
+    l.deallocate(whole.id).unwrap();
     assert_eq!(l.release_cached(), mib(10));
+    assert!(driver.snapshot().is_quiescent());
+    l.validate().unwrap();
+}
+
+#[test]
+fn a_stitched_view_is_one_map_entry_and_one_access_charge_per_part() {
+    let dev = DeviceConfig::small_test().with_cost(gmlake_gpu_sim::CostModel::calibrated());
+    let mut l = lake_with(dev, test_config());
+    let driver = l.driver().clone();
+    let cost = driver.cost_model();
+    let sizes = [mib(8), mib(6), mib(4)];
+    let held: Vec<_> = sizes
+        .iter()
+        .map(|&s| l.allocate(AllocRequest::new(s)).unwrap())
+        .collect();
+    // Each fresh reservation is one handle and one mapping.
+    let snap = driver.snapshot();
+    assert_eq!((snap.handles, snap.mappings), (3, 3));
+    for a in held {
+        l.deallocate(a.id).unwrap();
+    }
+    let (before, mappings) = (driver.stats(), snap.mappings);
+    let view = l.allocate(AllocRequest::new(mib(18))).unwrap();
+    assert_eq!(l.state_counters().stitches, 1, "[8, 6, 4]");
+    let after = driver.stats();
+    assert_eq!(
+        driver.snapshot().mappings - mappings,
+        3,
+        "one entry per part"
+    );
+    assert_eq!(after.map.calls - before.map.calls, 3);
+    assert_eq!(after.set_access.calls - before.set_access.calls, 1);
+    let per_part: u64 = sizes.iter().map(|&s| cost.set_access_ns(s)).sum();
+    assert_eq!(
+        after.set_access.time_ns - before.set_access.time_ns,
+        per_part,
+        "access charged once per part, at the part's size"
+    );
+    l.deallocate(view.id).unwrap();
+    l.validate().unwrap();
+}
+
+#[test]
+fn release_cached_keeps_a_partly_live_reservation_with_its_idle_pieces_merged() {
+    let mut l = lake();
+    let driver = l.driver().clone();
+    let whole = l.allocate(AllocRequest::new(mib(16))).unwrap();
+    let other = l.allocate(AllocRequest::new(mib(6))).unwrap();
+    l.deallocate(whole.id).unwrap();
+    // Two S2 splits cut the reservation into 4 | 4 | 8; the middle frees.
+    let head = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    let mid = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    assert_eq!(mid.va, whole.va.offset(mib(4)));
+    assert_eq!(l.pblock_count(), 4);
+    l.deallocate(mid.id).unwrap();
+    // The walk merges the idle 4 + 8 tail, by bookkeeping alone, and keeps
+    // the reservation: its head is live.
+    let calls = driver.stats().total_calls();
+    assert_eq!(l.release_cached(), 0);
+    assert_eq!(driver.stats().total_calls(), calls, "no driver call");
+    assert_eq!(l.pblock_count(), 3, "the idle tail merged");
+    assert_eq!(driver.snapshot().reservations, 2);
+    l.validate().unwrap();
+    // The merged piece stitches as one part: 18 MiB is [12, 6], not
+    // [8, 6, 4].
+    l.deallocate(other.id).unwrap();
+    let mappings = driver.snapshot().mappings;
+    let view = l.allocate(AllocRequest::new(mib(18))).unwrap();
+    assert_eq!(l.state_counters().multi, 1);
+    assert_eq!(driver.snapshot().mappings - mappings, 2);
+    assert_eq!(l.reserved_physical(), mib(22), "no new memory");
+    l.validate().unwrap();
+    // Only the wholly idle reservation goes back; the split one follows
+    // its last piece.
+    l.deallocate(view.id).unwrap();
+    assert_eq!(l.release_cached(), mib(6));
+    l.deallocate(head.id).unwrap();
+    assert_eq!(l.release_cached(), mib(16));
     assert!(driver.snapshot().is_quiescent());
     l.validate().unwrap();
 }
@@ -234,7 +317,7 @@ fn s3_stitches_freed_blocks_without_new_memory() {
     assert_eq!(
         after.map.calls - before.map.calls,
         2,
-        "one batched map per part, not one per 2 MiB chunk"
+        "one map per part, not one per 2 MiB chunk"
     );
     assert_eq!(l.reserved_physical(), mib(10));
     l.validate().unwrap();
@@ -254,8 +337,7 @@ fn s3_with_split_of_final_candidate() {
     let counters = l.state_counters();
     assert_eq!(counters.multi, 1);
     assert_eq!(counters.splits, 1);
-    // Stitches: halves-cache sBlock + the allocation sBlock.
-    assert_eq!(counters.stitches, 2);
+    assert_eq!(counters.stitches, 1);
     assert_eq!(l.reserved_physical(), mib(14), "no new physical");
     l.validate().unwrap();
     // The 4 MiB remainder is still allocatable.
@@ -384,28 +466,30 @@ fn stitchfree_evicts_lru_sblocks() {
         DeviceConfig::small_test(),
         test_config().with_max_sblocks(1),
     );
-    // Create two distinct stitched sBlocks.
+    // View #1 = [6, 4], held.
     let a = l.allocate(AllocRequest::new(mib(4))).unwrap();
     let b = l.allocate(AllocRequest::new(mib(6))).unwrap();
     l.deallocate(a.id).unwrap();
     l.deallocate(b.id).unwrap();
-    let c = l.allocate(AllocRequest::new(mib(10))).unwrap(); // sBlock #1
-    l.deallocate(c.id).unwrap();
+    let c = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    // View #2 over fresh blocks overflows the capacity of 1, but both views
+    // are protected while assigned: the pool may overshoot.
     let d = l.allocate(AllocRequest::new(mib(4))).unwrap();
     let e = l.allocate(AllocRequest::new(mib(6))).unwrap();
     l.deallocate(d.id).unwrap();
     l.deallocate(e.id).unwrap();
-    // A second stitched allocation overflows the capacity of 1, but its
-    // sBlocks are protected while parts are active: the pool may overshoot.
-    let f = l.allocate(AllocRequest::new(mib(8))).unwrap(); // stitches
-    assert!(l.sblock_count() > 1, "soft overshoot while blocks are busy");
+    let f = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    assert_eq!(l.state_counters().stitches, 2);
+    assert_eq!(l.sblock_count(), 2, "soft overshoot while views are busy");
     assert_eq!(l.state_counters().evictions, 0);
-    // Once everything is idle, the next allocation triggers StitchFree and
-    // evicts inactive structures (those not sharing the 6 MiB block with g).
+    // Once both are idle, the next allocation exact-matches one and
+    // StitchFree evicts the other, which shares none of its parts.
+    l.deallocate(c.id).unwrap();
     l.deallocate(f.id).unwrap();
-    let g = l.allocate(AllocRequest::new(mib(6))).unwrap();
-    assert!(l.state_counters().evictions >= 1);
-    assert!(l.sblock_count() <= 2, "trimmed toward the cap");
+    let g = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    assert_eq!(l.state_counters().exact, 1);
+    assert_eq!(l.state_counters().evictions, 1);
+    assert_eq!(l.sblock_count(), 1, "trimmed to the cap");
     l.deallocate(g.id).unwrap();
     l.validate().unwrap();
 }
@@ -444,10 +528,9 @@ fn release_cached_spares_live_allocations() {
 
 #[test]
 fn release_cached_tears_down_with_batched_driver_calls() {
-    // A 64 MiB pBlock holds 32 chunks; surrendering it must cost three
-    // driver round-trips (batched unmap, batched release, address free) —
-    // not one release per chunk, which is what an OOM-rescue storm used to
-    // pay.
+    // A 64 MiB reservation spans 32 granules; surrendering it costs three
+    // driver round-trips (unmap, release, address free), not one per
+    // granule.
     let driver = CudaDriver::new(DeviceConfig::small_test());
     let mut l = GmLakeAllocator::new(driver.clone(), test_config());
     let a = l.allocate(AllocRequest::new(mib(64))).unwrap();
@@ -456,12 +539,12 @@ fn release_cached_tears_down_with_batched_driver_calls() {
     let released = l.release_cached();
     assert_eq!(released, mib(64));
     let after = driver.stats();
-    assert_eq!(after.release.calls - before.release.calls, 1, "one batch");
+    assert_eq!(after.release.calls - before.release.calls, 1, "one handle");
     assert_eq!(after.unmap.calls - before.unmap.calls, 1, "one range unmap");
     assert_eq!(
         after.total_calls() - before.total_calls(),
         3,
-        "unmap_range + release_batch + address_free"
+        "unmap + release + address_free"
     );
     l.validate().unwrap();
 }
@@ -939,16 +1022,17 @@ mod golden {
     use gmlake_gpu_sim::{FaultOp, FaultPlan};
     use proptest::prelude::*;
 
-    const DECISIONS: [u64; 2] = [6_858_873_994_934_620_618, 1_789_632_530_537_291_324];
+    /// Re-pinned when physical memory started going back a whole
+    /// reservation at a time: the programs run `ReleaseCached` and
+    /// `Compact`, whose release unit changed, and they now run on the
+    /// default configuration, without the deleted split-halves cache.
+    const DECISIONS: [u64; 2] = [5_734_867_937_150_858_216, 467_717_539_300_448_351];
 
-    /// Re-pinned when the core took over the cross-stream rule: every free
-    /// from a stream other than the allocating one now costs one
-    /// `event_record` call (the programs launch no work, so no event is
-    /// ever pending and nothing else moves).
+    /// Re-pinned with `DECISIONS`, for the same reasons.
     const TRAFFIC: [u64; 3] = [
-        305_171_975_878_890_873,
-        2_433_451_561_490_521_908,
-        16_524_713_043_193_589_449,
+        7_571_596_545_701_160_376,
+        16_922_133_205_229_141_599,
+        12_341_669_347_997_548_846,
     ];
 
     fn fnv(hash: &mut u64, bytes: &[u8]) {
@@ -1350,6 +1434,7 @@ mod streams {
 
     use super::*;
     use gmlake_alloc_api::{StreamId, VirtAddr};
+    use gmlake_gpu_sim::PhysHandle;
     use proptest::prelude::*;
     use std::collections::HashMap;
     use std::sync::Arc;
@@ -1597,10 +1682,12 @@ mod streams {
     }
 
     /// The oracle, kept outside the allocator: it translates every freed
-    /// and every new allocation into physical chunks. A cross-stream free
-    /// records, per chunk, the freeing stream and when the work it had in
-    /// flight completes; the next allocation covering the chunk must come
-    /// from that stream, or from one whose frontier is at least that late.
+    /// and every new allocation into physical granules, each a handle and
+    /// an offset in it — a handle backs a whole reservation, so its other
+    /// pieces are other memory. A cross-stream free records, per granule,
+    /// the freeing stream and when the work it had in flight completes; the
+    /// next allocation covering the granule must come from that stream, or
+    /// from one whose frontier is at least that late.
     /// A streamless caller names no stream, so the host clock itself must
     /// have reached that time: nothing it launches next can run earlier.
     /// Same-stream frees are outside the rule (see
@@ -1618,7 +1705,7 @@ mod streams {
             let d = CudaDriver::new(dev);
             let mut l = GmLakeAllocator::new(d.clone(), test_config().with_max_sblocks(12));
             let mut live: Vec<(AllocationId, VirtAddr, u64, StreamId)> = Vec::new();
-            let mut freed: HashMap<u64, (StreamId, u64)> = HashMap::new();
+            let mut freed: HashMap<(PhysHandle, u64), (StreamId, u64)> = HashMap::new();
             for op in &ops {
                 match *op {
                     Op::Alloc(size, s) => {
@@ -1631,15 +1718,15 @@ mod streams {
                         };
                         match result {
                             Ok(a) => {
-                                for h in d.translate(a.va, a.size).unwrap() {
-                                    let Some((from, done_at)) = freed.remove(&h.as_u64()) else {
+                                for (h, off) in d.translate(a.va, a.size).unwrap() {
+                                    let Some((from, done_at)) = freed.remove(&(h, off)) else {
                                         continue;
                                     };
                                     let Some(stream) = stream else {
                                         let now = d.now_ns();
                                         assert!(
                                             now >= done_at,
-                                            "a streamless caller got chunk {h} at {now}, \
+                                            "a streamless caller got {h}+{off:#x} at {now}, \
                                              before {from:?}'s work on it ends at {done_at}"
                                         );
                                         host_guarded += u64::from(done_at > before);
@@ -1648,7 +1735,7 @@ mod streams {
                                     let frontier = d.stream_frontier_ns(stream);
                                     assert!(
                                         from == stream || frontier >= done_at,
-                                        "{stream:?} got chunk {h} at frontier {frontier}, \
+                                        "{stream:?} got {h}+{off:#x} at frontier {frontier}, \
                                          before {from:?}'s work on it ends at {done_at}"
                                     );
                                     guarded += u64::from(from != stream && done_at > d.now_ns());
@@ -1668,8 +1755,8 @@ mod streams {
                         let stream = StreamId(s);
                         if stream != owner {
                             let done_at = d.stream_frontier_ns(stream);
-                            for h in d.translate(va, size).unwrap() {
-                                freed.insert(h.as_u64(), (stream, done_at));
+                            for granule in d.translate(va, size).unwrap() {
+                                freed.insert(granule, (stream, done_at));
                             }
                         }
                         l.free_on_stream(id, stream).unwrap();
@@ -1703,7 +1790,7 @@ mod streams {
         });
         assert!(
             guarded > 0 && host_guarded > 0,
-            "programs hand chunks over while their work runs"
+            "programs hand granules over while their work runs"
         );
     }
 }

@@ -390,11 +390,34 @@ impl CudaDriver {
         Ok(())
     }
 
-    /// `cuMemMap`: maps `size` bytes of `h`, starting at byte `offset` within
-    /// the handle, at virtual address `va`. All of `va`, `size`, and `offset`
-    /// must be granularity-aligned; the target range must lie inside one
+    /// `cuMemMap`: maps the first `size` bytes of `h` at virtual address
+    /// `va`. As in CUDA, `offset` must be zero ("currently must be zero" in
+    /// the `cuMemMap` reference); any other value is rejected with
+    /// [`DriverError::MapOffset`]. `va` and `size` must be
+    /// granularity-aligned; the target range must lie inside one
     /// reservation and be unmapped. Access starts disabled.
     pub fn mem_map(&self, va: VirtAddr, size: u64, offset: u64, h: PhysHandle) -> DriverResult<()> {
+        if offset != 0 {
+            return Err(DriverError::MapOffset(offset));
+        }
+        self.mem_map_window(va, size, 0, h)
+    }
+
+    /// **Not a CUDA call**: [`CudaDriver::mem_map`] with the offset
+    /// restriction lifted, mapping `size` bytes of `h` starting at byte
+    /// `offset` within the handle. This models a hypothetical driver; real
+    /// `cuMemMap` rejects a non-zero offset, so a layout built on windows
+    /// (GMLake's stitch of one piece of a shared handle) does not run on
+    /// CUDA as it stands, and its measured cost does not transfer. `offset`
+    /// must be granularity-aligned; everything else is as for `mem_map`,
+    /// and it is costed and counted as one `map` call.
+    pub fn mem_map_window(
+        &self,
+        va: VirtAddr,
+        size: u64,
+        offset: u64,
+        h: PhysHandle,
+    ) -> DriverResult<()> {
         let mut g = self.inner.lock();
         g.inject(FaultOp::Map)?;
         let gran = g.config.granularity;
@@ -692,14 +715,22 @@ impl CudaDriver {
     // Data path
     // ------------------------------------------------------------------
 
-    /// The physical chunks backing `[va, va + len)`, in address order — what
-    /// a kernel touching the range touches. An inspection helper for tests:
-    /// not a driver call, so it is neither costed nor counted. The range
-    /// must be mapped with access enabled.
-    pub fn translate(&self, va: VirtAddr, len: u64) -> DriverResult<Vec<PhysHandle>> {
+    /// The physical granules backing `[va, va + len)`, in address order, each
+    /// as its handle and its granule-aligned byte offset within the handle —
+    /// what a kernel touching the range touches, precise however many
+    /// granules one handle holds. An inspection helper for tests: not a
+    /// driver call, so it is neither costed nor counted. The range must be
+    /// mapped with access enabled.
+    pub fn translate(&self, va: VirtAddr, len: u64) -> DriverResult<Vec<(PhysHandle, u64)>> {
         let g = self.inner.lock();
+        let gran = g.config.granularity;
         let extents = g.va.resolve(va, len)?;
-        Ok(extents.into_iter().map(|e| e.handle).collect())
+        let granules = extents.into_iter().flat_map(|e| {
+            let first = e.handle_off - e.handle_off % gran;
+            let offsets = (first..e.handle_off + e.len).step_by(gran as usize);
+            offsets.map(move |off| (e.handle, off))
+        });
+        Ok(granules.collect())
     }
 
     /// Copies `data` from host to device at `va`. Requires the device to be
@@ -1472,13 +1503,34 @@ mod tests {
     }
 
     #[test]
-    fn partial_map_of_large_handle_works() {
-        // A 4-chunk handle mapped at a 2-chunk window with offset.
+    fn mem_map_rejects_a_nonzero_offset_as_cuda_does() {
         let d = test_driver();
         let gran = d.granularity();
         let h = d.mem_create(4 * gran).unwrap();
         let va = d.mem_address_reserve(2 * gran).unwrap();
-        d.mem_map(va, 2 * gran, gran, h).unwrap(); // middle of the handle
+        let before = (d.now_ns(), d.stats().map.calls);
+        assert_eq!(
+            d.mem_map(va, 2 * gran, gran, h).unwrap_err(),
+            DriverError::MapOffset(gran)
+        );
+        assert_eq!(
+            (d.now_ns(), d.stats().map.calls),
+            before,
+            "rejected untouched"
+        );
+        // The VA is still free: offset 0 maps there.
+        d.mem_map(va, 2 * gran, 0, h).unwrap();
+    }
+
+    #[test]
+    fn partial_map_of_large_handle_works() {
+        // A 4-chunk handle mapped at a 2-chunk window with offset, which
+        // only the hypothetical `mem_map_window` allows.
+        let d = test_driver();
+        let gran = d.granularity();
+        let h = d.mem_create(4 * gran).unwrap();
+        let va = d.mem_address_reserve(2 * gran).unwrap();
+        d.mem_map_window(va, 2 * gran, gran, h).unwrap(); // middle of the handle
         d.mem_set_access(va, 2 * gran, true).unwrap();
         d.memcpy_htod(va, b"mid").unwrap();
         // The same bytes are visible through a full-handle mapping.

@@ -48,6 +48,9 @@ pub enum DriverError {
     ReservationBusy(VirtAddr),
     /// An `unmap` range that splits a mapping entry instead of covering it.
     PartialUnmap(VirtAddr),
+    /// `mem_map` with a non-zero offset into the handle, which `cuMemMap`
+    /// rejects (`CUDA_ERROR_INVALID_VALUE`).
+    MapOffset(u64),
     /// A map would extend past the end of the physical allocation.
     HandleRangeOutOfBounds {
         /// Handle's raw id.
@@ -107,6 +110,9 @@ impl fmt::Display for DriverError {
                     "unmap range at {va} splits a mapping instead of covering it"
                 )
             }
+            DriverError::MapOffset(offset) => {
+                write!(f, "cuMemMap requires offset 0, got {offset}")
+            }
             DriverError::HandleRangeOutOfBounds {
                 handle,
                 offset,
@@ -155,6 +161,7 @@ mod tests {
             DriverError::AccessDenied(VirtAddr::new(1)),
             DriverError::ReservationBusy(VirtAddr::new(1)),
             DriverError::PartialUnmap(VirtAddr::new(1)),
+            DriverError::MapOffset(2),
             DriverError::HandleRangeOutOfBounds {
                 handle: 1,
                 offset: 2,

@@ -3,9 +3,18 @@
 //! The GMLake paper builds on CUDA's *low-level virtual memory management*
 //! API (`cuMemAddressReserve` / `cuMemCreate` / `cuMemMap` /
 //! `cuMemSetAccess` / `cuMemUnmap` / `cuMemRelease`). This crate provides a
-//! software device with exactly those semantics plus the classic
+//! software device with those semantics plus the classic
 //! `cudaMalloc`/`cudaFree` path, so the allocators above it can be developed
-//! and evaluated without hardware:
+//! and evaluated without hardware.
+//!
+//! **One entry point goes beyond CUDA.** [`CudaDriver::mem_map`] rejects a
+//! non-zero offset into the handle, as `cuMemMap` does;
+//! [`CudaDriver::mem_map_window`] is the same call with that restriction
+//! lifted. It models a hypothetical driver: a design that uses it (GMLake's
+//! stitch in `gmlake-core` does) cannot run on CUDA as it stands, and the
+//! simulated cost it saves is not a cost real hardware would save.
+//!
+//! What the device models:
 //!
 //! * **physical chunks** with handles that may be mapped at *multiple*
 //!   virtual addresses simultaneously — the property that makes virtual

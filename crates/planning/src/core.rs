@@ -107,12 +107,13 @@ enum Route {
 }
 
 /// The mapped arena backing an installed plan: one VA reservation of the
-/// plan capacity rounded up to the driver granularity, fully mapped.
+/// plan capacity rounded up to the driver granularity, fully mapped to one
+/// physical handle.
 #[derive(Debug)]
 struct Arena {
     base: VirtAddr,
     bytes: u64,
-    chunks: Vec<PhysHandle>,
+    handle: PhysHandle,
 }
 
 #[derive(Debug)]
@@ -320,41 +321,40 @@ impl PlannedCore {
     }
 
     /// Maps a granularity-rounded arena for `capacity` plan bytes: one VA
-    /// reservation, one physical batch, one range map — three driver
-    /// calls regardless of size. Unwinds fully on any failure.
+    /// reservation backed by one physical handle — one create, one map,
+    /// one access call regardless of size. Unwinds fully on any failure.
     fn materialize_arena(&self, capacity: u64) -> Result<Arena, gmlake_gpu_sim::DriverError> {
         let gran = self.driver.granularity();
         let bytes = capacity.div_ceil(gran) * gran;
         let va = self.driver.mem_address_reserve(bytes)?;
-        let chunks = match self.driver.mem_create_batch(gran, (bytes / gran) as usize) {
-            Ok(chunks) => chunks,
+        let handle = match self.driver.mem_create(bytes) {
+            Ok(handle) => handle,
             Err(e) => {
                 let _ = self.driver.mem_address_free(va, bytes);
                 return Err(e);
             }
         };
-        if let Err(e) = self
-            .driver
-            .mem_map_range(va, gran, &chunks)
-            .and_then(|()| self.driver.mem_set_access(va, bytes, true))
-        {
-            let _ = self.driver.mem_unmap_range(va, bytes);
-            let _ = self.driver.mem_release_batch(&chunks);
-            let _ = self.driver.mem_address_free(va, bytes);
-            return Err(e);
-        }
-        Ok(Arena {
+        let arena = Arena {
             base: va,
             bytes,
-            chunks,
-        })
+            handle,
+        };
+        if let Err(e) = self
+            .driver
+            .mem_map(va, bytes, 0, handle)
+            .and_then(|()| self.driver.mem_set_access(va, bytes, true))
+        {
+            self.teardown_arena(&arena);
+            return Err(e);
+        }
+        Ok(arena)
     }
 
     /// Best-effort arena teardown (release paths and `Drop` must not
     /// fail; injected faults here at worst orphan simulated state).
     fn teardown_arena(&self, arena: &Arena) {
-        let _ = self.driver.mem_unmap_range(arena.base, arena.bytes);
-        let _ = self.driver.mem_release_batch(&arena.chunks);
+        let _ = self.driver.mem_unmap(arena.base, arena.bytes);
+        let _ = self.driver.mem_release(arena.handle);
         let _ = self.driver.mem_address_free(arena.base, arena.bytes);
     }
 

@@ -917,6 +917,56 @@ mod tests {
     }
 
     #[test]
+    fn oom_rescue_cannot_reclaim_idle_pieces_of_a_partly_live_reservation() {
+        // GMLake returns physical memory one whole reservation at a time.
+        // A sibling GMLake pool holds one 160 MiB reservation split into a
+        // live 40 MiB piece and an idle 120 MiB one: the rescue's cohabitant
+        // release cannot return the idle piece, so a 120 MiB request on the
+        // 96 MiB left of the 256 MiB device fails until the live piece goes.
+        let service = PoolService::new();
+        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
+        let lake = service
+            .register_with_affinity(
+                DeviceId(0),
+                Box::new(GmLakeAllocator::new(
+                    driver.clone(),
+                    GmLakeConfig::default(),
+                )),
+                0,
+            )
+            .unwrap();
+        let pool = service
+            .register_with_affinity(
+                DeviceId(1),
+                Box::new(CachingAllocator::new(driver.clone())),
+                0,
+            )
+            .unwrap();
+        let whole = lake.allocate(AllocRequest::new(mib(160))).unwrap();
+        lake.deallocate(whole.id).unwrap();
+        let live = lake.allocate(AllocRequest::new(mib(40))).unwrap();
+        assert_eq!(
+            driver.phys_in_use(),
+            mib(160),
+            "the 40 MiB is a split piece"
+        );
+        let err = pool.allocate(AllocRequest::new(mib(120))).unwrap_err();
+        assert!(matches!(err, AllocError::OutOfMemory { .. }));
+        assert_eq!(pool.fault_stats().rescues, 0);
+        assert_eq!(
+            lake.stats().reserved_bytes,
+            mib(160),
+            "the idle 120 MiB stays cached with its live sibling"
+        );
+        // Once its last piece is idle the reservation goes back whole.
+        lake.deallocate(live.id).unwrap();
+        let big = pool.allocate(AllocRequest::new(mib(120))).unwrap();
+        assert_eq!(pool.fault_stats().rescues, 1);
+        assert_eq!(lake.stats().reserved_bytes, 0);
+        pool.deallocate(big.id).unwrap();
+    }
+
+    #[test]
     fn oom_rescue_leaves_other_devices_caches_alone() {
         // The hoarder sits on a DIFFERENT physical device (its own driver,
         // no shared affinity): flushing its warm cache could not relieve

@@ -76,8 +76,9 @@ pub struct RankReport {
     pub report: ReplayReport,
     /// Per-API driver telemetry of the rank's device at the end of the
     /// replay. `driver_stats.total_calls()` is the number of driver
-    /// lock round-trips the rank cost its device — the quantity the batched
-    /// VMM entry points (`mem_create_batch` / `mem_map_range`) drive down.
+    /// lock round-trips the rank cost its device; GMLake's core makes one
+    /// create, map and access call per reservation, and one map call per
+    /// stitched part.
     ///
     /// This is a *device-global* snapshot: it equals the rank's own traffic
     /// only under the standard one-rank-per-device setup (which every

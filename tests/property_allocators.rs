@@ -96,7 +96,7 @@ proptest! {
         let driver = small_device();
         let mut alloc = GmLakeAllocator::new(
             driver.clone(),
-            GmLakeConfig::default().with_frag_limit(mib(2)).with_cache_split_halves(true),
+            GmLakeConfig::default().with_frag_limit(mib(2)),
         );
         let survivors = run_program(&mut alloc, &ops, |a| a.validate().unwrap());
         // Reserved physical memory never exceeds the device, and the device
