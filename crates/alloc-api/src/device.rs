@@ -39,7 +39,8 @@
 //! records an event on the freeing stream (given an [`EventSource`], see
 //! [`DeviceAllocator::with_config_and_events`]) and the block waits in the
 //! owning cache's *pending ring* until the event completes; otherwise the
-//! block returns to the core, whose mutex is a full synchronization point.
+//! block returns to the core's `free_on_stream`, told the freeing stream,
+//! which orders the block's reuse (the refill told it the owner).
 //! A large block's free goes straight to the core with its stream: the core
 //! owns the cross-stream rule for its own blocks (`GmLakeAllocator` stamps
 //! the freeing stream's event on them, and the next other stream to get one
@@ -771,10 +772,10 @@ impl DeviceAllocator {
         }
         // Miss: ask the core for the whole class size (no cache lock held).
         // The core records `key` as requested; `requested_inflation`
-        // subtracts the rounding back out. The request is streamless, so a
-        // core guarding a cross-stream-freed block waits it out on the host.
+        // subtracts the rounding back out. The core records `stream` as the
+        // block's owner, so a later free from another stream is ordered.
         let core_req = AllocRequest::new(key).with_tag(req.tag);
-        let core_alloc = self.ask_core(|core| core.allocate(core_req))?;
+        let core_alloc = self.ask_core(|core| core.alloc_on_stream(core_req, stream))?;
         let block = CachedBlock {
             core_id: core_alloc.id,
             va: core_alloc.va,
@@ -860,11 +861,15 @@ impl DeviceAllocator {
     ///   park + promote pair collapses into one step: the block re-pools
     ///   into the owner's free list immediately;
     /// * **different stream**, without an event source: the block is
-    ///   returned to the core instead — it can only be handed out again
-    ///   through the core mutex, a full synchronization point standing in
-    ///   for the event. With a source but the ring or the cache full, the
-    ///   block takes the same way after its event is recorded and
-    ///   **synchronized before the core sees it**.
+    ///   returned to the core's [`AllocatorCore::free_on_stream`], told the
+    ///   freeing stream, which owns the cross-stream rule from there. With a
+    ///   source but the ring or the cache full, the block takes the same
+    ///   way after its event is recorded and **synchronized before the core
+    ///   sees it**.
+    ///
+    /// Every block the front-end hands the core goes through
+    /// [`AllocatorCore::free_on_stream`]: a same-stream return (cap
+    /// overflow, eviction, flush) names the block's own stream.
     ///
     /// A core-minted id (a large allocation, or any with the caches off)
     /// goes straight to the core's [`AllocatorCore::free_on_stream`], which
@@ -904,6 +909,7 @@ impl DeviceAllocator {
         // The event a cross-stream fallback must synchronize before the
         // core may re-serve the block; carried out of the lock scope.
         let mut sync_before_core = None;
+        // The block going to the core, with the stream it is freed from.
         let to_core = {
             let mut guard = cache.lock();
             let g = &mut *guard;
@@ -924,9 +930,9 @@ impl DeviceAllocator {
                     // park ours, so an idle foreign stream cannot wedge the
                     // warm path of every stream sharing the cache.
                     g.park(block, key);
-                    Some(evicted)
+                    Some((evicted, evicted.stream))
                 } else {
-                    Some(block)
+                    Some((block, stream))
                 };
                 g.stats.cache_returns += u64::from(overflow.is_some());
                 overflow
@@ -969,21 +975,21 @@ impl DeviceAllocator {
                     // drops, before the core can re-serve the block.
                     sync_before_core = Some(events.record(stream));
                 }
-                // Without an event source the core mutex itself is the
-                // synchronization point standing in for the event.
+                // Without an event source the core, told the freeing
+                // stream, orders the block's reuse after that stream's work.
                 g.stats.cross_stream_fallback += 1;
                 g.stats.cache_returns += 1;
-                Some(block)
+                Some((block, stream))
             }
         };
-        if let Some(block) = to_core {
+        if let Some((block, freed_from)) = to_core {
             if let (Some(event), Some(events)) = (sync_before_core, &self.inner.events) {
                 events.synchronize(event);
             }
             self.inner
                 .core
                 .lock()
-                .deallocate(block.core_id)
+                .free_on_stream(block.core_id, freed_from)
                 .expect("front-end owns every cached block");
         }
         Ok(())
@@ -1032,7 +1038,9 @@ impl DeviceAllocator {
         let mut core = self.inner.core.lock();
         for block in &blocks {
             bytes += block.size;
-            core.deallocate(block.core_id)
+            // Parked blocks are idle on their owner, and pending ones had
+            // their event synchronized above: same-stream frees.
+            core.free_on_stream(block.core_id, block.stream)
                 .expect("front-end owns every cached block");
         }
         bytes

@@ -626,7 +626,7 @@ impl GmLakeAllocator {
     /// call); under persistent faults the range is orphaned and counted.
     fn unwind_va(&mut self, va: VirtAddr, reserved: u64, mapped: u64) {
         // A reservation with live mappings cannot be freed.
-        let unmapped = mapped == 0 || self.driver.mem_unmap_range(va, mapped).is_ok();
+        let unmapped = mapped == 0 || self.driver.mem_unmap(va, mapped).is_ok();
         if !unmapped || self.driver.mem_address_free(va, reserved).is_err() {
             self.journal.orphan_vas += 1;
             self.journal.orphan_va_bytes += reserved;
@@ -886,7 +886,7 @@ impl GmLakeAllocator {
             (s.va, s.size)
         };
         Self::sync_stamps(&self.driver, &mut self.pblocks, &self.sblocks[sid].parts);
-        if let Err(e) = self.driver.mem_unmap_range(va, size) {
+        if let Err(e) = self.driver.mem_unmap(va, size) {
             self.journal.failed_ops += 1;
             return Err(e);
         }
@@ -937,7 +937,7 @@ impl GmLakeAllocator {
         let r = &self.reservations[&base];
         let (size, handle) = (r.size, r.handle);
         Self::sync_stamps(&self.driver, &mut self.pblocks, &r.pieces);
-        if let Err(e) = self.driver.mem_unmap_range(base, size) {
+        if let Err(e) = self.driver.mem_unmap(base, size) {
             self.journal.failed_ops += 1;
             return Err(e);
         }
@@ -949,7 +949,7 @@ impl GmLakeAllocator {
             }
             self.journal.orphan_chunks += 1;
             if remapped {
-                let _ = self.driver.mem_unmap_range(base, size);
+                let _ = self.driver.mem_unmap(base, size);
             }
             self.forget_reservation(base);
             return Err(e);
@@ -1934,16 +1934,17 @@ impl AllocatorCore for GmLakeAllocator {
 
 impl Drop for GmLakeAllocator {
     fn drop(&mut self) {
-        // Destructors never fail (C-DTOR-FAIL): best-effort teardown via
-        // the batched entry points, once no stream uses a stamped block.
+        // Destructors never fail (C-DTOR-FAIL): best-effort teardown, one
+        // unmap per view and per reservation, once no stream uses a stamped
+        // block.
         let pids: Vec<PBlockId> = self.pblocks.keys().collect();
         Self::sync_stamps(&self.driver, &mut self.pblocks, &pids);
         for (_, s) in self.sblocks.iter() {
-            let _ = self.driver.mem_unmap_range(s.va, s.size);
+            let _ = self.driver.mem_unmap(s.va, s.size);
             let _ = self.driver.mem_address_free(s.va, s.size);
         }
         for (base, r) in std::mem::take(&mut self.reservations) {
-            let _ = self.driver.mem_unmap_range(base, r.size);
+            let _ = self.driver.mem_unmap(base, r.size);
             let _ = self.driver.mem_release(r.handle);
             let _ = self.driver.mem_address_free(base, r.size);
         }

@@ -146,17 +146,6 @@ impl PhysTable {
         Ok(())
     }
 
-    /// Validates that `h` exists and still holds its creation reference —
-    /// the all-or-nothing precheck of a batched release, run over the whole
-    /// batch before anything is mutated.
-    pub fn check_releasable(&self, h: PhysHandle) -> DriverResult<()> {
-        let e = self.entry(h)?;
-        if e.released {
-            return Err(DriverError::InvalidHandle(h.0));
-        }
-        Ok(())
-    }
-
     /// Drops the creation reference. Physical memory is freed immediately if
     /// no mapping remains, otherwise when the last mapping is removed.
     pub fn release(&mut self, h: PhysHandle) -> DriverResult<()> {

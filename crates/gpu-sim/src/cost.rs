@@ -54,9 +54,9 @@ const UNMAP_NORM: f64 = 0.0005;
 const RELEASE_NORM: f64 = 0.002;
 const ADDRESS_FREE_NORM: f64 = 0.001;
 /// Host-side dispatch overhead baked into every per-call VMM cost: the
-/// user→driver transition plus argument validation. A *batched* entry point
-/// (`mem_create_batch`, `mem_map_range`) pays it once for the whole batch,
-/// so batching `n` chunks saves `(n-1)` dispatches versus `n` single calls.
+/// user→driver transition plus argument validation. One `cuMemUnmap` of a
+/// range of `n` mapping entries pays it once, so it costs `(n-1)` dispatches
+/// less than `n` single-entry unmaps.
 const DISPATCH_NORM: f64 = 0.0003;
 /// Event-API host costs (`cuEventRecord` / `cuEventQuery` /
 /// `cuEventSynchronize`): sub-microsecond driver entries on real hardware,
@@ -156,50 +156,21 @@ impl CostModel {
     }
 
     /// Per-call dispatch overhead (the user→driver transition plus argument
-    /// validation): the fixed cost a batched entry point amortizes over its
-    /// whole batch.
+    /// validation): the fixed cost one call pays however much it covers.
     pub fn dispatch_ns(&self) -> u64 {
         self.to_ns(DISPATCH_NORM)
     }
 
-    /// Cost of one *batched* create of `n` chunks of `chunk_size` bytes:
-    /// the full per-call cost once, then the dispatch-free marginal cost
-    /// for the remaining `n - 1` chunks. Equals `n` single calls minus
-    /// `(n-1)` amortized dispatches.
-    pub fn create_batch_ns(&self, chunk_size: u64, n: u64) -> u64 {
-        Self::amortized(self.create_ns(chunk_size), self.dispatch_ns(), n)
-    }
-
-    /// Cost of one *batched* map of `n` contiguous chunks of `chunk_size`
-    /// bytes (same amortization as [`CostModel::create_batch_ns`]).
-    pub fn map_range_ns(&self, chunk_size: u64, n: u64) -> u64 {
-        Self::amortized(self.map_ns(chunk_size), self.dispatch_ns(), n)
-    }
-
-    fn amortized(per_call: u64, dispatch: u64, n: u64) -> u64 {
+    /// Cost of one `cuMemUnmap` covering `n` mapping entries: the full
+    /// per-call cost once, then the dispatch-free marginal cost for each of
+    /// the remaining `n - 1`. Equals `n` single-entry unmaps minus `(n-1)`
+    /// dispatches.
+    pub fn unmap_ns(&self, n: u64) -> u64 {
+        let per_call = self.to_ns(UNMAP_NORM);
         match n {
             0 => 0,
-            n => per_call + (n - 1) * per_call.saturating_sub(dispatch),
+            n => per_call + (n - 1) * per_call.saturating_sub(self.dispatch_ns()),
         }
-    }
-
-    /// Cost of one `cuMemUnmap`.
-    pub fn unmap_ns(&self) -> u64 {
-        self.to_ns(UNMAP_NORM)
-    }
-
-    /// Cost of one *batched* unmap covering `n` mapped chunks: the full
-    /// per-call cost once, then the dispatch-free marginal cost for the
-    /// remaining `n - 1` (same amortization as
-    /// [`CostModel::create_batch_ns`]).
-    pub fn unmap_range_ns(&self, n: u64) -> u64 {
-        Self::amortized(self.unmap_ns(), self.dispatch_ns(), n)
-    }
-
-    /// Cost of one *batched* release of `n` physical handles (same
-    /// amortization as [`CostModel::create_batch_ns`]).
-    pub fn release_batch_ns(&self, n: u64) -> u64 {
-        Self::amortized(self.release_ns(), self.dispatch_ns(), n)
     }
 
     /// Cost of one `cuMemSetAccess` covering one chunk of `chunk_size` bytes.
@@ -351,26 +322,20 @@ mod tests {
         assert_eq!(m.set_access_ns(mib(2)), 0);
         assert_eq!(m.host_op_ns(), 0);
         assert_eq!(m.memcpy_ns(mib(100)), 0);
-        assert_eq!(m.create_batch_ns(mib(2), 100), 0);
-        assert_eq!(m.map_range_ns(mib(2), 100), 0);
+        assert_eq!(m.unmap_ns(100), 0);
     }
 
     #[test]
     fn batch_costs_amortize_exactly_one_dispatch_per_extra_chunk() {
         let m = CostModel::calibrated();
         for n in [1u64, 2, 16, 512] {
-            assert_eq!(
-                m.create_batch_ns(mib(2), n),
-                n * m.create_ns(mib(2)) - (n - 1) * m.dispatch_ns()
-            );
-            assert_eq!(
-                m.map_range_ns(mib(2), n),
-                n * m.map_ns(mib(2)) - (n - 1) * m.dispatch_ns()
-            );
+            assert_eq!(m.unmap_ns(n), n * m.unmap_ns(1) - (n - 1) * m.dispatch_ns());
         }
-        assert_eq!(m.create_batch_ns(mib(2), 0), 0);
-        // The dispatch overhead never exceeds the cheapest per-call cost at
-        // any Figure-6 chunk size, so marginal costs stay positive.
+        assert_eq!(m.unmap_ns(0), 0);
+        // The dispatch overhead stays below every per-call cost at any
+        // Figure-6 chunk size, so marginal costs stay positive.
+        assert!(m.dispatch_ns() < m.unmap_ns(1));
+        assert!(m.dispatch_ns() < m.release_ns());
         for chunk in figure6_chunk_sizes() {
             assert!(m.dispatch_ns() < m.map_ns(chunk), "chunk {chunk}");
             assert!(m.dispatch_ns() < m.create_ns(chunk), "chunk {chunk}");

@@ -174,10 +174,8 @@ impl DriverStats {
     }
 
     /// Total driver entries across every API (copies, events, and launches
-    /// included). Batched entry points (`mem_create_batch`,
-    /// `mem_map_range`) count as one call each, so this is the number of
-    /// lock round-trips an allocator cost the device — the quantity
-    /// batching drives down.
+    /// included): the number of lock round-trips an allocator cost the
+    /// device. An unmap of a multi-entry range counts as one call.
     pub fn total_calls(&self) -> u64 {
         self.mem_alloc.calls
             + self.mem_free.calls

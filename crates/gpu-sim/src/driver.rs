@@ -335,49 +335,6 @@ impl CudaDriver {
         Ok(h)
     }
 
-    /// Batched `cuMemCreate`: allocates `count` physical chunks of
-    /// `chunk_size` bytes each under a single driver entry (one lock
-    /// acquisition, one dispatch). The batch is all-or-nothing: capacity is
-    /// checked for the whole batch up front, so a failure leaves the device
-    /// untouched. Cost is the per-call create cost once plus the
-    /// dispatch-free marginal cost per additional chunk (see
-    /// [`CostModel::create_batch_ns`](crate::CostModel::create_batch_ns)).
-    pub fn mem_create_batch(&self, chunk_size: u64, count: usize) -> DriverResult<Vec<PhysHandle>> {
-        let mut g = self.inner.lock();
-        g.inject(FaultOp::Create)?;
-        if chunk_size == 0 || count == 0 {
-            return Err(DriverError::ZeroSize);
-        }
-        Self::check_aligned(chunk_size, g.config.granularity)?;
-        let total = chunk_size
-            .checked_mul(count as u64)
-            .ok_or(DriverError::OutOfMemory {
-                requested: u64::MAX,
-                in_use: g.phys.in_use,
-                capacity: g.config.capacity,
-            })?;
-        if total > g.config.capacity.saturating_sub(g.phys.in_use) {
-            return Err(DriverError::OutOfMemory {
-                requested: total,
-                in_use: g.phys.in_use,
-                capacity: g.config.capacity,
-            });
-        }
-        let backing = g.config.backing;
-        let capacity = g.config.capacity;
-        let handles: Vec<PhysHandle> = (0..count)
-            .map(|_| {
-                g.phys
-                    .create(chunk_size, capacity, backing)
-                    .expect("batch capacity checked up front")
-            })
-            .collect();
-        let ns = g.config.cost.create_batch_ns(chunk_size, count as u64);
-        g.charge(ns);
-        g.stats.create.record(ns);
-        Ok(handles)
-    }
-
     /// `cuMemRelease`: drops the creation reference of `h`. Physical memory
     /// is freed once no mapping references it.
     pub fn mem_release(&self, h: PhysHandle) -> DriverResult<()> {
@@ -433,46 +390,10 @@ impl CudaDriver {
         Ok(())
     }
 
-    /// Batched `cuMemMap`: maps `handles[i]` (offset 0) at
-    /// `va + i * chunk_size` for every `i`, under a single driver entry.
-    /// Each handle must hold at least `chunk_size` bytes and be unreleased;
-    /// the target ranges must lie inside the one reservation holding `va`
-    /// and be unmapped. Everything is validated before anything is mapped,
-    /// so a failure leaves the device untouched, with the error the
-    /// equivalent [`CudaDriver::mem_map`] sequence meets first. Advances
-    /// the clock by the per-call map cost once plus the dispatch-free
-    /// marginal cost per additional chunk — identical to that sequence
-    /// minus the amortized dispatch overhead — and records **one** `map`
-    /// call in the telemetry.
-    pub fn mem_map_range(
-        &self,
-        va: VirtAddr,
-        chunk_size: u64,
-        handles: &[PhysHandle],
-    ) -> DriverResult<()> {
-        let mut guard = self.inner.lock();
-        let g = &mut *guard;
-        g.inject(FaultOp::Map)?;
-        if handles.is_empty() || chunk_size == 0 {
-            return Err(DriverError::ZeroSize);
-        }
-        let gran = g.config.granularity;
-        Self::check_aligned(va.as_u64(), gran)?;
-        Self::check_aligned(chunk_size, gran)?;
-        g.va.map_run(va, chunk_size, handles, |h| {
-            g.phys.check_mappable(h, 0, chunk_size)
-        })?;
-        for &h in handles {
-            g.phys.add_map(h).expect("checked by map_run");
-        }
-        let ns = g.config.cost.map_range_ns(chunk_size, handles.len() as u64);
-        g.charge(ns);
-        g.stats.map.record(ns);
-        Ok(())
-    }
-
     /// `cuMemUnmap`: unmaps `[va, va + size)`, which must exactly cover whole
-    /// mappings.
+    /// mappings. One call however many mapping entries the range covers,
+    /// priced by [`CostModel::unmap_ns`](crate::CostModel::unmap_ns) for
+    /// that many entries.
     pub fn mem_unmap(&self, va: VirtAddr, size: u64) -> DriverResult<()> {
         let mut g = self.inner.lock();
         g.inject(FaultOp::Unmap)?;
@@ -481,60 +402,9 @@ impl CudaDriver {
         for h in handles {
             g.phys.remove_map(h).expect("mapping existed");
         }
-        let ns = g.config.cost.unmap_ns() * n.max(1);
+        let ns = g.config.cost.unmap_ns(n);
         g.charge(ns);
         g.stats.unmap.record(ns);
-        Ok(())
-    }
-
-    /// Batched `cuMemUnmap`: unmaps `[va, va + size)` — which must exactly
-    /// cover whole mappings — under a single driver entry. State-wise
-    /// identical to [`CudaDriver::mem_unmap`]; the clock advances by the
-    /// per-call unmap cost once plus the dispatch-free marginal cost per
-    /// additional mapping, and **one** `unmap` call is recorded. This is the
-    /// teardown mirror of [`CudaDriver::mem_map_range`]: an OOM-rescue storm
-    /// destroying hundreds of cached blocks stops paying one dispatch per
-    /// chunk.
-    pub fn mem_unmap_range(&self, va: VirtAddr, size: u64) -> DriverResult<()> {
-        let mut g = self.inner.lock();
-        g.inject(FaultOp::Unmap)?;
-        let handles = g.va.unmap(va, size)?;
-        let n = handles.len() as u64;
-        for h in handles {
-            g.phys.remove_map(h).expect("mapping existed");
-        }
-        let ns = g.config.cost.unmap_range_ns(n.max(1));
-        g.charge(ns);
-        g.stats.unmap.record(ns);
-        Ok(())
-    }
-
-    /// Batched `cuMemRelease`: drops the creation reference of every handle
-    /// in `handles` under a single driver entry. The batch is
-    /// all-or-nothing: every handle is validated (live, unreleased, no
-    /// duplicates) before anything is mutated, so a failure leaves the
-    /// device untouched. Costed as one per-call release plus the
-    /// dispatch-free marginal per additional handle; records **one**
-    /// `release` call.
-    pub fn mem_release_batch(&self, handles: &[PhysHandle]) -> DriverResult<()> {
-        let mut g = self.inner.lock();
-        g.inject(FaultOp::Release)?;
-        if handles.is_empty() {
-            return Err(DriverError::ZeroSize);
-        }
-        let mut seen = std::collections::HashSet::with_capacity(handles.len());
-        for &h in handles {
-            g.phys.check_releasable(h)?;
-            if !seen.insert(h.as_u64()) {
-                return Err(DriverError::InvalidHandle(h.as_u64()));
-            }
-        }
-        for &h in handles {
-            g.phys.release(h).expect("batch validated up front");
-        }
-        let ns = g.config.cost.release_batch_ns(handles.len() as u64);
-        g.charge(ns);
-        g.stats.release.record(ns);
         Ok(())
     }
 
@@ -1006,98 +876,21 @@ mod tests {
     }
 
     #[test]
-    fn map_range_advances_clock_like_per_chunk_maps_minus_dispatch() {
-        // The batched map must cost exactly the per-chunk sequence minus the
-        // amortized dispatch overhead — the cost-model contract.
-        let cfg = DeviceConfig::small_test().with_cost(crate::cost::CostModel::calibrated());
-        let gran = cfg.granularity;
-        let n = 8u64;
-
-        let single = CudaDriver::new(cfg.clone());
-        let va = single.mem_address_reserve(n * gran).unwrap();
-        let handles: Vec<PhysHandle> = (0..n).map(|_| single.mem_create(gran).unwrap()).collect();
-        let t0 = single.now_ns();
-        for (i, &h) in handles.iter().enumerate() {
-            single
-                .mem_map(va.offset(i as u64 * gran), gran, 0, h)
-                .unwrap();
-        }
-        let per_chunk_ns = single.now_ns() - t0;
-
-        let batched = CudaDriver::new(cfg);
-        let va2 = batched.mem_address_reserve(n * gran).unwrap();
-        let handles2 = batched.mem_create_batch(gran, n as usize).unwrap();
-        let t1 = batched.now_ns();
-        batched.mem_map_range(va2, gran, &handles2).unwrap();
-        let range_ns = batched.now_ns() - t1;
-
-        let dispatch = batched.cost_model().dispatch_ns();
-        assert_eq!(range_ns, per_chunk_ns - (n - 1) * dispatch);
-        // Telemetry counts one call for the whole range, n for the sequence.
-        assert_eq!(batched.stats().map.calls, 1);
-        assert_eq!(single.stats().map.calls, n);
-        // The mapped state is identical either way.
-        assert_eq!(batched.snapshot().mappings, single.snapshot().mappings);
-    }
-
-    #[test]
-    fn create_batch_is_all_or_nothing_on_oom() {
-        let d = test_driver(); // 256 MiB capacity
-        let gran = d.granularity();
-        let before = d.snapshot();
-        // 200 chunks of 2 MiB = 400 MiB > 256 MiB: nothing must be created.
-        let err = d.mem_create_batch(gran, 200).unwrap_err();
-        assert!(
-            matches!(err, DriverError::OutOfMemory { requested, .. } if requested == 200 * gran)
-        );
-        assert_eq!(d.snapshot(), before);
-        // A fitting batch creates every chunk and counts one driver call.
-        let handles = d.mem_create_batch(gran, 4).unwrap();
-        assert_eq!(handles.len(), 4);
-        assert_eq!(d.phys_in_use(), 4 * gran);
-        assert_eq!(d.stats().create.calls, 1);
-        for h in handles {
-            d.mem_release(h).unwrap();
-        }
-    }
-
-    #[test]
-    fn map_range_rejects_empty_and_rolls_back_on_overlap() {
-        let d = test_driver();
-        let gran = d.granularity();
-        assert!(matches!(
-            d.mem_map_range(VirtAddr::new(0), gran, &[]).unwrap_err(),
-            DriverError::ZeroSize
-        ));
-        // A pre-existing mapping in the middle of the target range forces a
-        // mid-batch failure; the first chunk's mapping must be rolled back.
-        let va = d.mem_address_reserve(3 * gran).unwrap();
-        let blocker = d.mem_create(gran).unwrap();
-        d.mem_map(va.offset(gran), gran, 0, blocker).unwrap();
-        let batch = d.mem_create_batch(gran, 2).unwrap();
-        let err = d.mem_map_range(va, gran, &batch).unwrap_err();
-        assert!(matches!(err, DriverError::AlreadyMapped(_)));
-        assert_eq!(d.snapshot().mappings, 1, "only the blocker survives");
-        // The rolled-back handles are still mappable elsewhere.
-        let va2 = d.mem_address_reserve(2 * gran).unwrap();
-        d.mem_map_range(va2, gran, &batch).unwrap();
-        assert_eq!(d.snapshot().mappings, 3);
-    }
-
-    #[test]
     fn unmap_range_advances_clock_like_per_chunk_unmaps_minus_dispatch() {
-        // Two identical 8-chunk stitched ranges; one torn down with n
-        // single-chunk unmaps, one with a single mem_unmap_range. The
-        // batched call must cost exactly the per-chunk sequence minus the
-        // amortized dispatch overhead.
+        // Two identical 8-entry ranges; one torn down with n single-entry
+        // unmaps, one with a single mem_unmap of the whole range. The one
+        // call must cost exactly the per-entry sequence minus the amortized
+        // dispatch overhead.
         let cfg = DeviceConfig::small_test().with_cost(crate::cost::CostModel::calibrated());
         let gran = cfg.granularity;
         let n = 8u64;
 
         let build = |d: &CudaDriver| {
             let va = d.mem_address_reserve(n * gran).unwrap();
-            let handles = d.mem_create_batch(gran, n as usize).unwrap();
-            d.mem_map_range(va, gran, &handles).unwrap();
+            for i in 0..n {
+                let h = d.mem_create(gran).unwrap();
+                d.mem_map(va.offset(i * gran), gran, 0, h).unwrap();
+            }
             va
         };
 
@@ -1107,67 +900,19 @@ mod tests {
         for i in 0..n {
             single.mem_unmap(va.offset(i * gran), gran).unwrap();
         }
-        let per_chunk_ns = single.now_ns() - t0;
+        let per_entry_ns = single.now_ns() - t0;
 
-        let batched = CudaDriver::new(cfg);
-        let va2 = build(&batched);
-        let t1 = batched.now_ns();
-        batched.mem_unmap_range(va2, n * gran).unwrap();
-        let range_ns = batched.now_ns() - t1;
+        let whole = CudaDriver::new(cfg);
+        let va2 = build(&whole);
+        let t1 = whole.now_ns();
+        whole.mem_unmap(va2, n * gran).unwrap();
+        let range_ns = whole.now_ns() - t1;
 
-        let dispatch = batched.cost_model().dispatch_ns();
-        assert_eq!(range_ns, per_chunk_ns - (n - 1) * dispatch);
-        assert_eq!(batched.stats().unmap.calls, 1);
+        let dispatch = whole.cost_model().dispatch_ns();
+        assert_eq!(range_ns, per_entry_ns - (n - 1) * dispatch);
+        assert_eq!(whole.stats().unmap.calls, 1);
         assert_eq!(single.stats().unmap.calls, n);
-        assert_eq!(batched.snapshot().mappings, 0);
-    }
-
-    #[test]
-    fn release_batch_is_all_or_nothing_and_amortizes_dispatch() {
-        let cfg = DeviceConfig::small_test().with_cost(crate::cost::CostModel::calibrated());
-        let gran = cfg.granularity;
-        let d = CudaDriver::new(cfg);
-        let handles = d.mem_create_batch(gran, 4).unwrap();
-        // A stale handle anywhere in the batch must poison the whole call.
-        let stale = d.mem_create(gran).unwrap();
-        d.mem_release(stale).unwrap();
-        let err = d
-            .mem_release_batch(&[handles[0], stale, handles[1]])
-            .unwrap_err();
-        assert!(matches!(err, DriverError::InvalidHandle(_)));
-        assert_eq!(d.phys_in_use(), 4 * gran, "nothing was released");
-        // Duplicates are rejected before any mutation.
-        let err = d.mem_release_batch(&[handles[2], handles[2]]).unwrap_err();
-        assert!(matches!(err, DriverError::InvalidHandle(_)));
-        assert_eq!(d.phys_in_use(), 4 * gran);
-        assert!(matches!(
-            d.mem_release_batch(&[]).unwrap_err(),
-            DriverError::ZeroSize
-        ));
-        // A clean batch releases everything in one telemetry call, costed
-        // as n releases minus (n-1) dispatches.
-        let releases_before = d.stats().release.calls;
-        let t0 = d.now_ns();
-        d.mem_release_batch(&handles).unwrap();
-        let m = d.cost_model();
-        assert_eq!(d.now_ns() - t0, 4 * m.release_ns() - 3 * m.dispatch_ns());
-        assert_eq!(d.stats().release.calls, releases_before + 1);
-        assert_eq!(d.phys_in_use(), 0);
-    }
-
-    #[test]
-    fn release_batch_defers_freeing_mapped_handles() {
-        let d = test_driver();
-        let gran = d.granularity();
-        let handles = d.mem_create_batch(gran, 2).unwrap();
-        let va = d.mem_address_reserve(2 * gran).unwrap();
-        d.mem_map_range(va, gran, &handles).unwrap();
-        d.mem_release_batch(&handles).unwrap();
-        assert_eq!(d.phys_in_use(), 2 * gran, "mapped memory survives release");
-        d.mem_unmap_range(va, 2 * gran).unwrap();
-        assert_eq!(d.phys_in_use(), 0, "last unmap frees the released batch");
-        d.mem_address_free(va, 2 * gran).unwrap();
-        assert!(d.snapshot().is_quiescent());
+        assert_eq!(whole.snapshot().mappings, 0);
     }
 
     #[test]
@@ -1432,11 +1177,10 @@ mod tests {
             }
         );
         assert_eq!(d.snapshot(), before, "injection mutated nothing");
-        // The map fault fires on the batched variant too (shared op).
         let h = d.mem_create(gran).unwrap();
         let va2 = d.mem_address_reserve(gran).unwrap();
         assert!(matches!(
-            d.mem_map_range(va2, gran, &[h]).unwrap_err(),
+            d.mem_map(va2, gran, 0, h).unwrap_err(),
             DriverError::Injected { op: "mem_map" }
         ));
         assert_eq!(d.stats().injected_faults, 2);
@@ -1445,7 +1189,7 @@ mod tests {
         assert_eq!(d.stats().address_reserve.calls, 2);
         // Clearing the plan stops injection.
         d.clear_fault_plan();
-        d.mem_map_range(va2, gran, &[h]).unwrap();
+        d.mem_map(va2, gran, 0, h).unwrap();
     }
 
     #[test]

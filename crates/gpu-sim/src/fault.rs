@@ -22,12 +22,8 @@
 
 use crate::error::DriverError;
 
-/// Driver entry points that can be targeted by fault injection.
-///
-/// Batched and singular variants of the same API share one op (e.g.
-/// `mem_create` and `mem_create_batch` both count as [`FaultOp::Create`]):
-/// an allocator that batches must survive the same schedules as one that
-/// does not.
+/// Driver entry points that can be targeted by fault injection, one per
+/// modelled CUDA call ([`FaultOp::Map`] covers `mem_map_window` too).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultOp {
     /// `mem_alloc` (native `cudaMalloc` path).
@@ -38,13 +34,13 @@ pub enum FaultOp {
     AddressReserve,
     /// `mem_address_free`.
     AddressFree,
-    /// `mem_create` / `mem_create_batch`.
+    /// `mem_create`.
     Create,
-    /// `mem_release` / `mem_release_batch`.
+    /// `mem_release`.
     Release,
-    /// `mem_map` / `mem_map_range`.
+    /// `mem_map` / `mem_map_window`.
     Map,
-    /// `mem_unmap` / `mem_unmap_range`.
+    /// `mem_unmap`.
     Unmap,
     /// `mem_set_access`.
     SetAccess,

@@ -173,60 +173,6 @@ impl VaSpace {
         Ok(())
     }
 
-    /// Maps `handles[i]` (`chunk` bytes from its offset 0) at
-    /// `va + i * chunk` for every `i`, inside the one reservation holding
-    /// `va`: one lookup and one overlap probe for the whole run. `check`
-    /// validates a chunk's handle. The error is the one the equivalent
-    /// sequence of per-chunk [`VaSpace::map`] calls (each after its
-    /// `check`) meets first; nothing is mapped unless every chunk passes.
-    pub fn map_run(
-        &mut self,
-        va: VirtAddr,
-        chunk: u64,
-        handles: &[PhysHandle],
-        mut check: impl FnMut(PhysHandle) -> DriverResult<()>,
-    ) -> DriverResult<()> {
-        let n = handles.len() as u64;
-        let found = self.containing_mut(va);
-        // The first chunk whose range fails, and how: over a live mapping,
-        // or past the reservation's end (which wins a tie).
-        let fail = match &found {
-            Err(e) => Some((0, e.clone())),
-            Ok((start, res)) => {
-                let off = va.as_u64() - start;
-                let fit = (res.size - off) / chunk;
-                let hit = match res.maps.range(..=off).next_back() {
-                    Some((&p, e)) if p + e.len > off => Some(off),
-                    _ => res.maps.range(off..off + n * chunk).next().map(|(&s, _)| s),
-                };
-                match hit.map(|s| ((s - off) / chunk, VirtAddr::new(start + s))) {
-                    Some((i, at)) if i < fit => Some((i, DriverError::AlreadyMapped(at))),
-                    _ => (fit < n)
-                        .then(|| (fit, DriverError::InvalidAddress(va.offset(fit * chunk)))),
-                }
-            }
-        };
-        let valid = fail.as_ref().map_or(n, |(i, _)| i + 1);
-        for &h in &handles[..valid as usize] {
-            check(h)?;
-        }
-        if let Some((_, e)) = fail {
-            return Err(e);
-        }
-        let (start, res) = found?;
-        let base = va.as_u64() - start;
-        for (i, &handle) in handles.iter().enumerate() {
-            let entry = MapEntry {
-                len: chunk,
-                handle,
-                handle_off: 0,
-                access: false,
-            };
-            res.maps.insert(base + i as u64 * chunk, entry);
-        }
-        Ok(())
-    }
-
     /// Checks that the map entries starting in `[va, va+len)` exactly tile
     /// it, and returns the range's offsets within the reservation.
     ///

@@ -708,7 +708,7 @@ impl AllocatorCore for PoolHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmlake_alloc_api::mib;
+    use gmlake_alloc_api::{kib, mib};
     use gmlake_caching::CachingAllocator;
     use gmlake_core::{GmLakeAllocator, GmLakeConfig};
     use gmlake_gpu_sim::{CudaDriver, DeviceConfig};
@@ -1132,6 +1132,43 @@ mod tests {
         let s = pool.stats();
         assert_eq!((s.alloc_count, s.free_count, s.active_bytes), (2, 2, 0));
         assert_eq!(driver.outstanding_events(), 0, "no event leaked");
+    }
+
+    #[test]
+    fn cross_stream_small_free_without_events_is_ordered_by_the_core() {
+        // The production front-end has no event source, so a cross-stream
+        // small free falls back to the core. The core must learn both the
+        // allocating and the freeing stream, or it re-serves the block while
+        // the freeing stream's work still uses it.
+        use gmlake_alloc_api::StreamId;
+        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
+        let service = PoolService::new();
+        let pool = service
+            .register(
+                DeviceId(0),
+                Box::new(GmLakeAllocator::new(
+                    driver.clone(),
+                    GmLakeConfig::default(),
+                )),
+            )
+            .unwrap();
+        let a = pool
+            .alloc_on_stream(AllocRequest::new(kib(64)), StreamId(1))
+            .unwrap();
+        driver.stream_launch(StreamId(0), 1_000_000);
+        let frontier = driver.stream_frontier_ns(StreamId(0));
+        pool.free_on_stream(a.id, StreamId(0)).unwrap();
+        assert_eq!(pool.allocator().cache_stats().cross_stream_fallback, 1);
+        let b = pool
+            .alloc_on_stream(AllocRequest::new(kib(64)), StreamId(2))
+            .unwrap();
+        assert_eq!(b.va, a.va, "the core's small pool reuses the block");
+        assert!(
+            driver.now_ns() >= frontier,
+            "reused at {} before stream 0 finished at {frontier}",
+            driver.now_ns()
+        );
+        pool.free_on_stream(b.id, StreamId(2)).unwrap();
     }
 
     #[test]

@@ -124,8 +124,8 @@ impl ScaleoutReport {
         self.ranks.iter().map(|r| r.report.final_reserved).sum()
     }
 
-    /// Total driver calls across every rank's device (batched entry points
-    /// count once — see [`DriverStats::total_calls`]). Assumes the standard
+    /// Total driver calls across every rank's device (see
+    /// [`DriverStats::total_calls`]). Assumes the standard
     /// one-rank-per-device fleet; see [`RankReport::driver_stats`].
     pub fn total_driver_calls(&self) -> u64 {
         self.ranks
