@@ -6,9 +6,10 @@
 //! `probe:indexed` vs `probe:reference` is the headline comparison: the
 //! indexed implementation against the retained pre-index reference on
 //! identical pool state. `alloc_free:s1` shows the end-to-end exact-match
-//! round-trip staying flat (logarithmic) as the pool grows; `flip_fanout`
-//! is the same round-trip on dense-sharing pools of a fixed part count and
-//! a growing number of views over them, which it must not depend on.
+//! round-trip as the pool grows: `O(log n)` for finding the view, while
+//! flipping its parts touches no index; `flip_fanout` is the same
+//! round-trip on dense-sharing pools of a fixed part count and a growing
+//! number of views over them, which it must not depend on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gmlake_alloc_api::{AllocRequest, AllocatorCore};

@@ -1,8 +1,9 @@
-//! Diagnostic: per-workload GMLake state counters and convergence flag, and
-//! the simulated driver time split by API. Not a paper figure — used to
-//! verify that the S1-only steady state (§4.2.2) is reached on each
-//! evaluation workload, and to see which VMM call the allocator's driver
-//! time goes to.
+//! Diagnostic: per-workload GMLake state counters and convergence flag, the
+//! simulated driver time split by API, and the core's flip-path work
+//! counts. Not a paper figure — used to verify that the S1-only steady
+//! state (§4.2.2) is reached on each evaluation workload, and to see which
+//! VMM call the allocator's driver time goes to. Everything it prints is
+//! simulated time or a count, so two runs print the same bytes.
 //!
 //! ```text
 //! cargo run --release -p gmlake-bench --bin probe_convergence
@@ -47,6 +48,11 @@ fn probe(model: ModelSpec, s: StrategySet) {
         ms(d.map.time_ns),
         ms(d.set_access.time_ns),
         ms(rest),
+    );
+    let w = lake.work_counters();
+    println!(
+        "    core work: part_flips={} index_ops={} active_skips={}",
+        w.part_flips, w.index_ops, w.active_skips,
     );
 }
 

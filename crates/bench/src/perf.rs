@@ -186,6 +186,7 @@ mod tests {
             assert_eq!(lake.state_counters().exact, 1);
             let after = lake.work_counters();
             assert_eq!(after.part_flips - before.part_flips, 2 * parts);
+            assert_eq!(after.index_ops, before.index_ops, "no index entry moves");
             assert_eq!(after.ref_scans, before.ref_scans);
             flips.push(after.views_verified - before.views_verified);
         }

@@ -46,16 +46,18 @@
 //! # Hot-path data structures
 //!
 //! Blocks live in dense [`Slab`] arenas (ids are sequential, lookups are an
-//! indexed load). Inactive pBlocks are indexed by a [`TieredPIndex`] — one
-//! `(size, id)` set for blocks no cached view references and one for the
-//! referenced rest — and unassigned views by size (`s_unassigned`) and by
-//! LRU tick (`s_evictable`). All four change where *structure* changes:
-//! stitch, split, view teardown, assign and free.
+//! indexed load). pBlocks are indexed by a [`TieredPIndex`] — one
+//! `(size, id)` set for the inactive blocks no cached view references and
+//! one for every referenced block, active or not — and unassigned views by
+//! size (`s_unassigned`) and by LRU tick (`s_evictable`). All four change
+//! where *structure* changes: stitch, split, view teardown, assign and
+//! free; an activity flip moves only an unreferenced block in or out of the
+//! index. The readers of the referenced tier skip its active entries.
 //!
 //! **Availability is a query, not a counter.** Whether a view could serve
 //! an exact match — every part inactive — is never stored: the paper's
-//! `Update` (§3.3.1) flips a pBlock's flag and its index membership and
-//! touches nothing else, however many views share the block. The three
+//! `Update` (§3.3.1) flips a pBlock's flag, and touches the index only for
+//! a block no view references, however many views share the block. The three
 //! places that need the answer ask for it, by scanning the view's parts
 //! behind a per-view *witness hint* (the part last found active, checked
 //! first — a view that is still blocked costs one load):
@@ -72,13 +74,16 @@
 //!
 //! **Cost model.** With `p` parts per view and `r` views referencing a
 //! pBlock, an S1 allocation or free of a view costs `O(p)` flips, each
-//! `O(log n)` for the index and independent of `r` (sharing on converged
-//! LoRA pools is dense — `r` ≈ 34, `p` ≈ 24–32 on the benchmark's
-//! `train_lr` — and an eager counter per view made this `O(p·r)`). The
-//! exact match costs `O(c + p)` for `c` same-size candidates skipped on
-//! their hint. S3/S4 pays `O(u + Σp)` once per call for the `u` unparked
-//! unassigned views and the parts of those it has to scan; a victim scan
-//! pays for the blocked views it meets once each.
+//! `O(1)`: a view's parts are referenced, so no flip touches the index, and
+//! none depends on `r` (sharing on converged LoRA pools is dense — `r` ≈
+//! 34, `p` ≈ 24–32 on the benchmark's `train_lr` — and an eager counter per
+//! view made this `O(p·r)`). A standalone pBlock's flip is one `O(log n)`
+//! index operation. The readers of the referenced tier pay instead, one
+//! skip per active entry they meet. The exact match costs `O(c + p)` for
+//! `c` same-size candidates skipped on their hint. S3/S4 pays `O(u + Σp)`
+//! once per call for the `u` unparked unassigned views and the parts of
+//! those it has to scan; a victim scan pays for the blocked views it meets
+//! once each.
 //!
 //! `validate()` is the oracle for all of it: it re-derives availability by
 //! scanning parts, ignoring the hints, and checks the indexes, the parked
@@ -163,8 +168,13 @@ pub struct WorkCounters {
     pub parts_scanned: u64,
     /// `referenced_by` walks deriving a pBlock's three-way stitch cost.
     pub ref_scans: u64,
-    /// Inactive pBlocks moved between the unreferenced and referenced tier.
+    /// pBlocks re-placed in the index after their first reference appeared
+    /// or their last one went.
     pub tier_moves: u64,
+    /// Inserts and removes on the pBlock index.
+    pub index_ops: u64,
+    /// Active entries the readers of the referenced tier passed over.
+    pub active_skips: u64,
 }
 
 /// The two `(size, id)` sets [`best_fit_reference`] runs over (see
@@ -178,7 +188,8 @@ pub struct ReferenceIndexes {
     pub inactive_pblocks: BTreeSet<(u64, u64)>,
 }
 
-/// [`WorkCounters`] as kept: the queries run behind `&self`.
+/// [`WorkCounters`] as kept, all but `index_ops`, which the index counts
+/// itself: the queries run behind `&self`.
 #[derive(Debug, Default)]
 struct Work {
     part_flips: Cell<u64>,
@@ -186,6 +197,7 @@ struct Work {
     parts_scanned: Cell<u64>,
     ref_scans: Cell<u64>,
     tier_moves: Cell<u64>,
+    active_skips: Cell<u64>,
 }
 
 fn bump(counter: &Cell<u64>, by: u64) {
@@ -257,8 +269,9 @@ pub struct GmLakeAllocator {
     sblocks: Slab<SBlock>,
     /// The VA reservations pBlocks lie in, by base (`PBlock::resv`).
     reservations: BTreeMap<VirtAddr, Reservation>,
-    /// Inactive pBlocks, unreferenced and referenced, keyed `(size, id)`.
-    p_inactive: TieredPIndex,
+    /// pBlocks keyed `(size, id)`: the inactive unreferenced ones, and every
+    /// referenced one, active or not (see [`TieredPIndex`]).
+    p_index: TieredPIndex,
     /// Unassigned sBlocks, keyed `(size, id)`: the exact-match candidates,
     /// of which the available ones are found by asking.
     s_unassigned: BTreeSet<(u64, SBlockId)>,
@@ -333,7 +346,7 @@ impl GmLakeAllocator {
             pblocks: Slab::new(),
             sblocks: Slab::new(),
             reservations: BTreeMap::new(),
-            p_inactive: TieredPIndex::new(),
+            p_index: TieredPIndex::new(),
             s_unassigned: BTreeSet::new(),
             s_evictable: BTreeSet::new(),
             available_parts: Vec::new(),
@@ -422,6 +435,8 @@ impl GmLakeAllocator {
             parts_scanned: self.work.parts_scanned.get(),
             ref_scans: self.work.ref_scans.get(),
             tier_moves: self.work.tier_moves.get(),
+            index_ops: self.p_index.ops(),
+            active_skips: self.work.active_skips.get(),
         }
     }
 
@@ -530,6 +545,14 @@ impl GmLakeAllocator {
         found
     }
 
+    /// Whether an entry of the referenced tier is active, which its readers
+    /// skip (counted).
+    fn active_entry(pblocks: &Slab<PBlock>, work: &Work, pid: PBlockId) -> bool {
+        let active = pblocks[pid].active;
+        bump(&work.active_skips, active as u64);
+        active
+    }
+
     /// An sBlock is *available* when it could serve an exact match right
     /// now: unassigned with every part inactive.
     fn view_available(&self, sid: SBlockId) -> bool {
@@ -558,14 +581,17 @@ impl GmLakeAllocator {
         }
     }
 
-    /// Moves an *inactive* pBlock to the other tier of the index, after its
-    /// first reference appeared or its last one went.
+    /// Re-places a pBlock in the index after its first reference appeared
+    /// (it is inactive: only inactive blocks are stitched) or its last one
+    /// went: it leaves its tier for the other one, or, if active, leaves
+    /// the index.
     fn retier_pblock(&mut self, pid: PBlockId) {
         let p = &self.pblocks[pid];
-        debug_assert!(!p.active, "active blocks are unindexed");
         let referenced = p.is_referenced();
-        self.p_inactive.remove(!referenced, p.size, pid);
-        self.p_inactive.insert(referenced, p.size, pid);
+        self.p_index.remove(!referenced, p.size, pid);
+        if !p.active {
+            self.p_index.insert(referenced, p.size, pid);
+        }
         bump(&self.work.tier_moves, 1);
     }
 
@@ -573,15 +599,15 @@ impl GmLakeAllocator {
     fn remove_pblock(&mut self, pid: PBlockId) -> PBlock {
         let p = self.pblocks.remove(pid).expect("pblock exists");
         debug_assert!(p.parked.is_empty(), "an inactive block parks nothing");
-        self.p_inactive.remove(p.is_referenced(), p.size, pid);
+        self.p_index.remove(p.is_referenced(), p.size, pid);
         p
     }
 
     /// Flips a pBlock's activity — the whole of the paper's `Update`: the
-    /// flag, the block's membership of the inactive index, and on
-    /// deactivation the return of the views parked on it to the eviction
-    /// index. It never walks `referenced_by`: `O(log n)` however many views
-    /// share the block.
+    /// flag, and on deactivation the return of the views parked on it to
+    /// the eviction index. A referenced block keeps its index entry, so a
+    /// view's parts flip in `O(1)` each however many views share them; only
+    /// an unreferenced block enters or leaves the index, `O(log n)`.
     fn set_pblock_active(&mut self, pid: PBlockId, active: bool) {
         let p = &mut self.pblocks[pid];
         if p.active == active {
@@ -589,11 +615,16 @@ impl GmLakeAllocator {
         }
         p.active = active;
         bump(&self.work.part_flips, 1);
+        if !p.is_referenced() {
+            if active {
+                self.p_index.remove(false, p.size, pid);
+            } else {
+                self.p_index.insert(false, p.size, pid);
+            }
+        }
         if active {
-            self.p_inactive.remove(p.is_referenced(), p.size, pid);
             return;
         }
-        self.p_inactive.insert(p.is_referenced(), p.size, pid);
         for sid in p.parked.drain(..) {
             let s = &mut self.sblocks[sid];
             s.parked_on = None;
@@ -681,7 +712,7 @@ impl GmLakeAllocator {
                 pieces,
             },
         );
-        self.p_inactive.insert(false, size, pid);
+        self.p_index.insert(false, size, pid);
         self.reserved_phys += size;
         Ok(pid)
     }
@@ -714,7 +745,7 @@ impl GmLakeAllocator {
                 stamp,
                 ..PBlock::new(va, size, resv)
             });
-            self.p_inactive.insert(!refs.is_empty(), size, id);
+            self.p_index.insert(!refs.is_empty(), size, id);
             id
         };
         let left = child(va, left_size);
@@ -912,9 +943,9 @@ impl GmLakeAllocator {
             let at = p.referenced_by.iter().position(|&r| r == sid);
             p.referenced_by
                 .swap_remove(at.expect("part lists the view"));
-            // Losing its last reference drops an indexed part to the
-            // unreferenced tier.
-            if !p.active && !p.is_referenced() {
+            // Losing its last reference drops an inactive part to the
+            // unreferenced tier, and an active one out of the index.
+            if !p.is_referenced() {
                 self.retier_pblock(pid);
             }
         }
@@ -979,7 +1010,7 @@ impl GmLakeAllocator {
     fn reclaim(&mut self, releasable: impl Fn(u64) -> bool) -> u64 {
         let mut doomed = Vec::new();
         for (&base, r) in &mut self.reservations {
-            let (pblocks, index) = (&mut self.pblocks, &mut self.p_inactive);
+            let (pblocks, index) = (&mut self.pblocks, &mut self.p_index);
             r.pieces.dedup_by(|&mut right, &mut left| {
                 let merge = pblocks[left].is_mergeable() && pblocks[right].is_mergeable();
                 if merge {
@@ -1106,14 +1137,15 @@ impl GmLakeAllocator {
         let tier = cost(chosen);
         let same_stream = |pid: &PBlockId| self.pblocks[*pid].last_stream == Some(stream);
         if tier == StitchCost::Unreferenced {
-            self.p_inactive
+            self.p_index
                 .equal_size(false, p.size)
                 .take(Self::AFFINITY_SCAN_LIMIT)
                 .find(same_stream)
         } else {
-            self.p_inactive
+            let active = |pid| Self::active_entry(&self.pblocks, &self.work, pid);
+            self.p_index
                 .equal_size(true, p.size)
-                .filter(|&pid| cost(pid) == tier)
+                .filter(|&pid| !active(pid) && cost(pid) == tier)
                 .take(Self::AFFINITY_SCAN_LIMIT)
                 .find(same_stream)
         }
@@ -1173,9 +1205,10 @@ impl GmLakeAllocator {
         best_fit_indexed(
             aligned,
             &self.s_unassigned,
-            &self.p_inactive,
+            &self.p_index,
             self.config.frag_limit,
             |sid| Self::witness(pblocks, work, &sblocks[sid]).is_none(),
+            |pid| Self::active_entry(pblocks, work, pid),
             move || {
                 marks.clear();
                 marks.resize(pblocks.slot_count() + 1, false);
@@ -1401,9 +1434,10 @@ impl GmLakeAllocator {
     pub fn reference_indexes(&self) -> ReferenceIndexes {
         let views = self.sblocks.iter();
         let available = views.filter(|(_, s)| self.scan_available(s));
+        let inactive = self.pblocks.iter().filter(|(_, p)| !p.active);
         ReferenceIndexes {
             available_views: available.map(|(sid, s)| (s.size, sid)).collect(),
-            inactive_pblocks: self.p_inactive.to_flat(),
+            inactive_pblocks: inactive.map(|(pid, p)| (p.size, pid)).collect(),
         }
     }
 
@@ -1465,7 +1499,7 @@ impl GmLakeAllocator {
             .map_err(|e| format!("sblock arena: {e}"))?;
         // 1. pBlock placement in the index, parked list.
         let mut phys_sum = 0u64;
-        let mut inactive_p = 0usize;
+        let mut indexed = 0usize;
         let mut parked_entries = 0usize;
         for (pid, p) in self.pblocks.iter() {
             phys_sum += p.size;
@@ -1482,9 +1516,12 @@ impl GmLakeAllocator {
                     return Err(format!("sblock {sid} does not list pblock {pid}"));
                 }
             }
-            // Placement is `referenced_by.is_empty()`, for inactive blocks.
-            let placed = self.p_inactive.placement_of(p.size, pid);
-            let expected = (!p.active).then_some(p.is_referenced());
+            // Placement: referenced → the referenced tier, whatever the
+            // activity; unreferenced and inactive → the unreferenced tier;
+            // unreferenced and active → not indexed.
+            let placed = self.p_index.placement_of(p.size, pid);
+            let expected = (p.is_referenced() || !p.active).then_some(p.is_referenced());
+            indexed += expected.is_some() as usize;
             if placed != expected {
                 return Err(format!(
                     "pblock {pid} (active={}): indexed as referenced={placed:?}, expected {expected:?}",
@@ -1492,7 +1529,6 @@ impl GmLakeAllocator {
                 ));
             }
             if !p.active {
-                inactive_p += 1;
                 if !p.parked.is_empty() {
                     return Err(format!("inactive pblock {pid} parks {:?}", p.parked));
                 }
@@ -1532,11 +1568,10 @@ impl GmLakeAllocator {
                 self.reserved_phys
             ));
         }
-        if self.p_inactive.len() != inactive_p {
+        if self.p_index.len() != indexed {
             return Err(format!(
-                "p index holds {} entries but {} pblocks are inactive",
-                self.p_inactive.len(),
-                inactive_p
+                "p index holds {} entries but {indexed} pblocks belong in it",
+                self.p_index.len()
             ));
         }
         // 1b. Reservations: each one's piece list tiles it exactly in VA

@@ -2,13 +2,14 @@
 //! indexes, in two interchangeable implementations:
 //!
 //! * [`best_fit_indexed`] — the production hot path. It runs over a
-//!   [`TieredPIndex`] — inactive pBlocks keyed `(size, id)`, split by
-//!   whether any cached view references them — and the `(size, id)` index
-//!   of unassigned views. Whether a view is *available* (every part
-//!   inactive) is not stored anywhere: the two steps that need it ask the
-//!   allocator, through `view_available` for the exact-match candidates and
-//!   through `available_parts` once per S3/S4 walk that reaches referenced
-//!   blocks. Everything else is a handful of `O(log n)` range probes.
+//!   [`TieredPIndex`] — pBlocks keyed `(size, id)`, split by whether any
+//!   cached view references them — and the `(size, id)` index of
+//!   unassigned views. Whether a view is *available* (every part inactive)
+//!   is not stored anywhere: the two steps that need it ask the allocator,
+//!   through `view_available` for the exact-match candidates and through
+//!   `available_parts` once per S3/S4 walk that reaches referenced blocks.
+//!   Everything else is a handful of `O(log n)` range probes, which skip
+//!   the active entries of the referenced tier.
 //! * [`best_fit_reference`] — the original transcription over a single
 //!   `(size, id)` set with a per-block cost closure. It makes up to three
 //!   full passes over the pool and calls the closure (which chases
@@ -30,6 +31,7 @@
 //! allocator converge to the S1-only steady state the paper describes
 //! (§4.2.2).
 
+use std::collections::btree_set::Range;
 use std::collections::BTreeSet;
 
 use crate::block::{PBlockId, SBlockId};
@@ -78,16 +80,23 @@ impl StitchCost {
     ];
 }
 
-/// The inactive-pBlock index: two `(size, id)` sets, *unreferenced* blocks
-/// and blocks some cached view references. That split is all S1 and S2
-/// need, and it only moves where references change (stitch, view teardown,
-/// split) — never on an activity flip. The finer blocked/available split of
-/// [`StitchCost`] depends on the activity of *other* blocks, so it is
-/// queried when an S3/S4 walk needs it instead of being maintained.
+/// The pBlock index: two `(size, id)` sets. The *unreferenced* tier holds
+/// the inactive blocks no cached view references; the *referenced* tier
+/// holds every block some view references, active or not. That split is
+/// all S1 and S2 need, and it is an index of structure: a block joins the
+/// referenced tier at its first stitch and leaves at its last view's
+/// teardown, a split or its removal. Only an unreferenced block enters and
+/// leaves on an activity flip, so flipping a view's parts touches no entry;
+/// the readers of the referenced tier skip its active entries instead. The
+/// finer blocked/available split of [`StitchCost`] depends on the activity
+/// of *other* blocks, so it is queried when an S3/S4 walk needs it instead
+/// of being maintained.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct TieredPIndex {
     /// `[unreferenced, referenced]`.
     tiers: [BTreeSet<(u64, PBlockId)>; 2],
+    /// Inserts and removes so far (a work counter).
+    ops: u64,
 }
 
 impl TieredPIndex {
@@ -96,11 +105,18 @@ impl TieredPIndex {
     }
 
     pub fn insert(&mut self, referenced: bool, size: u64, pid: PBlockId) {
+        self.ops += 1;
         self.tiers[referenced as usize].insert((size, pid));
     }
 
     pub fn remove(&mut self, referenced: bool, size: u64, pid: PBlockId) -> bool {
+        self.ops += 1;
         self.tiers[referenced as usize].remove(&(size, pid))
+    }
+
+    /// Inserts and removes so far.
+    pub fn ops(&self) -> u64 {
+        self.ops
     }
 
     /// Total entries across both tiers.
@@ -108,7 +124,8 @@ impl TieredPIndex {
         self.tiers.iter().map(|t| t.len()).sum()
     }
 
-    /// All pBlocks of exactly `size` bytes within one tier, in id order.
+    /// All pBlocks of exactly `size` bytes within one tier, in id order —
+    /// in the referenced tier, active ones included.
     ///
     /// Exact-match candidates of the same size *and* stitch cost are
     /// equivalent to Algorithm 1 — the allocator uses this to apply
@@ -117,9 +134,7 @@ impl TieredPIndex {
     /// perturbing the classification the reference implementation must agree
     /// with.
     pub fn equal_size(&self, referenced: bool, size: u64) -> impl Iterator<Item = PBlockId> + '_ {
-        self.tiers[referenced as usize]
-            .range((size, 0)..=(size, u64::MAX))
-            .map(|&(_, pid)| pid)
+        sized(&self.tiers[referenced as usize], size).map(|&(_, pid)| pid)
     }
 
     /// Whether a pid of `size` is indexed as referenced, if it is indexed
@@ -129,22 +144,18 @@ impl TieredPIndex {
             .into_iter()
             .find(|&r| self.tiers[r as usize].contains(&(size, pid)))
     }
-
-    /// Merges the tiers back into the flat `(size, id)` set the reference
-    /// implementation consumes (oracle tests and benchmark setup).
-    pub fn to_flat(&self) -> BTreeSet<(u64, PBlockId)> {
-        self.tiers.iter().flatten().copied().collect()
-    }
 }
 
 /// Runs Algorithm 1 over the incremental indexes — the production hot path.
 ///
 /// `s_unassigned` is the `(size, id)` set of views no tensor holds and
 /// `view_available` says whether one of them has every part inactive;
-/// `p_index` holds the inactive pBlocks. `available_parts` is called at
-/// most once, and only when an S3/S4 walk runs out of unreferenced blocks:
-/// it returns, indexed by pBlock id, whether the block is part of an
-/// available view ([`StitchCost::ReferencedAvailable`]). Blocks smaller than
+/// `p_index` holds the pBlocks, and `is_active` says whether an entry of its
+/// referenced tier is active — every reader of that tier skips those.
+/// `available_parts` is called at most once, and only when an S3/S4 walk
+/// runs out of unreferenced blocks and finds an inactive referenced one: it
+/// returns, indexed by pBlock id, whether the block is part of an available
+/// view ([`StitchCost::ReferencedAvailable`]). Blocks smaller than
 /// `frag_limit` are skipped as *stitching candidates* (the robustness rule
 /// of §4.2.3) but still serve exact matches.
 pub(crate) fn best_fit_indexed<M: std::ops::Deref<Target = [bool]>>(
@@ -153,10 +164,12 @@ pub(crate) fn best_fit_indexed<M: std::ops::Deref<Target = [bool]>>(
     p_index: &TieredPIndex,
     frag_limit: u64,
     view_available: impl Fn(SBlockId) -> bool,
+    is_active: impl Fn(PBlockId) -> bool,
     available_parts: impl FnOnce() -> M,
 ) -> BestFit {
     debug_assert!(bsize > 0);
     let [unref, referenced] = &p_index.tiers;
+    let idle = |&&(_, pid): &&(u64, PBlockId)| !is_active(pid);
     // S1: exact match. sBlocks are checked first: reusing a cached stitched
     // block is the paper's steady-state fast path — the lowest-id view of
     // the size that is available right now. Among equal-size exact pBlocks,
@@ -167,25 +180,21 @@ pub(crate) fn best_fit_indexed<M: std::ops::Deref<Target = [bool]>>(
     if let Some(&(_, sid)) = views.find(|&&(_, sid)| view_available(sid)) {
         return BestFit::ExactS(sid);
     }
-    let exact = |tier: &BTreeSet<(u64, PBlockId)>| {
-        tier.range((bsize, 0)..=(bsize, u64::MAX))
-            .next()
-            .map(|&(_, pid)| pid)
-    };
-    if let Some(pid) = exact(unref).or_else(|| exact(referenced)) {
+    let exact = sized(unref, bsize).next();
+    if let Some(&(_, pid)) = exact.or_else(|| sized(referenced, bsize).find(idle)) {
         return BestFit::ExactP(pid);
     }
     // S2: single pBlock larger than the request — the smallest unreferenced
     // one if any exists within a reasonable window, else the smallest
     // overall. The window (4× the request) avoids shredding a huge
     // unreferenced block when a snug referenced one exists.
-    let above = |tier: &BTreeSet<(u64, PBlockId)>| tier.range((bsize, u64::MAX)..).next().copied();
-    if let Some((size, pid)) = above(unref) {
+    let above = larger(unref, bsize).next();
+    if let Some(&(size, pid)) = above {
         if size <= bsize.saturating_mul(4) {
             return BestFit::Single(pid);
         }
     }
-    if let Some((_, pid)) = [above(unref), above(referenced)]
+    if let Some(&(_, pid)) = [above, larger(referenced, bsize).find(idle)]
         .into_iter()
         .flatten()
         .min()
@@ -198,9 +207,10 @@ pub(crate) fn best_fit_indexed<M: std::ops::Deref<Target = [bool]>>(
     // cached views are blocked anyway, and only as a last resort blocks
     // belonging to a fully-inactive cached view (consuming those poisons a
     // ready exact-match candidate and is what sustains re-stitch limit
-    // cycles on periodic workloads). The referenced blocks are walked once:
-    // blocked ones are taken as they come, available ones are set aside and
-    // follow in the same order — the reference's second and third pass.
+    // cycles on periodic workloads). The inactive referenced blocks are
+    // walked once: blocked ones are taken as they come, available ones are
+    // set aside and follow in the same order — the reference's second and
+    // third pass.
     let mut ids = Vec::new();
     let mut sum = 0u64;
     let mut take = |pid: PBlockId, size: u64| {
@@ -213,10 +223,11 @@ pub(crate) fn best_fit_indexed<M: std::ops::Deref<Target = [bool]>>(
             return BestFit::Multiple { ids, sum };
         }
     }
-    if eligible(referenced, frag_limit).next().is_some() {
+    let mut referenced = eligible(referenced, frag_limit).filter(idle).peekable();
+    if referenced.peek().is_some() {
         let available = available_parts();
         let mut last_resort = Vec::new();
-        for &(size, pid) in eligible(referenced, frag_limit) {
+        for &(size, pid) in referenced {
             if available[pid as usize] {
                 last_resort.push((pid, size));
             } else if take(pid, size) {
@@ -230,6 +241,16 @@ pub(crate) fn best_fit_indexed<M: std::ops::Deref<Target = [bool]>>(
         }
     }
     BestFit::Insufficient { ids, sum }
+}
+
+/// A tier's blocks of exactly `size` bytes, in id order.
+fn sized(tier: &BTreeSet<(u64, PBlockId)>, size: u64) -> Range<'_, (u64, PBlockId)> {
+    tier.range((size, 0)..=(size, u64::MAX))
+}
+
+/// A tier's blocks larger than `size`, smallest first.
+fn larger(tier: &BTreeSet<(u64, PBlockId)>, size: u64) -> Range<'_, (u64, PBlockId)> {
+    tier.range((size, u64::MAX)..)
 }
 
 /// A tier's stitching candidates, largest first. Below `frag_limit` a block
@@ -345,6 +366,20 @@ mod tests {
         frag_limit: u64,
         stitch_cost: impl Fn(PBlockId) -> StitchCost,
     ) -> BestFit {
+        with_active(bsize, s_inactive, p_inactive, frag_limit, stitch_cost, &[]).0
+    }
+
+    /// [`best_fit`] with `active` blocks in the referenced tier too, where
+    /// the indexed path must skip them and the reference never sees them.
+    /// Also returns how many active entries the indexed path passed over.
+    fn with_active(
+        bsize: u64,
+        s_inactive: &BTreeSet<(u64, SBlockId)>,
+        p_inactive: &BTreeSet<(u64, PBlockId)>,
+        frag_limit: u64,
+        stitch_cost: impl Fn(PBlockId) -> StitchCost,
+        active: &[(u64, PBlockId)],
+    ) -> (BestFit, u64) {
         // Every listed view is available; a block's cost is the closure's.
         let mut index = TieredPIndex::new();
         let mut available = vec![false; 16];
@@ -352,6 +387,15 @@ mod tests {
             index.insert(stitch_cost(pid) != StitchCost::Unreferenced, size, pid);
             available[pid as usize] = stitch_cost(pid) == StitchCost::ReferencedAvailable;
         }
+        for &(size, pid) in active {
+            index.insert(true, size, pid);
+        }
+        let skips = std::cell::Cell::new(0);
+        let is_active = |pid| {
+            let hit = active.iter().any(|&(_, a)| a == pid);
+            skips.set(skips.get() + hit as u64);
+            hit
+        };
         let reference = best_fit_reference(bsize, s_inactive, p_inactive, frag_limit, stitch_cost);
         let indexed = best_fit_indexed(
             bsize,
@@ -359,13 +403,14 @@ mod tests {
             &index,
             frag_limit,
             |_| true,
+            is_active,
             || available,
         );
         assert_eq!(
             reference, indexed,
             "indexed best_fit diverged from the reference for bsize={bsize}"
         );
-        indexed
+        (indexed, skips.get())
     }
 
     #[test]
@@ -593,10 +638,11 @@ mod tests {
     #[test]
     fn exact_sblock_skips_blocked_views() {
         let s = set(&[(100, 1), (100, 2), (100, 3), (200, 4)]);
+        let empty = TieredPIndex::new();
         let fit = |available: &[SBlockId]| {
             let none = || -> Vec<bool> { unreachable!("S1 and S4 on an empty pool ask nothing") };
             let ask = |sid| available.contains(&sid);
-            best_fit_indexed(100, &s, &TieredPIndex::new(), NO_LIMIT, ask, none)
+            best_fit_indexed(100, &s, &empty, NO_LIMIT, ask, |_| false, none)
         };
         assert_eq!(fit(&[2, 3, 4]), BestFit::ExactS(2), "lowest available id");
         let nothing = BestFit::Insufficient {
@@ -615,10 +661,75 @@ mod tests {
         assert_eq!(idx.placement_of(10, 1), Some(false));
         assert_eq!(idx.placement_of(20, 2), Some(true));
         assert_eq!(idx.placement_of(10, 2), None);
-        assert_eq!(idx.to_flat(), set(&[(10, 1), (20, 2)]));
         assert!(idx.remove(false, 10, 1));
         assert!(!idx.remove(false, 10, 1));
         assert_eq!(idx.len(), 1);
+        assert_eq!(idx.ops(), 4, "every insert and remove counts");
+    }
+
+    // Referenced blocks stay indexed while active (no index operation on an
+    // activity flip), so each reader of the referenced tier must skip them;
+    // the reference path never sees them.
+
+    /// Every pBlock is referenced, by views that are blocked anyway.
+    fn referenced_blocked(_: PBlockId) -> StitchCost {
+        StitchCost::ReferencedBlocked
+    }
+
+    #[test]
+    fn exact_pblock_skips_an_active_referenced_block() {
+        let s = BTreeSet::new();
+        let p = set(&[(100, 3)]);
+        assert_eq!(
+            with_active(100, &s, &p, NO_LIMIT, referenced_blocked, &[(100, 1)]),
+            (BestFit::ExactP(3), 1)
+        );
+    }
+
+    #[test]
+    fn single_skips_an_active_referenced_block() {
+        let s = BTreeSet::new();
+        let p = set(&[(150, 3)]);
+        assert_eq!(
+            with_active(100, &s, &p, NO_LIMIT, referenced_blocked, &[(120, 1)]),
+            (BestFit::Single(3), 1)
+        );
+    }
+
+    #[test]
+    fn stitch_walk_skips_active_referenced_blocks() {
+        let s = BTreeSet::new();
+        let p = set(&[(50, 2), (40, 3)]);
+        let cost = |pid: PBlockId| match pid {
+            3 => StitchCost::ReferencedAvailable,
+            _ => StitchCost::ReferencedBlocked,
+        };
+        // The active 60 would be the walk's first pick.
+        assert_eq!(
+            with_active(90, &s, &p, NO_LIMIT, cost, &[(60, 1)]),
+            (
+                BestFit::Multiple {
+                    ids: vec![2, 3],
+                    sum: 90
+                },
+                1
+            )
+        );
+        // A referenced tier of active blocks only: nothing to classify.
+        let mut index = TieredPIndex::new();
+        index.insert(false, 30, 4);
+        index.insert(true, 60, 1);
+        let none = || -> Vec<bool> { unreachable!("no inactive referenced block") };
+        let indexed = best_fit_indexed(90, &s, &index, NO_LIMIT, |_| true, |pid| pid == 1, none);
+        let reference = best_fit_reference(90, &s, &set(&[(30, 4)]), NO_LIMIT, unreferenced);
+        assert_eq!(indexed, reference);
+        assert_eq!(
+            indexed,
+            BestFit::Insufficient {
+                ids: vec![4],
+                sum: 30
+            }
+        );
     }
 
     #[test]

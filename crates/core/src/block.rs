@@ -36,8 +36,8 @@ pub(crate) struct PBlock {
     /// sBlock).
     pub assigned_to: Option<AllocationId>,
     /// sBlocks whose mapping includes this pBlock's bytes, each once, in no
-    /// particular order. Empty or not is the block's *placement* in the
-    /// inactive index; an activity flip never walks it.
+    /// particular order. Empty or not is the block's tier in the pBlock
+    /// index; an activity flip never walks it.
     pub referenced_by: Vec<SBlockId>,
     /// Unassigned views an eviction scan found blocked by this block and
     /// took out of the eviction index (each has `parked_on` pointing
@@ -73,7 +73,8 @@ impl PBlock {
         }
     }
 
-    /// The block's placement in the inactive index.
+    /// The block's tier in the pBlock index (an unreferenced block is
+    /// indexed only while inactive).
     pub fn is_referenced(&self) -> bool {
         !self.referenced_by.is_empty()
     }

@@ -1123,14 +1123,17 @@ fn work_since(l: &GmLakeAllocator, before: crate::WorkCounters) -> crate::WorkCo
         parts_scanned: after.parts_scanned - before.parts_scanned,
         ref_scans: after.ref_scans - before.ref_scans,
         tier_moves: after.tier_moves - before.tier_moves,
+        index_ops: after.index_ops - before.index_ops,
+        active_skips: after.active_skips - before.active_skips,
     }
 }
 
 /// The deterministic complexity pin: on a fixed dense-sharing pool an S1
 /// sBlock alloc + free costs `2·p` part flips and one availability query,
-/// walks no `referenced_by` set, moves nothing between tiers — and costs
-/// exactly the same however often it is repeated and however many views
-/// share the parts.
+/// walks no `referenced_by` set, moves nothing between tiers, touches no
+/// index entry — and costs exactly the same however often it is repeated
+/// and however many views share the parts. A standalone pBlock's S1 cycle
+/// costs its two flips and one index operation each.
 #[test]
 fn s1_flip_cost_is_bounded_by_sharing_and_flat_over_iterations() {
     let parts = 33u64;
@@ -1155,6 +1158,8 @@ fn s1_flip_cost_is_bounded_by_sharing_and_flat_over_iterations() {
         assert_eq!((first.views_verified, first.parts_scanned), (1, 1 + parts));
         assert_eq!(first.ref_scans, 0, "no referenced_by walk on the S1 path");
         assert_eq!(first.tier_moves, 0, "a flip moves no block between tiers");
+        assert_eq!(first.index_ops, 0, "referenced parts keep their entries");
+        assert_eq!(first.active_skips, 0, "S1 on a view reads no pBlock tier");
         for _ in 0..8 {
             assert_eq!(
                 cycle(&mut l),
@@ -1170,6 +1175,64 @@ fn s1_flip_cost_is_bounded_by_sharing_and_flat_over_iterations() {
         costs.push(first);
     }
     assert_eq!(costs[0], costs[1], "cost depends on the sharing density r");
+    // A block no view references enters the index on its free and leaves
+    // it on its exact match.
+    let mut l = lake();
+    let a = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    l.deallocate(a.id).unwrap();
+    let before = l.work_counters();
+    let a = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    l.deallocate(a.id).unwrap();
+    let standalone = work_since(&l, before);
+    assert_eq!((standalone.part_flips, standalone.index_ops), (2, 2));
+    l.validate().unwrap();
+}
+
+/// A part that is live while its only view is torn down: view V = [b, a]
+/// is freed, `a` is handed out by an exact pBlock match (V is now blocked),
+/// `compact` GCs V, and `a` — active and no longer referenced — leaves the
+/// index; freeing it lands it in the unreferenced tier. `validate()` checks
+/// every block's placement after each step.
+#[test]
+fn active_part_leaves_the_index_when_its_last_view_is_torn_down() {
+    let mut l = lake();
+    let a = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    let b = l.allocate(AllocRequest::new(mib(6))).unwrap();
+    l.deallocate(a.id).unwrap();
+    l.deallocate(b.id).unwrap();
+    let v = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    assert_eq!(l.state_counters().stitches, 1, "V stitches both blocks");
+    l.deallocate(v.id).unwrap();
+    l.validate().unwrap();
+    // Only the referenced tier holds a 4 MiB block: `a`, which stays there
+    // while active.
+    let exact = l.state_counters().exact;
+    let before = l.work_counters();
+    let a = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    assert_eq!(l.state_counters().exact, exact + 1, "ExactP on a");
+    assert_eq!(work_since(&l, before).index_ops, 0);
+    l.validate().unwrap();
+    l.assert_bestfit_agrees(mib(4));
+    l.assert_bestfit_agrees(mib(6));
+    // V is blocked, so compact destroys it: `a` leaves the index (one
+    // remove), `b` moves to the unreferenced tier (a remove and an insert).
+    let before = l.work_counters();
+    assert_eq!(l.compact(), 0, "nothing idle below the fragmentation limit");
+    assert_eq!(l.sblock_count(), 0);
+    assert_eq!(work_since(&l, before).index_ops, 3);
+    l.validate().unwrap();
+    l.assert_bestfit_agrees(mib(4));
+    // Freeing `a` inserts it in the unreferenced tier, where the next
+    // 4 MiB request finds it.
+    let before = l.work_counters();
+    l.deallocate(a.id).unwrap();
+    assert_eq!(work_since(&l, before).index_ops, 1);
+    l.validate().unwrap();
+    l.assert_bestfit_agrees(mib(4));
+    let again = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    assert_eq!(again.va, a.va, "the same block, now standalone");
+    l.deallocate(again.id).unwrap();
+    l.validate().unwrap();
 }
 
 /// An S3 that runs out of unreferenced blocks classifies once: it verifies
