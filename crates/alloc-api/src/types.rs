@@ -129,7 +129,8 @@ impl fmt::Display for AllocationId {
 }
 
 /// A `HashMap` keyed by ids — [`AllocationId`]s, front-end ids, size
-/// classes, physical handle numbers: anything that hashes as one `u64`.
+/// classes, physical handle numbers, stream numbers: anything that hashes
+/// as one `u64` or `u32`.
 ///
 /// Its [`IdHasher`] is a multiply + xor-shift, which beats the default
 /// SipHash by a wide margin on the hot path. It is deterministic and not
@@ -158,6 +159,11 @@ impl std::hash::Hasher for IdHasher {
         let mut h = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h ^= h >> 29;
         self.0 = h;
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(x.into());
     }
 
     fn write(&mut self, bytes: &[u8]) {

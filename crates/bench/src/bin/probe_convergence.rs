@@ -51,8 +51,8 @@ fn probe(model: ModelSpec, s: StrategySet) {
     );
     let w = lake.work_counters();
     println!(
-        "    core work: part_flips={} index_ops={} active_skips={}",
-        w.part_flips, w.index_ops, w.active_skips,
+        "    core work: part_flips={} index_ops={} view_index_ops={} lru_splices={} active_skips={}",
+        w.part_flips, w.index_ops, w.view_index_ops, w.lru_splices, w.active_skips,
     );
 }
 

@@ -13,10 +13,10 @@
 //! Segments are returned to the device only by [`CachingAllocator::release_cached`]
 //! (PyTorch's `empty_cache`) or by the out-of-memory retry path.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use gmlake_alloc_api::{
-    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, MemStats, VirtAddr,
+    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, IdMap, MemStats, VirtAddr,
 };
 use gmlake_gpu_sim::{CudaDriver, DriverError};
 
@@ -78,15 +78,15 @@ pub struct CachingAllocator {
     driver: CudaDriver,
     config: BfcConfig,
     host_op_ns: u64,
-    blocks: HashMap<BlockId, Block>,
+    blocks: IdMap<BlockId, Block>,
     next_block: BlockId,
-    segments: HashMap<SegmentId, Segment>,
+    segments: IdMap<SegmentId, Segment>,
     next_segment: SegmentId,
     /// Free blocks keyed `(size, id)` per pool — best fit is the first entry
     /// `≥ (rounded, 0)`.
     free_small: BTreeSet<(u64, BlockId)>,
     free_large: BTreeSet<(u64, BlockId)>,
-    live: HashMap<AllocationId, BlockId>,
+    live: IdMap<AllocationId, BlockId>,
     next_alloc: u64,
     stats: MemStats,
     reserved: u64,
@@ -105,13 +105,13 @@ impl CachingAllocator {
             driver,
             config,
             host_op_ns,
-            blocks: HashMap::new(),
+            blocks: IdMap::default(),
             next_block: 0,
-            segments: HashMap::new(),
+            segments: IdMap::default(),
             next_segment: 0,
             free_small: BTreeSet::new(),
             free_large: BTreeSet::new(),
-            live: HashMap::new(),
+            live: IdMap::default(),
             next_alloc: 0,
             stats: MemStats::default(),
             reserved: 0,

@@ -48,11 +48,15 @@
 //! Blocks live in dense [`Slab`] arenas (ids are sequential, lookups are an
 //! indexed load). pBlocks are indexed by a [`TieredPIndex`] — one
 //! `(size, id)` set for the inactive blocks no cached view references and
-//! one for every referenced block, active or not — and unassigned views by
-//! size (`s_unassigned`) and by LRU tick (`s_evictable`). All four change
-//! where *structure* changes: stitch, split, view teardown, assign and
-//! free; an activity flip moves only an unreferenced block in or out of the
-//! index. The readers of the referenced tier skip its active entries.
+//! one for every referenced block, active or not. Views are indexed by size
+//! (`s_by_size`, every view from its stitch to its teardown) and by age (an
+//! intrusive [`LruList`] of the unassigned views, oldest `lru_tick` first).
+//! The three ordered sets change only where *structure* changes: stitch,
+//! split and teardown; an activity flip moves only an unreferenced block in
+//! or out of the pBlock index. Assigning and freeing a view unlinks it from
+//! the list and appends it back, `O(1)` each. The readers of the referenced
+//! tier skip its active entries, and the readers of the size index skip its
+//! assigned views.
 //!
 //! **Availability is a query, not a counter.** Whether a view could serve
 //! an exact match — every part inactive — is never stored: the paper's
@@ -62,32 +66,37 @@
 //! behind a per-view *witness hint* (the part last found active, checked
 //! first — a view that is still blocked costs one load):
 //!
-//! * the exact-match walk verifies the unassigned views of the requested
-//!   size in id order and takes the first available one;
+//! * the exact-match walk meets the views of the requested size in id
+//!   order, skips the assigned ones on their flag, verifies the rest and
+//!   takes the first available one;
 //! * an S3/S4 walk that runs out of unreferenced blocks classifies once:
-//!   it verifies the views in the eviction index, marks the parts of the
+//!   it verifies the views in the eviction list, marks the parts of the
 //!   available ones, and defers marked blocks behind the unmarked;
 //! * a `StitchFree` victim scan verifies the candidates it meets, and
 //!   *parks* each blocked one on its witness part — out of the eviction
-//!   index, so neither later scans nor S3/S4 classification see it — until
-//!   that part deactivates.
+//!   list, so neither later scans nor S3/S4 classification see it — until
+//!   that part deactivates and puts it back under its old tick.
 //!
 //! **Cost model.** With `p` parts per view and `r` views referencing a
 //! pBlock, an S1 allocation or free of a view costs `O(p)` flips, each
-//! `O(1)`: a view's parts are referenced, so no flip touches the index, and
-//! none depends on `r` (sharing on converged LoRA pools is dense — `r` ≈
-//! 34, `p` ≈ 24–32 on the benchmark's `train_lr` — and an eager counter per
-//! view made this `O(p·r)`). A standalone pBlock's flip is one `O(log n)`
-//! index operation. The readers of the referenced tier pay instead, one
-//! skip per active entry they meet. The exact match costs `O(c + p)` for
-//! `c` same-size candidates skipped on their hint. S3/S4 pays `O(u + Σp)`
+//! `O(1)`, plus one `O(1)` list splice, and no ordered-index operation: a
+//! view's parts are referenced, so no flip touches the pBlock index, the
+//! view keeps its size entry, and the list needs no search to append a
+//! fresh tick. None of it depends on `r` (sharing on converged LoRA pools
+//! is dense — `r` ≈ 34, `p` ≈ 24–32 on the benchmark's `train_lr` — and an
+//! eager counter per view made this `O(p·r)`). A standalone pBlock's flip
+//! is one `O(log n)` index operation. The readers pay instead, one skip per
+//! active block or assigned view they meet. The exact match costs
+//! `O(c + p)` for the `c` same-size views it passes, assigned ones skipped
+//! on their flag and blocked ones on their hint. S3/S4 pays `O(u + Σp)`
 //! once per call for the `u` unparked unassigned views and the parts of
 //! those it has to scan; a victim scan pays for the blocked views it meets
-//! once each.
+//! once each, and an unpark walks the list from its head to the view's
+//! tick.
 //!
 //! `validate()` is the oracle for all of it: it re-derives availability by
-//! scanning parts, ignoring the hints, and checks the indexes, the parked
-//! lists and the placement against that.
+//! scanning parts, ignoring the hints, and checks the indexes, the list's
+//! links and tick order, the parked lists and the placement against that.
 //!
 //! # Streams
 //!
@@ -106,12 +115,12 @@
 //! [`AllocatorCore::process_events`] retires stamps whose events completed.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use gmlake_alloc_api::{
-    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, EventId, MemStats, StreamId,
-    VirtAddr,
+    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, EventId, IdMap, MemStats,
+    StreamId, VirtAddr,
 };
 use gmlake_caching::CachingAllocator;
 use gmlake_gpu_sim::{CudaDriver, DriverError, PhysHandle};
@@ -121,6 +130,7 @@ use gmlake_telemetry::{EventKind, PoolTelemetry};
 use crate::bestfit::{best_fit_indexed, best_fit_reference, BestFit, StitchCost, TieredPIndex};
 use crate::block::{PBlock, PBlockId, Reservation, SBlock, SBlockId, Target};
 use crate::config::{AllocState, GmLakeConfig, StateCounters};
+use crate::lru::LruList;
 use crate::slab::Slab;
 
 /// Per-allocator record of driver faults survived and what they cost.
@@ -175,6 +185,11 @@ pub struct WorkCounters {
     pub index_ops: u64,
     /// Active entries the readers of the referenced tier passed over.
     pub active_skips: u64,
+    /// Ordered-index operations on views: inserts and removes on the size
+    /// index, and tick-ordered inserts into the eviction list (an unpark).
+    pub view_index_ops: u64,
+    /// `O(1)` appends to and unlinks from the eviction list.
+    pub lru_splices: u64,
 }
 
 /// The two `(size, id)` sets [`best_fit_reference`] runs over (see
@@ -188,8 +203,8 @@ pub struct ReferenceIndexes {
     pub inactive_pblocks: BTreeSet<(u64, u64)>,
 }
 
-/// [`WorkCounters`] as kept, all but `index_ops`, which the index counts
-/// itself: the queries run behind `&self`.
+/// [`WorkCounters`] as kept, all but `index_ops` and `lru_splices`, which the
+/// index and the list count themselves: the queries run behind `&self`.
 #[derive(Debug, Default)]
 struct Work {
     part_flips: Cell<u64>,
@@ -198,6 +213,7 @@ struct Work {
     ref_scans: Cell<u64>,
     tier_moves: Cell<u64>,
     active_skips: Cell<u64>,
+    view_index_ops: Cell<u64>,
 }
 
 fn bump(counter: &Cell<u64>, by: u64) {
@@ -272,23 +288,25 @@ pub struct GmLakeAllocator {
     /// pBlocks keyed `(size, id)`: the inactive unreferenced ones, and every
     /// referenced one, active or not (see [`TieredPIndex`]).
     p_index: TieredPIndex,
-    /// Unassigned sBlocks, keyed `(size, id)`: the exact-match candidates,
-    /// of which the available ones are found by asking.
-    s_unassigned: BTreeSet<(u64, SBlockId)>,
-    /// Eviction index, keyed `(lru_tick, id)`: every unassigned view that
-    /// is not parked. A view enters when it is stitched or freed and leaves
-    /// when it is assigned or destroyed; one that merely gets *blocked*
-    /// stays until a `StitchFree` scan meets it and parks it on the active
-    /// part it found (`SBlock::parked_on`), to re-enter when that part
-    /// deactivates. S3/S4 classification walks exactly this set.
-    s_evictable: BTreeSet<(u64, SBlockId)>,
+    /// Every sBlock, keyed `(size, id)`, from its stitch to its teardown:
+    /// the exact-match candidates. Assignment and free leave it alone; its
+    /// readers skip an assigned view on its flag and ask about the rest.
+    s_by_size: BTreeSet<(u64, SBlockId)>,
+    /// Eviction list, oldest `lru_tick` first: every unassigned view that
+    /// is not parked. A view is appended when it is stitched or freed and
+    /// unlinked when it is assigned or destroyed; one that merely gets
+    /// *blocked* stays until a `StitchFree` scan meets it and parks it on
+    /// the active part it found (`SBlock::parked_on`), to re-enter under its
+    /// old tick when that part deactivates. S3/S4 classification walks
+    /// exactly this list.
+    lru: LruList,
     /// Scratch of S3/S4 classification, indexed by pBlock id: the parts of
     /// the views found available. Kept to reuse its buffer.
     available_parts: Vec<bool>,
     work: Work,
     /// Live allocations: target, size, and the stream that allocated them
     /// (`StreamId::DEFAULT` for a streamless call).
-    live: HashMap<AllocationId, (Target, u64, StreamId)>,
+    live: IdMap<AllocationId, (Target, u64, StreamId)>,
     /// Per freeing stream with stamps out, the newest event it stamped:
     /// once that one completes, so has every stamp of the stream.
     stamp_streams: Vec<(StreamId, EventId)>,
@@ -347,11 +365,11 @@ impl GmLakeAllocator {
             sblocks: Slab::new(),
             reservations: BTreeMap::new(),
             p_index: TieredPIndex::new(),
-            s_unassigned: BTreeSet::new(),
-            s_evictable: BTreeSet::new(),
+            s_by_size: BTreeSet::new(),
+            lru: LruList::default(),
             available_parts: Vec::new(),
             work: Work::default(),
-            live: HashMap::new(),
+            live: IdMap::default(),
             stamp_streams: Vec::new(),
             next_alloc: 0,
             tick: 0,
@@ -437,6 +455,8 @@ impl GmLakeAllocator {
             tier_moves: self.work.tier_moves.get(),
             index_ops: self.p_index.ops(),
             active_skips: self.work.active_skips.get(),
+            view_index_ops: self.work.view_index_ops.get(),
+            lru_splices: self.lru.splices,
         }
     }
 
@@ -554,10 +574,14 @@ impl GmLakeAllocator {
     }
 
     /// An sBlock is *available* when it could serve an exact match right
-    /// now: unassigned with every part inactive.
+    /// now: unassigned with every part inactive. An assigned one is
+    /// rejected on its flag. Takes the fields it reads, like `witness`.
+    fn available(pblocks: &Slab<PBlock>, work: &Work, s: &SBlock) -> bool {
+        s.assigned_to.is_none() && Self::witness(pblocks, work, s).is_none()
+    }
+
     fn view_available(&self, sid: SBlockId) -> bool {
-        let s = &self.sblocks[sid];
-        s.assigned_to.is_none() && Self::witness(&self.pblocks, &self.work, s).is_none()
+        Self::available(&self.pblocks, &self.work, &self.sblocks[sid])
     }
 
     /// [`Self::view_available`] the slow way, ignoring the hint: the oracle
@@ -605,9 +629,10 @@ impl GmLakeAllocator {
 
     /// Flips a pBlock's activity — the whole of the paper's `Update`: the
     /// flag, and on deactivation the return of the views parked on it to
-    /// the eviction index. A referenced block keeps its index entry, so a
-    /// view's parts flip in `O(1)` each however many views share them; only
-    /// an unreferenced block enters or leaves the index, `O(log n)`.
+    /// the eviction list, each under its old tick. A referenced block keeps
+    /// its index entry, so a view's parts flip in `O(1)` each however many
+    /// views share them; only an unreferenced block enters or leaves the
+    /// index, `O(log n)`.
     fn set_pblock_active(&mut self, pid: PBlockId, active: bool) {
         let p = &mut self.pblocks[pid];
         if p.active == active {
@@ -625,10 +650,10 @@ impl GmLakeAllocator {
         if active {
             return;
         }
-        for sid in p.parked.drain(..) {
-            let s = &mut self.sblocks[sid];
-            s.parked_on = None;
-            self.s_evictable.insert((s.lru_tick, sid));
+        for sid in std::mem::take(&mut p.parked) {
+            self.sblocks[sid].parked_on = None;
+            self.lru.insert_by_tick(&mut self.sblocks, sid);
+            bump(&self.work.view_index_ops, 1);
         }
     }
 
@@ -811,8 +836,9 @@ impl GmLakeAllocator {
         // The new view is unassigned with all parts inactive: it is both
         // exact-matchable and evictable, and a part's first reference moves
         // it off the unreferenced tier.
-        self.s_unassigned.insert((total, sid));
-        self.s_evictable.insert((tick, sid));
+        self.s_by_size.insert((total, sid));
+        bump(&self.work.view_index_ops, 1);
+        self.lru.push_back(&mut self.sblocks, sid);
         for i in 0..self.sblocks[sid].parts.len() {
             let pid = self.sblocks[sid].parts[i];
             let p = &mut self.pblocks[pid];
@@ -836,7 +862,7 @@ impl GmLakeAllocator {
 
     /// Picks the next `StitchFree` victim: scans the first
     /// `evict_scan_window` evictable entries of the LRU-ordered eviction
-    /// index and prefers the view with the fewest *uniquely referenced*
+    /// list and prefers the view with the fewest *uniquely referenced*
     /// parts — a pBlock referenced only by its own view drops to the
     /// unreferenced tier on eviction, so destroying such a view
     /// cannibalizes cached exact-match coverage that a later request would
@@ -852,10 +878,10 @@ impl GmLakeAllocator {
         let mut candidates = 0;
         let mut blocked = Vec::new();
         let mut best: Option<(SBlockId, usize)> = None;
-        for &(tick, sid) in &self.s_evictable {
+        for sid in self.lru.iter(&self.sblocks) {
             let s = &self.sblocks[sid];
             if let Some(at) = Self::witness(&self.pblocks, &self.work, s) {
-                blocked.push((tick, sid, s.parts[at]));
+                blocked.push((sid, s.parts[at]));
                 continue;
             }
             let unique = s
@@ -874,8 +900,8 @@ impl GmLakeAllocator {
                 break;
             }
         }
-        for (tick, sid, on) in blocked {
-            self.s_evictable.remove(&(tick, sid));
+        for (sid, on) in blocked {
+            self.lru.unlink(&mut self.sblocks, sid);
             self.sblocks[sid].parked_on = Some(on);
             self.pblocks[on].parked.push(sid);
         }
@@ -884,7 +910,7 @@ impl GmLakeAllocator {
 
     /// `StitchFree` (§3.3.2): evicts *inactive* sBlock structures while the
     /// sPool exceeds its capacity. Victims come from a bounded scan of the
-    /// `(lru_tick, id)` eviction index (see
+    /// eviction list, oldest first (see
     /// [`GmLakeAllocator::pick_stitchfree_victim`]).
     fn enforce_spool_capacity(&mut self) {
         while self.sblocks.len() > self.config.max_sblocks {
@@ -922,19 +948,19 @@ impl GmLakeAllocator {
             return Err(e);
         }
         self.unwind_va(va, size, 0);
-        let s = self.sblocks.remove(sid).expect("sblock exists");
+        let s = &self.sblocks[sid];
         debug_assert!(s.assigned_to.is_none(), "destroying an assigned view");
-        self.s_unassigned.remove(&(s.size, sid));
         match s.parked_on {
             Some(on) => {
                 let parked = &mut self.pblocks[on].parked;
                 let at = parked.iter().position(|&v| v == sid);
                 parked.swap_remove(at.expect("witness lists the parked view"));
             }
-            None => {
-                self.s_evictable.remove(&(s.lru_tick, sid));
-            }
+            None => self.lru.unlink(&mut self.sblocks, sid),
         }
+        let s = self.sblocks.remove(sid).expect("sblock exists");
+        self.s_by_size.remove(&(s.size, sid));
+        bump(&self.work.view_index_ops, 1);
         for &pid in &s.parts {
             let p = self
                 .pblocks
@@ -1082,15 +1108,12 @@ impl GmLakeAllocator {
                     let pid = self.sblocks[sid].parts[i];
                     self.set_pblock_active(pid, true);
                 }
-                let tick = self.next_tick();
-                let s = self.sblocks.get_mut(sid).expect("sblock exists");
                 // Only an available view is assigned, and nothing available
-                // is parked: it leaves both indexes of unassigned views.
-                debug_assert!(s.parked_on.is_none(), "assigning a parked sblock");
-                self.s_unassigned.remove(&(s.size, sid));
-                self.s_evictable.remove(&(s.lru_tick, sid));
+                // is parked: it leaves the eviction list (which asserts it
+                // is a member), and stays in the size index.
+                self.lru.unlink(&mut self.sblocks, sid);
+                let s = &mut self.sblocks[sid];
                 s.assigned_to = Some(id);
-                s.lru_tick = tick;
                 if self.current_stream.is_some() {
                     s.last_stream = self.current_stream;
                 }
@@ -1165,7 +1188,7 @@ impl GmLakeAllocator {
             return chosen;
         }
         let size = s.size;
-        self.s_unassigned
+        self.s_by_size
             .range((size, chosen + 1)..=(size, u64::MAX))
             .map(|&(_, sid)| sid)
             .filter(|&sid| self.view_available(sid))
@@ -1195,24 +1218,25 @@ impl GmLakeAllocator {
     }
 
     /// Runs the indexed `BestFit`, answering its availability queries:
-    /// per exact-match candidate, and — only for an S3/S4 walk that reaches
-    /// referenced blocks — once for the whole pool, by verifying the views
-    /// of the eviction index (a parked view is known blocked) and marking
-    /// the parts of the available ones.
+    /// per exact-match candidate (an assigned one is skipped on its flag),
+    /// and — only for an S3/S4 walk that reaches referenced blocks — once
+    /// for the whole pool, by verifying the views of the eviction list (a
+    /// parked view is known blocked) and marking the parts of the available
+    /// ones.
     fn best_fit(&mut self, aligned: u64) -> BestFit {
         let (pblocks, sblocks, work) = (&self.pblocks, &self.sblocks, &self.work);
-        let (s_evictable, marks) = (&self.s_evictable, &mut self.available_parts);
+        let (lru, marks) = (&self.lru, &mut self.available_parts);
         best_fit_indexed(
             aligned,
-            &self.s_unassigned,
+            &self.s_by_size,
             &self.p_index,
             self.config.frag_limit,
-            |sid| Self::witness(pblocks, work, &sblocks[sid]).is_none(),
+            |sid| Self::available(pblocks, work, &sblocks[sid]),
             |pid| Self::active_entry(pblocks, work, pid),
             move || {
                 marks.clear();
                 marks.resize(pblocks.slot_count() + 1, false);
-                for &(_, sid) in s_evictable {
+                for sid in lru.iter(sblocks) {
                     let s = &sblocks[sid];
                     if Self::witness(pblocks, work, s).is_none() {
                         for &pid in &s.parts {
@@ -1605,8 +1629,11 @@ impl GmLakeAllocator {
             ));
         }
         // 2. sBlock consistency: part lists, and — against availability
-        //    re-derived by scanning — both indexes and the parked state.
-        let (mut unassigned_s, mut evict_indexed_s, mut parked_s) = (0usize, 0usize, 0usize);
+        //    re-derived by scanning — the size index, the eviction list
+        //    (whose links and strictly increasing ticks it checks first)
+        //    and the parked state.
+        let listed: BTreeSet<SBlockId> = self.lru.validate(&self.sblocks)?.into_iter().collect();
+        let mut parked_s = 0usize;
         for (sid, s) in self.sblocks.iter() {
             let mut size_sum = 0;
             let mut active = 0usize;
@@ -1632,25 +1659,19 @@ impl GmLakeAllocator {
             if s.hint.get() >= s.parts.len() {
                 return Err(format!("sblock {sid}: witness hint out of bounds"));
             }
-            let unassigned = s.assigned_to.is_none();
-            if unassigned != self.s_unassigned.contains(&(s.size, sid)) {
-                return Err(format!(
-                    "sblock {sid}: unassigned={unassigned} disagrees with the size index"
-                ));
-            }
-            // An unassigned view is in exactly one of {eviction index,
+            // An unassigned view is in exactly one of {eviction list,
             // parked}; an assigned one in neither, with every part active.
-            let in_evict = self.s_evictable.contains(&(s.lru_tick, sid));
+            // Off the list a view keeps no links.
+            let unassigned = s.assigned_to.is_none();
+            let in_evict = listed.contains(&sid);
             if unassigned != (in_evict ^ s.parked_on.is_some()) || (in_evict && !unassigned) {
                 return Err(format!(
-                    "sblock {sid}: unassigned={unassigned}, eviction index={in_evict}, parked_on={:?}",
+                    "sblock {sid}: unassigned={unassigned}, eviction list={in_evict}, parked_on={:?}",
                     s.parked_on
                 ));
             }
-            if active == 0 && unassigned && !in_evict {
-                return Err(format!(
-                    "evictable sblock {sid} missing from eviction index"
-                ));
+            if !in_evict && (s.prev, s.next) != (0, 0) {
+                return Err(format!("sblock {sid} is off the eviction list but linked"));
             }
             if !unassigned && active != s.parts.len() {
                 return Err(format!("assigned sblock {sid} has inactive parts"));
@@ -1665,20 +1686,10 @@ impl GmLakeAllocator {
                 }
                 parked_s += 1;
             }
-            unassigned_s += unassigned as usize;
-            evict_indexed_s += in_evict as usize;
         }
-        if self.s_unassigned.len() != unassigned_s {
-            return Err(format!(
-                "s_unassigned holds {} entries but {unassigned_s} sblocks are unassigned",
-                self.s_unassigned.len()
-            ));
-        }
-        if self.s_evictable.len() != evict_indexed_s {
-            return Err(format!(
-                "s_evictable holds {} entries but {evict_indexed_s} sblocks are in it",
-                self.s_evictable.len()
-            ));
+        let sized: BTreeSet<_> = self.sblocks.iter().map(|(sid, s)| (s.size, sid)).collect();
+        if sized != self.s_by_size {
+            return Err("the size index does not hold exactly every sblock".to_owned());
         }
         if parked_entries != parked_s {
             return Err(format!(
@@ -1687,7 +1698,7 @@ impl GmLakeAllocator {
         }
         // 3. Live allocations point at correctly-assigned targets, and no
         //    pBlock serves two live allocations.
-        let mut held: HashMap<PBlockId, AllocationId> = HashMap::new();
+        let mut held: IdMap<PBlockId, AllocationId> = IdMap::default();
         for (id, (target, _, _)) in &self.live {
             match target {
                 Target::P(pid) => {
@@ -1826,10 +1837,8 @@ impl AllocatorCore for GmLakeAllocator {
                 if self.current_stream.is_some() {
                     s.last_stream = self.current_stream;
                 }
-                // Unassigned again: back into both indexes, under its new
-                // tick.
-                self.s_unassigned.insert((s.size, sid));
-                self.s_evictable.insert((tick, sid));
+                // Unassigned again: the newest entry of the eviction list.
+                self.lru.push_back(&mut self.sblocks, sid);
                 for i in 0..self.sblocks[sid].parts.len() {
                     let pid = self.sblocks[sid].parts[i];
                     self.pblocks[pid].stamp = stamp;

@@ -3,8 +3,8 @@
 //!
 //! * [`best_fit_indexed`] — the production hot path. It runs over a
 //!   [`TieredPIndex`] — pBlocks keyed `(size, id)`, split by whether any
-//!   cached view references them — and the `(size, id)` index of
-//!   unassigned views. Whether a view is *available* (every part inactive)
+//!   cached view references them — and the `(size, id)` index of every
+//!   view. Whether a view is *available* (unassigned, every part inactive)
 //!   is not stored anywhere: the two steps that need it ask the allocator,
 //!   through `view_available` for the exact-match candidates and through
 //!   `available_parts` once per S3/S4 walk that reaches referenced blocks.
@@ -148,8 +148,8 @@ impl TieredPIndex {
 
 /// Runs Algorithm 1 over the incremental indexes — the production hot path.
 ///
-/// `s_unassigned` is the `(size, id)` set of views no tensor holds and
-/// `view_available` says whether one of them has every part inactive;
+/// `s_by_size` is the `(size, id)` set of every view and `view_available`
+/// says whether one is unassigned with every part inactive;
 /// `p_index` holds the pBlocks, and `is_active` says whether an entry of its
 /// referenced tier is active — every reader of that tier skips those.
 /// `available_parts` is called at most once, and only when an S3/S4 walk
@@ -160,7 +160,7 @@ impl TieredPIndex {
 /// of §4.2.3) but still serve exact matches.
 pub(crate) fn best_fit_indexed<M: std::ops::Deref<Target = [bool]>>(
     bsize: u64,
-    s_unassigned: &BTreeSet<(u64, SBlockId)>,
+    s_by_size: &BTreeSet<(u64, SBlockId)>,
     p_index: &TieredPIndex,
     frag_limit: u64,
     view_available: impl Fn(SBlockId) -> bool,
@@ -176,7 +176,7 @@ pub(crate) fn best_fit_indexed<M: std::ops::Deref<Target = [bool]>>(
     // unreferenced ones are preferred so that blocks woven into cached
     // sBlocks stay available to those sBlocks; ties break on the lowest id,
     // as in the reference scan.
-    let mut views = s_unassigned.range((bsize, 0)..=(bsize, u64::MAX));
+    let mut views = s_by_size.range((bsize, 0)..=(bsize, u64::MAX));
     if let Some(&(_, sid)) = views.find(|&&(_, sid)| view_available(sid)) {
         return BestFit::ExactS(sid);
     }

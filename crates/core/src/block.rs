@@ -40,7 +40,7 @@ pub(crate) struct PBlock {
     /// index; an activity flip never walks it.
     pub referenced_by: Vec<SBlockId>,
     /// Unassigned views an eviction scan found blocked by this block and
-    /// took out of the eviction index (each has `parked_on` pointing
+    /// took out of the eviction list (each has `parked_on` pointing
     /// here); they re-enter when the block deactivates. Only an active
     /// block parks views, and an active block is never split or destroyed,
     /// so the links cannot dangle.
@@ -107,8 +107,13 @@ pub(crate) struct SBlock {
     pub parts: Vec<PBlockId>,
     /// Allocation currently holding this sBlock.
     pub assigned_to: Option<AllocationId>,
-    /// Monotone tick of the last assignment, for LRU eviction.
+    /// Monotone tick of the stitch or the last free: the view's place in
+    /// the eviction list.
     pub lru_tick: u64,
+    /// Eviction-list neighbours, older and newer (`0`: none; see
+    /// [`crate::lru::LruList`]). Both are `0` off the list.
+    pub prev: SBlockId,
+    pub next: SBlockId,
     /// Stream that last held this stitched view (see `PBlock::last_stream`).
     pub last_stream: Option<StreamId>,
     /// Witness hint: the index into `parts` of the part last found active.
@@ -119,7 +124,7 @@ pub(crate) struct SBlock {
     /// grows `parts`, so it survives as what it is, a hint.
     pub hint: Cell<usize>,
     /// The active part this view is parked on (see [`PBlock::parked`]):
-    /// `None` while the view is assigned or in the eviction index.
+    /// `None` while the view is assigned or in the eviction list.
     pub parked_on: Option<PBlockId>,
 }
 
@@ -131,6 +136,8 @@ impl SBlock {
             parts,
             assigned_to: None,
             lru_tick: tick,
+            prev: 0,
+            next: 0,
             last_stream: None,
             hint: Cell::new(0),
             parked_on: None,

@@ -42,6 +42,7 @@ mod allocator;
 mod bestfit;
 mod block;
 mod config;
+mod lru;
 mod slab;
 
 #[cfg(test)]

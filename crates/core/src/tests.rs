@@ -1125,15 +1125,19 @@ fn work_since(l: &GmLakeAllocator, before: crate::WorkCounters) -> crate::WorkCo
         tier_moves: after.tier_moves - before.tier_moves,
         index_ops: after.index_ops - before.index_ops,
         active_skips: after.active_skips - before.active_skips,
+        view_index_ops: after.view_index_ops - before.view_index_ops,
+        lru_splices: after.lru_splices - before.lru_splices,
     }
 }
 
 /// The deterministic complexity pin: on a fixed dense-sharing pool an S1
 /// sBlock alloc + free costs `2·p` part flips and one availability query,
 /// walks no `referenced_by` set, moves nothing between tiers, touches no
-/// index entry — and costs exactly the same however often it is repeated
-/// and however many views share the parts. A standalone pBlock's S1 cycle
-/// costs its two flips and one index operation each.
+/// entry of an ordered index — the view stays in the size index, and the
+/// eviction list unlinks it and appends it back in `O(1)` — and costs
+/// exactly the same however often it is repeated and however many views
+/// share the parts. A standalone pBlock's S1 cycle costs its two flips and
+/// one index operation each.
 #[test]
 fn s1_flip_cost_is_bounded_by_sharing_and_flat_over_iterations() {
     let parts = 33u64;
@@ -1160,6 +1164,8 @@ fn s1_flip_cost_is_bounded_by_sharing_and_flat_over_iterations() {
         assert_eq!(first.tier_moves, 0, "a flip moves no block between tiers");
         assert_eq!(first.index_ops, 0, "referenced parts keep their entries");
         assert_eq!(first.active_skips, 0, "S1 on a view reads no pBlock tier");
+        assert_eq!(first.view_index_ops, 0, "the view keeps its size entry");
+        assert_eq!(first.lru_splices, 2, "one unlink, one append");
         for _ in 0..8 {
             assert_eq!(
                 cycle(&mut l),
@@ -1185,6 +1191,28 @@ fn s1_flip_cost_is_bounded_by_sharing_and_flat_over_iterations() {
     l.deallocate(a.id).unwrap();
     let standalone = work_since(&l, before);
     assert_eq!((standalone.part_flips, standalone.index_ops), (2, 2));
+    l.validate().unwrap();
+}
+
+/// The size index keeps a view while it is assigned, and the exact walk
+/// passes it on its flag, without an availability query: here V is the only
+/// view and holds every block, so a second request of its size asks nothing
+/// and lands in S4.
+#[test]
+fn exact_walk_skips_an_assigned_view_on_its_flag() {
+    let mut l = lake();
+    let a = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    let b = l.allocate(AllocRequest::new(mib(6))).unwrap();
+    l.deallocate(a.id).unwrap();
+    l.deallocate(b.id).unwrap();
+    let v = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    assert_eq!((l.sblock_count(), l.state_counters().stitches), (1, 1));
+    let before = l.work_counters();
+    assert_eq!(l.probe_bestfit_indexed(mib(10)), 4, "V is held");
+    assert_eq!(work_since(&l, before).views_verified, 0);
+    l.assert_bestfit_agrees(mib(10));
+    l.deallocate(v.id).unwrap();
+    assert_eq!(l.probe_bestfit_indexed(mib(10)), 1, "V again");
     l.validate().unwrap();
 }
 
@@ -1308,7 +1336,7 @@ fn parked_view_is_not_verified_until_its_witness_flips() {
     assert_eq!(l.state_counters().stitches, 3, "[12, 8] + fresh chunks");
     assert_eq!(verified(&l, before), 2, "B twice, A never");
     l.validate().unwrap();
-    // Releasing the witness returns A to the eviction index; the next scan
+    // Releasing the witness returns A to the eviction list; the next scan
     // verifies it once, finds the 4 MiB part and parks it there.
     l.deallocate(hold6.id).unwrap();
     l.deallocate(spare.id).unwrap();

@@ -27,10 +27,8 @@
 //! contract (`gmlake-alloc-api`) the driver implements on top of this
 //! engine.
 
-use std::collections::HashMap;
-
-use gmlake_alloc_api::StreamId;
 pub use gmlake_alloc_api::{EventId, EventSource};
+use gmlake_alloc_api::{IdMap, StreamId};
 
 /// Per-stream completion frontiers plus the table of outstanding events.
 /// Lives inside the driver's state, guarded by the driver lock.
@@ -41,9 +39,9 @@ pub(crate) struct EventEngine {
     /// Outstanding events: id → simulated completion timestamp. Events
     /// whose completion time has passed are pruned on query/synchronize;
     /// events already complete at record time are never inserted.
-    ready_at: HashMap<u64, u64>,
+    ready_at: IdMap<u64, u64>,
     /// Completion frontier per stream (absent = caught up with the host).
-    frontiers: HashMap<u32, u64>,
+    frontiers: IdMap<u32, u64>,
 }
 
 impl EventEngine {

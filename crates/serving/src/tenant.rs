@@ -1,10 +1,10 @@
 //! Tenant identity, per-tenant byte-quota accounting, and the registry
 //! shared by the admission controller and the rescue stage.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
-use gmlake_alloc_api::{AllocationId, StreamId};
+use gmlake_alloc_api::{AllocationId, IdMap, StreamId};
 use parking_lot::Mutex;
 
 /// Identifies one tenant (one serving job) within a
@@ -61,7 +61,7 @@ struct TenantState {
     used: u64,
     requested: u64,
     /// Live allocations: id → (rounded size, requested size).
-    live: HashMap<AllocationId, (u64, u64)>,
+    live: IdMap<AllocationId, (u64, u64)>,
     stream: StreamId,
     last_active_step: u64,
 }
@@ -145,7 +145,7 @@ impl TenantRegistry {
                 quota: quota_bytes,
                 used: 0,
                 requested: 0,
-                live: HashMap::new(),
+                live: IdMap::default(),
                 stream,
                 last_active_step: now_step,
             },
