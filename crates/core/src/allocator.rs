@@ -1200,6 +1200,14 @@ impl GmLakeAllocator {
     /// Cap on the equal-size candidate scan in the affinity refinements:
     /// affinity is a locality hint, not a correctness requirement, so it
     /// must never turn an `O(log n)` exact match into an `O(n)` sweep.
+    ///
+    /// The hint pays for itself. With both refinements returning `chosen`,
+    /// the benchmark at its pinned seed reads `train_lro_streams` stall
+    /// 19 242.1 → 25 178.8 sim-ns/op (S3 952 → 1 024) and single-stream
+    /// `train_lr` 15 897.0 → 27 410.5 (S3 798 → 1 025): even on one stream
+    /// it prefers a block or view handed out before over one never handed
+    /// out. `serve_churn` gains only 12 999.6 → 12 688.2. A shared
+    /// stream-ordering rule must keep the refinement.
     const AFFINITY_SCAN_LIMIT: usize = 32;
 
     /// One attempt at a large allocation; OOM from `Alloc` is surfaced so the

@@ -9,8 +9,9 @@
 //! intervals are handed to the offline planner, the fallback's warm-up
 //! cache is released, and a single virtually-contiguous **arena** sized to
 //! the plan's capacity is mapped. The core then enters **serving** mode:
-//! a request whose `(size, stream)` matches the next recorded slot is
-//! answered from the plan with *zero* driver calls; everything else —
+//! a request whose `(size, stream)` matches the next recorded slot, and
+//! whose range no live slot occupies, is answered from the plan with
+//! *zero* driver calls; everything else —
 //! mismatched sizes, unexpected frees, mid-iteration growth — is routed to
 //! the fallback, where the full GMLake stitching machinery (and its
 //! fault rollback) applies.
@@ -27,7 +28,7 @@
 //! [`iteration_boundary`]: AllocatorCore::iteration_boundary
 //! [`release_cached`]: AllocatorCore::release_cached
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use gmlake_alloc_api::{
@@ -74,6 +75,10 @@ pub struct PlanCounters {
     /// Allocations routed to the reactive fallback while a plan was
     /// installed.
     pub residue_allocs: u64,
+    /// Residue allocations whose class had a queued slot that could not
+    /// be handed out because a live slot still occupies part of its
+    /// range (the trace ran out of recorded order).
+    pub space_blocked: u64,
     /// Frees routed to the fallback while a plan was installed.
     pub residue_frees: u64,
     /// Plans built and installed.
@@ -120,19 +125,20 @@ struct Arena {
 struct InstalledPlan {
     plan: MemoryPlan,
     arena: Arena,
-    /// Per-slot list of space-overlapping slot indices (precomputed
-    /// offline so serving stays O(conflicts), typically O(1)).
-    conflicts: Vec<Vec<u32>>,
-    /// Per-slot count of *live* space-conflicting slots; a slot may only
-    /// be handed out while its count is zero.
-    blocked: Vec<u32>,
+    /// `offset → end` of every live slot. A slot is handed out only when
+    /// no live range overlaps it, so the ranges are pairwise disjoint and
+    /// one probe for the nearest range starting below a slot's end
+    /// answers "is its space free": `O(log L)` for `L` live slots, and
+    /// nothing is precomputed per slot pair.
+    live_ranges: BTreeMap<u64, u64>,
     live: Vec<bool>,
     /// FIFO of not-yet-consumed slots per `(size, stream)`, in recorded
-    /// alloc-tick order; rebuilt at each iteration boundary. Sorted by
-    /// key so the hit path is a hash-free binary search over the few
-    /// dozen size classes a model has.
+    /// alloc-tick order; refilled in place at each iteration boundary.
+    /// Sorted by key so the hit path is a hash-free binary search over
+    /// the few dozen size classes a model has.
     queues: Vec<((u64, u32), VecDeque<u32>)>,
-    live_count: usize,
+    /// Per-slot index into `queues`, fixed at install.
+    class: Vec<u32>,
     live_bytes: u64,
     iter_hits: u64,
     iter_misses: u64,
@@ -140,24 +146,21 @@ struct InstalledPlan {
 
 impl InstalledPlan {
     fn new(plan: MemoryPlan, arena: Arena) -> Self {
-        let n = plan.slots.len();
-        let mut conflicts: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if plan.slots[i].overlaps_space(&plan.slots[j]) {
-                    conflicts[i].push(j as u32);
-                    conflicts[j].push(i as u32);
-                }
-            }
-        }
+        let mut keys: Vec<(u64, u32)> = plan.slots.iter().map(|s| (s.size, s.stream)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let class = plan
+            .slots
+            .iter()
+            .map(|s| keys.binary_search(&(s.size, s.stream)).expect("keyed") as u32)
+            .collect();
         let mut installed = InstalledPlan {
+            live: vec![false; plan.slots.len()],
             plan,
             arena,
-            conflicts,
-            blocked: vec![0; n],
-            live: vec![false; n],
-            queues: Vec::new(),
-            live_count: 0,
+            live_ranges: BTreeMap::new(),
+            queues: keys.into_iter().map(|k| (k, VecDeque::new())).collect(),
+            class,
             live_bytes: 0,
             iter_hits: 0,
             iter_misses: 0,
@@ -167,55 +170,73 @@ impl InstalledPlan {
     }
 
     /// Re-enqueues every non-live slot in recorded alloc-tick order
-    /// (slots are already sorted by alloc tick in `plan.slots`).
+    /// (slots are already sorted by alloc tick in `plan.slots`), reusing
+    /// the queues' storage.
     fn rebuild_queues(&mut self) {
-        let mut grouped: std::collections::BTreeMap<(u64, u32), VecDeque<u32>> =
-            std::collections::BTreeMap::new();
-        for (i, s) in self.plan.slots.iter().enumerate() {
+        for (_, queue) in &mut self.queues {
+            queue.clear();
+        }
+        for (i, &class) in self.class.iter().enumerate() {
             if !self.live[i] {
-                grouped
-                    .entry((s.size, s.stream))
-                    .or_default()
-                    .push_back(i as u32);
+                self.queues[class as usize].1.push_back(i as u32);
             }
         }
-        self.queues = grouped.into_iter().collect();
         self.iter_hits = 0;
         self.iter_misses = 0;
     }
 
     /// Tries to serve `(size, stream)` from the plan. Returns the slot
-    /// index, or `None` when no matching slot is available (queue empty,
-    /// or the next slot's address range is still occupied).
-    fn take(&mut self, size: u64, stream: u32) -> Option<u32> {
+    /// index, or `None` when no matching slot is available: the queue is
+    /// empty, or the next slot's address range is still occupied (counted
+    /// in `space_blocked`).
+    fn take(&mut self, size: u64, stream: u32, space_blocked: &mut u64) -> Option<u32> {
         let idx = self
             .queues
             .binary_search_by_key(&(size, stream), |(k, _)| *k)
             .ok()?;
         let queue = &mut self.queues[idx].1;
         let &front = queue.front()?;
-        if self.blocked[front as usize] > 0 {
+        let slot = &self.plan.slots[front as usize];
+        let end = slot.offset + slot.size;
+        let below = self.live_ranges.range(..end).next_back();
+        if below.is_some_and(|(_, &live_end)| live_end > slot.offset) {
+            *space_blocked += 1;
             return None;
         }
         queue.pop_front();
+        self.live_ranges.insert(slot.offset, end);
         self.live[front as usize] = true;
-        self.live_count += 1;
         self.live_bytes += size;
-        for &c in &self.conflicts[front as usize] {
-            self.blocked[c as usize] += 1;
-        }
         Some(front)
     }
 
     fn release(&mut self, slot: u32) {
         debug_assert!(self.live[slot as usize]);
         self.live[slot as usize] = false;
-        self.live_count -= 1;
-        self.live_bytes -= self.plan.slots[slot as usize].size;
-        for i in 0..self.conflicts[slot as usize].len() {
-            let c = self.conflicts[slot as usize][i];
-            self.blocked[c as usize] -= 1;
+        let slot = &self.plan.slots[slot as usize];
+        self.live_bytes -= slot.size;
+        self.live_ranges.remove(&slot.offset);
+    }
+
+    fn is_idle(&self) -> bool {
+        self.live_ranges.is_empty()
+    }
+
+    /// Checks that `live_ranges` holds exactly the live slots' ranges and
+    /// that they are pairwise disjoint.
+    fn validate_ranges(&self) -> Result<(), String> {
+        let mut ranges = Vec::new();
+        for (s, _) in self.plan.slots.iter().zip(&self.live).filter(|p| *p.1) {
+            ranges.push((s.offset, s.offset + s.size));
         }
+        ranges.sort_unstable();
+        if let Some(pair) = ranges.windows(2).find(|pair| pair[0].1 > pair[1].0) {
+            return Err(format!("live slot ranges {pair:?} overlap"));
+        }
+        if ranges.into_iter().collect::<BTreeMap<_, _>>() != self.live_ranges {
+            return Err("live range map does not match the live slots".into());
+        }
+        Ok(())
     }
 
     fn iter_hit_rate(&self) -> f64 {
@@ -365,7 +386,7 @@ impl PlannedCore {
         let Some(installed) = self.installed.take() else {
             return 0;
         };
-        debug_assert_eq!(installed.live_count, 0);
+        debug_assert!(installed.is_idle());
         self.teardown_arena(&installed.arena);
         self.recording = true;
         self.counters.replans += 1;
@@ -382,7 +403,9 @@ impl PlannedCore {
     /// transients, installs a plan: build placement → release the
     /// fallback's warm-up cache (so the arena does not double-reserve on
     /// top of it) → materialize the arena. An arena failure (capacity or
-    /// injected fault) aborts the install and keeps recording.
+    /// injected fault) aborts the install and keeps recording. The
+    /// placement dominates the install's host time: first-fit-decreasing
+    /// is `O(n²)` in the `n` intervals, the serving tables `O(n log n)`.
     fn try_install_plan(&mut self) {
         let intervals = self.recorder.finish_window();
         if intervals.len() < self.config.min_plan_intervals {
@@ -421,9 +444,11 @@ impl PlannedCore {
         }
         let stream = caller.unwrap_or(StreamId::DEFAULT);
 
-        // Plan path: O(1), no driver interaction at all.
+        // Plan path: one class lookup and one live-range probe, no driver
+        // interaction at all.
         if let Some(installed) = &mut self.installed {
-            if let Some(slot) = installed.take(req.size, stream.0) {
+            if let Some(slot) = installed.take(req.size, stream.0, &mut self.counters.space_blocked)
+            {
                 installed.iter_hits += 1;
                 let offset = installed.plan.slots[slot as usize].offset;
                 let va = installed.arena.base.offset(offset);
@@ -457,7 +482,7 @@ impl PlannedCore {
         let mut result = ask_fallback(&mut self.fallback);
         if matches!(result, Err(AllocError::OutOfMemory { .. })) {
             // Last-ditch reclaim: surrender an idle arena and retry once.
-            let idle_arena = self.installed.as_ref().is_some_and(|p| p.live_count == 0);
+            let idle_arena = self.installed.as_ref().is_some_and(InstalledPlan::is_idle);
             if idle_arena {
                 self.uninstall_plan();
                 result = ask_fallback(&mut self.fallback);
@@ -556,7 +581,7 @@ impl AllocatorCore for PlannedCore {
         } else if let Some(installed) = &mut self.installed {
             let drifted = installed.iter_misses > 0
                 && installed.iter_hit_rate() < self.config.replan_hit_floor;
-            if drifted && installed.live_count == 0 {
+            if drifted && installed.is_idle() {
                 self.uninstall_plan();
             } else {
                 installed.rebuild_queues();
@@ -571,7 +596,7 @@ impl AllocatorCore for PlannedCore {
 
     fn release_cached(&mut self) -> u64 {
         let mut freed = self.fallback.release_cached();
-        let idle_arena = self.installed.as_ref().is_some_and(|p| p.live_count == 0);
+        let idle_arena = self.installed.as_ref().is_some_and(InstalledPlan::is_idle);
         if idle_arena {
             freed += self.uninstall_plan();
         }
@@ -641,10 +666,11 @@ impl PlannedCore {
         }
         if let Some(installed) = &self.installed {
             installed.plan.validate()?;
-            if installed.live_count != plan_live {
+            installed.validate_ranges()?;
+            if installed.live_ranges.len() != plan_live {
                 return Err(format!(
-                    "live_count {} != live plan routes {plan_live}",
-                    installed.live_count
+                    "{} live slots != live plan routes {plan_live}",
+                    installed.live_ranges.len()
                 ));
             }
             if installed.live_bytes != plan_live_bytes {
@@ -656,22 +682,6 @@ impl PlannedCore {
             let gran = self.driver.granularity();
             if installed.arena.bytes != installed.plan.capacity.div_ceil(gran) * gran {
                 return Err("arena bytes do not match rounded plan capacity".into());
-            }
-            // blocked[] must equal the live-conflict count, recomputed.
-            for i in 0..installed.plan.slots.len() {
-                let expect = installed.conflicts[i]
-                    .iter()
-                    .filter(|&&c| installed.live[c as usize])
-                    .count() as u32;
-                if installed.blocked[i] != expect {
-                    return Err(format!(
-                        "slot {i}: blocked {} != recomputed {expect}",
-                        installed.blocked[i]
-                    ));
-                }
-                if installed.live[i] && installed.blocked[i] > 0 {
-                    return Err(format!("slot {i} live while space-blocked"));
-                }
             }
         } else if plan_live > 0 {
             return Err("plan routes live with no plan installed".into());
@@ -686,5 +696,156 @@ impl Drop for PlannedCore {
             self.teardown_arena(&installed.arena);
         }
         // The fallback's own Drop releases everything it reserved.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use gmlake_alloc_api::mib;
+    use gmlake_gpu_sim::DeviceConfig;
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::recorder::LifetimeInterval;
+
+    fn assert_disjoint(live: &[Allocation]) {
+        for (i, a) in live.iter().enumerate() {
+            for b in &live[i + 1..] {
+                let (a_lo, b_lo) = (a.va.as_u64(), b.va.as_u64());
+                assert!(
+                    a_lo + a.size <= b_lo || b_lo + b.size <= a_lo,
+                    "live {a:?} overlaps live {b:?}"
+                );
+            }
+        }
+    }
+
+    /// An iteration replayed out of recorded order: a class's front slot
+    /// shares its range with a slot that is still live, so the request goes
+    /// to residue instead of onto live memory.
+    #[test]
+    fn reordered_alloc_whose_front_slot_is_occupied_goes_to_residue() {
+        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
+        let mut core = PlannedCore::with_defaults(driver);
+        // Four transients that never coexist: the plan stacks them at 0.
+        let sizes = [mib(4), mib(6), mib(8), mib(2)];
+        for size in sizes {
+            let a = core.allocate(AllocRequest::new(size)).unwrap();
+            core.deallocate(a.id).unwrap();
+        }
+        core.iteration_boundary();
+        let plan = core.plan().expect("plan installed");
+        assert!(plan.slots.iter().all(|s| s.offset == 0));
+
+        let mut live = Vec::new();
+        let step = |core: &mut PlannedCore, live: &mut Vec<Allocation>, size: u64| {
+            live.push(core.allocate(AllocRequest::new(size)).unwrap());
+            assert_disjoint(live);
+            core.validate().unwrap();
+        };
+        // The last recorded alloc comes first and takes offset 0; the
+        // first one's slot is next in its class but overlaps it.
+        step(&mut core, &mut live, mib(2));
+        step(&mut core, &mut live, mib(4));
+        let c = core.counters();
+        assert_eq!((c.plan_hits, c.residue_allocs, c.space_blocked), (1, 1, 1));
+        // Once the blocker is freed its range serves again, and blocks the
+        // next class in turn.
+        core.deallocate(live.remove(0).id).unwrap();
+        step(&mut core, &mut live, mib(6));
+        step(&mut core, &mut live, mib(8));
+        let c = core.counters();
+        assert_eq!((c.plan_hits, c.residue_allocs, c.space_blocked), (2, 2, 2));
+        for a in live.drain(..) {
+            core.deallocate(a.id).unwrap();
+        }
+        core.iteration_boundary();
+
+        // In recorded order every request is a hit and nothing is blocked.
+        for size in sizes {
+            let a = core.allocate(AllocRequest::new(size)).unwrap();
+            core.deallocate(a.id).unwrap();
+        }
+        let c = core.counters();
+        assert_eq!((c.plan_hits, c.residue_allocs, c.space_blocked), (6, 2, 2));
+        core.validate().unwrap();
+    }
+
+    /// Plans over random lifetimes of a few repeated sizes, so classes
+    /// hold several slots and slots share address space.
+    fn plan_strategy() -> impl Strategy<Value = MemoryPlan> {
+        prop::collection::vec(((0u64..64), (1u64..24), (1u64..5), (0u32..2)), 4..40).prop_map(
+            |tuples| {
+                let intervals: Vec<LifetimeInterval> = tuples
+                    .into_iter()
+                    .map(|(start, dur, pages, stream)| LifetimeInterval {
+                        alloc_tick: start,
+                        free_tick: start + dur,
+                        size: pages << 12,
+                        stream,
+                    })
+                    .collect();
+                MemoryPlan::build(&intervals)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `take` hands out a class's front slot exactly when no live slot
+        /// overlaps it — checked against a scan of every live slot — and a
+        /// boundary refills each queue with its class's non-live slots in
+        /// slot order, over random take / release / boundary programs.
+        #[test]
+        fn take_matches_a_brute_force_overlap_model(
+            plan in plan_strategy(),
+            ops in prop::collection::vec(((0u8..4), any::<u32>()), 1..200),
+        ) {
+            let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
+            let arena = Arena {
+                base: VirtAddr::NULL,
+                bytes: plan.capacity,
+                handle: driver.mem_create(driver.granularity()).unwrap(),
+            };
+            let mut installed = InstalledPlan::new(plan, arena);
+            let slots = installed.plan.slots.clone();
+            let mut live: Vec<u32> = Vec::new();
+            let mut blocked = 0u64;
+            for (op, pick) in ops {
+                match op {
+                    0 | 1 => {
+                        let (key, queue) = &installed.queues[pick as usize % installed.queues.len()];
+                        let ((size, stream), front) = (*key, queue.front().copied());
+                        let free = |f: &u32| {
+                            let s = &slots[*f as usize];
+                            !live.iter().any(|&l| slots[l as usize].overlaps_space(s))
+                        };
+                        let expect = front.filter(free);
+                        let before = blocked;
+                        let got = installed.take(size, stream, &mut blocked);
+                        prop_assert_eq!(got, expect);
+                        prop_assert_eq!(blocked - before, u64::from(front != got));
+                        live.extend(got);
+                    }
+                    2 if !live.is_empty() => {
+                        installed.release(live.swap_remove(pick as usize % live.len()));
+                    }
+                    _ => {
+                        installed.rebuild_queues();
+                        for (class, (_, queue)) in installed.queues.iter().enumerate() {
+                            let expect = (0..slots.len() as u32).filter(|&i| {
+                                installed.class[i as usize] as usize == class && !live.contains(&i)
+                            });
+                            prop_assert!(queue.iter().copied().eq(expect));
+                        }
+                    }
+                }
+                installed.validate_ranges().unwrap();
+                for (i, &flag) in installed.live.iter().enumerate() {
+                    prop_assert_eq!(flag, live.contains(&(i as u32)));
+                }
+            }
+        }
     }
 }

@@ -4,8 +4,9 @@
 //! DNN training is iterative: after one warm-up iteration the allocation
 //! sequence is almost fully known, so instead of *reacting* to
 //! fragmentation at alloc time the allocator can *plan* placements
-//! offline (STAlloc, arXiv 2507.16274) and serve the steady state in
-//! O(1). This crate provides:
+//! offline (STAlloc, arXiv 2507.16274) and serve the steady state with
+//! no driver call and one `O(log L)` probe of the `L` live slots per
+//! request. This crate provides:
 //!
 //! * [`IterationRecorder`] — captures one iteration's alloc/free sequence
 //!   as [`LifetimeInterval`]s;

@@ -100,6 +100,9 @@ fn planned_matches_oracle_over_steady_state_corpus() {
             "{label}: plan hit rate {:.3} below 0.95 ({counters:?})",
             counters.hit_rate()
         );
+        // Periodic traffic replays in recorded order, so no front slot
+        // ever finds its range still occupied.
+        assert_eq!(counters.space_blocked, 0, "{label}: {counters:?}");
 
         // Planning must never cost memory: peak reserved ≤ reactive.
         assert!(
