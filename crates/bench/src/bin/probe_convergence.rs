@@ -1,6 +1,6 @@
 //! Diagnostic: per-workload GMLake state counters and convergence flag, the
-//! simulated driver time split by API, and the core's flip-path work
-//! counts. Not a paper figure — used to verify that the S1-only steady
+//! simulated driver time split by API, and the core's flip-path and
+//! reclaim-walk work counts. Not a paper figure — used to verify that the S1-only steady
 //! state (§4.2.2) is reached on each evaluation workload, and to see which
 //! VMM call the allocator's driver time goes to. Everything it prints is
 //! simulated time or a count, so two runs print the same bytes.
@@ -53,6 +53,10 @@ fn probe(model: ModelSpec, s: StrategySet) {
     println!(
         "    core work: part_flips={} index_ops={} view_index_ops={} lru_splices={} active_skips={}",
         w.part_flips, w.index_ops, w.view_index_ops, w.lru_splices, w.active_skips,
+    );
+    println!(
+        "    reclaim: marks={} visits={}",
+        w.reclaim_marks, w.reclaim_visits,
     );
 }
 

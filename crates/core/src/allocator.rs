@@ -39,9 +39,14 @@
 //! its capacity. CUDA cannot unmap or release part of a mapping, so
 //! physical memory goes back one whole reservation at a time, in the
 //! reclaim walk of [`GmLakeAllocator::release_cached`] (the OOM fallback)
-//! and `compact`, or on drop. The walk visits each reservation's pieces in
-//! VA order, merges idle neighbours (bookkeeping only) and returns the
-//! reservations whose every piece is idle.
+//! and `compact`, or on drop. The walk visits the *dirty* reservations in
+//! VA order, merges idle neighbours among their pieces (bookkeeping only)
+//! and returns those whose every piece is idle. A reservation turns dirty
+//! only where one of its pieces may have become idle or mergeable: an
+//! unreferenced pBlock's free, an inactive block losing its last view, a
+//! retired stamp, a split or a fresh `Alloc`. A view's parts are
+//! referenced, so its free marks nothing; the teardown of its last view
+//! does.
 //!
 //! # Hot-path data structures
 //!
@@ -165,7 +170,7 @@ impl FaultJournal {
 }
 
 /// Deterministic work counts of the activity-flip and availability-query
-/// paths. Hidden: they exist so tests and benches can pin the cost model of
+/// paths and of the reclaim walk. Hidden: they exist so tests and benches can pin the cost model of
 /// the module docs on counters instead of wall-clock.
 #[doc(hidden)]
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -190,6 +195,10 @@ pub struct WorkCounters {
     pub view_index_ops: u64,
     /// `O(1)` appends to and unlinks from the eviction list.
     pub lru_splices: u64,
+    /// Insertions into the reclaim walk's dirty set.
+    pub reclaim_marks: u64,
+    /// Reservations the reclaim walk visited.
+    pub reclaim_visits: u64,
 }
 
 /// The two `(size, id)` sets [`best_fit_reference`] runs over (see
@@ -214,10 +223,22 @@ struct Work {
     tier_moves: Cell<u64>,
     active_skips: Cell<u64>,
     view_index_ops: Cell<u64>,
+    reclaim_marks: Cell<u64>,
+    reclaim_visits: Cell<u64>,
 }
 
 fn bump(counter: &Cell<u64>, by: u64) {
     counter.set(counter.get() + by);
+}
+
+/// Puts `p`'s reservation in the reclaim walk's dirty set if `p` is idle,
+/// counted: it may merge with a neighbour now, or have been the last piece
+/// holding the reservation.
+fn mark_if_idle(dirty: &mut BTreeSet<VirtAddr>, work: &Work, p: &PBlock) {
+    if p.is_idle() {
+        dirty.insert(p.resv);
+        bump(&work.reclaim_marks, 1);
+    }
 }
 
 /// Keeps `event` in `newest` if it is `stream`'s newest so far — events of
@@ -285,6 +306,11 @@ pub struct GmLakeAllocator {
     sblocks: Slab<SBlock>,
     /// The VA reservations pBlocks lie in, by base (`PBlock::resv`).
     reservations: BTreeMap<VirtAddr, Reservation>,
+    /// Bases of the reservations the next reclaim walk visits: each may
+    /// have a piece that became idle or mergeable since its last walk.
+    /// Every other one has a live or referenced piece and no two adjacent
+    /// mergeable ones, so the walk would leave it as it is.
+    dirty: BTreeSet<VirtAddr>,
     /// pBlocks keyed `(size, id)`: the inactive unreferenced ones, and every
     /// referenced one, active or not (see [`TieredPIndex`]).
     p_index: TieredPIndex,
@@ -364,6 +390,7 @@ impl GmLakeAllocator {
             pblocks: Slab::new(),
             sblocks: Slab::new(),
             reservations: BTreeMap::new(),
+            dirty: BTreeSet::new(),
             p_index: TieredPIndex::new(),
             s_by_size: BTreeSet::new(),
             lru: LruList::default(),
@@ -457,6 +484,8 @@ impl GmLakeAllocator {
             active_skips: self.work.active_skips.get(),
             view_index_ops: self.work.view_index_ops.get(),
             lru_splices: self.lru.splices,
+            reclaim_marks: self.work.reclaim_marks.get(),
+            reclaim_visits: self.work.reclaim_visits.get(),
         }
     }
 
@@ -608,7 +637,8 @@ impl GmLakeAllocator {
     /// Re-places a pBlock in the index after its first reference appeared
     /// (it is inactive: only inactive blocks are stitched) or its last one
     /// went: it leaves its tier for the other one, or, if active, leaves
-    /// the index.
+    /// the index. An inactive block that lost its last view is idle, which
+    /// dirties its reservation.
     fn retier_pblock(&mut self, pid: PBlockId) {
         let p = &self.pblocks[pid];
         let referenced = p.is_referenced();
@@ -616,6 +646,7 @@ impl GmLakeAllocator {
         if !p.active {
             self.p_index.insert(referenced, p.size, pid);
         }
+        mark_if_idle(&mut self.dirty, &self.work, p);
         bump(&self.work.tier_moves, 1);
     }
 
@@ -632,7 +663,7 @@ impl GmLakeAllocator {
     /// the eviction list, each under its old tick. A referenced block keeps
     /// its index entry, so a view's parts flip in `O(1)` each however many
     /// views share them; only an unreferenced block enters or leaves the
-    /// index, `O(log n)`.
+    /// index, `O(log n)`, and dirties its reservation when it goes idle.
     fn set_pblock_active(&mut self, pid: PBlockId, active: bool) {
         let p = &mut self.pblocks[pid];
         if p.active == active {
@@ -645,6 +676,7 @@ impl GmLakeAllocator {
                 self.p_index.remove(false, p.size, pid);
             } else {
                 self.p_index.insert(false, p.size, pid);
+                mark_if_idle(&mut self.dirty, &self.work, p);
             }
         }
         if active {
@@ -738,6 +770,7 @@ impl GmLakeAllocator {
             },
         );
         self.p_index.insert(false, size, pid);
+        mark_if_idle(&mut self.dirty, &self.work, &self.pblocks[pid]);
         self.reserved_phys += size;
         Ok(pid)
     }
@@ -747,7 +780,8 @@ impl GmLakeAllocator {
     /// and access-enabled pieces of the parent's reservation, so the split
     /// makes no driver call and cannot fail. Referencing sBlocks keep
     /// working (their own mappings are untouched) and their part lists are
-    /// rewritten to the two children. Returns the left child.
+    /// rewritten to the two children. Unreferenced children are idle
+    /// neighbours, which dirties the reservation. Returns the left child.
     ///
     /// Left is inserted before right and the parent removed last: slab ids
     /// break BestFit ties, and this is the order the golden decision pin
@@ -779,6 +813,7 @@ impl GmLakeAllocator {
         let at = pieces.binary_search_by_key(&va, |&x| self.pblocks[x].va);
         let at = at.expect("the reservation lists its piece");
         pieces.splice(at..=at, [left, right]);
+        mark_if_idle(&mut self.dirty, &self.work, &self.pblocks[right]);
         self.remove_pblock(pid);
         // Both children are inactive (the parent was), so no view's
         // availability moves, nothing is parked on the parent, and a
@@ -1019,6 +1054,7 @@ impl GmLakeAllocator {
     /// frees its address; a failure is journaled as an orphan VA.
     fn forget_reservation(&mut self, base: VirtAddr) {
         let r = self.reservations.remove(&base).expect("recorded");
+        self.dirty.remove(&base);
         for pid in r.pieces {
             debug_assert!(self.pblocks[pid].is_mergeable(), "forgetting a busy piece");
             self.remove_pblock(pid);
@@ -1027,16 +1063,24 @@ impl GmLakeAllocator {
         self.unwind_va(base, r.size, 0);
     }
 
-    /// The reclaim walk of `release_cached` and `compact`: one pass over
-    /// every reservation's pieces in VA order, `O(pieces)`. It merges each
-    /// run of VA-adjacent mergeable pieces into its first one — bookkeeping
-    /// only, no driver call — and then returns to the device every
-    /// reservation whose pieces are all inactive and unreferenced and each
-    /// `releasable` by size. Returns the bytes released.
+    /// The reclaim walk of `release_cached` and `compact`: one pass over the
+    /// `d` dirty reservations in VA order, a lookup among all `r` each,
+    /// `O(d log r)` plus their pieces. Every other reservation has a live or referenced piece
+    /// and nothing to merge, so a walk over all of them would do no more
+    /// (`validate()` checks that). It merges each run of VA-adjacent
+    /// mergeable pieces into its first one — bookkeeping only, no driver
+    /// call — and then returns to the device every reservation whose pieces
+    /// are all inactive and unreferenced and each `releasable` by size.
+    /// Such a reservation stays dirty until it goes: the predicate may spare
+    /// it, or its release may fault; every other one leaves the set.
+    /// Returns the bytes released.
     fn reclaim(&mut self, releasable: impl Fn(u64) -> bool) -> u64 {
+        bump(&self.work.reclaim_visits, self.dirty.len() as u64);
+        let (pblocks, index) = (&mut self.pblocks, &mut self.p_index);
+        let reservations = &mut self.reservations;
         let mut doomed = Vec::new();
-        for (&base, r) in &mut self.reservations {
-            let (pblocks, index) = (&mut self.pblocks, &mut self.p_index);
+        self.dirty.retain(|&base| {
+            let r = reservations.get_mut(&base).expect("dirty, so recorded");
             r.pieces.dedup_by(|&mut right, &mut left| {
                 let merge = pblocks[left].is_mergeable() && pblocks[right].is_mergeable();
                 if merge {
@@ -1049,14 +1093,12 @@ impl GmLakeAllocator {
                 }
                 merge
             });
-            let idle = |&pid: &PBlockId| {
-                let p = &self.pblocks[pid];
-                !p.active && !p.is_referenced() && releasable(p.size)
-            };
-            if r.pieces.iter().all(idle) {
+            let idle = r.pieces.iter().all(|&pid| pblocks[pid].is_idle());
+            if idle && r.pieces.iter().all(|&pid| releasable(pblocks[pid].size)) {
                 doomed.push((base, r.size));
             }
-        }
+            idle
+        });
         let mut released = 0;
         for (base, size) in doomed {
             if self.destroy_reservation(base).is_ok() {
@@ -1426,6 +1468,8 @@ impl GmLakeAllocator {
     /// all unassigned sBlocks, then every reservation with no live piece
     /// (a partly live one keeps its idle pieces, merged), then the small
     /// pool's cached segments. Returns bytes of physical memory released.
+    /// The view sweep is `O(views)`; the reclaim walk visits only the
+    /// reservations dirtied since the last one, the teardowns' included.
     fn release_cached_impl(&mut self) -> u64 {
         let unassigned: Vec<SBlockId> = self
             .sblocks
@@ -1608,7 +1652,9 @@ impl GmLakeAllocator {
         }
         // 1b. Reservations: each one's piece list tiles it exactly in VA
         //     order with live pBlocks naming it, so together the lists hold
-        //     every pBlock once; no handle backs two of them.
+        //     every pBlock once; no handle backs two of them. The dirty set
+        //     holds only recorded ones, and every one a walk would merge or
+        //     release.
         let mut handles = BTreeSet::new();
         let mut listed = 0usize;
         for (base, r) in &self.reservations {
@@ -1629,6 +1675,17 @@ impl GmLakeAllocator {
                 return Err(format!("reservation {base}: pieces end at {cursor}"));
             }
             listed += r.pieces.len();
+            // Outside the dirty set a reclaim walk would change nothing.
+            let pieces: Vec<&PBlock> = r.pieces.iter().map(|&pid| &self.pblocks[pid]).collect();
+            let both = |w: &[&PBlock]| w[0].is_mergeable() && w[1].is_mergeable();
+            let merge = pieces.windows(2).any(both);
+            if !self.dirty.contains(base) && (merge || pieces.iter().all(|p| p.is_idle())) {
+                return Err(format!("clean reservation {base} needs a walk"));
+            }
+        }
+        let recorded = |base: &VirtAddr| self.reservations.contains_key(base);
+        if !self.dirty.iter().all(recorded) {
+            return Err("a dirty reservation is not recorded".to_owned());
         }
         if listed != self.pblocks.len() {
             return Err(format!(
@@ -1902,8 +1959,8 @@ impl AllocatorCore for GmLakeAllocator {
 
     /// Retires the stamps whose events completed, with one query per
     /// freeing stream — on its newest event, which completes last — so a
-    /// block reused afterwards pays no wait. Returns how many blocks it
-    /// cleared.
+    /// block reused afterwards pays no wait, and an idle one may merge,
+    /// which dirties its reservation. Returns how many blocks it cleared.
     fn process_events(&mut self) -> u64 {
         let driver = &self.driver;
         let mut done = Vec::new();
@@ -1920,6 +1977,7 @@ impl AllocatorCore for GmLakeAllocator {
                 if p.stamp.is_some_and(|(s, _)| done.contains(&s)) {
                     p.stamp = None;
                     retired += 1;
+                    mark_if_idle(&mut self.dirty, &self.work, p);
                 }
             }
         }
@@ -1958,7 +2016,10 @@ impl AllocatorCore for GmLakeAllocator {
     ///    pieces are all idle and smaller than the fragmentation limit.
     ///    Such pieces are excluded from stitching by the §4.2.3 robustness
     ///    rule, so short of an improbable exact match they are stranded
-    ///    capacity.
+    ///    capacity. The walk visits only the reservations dirtied since the
+    ///    last one (step 1's included); one it spares for a piece at or
+    ///    above the limit stays dirty, so a second pass over an unchanged
+    ///    pool of live reservations visits none.
     ///
     /// Returns the physical bytes released (structure GC frees only virtual
     /// address space, which is unmetered).
@@ -2000,5 +2061,43 @@ impl Drop for GmLakeAllocator {
             let _ = self.driver.mem_release(r.handle);
             let _ = self.driver.mem_address_free(base, r.size);
         }
+    }
+}
+
+#[cfg(test)]
+impl GmLakeAllocator {
+    /// What the next pass — `compact` if `compact`, else `release_cached` —
+    /// should release, by a read-only walk over *every* reservation: the
+    /// oracle of the dirty-set walk. Returns `(base, bytes)` in VA order.
+    /// It replays the pass's view teardown (the blocked unassigned views,
+    /// or every unassigned one), which syncs and so clears the stamps of
+    /// the parts it unmaps, and then the merge and the release predicate.
+    pub(crate) fn reference_reclaim(&self, compact: bool) -> Vec<(VirtAddr, u64)> {
+        let kept = |sid: &SBlockId| {
+            let s = &self.sblocks[*sid];
+            s.assigned_to.is_some() || (compact && self.scan_available(s))
+        };
+        let limit = if compact {
+            self.config.frag_limit
+        } else {
+            u64::MAX
+        };
+        let mut doomed = Vec::new();
+        for (&base, r) in &self.reservations {
+            // Per run of merged pieces: idle, mergeable, bytes.
+            let mut runs: Vec<(bool, bool, u64)> = Vec::new();
+            for p in r.pieces.iter().map(|&pid| &self.pblocks[pid]) {
+                let idle = !p.active && !p.referenced_by.iter().any(kept);
+                let unstamped = p.stamp.is_none() || !p.referenced_by.iter().all(kept);
+                match runs.last_mut() {
+                    Some(run) if run.1 && idle && unstamped => run.2 += p.size,
+                    _ => runs.push((idle, idle && unstamped, p.size)),
+                }
+            }
+            if runs.iter().all(|&(idle, _, size)| idle && size < limit) {
+                doomed.push((base, r.size));
+            }
+        }
+        doomed
     }
 }

@@ -79,10 +79,16 @@ impl PBlock {
         !self.referenced_by.is_empty()
     }
 
+    /// Whether the block is idle: inactive and in no view. A reservation of
+    /// idle pieces can go back to the driver.
+    pub fn is_idle(&self) -> bool {
+        !self.active && !self.is_referenced()
+    }
+
     /// Whether a reclaim walk may merge the block with an idle neighbour:
-    /// inactive, in no view, and guarded by no event.
+    /// idle, and guarded by no event.
     pub fn is_mergeable(&self) -> bool {
-        !self.active && !self.is_referenced() && self.stamp.is_none()
+        self.is_idle() && self.stamp.is_none()
     }
 }
 

@@ -1003,6 +1003,147 @@ mod bestfit_oracle {
     }
 }
 
+mod reclaim_oracle {
+    //! Differential oracle for the dirty-set reclaim walk: before every
+    //! pass of a random program, a read-only walk over *every* reservation
+    //! (`reference_reclaim`) predicts the reservations and bytes the pass
+    //! releases. The pass must release exactly those, less the ones whose
+    //! `mem_release` faulted, which stay mapped. `validate()`, which checks
+    //! that every reservation outside the set is one a walk leaves alone,
+    //! runs after every step. The programs free across streams with work in
+    //! flight, so stamps hold pieces back from merging until `process_events`
+    //! retires them; sizes up to 24 MiB on a 64 MiB device force splits,
+    //! stitches, S4 top-ups and the OOM rescue.
+
+    use super::*;
+    use gmlake_alloc_api::StreamId;
+    use gmlake_gpu_sim::{FaultOp, FaultPlan};
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Allocate on a stream.
+        Alloc(u64, u32),
+        /// Free the n-th (mod live count) live allocation from a stream.
+        Free(usize, u32),
+        /// Launch this much work on a stream.
+        Launch(u32, u64),
+        /// Let the host clock run.
+        Advance(u64),
+        /// Retire the stamps whose events completed.
+        Tick,
+        Compact,
+        ReleaseCached,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            6 => (mib(2)..mib(24), 0u32..3).prop_map(|(size, s)| Op::Alloc(size, s)),
+            5 => (any::<usize>(), 0u32..3).prop_map(|(n, s)| Op::Free(n, s)),
+            2 => (0u32..3, 1u64..1_000_000).prop_map(|(s, ns)| Op::Launch(s, ns)),
+            1 => (1u64..500_000).prop_map(Op::Advance),
+            1 => Just(Op::Tick),
+            2 => Just(Op::Compact),
+            1 => Just(Op::ReleaseCached),
+        ]
+    }
+
+    #[test]
+    fn incremental_reclaim_matches_a_full_walk() {
+        let programs = proptest::collection::vec(op_strategy(), 1..160);
+        let config = ProptestConfig::with_cases(96);
+        let (mut case, mut released, mut faulted, mut retired) = (0u64, 0u64, 0u64, 0u64);
+        let (mut visits, mut full_visits) = (0u64, 0u64);
+        proptest::run_property("core_incremental_reclaim", &config, &programs, |ops| {
+            let dev = DeviceConfig::small_test()
+                .with_capacity(mib(64))
+                .with_backing(false);
+            let d = CudaDriver::new(dev);
+            // A 6 MiB limit: `compact` releases some idle reservations and
+            // spares others.
+            let cfg = test_config().with_max_sblocks(12).with_frag_limit(mib(6));
+            let mut l = GmLakeAllocator::new(d.clone(), cfg);
+            // One program in three loses one `mem_release`, one in three
+            // every one from the second on.
+            case += 1;
+            match case % 3 {
+                1 => d.set_fault_plan(FaultPlan::new().fail_nth(FaultOp::Release, 1 + case % 4)),
+                2 => d.set_fault_plan(FaultPlan::new().fail_from(FaultOp::Release, 2)),
+                _ => {}
+            }
+            let mut live: Vec<(AllocationId, StreamId)> = Vec::new();
+            for op in &ops {
+                match *op {
+                    Op::Alloc(size, s) => {
+                        match l.alloc_on_stream(AllocRequest::new(size), StreamId(s)) {
+                            Ok(a) => live.push((a.id, StreamId(s))),
+                            Err(AllocError::OutOfMemory { .. }) => {}
+                            Err(e) => panic!("unexpected allocator error: {e}"),
+                        }
+                    }
+                    Op::Free(n, s) => {
+                        if !live.is_empty() {
+                            let (id, _) = live.swap_remove(n % live.len());
+                            l.free_on_stream(id, StreamId(s)).unwrap();
+                        }
+                    }
+                    Op::Launch(s, ns) => d.stream_launch(StreamId(s), ns),
+                    Op::Advance(ns) => d.advance_clock(ns),
+                    Op::Tick => retired += l.process_events(),
+                    Op::Compact | Op::ReleaseCached => {
+                        let compact = matches!(op, Op::Compact);
+                        let expected = l.reference_reclaim(compact);
+                        let (phys, failed) = (l.reserved_physical(), l.fault_journal().failed_ops);
+                        let before = l.work_counters();
+                        // One handle per reservation: what a full walk visits.
+                        full_visits += d.snapshot().handles as u64;
+                        let bytes = if compact {
+                            l.compact()
+                        } else {
+                            l.release_cached()
+                        };
+                        // A reservation the pass meant to release and did not
+                        // is still mapped; only a faulted release leaves one.
+                        let (kept, gone): (Vec<_>, Vec<_>) = expected
+                            .iter()
+                            .partition(|&&(base, _)| d.translate(base, mib(2)).is_ok());
+                        let gone: u64 = gone.iter().map(|&&(_, size)| size).sum();
+                        assert_eq!(bytes, gone, "{op:?} released other bytes than predicted");
+                        assert_eq!(phys - l.reserved_physical(), gone);
+                        let faults = l.fault_journal().failed_ops - failed;
+                        assert_eq!(faults, kept.len() as u64, "{op:?} kept {kept:?}");
+                        released += gone;
+                        faulted += faults;
+                        visits += l.work_counters().reclaim_visits - before.reclaim_visits;
+                    }
+                }
+                l.validate().unwrap();
+            }
+            // Drained and fault-free, one release returns every byte: each
+            // reservation is idle, and so in the dirty set.
+            d.clear_fault_plan();
+            for (id, s) in live {
+                l.free_on_stream(id, s).unwrap();
+            }
+            d.device_synchronize();
+            retired += l.process_events();
+            let expected: u64 = l.reference_reclaim(false).iter().map(|r| r.1).sum();
+            assert_eq!(expected, l.reserved_physical());
+            assert_eq!(l.release_cached(), expected);
+            assert!(d.snapshot().is_quiescent());
+            l.validate().unwrap();
+        });
+        assert!(
+            released > 0 && faulted > 0 && retired > 0,
+            "the programs release, fault and retire stamps: {released} {faulted} {retired}"
+        );
+        assert!(
+            visits < full_visits,
+            "{visits} visits, {full_visits} for full walks"
+        );
+    }
+}
+
 mod golden {
     //! Golden pins over three fixed-seed programs from the shared generator
     //! — streams 0–3, defrag passes, cache releases, boundaries, a 12-view
@@ -1127,6 +1268,8 @@ fn work_since(l: &GmLakeAllocator, before: crate::WorkCounters) -> crate::WorkCo
         active_skips: after.active_skips - before.active_skips,
         view_index_ops: after.view_index_ops - before.view_index_ops,
         lru_splices: after.lru_splices - before.lru_splices,
+        reclaim_marks: after.reclaim_marks - before.reclaim_marks,
+        reclaim_visits: after.reclaim_visits - before.reclaim_visits,
     }
 }
 
@@ -1166,6 +1309,7 @@ fn s1_flip_cost_is_bounded_by_sharing_and_flat_over_iterations() {
         assert_eq!(first.active_skips, 0, "S1 on a view reads no pBlock tier");
         assert_eq!(first.view_index_ops, 0, "the view keeps its size entry");
         assert_eq!(first.lru_splices, 2, "one unlink, one append");
+        assert_eq!(first.reclaim_marks, 0, "referenced parts dirty nothing");
         for _ in 0..8 {
             assert_eq!(
                 cycle(&mut l),
@@ -1191,6 +1335,74 @@ fn s1_flip_cost_is_bounded_by_sharing_and_flat_over_iterations() {
     l.deallocate(a.id).unwrap();
     let standalone = work_since(&l, before);
     assert_eq!((standalone.part_flips, standalone.index_ops), (2, 2));
+    assert_eq!(
+        standalone.reclaim_marks, 1,
+        "its free dirties its reservation"
+    );
+    l.validate().unwrap();
+}
+
+/// The reclaim walk visits only what changed since the last one: once every
+/// reservation holds a live piece, a second `compact` visits none, and one
+/// the fragmentation limit spares stays dirty, visited by every pass until
+/// it goes.
+#[test]
+fn a_second_compact_over_an_unchanged_pool_visits_no_reservation() {
+    let cfg = GmLakeConfig::default().with_frag_limit(mib(6));
+    let mut l = lake_with(DeviceConfig::small_test(), cfg);
+    let a = l.allocate(AllocRequest::new(mib(16))).unwrap();
+    let b = l.allocate(AllocRequest::new(mib(8))).unwrap();
+    l.deallocate(a.id).unwrap();
+    // Two S2 splits cut A into 4 | 4 | 8; the middle frees.
+    let head = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    let mid = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    l.deallocate(mid.id).unwrap();
+    assert_eq!(l.pblock_count(), 4);
+    let visits = |l: &mut GmLakeAllocator| {
+        let before = l.work_counters();
+        assert_eq!(l.compact(), 0);
+        l.validate().unwrap();
+        work_since(l, before).reclaim_visits
+    };
+    assert_eq!(visits(&mut l), 2, "both reservations changed");
+    assert_eq!(l.pblock_count(), 3, "A's idle tail merged");
+    assert_eq!(visits(&mut l), 0, "nothing changed since");
+    // B goes idle, but its 8 MiB piece is above the limit.
+    l.deallocate(b.id).unwrap();
+    assert_eq!(visits(&mut l), 1);
+    assert_eq!(visits(&mut l), 1, "a spared reservation stays dirty");
+    l.deallocate(head.id).unwrap();
+    let before = l.work_counters();
+    assert_eq!(l.release_cached(), mib(24));
+    assert_eq!(work_since(&l, before).reclaim_visits, 2);
+    assert!(l.driver().snapshot().is_quiescent());
+    l.validate().unwrap();
+}
+
+/// An S3 whose stitch faults after it split its last candidate leaves two
+/// idle neighbours in a reservation the last walk had found clean: the
+/// split dirtied it, so the next walk merges them back.
+#[test]
+fn a_split_before_a_faulted_stitch_leaves_its_reservation_dirty() {
+    use gmlake_gpu_sim::{FaultOp, FaultPlan};
+    let mut l = lake();
+    let b = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    let a = l.allocate(AllocRequest::new(mib(16))).unwrap();
+    l.deallocate(a.id).unwrap();
+    // A is 8 live | 8 idle, and clean after the walk.
+    let head = l.allocate(AllocRequest::new(mib(8))).unwrap();
+    l.deallocate(b.id).unwrap();
+    l.compact();
+    // 14 MiB stitches [10, 8] and splits A's idle 8 into 4 | 4 first.
+    l.driver()
+        .set_fault_plan(FaultPlan::new().fail_nth(FaultOp::Map, 1));
+    let err = l.allocate(AllocRequest::new(mib(14))).unwrap_err();
+    assert!(matches!(err, AllocError::DriverFault { .. }), "{err}");
+    assert_eq!((l.state_counters().splits, l.pblock_count()), (2, 4));
+    l.validate().unwrap();
+    l.compact();
+    assert_eq!(l.pblock_count(), 3, "the walk merged A's tail back");
+    l.deallocate(head.id).unwrap();
     l.validate().unwrap();
 }
 
