@@ -12,9 +12,9 @@
 //! [`DeviceAllocatorConfig::small_threshold`] — are cached per stream, in
 //! power-of-two size classes, by caches that each hold everything one warm
 //! allocate or free touches behind one lock: free lists keyed by class, the
-//! live table of the ids the cache minted, a pending event ring, and its
-//! statistics. A hit or a same-stream park costs exactly one short
-//! cache-lock acquisition and no core traffic. Large requests go straight
+//! live table of the ids the cache minted, and its statistics. A hit or a
+//! same-stream park costs exactly one short cache-lock acquisition and no
+//! core traffic. Large requests go straight
 //! to the core — a stream-affine `alloc_on_stream` under its mutex, with a
 //! core-minted id — because the stitcher must see every inactive block: a
 //! block parked above the core is one it can neither split nor stitch.
@@ -32,15 +32,16 @@
 //! touch the same lock — not even for identical sizes — which is what keeps
 //! independent GPU streams from serializing at the allocator.
 //!
-//! Reuse follows PyTorch's event-guarded rule — three cases, spelled out on
+//! Reuse follows two cases, spelled out on
 //! [`DeviceAllocator::free_on_stream`]:
 //! a **same-stream** free parks the block for immediate reuse (stream order
 //! already guarantees the previous user finished); a **cross-stream** free
-//! records an event on the freeing stream (given an [`EventSource`], see
-//! [`DeviceAllocator::with_config_and_events`]) and the block waits in the
-//! owning cache's *pending ring* until the event completes; otherwise the
-//! block returns to the core's `free_on_stream`, told the freeing stream,
-//! which orders the block's reuse (the refill told it the owner).
+//! returns the block to the core's `free_on_stream`, told the freeing
+//! stream, which orders the block's reuse (the refill told it the owner).
+//! Given an [`EventSource`] (see
+//! [`DeviceAllocator::with_config_and_events`]), the front-end first
+//! records an event on the freeing stream and synchronizes it, so even a
+//! stream-oblivious core re-serves the block only after that stream's work.
 //! A large block's free goes straight to the core with its stream: the core
 //! owns the cross-stream rule for its own blocks (`GmLakeAllocator` stamps
 //! the freeing stream's event on them, and the next other stream to get one
@@ -105,7 +106,6 @@
 //! assert_eq!(stats.active_bytes, 0);
 //! ```
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use gmlake_telemetry::{EventKind, PoolTelemetry};
@@ -117,7 +117,7 @@ use crate::forward_allocator_core;
 use crate::request::{AllocRequest, Allocation};
 use crate::stats::MemStats;
 use crate::traits::AllocatorCore;
-use crate::types::{mib, AllocationId, EventId, IdMap, StreamId, VirtAddr};
+use crate::types::{mib, AllocationId, IdMap, StreamId, VirtAddr};
 
 /// Front-end allocation ids live in the top half of the id space so they can
 /// never collide with a core's sequential ids.
@@ -157,13 +157,6 @@ pub struct DeviceAllocatorConfig {
     /// Maximum cached blocks per size class; overflowing frees go straight
     /// back to the core (default 64).
     pub max_cached_per_class: usize,
-    /// Capacity of each cache's pending event ring (default 64) — the
-    /// cross-stream-freed blocks that may wait on event completion per
-    /// cache, **across all of the cache's keys**. A full ring sends
-    /// further cross-stream frees through the core fallback; `0` disables
-    /// event parking entirely, restoring the conservative rule even when
-    /// an [`EventSource`](crate::EventSource) is configured.
-    pub pending_ring_cap: usize,
     /// Number of logical GPU streams to partition the caches for (rounded
     /// up to a power of two, default 1). Each stream gets its own bank of
     /// caches, so warm allocations on different streams never share a
@@ -183,7 +176,6 @@ impl Default for DeviceAllocatorConfig {
             small_threshold: mib(2),
             shards: 16,
             max_cached_per_class: 64,
-            pending_ring_cap: 64,
             streams: 1,
         }
     }
@@ -209,14 +201,6 @@ impl DeviceAllocatorConfig {
     #[must_use]
     pub fn with_max_cached_per_class(mut self, max: usize) -> Self {
         self.max_cached_per_class = max;
-        self
-    }
-
-    /// Sets the per-cache pending event ring capacity (`0` disables event
-    /// parking; see [`DeviceAllocatorConfig::pending_ring_cap`]).
-    #[must_use]
-    pub fn with_pending_ring_cap(mut self, cap: usize) -> Self {
-        self.pending_ring_cap = cap;
         self
     }
 
@@ -287,24 +271,6 @@ struct LiveEntry {
     key: u64,
 }
 
-/// A cross-stream-freed block waiting in a cache's pending ring for its
-/// event to complete before it may re-enter the owning stream's free list.
-#[derive(Debug, Clone, Copy)]
-struct PendingEntry {
-    /// The parked block; `block.stream` is still the *owning* (allocating)
-    /// stream — the only stream allowed to reuse it after promotion.
-    block: CachedBlock,
-    /// Free-list key the block is promoted under.
-    key: u64,
-    /// Event recorded on the *freeing* stream at free time: once it
-    /// completes, that stream's in-flight work is done with the block.
-    event: EventId,
-    /// The freeing stream the event was recorded on. Events of one stream
-    /// complete FIFO, so the promotion sweep queries at most one
-    /// incomplete event per distinct freeing stream.
-    freed_from: StreamId,
-}
-
 /// Counters reconciling one cache's fast-path activity with the core's
 /// `MemStats` (see [`DeviceAllocator::stats`]). Guarded by the cache lock,
 /// so the hot path pays no atomic read-modify-writes.
@@ -320,13 +286,9 @@ struct ShardStats {
     /// cap overflow, and cross-stream fallbacks); each undoes the
     /// core-visible half of a free already counted in `fast_frees`.
     cache_returns: u64,
-    /// See [`DeviceCacheStats::cross_stream_parked`].
-    cross_stream_parked: u64,
     /// See [`DeviceCacheStats::cross_stream_fallback`] (a subset of
     /// `cache_returns`).
     cross_stream_fallback: u64,
-    /// Pending-ring blocks promoted into a free list.
-    event_promotions: u64,
     /// Bytes requested by cache hits (the core never saw the requests).
     requested: u64,
     /// Bytes of class rounding the core recorded as "requested" on misses,
@@ -336,10 +298,6 @@ struct ShardStats {
     /// perspective, free from the caller's).
     cached_bytes: u64,
     cached_blocks: u64,
-    /// Bytes / blocks waiting in the pending ring (likewise, but not yet
-    /// reusable).
-    pending_bytes: u64,
-    pending_blocks: u64,
 }
 
 impl ShardStats {
@@ -350,15 +308,11 @@ impl ShardStats {
         self.misses += s.misses;
         self.fast_frees += s.fast_frees;
         self.cache_returns += s.cache_returns;
-        self.cross_stream_parked += s.cross_stream_parked;
         self.cross_stream_fallback += s.cross_stream_fallback;
-        self.event_promotions += s.event_promotions;
         self.requested += s.requested;
         self.requested_inflation += s.requested_inflation;
         self.cached_bytes += s.cached_bytes;
         self.cached_blocks += s.cached_blocks;
-        self.pending_bytes += s.pending_bytes;
-        self.pending_blocks += s.pending_blocks;
     }
 }
 
@@ -370,9 +324,6 @@ struct StreamCache {
     free: IdMap<u64, Vec<CachedBlock>>,
     /// Front-end id -> live allocation.
     live: IdMap<u64, LiveEntry>,
-    /// Cross-stream-freed blocks waiting for their event to complete (in
-    /// record order — within one freeing stream, completion is FIFO).
-    pending: VecDeque<PendingEntry>,
     next_seq: u64,
     stats: ShardStats,
 }
@@ -446,47 +397,6 @@ impl StreamCache {
         self.stats.cached_blocks -= 1;
         Some(evicted)
     }
-
-    /// Moves every pending block whose event has completed into its free
-    /// list; returns how many were promoted. Called under the cache lock;
-    /// `events` is a lock-order leaf (see the [`EventSource`] ordering
-    /// contract), so querying while holding the lock is safe.
-    ///
-    /// Events recorded from one freeing stream complete in FIFO order (the
-    /// [`EventSource`] monotonicity rule), so once one entry of a stream
-    /// reports incomplete, later entries of the same stream are skipped
-    /// without querying — a sweep costs at most one query per *distinct*
-    /// freeing stream with work in flight, not one per ring entry.
-    ///
-    /// Promotion may transiently push a free list past its cap; the
-    /// overshoot is bounded by the ring's own cap and drains as the owner
-    /// allocates (or at the next flush).
-    fn promote_completed(&mut self, events: &dyn EventSource) -> u64 {
-        let mut promoted = 0;
-        // Freeing streams already seen incomplete this sweep (ring-bounded,
-        // so a linear scan beats any set).
-        let mut stalled: Vec<StreamId> = Vec::new();
-        let mut i = 0;
-        while i < self.pending.len() {
-            let p = &self.pending[i];
-            if stalled.contains(&p.freed_from) {
-                i += 1;
-                continue;
-            }
-            if events.query(p.event) {
-                let p = self.pending.remove(i).expect("index checked");
-                self.stats.pending_bytes -= p.block.size;
-                self.stats.pending_blocks -= 1;
-                self.stats.event_promotions += 1;
-                self.park(p.block, p.key);
-                promoted += 1;
-            } else {
-                stalled.push(p.freed_from);
-                i += 1;
-            }
-        }
-        promoted
-    }
 }
 
 /// Point-in-time cache telemetry (see [`DeviceAllocator::cache_stats`]).
@@ -500,21 +410,17 @@ pub struct DeviceCacheStats {
     pub cached_bytes: u64,
     /// Blocks currently parked in the free lists.
     pub cached_blocks: u64,
-    /// Cross-stream frees that recorded an event and parked the block in a
-    /// pending ring — the event-guarded fast path, which touched no core
-    /// state (requires an [`EventSource`]).
+    /// Always 0: the front-end parks no cross-stream free. Kept, with
+    /// `pending_bytes` and `event_promotions`, for the benchmark's
+    /// `alloc-api` rows, which retire at ROADMAP item 11's instrument
+    /// change.
     pub cross_stream_parked: u64,
-    /// Cross-stream frees conservatively returned to the core: no event
-    /// source is configured, or the owning cache or its pending ring was
-    /// full.
+    /// Cross-stream small frees, every one returned to the core (see
+    /// [`DeviceAllocator::free_on_stream`]).
     pub cross_stream_fallback: u64,
-    /// Bytes currently waiting in the pending rings (freed by their
-    /// cross-stream callers, not yet reusable).
+    /// Always 0 (see `cross_stream_parked`).
     pub pending_bytes: u64,
-    /// Blocks currently waiting in the pending rings.
-    pub pending_blocks: u64,
-    /// Pending blocks promoted to a free list after their event completed
-    /// (cumulative).
+    /// Always 0 (see `cross_stream_parked`).
     pub event_promotions: u64,
     /// Number of caches counted (across all stream banks).
     pub shards: usize,
@@ -527,8 +433,6 @@ struct Inner {
     /// Backend name, captured at construction so `name()` never locks.
     name: &'static str,
     small_threshold: u64,
-    /// Per-cache pending event ring capacity (0 = event parking disabled).
-    pending_ring_cap: usize,
     /// Number of per-stream banks (power of two).
     stream_banks: usize,
     /// `stream_banks * per_bank` caches, bank-major.
@@ -539,11 +443,12 @@ struct Inner {
     index_bits: u32,
     /// Cap on each size class's free list.
     max_cached_per_class: usize,
-    /// Stream-completion event source backing the cross-stream reuse fast
-    /// path; `None` keeps the conservative free-through-the-core rule.
+    /// Stream-completion event source a cross-stream small free waits out
+    /// before the core sees the block; `None` leaves the ordering to the
+    /// core alone.
     events: Option<Arc<dyn EventSource>>,
     /// Optional observability sink: sampled alloc/free latencies and cache
-    /// hit/miss/park/promote trace records. `None` costs one branch.
+    /// hit/miss trace records. `None` costs one branch.
     telemetry: Option<Arc<PoolTelemetry>>,
 }
 
@@ -616,16 +521,16 @@ impl DeviceAllocator {
     }
 
     /// Like [`DeviceAllocator::with_config`], plus a stream-completion
-    /// [`EventSource`] enabling the event-guarded cross-stream reuse fast
-    /// path: a cross-stream free records an event and parks the block in a
-    /// pending ring instead of round-tripping through the core mutex (see
+    /// [`EventSource`]: a cross-stream small free records an event on the
+    /// freeing stream and synchronizes it before the core sees the block,
+    /// so a stream-oblivious core stays safe (see
     /// `docs/streams-and-events.md`).
     ///
     /// The source must uphold the [`EventSource`] ordering contract — in
     /// particular it must never call back into this allocator. When the
     /// wrapped core sits on a simulated device, pass a clone of the same
-    /// `CudaDriver` so event completion rides the device's clock and
-    /// per-stream frontiers.
+    /// `CudaDriver` so the wait rides the device's clock and per-stream
+    /// frontiers.
     pub fn with_config_and_events<A: AllocatorCore + Send + 'static>(
         core: A,
         config: DeviceAllocatorConfig,
@@ -637,8 +542,8 @@ impl DeviceAllocator {
 
     /// The general constructor, of which the others are sugar: an
     /// already-boxed core (the registry path of `gmlake-runtime`), a strict
-    /// configuration, an optional [`EventSource`] (`None` keeps the
-    /// conservative free-through-the-core rule), and an optional
+    /// configuration, an optional [`EventSource`] (`None` leaves a
+    /// cross-stream small free's ordering to the core), and an optional
     /// [`PoolTelemetry`] sink fed by the alloc/free fast paths (a disabled
     /// sink costs one relaxed atomic load per call).
     ///
@@ -661,7 +566,6 @@ impl DeviceAllocator {
                 core: Mutex::new(core),
                 name,
                 small_threshold: config.small_threshold,
-                pending_ring_cap: config.pending_ring_cap,
                 stream_banks,
                 caches: (0..total).map(|_| Mutex::default()).collect(),
                 per_bank,
@@ -729,8 +633,7 @@ impl DeviceAllocator {
     }
 
     /// Serves a small `req` from `stream`'s cache. A **hit** — a block
-    /// parked under the request's size class by this exact stream (with a
-    /// promote-and-rescan of the cache's pending ring on a first miss) — is
+    /// parked under the request's size class by this exact stream — is
     /// handed out under one short cache-lock acquisition; the core mutex is
     /// never touched. A **miss** asks the core for a block of the class
     /// size. The cache lock and the core lock are never held simultaneously.
@@ -747,17 +650,7 @@ impl DeviceAllocator {
         {
             let mut guard = cache.lock();
             let g = &mut *guard;
-            let mut hit = g.take(key, stream);
-            if hit.is_none() && !g.pending.is_empty() {
-                // A cross-stream-freed block may be waiting on a completed
-                // event: promote and rescan, still under this one lock.
-                if let Some(events) = &self.inner.events {
-                    if g.promote_completed(&**events) > 0 {
-                        hit = g.take(key, stream);
-                    }
-                }
-            }
-            if let Some(block) = hit {
+            if let Some(block) = g.take(key, stream) {
                 g.stats.hits += 1;
                 g.stats.requested += req.size;
                 if let Some(t) = tel {
@@ -850,22 +743,13 @@ impl DeviceAllocator {
     ///   at cap, a block parked by another stream folded onto the same
     ///   cache is evicted to the core to make room, else the freed block
     ///   itself goes to the core;
-    /// * **different stream**, with an [`EventSource`] configured: an event
-    ///   is recorded on the freeing stream and the block waits in the
-    ///   cache's pending ring; once the event completes it is promoted back
-    ///   into the *owning* stream's free list (by the allocation path or
-    ///   [`DeviceAllocator::process_events`]) — PyTorch's event-guarded
-    ///   cross-stream reuse rule, with no core-mutex round trip. When the
-    ///   freeing stream is already caught up
-    ///   ([`EventSource::try_record`] reports the event complete), the
-    ///   park + promote pair collapses into one step: the block re-pools
-    ///   into the owner's free list immediately;
-    /// * **different stream**, without an event source: the block is
-    ///   returned to the core's [`AllocatorCore::free_on_stream`], told the
-    ///   freeing stream, which owns the cross-stream rule from there. With a
-    ///   source but the ring or the cache full, the block takes the same
-    ///   way after its event is recorded and **synchronized before the core
-    ///   sees it**.
+    /// * **different stream**: the block is returned to the core's
+    ///   [`AllocatorCore::free_on_stream`], told the freeing stream, which
+    ///   owns the cross-stream rule from there. With an [`EventSource`]
+    ///   configured, an event is first recorded on the freeing stream and
+    ///   **synchronized before the core sees the block**, so a core that
+    ///   ignores streams cannot re-serve it while that stream still uses
+    ///   it.
     ///
     /// Every block the front-end hands the core goes through
     /// [`AllocatorCore::free_on_stream`]: a same-stream return (cap
@@ -893,7 +777,7 @@ impl DeviceAllocator {
         result
     }
 
-    /// The three free rules of [`DeviceAllocator::free_on_stream`] for a
+    /// The free rules of [`DeviceAllocator::free_on_stream`] for a
     /// front-end id.
     fn free_cached(
         &self,
@@ -906,9 +790,6 @@ impl DeviceAllocator {
         let cap = self.inner.max_cached_per_class;
         // The minting cache rides in the id's low bits.
         let cache = &caches[raw as usize & (caches.len() - 1)];
-        // The event a cross-stream fallback must synchronize before the
-        // core may re-serve the block; carried out of the lock scope.
-        let mut sync_before_core = None;
         // The block going to the core, with the stream it is freed from.
         let to_core = {
             let mut guard = cache.lock();
@@ -937,54 +818,21 @@ impl DeviceAllocator {
                 g.stats.cache_returns += u64::from(overflow.is_some());
                 overflow
             } else {
-                // Cross-stream: not reusable by anyone until the freeing
-                // stream's in-flight work is done with the block.
-                if let Some(events) = &self.inner.events {
-                    if g.pending.len() < self.inner.pending_ring_cap && g.has_room(key, cap) {
-                        match events.try_record(stream) {
-                            Some(event) => {
-                                g.stats.pending_bytes += block.size;
-                                g.stats.pending_blocks += 1;
-                                g.pending.push_back(PendingEntry {
-                                    block,
-                                    key,
-                                    event,
-                                    freed_from: stream,
-                                });
-                            }
-                            // Already complete at record time: park + promote
-                            // collapse into one step, one event-source call.
-                            None => {
-                                g.stats.event_promotions += 1;
-                                g.park(block, key);
-                            }
-                        }
-                        g.stats.cross_stream_parked += 1;
-                        if let Some(t) = tel {
-                            t.record(
-                                EventKind::CrossStreamPark,
-                                key,
-                                stream.as_u32() as u64,
-                                block.stream.as_u32() as u64,
-                            );
-                        }
-                        return Ok(());
-                    }
-                    // Ring or cache full: record the event now (the source
-                    // is a lock-order leaf) and wait it out after the lock
-                    // drops, before the core can re-serve the block.
-                    sync_before_core = Some(events.record(stream));
-                }
-                // Without an event source the core, told the freeing
-                // stream, orders the block's reuse after that stream's work.
+                // Cross-stream: the core, told the freeing stream, orders
+                // the block's reuse after that stream's work.
                 g.stats.cross_stream_fallback += 1;
                 g.stats.cache_returns += 1;
                 Some((block, stream))
             }
         };
         if let Some((block, freed_from)) = to_core {
-            if let (Some(event), Some(events)) = (sync_before_core, &self.inner.events) {
-                events.synchronize(event);
+            if freed_from != block.stream {
+                if let Some(events) = &self.inner.events {
+                    // Wait out the freeing stream (no cache lock held)
+                    // before the core can re-serve the block: a core that
+                    // ignores streams is safe too.
+                    events.synchronize(events.record(freed_from));
+                }
             }
             self.inner
                 .core
@@ -995,18 +843,11 @@ impl DeviceAllocator {
         Ok(())
     }
 
-    /// Drains the free lists **and pending rings** of `caches` and hands
-    /// the blocks to the core; returns the bytes handed back.
-    ///
-    /// Pending blocks are drained even when their event has not completed:
-    /// the event is [`synchronize`](EventSource::synchronize)d — after the
-    /// cache locks are released, before the core sees the block — exactly
-    /// as PyTorch synchronizes outstanding events when `empty_cache`
-    /// reclaims cross-stream blocks. Defrag and OOM rescue therefore always
-    /// see every cached byte.
+    /// Drains the free lists of `caches` and hands the blocks to the core;
+    /// returns the bytes handed back. Defrag and OOM rescue therefore
+    /// always see every cached byte.
     fn drain_to_core(&self, caches: &[Mutex<StreamCache>]) -> u64 {
         let mut blocks: Vec<CachedBlock> = Vec::new();
-        let mut pending_events: Vec<EventId> = Vec::new();
         for cache in caches {
             let mut guard = cache.lock();
             let g = &mut *guard;
@@ -1018,63 +859,25 @@ impl DeviceAllocator {
                 }
                 blocks.append(&mut stack);
             }
-            while let Some(p) = g.pending.pop_front() {
-                g.stats.cache_returns += 1;
-                g.stats.pending_bytes -= p.block.size;
-                g.stats.pending_blocks -= 1;
-                pending_events.push(p.event);
-                blocks.push(p.block);
-            }
         }
         if blocks.is_empty() {
             return 0;
-        }
-        if let Some(events) = &self.inner.events {
-            for event in pending_events {
-                events.synchronize(event);
-            }
         }
         let mut bytes = 0;
         let mut core = self.inner.core.lock();
         for block in &blocks {
             bytes += block.size;
-            // Parked blocks are idle on their owner, and pending ones had
-            // their event synchronized above: same-stream frees.
+            // Parked blocks are idle on their owner: same-stream frees.
             core.free_on_stream(block.core_id, block.stream)
                 .expect("front-end owns every cached block");
         }
         bytes
     }
 
-    /// Sweeps every cache's pending ring, promoting each cross-stream-freed
-    /// block whose event has completed into its owning stream's free list,
-    /// then forwards to the core's [`AllocatorCore::process_events`];
-    /// returns the sum of both.
-    ///
-    /// The allocation path already promotes opportunistically (a free-list
-    /// miss checks the cache's own ring before falling through to the
-    /// core); this is the *proactive* sweep for natural synchronization
-    /// points (iteration boundaries, scheduler ticks), keeping rings short
-    /// when the owning stream goes idle. Without an [`EventSource`] the
-    /// rings are empty and only the core is swept.
+    /// Forwards to the core's [`AllocatorCore::process_events`]: the
+    /// front-end holds nothing that waits on an event.
     pub fn process_events(&self) -> u64 {
-        let mut promoted = 0;
-        if let Some(events) = &self.inner.events {
-            for cache in self.inner.caches.iter() {
-                let mut guard = cache.lock();
-                if !guard.pending.is_empty() {
-                    promoted += guard.promote_completed(&**events);
-                }
-            }
-        }
-        if promoted > 0 {
-            if let Some(t) = &self.inner.telemetry {
-                // A proactive sweep is rare (iteration boundaries), so it
-                // is recorded whenever telemetry is on, not sampled.
-                t.record(EventKind::EventPromotion, 0, promoted, 0);
-            }
-        }
-        promoted + self.inner.core.lock().process_events()
+        self.inner.core.lock().process_events()
     }
 
     /// Returns every block parked in the caches — across **every** stream
@@ -1115,7 +918,7 @@ impl DeviceAllocator {
     ///
     /// A hit never reached the core (`hits`), a parked free is freed from
     /// the caller's view (`fast_frees` minus `cache_returns`), and parked
-    /// or pending bytes are not active — the caller relinquished them. A
+    /// bytes are not active — the caller relinquished them. A
     /// block between selection and commit is counted exactly once: `take`
     /// removes it and its cached bytes under the same lock acquisition
     /// that books the hit.
@@ -1129,9 +932,7 @@ impl DeviceAllocator {
         s.free_count = (s.free_count + fast.fast_frees).saturating_sub(fast.cache_returns);
         s.requested_bytes_total =
             (s.requested_bytes_total + fast.requested).saturating_sub(fast.requested_inflation);
-        s.active_bytes = s
-            .active_bytes
-            .saturating_sub(fast.cached_bytes + fast.pending_bytes);
+        s.active_bytes = s.active_bytes.saturating_sub(fast.cached_bytes);
         s
     }
 
@@ -1142,13 +943,10 @@ impl DeviceAllocator {
             misses: fast.misses,
             cached_bytes: fast.cached_bytes,
             cached_blocks: fast.cached_blocks,
-            cross_stream_parked: fast.cross_stream_parked,
             cross_stream_fallback: fast.cross_stream_fallback,
-            pending_bytes: fast.pending_bytes,
-            pending_blocks: fast.pending_blocks,
-            event_promotions: fast.event_promotions,
             shards,
             streams,
+            ..Default::default()
         }
     }
 
@@ -1172,8 +970,7 @@ impl DeviceAllocator {
     }
 
     /// Cache telemetry of one stream's bank only (`shards` reports the
-    /// bank's cache count, `streams` is 1), including the bank's
-    /// pending-ring occupancy.
+    /// bank's cache count, `streams` is 1).
     ///
     /// **Folding caveat:** as for [`DeviceAllocator::flush_stream`], the
     /// counters include every stream folded onto the bank.
@@ -1269,8 +1066,35 @@ impl AllocatorCore for DeviceAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::ManualEvents;
+    use crate::types::EventId;
     use std::collections::HashMap as StdHashMap;
+
+    /// One call the front-end made to its event source or to the core's
+    /// free path.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Record(StreamId),
+        Synchronize(EventId),
+        CoreFree(StreamId),
+    }
+
+    type CallLog = Arc<Mutex<Vec<Call>>>;
+
+    /// An event source writing its calls into the log the core shares; the
+    /// n-th logged call mints event n.
+    struct LoggedEvents(CallLog);
+
+    impl EventSource for LoggedEvents {
+        fn record(&self, stream: StreamId) -> EventId {
+            let mut log = self.0.lock();
+            log.push(Call::Record(stream));
+            EventId::new(log.len() as u64)
+        }
+
+        fn synchronize(&self, event: EventId) {
+            self.0.lock().push(Call::Synchronize(event));
+        }
+    }
 
     /// Test core with strict accounting and a bounded capacity.
     #[derive(Default)]
@@ -1282,6 +1106,9 @@ mod tests {
         released: u64,
         /// The stream of every `alloc_on_stream` / `free_on_stream` call.
         streams_seen: Vec<StreamId>,
+        /// Where every `free_on_stream` is logged, in order with the calls
+        /// of a [`LoggedEvents`] source sharing the log.
+        log: Option<CallLog>,
     }
 
     impl TestCore {
@@ -1339,6 +1166,9 @@ mod tests {
 
         fn free_on_stream(&mut self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
             self.streams_seen.push(stream);
+            if let Some(log) = &self.log {
+                log.lock().push(Call::CoreFree(stream));
+            }
             self.deallocate(id)
         }
 
@@ -1363,6 +1193,24 @@ mod tests {
             self.stats.reserved_bytes = active;
             r
         }
+    }
+
+    /// A 2-stream pool over a [`TestCore`] logging its frees into the
+    /// returned log, which a [`LoggedEvents`] source shares if `events`.
+    fn logged_pool(events: bool) -> (DeviceAllocator, CallLog) {
+        let log = CallLog::default();
+        let core = TestCore {
+            log: Some(Arc::clone(&log)),
+            ..TestCore::default()
+        };
+        let config = DeviceAllocatorConfig::default().with_streams(2);
+        let pool = if events {
+            let source = Arc::new(LoggedEvents(Arc::clone(&log)));
+            DeviceAllocator::with_config_and_events(core, config, source)
+        } else {
+            DeviceAllocator::with_config(core, config)
+        };
+        (pool, log)
     }
 
     #[test]
@@ -1501,12 +1349,7 @@ mod tests {
         // The core mints a large request's id and owns the cross-stream
         // rule for it: the front-end hands the free over with its stream,
         // recording and synchronizing nothing itself.
-        let events = Arc::new(ManualEvents::new());
-        let pool = DeviceAllocator::with_config_and_events(
-            TestCore::default(),
-            DeviceAllocatorConfig::default().with_streams(2),
-            events.clone(),
-        );
+        let (pool, log) = logged_pool(true);
         let a = pool
             .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(1))
             .unwrap();
@@ -1518,8 +1361,11 @@ mod tests {
             "the core saw the allocating and the freeing stream"
         );
         assert_eq!(pool.with_core(|c| c.stats().free_count), 1);
-        assert_eq!(events.record(StreamId(0)).as_u64(), 1, "no event recorded");
-        assert_eq!(events.pending(), 1, "none synchronized either");
+        assert_eq!(
+            *log.lock(),
+            [Call::CoreFree(StreamId(0))],
+            "no event recorded or synchronized"
+        );
         assert_eq!(
             pool.deallocate(a.id).unwrap_err(),
             AllocError::UnknownAllocation(a.id),
@@ -1825,19 +1671,20 @@ mod tests {
 
     #[test]
     fn cross_stream_free_routes_through_the_core() {
-        let pool = DeviceAllocator::with_config(
-            TestCore::default(),
-            DeviceAllocatorConfig::default().with_streams(2),
-        );
+        let (pool, log) = logged_pool(false);
         let a = pool
             .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
             .unwrap();
         // Freed from stream 0: the block must NOT be parked for reuse.
         pool.free_on_stream(a.id, StreamId(0)).unwrap();
+        assert_eq!(
+            *log.lock(),
+            [Call::CoreFree(StreamId(0))],
+            "no event source: straight to the core, told the freeing stream"
+        );
         let c = pool.cache_stats();
         assert_eq!(c.cached_blocks, 0, "cross-stream free never parks");
-        assert_eq!(c.cross_stream_fallback, 1, "no event source: via the core");
-        assert_eq!(c.cross_stream_parked, 0);
+        assert_eq!(c.cross_stream_fallback, 1, "counted as a cross-stream free");
         assert_eq!(
             pool.with_core(|core| core.stats().live_allocations()),
             0,
@@ -2016,255 +1863,42 @@ mod tests {
         assert_eq!(pool.with_core(|c| c.stats().live_allocations()), 0);
     }
 
-    /// A 2-stream pool over a `ManualEvents` source plus a control handle
-    /// to script pending→ready transitions.
-    fn event_pool(capacity: u64) -> (DeviceAllocator, Arc<ManualEvents>) {
-        let events = Arc::new(ManualEvents::new());
-        let pool = DeviceAllocator::with_config_and_events(
-            TestCore::bounded(capacity),
-            DeviceAllocatorConfig::default().with_streams(2),
-            events.clone(),
-        );
-        (pool, events)
-    }
-
     #[test]
-    fn cross_stream_free_with_events_parks_until_completion() {
-        let (pool, events) = event_pool(0);
+    fn cross_stream_free_with_events_synchronizes_before_the_core() {
+        let (pool, log) = logged_pool(true);
         let a = pool
             .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
             .unwrap();
-        // Freed from stream 0: records an event, parks in the pending ring.
         pool.free_on_stream(a.id, StreamId(0)).unwrap();
-        let c = pool.cache_stats();
-        assert_eq!(c.cross_stream_parked, 1);
-        assert_eq!(c.cross_stream_fallback, 0);
-        assert_eq!((c.pending_blocks, c.pending_bytes), (1, 1024));
-        assert_eq!(c.cached_blocks, 0, "not reusable before the event");
+        // An event recorded on the freeing stream and waited out, and only
+        // then the block handed to the core, named as freed from there.
         assert_eq!(
-            pool.with_core(|core| core.stats().live_allocations()),
-            1,
-            "the core never saw the free — no round trip"
+            *log.lock(),
+            [
+                Call::Record(StreamId(0)),
+                Call::Synchronize(EventId::new(1)),
+                Call::CoreFree(StreamId(0)),
+            ]
         );
-        // The caller-visible stats already count the block as freed.
+        let c = pool.cache_stats();
+        assert_eq!((c.cross_stream_fallback, c.cached_blocks), (1, 0));
+        assert_eq!(pool.with_core(|core| core.stats().live_allocations()), 0);
         let s = pool.stats();
         assert_eq!((s.alloc_count, s.free_count, s.active_bytes), (1, 1, 0));
-        // While the event is outstanding, the owner's allocation MISSES:
-        // the block must not come back early.
+        // A same-stream free parks, and the flush returning the parked
+        // block touches no event either.
         let b = pool
             .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
             .unwrap();
-        assert_ne!(b.va, a.va, "pending block must not be handed out");
-        assert_eq!(pool.cache_stats().hits, 0);
-        // Event completes (b stays live, so the free list is empty): the
-        // next owner-stream allocation promotes the pending block and
-        // reuses it — one shard lock, no core traffic.
-        events.complete_all();
-        let core_allocs_before = pool.with_core(|core| core.stats().alloc_count);
-        let c2 = pool
-            .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
-            .unwrap();
-        assert_eq!(c2.va, a.va, "the promoted block was reused");
-        assert_eq!(
-            pool.with_core(|core| core.stats().alloc_count),
-            core_allocs_before,
-            "promotion + reuse required no core allocation"
-        );
-        let cs = pool.cache_stats();
-        assert_eq!(cs.event_promotions, 1);
-        assert_eq!(cs.pending_blocks, 0);
-        assert_eq!(cs.hits, 1);
         pool.free_on_stream(b.id, StreamId(1)).unwrap();
-        pool.free_on_stream(c2.id, StreamId(1)).unwrap();
-        let s = pool.stats();
-        assert_eq!((s.alloc_count, s.free_count, s.active_bytes), (3, 3, 0));
-    }
-
-    #[test]
-    fn process_events_sweeps_the_pending_rings() {
-        let (pool, events) = event_pool(0);
-        let a = pool
-            .alloc_on_stream(AllocRequest::new(2048), StreamId(1))
-            .unwrap();
-        pool.free_on_stream(a.id, StreamId(0)).unwrap();
-        assert_eq!(pool.process_events(), 0, "event still outstanding");
-        assert_eq!(pool.cache_stats().pending_blocks, 1);
-        events.complete_all();
-        assert_eq!(pool.process_events(), 1);
-        let c = pool.cache_stats();
-        assert_eq!(c.pending_blocks, 0);
-        assert_eq!(c.cached_blocks, 1, "promoted into the owner's free list");
-        // The owner reuses the promoted block.
-        let b = pool
-            .alloc_on_stream(AllocRequest::new(2048), StreamId(1))
-            .unwrap();
-        assert_eq!(b.va, a.va);
-        assert_eq!(pool.cache_stats().hits, 1);
-        pool.free_on_stream(b.id, StreamId(1)).unwrap();
+        assert_eq!(pool.flush(), 1024);
+        assert_eq!(&log.lock()[3..], &[Call::CoreFree(StreamId(1))]);
     }
 
     #[test]
     fn process_events_without_a_source_is_a_noop() {
         let pool = DeviceAllocator::new(TestCore::default());
         assert_eq!(pool.process_events(), 0);
-    }
-
-    #[test]
-    fn full_pending_ring_falls_back_to_the_core_after_synchronizing() {
-        let events = Arc::new(ManualEvents::new());
-        let pool = DeviceAllocator::with_config_and_events(
-            TestCore::default(),
-            DeviceAllocatorConfig::default()
-                .with_streams(2)
-                .with_pending_ring_cap(1),
-            events.clone(),
-        );
-        let a = pool
-            .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
-            .unwrap();
-        let b = pool
-            .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
-            .unwrap();
-        pool.free_on_stream(a.id, StreamId(0)).unwrap();
-        assert_eq!(events.pending(), 1, "parked event outstanding");
-        pool.free_on_stream(b.id, StreamId(0)).unwrap();
-        let c = pool.cache_stats();
-        assert_eq!(c.cross_stream_parked, 1, "ring capacity is 1");
-        assert_eq!(c.cross_stream_fallback, 1, "overflow went to the core");
-        assert_eq!(c.pending_blocks, 1);
-        // The overflowing free recorded AND synchronized its event before
-        // the core saw the block — same rule as the flush path, so the
-        // core can never re-serve a block whose freeing stream is still
-        // using it. (ManualEvents completes along a global timeline, so
-        // the sync also completed the parked block's earlier event.)
-        assert_eq!(events.pending(), 0, "fallback synchronized its event");
-        assert_eq!(
-            pool.with_core(|core| core.stats().live_allocations()),
-            1,
-            "exactly the parked block is still core-live"
-        );
-        let s = pool.stats();
-        assert_eq!((s.alloc_count, s.free_count, s.active_bytes), (2, 2, 0));
-    }
-
-    #[test]
-    fn zero_pending_ring_cap_disables_event_parking() {
-        let events = Arc::new(ManualEvents::new());
-        let pool = DeviceAllocator::with_config_and_events(
-            TestCore::default(),
-            DeviceAllocatorConfig::default()
-                .with_streams(2)
-                .with_pending_ring_cap(0),
-            events.clone(),
-        );
-        let a = pool
-            .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
-            .unwrap();
-        pool.free_on_stream(a.id, StreamId(0)).unwrap();
-        let c = pool.cache_stats();
-        assert_eq!(c.cross_stream_parked, 0, "parking disabled");
-        assert_eq!(c.cross_stream_fallback, 1);
-        assert_eq!(c.pending_blocks, 0);
-        assert_eq!(events.pending(), 0, "fallback event synchronized");
-        assert_eq!(pool.with_core(|core| core.stats().live_allocations()), 0);
-    }
-
-    #[test]
-    fn flush_drains_pending_rings_and_synchronizes_their_events() {
-        let (pool, events) = event_pool(0);
-        let a = pool
-            .alloc_on_stream(AllocRequest::new(1000), StreamId(1))
-            .unwrap();
-        pool.free_on_stream(a.id, StreamId(0)).unwrap();
-        assert_eq!(events.pending(), 1, "event outstanding");
-        // Flush must reach the NOT-yet-completed cross-stream block:
-        // defrag/OOM rescue sees every cached byte.
-        assert_eq!(pool.flush(), 1024, "the pending block's bytes came back");
-        assert_eq!(
-            events.pending(),
-            0,
-            "handing the block to the core synchronized its event"
-        );
-        let c = pool.cache_stats();
-        assert_eq!(
-            (c.pending_blocks, c.pending_bytes, c.cached_blocks),
-            (0, 0, 0)
-        );
-        assert_eq!(pool.with_core(|core| core.stats().live_allocations()), 0);
-        let s = pool.stats();
-        assert_eq!((s.alloc_count, s.free_count, s.active_bytes), (1, 1, 0));
-    }
-
-    #[test]
-    fn oom_retry_reclaims_pending_blocks() {
-        // Capacity fits exactly one 1 KiB-class block, which is stuck in a
-        // pending ring behind an uncompleted event. The OOM retry's flush
-        // must synchronize and reclaim it or the allocation cannot succeed.
-        let (pool, _events) = event_pool(1024);
-        let a = pool
-            .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
-            .unwrap();
-        pool.free_on_stream(a.id, StreamId(0)).unwrap();
-        assert_eq!(pool.cache_stats().pending_blocks, 1);
-        let b = pool
-            .alloc_on_stream(AllocRequest::new(1024), StreamId(0))
-            .unwrap();
-        assert_eq!(b.size, 1024, "flush-and-retry rescued the request");
-        assert_eq!(pool.cache_stats().pending_blocks, 0);
-        pool.free_on_stream(b.id, StreamId(0)).unwrap();
-    }
-
-    #[test]
-    fn immediate_events_promote_on_the_very_next_owner_alloc() {
-        let pool = DeviceAllocator::with_config_and_events(
-            TestCore::default(),
-            DeviceAllocatorConfig::default().with_streams(2),
-            Arc::new(crate::events::ImmediateEvents),
-        );
-        let a = pool
-            .alloc_on_stream(AllocRequest::new(4096), StreamId(1))
-            .unwrap();
-        pool.free_on_stream(a.id, StreamId(0)).unwrap();
-        let b = pool
-            .alloc_on_stream(AllocRequest::new(4096), StreamId(1))
-            .unwrap();
-        assert_eq!(b.va, a.va, "already-complete event: immediate reuse");
-        assert_eq!(
-            pool.with_core(|c| c.stats().alloc_count),
-            1,
-            "no core round trip on the warm event path"
-        );
-        let c = pool.cache_stats();
-        assert_eq!(
-            (c.hits, c.event_promotions, c.cross_stream_parked),
-            (1, 1, 1)
-        );
-        assert_eq!(c.cross_stream_fallback, 0);
-        pool.free_on_stream(b.id, StreamId(1)).unwrap();
-    }
-
-    #[test]
-    fn promoted_blocks_stay_guarded_by_exact_stream_ids() {
-        // Stream 5 folds onto bank 1 (2 banks). Its block, cross-stream
-        // freed and promoted, must still only be reusable by stream 5 —
-        // promotion must not launder the owner tag.
-        let (pool, events) = event_pool(0);
-        let a = pool
-            .alloc_on_stream(AllocRequest::new(1024), StreamId(5))
-            .unwrap();
-        pool.free_on_stream(a.id, StreamId(0)).unwrap();
-        events.complete_all();
-        assert_eq!(pool.process_events(), 1);
-        let b = pool
-            .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
-            .unwrap();
-        assert_ne!(b.va, a.va, "stream 1 must not get stream 5's block");
-        let a2 = pool
-            .alloc_on_stream(AllocRequest::new(1024), StreamId(5))
-            .unwrap();
-        assert_eq!(a2.va, a.va, "the owner reuses its promoted block");
-        pool.free_on_stream(b.id, StreamId(1)).unwrap();
-        pool.free_on_stream(a2.id, StreamId(5)).unwrap();
     }
 
     #[test]

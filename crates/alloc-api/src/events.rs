@@ -4,190 +4,49 @@
 //! A block freed from a different stream than the one it was allocated on
 //! cannot be reused until the freeing stream's in-flight work has finished
 //! with it. CUDA expresses that with events (`cuEventRecord` /
-//! `cuEventQuery`), and PyTorch's caching allocator records one on every
-//! cross-stream free, re-pooling the block once the event completes. The
-//! [`EventSource`] trait is this crate's abstraction of that primitive, so
-//! the [`DeviceAllocator`](crate::DeviceAllocator) front-end can park a
-//! cross-stream-freed block in a *pending ring* and promote it back to its
-//! owning stream's free list — one shard lock, no core-mutex round trip —
-//! as soon as its event reports completion.
+//! `cuEventSynchronize`). The [`EventSource`] trait is this crate's
+//! abstraction of that primitive: the
+//! [`DeviceAllocator`](crate::DeviceAllocator) front-end records an event on
+//! the freeing stream of a cross-stream small free and synchronizes it
+//! before the wrapped core sees the block, so even a core that ignores
+//! streams never re-serves memory a stream still uses.
 //!
-//! Two reference implementations live here for tests and benches:
-//! [`ImmediateEvents`] (every event is already complete — streams that are
-//! always caught up) and [`ManualEvents`] (completion is advanced
-//! explicitly — deterministic pending→ready transitions). The simulated
-//! CUDA driver (`gmlake-gpu-sim`'s `CudaDriver`) provides the
-//! paper-faithful implementation: events ride the simulated clock and
-//! per-stream completion frontiers, and every `record`/`query`/
-//! `synchronize` is costed as a driver call.
-
-use parking_lot::Mutex;
+//! The simulated CUDA driver (`gmlake-gpu-sim`'s `CudaDriver`) provides the
+//! implementation: events ride the simulated clock and per-stream
+//! completion frontiers, and every `record`/`synchronize` is costed as a
+//! driver call.
 
 use crate::types::{EventId, StreamId};
 
 /// A source of stream-completion events, the synchronization primitive the
 /// [`DeviceAllocator`](crate::DeviceAllocator) uses to guard cross-stream
-/// block reuse (CUDA's `cuEventRecord` / `cuEventQuery` /
-/// `cuEventSynchronize`).
+/// block reuse (CUDA's `cuEventRecord` / `cuEventSynchronize`).
 ///
 /// # Ordering contract
 ///
 /// This trait carries the safety rules that make event-guarded reuse sound;
-/// implementors and callers must uphold all of them:
+/// implementors must uphold all of them:
 ///
-/// * **Completion is monotone.** Once [`EventSource::query`] has returned
-///   `true` for an event, it must return `true` forever; an event recorded
-///   on a stream completes no earlier than every event previously recorded
-///   on the same stream.
-/// * **Record captures the stream's past, not its future.** An event
-///   completes only after all work enqueued on `stream` *before* the
-///   [`EventSource::record`] call has finished; work enqueued afterwards
-///   must not delay it indefinitely being observed as complete.
-/// * **`synchronize` blocks until completion.** After
-///   [`EventSource::synchronize`] returns, [`EventSource::query`] on the
-///   same event must return `true`.
-/// * **No re-entry.** The allocator invokes these methods while holding one
-///   of its internal shard locks, so an implementation must never call back
-///   into the allocator (directly or via another thread it blocks on) —
-///   doing so deadlocks. Treat an `EventSource` as a *leaf* in the lock
-///   order: it may take its own internal locks but must acquire nothing
-///   that can wait on an allocator lock.
-/// * **Unknown events count as complete.** Callers may drop an [`EventId`]
-///   without querying it to completion, and an implementation may garbage-
-///   collect completed events; querying an id it no longer tracks must
-///   return `true` (the conservative direction would wedge blocks forever,
-///   the chosen direction merely re-enables reuse of a block whose event
-///   was already observed complete).
+/// * **Record captures the stream's past.** An event completes only after
+///   all work enqueued on `stream` *before* the [`EventSource::record`]
+///   call has finished; an event recorded on a stream completes no earlier
+///   than every event previously recorded on the same stream.
+/// * **`synchronize` blocks until completion.** When
+///   [`EventSource::synchronize`] returns, the event has completed; for an
+///   event the source no longer tracks (already complete) it returns at
+///   once.
+/// * **No re-entry.** An implementation must never call back into the
+///   allocator (directly or via another thread it blocks on). Treat an
+///   `EventSource` as a *leaf* in the lock order: it may take its own
+///   internal locks but must acquire nothing that can wait on an allocator
+///   lock.
 pub trait EventSource: Send + Sync {
     /// Records an event on `stream`, returning its identifier. The event
     /// completes once all work enqueued on `stream` so far has finished.
     fn record(&self, stream: StreamId) -> EventId;
 
-    /// Like [`EventSource::record`], but returns `None` when the event
-    /// would already be complete at record time (the stream has no work in
-    /// flight) — letting the caller skip tracking it entirely. The default
-    /// conservatively records and returns `Some`; sources that can answer
-    /// cheaply (the simulated driver knows its stream frontiers) override
-    /// this, which is what lets a caught-up cross-stream free re-pool its
-    /// block in one call instead of a record + query round trip.
-    fn try_record(&self, stream: StreamId) -> Option<EventId> {
-        Some(self.record(stream))
-    }
-
-    /// Polls `event` without blocking: `true` once it has completed (always
-    /// `true` for an event this source no longer tracks).
-    fn query(&self, event: EventId) -> bool;
-
     /// Blocks (in simulation: advances time) until `event` has completed.
     fn synchronize(&self, event: EventId);
-}
-
-/// An [`EventSource`] whose events are always already complete — the
-/// behaviour of streams that never run ahead of the host.
-///
-/// Useful as the best-case reference in benches (cross-stream reuse with
-/// zero event latency) and in tests that only exercise routing, not
-/// pending→ready transitions.
-///
-/// ```
-/// use gmlake_alloc_api::{EventSource, ImmediateEvents, StreamId};
-/// let events = ImmediateEvents;
-/// let ev = events.record(StreamId(3));
-/// assert!(events.query(ev));
-/// ```
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ImmediateEvents;
-
-impl EventSource for ImmediateEvents {
-    fn record(&self, _stream: StreamId) -> EventId {
-        EventId::new(0)
-    }
-
-    fn try_record(&self, _stream: StreamId) -> Option<EventId> {
-        None // every event is complete at record time
-    }
-
-    fn query(&self, _event: EventId) -> bool {
-        true
-    }
-
-    fn synchronize(&self, _event: EventId) {}
-}
-
-/// An [`EventSource`] whose completion is advanced explicitly by the test
-/// harness — the deterministic way to script pending→ready transitions.
-///
-/// Events complete along a single global timeline: identifiers are minted
-/// sequentially and [`ManualEvents::complete_through`] marks every event up
-/// to (and including) a given id complete. This is a *stronger* ordering
-/// than a per-stream frontier (completing a later event completes all
-/// earlier ones, across streams), which satisfies the monotonicity half of
-/// the [`EventSource`] contract while keeping tests free of
-/// stream-interleaving ambiguity.
-///
-/// ```
-/// use gmlake_alloc_api::{EventSource, ManualEvents, StreamId};
-/// let events = ManualEvents::new();
-/// let ev = events.record(StreamId(1));
-/// assert!(!events.query(ev), "nothing completed yet");
-/// events.complete_all();
-/// assert!(events.query(ev));
-/// ```
-#[derive(Debug, Default)]
-pub struct ManualEvents {
-    state: Mutex<ManualState>,
-}
-
-#[derive(Debug, Default)]
-struct ManualState {
-    /// Last minted event id (ids start at 1).
-    recorded: u64,
-    /// Every event with `id <= completed` has completed.
-    completed: u64,
-}
-
-impl ManualEvents {
-    /// Creates a source with no events recorded.
-    pub fn new() -> Self {
-        ManualEvents::default()
-    }
-
-    /// Marks every event recorded so far as complete.
-    pub fn complete_all(&self) {
-        let mut g = self.state.lock();
-        g.completed = g.recorded;
-    }
-
-    /// Marks every event up to and including `event` as complete (no-op if
-    /// that point has already been passed).
-    pub fn complete_through(&self, event: EventId) {
-        let mut g = self.state.lock();
-        g.completed = g.completed.max(event.as_u64());
-    }
-
-    /// Number of recorded events that have not completed yet.
-    pub fn pending(&self) -> u64 {
-        let g = self.state.lock();
-        g.recorded - g.completed
-    }
-}
-
-impl EventSource for ManualEvents {
-    fn record(&self, _stream: StreamId) -> EventId {
-        let mut g = self.state.lock();
-        g.recorded += 1;
-        EventId::new(g.recorded)
-    }
-
-    fn query(&self, event: EventId) -> bool {
-        event.as_u64() <= self.state.lock().completed
-    }
-
-    fn synchronize(&self, event: EventId) {
-        // The host blocking on an event IS what completes it here: the
-        // manual source has no background progress of its own.
-        self.complete_through(event);
-    }
 }
 
 #[cfg(test)]
@@ -195,69 +54,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn immediate_events_are_always_complete() {
-        let e = ImmediateEvents;
-        let ev = e.record(StreamId(5));
-        assert!(e.query(ev));
-        e.synchronize(ev); // no-op, must not panic
-    }
-
-    #[test]
-    fn manual_events_complete_in_order() {
-        let e = ManualEvents::new();
-        let a = e.record(StreamId(0));
-        let b = e.record(StreamId(1));
-        assert!(a < b, "ids are minted sequentially");
-        assert_eq!(e.pending(), 2);
-        assert!(!e.query(a) && !e.query(b));
-        e.complete_through(a);
-        assert!(e.query(a));
-        assert!(!e.query(b), "later event still pending");
-        assert_eq!(e.pending(), 1);
-        e.complete_all();
-        assert!(e.query(b));
-        assert_eq!(e.pending(), 0);
-    }
-
-    #[test]
-    fn manual_synchronize_forces_completion() {
-        let e = ManualEvents::new();
-        let a = e.record(StreamId(0));
-        let b = e.record(StreamId(0));
-        e.synchronize(b);
-        assert!(
-            e.query(a),
-            "synchronizing a later event completes earlier ones"
-        );
-        assert!(e.query(b));
-    }
-
-    #[test]
-    fn complete_through_never_regresses() {
-        let e = ManualEvents::new();
-        let a = e.record(StreamId(0));
-        let b = e.record(StreamId(0));
-        e.complete_through(b);
-        e.complete_through(a); // lower watermark: must not un-complete b
-        assert!(e.query(b));
-    }
-
-    #[test]
-    fn try_record_default_records_while_immediate_skips() {
-        let m = ManualEvents::new();
-        let ev = m.try_record(StreamId(0));
-        assert!(ev.is_some(), "the conservative default records an event");
-        assert_eq!(m.pending(), 1);
-        assert!(
-            ImmediateEvents.try_record(StreamId(0)).is_none(),
-            "always-complete sources report nothing to wait for"
-        );
-    }
-
-    #[test]
     fn sources_are_send_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<ImmediateEvents>();
-        assert_send_sync::<ManualEvents>();
+        // The front-end shares its source across threads as an
+        // `Arc<dyn EventSource>`.
+        fn assert_send_sync<T: Send + Sync + ?Sized>() {}
+        assert_send_sync::<dyn EventSource>();
     }
 }

@@ -13,11 +13,10 @@
 //!   callers (the runtime's pool service, replayers, benches) speak to. It
 //!   serves warm requests below the stitch threshold from size-class
 //!   free-list caches partitioned per logical GPU stream ([`StreamId`]),
-//!   with PyTorch's event-guarded cross-stream reuse rule (an
-//!   [`EventSource`] turns cross-stream frees into pending-ring parks
-//!   promoted on event completion; without one the conservative
-//!   through-the-core rule applies), so threads and streams never contend
-//!   with each other or with stitch work. Requests at or above the
+//!   so threads and streams never contend with each other or with stitch
+//!   work. A cross-stream small free returns its block to the core, told
+//!   the freeing stream (given an [`EventSource`], after waiting out an
+//!   event recorded on that stream). Requests at or above the
 //!   threshold go straight to the core, whose stitcher must see every
 //!   inactive block.
 //!
@@ -49,7 +48,7 @@ pub use device::{
     DeviceAllocator, DeviceAllocatorConfig, DeviceCacheStats, MAX_SHARDS, MAX_STREAMS,
 };
 pub use error::AllocError;
-pub use events::{EventSource, ImmediateEvents, ManualEvents};
+pub use events::EventSource;
 pub use request::{AllocRequest, Allocation};
 pub use stats::{FaultJournalStats, MemStats, StatsDelta};
 pub use traits::AllocatorCore;

@@ -109,12 +109,10 @@ pub trait AllocatorCore {
     /// cross-stream-freed blocks it settled. The default has no such
     /// machinery and returns 0. The
     /// [`DeviceAllocator`](crate::DeviceAllocator) front-end (and the
-    /// runtime's `PoolHandle`) promote pending-ring blocks whose events
-    /// have completed and forward to their core; `GmLakeAllocator` retires
-    /// the event stamps that completed, so reusing those blocks needs no
-    /// wait. Trait-generic drivers (the trace replayers) call it at natural
-    /// synchronization points — iteration boundaries — so parked blocks do
-    /// not idle past the moment their event completes.
+    /// runtime's `PoolHandle`) forward to their core; `GmLakeAllocator`
+    /// retires the event stamps that completed, so reusing those blocks
+    /// needs no wait. Trait-generic drivers (the trace replayers) call it at
+    /// natural synchronization points — iteration boundaries.
     fn process_events(&mut self) -> u64 {
         0
     }

@@ -1,7 +1,8 @@
 //! Shared harness plumbing for the per-figure/table benchmark binaries.
 //!
 //! Every binary in `src/bin/` reproduces one table or figure of the paper's
-//! evaluation (see `DESIGN.md` §4 for the index). They all follow the same
+//! evaluation (the README's *Reproduced results* lists them, and
+//! `docs/architecture.md` maps the layers they drive). They all follow the same
 //! recipe: build a [`TrainConfig`], generate its trace, replay it against
 //! the PyTorch-style caching allocator and against GMLake on identical
 //! fresh devices, and print the paper's rows/series.

@@ -518,8 +518,7 @@ impl CudaDriver {
     /// without tracking an event — when `stream` has no work in flight
     /// (the marker would complete at record time), and records a pending
     /// event otherwise. Costed and counted exactly like `event_record`;
-    /// this is the one-round-trip path the allocator's cross-stream free
-    /// uses to re-pool a caught-up block immediately.
+    /// the cores' cross-stream frees use it to skip caught-up streams.
     pub fn event_record_if_pending(&self, stream: StreamId) -> Option<EventId> {
         let mut g = self.inner.lock();
         let now = g.clock.now_ns();
@@ -661,24 +660,15 @@ impl CudaDriver {
 }
 
 /// The simulated driver *is* a stream-event source: a `DeviceAllocator`
-/// front-end built with a clone of the device's driver records and polls
-/// its cross-stream-reuse events on the same simulated clock the workload
-/// advances, with every call costed as a driver entry.
+/// front-end built with a clone of the device's driver records and waits
+/// out its cross-stream-free events on the same simulated clock the
+/// workload advances, with every call costed as a driver entry.
 ///
 /// The driver lock is a leaf — no driver call ever re-enters an allocator —
-/// so this implementation satisfies the [`EventSource`] ordering contract
-/// (the allocator may call it while holding its own shard locks).
+/// so this implementation satisfies the [`EventSource`] ordering contract.
 impl EventSource for CudaDriver {
     fn record(&self, stream: StreamId) -> EventId {
         self.event_record(stream)
-    }
-
-    fn try_record(&self, stream: StreamId) -> Option<EventId> {
-        self.event_record_if_pending(stream)
-    }
-
-    fn query(&self, event: EventId) -> bool {
-        self.event_query(event)
     }
 
     fn synchronize(&self, event: EventId) {
@@ -1153,9 +1143,10 @@ mod tests {
         let d = test_driver();
         let src: &dyn EventSource = &d;
         let ev = src.record(StreamId(2));
-        assert!(src.query(ev));
         src.synchronize(ev);
         assert_eq!(d.stats().event_record.calls, 1);
+        assert_eq!(d.stats().event_sync.calls, 1);
+        assert_eq!(d.outstanding_events(), 0);
     }
 
     #[test]
@@ -1219,7 +1210,7 @@ mod tests {
         assert!(d.now_ns() >= frontier, "record waited out the stream");
         assert_eq!(d.outstanding_events(), 0);
         assert!(d.event_query(ev));
-        // try_record degrades to None ("caught up") the same way.
+        // The record-if-pending variant degrades to None ("caught up").
         d.stream_launch(s, 1_000_000);
         assert!(d.event_record_if_pending(s).is_none());
         assert_eq!(d.device_synchronize(), 0, "stream was drained");

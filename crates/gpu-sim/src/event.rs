@@ -22,10 +22,9 @@
 //! event's completion, and the host clock does not move.
 //!
 //! Completed events are garbage-collected on query, synchronize, stream wait
-//! and device synchronization; querying an
-//! untracked event reports completion, matching the [`EventSource`]
-//! contract (`gmlake-alloc-api`) the driver implements on top of this
-//! engine.
+//! and device synchronization; an untracked event reports completion, and
+//! synchronizing it returns at once, matching the [`EventSource`] contract
+//! (`gmlake-alloc-api`) the driver implements on top of this engine.
 
 pub use gmlake_alloc_api::{EventId, EventSource};
 use gmlake_alloc_api::{IdMap, StreamId};

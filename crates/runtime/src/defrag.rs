@@ -11,7 +11,7 @@
 //! ([`PoolHandle::iteration_boundary`](crate::PoolHandle::iteration_boundary)),
 //! a serving step — and runs at most one pass per tick:
 //!
-//! * **aggressive** (drain the event rings, `compact`, `release_cached`)
+//! * **aggressive** (retire event stamps, `compact`, `release_cached`)
 //!   while the churn counted over a sliding window of ticks, or the pool's
 //!   fragmentation, is at or above its trigger;
 //! * otherwise **periodic** (`compact` alone) on every `period`-th tick.
@@ -154,8 +154,9 @@ impl Defragger {
         };
         let bytes = match pass {
             Pass::Periodic => pool.compact(),
-            // Promote parked cross-stream blocks first so the compaction
-            // and release below see them, then drop the whole idle cache:
+            // Retire completed cross-stream event stamps first so the
+            // compaction and release below see those blocks unguarded,
+            // then drop the whole idle cache:
             // under heavy churn the cached shapes belong to departed
             // tenants and will not recur.
             Pass::Aggressive => {

@@ -23,13 +23,13 @@
 //! * [`DefragPolicy`] — four plain values deciding *when* a pool runs the
 //!   passes its allocator already implements: a periodic
 //!   [`AllocatorCore::compact`] every N ticks, escalating to an aggressive
-//!   pass (drain event rings, compact, [`AllocatorCore::release_cached`])
+//!   pass (retire event stamps, compact, [`AllocatorCore::release_cached`])
 //!   while churn or fragmentation is at or above its trigger. A service
 //!   built with [`PoolService::with_defrag`] gives every pool its own
 //!   [`Defragger`], ticked once per [`PoolHandle::iteration_boundary`];
 //!   the serving layer ticks one per step with its tenant-churn count.
-//!   Every pass flushes the front-end's shard caches and pending rings
-//!   first, so defrag always sees every cached byte.
+//!   Every pass flushes the front-end's shard caches first, so defrag
+//!   always sees every cached byte.
 //! * The staged OOM rescue on the allocation path (see
 //!   [`PoolHandle::alloc_on_stream`]) is independent of the defrag policy.
 //!

@@ -13,7 +13,7 @@ use crate::service::{fragmentation_of, DeviceId, PoolHandle, PoolService};
 /// call). The profiler is the switch: [`start`](MemoryProfiler::start)
 /// enables the sink on every pool in scope, [`stop`](MemoryProfiler::stop)
 /// disables it again, and [`dump`](MemoryProfiler::dump) assembles a
-/// [`MemorySnapshot`] — the reserved/active/pending/fragmentation series,
+/// [`MemorySnapshot`] — the reserved/active/fragmentation series,
 /// the structured event trace, and the latency histograms — ready for
 /// [`MemorySnapshot::to_json`] or
 /// [`MemorySnapshot::to_chrome_trace`].
@@ -175,11 +175,9 @@ impl MemoryProfiler {
 
     fn sample_pool(handle: &PoolHandle, tel: &PoolTelemetry) {
         let stats = handle.stats();
-        let cache = handle.allocator().cache_stats();
         tel.record_sample(
             stats.reserved_bytes,
             stats.active_bytes,
-            cache.pending_bytes,
             fragmentation_of(&stats),
         );
     }

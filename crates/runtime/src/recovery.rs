@@ -17,7 +17,7 @@
 //!   is re-probed (half-open: one more fault re-opens immediately, one
 //!   success closes fully);
 //! * **out-of-memory** runs a staged rescue pipeline — flush the shard
-//!   caches, drain the pending event rings, compact, run the
+//!   caches, retire the core's completed event stamps, compact, run the
 //!   owner-installed tenant [`RescueHook`] (if any), then the cross-pool
 //!   policy rescue — retrying after every stage that reclaimed anything.
 

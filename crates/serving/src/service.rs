@@ -319,10 +319,10 @@ impl ServingService {
     }
 
     /// Frees `id` for `tenant`, with the free issued from `stream` (a
-    /// cross-stream free rides the pool's event-guarded pending rings,
-    /// see [`DeviceAllocator::free_on_stream`]). Quota credit is
-    /// immediate — the bytes are logically the tenant's no longer, even
-    /// while the block waits for its event.
+    /// cross-stream free goes to the pool's core, told the stream, see
+    /// [`DeviceAllocator::free_on_stream`]). Quota credit is immediate —
+    /// the bytes are logically the tenant's no longer, even while the
+    /// freeing stream's work still holds the block.
     ///
     /// # Errors
     ///
@@ -495,8 +495,8 @@ impl ServingInner {
 
     /// The stage-4 rescue: drops idle tenants' working sets (oldest-idle
     /// first, active tenants untouched) until `needed` bytes are credited
-    /// back, then drains the pending rings so the retried allocation can
-    /// actually reach the freed blocks. Unlike the shed policy this keeps
+    /// back, then retires the core's completed event stamps so the retried
+    /// allocation reaches the freed blocks without a wait. Unlike the shed policy this keeps
     /// the tenants registered — their quota commitment survives, only
     /// their (rebuildable) working set is gone.
     fn flush_idle(&self, needed: u64) -> u64 {

@@ -19,12 +19,6 @@ pub enum EventKind {
     /// `DeviceAllocator` missed its shard cache and fell through to the
     /// wrapped core. `bytes` = size class, `a` = stream id.
     ShardMiss,
-    /// A cross-stream free was parked behind a device event. `bytes` =
-    /// size class, `a` = freeing stream, `b` = owning stream.
-    CrossStreamPark,
-    /// Parked blocks were promoted after their guard events completed.
-    /// `bytes` = bytes promoted, `a` = block count.
-    EventPromotion,
     /// Core BestFit classified a large request. `bytes` = aligned request
     /// size, `a` = tier chosen (1 exact, 2 single, 3 multiple,
     /// 4 insufficient), `b` = candidate pBlocks probed.
@@ -76,13 +70,11 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in declaration order (schema validation walks this).
-    pub const ALL: [EventKind; 20] = [
+    pub const ALL: [EventKind; 18] = [
         EventKind::Alloc,
         EventKind::Free,
         EventKind::ShardHit,
         EventKind::ShardMiss,
-        EventKind::CrossStreamPark,
-        EventKind::EventPromotion,
         EventKind::StitchDecision,
         EventKind::Stitch,
         EventKind::Split,
@@ -106,8 +98,6 @@ impl EventKind {
             EventKind::Free => "free",
             EventKind::ShardHit => "shard_hit",
             EventKind::ShardMiss => "shard_miss",
-            EventKind::CrossStreamPark => "cross_stream_park",
-            EventKind::EventPromotion => "event_promotion",
             EventKind::StitchDecision => "stitch_decision",
             EventKind::Stitch => "stitch",
             EventKind::Split => "split",

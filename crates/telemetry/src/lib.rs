@@ -45,7 +45,7 @@
 //! tel.enable();
 //! tel.record(EventKind::Alloc, 4096, 0, 0);
 //! tel.alloc_ns().record(250);
-//! tel.record_sample(1 << 20, 4096, 0, 0.5);
+//! tel.record_sample(1 << 20, 4096, 0.5);
 //!
 //! let snap = MemorySnapshot {
 //!     pools: vec![tel.snapshot("gpu0", 1 << 20, 4096)],

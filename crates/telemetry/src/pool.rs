@@ -240,14 +240,13 @@ impl PoolTelemetry {
 
     /// Append a memory-timeline sample stamped with
     /// [`now_ns`](PoolTelemetry::now_ns). No-op while disabled.
-    pub fn record_sample(&self, reserved: u64, active: u64, pending: u64, fragmentation: f64) {
+    pub fn record_sample(&self, reserved: u64, active: u64, fragmentation: f64) {
         if self.is_enabled() {
             let ts_ns = self.now_ns();
             self.samples.lock().push(MemorySample {
                 ts_ns,
                 reserved_bytes: reserved,
                 active_bytes: active,
-                pending_bytes: pending,
                 fragmentation,
             });
         }
@@ -294,7 +293,7 @@ mod tests {
         let t = PoolTelemetry::full();
         t.record(EventKind::Alloc, 1, 0, 0);
         t.record_at(5, EventKind::Free, 1, 0, 0);
-        t.record_sample(1, 1, 0, 0.0);
+        t.record_sample(1, 1, 0.0);
         assert!(!t.hot_sample());
         let snap = t.snapshot("p", 0, 0);
         assert!(snap.samples.is_empty());
@@ -340,7 +339,7 @@ mod tests {
         let t = PoolTelemetry::full().with_clock(Arc::new(Fixed));
         t.enable();
         t.record(EventKind::Alloc, 1, 0, 0);
-        t.record_sample(10, 5, 0, 0.5);
+        t.record_sample(10, 5, 0.5);
         let snap = t.snapshot("p", 10, 5);
         assert_eq!(snap.events[0].ts_ns, 42);
         assert_eq!(snap.samples[0].ts_ns, 42);

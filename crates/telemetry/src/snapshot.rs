@@ -1,7 +1,7 @@
 //! Memory-timeline snapshots: the exportable artifact.
 //!
 //! A [`MemorySnapshot`] bundles, per pool, the sampled
-//! reserved/active/pending/fragmentation series, the drained event trace,
+//! reserved/active/fragmentation series, the drained event trace,
 //! and latency-histogram summaries. Two export formats:
 //!
 //! * [`MemorySnapshot::to_json`] — the canonical `gmlake-snapshot/v1`
@@ -30,8 +30,6 @@ pub struct MemorySample {
     pub reserved_bytes: u64,
     /// Bytes handed out to live allocations.
     pub active_bytes: u64,
-    /// Bytes parked behind device events in the front-end shards.
-    pub pending_bytes: u64,
     /// `1 - active/reserved` (0 when nothing is reserved), in `[0, 1]`.
     pub fragmentation: f64,
 }
@@ -145,8 +143,8 @@ impl MemorySnapshot {
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "\n        {{\"ts_ns\": {}, \"reserved_bytes\": {}, \"active_bytes\": {}, \"pending_bytes\": {}, \"fragmentation\": {}}}",
-                    s.ts_ns, s.reserved_bytes, s.active_bytes, s.pending_bytes, s.fragmentation
+                    "\n        {{\"ts_ns\": {}, \"reserved_bytes\": {}, \"active_bytes\": {}, \"fragmentation\": {}}}",
+                    s.ts_ns, s.reserved_bytes, s.active_bytes, s.fragmentation
                 ));
             }
             out.push_str(if pool.samples.is_empty() {
@@ -279,7 +277,7 @@ impl MemorySnapshot {
     /// Export as a chrome://tracing JSON document (open in
     /// `chrome://tracing` or Perfetto). Per pool: a process-name
     /// metadata record, one `"C"` counter event per memory sample
-    /// (reserved/active/pending series on one track), and one `"i"`
+    /// (reserved/active series on one track), and one `"i"`
     /// instant event per trace record. Timestamps are microseconds, as
     /// the format requires.
     pub fn to_chrome_trace(&self) -> String {
@@ -304,11 +302,10 @@ impl MemorySnapshot {
                 push(
                     &mut out,
                     format!(
-                        "{{\"name\": \"memory\", \"ph\": \"C\", \"ts\": {}, \"pid\": {pid}, \"args\": {{\"reserved\": {}, \"active\": {}, \"pending\": {}}}}}",
+                        "{{\"name\": \"memory\", \"ph\": \"C\", \"ts\": {}, \"pid\": {pid}, \"args\": {{\"reserved\": {}, \"active\": {}}}}}",
                         s.ts_ns as f64 / 1000.0,
                         s.reserved_bytes,
-                        s.active_bytes,
-                        s.pending_bytes
+                        s.active_bytes
                     ),
                 );
             }
@@ -359,7 +356,6 @@ fn parse_pool(p: &Value) -> Result<PoolSnapshot, String> {
                 ts_ns: field_u64(s, "ts_ns")?,
                 reserved_bytes: field_u64(s, "reserved_bytes")?,
                 active_bytes: field_u64(s, "active_bytes")?,
-                pending_bytes: field_u64(s, "pending_bytes")?,
                 fragmentation: field_f64(s, "fragmentation")?,
             })
         })
@@ -460,14 +456,12 @@ mod tests {
                         ts_ns: 100,
                         reserved_bytes: 1 << 20,
                         active_bytes: 1 << 19,
-                        pending_bytes: 0,
                         fragmentation: 0.5,
                     },
                     MemorySample {
                         ts_ns: 200,
                         reserved_bytes: 1 << 30,
                         active_bytes: 123_456,
-                        pending_bytes: 4096,
                         fragmentation: 0.25,
                     },
                 ],

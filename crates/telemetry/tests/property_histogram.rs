@@ -78,7 +78,6 @@ proptest! {
                 ts_ns: i as u64 * 10,
                 reserved_bytes: r,
                 active_bytes: r / 2,
-                pending_bytes: r / 4,
                 fragmentation: if r == 0 { 0.0 } else { 0.5 },
             })
             .collect();

@@ -1,7 +1,8 @@
 //! # GMLake — GPU memory defragmentation via virtual memory stitching
 //!
-//! Facade crate re-exporting the whole workspace. See the README for an
-//! architecture overview and `DESIGN.md` for the paper-to-module map.
+//! Facade crate re-exporting the whole workspace. See
+//! `docs/architecture.md` for the layer map and the README's *Reproduced
+//! results* for the paper's figures and the binaries that reproduce them.
 //!
 //! ```
 //! use gmlake::prelude::*;
@@ -22,6 +23,11 @@ pub use gmlake_runtime as runtime;
 pub use gmlake_serving as serving;
 pub use gmlake_telemetry as telemetry;
 pub use gmlake_workload as workload;
+
+/// The README's Rust snippets, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
 
 /// Commonly used items, importable with a single `use gmlake::prelude::*`.
 pub mod prelude {

@@ -363,8 +363,8 @@ fn stream_config_round_trips_and_zero_streams_errors() {
 }
 
 /// Cross-thread AND cross-stream: a block allocated on stream 1 by one
-/// thread and freed from stream 0 by another is routed through the core,
-/// never parked, and stays exactly accounted.
+/// thread and freed from stream 0 by another is routed through the core
+/// and stays exactly accounted.
 #[test]
 fn cross_thread_cross_stream_free_takes_the_conservative_path() {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
@@ -397,72 +397,50 @@ fn cross_thread_cross_stream_free_takes_the_conservative_path() {
     let cache = pool.cache_stats();
     assert_eq!(
         cache.cross_stream_fallback, 100,
-        "no event source: every free crossed streams and returned to the core"
+        "every free crossed streams and returned to the core"
     );
-    assert_eq!(cache.cross_stream_parked, 0);
     assert_eq!(cache.cached_blocks, 0, "nothing was parked for reuse");
     pool.with_core(|core| assert_eq!(core.stats().active_bytes, 0));
 }
 
-/// Regression pin: `flush()` must drain the pending event rings too —
-/// defrag and OOM rescue must see **every** cached byte, including
-/// cross-stream blocks whose events have NOT completed yet. The reclaimed
-/// byte count and the rescue capacity are pinned exactly so a future
-/// "skip pending blocks" optimization cannot silently regress it.
+/// A stream-oblivious core behind a front-end whose event source is the
+/// device's own driver: a small block freed from another stream reaches
+/// the core only once the host has waited out the freeing stream's work,
+/// so the core, which hands the block straight back out, cannot re-serve
+/// it while that work still runs.
 #[test]
-fn flush_drains_pending_event_rings_with_pinned_byte_count() {
-    use gmlake_alloc_api::ManualEvents;
+fn cross_stream_small_free_waits_out_the_freeing_stream() {
     use std::sync::Arc;
-    let driver = CudaDriver::new(
-        DeviceConfig::small_test()
-            .with_capacity(mib(300))
-            .with_backing(false),
-    );
-    let events = Arc::new(ManualEvents::new());
+    let driver = CudaDriver::new(DeviceConfig::a100_80g());
     let pool = DeviceAllocator::with_config_and_events(
         CachingAllocator::new(driver.clone()),
-        DeviceAllocatorConfig::default()
-            .with_streams(4)
-            .with_small_threshold(mib(16)),
-        events.clone(),
+        DeviceAllocatorConfig::default().with_streams(2),
+        Arc::new(driver.clone()),
     );
-    // One 16 MiB-class block per stream, every one freed CROSS-stream so it
-    // lands in a pending ring, and no event ever completed: 64 MiB of
-    // not-yet-reusable cache.
-    let park_all_streams = |pool: &DeviceAllocator| {
-        for s in 0..4u32 {
-            let a = pool
-                .alloc_on_stream(AllocRequest::new(mib(10)), StreamId(s))
-                .unwrap();
-            pool.free_on_stream(a.id, StreamId((s + 1) % 4)).unwrap();
-        }
-    };
-    // Phase 1 — pin the reclaimed-byte count.
-    park_all_streams(&pool);
-    let c = pool.cache_stats();
-    assert_eq!(c.cross_stream_parked, 4);
-    assert_eq!(c.pending_bytes, 4 * mib(16), "all four blocks pending");
-    assert_eq!(c.cached_bytes, 0, "none reusable: events incomplete");
-    assert!(events.pending() >= 4, "events still outstanding");
-    assert_eq!(
-        pool.flush(),
-        4 * mib(16),
-        "flush reclaims every pending ring"
-    );
-    assert_eq!(pool.cache_stats().pending_bytes, 0);
-    assert_eq!(events.pending(), 0, "flush synchronized the events");
-
-    // Phase 2 — the OOM retry does that flush implicitly: with 4 x 16 MiB
-    // stuck pending on a 300 MiB device, a 290 MiB request only fits if
-    // the rescue reaches the rings.
-    park_all_streams(&pool);
-    assert_eq!(pool.cache_stats().pending_bytes, 4 * mib(16));
-    let big = pool
-        .alloc_on_stream(AllocRequest::new(mib(290)), StreamId(0))
+    let a = pool
+        .alloc_on_stream(AllocRequest::new(kib(64)), StreamId(1))
         .unwrap();
-    assert_eq!(big.size, mib(290), "pending blocks rescued the request");
-    assert_eq!(pool.cache_stats().pending_bytes, 0, "all rings drained");
-    pool.free_on_stream(big.id, StreamId(0)).unwrap();
+    driver.stream_launch(StreamId(0), 1_000_000);
+    let frontier = driver.stream_frontier_ns(StreamId(0));
+    assert!(
+        driver.now_ns() < frontier,
+        "stream 0 runs ahead of the host"
+    );
+    pool.free_on_stream(a.id, StreamId(0)).unwrap();
+    assert!(
+        driver.now_ns() >= frontier,
+        "the core got the block at {} before stream 0 finished at {frontier}",
+        driver.now_ns()
+    );
+    assert_eq!(pool.cache_stats().cross_stream_fallback, 1);
+    assert_eq!(driver.outstanding_events(), 0, "no event leaked");
+    // The core ignores streams: the next request of the class gets the
+    // same block.
+    let b = pool
+        .alloc_on_stream(AllocRequest::new(kib(64)), StreamId(1))
+        .unwrap();
+    assert_eq!(b.va, a.va, "the core re-served the block");
+    pool.free_on_stream(b.id, StreamId(1)).unwrap();
     drop(pool);
     assert!(driver.snapshot().is_quiescent());
 }

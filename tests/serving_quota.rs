@@ -1,7 +1,7 @@
 //! Property and stress tests for the serving layer's quota accounting:
 //! the per-tenant books must reconcile *exactly* with the pool's
 //! `MemStats` at quiescence, through every path — size-class rounding,
-//! quota refusals, cross-stream frees riding the pending rings, tenant
+//! quota refusals, cross-stream frees handed to the core, tenant
 //! departures, and concurrent tenants hammering one pool.
 
 use proptest::prelude::*;
@@ -23,7 +23,7 @@ enum Op {
     /// stream.
     Free(usize, usize),
     /// Tenant frees its n-th live allocation from a *different* stream —
-    /// the cross-stream path through the pending rings.
+    /// the cross-stream path through the core.
     FreeCross(usize, usize),
     /// Advance the service step (queue retries + defrag cadence).
     Step,
@@ -115,8 +115,8 @@ proptest! {
                     let res = if matches!(op, Op::FreeCross(..)) {
                         // Issue the free from the *other* stream of the
                         // two-stream service: for half the tenants this is
-                        // a genuine cross-stream free through the pending
-                        // ring machinery.
+                        // a genuine cross-stream free, which the front-end
+                        // hands to the core.
                         serving.free_from(ids[t], id, StreamId((t as u32 + 1) % 2))
                     } else {
                         serving.free(ids[t], id)
@@ -151,11 +151,11 @@ proptest! {
             let held: u64 = mirrors.iter().map(Mirror::used).sum();
             prop_assert_eq!(serving.used_bytes(), held);
             // ...and the pool can only hold MORE than the tenants (cached
-            // blocks, pending cross-stream frees), never less.
+            // blocks), never less.
             prop_assert!(serving.pool().stats().active_bytes >= held);
         }
 
-        // Quiescence: free every survivor, drain the pending rings, and
+        // Quiescence: free every survivor, retire the event stamps, and
         // both books must read exactly zero.
         for (t, m) in mirrors.iter_mut().enumerate() {
             for (id, _) in m.live.drain(..) {

@@ -5,29 +5,24 @@
 //! agree
 //!
 //! * on the outcome (success / `OutOfMemory`) of **every** allocation — the
-//!   front-end's caches, stream banks, pending event rings, and
-//!   flush-and-retry must be invisible to feasibility (the transparency
-//!   GMLake promises);
+//!   front-end's caches, stream banks, and flush-and-retry must be
+//!   invisible to feasibility (the transparency GMLake promises);
 //! * on `stats()` at quiescence — after the program ends and the caches are
 //!   flushed, the reconciled counters must be bit-identical to the oracle's.
 //!
 //! **How the oracle models event completion:** instantaneously. The mirror
-//! frees every block the moment `free_on_stream` is called, which is the
-//! limit case of an event that completes at record time. The front-end runs
-//! over a `ManualEvents` source whose completion is advanced only by the
-//! seed-chosen `Tick` ops, so a program's pending rings hold blocks for
-//! arbitrary stretches of the program — and the property says exactly that
-//! this is invisible: wherever the ticks land, every caller-visible
-//! counter and every allocation outcome must match the instant-completion
-//! oracle. (OOM included: the flush-and-retry synchronizes pending events,
-//! so feasibility never depends on tick placement.)
+//! frees every block the moment `free_on_stream` is called. The front-end
+//! runs over a simulated driver as its event source, and every cross-stream
+//! small free records an event and synchronizes it before the core sees the
+//! block, so no event is ever left outstanding and the front-end matches
+//! the instant-completion oracle.
 //!
 //! Program sizes are powers of two, so the front-end's size-class rounding
 //! is the identity and any divergence is a real routing/accounting bug, not
 //! a rounding artifact. Sizes range up to 8 MiB — well above the 2 MiB
 //! stitch threshold — so programs mix small-shard traffic with large
-//! requests that go straight to the core: core-minted ids, and the event
-//! guard a cross-stream free of one synchronizes before the core sees it.
+//! requests that go straight to the core: core-minted ids, whose
+//! cross-stream frees the front-end hands over without an event.
 //! The oracle equivalence covers both id spaces and their interleavings.
 
 use std::sync::Arc;
@@ -35,7 +30,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use gmlake::prelude::*;
-use gmlake_alloc_api::{DeviceAllocatorConfig, ManualEvents};
+use gmlake_alloc_api::DeviceAllocatorConfig;
 
 mod common;
 use common::{MirrorCore, MutexOracle};
@@ -52,10 +47,6 @@ enum Op {
     /// `stream % STREAMS` — when that is not the allocating stream, this is
     /// a cross-stream free exercising the event-guarded reuse rule.
     Free { nth: usize, stream: u32 },
-    /// Complete every event recorded so far and sweep the pending rings
-    /// (front-end only; the oracle completes events instantaneously, so
-    /// tick placement must be caller-invisible).
-    Tick,
     /// Return every cached block to the core (front-end only; the oracle
     /// caches nothing, so this must be caller-invisible).
     Flush,
@@ -70,7 +61,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             stream,
         }),
         7 => (any::<usize>(), (0u32..STREAMS)).prop_map(|(nth, stream)| Op::Free { nth, stream }),
-        2 => Just(Op::Tick),
         1 => Just(Op::Flush),
         1 => (0u32..STREAMS).prop_map(|stream| Op::FlushStream { stream }),
     ]
@@ -80,17 +70,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// every step and stats agreement at quiescence. `capacity == 0` means
 /// unbounded (no OOM arm).
 fn run_differential(ops: &[Op], capacity: u64) {
-    let events = Arc::new(ManualEvents::new());
+    let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
     let pool = DeviceAllocator::with_config_and_events(
         MirrorCore::bounded(capacity),
         DeviceAllocatorConfig::default()
             .with_streams(STREAMS as usize)
-            // Small caps: exercise free-list overflow returns AND
-            // pending-ring overflow (the cross-stream fallback, which
-            // synchronizes its event before the core sees the block).
-            .with_max_cached_per_class(4)
-            .with_pending_ring_cap(4),
-        events.clone(),
+            // Small cap: exercise free-list overflow returns.
+            .with_max_cached_per_class(4),
+        Arc::new(driver.clone()),
     );
     let oracle = MutexOracle::bounded(capacity);
 
@@ -125,10 +112,6 @@ fn run_differential(ops: &[Op], capacity: u64) {
                 pool.free_on_stream(fid, stream).unwrap();
                 oracle.free(oid, stream).unwrap();
             }
-            Op::Tick => {
-                events.complete_all();
-                pool.process_events();
-            }
             Op::Flush => {
                 pool.flush();
             }
@@ -149,6 +132,7 @@ fn run_differential(ops: &[Op], capacity: u64) {
             "op {}: requested",
             i
         );
+        prop_assert_eq!(driver.outstanding_events(), 0, "op {}: event left", i);
     }
 
     // Quiescence: free the survivors on their own streams, flush, compare
@@ -169,11 +153,10 @@ fn run_differential(ops: &[Op], capacity: u64) {
     prop_assert_eq!(f.reserved_bytes, o.reserved_bytes);
     let cache = pool.cache_stats();
     prop_assert_eq!(cache.cached_blocks, 0);
-    prop_assert_eq!(cache.pending_blocks, 0, "flush drained the rings");
-    prop_assert_eq!(events.pending(), 0, "flush synchronized pending events");
-    // A block is only ever promoted after having been parked; whatever was
-    // parked but never promoted left through the flush path just verified.
-    prop_assert!(cache.event_promotions <= cache.cross_stream_parked);
+    // Every cross-stream small free recorded one event and waited it out.
+    let calls = driver.stats();
+    prop_assert_eq!(calls.event_record.calls, cache.cross_stream_fallback);
+    prop_assert_eq!(calls.event_sync.calls, cache.cross_stream_fallback);
 }
 
 proptest! {

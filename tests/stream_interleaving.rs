@@ -1,6 +1,6 @@
 //! Deterministic-interleaving concurrency tests for the stream-aware,
 //! event-guarded `DeviceAllocator`: a seeded scheduler drives 2 streams x 2
-//! worker threads through scripted alloc/free/flush/compact/event-tick
+//! worker threads through scripted alloc/free/flush/compact/launch
 //! sequences — including cross-stream frees and double-free races — one
 //! operation at a time, in a seed-chosen global order. Every operation
 //! executes on a real worker thread (the handoff crosses `Send`/`Sync` for
@@ -8,27 +8,26 @@
 //! dispatching the next, so a given seed replays the exact same
 //! interleaving every time.
 //!
-//! The pool is backed by a `ManualEvents` source, so cross-stream frees
-//! park blocks in the pending rings and the scripted `Tick` actions model
-//! event completion (`complete_all` + `process_events`) at seed-chosen
-//! points relative to the other threads' operations.
+//! The pool's event source is the simulated driver itself, and scripted
+//! `Launch` actions put work in flight on the freeing stream before each
+//! cross-stream free, so the free has something to wait out.
 //!
 //! 256 seeds are replayed per run; for each one the test pins
 //!
 //! * double-free races: two frees of one allocation never both succeed —
 //!   the loser sees `UnknownAllocation`, whichever order the seed chose;
-//! * cross-stream frees take the event-guarded parking path, never the
-//!   core fallback (the rings never fill in these scripts);
+//! * every cross-stream free reaches the core synchronized: it returns only
+//!   once the host has caught up with the freeing stream's work, records
+//!   exactly one event, and leaves none outstanding;
 //! * exact accounting at quiescence: every successful allocation freed
-//!   exactly once, `active_bytes == 0`, the pending rings drained by the
-//!   final flush (events synchronized), core and front-end reconciled, and
+//!   exactly once, `active_bytes == 0`, core and front-end reconciled, and
 //!   the simulated device fully quiescent after teardown.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 use gmlake::prelude::*;
-use gmlake_alloc_api::{DeviceAllocatorConfig, ManualEvents};
+use gmlake_alloc_api::DeviceAllocatorConfig;
 
 mod common;
 use common::xorshift;
@@ -45,10 +44,11 @@ enum Action {
         slot: usize,
         stream: StreamId,
     },
-    /// Complete every event recorded so far, then sweep the pending rings
-    /// (`process_events`) — the pending→ready transition, scheduled like
-    /// any other op so it interleaves with the other thread's frees.
-    Tick,
+    /// Enqueue 1 ms of work on `stream`, which a later cross-stream free
+    /// from that stream must wait out.
+    Launch {
+        stream: StreamId,
+    },
     Flush,
     Compact,
 }
@@ -68,6 +68,9 @@ enum Outcome {
 const S0: StreamId = StreamId(0);
 const S1: StreamId = StreamId(1);
 const SLOTS: usize = 6;
+
+/// Each slot's allocation id and allocating stream, shared by the workers.
+type Slots = Arc<Mutex<[Option<(AllocationId, StreamId)>; SLOTS]>>;
 
 /// Thread 0's script: works on stream 0, frees slot 2 cross-stream, and
 /// races thread 1 for slot 1.
@@ -93,11 +96,11 @@ fn script_thread0() -> Vec<Action> {
             stream: S0,
         }, // same-stream: parks for reuse
         Action::Flush,
+        Action::Launch { stream: S1 },
         Action::Free {
             slot: 2,
             stream: S1,
-        }, // cross-stream: event recorded, parked pending
-        Action::Tick, // complete events, promote pending blocks
+        }, // cross-stream: waits out stream 1, then to the core
         Action::Alloc {
             slot: 4,
             size: kib(64),
@@ -137,11 +140,11 @@ fn script_thread1() -> Vec<Action> {
             slot: 3,
             stream: S1,
         },
+        Action::Launch { stream: S0 },
         Action::Free {
             slot: 5,
             stream: S0,
-        }, // cross-stream: event recorded, parked pending
-        Action::Tick, // may promote slot 5's block before the final flush
+        }, // cross-stream: waits out stream 0, then to the core
         Action::Flush,
     ]
 }
@@ -151,11 +154,12 @@ fn script_thread1() -> Vec<Action> {
 fn run_scheduled(
     seed: u64,
     pool: &DeviceAllocator,
-    events: &Arc<ManualEvents>,
+    driver: &CudaDriver,
 ) -> Vec<(usize, usize, Outcome)> {
-    // Allocation ids land in shared slots; a slot is never cleared, so a
-    // scripted double-free genuinely re-submits the same id.
-    let slots: Arc<Mutex<[Option<AllocationId>; SLOTS]>> = Arc::new(Mutex::new([None; SLOTS]));
+    // Allocation ids (with their allocating stream) land in shared slots; a
+    // slot is never cleared, so a scripted double-free genuinely
+    // re-submits the same id.
+    let slots: Slots = Arc::new(Mutex::new([None; SLOTS]));
     let scripts = [script_thread0(), script_thread1()];
     let mut rng = seed | 1;
 
@@ -169,7 +173,7 @@ fn run_scheduled(
             let (go_tx, go_rx) = mpsc::channel::<Action>();
             let (done_tx, done_rx) = mpsc::channel::<Outcome>();
             let pool = pool.clone();
-            let events = Arc::clone(events);
+            let driver = driver.clone();
             let slots = Arc::clone(&slots);
             scope.spawn(move || {
                 for action in go_rx {
@@ -178,26 +182,34 @@ fn run_scheduled(
                             let a = pool
                                 .alloc_on_stream(AllocRequest::new(size), stream)
                                 .unwrap();
-                            slots.lock().unwrap()[slot] = Some(a.id);
+                            slots.lock().unwrap()[slot] = Some((a.id, stream));
                             Outcome::Allocated
                         }
                         Action::Free { slot, stream } => {
                             let id = slots.lock().unwrap()[slot];
                             match id {
                                 None => Outcome::SlotEmpty,
-                                Some(id) => match pool.free_on_stream(id, stream) {
-                                    Ok(()) => Outcome::Freed,
-                                    Err(AllocError::UnknownAllocation(lost)) => {
-                                        assert_eq!(lost, id);
-                                        Outcome::DoubleFree
+                                Some((id, owner)) => {
+                                    let frontier = driver.stream_frontier_ns(stream);
+                                    match pool.free_on_stream(id, stream) {
+                                        Ok(()) => {
+                                            assert!(
+                                                owner == stream || driver.now_ns() >= frontier,
+                                                "a cross-stream free returned before its stream's work"
+                                            );
+                                            Outcome::Freed
+                                        }
+                                        Err(AllocError::UnknownAllocation(lost)) => {
+                                            assert_eq!(lost, id);
+                                            Outcome::DoubleFree
+                                        }
+                                        Err(e) => panic!("unexpected free error: {e}"),
                                     }
-                                    Err(e) => panic!("unexpected free error: {e}"),
-                                },
+                                }
                             }
                         }
-                        Action::Tick => {
-                            events.complete_all();
-                            pool.process_events();
+                        Action::Launch { stream } => {
+                            driver.stream_launch(stream, 1_000_000);
                             Outcome::Maintenance
                         }
                         Action::Flush => {
@@ -235,24 +247,22 @@ fn run_scheduled(
     })
 }
 
-fn make_pool() -> (DeviceAllocator, CudaDriver, Arc<ManualEvents>) {
+fn make_pool() -> (DeviceAllocator, CudaDriver) {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-    let events = Arc::new(ManualEvents::new());
     (
         DeviceAllocator::with_config_and_events(
             CachingAllocator::new(driver.clone()),
             DeviceAllocatorConfig::default().with_streams(2),
-            events.clone(),
+            Arc::new(driver.clone()),
         ),
         driver,
-        events,
     )
 }
 
 /// The invariants one scheduled run must satisfy, for ANY interleaving.
 fn check_run(seed: u64) {
-    let (pool, driver, events) = make_pool();
-    let log = run_scheduled(seed, &pool, &events);
+    let (pool, driver) = make_pool();
+    let log = run_scheduled(seed, &pool, &driver);
     assert_eq!(log.len(), script_thread0().len() + script_thread1().len());
 
     let allocs = log
@@ -286,19 +296,21 @@ fn check_run(seed: u64) {
     }
 
     // Cross-stream frees of slots 2 and 5 are script-ordered after their
-    // allocs on the same thread, so they always execute and always take the
-    // event-guarded parking path; the slot-1 winner may add a third. The
-    // rings never fill in these scripts, so the core fallback never fires.
+    // allocs on the same thread, so they always execute; the slot-1 winner
+    // may add a third. Every one reached the core after recording one event
+    // and waiting it out.
     let cache = pool.cache_stats();
     assert!(
-        (2..=3).contains(&cache.cross_stream_parked),
-        "seed {seed}: cross-stream parked {}",
-        cache.cross_stream_parked
+        (2..=3).contains(&cache.cross_stream_fallback),
+        "seed {seed}: cross-stream frees {}",
+        cache.cross_stream_fallback
     );
     assert_eq!(
-        cache.cross_stream_fallback, 0,
-        "seed {seed}: no free should have fallen back to the core"
+        driver.stats().event_record.calls,
+        cache.cross_stream_fallback,
+        "seed {seed}: one event per cross-stream free"
     );
+    assert_eq!(driver.outstanding_events(), 0, "seed {seed}: event leaked");
 
     // Quiescence: under EVERY interleaving each slot ends up freed exactly
     // once — the non-raced frees are script-ordered after their allocs, and
@@ -310,18 +322,8 @@ fn check_run(seed: u64) {
     assert_eq!(stats.alloc_count, SLOTS as u64, "seed {seed}");
     assert_eq!(stats.free_count, SLOTS as u64, "seed {seed}");
     assert_eq!(stats.active_bytes, 0, "seed {seed}");
-    // The final flush reaches blocks still waiting in the pending rings
-    // (frees sequenced after the last Tick), synchronizing their events on
-    // the way out: nothing stays parked, no event stays outstanding.
     pool.flush();
-    let cache = pool.cache_stats();
-    assert_eq!(cache.pending_blocks, 0, "seed {seed}: rings drained");
-    assert_eq!(cache.pending_bytes, 0, "seed {seed}");
-    assert_eq!(
-        events.pending(),
-        0,
-        "seed {seed}: flush synchronized events"
-    );
+    assert_eq!(pool.cache_stats().cached_blocks, 0, "seed {seed}");
     pool.with_core(|core| assert_eq!(core.stats().active_bytes, 0, "seed {seed}"));
     drop(pool);
     assert!(driver.snapshot().is_quiescent(), "seed {seed}");
@@ -329,10 +331,10 @@ fn check_run(seed: u64) {
 
 #[test]
 fn same_seed_replays_the_same_interleaving() {
-    let (pool_a, _da, ev_a) = make_pool();
-    let (pool_b, _db, ev_b) = make_pool();
-    let a = run_scheduled(42, &pool_a, &ev_a);
-    let b = run_scheduled(42, &pool_b, &ev_b);
+    let (pool_a, driver_a) = make_pool();
+    let (pool_b, driver_b) = make_pool();
+    let a = run_scheduled(42, &pool_a, &driver_a);
+    let b = run_scheduled(42, &pool_b, &driver_b);
     assert_eq!(a, b, "the scheduler is deterministic per seed");
 }
 
@@ -340,8 +342,8 @@ fn same_seed_replays_the_same_interleaving() {
 fn different_seeds_explore_different_interleavings() {
     let orders: std::collections::HashSet<Vec<(usize, usize)>> = (0..32u64)
         .map(|seed| {
-            let (pool, _d, events) = make_pool();
-            run_scheduled(seed, &pool, &events)
+            let (pool, driver) = make_pool();
+            run_scheduled(seed, &pool, &driver)
                 .into_iter()
                 .map(|(t, i, _)| (t, i))
                 .collect()
