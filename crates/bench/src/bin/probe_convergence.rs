@@ -51,8 +51,15 @@ fn probe(model: ModelSpec, s: StrategySet) {
     );
     let w = lake.work_counters();
     println!(
-        "    core work: part_flips={} index_ops={} view_index_ops={} lru_splices={} active_skips={}",
-        w.part_flips, w.index_ops, w.view_index_ops, w.lru_splices, w.active_skips,
+        "    core work: part_flips={} index_ops={} view_index_ops={} lru_splices={} active_skips={} views_verified={} parts_scanned={} ref_scans={}",
+        w.part_flips,
+        w.index_ops,
+        w.view_index_ops,
+        w.lru_splices,
+        w.active_skips,
+        w.views_verified,
+        w.parts_scanned,
+        w.ref_scans,
     );
     println!(
         "    reclaim: marks={} visits={}",

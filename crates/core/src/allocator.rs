@@ -54,14 +54,23 @@
 //! indexed load). pBlocks are indexed by a [`TieredPIndex`] — one
 //! `(size, id)` set for the inactive blocks no cached view references and
 //! one for every referenced block, active or not. Views are indexed by size
-//! (`s_by_size`, every view from its stitch to its teardown) and by age (an
-//! intrusive [`LruList`] of the unassigned views, oldest `lru_tick` first).
-//! The three ordered sets change only where *structure* changes: stitch,
-//! split and teardown; an activity flip moves only an unreferenced block in
-//! or out of the pBlock index. Assigning and freeing a view unlinks it from
-//! the list and appends it back, `O(1)` each. The readers of the referenced
-//! tier skip its active entries, and the readers of the size index skip its
-//! assigned views.
+//! (`s_by_size`: per size, one id-sorted `Vec` of every view from its
+//! stitch to its teardown) and by age (an intrusive [`LruList`] of the
+//! unassigned views, oldest `lru_tick` first). The indexes change only
+//! where *structure* changes: stitch, split and teardown; an activity flip
+//! moves only an unreferenced block in or out of the pBlock index.
+//! Assigning and freeing a view unlinks it from the list and appends it
+//! back, `O(1)` each. The readers of the referenced tier skip its active
+//! entries, and the readers of the size index skip its assigned views.
+//!
+//! What those readers and the flips look at sits apart from the blocks, in
+//! [`Dense`] arrays indexed by slab id: one flags byte per pBlock —
+//! `ACTIVE`, and `REFERENCED` and `PARKS`, which say that its view list and
+//! its parked list are non-empty — and per view an `assigned` flag and the
+//! witness hint below, stored as a part's id (`Split` moves it to the left
+//! child). Activity has no other record. A skip is one byte load, and
+//! neither an S1 walk step nor a part flip loads a `PBlock` or an `SBlock`
+//! struct.
 //!
 //! **Availability is a query, not a counter.** Whether a view could serve
 //! an exact match — every part inactive — is never stored: the paper's
@@ -83,25 +92,30 @@
 //!   that part deactivates and puts it back under its old tick.
 //!
 //! **Cost model.** With `p` parts per view and `r` views referencing a
-//! pBlock, an S1 allocation or free of a view costs `O(p)` flips, each
-//! `O(1)`, plus one `O(1)` list splice, and no ordered-index operation: a
-//! view's parts are referenced, so no flip touches the pBlock index, the
-//! view keeps its size entry, and the list needs no search to append a
-//! fresh tick. None of it depends on `r` (sharing on converged LoRA pools
-//! is dense — `r` ≈ 34, `p` ≈ 24–32 on the benchmark's `train_lr` — and an
-//! eager counter per view made this `O(p·r)`). A standalone pBlock's flip
-//! is one `O(log n)` index operation. The readers pay instead, one skip per
-//! active block or assigned view they meet. The exact match costs
-//! `O(c + p)` for the `c` same-size views it passes, assigned ones skipped
-//! on their flag and blocked ones on their hint. S3/S4 pays `O(u + Σp)`
-//! once per call for the `u` unparked unassigned views and the parts of
-//! those it has to scan; a victim scan pays for the blocked views it meets
-//! once each, and an unpark walks the list from its head to the view's
-//! tick.
+//! pBlock, an S1 allocation or free of a view costs `O(p)` flips, each one
+//! flags byte ([`GmLakeAllocator::flip`], which cannot reach a `PBlock`),
+//! plus one `O(1)` list splice, and no ordered-index operation: a view's
+//! parts are referenced, so no flip touches the pBlock index, the view
+//! keeps its size entry, and the list needs no search to append a fresh
+//! tick. A free writes a part's stamp only when it leaves one. None of it
+//! depends on `r` (sharing on converged LoRA pools is dense — `r` ≈ 34,
+//! `p` ≈ 24–32 on the benchmark's `train_lr` — and an eager counter per
+//! view made this `O(p·r)`). A standalone pBlock's flip is one `O(log n)`
+//! index operation. The readers pay instead, one skip per active block or
+//! assigned view they meet. The exact match costs one hash lookup and then
+//! `O(c + p)` for the `c` same-size views it passes, over a contiguous id
+//! slice: a step is one flag load (assigned) and one hint lookup (the
+//! hinted part's `ACTIVE` byte), and only the view taken has its parts
+//! scanned. S3/S4 pays `O(u + Σp)` once per call for the `u` unparked
+//! unassigned views and the parts of those it has to scan; a victim scan
+//! pays for the blocked views it meets once each, and an unpark walks the
+//! list from its head to the view's tick.
 //!
 //! `validate()` is the oracle for all of it: it re-derives availability by
 //! scanning parts, ignoring the hints, and checks the indexes, the list's
-//! links and tick order, the parked lists and the placement against that.
+//! links and tick order, the parked lists and the placement against that;
+//! and it holds every flag to what it summarises, a dead slot to zero and
+//! the size lists to the set of views.
 //!
 //! # Streams
 //!
@@ -133,7 +147,8 @@ use gmlake_telemetry::log::{self as tlog, Level};
 use gmlake_telemetry::{EventKind, PoolTelemetry};
 
 use crate::bestfit::{best_fit_indexed, best_fit_reference, BestFit, StitchCost, TieredPIndex};
-use crate::block::{PBlock, PBlockId, Reservation, SBlock, SBlockId, Target};
+use crate::block::{idle, slot, Dense, PBlock, PBlockId, Reservation, SBlock, SBlockId, Target};
+use crate::block::{ViewFlags, ACTIVE, PARKS, REFERENCED};
 use crate::config::{AllocState, GmLakeConfig, StateCounters};
 use crate::lru::LruList;
 use crate::slab::Slab;
@@ -231,14 +246,20 @@ fn bump(counter: &Cell<u64>, by: u64) {
     counter.set(counter.get() + by);
 }
 
-/// Puts `p`'s reservation in the reclaim walk's dirty set if `p` is idle,
-/// counted: it may merge with a neighbour now, or have been the last piece
-/// holding the reservation.
-fn mark_if_idle(dirty: &mut BTreeSet<VirtAddr>, work: &Work, p: &PBlock) {
-    if p.is_idle() {
-        dirty.insert(p.resv);
+/// Puts reservation `resv` in the reclaim walk's dirty set if its piece
+/// with `flags` is idle, counted: it may merge with a neighbour now, or have
+/// been the last piece holding the reservation.
+fn mark_if_idle(dirty: &mut BTreeSet<VirtAddr>, work: &Work, flags: u8, resv: VirtAddr) {
+    if idle(flags) {
+        dirty.insert(resv);
         bump(&work.reclaim_marks, 1);
     }
+}
+
+/// Whether a reclaim walk may merge piece `pid` with an idle neighbour:
+/// idle, and guarded by no event.
+fn mergeable(flags: &[u8], pblocks: &Slab<PBlock>, pid: PBlockId) -> bool {
+    idle(flags[pid as usize]) && pblocks[pid].stamp.is_none()
 }
 
 /// Keeps `event` in `newest` if it is `stream`'s newest so far — events of
@@ -304,6 +325,8 @@ pub struct GmLakeAllocator {
     small: CachingAllocator,
     pblocks: Slab<PBlock>,
     sblocks: Slab<SBlock>,
+    /// pBlock activity and the view flags the S1 path reads, by slab id.
+    dense: Dense,
     /// The VA reservations pBlocks lie in, by base (`PBlock::resv`).
     reservations: BTreeMap<VirtAddr, Reservation>,
     /// Bases of the reservations the next reclaim walk visits: each may
@@ -314,10 +337,10 @@ pub struct GmLakeAllocator {
     /// pBlocks keyed `(size, id)`: the inactive unreferenced ones, and every
     /// referenced one, active or not (see [`TieredPIndex`]).
     p_index: TieredPIndex,
-    /// Every sBlock, keyed `(size, id)`, from its stitch to its teardown:
+    /// Every sBlock, by size and then id, from its stitch to its teardown:
     /// the exact-match candidates. Assignment and free leave it alone; its
     /// readers skip an assigned view on its flag and ask about the rest.
-    s_by_size: BTreeSet<(u64, SBlockId)>,
+    s_by_size: IdMap<u64, Vec<SBlockId>>,
     /// Eviction list, oldest `lru_tick` first: every unassigned view that
     /// is not parked. A view is appended when it is stitched or freed and
     /// unlinked when it is assigned or destroyed; one that merely gets
@@ -389,10 +412,11 @@ impl GmLakeAllocator {
             small,
             pblocks: Slab::new(),
             sblocks: Slab::new(),
+            dense: Dense::default(),
             reservations: BTreeMap::new(),
             dirty: BTreeSet::new(),
             p_index: TieredPIndex::new(),
-            s_by_size: BTreeSet::new(),
+            s_by_size: IdMap::default(),
             lru: LruList::default(),
             available_parts: Vec::new(),
             work: Work::default(),
@@ -519,7 +543,7 @@ impl GmLakeAllocator {
     pub fn memory_map(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let active = self.pblocks.iter().filter(|(_, p)| p.active).count();
+        let active = self.dense.p.iter().filter(|&&f| f & ACTIVE != 0).count();
         let _ = writeln!(
             out,
             "pPool: {} blocks ({} active), {:.1} MiB physical",
@@ -532,7 +556,7 @@ impl GmLakeAllocator {
                 out,
                 "  p{pid:<4} {:>8.1} MiB {} refs={:?}",
                 p.size as f64 / (1 << 20) as f64,
-                if p.active { "ACTIVE  " } else { "inactive" },
+                ["inactive", "ACTIVE  "][self.dense.active(pid) as usize],
                 p.referenced_by
             );
         }
@@ -571,33 +595,40 @@ impl GmLakeAllocator {
         self.stats.set_reserved(reserved);
     }
 
-    /// The availability query: the index into `s.parts` of an active part,
-    /// or `None` when every part is inactive. Checks the witness hint first
-    /// and leaves it on the part found. Takes the fields it reads so
-    /// `BestFit` can ask while the scratch buffer is borrowed.
-    fn witness(pblocks: &Slab<PBlock>, work: &Work, s: &SBlock) -> Option<usize> {
+    /// The availability query: an active part of view `sid`, or `None` when
+    /// every part is inactive. Checks the witness hint first, which reads
+    /// no block, and leaves it on the part found; only a miss reads the
+    /// view's parts. Takes the fields it reads so `BestFit` can ask while
+    /// the scratch buffer is borrowed.
+    fn witness(
+        dense: &Dense,
+        sblocks: &Slab<SBlock>,
+        work: &Work,
+        sid: SBlockId,
+    ) -> Option<PBlockId> {
         bump(&work.views_verified, 1);
-        let active = |pid: &PBlockId| pblocks[*pid].active;
-        let hint = s.hint.get();
-        if s.parts.get(hint).is_some_and(active) {
+        let hint = &dense.s[sid as usize].hint;
+        if dense.active(hint.get()) {
             bump(&work.parts_scanned, 1);
-            return Some(hint);
+            return Some(hint.get());
         }
-        let found = s.parts.iter().position(active);
+        let parts = &sblocks[sid].parts;
+        let at = parts.iter().position(|&pid| dense.active(pid));
         bump(
             &work.parts_scanned,
-            1 + found.map_or(s.parts.len(), |at| at + 1) as u64,
+            1 + at.map_or(parts.len(), |at| at + 1) as u64,
         );
-        if let Some(at) = found {
-            s.hint.set(at);
+        let found = at.map(|at| parts[at]);
+        if let Some(pid) = found {
+            hint.set(pid);
         }
         found
     }
 
     /// Whether an entry of the referenced tier is active, which its readers
     /// skip (counted).
-    fn active_entry(pblocks: &Slab<PBlock>, work: &Work, pid: PBlockId) -> bool {
-        let active = pblocks[pid].active;
+    fn active_entry(dense: &Dense, work: &Work, pid: PBlockId) -> bool {
+        let active = dense.active(pid);
         bump(&work.active_skips, active as u64);
         active
     }
@@ -605,18 +636,19 @@ impl GmLakeAllocator {
     /// An sBlock is *available* when it could serve an exact match right
     /// now: unassigned with every part inactive. An assigned one is
     /// rejected on its flag. Takes the fields it reads, like `witness`.
-    fn available(pblocks: &Slab<PBlock>, work: &Work, s: &SBlock) -> bool {
-        s.assigned_to.is_none() && Self::witness(pblocks, work, s).is_none()
+    fn available(dense: &Dense, sblocks: &Slab<SBlock>, work: &Work, sid: SBlockId) -> bool {
+        !dense.s[sid as usize].assigned && Self::witness(dense, sblocks, work, sid).is_none()
     }
 
     fn view_available(&self, sid: SBlockId) -> bool {
-        Self::available(&self.pblocks, &self.work, &self.sblocks[sid])
+        Self::available(&self.dense, &self.sblocks, &self.work, sid)
     }
 
-    /// [`Self::view_available`] the slow way, ignoring the hint: the oracle
-    /// `validate()` and the reference `BestFit` differential use.
+    /// [`Self::view_available`] the slow way, from `assigned_to` and a scan
+    /// of the parts, ignoring the hint: the oracle `validate()` and the
+    /// reference `BestFit` differential use.
     fn scan_available(&self, s: &SBlock) -> bool {
-        s.assigned_to.is_none() && s.parts.iter().all(|&pid| !self.pblocks[pid].active)
+        s.assigned_to.is_none() && s.parts.iter().all(|&pid| !self.dense.active(pid))
     }
 
     /// A pBlock's three-way stitch cost, by walking its references and
@@ -634,54 +666,73 @@ impl GmLakeAllocator {
         }
     }
 
-    /// Re-places a pBlock in the index after its first reference appeared
-    /// (it is inactive: only inactive blocks are stitched) or its last one
-    /// went: it leaves its tier for the other one, or, if active, leaves
-    /// the index. An inactive block that lost its last view is idle, which
-    /// dirties its reservation.
+    /// Re-places a pBlock in the index, and sets its `REFERENCED` flag,
+    /// after its first reference appeared (it is inactive: only inactive
+    /// blocks are stitched) or its last one went: it leaves its tier for
+    /// the other one, or, if active, leaves the index. An inactive block
+    /// that lost its last view is idle, which dirties its reservation.
     fn retier_pblock(&mut self, pid: PBlockId) {
         let p = &self.pblocks[pid];
-        let referenced = p.is_referenced();
+        let referenced = !p.referenced_by.is_empty();
+        let flags = &mut self.dense.p[pid as usize];
+        *flags = (*flags & !REFERENCED) | if referenced { REFERENCED } else { 0 };
         self.p_index.remove(!referenced, p.size, pid);
-        if !p.active {
+        if *flags & ACTIVE == 0 {
             self.p_index.insert(referenced, p.size, pid);
         }
-        mark_if_idle(&mut self.dirty, &self.work, p);
+        mark_if_idle(&mut self.dirty, &self.work, *flags, p.resv);
         bump(&self.work.tier_moves, 1);
     }
 
-    /// Removes an inactive pBlock from the arena and the index.
+    /// Removes an inactive pBlock from the arena, the index and the flags.
     fn remove_pblock(&mut self, pid: PBlockId) -> PBlock {
         let p = self.pblocks.remove(pid).expect("pblock exists");
         debug_assert!(p.parked.is_empty(), "an inactive block parks nothing");
-        self.p_index.remove(p.is_referenced(), p.size, pid);
+        self.p_index
+            .remove(!p.referenced_by.is_empty(), p.size, pid);
+        self.dense.p[pid as usize] = 0;
         p
+    }
+
+    /// Sets a pBlock's activity flag, counting a change, and says whether
+    /// the block needs more than that: it changed and is unreferenced (it
+    /// enters or leaves the index) or has views parked on it. Every flip of
+    /// a view's S1 cycle — a referenced block, nothing parked — ends here.
+    /// It takes the flags byte alone, so it cannot touch a `PBlock`.
+    fn flip(flags: &mut u8, work: &Work, active: bool) -> bool {
+        if (*flags & ACTIVE != 0) == active {
+            return false;
+        }
+        *flags ^= ACTIVE;
+        bump(&work.part_flips, 1);
+        *flags & (REFERENCED | PARKS) != REFERENCED
     }
 
     /// Flips a pBlock's activity — the whole of the paper's `Update`: the
     /// flag, and on deactivation the return of the views parked on it to
     /// the eviction list, each under its old tick. A referenced block keeps
     /// its index entry, so a view's parts flip in `O(1)` each however many
-    /// views share them; only an unreferenced block enters or leaves the
-    /// index, `O(log n)`, and dirties its reservation when it goes idle.
+    /// views share them, in [`Self::flip`] alone unless views are parked;
+    /// only an unreferenced block enters or leaves the index, `O(log n)`,
+    /// and dirties its reservation when it goes idle.
     fn set_pblock_active(&mut self, pid: PBlockId, active: bool) {
-        let p = &mut self.pblocks[pid];
-        if p.active == active {
+        let flags = &mut self.dense.p[pid as usize];
+        if !Self::flip(flags, &self.work, active) {
             return;
         }
-        p.active = active;
-        bump(&self.work.part_flips, 1);
-        if !p.is_referenced() {
+        let p = &mut self.pblocks[pid];
+        if *flags & REFERENCED == 0 {
             if active {
                 self.p_index.remove(false, p.size, pid);
             } else {
                 self.p_index.insert(false, p.size, pid);
-                mark_if_idle(&mut self.dirty, &self.work, p);
+                mark_if_idle(&mut self.dirty, &self.work, *flags, p.resv);
             }
         }
         if active {
             return;
         }
+        *flags &= !PARKS;
         for sid in std::mem::take(&mut p.parked) {
             self.sblocks[sid].parked_on = None;
             self.lru.insert_by_tick(&mut self.sblocks, sid);
@@ -760,6 +811,7 @@ impl GmLakeAllocator {
             return Err(e);
         }
         let pid = self.pblocks.insert(PBlock::new(va, size, va));
+        *slot(&mut self.dense.p, pid) = 0;
         let pieces = vec![pid];
         self.reservations.insert(
             va,
@@ -770,7 +822,7 @@ impl GmLakeAllocator {
             },
         );
         self.p_index.insert(false, size, pid);
-        mark_if_idle(&mut self.dirty, &self.work, &self.pblocks[pid]);
+        mark_if_idle(&mut self.dirty, &self.work, 0, va);
         self.reserved_phys += size;
         Ok(pid)
     }
@@ -780,8 +832,9 @@ impl GmLakeAllocator {
     /// and access-enabled pieces of the parent's reservation, so the split
     /// makes no driver call and cannot fail. Referencing sBlocks keep
     /// working (their own mappings are untouched) and their part lists are
-    /// rewritten to the two children. Unreferenced children are idle
-    /// neighbours, which dirties the reservation. Returns the left child.
+    /// rewritten to the two children, and a witness hint on the parent moves
+    /// to the left child. Unreferenced children are idle neighbours, which
+    /// dirties the reservation. Returns the left child.
     ///
     /// Left is inserted before right and the parent removed last: slab ids
     /// break BestFit ties, and this is the order the golden decision pin
@@ -789,7 +842,7 @@ impl GmLakeAllocator {
     fn split_pblock(&mut self, pid: PBlockId, left_size: u64) -> PBlockId {
         let p = &self.pblocks[pid];
         debug_assert!(
-            !p.active && p.assigned_to.is_none(),
+            !self.dense.active(pid) && p.assigned_to.is_none(),
             "split of a live block"
         );
         debug_assert!(left_size > 0 && left_size < p.size && left_size.is_multiple_of(self.chunk));
@@ -797,6 +850,7 @@ impl GmLakeAllocator {
         let refs = p.referenced_by.clone();
         // The children inherit the parent's references, and so its tier,
         // and its stamp.
+        let flags = if refs.is_empty() { 0 } else { REFERENCED };
         let mut child = |va, size| {
             let referenced_by = refs.clone();
             let id = self.pblocks.insert(PBlock {
@@ -804,6 +858,7 @@ impl GmLakeAllocator {
                 stamp,
                 ..PBlock::new(va, size, resv)
             });
+            *slot(&mut self.dense.p, id) = flags;
             self.p_index.insert(!refs.is_empty(), size, id);
             id
         };
@@ -813,16 +868,18 @@ impl GmLakeAllocator {
         let at = pieces.binary_search_by_key(&va, |&x| self.pblocks[x].va);
         let at = at.expect("the reservation lists its piece");
         pieces.splice(at..=at, [left, right]);
-        mark_if_idle(&mut self.dirty, &self.work, &self.pblocks[right]);
+        mark_if_idle(&mut self.dirty, &self.work, flags, resv);
         self.remove_pblock(pid);
         // Both children are inactive (the parent was), so no view's
-        // availability moves, nothing is parked on the parent, and a
-        // witness hint shifted by the splice is still just a hint.
+        // availability moves and nothing is parked on the parent. A hint
+        // must name a part: the parent's id may be reused by a live block.
         for &sid in &refs {
             let parts = &mut self.sblocks[sid].parts;
             let at = parts.iter().position(|&x| x == pid);
             let at = at.expect("view lists the split pblock");
             parts.splice(at..=at, [left, right]);
+            let hint = &self.dense.s[sid as usize].hint;
+            hint.set(if hint.get() == pid { left } else { hint.get() });
         }
         self.counters.splits += 1;
         self.emit(EventKind::Split, size, left_size, 0);
@@ -843,7 +900,7 @@ impl GmLakeAllocator {
         let mut fault: Option<DriverError> = None;
         for &pid in &parts {
             let p = &self.pblocks[pid];
-            debug_assert!(!p.active, "stitching an active part");
+            debug_assert!(!self.dense.active(pid), "stitching an active part");
             let handle = self.reservations[&p.resv].handle;
             let at = p.va.as_u64() - p.resv.as_u64();
             if let Err(e) = self
@@ -868,10 +925,13 @@ impl GmLakeAllocator {
         }
         let tick = self.next_tick();
         let sid = self.sblocks.insert(SBlock::new(va, total, parts, tick));
+        let first = self.sblocks[sid].parts[0];
+        slot(&mut self.dense.s, sid).hint.set(first);
         // The new view is unassigned with all parts inactive: it is both
         // exact-matchable and evictable, and a part's first reference moves
         // it off the unreferenced tier.
-        self.s_by_size.insert((total, sid));
+        let views = self.s_by_size.entry(total).or_default();
+        views.insert(views.partition_point(|&v| v < sid), sid);
         bump(&self.work.view_index_ops, 1);
         self.lru.push_back(&mut self.sblocks, sid);
         for i in 0..self.sblocks[sid].parts.len() {
@@ -914,11 +974,11 @@ impl GmLakeAllocator {
         let mut blocked = Vec::new();
         let mut best: Option<(SBlockId, usize)> = None;
         for sid in self.lru.iter(&self.sblocks) {
-            let s = &self.sblocks[sid];
-            if let Some(at) = Self::witness(&self.pblocks, &self.work, s) {
-                blocked.push((sid, s.parts[at]));
+            if let Some(on) = Self::witness(&self.dense, &self.sblocks, &self.work, sid) {
+                blocked.push((sid, on));
                 continue;
             }
+            let s = &self.sblocks[sid];
             let unique = s
                 .parts
                 .iter()
@@ -939,6 +999,7 @@ impl GmLakeAllocator {
             self.lru.unlink(&mut self.sblocks, sid);
             self.sblocks[sid].parked_on = Some(on);
             self.pblocks[on].parked.push(sid);
+            self.dense.p[on as usize] |= PARKS;
         }
         best.map(|(sid, _)| sid)
     }
@@ -990,11 +1051,19 @@ impl GmLakeAllocator {
                 let parked = &mut self.pblocks[on].parked;
                 let at = parked.iter().position(|&v| v == sid);
                 parked.swap_remove(at.expect("witness lists the parked view"));
+                if parked.is_empty() {
+                    self.dense.p[on as usize] &= !PARKS;
+                }
             }
             None => self.lru.unlink(&mut self.sblocks, sid),
         }
         let s = self.sblocks.remove(sid).expect("sblock exists");
-        self.s_by_size.remove(&(s.size, sid));
+        self.dense.s[sid as usize] = ViewFlags::default();
+        let views = self.s_by_size.get_mut(&s.size).expect("size listed");
+        views.remove(views.binary_search(&sid).expect("view listed"));
+        if views.is_empty() {
+            self.s_by_size.remove(&s.size);
+        }
         bump(&self.work.view_index_ops, 1);
         for &pid in &s.parts {
             let p = self
@@ -1006,7 +1075,7 @@ impl GmLakeAllocator {
                 .swap_remove(at.expect("part lists the view"));
             // Losing its last reference drops an inactive part to the
             // unreferenced tier, and an active one out of the index.
-            if !p.is_referenced() {
+            if p.referenced_by.is_empty() {
                 self.retier_pblock(pid);
             }
         }
@@ -1056,7 +1125,7 @@ impl GmLakeAllocator {
         let r = self.reservations.remove(&base).expect("recorded");
         self.dirty.remove(&base);
         for pid in r.pieces {
-            debug_assert!(self.pblocks[pid].is_mergeable(), "forgetting a busy piece");
+            debug_assert!(mergeable(&self.dense.p, &self.pblocks, pid), "busy piece");
             self.remove_pblock(pid);
         }
         self.reserved_phys -= r.size;
@@ -1077,12 +1146,12 @@ impl GmLakeAllocator {
     fn reclaim(&mut self, releasable: impl Fn(u64) -> bool) -> u64 {
         bump(&self.work.reclaim_visits, self.dirty.len() as u64);
         let (pblocks, index) = (&mut self.pblocks, &mut self.p_index);
-        let reservations = &mut self.reservations;
+        let (reservations, flags) = (&mut self.reservations, &self.dense.p);
         let mut doomed = Vec::new();
         self.dirty.retain(|&base| {
             let r = reservations.get_mut(&base).expect("dirty, so recorded");
             r.pieces.dedup_by(|&mut right, &mut left| {
-                let merge = pblocks[left].is_mergeable() && pblocks[right].is_mergeable();
+                let merge = mergeable(flags, pblocks, left) && mergeable(flags, pblocks, right);
                 if merge {
                     let gone = pblocks.remove(right).expect("listed piece");
                     index.remove(false, gone.size, right);
@@ -1093,11 +1162,11 @@ impl GmLakeAllocator {
                 }
                 merge
             });
-            let idle = r.pieces.iter().all(|&pid| pblocks[pid].is_idle());
-            if idle && r.pieces.iter().all(|&pid| releasable(pblocks[pid].size)) {
+            let spent = r.pieces.iter().all(|&pid| idle(flags[pid as usize]));
+            if spent && r.pieces.iter().all(|&pid| releasable(pblocks[pid].size)) {
                 doomed.push((base, r.size));
             }
-            idle
+            spent
         });
         let mut released = 0;
         for (base, size) in doomed {
@@ -1154,6 +1223,7 @@ impl GmLakeAllocator {
                 // is parked: it leaves the eviction list (which asserts it
                 // is a member), and stays in the size index.
                 self.lru.unlink(&mut self.sblocks, sid);
+                self.dense.s[sid as usize].assigned = true;
                 let s = &mut self.sblocks[sid];
                 s.assigned_to = Some(id);
                 if self.current_stream.is_some() {
@@ -1184,8 +1254,11 @@ impl GmLakeAllocator {
     /// Per-stream affinity refinement for S1 pBlock matches: among exact
     /// candidates of the same size *and* stitch-cost tier (which Algorithm 1
     /// treats as equivalent — same state, same cost), prefer one last used
-    /// by the requesting stream. Bounded scan; no-op for streamless calls,
-    /// so `BestFit`'s classification and the reference oracle are untouched.
+    /// by the requesting stream. No-op for streamless calls, so `BestFit`'s
+    /// classification and the reference oracle are untouched. The scan is
+    /// not bounded: the limit counts candidates of the chosen tier, and for
+    /// a referenced `chosen` every inactive equal-size referenced block met
+    /// on the way costs an `O(r)` stitch-cost query.
     fn prefer_stream_pblock(&self, chosen: PBlockId) -> PBlockId {
         let Some(stream) = self.current_stream else {
             return chosen;
@@ -1207,10 +1280,10 @@ impl GmLakeAllocator {
                 .take(Self::AFFINITY_SCAN_LIMIT)
                 .find(same_stream)
         } else {
-            let active = |pid| Self::active_entry(&self.pblocks, &self.work, pid);
             self.p_index
                 .equal_size(true, p.size)
-                .filter(|&pid| !active(pid) && cost(pid) == tier)
+                .filter(|&pid| !Self::active_entry(&self.dense, &self.work, pid))
+                .filter(|&pid| cost(pid) == tier)
                 .take(Self::AFFINITY_SCAN_LIMIT)
                 .find(same_stream)
         }
@@ -1220,7 +1293,10 @@ impl GmLakeAllocator {
     /// Per-stream affinity refinement for S1 sBlock matches (all available
     /// sBlocks of the exact size are equivalent to Algorithm 1). `chosen`
     /// is the first available view of its size and counts against the
-    /// limit; the walk resumes behind it.
+    /// limit; the walk resumes behind it. The limit counts available views
+    /// only, so the walk may meet every view of the size behind `chosen`
+    /// (47 on average per scan on `train_lro_streams`), each rejected on
+    /// its flag or its hint.
     fn prefer_stream_sblock(&self, chosen: SBlockId) -> SBlockId {
         let Some(stream) = self.current_stream else {
             return chosen;
@@ -1229,19 +1305,22 @@ impl GmLakeAllocator {
         if s.last_stream == Some(stream) {
             return chosen;
         }
-        let size = s.size;
-        self.s_by_size
-            .range((size, chosen + 1)..=(size, u64::MAX))
-            .map(|&(_, sid)| sid)
+        let views = &self.s_by_size[&s.size];
+        views[views.partition_point(|&sid| sid <= chosen)..]
+            .iter()
+            .copied()
             .filter(|&sid| self.view_available(sid))
             .take(Self::AFFINITY_SCAN_LIMIT - 1)
             .find(|&sid| self.sblocks[sid].last_stream == Some(stream))
             .unwrap_or(chosen)
     }
 
-    /// Cap on the equal-size candidate scan in the affinity refinements:
-    /// affinity is a locality hint, not a correctness requirement, so it
-    /// must never turn an `O(log n)` exact match into an `O(n)` sweep.
+    /// Cap on the equal-size *candidates* the affinity refinements weigh:
+    /// available views, or blocks of the chosen stitch-cost tier. It is not
+    /// a bound on the walk — what the filters reject is not counted, so a
+    /// refinement can pass every view or block of the size (see the two
+    /// functions above). Capping what they visit would change which view
+    /// is handed out.
     ///
     /// The hint pays for itself. With both refinements returning `chosen`,
     /// the benchmark at its pinned seed reads `train_lro_streams` stall
@@ -1274,22 +1353,22 @@ impl GmLakeAllocator {
     /// parked view is known blocked) and marking the parts of the available
     /// ones.
     fn best_fit(&mut self, aligned: u64) -> BestFit {
-        let (pblocks, sblocks, work) = (&self.pblocks, &self.sblocks, &self.work);
+        let (dense, sblocks, work) = (&self.dense, &self.sblocks, &self.work);
         let (lru, marks) = (&self.lru, &mut self.available_parts);
+        let views = self.s_by_size.get(&aligned).map_or(&[][..], Vec::as_slice);
         best_fit_indexed(
             aligned,
-            &self.s_by_size,
+            views,
             &self.p_index,
             self.config.frag_limit,
-            |sid| Self::available(pblocks, work, &sblocks[sid]),
-            |pid| Self::active_entry(pblocks, work, pid),
+            |sid| Self::available(dense, sblocks, work, sid),
+            |pid| Self::active_entry(dense, work, pid),
             move || {
                 marks.clear();
-                marks.resize(pblocks.slot_count() + 1, false);
+                marks.resize(dense.p.len(), false);
                 for sid in lru.iter(sblocks) {
-                    let s = &sblocks[sid];
-                    if Self::witness(pblocks, work, s).is_none() {
-                        for &pid in &s.parts {
+                    if Self::witness(dense, sblocks, work, sid).is_none() {
+                        for &pid in &sblocks[sid].parts {
                             marks[pid as usize] = true;
                         }
                     }
@@ -1510,10 +1589,10 @@ impl GmLakeAllocator {
     pub fn reference_indexes(&self) -> ReferenceIndexes {
         let views = self.sblocks.iter();
         let available = views.filter(|(_, s)| self.scan_available(s));
-        let inactive = self.pblocks.iter().filter(|(_, p)| !p.active);
+        let inactive = self.pblocks.keys().filter(|&pid| !self.dense.active(pid));
         ReferenceIndexes {
             available_views: available.map(|(sid, s)| (s.size, sid)).collect(),
-            inactive_pblocks: inactive.map(|(pid, p)| (p.size, pid)).collect(),
+            inactive_pblocks: inactive.map(|pid| (self.pblocks[pid].size, pid)).collect(),
         }
     }
 
@@ -1573,12 +1652,30 @@ impl GmLakeAllocator {
         self.sblocks
             .validate()
             .map_err(|e| format!("sblock arena: {e}"))?;
+        // 0b. A dead slot carries no flag; a live one's are checked below,
+        //     against what they summarise.
+        let dead_p = |(id, &f): (usize, &u8)| f != 0 && self.pblocks.get(id as u64).is_none();
+        let set = |v: &ViewFlags| v.assigned || v.hint.get() != 0;
+        let dead_s = |(id, v)| set(v) && self.sblocks.get(id as u64).is_none();
+        let (p, s) = (&self.dense.p, &self.dense.s);
+        if p.iter().enumerate().any(dead_p) || s.iter().enumerate().any(dead_s) {
+            return Err("a dead slot carries flags".to_owned());
+        }
         // 1. pBlock placement in the index, parked list.
         let mut phys_sum = 0u64;
         let mut indexed = 0usize;
         let mut parked_entries = 0usize;
         for (pid, p) in self.pblocks.iter() {
             phys_sum += p.size;
+            let flags = self.dense.p[pid as usize];
+            let active = flags & ACTIVE != 0;
+            let lists = [(REFERENCED, &p.referenced_by), (PARKS, &p.parked)];
+            if lists
+                .iter()
+                .any(|(bit, l)| (flags & bit != 0) == l.is_empty())
+            {
+                return Err(format!("pblock {pid}: stale flags {flags:#b}"));
+            }
             let distinct: BTreeSet<SBlockId> = p.referenced_by.iter().copied().collect();
             if distinct.len() != p.referenced_by.len() {
                 return Err(format!("pblock {pid} lists a referencing sblock twice"));
@@ -1596,15 +1693,15 @@ impl GmLakeAllocator {
             // activity; unreferenced and inactive → the unreferenced tier;
             // unreferenced and active → not indexed.
             let placed = self.p_index.placement_of(p.size, pid);
-            let expected = (p.is_referenced() || !p.active).then_some(p.is_referenced());
+            let referenced = flags & REFERENCED != 0;
+            let expected = (referenced || !active).then_some(referenced);
             indexed += expected.is_some() as usize;
             if placed != expected {
                 return Err(format!(
-                    "pblock {pid} (active={}): indexed as referenced={placed:?}, expected {expected:?}",
-                    p.active
+                    "pblock {pid} (active={active}): indexed as referenced={placed:?}, expected {expected:?}"
                 ));
             }
-            if !p.active {
+            if !active {
                 if !p.parked.is_empty() {
                     return Err(format!("inactive pblock {pid} parks {:?}", p.parked));
                 }
@@ -1623,17 +1720,16 @@ impl GmLakeAllocator {
                 }
             }
             parked_entries += p.parked.len();
-            if p.assigned_to.is_some() && !p.active {
+            if p.assigned_to.is_some() && !active {
                 return Err(format!("pblock {pid}: assigned but inactive"));
             }
             // A stamp lives on an inactive block, and its stream's newest
             // tracked event covers it, so `process_events` can retire it.
             if let Some((stream, event)) = p.stamp {
                 let newest = self.stamp_streams.iter().find(|(s, _)| *s == stream);
-                if p.active || newest.is_none_or(|&(_, n)| n < event) {
+                if active || newest.is_none_or(|&(_, n)| n < event) {
                     return Err(format!(
-                        "pblock {pid} (active={}): stamp {stream:?}/{event:?} is not tracked",
-                        p.active
+                        "pblock {pid} (active={active}): stamp {stream:?}/{event:?} is not tracked"
                     ));
                 }
             }
@@ -1676,10 +1772,10 @@ impl GmLakeAllocator {
             }
             listed += r.pieces.len();
             // Outside the dirty set a reclaim walk would change nothing.
-            let pieces: Vec<&PBlock> = r.pieces.iter().map(|&pid| &self.pblocks[pid]).collect();
-            let both = |w: &[&PBlock]| w[0].is_mergeable() && w[1].is_mergeable();
-            let merge = pieces.windows(2).any(both);
-            if !self.dirty.contains(base) && (merge || pieces.iter().all(|p| p.is_idle())) {
+            let mergeable = |&pid: &PBlockId| mergeable(&self.dense.p, &self.pblocks, pid);
+            let merge = r.pieces.windows(2).any(|w| w.iter().all(mergeable));
+            let spent = r.pieces.iter().all(|&pid| idle(self.dense.p[pid as usize]));
+            if !self.dirty.contains(base) && (merge || spent) {
                 return Err(format!("clean reservation {base} needs a walk"));
             }
         }
@@ -1711,9 +1807,7 @@ impl GmLakeAllocator {
                     return Err(format!("pblock {pid} missing backref to sblock {sid}"));
                 }
                 size_sum += p.size;
-                if p.active {
-                    active += 1;
-                }
+                active += self.dense.active(*pid) as usize;
             }
             if size_sum != s.size {
                 return Err(format!(
@@ -1721,13 +1815,14 @@ impl GmLakeAllocator {
                     s.size
                 ));
             }
-            if s.hint.get() >= s.parts.len() {
-                return Err(format!("sblock {sid}: witness hint out of bounds"));
-            }
             // An unassigned view is in exactly one of {eviction list,
             // parked}; an assigned one in neither, with every part active.
             // Off the list a view keeps no links.
             let unassigned = s.assigned_to.is_none();
+            let v = &self.dense.s[sid as usize];
+            if v.assigned == unassigned || !s.parts.contains(&v.hint.get()) {
+                return Err(format!("sblock {sid}: stale flags"));
+            }
             let in_evict = listed.contains(&sid);
             if unassigned != (in_evict ^ s.parked_on.is_some()) || (in_evict && !unassigned) {
                 return Err(format!(
@@ -1742,7 +1837,7 @@ impl GmLakeAllocator {
                 return Err(format!("assigned sblock {sid} has inactive parts"));
             }
             if let Some(on) = s.parked_on {
-                let w = self.pblocks.get(on).filter(|w| w.active);
+                let w = self.pblocks.get(on).filter(|_| self.dense.active(on));
                 let listed = w.is_some_and(|w| w.parked.contains(&sid));
                 if !listed || !s.parts.contains(&on) {
                     return Err(format!(
@@ -1752,8 +1847,14 @@ impl GmLakeAllocator {
                 parked_s += 1;
             }
         }
-        let sized: BTreeSet<_> = self.sblocks.iter().map(|(sid, s)| (s.size, sid)).collect();
-        if sized != self.s_by_size {
+        // The size index: each list non-empty and strictly ascending, and
+        // together every view once, under its size.
+        let sized = |(&size, v): (&u64, &Vec<SBlockId>)| {
+            let live = |&sid: &SBlockId| self.sblocks.get(sid).is_some_and(|s| s.size == size);
+            !v.is_empty() && v.windows(2).all(|w| w[0] < w[1]) && v.iter().all(live)
+        };
+        let listed: usize = self.s_by_size.values().map(Vec::len).sum();
+        if listed != self.sblocks.len() || !self.s_by_size.iter().all(sized) {
             return Err("the size index does not hold exactly every sblock".to_owned());
         }
         if parked_entries != parked_s {
@@ -1898,15 +1999,20 @@ impl AllocatorCore for GmLakeAllocator {
                 let tick = self.next_tick();
                 let s = self.sblocks.get_mut(sid).expect("live sblock");
                 s.assigned_to = None;
+                self.dense.s[sid as usize].assigned = false;
                 s.lru_tick = tick;
                 if self.current_stream.is_some() {
                     s.last_stream = self.current_stream;
                 }
                 // Unassigned again: the newest entry of the eviction list.
                 self.lru.push_back(&mut self.sblocks, sid);
+                // An assigned view's parts carry no stamp (the hand-out took
+                // them), so only a new one is written.
                 for i in 0..self.sblocks[sid].parts.len() {
                     let pid = self.sblocks[sid].parts[i];
-                    self.pblocks[pid].stamp = stamp;
+                    if stamp.is_some() {
+                        self.pblocks[pid].stamp = stamp;
+                    }
                     self.set_pblock_active(pid, false);
                 }
                 self.track_stamp(stamp);
@@ -1973,11 +2079,12 @@ impl AllocatorCore for GmLakeAllocator {
         });
         let mut retired = 0;
         if !done.is_empty() {
-            for p in self.pblocks.values_mut() {
+            for (pid, p) in self.pblocks.iter_mut() {
                 if p.stamp.is_some_and(|(s, _)| done.contains(&s)) {
                     p.stamp = None;
                     retired += 1;
-                    mark_if_idle(&mut self.dirty, &self.work, p);
+                    let flags = self.dense.p[pid as usize];
+                    mark_if_idle(&mut self.dirty, &self.work, flags, p.resv);
                 }
             }
         }
@@ -2027,8 +2134,9 @@ impl AllocatorCore for GmLakeAllocator {
         let blocked: Vec<SBlockId> = self
             .sblocks
             .iter()
-            .filter(|(_, s)| {
-                s.assigned_to.is_none() && Self::witness(&self.pblocks, &self.work, s).is_some()
+            .filter(|&(sid, s)| {
+                s.assigned_to.is_none()
+                    && Self::witness(&self.dense, &self.sblocks, &self.work, sid).is_some()
             })
             .map(|(sid, _)| sid)
             .collect();
@@ -2066,6 +2174,11 @@ impl Drop for GmLakeAllocator {
 
 #[cfg(test)]
 impl GmLakeAllocator {
+    /// The dense flags and the size index, for tests that corrupt them.
+    pub(crate) fn dense_state(&mut self) -> (&mut Dense, &mut IdMap<u64, Vec<SBlockId>>) {
+        (&mut self.dense, &mut self.s_by_size)
+    }
+
     /// What the next pass — `compact` if `compact`, else `release_cached` —
     /// should release, by a read-only walk over *every* reservation: the
     /// oracle of the dirty-set walk. Returns `(base, bytes)` in VA order.
@@ -2086,8 +2199,9 @@ impl GmLakeAllocator {
         for (&base, r) in &self.reservations {
             // Per run of merged pieces: idle, mergeable, bytes.
             let mut runs: Vec<(bool, bool, u64)> = Vec::new();
-            for p in r.pieces.iter().map(|&pid| &self.pblocks[pid]) {
-                let idle = !p.active && !p.referenced_by.iter().any(kept);
+            for &pid in &r.pieces {
+                let p = &self.pblocks[pid];
+                let idle = !self.dense.active(pid) && !p.referenced_by.iter().any(kept);
                 let unstamped = p.stamp.is_none() || !p.referenced_by.iter().all(kept);
                 match runs.last_mut() {
                     Some(run) if run.1 && idle && unstamped => run.2 += p.size,

@@ -3,11 +3,12 @@
 //!
 //! * [`best_fit_indexed`] — the production hot path. It runs over a
 //!   [`TieredPIndex`] — pBlocks keyed `(size, id)`, split by whether any
-//!   cached view references them — and the `(size, id)` index of every
-//!   view. Whether a view is *available* (unassigned, every part inactive)
-//!   is not stored anywhere: the two steps that need it ask the allocator,
-//!   through `view_available` for the exact-match candidates and through
-//!   `available_parts` once per S3/S4 walk that reaches referenced blocks.
+//!   cached view references them — and the id-sorted views of the
+//!   requested size. Whether a view is *available* (unassigned, every
+//!   part inactive) is not stored anywhere: the two steps that need it ask
+//!   the allocator, through `view_available` for the exact-match
+//!   candidates and through `available_parts` once per S3/S4 walk that
+//!   reaches referenced blocks.
 //!   Everything else is a handful of `O(log n)` range probes, which skip
 //!   the active entries of the referenced tier.
 //! * [`best_fit_reference`] — the original transcription over a single
@@ -148,7 +149,7 @@ impl TieredPIndex {
 
 /// Runs Algorithm 1 over the incremental indexes — the production hot path.
 ///
-/// `s_by_size` is the `(size, id)` set of every view and `view_available`
+/// `views` are the views of size `bsize` in id order and `view_available`
 /// says whether one is unassigned with every part inactive;
 /// `p_index` holds the pBlocks, and `is_active` says whether an entry of its
 /// referenced tier is active — every reader of that tier skips those.
@@ -160,7 +161,7 @@ impl TieredPIndex {
 /// of §4.2.3) but still serve exact matches.
 pub(crate) fn best_fit_indexed<M: std::ops::Deref<Target = [bool]>>(
     bsize: u64,
-    s_by_size: &BTreeSet<(u64, SBlockId)>,
+    views: &[SBlockId],
     p_index: &TieredPIndex,
     frag_limit: u64,
     view_available: impl Fn(SBlockId) -> bool,
@@ -176,8 +177,7 @@ pub(crate) fn best_fit_indexed<M: std::ops::Deref<Target = [bool]>>(
     // unreferenced ones are preferred so that blocks woven into cached
     // sBlocks stay available to those sBlocks; ties break on the lowest id,
     // as in the reference scan.
-    let mut views = s_by_size.range((bsize, 0)..=(bsize, u64::MAX));
-    if let Some(&(_, sid)) = views.find(|&&(_, sid)| view_available(sid)) {
+    if let Some(&sid) = views.iter().find(|&&sid| view_available(sid)) {
         return BestFit::ExactS(sid);
     }
     let exact = sized(unref, bsize).next();
@@ -397,9 +397,11 @@ mod tests {
             hit
         };
         let reference = best_fit_reference(bsize, s_inactive, p_inactive, frag_limit, stitch_cost);
+        let sized = s_inactive.range((bsize, 0)..=(bsize, u64::MAX));
+        let views: Vec<SBlockId> = sized.map(|&(_, sid)| sid).collect();
         let indexed = best_fit_indexed(
             bsize,
-            s_inactive,
+            &views,
             &index,
             frag_limit,
             |_| true,
@@ -637,19 +639,18 @@ mod tests {
 
     #[test]
     fn exact_sblock_skips_blocked_views() {
-        let s = set(&[(100, 1), (100, 2), (100, 3), (200, 4)]);
         let empty = TieredPIndex::new();
         let fit = |available: &[SBlockId]| {
             let none = || -> Vec<bool> { unreachable!("S1 and S4 on an empty pool ask nothing") };
             let ask = |sid| available.contains(&sid);
-            best_fit_indexed(100, &s, &empty, NO_LIMIT, ask, |_| false, none)
+            best_fit_indexed(100, &[1, 2, 3], &empty, NO_LIMIT, ask, |_| false, none)
         };
         assert_eq!(fit(&[2, 3, 4]), BestFit::ExactS(2), "lowest available id");
         let nothing = BestFit::Insufficient {
             ids: vec![],
             sum: 0,
         };
-        assert_eq!(fit(&[4]), nothing, "another size does not match");
+        assert_eq!(fit(&[4]), nothing, "no view of the size is available");
     }
 
     #[test]
@@ -720,7 +721,7 @@ mod tests {
         index.insert(false, 30, 4);
         index.insert(true, 60, 1);
         let none = || -> Vec<bool> { unreachable!("no inactive referenced block") };
-        let indexed = best_fit_indexed(90, &s, &index, NO_LIMIT, |_| true, |pid| pid == 1, none);
+        let indexed = best_fit_indexed(90, &[], &index, NO_LIMIT, |_| true, |pid| pid == 1, none);
         let reference = best_fit_reference(90, &s, &set(&[(30, 4)]), NO_LIMIT, unreferenced);
         assert_eq!(indexed, reference);
         assert_eq!(

@@ -29,15 +29,13 @@ pub(crate) struct PBlock {
     pub size: u64,
     /// Base of the [`Reservation`] `[va, va + size)` lies in.
     pub resv: VirtAddr,
-    /// Whether the block's memory is currently used by a tensor (directly or
-    /// through an assigned sBlock).
-    pub active: bool,
     /// Allocation currently holding this pBlock *directly* (not through an
     /// sBlock).
     pub assigned_to: Option<AllocationId>,
     /// sBlocks whose mapping includes this pBlock's bytes, each once, in no
     /// particular order. Empty or not is the block's tier in the pBlock
-    /// index; an activity flip never walks it.
+    /// index (an unreferenced block is indexed only while inactive); an
+    /// activity flip never walks it.
     pub referenced_by: Vec<SBlockId>,
     /// Unassigned views an eviction scan found blocked by this block and
     /// took out of the eviction list (each has `parked_on` pointing
@@ -64,7 +62,6 @@ impl PBlock {
             va,
             size,
             resv,
-            active: false,
             assigned_to: None,
             referenced_by: Vec::new(),
             parked: Vec::new(),
@@ -72,24 +69,60 @@ impl PBlock {
             stamp: None,
         }
     }
+}
 
-    /// The block's tier in the pBlock index (an unreferenced block is
-    /// indexed only while inactive).
-    pub fn is_referenced(&self) -> bool {
-        !self.referenced_by.is_empty()
-    }
+/// Bits of a pBlock's byte in [`Dense::p`]. `ACTIVE`: the block's memory is
+/// used by a tensor, directly or through an assigned view — the only record
+/// of it. `REFERENCED` and `PARKS` say that `PBlock::referenced_by` and
+/// `PBlock::parked` are non-empty.
+pub(crate) const ACTIVE: u8 = 1;
+pub(crate) const REFERENCED: u8 = 2;
+pub(crate) const PARKS: u8 = 4;
 
-    /// Whether the block is idle: inactive and in no view. A reservation of
-    /// idle pieces can go back to the driver.
-    pub fn is_idle(&self) -> bool {
-        !self.active && !self.is_referenced()
-    }
+/// Whether a block with these flags is idle: inactive and in no view. A
+/// reservation of idle pieces can go back to the driver.
+pub(crate) fn idle(flags: u8) -> bool {
+    flags & (ACTIVE | REFERENCED) == 0
+}
 
-    /// Whether a reclaim walk may merge the block with an idle neighbour:
-    /// idle, and guarded by no event.
-    pub fn is_mergeable(&self) -> bool {
-        self.is_idle() && self.stamp.is_none()
+/// What the exact walk knows of a view before it needs the view's parts.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct ViewFlags {
+    /// `SBlock::assigned_to` is set.
+    pub assigned: bool,
+    /// Witness hint: the part last found active, one of the view's parts.
+    /// Whether the view is blocked is a query (scan the parts); a blocked
+    /// view usually stays blocked by the same part, so checking this one
+    /// first answers in one load. `Split` moves it to the left child, since
+    /// the parent's slab id may come back as an unrelated block.
+    pub hint: Cell<PBlockId>,
+}
+
+/// The state the S1 path reads, in arrays indexed by slab id, so that a
+/// walk step or a part flip loads a byte, not a block struct. A dead slot
+/// holds zeroes.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Dense {
+    /// Per pBlock: [`ACTIVE`], [`REFERENCED`], [`PARKS`].
+    pub p: Vec<u8>,
+    /// Per view.
+    pub s: Vec<ViewFlags>,
+}
+
+impl Dense {
+    pub fn active(&self, pid: PBlockId) -> bool {
+        self.p[pid as usize] & ACTIVE != 0
     }
+}
+
+/// The entry of `id`, a slab id just handed out, in one of [`Dense`]'s
+/// arrays, which grows to hold it.
+pub(crate) fn slot<T: Default>(v: &mut Vec<T>, id: u64) -> &mut T {
+    let at = id as usize;
+    if at >= v.len() {
+        v.resize_with(at + 1, T::default);
+    }
+    &mut v[at]
 }
 
 /// A driver VA reservation, keyed by its base, and the one physical handle
@@ -122,13 +155,6 @@ pub(crate) struct SBlock {
     pub next: SBlockId,
     /// Stream that last held this stitched view (see `PBlock::last_stream`).
     pub last_stream: Option<StreamId>,
-    /// Witness hint: the index into `parts` of the part last found active.
-    /// Whether the view is blocked is a query (scan the parts); a blocked
-    /// view usually stays blocked by the same part, so checking this one
-    /// first answers in one load. An index, not a `PBlockId`: slab ids are
-    /// reused, while an index always names a member — `Split` only ever
-    /// grows `parts`, so it survives as what it is, a hint.
-    pub hint: Cell<usize>,
     /// The active part this view is parked on (see [`PBlock::parked`]):
     /// `None` while the view is assigned or in the eviction list.
     pub parked_on: Option<PBlockId>,
@@ -145,7 +171,6 @@ impl SBlock {
             prev: 0,
             next: 0,
             last_stream: None,
-            hint: Cell::new(0),
             parked_on: None,
         }
     }

@@ -39,12 +39,6 @@ impl<T> Slab<T> {
         self.slots.len() - self.free.len()
     }
 
-    /// Slots ever handed out, live or vacant: every id is `<=` this, so
-    /// `slot_count() + 1` sizes a table indexed by id.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Inserts `value`, reusing a vacant slot when one exists, and returns
     /// its id.
     pub fn insert(&mut self, value: T) -> u64 {
@@ -85,9 +79,12 @@ impl<T> Slab<T> {
             .filter_map(|(i, slot)| slot.as_ref().map(|v| (i as u64 + 1, v)))
     }
 
-    /// Iterates live entries mutably, in id order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.slots.iter_mut().flatten()
+    /// Iterates live `(id, &mut entry)` pairs in id order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
+        self.slots
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.as_mut().map(|v| (i as u64 + 1, v)))
     }
 
     /// Live ids in ascending order.

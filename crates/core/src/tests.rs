@@ -1428,6 +1428,178 @@ fn exact_walk_skips_an_assigned_view_on_its_flag() {
     l.validate().unwrap();
 }
 
+/// A witness hint names a part by slab id, and `Split` frees the id of the
+/// part it cuts for reuse, so the hint has to follow the part to its left
+/// child. Here V's hint names X; X is split, X's id comes back as a live
+/// block, and V — idle again — must still serve the next exact match of its
+/// size instead of reading as blocked by that stranger.
+#[test]
+fn a_witness_hint_survives_a_split_of_its_part() {
+    let mut l = lake();
+    let z = l.allocate(AllocRequest::new(mib(16))).unwrap();
+    let x = l.allocate(AllocRequest::new(mib(8))).unwrap();
+    let y = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    l.deallocate(x.id).unwrap();
+    l.deallocate(y.id).unwrap();
+    let v = l.allocate(AllocRequest::new(mib(12))).unwrap();
+    assert_eq!(l.state_counters().stitches, 1, "V = [X, Y], hinted at X");
+    l.deallocate(v.id).unwrap();
+    // Z is held, so no unreferenced block is free: a 6 MiB S2 splits X into
+    // 6 | 2 and hands out the left child; X's id goes on the free list.
+    let c = l.allocate(AllocRequest::new(mib(6))).unwrap();
+    assert_eq!((c.va, l.state_counters().splits), (x.va, 1));
+    // A 10 MiB S2 splits the freed Z, and its left child — live — is the
+    // next block inserted, under X's old id.
+    l.deallocate(z.id).unwrap();
+    let d = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    assert_eq!((d.va, l.state_counters().splits), (z.va, 2));
+    l.validate().unwrap();
+    // Every part of V is idle again.
+    l.deallocate(c.id).unwrap();
+    let exact = l.state_counters().exact;
+    let again = l.allocate(AllocRequest::new(mib(12))).unwrap();
+    assert_eq!(l.state_counters().exact, exact + 1, "V read as blocked");
+    assert_eq!(again.va, v.va);
+    for id in [again.id, d.id] {
+        l.deallocate(id).unwrap();
+    }
+    l.validate().unwrap();
+}
+
+/// The witness hint is what makes a still-blocked view cheap: the query that
+/// finds the active part leaves the hint on it, and each later query of the
+/// view reads that one part.
+#[test]
+fn a_blocked_view_costs_one_part_per_query_after_the_first() {
+    let mut l = lake();
+    let a = l.allocate(AllocRequest::new(mib(6))).unwrap();
+    let b = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    l.deallocate(a.id).unwrap();
+    l.deallocate(b.id).unwrap();
+    let v = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    l.deallocate(v.id).unwrap();
+    // V = [6, 4], hinted at its first part; handing out the second alone
+    // blocks it.
+    let hold = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    // A 10 MiB probe asks about V twice: in the exact walk and in the S4
+    // classification.
+    let scanned = |l: &mut GmLakeAllocator| {
+        let before = l.work_counters();
+        assert_eq!(l.probe_bestfit_indexed(mib(10)), 4);
+        let work = work_since(l, before);
+        (work.views_verified, work.parts_scanned)
+    };
+    assert_eq!(scanned(&mut l), (2, 3 + 1), "a miss and a scan, then a hit");
+    assert_eq!(scanned(&mut l), (2, 2), "one part per query");
+    l.deallocate(hold.id).unwrap();
+    l.validate().unwrap();
+}
+
+/// Tearing a parked view down takes it off its witness part's list, and the
+/// part's `PARKS` flag goes with the last view on it.
+#[test]
+fn tearing_down_a_parked_view_clears_its_witness_flag() {
+    let cfg = GmLakeConfig::default()
+        .with_frag_limit(mib(2))
+        .with_max_sblocks(1);
+    let mut l = lake_with(DeviceConfig::small_test(), cfg);
+    let a = l.allocate(AllocRequest::new(mib(4))).unwrap();
+    let b = l.allocate(AllocRequest::new(mib(6))).unwrap();
+    l.deallocate(a.id).unwrap();
+    l.deallocate(b.id).unwrap();
+    let view_a = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    l.deallocate(view_a.id).unwrap();
+    let held: Vec<_> = [6, 4]
+        .map(|m| l.allocate(AllocRequest::new(mib(m))).unwrap())
+        .into();
+    // View B over fresh blocks goes over the cap of one; the victim scan
+    // finds A blocked and parks it.
+    let c = l.allocate(AllocRequest::new(mib(8))).unwrap();
+    let d = l.allocate(AllocRequest::new(mib(12))).unwrap();
+    l.deallocate(c.id).unwrap();
+    l.deallocate(d.id).unwrap();
+    let view_b = l.allocate(AllocRequest::new(mib(20))).unwrap();
+    assert_eq!((l.sblock_count(), l.state_counters().evictions), (2, 0));
+    l.validate().unwrap();
+    // `compact` destroys A, blocked and unassigned, while it is parked.
+    l.compact();
+    assert_eq!(l.sblock_count(), 1);
+    l.validate().unwrap();
+    for id in [view_b.id, held[0].id, held[1].id] {
+        l.deallocate(id).unwrap();
+    }
+    l.validate().unwrap();
+}
+
+/// `validate()` holds the dense state to what it summarises — each flag to
+/// its block or view, a dead slot to zero, the size lists to the views —
+/// and catches each corruption below; undoing it passes again.
+#[test]
+fn validate_checks_the_dense_state() {
+    use crate::block::{Dense, ACTIVE, PARKS, REFERENCED};
+    type Sizes = gmlake_alloc_api::IdMap<u64, Vec<u64>>;
+    let mut l = lake();
+    // pBlocks X = 1, Y = 2, P = 3, Q = 4, C = 5; views V = 1 = [X, Y], held,
+    // and W = 2 = [P, Q], free, both of 12 MiB; C free and standalone.
+    let held: Vec<_> = [8, 4, 8, 4, 6]
+        .map(|m| l.allocate(AllocRequest::new(mib(m))).unwrap())
+        .into();
+    for a in &held[..2] {
+        l.deallocate(a.id).unwrap();
+    }
+    let v = l.allocate(AllocRequest::new(mib(12))).unwrap();
+    for a in &held[2..4] {
+        l.deallocate(a.id).unwrap();
+    }
+    let w = l.allocate(AllocRequest::new(mib(12))).unwrap();
+    for id in [w.id, held[4].id] {
+        l.deallocate(id).unwrap();
+    }
+    assert_eq!((l.sblock_count(), l.state_counters().stitches), (2, 2));
+    l.validate().unwrap();
+    // Each corruption is undone from a copy taken before it.
+    let caught = |l: &mut GmLakeAllocator, what: &str, corrupt: &dyn Fn(&mut Dense, &mut Sizes)| {
+        let (dense, sizes) = l.dense_state();
+        let saved = (dense.clone(), sizes.clone());
+        corrupt(dense, sizes);
+        assert!(l.validate().is_err(), "validate() missed {what}");
+        let (dense, sizes) = l.dense_state();
+        (*dense, *sizes) = saved;
+        l.validate().unwrap();
+    };
+    caught(&mut l, "a held part read idle", &|d, _| d.p[1] ^= ACTIVE);
+    caught(&mut l, "a free block read active", &|d, _| d.p[5] ^= ACTIVE);
+    caught(&mut l, "a lost REFERENCED", &|d, _| d.p[4] ^= REFERENCED);
+    caught(&mut l, "a stray REFERENCED", &|d, _| d.p[5] ^= REFERENCED);
+    caught(&mut l, "a stray PARKS", &|d, _| d.p[1] ^= PARKS);
+    caught(&mut l, "a held view read free", &|d, _| {
+        d.s[1].assigned ^= true
+    });
+    caught(&mut l, "a free view read held", &|d, _| {
+        d.s[2].assigned ^= true
+    });
+    caught(&mut l, "a hint off the parts", &|d, _| d.s[2].hint.set(1));
+    caught(&mut l, "a flag on dead pBlock 0", &|d, _| d.p[0] = ACTIVE);
+    caught(&mut l, "a hint on dead view 0", &|d, _| d.s[0].hint.set(1));
+    let twelve = |views: &'static [u64]| {
+        move |_: &mut Dense, s: &mut Sizes| {
+            s.insert(mib(12), views.to_vec());
+        }
+    };
+    caught(&mut l, "a view listed twice", &twelve(&[1, 1, 2]));
+    caught(&mut l, "a list out of order", &twelve(&[2, 1]));
+    caught(&mut l, "a view missing", &twelve(&[2]));
+    caught(&mut l, "an empty size list", &|_, s| {
+        drop(s.insert(mib(2), vec![]))
+    });
+    caught(&mut l, "views under another size", &|_, s| {
+        let views = s.remove(&mib(12)).unwrap();
+        s.insert(mib(10), views);
+    });
+    l.deallocate(v.id).unwrap();
+    l.validate().unwrap();
+}
+
 /// A part that is live while its only view is torn down: view V = [b, a]
 /// is freed, `a` is handed out by an exact pBlock match (V is now blocked),
 /// `compact` GCs V, and `a` — active and no longer referenced — leaves the
