@@ -1,6 +1,6 @@
 //! Criterion wrappers for the figure experiments, so `cargo bench` exercises
 //! one representative workload per evaluation axis end to end (small
-//! configurations; the full paper-scale sweeps live in `src/bin/fig*.rs`).
+//! configurations; the full paper-scale sweeps live in `src/bin/repro.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

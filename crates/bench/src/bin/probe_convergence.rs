@@ -9,16 +9,15 @@
 //! cargo run --release -p gmlake-bench --bin probe_convergence
 //! ```
 
+use gmlake_bench::run_with;
 use gmlake_core::{GmLakeAllocator, GmLakeConfig};
-use gmlake_gpu_sim::{CudaDriver, DeviceConfig};
-use gmlake_workload::{ModelSpec, Replayer, StrategySet, TraceGenerator, TrainConfig};
+use gmlake_workload::{ModelSpec, ReplayOptions, StrategySet, TrainConfig};
 
 fn probe(model: ModelSpec, s: StrategySet) {
     let cfg = TrainConfig::new(model, s).with_iterations(6);
-    let trace = TraceGenerator::new(cfg.clone()).generate();
-    let driver = CudaDriver::new(DeviceConfig::a100_80g());
-    let mut lake = GmLakeAllocator::new(driver.clone(), GmLakeConfig::default());
-    let report = Replayer::new(driver.clone()).replay(&mut lake, &trace, &cfg);
+    let (report, lake) = run_with(&cfg, &ReplayOptions::default(), |d| {
+        GmLakeAllocator::new(d, GmLakeConfig::default())
+    });
     let c = lake.state_counters();
     println!(
         "{:<28} conv={:<5} S1={:<6} S2={:<4} S3={:<5} S4={:<4} stitch={:<5} split={:<5} evict={:<5} alloc_ms={:<8.1} {}",
@@ -38,7 +37,7 @@ fn probe(model: ModelSpec, s: StrategySet) {
         "    non-exact per iteration: {:?}",
         lake.non_exact_history()
     );
-    let d = driver.stats();
+    let d = lake.driver().stats();
     let ms = |ns: u64| ns as f64 / 1e6;
     let named = d.create.time_ns + d.map.time_ns + d.set_access.time_ns;
     let rest = d.vmm_time_ns() - named;

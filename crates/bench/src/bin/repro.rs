@@ -1,0 +1,844 @@
+//! The paper's §5 evaluation on the simulated A100-80G: one experiment per
+//! figure, table, ablation or headline claim. Every number it prints is
+//! simulated time, bytes or a count, so two runs print the same bytes.
+//!
+//! ```text
+//! cargo run --release -p gmlake-bench --bin repro -- <experiment>
+//! cargo run --release -p gmlake-bench --bin repro -- all
+//! cargo run --release -p gmlake-bench --bin repro -- fig11 --profile <out.json>
+//! ```
+//!
+//! `all` runs every experiment of [`EXPERIMENTS`] in paper order; an
+//! unknown name prints the usage and exits 2. Most experiments replay a
+//! [`TrainConfig`]'s trace against the caching baseline and GMLake on fresh
+//! devices and print the paper's rows next to the measured ones. A run that
+//! hits OOM prints `OOM` for its reserved memory and `-` for its
+//! utilization, throughput and the saving: a dead run has no steady state
+//! to compare.
+
+use gmlake_alloc_api::{gib, mib, BYTES_PER_MIB};
+use gmlake_bench::{
+    executed_vmm_block, fmt_gib, fmt_pct, run_pair, run_scaleout, run_scaleout_profiled,
+    run_single, run_with, Allocator, Pair,
+};
+use gmlake_caching::{BfcConfig, CachingAllocator};
+use gmlake_core::{GmLakeAllocator, GmLakeConfig};
+use gmlake_gpu_sim::{figure6_chunk_sizes, CostModel, DriverStats};
+use gmlake_runtime::DefragPolicy;
+use gmlake_telemetry::MemorySnapshot;
+use gmlake_workload::{
+    headline_suite, mean, mem_reduction_ratio, to_gib, ModelSpec, Platform, ReplayOptions,
+    ReplayOutcome, ReplayReport, ScaleoutReport, StrategySet, TraceEvent, TraceGenerator,
+    TrainConfig,
+};
+
+/// Every experiment, in paper order.
+const EXPERIMENTS: [(&str, fn()); 15] = [
+    ("fig03", fig03),
+    ("fig04", fig04),
+    ("fig05", fig05),
+    ("fig06", fig06),
+    ("table1", table1),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("headline", headline),
+    ("ablation-frag-limit", ablation_frag_limit),
+    ("ablation-max-split", ablation_max_split),
+    ("calibrate", calibrate),
+    ("native", native),
+];
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["all"] => {
+            for (i, (name, run)) in EXPERIMENTS.iter().enumerate() {
+                if i > 0 {
+                    println!();
+                }
+                println!("=== {name} ===\n");
+                run();
+            }
+        }
+        ["fig11", "--profile", out] => fig11_profile(out),
+        [name] => match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+            Some((_, run)) => run(),
+            None => usage(),
+        },
+        _ => usage(),
+    }
+}
+
+fn usage() -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    eprintln!("usage: repro <{}|all>", names.join("|"));
+    eprintln!("       repro fig11 --profile <out.json>");
+    std::process::exit(2);
+}
+
+/// Prints a horizontal rule sized to `width`.
+fn rule(width: usize) {
+    println!("{}", "-".repeat(width));
+}
+
+/// A run's reserved GiB, utilization and throughput cells: `OOM`, `-`
+/// and `-` when the run died.
+fn cells(r: &ReplayReport) -> [String; 3] {
+    if r.outcome.is_completed() {
+        let thr = format!("{:.1}", r.throughput);
+        [fmt_gib(r.peak_reserved), fmt_pct(r.utilization()), thr]
+    } else {
+        ["   OOM".to_owned(), "-".to_owned(), "-".to_owned()]
+    }
+}
+
+fn labelled(cfg: TrainConfig) -> (String, TrainConfig) {
+    (cfg.label(), cfg)
+}
+
+/// The compare table of Figures 10 and 12, the calibration probe and the
+/// headline sweep: each `(label, cfg)` row replayed against both
+/// allocators, reserved memory and utilization side by side, then the
+/// saving. Returns the rows' pairs for summaries.
+fn compare_table(
+    first_col: &str,
+    rows: impl IntoIterator<Item = (String, TrainConfig)>,
+) -> Vec<(String, Pair)> {
+    println!("{first_col:<34}  RM-pt  UR-pt   RM-gml UR-gml     save  save%");
+    rule(84);
+    rows.into_iter()
+        .map(|(label, cfg)| {
+            let pair = run_pair(&cfg);
+            let (b, g) = (&pair.baseline, &pair.gmlake);
+            let (save, save_pct) = if b.outcome.is_completed() && g.outcome.is_completed() {
+                let saved = b.peak_reserved.saturating_sub(g.peak_reserved);
+                let ratio = saved as f64 / b.peak_reserved.max(1) as f64;
+                (fmt_gib(saved), fmt_pct(ratio))
+            } else {
+                ("-".to_owned(), "-".to_owned())
+            };
+            let ([rm_b, ur_b, _], [rm_g, ur_g, _]) = (cells(b), cells(g));
+            println!("{label:<34} {rm_b} {ur_b:>6}   {rm_g} {ur_g:>6}   {save:>6} {save_pct:>6}");
+            (label, pair)
+        })
+        .collect()
+}
+
+/// Baseline-only utilization against the paper's value (Figures 3 and 4):
+/// one caching-allocator replay per `(label, paper, cfg)` row, printed as
+/// a table and again as CSV.
+fn baseline_vs_paper(key: &str, rows: impl IntoIterator<Item = (String, f64, TrainConfig)>) {
+    println!("{key:<6} {:>10} {:>10}", "paper", "measured");
+    rule(30);
+    let mut csv = format!("{key},paper_util,measured_util\n");
+    for (label, paper, cfg) in rows {
+        let util = run_single(&cfg, Allocator::Caching, &ReplayOptions::default()).utilization();
+        println!("{label:<6} {:>10} {:>10}", fmt_pct(paper), fmt_pct(util));
+        csv.push_str(&format!("{label},{paper:.3},{util:.3}\n"));
+    }
+    println!("\ncsv:\n{csv}");
+}
+
+/// **Figure 3** — memory utilization of the PyTorch caching allocator under
+/// five strategy combinations (OPT-1.3B, DeepSpeed ZeRO-3, 4×A100).
+///
+/// Paper values: P 97%, PR 80%, PLR 76%, PRO 70%, PLRO 73%. This is a
+/// characterization of the *baseline* (GMLake is not involved): the more
+/// complex the strategy mix, the lower the utilization (Observation 1).
+fn fig03() {
+    println!("Figure 3: memory utilization by strategy combination");
+    println!("model OPT-1.3B, DeepSpeed ZeRO-3, 4 GPUs, batch 8\n");
+    // The paper labels PyTorch-only as "P" and prefixes the strategies.
+    let paper = [
+        ("P", StrategySet::N, 0.97),
+        ("PR", StrategySet::R, 0.80),
+        ("PLR", StrategySet::LR, 0.76),
+        ("PRO", StrategySet::RO, 0.70),
+        ("PLRO", StrategySet::LRO, 0.73),
+    ];
+    baseline_vs_paper(
+        "combo",
+        paper.map(|(label, s, util)| {
+            let cfg = TrainConfig::new(ModelSpec::opt_1_3b(), s);
+            (label.to_owned(), util, cfg)
+        }),
+    );
+}
+
+/// **Figure 4** — PyTorch caching-allocator utilization versus GPU count
+/// (OPT-13B + LR, DeepSpeed ZeRO-3).
+///
+/// Paper values: 91/84/78/80/76 % at 1/2/4/8/16 GPUs — utilization degrades
+/// as ZeRO-3 shards shrink and transient traffic dominates (Observation 2).
+fn fig04() {
+    println!("Figure 4: baseline memory utilization vs GPU count");
+    println!("model OPT-13B, LR strategies, DeepSpeed ZeRO-3, batch 16\n");
+    let paper = [(1u32, 0.91), (2, 0.84), (4, 0.78), (8, 0.80), (16, 0.76)];
+    baseline_vs_paper(
+        "gpus",
+        paper.map(|(gpus, util)| {
+            let cfg = TrainConfig::new(ModelSpec::opt_13b(), StrategySet::LR)
+                .with_batch(16)
+                .with_gpus(gpus);
+            (gpus.to_string(), util, cfg)
+        }),
+    );
+}
+
+/// **Figure 5** — memory-footprint irregularity of GPT-NeoX-20B training:
+/// original PyTorch versus PyTorch + LR (LoRA & recomputation).
+///
+/// The paper reports the original run making 46 k allocations of 93 MB on
+/// average while the +LR run makes 76 k allocations of 85 MB on average —
+/// complex strategies mean *more, smaller, and more irregular* requests.
+/// (Absolute counts depend on run length; the shape — count up, mean size
+/// down, footprint more jagged — is the reproduction target.)
+fn fig05() {
+    println!("Figure 5: request-stream irregularity, GPT-NeoX-20B (8 iterations)\n");
+    println!("paper: original 46k allocs @ 93 MB avg; +LR 76k allocs @ 85 MB avg\n");
+    // NeoX full fine-tuning does not fit 4×80 GB; the "original PyTorch" run
+    // is modelled with LoRA and recomputation off at a reduced batch so the
+    // trace is generatable; the statistics of interest are per-allocation.
+    let neox = |s, iterations| {
+        let cfg = TrainConfig::new(ModelSpec::gpt_neox_20b(), s)
+            .with_batch(4)
+            .with_iterations(iterations);
+        TraceGenerator::new(cfg).generate()
+    };
+    for (label, s) in [("original (N)", StrategySet::N), ("+LR", StrategySet::LR)] {
+        let stats = neox(s, 8).stats();
+        println!(
+            "{label:<18} allocs {:>7}   mean size {:>6.1} MB   small(<2MiB) {:>5}   peak live {:>6.1} GiB",
+            stats.allocs,
+            stats.mean_alloc as f64 / BYTES_PER_MIB as f64,
+            stats.small_allocs,
+            to_gib(stats.peak_live_bytes),
+        );
+    }
+    println!();
+
+    // Per-iteration allocation-count series: the jaggedness the footprint
+    // plots show comes from the allocation churn within each iteration.
+    for s in [StrategySet::N, StrategySet::LR] {
+        let mut per_iter = vec![0u64; 4];
+        let mut idx = None;
+        for ev in &neox(s, 4).events {
+            match *ev {
+                TraceEvent::IterBegin { index } => idx = Some(index as usize),
+                TraceEvent::IterEnd { .. } => idx = None,
+                TraceEvent::Alloc { .. } => {
+                    if let Some(i) = idx {
+                        per_iter[i] += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        println!("allocs per iteration ({}): {per_iter:?}", s.label());
+    }
+}
+
+/// **Figure 6** — allocation latency of the native allocator versus the
+/// virtual-memory allocator, by internal chunk size (2 MB … 1 GB), for
+/// total block sizes of 512 MB, 1 GB and 2 GB.
+///
+/// Paper: with 2 MB chunks the VMM path is ~115× slower than `cudaMalloc`
+/// (the "115x" annotation); the gap closes to ~1.5× at 1 GB chunks. Each
+/// row prints the cost-model curve and, in the last column, the same 2 GiB
+/// allocation *executed* on the driver ([`executed_vmm_block`]), read back
+/// from the simulated clock.
+fn fig06() {
+    let model = CostModel::calibrated();
+    let blocks = [gib(1) / 2, gib(1), gib(2)];
+    println!("Figure 6: allocation latency, native vs VMM by chunk size");
+    println!("(normalized units: cudaMalloc(2 GiB) = 1.0 = 1 ms simulated)\n");
+
+    print!("{:<12}", "chunk");
+    for b in blocks {
+        print!("{:>12}", format!("{}MB blk", b / mib(1)));
+    }
+    println!("{:>14}", "executed(2G)");
+    rule(12 + 12 * blocks.len() + 14);
+
+    // Native baseline row (one latency per block size).
+    print!("{:<12}", "native");
+    for b in blocks {
+        print!("{:>12.3}", model.native_alloc_norm(b));
+    }
+    println!("{:>14}", "-");
+
+    for chunk in figure6_chunk_sizes() {
+        print!("{:<12}", format!("{}MB", chunk / mib(1)));
+        for b in blocks {
+            if chunk > b {
+                print!("{:>12}", "-");
+            } else {
+                print!("{:>12.3}", model.vmm_block_alloc_norm(b, chunk));
+            }
+        }
+        let ns = executed_vmm_block(gib(2), chunk).vmm_time_ns();
+        println!("{:>14.3}", ns as f64 / 1_000_000.0);
+    }
+
+    let ratio = model.vmm_block_alloc_norm(gib(2), mib(2)) / model.native_alloc_norm(gib(2));
+    println!("\n2 GiB block from 2 MB chunks vs native: {ratio:.1}x slower (paper: 115x)");
+}
+
+/// **Table 1** — VMM API execution-time breakdown for a 2 GB allocation,
+/// normalized to `cuMemAlloc`, for internal chunk sizes of 2 / 128 / 1024 MB.
+///
+/// Paper values (normalized):
+///
+/// | chunk | 2 MB | 128 MB | 1024 MB |
+/// |---|---|---|---|
+/// | cuMemAddressReserve | 0.003 | 0.003 | 0.002 |
+/// | cuMemCreate | 18.1 | 0.89 | 0.79 |
+/// | cuMemMap | 0.70 | 0.01 | 0.002 |
+/// | cuMemSetAccess | 96.8 | 8.2 | 0.7 |
+/// | total | 115.4 | 9.1 | 1.5 |
+///
+/// Measured values come from *executing* the sequence against the simulated
+/// driver and reading per-API telemetry back, not from the closed-form model.
+fn table1() {
+    type Api = fn(&DriverStats) -> u64;
+    let paper: [(&str, [f64; 3], Api); 5] = [
+        ("cuMemAddressReserve", [0.003, 0.003, 0.002], |s| {
+            s.address_reserve.time_ns
+        }),
+        ("cuMemCreate", [18.1, 0.89, 0.79], |s| s.create.time_ns),
+        ("cuMemMap", [0.70, 0.01, 0.002], |s| s.map.time_ns),
+        ("cuMemSetAccess", [96.8, 8.2, 0.7], |s| s.set_access.time_ns),
+        ("total", [115.4, 9.1, 1.5], DriverStats::vmm_time_ns),
+    ];
+    let stats = [mib(2), mib(128), mib(1024)].map(|chunk| executed_vmm_block(gib(2), chunk));
+
+    println!("Table 1: VMM API time breakdown, 2 GiB allocation (normalized to cuMemAlloc)\n");
+    println!(
+        "API                       2MB(p)    2MB(m)    128MB(p)  128MB(m)      1GB(p)    1GB(m)"
+    );
+    rule(84);
+    for (api, p, time_ns) in paper {
+        // One normalized unit is 1 ms, the simulated cuMemAlloc anchor.
+        let m = stats.each_ref().map(|s| time_ns(s) as f64 / 1_000_000.0);
+        println!(
+            "{api:<22} {:>9.3} {:>9.3}   {:>9.3} {:>9.3}   {:>9.3} {:>9.3}",
+            p[0], m[0], p[1], m[1], p[2], m[2],
+        );
+    }
+    println!("\n(p) = paper, (m) = measured on the simulated driver");
+}
+
+/// **Figure 10** — reserved memory (RM) and utilization ratio (UR) with and
+/// without GMLake across strategy combinations N/R/LR/RO/LRO, for
+/// OPT-13B (a), Vicuna-13B (b) and GPT-NeoX-20B (c); DeepSpeed ZeRO-3,
+/// 4×A100, common batch size.
+///
+/// Paper: utilization gains of ~5–24% (up to 17 GB of reserved memory)
+/// with GMLake holding fragmentation to 5–10%.
+fn fig10() {
+    println!("Figure 10: RM + UR by strategy combination, w/ and w/o GMLake");
+    println!("DeepSpeed ZeRO-3, 4 GPUs, common batch per model\n");
+    // One batch and sequence length for every model, chosen so the N
+    // (no-strategy) configuration fits 80 GB where the model's full state
+    // allows it at all (GPT-NeoX-20B's fp32 optimizer shard alone exceeds a
+    // device, so its N/R rows OOM — as full fine-tuning of a 20B model on
+    // 4x80 GB does in reality).
+    let (batch, seq) = (4, 1024);
+    for model in [
+        ModelSpec::opt_13b(),
+        ModelSpec::vicuna_13b(),
+        ModelSpec::gpt_neox_20b(),
+    ] {
+        println!("({}) batch {batch}, seq {seq}", model.name);
+        compare_table(
+            "strategy",
+            StrategySet::FIG10_SWEEP.map(|s| {
+                let cfg = TrainConfig::new(model.clone(), s)
+                    .with_batch(batch)
+                    .with_seq_len(seq);
+                (s.label().to_owned(), cfg)
+            }),
+        );
+        println!();
+    }
+}
+
+/// Peak reserved GiB of a fleet's largest rank, or `OOM` when a rank died.
+fn fmt_rm(report: &ScaleoutReport) -> String {
+    if report.all_completed() {
+        fmt_gib(report.max_peak_reserved())
+    } else {
+        "   OOM".to_owned()
+    }
+}
+
+/// **Figure 11** — GPU scale-out (1/2/4/8/16 GPUs) with the LR strategy:
+/// reserved memory + utilization (a–c) and throughput (d–f) for OPT-13B,
+/// Vicuna-13B and GPT-NeoX-20B, with and without GMLake.
+///
+/// Paper: GMLake keeps utilization ≈90% as the baseline degrades with GPU
+/// count (up to 23% / 17 GB on GPT-NeoX-20B), at indistinguishable
+/// throughput.
+///
+/// The ranks replay *concurrently* through the `gmlake-runtime` pool
+/// service — one OS thread per simulated device (up to 4 replayed ranks;
+/// data-parallel ranks beyond that are statistical mirrors) — and a
+/// periodic `DefragPolicy` ticks on a second baseline fleet, whose
+/// proactive compaction hands back the idle caches a plain caching fleet
+/// keeps reserved to the end.
+fn fig11() {
+    println!("Figure 11: GPU scale-out under LR, w/ and w/o GMLake (batch 16)");
+    println!("ranks replay concurrently through the gmlake-runtime PoolService;");
+    println!("end-RM = memory still reserved per rank after the run\n");
+    for model in [
+        ModelSpec::opt_13b(),
+        ModelSpec::vicuna_13b(),
+        ModelSpec::gpt_neox_20b(),
+    ] {
+        println!("model: {}", model.name);
+        println!("gpus     RM-pt   UR-pt    thr-pt   drv-pt    RM-gml  UR-gml   thr-gml  drv-gml     end-pt end+defrg");
+        rule(102);
+        for gpus in [1u32, 2, 4, 8, 16] {
+            let cfg = TrainConfig::new(model.clone(), StrategySet::LR)
+                .with_batch(16)
+                .with_gpus(gpus);
+            let ranks = gpus.min(4);
+            let baseline = run_scaleout(&cfg, ranks, Allocator::Caching, None);
+            let defragged = run_scaleout(
+                &cfg,
+                ranks,
+                Allocator::Caching,
+                Some(DefragPolicy::periodic(2)),
+            );
+            let gmlake = run_scaleout(&cfg, ranks, Allocator::GmLake, None);
+            println!(
+                "{gpus:<6} {:>7} {:>7} {:>9.1} {:>8.0}   {:>7} {:>7} {:>9.1} {:>8.0}   {:>8} {:>9}",
+                fmt_rm(&baseline),
+                fmt_pct(baseline.mean_utilization()),
+                baseline.fleet_throughput(),
+                baseline.mean_driver_calls(),
+                fmt_rm(&gmlake),
+                fmt_pct(gmlake.mean_utilization()),
+                gmlake.fleet_throughput(),
+                gmlake.mean_driver_calls(),
+                fmt_gib(baseline.total_final_reserved() / ranks as u64),
+                fmt_gib(defragged.total_final_reserved() / ranks as u64),
+            );
+        }
+        println!();
+    }
+    println!("end-RM columns: the periodic DefragPolicy (every 2 iterations)");
+    println!("compacts each pool at iteration boundaries, so the defragged fleet");
+    println!("ends holding less reserved memory than the plain one.");
+    println!();
+    println!("drv-* columns: mean per-rank driver calls (lock round-trips).");
+    println!("GMLake backs each reservation with one physical handle, so an");
+    println!("Alloc is one create and one map, and a stitch costs one map call");
+    println!("per part instead of one per 2 MiB chunk.");
+}
+
+/// `repro fig11 --profile <out.json>` skips the sweep and replays a small
+/// profiled fleet (OPT-1.3B, 2 ranks) with the whole telemetry stack
+/// attached. It writes the memory-timeline snapshot to `<out.json>` and the
+/// chrome://tracing export next to it (`<out>.trace.json`), and exits 1
+/// unless the snapshot validates against the `gmlake-snapshot/v1` schema.
+fn fig11_profile(out: &str) {
+    let cfg = TrainConfig::new(ModelSpec::opt_1_3b(), StrategySet::LR)
+        .with_batch(16)
+        .with_gpus(2)
+        .with_iterations(3);
+    eprintln!("profiled replay: OPT-1.3B, LR, 2 ranks, 3 iterations");
+    let (report, snapshot) = run_scaleout_profiled(&cfg, 2);
+    if !report.all_completed() {
+        eprintln!("profiled replay did not complete on every rank");
+        std::process::exit(1);
+    }
+
+    let json = snapshot.to_json();
+    if let Err(e) = MemorySnapshot::validate_json(&json) {
+        eprintln!(
+            "snapshot failed {} validation: {e}",
+            gmlake_telemetry::SCHEMA
+        );
+        std::process::exit(1);
+    }
+    std::fs::write(out, &json).expect("write snapshot");
+    let trace_path = format!("{}.trace.json", out.strip_suffix(".json").unwrap_or(out));
+    std::fs::write(&trace_path, snapshot.to_chrome_trace()).expect("write chrome trace");
+
+    for pool in &snapshot.pools {
+        eprintln!(
+            "  {}: {} timeline points, {} events, final reserved {}",
+            pool.pool,
+            pool.samples.len(),
+            pool.events.len(),
+            fmt_gib(pool.final_reserved).trim()
+        );
+    }
+    println!(
+        "wrote {out} (validated against {}) and {trace_path}",
+        gmlake_telemetry::SCHEMA
+    );
+}
+
+/// **Figure 12** — platform scalability: FSDP-GLM-10B, DeepSpeed-OPT-13B and
+/// Colossal-AI-GPT-2, fine-tuned with LoRA + recomputation on 4×A100, with
+/// and without GMLake.
+///
+/// Paper: fragmentation/reserved reductions of ~9–33% (7–25 GB) across the
+/// three platforms.
+fn fig12() {
+    println!("Figure 12: platform scalability (LR, 4 GPUs), w/ and w/o GMLake\n");
+    let rows = [
+        (Platform::Fsdp, ModelSpec::glm_10b(), 16u32),
+        (Platform::DeepSpeedZero3, ModelSpec::opt_13b(), 8),
+        (Platform::ColossalAi, ModelSpec::gpt2(), 64),
+    ];
+    compare_table(
+        "platform-model",
+        rows.map(|(platform, model, batch)| {
+            labelled(
+                TrainConfig::new(model, StrategySet::LR)
+                    .with_platform(platform)
+                    .with_batch(batch),
+            )
+        }),
+    );
+}
+
+/// **Figure 13** — end-to-end effectiveness across batch sizes: reserved
+/// memory + utilization (a–c) and throughput (d–f) for OPT-1.3B, OPT-13B and
+/// GPT-NeoX-20B with LoRA + recomputation + ZeRO-3 on 4×A100.
+///
+/// Paper: GMLake reduces peak reserved memory consistently, reaches >95%
+/// utilization on the larger models, matches baseline throughput, and keeps
+/// running at batch sizes where the PyTorch caching allocator hits OOM
+/// (OPT-1.3B @249, OPT-13B @~120, GPT-NeoX-20B @~72).
+fn fig13() {
+    println!("Figure 13: batch-size sweep under LR + ZeRO-3, w/ and w/o GMLake\n");
+    // Per-model sequence lengths keep activation-per-sample in the regime
+    // where the paper's sweep ranges end near the 80 GB OOM wall.
+    let sweeps: [(ModelSpec, u32, &[u32]); 3] = [
+        (
+            ModelSpec::opt_1_3b(),
+            2048,
+            &[1, 32, 64, 128, 192, 249, 266, 272, 280],
+        ),
+        (
+            ModelSpec::opt_13b(),
+            1024,
+            &[1, 20, 40, 60, 80, 100, 120, 135, 150],
+        ),
+        (
+            ModelSpec::gpt_neox_20b(),
+            1024,
+            &[1, 12, 24, 36, 48, 60, 72, 84, 96, 100, 104],
+        ),
+    ];
+    for (model, seq, batches) in sweeps {
+        println!("model: {} (seq {seq})", model.name);
+        println!("batch    RM-pt   UR-pt    thr-pt    RM-gml  UR-gml   thr-gml");
+        rule(62);
+        // First batch at which [baseline, GMLake] hit OOM.
+        let mut first_oom = [None, None];
+        for &bs in batches {
+            let cfg = TrainConfig::new(model.clone(), StrategySet::LR)
+                .with_seq_len(seq)
+                .with_batch(bs);
+            let Pair { baseline, gmlake } = run_pair(&cfg);
+            for (at, r) in first_oom.iter_mut().zip([&baseline, &gmlake]) {
+                if at.is_none() && !r.outcome.is_completed() {
+                    *at = Some(bs);
+                }
+            }
+            let ([rm_b, ur_b, thr_b], [rm_g, ur_g, thr_g]) = (cells(&baseline), cells(&gmlake));
+            println!("{bs:<6} {rm_b:>7} {ur_b:>7} {thr_b:>9}   {rm_g:>7} {ur_g:>7} {thr_g:>9}");
+        }
+        match first_oom {
+            [Some(p), Some(g)] => println!("PyTorch first OOM at batch {p}; GMLake at batch {g}"),
+            [Some(p), None] => {
+                println!("PyTorch first OOM at batch {p}; GMLake completed the whole sweep")
+            }
+            [None, _] => println!("no OOM observed in this sweep"),
+        }
+        println!();
+    }
+}
+
+/// **Figure 14** — memory trace over time: active and reserved memory of the
+/// PyTorch caching allocator versus GMLake during GPT-NeoX-20B fine-tuning
+/// (LR strategies, 4 GPUs, batch 72) over 8 iterations.
+///
+/// The paper's run sits at the baseline's OOM wall: PyTorch dies at
+/// ~200 s while GMLake completes, and GMLake stops stitching and splitting
+/// after about 4 iterations. The replay does not show either. At batch 72
+/// PyTorch completes (peak reserved 68.4 GiB; Figure 13's sweep puts its
+/// first OOM at batch 100), and GMLake has not converged after 8
+/// iterations (S2/S3/S4 = 126 / 1 872 / 261). What it does show is the
+/// paper's middle observation: both allocators track the same active
+/// curve, PyTorch's reserved memory sits well above it and GMLake's hugs it
+/// (peak reserved 60.6 GiB against 60.5 GiB active).
+fn fig14() {
+    let cfg = TrainConfig::new(ModelSpec::gpt_neox_20b(), StrategySet::LR)
+        .with_seq_len(1024)
+        .with_batch(72)
+        .with_iterations(8);
+    let opts = ReplayOptions {
+        record_series: true,
+        series_stride: 64,
+        ..ReplayOptions::default()
+    };
+
+    println!(
+        "Figure 14: memory trace, GPT-NeoX-20B (LR) at batch {}\n",
+        cfg.batch_size
+    );
+    let (r_pt, _) = run_with(&cfg, &opts, CachingAllocator::new);
+    let (r_gml, gml) = run_with(&cfg, &opts, |d| {
+        GmLakeAllocator::new(d, GmLakeConfig::default())
+    });
+
+    match r_pt.outcome {
+        ReplayOutcome::Oom { iteration, .. } => println!(
+            "PyTorch: OOM during iteration {iteration} at t = {:.1} s (paper: OOM ~200 s)",
+            r_pt.sim_time_ns as f64 / 1e9
+        ),
+        ReplayOutcome::Completed => println!(
+            "PyTorch: completed (peak reserved {:.1} GiB)",
+            to_gib(r_pt.peak_reserved)
+        ),
+    }
+    println!(
+        "GMLake:  {} {} iterations, peak reserved {:.1} GiB, peak active {:.1} GiB",
+        if r_gml.outcome.is_completed() {
+            "completed"
+        } else {
+            "OOM after"
+        },
+        r_gml.iterations_completed,
+        to_gib(r_gml.peak_reserved),
+        to_gib(r_gml.peak_active),
+    );
+    let c = gml.state_counters();
+    println!(
+        "GMLake states: S1 exact {}, S2 single {}, S3 multi {}, S4 alloc {}, stitches {}, splits {}, evictions {}",
+        c.exact, c.single, c.multi, c.insufficient, c.stitches, c.splits, c.evictions
+    );
+    println!("GMLake converged: {}\n", gml.is_converged());
+
+    // The time series, as CSV (seconds, GiB).
+    println!("csv: t_s,pt_active,pt_reserved,gml_active,gml_reserved");
+    let max_len = r_pt.series.len().max(r_gml.series.len());
+    for i in (0..max_len).step_by(max_len.div_ceil(60).max(1)) {
+        let pt_s = r_pt.series.get(i.min(r_pt.series.len().saturating_sub(1)));
+        let gml_s = r_gml
+            .series
+            .get(i.min(r_gml.series.len().saturating_sub(1)));
+        match (pt_s, gml_s) {
+            (Some(p), Some(g)) => println!(
+                "{:.1},{:.2},{:.2},{:.2},{:.2}",
+                p.t_ns as f64 / 1e9,
+                to_gib(p.active),
+                to_gib(p.reserved),
+                to_gib(g.active),
+                to_gib(g.reserved)
+            ),
+            (None, Some(g)) => println!(
+                "{:.1},OOM,OOM,{:.2},{:.2}",
+                g.t_ns as f64 / 1e9,
+                to_gib(g.active),
+                to_gib(g.reserved)
+            ),
+            _ => {}
+        }
+    }
+}
+
+/// **§5 headline numbers** — the 76-workload sweep behind the paper's
+/// summary claims: GMLake reduces reserved GPU memory by 9.2 GB on average
+/// (up to 25 GB) and fragmentation by 15% on average (up to 33%).
+///
+/// Runs every workload of the suite against both allocators; workloads where
+/// the *baseline* OOMs are reported but excluded from the averages (there is
+/// no baseline reserved number to compare against), matching the paper's
+/// methodology of aggregating completed runs.
+fn headline() {
+    let suite = headline_suite();
+    println!(
+        "Headline sweep: {} workloads across 6 models (paper: 76 workloads)\n",
+        suite.len()
+    );
+    let rows = compare_table("workload", suite.into_iter().map(labelled));
+
+    let mut base_reserved = Vec::new();
+    let mut gml_reserved = Vec::new();
+    let mut frag_drops = Vec::new();
+    let mut gml_rescues = 0u32;
+    let mut both_oom = 0u32;
+    for (label, pair) in &rows {
+        match (
+            pair.baseline.outcome.is_completed(),
+            pair.gmlake.outcome.is_completed(),
+        ) {
+            (true, true) => {
+                base_reserved.push(pair.baseline.peak_reserved);
+                gml_reserved.push(pair.gmlake.peak_reserved);
+                frag_drops.push(pair.baseline.fragmentation() - pair.gmlake.fragmentation());
+            }
+            (false, true) => gml_rescues += 1,
+            (false, false) => both_oom += 1,
+            (true, false) => println!("  !! GMLake OOM where baseline survived: {label}"),
+        }
+    }
+
+    let saved: Vec<f64> = base_reserved
+        .iter()
+        .zip(&gml_reserved)
+        .map(|(&b, &g)| to_gib(b.saturating_sub(g)))
+        .collect();
+    let max = |xs: &[f64]| xs.iter().cloned().fold(0.0, f64::max);
+    println!("\nsummary over {} completed pairs:", base_reserved.len());
+    println!(
+        "  reserved-memory saving: avg {:.1} GiB, max {:.1} GiB (paper: avg 9.2, max 25)",
+        mean(&saved),
+        max(&saved)
+    );
+    println!(
+        "  fragmentation reduction: avg {}, max {} (paper: avg 15%, max 33%)",
+        fmt_pct(mean(&frag_drops)),
+        fmt_pct(max(&frag_drops))
+    );
+    println!(
+        "  aggregate MemReductionRatio: {}",
+        fmt_pct(mem_reduction_ratio(&base_reserved, &gml_reserved))
+    );
+    println!(
+        "  workloads only GMLake completed (baseline OOM): {gml_rescues}; both OOM: {both_oom}"
+    );
+}
+
+/// **Ablation** — the fragmentation-limit knob (§4.2.3 of the paper).
+///
+/// Blocks whose remainder would fall below the limit are handed out whole,
+/// and smaller leftovers are excluded from stitching. The paper quotes
+/// 128 MB as an example setting and argues that a higher limit trades
+/// internal waste for fewer split/stitch operations. On OPT-13B LR at
+/// batch 4 the replay does not show a monotone trade-off. UR is 100.0 % at
+/// 2 MiB, falls to 88.4 % at 32 MiB, where stitches peak (3 428), and is
+/// back to 98.8 % at 128 MiB with only 643 stitches and one split. At
+/// 256 MiB the operations nearly vanish and reserved memory is the
+/// highest of the sweep.
+fn ablation_frag_limit() {
+    println!("Ablation: GMLake fragmentation limit (OPT-13B, LR, 4 GPUs, batch 4)\n");
+    println!("limit       RM(GiB)       UR   stitches     splits    sblocks       vmm-ms");
+    rule(74);
+    let cfg = TrainConfig::new(ModelSpec::opt_13b(), StrategySet::LR).with_batch(4);
+    for limit_mib in [2u64, 4, 8, 16, 32, 64, 128, 256] {
+        let config = GmLakeConfig::default().with_frag_limit(mib(limit_mib));
+        let (report, lake) = run_with(&cfg, &ReplayOptions::default(), |d| {
+            GmLakeAllocator::new(d, config)
+        });
+        let c = lake.state_counters();
+        println!(
+            "{:<10} {:>8} {:>8} {:>10} {:>10} {:>10} {:>12.1}",
+            format!("{limit_mib} MiB"),
+            fmt_gib(report.peak_reserved),
+            fmt_pct(report.utilization()),
+            c.stitches,
+            c.splits,
+            lake.sblock_count(),
+            lake.driver().stats().vmm_time_ns() as f64 / 1e6,
+        );
+    }
+    println!("\nUR is not monotone in the limit: the smallest limit packs tightest,");
+    println!("mid-range limits stitch the most and pack worst, and the largest");
+    println!("limit does the least stitch/split work but reserves the most.");
+}
+
+/// **Ablation** — PyTorch's own fragmentation mitigation
+/// (`PYTORCH_CUDA_ALLOC_CONF=max_split_size_mb:N`) versus GMLake.
+///
+/// The knob forbids splitting blocks above a threshold, trading internal
+/// waste for fewer stranded remainders. The paper positions GMLake as the
+/// transparent alternative; this sweep shows how far the knob gets and where
+/// stitching still wins.
+fn ablation_max_split() {
+    println!("Ablation: PyTorch max_split_size_mb vs GMLake (OPT-13B, LR, batch 8)\n");
+    println!("{:<26} {:>9} {:>8}", "allocator", "RM(GiB)", "UR");
+    rule(46);
+    let cfg = TrainConfig::new(ModelSpec::opt_13b(), StrategySet::LR).with_batch(8);
+    let opts = ReplayOptions::default();
+    let row = |name: &str, r: ReplayReport| {
+        println!(
+            "{name:<26} {:>9} {:>8}",
+            fmt_gib(r.peak_reserved),
+            fmt_pct(r.utilization())
+        )
+    };
+    row(
+        "caching (default)",
+        run_single(&cfg, Allocator::Caching, &opts),
+    );
+    for max_mb in [64u64, 128, 256, 512] {
+        let bfc = BfcConfig {
+            max_split_size: Some(mib(max_mb)),
+            ..BfcConfig::default()
+        };
+        let (r, _) = run_with(&cfg, &opts, |d| CachingAllocator::with_config(d, bfc));
+        row(&format!("caching (max_split {max_mb}M)"), r);
+    }
+    row("gmlake", run_single(&cfg, Allocator::GmLake, &opts));
+    println!("\nmax_split_size trades split fragmentation for internal waste;");
+    println!("stitching removes the trade-off (paper §6, related work).");
+}
+
+/// Calibration probe: utilization of both allocators across the five
+/// strategy combinations on OPT-1.3B and OPT-13B, to check the simulated
+/// fragmentation bands against the paper — Figure 10's table on two other
+/// models at 4 iterations.
+fn calibrate() {
+    println!("calibration: OPT-1.3B and OPT-13B across strategies (4 GPUs)\n");
+    let models = [ModelSpec::opt_1_3b(), ModelSpec::opt_13b()];
+    compare_table(
+        "workload",
+        models.into_iter().flat_map(|model| {
+            StrategySet::FIG10_SWEEP
+                .map(|s| labelled(TrainConfig::new(model.clone(), s).with_iterations(4)))
+        }),
+    );
+}
+
+/// **§2.2 claim** — throughput of the native `cudaMalloc`/`cudaFree`
+/// allocator versus the caching allocator versus GMLake.
+///
+/// Paper: disabling the PyTorch caching allocator on OPT-1.3B (4×A100)
+/// cuts throughput by 9.7×; GMLake matches the caching allocator once its
+/// allocation pattern converges.
+fn native() {
+    println!("Native-allocator overhead (OPT-1.3B, R, 4 GPUs, batch 8)\n");
+    let cfg = TrainConfig::new(ModelSpec::opt_1_3b(), StrategySet::R).with_iterations(4);
+    println!("allocator             samples/s  alloc time ms     sim time s");
+    rule(62);
+    let [caching, _, native] = [
+        ("caching (PyTorch)", Allocator::Caching),
+        ("gmlake", Allocator::GmLake),
+        ("native", Allocator::Native),
+    ]
+    .map(|(name, which)| {
+        let r = run_single(&cfg, which, &ReplayOptions::default());
+        println!(
+            "{name:<18} {:>12.2} {:>14.1} {:>14.2}",
+            r.throughput,
+            r.allocator_ns as f64 / 1e6,
+            r.sim_time_ns as f64 / 1e9,
+        );
+        r.throughput
+    });
+    println!(
+        "\ncaching vs native: {:.1}x faster (paper: 9.7x; our additive stall model is conservative)",
+        caching / native
+    );
+}

@@ -1,18 +1,18 @@
-//! Shared harness plumbing for the per-figure/table benchmark binaries.
+//! Shared harness plumbing for the `repro` binary and the criterion benches.
 //!
-//! Every binary in `src/bin/` reproduces one table or figure of the paper's
-//! evaluation (the README's *Reproduced results* lists them, and
-//! `docs/architecture.md` maps the layers they drive). They all follow the same
-//! recipe: build a [`TrainConfig`], generate its trace, replay it against
-//! the PyTorch-style caching allocator and against GMLake on identical
-//! fresh devices, and print the paper's rows/series.
+//! Every experiment of `repro` reproduces one table or figure of the
+//! paper's evaluation (the README's *Reproduced results* lists them, and
+//! `docs/architecture.md` maps the layers they drive). They all follow the
+//! same recipe: build a [`TrainConfig`], generate its trace, replay it
+//! against the PyTorch-style caching allocator and against GMLake on
+//! identical fresh devices, and print the paper's rows/series.
 
 use std::sync::Arc;
 
-use gmlake_alloc_api::{gib, AllocatorCore, DeviceAllocator, DeviceAllocatorConfig};
+use gmlake_alloc_api::{AllocatorCore, DeviceAllocator, DeviceAllocatorConfig};
 use gmlake_caching::CachingAllocator;
 use gmlake_core::{GmLakeAllocator, GmLakeConfig};
-use gmlake_gpu_sim::{CudaDriver, DeviceConfig, NativeAllocator};
+use gmlake_gpu_sim::{CostModel, CudaDriver, DeviceConfig, DriverStats, NativeAllocator};
 use gmlake_runtime::{DefragPolicy, DeviceId, MemoryProfiler, PoolService};
 use gmlake_telemetry::{MemorySnapshot, PoolTelemetry};
 use gmlake_workload::{
@@ -33,6 +33,17 @@ pub enum Allocator {
     Native,
 }
 
+impl Allocator {
+    /// Builds this allocator, in its default configuration, on `driver`.
+    pub fn build(self, driver: CudaDriver) -> Box<dyn AllocatorCore + Send> {
+        match self {
+            Allocator::Caching => Box::new(CachingAllocator::new(driver)),
+            Allocator::GmLake => Box::new(GmLakeAllocator::new(driver, GmLakeConfig::default())),
+            Allocator::Native => Box::new(NativeAllocator::new(driver)),
+        }
+    }
+}
+
 /// Result pair for one workload: baseline vs GMLake.
 #[derive(Debug, Clone)]
 pub struct Pair {
@@ -42,30 +53,9 @@ pub struct Pair {
     pub gmlake: ReplayReport,
 }
 
-/// Device capacity used throughout the evaluation (A100-80GB).
-pub fn device_capacity() -> u64 {
-    gib(80)
-}
-
 /// Runs `cfg` against one allocator on a fresh A100-80G device.
 pub fn run_single(cfg: &TrainConfig, which: Allocator, opts: &ReplayOptions) -> ReplayReport {
-    let trace = TraceGenerator::new(cfg.clone()).generate();
-    let driver = CudaDriver::new(DeviceConfig::a100_80g());
-    let replayer = Replayer::new(driver.clone()).with_options(opts.clone());
-    match which {
-        Allocator::Caching => {
-            let mut alloc = CachingAllocator::new(driver);
-            replayer.replay(&mut alloc, &trace, cfg)
-        }
-        Allocator::GmLake => {
-            let mut alloc = GmLakeAllocator::new(driver, GmLakeConfig::default());
-            replayer.replay(&mut alloc, &trace, cfg)
-        }
-        Allocator::Native => {
-            let mut alloc = NativeAllocator::new(driver);
-            replayer.replay(&mut alloc, &trace, cfg)
-        }
-    }
+    run_with(cfg, opts, |driver| which.build(driver)).0
 }
 
 /// Runs `cfg` against the caching baseline and GMLake on identical devices.
@@ -92,14 +82,7 @@ pub fn run_scaleout(
         .map(|rank| {
             let driver = CudaDriver::new(DeviceConfig::a100_80g());
             let device = DeviceId(rank);
-            let alloc: Box<dyn AllocatorCore + Send> = match which {
-                Allocator::Caching => Box::new(CachingAllocator::new(driver.clone())),
-                Allocator::GmLake => Box::new(GmLakeAllocator::new(
-                    driver.clone(),
-                    GmLakeConfig::default(),
-                )),
-                Allocator::Native => Box::new(NativeAllocator::new(driver.clone())),
-            };
+            let alloc = which.build(driver.clone());
             service
                 .register(device, alloc)
                 .expect("fresh device ids are unique");
@@ -153,9 +136,10 @@ pub fn run_scaleout_profiled(cfg: &TrainConfig, ranks: u32) -> (ScaleoutReport, 
     (report, snapshot)
 }
 
-/// Runs `cfg` against a caller-supplied allocator on a fresh device (for
-/// ablations with custom configurations).
-pub fn run_with<A, F>(cfg: &TrainConfig, make: F) -> ReplayReport
+/// Runs `cfg` against a caller-supplied allocator on a fresh A100-80G
+/// device (for ablations with custom configurations), and hands the
+/// allocator back so its state can be read after the replay.
+pub fn run_with<A, F>(cfg: &TrainConfig, opts: &ReplayOptions, make: F) -> (ReplayReport, A)
 where
     A: AllocatorCore,
     F: FnOnce(CudaDriver) -> A,
@@ -163,7 +147,28 @@ where
     let trace = TraceGenerator::new(cfg.clone()).generate();
     let driver = CudaDriver::new(DeviceConfig::a100_80g());
     let mut alloc = make(driver.clone());
-    Replayer::new(driver).replay(&mut alloc, &trace, cfg)
+    let report = Replayer::new(driver)
+        .with_options(opts.clone())
+        .replay(&mut alloc, &trace, cfg);
+    (report, alloc)
+}
+
+/// Executes one VMM block allocation the way Table 1 and Figure 6 measure
+/// it — reserve `block` bytes of VA, create and map `block / chunk`
+/// physical chunks, set access once — on a fresh calibrated device, and
+/// returns the driver's per-API telemetry.
+pub fn executed_vmm_block(block: u64, chunk: u64) -> DriverStats {
+    let driver = CudaDriver::new(DeviceConfig::a100_80g().with_cost(CostModel::calibrated()));
+    let fits = "a fresh A100-80G fits the block";
+    let va = driver.mem_address_reserve(block).expect(fits);
+    for i in 0..block / chunk {
+        let h = driver.mem_create(chunk).expect(fits);
+        driver
+            .mem_map(va.offset(i * chunk), chunk, 0, h)
+            .expect(fits);
+    }
+    driver.mem_set_access(va, block, true).expect(fits);
+    driver.stats()
 }
 
 /// Formats bytes as GiB with one decimal.
@@ -176,51 +181,11 @@ pub fn fmt_pct(x: f64) -> String {
     format!("{:5.1}%", x * 100.0)
 }
 
-/// Renders an outcome: reserved GiB, or `OOM` when the run died.
-pub fn fmt_reserved(r: &ReplayReport) -> String {
-    if r.outcome.is_completed() {
-        fmt_gib(r.peak_reserved)
-    } else {
-        "   OOM".to_owned()
-    }
-}
-
-/// Prints a horizontal rule sized to `width`.
-pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
-}
-
-/// Prints the standard comparison row for one workload.
-pub fn print_compare_row(label: &str, pair: &Pair) {
-    let b = &pair.baseline;
-    let g = &pair.gmlake;
-    println!(
-        "{label:<34} {} {}   {} {}   {} {}",
-        fmt_reserved(b),
-        fmt_pct(b.utilization()),
-        fmt_reserved(g),
-        fmt_pct(g.utilization()),
-        fmt_gib(b.peak_reserved.saturating_sub(g.peak_reserved)),
-        fmt_pct(if b.peak_reserved > 0 {
-            (b.peak_reserved.saturating_sub(g.peak_reserved)) as f64 / b.peak_reserved as f64
-        } else {
-            0.0
-        }),
-    );
-}
-
-/// Prints the standard comparison header.
-pub fn print_compare_header(first_col: &str) {
-    println!(
-        "{first_col:<34} {:>6} {:>6}   {:>6} {:>6}   {:>6} {:>6}",
-        "RM-pt", "UR-pt", "RM-gml", "UR-gml", "save", "save%"
-    );
-    rule(84);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmlake_alloc_api::gib;
+    use gmlake_gpu_sim::figure6_chunk_sizes;
     use gmlake_workload::{ModelSpec, StrategySet};
 
     #[test]
@@ -235,6 +200,22 @@ mod tests {
             pair.gmlake.utilization(),
             pair.baseline.utilization()
         );
+    }
+
+    /// The executed VMM path that Table 1 and Figure 6 print agrees with
+    /// the closed-form cost model at every Figure 6 chunk size (115.601
+    /// against 115.603 at 2 MiB).
+    #[test]
+    fn executed_vmm_block_matches_the_cost_model() {
+        let model = CostModel::calibrated();
+        for chunk in figure6_chunk_sizes() {
+            let executed = executed_vmm_block(gib(2), chunk).vmm_time_ns() as f64 / 1e6;
+            let modelled = model.vmm_block_alloc_norm(gib(2), chunk);
+            assert!(
+                (executed - modelled).abs() <= 1e-3 * modelled,
+                "chunk {chunk}: executed {executed:.3}, model {modelled:.3}"
+            );
+        }
     }
 
     #[test]
