@@ -24,12 +24,11 @@
 //!
 //! # Stream-aware routing
 //!
-//! The cache array is organized as one *bank* of
-//! [`DeviceAllocatorConfig::shards`] caches per configured **logical GPU
-//! stream** ([`StreamId`], [`DeviceAllocatorConfig::streams`], default 1),
-//! and [`DeviceAllocator::alloc_on_stream`] routes a request to its
-//! stream's bank. Warm allocations on different streams therefore never
-//! touch the same lock — not even for identical sizes — which is what keeps
+//! There is one cache per configured **logical GPU stream** ([`StreamId`],
+//! [`DeviceAllocatorConfig::streams`], default 1), and
+//! [`DeviceAllocator::alloc_on_stream`] routes a request to its stream's
+//! cache. Warm allocations on different streams therefore never touch the
+//! same lock — not even for identical sizes — which is what keeps
 //! independent GPU streams from serializing at the allocator.
 //!
 //! Reuse follows two cases, spelled out on
@@ -49,7 +48,7 @@
 //!
 //! Every rule compares **exact** [`StreamId`]s: every parked block carries
 //! the stream that allocated it, so even when distinct stream ids fold onto
-//! the same bank (ids at or above the configured stream count), an
+//! the same cache (ids at or above the configured stream count), an
 //! allocation only reuses a block its own stream parked — another stream's
 //! block in the shared free list is simply skipped.
 //!
@@ -131,11 +130,6 @@ const MIN_CLASS: u64 = 512;
 /// power-of-two round-up at construction can never overflow.
 pub const MAX_STREAMS: usize = 1 << 10;
 
-/// Upper bound on [`DeviceAllocatorConfig::shards`] per bank (1024). With
-/// [`MAX_STREAMS`] this caps the cache array at 2^20 entries, keeping the
-/// `banks * shards` product far from overflow.
-pub const MAX_SHARDS: usize = 1 << 10;
-
 /// Tuning knobs of the [`DeviceAllocator`] front-end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceAllocatorConfig {
@@ -146,27 +140,22 @@ pub struct DeviceAllocatorConfig {
     /// degenerating to one mutex around the core; benches use this as the
     /// contention baseline.
     pub small_threshold: u64,
-    /// Number of caches *per stream bank* (rounded up to a power of two,
-    /// default 16).
-    ///
-    /// Must be in `1..=MAX_SHARDS`: [`DeviceAllocatorConfig::validate`]
-    /// rejects values outside the range (surfaced by the `try_*`
-    /// constructors as [`AllocError::InvalidConfig`]); the infallible
-    /// constructors clamp into it.
-    pub shards: usize,
     /// Maximum cached blocks per size class; overflowing frees go straight
     /// back to the core (default 64).
     pub max_cached_per_class: usize,
     /// Number of logical GPU streams to partition the caches for (rounded
-    /// up to a power of two, default 1). Each stream gets its own bank of
-    /// caches, so warm allocations on different streams never share a
-    /// lock. Stream ids at or above the configured count fold
-    /// onto the existing banks (placement only: folded streams share locks
-    /// and free lists, but reuse and the cross-stream free guard compare
-    /// the exact [`StreamId`] every parked block is tagged with).
+    /// up to a power of two, default 1). Each stream gets its own cache, so
+    /// warm allocations on different streams never share a lock. Stream
+    /// ids at or above the configured count fold onto the existing caches
+    /// (placement only: folded streams share a lock and free lists, but
+    /// reuse and the cross-stream free guard compare the exact
+    /// [`StreamId`] every parked block is tagged with).
     ///
-    /// Must be in `1..=MAX_STREAMS` (stream 0 is the default stream),
-    /// enforced like [`DeviceAllocatorConfig::shards`].
+    /// Must be in `1..=MAX_STREAMS` (stream 0 is the default stream):
+    /// [`DeviceAllocatorConfig::validate`] rejects values outside the range
+    /// (surfaced by [`DeviceAllocator::try_build`] as
+    /// [`AllocError::InvalidConfig`]); the infallible constructors clamp
+    /// into it.
     pub streams: usize,
 }
 
@@ -174,7 +163,6 @@ impl Default for DeviceAllocatorConfig {
     fn default() -> Self {
         DeviceAllocatorConfig {
             small_threshold: mib(2),
-            shards: 16,
             max_cached_per_class: 64,
             streams: 1,
         }
@@ -186,14 +174,6 @@ impl DeviceAllocatorConfig {
     #[must_use]
     pub fn with_small_threshold(mut self, small_threshold: u64) -> Self {
         self.small_threshold = small_threshold;
-        self
-    }
-
-    /// Sets the shard count (see [`DeviceAllocatorConfig::shards`] for the
-    /// valid range).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -217,21 +197,15 @@ impl DeviceAllocatorConfig {
     /// # Errors
     ///
     /// [`AllocError::InvalidConfig`] if `streams` is outside
-    /// `1..=`[`MAX_STREAMS`] (there is always the default stream) or
-    /// `shards` outside `1..=`[`MAX_SHARDS`] (every bank needs a shard).
-    /// The upper bounds keep the power-of-two round-up and the
-    /// `banks * shards` product at construction from overflowing —
-    /// out-of-range values are an error here, never a panic.
+    /// `1..=`[`MAX_STREAMS`] (there is always the default stream). The
+    /// upper bound keeps the power-of-two round-up at construction from
+    /// overflowing — an out-of-range value is an error here, never a panic.
     pub fn validate(&self) -> Result<(), AllocError> {
-        for (name, value, max) in [
-            ("streams", self.streams, MAX_STREAMS),
-            ("shards", self.shards, MAX_SHARDS),
-        ] {
-            if !(1..=max).contains(&value) {
-                return Err(AllocError::InvalidConfig(format!(
-                    "{name} must be in 1..={max} (got {value})"
-                )));
-            }
+        if !(1..=MAX_STREAMS).contains(&self.streams) {
+            return Err(AllocError::InvalidConfig(format!(
+                "streams must be in 1..={MAX_STREAMS} (got {})",
+                self.streams
+            )));
         }
         Ok(())
     }
@@ -242,7 +216,6 @@ impl DeviceAllocatorConfig {
     /// a repair here.
     fn normalized(mut self) -> Self {
         self.streams = self.streams.clamp(1, MAX_STREAMS);
-        self.shards = self.shards.clamp(1, MAX_SHARDS);
         self
     }
 }
@@ -256,7 +229,7 @@ struct CachedBlock {
     size: u64,
     /// The stream the block was allocated on — the only stream a parked
     /// block is ever handed back to; any other (even one folded onto the
-    /// same bank) must receive it through the core mutex.
+    /// same cache) must receive it through the core mutex.
     stream: StreamId,
 }
 
@@ -275,7 +248,7 @@ struct LiveEntry {
 /// `MemStats` (see [`DeviceAllocator::stats`]). Guarded by the cache lock,
 /// so the hot path pays no atomic read-modify-writes.
 #[derive(Debug, Default, Clone, Copy)]
-struct ShardStats {
+struct CacheCounters {
     /// Allocations served from the cache (the core saw nothing).
     hits: u64,
     /// Fast-path allocations that fell through to the core.
@@ -300,10 +273,10 @@ struct ShardStats {
     cached_blocks: u64,
 }
 
-impl ShardStats {
+impl CacheCounters {
     /// Adds `s` into `self` field-wise (the aggregation step of
     /// [`DeviceAllocator::stats`] / [`DeviceAllocator::cache_stats`]).
-    fn absorb(&mut self, s: &ShardStats) {
+    fn absorb(&mut self, s: &CacheCounters) {
         self.hits += s.hits;
         self.misses += s.misses;
         self.fast_frees += s.fast_frees;
@@ -325,7 +298,7 @@ struct StreamCache {
     /// Front-end id -> live allocation.
     live: IdMap<u64, LiveEntry>,
     next_seq: u64,
-    stats: ShardStats,
+    stats: CacheCounters,
 }
 
 impl StreamCache {
@@ -360,11 +333,11 @@ impl StreamCache {
     /// Takes a block parked under `key` by exactly `stream`, if any.
     /// Scanning from the back keeps the common case (every entry is this
     /// stream's) at plain-pop cost; mixed stacks only exist when stream
-    /// ids fold onto one bank.
+    /// ids fold onto one cache.
     ///
     /// A drained stack stays in the map: the same key is about to be parked
     /// again on the warm cycle, and leaving the entry saves a hash remove +
-    /// re-insert per hit (`drain_to_core` empties the map wholesale).
+    /// re-insert per hit (`flush` empties the map wholesale).
     fn take(&mut self, key: u64, stream: StreamId) -> Option<CachedBlock> {
         let stack = self.free.get_mut(&key)?;
         let pos = stack.iter().rposition(|b| b.stream == stream)?;
@@ -422,9 +395,7 @@ pub struct DeviceCacheStats {
     pub pending_bytes: u64,
     /// Always 0 (see `cross_stream_parked`).
     pub event_promotions: u64,
-    /// Number of caches counted (across all stream banks).
-    pub shards: usize,
-    /// Number of per-stream banks.
+    /// Number of per-stream caches counted.
     pub streams: usize,
 }
 
@@ -433,12 +404,9 @@ struct Inner {
     /// Backend name, captured at construction so `name()` never locks.
     name: &'static str,
     small_threshold: u64,
-    /// Number of per-stream banks (power of two).
-    stream_banks: usize,
-    /// `stream_banks * per_bank` caches, bank-major.
+    /// One cache per stream (a power of two of them); a stream id folds
+    /// onto `stream & (len - 1)`.
     caches: Box<[Mutex<StreamCache>]>,
-    /// Caches per stream bank (a power of two); a class's hash picks one.
-    per_bank: usize,
     /// `log2(caches.len())`: the id bits that carry the cache index.
     index_bits: u32,
     /// Cap on each size class's free list.
@@ -470,7 +438,7 @@ impl std::fmt::Debug for DeviceAllocator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeviceAllocator")
             .field("name", &self.inner.name)
-            .field("shards", &self.inner.caches.len())
+            .field("streams", &self.inner.caches.len())
             .field("small_threshold", &self.inner.small_threshold)
             .finish_non_exhaustive()
     }
@@ -484,40 +452,21 @@ fn size_class(size: u64) -> u64 {
     size.next_power_of_two().max(MIN_CLASS)
 }
 
-/// Fibonacci hash of a free-list key into a cache index within one bank.
-#[inline]
-fn class_shard_index(class: u64, mask: u64) -> usize {
-    ((class.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) & mask) as usize
-}
-
 impl DeviceAllocator {
     /// Wraps `core` with the default [`DeviceAllocatorConfig`].
     pub fn new<A: AllocatorCore + Send + 'static>(core: A) -> Self {
         Self::with_config(core, DeviceAllocatorConfig::default())
     }
 
-    /// Wraps `core` with an explicit configuration. Out-of-range `streams`
-    /// and `shards` are clamped into their ranges; use
-    /// [`DeviceAllocator::try_with_config`] for strict validation.
+    /// Wraps `core` with an explicit configuration. An out-of-range
+    /// `streams` is clamped into its range; use [`DeviceAllocator::try_build`]
+    /// for strict validation.
     pub fn with_config<A: AllocatorCore + Send + 'static>(
         core: A,
         config: DeviceAllocatorConfig,
     ) -> Self {
         Self::try_build(Box::new(core), config.normalized(), None, None)
             .expect("normalized() repairs everything validate() rejects")
-    }
-
-    /// Like [`DeviceAllocator::with_config`], but rejects an invalid
-    /// configuration instead of normalizing it.
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError::InvalidConfig`] — see [`DeviceAllocatorConfig::validate`].
-    pub fn try_with_config<A: AllocatorCore + Send + 'static>(
-        core: A,
-        config: DeviceAllocatorConfig,
-    ) -> Result<Self, AllocError> {
-        Self::try_build(Box::new(core), config, None, None)
     }
 
     /// Like [`DeviceAllocator::with_config`], plus a stream-completion
@@ -557,19 +506,15 @@ impl DeviceAllocator {
         telemetry: Option<Arc<PoolTelemetry>>,
     ) -> Result<Self, AllocError> {
         config.validate()?;
-        let stream_banks = config.streams.next_power_of_two();
-        let per_bank = config.shards.next_power_of_two();
-        let total = stream_banks * per_bank;
+        let streams = config.streams.next_power_of_two();
         let name = core.name();
         Ok(DeviceAllocator {
             inner: Arc::new(Inner {
                 core: Mutex::new(core),
                 name,
                 small_threshold: config.small_threshold,
-                stream_banks,
-                caches: (0..total).map(|_| Mutex::default()).collect(),
-                per_bank,
-                index_bits: total.trailing_zeros(),
+                caches: (0..streams).map(|_| Mutex::default()).collect(),
+                index_bits: streams.trailing_zeros(),
                 max_cached_per_class: config.max_cached_per_class,
                 events,
                 telemetry,
@@ -589,25 +534,11 @@ impl DeviceAllocator {
         self.inner.telemetry.as_deref().filter(|t| t.hot_sample())
     }
 
-    /// The bank index `stream` folds onto (placement only — guard and
-    /// affinity decisions always compare the exact [`StreamId`] tag).
+    /// The index of the cache `stream` folds onto (placement only — guard
+    /// and affinity decisions always compare the exact [`StreamId`] tag).
     #[inline]
-    fn bank_index(&self, stream: StreamId) -> usize {
-        stream.as_u32() as usize & (self.inner.stream_banks - 1)
-    }
-
-    /// The caches forming `stream`'s bank.
-    fn bank(&self, stream: StreamId) -> &[Mutex<StreamCache>] {
-        let first = self.bank_index(stream) * self.inner.per_bank;
-        &self.inner.caches[first..first + self.inner.per_bank]
-    }
-
-    /// Index of the cache serving size class `key` in `stream`'s bank (a
-    /// Fibonacci hash of the class picks the cache inside the bank).
-    #[inline]
-    fn cache_index(&self, stream: StreamId, key: u64) -> usize {
-        let per_bank = self.inner.per_bank;
-        self.bank_index(stream) * per_bank + class_shard_index(key, per_bank as u64 - 1)
+    fn cache_index(&self, stream: StreamId) -> usize {
+        stream.as_u32() as usize & (self.inner.caches.len() - 1)
     }
 
     /// Runs `ask` against the locked core, and once more if it ran out of
@@ -644,7 +575,7 @@ impl DeviceAllocator {
         tel: Option<&PoolTelemetry>,
     ) -> Result<Allocation, AllocError> {
         let key = size_class(req.size);
-        let index = self.cache_index(stream, key);
+        let index = self.cache_index(stream);
         let index_bits = self.inner.index_bits;
         let cache = &self.inner.caches[index];
         {
@@ -688,7 +619,7 @@ impl DeviceAllocator {
     }
 
     /// Allocates memory for `req` on behalf of `stream`. A request below
-    /// the threshold is served from the stream's own bank of caches, so
+    /// the threshold is served from the stream's own cache, so
     /// warm small allocations on different streams never contend on a
     /// lock; only a miss reaches the core mutex. A request at or above it
     /// goes straight to the core — a stream-affine
@@ -734,9 +665,9 @@ impl DeviceAllocator {
     /// from `stream`.
     ///
     /// A front-end id (a small allocation) always routes back to the cache
-    /// that minted it (its allocating stream's bank — the id's low bits
-    /// name it, no shared lookup). What happens there depends on the
-    /// freeing stream:
+    /// that minted it (its allocating stream's — the id's low bits name
+    /// it, no shared lookup). What happens there depends on the freeing
+    /// stream:
     ///
     /// * **same stream** as the allocation: the block is parked in the
     ///   stream's free list for immediate reuse, up to the class's cap —
@@ -843,12 +774,15 @@ impl DeviceAllocator {
         Ok(())
     }
 
-    /// Drains the free lists of `caches` and hands the blocks to the core;
-    /// returns the bytes handed back. Defrag and OOM rescue therefore
-    /// always see every cached byte.
-    fn drain_to_core(&self, caches: &[Mutex<StreamCache>]) -> u64 {
+    /// Returns every block parked in the caches — across **every** stream —
+    /// to the wrapped core and reports the bytes handed back. The core
+    /// decides what happens next (pool them, release them); flushing
+    /// itself frees no physical memory. This is the flush the defrag/OOM
+    /// paths run: defragmentation must see every cached byte, so it can
+    /// never be scoped to one stream.
+    pub fn flush(&self) -> u64 {
         let mut blocks: Vec<CachedBlock> = Vec::new();
-        for cache in caches {
+        for cache in self.inner.caches.iter() {
             let mut guard = cache.lock();
             let g = &mut *guard;
             for (_, mut stack) in g.free.drain() {
@@ -880,33 +814,10 @@ impl DeviceAllocator {
         self.inner.core.lock().process_events()
     }
 
-    /// Returns every block parked in the caches — across **every** stream
-    /// bank — to the wrapped core and reports the bytes handed back. The
-    /// core decides what happens next (pool them, release them); flushing
-    /// itself frees no physical memory. This is the flush the defrag/OOM
-    /// paths run: defragmentation must see every cached byte, so it can
-    /// never be scoped to one stream.
-    pub fn flush(&self) -> u64 {
-        self.drain_to_core(&self.inner.caches)
-    }
-
-    /// Returns the blocks parked in `stream`'s bank (only) to the wrapped
-    /// core and reports the bytes handed back — the targeted variant of
-    /// [`DeviceAllocator::flush`] for callers that want to retire one idle
-    /// stream without disturbing the others' warm caches.
-    ///
-    /// **Folding caveat:** a stream id at or above the configured
-    /// [`DeviceAllocatorConfig::streams`] count folds onto an existing
-    /// bank, so this drains that *shared* bank — `flush_stream(StreamId(8))`
-    /// on an 8-bank pool drains stream 0's warm cache too.
-    pub fn flush_stream(&self, stream: StreamId) -> u64 {
-        self.drain_to_core(self.bank(stream))
-    }
-
-    /// Sums the reconciliation counters of a slice of caches.
-    fn totals(caches: &[Mutex<StreamCache>]) -> ShardStats {
-        let mut total = ShardStats::default();
-        for cache in caches {
+    /// Sums the reconciliation counters of every cache.
+    fn totals(&self) -> CacheCounters {
+        let mut total = CacheCounters::default();
+        for cache in self.inner.caches.iter() {
             total.absorb(&cache.lock().stats);
         }
         total
@@ -926,7 +837,7 @@ impl DeviceAllocator {
     /// Peak watermarks are measured at the core, so bytes parked in the
     /// caches count toward `peak_active_bytes` (an upper bound).
     pub fn stats(&self) -> MemStats {
-        let fast = Self::totals(&self.inner.caches);
+        let fast = self.totals();
         let mut s = self.inner.core.lock().stats();
         s.alloc_count += fast.hits;
         s.free_count = (s.free_count + fast.fast_frees).saturating_sub(fast.cache_returns);
@@ -936,26 +847,23 @@ impl DeviceAllocator {
         s
     }
 
-    /// Projects summed cache counters into the public telemetry shape.
-    fn cache_stats_of(fast: ShardStats, shards: usize, streams: usize) -> DeviceCacheStats {
+    /// Projects cache counters into the public telemetry shape.
+    fn cache_stats_of(fast: CacheCounters, streams: usize) -> DeviceCacheStats {
         DeviceCacheStats {
             hits: fast.hits,
             misses: fast.misses,
             cached_bytes: fast.cached_bytes,
             cached_blocks: fast.cached_blocks,
             cross_stream_fallback: fast.cross_stream_fallback,
-            shards,
             streams,
             ..Default::default()
         }
     }
 
-    /// Cache telemetry aggregated across every stream bank (`shards`
-    /// reports the total cache count).
+    /// Cache telemetry aggregated across every stream's cache (`streams`
+    /// reports the cache count).
     pub fn cache_stats(&self) -> DeviceCacheStats {
-        let inner = &self.inner;
-        let totals = Self::totals(&inner.caches);
-        Self::cache_stats_of(totals, inner.caches.len(), inner.stream_banks)
+        Self::cache_stats_of(self.totals(), self.inner.caches.len())
     }
 
     /// Always empty apart from `streams`: the large route that used to
@@ -964,18 +872,19 @@ impl DeviceAllocator {
     /// which retire at ROADMAP item 11's instrument change.
     pub fn large_cache_stats(&self) -> DeviceCacheStats {
         DeviceCacheStats {
-            streams: self.inner.stream_banks,
+            streams: self.inner.caches.len(),
             ..Default::default()
         }
     }
 
-    /// Cache telemetry of one stream's bank only (`shards` reports the
-    /// bank's cache count, `streams` is 1).
+    /// Cache telemetry of one stream's cache only (`streams` is 1).
     ///
-    /// **Folding caveat:** as for [`DeviceAllocator::flush_stream`], the
-    /// counters include every stream folded onto the bank.
+    /// **Folding caveat:** a stream id at or above the configured
+    /// [`DeviceAllocatorConfig::streams`] count folds onto an existing
+    /// cache, so the counters include every stream folded onto it.
     pub fn stream_cache_stats(&self, stream: StreamId) -> DeviceCacheStats {
-        Self::cache_stats_of(Self::totals(self.bank(stream)), self.inner.per_bank, 1)
+        let stats = self.inner.caches[self.cache_index(stream)].lock().stats;
+        Self::cache_stats_of(stats, 1)
     }
 
     /// Backend name, cached at construction (never takes a lock).
@@ -1230,8 +1139,8 @@ mod tests {
         );
         let mut seen = std::collections::HashSet::new();
         for i in 0..200u64 {
-            // Several classes over several shards, and every fourth request
-            // large (a core id); both streams.
+            // Several classes, and every fourth request large (a core id);
+            // both streams.
             let large = i % 4 == 3;
             let size = if large {
                 mib(2 + i % 8)
@@ -1249,9 +1158,9 @@ mod tests {
             } else {
                 assert!(raw >= FRONT_ID_BASE);
                 assert_eq!(
-                    raw as usize & (pool.inner.caches.len() - 1),
-                    pool.cache_index(stream, size_class(size)),
-                    "the id's low bits name the minting cache"
+                    raw as usize & 1,
+                    stream.as_u32() as usize,
+                    "the id's low bit names the minting stream's cache"
                 );
             }
             pool.free_on_stream(a.id, stream).unwrap();
@@ -1264,7 +1173,7 @@ mod tests {
         let a = pool.allocate(AllocRequest::new(1000)).unwrap();
         assert!(a.size >= 1000);
         pool.deallocate(a.id).unwrap();
-        // Same class: served from the shard cache — the core sees nothing.
+        // Same class: served from the stream's cache — the core sees nothing.
         let b = pool.allocate(AllocRequest::new(900)).unwrap();
         assert_eq!(b.va, a.va, "the cached block was reused");
         assert!(b.size >= 900);
@@ -1440,7 +1349,7 @@ mod tests {
     #[test]
     fn large_oom_flushes_the_banks_and_retries() {
         // Capacity fits exactly four 1 MiB class blocks, all parked in the
-        // stream bank: a large request at the core runs out of memory
+        // stream's cache: a large request at the core runs out of memory
         // until the flush-and-retry hands them back.
         let pool = DeviceAllocator::new(TestCore::bounded(mib(4)));
         let ids: Vec<_> = (0..4)
@@ -1542,8 +1451,6 @@ mod tests {
             cfg.validate(),
             Err(AllocError::InvalidConfig(msg)) if msg.contains("streams")
         ));
-        let err = DeviceAllocator::try_with_config(TestCore::default(), cfg.clone()).unwrap_err();
-        assert!(matches!(err, AllocError::InvalidConfig(_)));
         let err =
             DeviceAllocator::try_build(Box::new(TestCore::default()), cfg.clone(), None, None)
                 .unwrap_err();
@@ -1554,43 +1461,26 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_is_an_error_not_a_panic() {
-        let cfg = DeviceAllocatorConfig::default().with_shards(0);
-        assert!(matches!(
-            cfg.validate(),
-            Err(AllocError::InvalidConfig(msg)) if msg.contains("shards")
-        ));
-        let err = DeviceAllocator::try_with_config(TestCore::default(), cfg.clone()).unwrap_err();
-        assert!(matches!(err, AllocError::InvalidConfig(_)));
-        // The infallible constructors normalize instead of panicking.
-        let pool = DeviceAllocator::with_config(TestCore::default(), cfg);
-        assert_eq!(pool.cache_stats().shards, 1);
-    }
-
-    #[test]
-    fn oversized_streams_or_shards_are_an_error_not_a_panic() {
-        // usize::MAX would overflow next_power_of_two() (and the
-        // banks * shards product) at construction — the bounds check must
-        // catch it in validate(), upholding the "never a panic" contract.
+    fn oversized_streams_are_an_error_not_a_panic() {
+        // usize::MAX would overflow next_power_of_two() at construction —
+        // the bounds check must catch it in validate(), upholding the
+        // "never a panic" contract.
         for cfg in [
             DeviceAllocatorConfig::default().with_streams(usize::MAX),
             DeviceAllocatorConfig::default().with_streams(MAX_STREAMS + 1),
-            DeviceAllocatorConfig::default().with_shards(usize::MAX),
-            DeviceAllocatorConfig::default().with_shards(MAX_SHARDS + 1),
         ] {
             assert!(matches!(cfg.validate(), Err(AllocError::InvalidConfig(_))));
             let err =
-                DeviceAllocator::try_with_config(TestCore::default(), cfg.clone()).unwrap_err();
+                DeviceAllocator::try_build(Box::new(TestCore::default()), cfg.clone(), None, None)
+                    .unwrap_err();
             assert!(matches!(err, AllocError::InvalidConfig(_)));
             // The infallible constructors clamp instead of panicking.
             let pool = DeviceAllocator::with_config(TestCore::default(), cfg);
-            let c = pool.cache_stats();
-            assert!(c.streams <= MAX_STREAMS && c.shards <= MAX_STREAMS * MAX_SHARDS);
+            assert_eq!(pool.cache_stats().streams, MAX_STREAMS);
         }
-        // The bounds themselves are accepted.
+        // The bound itself is accepted.
         assert!(DeviceAllocatorConfig::default()
             .with_streams(MAX_STREAMS)
-            .with_shards(MAX_SHARDS)
             .validate()
             .is_ok());
     }
@@ -1599,42 +1489,36 @@ mod tests {
     fn normalized_output_always_validates() {
         // The contract the infallible constructors rely on: whatever
         // validate() rejects, normalized() repairs.
-        for cfg in [
-            DeviceAllocatorConfig::default()
-                .with_streams(0)
-                .with_shards(0),
-            DeviceAllocatorConfig::default()
-                .with_streams(usize::MAX)
-                .with_shards(usize::MAX),
-        ] {
+        for (streams, repaired) in [(0, 1), (usize::MAX, MAX_STREAMS)] {
+            let cfg = DeviceAllocatorConfig::default().with_streams(streams);
             assert!(cfg.validate().is_err());
-            assert!(cfg.normalized().validate().is_ok());
+            let normalized = cfg.normalized();
+            assert!(normalized.validate().is_ok());
+            assert_eq!(normalized.streams, repaired);
         }
-        let repaired = DeviceAllocatorConfig::default()
-            .with_streams(0)
-            .with_shards(0)
-            .normalized();
-        assert_eq!((repaired.streams, repaired.shards), (1, 1));
-        let clamped = DeviceAllocatorConfig::default()
-            .with_streams(usize::MAX)
-            .with_shards(usize::MAX)
-            .normalized();
-        assert_eq!((clamped.streams, clamped.shards), (MAX_STREAMS, MAX_SHARDS));
     }
 
     #[test]
     fn stream_count_rounds_to_a_power_of_two_banks() {
-        let pool = DeviceAllocator::try_with_config(
-            TestCore::default(),
-            DeviceAllocatorConfig::default()
-                .with_streams(3)
-                .with_shards(4),
+        let pool = DeviceAllocator::try_build(
+            Box::new(TestCore::default()),
+            DeviceAllocatorConfig::default().with_streams(3),
+            None,
+            None,
         )
         .unwrap();
-        let c = pool.cache_stats();
-        assert_eq!(c.streams, 4, "3 streams round up to 4 banks");
-        assert_eq!(c.shards, 16, "4 banks x 4 class shards");
-        assert_eq!(pool.stream_cache_stats(StreamId(1)).shards, 4);
+        assert_eq!(
+            pool.cache_stats().streams,
+            4,
+            "3 streams round up to 4 caches"
+        );
+        assert_eq!(pool.stream_cache_stats(StreamId(1)).streams, 1);
+        // Stream 5 folds onto stream 1's cache.
+        let a = pool
+            .alloc_on_stream(AllocRequest::new(1024), StreamId(5))
+            .unwrap();
+        pool.free_on_stream(a.id, StreamId(5)).unwrap();
+        assert_eq!(pool.stream_cache_stats(StreamId(1)).cached_blocks, 1);
     }
 
     #[test]
@@ -1643,8 +1527,8 @@ mod tests {
             TestCore::default(),
             DeviceAllocatorConfig::default().with_streams(4),
         );
-        // Same size class on two streams: each bank minted its own id and
-        // caches its own block.
+        // Same size class on two streams: each stream's cache minted its
+        // own id and caches its own block.
         let a = pool
             .alloc_on_stream(AllocRequest::new(1024), StreamId(0))
             .unwrap();
@@ -1655,7 +1539,7 @@ mod tests {
         assert_ne!(
             a.id.as_u64() & mask,
             b.id.as_u64() & mask,
-            "the id's low bits name different shards"
+            "the id's low bits name different caches"
         );
         pool.free_on_stream(a.id, StreamId(0)).unwrap();
         pool.free_on_stream(b.id, StreamId(1)).unwrap();
@@ -1720,7 +1604,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_and_flush_stream_cover_the_right_banks() {
+    fn flush_covers_every_stream_cache() {
         let pool = DeviceAllocator::with_config(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_streams(2),
@@ -1730,12 +1614,9 @@ mod tests {
             pool.free_on_stream(a.id, s).unwrap();
         }
         assert_eq!(pool.cache_stats().cached_bytes, 2048);
-        // Targeted flush: only stream 1's bank drains.
-        assert_eq!(pool.flush_stream(StreamId(1)), 1024);
-        assert_eq!(pool.stream_cache_stats(StreamId(1)).cached_bytes, 0);
+        assert_eq!(pool.stream_cache_stats(StreamId(1)).cached_bytes, 1024);
         assert_eq!(pool.stream_cache_stats(StreamId(0)).cached_bytes, 1024);
-        // Full flush reaches every remaining bank.
-        assert_eq!(pool.flush(), 1024);
+        assert_eq!(pool.flush(), 2048, "one flush drains both streams");
         assert_eq!(pool.cache_stats().cached_bytes, 0);
         let s = pool.stats();
         assert_eq!((s.alloc_count, s.free_count, s.active_bytes), (2, 2, 0));
@@ -1745,7 +1626,7 @@ mod tests {
     fn oom_retry_flushes_every_streams_cache() {
         // Capacity fits exactly two 1 KiB class blocks; both end up parked,
         // one per stream. A 2 KiB-class allocation can only succeed if the
-        // OOM retry flushes BOTH banks, not just the allocating stream's.
+        // OOM retry flushes BOTH caches, not just the allocating stream's.
         let pool = DeviceAllocator::with_config(
             TestCore::bounded(2048),
             DeviceAllocatorConfig::default().with_streams(2),
@@ -1765,9 +1646,9 @@ mod tests {
 
     #[test]
     fn streams_beyond_the_configured_banks_fold_but_stay_guarded() {
-        // Placement folds stream 5 onto bank 1 (2 banks), but the reuse
+        // Placement folds stream 5 onto cache 1 (2 caches), but the reuse
         // guard compares exact StreamIds: stream 1 freeing stream 5's block
-        // is cross-stream even though they share a bank.
+        // is cross-stream even though they share a cache.
         let pool = DeviceAllocator::with_config(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_streams(2),
@@ -1783,8 +1664,8 @@ mod tests {
 
     #[test]
     fn folded_streams_never_reuse_each_others_parked_blocks() {
-        // Stream 5 folds onto bank 1 (2 banks) and parks a block there via a
-        // same-stream free. Stream 1 shares that bank's free lists, but an
+        // Stream 5 folds onto cache 1 (2 caches) and parks a block there via
+        // a same-stream free. Stream 1 shares that cache's free lists, but an
         // allocation on stream 1 must NOT be handed stream 5's block — a
         // block only moves between streams through the core mutex.
         let pool = DeviceAllocator::with_config(
@@ -1795,7 +1676,7 @@ mod tests {
             .alloc_on_stream(AllocRequest::new(1024), StreamId(5))
             .unwrap();
         pool.free_on_stream(a.id, StreamId(5)).unwrap();
-        assert_eq!(pool.cache_stats().cached_blocks, 1, "parked in bank 1");
+        assert_eq!(pool.cache_stats().cached_blocks, 1, "parked in cache 1");
         let b = pool
             .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
             .unwrap();
@@ -1817,8 +1698,8 @@ mod tests {
 
     #[test]
     fn foreign_blocks_at_cap_are_evicted_not_wedged() {
-        // Stream 5 folds onto bank 1 (2 banks) and fills the class cache to
-        // its cap, then goes idle. Stream 1 shares that shard: its frees
+        // Stream 5 folds onto cache 1 (2 caches) and fills the class list to
+        // its cap, then goes idle. Stream 1 shares that cache: its frees
         // must evict the foreign blocks (to the core) rather than overflow
         // forever, so the warm path recovers instead of staying wedged.
         let pool = DeviceAllocator::with_config(

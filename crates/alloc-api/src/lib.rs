@@ -44,9 +44,7 @@ mod stats;
 mod traits;
 mod types;
 
-pub use device::{
-    DeviceAllocator, DeviceAllocatorConfig, DeviceCacheStats, MAX_SHARDS, MAX_STREAMS,
-};
+pub use device::{DeviceAllocator, DeviceAllocatorConfig, DeviceCacheStats, MAX_STREAMS};
 pub use error::AllocError;
 pub use events::EventSource;
 pub use request::{AllocRequest, Allocation};

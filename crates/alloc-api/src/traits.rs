@@ -13,7 +13,7 @@ use crate::types::{AllocationId, StreamId};
 /// This is the bottom layer of the two-layer allocator API. Concurrent
 /// callers never speak to an `AllocatorCore` directly — they wrap it in a
 /// [`DeviceAllocator`](crate::DeviceAllocator), the cloneable `Send + Sync`
-/// front-end that shards small traffic away from the core's mutex.
+/// front-end that keeps small traffic away from the core's mutex.
 ///
 /// Implementations in this workspace:
 /// * `NativeAllocator` (`gmlake-gpu-sim`) — direct `cudaMalloc`/`cudaFree`

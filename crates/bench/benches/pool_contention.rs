@@ -1,11 +1,14 @@
 //! Lock-contention micro-benchmark of the shared-pool allocation path:
-//! what a small alloc/free cycle costs through the sharded
-//! `DeviceAllocator` fast path versus the retired single-mutex design
-//! (fast path disabled — every call through the core mutex), swept over
-//! 1/2/4/8 threads, plus the raw single-owner allocator as the floor.
+//! what a small alloc/free cycle costs through the `DeviceAllocator`'s
+//! per-stream cache versus the retired single-mutex design (fast path
+//! disabled — every call through the core mutex), swept over 1/2/4/8
+//! threads, plus the raw single-owner allocator as the floor.
 //!
-//! The absolute numbers are host-side wall time (the device cost model is
-//! zeroed); the interesting ratio is sharded-vs-mutex at each thread count.
+//! Every thread allocates on the default stream, so all of them share
+//! that stream's one cache lock: the cached path saves the core call, not
+//! the lock. The absolute numbers are host-side wall time (the device cost
+//! model is zeroed); the interesting ratio is cached-vs-mutex at each
+//! thread count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -65,9 +68,9 @@ fn bench_thread_sweep(c: &mut Criterion) {
         let group_name = format!("contention_{threads}threads");
         let mut g = c.benchmark_group(&group_name);
         g.sample_size(20);
-        for (label, sharded) in [("mutex", false), ("sharded", true)] {
+        for (label, cached) in [("mutex", false), ("cached", true)] {
             g.bench_function(&format!("{label}_{OPS_PER_THREAD}ops_each"), |b| {
-                let pool = contention_pool(sharded);
+                let pool = contention_pool(cached);
                 for t in 0..threads {
                     cycle(&pool, contention_thread_size(t)); // warm every class
                 }
@@ -80,7 +83,7 @@ fn bench_thread_sweep(c: &mut Criterion) {
 
 fn bench_pool_handle_path(c: &mut Criterion) {
     // The full runtime path (PoolService registry + scheduler hooks) on
-    // top of the sharded fast path: the overhead the handle itself adds.
+    // top of the cached fast path: the overhead the handle itself adds.
     c.bench_function("contention_pool_handle_1thread", |b| {
         let service = PoolService::new();
         let pool: PoolHandle = service

@@ -119,16 +119,16 @@ pub fn build_dense_sharing_pool(parts: usize, views: usize) -> GmLakeAllocator {
 // ---------------------------------------------------------------------
 
 /// Builds the shared pool of the contention sweep: a caching core on a
-/// zero-cost device. `sharded = false` disables the front-end fast path,
+/// zero-cost device. `cached = false` disables the front-end fast path,
 /// reproducing the retired one-global-mutex `SharedAllocator` behaviour —
 /// the sweep's baseline.
-pub fn contention_pool(sharded: bool) -> DeviceAllocator {
+pub fn contention_pool(cached: bool) -> DeviceAllocator {
     let driver = CudaDriver::new(
         DeviceConfig::a100_80g()
             .with_cost(CostModel::zero())
             .with_capacity(gib(4)),
     );
-    let config = if sharded {
+    let config = if cached {
         DeviceAllocatorConfig::default()
     } else {
         DeviceAllocatorConfig::default().with_small_threshold(0)

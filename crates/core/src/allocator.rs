@@ -143,7 +143,6 @@ use gmlake_alloc_api::{
 };
 use gmlake_caching::CachingAllocator;
 use gmlake_gpu_sim::{CudaDriver, DriverError, PhysHandle};
-use gmlake_telemetry::log::{self as tlog, Level};
 use gmlake_telemetry::{EventKind, PoolTelemetry};
 
 use crate::bestfit::{best_fit_indexed, best_fit_reference, BestFit, StitchCost, TieredPIndex};
@@ -315,10 +314,6 @@ pub struct GmLakeAllocator {
     config: GmLakeConfig,
     chunk: u64,
     host_op_ns: u64,
-    /// Whether BestFit decision logging (`GMLAKE_LOG=debug`) is on —
-    /// sampled once at construction so the per-allocation path never
-    /// consults the environment.
-    log_decisions: bool,
     /// Optional observability sink: stitch-decision trace records and the
     /// BestFit latency histogram. `None` costs one branch per decision.
     telemetry: Option<Arc<PoolTelemetry>>,
@@ -407,7 +402,6 @@ impl GmLakeAllocator {
             config,
             chunk,
             host_op_ns,
-            log_decisions: tlog::enabled(Level::Debug),
             telemetry: None,
             small,
             pblocks: Slab::new(),
@@ -1398,16 +1392,6 @@ impl GmLakeAllocator {
             BestFit::Single(pid) => {
                 self.counters.record(AllocState::SingleBlock);
                 self.emit(EventKind::StitchDecision, aligned, 2, 1);
-                if self.log_decisions {
-                    tlog::log(
-                        Level::Debug,
-                        "gmlake_core::bestfit",
-                        format_args!(
-                            "S2 iter={} size={} block={}",
-                            self.iterations, aligned, self.pblocks[pid].size
-                        ),
-                    );
-                }
                 let block_size = self.pblocks[pid].size;
                 let remainder = block_size - aligned;
                 if remainder >= self.config.frag_limit.max(self.chunk) {
@@ -1438,20 +1422,6 @@ impl GmLakeAllocator {
                 self.counters.record(AllocState::MultiBlock);
                 self.iter_non_exact += 1;
                 self.emit(EventKind::StitchDecision, aligned, 3, ids.len() as u64);
-                if self.log_decisions {
-                    tlog::log(
-                        Level::Debug,
-                        "gmlake_core::bestfit",
-                        format_args!(
-                            "S3 iter={} size={} candidates={:?}",
-                            self.iterations,
-                            aligned,
-                            ids.iter()
-                                .map(|&i| self.pblocks[i].size)
-                                .collect::<Vec<_>>()
-                        ),
-                    );
-                }
                 if sum > aligned {
                     let last = ids.pop().expect("multiple has >= 2 candidates");
                     let last_size = self.pblocks[last].size;
@@ -1474,13 +1444,6 @@ impl GmLakeAllocator {
                 self.counters.record(AllocState::Insufficient);
                 self.iter_non_exact += 1;
                 self.emit(EventKind::StitchDecision, aligned, 4, ids.len() as u64);
-                if self.log_decisions {
-                    tlog::log(
-                        Level::Debug,
-                        "gmlake_core::bestfit",
-                        format_args!("S4 iter={} size={} have={}", self.iterations, aligned, sum),
-                    );
-                }
                 debug_assert!(sum < aligned);
                 if !self.stitch_enabled && !ids.is_empty() {
                     // Circuit breaker open: ignore the stitchable leftovers

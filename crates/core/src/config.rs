@@ -19,7 +19,7 @@ pub struct GmLakeConfig {
     /// as multi-block stitching candidates. The paper quotes 128 MiB as an
     /// example for real hardware, where every part costs a mapping and its
     /// access call; we default low (4 MiB) to minimize whole-block internal
-    /// waste, and sweep the knob in the `ablation_frag_limit` bench to show
+    /// waste, and sweep the knob in `repro ablation-frag-limit` to show
     /// the trade-off the paper describes (§4.2.3).
     pub frag_limit: u64,
     /// Maximum number of cached sBlock structures before the LRU

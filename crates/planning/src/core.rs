@@ -313,7 +313,7 @@ impl PlannedCore {
         self.installed.is_some()
     }
 
-    /// A copy of the installed plan, if any (what the profiler exports).
+    /// A copy of the installed plan, if any.
     pub fn plan(&self) -> Option<MemoryPlan> {
         self.installed.as_ref().map(|p| p.plan.clone())
     }

@@ -10,8 +10,8 @@
 //!
 //! * [`IterationRecorder`] — captures one iteration's alloc/free sequence
 //!   as [`LifetimeInterval`]s;
-//! * [`MemoryPlan`] — the offline first-fit-decreasing planner, its
-//!   invariant checker, and the `gmlake-plan/v1` JSON format;
+//! * [`MemoryPlan`] — the offline first-fit-decreasing planner and its
+//!   invariant checker;
 //! * [`PlannedCore`] — the drop-in
 //!   [`AllocatorCore`](gmlake_alloc_api::AllocatorCore) backend: record →
 //!   plan → serve, with an embedded
@@ -28,5 +28,5 @@ mod plan;
 mod recorder;
 
 pub use crate::core::{PlanCounters, PlannedConfig, PlannedCore};
-pub use crate::plan::{MemoryPlan, PlanSlot, PLAN_SCHEMA};
+pub use crate::plan::{MemoryPlan, PlanSlot};
 pub use crate::recorder::{IterationRecorder, LifetimeInterval};

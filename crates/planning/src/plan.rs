@@ -7,17 +7,8 @@
 //! time*. Two intervals may share address space if and only if their
 //! lifetimes are disjoint — that is the whole trick: the planned capacity
 //! tracks the measured peak of the transient working set, not its sum.
-//!
-//! Plans serialize to a hand-rolled JSON document (`gmlake-plan/v1`) so
-//! the profiler can export them and tests can pin the format without any
-//! external serde dependency.
-
-use gmlake_telemetry::json::{self, Value};
 
 use crate::recorder::LifetimeInterval;
-
-/// Schema tag embedded in every serialized plan.
-pub const PLAN_SCHEMA: &str = "gmlake-plan/v1";
 
 /// One placed lifetime: `size` bytes at `offset` from the arena base,
 /// live during `[alloc_tick, free_tick)` on `stream`.
@@ -146,66 +137,6 @@ impl MemoryPlan {
     pub fn total_slot_bytes(&self) -> u64 {
         self.slots.iter().map(|s| s.size).sum()
     }
-
-    /// Serializes the plan as a `gmlake-plan/v1` JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.slots.len() * 80);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{PLAN_SCHEMA}\",\n"));
-        out.push_str(&format!("  \"capacity\": {},\n", self.capacity));
-        out.push_str("  \"slots\": [\n");
-        for (i, s) in self.slots.iter().enumerate() {
-            let comma = if i + 1 == self.slots.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"offset\": {}, \"size\": {}, \"stream\": {}, \"alloc_tick\": {}, \"free_tick\": {}}}{comma}\n",
-                s.offset, s.size, s.stream, s.alloc_tick, s.free_tick
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Parses a `gmlake-plan/v1` document produced by
-    /// [`MemoryPlan::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem: bad JSON,
-    /// wrong schema tag, or a missing/ill-typed field.
-    pub fn from_json(text: &str) -> Result<MemoryPlan, String> {
-        let doc = json::parse(text).map_err(|e| format!("plan JSON: {e}"))?;
-        if !matches!(&doc, Value::Obj(_)) {
-            return Err("plan JSON: top level is not an object".into());
-        }
-        match doc.get("schema").and_then(Value::as_str) {
-            Some(PLAN_SCHEMA) => {}
-            other => return Err(format!("plan JSON: bad schema tag {other:?}")),
-        }
-        let capacity = doc
-            .get("capacity")
-            .and_then(Value::as_u64)
-            .ok_or("plan JSON: `capacity` is not a non-negative integer")?;
-        let raw_slots = doc
-            .get("slots")
-            .and_then(Value::as_arr)
-            .ok_or("plan JSON: `slots` is not an array")?;
-        let mut slots = Vec::with_capacity(raw_slots.len());
-        for (i, item) in raw_slots.iter().enumerate() {
-            let field = |name: &str| -> Result<u64, String> {
-                item.get(name).and_then(Value::as_u64).ok_or_else(|| {
-                    format!("plan JSON: slot {i} field `{name}` missing or ill-typed")
-                })
-            };
-            slots.push(PlanSlot {
-                offset: field("offset")?,
-                size: field("size")?,
-                stream: field("stream")? as u32,
-                alloc_tick: field("alloc_tick")?,
-                free_tick: field("free_tick")?,
-            });
-        }
-        Ok(MemoryPlan { capacity, slots })
-    }
 }
 
 #[cfg(test)]
@@ -244,23 +175,6 @@ mod tests {
         let plan = MemoryPlan::build(&[iv(0, 2, 64, 0), iv(1, 3, 32, 0), iv(2, 4, 64, 0)]);
         plan.validate().unwrap();
         assert_eq!(plan.capacity, 96);
-    }
-
-    #[test]
-    fn json_round_trip_is_identical() {
-        let plan = MemoryPlan::build(&[iv(0, 3, 4096, 1), iv(1, 2, 1024, 0), iv(4, 5, 4096, 1)]);
-        let back = MemoryPlan::from_json(&plan.to_json()).unwrap();
-        assert_eq!(plan, back);
-    }
-
-    #[test]
-    fn from_json_rejects_bad_documents() {
-        assert!(MemoryPlan::from_json("[]").is_err());
-        assert!(
-            MemoryPlan::from_json("{\"schema\": \"nope\", \"capacity\": 0, \"slots\": []}")
-                .is_err()
-        );
-        assert!(MemoryPlan::from_json("{\"schema\": \"gmlake-plan/v1\", \"slots\": []}").is_err());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   `DeviceAllocator`); the service is deliberately ignorant of which
 //!   allocator (GMLake, caching baseline, native) manages each device.
 //! * [`PoolHandle`] — a cheap, cloneable front end to one pool, `&self` on
-//!   every call. Small allocations ride the front-end's sharded
-//!   per-size-class caches without touching the pool mutex; large/stitch
+//!   every call. Small allocations ride the front-end's per-stream
+//!   size-class caches without touching the pool mutex; large/stitch
 //!   traffic goes straight to the wrapped core under its commit-time
 //!   lock, so the stitcher sees every inactive block. `PoolHandle` also
 //!   implements [`AllocatorCore`], so trait-generic code (like
@@ -28,7 +28,7 @@
 //!   built with [`PoolService::with_defrag`] gives every pool its own
 //!   [`Defragger`], ticked once per [`PoolHandle::iteration_boundary`];
 //!   the serving layer ticks one per step with its tenant-churn count.
-//!   Every pass flushes the front-end's shard caches first, so defrag
+//!   Every pass flushes the front-end's stream caches first, so defrag
 //!   always sees every cached byte.
 //! * The staged OOM rescue on the allocation path (see
 //!   [`PoolHandle::alloc_on_stream`]) is independent of the defrag policy.

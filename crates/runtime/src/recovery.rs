@@ -16,7 +16,7 @@
 //!   for a cooldown measured in allocation attempts, after which stitching
 //!   is re-probed (half-open: one more fault re-opens immediately, one
 //!   success closes fully);
-//! * **out-of-memory** runs a staged rescue pipeline — flush the shard
+//! * **out-of-memory** runs a staged rescue pipeline — flush the stream
 //!   caches, retire the core's completed event stamps, compact, run the
 //!   owner-installed tenant [`RescueHook`] (if any), then the cross-pool
 //!   policy rescue — retrying after every stage that reclaimed anything.

@@ -148,7 +148,7 @@ impl PoolService {
     }
 
     /// Registers an existing [`DeviceAllocator`] (e.g. one with a custom
-    /// shard configuration, or one also driven outside the service) as the
+    /// stream configuration, or one also driven outside the service) as the
     /// pool for `device`.
     ///
     /// # Errors
@@ -289,7 +289,7 @@ impl PoolService {
 
 /// Instantaneous fragmentation of a stats snapshot (same formula as
 /// [`DeviceAllocator::fragmentation`], computed here so one observation
-/// aggregates the pool's shard counters once, not twice).
+/// aggregates the pool's cache counters once, not twice).
 pub(crate) fn fragmentation_of(stats: &MemStats) -> f64 {
     if stats.reserved_bytes == 0 {
         0.0
@@ -311,7 +311,7 @@ fn default_front_end(core: Box<dyn AllocatorCore + Send>) -> DeviceAllocator {
 /// pool's [`DeviceAllocator`] plus the defrag tick and the OOM rescue.
 ///
 /// Every allocation method takes `&self` — clone a handle into each worker
-/// thread and allocate away. Small requests ride the front-end's sharded
+/// thread and allocate away. Small requests ride the front-end's cached
 /// fast path without ever touching the pool mutex; large/stitch traffic
 /// falls back to the wrapped core. `PoolHandle` also implements
 /// [`AllocatorCore`], so trait-generic code — including the sequential
@@ -351,7 +351,7 @@ impl PoolHandle {
     /// Runs `f` with exclusive access to the underlying allocator core — an
     /// escape hatch for implementation-specific calls (e.g.
     /// `GmLakeAllocator::state_counters`). Do not block inside `f`: every
-    /// core-path caller of this pool waits. The front-end's shard caches
+    /// core-path caller of this pool waits. The front-end's stream caches
     /// are not flushed first (see [`DeviceAllocator::flush`]).
     pub fn with_allocator<R>(&self, f: impl FnOnce(&mut dyn AllocatorCore) -> R) -> R {
         self.entry.alloc.with_core(f)
@@ -402,7 +402,7 @@ impl PoolHandle {
     ///   allocation meanwhile);
     /// * out-of-memory — after the front-end's own flush-and-retry, which
     ///   drains **every** stream's cache — runs the staged rescue
-    ///   pipeline: flush shard caches, retire completed event stamps, compact,
+    ///   pipeline: flush stream caches, retire completed event stamps, compact,
     ///   the owner-installed tenant [`RescueHook`] (if any), then a cache
     ///   release on the other pools cohabiting this pool's physical device
     ///   (if it declared one), retrying after every stage that reclaimed
@@ -463,7 +463,7 @@ impl PoolHandle {
         let mut last = original;
         for stage in 1u64..=5 {
             let bytes = match stage {
-                // Flush every stream's shard cache into the core and
+                // Flush every stream's cache into the core and
                 // release the core's cached structures.
                 1 => self.entry.alloc.release_cached(),
                 // Retire the core's completed cross-stream event stamps
@@ -759,12 +759,12 @@ mod tests {
             CachingAllocator::new(CudaDriver::new(
                 DeviceConfig::small_test().with_backing(false),
             )),
-            DeviceAllocatorConfig::default().with_shards(4),
+            DeviceAllocatorConfig::default().with_streams(4),
         );
         let pool = service.register_device(DeviceId(0), front).unwrap();
         let a = pool.allocate(AllocRequest::new(1024)).unwrap();
         pool.deallocate(a.id).unwrap();
-        assert_eq!(pool.allocator().cache_stats().shards, 4);
+        assert_eq!(pool.allocator().cache_stats().streams, 4);
         assert_eq!(pool.stats().active_bytes, 0);
     }
 
@@ -1053,7 +1053,7 @@ mod tests {
         let pool = service.register_device(DeviceId(0), front).unwrap();
         assert_eq!(pool.allocator().cache_stats().streams, 2);
         // Warm the same size class on both streams: two distinct blocks,
-        // each parked in its own stream's bank.
+        // each parked in its own stream's cache.
         let a = pool
             .alloc_on_stream(AllocRequest::new(1024), StreamId(0))
             .unwrap();

@@ -13,10 +13,11 @@ pub enum EventKind {
     Alloc,
     /// An allocation was returned. `bytes` = size, `a` = stream id.
     Free,
-    /// `DeviceAllocator` served a small alloc from its shard cache.
-    /// `bytes` = size class, `a` = stream id.
+    /// `DeviceAllocator` served a small alloc from a stream's cache (the
+    /// snapshot name `shard_hit` is schema and predates the per-stream
+    /// caches). `bytes` = size class, `a` = stream id.
     ShardHit,
-    /// `DeviceAllocator` missed its shard cache and fell through to the
+    /// `DeviceAllocator` missed a stream's cache and fell through to the
     /// wrapped core. `bytes` = size class, `a` = stream id.
     ShardMiss,
     /// Core BestFit classified a large request. `bytes` = aligned request

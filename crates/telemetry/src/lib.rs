@@ -1,7 +1,7 @@
 //! `gmlake-telemetry` — low-overhead observability for the GMLake stack.
 //!
 //! The allocator crates report end-of-run counters (`MemStats`,
-//! `DriverStats`, per-shard cache stats); this crate turns them into a
+//! `DriverStats`, per-stream cache stats); this crate turns them into a
 //! *timeline*: what happened, when, and how long it took. It is the
 //! measurement substrate for the paper's memory-behaviour figures
 //! (reserved-vs-active curves, stitch activity over time) and for the
@@ -11,10 +11,10 @@
 //! Three pieces, composable but designed to be used together through
 //! [`PoolTelemetry`]:
 //!
-//! * [`Recorder`] — a lock-minimal structured event log. Bounded ring
-//!   buffers sharded by thread keep the hot path to one short
-//!   uncontended mutex; when a ring fills, the oldest record is dropped
-//!   and counted, never blocking an allocation.
+//! * [`Recorder`] — a structured event log: one bounded ring behind one
+//!   mutex, so a record is one short lock and a push; when the ring
+//!   fills, the oldest record is dropped and counted, never blocking an
+//!   allocation.
 //! * [`Histogram`] — log-bucketed, mergeable latency histograms with
 //!   atomic buckets (`&self` recording) and p50/p90/p99/p999 readout.
 //! * [`MemorySnapshot`] — a serializable dump of per-pool
@@ -30,7 +30,7 @@
 //! *disabled* — the default — every hook reduces to one relaxed atomic
 //! load. Enabled recording is *sampled*: [`PoolTelemetry::hot_sample`]
 //! admits one in `2^k` operations (default 1 in 32) on the fast paths, so
-//! the ~100 ns `DeviceAllocator` shard hit pays the timestamp + ring-push
+//! the ~100 ns `DeviceAllocator` cache hit pays the timestamp + ring-push
 //! cost only occasionally. Slow paths (BestFit, stitching, driver calls)
 //! record every operation — they are orders of magnitude above the
 //! per-record cost. The whole-system benchmark reports both costs as its
@@ -60,14 +60,12 @@
 pub mod event;
 pub mod histogram;
 pub mod json;
-pub mod log;
 pub mod pool;
 pub mod recorder;
 pub mod snapshot;
 
 pub use event::{Event, EventKind};
 pub use histogram::{Histogram, HistogramSummary};
-pub use log::Level;
 pub use pool::{PoolTelemetry, TelemetryClock};
 pub use recorder::Recorder;
 pub use snapshot::{FaultSnapshot, MemorySample, MemorySnapshot, PoolSnapshot, SCHEMA};

@@ -1,77 +1,49 @@
-//! Lock-minimal structured event recorder.
+//! Bounded structured event recorder.
 //!
-//! Records land in one of [`DEFAULT_SHARDS`]-many bounded rings; each
-//! thread is pinned round-robin to a shard on first use, so under steady
-//! state a record is one uncontended `parking_lot` mutex lock plus a
-//! `VecDeque` push. Full rings overwrite their oldest record and bump a
-//! shared drop counter — recording never blocks or allocates (ring
-//! capacity is reserved up front).
+//! Records land in one bounded ring behind one `parking_lot` mutex, so a
+//! record is one short lock plus a `VecDeque` push. A full ring overwrites
+//! its oldest record and bumps a drop counter — recording never blocks on
+//! a reader or allocates (ring capacity is reserved up front).
 
-use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use parking_lot::Mutex;
 
 use crate::event::Event;
 
-/// Default shard count (threads are striped across these).
-pub const DEFAULT_SHARDS: usize = 8;
-/// Default per-shard ring capacity.
+/// Default ring capacity.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-// Round-robin thread → shard assignment, cached per thread. Process-wide
-// on purpose: successive threads land on successive shards regardless of
-// which recorder they hit first.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-thread_local! {
-    static SHARD_HINT: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-fn shard_hint() -> usize {
-    SHARD_HINT.with(|h| {
-        let mut v = h.get();
-        if v == usize::MAX {
-            v = NEXT_SHARD.fetch_add(1, Relaxed);
-            h.set(v);
-        }
-        v
-    })
-}
-
-/// Sharded bounded ring buffer of [`Event`]s.
+/// Bounded ring buffer of [`Event`]s.
 #[derive(Debug)]
 pub struct Recorder {
-    shards: Box<[Mutex<VecDeque<Event>>]>,
+    ring: Mutex<VecDeque<Event>>,
     capacity: usize,
     dropped: AtomicU64,
 }
 
 impl Default for Recorder {
     fn default() -> Self {
-        Recorder::new(DEFAULT_SHARDS, DEFAULT_CAPACITY)
+        Recorder::new(DEFAULT_CAPACITY)
     }
 }
 
 impl Recorder {
-    /// A recorder with `shards` rings of `capacity` records each. Both
-    /// are clamped to at least 1.
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
+    /// A recorder keeping at most `capacity` records (clamped to at
+    /// least 1).
+    pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Recorder {
-            shards: (0..shards)
-                .map(|_| Mutex::new(VecDeque::with_capacity(capacity)))
-                .collect(),
+            ring: Mutex::new(VecDeque::with_capacity(capacity)),
             capacity,
             dropped: AtomicU64::new(0),
         }
     }
 
-    /// Append one record to the calling thread's shard, evicting the
-    /// oldest record there if the ring is full.
+    /// Append one record, evicting the oldest if the ring is full.
     pub fn record(&self, event: Event) {
-        let mut ring = self.shards[shard_hint() % self.shards.len()].lock();
+        let mut ring = self.ring.lock();
         if ring.len() == self.capacity {
             ring.pop_front();
             self.dropped.fetch_add(1, Relaxed);
@@ -79,20 +51,17 @@ impl Recorder {
         ring.push_back(event);
     }
 
-    /// Move every buffered record out, merged across shards and sorted by
-    /// timestamp (stable, so same-timestamp records keep per-shard order).
+    /// Move every buffered record out, sorted by timestamp (stable, so
+    /// same-timestamp records keep their recording order).
     pub fn drain(&self) -> Vec<Event> {
-        let mut all = Vec::new();
-        for shard in self.shards.iter() {
-            all.extend(shard.lock().drain(..));
-        }
+        let mut all: Vec<Event> = self.ring.lock().drain(..).collect();
         all.sort_by_key(|e| e.ts_ns);
         all
     }
 
-    /// Records currently buffered across all shards.
+    /// Records currently buffered.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.ring.lock().len()
     }
 
     /// True when no records are buffered.
@@ -100,7 +69,7 @@ impl Recorder {
         self.len() == 0
     }
 
-    /// Records overwritten because their ring was full.
+    /// Records overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Relaxed)
     }
@@ -123,7 +92,7 @@ mod tests {
 
     #[test]
     fn drain_merges_and_sorts() {
-        let r = Recorder::new(4, 16);
+        let r = Recorder::new(16);
         for ts in [5, 1, 9, 3] {
             r.record(ev(ts));
         }
@@ -135,7 +104,7 @@ mod tests {
 
     #[test]
     fn full_ring_drops_oldest_and_counts() {
-        let r = Recorder::new(1, 2);
+        let r = Recorder::new(2);
         for ts in 0..5 {
             r.record(ev(ts));
         }
@@ -144,12 +113,9 @@ mod tests {
         assert_eq!(ts, vec![3, 4], "oldest evicted first");
     }
 
-    #[test]
-    fn concurrent_records_all_land() {
-        let r = Recorder::new(4, 10_000);
+    fn record_from_eight_threads(r: &Recorder) {
         std::thread::scope(|s| {
             for t in 0..8u64 {
-                let r = &r;
                 s.spawn(move || {
                     for i in 0..500 {
                         r.record(ev(t * 1000 + i));
@@ -157,7 +123,26 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn concurrent_records_all_land() {
+        let r = Recorder::new(10_000);
+        record_from_eight_threads(&r);
         assert_eq!(r.len(), 8 * 500);
         assert_eq!(r.dropped(), 0);
+    }
+
+    #[test]
+    fn concurrent_records_share_one_bound() {
+        // The capacity bounds the whole recorder, not each thread: 4 000
+        // records from 8 threads into a ring of 1 000 keep 1 000.
+        let r = Recorder::new(1000);
+        record_from_eight_threads(&r);
+        assert_eq!(r.len(), 1000);
+        assert_eq!(r.dropped(), 3000);
+        let ts: Vec<u64> = r.drain().iter().map(|e| e.ts_ns).collect();
+        assert_eq!(ts.len(), 1000);
+        assert!(ts.windows(2).all(|w| w[0] <= w[1]), "drained sorted");
     }
 }

@@ -1,7 +1,7 @@
 //! Multi-GPU scale-out on the runtime layer: every data-parallel rank owns
 //! a simulated device registered in one `PoolService`, and all ranks replay
 //! *concurrently* — one OS thread per rank driving a `PoolHandle` backed by
-//! the sharded `DeviceAllocator` front-end — while fragmentation grows with
+//! the `DeviceAllocator` front-end — while fragmentation grows with
 //! the shard count (the paper's Observation 2 / Figure 11).
 //!
 //! A second baseline fleet runs under a periodic `DefragPolicy`,

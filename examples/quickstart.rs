@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---------------------------------------------------------------
     // 3. Many threads, one pool: the concurrent DeviceAllocator front-end.
-    //    Small tensors ride per-size-class shard caches (no pool mutex);
+    //    Small tensors ride the per-stream size-class cache (no pool mutex);
     //    large/stitch traffic falls back to the wrapped GMLake core.
     // ---------------------------------------------------------------
     let pool = DeviceAllocator::new(lake);
@@ -106,7 +106,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cache = pool.cache_stats();
     println!(
         "\ndevice-allocator: 4 threads x 256 small alloc/free — {} allocs, {} frees, \
-         {} shard hits / {} misses, {} blocks cached",
+         {} cache hits / {} misses, {} blocks cached",
         stats.alloc_count, stats.free_count, cache.hits, cache.misses, cache.cached_blocks
     );
     // Typed telemetry still works behind the type-erased front-end.

@@ -1,4 +1,4 @@
-//! Cross-crate tests of the sharded `DeviceAllocator` fast path: N-thread
+//! Cross-crate tests of the `DeviceAllocator` per-stream fast path: N-thread
 //! stress with exact accounting, cross-thread frees, cross-thread
 //! double-free detection, and teardown hygiene on a real simulated device.
 
@@ -86,7 +86,7 @@ fn caching_front() -> (DeviceAllocator, CudaDriver) {
 
 /// ≥8 threads hammer one front-end with a size mix straddling the
 /// small/large threshold: every successful allocation is freed exactly
-/// once, nothing is lost or leaked across the shards, and the wrapped
+/// once, nothing is lost or leaked in the caches, and the wrapped
 /// core's own invariants survive.
 #[test]
 fn stress_eight_threads_no_allocation_lost_across_shards() {
@@ -110,7 +110,7 @@ fn stress_eight_threads_no_allocation_lost_across_shards() {
                     x ^= x << 13;
                     x ^= x >> 7;
                     x ^= x << 17;
-                    // Sizes from 512 B to ~4 MiB: both the sharded fast
+                    // Sizes from 512 B to ~4 MiB: both the cached fast
                     // path and the core fallback run, on many size classes.
                     let size = 512 + x % mib(4);
                     match pool.allocate(AllocRequest::new(size)) {
@@ -142,13 +142,13 @@ fn stress_eight_threads_no_allocation_lost_across_shards() {
     );
     assert_eq!(stats.alloc_count, stats.free_count, "no allocation lost");
     assert_eq!(stats.active_bytes, 0);
-    // Returning the shard caches to the core reconciles it exactly.
+    // Returning the stream caches to the core reconciles it exactly.
     pool.flush();
     pool.with_core(|core| {
         assert_eq!(core.stats().active_bytes, 0, "core agrees after flush");
     });
     // Dropping the front-end (and with it the core) returns every byte,
-    // reservation, and mapping to the device: nothing leaked in a shard.
+    // reservation, and mapping to the device: nothing leaked in a cache.
     drop(pool);
     assert!(driver.snapshot().is_quiescent(), "device fully torn down");
 }
@@ -178,7 +178,7 @@ fn alloc_on_one_thread_free_on_another() {
     assert_eq!(stats.alloc_count, 200);
     assert_eq!(stats.free_count, 200);
     assert_eq!(stats.active_bytes, 0);
-    // The migrated blocks are sitting in the shard caches, ready for reuse.
+    // The migrated blocks are sitting in the stream's cache, ready for reuse.
     let before = pool.cache_stats();
     assert!(before.cached_blocks > 0, "frees landed in the cache");
     let a = pool.allocate(AllocRequest::new(kib(64))).unwrap();
@@ -242,15 +242,15 @@ fn double_free_after_reuse_is_still_rejected() {
     );
 }
 
-/// The front-end's OOM fallback reaches blocks parked in other threads'
-/// shard caches: a large request that only fits once the caches are
-/// flushed must succeed instead of erroring.
+/// The front-end's OOM fallback reaches blocks other threads parked in the
+/// stream's cache: a large request that only fits once the cache is flushed
+/// must succeed instead of erroring.
 #[test]
 fn oom_retry_reclaims_blocks_parked_by_other_threads() {
     // 256 MiB device; four threads each hold 32 × 1 MiB live before
     // freeing, so at least 32 distinct blocks end up parked in the caches
     // (threads that run later reuse earlier threads' blocks). A 240 MiB
-    // request cannot fit while ≥ 32 MiB sits in the shards.
+    // request cannot fit while ≥ 32 MiB sits in the cache.
     let (pool, driver) = caching_front();
     std::thread::scope(|s| {
         for _ in 0..4 {
@@ -269,7 +269,7 @@ fn oom_retry_reclaims_blocks_parked_by_other_threads() {
     assert!(driver.phys_in_use() >= mib(32));
     let big = pool.allocate(AllocRequest::new(mib(240))).unwrap();
     assert_eq!(big.size, mib(240), "flush-and-retry rescued the request");
-    assert_eq!(pool.cache_stats().cached_bytes, 0, "shards were flushed");
+    assert_eq!(pool.cache_stats().cached_bytes, 0, "the cache was flushed");
     pool.deallocate(big.id).unwrap();
 }
 
@@ -290,7 +290,7 @@ fn front_end_is_a_core_for_trait_generic_callers() {
 
 /// Flush-before-defrag across streams: an OOM retry must reclaim **every**
 /// stream's cache, not just the allocating stream's. The reclaimed-byte
-/// count is pinned exactly so a future "flush only my bank" optimization
+/// count is pinned exactly so a future "flush only my stream" optimization
 /// cannot silently regress the rescue.
 #[test]
 fn oom_retry_flushes_every_streams_cache_with_pinned_byte_count() {
@@ -320,7 +320,7 @@ fn oom_retry_flushes_every_streams_cache_with_pinned_byte_count() {
         assert_eq!(
             pool.stream_cache_stats(StreamId(s)).cached_bytes,
             mib(16),
-            "stream {s}: one 16 MiB-class block parked in its own bank"
+            "stream {s}: one 16 MiB-class block parked in its own cache"
         );
     }
     assert_eq!(pool.flush(), 4 * mib(16), "flush reclaims every stream");
@@ -328,7 +328,7 @@ fn oom_retry_flushes_every_streams_cache_with_pinned_byte_count() {
 
     // Phase 2 — the OOM retry does that flush implicitly: with 4 x 16 MiB
     // parked (64 MiB), a 290 MiB request on a 300 MiB device only fits if
-    // every bank drains; flushing the allocating stream's bank alone
+    // every cache drains; flushing the allocating stream's cache alone
     // (16 MiB) would leave at most 252 MiB allocatable.
     warm_all_streams(&pool);
     assert_eq!(pool.cache_stats().cached_bytes, 4 * mib(16));
@@ -336,7 +336,11 @@ fn oom_retry_flushes_every_streams_cache_with_pinned_byte_count() {
         .alloc_on_stream(AllocRequest::new(mib(290)), StreamId(0))
         .unwrap();
     assert_eq!(big.size, mib(290), "cross-stream flush rescued the request");
-    assert_eq!(pool.cache_stats().cached_bytes, 0, "all four banks drained");
+    assert_eq!(
+        pool.cache_stats().cached_bytes,
+        0,
+        "all four caches drained"
+    );
     pool.free_on_stream(big.id, StreamId(0)).unwrap();
     drop(pool);
     assert!(driver.snapshot().is_quiescent());
@@ -347,19 +351,31 @@ fn oom_retry_flushes_every_streams_cache_with_pinned_byte_count() {
 #[test]
 fn stream_config_round_trips_and_zero_streams_errors() {
     let make = |streams| {
-        DeviceAllocator::try_with_config(
-            CachingAllocator::new(CudaDriver::new(
+        DeviceAllocator::try_build(
+            Box::new(CachingAllocator::new(CudaDriver::new(
                 DeviceConfig::small_test().with_backing(false),
-            )),
+            ))),
             DeviceAllocatorConfig::default().with_streams(streams),
+            None,
+            None,
         )
     };
     let err = make(0).unwrap_err();
     assert!(matches!(err, AllocError::InvalidConfig(_)), "{err}");
     let pool = make(3).unwrap();
-    let c = pool.cache_stats();
-    assert_eq!(c.streams, 4, "3 streams round up to 4 banks");
-    assert_eq!(c.shards, 4 * 16, "16 class shards per bank");
+    assert_eq!(
+        pool.cache_stats().streams,
+        4,
+        "3 streams round up to 4 caches"
+    );
+    // Every stream's cache is its own: a block parked on stream 2 is not
+    // counted on stream 1.
+    let a = pool
+        .alloc_on_stream(AllocRequest::new(kib(16)), StreamId(2))
+        .unwrap();
+    pool.free_on_stream(a.id, StreamId(2)).unwrap();
+    assert_eq!(pool.stream_cache_stats(StreamId(2)).cached_blocks, 1);
+    assert_eq!(pool.stream_cache_stats(StreamId(1)).cached_blocks, 0);
 }
 
 /// Cross-thread AND cross-stream: a block allocated on stream 1 by one
@@ -445,14 +461,14 @@ fn cross_stream_small_free_waits_out_the_freeing_stream() {
     assert!(driver.snapshot().is_quiescent());
 }
 
-/// Shard configuration is honored and observable.
+/// A custom configuration is honored and observable.
 #[test]
-fn custom_shard_config_round_trips() {
+fn custom_config_round_trips() {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
     let pool = DeviceAllocator::with_config(
         CachingAllocator::new(driver),
         DeviceAllocatorConfig::default()
-            .with_shards(5) // rounded up to 8
+            .with_streams(5) // rounded up to 8
             .with_max_cached_per_class(1),
     );
     let a = pool.allocate(AllocRequest::new(kib(16))).unwrap();
@@ -460,6 +476,6 @@ fn custom_shard_config_round_trips() {
     pool.deallocate(a.id).unwrap();
     pool.deallocate(b.id).unwrap();
     let cache = pool.cache_stats();
-    assert_eq!(cache.shards, 8);
+    assert_eq!(cache.streams, 8);
     assert_eq!(cache.cached_blocks, 1, "per-class cap enforced");
 }

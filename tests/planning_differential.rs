@@ -11,9 +11,7 @@
 //!
 //! Proptests pin the planner invariants independently of any workload:
 //! no two placements overlap in `(space × time)`, every `offset + size`
-//! fits the planned capacity, plans replay deterministically, and the
-//! `gmlake-plan/v1` JSON round-trips placements identically (the recorder
-//! round-trip satellite).
+//! fits the planned capacity, and plans replay deterministically.
 
 use proptest::prelude::*;
 
@@ -286,38 +284,6 @@ proptest! {
         prop_assert!(plan.capacity <= plan.total_slot_bytes());
         let again = MemoryPlan::build(&intervals);
         prop_assert_eq!(plan, again, "planner is not deterministic");
-    }
-
-    /// Recorder round-trip (the profiler's export format): drive a random
-    /// alloc/free program through a recording `PlannedCore`, install the
-    /// plan, serialize to `gmlake-plan/v1` JSON, parse it back — the
-    /// placements must be identical.
-    #[test]
-    fn recorded_plan_round_trips_through_json(
-        ops in prop::collection::vec(((1u64..(1 << 20)), (0u32..2), any::<bool>()), 8..40)
-    ) {
-        let (mut core, _driver) = planned_core(gib(4));
-        let mut live: Vec<AllocationId> = Vec::new();
-        for (size, stream, free_first) in ops {
-            if free_first && !live.is_empty() {
-                let id = live.swap_remove(size as usize % live.len());
-                core.free_on_stream(id, StreamId(stream)).unwrap();
-            }
-            let a = core
-                .alloc_on_stream(AllocRequest::new(size), StreamId(stream))
-                .unwrap();
-            live.push(a.id);
-        }
-        for id in live.drain(..) {
-            core.deallocate(id).unwrap();
-        }
-        core.iteration_boundary();
-        let plan = core.plan().expect("every op pair was transient");
-        plan.validate().unwrap();
-        let json = plan.to_json();
-        let back = MemoryPlan::from_json(&json).unwrap();
-        prop_assert_eq!(plan, back, "JSON round-trip changed the plan");
-        core.validate().unwrap();
     }
 }
 

@@ -50,8 +50,6 @@ enum Op {
     /// Return every cached block to the core (front-end only; the oracle
     /// caches nothing, so this must be caller-invisible).
     Flush,
-    /// Flush one stream's bank only (front-end only, same invisibility).
-    FlushStream { stream: u32 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -62,7 +60,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         }),
         7 => (any::<usize>(), (0u32..STREAMS)).prop_map(|(nth, stream)| Op::Free { nth, stream }),
         1 => Just(Op::Flush),
-        1 => (0u32..STREAMS).prop_map(|stream| Op::FlushStream { stream }),
     ]
 }
 
@@ -114,9 +111,6 @@ fn run_differential(ops: &[Op], capacity: u64) {
             }
             Op::Flush => {
                 pool.flush();
-            }
-            Op::FlushStream { stream } => {
-                pool.flush_stream(StreamId(stream % STREAMS));
             }
         }
         // Mid-program the caller-visible counters already agree: active
