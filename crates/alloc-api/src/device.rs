@@ -137,8 +137,7 @@ pub struct DeviceAllocatorConfig {
     /// 2 MiB, GMLake's stitch threshold — everything the stitching
     /// machinery would not touch anyway); requests at or above it go
     /// straight to the core. `0` turns the front-end caches off,
-    /// degenerating to one mutex around the core; benches use this as the
-    /// contention baseline.
+    /// degenerating to one mutex around the core.
     pub small_threshold: u64,
     /// Maximum cached blocks per size class; overflowing frees go straight
     /// back to the core (default 64).
@@ -424,8 +423,8 @@ struct Inner {
 /// every call. See the source module docs in `device.rs` and the
 /// repository's `docs/streams-and-events.md` for the routing design.
 ///
-/// This is the only type the runtime, the workload replayers, the examples,
-/// and the benches speak to when a pool is shared between threads; the
+/// This is the only type the runtime, the workload replayers and the
+/// examples speak to when a pool is shared between threads; the
 /// wrapped [`AllocatorCore`] stays single-owner behind the front-end. It
 /// also implements [`AllocatorCore`] itself, so trait-generic code such as
 /// the sequential replayer drives a shared pool unmodified.

@@ -10,7 +10,7 @@
 //!   virtual-memory-stitching allocator (`gmlake-core`);
 //! * [`DeviceAllocator`] — the cloneable, `Send + Sync`, `&self`
 //!   *front-end* that wraps any core and is the only type concurrent
-//!   callers (the runtime's pool service, replayers, benches) speak to. It
+//!   callers (the runtime's pool service, replayers) speak to. It
 //!   serves warm requests below the stitch threshold from size-class
 //!   free-list caches partitioned per logical GPU stream ([`StreamId`]),
 //!   so threads and streams never contend with each other or with stitch
@@ -48,7 +48,7 @@ pub use device::{DeviceAllocator, DeviceAllocatorConfig, DeviceCacheStats, MAX_S
 pub use error::AllocError;
 pub use events::EventSource;
 pub use request::{AllocRequest, Allocation};
-pub use stats::{FaultJournalStats, MemStats, StatsDelta};
+pub use stats::{FaultJournalStats, MemStats};
 pub use traits::AllocatorCore;
 pub use types::{
     gib, kib, mib, AllocTag, AllocationId, EventId, IdHasher, IdMap, StreamId, VirtAddr,

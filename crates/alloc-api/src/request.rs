@@ -11,7 +11,6 @@ use crate::types::{AllocTag, AllocationId, VirtAddr};
 /// assert_eq!(req.tag, AllocTag::Gradient);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AllocRequest {
     /// Requested size in bytes (the tensor's logical size, before any
     /// allocator-internal rounding).
@@ -45,7 +44,6 @@ impl From<u64> for AllocRequest {
 
 /// A live allocation: the handle an allocator returns to the tensor layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Allocation {
     /// Identifier to pass to [`AllocatorCore::deallocate`](crate::AllocatorCore::deallocate).
     pub id: AllocationId,

@@ -12,7 +12,6 @@ use std::fmt;
 /// Counters exposed by every allocator through
 /// [`AllocatorCore::stats`](crate::AllocatorCore::stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemStats {
     /// Bytes currently allocated to live tensors.
     pub active_bytes: u64,
@@ -96,16 +95,15 @@ impl fmt::Display for MemStats {
     }
 }
 
-/// Post-rollback driver-fault residue counters, mirrored from the concrete
-/// allocator's fault journal (GMLake's transactional recovery bookkeeping)
-/// into the implementation-neutral API so profilers and snapshots can
-/// surface orphan accounting without downcasting the core.
+/// Post-rollback driver-fault residue counters: the fault journal GMLake's
+/// transactional recovery keeps, in the implementation-neutral API so
+/// profilers and snapshots can surface orphan accounting without
+/// downcasting the core.
 ///
 /// All counters are cumulative over the allocator's lifetime. A leak-free
 /// allocator reports zero orphans; `failed_ops` alone merely counts faults
 /// that were rolled back cleanly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultJournalStats {
     /// Driver operations that faulted and were rolled back.
     pub failed_ops: u64,
@@ -121,35 +119,6 @@ impl FaultJournalStats {
     /// `true` when no rollback left residue behind (orphan counters zero).
     pub fn is_leak_free(&self) -> bool {
         self.orphan_vas == 0 && self.orphan_va_bytes == 0 && self.orphan_chunks == 0
-    }
-}
-
-/// Difference between two snapshots, for per-phase accounting in the
-/// replayer and benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct StatsDelta {
-    /// Allocations performed in the window.
-    pub allocs: u64,
-    /// Deallocations performed in the window.
-    pub frees: u64,
-    /// Bytes requested in the window.
-    pub requested_bytes: u64,
-}
-
-impl StatsDelta {
-    /// Computes `now − before` over the monotone counters.
-    pub fn between(before: &MemStats, now: &MemStats) -> Self {
-        StatsDelta {
-            allocs: now.alloc_count - before.alloc_count,
-            frees: now.free_count - before.free_count,
-            requested_bytes: now.requested_bytes_total - before.requested_bytes_total,
-        }
-    }
-
-    /// Mean requested allocation size in the window (bytes); 0 if none.
-    pub fn mean_request(&self) -> u64 {
-        self.requested_bytes.checked_div(self.allocs).unwrap_or(0)
     }
 }
 
@@ -187,21 +156,6 @@ mod tests {
         s.on_alloc(1, 1);
         s.on_free(1);
         assert_eq!(s.live_allocations(), 1);
-    }
-
-    #[test]
-    fn delta_between_snapshots() {
-        let mut s = MemStats::default();
-        s.on_alloc(100, 128);
-        let before = s;
-        s.on_alloc(300, 384);
-        s.on_alloc(100, 128);
-        s.on_free(128);
-        let d = StatsDelta::between(&before, &s);
-        assert_eq!(d.allocs, 2);
-        assert_eq!(d.frees, 1);
-        assert_eq!(d.requested_bytes, 400);
-        assert_eq!(d.mean_request(), 200);
     }
 
     #[test]

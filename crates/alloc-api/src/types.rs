@@ -50,7 +50,6 @@ pub const fn gib(n: u64) -> u64 {
 /// assert_eq!(va.offset(16).as_u64(), 0x7000_0000_0010);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VirtAddr(u64);
 
 impl VirtAddr {
@@ -105,7 +104,6 @@ impl From<u64> for VirtAddr {
 /// Returned by [`AllocatorCore::allocate`](crate::AllocatorCore::allocate) and
 /// consumed by [`AllocatorCore::deallocate`](crate::AllocatorCore::deallocate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AllocationId(u64);
 
 impl AllocationId {
@@ -195,7 +193,6 @@ impl std::hash::Hasher for IdHasher {
 /// assert_eq!(format!("{}", StreamId(3)), "stream3");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StreamId(pub u32);
 
 impl StreamId {
@@ -250,7 +247,6 @@ impl From<u32> for StreamId {
 /// assert_eq!(format!("{ev}"), "event#7");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EventId(u64);
 
 impl EventId {
@@ -278,7 +274,6 @@ impl fmt::Display for EventId {
 ///
 /// Tags never change allocator behaviour; they are telemetry only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AllocTag {
     /// No specific label.
     #[default]

@@ -1,4 +1,4 @@
-//! Shared harness plumbing for the `repro` binary and the criterion benches.
+//! Shared harness plumbing for the `repro`, probe and soak binaries.
 //!
 //! Every experiment of `repro` reproduces one table or figure of the
 //! paper's evaluation (the README's *Reproduced results* lists them, and
@@ -19,8 +19,6 @@ use gmlake_workload::{
     ConcurrentReplayer, RankSpec, ReplayOptions, ReplayReport, Replayer, ScaleoutReport,
     TraceGenerator, TrainConfig,
 };
-
-pub mod perf;
 
 /// Which allocator to run a workload against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

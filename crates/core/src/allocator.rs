@@ -138,54 +138,24 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use gmlake_alloc_api::{
-    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, EventId, IdMap, MemStats,
-    StreamId, VirtAddr,
+    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, EventId, FaultJournalStats,
+    IdMap, MemStats, StreamId, VirtAddr,
 };
 use gmlake_caching::CachingAllocator;
 use gmlake_gpu_sim::{CudaDriver, DriverError, PhysHandle};
 use gmlake_telemetry::{EventKind, PoolTelemetry};
 
-use crate::bestfit::{best_fit_indexed, best_fit_reference, BestFit, StitchCost, TieredPIndex};
+use crate::bestfit::{best_fit_indexed, BestFit, StitchCost, TieredPIndex};
 use crate::block::{idle, slot, Dense, PBlock, PBlockId, Reservation, SBlock, SBlockId, Target};
 use crate::block::{ViewFlags, ACTIVE, PARKS, REFERENCED};
 use crate::config::{AllocState, GmLakeConfig, StateCounters};
 use crate::lru::LruList;
 use crate::slab::Slab;
 
-/// Per-allocator record of driver faults survived and what they cost.
-///
-/// Every multi-call driver sequence (`stitch`, `alloc_new_pblock`, the
-/// teardown paths) is *transactional*: when a call fails mid-sequence
-/// the allocator unwinds the already-performed create/map steps with
-/// compensating driver calls and returns [`AllocError::DriverFault`] instead
-/// of panicking. Under a *transient* fault the compensating calls always
-/// succeed (the fault was consumed by the original call), so a failed op
-/// leaves zero residue. Under *persistent* faults the compensation itself
-/// can fail; the resources that could not be returned are counted here so
-/// tests and operators can reconcile them against driver snapshots.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FaultJournal {
-    /// Driver sequences that failed mid-way and were unwound.
-    pub failed_ops: u64,
-    /// VA reservations the unwind could not return to the driver.
-    pub orphan_vas: u64,
-    /// Total bytes of those orphaned reservations.
-    pub orphan_va_bytes: u64,
-    /// Physical handles the unwind could not release (one per reservation).
-    pub orphan_chunks: u64,
-}
-
-impl FaultJournal {
-    /// `true` when every unwind ran to completion: no VA reservation or
-    /// physical handle outlived its failed operation.
-    pub fn is_leak_free(&self) -> bool {
-        self.orphan_vas == 0 && self.orphan_va_bytes == 0 && self.orphan_chunks == 0
-    }
-}
-
 /// Deterministic work counts of the activity-flip and availability-query
-/// paths and of the reclaim walk. Hidden: they exist so tests and benches can pin the cost model of
-/// the module docs on counters instead of wall-clock.
+/// paths and of the reclaim walk. Hidden: they exist so tests and
+/// `probe_convergence` can pin the cost model of the module docs on
+/// counters instead of wall-clock.
 #[doc(hidden)]
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WorkCounters {
@@ -213,17 +183,6 @@ pub struct WorkCounters {
     pub reclaim_marks: u64,
     /// Reservations the reclaim walk visited.
     pub reclaim_visits: u64,
-}
-
-/// The two `(size, id)` sets [`best_fit_reference`] runs over (see
-/// [`GmLakeAllocator::reference_indexes`]).
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct ReferenceIndexes {
-    /// Unassigned views with every part inactive.
-    pub available_views: BTreeSet<(u64, u64)>,
-    /// Every inactive pBlock, referenced or not.
-    pub inactive_pblocks: BTreeSet<(u64, u64)>,
 }
 
 /// [`WorkCounters`] as kept, all but `index_ops` and `lru_splices`, which the
@@ -363,8 +322,14 @@ pub struct GmLakeAllocator {
     /// while `false`, S3/S4 requests are served by whole fresh pBlocks
     /// instead of stitched views.
     stitch_enabled: bool,
-    /// Driver faults survived and unwind residue (see [`FaultJournal`]).
-    journal: FaultJournal,
+    /// Driver faults survived and unwind residue. Every multi-call driver
+    /// sequence (`stitch`, `alloc_new_pblock`, the teardown paths) is
+    /// transactional: a call failing mid-sequence is unwound with
+    /// compensating driver calls and returns [`AllocError::DriverFault`].
+    /// Under a transient fault the unwind always succeeds, so a failed op
+    /// leaves no residue; under persistent faults the resources the unwind
+    /// could not return are counted here as orphans.
+    journal: FaultJournalStats,
     counters: StateCounters,
     iterations: u64,
     iter_non_exact: u64,
@@ -421,7 +386,7 @@ impl GmLakeAllocator {
             stats: MemStats::default(),
             reserved_phys: 0,
             stitch_enabled: true,
-            journal: FaultJournal::default(),
+            journal: FaultJournalStats::default(),
             counters: StateCounters::default(),
             iterations: 0,
             iter_non_exact: 0,
@@ -485,7 +450,7 @@ impl GmLakeAllocator {
     }
 
     /// Driver faults survived so far and any unwind residue.
-    pub fn fault_journal(&self) -> FaultJournal {
+    pub fn fault_journal(&self) -> FaultJournalStats {
         self.journal
     }
 
@@ -1530,78 +1495,6 @@ impl GmLakeAllocator {
         released
     }
 
-    // ------------------------------------------------------------------
-    // Benchmark probes — classify a hypothetical request without mutating
-    // state, through either `BestFit` implementation. Hidden: these exist
-    // so the `bestfit_scaling` bench can measure the indexed hot path
-    // against the retained reference path on identical pool states.
-    // ------------------------------------------------------------------
-
-    /// Runs the indexed `BestFit` for a request of `size` bytes and returns
-    /// the state it classified to (1–4 for S1–S4). `&mut` only for the
-    /// classification scratch buffer and the witness hints.
-    #[doc(hidden)]
-    pub fn probe_bestfit_indexed(&mut self, size: u64) -> u8 {
-        let fit = self.best_fit(self.align_up(size));
-        Self::state_code(&fit)
-    }
-
-    /// Builds what the reference path consumes, by scanning; once per pool
-    /// state, outside the timed region.
-    #[doc(hidden)]
-    pub fn reference_indexes(&self) -> ReferenceIndexes {
-        let views = self.sblocks.iter();
-        let available = views.filter(|(_, s)| self.scan_available(s));
-        let inactive = self.pblocks.keys().filter(|&pid| !self.dense.active(pid));
-        ReferenceIndexes {
-            available_views: available.map(|(sid, s)| (s.size, sid)).collect(),
-            inactive_pblocks: inactive.map(|pid| (self.pblocks[pid].size, pid)).collect(),
-        }
-    }
-
-    /// The retained reference `BestFit` (full-pool passes plus the per-block
-    /// cost closure, which chases `referenced_by` and scans each view's
-    /// parts) over `indexes` and this allocator's state.
-    fn reference_bestfit(&self, aligned: u64, indexes: &ReferenceIndexes) -> BestFit {
-        best_fit_reference(
-            aligned,
-            &indexes.available_views,
-            &indexes.inactive_pblocks,
-            self.config.frag_limit,
-            |pid| self.stitch_cost(pid, |sid| self.scan_available(&self.sblocks[sid])),
-        )
-    }
-
-    /// Runs [`Self::reference_bestfit`] and returns its state code.
-    #[doc(hidden)]
-    pub fn probe_bestfit_reference(&self, size: u64, indexes: &ReferenceIndexes) -> u8 {
-        Self::state_code(&self.reference_bestfit(self.align_up(size), indexes))
-    }
-
-    fn state_code(fit: &BestFit) -> u8 {
-        match fit {
-            BestFit::ExactS(_) | BestFit::ExactP(_) => 1,
-            BestFit::Single(_) => 2,
-            BestFit::Multiple { .. } => 3,
-            BestFit::Insufficient { .. } => 4,
-        }
-    }
-
-    /// Differential oracle: asserts the indexed and reference `BestFit`
-    /// agree exactly (not just on the state code) for a request of `size`
-    /// bytes against the current pool state — the reference fed the scanned
-    /// available set and the scanned three-way cost.
-    #[cfg(test)]
-    pub(crate) fn assert_bestfit_agrees(&mut self, size: u64) {
-        let aligned = self.align_up(size);
-        let reference = self.reference_bestfit(aligned, &self.reference_indexes());
-        assert_eq!(
-            reference,
-            self.best_fit(aligned),
-            "indexed BestFit diverged from the reference for size {size}"
-        );
-    }
-
     /// Verifies every internal invariant; heavily used by tests.
     ///
     /// # Errors
@@ -2062,13 +1955,8 @@ impl AllocatorCore for GmLakeAllocator {
         self.stitch_enabled = enabled;
     }
 
-    fn fault_journal_stats(&self) -> gmlake_alloc_api::FaultJournalStats {
-        gmlake_alloc_api::FaultJournalStats {
-            failed_ops: self.journal.failed_ops,
-            orphan_vas: self.journal.orphan_vas,
-            orphan_va_bytes: self.journal.orphan_va_bytes,
-            orphan_chunks: self.journal.orphan_chunks,
-        }
+    fn fault_journal_stats(&self) -> FaultJournalStats {
+        self.journal
     }
 
     /// GMLake's proactive defrag pass, gentler than the OOM fallback:
@@ -2135,8 +2023,69 @@ impl Drop for GmLakeAllocator {
     }
 }
 
+/// The two `(size, id)` sets the reference `BestFit` runs over (see
+/// `GmLakeAllocator::reference_indexes`).
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct ReferenceIndexes {
+    /// Unassigned views with every part inactive.
+    pub available_views: BTreeSet<(u64, u64)>,
+    /// Every inactive pBlock, referenced or not.
+    pub inactive_pblocks: BTreeSet<(u64, u64)>,
+}
+
 #[cfg(test)]
 impl GmLakeAllocator {
+    /// Runs the indexed `BestFit` for a request of `size` bytes and returns
+    /// the state it classified to (1–4 for S1–S4). `&mut` only for the
+    /// classification scratch buffer and the witness hints.
+    pub(crate) fn probe_bestfit_indexed(&mut self, size: u64) -> u8 {
+        match self.best_fit(self.align_up(size)) {
+            BestFit::ExactS(_) | BestFit::ExactP(_) => 1,
+            BestFit::Single(_) => 2,
+            BestFit::Multiple { .. } => 3,
+            BestFit::Insufficient { .. } => 4,
+        }
+    }
+
+    /// Builds what the reference path consumes, by scanning.
+    pub(crate) fn reference_indexes(&self) -> ReferenceIndexes {
+        let views = self.sblocks.iter();
+        let available = views.filter(|(_, s)| self.scan_available(s));
+        let inactive = self.pblocks.keys().filter(|&pid| !self.dense.active(pid));
+        ReferenceIndexes {
+            available_views: available.map(|(sid, s)| (s.size, sid)).collect(),
+            inactive_pblocks: inactive.map(|pid| (self.pblocks[pid].size, pid)).collect(),
+        }
+    }
+
+    /// The retained reference `BestFit` (full-pool passes plus the per-block
+    /// cost closure, which chases `referenced_by` and scans each view's
+    /// parts) over `indexes` and this allocator's state.
+    fn reference_bestfit(&self, aligned: u64, indexes: &ReferenceIndexes) -> BestFit {
+        crate::bestfit::best_fit_reference(
+            aligned,
+            &indexes.available_views,
+            &indexes.inactive_pblocks,
+            self.config.frag_limit,
+            |pid| self.stitch_cost(pid, |sid| self.scan_available(&self.sblocks[sid])),
+        )
+    }
+
+    /// Differential oracle: asserts the indexed and reference `BestFit`
+    /// agree exactly (not just on the state code) for a request of `size`
+    /// bytes against the current pool state — the reference fed the scanned
+    /// available set and the scanned three-way cost.
+    pub(crate) fn assert_bestfit_agrees(&mut self, size: u64) {
+        let aligned = self.align_up(size);
+        let reference = self.reference_bestfit(aligned, &self.reference_indexes());
+        assert_eq!(
+            reference,
+            self.best_fit(aligned),
+            "indexed BestFit diverged from the reference for size {size}"
+        );
+    }
+
     /// The dense flags and the size index, for tests that corrupt them.
     pub(crate) fn dense_state(&mut self) -> (&mut Dense, &mut IdMap<u64, Vec<SBlockId>>) {
         (&mut self.dense, &mut self.s_by_size)

@@ -15,9 +15,9 @@
 //!   `(size, id)` set with a per-block cost closure. It makes up to three
 //!   full passes over the pool and calls the closure (which chases
 //!   `referenced_by` edges) per visited block, so it is `O(n)` per
-//!   allocation on converged pools. It is retained as the differential
-//!   oracle for property tests and as the benchmark baseline the
-//!   `bestfit_scaling` bench measures the indexed path against.
+//!   allocation on converged pools. It is compiled for tests only, as the
+//!   differential oracle the unit and property tests hold the indexed
+//!   path to.
 //!
 //! Both implementations must agree bit-for-bit on every input — S1–S5
 //! classification, tier preference, candidate order — which the unit tests
@@ -70,15 +70,6 @@ pub(crate) enum StitchCost {
     /// poisons that view and forces a re-stitch next iteration, so these
     /// are taken only as a last resort.
     ReferencedAvailable = 2,
-}
-
-impl StitchCost {
-    /// All tiers in consumption-preference order.
-    pub(crate) const ALL: [StitchCost; 3] = [
-        StitchCost::Unreferenced,
-        StitchCost::ReferencedBlocked,
-        StitchCost::ReferencedAvailable,
-    ];
 }
 
 /// The pBlock index: two `(size, id)` sets. The *unreferenced* tier holds
@@ -265,9 +256,9 @@ fn eligible(
 
 /// The pre-index transcription of Algorithm 1: a single flat `(size, id)`
 /// set plus a per-block `stitch_cost` closure, making up to three full
-/// passes over the pool. Retained as the differential oracle (property
-/// tests assert it agrees with [`best_fit_indexed`] on every case) and as
-/// the baseline the `bestfit_scaling` benchmark measures against.
+/// passes over the pool. Retained as the differential oracle: property
+/// tests assert it agrees with [`best_fit_indexed`] on every case.
+#[cfg(test)]
 pub(crate) fn best_fit_reference(
     bsize: u64,
     s_inactive: &BTreeSet<(u64, SBlockId)>,
@@ -312,7 +303,12 @@ pub(crate) fn best_fit_reference(
     // cost tier.
     let mut ids = Vec::new();
     let mut sum = 0u64;
-    for pass in StitchCost::ALL {
+    let passes = [
+        StitchCost::Unreferenced,
+        StitchCost::ReferencedBlocked,
+        StitchCost::ReferencedAvailable,
+    ];
+    for pass in passes {
         for &(size, pid) in p_inactive.iter().rev() {
             debug_assert!(size < bsize, "larger blocks were handled above");
             if size < frag_limit {

@@ -48,5 +48,5 @@ mod slab;
 #[cfg(test)]
 mod tests;
 
-pub use allocator::{FaultJournal, GmLakeAllocator, ReferenceIndexes, WorkCounters};
+pub use allocator::{GmLakeAllocator, WorkCounters};
 pub use config::{AllocState, GmLakeConfig, StateCounters};

@@ -211,7 +211,7 @@ impl CudaDriver {
         }
     }
 
-    /// A copy of the device's cost model (for benches that compute analytic
+    /// A copy of the device's cost model (for callers that compute analytic
     /// curves).
     pub fn cost_model(&self) -> crate::cost::CostModel {
         self.inner.lock().config.cost.clone()

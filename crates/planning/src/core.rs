@@ -318,11 +318,6 @@ impl PlannedCore {
         self.installed.as_ref().map(|p| p.plan.clone())
     }
 
-    /// The fallback's driver-fault journal (empty while no faults fired).
-    pub fn fault_journal(&self) -> gmlake_core::FaultJournal {
-        self.fallback.fault_journal()
-    }
-
     fn record(&self, kind: EventKind, bytes: u64, a: u64, b: u64) {
         if let Some(t) = &self.telemetry {
             t.record(kind, bytes, a, b);

@@ -50,7 +50,7 @@
 //!         let pool = pool.clone();
 //!         s.spawn(move || {
 //!             for _ in 0..32 {
-//!                 // Small tensors: the sharded fast path, no pool mutex.
+//!                 // Small tensors: the stream's cache, no pool mutex.
 //!                 let a = pool.allocate(AllocRequest::new(kib(64 + t))).unwrap();
 //!                 pool.deallocate(a.id).unwrap();
 //!             }

@@ -123,11 +123,6 @@ impl PoolService {
         }
     }
 
-    /// The fault-recovery policy shared by every pool of this service.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.inner.policy
-    }
-
     /// Registers an allocator core as the pool for `device` and returns a
     /// handle. The core is wrapped in a [`DeviceAllocator`] front-end with
     /// the default configuration and a disabled
@@ -388,7 +383,7 @@ impl PoolHandle {
     }
 
     /// Allocates memory for `req` on behalf of logical GPU stream `stream`:
-    /// small requests ride the stream's own cache bank in the pool's
+    /// small requests ride the stream's own cache in the pool's
     /// [`DeviceAllocator`], so ranks driving different streams never
     /// serialize on a lock.
     ///

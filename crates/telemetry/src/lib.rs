@@ -18,7 +18,7 @@
 //! * [`Histogram`] — log-bucketed, mergeable latency histograms with
 //!   atomic buckets (`&self` recording) and p50/p90/p99/p999 readout.
 //! * [`MemorySnapshot`] — a serializable dump of per-pool
-//!   reserved/active/pending/fragmentation series plus the event trace
+//!   reserved/active/fragmentation series plus the event trace
 //!   and histogram summaries, exportable as JSON
 //!   ([`MemorySnapshot::to_json`]) or chrome://tracing format
 //!   ([`MemorySnapshot::to_chrome_trace`]).

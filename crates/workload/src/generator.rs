@@ -179,8 +179,9 @@ impl TraceGenerator {
     /// communication buffer is produced on its side stream but consumed by
     /// the compute kernels — its free is issued from [`StreamId::DEFAULT`],
     /// a **cross-stream free**, exactly the pattern that exercises the
-    /// allocator's event-guarded reuse rule (conservative guard without an
-    /// event source, pending→ready promotion with one).
+    /// allocator's cross-stream reuse rule (a small block goes back to the
+    /// core, told the freeing stream; with an event source the host first
+    /// waits out an event recorded on that stream).
     fn assign_streams(events: &mut [TraceEvent], streams: u32) {
         if streams <= 1 {
             return;

@@ -7,7 +7,6 @@
 
 /// Architecture of a decoder-only transformer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModelSpec {
     /// Model name as used in the paper's figures.
     pub name: String,

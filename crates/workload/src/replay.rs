@@ -466,7 +466,7 @@ mod tests {
         use std::sync::Arc;
         // Offload (RO) generates communication + staging tensors, which the
         // generator moves to side streams; replaying through a stream-aware
-        // front-end must land that traffic in the side-stream cache banks.
+        // front-end must land that traffic in the side-stream caches.
         // Comm buffers are freed by their consumer (the default stream), so
         // the replay also exercises the event-guarded cross-stream path:
         // each such free waits out an event recorded on the compute stream

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use gmlake_alloc_api::{mib, AllocError, AllocationId};
-use gmlake_serving::{AdmissionVerdict, ServingService, TenantId};
+use gmlake_serving::{ServingService, TenantId};
 use gmlake_telemetry::{Histogram, HistogramSummary};
 
 use crate::model::ModelSpec;
@@ -152,13 +152,6 @@ impl ServingPlan {
     pub fn steps(&self) -> u64 {
         self.cfg.steps
     }
-
-    /// Sum of quota commitments across all planned tenants (an upper
-    /// bound on committed bytes if every arrival were admitted and none
-    /// departed).
-    pub fn total_quota_bytes(&self) -> u64 {
-        self.tenants.iter().map(|t| t.quota_bytes).sum()
-    }
 }
 
 /// Geometric sample with mean `mean` (support `0..`).
@@ -256,8 +249,8 @@ impl ServingReplayer {
             {
                 let planned = &self.plan.tenants[next_arrival];
                 report.offered += 1;
-                let verdict = serving.offer(planned.quota_bytes);
-                if let Some(id) = verdict.tenant() {
+                // Queued arrivals are simply lost to this replayer.
+                if let Some(id) = serving.offer(planned.quota_bytes).tenant() {
                     report.admitted += 1;
                     live.insert(
                         id.0,
@@ -270,7 +263,6 @@ impl ServingReplayer {
                         },
                     );
                 }
-                let _ = matches!(verdict, AdmissionVerdict::Queued); // queued arrivals are simply lost to this replayer
                 next_arrival += 1;
             }
             report.peak_tenants = report.peak_tenants.max(live.len() as u64);

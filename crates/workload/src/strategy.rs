@@ -7,7 +7,6 @@ use crate::model::ModelSpec;
 /// The paper labels combinations `N` (none), `R` (recomputation), `LR`
 /// (LoRA + recomputation), `RO` (recomputation + offload) and `LRO`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StrategySet {
     /// LoRA: base weights frozen; only low-rank adapters train.
     pub lora: bool,
@@ -92,7 +91,6 @@ impl std::fmt::Display for StrategySet {
 /// ranks; they differ in gather bucketing and transient buffer behaviour,
 /// which the trace generator reflects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Platform {
     /// DeepSpeed ZeRO stage 3.
     DeepSpeedZero3,
@@ -131,7 +129,6 @@ impl std::fmt::Display for Platform {
 
 /// Full configuration of a fine-tuning run, for one data-parallel rank.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrainConfig {
     /// Model architecture.
     pub model: ModelSpec,

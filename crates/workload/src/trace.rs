@@ -8,7 +8,6 @@ use gmlake_alloc_api::{AllocTag, StreamId};
 /// trace (the replayer maps it to whatever `AllocationId` the allocator
 /// hands back).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TraceEvent {
     /// Allocate `size` bytes for tensor `key`.
     Alloc {
@@ -56,7 +55,6 @@ pub enum TraceEvent {
 
 /// A complete request stream plus its provenance label.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     /// Human-readable description (model/strategies/platform).
     pub label: String,

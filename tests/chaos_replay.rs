@@ -481,7 +481,7 @@ fn memmap_fault_inside_planned_residue_stitch_rolls_back() {
     assert_eq!(core.plan().unwrap(), plan_before, "fault mutated the plan");
     assert_eq!(core.counters().plan_hits, hits_before);
     core.validate().unwrap();
-    let journal = core.fault_journal();
+    let journal = core.fault_journal_stats();
     assert!(journal.is_leak_free(), "stitch unwind leaked: {journal:?}");
     assert_eq!(journal.failed_ops, 1, "exactly the faulted stitch");
     let s = core.stats();
