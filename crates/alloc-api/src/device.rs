@@ -289,7 +289,8 @@ impl CacheCounters {
 }
 
 /// One per-stream cache: everything one warm allocate or deallocate
-/// touches, behind one lock.
+/// touches, behind one lock. A warm op is that lock plus two hashed
+/// lookups: the class's free list and the live table.
 #[derive(Debug, Default)]
 struct StreamCache {
     /// Parked blocks by size class.
@@ -346,28 +347,31 @@ impl StreamCache {
         Some(block)
     }
 
-    /// Parks `block` in the free list under `key`.
-    fn park(&mut self, block: CachedBlock, key: u64) {
+    /// Parks `block`, freed by its own stream, under `key`, with one lookup
+    /// of the class's free list. At the per-class `cap`, a block parked by
+    /// a stream folded onto this cache (a slot `block`'s stream can never
+    /// reuse) is evicted to make room, so an idle foreign stream cannot
+    /// wedge the warm path of every stream sharing the cache. Returns what
+    /// goes to the core: the evicted block, or `block` itself when every
+    /// slot is its own stream's.
+    fn park(&mut self, block: CachedBlock, key: u64, cap: usize) -> Option<CachedBlock> {
+        let stack = self.free.entry(key).or_default();
+        let evicted = if stack.len() < cap {
+            None
+        } else {
+            match stack.iter().position(|b| b.stream != block.stream) {
+                Some(pos) => Some(stack.swap_remove(pos)),
+                None => return Some(block),
+            }
+        };
+        stack.push(block);
         self.stats.cached_bytes += block.size;
         self.stats.cached_blocks += 1;
-        self.free.entry(key).or_default().push(block);
-    }
-
-    /// Whether the per-class cap leaves room to park one more block under
-    /// `key`.
-    fn has_room(&self, key: u64, cap: usize) -> bool {
-        self.free.get(&key).map_or(0, Vec::len) < cap
-    }
-
-    /// Removes from `key`'s free list a block parked by a stream other than
-    /// `stream` — a slot `stream` can never reuse.
-    fn evict_foreign(&mut self, key: u64, stream: StreamId) -> Option<CachedBlock> {
-        let stack = self.free.get_mut(&key)?;
-        let pos = stack.iter().position(|b| b.stream != stream)?;
-        let evicted = stack.swap_remove(pos);
-        self.stats.cached_bytes -= evicted.size;
-        self.stats.cached_blocks -= 1;
-        Some(evicted)
+        if let Some(e) = evicted {
+            self.stats.cached_bytes -= e.size;
+            self.stats.cached_blocks -= 1;
+        }
+        evicted
     }
 }
 
@@ -732,21 +736,9 @@ impl DeviceAllocator {
                 if let Some(t) = tel {
                     t.record(EventKind::Free, block.size, stream.as_u32() as u64, 0);
                 }
-                let overflow = if g.has_room(key, cap) {
-                    g.park(block, key);
-                    None
-                } else if let Some(evicted) = g.evict_foreign(key, stream) {
-                    // Cap reached, but a folded stream's block holds a slot
-                    // this stream can never reuse: evict it to the core and
-                    // park ours, so an idle foreign stream cannot wedge the
-                    // warm path of every stream sharing the cache.
-                    g.park(block, key);
-                    Some((evicted, evicted.stream))
-                } else {
-                    Some((block, stream))
-                };
+                let overflow = g.park(block, key, cap);
                 g.stats.cache_returns += u64::from(overflow.is_some());
-                overflow
+                overflow.map(|b| (b, b.stream))
             } else {
                 // Cross-stream: the core, told the freeing stream, orders
                 // the block's reuse after that stream's work.

@@ -200,11 +200,22 @@ impl CachingAllocator {
         None
     }
 
+    /// The out-of-memory answer to a request of `requested` bytes.
+    fn oom(&self, requested: u64) -> AllocError {
+        AllocError::OutOfMemory {
+            requested,
+            reserved: self.reserved,
+            capacity: self.driver.capacity(),
+        }
+    }
+
     /// `cudaMalloc`s a new segment sized for `rounded` and registers it as a
     /// single free block. On device OOM, releases every fully-free cached
     /// segment and retries once.
     fn grow(&mut self, pool: PoolKind, rounded: u64) -> Result<BlockId, AllocError> {
-        let seg_size = self.config.segment_size(rounded);
+        let Some(seg_size) = self.config.segment_size(rounded) else {
+            return Err(self.oom(rounded));
+        };
         let va = match self.driver.mem_alloc(seg_size) {
             Ok(va) => va,
             Err(DriverError::OutOfMemory { .. }) => {
@@ -212,11 +223,7 @@ impl CachingAllocator {
                 match self.driver.mem_alloc(seg_size) {
                     Ok(va) => va,
                     Err(DriverError::OutOfMemory { requested, .. }) => {
-                        return Err(AllocError::OutOfMemory {
-                            requested,
-                            reserved: self.reserved,
-                            capacity: self.driver.capacity(),
-                        })
+                        return Err(self.oom(requested))
                     }
                     Err(e) => return Err(AllocError::driver_fault("mem_alloc", e)),
                 }
@@ -450,7 +457,9 @@ impl AllocatorCore for CachingAllocator {
             return Err(AllocError::ZeroSize);
         }
         self.driver.advance_clock(self.host_op_ns);
-        let rounded = self.config.round_size(req.size);
+        let Some(rounded) = self.config.round_size(req.size) else {
+            return Err(self.oom(req.size));
+        };
         let pool = self.config.pool_for(rounded);
         let block_id = match self.find_best_fit(pool, rounded) {
             Some(id) => id,

@@ -64,18 +64,20 @@ pub enum PoolKind {
 }
 
 impl BfcConfig {
-    /// Rounds a request up to the allocation granularity.
+    /// Rounds a request up to the allocation granularity; `None` when the
+    /// rounded size would pass `u64::MAX`.
     ///
     /// ```
     /// use gmlake_caching::BfcConfig;
     /// let c = BfcConfig::default();
-    /// assert_eq!(c.round_size(1), 512);
-    /// assert_eq!(c.round_size(512), 512);
-    /// assert_eq!(c.round_size(513), 1024);
+    /// assert_eq!(c.round_size(1), Some(512));
+    /// assert_eq!(c.round_size(512), Some(512));
+    /// assert_eq!(c.round_size(513), Some(1024));
+    /// assert_eq!(c.round_size(u64::MAX - 100), None);
     /// ```
-    pub fn round_size(&self, size: u64) -> u64 {
+    pub fn round_size(&self, size: u64) -> Option<u64> {
         debug_assert!(size > 0);
-        size.div_ceil(self.round) * self.round
+        size.div_ceil(self.round).checked_mul(self.round)
     }
 
     /// Pool serving a (rounded) request of `size` bytes.
@@ -87,14 +89,17 @@ impl BfcConfig {
         }
     }
 
-    /// Size of the fresh segment to `cudaMalloc` for a rounded request.
-    pub fn segment_size(&self, rounded: u64) -> u64 {
+    /// Size of the fresh segment to `cudaMalloc` for a rounded request;
+    /// `None` when it would pass `u64::MAX`.
+    pub fn segment_size(&self, rounded: u64) -> Option<u64> {
         if rounded <= self.small_size {
-            self.small_buffer
+            Some(self.small_buffer)
         } else if rounded < self.medium_size {
-            self.large_buffer
+            Some(self.large_buffer)
         } else {
-            rounded.div_ceil(self.segment_round) * self.segment_round
+            rounded
+                .div_ceil(self.segment_round)
+                .checked_mul(self.segment_round)
         }
     }
 
@@ -142,7 +147,7 @@ mod tests {
     fn rounding_is_multiple_of_512() {
         let c = BfcConfig::default();
         for s in [1, 511, 512, 513, 1000, 4096, 1_000_000] {
-            let r = c.round_size(s);
+            let r = c.round_size(s).unwrap();
             assert!(r >= s);
             assert_eq!(r % 512, 0);
             assert!(r - s < 512);
@@ -160,11 +165,12 @@ mod tests {
     #[test]
     fn segment_sizes_match_pytorch_policy() {
         let c = BfcConfig::default();
-        assert_eq!(c.segment_size(kib(64)), mib(2)); // small buffer
-        assert_eq!(c.segment_size(mib(2)), mib(20)); // large buffer
-        assert_eq!(c.segment_size(mib(9)), mib(20));
-        assert_eq!(c.segment_size(mib(10)), mib(10)); // exact multiple of 2 MiB
-        assert_eq!(c.segment_size(mib(21)), mib(22)); // rounded to 2 MiB
+        assert_eq!(c.segment_size(kib(64)), Some(mib(2))); // small buffer
+        assert_eq!(c.segment_size(mib(2)), Some(mib(20))); // large buffer
+        assert_eq!(c.segment_size(mib(9)), Some(mib(20)));
+        assert_eq!(c.segment_size(mib(10)), Some(mib(10))); // exact multiple of 2 MiB
+        assert_eq!(c.segment_size(mib(21)), Some(mib(22))); // rounded to 2 MiB
+        assert_eq!(c.segment_size(u64::MAX - 511), None); // past u64::MAX
     }
 
     #[test]

@@ -540,8 +540,9 @@ impl GmLakeAllocator {
     // Internal machinery
     // ------------------------------------------------------------------
 
-    fn align_up(&self, size: u64) -> u64 {
-        size.div_ceil(self.chunk) * self.chunk
+    /// `size` rounded up to whole chunks; `None` past `u64::MAX`.
+    fn align_up(&self, size: u64) -> Option<u64> {
+        size.div_ceil(self.chunk).checked_mul(self.chunk)
     }
 
     fn next_tick(&mut self) -> u64 {
@@ -1338,7 +1339,13 @@ impl GmLakeAllocator {
     }
 
     fn try_allocate_large_inner(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
-        let aligned = self.align_up(req.size);
+        let Some(aligned) = self.align_up(req.size) else {
+            return Err(AllocError::OutOfMemory {
+                requested: req.size,
+                reserved: self.stats.reserved_bytes,
+                capacity: self.driver.capacity(),
+            });
+        };
         match self.best_fit(aligned) {
             BestFit::ExactS(sid) => {
                 let sid = self.prefer_stream_sblock(sid);
@@ -2040,7 +2047,7 @@ impl GmLakeAllocator {
     /// the state it classified to (1–4 for S1–S4). `&mut` only for the
     /// classification scratch buffer and the witness hints.
     pub(crate) fn probe_bestfit_indexed(&mut self, size: u64) -> u8 {
-        match self.best_fit(self.align_up(size)) {
+        match self.best_fit(self.align_up(size).expect("probe size fits")) {
             BestFit::ExactS(_) | BestFit::ExactP(_) => 1,
             BestFit::Single(_) => 2,
             BestFit::Multiple { .. } => 3,
@@ -2077,7 +2084,7 @@ impl GmLakeAllocator {
     /// bytes against the current pool state — the reference fed the scanned
     /// available set and the scanned three-way cost.
     pub(crate) fn assert_bestfit_agrees(&mut self, size: u64) {
-        let aligned = self.align_up(size);
+        let aligned = self.align_up(size).expect("probe size fits");
         let reference = self.reference_bestfit(aligned, &self.reference_indexes());
         assert_eq!(
             reference,

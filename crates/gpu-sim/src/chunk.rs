@@ -62,7 +62,7 @@ impl PhysTable {
         if size == 0 {
             return Err(DriverError::ZeroSize);
         }
-        if self.in_use + size > capacity {
+        if size > capacity.saturating_sub(self.in_use) {
             return Err(DriverError::OutOfMemory {
                 requested: size,
                 in_use: self.in_use,

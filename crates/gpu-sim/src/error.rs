@@ -11,7 +11,8 @@ use gmlake_alloc_api::VirtAddr;
 /// mutating device state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DriverError {
-    /// Physical memory exhausted (`CUDA_ERROR_OUT_OF_MEMORY`).
+    /// Physical memory, or for a VA reservation the address space,
+    /// exhausted (`CUDA_ERROR_OUT_OF_MEMORY`).
     OutOfMemory {
         /// Bytes requested by the failing call.
         requested: u64,

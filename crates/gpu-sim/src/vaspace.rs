@@ -66,14 +66,26 @@ impl VaSpace {
 
     /// Reserves `size` bytes of VA, aligned to `align` (a power of two).
     /// Addresses are never reused; the 64-bit space is effectively infinite
-    /// for simulation purposes.
+    /// for simulation purposes, and a reservation that would pass its end
+    /// fails as `cuMemAddressReserve` does, with out-of-memory.
     pub fn reserve(&mut self, size: u64, align: u64) -> DriverResult<VirtAddr> {
         if size == 0 {
             return Err(DriverError::ZeroSize);
         }
         debug_assert!(align.is_power_of_two());
-        let start = (self.next_va + align - 1) & !(align - 1);
-        self.next_va = start + size;
+        let start = self
+            .next_va
+            .checked_add(align - 1)
+            .map(|v| v & !(align - 1));
+        let Some(end) = start.and_then(|s| s.checked_add(size)) else {
+            return Err(DriverError::OutOfMemory {
+                requested: size,
+                in_use: self.reserved_total,
+                capacity: u64::MAX,
+            });
+        };
+        let start = end - size;
+        self.next_va = end;
         self.reservations.insert(
             start,
             Reservation {

@@ -77,8 +77,8 @@ pub trait RescueHook: Send + Sync + std::fmt::Debug {
 }
 
 /// Per-pool circuit-breaker and recovery bookkeeping (behind the pool
-/// entry's mutex; all paths touching it are failure paths or one lock per
-/// allocation attempt).
+/// entry's mutex). Failure paths lock it; an allocation locks it only
+/// while the breaker is open or counts a consecutive fault.
 #[derive(Debug, Default)]
 pub(crate) struct BreakerState {
     /// Consecutive allocation attempts that ended in a driver fault.

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -50,6 +50,12 @@ struct PoolEntry {
     affinity: Option<u64>,
     /// Stitch circuit breaker and fault-recovery counters.
     breaker: Mutex<BreakerState>,
+    /// Whether `breaker` is open or counts a consecutive fault: stored
+    /// (`Release`) under its lock whenever either changes, loaded
+    /// (`Acquire`) before an allocation would take the lock. While it is
+    /// not set, an allocation has no cooldown to tick and no count to
+    /// reset, so it takes no breaker lock.
+    breaker_armed: AtomicBool,
     /// Owner-supplied tenant-level reclamation stage of the OOM rescue
     /// pipeline (see [`RescueHook`]). `None` until installed.
     rescue_hook: Mutex<Option<Arc<dyn RescueHook>>>,
@@ -192,6 +198,7 @@ impl PoolService {
             defrag: self.inner.defrag.map(Defragger::new),
             affinity,
             breaker: Mutex::new(BreakerState::default()),
+            breaker_armed: AtomicBool::new(false),
             rescue_hook: Mutex::new(None),
         });
         pools.insert(device, Arc::clone(&entry));
@@ -516,6 +523,9 @@ impl PoolHandle {
     /// closes, but one more fault re-opens it immediately; one success
     /// closes it fully).
     fn breaker_tick(&self) {
+        if !self.entry.breaker_armed.load(Ordering::Acquire) {
+            return;
+        }
         let threshold = self.service.policy.breaker_threshold;
         let mut b = self.entry.breaker.lock();
         if !b.open {
@@ -525,6 +535,9 @@ impl PoolHandle {
         if b.cooldown_left == 0 {
             b.open = false;
             b.consecutive = threshold.saturating_sub(1);
+            self.entry
+                .breaker_armed
+                .store(b.consecutive > 0, Ordering::Release);
             drop(b);
             self.entry.alloc.set_stitch_enabled(true);
             self.emit(EventKind::BreakerTrip, 0, 0, 0);
@@ -539,6 +552,7 @@ impl PoolHandle {
         let mut b = self.entry.breaker.lock();
         b.faults += 1;
         b.consecutive += 1;
+        self.entry.breaker_armed.store(true, Ordering::Release);
         if !b.open && b.consecutive >= policy.breaker_threshold {
             b.open = true;
             b.cooldown_left = policy.breaker_cooldown.max(1);
@@ -551,7 +565,11 @@ impl PoolHandle {
     }
 
     fn note_alloc_success(&self) {
-        self.entry.breaker.lock().consecutive = 0;
+        if self.entry.breaker_armed.load(Ordering::Acquire) {
+            let mut b = self.entry.breaker.lock();
+            b.consecutive = 0;
+            self.entry.breaker_armed.store(b.open, Ordering::Release);
+        }
     }
 
     /// Installs `hook` as the pool's tenant-level OOM rescue stage
@@ -1388,5 +1406,84 @@ mod tests {
         let e = pool.allocate(AllocRequest::new(mib(14))).unwrap();
         assert_eq!(driver.phys_in_use(), phys, "stitched from cache");
         pool.deallocate(e.id).unwrap();
+    }
+
+    /// A pool over a fresh GMLake core whose breaker trips at 2
+    /// consecutive faults and stays open for 2 attempts, with every fault
+    /// surfaced (no retries).
+    fn breaker_pool() -> (PoolHandle, CudaDriver) {
+        let service = PoolService::with_fault_policy(FaultPolicy {
+            max_retries: 0,
+            backoff_us: 0,
+            breaker_threshold: 2,
+            breaker_cooldown: 2,
+        });
+        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
+        let lake = GmLakeAllocator::new(
+            driver.clone(),
+            GmLakeConfig::default().with_frag_limit(mib(2)),
+        );
+        (
+            service.register(DeviceId(0), Box::new(lake)).unwrap(),
+            driver,
+        )
+    }
+
+    /// One 4 MiB allocation attempt, kept live so every attempt needs a
+    /// fresh physical handle; `fault` fails that handle's create.
+    fn attempt(pool: &PoolHandle, driver: &CudaDriver, fault: bool) {
+        use gmlake_gpu_sim::{FaultOp, FaultPlan};
+        let plan = FaultPlan::new();
+        driver.set_fault_plan(if fault {
+            plan.fail_nth(FaultOp::Create, 1)
+        } else {
+            plan
+        });
+        let result = pool.allocate(AllocRequest::new(mib(4)));
+        assert_eq!(result.is_err(), fault, "{result:?}");
+    }
+
+    #[test]
+    fn breaker_counts_only_consecutive_faults() {
+        let (pool, driver) = breaker_pool();
+        for fault in [true, false, true] {
+            attempt(&pool, &driver, fault);
+        }
+        let fs = pool.fault_stats();
+        assert_eq!((fs.faults, fs.breaker_trips), (2, 0));
+        assert!(
+            !fs.breaker_open,
+            "a success between faults resets the count"
+        );
+    }
+
+    #[test]
+    fn fault_on_the_re_probe_re_opens_the_breaker() {
+        let (pool, driver) = breaker_pool();
+        attempt(&pool, &driver, true);
+        attempt(&pool, &driver, true);
+        assert!(pool.fault_stats().breaker_open);
+        // One attempt inside the cooldown, then the re-probe faults.
+        attempt(&pool, &driver, false);
+        assert!(pool.fault_stats().breaker_open, "still cooling down");
+        attempt(&pool, &driver, true);
+        let fs = pool.fault_stats();
+        assert!(fs.breaker_open, "the half-open probe's one fault re-opens");
+        assert_eq!(fs.breaker_trips, 2);
+    }
+
+    #[test]
+    fn success_after_the_re_probe_closes_the_breaker_fully() {
+        let (pool, driver) = breaker_pool();
+        attempt(&pool, &driver, true);
+        attempt(&pool, &driver, true);
+        attempt(&pool, &driver, false);
+        // The re-probe succeeds, so one later fault does not re-open.
+        attempt(&pool, &driver, false);
+        assert!(!pool.fault_stats().breaker_open);
+        attempt(&pool, &driver, true);
+        let fs = pool.fault_stats();
+        assert!(!fs.breaker_open, "one fault after a full close");
+        assert_eq!((fs.faults, fs.breaker_trips), (3, 1));
     }
 }

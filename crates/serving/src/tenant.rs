@@ -1,7 +1,6 @@
 //! Tenant identity, per-tenant byte-quota accounting, and the registry
 //! shared by the admission controller and the rescue stage.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use gmlake_alloc_api::{AllocationId, IdMap, StreamId};
@@ -81,7 +80,7 @@ impl TenantState {
 
 #[derive(Debug, Default)]
 struct RegistryInner {
-    tenants: BTreeMap<u64, TenantState>,
+    tenants: IdMap<u64, TenantState>,
     next_id: u64,
     /// Sum of registered quotas — the admission controller's commitment
     /// gauge.
@@ -97,6 +96,11 @@ struct RegistryInner {
 /// (against the *requested* size) and `settle` after it (against the
 /// allocator's rounded size), so enforcement is exact even though the
 /// rounded size is only known once the pool has answered.
+///
+/// Tenants sit in a hashed [`IdMap`] keyed by the ids the registry mints,
+/// so every charge is one lock and O(1) lookups whatever the tenant
+/// count; the readers that promise an order ([`TenantRegistry::usages`],
+/// the idle list) sort.
 #[derive(Debug, Default)]
 pub struct TenantRegistry {
     inner: Mutex<RegistryInner>,
@@ -183,13 +187,14 @@ impl TenantRegistry {
             .tenants
             .get_mut(&tenant.0)
             .ok_or(ChargeError::UnknownTenant)?;
-        if state.used + requested > state.quota {
-            return Err(ChargeError::OverQuota {
+        state.used = state
+            .used
+            .checked_add(requested)
+            .filter(|&used| used <= state.quota)
+            .ok_or(ChargeError::OverQuota {
                 used: state.used,
                 quota: state.quota,
-            });
-        }
-        state.used += requested;
+            })?;
         state.last_active_step = now_step;
         Ok(state.stream)
     }
@@ -253,12 +258,15 @@ impl TenantRegistry {
 
     /// Usage snapshots of every tenant, ascending by id.
     pub fn usages(&self) -> Vec<(TenantId, TenantUsage)> {
-        self.inner
+        let mut usages: Vec<_> = self
+            .inner
             .lock()
             .tenants
             .iter()
             .map(|(&id, s)| (TenantId(id), s.usage()))
-            .collect()
+            .collect();
+        usages.sort_unstable_by_key(|&(id, _)| id);
+        usages
     }
 
     /// Number of registered tenants.
@@ -392,6 +400,56 @@ mod tests {
         reg.try_reserve(b, 1, 5).unwrap();
         assert_eq!(reg.idle_tenants(10, 6), vec![c, a]);
         assert_eq!(reg.idle_tenants(10, 100), Vec::<TenantId>::new());
+    }
+
+    #[test]
+    fn readers_keep_their_order_through_interleaved_offers_and_departs() {
+        let reg = TenantRegistry::new(2);
+        let mut live = Vec::new();
+        for step in 0..40u64 {
+            let (t, _) = reg.register(100, step);
+            live.push(t);
+            if step % 3 == 2 {
+                // Depart from the middle, so ids leave out of order.
+                reg.remove(live.remove(live.len() / 2)).unwrap();
+            }
+            if step % 4 == 1 {
+                // Touch an older tenant, so activity and id orders differ.
+                reg.try_reserve(live[0], 1, step).unwrap();
+            }
+        }
+        let ids: Vec<TenantId> = reg.usages().into_iter().map(|(id, _)| id).collect();
+        let mut sorted = live.clone();
+        sorted.sort_unstable();
+        assert_eq!(ids, sorted, "usages() is ascending by id");
+        let idle = reg.idle_tenants(100, 0);
+        let key = |t: &TenantId| (reg.usage(*t).unwrap().last_active_step, t.0);
+        assert_eq!(idle.len(), live.len());
+        assert!(
+            idle.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+            "idle list is in (last active step, id) order"
+        );
+    }
+
+    #[test]
+    fn quota_charge_past_u64_max_is_refused() {
+        let reg = TenantRegistry::new(1);
+        let (t, _) = reg.register(16 << 20, 0);
+        reg.try_reserve(t, 4 << 20, 1).unwrap();
+        reg.settle(t, AllocationId::new(1), 4 << 20, 4 << 20)
+            .unwrap();
+        assert_eq!(
+            reg.try_reserve(t, u64::MAX - (1 << 20), 2),
+            Err(ChargeError::OverQuota {
+                used: 4 << 20,
+                quota: 16 << 20
+            })
+        );
+        let u = reg.usage(t).unwrap();
+        assert_eq!(
+            (u.used_bytes, u.live_allocs, u.last_active_step),
+            (4 << 20, 1, 1)
+        );
     }
 
     #[test]

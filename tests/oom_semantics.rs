@@ -147,3 +147,42 @@ fn native_allocator_never_fragments() {
     assert!((r.utilization() - 1.0).abs() < 1e-9);
     assert_eq!(d.phys_in_use(), 0);
 }
+
+/// Asks `core` for sizes whose round-up to its granularity passes
+/// `u64::MAX`, and for `u64::MAX / 2`, which fits the arithmetic but not
+/// the device: every one is `OutOfMemory`, never a wrapped size or a
+/// driver fault, and the core's books and later service are intact.
+fn assert_refuses_past_u64_max(core: &mut dyn AllocatorCore) {
+    let name = core.name();
+    let refuse = |core: &mut dyn AllocatorCore| {
+        for size in [u64::MAX - 100, u64::MAX, u64::MAX / 2] {
+            match core.allocate(AllocRequest::new(size)) {
+                Err(AllocError::OutOfMemory { .. }) => {}
+                other => panic!("{name}: {size} bytes answered {other:?}"),
+            }
+        }
+    };
+    refuse(core);
+    // Again with one 4 MiB block cached and one live.
+    let cached = core.allocate(AllocRequest::new(mib(4))).unwrap();
+    let live = core.allocate(AllocRequest::new(mib(4))).unwrap();
+    core.deallocate(cached.id).unwrap();
+    refuse(core);
+    assert_eq!(core.stats().active_bytes, live.size, "{name}");
+    let again = core.allocate(AllocRequest::new(mib(4))).unwrap();
+    core.deallocate(again.id).unwrap();
+    core.deallocate(live.id).unwrap();
+    assert_eq!(core.stats().active_bytes, 0, "{name}");
+}
+
+#[test]
+fn requests_past_u64_max_are_out_of_memory_on_every_core() {
+    let lake = |d| GmLakeAllocator::new(d, GmLakeConfig::default().with_frag_limit(mib(2)));
+    assert_refuses_past_u64_max(&mut NativeAllocator::new(tiny_device()));
+    assert_refuses_past_u64_max(&mut CachingAllocator::new(tiny_device()));
+    let mut gmlake = lake(tiny_device());
+    assert_refuses_past_u64_max(&mut gmlake);
+    gmlake.validate().unwrap();
+    assert_refuses_past_u64_max(&mut PlannedCore::with_defaults(tiny_device()));
+    assert_refuses_past_u64_max(&mut DeviceAllocator::new(lake(tiny_device())));
+}

@@ -250,3 +250,36 @@ fn concurrent_tenants_reconcile_exactly() {
     assert_eq!(serving.pool().stats().active_bytes, 0);
     assert_eq!(serving.tenant_count(), 0);
 }
+
+/// A request whose quota charge would pass `u64::MAX` is refused by the
+/// registry, not wrapped into the quota and then refused by the pool: the
+/// tenant's books stay exactly what its one live allocation charged.
+#[test]
+fn request_past_u64_max_is_refused_with_exact_books() {
+    let serving = serving_fixture();
+    let tenant = serving.offer(mib(16)).tenant().expect("fits");
+    let a = serving.alloc(tenant, mib(4)).unwrap();
+    let before = serving.usage(tenant).unwrap();
+    let err = serving.alloc(tenant, u64::MAX - mib(1)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            AllocError::QuotaExceeded {
+                used,
+                quota,
+                ..
+            } if used == a.size && quota == mib(16)
+        ),
+        "{err}"
+    );
+    let after = serving.usage(tenant).unwrap();
+    assert_eq!(
+        after, before,
+        "a refused charge leaves the books as they were"
+    );
+    assert_eq!((after.used_bytes, after.live_allocs), (a.size, 1));
+    assert_eq!(serving.used_bytes(), serving.pool().stats().active_bytes);
+    serving.free(tenant, a.id).unwrap();
+    assert_eq!(serving.usage(tenant).unwrap().used_bytes, 0);
+    assert_eq!(serving.pool().stats().active_bytes, 0);
+}
