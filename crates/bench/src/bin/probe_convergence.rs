@@ -13,15 +13,18 @@ use gmlake_bench::run_with;
 use gmlake_core::{GmLakeAllocator, GmLakeConfig};
 use gmlake_workload::{ModelSpec, ReplayOptions, StrategySet, TrainConfig};
 
-fn probe(model: ModelSpec, s: StrategySet) {
-    let cfg = TrainConfig::new(model, s).with_iterations(6);
+fn probe(cfg: TrainConfig) {
     let (report, lake) = run_with(&cfg, &ReplayOptions::default(), |d| {
         GmLakeAllocator::new(d, GmLakeConfig::default())
     });
     let c = lake.state_counters();
+    let mut label = cfg.label();
+    if cfg.streams > 1 {
+        label += &format!("/{}streams", cfg.streams);
+    }
     println!(
         "{:<28} conv={:<5} S1={:<6} S2={:<4} S3={:<5} S4={:<4} stitch={:<5} split={:<5} evict={:<5} alloc_ms={:<8.1} {}",
-        cfg.label(),
+        label,
         lake.is_converged(),
         c.exact,
         c.single,
@@ -67,9 +70,13 @@ fn probe(model: ModelSpec, s: StrategySet) {
 }
 
 fn main() {
+    let six = |model, s| TrainConfig::new(model, s).with_iterations(6);
     for s in StrategySet::FIG10_SWEEP {
-        probe(ModelSpec::opt_1_3b(), s);
+        probe(six(ModelSpec::opt_1_3b(), s));
     }
-    probe(ModelSpec::opt_13b(), StrategySet::LR);
-    probe(ModelSpec::opt_13b(), StrategySet::R);
+    probe(six(ModelSpec::opt_13b(), StrategySet::LR));
+    probe(six(ModelSpec::opt_13b(), StrategySet::R));
+    // Offload's copy stream beside compute: the only row with views last
+    // held by another stream, so its work counts price the affinity walk.
+    probe(six(ModelSpec::opt_13b(), StrategySet::LRO).with_streams(2));
 }

@@ -65,12 +65,13 @@
 //!
 //! What those readers and the flips look at sits apart from the blocks, in
 //! [`Dense`] arrays indexed by slab id: one flags byte per pBlock —
-//! `ACTIVE`, and `REFERENCED` and `PARKS`, which say that its view list and
-//! its parked list are non-empty — and per view an `assigned` flag and the
-//! witness hint below, stored as a part's id (`Split` moves it to the left
-//! child). Activity has no other record. A skip is one byte load, and
-//! neither an S1 walk step nor a part flip loads a `PBlock` or an `SBlock`
-//! struct.
+//! `ACTIVE`; `REFERENCED` and `PARKS`, which say that its view list and its
+//! parked list are non-empty; and `STAMPED`, which says that it carries a
+//! cross-stream stamp — and per view an `assigned` flag, the stream that
+//! last held it, and the witness hint below, stored as a part's id
+//! (`Split` moves it to the left child). Activity has no other record. A
+//! skip is one byte load, and neither an S1 walk step, an affinity walk
+//! step nor a part flip loads a `PBlock` or an `SBlock` struct.
 //!
 //! **Availability is a query, not a counter.** Whether a view could serve
 //! an exact match — every part inactive — is never stored: the paper's
@@ -106,7 +107,12 @@
 //! `O(c + p)` for the `c` same-size views it passes, over a contiguous id
 //! slice: a step is one flag load (assigned) and one hint lookup (the
 //! hinted part's `ACTIVE` byte), and only the view taken has its parts
-//! scanned. S3/S4 pays `O(u + Σp)` once per call for the `u` unparked
+//! scanned. On a stream-aware call whose pick another stream last held,
+//! the affinity walk adds one flags load per view behind it and a query
+//! only per view of the requesting stream, plus, for a candidate 31 or
+//! more positions behind, one per view of another stream before it. A
+//! hand-out loads the `PBlock` only of a part that `STAMPED` says carries
+//! a stamp. S3/S4 pays `O(u + Σp)` once per call for the `u` unparked
 //! unassigned views and the parts of those it has to scan; a victim scan
 //! pays for the blocked views it meets once each, and an unpark walks the
 //! list from its head to the view's tick.
@@ -147,7 +153,7 @@ use gmlake_telemetry::{EventKind, PoolTelemetry};
 
 use crate::bestfit::{best_fit_indexed, BestFit, StitchCost, TieredPIndex};
 use crate::block::{idle, slot, Dense, PBlock, PBlockId, Reservation, SBlock, SBlockId, Target};
-use crate::block::{ViewFlags, ACTIVE, PARKS, REFERENCED};
+use crate::block::{ViewFlags, ACTIVE, PARKS, REFERENCED, STAMPED};
 use crate::config::{AllocState, GmLakeConfig, StateCounters};
 use crate::lru::LruList;
 use crate::slab::Slab;
@@ -216,8 +222,8 @@ fn mark_if_idle(dirty: &mut BTreeSet<VirtAddr>, work: &Work, flags: u8, resv: Vi
 
 /// Whether a reclaim walk may merge piece `pid` with an idle neighbour:
 /// idle, and guarded by no event.
-fn mergeable(flags: &[u8], pblocks: &Slab<PBlock>, pid: PBlockId) -> bool {
-    idle(flags[pid as usize]) && pblocks[pid].stamp.is_none()
+fn mergeable(flags: &[u8], pid: PBlockId) -> bool {
+    flags[pid as usize] & (ACTIVE | REFERENCED | STAMPED) == 0
 }
 
 /// Keeps `event` in `newest` if it is `stream`'s newest so far — events of
@@ -230,11 +236,18 @@ fn note_newest(newest: &mut Vec<(StreamId, EventId)>, stream: StreamId, event: E
 }
 
 /// Clears the stamps on `parts` and returns, per freeing stream, the newest
-/// event among them.
-fn take_stamps(pblocks: &mut Slab<PBlock>, parts: &[PBlockId]) -> Vec<(StreamId, EventId)> {
+/// event among them. Only a part whose `STAMPED` flag is set is loaded.
+fn take_stamps(
+    pblocks: &mut Slab<PBlock>,
+    flags: &mut [u8],
+    parts: &[PBlockId],
+) -> Vec<(StreamId, EventId)> {
     let mut newest = Vec::new();
     for &pid in parts {
-        if let Some((stream, event)) = pblocks[pid].stamp.take() {
+        let f = &mut flags[pid as usize];
+        if *f & STAMPED != 0 {
+            *f &= !STAMPED;
+            let (stream, event) = pblocks[pid].stamp.take().expect("STAMPED");
             note_newest(&mut newest, stream, event);
         }
     }
@@ -338,10 +351,11 @@ pub struct GmLakeAllocator {
     non_exact_history: Vec<u64>,
     /// Stream of the in-flight `alloc_on_stream`/`free_on_stream` call, if
     /// any. Set for the duration of the call so `register_allocation` and
-    /// `deallocate` can stamp `last_stream` on the touched blocks and apply
-    /// the cross-stream rule (`None` frees from `StreamId::DEFAULT`, and
-    /// waits out a stamped block it is handed on the host), and so
-    /// exact-match `BestFit` results can prefer same-stream candidates.
+    /// `deallocate` can record the last stream of the touched block or
+    /// view and apply the cross-stream rule (`None` frees from
+    /// `StreamId::DEFAULT`, and waits out a stamped block it is handed on
+    /// the host), and so exact-match `BestFit` results can prefer
+    /// same-stream candidates.
     current_stream: Option<StreamId>,
 }
 
@@ -703,10 +717,22 @@ impl GmLakeAllocator {
     /// Waits out on the host the events stamped on `parts`, and clears the
     /// stamps: what a teardown does before it unmaps memory that a stream
     /// may still be using.
-    fn sync_stamps(driver: &CudaDriver, pblocks: &mut Slab<PBlock>, parts: &[PBlockId]) {
-        for (_, event) in take_stamps(pblocks, parts) {
+    fn sync_stamps(
+        driver: &CudaDriver,
+        pblocks: &mut Slab<PBlock>,
+        flags: &mut [u8],
+        parts: &[PBlockId],
+    ) {
+        for (_, event) in take_stamps(pblocks, flags, parts) {
             driver.event_synchronize(event);
         }
+    }
+
+    /// Leaves a cross-stream free's stamp on pBlock `pid`, which it just
+    /// released.
+    fn stamp(&mut self, pid: PBlockId, stamp: (StreamId, EventId)) {
+        self.pblocks[pid].stamp = Some(stamp);
+        self.dense.p[pid as usize] |= STAMPED;
     }
 
     /// Tracks a stamp just left by a free as its stream's newest (see
@@ -809,8 +835,9 @@ impl GmLakeAllocator {
         let (va, size, resv, stamp) = (p.va, p.size, p.resv, p.stamp);
         let refs = p.referenced_by.clone();
         // The children inherit the parent's references, and so its tier,
-        // and its stamp.
-        let flags = if refs.is_empty() { 0 } else { REFERENCED };
+        // and its stamp: its whole flags byte, as it is inactive and parks
+        // nothing.
+        let flags = self.dense.p[pid as usize];
         let mut child = |va, size| {
             let referenced_by = refs.clone();
             let id = self.pblocks.insert(PBlock {
@@ -998,7 +1025,8 @@ impl GmLakeAllocator {
             let s = &self.sblocks[sid];
             (s.va, s.size)
         };
-        Self::sync_stamps(&self.driver, &mut self.pblocks, &self.sblocks[sid].parts);
+        let parts = &self.sblocks[sid].parts;
+        Self::sync_stamps(&self.driver, &mut self.pblocks, &mut self.dense.p, parts);
         if let Err(e) = self.driver.mem_unmap(va, size) {
             self.journal.failed_ops += 1;
             return Err(e);
@@ -1057,7 +1085,8 @@ impl GmLakeAllocator {
     fn destroy_reservation(&mut self, base: VirtAddr) -> Result<(), DriverError> {
         let r = &self.reservations[&base];
         let (size, handle) = (r.size, r.handle);
-        Self::sync_stamps(&self.driver, &mut self.pblocks, &r.pieces);
+        let (pblocks, flags) = (&mut self.pblocks, &mut self.dense.p);
+        Self::sync_stamps(&self.driver, pblocks, flags, &r.pieces);
         if let Err(e) = self.driver.mem_unmap(base, size) {
             self.journal.failed_ops += 1;
             return Err(e);
@@ -1085,7 +1114,7 @@ impl GmLakeAllocator {
         let r = self.reservations.remove(&base).expect("recorded");
         self.dirty.remove(&base);
         for pid in r.pieces {
-            debug_assert!(mergeable(&self.dense.p, &self.pblocks, pid), "busy piece");
+            debug_assert!(mergeable(&self.dense.p, pid), "busy piece");
             self.remove_pblock(pid);
         }
         self.reserved_phys -= r.size;
@@ -1111,7 +1140,7 @@ impl GmLakeAllocator {
         self.dirty.retain(|&base| {
             let r = reservations.get_mut(&base).expect("dirty, so recorded");
             r.pieces.dedup_by(|&mut right, &mut left| {
-                let merge = mergeable(flags, pblocks, left) && mergeable(flags, pblocks, right);
+                let merge = mergeable(flags, left) && mergeable(flags, right);
                 if merge {
                     let gone = pblocks.remove(right).expect("listed piece");
                     index.remove(false, gone.size, right);
@@ -1148,9 +1177,10 @@ impl GmLakeAllocator {
         let id = AllocationId::new(self.next_alloc);
         // A block carries a stamp only while its stream is tracked.
         if !self.stamp_streams.is_empty() {
+            let (pblocks, flags) = (&mut self.pblocks, &mut self.dense.p);
             let stamps = match target {
-                Target::P(pid) => take_stamps(&mut self.pblocks, &[pid]),
-                Target::S(sid) => take_stamps(&mut self.pblocks, &self.sblocks[sid].parts),
+                Target::P(pid) => take_stamps(pblocks, flags, &[pid]),
+                Target::S(sid) => take_stamps(pblocks, flags, &self.sblocks[sid].parts),
                 Target::Small(_) => Vec::new(),
             };
             for (freed_from, event) in stamps {
@@ -1183,11 +1213,11 @@ impl GmLakeAllocator {
                 // is parked: it leaves the eviction list (which asserts it
                 // is a member), and stays in the size index.
                 self.lru.unlink(&mut self.sblocks, sid);
-                self.dense.s[sid as usize].assigned = true;
-                let s = &mut self.sblocks[sid];
-                s.assigned_to = Some(id);
+                self.sblocks[sid].assigned_to = Some(id);
+                let v = &mut self.dense.s[sid as usize];
+                v.assigned = true;
                 if self.current_stream.is_some() {
-                    s.last_stream = self.current_stream;
+                    v.stream = self.current_stream;
                 }
             }
             Target::Small(_) => {}
@@ -1253,26 +1283,39 @@ impl GmLakeAllocator {
     /// Per-stream affinity refinement for S1 sBlock matches (all available
     /// sBlocks of the exact size are equivalent to Algorithm 1). `chosen`
     /// is the first available view of its size and counts against the
-    /// limit; the walk resumes behind it. The limit counts available views
-    /// only, so the walk may meet every view of the size behind `chosen`
-    /// (47 on average per scan on `train_lro_streams`), each rejected on
-    /// its flag or its hint.
+    /// limit: the pick is the first available view of the requesting
+    /// stream among the next `AFFINITY_SCAN_LIMIT − 1` available views
+    /// behind it. The walk reads each view's stream on its flags and asks
+    /// about availability only for views of the requesting stream; only a
+    /// pick `i ≥ AFFINITY_SCAN_LIMIT − 1` positions behind `chosen` has the
+    /// views of other streams before it counted, to see that fewer than
+    /// `AFFINITY_SCAN_LIMIT − 1` of them are available.
     fn prefer_stream_sblock(&self, chosen: SBlockId) -> SBlockId {
         let Some(stream) = self.current_stream else {
             return chosen;
         };
-        let s = &self.sblocks[chosen];
-        if s.last_stream == Some(stream) {
+        let same_stream = |sid: SBlockId| self.dense.s[sid as usize].stream == Some(stream);
+        if same_stream(chosen) {
             return chosen;
         }
-        let views = &self.s_by_size[&s.size];
-        views[views.partition_point(|&sid| sid <= chosen)..]
+        let views = &self.s_by_size[&self.sblocks[chosen].size];
+        let behind = &views[views.partition_point(|&sid| sid <= chosen)..];
+        let Some(i) = behind
             .iter()
-            .copied()
-            .filter(|&sid| self.view_available(sid))
-            .take(Self::AFFINITY_SCAN_LIMIT - 1)
-            .find(|&sid| self.sblocks[sid].last_stream == Some(stream))
-            .unwrap_or(chosen)
+            .position(|&sid| same_stream(sid) && self.view_available(sid))
+        else {
+            return chosen;
+        };
+        // The views of the stream before the pick are all unavailable, so
+        // only the others are asked about.
+        let window = Self::AFFINITY_SCAN_LIMIT - 1;
+        let before = behind[..i].iter();
+        let mut others = before.filter(|&&sid| !same_stream(sid) && self.view_available(sid));
+        if i < window || others.nth(window - 1).is_none() {
+            behind[i]
+        } else {
+            chosen
+        }
     }
 
     /// Cap on the equal-size *candidates* the affinity refinements weigh:
@@ -1280,7 +1323,9 @@ impl GmLakeAllocator {
     /// a bound on the walk — what the filters reject is not counted, so a
     /// refinement can pass every view or block of the size (see the two
     /// functions above). Capping what they visit would change which view
-    /// is handed out.
+    /// is handed out. The view walk pays a flags load per view it passes
+    /// and verifies only the views of the requesting stream, and the views
+    /// of other streams before a candidate 31 or more positions behind.
     ///
     /// The hint pays for itself. With both refinements returning `chosen`,
     /// the benchmark at its pinned seed reads `train_lro_streams` stall
@@ -1518,7 +1563,7 @@ impl GmLakeAllocator {
         // 0b. A dead slot carries no flag; a live one's are checked below,
         //     against what they summarise.
         let dead_p = |(id, &f): (usize, &u8)| f != 0 && self.pblocks.get(id as u64).is_none();
-        let set = |v: &ViewFlags| v.assigned || v.hint.get() != 0;
+        let set = |v: &ViewFlags| v.assigned || v.hint.get() != 0 || v.stream.is_some();
         let dead_s = |(id, v)| set(v) && self.sblocks.get(id as u64).is_none();
         let (p, s) = (&self.dense.p, &self.dense.s);
         if p.iter().enumerate().any(dead_p) || s.iter().enumerate().any(dead_s) {
@@ -1533,10 +1578,8 @@ impl GmLakeAllocator {
             let flags = self.dense.p[pid as usize];
             let active = flags & ACTIVE != 0;
             let lists = [(REFERENCED, &p.referenced_by), (PARKS, &p.parked)];
-            if lists
-                .iter()
-                .any(|(bit, l)| (flags & bit != 0) == l.is_empty())
-            {
+            let stale = |(bit, l): &(u8, &Vec<_>)| (flags & bit != 0) == l.is_empty();
+            if lists.iter().any(stale) || (flags & STAMPED != 0) != p.stamp.is_some() {
                 return Err(format!("pblock {pid}: stale flags {flags:#b}"));
             }
             let distinct: BTreeSet<SBlockId> = p.referenced_by.iter().copied().collect();
@@ -1635,7 +1678,7 @@ impl GmLakeAllocator {
             }
             listed += r.pieces.len();
             // Outside the dirty set a reclaim walk would change nothing.
-            let mergeable = |&pid: &PBlockId| mergeable(&self.dense.p, &self.pblocks, pid);
+            let mergeable = |&pid: &PBlockId| mergeable(&self.dense.p, pid);
             let merge = r.pieces.windows(2).any(|w| w.iter().all(mergeable));
             let spent = r.pieces.iter().all(|&pid| idle(self.dense.p[pid as usize]));
             if !self.dirty.contains(base) && (merge || spent) {
@@ -1848,12 +1891,16 @@ impl AllocatorCore for GmLakeAllocator {
         };
         let stamp = event.map(|event| (stream, event));
         match target {
+            // An assigned block's parts carry no stamp (the hand-out took
+            // them), so only a new one is written.
             Target::P(pid) => {
                 let p = self.pblocks.get_mut(pid).expect("live pblock");
                 p.assigned_to = None;
-                p.stamp = stamp;
                 if self.current_stream.is_some() {
                     p.last_stream = self.current_stream;
+                }
+                if let Some(stamp) = stamp {
+                    self.stamp(pid, stamp);
                 }
                 self.set_pblock_active(pid, false);
                 self.track_stamp(stamp);
@@ -1862,19 +1909,18 @@ impl AllocatorCore for GmLakeAllocator {
                 let tick = self.next_tick();
                 let s = self.sblocks.get_mut(sid).expect("live sblock");
                 s.assigned_to = None;
-                self.dense.s[sid as usize].assigned = false;
                 s.lru_tick = tick;
+                let v = &mut self.dense.s[sid as usize];
+                v.assigned = false;
                 if self.current_stream.is_some() {
-                    s.last_stream = self.current_stream;
+                    v.stream = self.current_stream;
                 }
                 // Unassigned again: the newest entry of the eviction list.
                 self.lru.push_back(&mut self.sblocks, sid);
-                // An assigned view's parts carry no stamp (the hand-out took
-                // them), so only a new one is written.
                 for i in 0..self.sblocks[sid].parts.len() {
                     let pid = self.sblocks[sid].parts[i];
-                    if stamp.is_some() {
-                        self.pblocks[pid].stamp = stamp;
+                    if let Some(stamp) = stamp {
+                        self.stamp(pid, stamp);
                     }
                     self.set_pblock_active(pid, false);
                 }
@@ -1946,8 +1992,9 @@ impl AllocatorCore for GmLakeAllocator {
                 if p.stamp.is_some_and(|(s, _)| done.contains(&s)) {
                     p.stamp = None;
                     retired += 1;
-                    let flags = self.dense.p[pid as usize];
-                    mark_if_idle(&mut self.dirty, &self.work, flags, p.resv);
+                    let flags = &mut self.dense.p[pid as usize];
+                    *flags &= !STAMPED;
+                    mark_if_idle(&mut self.dirty, &self.work, *flags, p.resv);
                 }
             }
         }
@@ -2017,7 +2064,7 @@ impl Drop for GmLakeAllocator {
         // unmap per view and per reservation, once no stream uses a stamped
         // block.
         let pids: Vec<PBlockId> = self.pblocks.keys().collect();
-        Self::sync_stamps(&self.driver, &mut self.pblocks, &pids);
+        Self::sync_stamps(&self.driver, &mut self.pblocks, &mut self.dense.p, &pids);
         for (_, s) in self.sblocks.iter() {
             let _ = self.driver.mem_unmap(s.va, s.size);
             let _ = self.driver.mem_address_free(s.va, s.size);

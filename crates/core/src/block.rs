@@ -52,7 +52,8 @@ pub(crate) struct PBlock {
     /// flight: that stream and the event recorded on it. The next other
     /// stream to get the block waits for the event on the GPU; a teardown
     /// synchronizes it first. Only an inactive block carries one, and
-    /// `Split` children inherit it.
+    /// `Split` children inherit it. Set exactly when the block's
+    /// [`STAMPED`] flag is.
     pub stamp: Option<(StreamId, EventId)>,
 }
 
@@ -74,10 +75,12 @@ impl PBlock {
 /// Bits of a pBlock's byte in [`Dense::p`]. `ACTIVE`: the block's memory is
 /// used by a tensor, directly or through an assigned view — the only record
 /// of it. `REFERENCED` and `PARKS` say that `PBlock::referenced_by` and
-/// `PBlock::parked` are non-empty.
+/// `PBlock::parked` are non-empty, and `STAMPED` that `PBlock::stamp` is
+/// set, so a hand-out loads only the parts that carry a stamp.
 pub(crate) const ACTIVE: u8 = 1;
 pub(crate) const REFERENCED: u8 = 2;
 pub(crate) const PARKS: u8 = 4;
+pub(crate) const STAMPED: u8 = 8;
 
 /// Whether a block with these flags is idle: inactive and in no view. A
 /// reservation of idle pieces can go back to the driver.
@@ -96,6 +99,11 @@ pub(crate) struct ViewFlags {
     /// first answers in one load. `Split` moves it to the left child, since
     /// the parent's slab id may come back as an unrelated block.
     pub hint: Cell<PBlockId>,
+    /// Stream that last held the view, set by stream-aware allocate and
+    /// free (see `PBlock::last_stream`). The affinity walk reads it before
+    /// it asks whether a view is available, and asks only about views of
+    /// the requesting stream.
+    pub stream: Option<StreamId>,
 }
 
 /// The state the S1 path reads, in arrays indexed by slab id, so that a
@@ -103,7 +111,7 @@ pub(crate) struct ViewFlags {
 /// holds zeroes.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Dense {
-    /// Per pBlock: [`ACTIVE`], [`REFERENCED`], [`PARKS`].
+    /// Per pBlock: [`ACTIVE`], [`REFERENCED`], [`PARKS`], [`STAMPED`].
     pub p: Vec<u8>,
     /// Per view.
     pub s: Vec<ViewFlags>,
@@ -153,8 +161,6 @@ pub(crate) struct SBlock {
     /// [`crate::lru::LruList`]). Both are `0` off the list.
     pub prev: SBlockId,
     pub next: SBlockId,
-    /// Stream that last held this stitched view (see `PBlock::last_stream`).
-    pub last_stream: Option<StreamId>,
     /// The active part this view is parked on (see [`PBlock::parked`]):
     /// `None` while the view is assigned or in the eviction list.
     pub parked_on: Option<PBlockId>,
@@ -170,7 +176,6 @@ impl SBlock {
             lru_tick: tick,
             prev: 0,
             next: 0,
-            last_stream: None,
             parked_on: None,
         }
     }

@@ -1574,7 +1574,7 @@ fn tearing_down_a_parked_view_clears_its_witness_flag() {
 /// and catches each corruption below; undoing it passes again.
 #[test]
 fn validate_checks_the_dense_state() {
-    use crate::block::{Dense, ACTIVE, PARKS, REFERENCED};
+    use crate::block::{Dense, ACTIVE, PARKS, REFERENCED, STAMPED};
     type Sizes = gmlake_alloc_api::IdMap<u64, Vec<u64>>;
     let mut l = lake();
     // pBlocks X = 1, Y = 2, P = 3, Q = 4, C = 5; views V = 1 = [X, Y], held,
@@ -1619,6 +1619,10 @@ fn validate_checks_the_dense_state() {
     caught(&mut l, "a hint off the parts", &|d, _| d.s[2].hint.set(1));
     caught(&mut l, "a flag on dead pBlock 0", &|d, _| d.p[0] = ACTIVE);
     caught(&mut l, "a hint on dead view 0", &|d, _| d.s[0].hint.set(1));
+    caught(&mut l, "a stray STAMPED", &|d, _| d.p[5] ^= STAMPED);
+    caught(&mut l, "a stream on dead view 0", &|d, _| {
+        d.s[0].stream = Some(gmlake_alloc_api::StreamId(1))
+    });
     let twelve = |views: &'static [u64]| {
         move |_: &mut Dense, s: &mut Sizes| {
             s.insert(mib(12), views.to_vec());
@@ -1937,6 +1941,87 @@ fn exact_match_prefers_same_stream_sblock() {
     assert_eq!(r.va, views[1].va, "stream-2 sBlock affinity");
     assert_eq!(l.state_counters().stitches, stitches, "pure reuse");
     l.free_on_stream(r.id, StreamId(2)).unwrap();
+    l.validate().unwrap();
+}
+
+/// Thirty-three held 4 MiB views, ids ascending, each stitched from two
+/// fresh 2 MiB blocks on `stream(k)` for view `k`: one size with more
+/// views than the affinity window, which a 12-view golden pool never
+/// reaches.
+fn affinity_pool(
+    stream: impl Fn(usize) -> gmlake_alloc_api::StreamId,
+) -> (GmLakeAllocator, Vec<gmlake_alloc_api::Allocation>) {
+    let mut l = lake();
+    let views = (0..33)
+        .map(|k| {
+            let s = stream(k);
+            let halves = [0; 2].map(|_| l.alloc_on_stream(AllocRequest::new(mib(2)), s));
+            for half in halves {
+                l.free_on_stream(half.unwrap().id, s).unwrap();
+            }
+            l.alloc_on_stream(AllocRequest::new(mib(4)), s).unwrap()
+        })
+        .collect();
+    assert_eq!(
+        (l.sblock_count(), l.state_counters().stitches),
+        (33, 33),
+        "one stitch per view"
+    );
+    (l, views)
+}
+
+/// The window counts available views: `chosen` (view 0) and the next 31
+/// available ones were last freed on stream 1, so view 32 of stream 2 is
+/// the 33rd available view and a stream-2 request keeps `chosen`.
+#[test]
+fn affinity_window_keeps_chosen_behind_31_available_views() {
+    use gmlake_alloc_api::StreamId;
+    let on = |k| StreamId(1 + (k == 32) as u32);
+    let (mut l, views) = affinity_pool(on);
+    for (k, v) in views.iter().enumerate() {
+        l.free_on_stream(v.id, on(k)).unwrap();
+    }
+    let r = l
+        .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(2))
+        .unwrap();
+    assert_eq!(r.va, views[0].va, "view 32 lies outside the window");
+    l.validate().unwrap();
+}
+
+/// The same layout with views 1–31 held: view 32 sits 31 positions behind
+/// `chosen` but is the first available view there, so a stream-2 request
+/// gets it.
+#[test]
+fn affinity_window_reaches_past_31_positions_when_fewer_are_available() {
+    use gmlake_alloc_api::StreamId;
+    let on = |k| StreamId(1 + (k == 32) as u32);
+    let (mut l, views) = affinity_pool(on);
+    for k in [0, 32] {
+        l.free_on_stream(views[k].id, on(k)).unwrap();
+    }
+    let r = l
+        .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(2))
+        .unwrap();
+    assert_eq!(r.va, views[32].va, "stream-2 sBlock affinity");
+    l.validate().unwrap();
+}
+
+/// The affinity walk asks about availability only for views of the
+/// requesting stream: with all 33 views last freed on stream 1, a stream-2
+/// hand-out verifies `chosen` alone, not the 31 available views behind it.
+#[test]
+fn affinity_walk_verifies_no_view_of_another_stream() {
+    use gmlake_alloc_api::StreamId;
+    let (mut l, views) = affinity_pool(|_| StreamId(1));
+    for v in &views {
+        l.free_on_stream(v.id, StreamId(1)).unwrap();
+    }
+    let before = l.work_counters();
+    let r = l
+        .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(2))
+        .unwrap();
+    assert_eq!(r.va, views[0].va, "chosen: no view of stream 2");
+    assert_eq!(work_since(&l, before).views_verified, 1, "chosen alone");
     l.validate().unwrap();
 }
 
