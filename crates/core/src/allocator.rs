@@ -144,8 +144,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use gmlake_alloc_api::{
-    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, EventId, FaultJournalStats,
-    IdMap, MemStats, StreamId, VirtAddr,
+    mib, AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, EventId,
+    FaultJournalStats, IdMap, MemStats, StreamId, VirtAddr,
 };
 use gmlake_caching::CachingAllocator;
 use gmlake_gpu_sim::{CudaDriver, DriverError, PhysHandle};
@@ -253,6 +253,10 @@ fn take_stamps(
     }
     newest
 }
+
+/// Requests below this size go to the embedded splitting allocator: the
+/// 2 MiB chunk size (§3.1: "allocation < 2 MB is rare in LLM training").
+const SMALL_THRESHOLD: u64 = mib(2);
 
 /// The GMLake virtual-memory-stitching allocator.
 ///
@@ -364,18 +368,16 @@ impl GmLakeAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if `config.small_threshold` is larger than the device
-    /// granularity times 64 (a misconfiguration guard).
+    /// Panics if the small-allocation threshold (2 MiB) is larger than the
+    /// device granularity times 64 (a misconfigured device).
     pub fn new(driver: CudaDriver, config: GmLakeConfig) -> Self {
         let chunk = driver.granularity();
         assert!(
-            config.small_threshold <= chunk * 64,
-            "small_threshold {} is implausibly large for chunk {}",
-            config.small_threshold,
-            chunk
+            SMALL_THRESHOLD <= chunk * 64,
+            "small_threshold {SMALL_THRESHOLD} is implausibly large for chunk {chunk}"
         );
         let host_op_ns = driver.host_op_ns();
-        let small = CachingAllocator::with_config(driver.clone(), config.small_config.clone());
+        let small = CachingAllocator::new(driver.clone());
         GmLakeAllocator {
             driver,
             config,
@@ -1814,7 +1816,7 @@ impl AllocatorCore for GmLakeAllocator {
             return Err(AllocError::ZeroSize);
         }
         self.driver.advance_clock(self.host_op_ns);
-        if req.size < self.config.small_threshold {
+        if req.size < SMALL_THRESHOLD {
             return self.allocate_small(req);
         }
         let result = match self.try_allocate_large(req) {

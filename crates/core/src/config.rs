@@ -1,20 +1,16 @@
 //! GMLake configuration and allocation-state telemetry.
 
 use gmlake_alloc_api::mib;
-use gmlake_caching::BfcConfig;
 
 /// Tuning knobs of the GMLake allocator.
 ///
-/// The defaults follow the paper: 2 MiB physical chunks (the CUDA VMM
-/// granularity), a small-allocation threshold of 2 MiB below which the
-/// classic splitting allocator is used (§3.1: "allocation < 2 MB is rare in
-/// LLM training"), and a *fragmentation limit* below which blocks are neither
-/// split nor used as stitching candidates (§4.2.3).
+/// The defaults follow the paper: a *fragmentation limit* below which
+/// blocks are neither split nor used as stitching candidates (§4.2.3), and
+/// an sBlock cache sized above one iteration's working set (§3.3.2).
+/// Requests below the 2 MiB chunk size always go to the embedded splitting
+/// allocator (§3.1: "allocation < 2 MB is rare in LLM training").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GmLakeConfig {
-    /// Requests below this size go to the embedded splitting allocator
-    /// (default: 2 MiB, the chunk size).
-    pub small_threshold: u64,
     /// Blocks smaller than this are never split off as remainders nor used
     /// as multi-block stitching candidates. The paper quotes 128 MiB as an
     /// example for real hardware, where every part costs a mapping and its
@@ -37,18 +33,14 @@ pub struct GmLakeConfig {
     /// the pure `(lru_tick, id)` LRU of the paper's §3.3.2. The window is
     /// a full scan of each candidate's parts, so keep it small.
     pub evict_scan_window: usize,
-    /// Configuration of the embedded small-allocation pool.
-    pub small_config: BfcConfig,
 }
 
 impl Default for GmLakeConfig {
     fn default() -> Self {
         GmLakeConfig {
-            small_threshold: mib(2),
             frag_limit: mib(4),
             max_sblocks: 8192,
             evict_scan_window: 8,
-            small_config: BfcConfig::default(),
         }
     }
 }
@@ -65,13 +57,6 @@ impl GmLakeConfig {
     #[must_use]
     pub fn with_max_sblocks(mut self, max_sblocks: usize) -> Self {
         self.max_sblocks = max_sblocks;
-        self
-    }
-
-    /// Sets the small-allocation threshold.
-    #[must_use]
-    pub fn with_small_threshold(mut self, small_threshold: u64) -> Self {
-        self.small_threshold = small_threshold;
         self
     }
 
@@ -146,7 +131,6 @@ mod tests {
     #[test]
     fn defaults_match_paper_constants() {
         let c = GmLakeConfig::default();
-        assert_eq!(c.small_threshold, mib(2));
         assert!(c.frag_limit >= mib(2));
         assert!(c.max_sblocks > 0);
     }
@@ -156,10 +140,10 @@ mod tests {
         let c = GmLakeConfig::default()
             .with_frag_limit(mib(128))
             .with_max_sblocks(7)
-            .with_small_threshold(mib(4));
+            .with_evict_scan_window(1);
         assert_eq!(c.frag_limit, mib(128));
         assert_eq!(c.max_sblocks, 7);
-        assert_eq!(c.small_threshold, mib(4));
+        assert_eq!(c.evict_scan_window, 1);
     }
 
     #[test]

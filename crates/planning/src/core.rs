@@ -1,10 +1,11 @@
-//! [`PlannedCore`]: the record → plan → serve allocator backend.
+//! [`PlannedCore`]: the record → plan → serve layer over any allocator core.
 //!
 //! # Lifecycle
 //!
-//! A fresh `PlannedCore` starts in **recording** mode: every request is
-//! served by the embedded [`GmLakeAllocator`] (so iteration 1 behaves
-//! exactly like the reactive core) while an [`IterationRecorder`] captures
+//! A `PlannedCore<C>` wraps a fallback core `C`, any [`AllocatorCore`]
+//! ([`GmLakeAllocator`] by default). A fresh one starts in **recording**
+//! mode: every request is served by the fallback (so iteration 1 behaves
+//! exactly like the bare core) while an [`IterationRecorder`] captures
 //! the sequence. At the next [`iteration_boundary`], the transient
 //! intervals are handed to the offline planner, the fallback's warm-up
 //! cache is released, and a single virtually-contiguous **arena** sized to
@@ -13,8 +14,8 @@
 //! whose range no live slot occupies, is answered from the plan with
 //! *zero* driver calls; everything else —
 //! mismatched sizes, unexpected frees, mid-iteration growth — is routed to
-//! the fallback, where the full GMLake stitching machinery (and its
-//! fault rollback) applies.
+//! the fallback, whose own machinery (GMLake's stitching and fault
+//! rollback, a caching allocator's splitting) applies.
 //!
 //! # Replanning
 //!
@@ -42,11 +43,10 @@ use gmlake_telemetry::{EventKind, PoolTelemetry};
 use crate::plan::MemoryPlan;
 use crate::recorder::IterationRecorder;
 
-/// Tuning knobs for [`PlannedCore`].
+/// Tuning knobs for [`PlannedCore`]'s plan side; the fallback core comes
+/// configured.
 #[derive(Debug, Clone)]
 pub struct PlannedConfig {
-    /// Configuration for the embedded reactive fallback.
-    pub gmlake: GmLakeConfig,
     /// Minimum transient intervals a recorded window must contain before
     /// a plan is built; smaller windows keep recording.
     pub min_plan_intervals: usize,
@@ -58,7 +58,6 @@ pub struct PlannedConfig {
 impl Default for PlannedConfig {
     fn default() -> Self {
         PlannedConfig {
-            gmlake: GmLakeConfig::default(),
             min_plan_intervals: 4,
             replan_hit_floor: 0.5,
         }
@@ -106,7 +105,7 @@ impl PlanCounters {
 enum Route {
     /// Plan slot index into `InstalledPlan::slots`.
     Plan(u32),
-    /// Id inside the embedded fallback allocator, plus the served size
+    /// Id inside the fallback core, plus the served size
     /// it charged (needed to mirror its accounting on free).
     Fallback(AllocationId, u64),
 }
@@ -238,26 +237,18 @@ impl InstalledPlan {
         }
         Ok(())
     }
-
-    fn iter_hit_rate(&self) -> f64 {
-        let total = self.iter_hits + self.iter_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.iter_hits as f64 / total as f64
-        }
-    }
 }
 
-/// The STAlloc-style spatio-temporal planning backend. See the module
-/// docs for the record → plan → serve lifecycle.
+/// The STAlloc-style spatio-temporal planning layer over the fallback
+/// core `C`, which serves the recording window and the residue. See the
+/// module docs for the record → plan → serve lifecycle.
 #[derive(Debug)]
-pub struct PlannedCore {
+pub struct PlannedCore<C: AllocatorCore = GmLakeAllocator> {
     driver: CudaDriver,
-    fallback: GmLakeAllocator,
+    fallback: C,
     config: PlannedConfig,
-    recording: bool,
     recorder: IterationRecorder,
+    /// The plan being served; `None` while recording.
     installed: Option<InstalledPlan>,
     /// Where each live id lives. The plan-hit path is two table touches,
     /// so the ids take the cheap [`IdMap`] hasher.
@@ -269,15 +260,29 @@ pub struct PlannedCore {
 }
 
 impl PlannedCore {
-    /// Creates a planned core over `driver`, starting in recording mode.
+    /// Creates a planned core over `driver` with a default-configured
+    /// [`GmLakeAllocator`] as its fallback, starting in recording mode.
     pub fn new(driver: CudaDriver, config: PlannedConfig) -> Self {
-        let fallback = GmLakeAllocator::new(driver.clone(), config.gmlake.clone());
+        let fallback = GmLakeAllocator::new(driver.clone(), GmLakeConfig::default());
+        PlannedCore::with_fallback(driver, config, fallback)
+    }
+
+    /// Attaches a telemetry recorder to the plan side and the fallback.
+    pub fn set_telemetry(&mut self, telemetry: Arc<PoolTelemetry>) {
+        self.fallback.set_telemetry(Arc::clone(&telemetry));
+        self.telemetry = Some(telemetry);
+    }
+}
+
+impl<C: AllocatorCore> PlannedCore<C> {
+    /// Creates a planned core over `driver` in front of `fallback`, a
+    /// ready-built core on the same driver, starting in recording mode.
+    pub fn with_fallback(driver: CudaDriver, config: PlannedConfig, fallback: C) -> Self {
         PlannedCore {
             driver,
             fallback,
             config,
-            recording: true,
-            recorder: IterationRecorder::new(),
+            recorder: IterationRecorder::default(),
             installed: None,
             routes: IdMap::default(),
             next_id: 1,
@@ -287,19 +292,8 @@ impl PlannedCore {
         }
     }
 
-    /// Creates a planned core with the default configuration.
-    pub fn with_defaults(driver: CudaDriver) -> Self {
-        PlannedCore::new(driver, PlannedConfig::default())
-    }
-
-    /// Attaches a telemetry recorder (also forwarded to the fallback).
-    pub fn set_telemetry(&mut self, telemetry: Arc<PoolTelemetry>) {
-        self.fallback.set_telemetry(Arc::clone(&telemetry));
-        self.telemetry = Some(telemetry);
-    }
-
-    /// The embedded reactive fallback.
-    pub fn fallback(&self) -> &GmLakeAllocator {
+    /// The fallback core.
+    pub fn fallback(&self) -> &C {
         &self.fallback
     }
 
@@ -383,15 +377,10 @@ impl PlannedCore {
         };
         debug_assert!(installed.is_idle());
         self.teardown_arena(&installed.arena);
-        self.recording = true;
         self.counters.replans += 1;
-        self.record(
-            EventKind::Replan,
-            installed.arena.bytes,
-            self.counters.replans,
-            0,
-        );
-        installed.arena.bytes
+        let bytes = installed.arena.bytes;
+        self.record(EventKind::Replan, bytes, self.counters.replans, 0);
+        bytes
     }
 
     /// Closes the recording window and, if it contained enough
@@ -415,12 +404,9 @@ impl PlannedCore {
         match self.materialize_arena(plan.capacity) {
             Ok(arena) => {
                 self.installed = Some(InstalledPlan::new(plan, arena));
-                self.recording = false;
                 self.counters.plans_built += 1;
             }
-            Err(_) => {
-                self.counters.plan_aborts += 1;
-            }
+            Err(_) => self.counters.plan_aborts += 1,
         }
     }
 
@@ -467,10 +453,9 @@ impl PlannedCore {
             self.record(EventKind::PlanResidue, req.size, stream.0 as u64, 0);
         }
 
-        // Residue / recording path: the reactive fallback, with full
-        // stitching and fault rollback. Plan tables are never touched
-        // here, so a fallback fault leaves the plan intact.
-        let ask_fallback = |fallback: &mut GmLakeAllocator| match caller {
+        // Residue / recording path: the fallback core. Plan tables are
+        // never touched here, so a fallback fault leaves the plan intact.
+        let ask_fallback = |fallback: &mut C| match caller {
             Some(stream) => fallback.alloc_on_stream(req, stream),
             None => fallback.allocate(req),
         };
@@ -488,7 +473,7 @@ impl PlannedCore {
                 let id = self.mint_id();
                 self.routes
                     .insert(id, Route::Fallback(inner.id, inner.size));
-                if self.recording {
+                if self.installed.is_none() {
                     self.recorder.on_alloc(id, req.size, stream);
                 }
                 self.stats.on_alloc(inner.requested, inner.size);
@@ -506,7 +491,7 @@ impl PlannedCore {
     }
 }
 
-impl AllocatorCore for PlannedCore {
+impl<C: AllocatorCore + 'static> AllocatorCore for PlannedCore<C> {
     fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
         self.alloc_from(req, None)
     }
@@ -549,8 +534,7 @@ impl AllocatorCore for PlannedCore {
                 if self.installed.is_some() {
                     self.counters.residue_frees += 1;
                     self.record(EventKind::PlanResidue, size, stream.0 as u64, 1);
-                }
-                if self.recording {
+                } else {
                     self.recorder.on_free(id);
                 }
                 self.stats.on_free(size);
@@ -566,21 +550,26 @@ impl AllocatorCore for PlannedCore {
     }
 
     fn name(&self) -> &'static str {
-        "planned-gmlake"
+        match self.fallback.name() {
+            "gmlake" => "planned-gmlake",
+            "pytorch-caching" => "planned-caching",
+            _ => "planned",
+        }
     }
 
     fn iteration_boundary(&mut self) {
         self.fallback.iteration_boundary();
-        if self.recording {
-            self.try_install_plan();
-        } else if let Some(installed) = &mut self.installed {
-            let drifted = installed.iter_misses > 0
-                && installed.iter_hit_rate() < self.config.replan_hit_floor;
+        if let Some(installed) = &mut self.installed {
+            let (hits, misses) = (installed.iter_hits, installed.iter_misses);
+            let drifted =
+                misses > 0 && (hits as f64 / (hits + misses) as f64) < self.config.replan_hit_floor;
             if drifted && installed.is_idle() {
                 self.uninstall_plan();
             } else {
                 installed.rebuild_queues();
             }
+        } else {
+            self.try_install_plan();
         }
         self.sync_reserved();
     }
@@ -635,15 +624,15 @@ impl AllocatorCore for PlannedCore {
     }
 }
 
-impl PlannedCore {
-    /// Checks every internal invariant; used by the differential and
-    /// chaos harnesses after every probe.
+impl<C: AllocatorCore> PlannedCore<C> {
+    /// Checks every invariant of the plan side; the fallback core checks
+    /// its own. Used by the differential and chaos harnesses after every
+    /// probe.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        self.fallback.validate()?;
         let mut plan_live = 0usize;
         let mut plan_live_bytes = 0u64;
         for route in self.routes.values() {
@@ -685,7 +674,7 @@ impl PlannedCore {
     }
 }
 
-impl Drop for PlannedCore {
+impl<C: AllocatorCore> Drop for PlannedCore<C> {
     fn drop(&mut self) {
         if let Some(installed) = self.installed.take() {
             self.teardown_arena(&installed.arena);
@@ -721,7 +710,8 @@ mod tests {
     #[test]
     fn reordered_alloc_whose_front_slot_is_occupied_goes_to_residue() {
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-        let mut core = PlannedCore::with_defaults(driver);
+        let mut core = PlannedCore::new(driver, PlannedConfig::default());
+        assert_eq!(core.name(), "planned-gmlake");
         // Four transients that never coexist: the plan stacks them at 0.
         let sizes = [mib(4), mib(6), mib(8), mib(2)];
         for size in sizes {
@@ -737,6 +727,7 @@ mod tests {
             live.push(core.allocate(AllocRequest::new(size)).unwrap());
             assert_disjoint(live);
             core.validate().unwrap();
+            core.fallback().validate().unwrap();
         };
         // The last recorded alloc comes first and takes offset 0; the
         // first one's slot is next in its class but overlaps it.
@@ -763,6 +754,137 @@ mod tests {
         }
         let c = core.counters();
         assert_eq!((c.plan_hits, c.residue_allocs, c.space_blocked), (6, 2, 2));
+        core.validate().unwrap();
+        core.fallback().validate().unwrap();
+    }
+
+    /// A fallback that logs every hook it is asked, with the stream, and
+    /// answers with distinct values.
+    #[derive(Debug, Default)]
+    struct Counting {
+        log: std::cell::RefCell<Vec<String>>,
+        next: u64,
+        stats: MemStats,
+    }
+
+    impl Counting {
+        fn note(&self, call: String) {
+            self.log.borrow_mut().push(call);
+        }
+
+        fn hand_out(&mut self, call: String, req: AllocRequest) -> Result<Allocation, AllocError> {
+            self.note(call);
+            self.next += 1;
+            self.stats.on_alloc(req.size, req.size);
+            Ok(Allocation {
+                id: AllocationId::new(self.next),
+                va: VirtAddr::new(self.next << 24),
+                size: req.size,
+                requested: req.size,
+            })
+        }
+    }
+
+    impl AllocatorCore for Counting {
+        fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
+            self.hand_out("allocate".into(), req)
+        }
+
+        fn deallocate(&mut self, _: AllocationId) -> Result<(), AllocError> {
+            unreachable!("the planned core frees on a stream")
+        }
+
+        fn alloc_on_stream(
+            &mut self,
+            req: AllocRequest,
+            stream: StreamId,
+        ) -> Result<Allocation, AllocError> {
+            self.hand_out(format!("alloc_on_stream({})", stream.0), req)
+        }
+
+        fn free_on_stream(&mut self, _: AllocationId, stream: StreamId) -> Result<(), AllocError> {
+            self.note(format!("free_on_stream({})", stream.0));
+            Ok(())
+        }
+
+        fn stats(&self) -> MemStats {
+            self.stats
+        }
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn iteration_boundary(&mut self) {
+            self.note("iteration_boundary".into());
+        }
+
+        fn process_events(&mut self) -> u64 {
+            self.note("process_events".into());
+            7
+        }
+
+        fn release_cached(&mut self) -> u64 {
+            self.note("release_cached".into());
+            11
+        }
+
+        fn compact(&mut self) -> u64 {
+            self.note("compact".into());
+            13
+        }
+
+        fn set_stitch_enabled(&mut self, enabled: bool) {
+            self.note(format!("set_stitch_enabled({enabled})"));
+        }
+
+        fn fault_journal_stats(&self) -> FaultJournalStats {
+            self.note("fault_journal_stats".into());
+            FaultJournalStats {
+                failed_ops: 17,
+                ..FaultJournalStats::default()
+            }
+        }
+    }
+
+    /// Every hook of the planned core reaches its fallback, with the
+    /// caller's stream (or none) and with the fallback's answer passed
+    /// back.
+    #[test]
+    fn every_hook_reaches_the_fallback() {
+        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
+        let mut core =
+            PlannedCore::with_fallback(driver, PlannedConfig::default(), Counting::default());
+        let a = core.allocate(AllocRequest::new(mib(4))).unwrap();
+        let b = core
+            .alloc_on_stream(AllocRequest::new(mib(6)), StreamId(1))
+            .unwrap();
+        core.free_on_stream(b.id, StreamId(1)).unwrap();
+        core.deallocate(a.id).unwrap();
+        // Two intervals are below `min_plan_intervals`: no plan installs.
+        core.iteration_boundary();
+        assert!(!core.is_serving());
+        assert_eq!(core.process_events(), 7);
+        assert_eq!(core.release_cached(), 11);
+        assert_eq!(core.compact(), 13);
+        core.set_stitch_enabled(false);
+        assert_eq!(core.fault_journal_stats().failed_ops, 17);
+        assert_eq!(core.name(), "planned");
+        assert_eq!(
+            *core.fallback().log.borrow(),
+            [
+                "allocate",
+                "alloc_on_stream(1)",
+                "free_on_stream(1)",
+                "free_on_stream(0)",
+                "iteration_boundary",
+                "process_events",
+                "release_cached",
+                "compact",
+                "set_stitch_enabled(false)",
+                "fault_journal_stats",
+            ]
+        );
         core.validate().unwrap();
     }
 

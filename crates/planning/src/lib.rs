@@ -13,10 +13,12 @@
 //! * [`MemoryPlan`] — the offline first-fit-decreasing planner and its
 //!   invariant checker;
 //! * [`PlannedCore`] — the drop-in
-//!   [`AllocatorCore`](gmlake_alloc_api::AllocatorCore) backend: record →
-//!   plan → serve, with an embedded
-//!   [`GmLakeAllocator`](gmlake_core::GmLakeAllocator) handling dynamic
-//!   residue through the full stitching + fault-rollback machinery.
+//!   [`AllocatorCore`](gmlake_alloc_api::AllocatorCore) layer: record →
+//!   plan → serve, in front of any core that serves the recording window
+//!   and the dynamic residue. [`PlannedCore::new`] puts a
+//!   [`GmLakeAllocator`](gmlake_core::GmLakeAllocator) there;
+//!   [`PlannedCore::with_fallback`] takes any other, such as the caching
+//!   allocator (STAlloc's own shape).
 //!
 //! See `docs/planning.md` for the lifecycle, residue rules, and replan
 //! triggers.

@@ -132,11 +132,6 @@ impl MemoryPlan {
         }
         Ok(())
     }
-
-    /// Sum of all slot sizes (what the transients would cost unshared).
-    pub fn total_slot_bytes(&self) -> u64 {
-        self.slots.iter().map(|s| s.size).sum()
-    }
 }
 
 #[cfg(test)]

@@ -52,16 +52,6 @@ pub struct IterationRecorder {
 }
 
 impl IterationRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        IterationRecorder::default()
-    }
-
-    /// Number of events (allocs + frees) observed in the current window.
-    pub fn events(&self) -> usize {
-        self.tick as usize
-    }
-
     /// Records an allocation issued under `id`.
     pub fn on_alloc(&mut self, id: AllocationId, size: u64, stream: StreamId) {
         let tick = self.tick;
@@ -115,7 +105,7 @@ mod tests {
 
     #[test]
     fn transients_are_captured_and_open_records_dropped() {
-        let mut r = IterationRecorder::new();
+        let mut r = IterationRecorder::default();
         let a = AllocationId::new(1);
         let b = AllocationId::new(2);
         r.on_alloc(a, 100, StreamId::new(0));

@@ -437,13 +437,11 @@ fn memmap_fault_inside_stream_affine_large_stitch_rolls_back() {
 #[test]
 fn memmap_fault_inside_planned_residue_stitch_rolls_back() {
     let driver = CudaDriver::new(DeviceConfig::a100_80g());
-    let mut core = PlannedCore::new(
+    let fallback = GmLakeAllocator::new(
         driver.clone(),
-        PlannedConfig {
-            gmlake: GmLakeConfig::default().with_frag_limit(mib(2)),
-            ..PlannedConfig::default()
-        },
+        GmLakeConfig::default().with_frag_limit(mib(2)),
     );
+    let mut core = PlannedCore::with_fallback(driver.clone(), PlannedConfig::default(), fallback);
 
     // Record one synthetic iteration of 1 MiB transients, then install
     // the plan at the boundary.
@@ -481,6 +479,7 @@ fn memmap_fault_inside_planned_residue_stitch_rolls_back() {
     assert_eq!(core.plan().unwrap(), plan_before, "fault mutated the plan");
     assert_eq!(core.counters().plan_hits, hits_before);
     core.validate().unwrap();
+    core.fallback().validate().unwrap();
     let journal = core.fault_journal_stats();
     assert!(journal.is_leak_free(), "stitch unwind leaked: {journal:?}");
     assert_eq!(journal.failed_ops, 1, "exactly the faulted stitch");
@@ -494,6 +493,7 @@ fn memmap_fault_inside_planned_residue_stitch_rolls_back() {
     core.deallocate(c.id).unwrap();
     core.deallocate(held.id).unwrap();
     core.validate().unwrap();
+    core.fallback().validate().unwrap();
     core.release_cached();
     assert_eq!(core.stats().active_bytes, 0);
     assert_eq!(driver.phys_in_use(), 0, "device not quiescent");

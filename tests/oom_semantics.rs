@@ -183,6 +183,9 @@ fn requests_past_u64_max_are_out_of_memory_on_every_core() {
     let mut gmlake = lake(tiny_device());
     assert_refuses_past_u64_max(&mut gmlake);
     gmlake.validate().unwrap();
-    assert_refuses_past_u64_max(&mut PlannedCore::with_defaults(tiny_device()));
+    assert_refuses_past_u64_max(&mut PlannedCore::new(
+        tiny_device(),
+        PlannedConfig::default(),
+    ));
     assert_refuses_past_u64_max(&mut DeviceAllocator::new(lake(tiny_device())));
 }

@@ -1,5 +1,7 @@
 //! Trace-replay differential harness for the STAlloc-style `PlannedCore`
-//! (record → plan → serve) against the reactive `GmLakeAllocator` oracle.
+//! (record → plan → serve) against its bare fallback core as the oracle,
+//! over both fallbacks: plan + GMLake against bare `GmLakeAllocator`, and
+//! plan + caching (STAlloc's own shape) against bare `CachingAllocator`.
 //!
 //! The planned core must be *transparent*: over the existing trace corpus
 //! (fig05-style model × strategy configs, multi-stream, OOM-edge) every
@@ -53,41 +55,75 @@ fn corpus() -> Vec<(&'static str, TrainConfig)> {
     ]
 }
 
-fn planned_core(capacity: u64) -> (PlannedCore, CudaDriver) {
+/// A residue fallback under test: the core bare on a device, and its own
+/// invariant check (`PlannedCore::validate` covers the plan side only).
+trait Fallback: AllocatorCore + Send + 'static {
+    fn bare(driver: CudaDriver) -> Self;
+    fn check(&self) -> Result<(), String>;
+}
+
+impl Fallback for GmLakeAllocator {
+    fn bare(driver: CudaDriver) -> Self {
+        GmLakeAllocator::new(driver, GmLakeConfig::default())
+    }
+
+    fn check(&self) -> Result<(), String> {
+        self.validate()
+    }
+}
+
+impl Fallback for CachingAllocator {
+    fn bare(driver: CudaDriver) -> Self {
+        CachingAllocator::new(driver)
+    }
+
+    fn check(&self) -> Result<(), String> {
+        self.validate()
+    }
+}
+
+fn planned_core<C: Fallback>(capacity: u64) -> (PlannedCore<C>, CudaDriver) {
     let driver = CudaDriver::new(DeviceConfig::a100_80g().with_capacity(capacity));
-    let core = PlannedCore::new(
-        driver.clone(),
-        PlannedConfig {
-            gmlake: GmLakeConfig::default(),
-            ..PlannedConfig::default()
-        },
-    );
+    let fallback = C::bare(driver.clone());
+    let core = PlannedCore::with_fallback(driver.clone(), PlannedConfig::default(), fallback);
     (core, driver)
 }
 
-fn oracle_core(capacity: u64) -> (GmLakeAllocator, CudaDriver) {
+fn oracle_core<C: Fallback>(capacity: u64) -> (C, CudaDriver) {
     let driver = CudaDriver::new(DeviceConfig::a100_80g().with_capacity(capacity));
-    let core = GmLakeAllocator::new(driver.clone(), GmLakeConfig::default());
-    (core, driver)
+    (C::bare(driver.clone()), driver)
+}
+
+/// Both sides of a planned core: the plan, then its fallback.
+fn validate<C: Fallback>(planned: &PlannedCore<C>) -> Result<(), String> {
+    planned.validate()?;
+    planned.fallback().check()
 }
 
 /// Per-op outcome agreement + bit-exact quiescent `MemStats` + planned
 /// peak-reserved ≤ oracle, over every corpus trace.
 #[test]
 fn planned_matches_oracle_over_steady_state_corpus() {
+    steady_state_corpus::<GmLakeAllocator>();
+}
+
+#[test]
+fn planned_over_caching_matches_bare_caching_over_steady_state_corpus() {
+    steady_state_corpus::<CachingAllocator>();
+}
+
+fn steady_state_corpus<C: Fallback>() {
     for (label, cfg) in corpus() {
         let trace = TraceGenerator::new(cfg).generate();
         trace.validate().unwrap_or_else(|e| panic!("{label}: {e}"));
 
-        let (mut planned, planned_driver) = planned_core(gib(80));
-        let (mut oracle, oracle_driver) = oracle_core(gib(80));
+        let (mut planned, planned_driver) = planned_core::<C>(gib(80));
+        let (mut oracle, oracle_driver) = oracle_core::<C>(gib(80));
         let report = lockstep_replay(&trace, &mut planned, &mut oracle, false);
         assert_eq!(report.subject_wins, 0, "{label}: ample capacity, no OOM");
         assert_eq!(report.agreed_ooms, 0, "{label}: ample capacity, no OOM");
 
-        planned
-            .validate()
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        validate(&planned).unwrap_or_else(|e| panic!("{label}: {e}"));
 
         // The plan must actually have carried the steady state: after the
         // warm-up iteration, ≥ 95% of alloc traffic is served in O(1).
@@ -139,6 +175,15 @@ fn planned_matches_oracle_over_steady_state_corpus() {
 /// skip-on-OOM replay with clean invariants.
 #[test]
 fn planned_is_never_worse_than_oracle_at_the_oom_edge() {
+    oom_edge::<GmLakeAllocator>();
+}
+
+#[test]
+fn planned_over_caching_is_never_worse_than_bare_caching_at_the_oom_edge() {
+    oom_edge::<CachingAllocator>();
+}
+
+fn oom_edge<C: Fallback>() {
     let cfg = TrainConfig::new(ModelSpec::opt_1_3b(), StrategySet::LR)
         .with_seq_len(256)
         .with_batch(2)
@@ -146,7 +191,7 @@ fn planned_is_never_worse_than_oracle_at_the_oom_edge() {
     let trace = TraceGenerator::new(cfg.clone()).generate();
 
     // Probe the reactive peak on an unconstrained device, then squeeze.
-    let (mut probe, _d) = oracle_core(gib(80));
+    let (mut probe, _d) = oracle_core::<C>(gib(80));
     let probe_report = Replayer::new(_d.clone())
         .with_options(ReplayOptions {
             stop_on_oom: false,
@@ -160,11 +205,11 @@ fn planned_is_never_worse_than_oracle_at_the_oom_edge() {
         stop_on_oom: false,
         ..ReplayOptions::default()
     };
-    let (mut planned, planned_driver) = planned_core(squeeze);
+    let (mut planned, planned_driver) = planned_core::<C>(squeeze);
     let planned_report = Replayer::new(planned_driver.clone())
         .with_options(opts.clone())
         .replay(&mut planned, &trace, &cfg);
-    let (mut oracle, oracle_driver) = oracle_core(squeeze);
+    let (mut oracle, oracle_driver) = oracle_core::<C>(squeeze);
     let oracle_report = Replayer::new(oracle_driver.clone())
         .with_options(opts)
         .replay(&mut oracle, &trace, &cfg);
@@ -176,8 +221,8 @@ fn planned_is_never_worse_than_oracle_at_the_oom_edge() {
         oracle_report.skipped_allocs
     );
     assert!(planned_report.peak_reserved <= squeeze);
-    planned.validate().unwrap();
-    oracle.validate().unwrap();
+    validate(&planned).unwrap();
+    oracle.check().unwrap();
     assert!(planned.fault_journal_stats().is_leak_free());
 }
 
@@ -185,7 +230,7 @@ fn planned_is_never_worse_than_oracle_at_the_oom_edge() {
 /// `DeviceAllocator` front-end and the `PoolService` runtime, unchanged.
 #[test]
 fn planned_core_plugs_into_device_allocator_and_pool_service() {
-    let (core, _driver) = planned_core(gib(4));
+    let (core, _driver) = planned_core::<GmLakeAllocator>(gib(4));
     let service = PoolService::new();
     service.register(DeviceId(0), Box::new(core)).unwrap();
     let pool = service.handle(DeviceId(0)).unwrap();
@@ -220,6 +265,15 @@ fn planned_core_plugs_into_device_allocator_and_pool_service() {
 /// counters and stats.
 #[test]
 fn plan_replay_is_deterministic_across_runs() {
+    deterministic_replay::<GmLakeAllocator>();
+}
+
+#[test]
+fn plan_over_caching_replay_is_deterministic_across_runs() {
+    deterministic_replay::<CachingAllocator>();
+}
+
+fn deterministic_replay<C: Fallback>() {
     let cfg = TrainConfig::new(ModelSpec::gpt2(), StrategySet::LR)
         .with_seq_len(128)
         .with_batch(1)
@@ -229,7 +283,7 @@ fn plan_replay_is_deterministic_across_runs() {
     let mut plans = Vec::new();
     let mut stats = Vec::new();
     for _ in 0..2 {
-        let (mut planned, driver) = planned_core(gib(80));
+        let (mut planned, driver) = planned_core::<C>(gib(80));
         let _ = Replayer::new(driver)
             .with_options(ReplayOptions::default())
             .replay(&mut planned, &trace, &cfg);
@@ -281,7 +335,7 @@ proptest! {
         for s in &plan.slots {
             prop_assert!(s.offset + s.size <= plan.capacity);
         }
-        prop_assert!(plan.capacity <= plan.total_slot_bytes());
+        prop_assert!(plan.capacity <= plan.slots.iter().map(|s| s.size).sum());
         let again = MemoryPlan::build(&intervals);
         prop_assert_eq!(plan, again, "planner is not deterministic");
     }
@@ -293,7 +347,7 @@ proptest! {
 #[test]
 fn cross_stream_free_of_a_plan_slot_waits_on_the_host() {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-    let mut core = PlannedCore::with_defaults(driver.clone());
+    let mut core = PlannedCore::new(driver.clone(), PlannedConfig::default());
     let (s0, s1) = (StreamId(0), StreamId(1));
     for size in [mib(4), mib(6), mib(8), mib(2)] {
         let a = core.alloc_on_stream(AllocRequest::new(size), s1).unwrap();
@@ -311,7 +365,7 @@ fn cross_stream_free_of_a_plan_slot_waits_on_the_host() {
     core.free_on_stream(b.id, s1).unwrap();
     assert_eq!(driver.stats().event_sync.calls, 1, "same stream: no wait");
     assert_eq!(core.counters().plan_hits, 2, "both came from the plan");
-    core.validate().unwrap();
+    validate(&core).unwrap();
 }
 
 /// A streamless residue request reaches the fallback streamless, so a block
@@ -320,7 +374,7 @@ fn cross_stream_free_of_a_plan_slot_waits_on_the_host() {
 #[test]
 fn streamless_residue_waits_out_a_cross_stream_free_on_the_host() {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-    let mut core = PlannedCore::with_defaults(driver.clone());
+    let mut core = PlannedCore::new(driver.clone(), PlannedConfig::default());
     let (s0, s1) = (StreamId(0), StreamId(1));
     let a = core.alloc_on_stream(AllocRequest::new(mib(4)), s1).unwrap();
     driver.stream_launch(s0, 1_000_000);
@@ -332,5 +386,5 @@ fn streamless_residue_waits_out_a_cross_stream_free_on_the_host() {
     assert_eq!((st.event_wait.calls, st.event_sync.calls), (0, 1));
     assert!(driver.now_ns() >= busy_until);
     core.deallocate(b.id).unwrap();
-    core.validate().unwrap();
+    validate(&core).unwrap();
 }
