@@ -926,13 +926,6 @@ impl DeviceAllocator {
         f(&mut **self.inner.core.lock())
     }
 
-    /// Forwards [`AllocatorCore::set_stitch_enabled`] to the wrapped core.
-    /// The caches are untouched, so the fast paths stay warm while a
-    /// circuit breaker holds stitching open.
-    pub fn set_stitch_enabled(&self, enabled: bool) {
-        self.inner.core.lock().set_stitch_enabled(enabled);
-    }
-
     /// Forwards [`AllocatorCore::fault_journal_stats`] to the wrapped core
     /// without flushing the caches (journal counters live in the core and
     /// are unaffected by parked blocks).

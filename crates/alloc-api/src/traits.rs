@@ -152,14 +152,10 @@ pub trait AllocatorCore {
         }
     }
 
-    /// Enables or disables the implementation's block-composition
-    /// ("stitching") machinery, if it has one. While disabled the
-    /// allocator must keep serving requests through its degraded paths
-    /// (exact reuse, splitting, fresh allocation) and must keep every
-    /// invariant intact — this is the knob a runtime circuit breaker
-    /// flips after repeated stitch-path driver faults, and flips back
-    /// once a cooldown expires. Allocators without stitching ignore it
-    /// (the default is a no-op).
+    /// A no-op: no allocator overrides it and nothing in the workspace
+    /// calls it. It stays only because the benchmark package's probe core
+    /// (`benchmark/src/probe.rs`) implements it, and that package changes
+    /// only together with the benchmark itself.
     fn set_stitch_enabled(&mut self, _enabled: bool) {}
 
     /// Cumulative driver-fault residue counters (rolled-back operations and
@@ -187,7 +183,8 @@ pub trait AllocatorCore {
 /// to the method of the same name on `$target`, an expression over the
 /// `self` token passed first. Every method forwards explicitly — a provided
 /// default would silently drop a wrapped front-end's override (stream
-/// routing above all). Name `as_any_mut` as a second argument to forward
+/// routing above all) — except the no-op `set_stitch_enabled`, which
+/// nothing overrides. Name `as_any_mut` as a second argument to forward
 /// the concrete-type view too; without it the default (`None`) applies.
 ///
 /// Exported for the wrappers in sibling crates (the runtime's
@@ -250,10 +247,6 @@ macro_rules! forward_allocator_core {
 
         fn fragmentation(&$self_) -> f64 {
             $target.fragmentation()
-        }
-
-        fn set_stitch_enabled(&mut $self_, enabled: bool) {
-            $target.set_stitch_enabled(enabled)
         }
 
         fn fault_journal_stats(&$self_) -> $crate::FaultJournalStats {

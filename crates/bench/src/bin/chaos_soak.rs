@@ -4,29 +4,40 @@
 //!
 //! Drives a `PoolService` GMLake pool through a mixed alloc/free churn
 //! under a seeded 1-in-[`FAULT_ONE_IN`] probabilistic [`FaultPlan`], then
-//! through a deterministic persistent `mem_map` outage that trips the
-//! stitch circuit breaker and a recovery phase that closes it again. The
-//! run fails (non-zero exit) if any recovery invariant breaks: an
-//! allocation error the pipeline should have absorbed, a fault-journal
-//! leak, a failed `validate()`, or a breaker that never tripped or never
-//! recovered.
+//! through two deterministic persistent outages, each followed by its
+//! recovery:
+//!
+//! * a `mem_map` outage, under which a request the caches serve without
+//!   a driver call is still served and a request that needs a map
+//!   surfaces `DriverFault` after the bounded retry;
+//! * a `mem_create` outage, under which a request that stitches cached
+//!   blocks is served, since a stitch creates no physical memory.
+//!
+//! Once each outage clears, the next stitchable request stitches at
+//! once. The run fails (non-zero exit) if any recovery invariant breaks:
+//! an allocation error the pipeline should have absorbed, a
+//! fault-journal leak, a failed `validate()`, or an outage outcome other
+//! than the one above. Its stdout, the summary, is deterministic; CI
+//! diffs it against `crates/bench/chaos_soak.expected`.
 //!
 //! Outputs (uploaded by CI as artifacts):
 //!
-//! * `chaos_soak.json` — summary counters: injected faults, service
-//!   retry/rescue/breaker stats, and the core's fault journal;
+//! * `chaos_soak.json` — summary counters: injected faults, the service's
+//!   fault/retry/rescue counters, and the core's fault journal;
 //! * `chaos_profile.json` — the full telemetry [`MemorySnapshot`],
-//!   whose event trace carries every `fault_injected`, `rescue_stage`
-//!   and `breaker_trip` record of the run.
+//!   whose event trace carries every `fault_injected` and `rescue_stage`
+//!   record of the run.
 //!
 //! [`MemorySnapshot`]: gmlake_telemetry::MemorySnapshot
 
 use std::sync::Arc;
 
-use gmlake_alloc_api::{mib, AllocError, AllocRequest, DeviceAllocator, DeviceAllocatorConfig};
+use gmlake_alloc_api::{
+    mib, AllocError, AllocRequest, Allocation, DeviceAllocator, DeviceAllocatorConfig,
+};
 use gmlake_core::{GmLakeAllocator, GmLakeConfig};
 use gmlake_gpu_sim::{CudaDriver, DeviceConfig, FaultOp, FaultPlan};
-use gmlake_runtime::{DeviceId, FaultPolicy, MemoryProfiler, PoolService};
+use gmlake_runtime::{DeviceId, MemoryProfiler, PoolHandle, PoolService};
 use gmlake_telemetry::PoolTelemetry;
 
 /// Fixed seed of the probabilistic soak phase (deterministic schedule).
@@ -45,15 +56,52 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
+/// Empties the pool's caches, then leaves idle 4 and 6 MiB blocks in the
+/// core, where a 10 MiB request stitches them.
+fn make_stitchable(pool: &PoolHandle) {
+    pool.release_cached();
+    let a = alloc_or_fail(pool, 4, "stitch setup");
+    let b = alloc_or_fail(pool, 6, "stitch setup");
+    for id in [a.id, b.id] {
+        pool.deallocate(id).unwrap_or_else(|e| fail(&e.to_string()));
+    }
+    pool.allocator().flush();
+}
+
+fn alloc_or_fail(pool: &PoolHandle, size_mib: u64, what: &str) -> Allocation {
+    pool.allocate(AllocRequest::new(mib(size_mib)))
+        .unwrap_or_else(|e| fail(&format!("{what}: {size_mib} MiB failed: {e}")))
+}
+
+fn expect_fault(pool: &PoolHandle, size_mib: u64, what: &str) {
+    match pool.allocate(AllocRequest::new(mib(size_mib))) {
+        Err(AllocError::DriverFault { .. }) => {}
+        other => fail(&format!(
+            "{what}: {size_mib} MiB should surface DriverFault, got {other:?}"
+        )),
+    }
+}
+
+/// The core's count of stitched views built so far.
+fn stitches(pool: &PoolHandle) -> u64 {
+    pool.allocator()
+        .with_core_as(|lake: &mut GmLakeAllocator| lake.state_counters().stitches)
+        .unwrap_or_else(|| fail("gmlake core downcast"))
+}
+
+/// Serves a 10 MiB request from the stitchable state, failing unless it
+/// builds one new stitched view and no new physical memory.
+fn expect_stitch(pool: &PoolHandle, driver: &CudaDriver, what: &str) {
+    let (before, phys) = (stitches(pool), driver.phys_in_use());
+    let a = alloc_or_fail(pool, 10, what);
+    if stitches(pool) != before + 1 || driver.phys_in_use() != phys {
+        fail(&format!("{what}: the 10 MiB request did not stitch"));
+    }
+    pool.deallocate(a.id)
+        .unwrap_or_else(|e| fail(&e.to_string()));
+}
+
 fn main() {
-    // Short cooldown/backoff so the breaker's full open -> half-open ->
-    // closed cycle fits in a quick CI run.
-    let policy = FaultPolicy {
-        max_retries: 3,
-        backoff_us: 5,
-        breaker_threshold: 3,
-        breaker_cooldown: 16,
-    };
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
     let telemetry = Arc::new(PoolTelemetry::new().with_clock(Arc::new(driver.clone())));
     driver.set_telemetry(Arc::clone(&telemetry));
@@ -67,7 +115,7 @@ fn main() {
         Some(telemetry),
     )
     .expect("default front-end config");
-    let service = PoolService::with_fault_policy(policy);
+    let service = PoolService::new();
     let pool = service
         .register_device(DeviceId(0), front)
         .expect("fresh service");
@@ -108,40 +156,43 @@ fn main() {
         fail("soak injected nothing — the schedule is dead");
     }
 
-    // Phase 2: persistent mem_map outage. Every large allocation now dies
-    // even after retries; three consecutive surfaced faults trip the
-    // breaker.
-    eprintln!("phase 2: persistent mem_map outage trips the breaker");
+    // Phase 2: persistent mem_map outage. Requests the caches serve
+    // without a driver call are still served; a request that needs a map
+    // surfaces DriverFault once the bounded retry gives up.
+    eprintln!("phase 2: persistent mem_map outage");
     driver.set_fault_plan(FaultPlan::new().fail_from(FaultOp::Map, 1));
-    match pool.allocate(AllocRequest::new(mib(10))) {
-        Err(AllocError::DriverFault { .. }) => {}
-        other => fail(&format!(
-            "outage alloc should surface DriverFault, got {other:?}"
-        )),
-    }
-    if !pool.fault_stats().breaker_open {
-        fail("breaker still closed after a persistent outage");
-    }
-
-    // Phase 3: the outage clears; cooldown elapses over small churn and
-    // the breaker re-probes, closes, and stitching serves again.
-    eprintln!("phase 3: outage clears, breaker cools down and closes");
-    driver.clear_fault_plan();
-    for _ in 0..(policy.breaker_cooldown + 4) {
-        match pool.allocate(AllocRequest::new(mib(4))) {
-            Ok(a) => pool
-                .deallocate(a.id)
-                .unwrap_or_else(|e| fail(&e.to_string())),
-            Err(e) => fail(&format!("post-outage alloc failed: {e}")),
+    for size in [2, 4] {
+        let calls = driver.stats();
+        let a = alloc_or_fail(&pool, size, "map outage, cached probe");
+        if driver.stats() != calls {
+            fail(&format!("the {size} MiB probe called the driver"));
         }
+        pool.deallocate(a.id)
+            .unwrap_or_else(|e| fail(&e.to_string()));
     }
+    let retries = pool.fault_stats().retries;
+    expect_fault(&pool, 10, "map outage");
+    if pool.fault_stats().retries != retries + 3 {
+        fail("the map outage was not retried exactly three times");
+    }
+    driver.clear_fault_plan();
+    make_stitchable(&pool);
+    expect_stitch(&pool, &driver, "after the map outage");
+
+    // Phase 3: persistent mem_create outage. A fresh block faults, but a
+    // stitch creates no physical memory: a request the cached blocks can
+    // stitch is served, however many faults came before it.
+    eprintln!("phase 3: persistent mem_create outage");
+    make_stitchable(&pool);
+    driver.set_fault_plan(FaultPlan::new().fail_from(FaultOp::Create, 1));
+    for _ in 0..3 {
+        expect_fault(&pool, 40, "create outage");
+    }
+    expect_stitch(&pool, &driver, "create outage");
+    driver.clear_fault_plan();
+    make_stitchable(&pool);
+    expect_stitch(&pool, &driver, "after the create outage");
     let stats = pool.fault_stats();
-    if stats.breaker_open {
-        fail("breaker never recovered after the outage cleared");
-    }
-    if stats.breaker_trips == 0 {
-        fail("breaker trip was never counted");
-    }
 
     // Final invariants straight from the core.
     let journal = pool.with_allocator(|core| {
@@ -168,17 +219,15 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("writing chaos_profile.json: {e}")));
 
     let summary = format!(
-        "{{\n  \"schema\": \"gmlake-chaos-soak/v1\",\n  \"seed\": {SEED},\n  \
+        "{{\n  \"schema\": \"gmlake-chaos-soak/v2\",\n  \"seed\": {SEED},\n  \
          \"fault_one_in\": {FAULT_ONE_IN},\n  \"soak_ops\": {SOAK_OPS},\n  \
          \"injected_faults\": {injected},\n  \"injected_faults_soak\": {soak_injected},\n  \
-         \"service_faults\": {},\n  \"service_retries\": {},\n  \"breaker_trips\": {},\n  \
-         \"breaker_open\": {},\n  \"rescues\": {},\n  \"journal_failed_ops\": {},\n  \
-         \"journal_orphan_vas\": {},\n  \"journal_orphan_va_bytes\": {},\n  \
+         \"service_faults\": {},\n  \"service_retries\": {},\n  \"rescues\": {},\n  \
+         \"journal_failed_ops\": {},\n  \"journal_orphan_vas\": {},\n  \
+         \"journal_orphan_va_bytes\": {},\n  \
          \"journal_orphan_chunks\": {}\n}}\n",
         stats.faults,
         stats.retries,
-        stats.breaker_trips,
-        stats.breaker_open,
         stats.rescues,
         journal.failed_ops,
         journal.orphan_vas,
@@ -189,8 +238,7 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("writing chaos_soak.json: {e}")));
     print!("{summary}");
     eprintln!(
-        "chaos soak passed: {injected} faults injected, {} retried, breaker tripped {} time(s) \
-         and recovered",
-        stats.retries, stats.breaker_trips
+        "chaos soak passed: {injected} faults injected, {} retried, both outages recovered",
+        stats.retries
     );
 }

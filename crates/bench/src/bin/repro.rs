@@ -446,7 +446,7 @@ fn fig11() {
 /// profiled fleet (OPT-1.3B, 2 ranks) with the whole telemetry stack
 /// attached. It writes the memory-timeline snapshot to `<out.json>` and the
 /// chrome://tracing export next to it (`<out>.trace.json`), and exits 1
-/// unless the snapshot validates against the `gmlake-snapshot/v1` schema.
+/// unless the snapshot validates against the `gmlake-snapshot/v2` schema.
 fn fig11_profile(out: &str) {
     let cfg = TrainConfig::new(ModelSpec::opt_1_3b(), StrategySet::LR)
         .with_batch(16)

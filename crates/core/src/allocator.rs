@@ -335,10 +335,6 @@ pub struct GmLakeAllocator {
     stats: MemStats,
     /// Physical bytes owned by pBlocks (excludes the small pool's segments).
     reserved_phys: u64,
-    /// Circuit-breaker knob (see [`AllocatorCore::set_stitch_enabled`]):
-    /// while `false`, S3/S4 requests are served by whole fresh pBlocks
-    /// instead of stitched views.
-    stitch_enabled: bool,
     /// Driver faults survived and unwind residue. Every multi-call driver
     /// sequence (`stitch`, `alloc_new_pblock`, the teardown paths) is
     /// transactional: a call failing mid-sequence is unwound with
@@ -401,7 +397,6 @@ impl GmLakeAllocator {
             tick: 0,
             stats: MemStats::default(),
             reserved_phys: 0,
-            stitch_enabled: true,
             journal: FaultJournalStats::default(),
             counters: StateCounters::default(),
             iterations: 0,
@@ -486,12 +481,6 @@ impl GmLakeAllocator {
             reclaim_marks: self.work.reclaim_marks.get(),
             reclaim_visits: self.work.reclaim_visits.get(),
         }
-    }
-
-    /// Whether S3/S4 requests may build stitched views (see
-    /// [`AllocatorCore::set_stitch_enabled`]).
-    pub fn stitch_is_enabled(&self) -> bool {
-        self.stitch_enabled
     }
 
     /// Completed training iterations (see
@@ -1430,14 +1419,6 @@ impl GmLakeAllocator {
                 }
             }
             BestFit::Multiple { mut ids, sum } => {
-                if !self.stitch_enabled {
-                    // Circuit breaker open: serve S3 with a whole fresh
-                    // block instead of a stitched view.
-                    self.counters.record(AllocState::MultiBlock);
-                    self.iter_non_exact += 1;
-                    self.emit(EventKind::StitchDecision, aligned, 3, 0);
-                    return self.allocate_unstitched(aligned, req);
-                }
                 self.counters.record(AllocState::MultiBlock);
                 self.iter_non_exact += 1;
                 self.emit(EventKind::StitchDecision, aligned, 3, ids.len() as u64);
@@ -1464,11 +1445,6 @@ impl GmLakeAllocator {
                 self.iter_non_exact += 1;
                 self.emit(EventKind::StitchDecision, aligned, 4, ids.len() as u64);
                 debug_assert!(sum < aligned);
-                if !self.stitch_enabled && !ids.is_empty() {
-                    // Circuit breaker open: ignore the stitchable leftovers
-                    // and serve the request whole.
-                    return self.allocate_unstitched(aligned, req);
-                }
                 let new_size = aligned - sum;
                 let new_pid = self
                     .alloc_new_pblock(new_size)
@@ -1494,21 +1470,6 @@ impl GmLakeAllocator {
                 }
             }
         }
-    }
-
-    /// Degraded (circuit-breaker) S3/S4 path: serve the request with a
-    /// single fresh pBlock, ignoring stitchable cached blocks. Used while
-    /// stitching is disabled after repeated stitch-path faults.
-    fn allocate_unstitched(
-        &mut self,
-        aligned: u64,
-        req: AllocRequest,
-    ) -> Result<Allocation, AllocError> {
-        let pid = self
-            .alloc_new_pblock(aligned)
-            .map_err(|e| self.map_pblock_err(e))?;
-        let (va, size) = (self.pblocks[pid].va, self.pblocks[pid].size);
-        Ok(self.register_allocation(Target::P(pid), va, size, req.size))
     }
 
     /// Maps a failed `Alloc` driver call: a genuine device OOM keeps its
@@ -2005,10 +1966,6 @@ impl AllocatorCore for GmLakeAllocator {
 
     fn release_cached(&mut self) -> u64 {
         self.release_cached_impl()
-    }
-
-    fn set_stitch_enabled(&mut self, enabled: bool) {
-        self.stitch_enabled = enabled;
     }
 
     fn fault_journal_stats(&self) -> FaultJournalStats {

@@ -611,10 +611,6 @@ impl<C: AllocatorCore + 'static> AllocatorCore for PlannedCore<C> {
         (1.0 - (s.active_bytes + arena_idle) as f64 / s.reserved_bytes as f64).clamp(0.0, 1.0)
     }
 
-    fn set_stitch_enabled(&mut self, enabled: bool) {
-        self.fallback.set_stitch_enabled(enabled);
-    }
-
     fn fault_journal_stats(&self) -> FaultJournalStats {
         self.fallback.fault_journal_stats()
     }
@@ -834,10 +830,6 @@ mod tests {
             13
         }
 
-        fn set_stitch_enabled(&mut self, enabled: bool) {
-            self.note(format!("set_stitch_enabled({enabled})"));
-        }
-
         fn fault_journal_stats(&self) -> FaultJournalStats {
             self.note("fault_journal_stats".into());
             FaultJournalStats {
@@ -867,7 +859,6 @@ mod tests {
         assert_eq!(core.process_events(), 7);
         assert_eq!(core.release_cached(), 11);
         assert_eq!(core.compact(), 13);
-        core.set_stitch_enabled(false);
         assert_eq!(core.fault_journal_stats().failed_ops, 17);
         assert_eq!(core.name(), "planned");
         assert_eq!(
@@ -881,7 +872,6 @@ mod tests {
                 "process_events",
                 "release_cached",
                 "compact",
-                "set_stitch_enabled(false)",
                 "fault_journal_stats",
             ]
         );

@@ -30,8 +30,12 @@
 //!   the serving layer ticks one per step with its tenant-churn count.
 //!   Every pass flushes the front-end's stream caches first, so defrag
 //!   always sees every cached byte.
-//! * The staged OOM rescue on the allocation path (see
-//!   [`PoolHandle::alloc_on_stream`]) is independent of the defrag policy.
+//! * Fault recovery on the allocation path (see
+//!   [`PoolHandle::alloc_on_stream`]) is independent of the defrag policy:
+//!   a rolled-back driver fault is retried at most three times, and an
+//!   out-of-memory error runs a four-stage rescue (flush, retire event
+//!   stamps, compact, an owner-installed [`RescueHook`]). A successful
+//!   allocation pays for neither.
 //!
 //! # One pool, many threads
 //!
@@ -118,7 +122,9 @@
 //!         });
 //!     }
 //! });
-//! assert_eq!(service.aggregate_stats().alloc_count, 4);
+//! for device in service.devices() {
+//!     assert_eq!(service.stats(device)?.alloc_count, 1);
+//! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -135,5 +141,5 @@ mod service;
 pub use defrag::{DefragPolicy, DefragStats, Defragger};
 pub use error::RuntimeError;
 pub use profiler::MemoryProfiler;
-pub use recovery::{FaultPolicy, FaultRecoveryStats, RescueHook};
+pub use recovery::{FaultRecoveryStats, RescueHook};
 pub use service::{DeviceId, PoolHandle, PoolService};

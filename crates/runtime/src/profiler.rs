@@ -151,17 +151,15 @@ impl MemoryProfiler {
             }
             let label = format!("{} ({})", device, handle.name());
             let mut snap = tel.snapshot(&label, stats.reserved_bytes, stats.active_bytes);
-            // Fault-recovery counters live in the service (breaker) and the
-            // allocator core (transaction journal), not in the telemetry
-            // sink — attach them here so chaos and serving artifacts carry
+            // Fault-recovery counters live in the service (retries,
+            // rescues) and the allocator core (transaction journal), not in
+            // the telemetry sink — attach them here so chaos and serving artifacts carry
             // orphan accounting alongside the timeline.
             let recovery = handle.fault_stats();
             let journal = handle.fault_journal_stats();
             snap.fault = Some(FaultSnapshot {
                 faults: recovery.faults,
                 retries: recovery.retries,
-                breaker_trips: recovery.breaker_trips,
-                breaker_open: recovery.breaker_open,
                 rescues: recovery.rescues,
                 journal_failed_ops: journal.failed_ops,
                 orphan_vas: journal.orphan_vas,
@@ -215,7 +213,6 @@ mod tests {
         let fault = snap.pools[0].fault.expect("fault section attached");
         assert_eq!(fault.faults, 1);
         assert_eq!(fault.retries, 1);
-        assert!(!fault.breaker_open);
         assert_eq!(fault.journal_failed_ops, 1, "journal reached the dump");
         assert_eq!(fault.orphan_vas + fault.orphan_chunks, 0, "leak-free");
         // The enriched snapshot still validates and round-trips.

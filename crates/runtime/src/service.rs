@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -17,7 +17,7 @@ use gmlake_telemetry::{EventKind, PoolTelemetry};
 
 use crate::defrag::{DefragPolicy, DefragStats, Defragger};
 use crate::error::RuntimeError;
-use crate::recovery::{BreakerState, FaultPolicy, FaultRecoveryStats, RescueHook};
+use crate::recovery::{FaultRecoveryStats, RescueHook, MAX_FAULT_RETRIES};
 
 /// Identifies one device (one memory pool) within a [`PoolService`].
 ///
@@ -44,18 +44,9 @@ struct PoolEntry {
     /// lives and dies with the registration, so a re-registered device
     /// starts with a clean window and zeroed counters.
     defrag: Option<Defragger>,
-    /// Physical-device key: pools sharing a physical device should be
-    /// registered with the same affinity so an OOM rescue on one can
-    /// release the others' caches. `None` = the pool's device is its own.
-    affinity: Option<u64>,
-    /// Stitch circuit breaker and fault-recovery counters.
-    breaker: Mutex<BreakerState>,
-    /// Whether `breaker` is open or counts a consecutive fault: stored
-    /// (`Release`) under its lock whenever either changes, loaded
-    /// (`Acquire`) before an allocation would take the lock. While it is
-    /// not set, an allocation has no cooldown to tick and no count to
-    /// reset, so it takes no breaker lock.
-    breaker_armed: AtomicBool,
+    /// Fault-recovery counters, locked only on a failure path: a
+    /// successful allocation takes no lock and loads no atomic here.
+    recovery: Mutex<FaultRecoveryStats>,
     /// Owner-supplied tenant-level reclamation stage of the OOM rescue
     /// pipeline (see [`RescueHook`]). `None` until installed.
     rescue_hook: Mutex<Option<Arc<dyn RescueHook>>>,
@@ -65,7 +56,6 @@ struct PoolEntry {
 struct ServiceInner {
     pools: Mutex<BTreeMap<DeviceId, Arc<PoolEntry>>>,
     defrag: Option<DefragPolicy>,
-    policy: FaultPolicy,
 }
 
 /// A thread-safe registry mapping [`DeviceId`]s to memory pools.
@@ -104,27 +94,20 @@ impl Default for PoolService {
 impl PoolService {
     /// Creates an empty service whose pools run no defrag pass.
     pub fn new() -> Self {
-        Self::build(None, FaultPolicy::default())
+        Self::build(None)
     }
 
     /// Creates an empty service whose pools each tick a [`Defragger`] of
     /// `defrag` at their iteration boundaries.
     pub fn with_defrag(defrag: DefragPolicy) -> Self {
-        Self::build(Some(defrag), FaultPolicy::default())
+        Self::build(Some(defrag))
     }
 
-    /// Creates an empty service with a custom [`FaultPolicy`] and no
-    /// defrag policy.
-    pub fn with_fault_policy(policy: FaultPolicy) -> Self {
-        Self::build(None, policy)
-    }
-
-    fn build(defrag: Option<DefragPolicy>, policy: FaultPolicy) -> Self {
+    fn build(defrag: Option<DefragPolicy>) -> Self {
         PoolService {
             inner: Arc::new(ServiceInner {
                 pools: Mutex::new(BTreeMap::new()),
                 defrag,
-                policy,
             }),
         }
     }
@@ -145,7 +128,7 @@ impl PoolService {
         device: DeviceId,
         alloc: Box<dyn AllocatorCore + Send>,
     ) -> Result<PoolHandle, RuntimeError> {
-        self.insert_entry(device, default_front_end(alloc), None)
+        self.insert_entry(device, default_front_end(alloc))
     }
 
     /// Registers an existing [`DeviceAllocator`] (e.g. one with a custom
@@ -160,33 +143,13 @@ impl PoolService {
         device: DeviceId,
         alloc: DeviceAllocator,
     ) -> Result<PoolHandle, RuntimeError> {
-        self.insert_entry(device, alloc, None)
-    }
-
-    /// Like [`PoolService::register`], additionally declaring which
-    /// *physical* device the pool lives on. Pools registered with the same
-    /// `affinity` are treated as cohabitants of one device: an OOM-failing
-    /// allocation on one releases the others' caches (they occupy the
-    /// memory the failing pool needs). Pools registered without an
-    /// affinity are never touched by another pool's rescue.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::DuplicateDevice`] if `device` already has a pool.
-    pub fn register_with_affinity(
-        &self,
-        device: DeviceId,
-        alloc: Box<dyn AllocatorCore + Send>,
-        affinity: u64,
-    ) -> Result<PoolHandle, RuntimeError> {
-        self.insert_entry(device, default_front_end(alloc), Some(affinity))
+        self.insert_entry(device, alloc)
     }
 
     fn insert_entry(
         &self,
         device: DeviceId,
         alloc: DeviceAllocator,
-        affinity: Option<u64>,
     ) -> Result<PoolHandle, RuntimeError> {
         let mut pools = self.inner.pools.lock();
         if pools.contains_key(&device) {
@@ -196,9 +159,7 @@ impl PoolService {
             alloc,
             iterations: AtomicU64::new(0),
             defrag: self.inner.defrag.map(Defragger::new),
-            affinity,
-            breaker: Mutex::new(BreakerState::default()),
-            breaker_armed: AtomicBool::new(false),
+            recovery: Mutex::new(FaultRecoveryStats::default()),
             rescue_hook: Mutex::new(None),
         });
         pools.insert(device, Arc::clone(&entry));
@@ -260,32 +221,8 @@ impl PoolService {
         Ok(self.handle(device)?.stats())
     }
 
-    /// Sums the memory statistics of every pool — the service-wide footprint
-    /// (peaks are summed too, so the aggregate peak is an upper bound: the
-    /// per-pool peaks need not have coincided in time).
-    pub fn aggregate_stats(&self) -> MemStats {
-        let entries: Vec<Arc<PoolEntry>> = self.inner.pools.lock().values().cloned().collect();
-        let mut total = MemStats::default();
-        for entry in entries {
-            let s = entry.alloc.stats();
-            total.active_bytes += s.active_bytes;
-            total.reserved_bytes += s.reserved_bytes;
-            total.peak_active_bytes += s.peak_active_bytes;
-            total.peak_reserved_bytes += s.peak_reserved_bytes;
-            total.alloc_count += s.alloc_count;
-            total.free_count += s.free_count;
-            total.oom_count += s.oom_count;
-            total.requested_bytes_total += s.requested_bytes_total;
-        }
-        total
-    }
-
     fn make_handle(&self, device: DeviceId, entry: Arc<PoolEntry>) -> PoolHandle {
-        PoolHandle {
-            device,
-            entry,
-            service: Arc::clone(&self.inner),
-        }
+        PoolHandle { device, entry }
     }
 }
 
@@ -309,6 +246,46 @@ fn default_front_end(core: Box<dyn AllocatorCore + Send>) -> DeviceAllocator {
         .expect("the default configuration validates")
 }
 
+/// What one OOM rescue stage achieved: the bytes it released, and whether
+/// it changed anything a retry could use.
+struct Reclaimed {
+    bytes: u64,
+    progress: bool,
+}
+
+impl Reclaimed {
+    fn released(bytes: u64) -> Option<Reclaimed> {
+        Some(Reclaimed {
+            bytes,
+            progress: bytes > 0,
+        })
+    }
+}
+
+/// The OOM rescue stages, in order (see [`PoolHandle::alloc_on_stream`]).
+/// A stage returns `None` when it does not apply.
+const RESCUE_STAGES: [fn(&PoolHandle, u64) -> Option<Reclaimed>; 4] = [
+    // 1. Flush every stream's cache into the core and release the core's
+    //    cached structures.
+    |h, _| Reclaimed::released(h.entry.alloc.release_cached()),
+    // 2. Retire the core's completed cross-stream event stamps. That
+    //    frees no memory itself, but a retired stamp makes a cached block
+    //    reusable, so any stamp retired is progress.
+    |h, _| {
+        Some(Reclaimed {
+            bytes: 0,
+            progress: h.entry.alloc.process_events() > 0,
+        })
+    },
+    // 3. Proactive compaction: sPool GC + dead-fragment release.
+    |h, _| Reclaimed::released(h.entry.alloc.compact()),
+    // 4. The owner-installed hook, called without the hook lock held.
+    |h, needed| {
+        let hook = h.entry.rescue_hook.lock().clone()?;
+        Reclaimed::released(hook.rescue(needed))
+    },
+];
+
 /// A cheap, cloneable, thread-safe front end to one registered pool: the
 /// pool's [`DeviceAllocator`] plus the defrag tick and the OOM rescue.
 ///
@@ -325,13 +302,13 @@ fn default_front_end(core: Box<dyn AllocatorCore + Send>) -> DeviceAllocator {
 /// * [`PoolHandle::iteration_boundary`] advances the pool's iteration
 ///   counter and ticks the pool's [`Defragger`], if the service has a
 ///   [`DefragPolicy`];
-/// * [`PoolHandle::allocate`] runs a staged rescue on an out-of-memory
-///   failure (reclaim, retry) before the error reaches the caller.
+/// * [`PoolHandle::allocate`] retries a rolled-back driver fault and runs
+///   a staged rescue on an out-of-memory failure (reclaim, retry) before
+///   the error reaches the caller.
 #[derive(Debug, Clone)]
 pub struct PoolHandle {
     device: DeviceId,
     entry: Arc<PoolEntry>,
-    service: Arc<ServiceInner>,
 }
 
 impl PoolHandle {
@@ -359,26 +336,6 @@ impl PoolHandle {
         self.entry.alloc.with_core(f)
     }
 
-    /// Releases the cache of every *other* pool registered with this
-    /// pool's physical-device affinity (see
-    /// [`PoolService::register_with_affinity`]): when several pools cohabit
-    /// one device, the memory starving this pool may be cached by a sibling
-    /// that the failing allocator's own fallback cannot touch. Pools on
-    /// other (or undeclared) devices are left alone — flushing their warm
-    /// caches could not relieve this device's pressure. Returns the bytes
-    /// reclaimed.
-    fn release_cohabitants(&self) -> u64 {
-        let cohabitants: Vec<Arc<PoolEntry>> = self
-            .service
-            .pools
-            .lock()
-            .values()
-            .filter(|e| !Arc::ptr_eq(e, &self.entry) && e.affinity == self.entry.affinity)
-            .cloned()
-            .collect();
-        cohabitants.iter().map(|e| e.alloc.release_cached()).sum()
-    }
-
     /// Allocates memory for `req` through the pool's [`DeviceAllocator`] on
     /// the default stream (see [`PoolHandle::alloc_on_stream`]).
     ///
@@ -392,23 +349,18 @@ impl PoolHandle {
     /// Allocates memory for `req` on behalf of logical GPU stream `stream`:
     /// small requests ride the stream's own cache in the pool's
     /// [`DeviceAllocator`], so ranks driving different streams never
-    /// serialize on a lock.
+    /// serialize on a lock. A successful allocation takes no lock and
+    /// loads no atomic of the handle's own.
     ///
-    /// Failures are recovered in two ways, both bounded by the service's
-    /// [`FaultPolicy`]:
+    /// Failures are recovered in two ways:
     ///
-    /// * a rolled-back [`AllocError::DriverFault`] is retried with
-    ///   exponential backoff; repeated consecutive faults trip a circuit
-    ///   breaker that disables stitching on the pool for a cooldown and
-    ///   re-probes it afterwards (the pool degrades to split/native
-    ///   allocation meanwhile);
+    /// * a rolled-back [`AllocError::DriverFault`] is retried at once, at
+    ///   most three times, and then surfaces;
     /// * out-of-memory — after the front-end's own flush-and-retry, which
     ///   drains **every** stream's cache — runs the staged rescue
-    ///   pipeline: flush stream caches, retire completed event stamps, compact,
-    ///   the owner-installed tenant [`RescueHook`] (if any), then a cache
-    ///   release on the other pools cohabiting this pool's physical device
-    ///   (if it declared one), retrying after every stage that reclaimed
-    ///   anything.
+    ///   pipeline: flush stream caches, retire completed event stamps,
+    ///   compact, then the owner-installed [`RescueHook`] (if any),
+    ///   retrying after every stage that made progress.
     ///
     /// # Errors
     ///
@@ -418,26 +370,18 @@ impl PoolHandle {
         req: AllocRequest,
         stream: StreamId,
     ) -> Result<Allocation, AllocError> {
-        self.breaker_tick();
-        let policy = self.service.policy;
-        let mut attempt = 0u32;
+        let mut retries = 0;
         loop {
             match self.entry.alloc.alloc_on_stream(req, stream) {
-                Ok(a) => {
-                    self.note_alloc_success();
-                    return Ok(a);
-                }
+                Ok(a) => return Ok(a),
                 Err(e @ AllocError::DriverFault { .. }) => {
-                    self.note_fault();
-                    if attempt >= policy.max_retries {
+                    let mut counts = self.entry.recovery.lock();
+                    counts.faults += 1;
+                    if retries == MAX_FAULT_RETRIES {
                         return Err(e);
                     }
-                    attempt += 1;
-                    self.entry.breaker.lock().retries += 1;
-                    let backoff = policy.backoff_for(attempt);
-                    if backoff > 0 {
-                        std::thread::sleep(std::time::Duration::from_micros(backoff));
-                    }
+                    retries += 1;
+                    counts.retries += 1;
                 }
                 Err(e @ AllocError::OutOfMemory { .. }) => {
                     return self.rescue_oom(req, stream, e);
@@ -449,13 +393,11 @@ impl PoolHandle {
 
     /// The staged OOM rescue pipeline: each stage tries to reclaim memory
     /// with a progressively wider hammer, and the allocation is retried
-    /// after every stage that actually freed something. Stages 1–3 are
-    /// local to this pool; stage 4 is the owner-installed tenant
-    /// [`RescueHook`] (skipped when none is installed); stage 5 releases
-    /// the caches of the other pools cohabiting this pool's physical device
-    /// (skipped when the pool declared no affinity). No pool lock is held
-    /// between stages. Every stage that runs emits an
-    /// [`EventKind::RescueStage`] trace record when telemetry is enabled.
+    /// after every stage that made progress. Stages 1–3 are local to this
+    /// pool; stage 4 is the owner-installed [`RescueHook`] (skipped when
+    /// none is installed). No pool lock is held between stages. Every
+    /// stage that runs emits an [`EventKind::RescueStage`] trace record
+    /// when telemetry is enabled.
     fn rescue_oom(
         &self,
         req: AllocRequest,
@@ -463,44 +405,24 @@ impl PoolHandle {
         original: AllocError,
     ) -> Result<Allocation, AllocError> {
         let mut last = original;
-        for stage in 1u64..=5 {
-            let bytes = match stage {
-                // Flush every stream's cache into the core and
-                // release the core's cached structures.
-                1 => self.entry.alloc.release_cached(),
-                // Retire the core's completed cross-stream event stamps
-                // (returns stamps retired, not bytes — any progress counts).
-                2 => self.entry.alloc.process_events(),
-                // Proactive compaction: sPool GC + dead-fragment release.
-                3 => self.entry.alloc.compact(),
-                // Tenant-level reclamation by the owner-installed hook.
-                4 => {
-                    let hook = self.entry.rescue_hook.lock().clone();
-                    match hook {
-                        Some(hook) => hook.rescue(req.size),
-                        None => continue,
-                    }
-                }
-                // Cache release on the pools sharing this physical device.
-                5 if self.entry.affinity.is_none() => continue,
-                5 => self.release_cohabitants(),
-                _ => unreachable!(),
+        for (stage, reclaim) in (1u64..).zip(RESCUE_STAGES) {
+            let Some(Reclaimed { bytes, progress }) = reclaim(self, req.size) else {
+                continue;
             };
-            if bytes == 0 {
-                self.emit(EventKind::RescueStage, 0, stage, 0);
+            if !progress {
+                self.emit(EventKind::RescueStage, bytes, stage, 0);
                 continue;
             }
             match self.entry.alloc.alloc_on_stream(req, stream) {
                 Ok(a) => {
                     self.emit(EventKind::RescueStage, bytes, stage, 1);
-                    self.note_alloc_success();
-                    self.entry.breaker.lock().rescues += 1;
+                    self.entry.recovery.lock().rescues += 1;
                     return Ok(a);
                 }
                 Err(e) => {
                     self.emit(EventKind::RescueStage, bytes, stage, 0);
                     if matches!(e, AllocError::DriverFault { .. }) {
-                        self.note_fault();
+                        self.entry.recovery.lock().faults += 1;
                     }
                     last = e;
                 }
@@ -518,60 +440,6 @@ impl PoolHandle {
         }
     }
 
-    /// Per-attempt breaker bookkeeping: while open, counts the cooldown
-    /// down and — at zero — re-probes stitching (half-open: the breaker
-    /// closes, but one more fault re-opens it immediately; one success
-    /// closes it fully).
-    fn breaker_tick(&self) {
-        if !self.entry.breaker_armed.load(Ordering::Acquire) {
-            return;
-        }
-        let threshold = self.service.policy.breaker_threshold;
-        let mut b = self.entry.breaker.lock();
-        if !b.open {
-            return;
-        }
-        b.cooldown_left = b.cooldown_left.saturating_sub(1);
-        if b.cooldown_left == 0 {
-            b.open = false;
-            b.consecutive = threshold.saturating_sub(1);
-            self.entry
-                .breaker_armed
-                .store(b.consecutive > 0, Ordering::Release);
-            drop(b);
-            self.entry.alloc.set_stitch_enabled(true);
-            self.emit(EventKind::BreakerTrip, 0, 0, 0);
-        }
-    }
-
-    /// Counts a driver-faulted allocation attempt; trips the breaker open
-    /// (disabling stitching on the pool) after
-    /// [`FaultPolicy::breaker_threshold`] consecutive faults.
-    fn note_fault(&self) {
-        let policy = self.service.policy;
-        let mut b = self.entry.breaker.lock();
-        b.faults += 1;
-        b.consecutive += 1;
-        self.entry.breaker_armed.store(true, Ordering::Release);
-        if !b.open && b.consecutive >= policy.breaker_threshold {
-            b.open = true;
-            b.cooldown_left = policy.breaker_cooldown.max(1);
-            b.trips += 1;
-            let consecutive = b.consecutive;
-            drop(b);
-            self.entry.alloc.set_stitch_enabled(false);
-            self.emit(EventKind::BreakerTrip, 0, 1, consecutive as u64);
-        }
-    }
-
-    fn note_alloc_success(&self) {
-        if self.entry.breaker_armed.load(Ordering::Acquire) {
-            let mut b = self.entry.breaker.lock();
-            b.consecutive = 0;
-            self.entry.breaker_armed.store(b.open, Ordering::Release);
-        }
-    }
-
     /// Installs `hook` as the pool's tenant-level OOM rescue stage
     /// (stage 4 of the pipeline documented on
     /// [`PoolHandle::alloc_on_stream`]), replacing any previous hook.
@@ -586,17 +454,9 @@ impl PoolHandle {
     }
 
     /// Snapshot of this pool's fault-recovery counters: faults survived,
-    /// retries issued, breaker trips and state, allocations saved by the
-    /// staged rescue pipeline.
+    /// retries issued, allocations saved by the staged rescue pipeline.
     pub fn fault_stats(&self) -> FaultRecoveryStats {
-        let b = self.entry.breaker.lock();
-        FaultRecoveryStats {
-            faults: b.faults,
-            retries: b.retries,
-            breaker_trips: b.trips,
-            breaker_open: b.open,
-            rescues: b.rescues,
-        }
+        *self.entry.recovery.lock()
     }
 
     /// Releases the allocation identified by `id` from the default stream.
@@ -686,13 +546,6 @@ impl PoolHandle {
     /// [`DeviceAllocator::fragmentation`]).
     pub fn fragmentation(&self) -> f64 {
         self.entry.alloc.fragmentation()
-    }
-
-    /// Enables or disables the core's stitching (see
-    /// [`DeviceAllocator::set_stitch_enabled`]). The pool's circuit breaker
-    /// flips the same switch on repeated stitch-path faults.
-    pub fn set_stitch_enabled(&self, enabled: bool) {
-        self.entry.alloc.set_stitch_enabled(enabled)
     }
 
     /// The core's fault-journal counters (see
@@ -790,20 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_stats_sum_pools() {
-        let service = PoolService::new();
-        let a = service.register(DeviceId(0), caching_pool()).unwrap();
-        let b = service.register(DeviceId(1), caching_pool()).unwrap();
-        let x = a.allocate(AllocRequest::new(mib(2))).unwrap();
-        let y = b.allocate(AllocRequest::new(mib(6))).unwrap();
-        let total = service.aggregate_stats();
-        assert_eq!(total.active_bytes, x.size + y.size);
-        assert_eq!(total.alloc_count, 2);
-        a.deallocate(x.id).unwrap();
-        b.deallocate(y.id).unwrap();
-    }
-
-    #[test]
     fn iteration_boundary_counts_and_triggers_periodic_defrag() {
         let service = PoolService::with_defrag(DefragPolicy::periodic(2));
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
@@ -874,78 +713,28 @@ mod tests {
     }
 
     #[test]
-    fn oom_rescue_frees_sibling_pool_cache_and_retries() {
-        // Two pools sharing ONE 256 MiB device (as two frameworks sharing a
-        // GPU would). The sibling pool hoards 160 MiB of idle cache; the
-        // failing pool's own internal OOM fallback cannot touch it — only
-        // the service-level rescue can, and it needs no defrag policy: the
-        // shared affinity alone arms stage 5.
-        let service = PoolService::new();
-        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-        let hoarder = service
-            .register_with_affinity(
-                DeviceId(0),
-                Box::new(CachingAllocator::new(driver.clone())),
-                0,
-            )
-            .unwrap();
-        let pool = service
-            .register_with_affinity(
-                DeviceId(1),
-                Box::new(GmLakeAllocator::new(
-                    driver.clone(),
-                    GmLakeConfig::default(),
-                )),
-                0,
-            )
-            .unwrap();
-        let ids: Vec<_> = (0..4)
-            .map(|_| hoarder.allocate(AllocRequest::new(mib(40))).unwrap().id)
-            .collect();
-        for id in ids {
-            hoarder.deallocate(id).unwrap();
-        }
-        assert!(driver.phys_in_use() >= mib(160), "sibling cache retained");
-        // 200 MiB cannot coexist with the sibling's 160 MiB of cache on a
-        // 256 MiB device; the cohabitant release must rescue it.
-        let big = pool.allocate(AllocRequest::new(mib(200))).unwrap();
-        assert_eq!(big.size, mib(200));
-        assert_eq!(pool.fault_stats().rescues, 1);
-        assert_eq!(
-            hoarder.fault_stats().rescues,
-            0,
-            "counted on the failing pool"
-        );
-        assert_eq!(hoarder.stats().reserved_bytes, 0, "sibling cache released");
-        pool.deallocate(big.id).unwrap();
-    }
-
-    #[test]
     fn oom_rescue_cannot_reclaim_idle_pieces_of_a_partly_live_reservation() {
         // GMLake returns physical memory one whole reservation at a time.
         // A sibling GMLake pool holds one 160 MiB reservation split into a
-        // live 40 MiB piece and an idle 120 MiB one: the rescue's cohabitant
-        // release cannot return the idle piece, so a 120 MiB request on the
-        // 96 MiB left of the 256 MiB device fails until the live piece goes.
+        // live 40 MiB piece and an idle 120 MiB one: the rescue hook's
+        // release of the sibling's cache cannot return the idle piece, so a
+        // 120 MiB request on the 96 MiB left of the 256 MiB device fails
+        // until the live piece goes.
         let service = PoolService::new();
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let lake = service
-            .register_with_affinity(
+            .register(
                 DeviceId(0),
                 Box::new(GmLakeAllocator::new(
                     driver.clone(),
                     GmLakeConfig::default(),
                 )),
-                0,
             )
             .unwrap();
         let pool = service
-            .register_with_affinity(
-                DeviceId(1),
-                Box::new(CachingAllocator::new(driver.clone())),
-                0,
-            )
+            .register(DeviceId(1), Box::new(CachingAllocator::new(driver.clone())))
             .unwrap();
+        pool.set_rescue_hook(Arc::new(FlushSibling(lake.clone())));
         let whole = lake.allocate(AllocRequest::new(mib(160))).unwrap();
         lake.deallocate(whole.id).unwrap();
         let live = lake.allocate(AllocRequest::new(mib(40))).unwrap();
@@ -972,9 +761,10 @@ mod tests {
 
     #[test]
     fn oom_rescue_leaves_other_devices_caches_alone() {
-        // The hoarder sits on a DIFFERENT physical device (its own driver,
-        // no shared affinity): flushing its warm cache could not relieve
-        // the failing pool's pressure, so the rescue must not touch it.
+        // The hoarder sits on a DIFFERENT physical device (its own
+        // driver): flushing its warm cache could not relieve the failing
+        // pool's pressure, so the rescue, with no hook installed, must not
+        // touch it.
         let service = PoolService::new();
         let other_driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let hoarder = service
@@ -1170,26 +960,19 @@ mod tests {
 
     #[test]
     fn oom_rescue_covers_the_stream_alloc_path() {
-        // Same sibling-hoarder setup as the default-stream rescue test, but
-        // the failing allocation arrives via alloc_on_stream: the
-        // cohabitant release must kick in on that path too.
+        // The sibling-hoarder setup of the stage-four hook test, but the
+        // failing allocation arrives via alloc_on_stream: the hook's
+        // release of the sibling's cache must kick in on that path too.
         use gmlake_alloc_api::StreamId;
         let service = PoolService::new();
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let hoarder = service
-            .register_with_affinity(
-                DeviceId(0),
-                Box::new(CachingAllocator::new(driver.clone())),
-                0,
-            )
+            .register(DeviceId(0), Box::new(CachingAllocator::new(driver.clone())))
             .unwrap();
         let pool = service
-            .register_with_affinity(
-                DeviceId(1),
-                Box::new(CachingAllocator::new(driver.clone())),
-                0,
-            )
+            .register(DeviceId(1), Box::new(CachingAllocator::new(driver.clone())))
             .unwrap();
+        pool.set_rescue_hook(Arc::new(FlushSibling(hoarder.clone())));
         let ids: Vec<_> = (0..4)
             .map(|_| hoarder.allocate(AllocRequest::new(mib(40))).unwrap().id)
             .collect();
@@ -1218,9 +1001,8 @@ mod tests {
 
     #[test]
     fn rescue_hook_runs_as_stage_four_and_saves_the_allocation() {
-        // No affinity: stages 1–3 find nothing (the failing pool is
-        // empty) and stage 5 is skipped, so only the
-        // installed hook can save the 200 MiB request from the hoarder's
+        // Stages 1–3 find nothing (the failing pool is empty), so only
+        // the installed hook can save the 200 MiB request from the hoarder's
         // 160 MiB of idle cache on the shared 256 MiB device.
         let service = PoolService::new();
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
@@ -1267,10 +1049,7 @@ mod tests {
     #[test]
     fn transient_driver_fault_is_retried_and_absorbed() {
         use gmlake_gpu_sim::{FaultOp, FaultPlan};
-        let service = PoolService::with_fault_policy(FaultPolicy {
-            backoff_us: 0,
-            ..FaultPolicy::default()
-        });
+        let service = PoolService::new();
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let pool = service
             .register(
@@ -1289,8 +1068,6 @@ mod tests {
         let fs = pool.fault_stats();
         assert_eq!(fs.faults, 1);
         assert_eq!(fs.retries, 1);
-        assert_eq!(fs.breaker_trips, 0);
-        assert!(!fs.breaker_open);
         assert_eq!(driver.stats().injected_faults, 1);
         pool.deallocate(a.id).unwrap();
         pool.with_allocator(|core| {
@@ -1306,10 +1083,7 @@ mod tests {
     #[test]
     fn handle_as_dyn_core_forwards_fault_journal_and_stitch_switch() {
         use gmlake_gpu_sim::{FaultOp, FaultPlan};
-        let service = PoolService::with_fault_policy(FaultPolicy {
-            backoff_us: 0,
-            ..FaultPolicy::default()
-        });
+        let service = PoolService::new();
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let lake = GmLakeAllocator::new(
             driver.clone(),
@@ -1320,170 +1094,155 @@ mod tests {
         // One faulted-and-retried allocation leaves one journalled op.
         driver.set_fault_plan(FaultPlan::new().fail_nth(FaultOp::Map, 1));
         let a = core.allocate(AllocRequest::new(mib(4))).unwrap();
-        let b = core.allocate(AllocRequest::new(mib(6))).unwrap();
-        assert_eq!(core.fault_journal_stats().failed_ops, 1);
-        // With stitching switched off through the trait, the S3-shaped
-        // request below is served without a stitch.
-        core.set_stitch_enabled(false);
         core.deallocate(a.id).unwrap();
-        core.deallocate(b.id).unwrap();
+        assert_eq!(core.fault_journal_stats().failed_ops, 1);
         assert_eq!(
             pool.fault_journal_stats(),
             pool.allocator().fault_journal_stats()
         );
-        pool.allocator().flush();
-        pool.allocate(AllocRequest::new(mib(10))).unwrap();
-        let stitches = pool
-            .allocator()
-            .with_core_as(|lake: &mut GmLakeAllocator| lake.state_counters().stitches);
-        assert_eq!(stitches, Some(0));
     }
 
-    #[test]
-    fn breaker_degrades_to_unstitched_and_recovers_after_cooldown() {
-        use gmlake_gpu_sim::{FaultOp, FaultPlan};
-        let service = PoolService::with_fault_policy(FaultPolicy {
-            max_retries: 0, // surface each fault so the breaker sees them
-            backoff_us: 0,
-            breaker_threshold: 2,
-            breaker_cooldown: 2,
-        });
-        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-        let pool = service
-            .register(
-                DeviceId(0),
-                Box::new(GmLakeAllocator::new(
-                    driver.clone(),
-                    GmLakeConfig::default().with_frag_limit(mib(2)),
-                )),
-            )
-            .unwrap();
-        // Build a stitchable pool state: two freed blocks of 4 and 6 MiB,
-        // which large frees hand straight to the core's stitcher.
-        let a = pool.allocate(AllocRequest::new(mib(4))).unwrap();
-        let b = pool.allocate(AllocRequest::new(mib(6))).unwrap();
-        pool.deallocate(a.id).unwrap();
-        pool.deallocate(b.id).unwrap();
-        // The next two map-family calls fault: two consecutive stitch
-        // attempts fail and trip the breaker.
-        driver.set_fault_plan(
-            FaultPlan::new()
-                .fail_nth(FaultOp::Map, 1)
-                .fail_nth(FaultOp::Map, 2),
-        );
-        for _ in 0..2 {
-            let err = pool.allocate(AllocRequest::new(mib(10))).unwrap_err();
-            assert!(matches!(err, AllocError::DriverFault { .. }), "{err}");
-        }
-        assert!(pool.fault_stats().breaker_open, "breaker tripped");
-        assert_eq!(pool.fault_stats().breaker_trips, 1);
-        // Degraded mode: the same S3-shaped request is served by a whole
-        // fresh pBlock — no stitching, new physical memory.
-        let phys_before = driver.phys_in_use();
-        let c = pool.allocate(AllocRequest::new(mib(10))).unwrap();
-        assert!(
-            driver.phys_in_use() > phys_before,
-            "degraded path allocated fresh physical memory instead of stitching"
-        );
-        pool.deallocate(c.id).unwrap();
-        // The cooldown (2 attempts) has elapsed after one more allocation:
-        // the breaker re-probes and stitching comes back.
-        let d = pool.allocate(AllocRequest::new(mib(4))).unwrap();
-        pool.deallocate(d.id).unwrap();
-        assert!(!pool.fault_stats().breaker_open, "breaker closed again");
-        pool.with_allocator(|core| {
-            let lake = core
-                .as_any_mut()
-                .and_then(|a| a.downcast_mut::<GmLakeAllocator>())
-                .expect("gmlake core");
-            assert!(lake.stitch_is_enabled(), "stitching re-enabled");
-            assert_eq!(lake.validate(), Ok(()));
-            assert!(lake.fault_journal().is_leak_free());
-        });
-        // And it is actually used again: a 14 MiB request stitches the 10
-        // and 4 MiB blocks freed above without growing physical memory.
-        let phys = driver.phys_in_use();
-        let e = pool.allocate(AllocRequest::new(mib(14))).unwrap();
-        assert_eq!(driver.phys_in_use(), phys, "stitched from cache");
-        pool.deallocate(e.id).unwrap();
-    }
-
-    /// A pool over a fresh GMLake core whose breaker trips at 2
-    /// consecutive faults and stays open for 2 attempts, with every fault
-    /// surfaced (no retries).
-    fn breaker_pool() -> (PoolHandle, CudaDriver) {
-        let service = PoolService::with_fault_policy(FaultPolicy {
-            max_retries: 0,
-            backoff_us: 0,
-            breaker_threshold: 2,
-            breaker_cooldown: 2,
-        });
+    /// A pool over a fresh GMLake core that holds idle 4 and 6 MiB
+    /// blocks in the core, where a 10 MiB request stitches them.
+    fn stitchable_pool() -> (PoolHandle, CudaDriver) {
+        let service = PoolService::new();
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let lake = GmLakeAllocator::new(
             driver.clone(),
             GmLakeConfig::default().with_frag_limit(mib(2)),
         );
-        (
-            service.register(DeviceId(0), Box::new(lake)).unwrap(),
-            driver,
-        )
+        let pool = service.register(DeviceId(0), Box::new(lake)).unwrap();
+        let a = pool.allocate(AllocRequest::new(mib(4))).unwrap();
+        let b = pool.allocate(AllocRequest::new(mib(6))).unwrap();
+        pool.deallocate(a.id).unwrap();
+        pool.deallocate(b.id).unwrap();
+        // Freed large blocks park in the front-end's banks; the flush
+        // hands them to the core's stitcher.
+        pool.allocator().flush();
+        (pool, driver)
     }
 
-    /// One 4 MiB allocation attempt, kept live so every attempt needs a
-    /// fresh physical handle; `fault` fails that handle's create.
-    fn attempt(pool: &PoolHandle, driver: &CudaDriver, fault: bool) {
+    fn stitches(pool: &PoolHandle) -> u64 {
+        pool.allocator()
+            .with_core_as(|lake: &mut GmLakeAllocator| lake.state_counters().stitches)
+            .expect("gmlake core")
+    }
+
+    fn assert_valid(pool: &PoolHandle) {
+        pool.allocator()
+            .with_core_as(|lake: &mut GmLakeAllocator| {
+                assert_eq!(lake.validate(), Ok(()));
+                assert!(lake.fault_journal().is_leak_free());
+            })
+            .expect("gmlake core");
+    }
+
+    /// A stitch needs no `mem_create`, so a create outage that faults
+    /// every fresh block leaves stitching able to serve from the cache —
+    /// however many faults came before.
+    #[test]
+    fn a_stitchable_request_survives_a_persistent_create_outage() {
         use gmlake_gpu_sim::{FaultOp, FaultPlan};
-        let plan = FaultPlan::new();
-        driver.set_fault_plan(if fault {
-            plan.fail_nth(FaultOp::Create, 1)
-        } else {
-            plan
-        });
-        let result = pool.allocate(AllocRequest::new(mib(4)));
-        assert_eq!(result.is_err(), fault, "{result:?}");
-    }
-
-    #[test]
-    fn breaker_counts_only_consecutive_faults() {
-        let (pool, driver) = breaker_pool();
-        for fault in [true, false, true] {
-            attempt(&pool, &driver, fault);
+        let (pool, driver) = stitchable_pool();
+        driver.set_fault_plan(FaultPlan::new().fail_from(FaultOp::Create, 1));
+        for _ in 0..3 {
+            let err = pool.allocate(AllocRequest::new(mib(40))).unwrap_err();
+            assert!(matches!(err, AllocError::DriverFault { .. }), "{err}");
         }
+        let phys = driver.phys_in_use();
+        let c = pool.allocate(AllocRequest::new(mib(10))).unwrap();
+        assert_eq!(driver.phys_in_use(), phys, "served from cached blocks");
+        assert_eq!(stitches(&pool), 1);
         let fs = pool.fault_stats();
-        assert_eq!((fs.faults, fs.breaker_trips), (2, 0));
-        assert!(
-            !fs.breaker_open,
-            "a success between faults resets the count"
-        );
+        assert_eq!((fs.faults, fs.retries), (12, 9));
+        pool.deallocate(c.id).unwrap();
+        driver.clear_fault_plan();
+        assert_valid(&pool);
     }
 
     #[test]
-    fn fault_on_the_re_probe_re_opens_the_breaker() {
-        let (pool, driver) = breaker_pool();
-        attempt(&pool, &driver, true);
-        attempt(&pool, &driver, true);
-        assert!(pool.fault_stats().breaker_open);
-        // One attempt inside the cooldown, then the re-probe faults.
-        attempt(&pool, &driver, false);
-        assert!(pool.fault_stats().breaker_open, "still cooling down");
-        attempt(&pool, &driver, true);
+    fn a_persistent_fault_surfaces_after_the_retry_bound() {
+        use gmlake_gpu_sim::{FaultOp, FaultPlan};
+        let (pool, driver) = stitchable_pool();
+        driver.set_fault_plan(FaultPlan::new().fail_from(FaultOp::Map, 1));
+        let err = pool.allocate(AllocRequest::new(mib(10))).unwrap_err();
+        assert!(matches!(err, AllocError::DriverFault { .. }), "{err}");
         let fs = pool.fault_stats();
-        assert!(fs.breaker_open, "the half-open probe's one fault re-opens");
-        assert_eq!(fs.breaker_trips, 2);
+        assert_eq!((fs.faults, fs.retries), (4, 3));
+        assert_eq!(stitches(&pool), 0, "every stitch rolled back");
+        driver.clear_fault_plan();
+        assert_valid(&pool);
+        // The outage over, the same request stitches at once.
+        let c = pool.allocate(AllocRequest::new(mib(10))).unwrap();
+        assert_eq!(stitches(&pool), 1);
+        pool.deallocate(c.id).unwrap();
     }
 
+    /// A core that is out of memory until its completed event stamps are
+    /// retired, with no cache to release: the shape stage 2 rescues.
+    #[derive(Debug, Default)]
+    struct StampsOnly {
+        retired: bool,
+    }
+
+    impl AllocatorCore for StampsOnly {
+        fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
+            if !self.retired {
+                return Err(AllocError::OutOfMemory {
+                    requested: req.size,
+                    reserved: 0,
+                    capacity: 0,
+                });
+            }
+            Ok(Allocation {
+                id: AllocationId::new(1),
+                va: gmlake_alloc_api::VirtAddr::new(mib(2)),
+                size: req.size,
+                requested: req.size,
+            })
+        }
+
+        fn deallocate(&mut self, id: AllocationId) -> Result<(), AllocError> {
+            Err(AllocError::UnknownAllocation(id))
+        }
+
+        fn stats(&self) -> MemStats {
+            MemStats::default()
+        }
+
+        fn name(&self) -> &'static str {
+            "stamps-only"
+        }
+
+        fn process_events(&mut self) -> u64 {
+            self.retired = true;
+            5
+        }
+
+        fn release_cached(&mut self) -> u64 {
+            0
+        }
+    }
+
+    /// Stage 2 retires stamps, not bytes: its record carries 0 bytes,
+    /// and the stamps it retired still buy the retry that succeeds.
     #[test]
-    fn success_after_the_re_probe_closes_the_breaker_fully() {
-        let (pool, driver) = breaker_pool();
-        attempt(&pool, &driver, true);
-        attempt(&pool, &driver, true);
-        attempt(&pool, &driver, false);
-        // The re-probe succeeds, so one later fault does not re-open.
-        attempt(&pool, &driver, false);
-        assert!(!pool.fault_stats().breaker_open);
-        attempt(&pool, &driver, true);
-        let fs = pool.fault_stats();
-        assert!(!fs.breaker_open, "one fault after a full close");
-        assert_eq!((fs.faults, fs.breaker_trips), (3, 1));
+    fn stage_two_records_no_bytes_for_retired_stamps() {
+        let service = PoolService::new();
+        let pool = service
+            .register(DeviceId(0), Box::new(StampsOnly::default()))
+            .unwrap();
+        let tel = pool.allocator().telemetry().expect("default front-end");
+        tel.enable();
+        pool.allocate(AllocRequest::new(mib(4))).unwrap();
+        let stages: Vec<_> = tel
+            .snapshot("gpu0", 0, 0)
+            .events
+            .into_iter()
+            .filter(|e| e.kind == EventKind::RescueStage)
+            .map(|e| (e.a, e.bytes, e.b))
+            .collect();
+        assert_eq!(stages, [(1, 0, 0), (2, 0, 1)], "(stage, bytes, saved)");
+        assert_eq!(pool.fault_stats().rescues, 1);
     }
 }

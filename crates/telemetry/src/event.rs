@@ -38,13 +38,11 @@ pub enum EventKind {
     /// (`FaultOp::index`), `b` = cumulative injected-fault count.
     FaultInjected,
     /// One stage of the runtime's staged OOM-rescue pipeline ran.
-    /// `bytes` = bytes released by the stage, `a` = stage index
-    /// (1 flush, 2 drain, 3 compact, 4 tenant rescue hook, 5 cross-pool),
-    /// `b` = 1 when the subsequent retry succeeded.
+    /// `bytes` = bytes released by the stage (always 0 for stage 2, which
+    /// retires event stamps and releases no memory itself), `a` = stage
+    /// index (1 flush, 2 drain, 3 compact, 4 rescue hook), `b` = 1 when
+    /// the subsequent retry succeeded.
     RescueStage,
-    /// The stitch circuit breaker changed state. `a` = 1 opened (stitching
-    /// disabled), 0 closed (re-enabled); `b` = consecutive faults observed.
-    BreakerTrip,
     /// The serving admission controller ruled on a tenant. `bytes` =
     /// requested quota, `a` = tenant id, `b` = verdict (0 admitted,
     /// 1 rejected, 2 queued, 3 shed-then-admitted, 4 queue timeout).
@@ -71,7 +69,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in declaration order (schema validation walks this).
-    pub const ALL: [EventKind; 18] = [
+    pub const ALL: [EventKind; 17] = [
         EventKind::Alloc,
         EventKind::Free,
         EventKind::ShardHit,
@@ -83,7 +81,6 @@ impl EventKind {
         EventKind::Defrag,
         EventKind::FaultInjected,
         EventKind::RescueStage,
-        EventKind::BreakerTrip,
         EventKind::TenantAdmission,
         EventKind::TenantChurn,
         EventKind::TenantEvict,
@@ -106,7 +103,6 @@ impl EventKind {
             EventKind::Defrag => "defrag",
             EventKind::FaultInjected => "fault_injected",
             EventKind::RescueStage => "rescue_stage",
-            EventKind::BreakerTrip => "breaker_trip",
             EventKind::TenantAdmission => "tenant_admission",
             EventKind::TenantChurn => "tenant_churn",
             EventKind::TenantEvict => "tenant_evict",

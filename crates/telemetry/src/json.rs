@@ -53,14 +53,6 @@ impl Value {
         }
     }
 
-    /// The boolean, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The string, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

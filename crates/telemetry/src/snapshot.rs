@@ -4,7 +4,7 @@
 //! reserved/active/fragmentation series, the drained event trace,
 //! and latency-histogram summaries. Two export formats:
 //!
-//! * [`MemorySnapshot::to_json`] — the canonical `gmlake-snapshot/v1`
+//! * [`MemorySnapshot::to_json`] — the canonical `gmlake-snapshot/v2`
 //!   document, parsed back by [`MemorySnapshot::from_json`] and checked
 //!   by [`MemorySnapshot::validate_json`] (the schema test CI runs
 //!   against `--profile` output);
@@ -19,7 +19,7 @@ use crate::histogram::HistogramSummary;
 use crate::json::{self, Value};
 
 /// Schema identifier written into and required of every snapshot.
-pub const SCHEMA: &str = "gmlake-snapshot/v1";
+pub const SCHEMA: &str = "gmlake-snapshot/v2";
 
 /// One point on a pool's memory timeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -35,22 +35,18 @@ pub struct MemorySample {
 }
 
 /// Fault-recovery and orphan accounting for one pool: the runtime's
-/// retry/breaker counters merged with the allocator's fault-journal
+/// retry/rescue counters merged with the allocator's fault-journal
 /// residue, so chaos and serving runs surface both in one artifact.
 ///
-/// Optional in the `gmlake-snapshot/v1` document (`"fault"`): absent for
+/// Optional in the `gmlake-snapshot/v2` document (`"fault"`): absent for
 /// pools profiled outside a fault-aware runtime, and older snapshots
 /// without the section still parse.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultSnapshot {
     /// Driver faults observed by the runtime handle.
     pub faults: u64,
-    /// Retries the fault policy issued.
+    /// Retries the runtime's bounded retry issued.
     pub retries: u64,
-    /// Times the stitch circuit breaker opened.
-    pub breaker_trips: u64,
-    /// Whether the breaker was open (stitching disabled) at dump time.
-    pub breaker_open: bool,
     /// Staged OOM-rescue invocations.
     pub rescues: u64,
     /// Driver sequences that failed mid-way and were unwound.
@@ -93,7 +89,7 @@ pub struct MemorySnapshot {
 }
 
 impl MemorySnapshot {
-    /// Serialize to the canonical `gmlake-snapshot/v1` JSON document.
+    /// Serialize to the canonical `gmlake-snapshot/v2` JSON document.
     ///
     /// Numbers use Rust's shortest-round-trip float formatting, so
     /// [`from_json`](MemorySnapshot::from_json) reproduces this value
@@ -125,11 +121,9 @@ impl MemorySnapshot {
             ));
             if let Some(fault) = &pool.fault {
                 out.push_str(&format!(
-                    "      \"fault\": {{\"faults\": {}, \"retries\": {}, \"breaker_trips\": {}, \"breaker_open\": {}, \"rescues\": {}, \"journal_failed_ops\": {}, \"orphan_vas\": {}, \"orphan_va_bytes\": {}, \"orphan_chunks\": {}}},\n",
+                    "      \"fault\": {{\"faults\": {}, \"retries\": {}, \"rescues\": {}, \"journal_failed_ops\": {}, \"orphan_vas\": {}, \"orphan_va_bytes\": {}, \"orphan_chunks\": {}}},\n",
                     fault.faults,
                     fault.retries,
-                    fault.breaker_trips,
-                    fault.breaker_open,
                     fault.rescues,
                     fault.journal_failed_ops,
                     fault.orphan_vas,
@@ -205,7 +199,7 @@ impl MemorySnapshot {
         out
     }
 
-    /// Parse a `gmlake-snapshot/v1` document. Strict: unknown event
+    /// Parse a `gmlake-snapshot/v2` document. Strict: unknown event
     /// kinds, missing fields, or a wrong `schema` are errors.
     pub fn from_json(text: &str) -> Result<MemorySnapshot, String> {
         let doc = json::parse(text)?;
@@ -405,11 +399,6 @@ fn parse_pool(p: &Value) -> Result<PoolSnapshot, String> {
         Some(f) => Some(FaultSnapshot {
             faults: field_u64(f, "faults")?,
             retries: field_u64(f, "retries")?,
-            breaker_trips: field_u64(f, "breaker_trips")?,
-            breaker_open: f
-                .get("breaker_open")
-                .and_then(Value::as_bool)
-                .ok_or("missing or non-boolean \"breaker_open\"")?,
             rescues: field_u64(f, "rescues")?,
             journal_failed_ops: field_u64(f, "journal_failed_ops")?,
             orphan_vas: field_u64(f, "orphan_vas")?,
@@ -443,8 +432,6 @@ mod tests {
                 fault: Some(FaultSnapshot {
                     faults: 3,
                     retries: 5,
-                    breaker_trips: 1,
-                    breaker_open: true,
                     rescues: 2,
                     journal_failed_ops: 3,
                     orphan_vas: 0,
@@ -530,10 +517,10 @@ mod tests {
         // A present but malformed section is a strict-parse error.
         let broken = with
             .to_json()
-            .replace("\"breaker_open\": true", "\"breaker_open\": 7");
+            .replace("\"rescues\": 2", "\"rescues\": true");
         assert!(MemorySnapshot::from_json(&broken)
             .unwrap_err()
-            .contains("breaker_open"));
+            .contains("rescues"));
     }
 
     #[test]

@@ -104,8 +104,6 @@ proptest! {
                 fault: (kind_seed % 2 == 0).then(|| gmlake_telemetry::FaultSnapshot {
                     faults: kind_seed % 1_000_003,
                     retries: (kind_seed % 1_000_003) * 2,
-                    breaker_trips: kind_seed % 3,
-                    breaker_open: kind_seed % 4 == 0,
                     rescues: kind_seed % 5,
                     journal_failed_ops: kind_seed % 1_000_003,
                     orphan_vas: kind_seed % 7,

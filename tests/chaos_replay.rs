@@ -103,10 +103,6 @@ impl AllocatorCore for ValidatedLake {
         self.checked(|lake| lake.compact())
     }
 
-    fn set_stitch_enabled(&mut self, enabled: bool) {
-        self.lake.set_stitch_enabled(enabled)
-    }
-
     fn fault_journal_stats(&self) -> gmlake_alloc_api::FaultJournalStats {
         self.lake.fault_journal_stats()
     }
@@ -306,7 +302,7 @@ fn probabilistic_soak_is_stable() {
     lake.validate().unwrap();
 }
 
-/// The full stack under soak: a `PoolService` pool (retry + breaker +
+/// The full stack under soak: a `PoolService` pool (bounded retry +
 /// staged rescue) rides out a transient fault rate the raw core would
 /// surface, with telemetry counting what the service absorbed.
 #[test]

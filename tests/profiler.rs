@@ -95,7 +95,7 @@ fn profiled_replay_snapshot_exports_validate() {
     // JSON export: schema-validates (including the timeline/final-gauge
     // reconciliation check) and round-trips exactly.
     let text = snapshot.to_json();
-    MemorySnapshot::validate_json(&text).expect("snapshot passes gmlake-snapshot/v1 validation");
+    MemorySnapshot::validate_json(&text).expect("snapshot passes gmlake-snapshot/v2 validation");
     let back = MemorySnapshot::from_json(&text).expect("snapshot JSON parses back");
     assert_eq!(back, snapshot, "JSON round-trip is lossless");
 
