@@ -8,13 +8,12 @@
 //! path — but a shared pool whose every operation funnels through one mutex
 //! re-serializes the ranks at the allocator instead. The front-end keeps
 //! warm traffic away from that mutex the way PyTorch's stream-aware caching
-//! allocator does. Small requests — below
-//! [`DeviceAllocatorConfig::small_threshold`] — are cached per stream, in
-//! power-of-two size classes, by caches that each hold everything one warm
-//! allocate or free touches behind one lock: free lists keyed by class, the
-//! live table of the ids the cache minted, and its statistics. A hit or a
-//! same-stream park costs exactly one short cache-lock acquisition and no
-//! core traffic. Large requests go straight
+//! allocator does. Small requests — below [`SMALL_THRESHOLD`] — are cached
+//! per stream, in power-of-two size classes, by caches that each hold
+//! everything one warm allocate or free touches behind one lock: free
+//! lists keyed by class, the live table of the ids the cache minted, and
+//! its statistics. A hit or a same-stream park costs exactly one short
+//! cache-lock acquisition and no core traffic. Large requests go straight
 //! to the core — a stream-affine `alloc_on_stream` under its mutex, with a
 //! core-minted id — because the stitcher must see every inactive block: a
 //! block parked above the core is one it can neither split nor stitch.
@@ -37,10 +36,10 @@
 //! already guarantees the previous user finished); a **cross-stream** free
 //! returns the block to the core's `free_on_stream`, told the freeing
 //! stream, which orders the block's reuse (the refill told it the owner).
-//! Given an [`EventSource`] (see
-//! [`DeviceAllocator::with_config_and_events`]), the front-end first
-//! records an event on the freeing stream and synchronizes it, so even a
-//! stream-oblivious core re-serves the block only after that stream's work.
+//! Given an [`EventSource`] (see [`DeviceAllocator::try_build`]), the
+//! front-end first records an event on the freeing stream and synchronizes
+//! it, so even a stream-oblivious core re-serves the block only after that
+//! stream's work.
 //! A large block's free goes straight to the core with its stream: the core
 //! owns the cross-stream rule for its own blocks (`GmLakeAllocator` stamps
 //! the freeing stream's event on them, and the next other stream to get one
@@ -118,6 +117,13 @@ use crate::stats::MemStats;
 use crate::traits::AllocatorCore;
 use crate::types::{mib, AllocationId, IdMap, StreamId, VirtAddr};
 
+/// The small/large split (2 MiB, the VMM chunk size): requests strictly
+/// below it are cached per stream by [`DeviceAllocator`] and served by
+/// GMLake's embedded splitting allocator (§3.1: "allocation < 2 MB is rare
+/// in LLM training"); requests at or above it go to the stitching
+/// machinery, which must see every inactive block.
+pub const SMALL_THRESHOLD: u64 = mib(2);
+
 /// Front-end allocation ids live in the top half of the id space so they can
 /// never collide with a core's sequential ids.
 const FRONT_ID_BASE: u64 = 1 << 63;
@@ -125,23 +131,18 @@ const FRONT_ID_BASE: u64 = 1 << 63;
 /// Smallest size class (bytes): requests below this round up to it.
 const MIN_CLASS: u64 = 512;
 
+/// Maximum parked blocks per size class and cache; a free past it goes
+/// straight back to the core.
+const MAX_CACHED_PER_CLASS: usize = 64;
+
 /// Upper bound on [`DeviceAllocatorConfig::streams`] (1024). A power of two,
 /// so any accepted value rounds up to at most the bound itself — the
 /// power-of-two round-up at construction can never overflow.
 pub const MAX_STREAMS: usize = 1 << 10;
 
-/// Tuning knobs of the [`DeviceAllocator`] front-end.
+/// Configuration of the [`DeviceAllocator`] front-end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceAllocatorConfig {
-    /// Requests strictly below this size are cached per stream (default:
-    /// 2 MiB, GMLake's stitch threshold — everything the stitching
-    /// machinery would not touch anyway); requests at or above it go
-    /// straight to the core. `0` turns the front-end caches off,
-    /// degenerating to one mutex around the core.
-    pub small_threshold: u64,
-    /// Maximum cached blocks per size class; overflowing frees go straight
-    /// back to the core (default 64).
-    pub max_cached_per_class: usize,
     /// Number of logical GPU streams to partition the caches for (rounded
     /// up to a power of two, default 1). Each stream gets its own cache, so
     /// warm allocations on different streams never share a lock. Stream
@@ -153,36 +154,17 @@ pub struct DeviceAllocatorConfig {
     /// Must be in `1..=MAX_STREAMS` (stream 0 is the default stream):
     /// [`DeviceAllocatorConfig::validate`] rejects values outside the range
     /// (surfaced by [`DeviceAllocator::try_build`] as
-    /// [`AllocError::InvalidConfig`]); the infallible constructors clamp
-    /// into it.
+    /// [`AllocError::InvalidConfig`]).
     pub streams: usize,
 }
 
 impl Default for DeviceAllocatorConfig {
     fn default() -> Self {
-        DeviceAllocatorConfig {
-            small_threshold: mib(2),
-            max_cached_per_class: 64,
-            streams: 1,
-        }
+        DeviceAllocatorConfig { streams: 1 }
     }
 }
 
 impl DeviceAllocatorConfig {
-    /// Sets the caching threshold (`0` turns the front-end caches off).
-    #[must_use]
-    pub fn with_small_threshold(mut self, small_threshold: u64) -> Self {
-        self.small_threshold = small_threshold;
-        self
-    }
-
-    /// Sets the per-size-class cache capacity.
-    #[must_use]
-    pub fn with_max_cached_per_class(mut self, max: usize) -> Self {
-        self.max_cached_per_class = max;
-        self
-    }
-
     /// Sets the stream count (see [`DeviceAllocatorConfig::streams`] for
     /// the valid range).
     #[must_use]
@@ -207,15 +189,6 @@ impl DeviceAllocatorConfig {
             )));
         }
         Ok(())
-    }
-
-    /// Repairs every value [`DeviceAllocatorConfig::validate`] would
-    /// reject, so the result always validates — what the infallible
-    /// constructors apply instead of erroring. Every check there must have
-    /// a repair here.
-    fn normalized(mut self) -> Self {
-        self.streams = self.streams.clamp(1, MAX_STREAMS);
-        self
     }
 }
 
@@ -348,15 +321,15 @@ impl StreamCache {
     }
 
     /// Parks `block`, freed by its own stream, under `key`, with one lookup
-    /// of the class's free list. At the per-class `cap`, a block parked by
-    /// a stream folded onto this cache (a slot `block`'s stream can never
-    /// reuse) is evicted to make room, so an idle foreign stream cannot
-    /// wedge the warm path of every stream sharing the cache. Returns what
-    /// goes to the core: the evicted block, or `block` itself when every
-    /// slot is its own stream's.
-    fn park(&mut self, block: CachedBlock, key: u64, cap: usize) -> Option<CachedBlock> {
+    /// of the class's free list. At [`MAX_CACHED_PER_CLASS`], a block
+    /// parked by a stream folded onto this cache (a slot `block`'s stream
+    /// can never reuse) is evicted to make room, so an idle foreign stream
+    /// cannot wedge the warm path of every stream sharing the cache.
+    /// Returns what goes to the core: the evicted block, or `block` itself
+    /// when every slot is its own stream's.
+    fn park(&mut self, block: CachedBlock, key: u64) -> Option<CachedBlock> {
         let stack = self.free.entry(key).or_default();
-        let evicted = if stack.len() < cap {
+        let evicted = if stack.len() < MAX_CACHED_PER_CLASS {
             None
         } else {
             match stack.iter().position(|b| b.stream != block.stream) {
@@ -406,14 +379,11 @@ struct Inner {
     core: Mutex<Box<dyn AllocatorCore + Send>>,
     /// Backend name, captured at construction so `name()` never locks.
     name: &'static str,
-    small_threshold: u64,
     /// One cache per stream (a power of two of them); a stream id folds
     /// onto `stream & (len - 1)`.
     caches: Box<[Mutex<StreamCache>]>,
     /// `log2(caches.len())`: the id bits that carry the cache index.
     index_bits: u32,
-    /// Cap on each size class's free list.
-    max_cached_per_class: usize,
     /// Stream-completion event source a cross-stream small free waits out
     /// before the core sees the block; `None` leaves the ordering to the
     /// core alone.
@@ -442,7 +412,6 @@ impl std::fmt::Debug for DeviceAllocator {
         f.debug_struct("DeviceAllocator")
             .field("name", &self.inner.name)
             .field("streams", &self.inner.caches.len())
-            .field("small_threshold", &self.inner.small_threshold)
             .finish_non_exhaustive()
     }
 }
@@ -456,48 +425,27 @@ fn size_class(size: u64) -> u64 {
 }
 
 impl DeviceAllocator {
-    /// Wraps `core` with the default [`DeviceAllocatorConfig`].
+    /// Wraps `core` with the default [`DeviceAllocatorConfig`] (one
+    /// stream), no event source and no telemetry sink.
     pub fn new<A: AllocatorCore + Send + 'static>(core: A) -> Self {
-        Self::with_config(core, DeviceAllocatorConfig::default())
+        Self::try_build(Box::new(core), DeviceAllocatorConfig::default(), None, None)
+            .expect("the default config validates")
     }
 
-    /// Wraps `core` with an explicit configuration. An out-of-range
-    /// `streams` is clamped into its range; use [`DeviceAllocator::try_build`]
-    /// for strict validation.
-    pub fn with_config<A: AllocatorCore + Send + 'static>(
-        core: A,
-        config: DeviceAllocatorConfig,
-    ) -> Self {
-        Self::try_build(Box::new(core), config.normalized(), None, None)
-            .expect("normalized() repairs everything validate() rejects")
-    }
-
-    /// Like [`DeviceAllocator::with_config`], plus a stream-completion
-    /// [`EventSource`]: a cross-stream small free records an event on the
-    /// freeing stream and synchronizes it before the core sees the block,
-    /// so a stream-oblivious core stays safe (see
-    /// `docs/streams-and-events.md`).
+    /// The general constructor: a boxed core, a configuration, an optional
+    /// stream-completion [`EventSource`], and an optional [`PoolTelemetry`]
+    /// sink fed by the alloc/free fast paths (a disabled sink costs one
+    /// relaxed atomic load per call).
     ///
-    /// The source must uphold the [`EventSource`] ordering contract — in
-    /// particular it must never call back into this allocator. When the
+    /// With an event source, a cross-stream small free records an event on
+    /// the freeing stream and synchronizes it before the core sees the
+    /// block, so a stream-oblivious core stays safe (see
+    /// `docs/streams-and-events.md`); `None` leaves that ordering to the
+    /// core. The source must uphold the [`EventSource`] ordering contract —
+    /// in particular it must never call back into this allocator. When the
     /// wrapped core sits on a simulated device, pass a clone of the same
     /// `CudaDriver` so the wait rides the device's clock and per-stream
     /// frontiers.
-    pub fn with_config_and_events<A: AllocatorCore + Send + 'static>(
-        core: A,
-        config: DeviceAllocatorConfig,
-        events: Arc<dyn EventSource>,
-    ) -> Self {
-        Self::try_build(Box::new(core), config.normalized(), Some(events), None)
-            .expect("normalized() repairs everything validate() rejects")
-    }
-
-    /// The general constructor, of which the others are sugar: an
-    /// already-boxed core (the registry path of `gmlake-runtime`), a strict
-    /// configuration, an optional [`EventSource`] (`None` leaves a
-    /// cross-stream small free's ordering to the core), and an optional
-    /// [`PoolTelemetry`] sink fed by the alloc/free fast paths (a disabled
-    /// sink costs one relaxed atomic load per call).
     ///
     /// # Errors
     ///
@@ -515,10 +463,8 @@ impl DeviceAllocator {
             inner: Arc::new(Inner {
                 core: Mutex::new(core),
                 name,
-                small_threshold: config.small_threshold,
                 caches: (0..streams).map(|_| Mutex::default()).collect(),
                 index_bits: streams.trailing_zeros(),
-                max_cached_per_class: config.max_cached_per_class,
                 events,
                 telemetry,
             }),
@@ -642,7 +588,7 @@ impl DeviceAllocator {
         }
         let tel = self.sampled_telemetry();
         let start = tel.map(|_| std::time::Instant::now());
-        let result = if req.size < self.inner.small_threshold {
+        let result = if req.size < SMALL_THRESHOLD {
             self.allocate_cached(req, stream, tel)
         } else {
             let result = self.ask_core(|core| core.alloc_on_stream(req, stream));
@@ -689,10 +635,10 @@ impl DeviceAllocator {
     /// [`AllocatorCore::free_on_stream`]: a same-stream return (cap
     /// overflow, eviction, flush) names the block's own stream.
     ///
-    /// A core-minted id (a large allocation, or any with the caches off)
-    /// goes straight to the core's [`AllocatorCore::free_on_stream`], which
-    /// is told the freeing stream and owns the cross-stream rule for its
-    /// blocks; the front-end records and synchronizes nothing.
+    /// A core-minted id (a large allocation) goes straight to the core's
+    /// [`AllocatorCore::free_on_stream`], which is told the freeing stream
+    /// and owns the cross-stream rule for its blocks; the front-end records
+    /// and synchronizes nothing.
     ///
     /// # Errors
     ///
@@ -721,7 +667,6 @@ impl DeviceAllocator {
     ) -> Result<(), AllocError> {
         let raw = id.as_u64();
         let caches = &self.inner.caches;
-        let cap = self.inner.max_cached_per_class;
         // The minting cache rides in the id's low bits.
         let cache = &caches[raw as usize & (caches.len() - 1)];
         // The block going to the core, with the stream it is freed from.
@@ -736,7 +681,7 @@ impl DeviceAllocator {
                 if let Some(t) = tel {
                     t.record(EventKind::Free, block.size, stream.as_u32() as u64, 0);
                 }
-                let overflow = g.park(block, key, cap);
+                let overflow = g.park(block, key);
                 g.stats.cache_returns += u64::from(overflow.is_some());
                 overflow.map(|b| (b, b.stream))
             } else {
@@ -910,12 +855,7 @@ impl DeviceAllocator {
     ///
     /// [`stats`]: DeviceAllocator::stats
     pub fn fragmentation(&self) -> f64 {
-        let s = self.stats();
-        if s.reserved_bytes == 0 {
-            0.0
-        } else {
-            1.0 - s.active_bytes as f64 / s.reserved_bytes as f64
-        }
+        self.stats().current_fragmentation()
     }
 
     /// Runs `f` with exclusive access to the wrapped core — the escape
@@ -1096,14 +1036,17 @@ mod tests {
             log: Some(Arc::clone(&log)),
             ..TestCore::default()
         };
+        let source =
+            events.then(|| Arc::new(LoggedEvents(Arc::clone(&log))) as Arc<dyn EventSource>);
         let config = DeviceAllocatorConfig::default().with_streams(2);
-        let pool = if events {
-            let source = Arc::new(LoggedEvents(Arc::clone(&log)));
-            DeviceAllocator::with_config_and_events(core, config, source)
-        } else {
-            DeviceAllocator::with_config(core, config)
-        };
+        let pool = DeviceAllocator::try_build(Box::new(core), config, source, None).unwrap();
         (pool, log)
+    }
+
+    /// A pool over `core` with `streams` stream caches.
+    fn with_streams(core: TestCore, streams: usize) -> DeviceAllocator {
+        let config = DeviceAllocatorConfig::default().with_streams(streams);
+        DeviceAllocator::try_build(Box::new(core), config, None, None).unwrap()
     }
 
     #[test]
@@ -1117,10 +1060,7 @@ mod tests {
 
     #[test]
     fn minted_ids_are_unique_and_route_back_to_their_shard() {
-        let pool = DeviceAllocator::with_config(
-            TestCore::default(),
-            DeviceAllocatorConfig::default().with_streams(2),
-        );
+        let pool = with_streams(TestCore::default(), 2);
         let mut seen = std::collections::HashSet::new();
         for i in 0..200u64 {
             // Several classes, and every fourth request large (a core id);
@@ -1375,24 +1315,23 @@ mod tests {
 
     #[test]
     fn per_class_cache_overflow_returns_to_the_core() {
-        let pool = DeviceAllocator::with_config(
-            TestCore::default(),
-            DeviceAllocatorConfig::default().with_max_cached_per_class(2),
-        );
-        let ids: Vec<_> = (0..4)
+        let pool = DeviceAllocator::new(TestCore::default());
+        let n = MAX_CACHED_PER_CLASS + 1;
+        let ids: Vec<_> = (0..n)
             .map(|_| pool.allocate(AllocRequest::new(800)).unwrap().id)
             .collect();
         for id in ids {
             pool.deallocate(id).unwrap();
         }
-        assert_eq!(pool.cache_stats().cached_blocks, 2, "capped at 2");
+        let cache = pool.cache_stats();
+        assert_eq!(cache.cached_blocks, MAX_CACHED_PER_CLASS as u64, "capped");
         let s = pool.stats();
-        assert_eq!(s.alloc_count, 4);
-        assert_eq!(s.free_count, 4);
+        assert_eq!(s.alloc_count, n as u64);
+        assert_eq!(s.free_count, n as u64);
         assert_eq!(s.active_bytes, 0);
         assert_eq!(
             pool.with_core(|c| c.stats().live_allocations()),
-            2,
+            MAX_CACHED_PER_CLASS as u64,
             "only the cached blocks remain live in the core"
         );
     }
@@ -1410,19 +1349,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_zero_disables_the_fast_path() {
-        let pool = DeviceAllocator::with_config(
-            TestCore::default(),
-            DeviceAllocatorConfig::default().with_small_threshold(0),
-        );
-        let a = pool.allocate(AllocRequest::new(100)).unwrap();
-        assert!(a.id.as_u64() < FRONT_ID_BASE);
-        pool.deallocate(a.id).unwrap();
-        let c = pool.cache_stats();
-        assert_eq!((c.hits, c.misses, c.cached_blocks), (0, 0, 0));
-    }
-
-    #[test]
     fn front_end_is_send_sync_clone() {
         fn assert_traits<T: Send + Sync + Clone>() {}
         assert_traits::<DeviceAllocator>();
@@ -1436,12 +1362,8 @@ mod tests {
             Err(AllocError::InvalidConfig(msg)) if msg.contains("streams")
         ));
         let err =
-            DeviceAllocator::try_build(Box::new(TestCore::default()), cfg.clone(), None, None)
-                .unwrap_err();
+            DeviceAllocator::try_build(Box::new(TestCore::default()), cfg, None, None).unwrap_err();
         assert!(matches!(err, AllocError::InvalidConfig(_)));
-        // The infallible constructors normalize instead of panicking.
-        let pool = DeviceAllocator::with_config(TestCore::default(), cfg);
-        assert_eq!(pool.cache_stats().streams, 1);
     }
 
     #[test]
@@ -1454,32 +1376,15 @@ mod tests {
             DeviceAllocatorConfig::default().with_streams(MAX_STREAMS + 1),
         ] {
             assert!(matches!(cfg.validate(), Err(AllocError::InvalidConfig(_))));
-            let err =
-                DeviceAllocator::try_build(Box::new(TestCore::default()), cfg.clone(), None, None)
-                    .unwrap_err();
+            let err = DeviceAllocator::try_build(Box::new(TestCore::default()), cfg, None, None)
+                .unwrap_err();
             assert!(matches!(err, AllocError::InvalidConfig(_)));
-            // The infallible constructors clamp instead of panicking.
-            let pool = DeviceAllocator::with_config(TestCore::default(), cfg);
-            assert_eq!(pool.cache_stats().streams, MAX_STREAMS);
         }
         // The bound itself is accepted.
         assert!(DeviceAllocatorConfig::default()
             .with_streams(MAX_STREAMS)
             .validate()
             .is_ok());
-    }
-
-    #[test]
-    fn normalized_output_always_validates() {
-        // The contract the infallible constructors rely on: whatever
-        // validate() rejects, normalized() repairs.
-        for (streams, repaired) in [(0, 1), (usize::MAX, MAX_STREAMS)] {
-            let cfg = DeviceAllocatorConfig::default().with_streams(streams);
-            assert!(cfg.validate().is_err());
-            let normalized = cfg.normalized();
-            assert!(normalized.validate().is_ok());
-            assert_eq!(normalized.streams, repaired);
-        }
     }
 
     #[test]
@@ -1507,10 +1412,7 @@ mod tests {
 
     #[test]
     fn same_class_different_streams_use_disjoint_shards() {
-        let pool = DeviceAllocator::with_config(
-            TestCore::default(),
-            DeviceAllocatorConfig::default().with_streams(4),
-        );
+        let pool = with_streams(TestCore::default(), 4);
         // Same size class on two streams: each stream's cache minted its
         // own id and caches its own block.
         let a = pool
@@ -1570,10 +1472,7 @@ mod tests {
 
     #[test]
     fn same_stream_free_on_a_nondefault_stream_parks_for_reuse() {
-        let pool = DeviceAllocator::with_config(
-            TestCore::default(),
-            DeviceAllocatorConfig::default().with_streams(2),
-        );
+        let pool = with_streams(TestCore::default(), 2);
         let a = pool
             .alloc_on_stream(AllocRequest::new(2048), StreamId(1))
             .unwrap();
@@ -1589,10 +1488,7 @@ mod tests {
 
     #[test]
     fn flush_covers_every_stream_cache() {
-        let pool = DeviceAllocator::with_config(
-            TestCore::default(),
-            DeviceAllocatorConfig::default().with_streams(2),
-        );
+        let pool = with_streams(TestCore::default(), 2);
         for s in [StreamId(0), StreamId(1)] {
             let a = pool.alloc_on_stream(AllocRequest::new(1000), s).unwrap();
             pool.free_on_stream(a.id, s).unwrap();
@@ -1611,10 +1507,7 @@ mod tests {
         // Capacity fits exactly two 1 KiB class blocks; both end up parked,
         // one per stream. A 2 KiB-class allocation can only succeed if the
         // OOM retry flushes BOTH caches, not just the allocating stream's.
-        let pool = DeviceAllocator::with_config(
-            TestCore::bounded(2048),
-            DeviceAllocatorConfig::default().with_streams(2),
-        );
+        let pool = with_streams(TestCore::bounded(2048), 2);
         for s in [StreamId(0), StreamId(1)] {
             let a = pool.alloc_on_stream(AllocRequest::new(1024), s).unwrap();
             pool.free_on_stream(a.id, s).unwrap();
@@ -1633,10 +1526,7 @@ mod tests {
         // Placement folds stream 5 onto cache 1 (2 caches), but the reuse
         // guard compares exact StreamIds: stream 1 freeing stream 5's block
         // is cross-stream even though they share a cache.
-        let pool = DeviceAllocator::with_config(
-            TestCore::default(),
-            DeviceAllocatorConfig::default().with_streams(2),
-        );
+        let pool = with_streams(TestCore::default(), 2);
         let a = pool
             .alloc_on_stream(AllocRequest::new(1024), StreamId(5))
             .unwrap();
@@ -1652,10 +1542,7 @@ mod tests {
         // a same-stream free. Stream 1 shares that cache's free lists, but an
         // allocation on stream 1 must NOT be handed stream 5's block — a
         // block only moves between streams through the core mutex.
-        let pool = DeviceAllocator::with_config(
-            TestCore::default(),
-            DeviceAllocatorConfig::default().with_streams(2),
-        );
+        let pool = with_streams(TestCore::default(), 2);
         let a = pool
             .alloc_on_stream(AllocRequest::new(1024), StreamId(5))
             .unwrap();
@@ -1686,13 +1573,9 @@ mod tests {
         // its cap, then goes idle. Stream 1 shares that cache: its frees
         // must evict the foreign blocks (to the core) rather than overflow
         // forever, so the warm path recovers instead of staying wedged.
-        let pool = DeviceAllocator::with_config(
-            TestCore::default(),
-            DeviceAllocatorConfig::default()
-                .with_streams(2)
-                .with_max_cached_per_class(2),
-        );
-        let foreign: Vec<_> = (0..2)
+        let pool = with_streams(TestCore::default(), 2);
+        let cap = MAX_CACHED_PER_CLASS as u64;
+        let foreign: Vec<_> = (0..cap)
             .map(|_| {
                 pool.alloc_on_stream(AllocRequest::new(1024), StreamId(5))
                     .unwrap()
@@ -1704,7 +1587,7 @@ mod tests {
         }
         assert_eq!(
             pool.cache_stats().cached_blocks,
-            2,
+            cap,
             "cap filled by stream 5"
         );
         // Stream 1's free at cap evicts one of stream 5's blocks and parks
@@ -1713,7 +1596,7 @@ mod tests {
             .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
             .unwrap();
         pool.free_on_stream(a.id, StreamId(1)).unwrap();
-        assert_eq!(pool.cache_stats().cached_blocks, 2, "still at cap");
+        assert_eq!(pool.cache_stats().cached_blocks, cap, "still at cap");
         // The warm path works for stream 1 now: its own block is parked.
         let b = pool
             .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
@@ -1722,7 +1605,10 @@ mod tests {
         assert_eq!(pool.cache_stats().hits, 1);
         pool.free_on_stream(b.id, StreamId(1)).unwrap();
         let s = pool.stats();
-        assert_eq!((s.alloc_count, s.free_count, s.active_bytes), (4, 4, 0));
+        assert_eq!(
+            (s.alloc_count, s.free_count, s.active_bytes),
+            (cap + 2, cap + 2, 0)
+        );
         // Full accounting survives a flush.
         pool.flush();
         assert_eq!(pool.with_core(|c| c.stats().live_allocations()), 0);

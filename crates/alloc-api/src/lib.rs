@@ -11,14 +11,14 @@
 //! * [`DeviceAllocator`] — the cloneable, `Send + Sync`, `&self`
 //!   *front-end* that wraps any core and is the only type concurrent
 //!   callers (the runtime's pool service, replayers) speak to. It
-//!   serves warm requests below the stitch threshold from size-class
+//!   serves warm requests below [`SMALL_THRESHOLD`] from size-class
 //!   free-list caches partitioned per logical GPU stream ([`StreamId`]),
 //!   so threads and streams never contend with each other or with stitch
 //!   work. A cross-stream small free returns its block to the core, told
 //!   the freeing stream (given an [`EventSource`], after waiting out an
-//!   event recorded on that stream). Requests at or above the
-//!   threshold go straight to the core, whose stitcher must see every
-//!   inactive block.
+//!   event recorded on that stream). Requests at or above
+//!   [`SMALL_THRESHOLD`] go straight to the core, whose stitcher must see
+//!   every inactive block.
 //!
 //! The trait mirrors the narrow interface a deep-learning framework exposes to
 //! its tensor layer: `allocate`, `deallocate`, plus the cache-management hooks
@@ -44,7 +44,9 @@ mod stats;
 mod traits;
 mod types;
 
-pub use device::{DeviceAllocator, DeviceAllocatorConfig, DeviceCacheStats, MAX_STREAMS};
+pub use device::{
+    DeviceAllocator, DeviceAllocatorConfig, DeviceCacheStats, MAX_STREAMS, SMALL_THRESHOLD,
+};
 pub use error::AllocError;
 pub use events::EventSource;
 pub use request::{AllocRequest, Allocation};

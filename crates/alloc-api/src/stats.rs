@@ -49,6 +49,20 @@ impl MemStats {
         1.0 - self.utilization()
     }
 
+    /// Instantaneous fragmentation of the currently reserved memory:
+    /// `1 − active/reserved`, in `[0, 1]`; 0 when nothing is reserved.
+    ///
+    /// Unlike [`MemStats::fragmentation`], which is computed over the
+    /// *peak* watermarks (the paper's reporting metric), this reflects the
+    /// pool right now — the signal a defrag policy triggers on.
+    pub fn current_fragmentation(&self) -> f64 {
+        if self.reserved_bytes == 0 {
+            0.0
+        } else {
+            1.0 - self.active_bytes as f64 / self.reserved_bytes as f64
+        }
+    }
+
     /// Number of allocations currently live.
     pub fn live_allocations(&self) -> u64 {
         self.alloc_count - self.free_count
@@ -131,6 +145,7 @@ mod tests {
         let s = MemStats::default();
         assert_eq!(s.utilization(), 1.0);
         assert_eq!(s.fragmentation(), 0.0);
+        assert_eq!(s.current_fragmentation(), 0.0);
     }
 
     #[test]

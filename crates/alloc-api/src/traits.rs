@@ -137,19 +137,10 @@ pub trait AllocatorCore {
         self.release_cached()
     }
 
-    /// Instantaneous fragmentation ratio of the currently reserved memory:
-    /// `1 − active/reserved`, in `[0, 1]`; 0 when nothing is reserved.
-    ///
-    /// Unlike [`MemStats::fragmentation`], which is computed over the *peak*
-    /// watermarks (the paper's reporting metric), this reflects the pool
-    /// right now — the signal a defrag policy triggers on.
+    /// Instantaneous fragmentation ratio of the currently reserved memory
+    /// ([`MemStats::current_fragmentation`] of [`AllocatorCore::stats`]).
     fn fragmentation(&self) -> f64 {
-        let s = self.stats();
-        if s.reserved_bytes == 0 {
-            0.0
-        } else {
-            1.0 - s.active_bytes as f64 / s.reserved_bytes as f64
-        }
+        self.stats().current_fragmentation()
     }
 
     /// A no-op: no allocator overrides it and nothing in the workspace

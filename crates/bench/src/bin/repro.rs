@@ -590,7 +590,6 @@ fn fig14() {
         .with_iterations(8);
     let opts = ReplayOptions {
         record_series: true,
-        series_stride: 64,
         ..ReplayOptions::default()
     };
 
@@ -863,10 +862,11 @@ fn plan() {
     rule(91);
     let opts = ReplayOptions::default();
     let Pair { baseline, gmlake } = run_pair(&cfg);
-    let config = PlannedConfig::default;
-    let (over_gmlake, a) = run_with(&cfg, &opts, |d| PlannedCore::new(d, config()));
+    let (over_gmlake, a) = run_with(&cfg, &opts, |d| {
+        PlannedCore::new(d, PlannedConfig::default())
+    });
     let (over_caching, b) = run_with(&cfg, &opts, |d| {
-        PlannedCore::with_fallback(d.clone(), config(), CachingAllocator::new(d))
+        PlannedCore::with_fallback(d.clone(), CachingAllocator::new(d))
     });
     let hit = |c: PlanCounters| fmt_pct(c.hit_rate());
     for (name, r, hit) in [

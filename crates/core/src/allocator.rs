@@ -144,8 +144,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use gmlake_alloc_api::{
-    mib, AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, EventId,
-    FaultJournalStats, IdMap, MemStats, StreamId, VirtAddr,
+    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, EventId, FaultJournalStats,
+    IdMap, MemStats, StreamId, VirtAddr, SMALL_THRESHOLD,
 };
 use gmlake_caching::CachingAllocator;
 use gmlake_gpu_sim::{CudaDriver, DriverError, PhysHandle};
@@ -254,9 +254,11 @@ fn take_stamps(
     newest
 }
 
-/// Requests below this size go to the embedded splitting allocator: the
-/// 2 MiB chunk size (§3.1: "allocation < 2 MB is rare in LLM training").
-const SMALL_THRESHOLD: u64 = mib(2);
+/// How many evictable entries of the LRU-ordered eviction list a
+/// `StitchFree` pass inspects before destroying one (see
+/// [`GmLakeAllocator::pick_stitchfree_victim`]). Each inspection scans the
+/// candidate's parts, so the window stays small.
+const EVICT_SCAN_WINDOW: usize = 8;
 
 /// The GMLake virtual-memory-stitching allocator.
 ///
@@ -361,17 +363,8 @@ pub struct GmLakeAllocator {
 
 impl GmLakeAllocator {
     /// Creates a GMLake allocator on `driver`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the small-allocation threshold (2 MiB) is larger than the
-    /// device granularity times 64 (a misconfigured device).
     pub fn new(driver: CudaDriver, config: GmLakeConfig) -> Self {
         let chunk = driver.granularity();
-        assert!(
-            SMALL_THRESHOLD <= chunk * 64,
-            "small_threshold {SMALL_THRESHOLD} is implausibly large for chunk {chunk}"
-        );
         let host_op_ns = driver.host_op_ns();
         let small = CachingAllocator::new(driver.clone());
         GmLakeAllocator {
@@ -500,45 +493,6 @@ impl GmLakeAllocator {
     /// the convergence curve of the paper's Figure 14 discussion.
     pub fn non_exact_history(&self) -> &[u64] {
         &self.non_exact_history
-    }
-
-    /// Renders a human-readable snapshot of the pools, for debugging and the
-    /// examples: pBlocks grouped by activity, sBlocks with their part lists.
-    pub fn memory_map(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let active = self.dense.p.iter().filter(|&&f| f & ACTIVE != 0).count();
-        let _ = writeln!(
-            out,
-            "pPool: {} blocks ({} active), {:.1} MiB physical",
-            self.pblocks.len(),
-            active,
-            self.reserved_phys as f64 / (1 << 20) as f64
-        );
-        for (pid, p) in self.pblocks.iter() {
-            let _ = writeln!(
-                out,
-                "  p{pid:<4} {:>8.1} MiB {} refs={:?}",
-                p.size as f64 / (1 << 20) as f64,
-                ["inactive", "ACTIVE  "][self.dense.active(pid) as usize],
-                p.referenced_by
-            );
-        }
-        let _ = writeln!(out, "sPool: {} stitched views", self.sblocks.len());
-        for (sid, s) in self.sblocks.iter() {
-            let _ = writeln!(
-                out,
-                "  s{sid:<4} {:>8.1} MiB parts={:?}{}",
-                s.size as f64 / (1 << 20) as f64,
-                s.parts,
-                if s.assigned_to.is_some() {
-                    " ASSIGNED"
-                } else {
-                    ""
-                }
-            );
-        }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -934,20 +888,19 @@ impl GmLakeAllocator {
     }
 
     /// Picks the next `StitchFree` victim: scans the first
-    /// `evict_scan_window` evictable entries of the LRU-ordered eviction
+    /// [`EVICT_SCAN_WINDOW`] evictable entries of the LRU-ordered eviction
     /// list and prefers the view with the fewest *uniquely referenced*
     /// parts — a pBlock referenced only by its own view drops to the
     /// unreferenced tier on eviction, so destroying such a view
     /// cannibalizes cached exact-match coverage that a later request would
     /// have to re-stitch, while a view whose parts are mostly woven into
-    /// other cached views is near-free to drop. Ties (and a window of 1)
-    /// fall back to pure `(lru_tick, id)` LRU.
+    /// other cached views is near-free to drop. Ties fall back to
+    /// `(lru_tick, id)` LRU order, the paper's §3.3.2 policy.
     ///
     /// Views the scan finds blocked are parked on the active part it found
     /// (they re-enter when that part deactivates), so each is verified
     /// once, not once per scan.
     fn pick_stitchfree_victim(&mut self) -> Option<SBlockId> {
-        let window = self.config.evict_scan_window.max(1);
         let mut candidates = 0;
         let mut blocked = Vec::new();
         let mut best: Option<(SBlockId, usize)> = None;
@@ -969,7 +922,7 @@ impl GmLakeAllocator {
             // `unique == 0`: every part survives in some other view — a free
             // eviction, and LRU-first among such candidates since the scan
             // runs in eviction-index order.
-            if unique == 0 || candidates == window {
+            if unique == 0 || candidates == EVICT_SCAN_WINDOW {
                 break;
             }
         }

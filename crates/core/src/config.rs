@@ -7,8 +7,9 @@ use gmlake_alloc_api::mib;
 /// The defaults follow the paper: a *fragmentation limit* below which
 /// blocks are neither split nor used as stitching candidates (§4.2.3), and
 /// an sBlock cache sized above one iteration's working set (§3.3.2).
-/// Requests below the 2 MiB chunk size always go to the embedded splitting
-/// allocator (§3.1: "allocation < 2 MB is rare in LLM training").
+/// Requests below [`gmlake_alloc_api::SMALL_THRESHOLD`] (the 2 MiB chunk
+/// size) always go to the embedded splitting allocator (§3.1: "allocation
+/// < 2 MB is rare in LLM training").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GmLakeConfig {
     /// Blocks smaller than this are never split off as remainders nor used
@@ -25,14 +26,6 @@ pub struct GmLakeConfig {
     /// an undersized sPool causes perpetual evict/re-stitch churn, so the
     /// default is sized above one steady-state iteration's working set.
     pub max_sblocks: usize,
-    /// How many LRU-ordered eviction candidates `StitchFree` inspects
-    /// before destroying one. Within the window the victim with the
-    /// fewest *uniquely referenced* parts wins (its pBlocks live on in
-    /// other cached views, so destroying it cannibalizes the least
-    /// exact-match coverage); ties fall back to LRU order. `1` recovers
-    /// the pure `(lru_tick, id)` LRU of the paper's §3.3.2. The window is
-    /// a full scan of each candidate's parts, so keep it small.
-    pub evict_scan_window: usize,
 }
 
 impl Default for GmLakeConfig {
@@ -40,7 +33,6 @@ impl Default for GmLakeConfig {
         GmLakeConfig {
             frag_limit: mib(4),
             max_sblocks: 8192,
-            evict_scan_window: 8,
         }
     }
 }
@@ -57,13 +49,6 @@ impl GmLakeConfig {
     #[must_use]
     pub fn with_max_sblocks(mut self, max_sblocks: usize) -> Self {
         self.max_sblocks = max_sblocks;
-        self
-    }
-
-    /// Sets the `StitchFree` victim-scan window (`1` = pure LRU).
-    #[must_use]
-    pub fn with_evict_scan_window(mut self, evict_scan_window: usize) -> Self {
-        self.evict_scan_window = evict_scan_window;
         self
     }
 }
@@ -102,7 +87,9 @@ pub struct StateCounters {
     pub stitches: u64,
     /// Number of `Split` executions.
     pub splits: u64,
-    /// Number of sBlocks evicted by `StitchFree`.
+    /// Number of sBlocks destroyed while unassigned: evicted by
+    /// `StitchFree` at the sPool capacity, or collected as blocked views by
+    /// the sPool GC of `compact`.
     pub evictions: u64,
 }
 
@@ -139,11 +126,9 @@ mod tests {
     fn builders_chain() {
         let c = GmLakeConfig::default()
             .with_frag_limit(mib(128))
-            .with_max_sblocks(7)
-            .with_evict_scan_window(1);
+            .with_max_sblocks(7);
         assert_eq!(c.frag_limit, mib(128));
         assert_eq!(c.max_sblocks, 7);
-        assert_eq!(c.evict_scan_window, 1);
     }
 
     #[test]

@@ -3,6 +3,10 @@
 use crate::cost::CostModel;
 use gmlake_alloc_api::{gib, mib};
 
+/// VMM allocation granularity in bytes: 2 MiB, what
+/// `cuMemGetAllocationGranularity` returns on NVIDIA hardware.
+pub const GRANULARITY: u64 = mib(2);
+
 /// Configuration of a simulated GPU memory device.
 #[derive(Debug, Clone)]
 pub struct DeviceConfig {
@@ -10,8 +14,6 @@ pub struct DeviceConfig {
     pub name: String,
     /// Physical memory capacity in bytes.
     pub capacity: u64,
-    /// VMM allocation granularity in bytes (2 MiB on NVIDIA hardware).
-    pub granularity: u64,
     /// When `true`, physical chunks carry real host bytes so reads/writes
     /// through mapped VAs work (slow, for tests). When `false`, the device is
     /// accounting-only (fast, for 80 GiB-scale benchmarks).
@@ -28,7 +30,6 @@ impl DeviceConfig {
         DeviceConfig {
             name: "sim-a100-80g".to_owned(),
             capacity: gib(80),
-            granularity: mib(2),
             backing: false, // accounting-only at 80 GiB scale
             cost: CostModel::calibrated(),
         }
@@ -40,7 +41,6 @@ impl DeviceConfig {
         DeviceConfig {
             name: "sim-test-256m".to_owned(),
             capacity: mib(256),
-            granularity: mib(2),
             backing: true,
             cost: CostModel::zero(),
         }
@@ -64,14 +64,6 @@ impl DeviceConfig {
     #[must_use]
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Sets the VMM granularity (tests only; hardware uses 2 MiB).
-    #[must_use]
-    pub fn with_granularity(mut self, granularity: u64) -> Self {
-        assert!(granularity.is_power_of_two());
-        self.granularity = granularity;
         self
     }
 }
@@ -233,7 +225,6 @@ mod tests {
     fn a100_defaults() {
         let c = DeviceConfig::a100_80g();
         assert_eq!(c.capacity, gib(80));
-        assert_eq!(c.granularity, mib(2));
         assert!(!c.backing);
     }
 
@@ -241,11 +232,9 @@ mod tests {
     fn builders_chain() {
         let c = DeviceConfig::small_test()
             .with_capacity(mib(64))
-            .with_backing(false)
-            .with_granularity(mib(1));
+            .with_backing(false);
         assert_eq!(c.capacity, mib(64));
         assert!(!c.backing);
-        assert_eq!(c.granularity, mib(1));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use gmlake_alloc_api::{EventId, EventSource, StreamId, VirtAddr};
 
 use crate::chunk::{PhysHandle, PhysTable};
 use crate::clock::SimClock;
-use crate::device::{DeviceConfig, DeviceSnapshot, DriverStats};
+use crate::device::{DeviceConfig, DeviceSnapshot, DriverStats, GRANULARITY};
 use crate::error::{DriverError, DriverResult};
 use crate::event::EventEngine;
 use crate::fault::{FaultOp, FaultPlan, FaultState};
@@ -133,10 +133,10 @@ impl CudaDriver {
         }
     }
 
-    /// VMM allocation granularity in bytes (2 MiB by default, as returned by
-    /// `cuMemGetAllocationGranularity` on NVIDIA hardware).
+    /// VMM allocation granularity in bytes ([`GRANULARITY`], as returned
+    /// by `cuMemGetAllocationGranularity` on NVIDIA hardware).
     pub fn granularity(&self) -> u64 {
-        self.inner.lock().config.granularity
+        GRANULARITY
     }
 
     /// Physical capacity in bytes.
@@ -299,9 +299,8 @@ impl CudaDriver {
     pub fn mem_address_reserve(&self, size: u64) -> DriverResult<VirtAddr> {
         let mut g = self.inner.lock();
         g.inject(FaultOp::AddressReserve)?;
-        Self::check_aligned(size, g.config.granularity)?;
-        let granularity = g.config.granularity;
-        let va = g.va.reserve(size, granularity)?;
+        Self::check_aligned(size, GRANULARITY)?;
+        let va = g.va.reserve(size, GRANULARITY)?;
         let ns = g.config.cost.address_reserve_ns(size);
         g.charge(ns);
         g.stats.address_reserve.record(ns);
@@ -325,7 +324,7 @@ impl CudaDriver {
     pub fn mem_create(&self, size: u64) -> DriverResult<PhysHandle> {
         let mut g = self.inner.lock();
         g.inject(FaultOp::Create)?;
-        Self::check_aligned(size, g.config.granularity)?;
+        Self::check_aligned(size, GRANULARITY)?;
         let backing = g.config.backing;
         let capacity = g.config.capacity;
         let h = g.phys.create(size, capacity, backing)?;
@@ -377,7 +376,7 @@ impl CudaDriver {
     ) -> DriverResult<()> {
         let mut g = self.inner.lock();
         g.inject(FaultOp::Map)?;
-        let gran = g.config.granularity;
+        let gran = GRANULARITY;
         Self::check_aligned(va.as_u64(), gran)?;
         Self::check_aligned(size, gran)?;
         Self::check_aligned(offset, gran)?;
@@ -592,7 +591,7 @@ impl CudaDriver {
     /// mapped with access enabled.
     pub fn translate(&self, va: VirtAddr, len: u64) -> DriverResult<Vec<(PhysHandle, u64)>> {
         let g = self.inner.lock();
-        let gran = g.config.granularity;
+        let gran = GRANULARITY;
         let extents = g.va.resolve(va, len)?;
         let granules = extents.into_iter().flat_map(|e| {
             let first = e.handle_off - e.handle_off % gran;
@@ -872,7 +871,7 @@ mod tests {
         // call must cost exactly the per-entry sequence minus the amortized
         // dispatch overhead.
         let cfg = DeviceConfig::small_test().with_cost(crate::cost::CostModel::calibrated());
-        let gran = cfg.granularity;
+        let gran = GRANULARITY;
         let n = 8u64;
 
         let build = |d: &CudaDriver| {

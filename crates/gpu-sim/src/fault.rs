@@ -183,12 +183,6 @@ impl FaultPlan {
         self.rule(op, nth, FaultMode::Persistent, None)
     }
 
-    /// Persistent rule with a chosen error.
-    #[must_use]
-    pub fn fail_from_with(self, op: FaultOp, nth: u64, error: DriverError) -> Self {
-        self.rule(op, nth, FaultMode::Persistent, Some(error))
-    }
-
     /// Adds a seeded probabilistic mode: every faultable call additionally
     /// fails with probability `1/one_in` (after deterministic rules are
     /// consulted). Deterministic for a fixed seed and call sequence.

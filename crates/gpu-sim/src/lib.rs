@@ -62,7 +62,7 @@ mod vaspace;
 pub use chunk::PhysHandle;
 pub use clock::SimClock;
 pub use cost::{figure6_chunk_sizes, CostModel};
-pub use device::{ApiStats, DeviceConfig, DeviceSnapshot, DriverStats};
+pub use device::{ApiStats, DeviceConfig, DeviceSnapshot, DriverStats, GRANULARITY};
 pub use driver::CudaDriver;
 pub use error::{DriverError, DriverResult};
 pub use event::{EventId, EventSource};

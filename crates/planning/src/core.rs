@@ -20,7 +20,7 @@
 //! # Replanning
 //!
 //! When the workload drifts (the per-iteration plan hit rate falls below
-//! [`PlannedConfig::replan_hit_floor`]) and no plan slot is live, the
+//! `REPLAN_HIT_FLOOR`, one half) and no plan slot is live, the
 //! arena is torn down and the core returns to recording; the next
 //! boundary installs a fresh plan. [`release_cached`] — the reactive OOM
 //! fallback — does the same, so a planned core never pins memory the
@@ -43,26 +43,20 @@ use gmlake_telemetry::{EventKind, PoolTelemetry};
 use crate::plan::MemoryPlan;
 use crate::recorder::IterationRecorder;
 
-/// Tuning knobs for [`PlannedCore`]'s plan side; the fallback core comes
-/// configured.
-#[derive(Debug, Clone)]
-pub struct PlannedConfig {
-    /// Minimum transient intervals a recorded window must contain before
-    /// a plan is built; smaller windows keep recording.
-    pub min_plan_intervals: usize,
-    /// Per-iteration plan hit-rate floor; a served iteration below it
-    /// triggers a replan at the next boundary (once no slot is live).
-    pub replan_hit_floor: f64,
-}
+/// Minimum transient intervals a recorded window must contain before a
+/// plan is built; smaller windows keep recording.
+const MIN_PLAN_INTERVALS: usize = 4;
 
-impl Default for PlannedConfig {
-    fn default() -> Self {
-        PlannedConfig {
-            min_plan_intervals: 4,
-            replan_hit_floor: 0.5,
-        }
-    }
-}
+/// Per-iteration plan hit-rate floor; a served iteration below it triggers
+/// a replan at the next boundary (once no slot is live).
+const REPLAN_HIT_FLOOR: f64 = 0.5;
+
+/// The argument of [`PlannedCore::new`]. It has no fields: the plan side
+/// has no setting, and the fallback core comes configured. It stays because
+/// the benchmark package builds its planned stack as
+/// `PlannedCore::new(driver, PlannedConfig::default())`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PlannedConfig {}
 
 /// Cumulative planning counters, also mirrored into `gmlake-telemetry`
 /// ([`EventKind::PlanHit`] / [`EventKind::PlanResidue`] /
@@ -246,7 +240,6 @@ impl InstalledPlan {
 pub struct PlannedCore<C: AllocatorCore = GmLakeAllocator> {
     driver: CudaDriver,
     fallback: C,
-    config: PlannedConfig,
     recorder: IterationRecorder,
     /// The plan being served; `None` while recording.
     installed: Option<InstalledPlan>,
@@ -262,9 +255,9 @@ pub struct PlannedCore<C: AllocatorCore = GmLakeAllocator> {
 impl PlannedCore {
     /// Creates a planned core over `driver` with a default-configured
     /// [`GmLakeAllocator`] as its fallback, starting in recording mode.
-    pub fn new(driver: CudaDriver, config: PlannedConfig) -> Self {
+    pub fn new(driver: CudaDriver, _config: PlannedConfig) -> Self {
         let fallback = GmLakeAllocator::new(driver.clone(), GmLakeConfig::default());
-        PlannedCore::with_fallback(driver, config, fallback)
+        PlannedCore::with_fallback(driver, fallback)
     }
 
     /// Attaches a telemetry recorder to the plan side and the fallback.
@@ -277,11 +270,10 @@ impl PlannedCore {
 impl<C: AllocatorCore> PlannedCore<C> {
     /// Creates a planned core over `driver` in front of `fallback`, a
     /// ready-built core on the same driver, starting in recording mode.
-    pub fn with_fallback(driver: CudaDriver, config: PlannedConfig, fallback: C) -> Self {
+    pub fn with_fallback(driver: CudaDriver, fallback: C) -> Self {
         PlannedCore {
             driver,
             fallback,
-            config,
             recorder: IterationRecorder::default(),
             installed: None,
             routes: IdMap::default(),
@@ -392,7 +384,7 @@ impl<C: AllocatorCore> PlannedCore<C> {
     /// is `O(n²)` in the `n` intervals, the serving tables `O(n log n)`.
     fn try_install_plan(&mut self) {
         let intervals = self.recorder.finish_window();
-        if intervals.len() < self.config.min_plan_intervals {
+        if intervals.len() < MIN_PLAN_INTERVALS {
             return;
         }
         let plan = MemoryPlan::build(&intervals);
@@ -561,8 +553,7 @@ impl<C: AllocatorCore + 'static> AllocatorCore for PlannedCore<C> {
         self.fallback.iteration_boundary();
         if let Some(installed) = &mut self.installed {
             let (hits, misses) = (installed.iter_hits, installed.iter_misses);
-            let drifted =
-                misses > 0 && (hits as f64 / (hits + misses) as f64) < self.config.replan_hit_floor;
+            let drifted = misses > 0 && (hits as f64 / (hits + misses) as f64) < REPLAN_HIT_FLOOR;
             if drifted && installed.is_idle() {
                 self.uninstall_plan();
             } else {
@@ -845,15 +836,14 @@ mod tests {
     #[test]
     fn every_hook_reaches_the_fallback() {
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-        let mut core =
-            PlannedCore::with_fallback(driver, PlannedConfig::default(), Counting::default());
+        let mut core = PlannedCore::with_fallback(driver, Counting::default());
         let a = core.allocate(AllocRequest::new(mib(4))).unwrap();
         let b = core
             .alloc_on_stream(AllocRequest::new(mib(6)), StreamId(1))
             .unwrap();
         core.free_on_stream(b.id, StreamId(1)).unwrap();
         core.deallocate(a.id).unwrap();
-        // Two intervals are below `min_plan_intervals`: no plan installs.
+        // Two intervals are below `MIN_PLAN_INTERVALS`: no plan installs.
         core.iteration_boundary();
         assert!(!core.is_serving());
         assert_eq!(core.process_events(), 7);

@@ -3,7 +3,7 @@
 
 use gmlake_telemetry::{FaultSnapshot, MemorySnapshot, PoolTelemetry};
 
-use crate::service::{fragmentation_of, DeviceId, PoolHandle, PoolService};
+use crate::service::{DeviceId, PoolHandle, PoolService};
 
 /// Captures memory timelines, event traces, and latency histograms from a
 /// [`PoolService`]'s pools.
@@ -176,7 +176,7 @@ impl MemoryProfiler {
         tel.record_sample(
             stats.reserved_bytes,
             stats.active_bytes,
-            fragmentation_of(&stats),
+            stats.current_fragmentation(),
         );
     }
 }

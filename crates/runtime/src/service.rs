@@ -226,17 +226,6 @@ impl PoolService {
     }
 }
 
-/// Instantaneous fragmentation of a stats snapshot (same formula as
-/// [`DeviceAllocator::fragmentation`], computed here so one observation
-/// aggregates the pool's cache counters once, not twice).
-pub(crate) fn fragmentation_of(stats: &MemStats) -> f64 {
-    if stats.reserved_bytes == 0 {
-        0.0
-    } else {
-        1.0 - stats.active_bytes as f64 / stats.reserved_bytes as f64
-    }
-}
-
 /// The front-end [`PoolService::register`] wraps a bare core in: default
 /// configuration, no event source, and a (disabled) telemetry sink.
 fn default_front_end(core: Box<dyn AllocatorCore + Send>) -> DeviceAllocator {
@@ -504,12 +493,14 @@ impl PoolHandle {
         if let Some(tel) = alloc.telemetry() {
             if tel.is_enabled() {
                 let s = *stats.insert(alloc.stats());
-                tel.record_sample(s.reserved_bytes, s.active_bytes, fragmentation_of(&s));
+                tel.record_sample(s.reserved_bytes, s.active_bytes, s.current_fragmentation());
             }
         }
         if let Some(defrag) = &self.entry.defrag {
             defrag.tick_with(iteration, 0, alloc, || {
-                fragmentation_of(&stats.unwrap_or_else(|| alloc.stats()))
+                stats
+                    .unwrap_or_else(|| alloc.stats())
+                    .current_fragmentation()
             });
         }
     }
@@ -621,12 +612,15 @@ mod tests {
     #[test]
     fn preconfigured_device_allocator_can_be_registered() {
         let service = PoolService::new();
-        let front = DeviceAllocator::with_config(
-            CachingAllocator::new(CudaDriver::new(
+        let front = DeviceAllocator::try_build(
+            Box::new(CachingAllocator::new(CudaDriver::new(
                 DeviceConfig::small_test().with_backing(false),
-            )),
+            ))),
             DeviceAllocatorConfig::default().with_streams(4),
-        );
+            None,
+            None,
+        )
+        .unwrap();
         let pool = service.register_device(DeviceId(0), front).unwrap();
         let a = pool.allocate(AllocRequest::new(1024)).unwrap();
         pool.deallocate(a.id).unwrap();
@@ -847,12 +841,15 @@ mod tests {
     fn stream_routing_through_the_handle_uses_per_stream_banks() {
         use gmlake_alloc_api::StreamId;
         let service = PoolService::new();
-        let front = DeviceAllocator::with_config(
-            CachingAllocator::new(CudaDriver::new(
+        let front = DeviceAllocator::try_build(
+            Box::new(CachingAllocator::new(CudaDriver::new(
                 DeviceConfig::small_test().with_backing(false),
-            )),
+            ))),
             DeviceAllocatorConfig::default().with_streams(2),
-        );
+            None,
+            None,
+        )
+        .unwrap();
         let pool = service.register_device(DeviceId(0), front).unwrap();
         assert_eq!(pool.allocator().cache_stats().streams, 2);
         // Warm the same size class on both streams: two distinct blocks,
@@ -893,11 +890,13 @@ mod tests {
         // on the host, then hands the block to the core.
         let service = PoolService::new();
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-        let front = DeviceAllocator::with_config_and_events(
-            CachingAllocator::new(driver.clone()),
+        let front = DeviceAllocator::try_build(
+            Box::new(CachingAllocator::new(driver.clone())),
             DeviceAllocatorConfig::default().with_streams(2),
-            Arc::new(driver.clone()),
-        );
+            Some(Arc::new(driver.clone())),
+            None,
+        )
+        .unwrap();
         let pool = service.register_device(DeviceId(0), front).unwrap();
         let a = pool
             .alloc_on_stream(AllocRequest::new(1024), StreamId(1))

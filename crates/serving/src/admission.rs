@@ -106,9 +106,11 @@ impl AdmissionController {
     }
 
     /// Whether a `quota_bytes` commitment fits under the limit given the
-    /// currently committed total.
+    /// currently committed total. A sum past `u64::MAX` never fits.
     pub fn fits(&self, committed: u64, quota_bytes: u64) -> bool {
-        committed + quota_bytes <= self.limit_bytes
+        committed
+            .checked_add(quota_bytes)
+            .is_some_and(|total| total <= self.limit_bytes)
     }
 
     /// Drops queued arrivals older than `max_wait` steps, counting each as
@@ -138,6 +140,7 @@ mod tests {
         assert!(c.fits(60, 40));
         assert!(!c.fits(60, 41));
         assert!(c.fits(0, 100));
+        assert!(!c.fits(60, u64::MAX), "an overflowing sum never fits");
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //!   the runtime's one [`Defragger`](gmlake_runtime::Defragger) with the
 //!   step's tenant arrivals + departures: a periodic compaction,
 //!   escalating under tenant churn or fragmentation
-//!   ([`ServingConfig::defrag`], a
-//!   [`DefragPolicy`](gmlake_runtime::DefragPolicy)).
+//!   ([`DefragPolicy::serving`](gmlake_runtime::DefragPolicy::serving)).
 //!
 //! Quota violations surface as the recoverable
 //! [`AllocError::QuotaExceeded`](gmlake_alloc_api::AllocError::QuotaExceeded)

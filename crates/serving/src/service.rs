@@ -40,15 +40,12 @@ pub struct ServingConfig {
     /// not exceed the pool front-end's stream banks (extra streams
     /// degrade to cross-stream traffic, not errors).
     pub streams: u64,
-    /// When the pool defragments, ticked once per [`ServingService::step`]
-    /// with the step's tenant arrivals + departures as churn.
-    pub defrag: DefragPolicy,
 }
 
 impl ServingConfig {
     /// A config for a device of `capacity_bytes` with no overcommit, the
-    /// [`AdmissionPolicy::Reject`] policy, 4 streams, an 8-step idle
-    /// horizon, and the [`DefragPolicy::serving`] defrag policy.
+    /// [`AdmissionPolicy::Reject`] policy, 4 streams and an 8-step idle
+    /// horizon.
     pub fn new(capacity_bytes: u64) -> Self {
         ServingConfig {
             capacity_bytes,
@@ -56,7 +53,6 @@ impl ServingConfig {
             policy: AdmissionPolicy::Reject,
             idle_after_steps: 8,
             streams: 4,
-            defrag: DefragPolicy::serving(),
         }
     }
 
@@ -85,13 +81,6 @@ impl ServingConfig {
     #[must_use]
     pub fn with_streams(mut self, streams: u64) -> Self {
         self.streams = streams;
-        self
-    }
-
-    /// Sets the defrag policy.
-    #[must_use]
-    pub fn with_defrag(mut self, defrag: DefragPolicy) -> Self {
-        self.defrag = defrag;
         self
     }
 
@@ -172,7 +161,7 @@ impl RescueHook for TenantRescue {
 ///   (oldest-idle first) before the failure can reach an active tenant;
 /// * **defrag** — every step ticks a [`Defragger`] that compacts
 ///   periodically and escalates while tenant churn or fragmentation is
-///   high ([`ServingConfig::defrag`]).
+///   high ([`DefragPolicy::serving`]).
 ///
 /// Cloning is cheap and shares the service. All methods take `&self`.
 ///
@@ -210,7 +199,7 @@ impl ServingService {
             admission: Mutex::new(AdmissionController::new(cfg.limit_bytes(), cfg.policy)),
             step: AtomicU64::new(0),
             churn_since_step: AtomicU64::new(0),
-            defrag: Defragger::new(cfg.defrag),
+            defrag: Defragger::new(DefragPolicy::serving()),
             evictions: Mutex::new(ServingStats::default()),
             pool: pool.clone(),
             cfg,
@@ -785,22 +774,46 @@ mod tests {
 
     #[test]
     fn step_cadence_drives_the_defrag_manager() {
+        // One arrival and a third of the pool idle: under both triggers of
+        // the serving policy, so only its 64-step period runs a pass.
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let pool = PoolService::new()
             .register(DeviceId(0), Box::new(CachingAllocator::new(driver)))
             .unwrap();
-        let serving = ServingService::new(
-            pool,
-            ServingConfig::new(mib(256)).with_defrag(DefragPolicy::periodic(2)),
-        );
+        let serving = ServingService::new(pool, ServingConfig::new(mib(256)));
         let t = serving.offer(mib(64)).tenant().unwrap();
+        let kept = serving.alloc(t, mib(32)).unwrap();
         let a = serving.alloc(t, mib(16)).unwrap();
         serving.free(t, a.id).unwrap();
-        assert!(serving.pool().stats().reserved_bytes >= mib(16));
-        assert_eq!(serving.step().defrag_reclaimed, 0, "step 1: off cadence");
+        assert_eq!(serving.pool().stats().reserved_bytes, mib(48));
+        for step in 1..64 {
+            let out = serving.step();
+            assert_eq!(out.defrag_reclaimed, 0, "step {step}: off cadence");
+        }
         let out = serving.step();
-        assert!(out.defrag_reclaimed >= mib(16), "step 2: periodic compact");
-        assert_eq!(serving.defrag_stats().periodic_passes, 1);
+        assert!(out.defrag_reclaimed >= mib(16), "step 64: periodic compact");
+        let stats = serving.defrag_stats();
+        assert_eq!((stats.periodic_passes, stats.aggressive_passes), (1, 0));
+        serving.free(t, kept.id).unwrap();
+    }
+
+    #[test]
+    fn an_overflowing_quota_is_never_admitted() {
+        // `committed + u64::MAX` wraps past the limit: it must read as
+        // "does not fit" under every policy, here and on the queue retry.
+        for policy in [
+            AdmissionPolicy::Reject,
+            AdmissionPolicy::Queue { max_wait_steps: 4 },
+            AdmissionPolicy::Shed,
+        ] {
+            let (serving, _) = serving_over(ServingConfig::new(mib(256)).with_policy(policy));
+            assert!(serving.offer(mib(64)).tenant().is_some());
+            let verdict = serving.offer(u64::MAX);
+            assert_eq!(verdict.tenant(), None, "{policy:?}: {verdict:?}");
+            serving.step();
+            assert_eq!(serving.committed_bytes(), mib(64), "{policy:?}");
+            assert_eq!(serving.tenant_count(), 1, "{policy:?}");
+        }
     }
 
     #[test]

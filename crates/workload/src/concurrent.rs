@@ -304,10 +304,12 @@ mod tests {
         use std::sync::Arc;
         // Two ranks, each replaying a 2-stream trace (offload staging on the
         // side stream, comm buffers freed cross-stream by their consumer)
-        // against a stream-configured, event-backed front-end: the replay
-        // must route per-stream, wait out every cross-stream free's event,
-        // keep the accounting exact, and mirror across ranks exactly as the
-        // single-stream fleet does.
+        // against a stream-configured, event-backed front-end over GMLake:
+        // the replay must route per-stream (every side-stream tensor is at
+        // least `SMALL_THRESHOLD`, so it reaches the core on its stream),
+        // stamp every cross-stream free with an event, keep the accounting
+        // exact, and mirror across ranks exactly as the single-stream fleet
+        // does.
         let cfg = TrainConfig::new(ModelSpec::opt_1_3b(), StrategySet::RO)
             .with_seq_len(256)
             .with_batch(2)
@@ -321,13 +323,16 @@ mod tests {
             .zip(&drivers)
             .map(|(rank, driver)| {
                 let device = DeviceId(rank);
-                let front = DeviceAllocator::with_config_and_events(
-                    CachingAllocator::new(driver.clone()),
-                    DeviceAllocatorConfig::default()
-                        .with_streams(2)
-                        .with_small_threshold(gmlake_alloc_api::mib(512)),
-                    Arc::new(driver.clone()),
-                );
+                let front = DeviceAllocator::try_build(
+                    Box::new(GmLakeAllocator::new(
+                        driver.clone(),
+                        GmLakeConfig::default(),
+                    )),
+                    DeviceAllocatorConfig::default().with_streams(2),
+                    Some(Arc::new(driver.clone())),
+                    None,
+                )
+                .unwrap();
                 service.register_device(device, front).unwrap();
                 RankSpec::new(device, driver.clone(), cfg.clone())
             })
@@ -343,13 +348,13 @@ mod tests {
             let handle = service.handle(device).unwrap();
             assert_eq!(handle.stats().active_bytes, 0);
             let side = handle.allocator().stream_cache_stats(StreamId(1));
-            assert!(
-                side.hits + side.misses > 0,
-                "{device}: side-stream traffic rode stream 1's bank"
+            assert_eq!(
+                side.hits + side.misses,
+                0,
+                "{device}: side-stream traffic skipped stream 1's bank"
             );
-            let c = handle.allocator().cache_stats();
             assert!(
-                c.cross_stream_fallback > 0,
+                driver.stats().event_record.calls > 0,
                 "{device}: frees crossed streams"
             );
             assert_eq!(driver.outstanding_events(), 0, "{device}: no event leaked");

@@ -9,13 +9,16 @@ use gmlake_gpu_sim::CudaDriver;
 
 use crate::trace::{Trace, TraceEvent, TraceStats};
 
+/// A recorded series keeps one sample per this many alloc/free events, to
+/// bound its memory.
+const SERIES_STRIDE: usize = 64;
+
 /// Replay policy knobs.
 #[derive(Debug, Clone)]
 pub struct ReplayOptions {
-    /// Record an `(time, active, reserved)` sample stream (Figure 14).
+    /// Record an `(time, active, reserved)` sample stream (Figure 14), one
+    /// sample per 64 alloc/free events.
     pub record_series: bool,
-    /// Keep every `series_stride`-th sample to bound memory.
-    pub series_stride: usize,
     /// Stop at the first out-of-memory failure (the paper's runs terminate
     /// on OOM). When `false`, failed allocations are skipped and counted.
     pub stop_on_oom: bool,
@@ -31,7 +34,6 @@ impl Default for ReplayOptions {
     fn default() -> Self {
         ReplayOptions {
             record_series: false,
-            series_stride: 8,
             stop_on_oom: true,
             skip_on_fault: false,
         }
@@ -270,7 +272,7 @@ impl Replayer {
                 && matches!(ev, TraceEvent::Alloc { .. } | TraceEvent::Free { .. })
             {
                 since_sample += 1;
-                if since_sample >= self.options.series_stride {
+                if since_sample >= SERIES_STRIDE {
                     since_sample = 0;
                     let s = alloc.stats();
                     series.push(Sample {
@@ -389,15 +391,18 @@ mod tests {
         let mut alloc = CachingAllocator::new(driver.clone());
         let opts = ReplayOptions {
             record_series: true,
-            series_stride: 4,
             ..ReplayOptions::default()
         };
         let report = Replayer::new(driver)
             .with_options(opts)
             .replay(&mut alloc, &trace, &cfg);
+        assert!(report.outcome.is_completed());
         let allocs_frees = trace.stats().allocs + trace.stats().frees;
         assert!(!report.series.is_empty());
-        assert!(report.series.len() as u64 <= allocs_frees / 4 + 1);
+        assert_eq!(
+            report.series.len() as u64,
+            allocs_frees / SERIES_STRIDE as u64
+        );
         // Time is monotone.
         for w in report.series.windows(2) {
             assert!(w[0].t_ns <= w[1].t_ns);
@@ -463,14 +468,15 @@ mod tests {
     #[test]
     fn multi_stream_trace_routes_into_per_stream_banks() {
         use gmlake_alloc_api::{DeviceAllocator, DeviceAllocatorConfig};
+        use gmlake_core::{GmLakeAllocator, GmLakeConfig};
         use std::sync::Arc;
         // Offload (RO) generates communication + staging tensors, which the
-        // generator moves to side streams; replaying through a stream-aware
-        // front-end must land that traffic in the side-stream caches.
-        // Comm buffers are freed by their consumer (the default stream), so
-        // the replay also exercises the event-guarded cross-stream path:
-        // each such free waits out an event recorded on the compute stream
-        // before the block returns to the core.
+        // generator moves to side streams. Each is at least
+        // `SMALL_THRESHOLD`, so a stream-aware front-end hands it to the
+        // core on its own stream, past the side stream's bank. Comm buffers
+        // are freed by their consumer (the default stream), so the replay
+        // also exercises the core's cross-stream rule: it stamps each such
+        // block with an event recorded on the freeing stream.
         let cfg = TrainConfig::new(ModelSpec::opt_1_3b(), StrategySet::RO)
             .with_iterations(2)
             .with_seq_len(256)
@@ -479,27 +485,27 @@ mod tests {
         let trace = TraceGenerator::new(cfg.clone()).generate();
         assert_eq!(trace.stats().streams, 2);
         let driver = a100();
-        // Comm/staging tensors run tens-to-hundreds of MiB; raise the
-        // fast-path threshold so the side-stream traffic is visible in the
-        // stream banks instead of falling through to the core.
-        let mut pool = DeviceAllocator::with_config_and_events(
-            CachingAllocator::new(driver.clone()),
-            DeviceAllocatorConfig::default()
-                .with_streams(2)
-                .with_small_threshold(gmlake_alloc_api::mib(512)),
-            Arc::new(driver.clone()),
-        );
+        let mut pool = DeviceAllocator::try_build(
+            Box::new(GmLakeAllocator::new(
+                driver.clone(),
+                GmLakeConfig::default(),
+            )),
+            DeviceAllocatorConfig::default().with_streams(2),
+            Some(Arc::new(driver.clone())),
+            None,
+        )
+        .unwrap();
         let report = Replayer::new(driver.clone()).replay(&mut pool, &trace, &cfg);
         assert!(report.outcome.is_completed());
         let side = pool.stream_cache_stats(StreamId(1));
-        assert!(
-            side.hits + side.misses > 0,
-            "side-stream traffic reached stream 1's bank"
+        assert_eq!(
+            side.hits + side.misses,
+            0,
+            "side-stream traffic skipped the bank"
         );
-        let c = pool.cache_stats();
         assert!(
-            c.cross_stream_fallback > 0,
-            "comm frees rode the event-guarded path"
+            driver.stats().event_record.calls > 0,
+            "comm frees were stamped on the freeing stream"
         );
         assert_eq!(AllocatorCore::stats(&pool).active_bytes, 0);
         assert_eq!(driver.outstanding_events(), 0, "no event leaked");

@@ -18,7 +18,6 @@ fn main() {
     let trace = TraceGenerator::new(cfg.clone()).generate();
     let opts = ReplayOptions {
         record_series: true,
-        series_stride: 32,
         ..ReplayOptions::default()
     };
 

@@ -364,11 +364,13 @@ fn memmap_fault_inside_stream_affine_large_stitch_rolls_back() {
     use gmlake_alloc_api::DeviceAllocatorConfig;
     let driver = CudaDriver::new(DeviceConfig::a100_80g());
     let lake = ValidatedLake::new(&driver, GmLakeConfig::default().with_frag_limit(mib(2)));
-    let pool = DeviceAllocator::with_config_and_events(
-        lake,
+    let pool = DeviceAllocator::try_build(
+        Box::new(lake),
         DeviceAllocatorConfig::default().with_streams(4),
-        std::sync::Arc::new(driver.clone()),
-    );
+        Some(std::sync::Arc::new(driver.clone())),
+        None,
+    )
+    .unwrap();
     // Prime a 4 + 6 MiB inactive pair: large frees reach the core
     // directly, so a 10 MiB request classifies S3 and the commit under
     // the core lock is a real stitch.
@@ -437,7 +439,7 @@ fn memmap_fault_inside_planned_residue_stitch_rolls_back() {
         driver.clone(),
         GmLakeConfig::default().with_frag_limit(mib(2)),
     );
-    let mut core = PlannedCore::with_fallback(driver.clone(), PlannedConfig::default(), fallback);
+    let mut core = PlannedCore::with_fallback(driver.clone(), fallback);
 
     // Record one synthetic iteration of 1 MiB transients, then install
     // the plan at the boundary.

@@ -299,43 +299,46 @@ fn oom_retry_flushes_every_streams_cache_with_pinned_byte_count() {
             .with_capacity(mib(300))
             .with_backing(false),
     );
-    let pool = DeviceAllocator::with_config(
-        CachingAllocator::new(driver.clone()),
-        DeviceAllocatorConfig::default()
-            .with_streams(4)
-            .with_small_threshold(mib(16)),
-    );
+    let pool = DeviceAllocator::try_build(
+        Box::new(CachingAllocator::new(driver.clone())),
+        DeviceAllocatorConfig::default().with_streams(4),
+        None,
+        None,
+    )
+    .unwrap();
     let warm_all_streams = |pool: &DeviceAllocator| {
         for s in 0..4u32 {
             let a = pool
-                .alloc_on_stream(AllocRequest::new(mib(10)), StreamId(s))
+                .alloc_on_stream(AllocRequest::new(mib(1)), StreamId(s))
                 .unwrap();
             pool.free_on_stream(a.id, StreamId(s)).unwrap();
         }
     };
-    // Phase 1 — pin the reclaimed-byte count: one 10 MiB-class block parked
+    // Phase 1 — pin the reclaimed-byte count: one 1 MiB-class block parked
     // per stream, and a full flush hands back exactly all four.
     warm_all_streams(&pool);
     for s in 0..4u32 {
         assert_eq!(
             pool.stream_cache_stats(StreamId(s)).cached_bytes,
-            mib(16),
-            "stream {s}: one 16 MiB-class block parked in its own cache"
+            mib(1),
+            "stream {s}: one 1 MiB-class block parked in its own cache"
         );
     }
-    assert_eq!(pool.flush(), 4 * mib(16), "flush reclaims every stream");
+    assert_eq!(pool.flush(), 4 * mib(1), "flush reclaims every stream");
     assert_eq!(pool.cache_stats().cached_bytes, 0);
 
-    // Phase 2 — the OOM retry does that flush implicitly: with 4 x 16 MiB
-    // parked (64 MiB), a 290 MiB request on a 300 MiB device only fits if
-    // every cache drains; flushing the allocating stream's cache alone
-    // (16 MiB) would leave at most 252 MiB allocatable.
+    // Phase 2 — the OOM retry does that flush implicitly. The core packs
+    // the four parked blocks two to a 2 MiB segment (streams 0 and 1 share
+    // one, streams 2 and 3 the other), so a 298 MiB request on a 300 MiB
+    // device only fits once every cache drains: flushing the allocating
+    // stream's cache alone frees no segment and leaves 296 MiB.
     warm_all_streams(&pool);
-    assert_eq!(pool.cache_stats().cached_bytes, 4 * mib(16));
+    assert_eq!(pool.cache_stats().cached_bytes, 4 * mib(1));
+    assert_eq!(driver.phys_in_use(), mib(4), "two 2 MiB segments");
     let big = pool
-        .alloc_on_stream(AllocRequest::new(mib(290)), StreamId(0))
+        .alloc_on_stream(AllocRequest::new(mib(298)), StreamId(0))
         .unwrap();
-    assert_eq!(big.size, mib(290), "cross-stream flush rescued the request");
+    assert_eq!(big.size, mib(298), "cross-stream flush rescued the request");
     assert_eq!(
         pool.cache_stats().cached_bytes,
         0,
@@ -384,10 +387,13 @@ fn stream_config_round_trips_and_zero_streams_errors() {
 #[test]
 fn cross_thread_cross_stream_free_takes_the_conservative_path() {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-    let pool = DeviceAllocator::with_config(
-        CachingAllocator::new(driver),
+    let pool = DeviceAllocator::try_build(
+        Box::new(CachingAllocator::new(driver)),
         DeviceAllocatorConfig::default().with_streams(2),
-    );
+        None,
+        None,
+    )
+    .unwrap();
     let (tx, rx) = mpsc::channel::<AllocationId>();
     std::thread::scope(|s| {
         let producer = pool.clone();
@@ -428,11 +434,13 @@ fn cross_thread_cross_stream_free_takes_the_conservative_path() {
 fn cross_stream_small_free_waits_out_the_freeing_stream() {
     use std::sync::Arc;
     let driver = CudaDriver::new(DeviceConfig::a100_80g());
-    let pool = DeviceAllocator::with_config_and_events(
-        CachingAllocator::new(driver.clone()),
+    let pool = DeviceAllocator::try_build(
+        Box::new(CachingAllocator::new(driver.clone())),
         DeviceAllocatorConfig::default().with_streams(2),
-        Arc::new(driver.clone()),
-    );
+        Some(Arc::new(driver.clone())),
+        None,
+    )
+    .unwrap();
     let a = pool
         .alloc_on_stream(AllocRequest::new(kib(64)), StreamId(1))
         .unwrap();
@@ -461,21 +469,25 @@ fn cross_stream_small_free_waits_out_the_freeing_stream() {
     assert!(driver.snapshot().is_quiescent());
 }
 
-/// A custom configuration is honored and observable.
+/// A custom configuration is honored and observable, and a size class
+/// parks at most 64 blocks.
 #[test]
 fn custom_config_round_trips() {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-    let pool = DeviceAllocator::with_config(
-        CachingAllocator::new(driver),
-        DeviceAllocatorConfig::default()
-            .with_streams(5) // rounded up to 8
-            .with_max_cached_per_class(1),
-    );
-    let a = pool.allocate(AllocRequest::new(kib(16))).unwrap();
-    let b = pool.allocate(AllocRequest::new(kib(16))).unwrap();
-    pool.deallocate(a.id).unwrap();
-    pool.deallocate(b.id).unwrap();
+    let pool = DeviceAllocator::try_build(
+        Box::new(CachingAllocator::new(driver)),
+        DeviceAllocatorConfig::default().with_streams(5), // rounded up to 8
+        None,
+        None,
+    )
+    .unwrap();
+    let ids: Vec<_> = (0..65)
+        .map(|_| pool.allocate(AllocRequest::new(kib(16))).unwrap().id)
+        .collect();
+    for id in ids {
+        pool.deallocate(id).unwrap();
+    }
     let cache = pool.cache_stats();
     assert_eq!(cache.streams, 8);
-    assert_eq!(cache.cached_blocks, 1, "per-class cap enforced");
+    assert_eq!(cache.cached_blocks, 64, "per-class cap enforced");
 }

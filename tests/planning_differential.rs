@@ -85,7 +85,7 @@ impl Fallback for CachingAllocator {
 fn planned_core<C: Fallback>(capacity: u64) -> (PlannedCore<C>, CudaDriver) {
     let driver = CudaDriver::new(DeviceConfig::a100_80g().with_capacity(capacity));
     let fallback = C::bare(driver.clone());
-    let core = PlannedCore::with_fallback(driver.clone(), PlannedConfig::default(), fallback);
+    let core = PlannedCore::with_fallback(driver.clone(), fallback);
     (core, driver)
 }
 

@@ -50,7 +50,14 @@ enum Op {
     /// Return every cached block to the core (front-end only; the oracle
     /// caches nothing, so this must be caller-invisible).
     Flush,
+    /// Allocate `BURST` blocks of `1 << size_log2` bytes on one stream, then
+    /// free them all there: one more than a size class parks, so the last
+    /// free overflows to the core.
+    Burst { size_log2: u32, stream: u32 },
 }
+
+/// One past the front-end's cap of 64 parked blocks per size class.
+const BURST: usize = 65;
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
@@ -60,6 +67,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         }),
         7 => (any::<usize>(), (0u32..STREAMS)).prop_map(|(nth, stream)| Op::Free { nth, stream }),
         1 => Just(Op::Flush),
+        1 => ((9u32..15), (0u32..STREAMS)).prop_map(|(size_log2, stream)| Op::Burst {
+            size_log2,
+            stream,
+        }),
     ]
 }
 
@@ -68,36 +79,64 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// unbounded (no OOM arm).
 fn run_differential(ops: &[Op], capacity: u64) {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-    let pool = DeviceAllocator::with_config_and_events(
-        MirrorCore::bounded(capacity),
-        DeviceAllocatorConfig::default()
-            .with_streams(STREAMS as usize)
-            // Small cap: exercise free-list overflow returns.
-            .with_max_cached_per_class(4),
-        Arc::new(driver.clone()),
-    );
+    let pool = DeviceAllocator::try_build(
+        Box::new(MirrorCore::bounded(capacity)),
+        DeviceAllocatorConfig::default().with_streams(STREAMS as usize),
+        Some(Arc::new(driver.clone())),
+        None,
+    )
+    .unwrap();
     let oracle = MutexOracle::bounded(capacity);
+    // Op `i` allocates `size` on `stream` from both sides, which must agree
+    // on the outcome: the ids on success, `None` on a shared OOM.
+    let alloc_both = |i: usize, size: u64, stream: StreamId| {
+        let front = pool.alloc_on_stream(AllocRequest::new(size), stream);
+        match (front, oracle.alloc(size)) {
+            (Ok(f), Ok(o)) => {
+                prop_assert!(f.size >= size);
+                Some((f.id, o.id))
+            }
+            (
+                Err(AllocError::OutOfMemory { requested, .. }),
+                Err(AllocError::OutOfMemory {
+                    requested: oreq, ..
+                }),
+            ) => {
+                prop_assert_eq!(requested, oreq, "op {}: same failing request", i);
+                None
+            }
+            (f, o) => panic!(
+                "op {i}: outcome divergence on {size}B/{stream}: front {f:?} vs oracle {o:?}"
+            ),
+        }
+    };
 
     // (front id, oracle id, allocating stream) per live tensor.
     let mut live: Vec<(AllocationId, AllocationId, StreamId)> = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         match *op {
             Op::Alloc { size_log2, stream } => {
-                let size = 1u64 << size_log2;
                 let stream = StreamId(stream % STREAMS);
-                let front = pool.alloc_on_stream(AllocRequest::new(size), stream);
-                let orac = oracle.alloc(size);
-                match (front, orac) {
-                    (Ok(f), Ok(o)) => {
-                        prop_assert!(f.size >= size);
-                        live.push((f.id, o.id, stream));
-                    }
-                    (Err(AllocError::OutOfMemory { requested, .. }), Err(AllocError::OutOfMemory { requested: oreq, .. })) => {
-                        prop_assert_eq!(requested, oreq, "op {}: same failing request", i);
-                    }
-                    (f, o) => panic!(
-                        "op {i}: outcome divergence on {size}B/{stream}: front {f:?} vs oracle {o:?}"
-                    ),
+                if let Some((f, o)) = alloc_both(i, 1 << size_log2, stream) {
+                    live.push((f, o, stream));
+                }
+            }
+            Op::Burst { size_log2, stream } => {
+                let stream = StreamId(stream % STREAMS);
+                let ids: Vec<_> = (0..BURST)
+                    .filter_map(|_| alloc_both(i, 1 << size_log2, stream))
+                    .collect();
+                let core_frees = pool.with_core(|c| c.stats().free_count);
+                for &(fid, oid) in &ids {
+                    pool.free_on_stream(fid, stream).unwrap();
+                    oracle.free(oid, stream).unwrap();
+                }
+                if ids.len() == BURST {
+                    prop_assert!(
+                        pool.with_core(|c| c.stats().free_count) > core_frees,
+                        "op {}: the class overflowed to the core",
+                        i
+                    );
                 }
             }
             Op::Free { nth, stream } => {

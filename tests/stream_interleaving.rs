@@ -250,11 +250,13 @@ fn run_scheduled(
 fn make_pool() -> (DeviceAllocator, CudaDriver) {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
     (
-        DeviceAllocator::with_config_and_events(
-            CachingAllocator::new(driver.clone()),
+        DeviceAllocator::try_build(
+            Box::new(CachingAllocator::new(driver.clone())),
             DeviceAllocatorConfig::default().with_streams(2),
-            Arc::new(driver.clone()),
-        ),
+            Some(Arc::new(driver.clone())),
+            None,
+        )
+        .unwrap(),
         driver,
     )
 }

@@ -22,7 +22,6 @@ fn reserved_memory_plateaus_for_both_allocators() {
     let trace = TraceGenerator::new(cfg.clone()).generate();
     let opts = ReplayOptions {
         record_series: true,
-        series_stride: 16,
         ..ReplayOptions::default()
     };
 
