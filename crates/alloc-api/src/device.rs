@@ -59,7 +59,7 @@
 //! The caches are transparent: parked blocks remain "live" from the core's
 //! perspective and are returned to it by [`DeviceAllocator::flush`] (which
 //! release, compaction and the out-of-memory retry run automatically), so
-//! defragmentation and OOM rescue still see every cached byte.
+//! defragmentation and the OOM retry still see every cached byte.
 //!
 //! # Example
 //!

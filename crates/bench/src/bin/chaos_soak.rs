@@ -23,10 +23,10 @@
 //! Outputs (uploaded by CI as artifacts):
 //!
 //! * `chaos_soak.json` — summary counters: injected faults, the service's
-//!   fault/retry/rescue counters, and the core's fault journal;
+//!   fault/retry counters (its `rescues` is always 0: the service runs no
+//!   OOM rescue), and the core's fault journal;
 //! * `chaos_profile.json` — the full telemetry [`MemorySnapshot`],
-//!   whose event trace carries every `fault_injected` and `rescue_stage`
-//!   record of the run.
+//!   whose event trace carries every `fault_injected` record of the run.
 //!
 //! [`MemorySnapshot`]: gmlake_telemetry::MemorySnapshot
 

@@ -786,7 +786,6 @@ fn ablation_max_split() {
     for max_mb in [64u64, 128, 256, 512] {
         let bfc = BfcConfig {
             max_split_size: Some(mib(max_mb)),
-            ..BfcConfig::default()
         };
         let (r, _) = run_with(&cfg, &opts, |d| CachingAllocator::with_config(d, bfc));
         row(&format!("caching (max_split {max_mb}M)"), r);

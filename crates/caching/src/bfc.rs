@@ -211,10 +211,16 @@ impl CachingAllocator {
 
     /// `cudaMalloc`s a new segment sized for `rounded` and registers it as a
     /// single free block. On device OOM, releases every fully-free cached
-    /// segment and retries once.
-    fn grow(&mut self, pool: PoolKind, rounded: u64) -> Result<BlockId, AllocError> {
+    /// segment and retries once; the error names the caller's `requested`
+    /// bytes, not the segment's.
+    fn grow(
+        &mut self,
+        pool: PoolKind,
+        rounded: u64,
+        requested: u64,
+    ) -> Result<BlockId, AllocError> {
         let Some(seg_size) = self.config.segment_size(rounded) else {
-            return Err(self.oom(rounded));
+            return Err(self.oom(requested));
         };
         let va = match self.driver.mem_alloc(seg_size) {
             Ok(va) => va,
@@ -222,9 +228,7 @@ impl CachingAllocator {
                 self.release_cached_segments();
                 match self.driver.mem_alloc(seg_size) {
                     Ok(va) => va,
-                    Err(DriverError::OutOfMemory { requested, .. }) => {
-                        return Err(self.oom(requested))
-                    }
+                    Err(DriverError::OutOfMemory { .. }) => return Err(self.oom(requested)),
                     Err(e) => return Err(AllocError::driver_fault("mem_alloc", e)),
                 }
             }
@@ -463,7 +467,7 @@ impl AllocatorCore for CachingAllocator {
         let pool = self.config.pool_for(rounded);
         let block_id = match self.find_best_fit(pool, rounded) {
             Some(id) => id,
-            None => self.grow(pool, rounded)?,
+            None => self.grow(pool, rounded, req.size)?,
         };
         let size = self.blocks[&block_id].size;
         self.free_set(pool).remove(&(size, block_id));

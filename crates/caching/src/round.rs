@@ -3,55 +3,40 @@
 
 use gmlake_alloc_api::mib;
 
-#[cfg(test)]
-use gmlake_alloc_api::kib;
+/// Granularity every request is rounded up to (512 B in PyTorch).
+const ROUND: u64 = 512;
+/// Requests up to this size use the small pool (1 MiB).
+const SMALL_SIZE: u64 = mib(1);
+/// Segment size of the small pool (2 MiB).
+const SMALL_BUFFER: u64 = mib(2);
+/// Requests up to this size get `LARGE_BUFFER`-sized segments (10 MiB).
+const MEDIUM_SIZE: u64 = mib(10);
+/// Minimum large-pool segment size (20 MiB).
+const LARGE_BUFFER: u64 = mib(20);
+/// Segment sizes above `MEDIUM_SIZE` round to this multiple (2 MiB).
+const SEGMENT_ROUND: u64 = mib(2);
+/// Remainder below which a small-pool block is not split (512 B).
+const SMALL_SPLIT_REMAINDER: u64 = 512;
+/// Remainder below which a large-pool block is not split (1 MiB).
+const LARGE_SPLIT_REMAINDER: u64 = mib(1);
 
 /// Configuration of the BFC caching allocator.
 ///
-/// Defaults mirror PyTorch's `CUDACachingAllocator`:
+/// The sizing policy is PyTorch's `CUDACachingAllocator`, fixed:
 /// * requests are rounded up to 512 B;
 /// * requests ≤ 1 MiB are served from 2 MiB "small" segments;
 /// * requests ≤ 10 MiB are served from 20 MiB "large" segments;
 /// * larger requests get a dedicated segment rounded to 2 MiB;
 /// * a free block is split when the remainder is ≥ 512 B (small pool) or
 ///   ≥ 1 MiB (large pool).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The one setting is PyTorch's `max_split_size_mb`, which
+/// `repro ablation-max-split` sweeps.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BfcConfig {
-    /// Granularity every request is rounded up to (512 B in PyTorch).
-    pub round: u64,
-    /// Requests up to this size use the small pool (1 MiB).
-    pub small_size: u64,
-    /// Segment size of the small pool (2 MiB).
-    pub small_buffer: u64,
-    /// Requests up to this size get `large_buffer`-sized segments (10 MiB).
-    pub medium_size: u64,
-    /// Minimum large-pool segment size (20 MiB).
-    pub large_buffer: u64,
-    /// Segment sizes above `medium_size` round to this multiple (2 MiB).
-    pub segment_round: u64,
-    /// Remainder below which a small-pool block is not split (512 B).
-    pub small_split_remainder: u64,
-    /// Remainder below which a large-pool block is not split (1 MiB).
-    pub large_split_remainder: u64,
     /// Blocks larger than this are never split (PyTorch's
     /// `max_split_size_mb`); `None` means unlimited.
     pub max_split_size: Option<u64>,
-}
-
-impl Default for BfcConfig {
-    fn default() -> Self {
-        BfcConfig {
-            round: 512,
-            small_size: mib(1),
-            small_buffer: mib(2),
-            medium_size: mib(10),
-            large_buffer: mib(20),
-            segment_round: mib(2),
-            small_split_remainder: 512,
-            large_split_remainder: mib(1),
-            max_split_size: None,
-        }
-    }
 }
 
 /// Which pool a block/segment belongs to.
@@ -77,12 +62,12 @@ impl BfcConfig {
     /// ```
     pub fn round_size(&self, size: u64) -> Option<u64> {
         debug_assert!(size > 0);
-        size.div_ceil(self.round).checked_mul(self.round)
+        size.div_ceil(ROUND).checked_mul(ROUND)
     }
 
     /// Pool serving a (rounded) request of `size` bytes.
     pub fn pool_for(&self, size: u64) -> PoolKind {
-        if size <= self.small_size {
+        if size <= SMALL_SIZE {
             PoolKind::Small
         } else {
             PoolKind::Large
@@ -92,14 +77,12 @@ impl BfcConfig {
     /// Size of the fresh segment to `cudaMalloc` for a rounded request;
     /// `None` when it would pass `u64::MAX`.
     pub fn segment_size(&self, rounded: u64) -> Option<u64> {
-        if rounded <= self.small_size {
-            Some(self.small_buffer)
-        } else if rounded < self.medium_size {
-            Some(self.large_buffer)
+        if rounded <= SMALL_SIZE {
+            Some(SMALL_BUFFER)
+        } else if rounded < MEDIUM_SIZE {
+            Some(LARGE_BUFFER)
         } else {
-            rounded
-                .div_ceil(self.segment_round)
-                .checked_mul(self.segment_round)
+            rounded.div_ceil(SEGMENT_ROUND).checked_mul(SEGMENT_ROUND)
         }
     }
 
@@ -113,8 +96,8 @@ impl BfcConfig {
         }
         let remainder = block_size - rounded;
         match pool {
-            PoolKind::Small => remainder >= self.small_split_remainder,
-            PoolKind::Large => remainder >= self.large_split_remainder,
+            PoolKind::Small => remainder >= SMALL_SPLIT_REMAINDER,
+            PoolKind::Large => remainder >= LARGE_SPLIT_REMAINDER,
         }
     }
 
@@ -130,7 +113,7 @@ impl BfcConfig {
         if let Some(max) = self.max_split_size {
             // An unsplittable block must not be grossly oversized for the
             // request (PyTorch allows up to `kLargeBuffer` of slack).
-            if block_size > max && rounded <= max && block_size - rounded >= self.large_buffer {
+            if block_size > max && rounded <= max && block_size - rounded >= LARGE_BUFFER {
                 return false;
             }
         }
@@ -142,6 +125,7 @@ impl BfcConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmlake_alloc_api::kib;
 
     #[test]
     fn rounding_is_multiple_of_512() {
@@ -186,7 +170,6 @@ mod tests {
     fn max_split_size_disables_splitting() {
         let c = BfcConfig {
             max_split_size: Some(mib(64)),
-            ..BfcConfig::default()
         };
         assert!(!c.should_split(PoolKind::Large, mib(128), mib(20)));
         assert!(c.should_split(PoolKind::Large, mib(64), mib(20)));
@@ -196,7 +179,6 @@ mod tests {
     fn oversized_unsplittable_blocks_do_not_serve_small_requests() {
         let c = BfcConfig {
             max_split_size: Some(mib(64)),
-            ..BfcConfig::default()
         };
         // 512 MiB cached block, 2 MiB request: refused (would waste 510 MiB).
         assert!(!c.can_serve(PoolKind::Large, mib(512), mib(2)));

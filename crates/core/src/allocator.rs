@@ -11,7 +11,9 @@
 //!   the final candidate so the stitched size matches exactly);
 //! * **S4** insufficient — `Alloc` a fresh reservation, stitching it with
 //!   whatever leftovers exist;
-//! * **S5** — out of memory.
+//! * **S5** — out of memory: release every cached structure and retry
+//!   once. Small requests (< 2 MiB), served by the embedded caching pool,
+//!   take the same fallback, so an idle large cache never starves them.
 //!
 //! # Physical layout
 //!
@@ -1453,8 +1455,8 @@ impl GmLakeAllocator {
             .map(|(sid, _)| sid)
             .collect();
         for sid in unassigned {
-            // A faulted teardown leaves the view intact; skip it, later
-            // rescue passes will retry.
+            // A faulted teardown leaves the view intact; skip it, a later
+            // release will retry.
             let _ = self.destroy_sblock(sid);
         }
         let mut released = self.reclaim(|_| true);
@@ -1730,38 +1732,35 @@ impl AllocatorCore for GmLakeAllocator {
             return Err(AllocError::ZeroSize);
         }
         self.driver.advance_clock(self.host_op_ns);
-        if req.size < SMALL_THRESHOLD {
-            return self.allocate_small(req);
-        }
-        let result = match self.try_allocate_large(req) {
-            Err(AllocError::OutOfMemory { .. }) => {
-                // S5 fallback: surrender every cached structure and retry once.
-                let released = self.release_cached_impl();
-                if released == 0 {
-                    self.counters.record(AllocState::Oom);
-                    self.iter_non_exact += 1;
-                    self.stats.oom_count += 1;
-                    return Err(AllocError::OutOfMemory {
-                        requested: req.size,
-                        reserved: self.stats.reserved_bytes,
-                        capacity: self.driver.capacity(),
-                    });
-                }
-                self.try_allocate_large(req).map_err(|e| {
-                    if matches!(e, AllocError::OutOfMemory { .. }) {
-                        self.counters.record(AllocState::Oom);
-                        self.iter_non_exact += 1;
-                        self.stats.oom_count += 1;
-                    }
-                    e
-                })
+        let small = req.size < SMALL_THRESHOLD;
+        let attempt = |this: &mut Self| {
+            if small {
+                this.allocate_small(req)
+            } else {
+                this.try_allocate_large(req)
             }
-            other => other,
         };
-        if result.is_ok() {
+        let mut result = attempt(self);
+        // S5 fallback, for both pools: surrender every cached structure and
+        // retry once.
+        if matches!(result, Err(AllocError::OutOfMemory { .. })) && self.release_cached_impl() > 0 {
+            result = attempt(self);
+        }
+        match result {
             // StitchFree: trim the sPool now that the new block (if any) is
             // assigned and therefore protected from eviction.
-            self.enforce_spool_capacity();
+            Ok(_) if !small => self.enforce_spool_capacity(),
+            Err(AllocError::OutOfMemory { .. }) => {
+                self.counters.record(AllocState::Oom);
+                self.iter_non_exact += 1;
+                self.stats.oom_count += 1;
+                return Err(AllocError::OutOfMemory {
+                    requested: req.size,
+                    reserved: self.stats.reserved_bytes,
+                    capacity: self.driver.capacity(),
+                });
+            }
+            _ => {}
         }
         result
     }

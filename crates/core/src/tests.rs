@@ -883,7 +883,7 @@ mod program {
     }
 
     /// The 64 MiB device and 12-view sPool the property tests run on: small
-    /// enough that OOM, `StitchFree` eviction and the rescue path all fire.
+    /// enough that OOM, `StitchFree` eviction and the S5 fallback all fire.
     pub fn small_lake() -> GmLakeAllocator {
         let dev = DeviceConfig::small_test()
             .with_capacity(mib(64))
@@ -996,7 +996,7 @@ mod reclaim_oracle {
     //! runs after every step. The programs free across streams with work in
     //! flight, so stamps hold pieces back from merging until `process_events`
     //! retires them; sizes up to 24 MiB on a 64 MiB device force splits,
-    //! stitches, S4 top-ups and the OOM rescue.
+    //! stitches, S4 top-ups and the S5 fallback.
 
     use super::*;
     use gmlake_alloc_api::StreamId;
@@ -1146,17 +1146,18 @@ mod golden {
     use gmlake_gpu_sim::{FaultOp, FaultPlan};
     use proptest::prelude::*;
 
-    /// Re-pinned when physical memory started going back a whole
-    /// reservation at a time: the programs run `ReleaseCached` and
-    /// `Compact`, whose release unit changed, and they now run on the
-    /// default configuration, without the deleted split-halves cache.
-    const DECISIONS: [u64; 2] = [5_734_867_937_150_858_216, 467_717_539_300_448_351];
+    /// Re-pinned when S5 came to cover small requests: a small-pool OOM
+    /// now gives up the large cache and retries once, and counts in
+    /// `StateCounters::oom`. The three programs hit 18 small OOMs while the
+    /// core held idle cache; S5 released 4–54 MiB each time and 10 of the
+    /// 18 were then served.
+    const DECISIONS: [u64; 2] = [15_158_958_555_170_290_457, 14_698_382_431_690_865_909];
 
-    /// Re-pinned with `DECISIONS`, for the same reasons.
+    /// Re-pinned with `DECISIONS`, for the same reason.
     const TRAFFIC: [u64; 3] = [
-        7_571_596_545_701_160_376,
-        16_922_133_205_229_141_599,
-        12_341_669_347_997_548_846,
+        2_264_409_921_882_418_263,
+        11_332_125_496_297_305_910,
+        17_810_318_964_492_138_329,
     ];
 
     fn fnv(hash: &mut u64, bytes: &[u8]) {

@@ -75,13 +75,9 @@ impl AllocatorCore for NativeAllocator {
             return Err(AllocError::ZeroSize);
         }
         let va = self.driver.mem_alloc(req.size).map_err(|e| match e {
-            DriverError::OutOfMemory {
-                requested,
-                in_use,
-                capacity,
-            } => AllocError::OutOfMemory {
-                requested,
-                reserved: in_use,
+            DriverError::OutOfMemory { capacity, .. } => AllocError::OutOfMemory {
+                requested: req.size,
+                reserved: self.stats.reserved_bytes,
                 capacity,
             },
             other => AllocError::Driver(other.to_string()),

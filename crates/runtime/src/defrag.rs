@@ -221,7 +221,7 @@ mod tests {
     /// | serving `churn_burst_escalates_and_reclaims_the_idle_cache` | `churn trigger: >= edge and slide-out` |
     /// | serving `fragmentation_alone_escalates` | `frag trigger: >= edge` |
     /// | `scheduler_counts_decisions_and_actions` | the stats assertions of the three real-pool tests below |
-    /// | `oom_pressure_only_acts_on_oom` | `never-firing policy`; the OOM half is `service::tests::oom_rescue_*`, independent of the policy now |
+    /// | `oom_pressure_only_acts_on_oom` | `never-firing policy`; the OOM half is `service::tests::oom_*`, independent of the policy now |
     ///
     /// Two equivalences the rows rely on. The former periodic policy fired
     /// when `iteration >= last_fired + every`; once each boundary ticks

@@ -22,8 +22,8 @@ pub enum RuntimeError {
     DuplicateDevice(DeviceId),
     /// No pool is registered for this device.
     UnknownDevice(DeviceId),
-    /// An allocation failed after the service exhausted its rescue and
-    /// retry pipeline. Recoverable driver faults keep their source chain:
+    /// An allocation failed after the service's bounded fault retry.
+    /// Recoverable driver faults keep their source chain:
     /// `err.source()` is the [`AllocError`], whose own source is the
     /// driver error that was rolled back.
     Allocation(AllocError),

@@ -32,10 +32,12 @@
 //!   always sees every cached byte.
 //! * Fault recovery on the allocation path (see
 //!   [`PoolHandle::alloc_on_stream`]) is independent of the defrag policy:
-//!   a rolled-back driver fault is retried at most three times, and an
-//!   out-of-memory error runs a four-stage rescue (flush, retire event
-//!   stamps, compact, an owner-installed [`RescueHook`]). A successful
-//!   allocation pays for neither.
+//!   a rolled-back driver fault is retried at most three times. A
+//!   successful allocation pays nothing for it. Out-of-memory passes
+//!   through: each layer recovers only what it caches — the core gives up
+//!   its cache, the front-end flushes its stream caches, and the serving
+//!   layer evicts idle tenants — so the service has nothing left to
+//!   reclaim.
 //!
 //! # One pool, many threads
 //!
@@ -141,5 +143,5 @@ mod service;
 pub use defrag::{DefragPolicy, DefragStats, Defragger};
 pub use error::RuntimeError;
 pub use profiler::MemoryProfiler;
-pub use recovery::{FaultRecoveryStats, RescueHook};
+pub use recovery::FaultRecoveryStats;
 pub use service::{DeviceId, PoolHandle, PoolService};

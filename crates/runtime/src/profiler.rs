@@ -11,7 +11,7 @@ use crate::service::{DeviceId, PoolHandle, PoolService};
 /// Every pool the service registers carries a [`PoolTelemetry`] sink that
 /// starts disabled (one relaxed atomic load of overhead per allocator
 /// call). The profiler is the switch: [`start`](MemoryProfiler::start)
-/// enables the sink on every pool in scope, [`stop`](MemoryProfiler::stop)
+/// enables the sink on every registered pool, [`stop`](MemoryProfiler::stop)
 /// disables it again, and [`dump`](MemoryProfiler::dump) assembles a
 /// [`MemorySnapshot`] — the reserved/active/fragmentation series,
 /// the structured event trace, and the latency histograms — ready for
@@ -51,7 +51,6 @@ use crate::service::{DeviceId, PoolHandle, PoolService};
 #[derive(Debug, Clone)]
 pub struct MemoryProfiler {
     service: PoolService,
-    scope: Option<Vec<DeviceId>>,
 }
 
 impl MemoryProfiler {
@@ -60,33 +59,19 @@ impl MemoryProfiler {
     pub fn new(service: &PoolService) -> Self {
         MemoryProfiler {
             service: service.clone(),
-            scope: None,
         }
     }
 
-    /// A profiler restricted to `devices`. Devices without a registered
-    /// pool are skipped (not an error), so a scope can be declared before
-    /// registration.
-    pub fn scoped(service: &PoolService, devices: Vec<DeviceId>) -> Self {
-        MemoryProfiler {
-            service: service.clone(),
-            scope: Some(devices),
-        }
-    }
-
-    /// The pools currently in scope.
+    /// The pools currently registered.
     fn pools(&self) -> Vec<(DeviceId, PoolHandle)> {
-        let devices = match &self.scope {
-            Some(scope) => scope.clone(),
-            None => self.service.devices(),
-        };
-        devices
+        self.service
+            .devices()
             .into_iter()
             .filter_map(|d| self.service.handle(d).ok().map(|h| (d, h)))
             .collect()
     }
 
-    /// Enables telemetry on every pool in scope and records an initial
+    /// Enables telemetry on every registered pool and records an initial
     /// timeline point per pool (the baseline the series starts from).
     pub fn start(&self) {
         for (_, handle) in self.pools() {
@@ -97,7 +82,7 @@ impl MemoryProfiler {
         }
     }
 
-    /// Disables telemetry on every pool in scope. Buffered events,
+    /// Disables telemetry on every registered pool. Buffered events,
     /// timeline points, and histograms are retained for a later
     /// [`dump`](MemoryProfiler::dump).
     pub fn stop(&self) {
@@ -108,7 +93,7 @@ impl MemoryProfiler {
         }
     }
 
-    /// Records one timeline point on every enabled pool in scope, in
+    /// Records one timeline point on every enabled registered pool, in
     /// addition to the automatic per-iteration samples.
     pub fn sample(&self) {
         for (_, handle) in self.pools() {
@@ -120,7 +105,7 @@ impl MemoryProfiler {
         }
     }
 
-    /// Drains every in-scope pool's telemetry into a [`MemorySnapshot`].
+    /// Drains every registered pool's telemetry into a [`MemorySnapshot`].
     ///
     /// Each pool contributes one [`PoolSnapshot`] labelled
     /// `"<device> (<allocator name>)"` (e.g. `"gpu0 (gmlake)"`). A final
@@ -151,16 +136,15 @@ impl MemoryProfiler {
             }
             let label = format!("{} ({})", device, handle.name());
             let mut snap = tel.snapshot(&label, stats.reserved_bytes, stats.active_bytes);
-            // Fault-recovery counters live in the service (retries,
-            // rescues) and the allocator core (transaction journal), not in
-            // the telemetry sink — attach them here so chaos and serving artifacts carry
-            // orphan accounting alongside the timeline.
+            // Fault-recovery counters live in the service (faults,
+            // retries) and the allocator core (transaction journal), not in
+            // the telemetry sink — attach them here so chaos and serving
+            // artifacts carry orphan accounting alongside the timeline.
             let recovery = handle.fault_stats();
             let journal = handle.fault_journal_stats();
             snap.fault = Some(FaultSnapshot {
                 faults: recovery.faults,
                 retries: recovery.retries,
-                rescues: recovery.rescues,
                 journal_failed_ops: journal.failed_ops,
                 orphan_vas: journal.orphan_vas,
                 orphan_va_bytes: journal.orphan_va_bytes,

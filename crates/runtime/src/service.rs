@@ -13,11 +13,11 @@ use gmlake_alloc_api::{
     forward_allocator_core, AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore,
     DeviceAllocator, DeviceAllocatorConfig, FaultJournalStats, MemStats, StreamId,
 };
-use gmlake_telemetry::{EventKind, PoolTelemetry};
+use gmlake_telemetry::PoolTelemetry;
 
 use crate::defrag::{DefragPolicy, DefragStats, Defragger};
 use crate::error::RuntimeError;
-use crate::recovery::{FaultRecoveryStats, RescueHook, MAX_FAULT_RETRIES};
+use crate::recovery::{FaultRecoveryStats, MAX_FAULT_RETRIES};
 
 /// Identifies one device (one memory pool) within a [`PoolService`].
 ///
@@ -47,9 +47,6 @@ struct PoolEntry {
     /// Fault-recovery counters, locked only on a failure path: a
     /// successful allocation takes no lock and loads no atomic here.
     recovery: Mutex<FaultRecoveryStats>,
-    /// Owner-supplied tenant-level reclamation stage of the OOM rescue
-    /// pipeline (see [`RescueHook`]). `None` until installed.
-    rescue_hook: Mutex<Option<Arc<dyn RescueHook>>>,
 }
 
 #[derive(Debug)]
@@ -160,7 +157,6 @@ impl PoolService {
             iterations: AtomicU64::new(0),
             defrag: self.inner.defrag.map(Defragger::new),
             recovery: Mutex::new(FaultRecoveryStats::default()),
-            rescue_hook: Mutex::new(None),
         });
         pools.insert(device, Arc::clone(&entry));
         Ok(self.make_handle(device, entry))
@@ -235,48 +231,8 @@ fn default_front_end(core: Box<dyn AllocatorCore + Send>) -> DeviceAllocator {
         .expect("the default configuration validates")
 }
 
-/// What one OOM rescue stage achieved: the bytes it released, and whether
-/// it changed anything a retry could use.
-struct Reclaimed {
-    bytes: u64,
-    progress: bool,
-}
-
-impl Reclaimed {
-    fn released(bytes: u64) -> Option<Reclaimed> {
-        Some(Reclaimed {
-            bytes,
-            progress: bytes > 0,
-        })
-    }
-}
-
-/// The OOM rescue stages, in order (see [`PoolHandle::alloc_on_stream`]).
-/// A stage returns `None` when it does not apply.
-const RESCUE_STAGES: [fn(&PoolHandle, u64) -> Option<Reclaimed>; 4] = [
-    // 1. Flush every stream's cache into the core and release the core's
-    //    cached structures.
-    |h, _| Reclaimed::released(h.entry.alloc.release_cached()),
-    // 2. Retire the core's completed cross-stream event stamps. That
-    //    frees no memory itself, but a retired stamp makes a cached block
-    //    reusable, so any stamp retired is progress.
-    |h, _| {
-        Some(Reclaimed {
-            bytes: 0,
-            progress: h.entry.alloc.process_events() > 0,
-        })
-    },
-    // 3. Proactive compaction: sPool GC + dead-fragment release.
-    |h, _| Reclaimed::released(h.entry.alloc.compact()),
-    // 4. The owner-installed hook, called without the hook lock held.
-    |h, needed| {
-        let hook = h.entry.rescue_hook.lock().clone()?;
-        Reclaimed::released(hook.rescue(needed))
-    },
-];
-
 /// A cheap, cloneable, thread-safe front end to one registered pool: the
-/// pool's [`DeviceAllocator`] plus the defrag tick and the OOM rescue.
+/// pool's [`DeviceAllocator`] plus the defrag tick and the fault retry.
 ///
 /// Every allocation method takes `&self` — clone a handle into each worker
 /// thread and allocate away. Small requests ride the front-end's cached
@@ -291,8 +247,7 @@ const RESCUE_STAGES: [fn(&PoolHandle, u64) -> Option<Reclaimed>; 4] = [
 /// * [`PoolHandle::iteration_boundary`] advances the pool's iteration
 ///   counter and ticks the pool's [`Defragger`], if the service has a
 ///   [`DefragPolicy`];
-/// * [`PoolHandle::allocate`] retries a rolled-back driver fault and runs
-///   a staged rescue on an out-of-memory failure (reclaim, retry) before
+/// * [`PoolHandle::allocate`] retries a rolled-back driver fault before
 ///   the error reaches the caller.
 #[derive(Debug, Clone)]
 pub struct PoolHandle {
@@ -341,15 +296,11 @@ impl PoolHandle {
     /// serialize on a lock. A successful allocation takes no lock and
     /// loads no atomic of the handle's own.
     ///
-    /// Failures are recovered in two ways:
-    ///
-    /// * a rolled-back [`AllocError::DriverFault`] is retried at once, at
-    ///   most three times, and then surfaces;
-    /// * out-of-memory — after the front-end's own flush-and-retry, which
-    ///   drains **every** stream's cache — runs the staged rescue
-    ///   pipeline: flush stream caches, retire completed event stamps,
-    ///   compact, then the owner-installed [`RescueHook`] (if any),
-    ///   retrying after every stage that made progress.
+    /// A rolled-back [`AllocError::DriverFault`] is retried at once, at
+    /// most three times, and then surfaces. Out-of-memory passes through:
+    /// each layer below has already recovered what it caches — the core
+    /// gave up its cache and the front-end flushed **every** stream's
+    /// cache before retrying.
     ///
     /// # Errors
     ///
@@ -372,78 +323,13 @@ impl PoolHandle {
                     retries += 1;
                     counts.retries += 1;
                 }
-                Err(e @ AllocError::OutOfMemory { .. }) => {
-                    return self.rescue_oom(req, stream, e);
-                }
                 Err(other) => return Err(other),
             }
         }
     }
 
-    /// The staged OOM rescue pipeline: each stage tries to reclaim memory
-    /// with a progressively wider hammer, and the allocation is retried
-    /// after every stage that made progress. Stages 1–3 are local to this
-    /// pool; stage 4 is the owner-installed [`RescueHook`] (skipped when
-    /// none is installed). No pool lock is held between stages. Every
-    /// stage that runs emits an [`EventKind::RescueStage`] trace record
-    /// when telemetry is enabled.
-    fn rescue_oom(
-        &self,
-        req: AllocRequest,
-        stream: StreamId,
-        original: AllocError,
-    ) -> Result<Allocation, AllocError> {
-        let mut last = original;
-        for (stage, reclaim) in (1u64..).zip(RESCUE_STAGES) {
-            let Some(Reclaimed { bytes, progress }) = reclaim(self, req.size) else {
-                continue;
-            };
-            if !progress {
-                self.emit(EventKind::RescueStage, bytes, stage, 0);
-                continue;
-            }
-            match self.entry.alloc.alloc_on_stream(req, stream) {
-                Ok(a) => {
-                    self.emit(EventKind::RescueStage, bytes, stage, 1);
-                    self.entry.recovery.lock().rescues += 1;
-                    return Ok(a);
-                }
-                Err(e) => {
-                    self.emit(EventKind::RescueStage, bytes, stage, 0);
-                    if matches!(e, AllocError::DriverFault { .. }) {
-                        self.entry.recovery.lock().faults += 1;
-                    }
-                    last = e;
-                }
-            }
-        }
-        Err(last)
-    }
-
-    /// Records a pool trace event when telemetry is attached and enabled.
-    fn emit(&self, kind: EventKind, bytes: u64, a: u64, b: u64) {
-        if let Some(t) = self.entry.alloc.telemetry() {
-            if t.is_enabled() {
-                t.record(kind, bytes, a, b);
-            }
-        }
-    }
-
-    /// Installs `hook` as the pool's tenant-level OOM rescue stage
-    /// (stage 4 of the pipeline documented on
-    /// [`PoolHandle::alloc_on_stream`]), replacing any previous hook.
-    /// Every handle to the pool shares the installed hook.
-    pub fn set_rescue_hook(&self, hook: Arc<dyn RescueHook>) {
-        *self.entry.rescue_hook.lock() = Some(hook);
-    }
-
-    /// Removes the pool's tenant-level rescue hook, returning it.
-    pub fn clear_rescue_hook(&self) -> Option<Arc<dyn RescueHook>> {
-        self.entry.rescue_hook.lock().take()
-    }
-
-    /// Snapshot of this pool's fault-recovery counters: faults survived,
-    /// retries issued, allocations saved by the staged rescue pipeline.
+    /// Snapshot of this pool's fault-recovery counters: faults survived
+    /// and retries issued.
     pub fn fault_stats(&self) -> FaultRecoveryStats {
         *self.entry.recovery.lock()
     }
@@ -710,10 +596,10 @@ mod tests {
     fn oom_rescue_cannot_reclaim_idle_pieces_of_a_partly_live_reservation() {
         // GMLake returns physical memory one whole reservation at a time.
         // A sibling GMLake pool holds one 160 MiB reservation split into a
-        // live 40 MiB piece and an idle 120 MiB one: the rescue hook's
-        // release of the sibling's cache cannot return the idle piece, so a
-        // 120 MiB request on the 96 MiB left of the 256 MiB device fails
-        // until the live piece goes.
+        // live 40 MiB piece and an idle 120 MiB one: releasing the
+        // sibling's cache cannot return the idle piece, so a 120 MiB
+        // request on the 96 MiB left of the 256 MiB device fails until the
+        // live piece goes.
         let service = PoolService::new();
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let lake = service
@@ -728,7 +614,6 @@ mod tests {
         let pool = service
             .register(DeviceId(1), Box::new(CachingAllocator::new(driver.clone())))
             .unwrap();
-        pool.set_rescue_hook(Arc::new(FlushSibling(lake.clone())));
         let whole = lake.allocate(AllocRequest::new(mib(160))).unwrap();
         lake.deallocate(whole.id).unwrap();
         let live = lake.allocate(AllocRequest::new(mib(40))).unwrap();
@@ -737,19 +622,19 @@ mod tests {
             mib(160),
             "the 40 MiB is a split piece"
         );
-        let err = pool.allocate(AllocRequest::new(mib(120))).unwrap_err();
-        assert!(matches!(err, AllocError::OutOfMemory { .. }));
-        assert_eq!(pool.fault_stats().rescues, 0);
+        assert_eq!(lake.release_cached(), 0);
         assert_eq!(
             lake.stats().reserved_bytes,
             mib(160),
             "the idle 120 MiB stays cached with its live sibling"
         );
+        let err = pool.allocate(AllocRequest::new(mib(120))).unwrap_err();
+        assert!(matches!(err, AllocError::OutOfMemory { .. }));
         // Once its last piece is idle the reservation goes back whole.
         lake.deallocate(live.id).unwrap();
-        let big = pool.allocate(AllocRequest::new(mib(120))).unwrap();
-        assert_eq!(pool.fault_stats().rescues, 1);
+        assert_eq!(lake.release_cached(), mib(160));
         assert_eq!(lake.stats().reserved_bytes, 0);
+        let big = pool.allocate(AllocRequest::new(mib(120))).unwrap();
         pool.deallocate(big.id).unwrap();
     }
 
@@ -757,8 +642,7 @@ mod tests {
     fn oom_rescue_leaves_other_devices_caches_alone() {
         // The hoarder sits on a DIFFERENT physical device (its own
         // driver): flushing its warm cache could not relieve the failing
-        // pool's pressure, so the rescue, with no hook installed, must not
-        // touch it.
+        // pool's pressure, so the failing pool's OOM must not touch it.
         let service = PoolService::new();
         let other_driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let hoarder = service
@@ -776,7 +660,7 @@ mod tests {
         assert!(matches!(err, AllocError::OutOfMemory { .. }));
         assert!(
             hoarder.stats().reserved_bytes >= mib(40),
-            "unrelated device's cache survived the rescue"
+            "unrelated device's cache survived the OOM"
         );
     }
 
@@ -958,87 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn oom_rescue_covers_the_stream_alloc_path() {
-        // The sibling-hoarder setup of the stage-four hook test, but the
-        // failing allocation arrives via alloc_on_stream: the hook's
-        // release of the sibling's cache must kick in on that path too.
-        use gmlake_alloc_api::StreamId;
-        let service = PoolService::new();
-        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-        let hoarder = service
-            .register(DeviceId(0), Box::new(CachingAllocator::new(driver.clone())))
-            .unwrap();
-        let pool = service
-            .register(DeviceId(1), Box::new(CachingAllocator::new(driver.clone())))
-            .unwrap();
-        pool.set_rescue_hook(Arc::new(FlushSibling(hoarder.clone())));
-        let ids: Vec<_> = (0..4)
-            .map(|_| hoarder.allocate(AllocRequest::new(mib(40))).unwrap().id)
-            .collect();
-        for id in ids {
-            hoarder.deallocate(id).unwrap();
-        }
-        assert!(driver.phys_in_use() >= mib(160), "sibling cache retained");
-        let big = pool
-            .alloc_on_stream(AllocRequest::new(mib(200)), StreamId(1))
-            .unwrap();
-        assert_eq!(big.size, mib(200));
-        assert_eq!(pool.fault_stats().rescues, 1);
-        pool.free_on_stream(big.id, StreamId(1)).unwrap();
-    }
-
-    /// A [`RescueHook`] that releases a sibling pool's idle cache — memory
-    /// the failing pool's own flush/drain/compact stages cannot reach.
-    #[derive(Debug)]
-    struct FlushSibling(PoolHandle);
-
-    impl RescueHook for FlushSibling {
-        fn rescue(&self, _needed: u64) -> u64 {
-            self.0.release_cached()
-        }
-    }
-
-    #[test]
-    fn rescue_hook_runs_as_stage_four_and_saves_the_allocation() {
-        // Stages 1–3 find nothing (the failing pool is empty), so only
-        // the installed hook can save the 200 MiB request from the hoarder's
-        // 160 MiB of idle cache on the shared 256 MiB device.
-        let service = PoolService::new();
-        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-        let hoarder = service
-            .register(DeviceId(0), Box::new(CachingAllocator::new(driver.clone())))
-            .unwrap();
-        let pool = service
-            .register(DeviceId(1), Box::new(CachingAllocator::new(driver.clone())))
-            .unwrap();
-        let ids: Vec<_> = (0..4)
-            .map(|_| hoarder.allocate(AllocRequest::new(mib(40))).unwrap().id)
-            .collect();
-        for id in ids {
-            hoarder.deallocate(id).unwrap();
-        }
-        assert!(driver.phys_in_use() >= mib(160), "sibling cache retained");
-        pool.set_rescue_hook(Arc::new(FlushSibling(hoarder.clone())));
-        let big = pool.allocate(AllocRequest::new(mib(200))).unwrap();
-        assert_eq!(big.size, mib(200));
-        assert_eq!(hoarder.stats().reserved_bytes, 0, "hook flushed sibling");
-        assert_eq!(pool.fault_stats().rescues, 1, "rescue pipeline saved it");
-        pool.deallocate(big.id).unwrap();
-        pool.release_cached();
-        // Without the hook the same pressure surfaces as OOM again.
-        let hook = pool.clear_rescue_hook();
-        assert!(hook.is_some(), "installed hook handed back");
-        let refill: Vec<_> = (0..4)
-            .map(|_| hoarder.allocate(AllocRequest::new(mib(40))).unwrap().id)
-            .collect();
-        for id in refill {
-            hoarder.deallocate(id).unwrap();
-        }
-        let err = pool.allocate(AllocRequest::new(mib(200))).unwrap_err();
-        assert!(matches!(err, AllocError::OutOfMemory { .. }));
-    }
-
-    #[test]
     fn handles_are_send_and_clone() {
         fn assert_send<T: Send + Clone>() {}
         assert_send::<PoolHandle>();
@@ -1175,73 +978,5 @@ mod tests {
         let c = pool.allocate(AllocRequest::new(mib(10))).unwrap();
         assert_eq!(stitches(&pool), 1);
         pool.deallocate(c.id).unwrap();
-    }
-
-    /// A core that is out of memory until its completed event stamps are
-    /// retired, with no cache to release: the shape stage 2 rescues.
-    #[derive(Debug, Default)]
-    struct StampsOnly {
-        retired: bool,
-    }
-
-    impl AllocatorCore for StampsOnly {
-        fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
-            if !self.retired {
-                return Err(AllocError::OutOfMemory {
-                    requested: req.size,
-                    reserved: 0,
-                    capacity: 0,
-                });
-            }
-            Ok(Allocation {
-                id: AllocationId::new(1),
-                va: gmlake_alloc_api::VirtAddr::new(mib(2)),
-                size: req.size,
-                requested: req.size,
-            })
-        }
-
-        fn deallocate(&mut self, id: AllocationId) -> Result<(), AllocError> {
-            Err(AllocError::UnknownAllocation(id))
-        }
-
-        fn stats(&self) -> MemStats {
-            MemStats::default()
-        }
-
-        fn name(&self) -> &'static str {
-            "stamps-only"
-        }
-
-        fn process_events(&mut self) -> u64 {
-            self.retired = true;
-            5
-        }
-
-        fn release_cached(&mut self) -> u64 {
-            0
-        }
-    }
-
-    /// Stage 2 retires stamps, not bytes: its record carries 0 bytes,
-    /// and the stamps it retired still buy the retry that succeeds.
-    #[test]
-    fn stage_two_records_no_bytes_for_retired_stamps() {
-        let service = PoolService::new();
-        let pool = service
-            .register(DeviceId(0), Box::new(StampsOnly::default()))
-            .unwrap();
-        let tel = pool.allocator().telemetry().expect("default front-end");
-        tel.enable();
-        pool.allocate(AllocRequest::new(mib(4))).unwrap();
-        let stages: Vec<_> = tel
-            .snapshot("gpu0", 0, 0)
-            .events
-            .into_iter()
-            .filter(|e| e.kind == EventKind::RescueStage)
-            .map(|e| (e.a, e.bytes, e.b))
-            .collect();
-        assert_eq!(stages, [(1, 0, 0), (2, 0, 1)], "(stage, bytes, saved)");
-        assert_eq!(pool.fault_stats().rescues, 1);
     }
 }

@@ -15,10 +15,11 @@
 //! * [`AdmissionPolicy`] — arrivals commit quota against
 //!   `capacity × overcommit`; over the ceiling they are rejected, queued
 //!   with a bounded wait, or admitted by shedding idle tenants;
-//! * tenant-aware OOM rescue — the service installs a stage-4
-//!   [`RescueHook`](gmlake_runtime::RescueHook) that drops *idle*
-//!   tenants' working sets (oldest-idle first) before an active tenant
-//!   can see a device-level OOM;
+//! * idle-tenant eviction — on an out-of-memory failure
+//!   [`ServingService::alloc`] drops *idle* tenants' working sets
+//!   (oldest-idle first) and retries once, before an active tenant can
+//!   see a device-level OOM. Tenants are this layer's to evict, so the
+//!   eviction lives here; the pool below recovers only what it caches;
 //! * churn-keyed defragmentation — every [`ServingService::step`] ticks
 //!   the runtime's one [`Defragger`](gmlake_runtime::Defragger) with the
 //!   step's tenant arrivals + departures: a periodic compaction,

@@ -1,14 +1,14 @@
 //! The multi-tenant serving front-end over one pool: quota-bracketed
-//! allocation, admission control, tenant-aware OOM rescue, and the step
-//! cadence driving queue retries and defragmentation.
+//! allocation, admission control, idle-tenant eviction on OOM, and the
+//! step cadence driving queue retries and defragmentation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use gmlake_alloc_api::{AllocError, AllocRequest, Allocation, AllocationId, StreamId};
-use gmlake_runtime::{DefragPolicy, DefragStats, Defragger, PoolHandle, RescueHook};
+use gmlake_runtime::{DefragPolicy, DefragStats, Defragger, PoolHandle};
 use gmlake_telemetry::EventKind;
 
 use crate::admission::{
@@ -33,7 +33,7 @@ pub struct ServingConfig {
     /// What happens to arrivals past the ceiling.
     pub policy: AdmissionPolicy,
     /// Steps without allocation activity after which a tenant counts as
-    /// idle — eligible for the rescue stage and the shed policy (clamped
+    /// idle — eligible for OOM eviction and the shed policy (clamped
     /// to at least 1 so a tenant mid-allocation is never idle).
     pub idle_after_steps: u64,
     /// Logical GPU streams to spread tenants across round-robin. Should
@@ -103,10 +103,10 @@ pub struct StepOutcome {
     pub defrag_reclaimed: u64,
 }
 
-/// Cumulative rescue/eviction counters of one service.
+/// Cumulative OOM-eviction counters of one service.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServingStats {
-    /// Idle tenants whose working sets the rescue stage dropped.
+    /// Idle tenants whose working sets an OOM eviction dropped.
     pub tenants_evicted: u64,
     /// Bytes those evictions released.
     pub bytes_evicted: u64,
@@ -129,20 +129,6 @@ struct ServingInner {
     evictions: Mutex<ServingStats>,
 }
 
-/// The tenant-aware stage-4 [`RescueHook`]: weak so the pool (which holds
-/// the hook) never keeps the service alive, and never cyclic.
-#[derive(Debug)]
-struct TenantRescue(Weak<ServingInner>);
-
-impl RescueHook for TenantRescue {
-    fn rescue(&self, needed: u64) -> u64 {
-        match self.0.upgrade() {
-            Some(inner) => inner.flush_idle(needed),
-            None => 0,
-        }
-    }
-}
-
 /// A multi-tenant serving front-end over one [`PoolHandle`].
 ///
 /// Hundreds of concurrent jobs (tenants) share a device's pool; the
@@ -156,9 +142,9 @@ impl RescueHook for TenantRescue {
 ///   `capacity × overcommit`; past the ceiling they are rejected, queued
 ///   (bounded wait), or admitted by shedding idle tenants
 ///   ([`AdmissionPolicy`]);
-/// * **rescue** — the service installs itself as the pool's stage-4
-///   [`RescueHook`]: a real OOM first drops *idle* tenants' working sets
-///   (oldest-idle first) before the failure can reach an active tenant;
+/// * **eviction** — a real OOM first drops *idle* tenants' working sets
+///   (oldest-idle first) and retries once, before the failure can reach
+///   an active tenant;
 /// * **defrag** — every step ticks a [`Defragger`] that compacts
 ///   periodically and escalates while tenant churn or fragmentation is
 ///   high ([`DefragPolicy::serving`]).
@@ -190,9 +176,7 @@ pub struct ServingService {
 }
 
 impl ServingService {
-    /// Builds a serving front-end over `pool` and installs its tenant
-    /// rescue hook as the pool's stage-4 OOM stage (replacing any
-    /// previous hook).
+    /// Builds a serving front-end over `pool`.
     pub fn new(pool: PoolHandle, cfg: ServingConfig) -> Self {
         let inner = Arc::new(ServingInner {
             registry: TenantRegistry::new(cfg.streams),
@@ -201,10 +185,9 @@ impl ServingService {
             churn_since_step: AtomicU64::new(0),
             defrag: Defragger::new(DefragPolicy::serving()),
             evictions: Mutex::new(ServingStats::default()),
-            pool: pool.clone(),
+            pool,
             cfg,
         });
-        pool.set_rescue_hook(Arc::new(TenantRescue(Arc::downgrade(&inner))));
         ServingService { inner }
     }
 
@@ -264,8 +247,10 @@ impl ServingService {
     /// numbers — when the charge fails, *before* the device is consulted
     /// (or, for size-class rounding overruns, after an immediate
     /// rollback of the allocation, with `requested` set to the rounded
-    /// size the allocator actually needed). Pool errors pass through; a
-    /// reservation is never leaked.
+    /// size the allocator actually needed). An out-of-memory failure
+    /// evicts idle tenants' working sets and retries once; what still
+    /// fails, and every other pool error, passes through. A reservation
+    /// is never leaked.
     pub fn alloc(&self, tenant: TenantId, bytes: u64) -> Result<Allocation, AllocError> {
         let inner = &self.inner;
         let now = inner.step.load(Ordering::Relaxed);
@@ -273,7 +258,14 @@ impl ServingService {
             Ok(stream) => stream,
             Err(e) => return Err(charge_error(tenant, bytes, e)),
         };
-        let a = match inner.pool.alloc_on_stream(AllocRequest::new(bytes), stream) {
+        let req = AllocRequest::new(bytes);
+        let a = match inner.pool.alloc_on_stream(req, stream) {
+            Err(AllocError::OutOfMemory { .. }) if inner.flush_idle(bytes) > 0 => {
+                inner.pool.alloc_on_stream(req, stream)
+            }
+            other => other,
+        };
+        let a = match a {
             Ok(a) => a,
             Err(e) => {
                 inner.registry.unreserve(tenant, bytes);
@@ -296,8 +288,8 @@ impl ServingService {
     /// # Errors
     ///
     /// [`AllocError::UnknownAllocation`] when `id` is not live for
-    /// `tenant` (never allocated, double-freed, or dropped by the rescue
-    /// stage).
+    /// `tenant` (never allocated, double-freed, or dropped by an OOM
+    /// eviction).
     pub fn free(&self, tenant: TenantId, id: AllocationId) -> Result<(), AllocError> {
         let (_, stream) = self
             .inner
@@ -430,7 +422,7 @@ impl ServingService {
         self.inner.defrag.stats()
     }
 
-    /// Rescue/eviction counters.
+    /// OOM-eviction counters.
     pub fn serving_stats(&self) -> ServingStats {
         *self.inner.evictions.lock()
     }
@@ -482,12 +474,12 @@ impl ServingInner {
         }
     }
 
-    /// The stage-4 rescue: drops idle tenants' working sets (oldest-idle
+    /// The OOM eviction: drops idle tenants' working sets (oldest-idle
     /// first, active tenants untouched) until `needed` bytes are credited
     /// back, then retires the core's completed event stamps so the retried
-    /// allocation reaches the freed blocks without a wait. Unlike the shed policy this keeps
-    /// the tenants registered — their quota commitment survives, only
-    /// their (rebuildable) working set is gone.
+    /// allocation reaches the freed blocks without a wait. Unlike the shed
+    /// policy this keeps the tenants registered — their quota commitment
+    /// survives, only their (rebuildable) working set is gone.
     fn flush_idle(&self, needed: u64) -> u64 {
         let now = self.step.load(Ordering::Relaxed);
         let mut reclaimed = 0;
@@ -720,8 +712,8 @@ mod tests {
     fn oom_rescue_drops_idle_tenants_before_failing_an_active_one() {
         // Two tenants whose quotas fit, but whose *working sets* cannot
         // coexist on the 256 MiB device: the idle one holds 160 MiB live;
-        // the active one then needs 200 MiB. Only the tenant-aware
-        // stage-4 rescue can save it — and it must pick the idle tenant.
+        // the active one then needs 200 MiB. Only evicting a working set
+        // can save it — and it must pick the idle tenant.
         let (serving, _) = serving_over(
             ServingConfig::new(mib(256))
                 .with_overcommit(2.0)
@@ -748,7 +740,6 @@ mod tests {
         let ev = serving.serving_stats();
         assert_eq!(ev.tenants_evicted, 1);
         assert!(ev.bytes_evicted >= mib(160));
-        assert_eq!(serving.pool().fault_stats().rescues, 1);
         serving.free(active, big.id).unwrap();
         // The evicted ids are gone from the books: stale frees are refused.
         assert_eq!(

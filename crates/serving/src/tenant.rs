@@ -1,5 +1,5 @@
 //! Tenant identity, per-tenant byte-quota accounting, and the registry
-//! shared by the admission controller and the rescue stage.
+//! shared by the admission controller and the OOM eviction.
 
 use std::fmt;
 
@@ -240,8 +240,8 @@ impl TenantRegistry {
 
     /// Credits a freed allocation back to the tenant. Returns the
     /// `(rounded size, stream)` the free must be issued with, or `None`
-    /// when `id` is not live for `tenant` (e.g. already dropped by the
-    /// rescue stage).
+    /// when `id` is not live for `tenant` (e.g. already dropped by an OOM
+    /// eviction).
     pub(crate) fn credit(&self, tenant: TenantId, id: AllocationId) -> Option<(u64, StreamId)> {
         let mut inner = self.inner.lock();
         let state = inner.tenants.get_mut(&tenant.0)?;
@@ -290,7 +290,7 @@ impl TenantRegistry {
     }
 
     /// Tenants idle since before `now_step - idle_after`, oldest first —
-    /// the rescue stage's victim order. Tenants active within the window
+    /// the OOM eviction's victim order. Tenants active within the window
     /// are never listed.
     pub(crate) fn idle_tenants(&self, now_step: u64, idle_after: u64) -> Vec<TenantId> {
         let inner = self.inner.lock();

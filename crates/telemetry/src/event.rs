@@ -37,12 +37,6 @@ pub enum EventKind {
     /// The driver's fault-injection layer fired. `a` = faulted-op index
     /// (`FaultOp::index`), `b` = cumulative injected-fault count.
     FaultInjected,
-    /// One stage of the runtime's staged OOM-rescue pipeline ran.
-    /// `bytes` = bytes released by the stage (always 0 for stage 2, which
-    /// retires event stamps and releases no memory itself), `a` = stage
-    /// index (1 flush, 2 drain, 3 compact, 4 rescue hook), `b` = 1 when
-    /// the subsequent retry succeeded.
-    RescueStage,
     /// The serving admission controller ruled on a tenant. `bytes` =
     /// requested quota, `a` = tenant id, `b` = verdict (0 admitted,
     /// 1 rejected, 2 queued, 3 shed-then-admitted, 4 queue timeout).
@@ -50,8 +44,8 @@ pub enum EventKind {
     /// A tenant arrived at or departed from a serving pool. `bytes` =
     /// tenant quota, `a` = tenant id, `b` = 1 arrival, 0 departure.
     TenantChurn,
-    /// An idle tenant's resident memory was reclaimed by the tenant-aware
-    /// rescue/shed path. `bytes` = bytes reclaimed, `a` = tenant id,
+    /// An idle tenant's resident memory was reclaimed by the serving
+    /// layer's OOM eviction or its shed policy. `bytes` = bytes reclaimed, `a` = tenant id,
     /// `b` = live allocations dropped.
     TenantEvict,
     /// A planned core served an allocation straight from its static plan
@@ -69,7 +63,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in declaration order (schema validation walks this).
-    pub const ALL: [EventKind; 17] = [
+    pub const ALL: [EventKind; 16] = [
         EventKind::Alloc,
         EventKind::Free,
         EventKind::ShardHit,
@@ -80,7 +74,6 @@ impl EventKind {
         EventKind::Evict,
         EventKind::Defrag,
         EventKind::FaultInjected,
-        EventKind::RescueStage,
         EventKind::TenantAdmission,
         EventKind::TenantChurn,
         EventKind::TenantEvict,
@@ -102,7 +95,6 @@ impl EventKind {
             EventKind::Evict => "evict",
             EventKind::Defrag => "defrag",
             EventKind::FaultInjected => "fault_injected",
-            EventKind::RescueStage => "rescue_stage",
             EventKind::TenantAdmission => "tenant_admission",
             EventKind::TenantChurn => "tenant_churn",
             EventKind::TenantEvict => "tenant_evict",

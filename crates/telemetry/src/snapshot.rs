@@ -4,7 +4,7 @@
 //! reserved/active/fragmentation series, the drained event trace,
 //! and latency-histogram summaries. Two export formats:
 //!
-//! * [`MemorySnapshot::to_json`] — the canonical `gmlake-snapshot/v2`
+//! * [`MemorySnapshot::to_json`] — the canonical `gmlake-snapshot/v3`
 //!   document, parsed back by [`MemorySnapshot::from_json`] and checked
 //!   by [`MemorySnapshot::validate_json`] (the schema test CI runs
 //!   against `--profile` output);
@@ -19,7 +19,7 @@ use crate::histogram::HistogramSummary;
 use crate::json::{self, Value};
 
 /// Schema identifier written into and required of every snapshot.
-pub const SCHEMA: &str = "gmlake-snapshot/v2";
+pub const SCHEMA: &str = "gmlake-snapshot/v3";
 
 /// One point on a pool's memory timeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -35,10 +35,10 @@ pub struct MemorySample {
 }
 
 /// Fault-recovery and orphan accounting for one pool: the runtime's
-/// retry/rescue counters merged with the allocator's fault-journal
+/// fault/retry counters merged with the allocator's fault-journal
 /// residue, so chaos and serving runs surface both in one artifact.
 ///
-/// Optional in the `gmlake-snapshot/v2` document (`"fault"`): absent for
+/// Optional in the `gmlake-snapshot/v3` document (`"fault"`): absent for
 /// pools profiled outside a fault-aware runtime, and older snapshots
 /// without the section still parse.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -47,8 +47,6 @@ pub struct FaultSnapshot {
     pub faults: u64,
     /// Retries the runtime's bounded retry issued.
     pub retries: u64,
-    /// Staged OOM-rescue invocations.
-    pub rescues: u64,
     /// Driver sequences that failed mid-way and were unwound.
     pub journal_failed_ops: u64,
     /// VA reservations the unwind could not return.
@@ -89,7 +87,7 @@ pub struct MemorySnapshot {
 }
 
 impl MemorySnapshot {
-    /// Serialize to the canonical `gmlake-snapshot/v2` JSON document.
+    /// Serialize to the canonical `gmlake-snapshot/v3` JSON document.
     ///
     /// Numbers use Rust's shortest-round-trip float formatting, so
     /// [`from_json`](MemorySnapshot::from_json) reproduces this value
@@ -121,10 +119,9 @@ impl MemorySnapshot {
             ));
             if let Some(fault) = &pool.fault {
                 out.push_str(&format!(
-                    "      \"fault\": {{\"faults\": {}, \"retries\": {}, \"rescues\": {}, \"journal_failed_ops\": {}, \"orphan_vas\": {}, \"orphan_va_bytes\": {}, \"orphan_chunks\": {}}},\n",
+                    "      \"fault\": {{\"faults\": {}, \"retries\": {}, \"journal_failed_ops\": {}, \"orphan_vas\": {}, \"orphan_va_bytes\": {}, \"orphan_chunks\": {}}},\n",
                     fault.faults,
                     fault.retries,
-                    fault.rescues,
                     fault.journal_failed_ops,
                     fault.orphan_vas,
                     fault.orphan_va_bytes,
@@ -199,7 +196,7 @@ impl MemorySnapshot {
         out
     }
 
-    /// Parse a `gmlake-snapshot/v2` document. Strict: unknown event
+    /// Parse a `gmlake-snapshot/v3` document. Strict: unknown event
     /// kinds, missing fields, or a wrong `schema` are errors.
     pub fn from_json(text: &str) -> Result<MemorySnapshot, String> {
         let doc = json::parse(text)?;
@@ -399,7 +396,6 @@ fn parse_pool(p: &Value) -> Result<PoolSnapshot, String> {
         Some(f) => Some(FaultSnapshot {
             faults: field_u64(f, "faults")?,
             retries: field_u64(f, "retries")?,
-            rescues: field_u64(f, "rescues")?,
             journal_failed_ops: field_u64(f, "journal_failed_ops")?,
             orphan_vas: field_u64(f, "orphan_vas")?,
             orphan_va_bytes: field_u64(f, "orphan_va_bytes")?,
@@ -432,7 +428,6 @@ mod tests {
                 fault: Some(FaultSnapshot {
                     faults: 3,
                     retries: 5,
-                    rescues: 2,
                     journal_failed_ops: 3,
                     orphan_vas: 0,
                     orphan_va_bytes: 0,
@@ -517,10 +512,10 @@ mod tests {
         // A present but malformed section is a strict-parse error.
         let broken = with
             .to_json()
-            .replace("\"rescues\": 2", "\"rescues\": true");
+            .replace("\"retries\": 5", "\"retries\": true");
         assert!(MemorySnapshot::from_json(&broken)
             .unwrap_err()
-            .contains("rescues"));
+            .contains("retries"));
     }
 
     #[test]

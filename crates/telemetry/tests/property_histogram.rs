@@ -104,7 +104,6 @@ proptest! {
                 fault: (kind_seed % 2 == 0).then(|| gmlake_telemetry::FaultSnapshot {
                     faults: kind_seed % 1_000_003,
                     retries: (kind_seed % 1_000_003) * 2,
-                    rescues: kind_seed % 5,
                     journal_failed_ops: kind_seed % 1_000_003,
                     orphan_vas: kind_seed % 7,
                     orphan_va_bytes: (kind_seed % 7) << 21,

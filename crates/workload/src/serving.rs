@@ -175,7 +175,7 @@ pub struct ServingReport {
     /// Attempts refused with [`AllocError::QuotaExceeded`].
     pub quota_rejections: u64,
     /// Attempts that failed with a device-level OOM (should stay 0 when
-    /// the rescue ladder works).
+    /// the idle-tenant eviction works).
     pub oom_failures: u64,
     /// Tenant arrivals offered / admitted (immediately or after shed).
     pub offered: u64,
@@ -203,7 +203,7 @@ impl ServingReport {
 /// Per step: offer due arrivals (pinning each admitted tenant's resident
 /// working set), free the previous step's transient requests, issue this
 /// step's, depart tenants whose lifetime expired, then advance
-/// [`ServingService::step`]. Evictions by the rescue stage are tolerated:
+/// [`ServingService::step`]. Evictions on OOM are tolerated:
 /// a tenant whose working set was dropped simply re-pins it on its next
 /// request burst.
 #[derive(Debug)]
@@ -283,7 +283,7 @@ impl ServingReplayer {
                     continue;
                 }
                 // Re-pin the resident set if missing (first step after
-                // admission, or after a rescue eviction dropped it).
+                // admission, or after an OOM eviction dropped it).
                 if t.resident.is_empty() || serving.usage(t.id).map_or(0, |u| u.used_bytes) == 0 {
                     t.resident.clear();
                     for &size in &planned.resident {
@@ -438,7 +438,7 @@ mod tests {
         // The serving subsystem's acceptance floor: on one simulated
         // A100-80G a GMLake pool multiplexes at least 100 simultaneous
         // tenants of this seeded plan, and no device-level OOM leaks
-        // through the tenant rescue ladder.
+        // past the idle-tenant eviction.
         let driver = CudaDriver::new(DeviceConfig::a100_80g().with_backing(false));
         let (report, defrag) = replay_to_quiescence(
             Box::new(GmLakeAllocator::new(

@@ -302,9 +302,9 @@ fn probabilistic_soak_is_stable() {
     lake.validate().unwrap();
 }
 
-/// The full stack under soak: a `PoolService` pool (bounded retry +
-/// staged rescue) rides out a transient fault rate the raw core would
-/// surface, with telemetry counting what the service absorbed.
+/// The full stack under soak: a `PoolService` pool (bounded retry) rides
+/// out a transient fault rate the raw core would surface, with telemetry
+/// counting what the service absorbed.
 #[test]
 fn pool_service_soak_absorbs_transient_faults() {
     let cfg = small_workload().with_iterations(4);

@@ -189,3 +189,66 @@ fn requests_past_u64_max_are_out_of_memory_on_every_core() {
     ));
     assert_refuses_past_u64_max(&mut DeviceAllocator::new(lake(tiny_device())));
 }
+
+/// The five cores, each over its own fresh 256 MiB `small_test` device.
+fn every_core() -> Vec<(&'static str, Box<dyn AllocatorCore + Send>)> {
+    let device = || CudaDriver::new(DeviceConfig::small_test().with_backing(false));
+    let lake = |d| GmLakeAllocator::new(d, GmLakeConfig::default());
+    let d = device();
+    vec![
+        ("caching", Box::new(CachingAllocator::new(device()))),
+        ("gmlake", Box::new(lake(device()))),
+        (
+            "planned-gmlake",
+            Box::new(PlannedCore::new(device(), PlannedConfig::default())),
+        ),
+        (
+            "planned-caching",
+            Box::new(PlannedCore::with_fallback(
+                d.clone(),
+                CachingAllocator::new(d),
+            )),
+        ),
+        ("native", Box::new(NativeAllocator::new(device()))),
+    ]
+}
+
+/// Wraps `core` at `depth`: 0 the bare core, 1 `DeviceAllocator::new`,
+/// 2 `PoolService::register`, with nothing installed on the pool.
+fn at_depth(depth: u32, core: Box<dyn AllocatorCore + Send>) -> Box<dyn AllocatorCore> {
+    match depth {
+        0 => core,
+        1 => Box::new(DeviceAllocator::new(core)),
+        _ => Box::new(PoolService::new().register(DeviceId(0), core).unwrap()),
+    }
+}
+
+#[test]
+fn a_small_request_is_served_from_an_idle_cache_that_fills_the_device() {
+    let mut failures = Vec::new();
+    for depth in 0..3 {
+        for (name, core) in every_core() {
+            let mut alloc = at_depth(depth, core);
+            let whole = alloc.allocate(AllocRequest::new(mib(256))).unwrap();
+            alloc.deallocate(whole.id).unwrap();
+            match alloc.allocate(AllocRequest::new(kib(64))) {
+                Ok(a) => alloc.deallocate(a.id).unwrap(),
+                Err(e) => failures.push(format!("{name} at depth {depth}: not served: {e:?}")),
+            }
+            // Held live, the device truly has no room: the error names the
+            // caller's size and the core's own reservation.
+            let whole = alloc.allocate(AllocRequest::new(mib(256))).unwrap();
+            let err = alloc.allocate(AllocRequest::new(kib(64))).unwrap_err();
+            let reserved = alloc.stats().reserved_bytes;
+            let named = matches!(err, AllocError::OutOfMemory { requested, reserved: r, .. }
+                if (requested, r) == (kib(64), reserved));
+            if !named {
+                failures.push(format!(
+                    "{name} at depth {depth}: {err:?}, reserved {reserved}"
+                ));
+            }
+            alloc.deallocate(whole.id).unwrap();
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
+}
