@@ -29,8 +29,7 @@ use gmlake_runtime::DefragPolicy;
 use gmlake_telemetry::MemorySnapshot;
 use gmlake_workload::{
     headline_suite, mean, mem_reduction_ratio, to_gib, ModelSpec, Platform, ReplayOptions,
-    ReplayOutcome, ReplayReport, ScaleoutReport, StrategySet, TraceEvent, TraceGenerator,
-    TrainConfig,
+    ReplayOutcome, ReplayReport, StrategySet, TraceEvent, TraceGenerator, TrainConfig,
 };
 
 /// Every experiment, in paper order.
@@ -368,15 +367,6 @@ fn fig10() {
     }
 }
 
-/// Peak reserved GiB of a fleet's largest rank, or `OOM` when a rank died.
-fn fmt_rm(report: &ScaleoutReport) -> String {
-    if report.all_completed() {
-        fmt_gib(report.max_peak_reserved())
-    } else {
-        "   OOM".to_owned()
-    }
-}
-
 /// **Figure 11** — GPU scale-out (1/2/4/8/16 GPUs) with the LR strategy:
 /// reserved memory + utilization (a–c) and throughput (d–f) for OPT-13B,
 /// Vicuna-13B and GPT-NeoX-20B, with and without GMLake.
@@ -385,15 +375,16 @@ fn fmt_rm(report: &ScaleoutReport) -> String {
 /// count (up to 23% / 17 GB on GPT-NeoX-20B), at indistinguishable
 /// throughput.
 ///
-/// The ranks replay *concurrently* through the `gmlake-runtime` pool
-/// service — one OS thread per simulated device (up to 4 replayed ranks;
-/// data-parallel ranks beyond that are statistical mirrors) — and a
-/// periodic `DefragPolicy` ticks on a second baseline fleet, whose
-/// proactive compaction hands back the idle caches a plain caching fleet
-/// keeps reserved to the end.
+/// Each row replays one rank through the `gmlake-runtime` pool service:
+/// under ZeRO-3 every data-parallel rank issues the same per-GPU request
+/// stream (the trace is a pure function of the `TrainConfig`, which has
+/// no rank index), so one rank's numbers are every rank's. A periodic
+/// `DefragPolicy` ticks on a second baseline rank, whose proactive
+/// compaction hands back the idle caches a plain caching rank keeps
+/// reserved to the end.
 fn fig11() {
     println!("Figure 11: GPU scale-out under LR, w/ and w/o GMLake (batch 16)");
-    println!("ranks replay concurrently through the gmlake-runtime PoolService;");
+    println!("one rank per row through the gmlake-runtime PoolService (ranks mirror);");
     println!("end-RM = memory still reserved per rank after the run\n");
     for model in [
         ModelSpec::opt_13b(),
@@ -407,27 +398,21 @@ fn fig11() {
             let cfg = TrainConfig::new(model.clone(), StrategySet::LR)
                 .with_batch(16)
                 .with_gpus(gpus);
-            let ranks = gpus.min(4);
-            let baseline = run_scaleout(&cfg, ranks, Allocator::Caching, None);
-            let defragged = run_scaleout(
-                &cfg,
-                ranks,
-                Allocator::Caching,
-                Some(DefragPolicy::periodic(2)),
-            );
-            let gmlake = run_scaleout(&cfg, ranks, Allocator::GmLake, None);
+            let (baseline, drv_pt) = run_scaleout(&cfg, Allocator::Caching, None);
+            let (defragged, _) =
+                run_scaleout(&cfg, Allocator::Caching, Some(DefragPolicy::periodic(2)));
+            let (gmlake, drv_gml) = run_scaleout(&cfg, Allocator::GmLake, None);
+            let ([rm_pt, ..], [rm_gml, ..]) = (cells(&baseline), cells(&gmlake));
             println!(
-                "{gpus:<6} {:>7} {:>7} {:>9.1} {:>8.0}   {:>7} {:>7} {:>9.1} {:>8.0}   {:>8} {:>9}",
-                fmt_rm(&baseline),
-                fmt_pct(baseline.mean_utilization()),
-                baseline.fleet_throughput(),
-                baseline.mean_driver_calls(),
-                fmt_rm(&gmlake),
-                fmt_pct(gmlake.mean_utilization()),
-                gmlake.fleet_throughput(),
-                gmlake.mean_driver_calls(),
-                fmt_gib(baseline.total_final_reserved() / ranks as u64),
-                fmt_gib(defragged.total_final_reserved() / ranks as u64),
+                "{gpus:<6} {rm_pt:>7} {:>7} {:>9.1} {:>8}   {rm_gml:>7} {:>7} {:>9.1} {:>8}   {:>8} {:>9}",
+                fmt_pct(baseline.utilization()),
+                baseline.throughput,
+                drv_pt.total_calls(),
+                fmt_pct(gmlake.utilization()),
+                gmlake.throughput,
+                drv_gml.total_calls(),
+                fmt_gib(baseline.final_reserved),
+                fmt_gib(defragged.final_reserved),
             );
         }
         println!();
@@ -443,18 +428,19 @@ fn fig11() {
 }
 
 /// `repro fig11 --profile <out.json>` skips the sweep and replays a small
-/// profiled fleet (OPT-1.3B, 2 ranks) with the whole telemetry stack
-/// attached. It writes the memory-timeline snapshot to `<out.json>` and the
-/// chrome://tracing export next to it (`<out>.trace.json`), and exits 1
-/// unless the snapshot validates against the `gmlake-snapshot/v2` schema.
+/// profiled fleet (OPT-1.3B, 2 ranks replayed in turn) with the whole
+/// telemetry stack attached. It writes the memory-timeline snapshot to
+/// `<out.json>` and the chrome://tracing export next to it
+/// (`<out>.trace.json`), and exits 1 unless the snapshot validates against
+/// the `gmlake-snapshot/v3` schema.
 fn fig11_profile(out: &str) {
     let cfg = TrainConfig::new(ModelSpec::opt_1_3b(), StrategySet::LR)
         .with_batch(16)
         .with_gpus(2)
         .with_iterations(3);
     eprintln!("profiled replay: OPT-1.3B, LR, 2 ranks, 3 iterations");
-    let (report, snapshot) = run_scaleout_profiled(&cfg, 2);
-    if !report.all_completed() {
+    let (reports, snapshot) = run_scaleout_profiled(&cfg, 2);
+    if !reports.iter().all(|r| r.outcome.is_completed()) {
         eprintln!("profiled replay did not complete on every rank");
         std::process::exit(1);
     }

@@ -15,10 +15,7 @@ use gmlake_core::{GmLakeAllocator, GmLakeConfig};
 use gmlake_gpu_sim::{CostModel, CudaDriver, DeviceConfig, DriverStats, NativeAllocator};
 use gmlake_runtime::{DefragPolicy, DeviceId, MemoryProfiler, PoolService};
 use gmlake_telemetry::{MemorySnapshot, PoolTelemetry};
-use gmlake_workload::{
-    ConcurrentReplayer, RankSpec, ReplayOptions, ReplayReport, Replayer, ScaleoutReport,
-    TraceGenerator, TrainConfig,
-};
+use gmlake_workload::{ReplayOptions, ReplayReport, Replayer, TraceGenerator, TrainConfig};
 
 /// Which allocator to run a workload against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,47 +62,45 @@ pub fn run_pair(cfg: &TrainConfig) -> Pair {
     }
 }
 
-/// Runs a concurrent scale-out fleet: `ranks` data-parallel ranks of `cfg`,
-/// each on its own fresh A100-80G device, all replaying simultaneously on
-/// their own OS threads through one [`PoolService`] (optionally ticking a
-/// [`DefragPolicy`] at every iteration boundary).
+/// Runs one data-parallel rank of a Figure 11 scale-out on a fresh
+/// A100-80G, registered in its own [`PoolService`] (optionally ticking a
+/// [`DefragPolicy`] at every iteration boundary), and returns its report
+/// with the device's driver telemetry.
+///
+/// One rank stands for the whole fleet: the trace is a pure function of
+/// `cfg`, which carries no rank index, so every ZeRO data-parallel rank
+/// issues the same per-GPU request stream on an identical device and
+/// reports the same numbers (`tests/runtime_concurrency.rs` checks that
+/// mirrored ranks on their own threads agree exactly).
 pub fn run_scaleout(
     cfg: &TrainConfig,
-    ranks: u32,
     which: Allocator,
     defrag: Option<DefragPolicy>,
-) -> ScaleoutReport {
+) -> (ReplayReport, DriverStats) {
     let service = defrag.map_or_else(PoolService::new, PoolService::with_defrag);
-    let specs: Vec<RankSpec> = (0..ranks)
-        .map(|rank| {
-            let driver = CudaDriver::new(DeviceConfig::a100_80g());
-            let device = DeviceId(rank);
-            let alloc = which.build(driver.clone());
-            service
-                .register(device, alloc)
-                .expect("fresh device ids are unique");
-            RankSpec::new(device, driver, cfg.clone())
-        })
-        .collect();
-    ConcurrentReplayer::new(service)
-        .replay_ranks(specs)
-        .expect("all ranks were just registered")
+    let driver = CudaDriver::new(DeviceConfig::a100_80g());
+    let mut pool = service
+        .register(DeviceId(0), which.build(driver.clone()))
+        .expect("a fresh service has no device 0");
+    let trace = TraceGenerator::new(cfg.clone()).generate();
+    let report = Replayer::new(driver.clone()).replay(&mut pool, &trace, cfg);
+    (report, driver.stats())
 }
 
-/// Runs a profiled GMLake scale-out fleet: like
-/// [`run_scaleout`]`(cfg, ranks, Allocator::GmLake, None)`, but with the
-/// full telemetry stack attached to every rank — an unsampled
-/// [`PoolTelemetry`] sink wired into the front-end hot paths, the GMLake
-/// core's stitch decisions, and the device driver (which also serves as
-/// the sink's clock, so event timestamps share the replay's simulated
-/// timeline) — under a started [`MemoryProfiler`]. Returns the replay
-/// report together with the dumped [`MemorySnapshot`]: one pool per rank,
-/// timeline points at every iteration boundary plus the profiler's final
-/// reconciling sample.
-pub fn run_scaleout_profiled(cfg: &TrainConfig, ranks: u32) -> (ScaleoutReport, MemorySnapshot) {
+/// Runs a profiled GMLake scale-out: `ranks` ranks of `cfg`, each on its
+/// own fresh A100-80G with the full telemetry stack attached — an
+/// unsampled [`PoolTelemetry`] sink wired into the front-end hot paths,
+/// the GMLake core's stitch decisions, and the device driver (which also
+/// serves as the sink's clock, so event timestamps share the replay's
+/// simulated timeline) — registered under a started [`MemoryProfiler`]
+/// and replayed one after another. Returns the per-rank reports together
+/// with the dumped [`MemorySnapshot`]: one pool per rank, timeline points
+/// at every iteration boundary plus the profiler's final reconciling
+/// sample.
+pub fn run_scaleout_profiled(cfg: &TrainConfig, ranks: u32) -> (Vec<ReplayReport>, MemorySnapshot) {
     let service = PoolService::new();
     let profiler = MemoryProfiler::new(&service);
-    let specs: Vec<RankSpec> = (0..ranks)
+    let pools: Vec<_> = (0..ranks)
         .map(|rank| {
             let driver = CudaDriver::new(DeviceConfig::a100_80g());
             let telemetry = Arc::new(PoolTelemetry::full().with_clock(Arc::new(driver.clone())));
@@ -119,19 +114,19 @@ pub fn run_scaleout_profiled(cfg: &TrainConfig, ranks: u32) -> (ScaleoutReport, 
                 Some(telemetry),
             )
             .expect("the default front-end config is valid");
-            let device = DeviceId(rank);
-            service
-                .register_device(device, alloc)
+            let pool = service
+                .register_device(DeviceId(rank), alloc)
                 .expect("fresh device ids are unique");
-            RankSpec::new(device, driver, cfg.clone())
+            (pool, driver)
         })
         .collect();
     profiler.start();
-    let report = ConcurrentReplayer::new(service)
-        .replay_ranks(specs)
-        .expect("all ranks were just registered");
-    let snapshot = profiler.dump();
-    (report, snapshot)
+    let trace = TraceGenerator::new(cfg.clone()).generate();
+    let reports = pools
+        .into_iter()
+        .map(|(mut pool, driver)| Replayer::new(driver).replay(&mut pool, &trace, cfg))
+        .collect();
+    (reports, profiler.dump())
 }
 
 /// Runs `cfg` against a caller-supplied allocator on a fresh A100-80G

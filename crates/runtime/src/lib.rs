@@ -97,8 +97,11 @@
 //! # Scale-out
 //!
 //! One service owns all ranks' pools; each rank thread grabs its device's
-//! handle. (`gmlake-workload`'s `ConcurrentReplayer` wraps exactly this
-//! pattern around full fine-tuning traces.)
+//! handle. The Figure 11 harness replays a single rank instead: a
+//! fine-tuning trace has no rank index, so data-parallel ranks issue the
+//! same per-GPU stream and one rank's report is every rank's
+//! (`tests/runtime_concurrency.rs` replays mirrored ranks on their own
+//! threads and checks they agree exactly).
 //!
 //! ```
 //! use gmlake_runtime::{DeviceId, PoolService};

@@ -19,10 +19,9 @@ use crate::service::{DeviceId, PoolHandle, PoolService};
 /// [`MemorySnapshot::to_chrome_trace`].
 ///
 /// Timeline points accumulate automatically at every
-/// [`PoolHandle::iteration_boundary`]; call
-/// [`sample`](MemoryProfiler::sample) for extra points between
-/// boundaries. `dump` records one final point per pool so the timeline
-/// always reconciles with the pool's closing [`MemStats`].
+/// [`PoolHandle::iteration_boundary`]. `dump` records one final point per
+/// pool so the timeline always reconciles with the pool's closing
+/// [`MemStats`].
 ///
 /// ```
 /// use gmlake_runtime::{DeviceId, MemoryProfiler, PoolService};
@@ -89,18 +88,6 @@ impl MemoryProfiler {
         for (_, handle) in self.pools() {
             if let Some(tel) = handle.allocator().telemetry() {
                 tel.disable();
-            }
-        }
-    }
-
-    /// Records one timeline point on every enabled registered pool, in
-    /// addition to the automatic per-iteration samples.
-    pub fn sample(&self) {
-        for (_, handle) in self.pools() {
-            if let Some(tel) = handle.allocator().telemetry() {
-                if tel.is_enabled() {
-                    Self::sample_pool(&handle, tel);
-                }
             }
         }
     }

@@ -117,30 +117,6 @@ impl Histogram {
         self.max.load(Relaxed)
     }
 
-    /// Value at quantile `q` in `[0, 1]` — the serving-report spelling of
-    /// [`Histogram::percentile`]. Same contract: bucket-floor resolution
-    /// (worst-case relative error `1 / SUB_BUCKETS`, i.e. 12.5%), clamped
-    /// to the observed extrema, 0 on an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.percentile(q)
-    }
-
-    /// Median (`quantile(0.50)`), in nanoseconds.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 99th percentile (`quantile(0.99)`), in nanoseconds — the headline
-    /// serving-latency number.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// 99.9th percentile (`quantile(0.999)`), in nanoseconds.
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
-    }
-
     /// Non-zero buckets as `(floor_value, count)` pairs, for exact
     /// equality checks in tests.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
@@ -255,12 +231,12 @@ mod tests {
         for v in 1..=10_000u64 {
             h.record(v * 31);
         }
-        assert_eq!(h.quantile(0.50), h.percentile(0.50));
-        assert_eq!(h.p50(), h.quantile(0.50));
-        assert_eq!(h.p99(), h.quantile(0.99));
-        assert_eq!(h.p999(), h.quantile(0.999));
-        // The accessors inherit the log-linear bound: 1/SUB_BUCKETS = 12.5%.
-        for (got, q) in [(h.p50(), 0.50), (h.p99(), 0.99), (h.p999(), 0.999)] {
+        let s = h.summary();
+        assert_eq!(s.p50_ns, h.percentile(0.50));
+        assert_eq!(s.p99_ns, h.percentile(0.99));
+        assert_eq!(s.p999_ns, h.percentile(0.999));
+        // The summary inherits the log-linear bound: 1/SUB_BUCKETS = 12.5%.
+        for (got, q) in [(s.p50_ns, 0.50), (s.p99_ns, 0.99), (s.p999_ns, 0.999)] {
             let exact = ((q * 10_000f64).ceil() as u64) * 31;
             let err = (got as f64 - exact as f64).abs() / exact as f64;
             assert!(
@@ -273,14 +249,14 @@ mod tests {
     #[test]
     fn quantile_accessors_are_exact_on_singletons_and_zero_when_empty() {
         let h = Histogram::new();
-        assert_eq!(h.p50(), 0);
-        assert_eq!(h.p99(), 0);
-        assert_eq!(h.p999(), 0);
+        for q in [0.50, 0.99, 0.999] {
+            assert_eq!(h.percentile(q), 0);
+        }
         h.record(42_000);
         // One sample: the extrema clamp makes every quantile exact.
-        assert_eq!(h.p50(), 42_000);
-        assert_eq!(h.p99(), 42_000);
-        assert_eq!(h.p999(), 42_000);
+        for q in [0.50, 0.99, 0.999] {
+            assert_eq!(h.percentile(q), 42_000);
+        }
     }
 
     #[test]

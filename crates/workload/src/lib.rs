@@ -15,7 +15,10 @@
 //!   staging), with strategy-dependent irregularity;
 //! * [`Replayer`] — drives any [`AllocatorCore`](gmlake_alloc_api::AllocatorCore)
 //!   and reports peak active/reserved memory, utilization, fragmentation,
-//!   throughput, OOM outcome and a memory-over-time series;
+//!   throughput, OOM outcome and a memory-over-time series. One replay
+//!   stands for a whole data-parallel fleet: a trace is a pure function of
+//!   its [`TrainConfig`], which has no rank index, so every ZeRO rank
+//!   issues the same per-GPU request stream and reports the same numbers;
 //! * [`headline_suite`] — the 76-workload matrix behind the paper's headline
 //!   savings numbers.
 //!
@@ -32,7 +35,6 @@
 //! println!("fragmentation: {:.1}%", report.fragmentation() * 100.0);
 //! ```
 
-mod concurrent;
 mod generator;
 mod metrics;
 mod model;
@@ -43,7 +45,6 @@ mod suite;
 mod timing;
 mod trace;
 
-pub use concurrent::{ConcurrentReplayer, RankReport, RankSpec, ScaleoutReport};
 pub use generator::TraceGenerator;
 pub use metrics::{mean, mem_reduction_ratio, to_gib};
 pub use model::ModelSpec;

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use gmlake_alloc_api::{AllocError, AllocRequest, AllocationId, AllocatorCore, StreamId};
 use gmlake_gpu_sim::CudaDriver;
 
-use crate::trace::{Trace, TraceEvent, TraceStats};
+use crate::trace::{Trace, TraceEvent};
 
 /// A recorded series keeps one sample per this many alloc/free events, to
 /// bound its memory.
@@ -105,8 +105,6 @@ pub struct ReplayReport {
     pub faulted_allocs: u64,
     /// Memory-over-time samples (empty unless `record_series`).
     pub series: Vec<Sample>,
-    /// Statistics of the trace that was replayed.
-    pub trace_stats: TraceStats,
 }
 
 impl ReplayReport {
@@ -341,7 +339,6 @@ impl Replayer {
             skipped_allocs: skipped,
             faulted_allocs: faulted,
             series,
-            trace_stats: trace.stats(),
         }
     }
 }

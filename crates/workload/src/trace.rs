@@ -2,7 +2,7 @@
 //! run issues to the allocator, plus the statistics the paper reports about
 //! such streams (Figure 5).
 
-use gmlake_alloc_api::{AllocTag, StreamId};
+use gmlake_alloc_api::{AllocTag, StreamId, SMALL_THRESHOLD};
 
 /// One event in a memory trace. `key` identifies a logical tensor within the
 /// trace (the replayer maps it to whatever `AllocationId` the allocator
@@ -167,7 +167,7 @@ impl Trace {
                     streams.insert(stream);
                     s.allocs += 1;
                     s.alloc_bytes += size;
-                    if size < 2 * 1024 * 1024 {
+                    if size < SMALL_THRESHOLD {
                         s.small_allocs += 1;
                     }
                     live.insert(key, size);

@@ -42,7 +42,5 @@ pub mod prelude {
     pub use gmlake_runtime::{DefragPolicy, DeviceId, MemoryProfiler, PoolHandle, PoolService};
     pub use gmlake_serving::{AdmissionPolicy, ServingConfig, ServingService, TenantId};
     pub use gmlake_telemetry::{MemorySnapshot, PoolTelemetry};
-    pub use gmlake_workload::{
-        ConcurrentReplayer, ModelSpec, Platform, RankSpec, Replayer, StrategySet, TrainConfig,
-    };
+    pub use gmlake_workload::{ModelSpec, Platform, Replayer, StrategySet, TrainConfig};
 }

@@ -25,8 +25,11 @@ fn profiled_cfg() -> TrainConfig {
 
 #[test]
 fn profiled_replay_timeline_reconciles_with_final_memstats() {
-    let (report, snapshot) = run_scaleout_profiled(&profiled_cfg(), RANKS);
-    assert!(report.all_completed(), "profiled replay must complete");
+    let (reports, snapshot) = run_scaleout_profiled(&profiled_cfg(), RANKS);
+    assert!(
+        reports.iter().all(|r| r.outcome.is_completed()),
+        "profiled replay must complete"
+    );
     assert_eq!(snapshot.pools.len(), RANKS as usize, "one pool per rank");
 
     for pool in &snapshot.pools {
@@ -95,7 +98,7 @@ fn profiled_replay_snapshot_exports_validate() {
     // JSON export: schema-validates (including the timeline/final-gauge
     // reconciliation check) and round-trips exactly.
     let text = snapshot.to_json();
-    MemorySnapshot::validate_json(&text).expect("snapshot passes gmlake-snapshot/v2 validation");
+    MemorySnapshot::validate_json(&text).expect("snapshot passes gmlake-snapshot/v3 validation");
     let back = MemorySnapshot::from_json(&text).expect("snapshot JSON parses back");
     assert_eq!(back, snapshot, "JSON round-trip is lossless");
 

@@ -2,16 +2,34 @@
 //! one pool, whole fleets of ranks replaying through the service, and the
 //! defrag policy's end-to-end effect on reserved memory.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use gmlake::prelude::*;
 use gmlake_core::GmLakeConfig;
 use gmlake_runtime::{DefragPolicy, DeviceId, PoolService};
-use gmlake_workload::{ConcurrentReplayer, RankSpec};
+use gmlake_workload::{ReplayReport, TraceGenerator};
 
 fn a100() -> CudaDriver {
     CudaDriver::new(DeviceConfig::a100_80g())
+}
+
+/// Replays `cfg` on every `(pool, driver)` rank at once, one scoped thread
+/// per rank, and returns the reports in rank order.
+fn replay_ranks(ranks: Vec<(PoolHandle, CudaDriver)>, cfg: &TrainConfig) -> Vec<ReplayReport> {
+    let trace = TraceGenerator::new(cfg.clone()).generate();
+    std::thread::scope(|s| {
+        let threads: Vec<_> = ranks
+            .into_iter()
+            .map(|(mut pool, driver)| {
+                let trace = &trace;
+                s.spawn(move || Replayer::new(driver).replay(&mut pool, trace, cfg))
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("rank thread panicked"))
+            .collect()
+    })
 }
 
 /// ≥4 threads allocate and free through clones of ONE `PoolHandle` without
@@ -94,10 +112,10 @@ fn scaleout_four_ranks_four_threads_with_reports() {
         .with_iterations(3)
         .with_gpus(4);
     let service = PoolService::new();
-    let ranks: Vec<RankSpec> = (0..4)
+    let ranks: Vec<_> = (0..4)
         .map(|rank| {
             let driver = a100();
-            service
+            let pool = service
                 .register(
                     DeviceId(rank),
                     Box::new(GmLakeAllocator::new(
@@ -106,36 +124,33 @@ fn scaleout_four_ranks_four_threads_with_reports() {
                     )),
                 )
                 .unwrap();
-            RankSpec::new(DeviceId(rank), driver, cfg.clone())
+            (pool, driver)
         })
         .collect();
-    let report = ConcurrentReplayer::new(service.clone())
-        .replay_ranks(ranks)
-        .unwrap();
-    assert_eq!(report.ranks.len(), 4);
-    assert!(report.all_completed());
-    for rank in &report.ranks {
-        assert_eq!(rank.report.iterations_completed, 3);
-        assert!(rank.report.peak_reserved > 0);
-        assert!(rank.report.throughput > 0.0);
+    let drivers: Vec<CudaDriver> = ranks.iter().map(|(_, d)| d.clone()).collect();
+    let reports = replay_ranks(ranks, &cfg);
+    assert_eq!(reports.len(), 4);
+    for report in &reports {
+        assert!(report.outcome.is_completed());
+        assert_eq!(report.iterations_completed, 3);
+        assert!(report.peak_reserved > 0);
+        assert!(report.throughput > 0.0);
     }
-    // Mirrored ranks agree exactly (determinism through the shared-pool
-    // path), and the service agrees with the reports.
-    let peaks: Vec<u64> = report
-        .ranks
-        .iter()
-        .map(|r| r.report.peak_reserved)
-        .collect();
-    assert!(peaks.windows(2).all(|w| w[0] == w[1]), "{peaks:?}");
-    let by_device: HashMap<DeviceId, u64> = report
-        .ranks
-        .iter()
-        .map(|r| (r.device, r.report.final_reserved))
-        .collect();
-    for device in service.devices() {
+    // Mirrored ranks (same trace, own devices) agree exactly — concurrency
+    // cannot leak between pools — and the service agrees with the reports.
+    for w in reports.windows(2) {
+        assert_eq!(w[0].peak_reserved, w[1].peak_reserved);
+        assert_eq!(w[0].peak_active, w[1].peak_active);
+    }
+    let calls: Vec<u64> = drivers.iter().map(|d| d.stats().total_calls()).collect();
+    assert!(
+        calls[0] > 0 && calls.windows(2).all(|w| w[0] == w[1]),
+        "{calls:?}"
+    );
+    for (rank, report) in (0..).zip(&reports) {
         assert_eq!(
-            service.stats(device).unwrap().reserved_bytes,
-            by_device[&device]
+            service.stats(DeviceId(rank)).unwrap().reserved_bytes,
+            report.final_reserved
         );
     }
 }
@@ -150,32 +165,29 @@ fn defrag_scheduler_reduces_reserved_memory() {
         .with_iterations(4);
     let run = |defrag: Option<DefragPolicy>| {
         let service = defrag.map_or_else(PoolService::new, PoolService::with_defrag);
-        let ranks: Vec<RankSpec> = (0..2)
+        let ranks: Vec<_> = (0..2)
             .map(|rank| {
                 let driver = a100();
-                service
+                let pool = service
                     .register(
                         DeviceId(rank),
                         Box::new(CachingAllocator::new(driver.clone())),
                     )
                     .unwrap();
-                RankSpec::new(DeviceId(rank), driver, cfg.clone())
+                (pool, driver)
             })
             .collect();
-        let report = ConcurrentReplayer::new(service.clone())
-            .replay_ranks(ranks)
-            .unwrap();
-        (service, report)
+        let reports = replay_ranks(ranks, &cfg);
+        assert!(reports.iter().all(|r| r.outcome.is_completed()));
+        let final_reserved: u64 = reports.iter().map(|r| r.final_reserved).sum();
+        (service, final_reserved)
     };
 
     let (_, plain) = run(None);
     let (supervised_service, supervised) = run(Some(DefragPolicy::periodic(2)));
-    assert!(plain.all_completed() && supervised.all_completed());
     assert!(
-        supervised.total_final_reserved() < plain.total_final_reserved(),
-        "supervised fleet must end leaner: {} vs {}",
-        supervised.total_final_reserved(),
-        plain.total_final_reserved()
+        supervised < plain,
+        "supervised fleet must end leaner: {supervised} vs {plain}"
     );
     for device in supervised_service.devices() {
         let stats = supervised_service.handle(device).unwrap().defrag_stats();
@@ -198,25 +210,21 @@ fn background_defragger_runs_alongside_replay() {
         .with_batch(2)
         .with_iterations(3);
     let service = PoolService::new();
-    let ranks: Vec<RankSpec> = (0..2)
+    let ranks: Vec<_> = (0..2)
         .map(|rank| {
             let driver = a100();
-            service
+            let pool = service
                 .register(
                     DeviceId(rank),
                     Box::new(CachingAllocator::new(driver.clone())),
                 )
                 .unwrap();
-            RankSpec::new(DeviceId(rank), driver, cfg.clone())
+            (pool, driver)
         })
         .collect();
-    let handles: Vec<_> = service
-        .devices()
-        .into_iter()
-        .map(|d| service.handle(d).unwrap())
-        .collect();
+    let handles: Vec<_> = ranks.iter().map(|(pool, _)| pool.clone()).collect();
     let done = AtomicBool::new(false);
-    let (report, passes) = std::thread::scope(|s| {
+    let (reports, passes) = std::thread::scope(|s| {
         let maintenance = s.spawn(|| {
             let mut passes = 0u64;
             // At least one pass even if the replay wins the race to `done`.
@@ -231,13 +239,11 @@ fn background_defragger_runs_alongside_replay() {
                 }
             }
         });
-        let report = ConcurrentReplayer::new(service.clone())
-            .replay_ranks(ranks)
-            .unwrap();
+        let reports = replay_ranks(ranks, &cfg);
         done.store(true, Ordering::Release);
-        (report, maintenance.join().unwrap())
+        (reports, maintenance.join().unwrap())
     });
-    assert!(report.all_completed());
+    assert!(reports.iter().all(|r| r.outcome.is_completed()));
     assert!(passes > 0, "the maintenance thread ran during the replay");
 }
 
