@@ -381,7 +381,9 @@ impl<C: AllocatorCore> PlannedCore<C> {
     /// top of it) → materialize the arena. An arena failure (capacity or
     /// injected fault) aborts the install and keeps recording. The
     /// placement dominates the install's host time: first-fit-decreasing
-    /// is `O(n²)` in the `n` intervals, the serving tables `O(n log n)`.
+    /// is `O(n log n + P log d)` in the `n` intervals, their `P`
+    /// time-overlapping pairs and at most `d` earlier-placed neighbours per
+    /// interval; the serving tables are `O(n log n)`.
     fn try_install_plan(&mut self) {
         let intervals = self.recorder.finish_window();
         if intervals.len() < MIN_PLAN_INTERVALS {

@@ -7,6 +7,11 @@
 //! time*. Two intervals may share address space if and only if their
 //! lifetimes are disjoint — that is the whole trick: the planned capacity
 //! tracks the measured peak of the transient working set, not its sum.
+//!
+//! Those time neighbours come from one sweep over the sorted interval
+//! endpoints, so an interval is checked only against the earlier-placed
+//! intervals it overlaps, never against every placed slot: the build costs
+//! `O(n log n + P log d)` rather than `O(n²)` (see [`MemoryPlan::build`]).
 
 use crate::recorder::LifetimeInterval;
 
@@ -56,31 +61,62 @@ impl MemoryPlan {
     /// Computes a plan for `intervals` by first-fit-decreasing.
     ///
     /// Deterministic: the same intervals always produce the same plan
-    /// (ties in size break by alloc tick). The returned slot list is
-    /// sorted back into alloc-tick order, which is the order the serving
-    /// queues hand slots out in.
+    /// (ties in size break by alloc tick, then by input order). The
+    /// returned slot list is sorted back into alloc-tick order, which is
+    /// the order the serving queues hand slots out in. Every interval
+    /// needs `free_tick > alloc_tick`, as the recorder guarantees.
+    ///
+    /// Cost: `O(n log n + P log d)` for `n` intervals, `P` pairs of them
+    /// that overlap in time and at most `d` earlier-placed neighbours per
+    /// interval. One sweep over the sorted endpoints lists the pairs, each
+    /// under whichever interval is placed later, so placing an interval
+    /// sorts only its `d` neighbours' ranges, not every placed slot.
     pub fn build(intervals: &[LifetimeInterval]) -> MemoryPlan {
-        let mut order: Vec<usize> = (0..intervals.len()).collect();
+        let n = intervals.len();
+        let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| {
             (
                 std::cmp::Reverse(intervals[i].size),
                 intervals[i].alloc_tick,
             )
         });
+        let mut rank = vec![0u32; n];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i] = r as u32;
+        }
 
-        let mut placed: Vec<PlanSlot> = Vec::with_capacity(intervals.len());
+        // Each overlapping pair filed under its later rank, in one flat
+        // array: `earlier[start[r]..start[r + 1]]` are the ranks placed
+        // before rank `r` that overlap it in time.
+        let pairs = overlapping_pairs(intervals, &rank);
+        let mut start = vec![0usize; n + 1];
+        for &(later, _) in &pairs {
+            start[later as usize + 1] += 1;
+        }
+        for r in 0..n {
+            start[r + 1] += start[r];
+        }
+        let mut fill = start.clone();
+        let mut earlier = vec![0u32; pairs.len()];
+        for &(later, first) in &pairs {
+            earlier[fill[later as usize]] = first;
+            fill[later as usize] += 1;
+        }
+
+        let mut placed: Vec<PlanSlot> = Vec::with_capacity(n);
+        let mut busy: Vec<(u64, u64)> = Vec::new();
         let mut capacity = 0u64;
-        for &i in &order {
+        for (r, &i) in order.iter().enumerate() {
             let iv = intervals[i];
             // Occupied ranges among time-overlapping, already-placed slots.
-            let mut busy: Vec<(u64, u64)> = placed
-                .iter()
-                .filter(|s| s.interval().overlaps_time(&iv))
-                .map(|s| (s.offset, s.offset + s.size))
-                .collect();
+            busy.clear();
+            busy.extend(earlier[start[r]..start[r + 1]].iter().map(|&q| {
+                let s = &placed[q as usize];
+                (s.offset, s.offset + s.size)
+            }));
             busy.sort_unstable();
             let mut offset = 0u64;
-            for (lo, hi) in busy {
+            for &(lo, hi) in &busy {
                 if offset + iv.size <= lo {
                     break;
                 }
@@ -134,9 +170,129 @@ impl MemoryPlan {
     }
 }
 
+/// Every pair of intervals whose lifetimes overlap, as `(later, earlier)`
+/// placement ranks, from one sweep over the `2n` sorted endpoints.
+/// Lifetimes are half-open, so at equal ticks frees sort before allocs. An
+/// alloc pairs with every interval then live, and every interval live at
+/// a free overlaps the one that frees, so the sweep costs `O(n log n + P)`.
+fn overlapping_pairs(intervals: &[LifetimeInterval], rank: &[u32]) -> Vec<(u32, u32)> {
+    let mut events: Vec<(u64, bool, u32)> = Vec::with_capacity(2 * intervals.len());
+    for (iv, &r) in intervals.iter().zip(rank) {
+        events.push((iv.alloc_tick, true, r));
+        events.push((iv.free_tick, false, r));
+    }
+    events.sort_unstable();
+    let mut live: Vec<u32> = Vec::new();
+    let mut pairs = Vec::new();
+    for (_, is_alloc, r) in events {
+        if is_alloc {
+            pairs.extend(live.iter().map(|&q| (r.max(q), r.min(q))));
+            live.push(r);
+        } else if let Some(at) = live.iter().position(|&q| q == r) {
+            live.swap_remove(at);
+        }
+    }
+    pairs
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The placement `build` replaced, kept verbatim as the reference: each
+    /// interval filters every placed slot by time overlap.
+    fn reference(intervals: &[LifetimeInterval]) -> MemoryPlan {
+        let mut order: Vec<usize> = (0..intervals.len()).collect();
+        order.sort_by_key(|&i| {
+            (
+                std::cmp::Reverse(intervals[i].size),
+                intervals[i].alloc_tick,
+            )
+        });
+
+        let mut placed: Vec<PlanSlot> = Vec::with_capacity(intervals.len());
+        let mut capacity = 0u64;
+        for &i in &order {
+            let iv = intervals[i];
+            // Occupied ranges among time-overlapping, already-placed slots.
+            let mut busy: Vec<(u64, u64)> = placed
+                .iter()
+                .filter(|s| s.interval().overlaps_time(&iv))
+                .map(|s| (s.offset, s.offset + s.size))
+                .collect();
+            busy.sort_unstable();
+            let mut offset = 0u64;
+            for (lo, hi) in busy {
+                if offset + iv.size <= lo {
+                    break;
+                }
+                offset = offset.max(hi);
+            }
+            capacity = capacity.max(offset + iv.size);
+            placed.push(PlanSlot {
+                offset,
+                size: iv.size,
+                stream: iv.stream,
+                alloc_tick: iv.alloc_tick,
+                free_tick: iv.free_tick,
+            });
+        }
+        placed.sort_by_key(|s| s.alloc_tick);
+        MemoryPlan {
+            capacity,
+            slots: placed,
+        }
+    }
+
+    /// Interval programs dense in ties: over a few ticks, one interval's
+    /// free often lands on another's alloc, several intervals share an
+    /// alloc tick, and a few sizes recur on both streams; lifetimes nest
+    /// and are disjoint. A sparse arm adds long programs with varied sizes.
+    fn tied_programs() -> impl Strategy<Value = Vec<LifetimeInterval>> {
+        let dense = prop::collection::vec(((0u64..16), (1u64..8), (1u64..5), (0u32..2)), 1..48)
+            .prop_map(|v| {
+                v.into_iter()
+                    .map(|(t, d, k, s)| iv(t, t + d, k * 256, s))
+                    .collect()
+            });
+        let sparse = prop::collection::vec(
+            ((0u64..400), (1u64..120), (1u64..(4 << 20)), (0u32..3)),
+            1..120,
+        )
+        .prop_map(|v| {
+            v.into_iter()
+                .map(|(t, d, z, s)| iv(t, t + d, z, s))
+                .collect()
+        });
+        prop_oneof![3 => dense, 1 => sparse]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The sweep placement is the reference placement: same capacity,
+        /// same offsets, same slot order.
+        #[test]
+        fn build_equals_the_reference_placement(intervals in tied_programs()) {
+            prop_assert_eq!(MemoryPlan::build(&intervals), reference(&intervals));
+        }
+    }
+
+    /// Slots that share an alloc tick keep their placement order: the
+    /// larger is placed first and so comes first, whatever the input order.
+    #[test]
+    fn equal_alloc_ticks_keep_placement_order() {
+        let ivs = [iv(0, 2, 64, 0), iv(0, 3, 128, 1), iv(2, 4, 64, 1)];
+        let plan = MemoryPlan::build(&ivs);
+        assert_eq!(plan, reference(&ivs));
+        assert_eq!(plan.slots[0].size, 128);
+        assert_eq!(
+            plan.slots[2].offset, 128,
+            "placed beside the live 128, after [0, 2) freed"
+        );
+    }
 
     fn iv(alloc_tick: u64, free_tick: u64, size: u64, stream: u32) -> LifetimeInterval {
         LifetimeInterval {

@@ -9,9 +9,7 @@
 //! crosses an iteration boundary) are left out of the plan and stay with
 //! the reactive fallback for their whole lifetime.
 
-use std::collections::HashMap;
-
-use gmlake_alloc_api::{AllocationId, StreamId};
+use gmlake_alloc_api::{AllocationId, IdMap, StreamId};
 
 /// One planned lifetime: the allocation was requested at `alloc_tick` and
 /// released at `free_tick` (half-open: live during `[alloc_tick,
@@ -48,7 +46,10 @@ struct Record {
 pub struct IterationRecorder {
     tick: u64,
     records: Vec<Record>,
-    open: HashMap<AllocationId, usize>,
+    /// Record index of each allocation still open in the window. Touched
+    /// on every call and never iterated, so ids take the cheap [`IdMap`]
+    /// hasher.
+    open: IdMap<AllocationId, usize>,
 }
 
 impl IterationRecorder {

@@ -294,6 +294,35 @@ fn deterministic_replay<C: Fallback>() {
     assert_eq!(stats[0], stats[1], "stats diverged across identical runs");
 }
 
+/// The plan of the benchmark's `train_lr` trace, pinned: OPT-13B
+/// LoRA+recompute on one stream at the workload crate's default trace
+/// seed, recorded through a planned core over GMLake. Its capacity is the
+/// benchmark's `planning.arena_bytes` on `train_lr_planned`. Any change to
+/// placement moves the capacity or the hash of every slot's `(offset,
+/// size, alloc_tick, stream)` in slot order.
+#[test]
+fn opt13b_lora_plan_is_pinned() {
+    let cfg = TrainConfig::new(ModelSpec::opt_13b(), StrategySet::LR)
+        .with_iterations(2)
+        .with_seed(0x6d_6c61_6b65);
+    let trace = TraceGenerator::new(cfg.clone()).generate();
+    let (mut planned, driver) = planned_core::<GmLakeAllocator>(gib(80));
+    let _ = Replayer::new(driver).replay(&mut planned, &trace, &cfg);
+    let plan = planned.plan().expect("plan installed");
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for s in &plan.slots {
+        for word in [s.offset, s.size, s.alloc_tick, u64::from(s.stream)] {
+            for b in word.to_le_bytes() {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(
+        (plan.slots.len(), plan.capacity, hash),
+        (3_700, 9_510_802_101, 6_535_105_776_476_160_759)
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Planner invariant proptests
 // ---------------------------------------------------------------------------
