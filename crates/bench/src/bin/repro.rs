@@ -459,10 +459,11 @@ fn fig11_profile(out: &str) {
 
     for pool in &snapshot.pools {
         eprintln!(
-            "  {}: {} timeline points, {} events, final reserved {}",
+            "  {}: {} timeline points, {} events ({} dropped), final reserved {}",
             pool.pool,
             pool.samples.len(),
             pool.events.len(),
+            pool.dropped_events,
             fmt_gib(pool.final_reserved).trim()
         );
     }
@@ -714,10 +715,9 @@ fn headline() {
 /// 128 MB as an example setting and argues that a higher limit trades
 /// internal waste for fewer split/stitch operations. On OPT-13B LR at
 /// batch 4 the replay does not show a monotone trade-off. UR is 100.0 % at
-/// 2 MiB, falls to 88.4 % at 32 MiB, where stitches peak (3 428), and is
-/// back to 98.8 % at 128 MiB with only 643 stitches and one split. At
-/// 256 MiB the operations nearly vanish and reserved memory is the
-/// highest of the sweep.
+/// 2 MiB and falls to 93.0 % at 32 MiB; stitches peak at 8 MiB (828). At
+/// 128 MiB only 4 stitches and one split remain and UR is back to 99.3 %.
+/// At 256 MiB reserved memory is the highest of the sweep.
 fn ablation_frag_limit() {
     println!("Ablation: GMLake fragmentation limit (OPT-13B, LR, 4 GPUs, batch 4)\n");
     println!("limit       RM(GiB)       UR   stitches     splits    sblocks       vmm-ms");
@@ -835,7 +835,7 @@ fn native() {
 /// Replays OPT-13B LR, the benchmark's `train_lr` model and strategy,
 /// against the caching allocator, GMLake, and a `PlannedCore` in front of
 /// each (plan + caching is STAlloc's shape). Plan + caching peaks at the
-/// caching allocator's bytes (1.0000, against 0.9006 for plan + GMLake),
+/// caching allocator's bytes (1.0000, against 0.9008 for plan + GMLake),
 /// because the peak falls in the recording iteration, which the fallback
 /// serves alone. After the install the caching arm holds 0.995× the
 /// GMLake arm's bytes: stitching earns its bytes in the warm-up, not in

@@ -7,8 +7,10 @@
 //! * **S1** exact match — hand out a cached sBlock/pBlock unchanged;
 //! * **S2** single larger pBlock — `Split` it, or use it whole when the
 //!   remainder would fall below `frag_limit`;
-//! * **S3** multiple pBlocks — `Stitch` them into a new sBlock (splitting
-//!   the final candidate so the stitched size matches exactly);
+//! * **S3** multiple pBlocks — `Stitch` them into a new sBlock, splitting
+//!   the final candidate down to the request unless the remainder would
+//!   fall below `frag_limit`, in which case it is kept whole and the view
+//!   maps more than the request;
 //! * **S4** insufficient — `Alloc` a fresh reservation, stitching it with
 //!   whatever leftovers exist;
 //! * **S5** — out of memory: release every cached structure and retry
@@ -56,8 +58,10 @@
 //! indexed load). pBlocks are indexed by a [`TieredPIndex`] — one
 //! `(size, id)` set for the inactive blocks no cached view references and
 //! one for every referenced block, active or not. Views are indexed by size
-//! (`s_by_size`: per size, one id-sorted `Vec` of every view from its
-//! stitch to its teardown) and by age (an intrusive [`LruList`] of the
+//! (`s_by_size`: per aligned request size a view was stitched for — not the
+//! size it maps, which a part kept whole makes larger — one id-sorted `Vec`
+//! of every view from its stitch to its teardown), so the request that
+//! built a view finds it again, and by age (an intrusive [`LruList`] of the
 //! unassigned views, oldest `lru_tick` first). The indexes change only
 //! where *structure* changes: stitch, split and teardown; an activity flip
 //! moves only an unreferenced block in or out of the pBlock index.
@@ -312,7 +316,8 @@ pub struct GmLakeAllocator {
     /// pBlocks keyed `(size, id)`: the inactive unreferenced ones, and every
     /// referenced one, active or not (see [`TieredPIndex`]).
     p_index: TieredPIndex,
-    /// Every sBlock, by size and then id, from its stitch to its teardown:
+    /// Every sBlock, by the aligned request size it was stitched for
+    /// (`SBlock::request`) and then id, from its stitch to its teardown:
     /// the exact-match candidates. Assignment and free leave it alone; its
     /// readers skip an assigned view on its flag and ask about the rest.
     s_by_size: IdMap<u64, Vec<SBlockId>>,
@@ -823,11 +828,13 @@ impl GmLakeAllocator {
     /// `Stitch` (§3.3.1): creates an sBlock whose fresh VA range aliases the
     /// bytes of `parts`, in order — one map entry per part, a window onto
     /// its reservation's handle (`mem_map_window`, beyond CUDA: see the
-    /// module docs). No physical memory is created.
+    /// module docs). No physical memory is created. The view is filed in
+    /// the size index under `request`, the aligned size it serves, which
+    /// the parts may exceed (a last part kept whole).
     ///
     /// Transactional: a fault while mapping unwinds the already-mapped
     /// prefix and the reservation; on `Err` the parts are untouched.
-    fn stitch(&mut self, parts: Vec<PBlockId>) -> Result<SBlockId, DriverError> {
+    fn stitch(&mut self, parts: Vec<PBlockId>, request: u64) -> Result<SBlockId, DriverError> {
         let total: u64 = parts.iter().map(|&p| self.pblocks[p].size).sum();
         let va = self.driver.mem_address_reserve(total)?;
         let mut off = 0u64;
@@ -858,13 +865,15 @@ impl GmLakeAllocator {
             return Err(e);
         }
         let tick = self.next_tick();
-        let sid = self.sblocks.insert(SBlock::new(va, total, parts, tick));
+        let sid = self
+            .sblocks
+            .insert(SBlock::new(va, total, request, parts, tick));
         let first = self.sblocks[sid].parts[0];
         slot(&mut self.dense.s, sid).hint.set(first);
         // The new view is unassigned with all parts inactive: it is both
         // exact-matchable and evictable, and a part's first reference moves
         // it off the unreferenced tier.
-        let views = self.s_by_size.entry(total).or_default();
+        let views = self.s_by_size.entry(request).or_default();
         views.insert(views.partition_point(|&v| v < sid), sid);
         bump(&self.work.view_index_ops, 1);
         self.lru.push_back(&mut self.sblocks, sid);
@@ -993,10 +1002,10 @@ impl GmLakeAllocator {
         }
         let s = self.sblocks.remove(sid).expect("sblock exists");
         self.dense.s[sid as usize] = ViewFlags::default();
-        let views = self.s_by_size.get_mut(&s.size).expect("size listed");
+        let views = self.s_by_size.get_mut(&s.request).expect("size listed");
         views.remove(views.binary_search(&sid).expect("view listed"));
         if views.is_empty() {
-            self.s_by_size.remove(&s.size);
+            self.s_by_size.remove(&s.request);
         }
         bump(&self.work.view_index_ops, 1);
         for &pid in &s.parts {
@@ -1244,7 +1253,7 @@ impl GmLakeAllocator {
         if same_stream(chosen) {
             return chosen;
         }
-        let views = &self.s_by_size[&self.sblocks[chosen].size];
+        let views = &self.s_by_size[&self.sblocks[chosen].request];
         let behind = &views[views.partition_point(|&sid| sid <= chosen)..];
         let Some(i) = behind
             .iter()
@@ -1273,13 +1282,13 @@ impl GmLakeAllocator {
     /// and verifies only the views of the requesting stream, and the views
     /// of other streams before a candidate 31 or more positions behind.
     ///
-    /// The hint pays for itself. With both refinements returning `chosen`,
-    /// the benchmark at its pinned seed reads `train_lro_streams` stall
-    /// 19 242.1 → 25 178.8 sim-ns/op (S3 952 → 1 024) and single-stream
-    /// `train_lr` 15 897.0 → 27 410.5 (S3 798 → 1 025): even on one stream
-    /// it prefers a block or view handed out before over one never handed
-    /// out. `serve_churn` gains only 12 999.6 → 12 688.2. A shared
-    /// stream-ordering rule must keep the refinement.
+    /// What the refinements buy depends on the workload. With both
+    /// returning `chosen`, the benchmark at its pinned seed reads
+    /// `train_lr` unchanged at 300.0 sim-ns/op of stall (its steady state
+    /// makes no driver call), `serve_churn` 12 748.5 → 13 152.6, and
+    /// `train_lro_streams` 9 817.6 → 490.0: on two streams the view
+    /// refinement keeps the pool from converging, and turning it off alone
+    /// reads the same 490.0. ROADMAP item 15 weighs them.
     const AFFINITY_SCAN_LIMIT: usize = 32;
 
     /// One attempt at a large allocation; OOM from `Alloc` is surfaced so the
@@ -1390,7 +1399,7 @@ impl GmLakeAllocator {
                     }
                 }
                 let sid = self
-                    .stitch(ids)
+                    .stitch(ids, aligned)
                     .map_err(|e| AllocError::driver_fault("stitch", e))?;
                 let (va, size) = (self.sblocks[sid].va, self.sblocks[sid].size);
                 Ok(self.register_allocation(Target::S(sid), va, size, req.size))
@@ -1409,7 +1418,7 @@ impl GmLakeAllocator {
                     Ok(self.register_allocation(Target::P(new_pid), va, size, req.size))
                 } else {
                     ids.push(new_pid);
-                    let sid = match self.stitch(ids) {
+                    let sid = match self.stitch(ids, aligned) {
                         Ok(sid) => sid,
                         Err(e) => {
                             // Roll the fresh reservation back; if even the
@@ -1672,9 +1681,15 @@ impl GmLakeAllocator {
             }
         }
         // The size index: each list non-empty and strictly ascending, and
-        // together every view once, under its size.
+        // together every view once, under the request it was stitched for,
+        // which it maps with less than a splittable remainder to spare.
+        let limit = self.config.frag_limit.max(self.chunk);
+        let fits = |s: &SBlock| s.size >= s.request && s.size - s.request < limit;
         let sized = |(&size, v): (&u64, &Vec<SBlockId>)| {
-            let live = |&sid: &SBlockId| self.sblocks.get(sid).is_some_and(|s| s.size == size);
+            let live = |&sid: &SBlockId| {
+                let s = self.sblocks.get(sid);
+                s.is_some_and(|s| s.request == size && fits(s))
+            };
             !v.is_empty() && v.windows(2).all(|w| w[0] < w[1]) && v.iter().all(live)
         };
         let listed: usize = self.s_by_size.values().map(Vec::len).sum();
@@ -1993,7 +2008,8 @@ impl Drop for GmLakeAllocator {
 #[cfg(test)]
 #[derive(Debug)]
 pub(crate) struct ReferenceIndexes {
-    /// Unassigned views with every part inactive.
+    /// Unassigned views with every part inactive, keyed by the request
+    /// size each was stitched for.
     pub available_views: BTreeSet<(u64, u64)>,
     /// Every inactive pBlock, referenced or not.
     pub inactive_pblocks: BTreeSet<(u64, u64)>,
@@ -2019,7 +2035,7 @@ impl GmLakeAllocator {
         let available = views.filter(|(_, s)| self.scan_available(s));
         let inactive = self.pblocks.keys().filter(|&pid| !self.dense.active(pid));
         ReferenceIndexes {
-            available_views: available.map(|(sid, s)| (s.size, sid)).collect(),
+            available_views: available.map(|(sid, s)| (s.request, sid)).collect(),
             inactive_pblocks: inactive.map(|pid| (self.pblocks[pid].size, pid)).collect(),
         }
     }

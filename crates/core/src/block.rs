@@ -149,7 +149,13 @@ pub(crate) struct Reservation {
 #[derive(Debug)]
 pub(crate) struct SBlock {
     pub va: VirtAddr,
+    /// Bytes mapped: the parts' sizes summed.
     pub size: u64,
+    /// The aligned request size the view was stitched for, its key in the
+    /// size index. Below `size` when `Stitch` kept its last part whole
+    /// rather than split off a remainder under `frag_limit`: the request
+    /// that built the view must find it again.
+    pub request: u64,
     /// Constituent pBlocks, in mapping order.
     pub parts: Vec<PBlockId>,
     /// Allocation currently holding this sBlock.
@@ -167,10 +173,11 @@ pub(crate) struct SBlock {
 }
 
 impl SBlock {
-    pub fn new(va: VirtAddr, size: u64, parts: Vec<PBlockId>, tick: u64) -> Self {
+    pub fn new(va: VirtAddr, size: u64, request: u64, parts: Vec<PBlockId>, tick: u64) -> Self {
         SBlock {
             va,
             size,
+            request,
             parts,
             assigned_to: None,
             lru_tick: tick,

@@ -13,11 +13,15 @@ use gmlake_alloc_api::mib;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GmLakeConfig {
     /// Blocks smaller than this are never split off as remainders nor used
-    /// as multi-block stitching candidates. The paper quotes 128 MiB as an
-    /// example for real hardware, where every part costs a mapping and its
-    /// access call; we default low (4 MiB) to minimize whole-block internal
-    /// waste, and sweep the knob in `repro ablation-frag-limit` to show
-    /// the trade-off the paper describes (§4.2.3).
+    /// as multi-block stitching candidates. A block whose split would leave
+    /// a smaller remainder is used whole: an S2 hands it out as it is, and
+    /// an S3 stitches it in as its last part, so the view maps more than
+    /// the request, by less than `frag_limit`. Such a view is still filed
+    /// under the request, which finds it again as an exact match. The paper quotes 128 MiB as an example for real hardware,
+    /// where every part costs a mapping and its access call; we default
+    /// low (4 MiB) to minimize whole-block internal waste, and sweep the
+    /// knob in `repro ablation-frag-limit` to show the trade-off the paper
+    /// describes (§4.2.3).
     pub frag_limit: u64,
     /// Maximum number of cached sBlock structures before the LRU
     /// `StitchFree` pass evicts inactive ones (§3.3.2). The paper notes

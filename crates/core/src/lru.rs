@@ -118,7 +118,7 @@ mod tests {
             let mut tick = 0;
             for (op, n) in ops {
                 let fresh = match op {
-                    0 => Some(views.insert(SBlock::new(VirtAddr::new(0), 1, vec![], 0))),
+                    0 => Some(views.insert(SBlock::new(VirtAddr::new(0), 1, 1, vec![], 0))),
                     1 => pick(&mut held, n),
                     _ => None,
                 };

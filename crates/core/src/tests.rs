@@ -348,6 +348,38 @@ fn s3_with_split_of_final_candidate() {
     l.validate().unwrap();
 }
 
+/// At the default 4 MiB fragmentation limit an S3 keeps a final candidate
+/// whole rather than split off a 2 MiB remainder, so the view maps more
+/// than the request. It is filed under the request, so repeating the
+/// request is an S1 hit on the same view with no driver call: the steady
+/// state the paper's §4.2.2 describes.
+#[test]
+fn oversized_view_serves_its_request_again() {
+    let mut l = lake_with(DeviceConfig::small_test(), GmLakeConfig::default());
+    let a = l.allocate(AllocRequest::new(mib(8))).unwrap();
+    let b = l.allocate(AllocRequest::new(mib(6))).unwrap();
+    l.deallocate(a.id).unwrap();
+    l.deallocate(b.id).unwrap();
+    // Need 12: candidates desc = [8, 6] sum 14; splitting the 6 would leave
+    // 2 MiB, below the limit, so the view maps all 14.
+    let c = l.allocate(AllocRequest::new(mib(12))).unwrap();
+    assert_eq!(c.size, mib(14), "last part kept whole");
+    let counters = l.state_counters();
+    assert_eq!((counters.multi, counters.splits), (1, 0));
+    l.deallocate(c.id).unwrap();
+    let calls = l.driver().stats().total_calls();
+    let d = l.allocate(AllocRequest::new(mib(12))).unwrap();
+    assert_eq!((d.va, d.size), (c.va, c.size), "the same view");
+    assert_eq!(l.driver().stats().total_calls(), calls, "no driver call");
+    let after = l.state_counters();
+    assert_eq!(after.exact, counters.exact + 1);
+    assert_eq!(
+        (after.non_exact(), after.stitches),
+        (counters.non_exact(), 1)
+    );
+    l.validate().unwrap();
+}
+
 #[test]
 fn s4_tops_up_with_fresh_chunks_and_stitches() {
     let mut l = lake();
@@ -885,10 +917,15 @@ mod program {
     /// The 64 MiB device and 12-view sPool the property tests run on: small
     /// enough that OOM, `StitchFree` eviction and the S5 fallback all fire.
     pub fn small_lake() -> GmLakeAllocator {
+        small_lake_with(test_config())
+    }
+
+    /// [`small_lake`] at another fragmentation limit.
+    pub fn small_lake_with(cfg: GmLakeConfig) -> GmLakeAllocator {
         let dev = DeviceConfig::small_test()
             .with_capacity(mib(64))
             .with_backing(false);
-        lake_with(dev, test_config().with_max_sblocks(12))
+        lake_with(dev, cfg.with_max_sblocks(12))
     }
 }
 
@@ -959,9 +996,21 @@ mod bestfit_oracle {
     //! reference implementation (and every incremental index must satisfy
     //! `validate()`).
 
-    use super::program::{op_strategy, small_lake, step};
+    use super::program::{op_strategy, small_lake, small_lake_with, step, Op};
     use super::*;
     use proptest::prelude::*;
+
+    fn agrees(mut l: GmLakeAllocator, ops: &[Op]) {
+        let mut live = Vec::new();
+        let probes = [2, 3, 4, 6, 10, 16, 40, 200].map(mib);
+        for op in ops {
+            step(&mut l, op, &mut live);
+            l.validate().unwrap();
+            for &p in &probes {
+                l.assert_bestfit_agrees(p);
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -970,18 +1019,17 @@ mod bestfit_oracle {
         fn indexed_bestfit_matches_reference(
             ops in proptest::collection::vec(op_strategy(), 1..120)
         ) {
-            let mut l = small_lake();
-            let mut live = Vec::new();
-            let probes = [
-                mib(2), mib(3), mib(4), mib(6), mib(10), mib(16), mib(40), mib(200),
-            ];
-            for op in &ops {
-                step(&mut l, op, &mut live);
-                l.validate().unwrap();
-                for &p in &probes {
-                    l.assert_bestfit_agrees(p);
-                }
-            }
+            agrees(small_lake(), &ops);
+        }
+
+        /// At the default 4 MiB limit an S3 keeps a last part whole rather
+        /// than leave a 2 MiB remainder, so views map more than the request
+        /// they are filed under, which the 2 MiB limit above never makes.
+        #[test]
+        fn indexed_bestfit_matches_reference_at_the_default_limit(
+            ops in proptest::collection::vec(op_strategy(), 1..120)
+        ) {
+            agrees(small_lake_with(GmLakeConfig::default()), &ops);
         }
     }
 }
@@ -1142,7 +1190,9 @@ mod golden {
     //!   fault journal. It moves whenever the driver traffic does — and
     //!   with it, where the planned fault of the third program lands.
 
-    use super::program::{op_strategy, small_lake, step};
+    use super::program::{op_strategy, small_lake, small_lake_with, step, Op};
+    use crate::GmLakeConfig;
+    use gmlake_alloc_api::mib;
     use gmlake_gpu_sim::{FaultOp, FaultPlan};
     use proptest::prelude::*;
 
@@ -1218,6 +1268,46 @@ mod golden {
         assert_eq!(faults, 1, "the planned fault fired");
         assert_eq!(decisions, DECISIONS, "an allocator decision moved");
         assert_eq!(traffic, TRAFFIC, "the driver traffic moved");
+    }
+
+    /// The decision hash of one more fault-free program, run at the default
+    /// 4 MiB fragmentation limit. Added when views came to be filed under
+    /// the request size they were stitched for: at the 2 MiB limit of the
+    /// programs above an S3 always splits its last candidate, so no view
+    /// maps more than its request, and neither hash above saw that change.
+    /// This one moved with it.
+    const DEFAULT_LIMIT_DECISIONS: u64 = 6_875_387_280_869_856_055;
+
+    #[test]
+    fn default_limit_decisions_match_the_recorded_hash() {
+        let programs = proptest::collection::vec(op_strategy(), 600..601);
+        let (mut decisions, mut oversized_hits) = (Vec::new(), 0);
+        let config = ProptestConfig::with_cases(1);
+        proptest::run_property("core_golden_default_limit", &config, &programs, |ops| {
+            let mut l = small_lake_with(GmLakeConfig::default());
+            let mut decision = 0xcbf2_9ce4_8422_2325u64;
+            let mut live = Vec::new();
+            for op in &ops {
+                let exact = l.state_counters().exact;
+                if let Some((_, size)) = step(&mut l, op, &mut live) {
+                    fnv(&mut decision, &size.to_le_bytes());
+                    // An exact match larger than its rounded request can
+                    // only be a view that kept its last part whole.
+                    if let Op::Alloc(req, _) = op {
+                        let hit = l.state_counters().exact > exact;
+                        oversized_hits += (hit && size > req.next_multiple_of(mib(2))) as u64;
+                    }
+                }
+                l.validate().unwrap();
+            }
+            fnv(
+                &mut decision,
+                format!("{:?}", l.state_counters()).as_bytes(),
+            );
+            decisions.push(decision);
+        });
+        assert!(oversized_hits > 0, "the program reuses an oversized view");
+        assert_eq!(decisions, [DEFAULT_LIMIT_DECISIONS], "a decision moved");
     }
 }
 
