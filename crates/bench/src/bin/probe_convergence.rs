@@ -76,7 +76,7 @@ fn main() {
     }
     probe(six(ModelSpec::opt_13b(), StrategySet::LR));
     probe(six(ModelSpec::opt_13b(), StrategySet::R));
-    // Offload's copy stream beside compute: the only row with views last
-    // held by another stream, so its work counts price the affinity walk.
+    // Offload's copy stream beside compute: the only row whose exact view
+    // matches come from two streams, which share every cached view.
     probe(six(ModelSpec::opt_13b(), StrategySet::LRO).with_streams(2));
 }

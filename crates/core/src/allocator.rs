@@ -73,11 +73,10 @@
 //! [`Dense`] arrays indexed by slab id: one flags byte per pBlock —
 //! `ACTIVE`; `REFERENCED` and `PARKS`, which say that its view list and its
 //! parked list are non-empty; and `STAMPED`, which says that it carries a
-//! cross-stream stamp — and per view an `assigned` flag, the stream that
-//! last held it, and the witness hint below, stored as a part's id
-//! (`Split` moves it to the left child). Activity has no other record. A
-//! skip is one byte load, and neither an S1 walk step, an affinity walk
-//! step nor a part flip loads a `PBlock` or an `SBlock` struct.
+//! cross-stream stamp — and per view an `assigned` flag and the witness
+//! hint below, stored as a part's id (`Split` moves it to the left child).
+//! Activity has no other record. A skip is one byte load, and neither an
+//! S1 walk step nor a part flip loads a `PBlock` or an `SBlock` struct.
 //!
 //! **Availability is a query, not a counter.** Whether a view could serve
 //! an exact match — every part inactive — is never stored: the paper's
@@ -113,15 +112,11 @@
 //! `O(c + p)` for the `c` same-size views it passes, over a contiguous id
 //! slice: a step is one flag load (assigned) and one hint lookup (the
 //! hinted part's `ACTIVE` byte), and only the view taken has its parts
-//! scanned. On a stream-aware call whose pick another stream last held,
-//! the affinity walk adds one flags load per view behind it and a query
-//! only per view of the requesting stream, plus, for a candidate 31 or
-//! more positions behind, one per view of another stream before it. A
-//! hand-out loads the `PBlock` only of a part that `STAMPED` says carries
-//! a stamp. S3/S4 pays `O(u + Σp)` once per call for the `u` unparked
-//! unassigned views and the parts of those it has to scan; a victim scan
-//! pays for the blocked views it meets once each, and an unpark walks the
-//! list from its head to the view's tick.
+//! scanned, whatever stream asks. A hand-out loads the `PBlock` only of a
+//! part that `STAMPED` says carries a stamp. S3/S4 pays `O(u + Σp)` once
+//! per call for the `u` unparked unassigned views and the parts of those
+//! it has to scan; a victim scan pays for the blocked views it meets once
+//! each, and an unpark walks the list from its head to the view's tick.
 //!
 //! `validate()` is the oracle for all of it: it re-derives availability by
 //! scanning parts, ignoring the hints, and checks the indexes, the list's
@@ -360,11 +355,11 @@ pub struct GmLakeAllocator {
     non_exact_history: Vec<u64>,
     /// Stream of the in-flight `alloc_on_stream`/`free_on_stream` call, if
     /// any. Set for the duration of the call so `register_allocation` and
-    /// `deallocate` can record the last stream of the touched block or
-    /// view and apply the cross-stream rule (`None` frees from
+    /// `deallocate` can record the last stream of a directly held pBlock
+    /// and apply the cross-stream rule (`None` frees from
     /// `StreamId::DEFAULT`, and waits out a stamped block it is handed on
-    /// the host), and so exact-match `BestFit` results can prefer
-    /// same-stream candidates.
+    /// the host), and so an exact pBlock match can prefer a same-stream
+    /// candidate.
     current_stream: Option<StreamId>,
 }
 
@@ -1169,11 +1164,7 @@ impl GmLakeAllocator {
                 // is a member), and stays in the size index.
                 self.lru.unlink(&mut self.sblocks, sid);
                 self.sblocks[sid].assigned_to = Some(id);
-                let v = &mut self.dense.s[sid as usize];
-                v.assigned = true;
-                if self.current_stream.is_some() {
-                    v.stream = self.current_stream;
-                }
+                self.dense.s[sid as usize].assigned = true;
             }
             Target::Small(_) => {}
         }
@@ -1235,60 +1226,20 @@ impl GmLakeAllocator {
         .unwrap_or(chosen)
     }
 
-    /// Per-stream affinity refinement for S1 sBlock matches (all available
-    /// sBlocks of the exact size are equivalent to Algorithm 1). `chosen`
-    /// is the first available view of its size and counts against the
-    /// limit: the pick is the first available view of the requesting
-    /// stream among the next `AFFINITY_SCAN_LIMIT − 1` available views
-    /// behind it. The walk reads each view's stream on its flags and asks
-    /// about availability only for views of the requesting stream; only a
-    /// pick `i ≥ AFFINITY_SCAN_LIMIT − 1` positions behind `chosen` has the
-    /// views of other streams before it counted, to see that fewer than
-    /// `AFFINITY_SCAN_LIMIT − 1` of them are available.
-    fn prefer_stream_sblock(&self, chosen: SBlockId) -> SBlockId {
-        let Some(stream) = self.current_stream else {
-            return chosen;
-        };
-        let same_stream = |sid: SBlockId| self.dense.s[sid as usize].stream == Some(stream);
-        if same_stream(chosen) {
-            return chosen;
-        }
-        let views = &self.s_by_size[&self.sblocks[chosen].request];
-        let behind = &views[views.partition_point(|&sid| sid <= chosen)..];
-        let Some(i) = behind
-            .iter()
-            .position(|&sid| same_stream(sid) && self.view_available(sid))
-        else {
-            return chosen;
-        };
-        // The views of the stream before the pick are all unavailable, so
-        // only the others are asked about.
-        let window = Self::AFFINITY_SCAN_LIMIT - 1;
-        let before = behind[..i].iter();
-        let mut others = before.filter(|&&sid| !same_stream(sid) && self.view_available(sid));
-        if i < window || others.nth(window - 1).is_none() {
-            behind[i]
-        } else {
-            chosen
-        }
-    }
-
-    /// Cap on the equal-size *candidates* the affinity refinements weigh:
-    /// available views, or blocks of the chosen stitch-cost tier. It is not
-    /// a bound on the walk — what the filters reject is not counted, so a
-    /// refinement can pass every view or block of the size (see the two
-    /// functions above). Capping what they visit would change which view
-    /// is handed out. The view walk pays a flags load per view it passes
-    /// and verifies only the views of the requesting stream, and the views
-    /// of other streams before a candidate 31 or more positions behind.
+    /// Cap on the equal-size *candidates* the pBlock affinity refinement
+    /// weighs: blocks of the chosen stitch-cost tier. It is not a bound on
+    /// the walk — what the filters reject is not counted, so the refinement
+    /// can pass every block of the size (see the function above). Capping
+    /// what it visits would change which block is handed out. An S1 view
+    /// match has no refinement: it hands out `BestFit`'s pick, the
+    /// lowest-id available view of the size, on every stream, as the
+    /// reference oracle does.
     ///
-    /// What the refinements buy depends on the workload. With both
-    /// returning `chosen`, the benchmark at its pinned seed reads
-    /// `train_lr` unchanged at 300.0 sim-ns/op of stall (its steady state
-    /// makes no driver call), `serve_churn` 12 748.5 → 13 152.6, and
-    /// `train_lro_streams` 9 817.6 → 490.0: on two streams the view
-    /// refinement keeps the pool from converging, and turning it off alone
-    /// reads the same 490.0. ROADMAP item 15 weighs them.
+    /// What the refinement buys depends on the trace. With it returning
+    /// `chosen`, the benchmark's `train_lro_streams` reads the same
+    /// 490.0 sim-ns/op of stall at its pinned trace seed, but 374.9 →
+    /// 1 059.4 at trace seed 3; on one stream, as in `train_lr`, it never
+    /// changes a pick. ROADMAP item 15 weighs it.
     const AFFINITY_SCAN_LIMIT: usize = 32;
 
     /// One attempt at a large allocation; OOM from `Alloc` is surfaced so the
@@ -1348,7 +1299,6 @@ impl GmLakeAllocator {
         };
         match self.best_fit(aligned) {
             BestFit::ExactS(sid) => {
-                let sid = self.prefer_stream_sblock(sid);
                 self.counters.record(AllocState::ExactMatch);
                 self.emit(EventKind::StitchDecision, aligned, 1, 1);
                 let (va, size) = (self.sblocks[sid].va, self.sblocks[sid].size);
@@ -1490,7 +1440,7 @@ impl GmLakeAllocator {
         // 0b. A dead slot carries no flag; a live one's are checked below,
         //     against what they summarise.
         let dead_p = |(id, &f): (usize, &u8)| f != 0 && self.pblocks.get(id as u64).is_none();
-        let set = |v: &ViewFlags| v.assigned || v.hint.get() != 0 || v.stream.is_some();
+        let set = |v: &ViewFlags| v.assigned || v.hint.get() != 0;
         let dead_s = |(id, v)| set(v) && self.sblocks.get(id as u64).is_none();
         let (p, s) = (&self.dense.p, &self.dense.s);
         if p.iter().enumerate().any(dead_p) || s.iter().enumerate().any(dead_s) {
@@ -1785,8 +1735,8 @@ impl AllocatorCore for GmLakeAllocator {
         req: AllocRequest,
         stream: StreamId,
     ) -> Result<Allocation, AllocError> {
-        // Pin the stream for the duration of the call: exact-match BestFit
-        // results prefer same-stream candidates, and the block handed out is
+        // Pin the stream for the duration of the call: an exact pBlock
+        // match prefers a same-stream candidate, and a pBlock handed out is
         // stamped as last used by `stream`.
         self.current_stream = Some(stream);
         let result = self.allocate(req);
@@ -1795,9 +1745,10 @@ impl AllocatorCore for GmLakeAllocator {
     }
 
     fn free_on_stream(&mut self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
-        // The freeing stream is the block's last user: stamp it so the next
-        // exact match from that stream finds its own warm block, and, if it
-        // is not the allocating stream, guard the block with its event.
+        // The freeing stream is the block's last user: stamp a pBlock so
+        // the next exact match from that stream finds its own warm block,
+        // and, if it is not the allocating stream, guard the memory with its
+        // event.
         self.current_stream = Some(stream);
         let result = self.deallocate(id);
         self.current_stream = None;
@@ -1840,11 +1791,7 @@ impl AllocatorCore for GmLakeAllocator {
                 let s = self.sblocks.get_mut(sid).expect("live sblock");
                 s.assigned_to = None;
                 s.lru_tick = tick;
-                let v = &mut self.dense.s[sid as usize];
-                v.assigned = false;
-                if self.current_stream.is_some() {
-                    v.stream = self.current_stream;
-                }
+                self.dense.s[sid as usize].assigned = false;
                 // Unassigned again: the newest entry of the eviction list.
                 self.lru.push_back(&mut self.sblocks, sid);
                 for i in 0..self.sblocks[sid].parts.len() {

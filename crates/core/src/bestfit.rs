@@ -121,10 +121,10 @@ impl TieredPIndex {
     ///
     /// Exact-match candidates of the same size *and* stitch cost are
     /// equivalent to Algorithm 1 — the allocator uses this to apply
-    /// per-stream affinity (prefer the candidate last used by the requesting
-    /// stream) *after* [`best_fit_indexed`] has chosen a state, without
-    /// perturbing the classification the reference implementation must agree
-    /// with.
+    /// per-stream affinity to an exact pBlock match (prefer the block last
+    /// used by the requesting stream) *after* [`best_fit_indexed`] has
+    /// chosen a state, without perturbing the classification the reference
+    /// implementation must agree with.
     pub fn equal_size(&self, referenced: bool, size: u64) -> impl Iterator<Item = PBlockId> + '_ {
         sized(&self.tiers[referenced as usize], size).map(|&(_, pid)| pid)
     }

@@ -43,10 +43,12 @@ pub(crate) struct PBlock {
     /// block parks views, and an active block is never split or destroyed,
     /// so the links cannot dangle.
     pub parked: Vec<SBlockId>,
-    /// Stream that last held this block (stamped on stream-aware allocate
-    /// and free). Exact-match `BestFit` prefers candidates last used by the
-    /// requesting stream, so warm blocks stay stream-local without any
-    /// ordering or correctness impact on streamless callers (`None`).
+    /// Stream that last held this block directly (stamped on stream-aware
+    /// allocate and free). An exact pBlock match prefers candidates last
+    /// used by the requesting stream, so warm blocks stay stream-local
+    /// without any ordering or correctness impact on streamless callers
+    /// (`None`). Views carry no stream: an exact view match takes the
+    /// lowest-id available view whatever stream asks.
     pub last_stream: Option<StreamId>,
     /// Left by a cross-stream free while the freeing stream had work in
     /// flight: that stream and the event recorded on it. The next other
@@ -99,11 +101,6 @@ pub(crate) struct ViewFlags {
     /// first answers in one load. `Split` moves it to the left child, since
     /// the parent's slab id may come back as an unrelated block.
     pub hint: Cell<PBlockId>,
-    /// Stream that last held the view, set by stream-aware allocate and
-    /// free (see `PBlock::last_stream`). The affinity walk reads it before
-    /// it asks whether a view is available, and asks only about views of
-    /// the requesting stream.
-    pub stream: Option<StreamId>,
 }
 
 /// The state the S1 path reads, in arrays indexed by slab id, so that a

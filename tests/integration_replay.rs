@@ -63,10 +63,11 @@ fn gmlake_converges_on_periodic_workloads() {
             "{}: no convergence: {history:?}",
             cfg.label()
         );
-        if strategies != StrategySet::LR {
+        if ![StrategySet::N, StrategySet::LR, StrategySet::LRO].contains(&strategies) {
             continue;
         }
-        // On LR, physical memory stops growing once the pattern is learned.
+        // On N, LR and LRO, physical memory stops growing once the pattern
+        // is learned.
         let created_before = driver.stats().create.calls;
         let r2 = Replayer::new(driver.clone()).replay(&mut lake, &trace, &cfg);
         assert!(r2.outcome.is_completed());
@@ -76,6 +77,25 @@ fn gmlake_converges_on_periodic_workloads() {
             "steady state must not allocate new physical chunks"
         );
     }
+}
+
+/// Offload's copy stream beside compute, on OPT-13B at the benchmark's
+/// pinned trace seed: iteration 2 is the first one past the benchmark's
+/// warm-up, so it must find nearly every request as an exact match, with
+/// both streams sharing every cached view.
+#[test]
+fn two_stream_offload_converges_inside_the_warm_up() {
+    let cfg = TrainConfig::new(ModelSpec::opt_13b(), StrategySet::LRO)
+        .with_iterations(3)
+        .with_streams(2)
+        .with_seed(0x6d6c616b65);
+    let trace = TraceGenerator::new(cfg.clone()).generate();
+    let driver = CudaDriver::new(DeviceConfig::a100_80g());
+    let mut lake = GmLakeAllocator::new(driver.clone(), GmLakeConfig::default());
+    let report = Replayer::new(driver).replay(&mut lake, &trace, &cfg);
+    assert!(report.outcome.is_completed());
+    let history = lake.non_exact_history();
+    assert!(history[2] <= 3, "iteration 2 is not converged: {history:?}");
 }
 
 #[test]
