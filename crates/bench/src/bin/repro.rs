@@ -25,7 +25,6 @@ use gmlake_caching::{BfcConfig, CachingAllocator};
 use gmlake_core::{GmLakeAllocator, GmLakeConfig};
 use gmlake_gpu_sim::{figure6_chunk_sizes, CostModel, DriverStats};
 use gmlake_planning::{PlanCounters, PlannedConfig, PlannedCore};
-use gmlake_runtime::DefragPolicy;
 use gmlake_telemetry::MemorySnapshot;
 use gmlake_workload::{
     headline_suite, mean, mem_reduction_ratio, to_gib, ModelSpec, Platform, ReplayOptions,
@@ -378,49 +377,37 @@ fn fig10() {
 /// Each row replays one rank through the `gmlake-runtime` pool service:
 /// under ZeRO-3 every data-parallel rank issues the same per-GPU request
 /// stream (the trace is a pure function of the `TrainConfig`, which has
-/// no rank index), so one rank's numbers are every rank's. A periodic
-/// `DefragPolicy` ticks on a second baseline rank, whose proactive
-/// compaction hands back the idle caches a plain caching rank keeps
-/// reserved to the end.
+/// no rank index), so one rank's numbers are every rank's.
 fn fig11() {
     println!("Figure 11: GPU scale-out under LR, w/ and w/o GMLake (batch 16)");
-    println!("one rank per row through the gmlake-runtime PoolService (ranks mirror);");
-    println!("end-RM = memory still reserved per rank after the run\n");
+    println!("one rank per row through the gmlake-runtime PoolService (ranks mirror)\n");
     for model in [
         ModelSpec::opt_13b(),
         ModelSpec::vicuna_13b(),
         ModelSpec::gpt_neox_20b(),
     ] {
         println!("model: {}", model.name);
-        println!("gpus     RM-pt   UR-pt    thr-pt   drv-pt    RM-gml  UR-gml   thr-gml  drv-gml     end-pt end+defrg");
-        rule(102);
+        println!("gpus     RM-pt   UR-pt    thr-pt   drv-pt    RM-gml  UR-gml   thr-gml  drv-gml");
+        rule(78);
         for gpus in [1u32, 2, 4, 8, 16] {
             let cfg = TrainConfig::new(model.clone(), StrategySet::LR)
                 .with_batch(16)
                 .with_gpus(gpus);
-            let (baseline, drv_pt) = run_scaleout(&cfg, Allocator::Caching, None);
-            let (defragged, _) =
-                run_scaleout(&cfg, Allocator::Caching, Some(DefragPolicy::periodic(2)));
-            let (gmlake, drv_gml) = run_scaleout(&cfg, Allocator::GmLake, None);
+            let (baseline, drv_pt) = run_scaleout(&cfg, Allocator::Caching);
+            let (gmlake, drv_gml) = run_scaleout(&cfg, Allocator::GmLake);
             let ([rm_pt, ..], [rm_gml, ..]) = (cells(&baseline), cells(&gmlake));
             println!(
-                "{gpus:<6} {rm_pt:>7} {:>7} {:>9.1} {:>8}   {rm_gml:>7} {:>7} {:>9.1} {:>8}   {:>8} {:>9}",
+                "{gpus:<6} {rm_pt:>7} {:>7} {:>9.1} {:>8}   {rm_gml:>7} {:>7} {:>9.1} {:>8}",
                 fmt_pct(baseline.utilization()),
                 baseline.throughput,
                 drv_pt.total_calls(),
                 fmt_pct(gmlake.utilization()),
                 gmlake.throughput,
                 drv_gml.total_calls(),
-                fmt_gib(baseline.final_reserved),
-                fmt_gib(defragged.final_reserved),
             );
         }
         println!();
     }
-    println!("end-RM columns: the periodic DefragPolicy (every 2 iterations)");
-    println!("compacts each pool at iteration boundaries, so the defragged fleet");
-    println!("ends holding less reserved memory than the plain one.");
-    println!();
     println!("drv-* columns: mean per-rank driver calls (lock round-trips).");
     println!("GMLake backs each reservation with one physical handle, so an");
     println!("Alloc is one create and one map, and a stitch costs one map call");

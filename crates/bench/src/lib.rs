@@ -13,7 +13,7 @@ use gmlake_alloc_api::{AllocatorCore, DeviceAllocator, DeviceAllocatorConfig};
 use gmlake_caching::CachingAllocator;
 use gmlake_core::{GmLakeAllocator, GmLakeConfig};
 use gmlake_gpu_sim::{CostModel, CudaDriver, DeviceConfig, DriverStats, NativeAllocator};
-use gmlake_runtime::{DefragPolicy, DeviceId, MemoryProfiler, PoolService};
+use gmlake_runtime::{DeviceId, MemoryProfiler, PoolService};
 use gmlake_telemetry::{MemorySnapshot, PoolTelemetry};
 use gmlake_workload::{ReplayOptions, ReplayReport, Replayer, TraceGenerator, TrainConfig};
 
@@ -63,8 +63,7 @@ pub fn run_pair(cfg: &TrainConfig) -> Pair {
 }
 
 /// Runs one data-parallel rank of a Figure 11 scale-out on a fresh
-/// A100-80G, registered in its own [`PoolService`] (optionally ticking a
-/// [`DefragPolicy`] at every iteration boundary), and returns its report
+/// A100-80G, registered in its own [`PoolService`], and returns its report
 /// with the device's driver telemetry.
 ///
 /// One rank stands for the whole fleet: the trace is a pure function of
@@ -72,12 +71,8 @@ pub fn run_pair(cfg: &TrainConfig) -> Pair {
 /// issues the same per-GPU request stream on an identical device and
 /// reports the same numbers (`tests/runtime_concurrency.rs` checks that
 /// mirrored ranks on their own threads agree exactly).
-pub fn run_scaleout(
-    cfg: &TrainConfig,
-    which: Allocator,
-    defrag: Option<DefragPolicy>,
-) -> (ReplayReport, DriverStats) {
-    let service = defrag.map_or_else(PoolService::new, PoolService::with_defrag);
+pub fn run_scaleout(cfg: &TrainConfig, which: Allocator) -> (ReplayReport, DriverStats) {
+    let service = PoolService::new();
     let driver = CudaDriver::new(DeviceConfig::a100_80g());
     let mut pool = service
         .register(DeviceId(0), which.build(driver.clone()))

@@ -1696,8 +1696,11 @@ impl AllocatorCore for GmLakeAllocator {
         if req.size == 0 {
             return Err(AllocError::ZeroSize);
         }
-        self.driver.advance_clock(self.host_op_ns);
         let small = req.size < SMALL_THRESHOLD;
+        // The embedded small pool charges its own host op.
+        if !small {
+            self.driver.advance_clock(self.host_op_ns);
+        }
         let attempt = |this: &mut Self| {
             if small {
                 this.allocate_small(req)
@@ -1760,7 +1763,10 @@ impl AllocatorCore for GmLakeAllocator {
             .live
             .remove(&id)
             .ok_or(AllocError::UnknownAllocation(id))?;
-        self.driver.advance_clock(self.host_op_ns);
+        // As in `allocate`: a small free is charged by the small pool.
+        if !matches!(target, Target::Small(_)) {
+            self.driver.advance_clock(self.host_op_ns);
+        }
         // A free from a stream other than the allocating one: that stream
         // may still be using the memory, so its work in flight is captured
         // in an event before anyone else can get the block.

@@ -650,6 +650,30 @@ fn small_allocations_use_the_splitting_pool() {
     l.validate().unwrap();
 }
 
+/// A small request pays the host overhead once, as on a bare caching
+/// allocator: the embedded small pool's charge is the only one.
+#[test]
+fn small_alloc_and_free_cost_what_they_cost_on_bare_caching() {
+    fn pair_ns(core: &mut dyn AllocatorCore, driver: &CudaDriver) -> u64 {
+        let start = driver.now_ns();
+        for _ in 0..2 {
+            let a = core.allocate(AllocRequest::new(4096)).unwrap();
+            core.deallocate(a.id).unwrap();
+        }
+        driver.now_ns() - start
+    }
+    let dev = DeviceConfig::small_test().with_cost(gmlake_gpu_sim::CostModel::calibrated());
+    let (lake_driver, bare_driver) = (CudaDriver::new(dev.clone()), CudaDriver::new(dev));
+    assert!(lake_driver.host_op_ns() > 0, "the calibrated model charges");
+    let mut l = GmLakeAllocator::new(lake_driver.clone(), test_config());
+    let mut bare = gmlake_caching::CachingAllocator::new(bare_driver.clone());
+    assert_eq!(
+        pair_ns(&mut l, &lake_driver),
+        pair_ns(&mut bare, &bare_driver),
+        "a cold then a warm small alloc + free"
+    );
+}
+
 #[test]
 fn stats_roll_up_small_and_large() {
     let mut l = lake();

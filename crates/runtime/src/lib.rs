@@ -1,5 +1,4 @@
-//! `gmlake-runtime` — a thread-safe, multi-device memory-pool service with
-//! a step-driven defragmentation policy.
+//! `gmlake-runtime` — a thread-safe, multi-device memory-pool service.
 //!
 //! The allocator crates below this one (`gmlake-core`, `gmlake-caching`,
 //! `gmlake-gpu-sim`) are single-owner backends: every call takes
@@ -20,24 +19,20 @@
 //!   lock, so the stitcher sees every inactive block. `PoolHandle` also
 //!   implements [`AllocatorCore`], so trait-generic code (like
 //!   `gmlake-workload`'s `Replayer`) drives a shared pool unmodified.
-//! * [`DefragPolicy`] — four plain values deciding *when* a pool runs the
-//!   passes its allocator already implements: a periodic
-//!   [`AllocatorCore::compact`] every N ticks, escalating to an aggressive
-//!   pass (retire event stamps, compact, [`AllocatorCore::release_cached`])
-//!   while churn or fragmentation is at or above its trigger. A service
-//!   built with [`PoolService::with_defrag`] gives every pool its own
-//!   [`Defragger`], ticked once per [`PoolHandle::iteration_boundary`];
-//!   the serving layer ticks one per step with its tenant-churn count.
-//!   Every pass flushes the front-end's stream caches first, so defrag
-//!   always sees every cached byte.
+//! * No defrag timer. GMLake defragments inside the allocator — stitching,
+//!   `StitchFree` eviction and the release-and-retry on out-of-memory all
+//!   run within its own calls (§3.3) — so
+//!   [`PoolHandle::iteration_boundary`] only forwards the hint and samples
+//!   the memory timeline. A caller that wants the cache trimmed calls
+//!   [`PoolHandle::compact`] or [`PoolHandle::release_cached`]; the serving
+//!   layer (`gmlake-serving`) does so on tenant churn.
 //! * Fault recovery on the allocation path (see
-//!   [`PoolHandle::alloc_on_stream`]) is independent of the defrag policy:
-//!   a rolled-back driver fault is retried at most three times. A
-//!   successful allocation pays nothing for it. Out-of-memory passes
-//!   through: each layer recovers only what it caches — the core gives up
-//!   its cache, the front-end flushes its stream caches, and the serving
-//!   layer evicts idle tenants — so the service has nothing left to
-//!   reclaim.
+//!   [`PoolHandle::alloc_on_stream`]): a rolled-back driver fault is
+//!   retried at most three times. A successful allocation pays nothing for
+//!   it. Out-of-memory passes through: each layer recovers only what it
+//!   caches — the core gives up its cache, the front-end flushes its
+//!   stream caches, and the serving layer evicts idle tenants — so the
+//!   service has nothing left to reclaim.
 //!
 //! # One pool, many threads
 //!
@@ -66,31 +61,6 @@
 //! let stats = service.stats(DeviceId(0))?;
 //! assert_eq!(stats.alloc_count, 4 * 32);
 //! assert_eq!(stats.active_bytes, 0);
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
-//!
-//! # Proactive defragmentation
-//!
-//! A periodic policy trims each pool's idle cache every N iterations —
-//! memory a no-defrag run would keep reserved until an OOM forced its hand:
-//!
-//! ```
-//! use gmlake_runtime::{DefragPolicy, DeviceId, PoolService};
-//! use gmlake_caching::CachingAllocator;
-//! use gmlake_gpu_sim::{CudaDriver, DeviceConfig};
-//! use gmlake_alloc_api::{mib, AllocRequest};
-//!
-//! let service = PoolService::with_defrag(DefragPolicy::periodic(1));
-//! let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-//! let pool = service.register(DeviceId(0), Box::new(CachingAllocator::new(driver)))?;
-//!
-//! let a = pool.allocate(AllocRequest::new(mib(16)))?;
-//! pool.deallocate(a.id)?;
-//! assert_eq!(pool.stats().reserved_bytes, mib(16), "cache retained");
-//!
-//! pool.iteration_boundary(); // tick 1: the periodic pass fires here
-//! assert_eq!(pool.stats().reserved_bytes, 0, "idle cache reclaimed");
-//! assert_eq!(pool.defrag_stats().periodic_passes, 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -134,16 +104,12 @@
 //! ```
 //!
 //! [`AllocatorCore`]: gmlake_alloc_api::AllocatorCore
-//! [`AllocatorCore::compact`]: gmlake_alloc_api::AllocatorCore::compact
-//! [`AllocatorCore::release_cached`]: gmlake_alloc_api::AllocatorCore::release_cached
 
-mod defrag;
 mod error;
 mod profiler;
 mod recovery;
 mod service;
 
-pub use defrag::{DefragPolicy, DefragStats, Defragger};
 pub use error::RuntimeError;
 pub use profiler::MemoryProfiler;
 pub use recovery::FaultRecoveryStats;

@@ -142,7 +142,8 @@ impl MemoryProfiler {
         MemorySnapshot { pools }
     }
 
-    fn sample_pool(handle: &PoolHandle, tel: &PoolTelemetry) {
+    /// Records one timeline point of `handle`'s pool into `tel`.
+    pub(crate) fn sample_pool(handle: &PoolHandle, tel: &PoolTelemetry) {
         let stats = handle.stats();
         tel.record_sample(
             stats.reserved_bytes,

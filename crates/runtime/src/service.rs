@@ -4,7 +4,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -15,8 +14,8 @@ use gmlake_alloc_api::{
 };
 use gmlake_telemetry::PoolTelemetry;
 
-use crate::defrag::{DefragPolicy, DefragStats, Defragger};
 use crate::error::RuntimeError;
+use crate::profiler::MemoryProfiler;
 use crate::recovery::{FaultRecoveryStats, MAX_FAULT_RETRIES};
 
 /// Identifies one device (one memory pool) within a [`PoolService`].
@@ -32,35 +31,21 @@ impl fmt::Display for DeviceId {
     }
 }
 
-/// One registered pool: the concurrent allocator front-end plus per-pool
-/// telemetry.
+/// One registered pool: the concurrent allocator front-end plus its
+/// fault-recovery counters.
 #[derive(Debug)]
 struct PoolEntry {
     alloc: DeviceAllocator,
-    /// Training iterations completed through this pool's handles.
-    iterations: AtomicU64,
-    /// The pool's own defrag driver, ticked at iteration boundaries
-    /// (`None` when the service was built without a [`DefragPolicy`]). It
-    /// lives and dies with the registration, so a re-registered device
-    /// starts with a clean window and zeroed counters.
-    defrag: Option<Defragger>,
     /// Fault-recovery counters, locked only on a failure path: a
     /// successful allocation takes no lock and loads no atomic here.
     recovery: Mutex<FaultRecoveryStats>,
-}
-
-#[derive(Debug)]
-struct ServiceInner {
-    pools: Mutex<BTreeMap<DeviceId, Arc<PoolEntry>>>,
-    defrag: Option<DefragPolicy>,
 }
 
 /// A thread-safe registry mapping [`DeviceId`]s to memory pools.
 ///
 /// The service is a cheap handle (`Clone` shares the registry). Worker
 /// threads obtain a [`PoolHandle`] per device and allocate through it
-/// concurrently; an optional [`DefragPolicy`] gives every pool a
-/// [`Defragger`] ticked at its iteration boundaries.
+/// concurrently.
 ///
 /// ```
 /// use gmlake_runtime::{DeviceId, PoolService};
@@ -77,43 +62,22 @@ struct ServiceInner {
 /// pool.deallocate(a.id)?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PoolService {
-    inner: Arc<ServiceInner>,
-}
-
-impl Default for PoolService {
-    fn default() -> Self {
-        PoolService::new()
-    }
+    pools: Arc<Mutex<BTreeMap<DeviceId, Arc<PoolEntry>>>>,
 }
 
 impl PoolService {
-    /// Creates an empty service whose pools run no defrag pass.
+    /// Creates an empty service.
     pub fn new() -> Self {
-        Self::build(None)
-    }
-
-    /// Creates an empty service whose pools each tick a [`Defragger`] of
-    /// `defrag` at their iteration boundaries.
-    pub fn with_defrag(defrag: DefragPolicy) -> Self {
-        Self::build(Some(defrag))
-    }
-
-    fn build(defrag: Option<DefragPolicy>) -> Self {
-        PoolService {
-            inner: Arc::new(ServiceInner {
-                pools: Mutex::new(BTreeMap::new()),
-                defrag,
-            }),
-        }
+        Self::default()
     }
 
     /// Registers an allocator core as the pool for `device` and returns a
     /// handle. The core is wrapped in a [`DeviceAllocator`] front-end with
     /// the default configuration and a disabled
     /// [`PoolTelemetry`] sink (one relaxed atomic load per call until a
-    /// [`MemoryProfiler`](crate::MemoryProfiler) enables it); use
+    /// [`MemoryProfiler`] enables it); use
     /// [`PoolService::register_device`] to supply a pre-configured
     /// front-end.
     ///
@@ -148,14 +112,12 @@ impl PoolService {
         device: DeviceId,
         alloc: DeviceAllocator,
     ) -> Result<PoolHandle, RuntimeError> {
-        let mut pools = self.inner.pools.lock();
+        let mut pools = self.pools.lock();
         if pools.contains_key(&device) {
             return Err(RuntimeError::DuplicateDevice(device));
         }
         let entry = Arc::new(PoolEntry {
             alloc,
-            iterations: AtomicU64::new(0),
-            defrag: self.inner.defrag.map(Defragger::new),
             recovery: Mutex::new(FaultRecoveryStats::default()),
         });
         pools.insert(device, Arc::clone(&entry));
@@ -169,8 +131,7 @@ impl PoolService {
     ///
     /// [`RuntimeError::UnknownDevice`] if `device` has no pool.
     pub fn unregister(&self, device: DeviceId) -> Result<(), RuntimeError> {
-        self.inner
-            .pools
+        self.pools
             .lock()
             .remove(&device)
             .map(|_| ())
@@ -184,7 +145,6 @@ impl PoolService {
     /// [`RuntimeError::UnknownDevice`] if `device` has no pool.
     pub fn handle(&self, device: DeviceId) -> Result<PoolHandle, RuntimeError> {
         let entry = self
-            .inner
             .pools
             .lock()
             .get(&device)
@@ -195,12 +155,12 @@ impl PoolService {
 
     /// The registered devices, in ascending order.
     pub fn devices(&self) -> Vec<DeviceId> {
-        self.inner.pools.lock().keys().copied().collect()
+        self.pools.lock().keys().copied().collect()
     }
 
     /// Number of registered pools.
     pub fn len(&self) -> usize {
-        self.inner.pools.lock().len()
+        self.pools.lock().len()
     }
 
     /// `true` when no pool is registered.
@@ -232,7 +192,7 @@ fn default_front_end(core: Box<dyn AllocatorCore + Send>) -> DeviceAllocator {
 }
 
 /// A cheap, cloneable, thread-safe front end to one registered pool: the
-/// pool's [`DeviceAllocator`] plus the defrag tick and the fault retry.
+/// pool's [`DeviceAllocator`] plus the fault retry.
 ///
 /// Every allocation method takes `&self` — clone a handle into each worker
 /// thread and allocate away. Small requests ride the front-end's cached
@@ -244,9 +204,8 @@ fn default_front_end(core: Box<dyn AllocatorCore + Send>) -> DeviceAllocator {
 ///
 /// Beyond delegation, the handle adds two things:
 ///
-/// * [`PoolHandle::iteration_boundary`] advances the pool's iteration
-///   counter and ticks the pool's [`Defragger`], if the service has a
-///   [`DefragPolicy`];
+/// * [`PoolHandle::iteration_boundary`] pushes a memory-timeline sample
+///   when the pool's telemetry is enabled;
 /// * [`PoolHandle::allocate`] retries a rolled-back driver fault before
 ///   the error reaches the caller.
 #[derive(Debug, Clone)]
@@ -259,11 +218,6 @@ impl PoolHandle {
     /// The device this handle allocates on.
     pub fn device(&self) -> DeviceId {
         self.device
-    }
-
-    /// Training iterations completed on this pool.
-    pub fn iterations(&self) -> u64 {
-        self.entry.iterations.load(Ordering::Relaxed)
     }
 
     /// The pool's concurrent allocator front-end.
@@ -365,44 +319,20 @@ impl PoolHandle {
     }
 
     /// Signals the end of one training iteration: forwards the hint to the
-    /// allocator, advances the pool's iteration counter, pushes a
-    /// memory-timeline sample when the pool's telemetry is enabled, and
-    /// ticks the pool's [`Defragger`] (tick = the iteration just completed,
-    /// churn 0) when the service has a [`DefragPolicy`]. The pool's stats
-    /// are aggregated at most once, and only if the sample or the policy's
-    /// fragmentation trigger reads them.
+    /// allocator and pushes a memory-timeline sample when the pool's
+    /// telemetry is enabled. It runs no defrag pass: the allocator
+    /// defragments inside its own calls.
     pub fn iteration_boundary(&self) {
         let alloc = &self.entry.alloc;
         alloc.iteration_boundary();
-        let iteration = self.entry.iterations.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut stats = None;
-        if let Some(tel) = alloc.telemetry() {
-            if tel.is_enabled() {
-                let s = *stats.insert(alloc.stats());
-                tel.record_sample(s.reserved_bytes, s.active_bytes, s.current_fragmentation());
-            }
+        if let Some(tel) = alloc.telemetry().filter(|tel| tel.is_enabled()) {
+            MemoryProfiler::sample_pool(self, tel);
         }
-        if let Some(defrag) = &self.entry.defrag {
-            defrag.tick_with(iteration, 0, alloc, || {
-                stats
-                    .unwrap_or_else(|| alloc.stats())
-                    .current_fragmentation()
-            });
-        }
-    }
-
-    /// Counters of the pool's [`Defragger`] (all zero when the service has
-    /// no [`DefragPolicy`]).
-    pub fn defrag_stats(&self) -> DefragStats {
-        self.entry
-            .defrag
-            .as_ref()
-            .map_or_else(DefragStats::default, Defragger::stats)
     }
 
     /// Retires the core's completed cross-stream event stamps (see
-    /// [`DeviceAllocator::process_events`]). Schedulers and iteration loops
-    /// tick it at synchronization points.
+    /// [`DeviceAllocator::process_events`]). Iteration loops tick it at
+    /// synchronization points.
     pub fn process_events(&self) -> u64 {
         self.entry.alloc.process_events()
     }
@@ -523,73 +453,26 @@ mod tests {
     }
 
     #[test]
-    fn iteration_boundary_counts_and_triggers_periodic_defrag() {
-        let service = PoolService::with_defrag(DefragPolicy::periodic(2));
-        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-        let pool = service
-            .register(DeviceId(0), Box::new(CachingAllocator::new(driver.clone())))
-            .unwrap();
-        // Populate the cache, then free: reserved stays high.
-        let a = pool.allocate(AllocRequest::new(mib(8))).unwrap();
-        pool.deallocate(a.id).unwrap();
-        assert!(pool.stats().reserved_bytes > 0);
-        pool.iteration_boundary();
-        assert_eq!(pool.iterations(), 1);
-        assert!(
-            pool.stats().reserved_bytes > 0,
-            "period 2: nothing happens after iteration 1"
-        );
-        pool.iteration_boundary();
-        assert_eq!(pool.iterations(), 2);
-        assert_eq!(
-            pool.stats().reserved_bytes,
-            0,
-            "periodic compact released the idle cache"
-        );
-        let stats = pool.defrag_stats();
-        assert_eq!(
-            (stats.periodic_passes, stats.aggressive_passes),
-            (1, 0),
-            "one compact at tick 2"
-        );
-        assert!(stats.bytes_reclaimed >= mib(8));
-        assert_eq!(driver.phys_in_use(), 0);
-    }
-
-    #[test]
-    fn reregistered_device_starts_with_a_fresh_defragger() {
-        let service = PoolService::with_defrag(DefragPolicy::periodic(2));
-        let first = service.register(DeviceId(0), caching_pool()).unwrap();
-        first.iteration_boundary();
-        first.iteration_boundary();
-        assert_eq!(first.defrag_stats().periodic_passes, 1);
-        service.unregister(DeviceId(0)).unwrap();
-        // The successor's cadence and counters start from zero: tick 1 is
-        // off cadence, tick 2 fires — whatever the dead pool had counted.
-        let second = service.register(DeviceId(0), caching_pool()).unwrap();
-        second.iteration_boundary();
-        assert_eq!(second.defrag_stats(), DefragStats::default());
-        second.iteration_boundary();
-        assert_eq!(second.defrag_stats().periodic_passes, 1);
-        assert_eq!(
-            first.defrag_stats().periodic_passes,
-            1,
-            "old pool untouched"
-        );
-    }
-
-    #[test]
-    fn boundary_without_policy_or_telemetry_runs_no_pass() {
+    fn a_boundary_never_compacts() {
+        // With or without a profiler sample, an iteration boundary leaves
+        // the pool's warm cache where it is.
         let service = PoolService::new();
         let pool = service.register(DeviceId(0), caching_pool()).unwrap();
-        let a = pool.allocate(AllocRequest::new(mib(8))).unwrap();
+        let profiler = MemoryProfiler::new(&service);
+        let a = pool.allocate(AllocRequest::new(mib(16))).unwrap();
         pool.deallocate(a.id).unwrap();
+        let warm = pool.stats();
+        assert_eq!(warm.reserved_bytes, mib(16), "cache warm");
         for _ in 0..4 {
             pool.iteration_boundary();
         }
-        assert_eq!(pool.iterations(), 4);
-        assert_eq!(pool.defrag_stats(), DefragStats::default());
-        assert!(pool.stats().reserved_bytes >= mib(8), "cache left warm");
+        profiler.start();
+        for _ in 0..4 {
+            pool.iteration_boundary();
+        }
+        assert_eq!(pool.stats(), warm, "cache left warm");
+        let samples = profiler.dump().pools[0].samples.len();
+        assert_eq!(samples, 6, "start, 4 sampled boundaries, dump");
     }
 
     #[test]

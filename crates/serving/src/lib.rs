@@ -20,11 +20,13 @@
 //!   (oldest-idle first) and retries once, before an active tenant can
 //!   see a device-level OOM. Tenants are this layer's to evict, so the
 //!   eviction lives here; the pool below recovers only what it caches;
-//! * churn-keyed defragmentation — every [`ServingService::step`] ticks
-//!   the runtime's one [`Defragger`](gmlake_runtime::Defragger) with the
-//!   step's tenant arrivals + departures: a periodic compaction,
-//!   escalating under tenant churn or fragmentation
-//!   ([`DefragPolicy::serving`](gmlake_runtime::DefragPolicy::serving)).
+//! * churn-keyed defragmentation — every [`ServingService::step`] ticks a
+//!   defrag driver with the step's tenant arrivals + departures: a
+//!   compaction every 64 steps, escalating to releasing the idle cache
+//!   while 8 or more tenants arrived or departed in the last 32 steps or
+//!   the pool is at least half fragmented ([`DefragStats`] counts the
+//!   passes). Training pools need no such timer: GMLake defragments
+//!   inside the allocator.
 //!
 //! Quota violations surface as the recoverable
 //! [`AllocError::QuotaExceeded`](gmlake_alloc_api::AllocError::QuotaExceeded)
@@ -39,11 +41,13 @@
 #![warn(missing_docs)]
 
 mod admission;
+mod defrag;
 mod service;
 mod tenant;
 
 pub use admission::{AdmissionPolicy, AdmissionStats, AdmissionVerdict};
+pub use defrag::DefragStats;
 // Former name, still imported by the frozen benchmark; goes when that instrument next changes.
-pub use gmlake_runtime::DefragStats as DefragManagerStats;
+pub use defrag::DefragStats as DefragManagerStats;
 pub use service::{ServingConfig, ServingService, ServingStats, StepOutcome};
 pub use tenant::{TenantId, TenantRegistry, TenantUsage};

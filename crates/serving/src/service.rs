@@ -8,12 +8,13 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use gmlake_alloc_api::{AllocError, AllocRequest, Allocation, AllocationId, StreamId};
-use gmlake_runtime::{DefragPolicy, DefragStats, Defragger, PoolHandle};
+use gmlake_runtime::PoolHandle;
 use gmlake_telemetry::EventKind;
 
 use crate::admission::{
     AdmissionController, AdmissionPolicy, AdmissionStats, AdmissionVerdict, QueuedArrival,
 };
+use crate::defrag::{DefragStats, Defragger};
 use crate::tenant::{ChargeError, TenantId, TenantRegistry, TenantUsage};
 
 /// Sentinel tenant id in [`EventKind::TenantAdmission`] records for
@@ -145,9 +146,9 @@ struct ServingInner {
 /// * **eviction** — a real OOM first drops *idle* tenants' working sets
 ///   (oldest-idle first) and retries once, before the failure can reach
 ///   an active tenant;
-/// * **defrag** — every step ticks a [`Defragger`] that compacts
-///   periodically and escalates while tenant churn or fragmentation is
-///   high ([`DefragPolicy::serving`]).
+/// * **defrag** — every step ticks a defrag driver that compacts every
+///   64 steps and escalates to releasing the idle cache while tenant churn
+///   (8 arrivals + departures in 32 steps) or fragmentation (0.5) is high.
 ///
 /// Cloning is cheap and shares the service. All methods take `&self`.
 ///
@@ -183,7 +184,7 @@ impl ServingService {
             admission: Mutex::new(AdmissionController::new(cfg.limit_bytes(), cfg.policy)),
             step: AtomicU64::new(0),
             churn_since_step: AtomicU64::new(0),
-            defrag: Defragger::new(DefragPolicy::serving()),
+            defrag: Defragger::default(),
             evictions: Mutex::new(ServingStats::default()),
             pool,
             cfg,
@@ -341,8 +342,8 @@ impl ServingService {
     }
 
     /// Advances the service by one step: retries queued arrivals (FIFO,
-    /// admitting while capacity allows), expires overdue ones, and runs
-    /// ticks the defragger with this step's churn count.
+    /// admitting while capacity allows), expires overdue ones, and ticks
+    /// the defragger with this step's churn count.
     pub fn step(&self) -> StepOutcome {
         let inner = &self.inner;
         let step = inner.step.fetch_add(1, Ordering::Relaxed) + 1;

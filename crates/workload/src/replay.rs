@@ -85,8 +85,8 @@ pub struct ReplayReport {
     pub peak_active: u64,
     /// Peak bytes reserved on the device.
     pub peak_reserved: u64,
-    /// Bytes still reserved when the replay ended — what a defrag pass (or
-    /// the lack of one) leaves behind for the next workload on the device.
+    /// Bytes still reserved when the replay ended — what the allocator's
+    /// cache leaves behind for the next workload on the device.
     pub final_reserved: u64,
     /// Iterations that fully completed.
     pub iterations_completed: u32,

@@ -356,8 +356,8 @@ mod tests {
     use gmlake_caching::CachingAllocator;
     use gmlake_core::{GmLakeAllocator, GmLakeConfig};
     use gmlake_gpu_sim::{CudaDriver, DeviceConfig};
-    use gmlake_runtime::{DefragStats, DeviceId, PoolService};
-    use gmlake_serving::{AdmissionPolicy, ServingConfig};
+    use gmlake_runtime::{DeviceId, PoolService};
+    use gmlake_serving::{AdmissionPolicy, DefragStats, ServingConfig};
 
     #[test]
     fn plans_are_deterministic_and_seed_sensitive() {

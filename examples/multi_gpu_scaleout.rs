@@ -6,45 +6,33 @@
 //! trace is a pure function of the `TrainConfig`, which has no rank
 //! index), so every rank reports the same numbers.
 //!
-//! A second baseline rank runs under a periodic `DefragPolicy`, showing
-//! the runtime's proactive compaction returning idle caches that a plain
-//! rank keeps reserved.
-//!
 //! Run with: `cargo run --release --example multi_gpu_scaleout`
 
 use gmlake::prelude::*;
 use gmlake_bench::{run_scaleout, Allocator};
-use gmlake_runtime::DefragPolicy;
 use gmlake_workload::to_gib;
 
 fn main() {
     println!("GPU scale-out, OPT-13B with LoRA + recomputation, batch 16/GPU");
     println!("(one rank per row through gmlake-runtime; ranks mirror)\n");
     println!(
-        "{:<6} {:>12} {:>10} {:>12} {:>10} {:>14}",
-        "gpus", "RM-pt (GiB)", "UR-pt", "RM-gml(GiB)", "UR-gml", "defrag (GiB)"
+        "{:<6} {:>12} {:>10} {:>12} {:>10}",
+        "gpus", "RM-pt (GiB)", "UR-pt", "RM-gml(GiB)", "UR-gml"
     );
     for gpus in [1u32, 2, 4, 8, 16] {
         let cfg = TrainConfig::new(ModelSpec::opt_13b(), StrategySet::LR)
             .with_batch(16)
             .with_gpus(gpus);
-        let (baseline, _) = run_scaleout(&cfg, Allocator::Caching, None);
-        let (defragged, _) =
-            run_scaleout(&cfg, Allocator::Caching, Some(DefragPolicy::periodic(2)));
-        let (gml, _) = run_scaleout(&cfg, Allocator::GmLake, None);
-        let reclaimed = baseline
-            .final_reserved
-            .saturating_sub(defragged.final_reserved);
+        let (baseline, _) = run_scaleout(&cfg, Allocator::Caching);
+        let (gml, _) = run_scaleout(&cfg, Allocator::GmLake);
         println!(
-            "{gpus:<6} {:>12.1} {:>9.1}% {:>12.1} {:>9.1}% {:>14.1}",
+            "{gpus:<6} {:>12.1} {:>9.1}% {:>12.1} {:>9.1}%",
             to_gib(baseline.peak_reserved),
             baseline.utilization() * 100.0,
             to_gib(gml.peak_reserved),
             gml.utilization() * 100.0,
-            to_gib(reclaimed),
         );
     }
     println!("\nutilization of the splitting baseline degrades as shards shrink;");
-    println!("GMLake holds ~99% at every scale. The defrag column is idle cache");
-    println!("per rank the periodic policy returned that the plain rank kept reserved.");
+    println!("GMLake holds ~99% at every scale.");
 }

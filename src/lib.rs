@@ -39,7 +39,7 @@ pub mod prelude {
     pub use gmlake_core::{GmLakeAllocator, GmLakeConfig};
     pub use gmlake_gpu_sim::{CudaDriver, DeviceConfig, FaultOp, FaultPlan, NativeAllocator};
     pub use gmlake_planning::{MemoryPlan, PlannedConfig, PlannedCore};
-    pub use gmlake_runtime::{DefragPolicy, DeviceId, MemoryProfiler, PoolHandle, PoolService};
+    pub use gmlake_runtime::{DeviceId, MemoryProfiler, PoolHandle, PoolService};
     pub use gmlake_serving::{AdmissionPolicy, ServingConfig, ServingService, TenantId};
     pub use gmlake_telemetry::{MemorySnapshot, PoolTelemetry};
     pub use gmlake_workload::{ModelSpec, Platform, Replayer, StrategySet, TrainConfig};

@@ -1,12 +1,13 @@
 //! Cross-crate concurrency tests of the runtime subsystem: many threads on
-//! one pool, whole fleets of ranks replaying through the service, and the
-//! defrag policy's end-to-end effect on reserved memory.
+//! one pool, whole fleets of ranks replaying through the service, defrag
+//! passes run from another thread during a replay, and a panicking lock
+//! holder.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use gmlake::prelude::*;
 use gmlake_core::GmLakeConfig;
-use gmlake_runtime::{DefragPolicy, DeviceId, PoolService};
+use gmlake_runtime::{DeviceId, PoolService};
 use gmlake_workload::{ReplayReport, TraceGenerator};
 
 fn a100() -> CudaDriver {
@@ -152,50 +153,6 @@ fn scaleout_four_ranks_four_threads_with_reports() {
             service.stats(DeviceId(rank)).unwrap().reserved_bytes,
             report.final_reserved
         );
-    }
-}
-
-/// A periodic defrag policy demonstrably reduces reserved memory versus a
-/// no-defrag run of the identical fleet.
-#[test]
-fn defrag_scheduler_reduces_reserved_memory() {
-    let cfg = TrainConfig::new(ModelSpec::opt_1_3b(), StrategySet::LR)
-        .with_seq_len(256)
-        .with_batch(2)
-        .with_iterations(4);
-    let run = |defrag: Option<DefragPolicy>| {
-        let service = defrag.map_or_else(PoolService::new, PoolService::with_defrag);
-        let ranks: Vec<_> = (0..2)
-            .map(|rank| {
-                let driver = a100();
-                let pool = service
-                    .register(
-                        DeviceId(rank),
-                        Box::new(CachingAllocator::new(driver.clone())),
-                    )
-                    .unwrap();
-                (pool, driver)
-            })
-            .collect();
-        let reports = replay_ranks(ranks, &cfg);
-        assert!(reports.iter().all(|r| r.outcome.is_completed()));
-        let final_reserved: u64 = reports.iter().map(|r| r.final_reserved).sum();
-        (service, final_reserved)
-    };
-
-    let (_, plain) = run(None);
-    let (supervised_service, supervised) = run(Some(DefragPolicy::periodic(2)));
-    assert!(
-        supervised < plain,
-        "supervised fleet must end leaner: {supervised} vs {plain}"
-    );
-    for device in supervised_service.devices() {
-        let stats = supervised_service.handle(device).unwrap().defrag_stats();
-        assert!(
-            stats.periodic_passes > 0,
-            "the periodic policy actually fired"
-        );
-        assert!(stats.bytes_reclaimed > 0);
     }
 }
 
