@@ -126,13 +126,13 @@ pub trait AllocatorCore {
     /// Runs one defragmentation/garbage-collection pass and returns the
     /// number of physical bytes released.
     ///
-    /// This is the hook a defrag scheduler calls *proactively* (between
-    /// iterations, or when fragmentation crosses a threshold), as opposed to
+    /// This is the hook a defrag scheduler calls *proactively* (the serving
+    /// layer's churn- and fragmentation-keyed passes), as opposed to
     /// [`AllocatorCore::release_cached`], which is the reactive
     /// surrender-everything OOM fallback. Implementations should release
     /// memory that is unlikely to be reused and may garbage-collect internal
-    /// cache structures, while keeping the caches that make the steady state
-    /// fast. The default falls back to a full cache release.
+    /// cache structures, while keeping the physical memory that later
+    /// requests will reuse. The default falls back to a full cache release.
     fn compact(&mut self) -> u64 {
         self.release_cached()
     }

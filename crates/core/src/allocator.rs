@@ -1407,21 +1407,25 @@ impl GmLakeAllocator {
     /// The view sweep is `O(views)`; the reclaim walk visits only the
     /// reservations dirtied since the last one, the teardowns' included.
     fn release_cached_impl(&mut self) -> u64 {
+        self.drop_unassigned_views();
+        let mut released = self.reclaim(|_| true);
+        released += self.small.release_cached();
+        self.sync_reserved();
+        released
+    }
+
+    /// Tears down every view not assigned to a tensor and returns how many
+    /// went. A faulted teardown leaves its view intact; a later pass
+    /// retries it.
+    fn drop_unassigned_views(&mut self) -> u64 {
         let unassigned: Vec<SBlockId> = self
             .sblocks
             .iter()
             .filter(|(_, s)| s.assigned_to.is_none())
             .map(|(sid, _)| sid)
             .collect();
-        for sid in unassigned {
-            // A faulted teardown leaves the view intact; skip it, a later
-            // release will retry.
-            let _ = self.destroy_sblock(sid);
-        }
-        let mut released = self.reclaim(|_| true);
-        released += self.small.release_cached();
-        self.sync_reserved();
-        released
+        let dropped = unassigned.into_iter().map(|sid| self.destroy_sblock(sid));
+        dropped.filter(Result::is_ok).count() as u64
     }
 
     /// Verifies every internal invariant; heavily used by tests.
@@ -1894,41 +1898,28 @@ impl AllocatorCore for GmLakeAllocator {
 
     /// GMLake's proactive defrag pass, gentler than the OOM fallback:
     ///
-    /// 1. **sPool GC** — destroys unassigned sBlock structures that are
-    ///    *blocked* (some part is active). An unassigned view whose parts
-    ///    are woven into live allocations cannot serve an exact match, so
-    ///    it is pure bookkeeping weight; dropping it releases its VA range
-    ///    and un-references its parts, replenishing the cheap
-    ///    (`StitchCost::Unreferenced`) stitching supply. Fully-inactive
-    ///    views — the ready exact-match candidates behind the S1 steady
-    ///    state — are deliberately kept.
+    /// 1. **sPool GC** — destroys every unassigned sBlock structure, ready
+    ///    or blocked, and counts each in `evictions`. A view is VA only
+    ///    (§3.3 `StitchFree`): dropping it un-references its parts, so idle
+    ///    neighbours can merge and a later request of another shape splits
+    ///    or stitches them without creating memory. A ready view kept here
+    ///    would pin its parts apart for a shape that may never recur.
     /// 2. **Dead-fragment release** — the reclaim walk merges idle
     ///    neighbours, then returns every reservation whose remaining
     ///    pieces are all idle and smaller than the fragmentation limit.
     ///    Such pieces are excluded from stitching by the §4.2.3 robustness
     ///    rule, so short of an improbable exact match they are stranded
-    ///    capacity. The walk visits only the reservations dirtied since the
-    ///    last one (step 1's included); one it spares for a piece at or
-    ///    above the limit stays dirty, so a second pass over an unchanged
-    ///    pool of live reservations visits none.
+    ///    capacity. Pieces at or above the limit stay reserved: the lake
+    ///    goes back to the driver only through the S5 fallback or an
+    ///    explicit `release_cached`. The walk visits only the reservations
+    ///    dirtied since the last one (step 1's included); one it spares for
+    ///    a piece at or above the limit stays dirty, so a second pass over
+    ///    an unchanged pool of live reservations visits none.
     ///
     /// Returns the physical bytes released (structure GC frees only virtual
     /// address space, which is unmetered).
     fn compact(&mut self) -> u64 {
-        let blocked: Vec<SBlockId> = self
-            .sblocks
-            .iter()
-            .filter(|&(sid, s)| {
-                s.assigned_to.is_none()
-                    && Self::witness(&self.dense, &self.sblocks, &self.work, sid).is_some()
-            })
-            .map(|(sid, _)| sid)
-            .collect();
-        for sid in blocked {
-            if self.destroy_sblock(sid).is_ok() {
-                self.counters.evictions += 1;
-            }
-        }
+        self.counters.evictions += self.drop_unassigned_views();
         let frag_limit = self.config.frag_limit;
         let released = self.reclaim(|size| size < frag_limit);
         self.sync_reserved();
@@ -2028,14 +2019,11 @@ impl GmLakeAllocator {
     /// What the next pass — `compact` if `compact`, else `release_cached` —
     /// should release, by a read-only walk over *every* reservation: the
     /// oracle of the dirty-set walk. Returns `(base, bytes)` in VA order.
-    /// It replays the pass's view teardown (the blocked unassigned views,
-    /// or every unassigned one), which syncs and so clears the stamps of
-    /// the parts it unmaps, and then the merge and the release predicate.
+    /// It replays the passes' view teardown (every unassigned view), which
+    /// syncs and so clears the stamps of the parts it unmaps, and then the
+    /// merge and the release predicate.
     pub(crate) fn reference_reclaim(&self, compact: bool) -> Vec<(VirtAddr, u64)> {
-        let kept = |sid: &SBlockId| {
-            let s = &self.sblocks[*sid];
-            s.assigned_to.is_some() || (compact && self.scan_available(s))
-        };
+        let kept = |sid: &SBlockId| self.sblocks[*sid].assigned_to.is_some();
         let limit = if compact {
             self.config.frag_limit
         } else {

@@ -92,8 +92,9 @@ pub struct StateCounters {
     /// Number of `Split` executions.
     pub splits: u64,
     /// Number of sBlocks destroyed while unassigned: evicted by
-    /// `StitchFree` at the sPool capacity, or collected as blocked views by
-    /// the sPool GC of `compact`.
+    /// `StitchFree` at the sPool capacity, or dropped by the sPool GC of
+    /// `compact`, which drops every unassigned view. The S5 fallback's
+    /// teardown is not counted.
     pub evictions: u64,
 }
 

@@ -764,8 +764,9 @@ fn deallocate_is_cheap_no_driver_calls() {
 }
 
 #[test]
-fn compact_gcs_blocked_views_and_keeps_ready_ones() {
-    let mut l = lake();
+fn compact_drops_every_unassigned_view_and_keeps_the_lake() {
+    // The 4 MiB default limit: the 4 and 6 MiB pieces are at or above it.
+    let mut l = lake_with(DeviceConfig::small_test(), GmLakeConfig::default());
     // Build a cached stitched view: 4 + 6 freed, 10 stitched, then freed.
     let a = l.allocate(AllocRequest::new(mib(4))).unwrap();
     let b = l.allocate(AllocRequest::new(mib(6))).unwrap();
@@ -773,26 +774,26 @@ fn compact_gcs_blocked_views_and_keeps_ready_ones() {
     l.deallocate(b.id).unwrap();
     let c = l.allocate(AllocRequest::new(mib(10))).unwrap();
     assert_eq!(l.state_counters().stitches, 1);
+    // An assigned view survives a pass.
+    assert_eq!(l.compact(), 0);
+    l.validate().unwrap();
+    assert_eq!(l.sblock_count(), 1, "the assigned view survives");
+    assert_eq!(l.state_counters().evictions, 0);
+    // Freed, the view is ready (every part inactive): the pass drops it
+    // all the same, counts it, and keeps its bytes reserved.
     l.deallocate(c.id).unwrap();
-    // The view is fully inactive (ready): compact must keep it.
-    l.compact();
+    assert_eq!(l.compact(), 0, "no piece is below the limit");
     l.validate().unwrap();
-    assert_eq!(l.sblock_count(), 1, "ready view survives compaction");
-    let c2 = l.allocate(AllocRequest::new(mib(10))).unwrap();
-    assert_eq!(l.state_counters().exact, 1, "still serves an exact match");
-    // While the view is assigned it is not GC-able either.
-    l.compact();
-    assert_eq!(l.sblock_count(), 1);
-    // Block the view: hold one of its parts through a same-size allocation.
-    l.deallocate(c2.id).unwrap();
-    let hold = l.allocate(AllocRequest::new(mib(4))).unwrap();
-    assert!(l.sblock_count() >= 1);
-    let evictions_before = l.state_counters().evictions;
-    l.compact();
-    l.validate().unwrap();
-    assert_eq!(l.sblock_count(), 0, "blocked view is GC'ed");
-    assert_eq!(l.state_counters().evictions, evictions_before + 1);
-    l.deallocate(hold.id).unwrap();
+    assert_eq!(l.sblock_count(), 0, "the ready view is dropped");
+    assert_eq!(l.state_counters().evictions, 1);
+    assert_eq!(l.reserved_physical(), mib(10), "the lake is kept");
+    assert_eq!(l.stats().reserved_bytes, l.driver().phys_in_use());
+    // The next request of that size is served from the lake.
+    let creates = l.driver().stats().create.calls;
+    let d = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    assert_eq!(l.driver().stats().create.calls, creates, "no mem_create");
+    assert_eq!(l.reserved_physical(), mib(10));
+    l.deallocate(d.id).unwrap();
     l.validate().unwrap();
 }
 
@@ -1225,17 +1226,22 @@ mod golden {
     /// `StateCounters::oom`. The three programs hit 18 small OOMs while the
     /// core held idle cache; S5 released 4–54 MiB each time and 10 of the
     /// 18 were then served.
-    const DECISIONS: [u64; 2] = [15_158_958_555_170_290_457, 14_698_382_431_690_865_909];
+    /// Re-pinned again when `compact` came to drop every unassigned view,
+    /// ready ones too: the programs' `Compact` steps now clear the ready
+    /// views, so later requests of those sizes split or stitch instead of
+    /// matching exactly.
+    const DECISIONS: [u64; 2] = [908_418_255_905_761_633, 7_849_709_493_241_644_612];
 
     /// Re-pinned with `DECISIONS`, for the same reason, and once more,
     /// alone, when an exact view match stopped preferring a view last held
     /// by the requesting stream: the second program's stream-aware hand-outs
     /// get the lowest-id view of the size, so the same decisions hand out
-    /// other VAs.
+    /// other VAs. Re-pinned with `DECISIONS` when `compact` came to drop
+    /// ready views.
     const TRAFFIC: [u64; 3] = [
-        2_264_409_921_882_418_263,
-        902_424_852_802_842_671,
-        17_810_318_964_492_138_329,
+        15_133_034_386_876_387_925,
+        16_099_030_523_161_893_782,
+        406_234_800_050_578_568,
     ];
 
     fn fnv(hash: &mut u64, bytes: &[u8]) {
@@ -1303,8 +1309,9 @@ mod golden {
     /// the request size they were stitched for: at the 2 MiB limit of the
     /// programs above an S3 always splits its last candidate, so no view
     /// maps more than its request, and neither hash above saw that change.
-    /// This one moved with it.
-    const DEFAULT_LIMIT_DECISIONS: u64 = 6_875_387_280_869_856_055;
+    /// This one moved with it, and again with `DECISIONS` when `compact`
+    /// came to drop ready views.
+    const DEFAULT_LIMIT_DECISIONS: u64 = 6_534_787_480_339_905_988;
 
     #[test]
     fn default_limit_decisions_match_the_recorded_hash() {

@@ -1,7 +1,6 @@
-//! Churn-keyed defragmentation: *when* a serving pool runs the passes its
+//! Churn-keyed defragmentation: *when* a serving pool runs the pass its
 //! allocator already implements
-//! ([`compact`](gmlake_alloc_api::AllocatorCore::compact),
-//! [`release_cached`](gmlake_alloc_api::AllocatorCore::release_cached)).
+//! ([`compact`](gmlake_alloc_api::AllocatorCore::compact)).
 //!
 //! Defragmentation itself lives inside the allocator (GMLake §3.3.2), so a
 //! training loop needs no timer. A serving pool is different: tenants
@@ -10,10 +9,17 @@
 //! [`ServingService::step`](crate::ServingService::step) with the step's
 //! tenant arrivals + departures, and runs at most one pass per tick:
 //!
-//! * **aggressive** (retire event stamps, `compact`, `release_cached`)
-//!   while the last [`CHURN_WINDOW`] steps saw at least [`CHURN_TRIGGER`]
-//!   churn events, or the pool is at least [`FRAG_TRIGGER`] fragmented;
+//! * **aggressive** (retire event stamps, then `compact`) while the last
+//!   [`CHURN_WINDOW`] steps saw at least [`CHURN_TRIGGER`] churn events, or
+//!   the pool is at least [`FRAG_TRIGGER`] fragmented;
 //! * otherwise **periodic** (`compact` alone) on every [`PERIOD`]-th step.
+//!
+//! Neither pass calls `release_cached`. Over GMLake, `compact` drops the
+//! departed tenants' stitched views and keeps the physical lake for the
+//! next arrivals; memory goes back to the driver only through the
+//! allocator's OOM fallback (S5) or an explicit `release_cached`. A core
+//! without its own `compact` (the caching allocator) falls back to a full
+//! cache release.
 
 use parking_lot::Mutex;
 
@@ -35,7 +41,7 @@ const FRAG_TRIGGER: f64 = 0.5;
 pub struct DefragStats {
     /// Periodic `compact` passes run.
     pub periodic_passes: u64,
-    /// Aggressive (drain + compact + release) passes run.
+    /// Aggressive (drain + compact) passes run.
     pub aggressive_passes: u64,
     /// Physical bytes reclaimed across all passes.
     pub bytes_reclaimed: u64,
@@ -99,13 +105,12 @@ impl Defragger {
         let bytes = match pass {
             Pass::Periodic => pool.compact(),
             // Retire completed cross-stream event stamps first so the
-            // compaction and release below see those blocks unguarded,
-            // then drop the whole idle cache:
-            // under heavy churn the cached shapes belong to departed
-            // tenants and will not recur.
+            // compaction below sees those blocks unguarded: under heavy
+            // churn the cached shapes belong to departed tenants and will
+            // not recur, but their bytes will be asked for again.
             Pass::Aggressive => {
                 pool.process_events();
-                pool.compact() + pool.release_cached()
+                pool.compact()
             }
         };
         let mut state = self.state.lock();

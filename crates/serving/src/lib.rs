@@ -22,11 +22,13 @@
 //!   eviction lives here; the pool below recovers only what it caches;
 //! * churn-keyed defragmentation — every [`ServingService::step`] ticks a
 //!   defrag driver with the step's tenant arrivals + departures: a
-//!   compaction every 64 steps, escalating to releasing the idle cache
-//!   while 8 or more tenants arrived or departed in the last 32 steps or
-//!   the pool is at least half fragmented ([`DefragStats`] counts the
-//!   passes). Training pools need no such timer: GMLake defragments
-//!   inside the allocator.
+//!   compaction every 64 steps, escalating to one on every step (after
+//!   retiring event stamps) while 8 or more tenants arrived or departed in
+//!   the last 32 steps or the pool is at least half fragmented
+//!   ([`DefragStats`] counts the passes). Over GMLake a compaction drops
+//!   the departed tenants' stitched views and keeps the physical memory
+//!   for the next arrivals. Training pools need no such timer: GMLake
+//!   defragments inside the allocator.
 //!
 //! Quota violations surface as the recoverable
 //! [`AllocError::QuotaExceeded`](gmlake_alloc_api::AllocError::QuotaExceeded)

@@ -147,7 +147,7 @@ struct ServingInner {
 ///   (oldest-idle first) and retries once, before the failure can reach
 ///   an active tenant;
 /// * **defrag** — every step ticks a defrag driver that compacts every
-///   64 steps and escalates to releasing the idle cache while tenant churn
+///   64 steps and escalates to compacting on every step while tenant churn
 ///   (8 arrivals + departures in 32 steps) or fragmentation (0.5) is high.
 ///
 /// Cloning is cheap and shares the service. All methods take `&self`.
@@ -787,6 +787,77 @@ mod tests {
         let stats = serving.defrag_stats();
         assert_eq!((stats.periodic_passes, stats.aggressive_passes), (1, 0));
         serving.free(t, kept.id).unwrap();
+    }
+
+    /// The serving pool's GMLake core, read behind the front-end.
+    fn lake<R>(serving: &ServingService, f: impl FnOnce(&mut GmLakeAllocator) -> R) -> R {
+        serving
+            .pool()
+            .allocator()
+            .with_core_as(f)
+            .expect("a GMLake pool")
+    }
+
+    #[test]
+    fn an_aggressive_pass_drops_departed_views_and_keeps_the_lake() {
+        let (serving, driver) = serving_over(ServingConfig::new(mib(256)));
+        // A tenant leaves a stitched 10 MiB view over 4 + 6 MiB behind.
+        let t = serving.offer(mib(64)).tenant().unwrap();
+        let a = serving.alloc(t, mib(4)).unwrap();
+        let b = serving.alloc(t, mib(6)).unwrap();
+        serving.free(t, a.id).unwrap();
+        serving.free(t, b.id).unwrap();
+        serving.alloc(t, mib(10)).unwrap();
+        assert_eq!(lake(&serving, |l| l.state_counters().stitches), 1);
+        serving.depart(t);
+        // The pool is all idle cache: fragmentation 1.0 calls for the
+        // aggressive pass.
+        let before = driver.stats();
+        assert_eq!(serving.step().defrag_reclaimed, 0, "no byte goes back");
+        assert_eq!(serving.defrag_stats().aggressive_passes, 1);
+        assert_eq!(driver.stats().release.calls, before.release.calls);
+        assert_eq!(lake(&serving, |l| l.sblock_count()), 0, "view dropped");
+        assert_eq!(serving.pool().stats().reserved_bytes, mib(10));
+        // The next arrival, of another shape, reuses the bytes.
+        let u = serving.offer(mib(64)).tenant().unwrap();
+        let c = serving.alloc(u, mib(8)).unwrap();
+        assert_eq!(c.size, mib(8));
+        assert_eq!(driver.stats().create.calls, before.create.calls);
+        assert_eq!(serving.pool().stats().reserved_bytes, mib(10));
+        serving.free(u, c.id).unwrap();
+        lake(&serving, |l| l.validate()).unwrap();
+    }
+
+    #[test]
+    fn the_kept_lake_goes_back_to_the_driver_on_demand() {
+        let (serving, driver) = serving_over(ServingConfig::new(mib(256)));
+        // A departed tenant leaves 140 MiB the pass keeps: a 40 MiB
+        // reservation, and 50 of the embedded small pool's 2 MiB segments
+        // (two 1 MiB requests each).
+        let t = serving.offer(mib(160)).tenant().unwrap();
+        serving.alloc(t, mib(40)).unwrap();
+        for _ in 0..100 {
+            serving.alloc(t, mib(1)).unwrap();
+        }
+        serving.depart(t);
+        serving.step();
+        assert_eq!(serving.defrag_stats().aggressive_passes, 1);
+        assert_eq!(serving.pool().stats().reserved_bytes, mib(140));
+        // 220 MiB is more than the 40 MiB block plus the 116 MiB the
+        // device has free: S4's top-up fails, S5 gives the whole cache
+        // back, and the retry is served.
+        let before = driver.stats();
+        let u = serving.offer(mib(256)).tenant().unwrap();
+        let big = serving.alloc(u, mib(220)).unwrap();
+        assert_eq!(big.size, mib(220));
+        let after = driver.stats();
+        assert_eq!(after.release.calls - before.release.calls, 1, "S5");
+        assert_eq!(after.mem_free.calls - before.mem_free.calls, 50, "S5");
+        assert_eq!(serving.pool().stats().reserved_bytes, mib(220));
+        assert_eq!(serving.pool().stats().oom_count, 0);
+        assert_eq!(serving.serving_stats().tenants_evicted, 0);
+        serving.free(u, big.id).unwrap();
+        lake(&serving, |l| l.validate()).unwrap();
     }
 
     #[test]
