@@ -20,15 +20,12 @@
 //!   (oldest-idle first) and retries once, before an active tenant can
 //!   see a device-level OOM. Tenants are this layer's to evict, so the
 //!   eviction lives here; the pool below recovers only what it caches;
-//! * churn-keyed defragmentation — every [`ServingService::step`] ticks a
-//!   defrag driver with the step's tenant arrivals + departures: a
-//!   compaction every 64 steps, escalating to one on every step (after
-//!   retiring event stamps) while 8 or more tenants arrived or departed in
-//!   the last 32 steps or the pool is at least half fragmented
-//!   ([`DefragStats`] counts the passes). Over GMLake a compaction drops
-//!   the departed tenants' stitched views and keeps the physical memory
-//!   for the next arrivals. Training pools need no such timer: GMLake
-//!   defragments inside the allocator.
+//! * a defrag pass on every step — each [`ServingService::step`] retires
+//!   the pool's completed event stamps and compacts it ([`DefragStats`]
+//!   counts the passes). Over GMLake a compaction drops the departed
+//!   tenants' stitched views and keeps the physical memory for the next
+//!   arrivals. The pass needs no schedule of its own: GMLake defragments
+//!   inside the allocator, and training pools run no pass at all.
 //!
 //! Quota violations surface as the recoverable
 //! [`AllocError::QuotaExceeded`](gmlake_alloc_api::AllocError::QuotaExceeded)
@@ -43,13 +40,11 @@
 #![warn(missing_docs)]
 
 mod admission;
-mod defrag;
 mod service;
 mod tenant;
 
 pub use admission::{AdmissionPolicy, AdmissionStats, AdmissionVerdict};
-pub use defrag::DefragStats;
 // Former name, still imported by the frozen benchmark; goes when that instrument next changes.
-pub use defrag::DefragStats as DefragManagerStats;
-pub use service::{ServingConfig, ServingService, ServingStats, StepOutcome};
+pub use service::DefragStats as DefragManagerStats;
+pub use service::{DefragStats, ServingConfig, ServingService, ServingStats, StepOutcome};
 pub use tenant::{TenantId, TenantRegistry, TenantUsage};

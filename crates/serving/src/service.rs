@@ -1,6 +1,6 @@
 //! The multi-tenant serving front-end over one pool: quota-bracketed
 //! allocation, admission control, idle-tenant eviction on OOM, and the
-//! step cadence driving queue retries and defragmentation.
+//! step that retries queued arrivals and compacts the pool.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,7 +14,6 @@ use gmlake_telemetry::EventKind;
 use crate::admission::{
     AdmissionController, AdmissionPolicy, AdmissionStats, AdmissionVerdict, QueuedArrival,
 };
-use crate::defrag::{DefragStats, Defragger};
 use crate::tenant::{ChargeError, TenantId, TenantRegistry, TenantUsage};
 
 /// Sentinel tenant id in [`EventKind::TenantAdmission`] records for
@@ -100,7 +99,7 @@ pub struct StepOutcome {
     pub dequeued: u64,
     /// Queued arrivals that timed out this step.
     pub timed_out: u64,
-    /// Bytes reclaimed by this step's defrag pass, if one ran.
+    /// Bytes this step's defrag pass gave back to the driver.
     pub defrag_reclaimed: u64,
 }
 
@@ -115,6 +114,19 @@ pub struct ServingStats {
     pub allocs_evicted: u64,
 }
 
+/// Cumulative counters of the defrag pass every [`ServingService::step`]
+/// runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DefragStats {
+    /// Always 0: the one kind of pass counts in `aggressive_passes`. Kept
+    /// because the benchmark package still reads it.
+    pub periodic_passes: u64,
+    /// Passes run (`process_events` + `compact`), one per step.
+    pub aggressive_passes: u64,
+    /// Physical bytes the passes gave back to the driver.
+    pub bytes_reclaimed: u64,
+}
+
 #[derive(Debug)]
 struct ServingInner {
     pool: PoolHandle,
@@ -123,10 +135,7 @@ struct ServingInner {
     admission: Mutex<AdmissionController>,
     /// Completed service steps (see [`ServingService::step`]).
     step: AtomicU64,
-    /// Tenant arrivals + departures since the last step, feeding the
-    /// defragger's churn window.
-    churn_since_step: AtomicU64,
-    defrag: Defragger,
+    defrag: Mutex<DefragStats>,
     evictions: Mutex<ServingStats>,
 }
 
@@ -146,9 +155,9 @@ struct ServingInner {
 /// * **eviction** — a real OOM first drops *idle* tenants' working sets
 ///   (oldest-idle first) and retries once, before the failure can reach
 ///   an active tenant;
-/// * **defrag** — every step ticks a defrag driver that compacts every
-///   64 steps and escalates to compacting on every step while tenant churn
-///   (8 arrivals + departures in 32 steps) or fragmentation (0.5) is high.
+/// * **defrag** — every step retires the pool's completed event stamps
+///   and compacts it: over GMLake the departed tenants' stitched views go
+///   and the physical memory stays for the next arrivals.
 ///
 /// Cloning is cheap and shares the service. All methods take `&self`.
 ///
@@ -183,8 +192,7 @@ impl ServingService {
             registry: TenantRegistry::new(cfg.streams),
             admission: Mutex::new(AdmissionController::new(cfg.limit_bytes(), cfg.policy)),
             step: AtomicU64::new(0),
-            churn_since_step: AtomicU64::new(0),
-            defrag: Defragger::default(),
+            defrag: Mutex::new(DefragStats::default()),
             evictions: Mutex::new(ServingStats::default()),
             pool,
             cfg,
@@ -324,9 +332,9 @@ impl ServingService {
         self.inner.pool.free_on_stream(id, stream)
     }
 
-    /// Departs `tenant`: frees its remaining live allocations, releases
-    /// its quota commitment, and counts the churn. Returns the bytes
-    /// released, or `None` for an unknown tenant.
+    /// Departs `tenant`: frees its remaining live allocations and releases
+    /// its quota commitment. Returns the bytes released, or `None` for an
+    /// unknown tenant.
     pub fn depart(&self, tenant: TenantId) -> Option<u64> {
         let inner = &self.inner;
         let (live, stream) = inner.registry.remove(tenant)?;
@@ -336,14 +344,14 @@ impl ServingService {
                 released += size;
             }
         }
-        inner.churn_since_step.fetch_add(1, Ordering::Relaxed);
         inner.emit(EventKind::TenantChurn, released, tenant.0, 0);
         Some(released)
     }
 
     /// Advances the service by one step: retries queued arrivals (FIFO,
-    /// admitting while capacity allows), expires overdue ones, and ticks
-    /// the defragger with this step's churn count.
+    /// admitting while capacity allows), expires overdue ones, then runs
+    /// the defrag pass: `process_events` (retiring completed event
+    /// stamps, so `compact` sees those blocks unguarded) and `compact`.
     pub fn step(&self) -> StepOutcome {
         let inner = &self.inner;
         let step = inner.step.fetch_add(1, Ordering::Relaxed) + 1;
@@ -371,9 +379,15 @@ impl ServingService {
                 outcome.timed_out += 1;
             }
         }
+        // No serving lock is held across a pool call, so a step cannot
+        // deadlock against the pool's own locks.
         drop(adm);
-        let churn = inner.churn_since_step.swap(0, Ordering::Relaxed);
-        outcome.defrag_reclaimed = inner.defrag.tick(step, churn, inner.pool.allocator());
+        inner.pool.process_events();
+        let bytes = inner.pool.compact();
+        let mut defrag = inner.defrag.lock();
+        defrag.aggressive_passes += 1;
+        defrag.bytes_reclaimed += bytes;
+        outcome.defrag_reclaimed = bytes;
         outcome
     }
 
@@ -420,7 +434,7 @@ impl ServingService {
 
     /// Counters of the service's defrag passes.
     pub fn defrag_stats(&self) -> DefragStats {
-        self.inner.defrag.stats()
+        *self.inner.defrag.lock()
     }
 
     /// OOM-eviction counters.
@@ -442,7 +456,6 @@ impl ServingInner {
         let (id, _) = self.registry.register(quota_bytes, now);
         adm.stats.admitted += 1;
         adm.stats.peak_tenants = adm.stats.peak_tenants.max(self.registry.len() as u64);
-        self.churn_since_step.fetch_add(1, Ordering::Relaxed);
         self.emit(EventKind::TenantAdmission, quota_bytes, id.0, verdict);
         self.emit(EventKind::TenantChurn, quota_bytes, id.0, 1);
         id
@@ -469,7 +482,6 @@ impl ServingInner {
                 }
             }
             adm.stats.tenants_shed += 1;
-            self.churn_since_step.fetch_add(1, Ordering::Relaxed);
             self.emit(EventKind::TenantEvict, released, tenant.0, dropped);
             self.emit(EventKind::TenantChurn, released, tenant.0, 0);
         }
@@ -750,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn departure_frees_live_allocations_and_counts_churn() {
+    fn departure_frees_live_allocations_and_releases_the_quota() {
         let (serving, _) = serving_over(ServingConfig::new(mib(256)));
         let t = serving.offer(mib(64)).tenant().unwrap();
         serving.alloc(t, mib(8)).unwrap();
@@ -759,15 +771,13 @@ mod tests {
         assert_eq!(serving.depart(t), None, "already gone");
         assert_eq!(serving.pool().stats().active_bytes, 0);
         assert_eq!(serving.committed_bytes(), 0);
-        // Arrival + departure both counted as churn for the defrag window.
-        let out = serving.step();
-        assert_eq!(out.step, 1);
     }
 
     #[test]
-    fn step_cadence_drives_the_defrag_manager() {
-        // One arrival and a third of the pool idle: under both triggers of
-        // the serving policy, so only its 64-step period runs a pass.
+    fn every_step_compacts() {
+        // A quiet caching pool (one arrival) with a third of its bytes
+        // idle: the first step already runs the pass, and the caching
+        // core's `compact` gives the idle 16 MiB back.
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let pool = PoolService::new()
             .register(DeviceId(0), Box::new(CachingAllocator::new(driver)))
@@ -778,14 +788,20 @@ mod tests {
         let a = serving.alloc(t, mib(16)).unwrap();
         serving.free(t, a.id).unwrap();
         assert_eq!(serving.pool().stats().reserved_bytes, mib(48));
-        for step in 1..64 {
-            let out = serving.step();
-            assert_eq!(out.defrag_reclaimed, 0, "step {step}: off cadence");
-        }
         let out = serving.step();
-        assert!(out.defrag_reclaimed >= mib(16), "step 64: periodic compact");
-        let stats = serving.defrag_stats();
-        assert_eq!((stats.periodic_passes, stats.aggressive_passes), (1, 0));
+        assert_eq!((out.step, out.defrag_reclaimed), (1, mib(16)));
+        assert_eq!(serving.pool().stats().reserved_bytes, mib(32));
+        assert_eq!(
+            serving.defrag_stats(),
+            DefragStats {
+                periodic_passes: 0,
+                aggressive_passes: 1,
+                bytes_reclaimed: mib(16),
+            }
+        );
+        // Nothing idle is left: the next step's pass finds nothing.
+        assert_eq!(serving.step().defrag_reclaimed, 0);
+        assert_eq!(serving.defrag_stats().aggressive_passes, 2);
         serving.free(t, kept.id).unwrap();
     }
 
@@ -810,8 +826,8 @@ mod tests {
         serving.alloc(t, mib(10)).unwrap();
         assert_eq!(lake(&serving, |l| l.state_counters().stitches), 1);
         serving.depart(t);
-        // The pool is all idle cache: fragmentation 1.0 calls for the
-        // aggressive pass.
+        // The step's pass drops the departed tenant's view and keeps its
+        // bytes.
         let before = driver.stats();
         assert_eq!(serving.step().defrag_reclaimed, 0, "no byte goes back");
         assert_eq!(serving.defrag_stats().aggressive_passes, 1);

@@ -25,7 +25,7 @@ enum Op {
     /// Tenant frees its n-th live allocation from a *different* stream —
     /// the cross-stream path through the core.
     FreeCross(usize, usize),
-    /// Advance the service step (queue retries + defrag cadence).
+    /// Advance the service step (queue retries + the defrag pass).
     Step,
     /// Tenant departs (its remaining allocations are freed by the
     /// service; later ops on it must be refused).
@@ -44,8 +44,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn serving_fixture() -> ServingService {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
+    serving_over(Box::new(CachingAllocator::new(driver)))
+}
+
+fn serving_over(core: Box<dyn AllocatorCore + Send>) -> ServingService {
     let pool = PoolService::new()
-        .register(DeviceId(0), Box::new(CachingAllocator::new(driver)))
+        .register(DeviceId(0), core)
         .expect("fresh service");
     ServingService::new(
         pool,
@@ -169,16 +173,33 @@ proptest! {
     }
 }
 
-/// Many threads, one pool: each thread owns a tenant and churns
-/// allocations (with cross-stream frees mixed in) while others do the
-/// same. At the end every tenant's books must match its thread's local
-/// count exactly, and the pool must drain to zero.
+/// Many threads, one GMLake pool: each tenant thread owns a tenant and
+/// churns allocations (with cross-stream frees mixed in) while others do
+/// the same and one more thread steps the service. At the end every
+/// tenant's books must match its thread's local count exactly, the pool
+/// must drain to zero and its indexes must validate.
 #[test]
 fn concurrent_tenants_reconcile_exactly() {
     const THREADS: usize = 8;
     const ROUNDS: usize = 300;
+    const STEPS: u64 = 200;
 
-    let serving = serving_fixture();
+    let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
+    let serving = serving_over(Box::new(GmLakeAllocator::new(
+        driver,
+        GmLakeConfig::default().with_frag_limit(mib(2)),
+    )));
+    // A ninth thread steps the service underneath the tenants, so every
+    // step's `process_events` + `compact` races their allocs and frees.
+    let stepper = {
+        let serving = serving.clone();
+        std::thread::spawn(move || {
+            for _ in 0..STEPS {
+                serving.step();
+                std::thread::yield_now();
+            }
+        })
+    };
     let mut handles = Vec::new();
     for t in 0..THREADS {
         let serving = serving.clone();
@@ -228,6 +249,9 @@ fn concurrent_tenants_reconcile_exactly() {
         }));
     }
 
+    stepper.join().expect("the stepping thread may not panic");
+    assert_eq!(serving.steps(), STEPS);
+    assert_eq!(serving.defrag_stats().aggressive_passes, STEPS);
     let mut total_held = 0;
     let mut survivors = Vec::new();
     for h in handles {
@@ -249,6 +273,12 @@ fn concurrent_tenants_reconcile_exactly() {
     assert_eq!(serving.used_bytes(), 0);
     assert_eq!(serving.pool().stats().active_bytes, 0);
     assert_eq!(serving.tenant_count(), 0);
+    serving
+        .pool()
+        .allocator()
+        .with_core_as(|lake: &mut GmLakeAllocator| lake.validate())
+        .expect("a GMLake pool")
+        .unwrap();
 }
 
 /// A request whose quota charge would pass `u64::MAX` is refused by the
