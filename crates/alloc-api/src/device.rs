@@ -310,7 +310,8 @@ impl StreamCache {
     ///
     /// A drained stack stays in the map: the same key is about to be parked
     /// again on the warm cycle, and leaving the entry saves a hash remove +
-    /// re-insert per hit (`flush` empties the map wholesale).
+    /// re-insert per hit (`flush` empties the stacks in place, for the same
+    /// reason).
     fn take(&mut self, key: u64, stream: StreamId) -> Option<CachedBlock> {
         let stack = self.free.get_mut(&key)?;
         let pos = stack.iter().rposition(|b| b.stream == stream)?;
@@ -716,18 +717,21 @@ impl DeviceAllocator {
     /// itself frees no physical memory. This is the flush the defrag/OOM
     /// paths run: defragmentation must see every cached byte, so it can
     /// never be scoped to one stream.
+    ///
+    /// Each size class's stack is emptied in place and stays in the map with
+    /// its buffer, which the next park of that class reuses.
     pub fn flush(&self) -> u64 {
         let mut blocks: Vec<CachedBlock> = Vec::new();
         for cache in self.inner.caches.iter() {
             let mut guard = cache.lock();
             let g = &mut *guard;
-            for (_, mut stack) in g.free.drain() {
-                for block in &stack {
+            for stack in g.free.values_mut() {
+                for block in stack.iter() {
                     g.stats.cache_returns += 1;
                     g.stats.cached_bytes -= block.size;
                     g.stats.cached_blocks -= 1;
                 }
-                blocks.append(&mut stack);
+                blocks.append(stack);
             }
         }
         if blocks.is_empty() {
@@ -845,6 +849,15 @@ impl DeviceAllocator {
     /// Flushes the caches into the core, then runs the core's proactive
     /// defrag pass (see [`AllocatorCore::compact`]). Returns the physical
     /// bytes released.
+    ///
+    /// The flush stays, although the core's pass leaves its own small pool
+    /// alone and the flush turns warm hits into misses. A block parked
+    /// here is live to the core, so no pass can reach its bytes. Measured
+    /// on the benchmark's `serve_churn`, where the serving layer runs a
+    /// pass at every large free: without the flush, small-path misses
+    /// fall 36 935 → 584, but 155 975 680 B sit parked at the peak
+    /// (0 with it) and peak reserved rises 0.24 %, 43 308 285 952 →
+    /// 43 411 046 400 B, with stall unchanged to 0.1 %.
     pub fn compact(&self) -> u64 {
         self.flush();
         self.inner.core.lock().compact()

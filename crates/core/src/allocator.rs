@@ -50,7 +50,10 @@
 //! unreferenced pBlock's free, an inactive block losing its last view, a
 //! retired stamp, a split or a fresh `Alloc`. A view's parts are
 //! referenced, so its free marks nothing; the teardown of its last view
-//! does.
+//! does. Every visited reservation leaves the set but one whose release
+//! faulted, so a `compact` over an unchanged pool visits none;
+//! `release_cached`, which spares nothing, first re-adds the fully idle
+//! reservations that `compact` spared.
 //!
 //! # Hot-path data structures
 //!
@@ -305,8 +308,9 @@ pub struct GmLakeAllocator {
     reservations: BTreeMap<VirtAddr, Reservation>,
     /// Bases of the reservations the next reclaim walk visits: each may
     /// have a piece that became idle or mergeable since its last walk.
-    /// Every other one has a live or referenced piece and no two adjacent
-    /// mergeable ones, so the walk would leave it as it is.
+    /// Every other one has no two adjacent mergeable pieces, and either a
+    /// live or referenced piece or an idle one that `compact` spared, so a
+    /// `compact` walk would leave it as it is.
     dirty: BTreeSet<VirtAddr>,
     /// pBlocks keyed `(size, id)`: the inactive unreferenced ones, and every
     /// referenced one, active or not (see [`TieredPIndex`]).
@@ -324,6 +328,10 @@ pub struct GmLakeAllocator {
     /// old tick when that part deactivates. S3/S4 classification walks
     /// exactly this list.
     lru: LruList,
+    /// Views parked on a witness part (`SBlock::parked_on`): the unassigned
+    /// views off the eviction list. A sweep of the unassigned views reads
+    /// the parked lists only while this is non-zero.
+    parked: usize,
     /// Scratch of S3/S4 classification, indexed by pBlock id: the parts of
     /// the views found available. Kept to reuse its buffer.
     available_parts: Vec<bool>,
@@ -384,6 +392,7 @@ impl GmLakeAllocator {
             p_index: TieredPIndex::new(),
             s_by_size: IdMap::default(),
             lru: LruList::default(),
+            parked: 0,
             available_parts: Vec::new(),
             work: Work::default(),
             live: IdMap::default(),
@@ -654,6 +663,7 @@ impl GmLakeAllocator {
             return;
         }
         *flags &= !PARKS;
+        self.parked -= p.parked.len();
         for sid in std::mem::take(&mut p.parked) {
             self.sblocks[sid].parked_on = None;
             self.lru.insert_by_tick(&mut self.sblocks, sid);
@@ -932,6 +942,7 @@ impl GmLakeAllocator {
                 break;
             }
         }
+        self.parked += blocked.len();
         for (sid, on) in blocked {
             self.lru.unlink(&mut self.sblocks, sid);
             self.sblocks[sid].parked_on = Some(on);
@@ -992,6 +1003,7 @@ impl GmLakeAllocator {
                 if parked.is_empty() {
                     self.dense.p[on as usize] &= !PARKS;
                 }
+                self.parked -= 1;
             }
             None => self.lru.unlink(&mut self.sblocks, sid),
         }
@@ -1079,8 +1091,9 @@ impl GmLakeAllocator {
     /// mergeable pieces into its first one — bookkeeping only, no driver
     /// call — and then returns to the device every reservation whose pieces
     /// are all inactive and unreferenced and each `releasable` by size.
-    /// Such a reservation stays dirty until it goes: the predicate may spare
-    /// it, or its release may fault; every other one leaves the set.
+    /// Such a reservation stays dirty until it goes, so a faulted release is
+    /// retried; every other one leaves the set, one the predicate spares
+    /// included (`release_cached_impl` puts the spared ones back).
     /// Returns the bytes released.
     fn reclaim(&mut self, releasable: impl Fn(u64) -> bool) -> u64 {
         bump(&self.work.reclaim_visits, self.dirty.len() as u64);
@@ -1102,10 +1115,11 @@ impl GmLakeAllocator {
                 merge
             });
             let spent = r.pieces.iter().all(|&pid| idle(flags[pid as usize]));
-            if spent && r.pieces.iter().all(|&pid| releasable(pblocks[pid].size)) {
+            let doom = spent && r.pieces.iter().all(|&pid| releasable(pblocks[pid].size));
+            if doom {
                 doomed.push((base, r.size));
             }
-            spent
+            doom
         });
         let mut released = 0;
         for (base, size) in doomed {
@@ -1404,26 +1418,41 @@ impl GmLakeAllocator {
     /// all unassigned sBlocks, then every reservation with no live piece
     /// (a partly live one keeps its idle pieces, merged), then the small
     /// pool's cached segments. Returns bytes of physical memory released.
-    /// The view sweep is `O(views)`; the reclaim walk visits only the
-    /// reservations dirtied since the last one, the teardowns' included.
+    /// The view sweep visits the unassigned views; the reclaim walk visits
+    /// the reservations dirtied since the last one, the teardowns' included,
+    /// and the fully idle ones, which a `compact` may have spared: finding
+    /// those is one `O(pieces)` scan, paid on this path alone.
     fn release_cached_impl(&mut self) -> u64 {
         self.drop_unassigned_views();
+        let flags = &self.dense.p;
+        for (&base, r) in &self.reservations {
+            if r.pieces.iter().all(|&pid| idle(flags[pid as usize])) && self.dirty.insert(base) {
+                bump(&self.work.reclaim_marks, 1);
+            }
+        }
         let mut released = self.reclaim(|_| true);
         released += self.small.release_cached();
         self.sync_reserved();
         released
     }
 
-    /// Tears down every view not assigned to a tensor and returns how many
-    /// went. A faulted teardown leaves its view intact; a later pass
+    /// Tears down every view not assigned to a tensor, in id order, and
+    /// returns how many went. It reads only the unassigned views: the
+    /// eviction list, and the parked lists while `parked` says any view is
+    /// parked. A faulted teardown leaves its view intact; a later pass
     /// retries it.
     fn drop_unassigned_views(&mut self) -> u64 {
-        let unassigned: Vec<SBlockId> = self
-            .sblocks
-            .iter()
-            .filter(|(_, s)| s.assigned_to.is_none())
-            .map(|(sid, _)| sid)
-            .collect();
+        let mut unassigned: Vec<SBlockId> = self.lru.iter(&self.sblocks).collect();
+        if self.parked > 0 {
+            let parks = self.dense.p.iter().enumerate();
+            let witnesses = parks.filter(|&(_, &f)| f & PARKS != 0);
+            for (pid, _) in witnesses {
+                unassigned.extend_from_slice(&self.pblocks[pid as PBlockId].parked);
+            }
+        }
+        // Id order, as the arena lists them: a teardown's driver calls, and
+        // so an injected fault's victim, do not depend on the list's order.
+        unassigned.sort_unstable();
         let dropped = unassigned.into_iter().map(|sid| self.destroy_sblock(sid));
         dropped.filter(Result::is_ok).count() as u64
     }
@@ -1536,8 +1565,7 @@ impl GmLakeAllocator {
         // 1b. Reservations: each one's piece list tiles it exactly in VA
         //     order with live pBlocks naming it, so together the lists hold
         //     every pBlock once; no handle backs two of them. The dirty set
-        //     holds only recorded ones, and every one a walk would merge or
-        //     release.
+        //     holds only recorded ones, and every one a walk would merge.
         let mut handles = BTreeSet::new();
         let mut listed = 0usize;
         for (base, r) in &self.reservations {
@@ -1558,11 +1586,11 @@ impl GmLakeAllocator {
                 return Err(format!("reservation {base}: pieces end at {cursor}"));
             }
             listed += r.pieces.len();
-            // Outside the dirty set a reclaim walk would change nothing.
+            // Outside the dirty set a reclaim walk would merge nothing. A
+            // clean, fully idle one was spared by `compact`, which would
+            // spare it again; `release_cached` re-adds it.
             let mergeable = |&pid: &PBlockId| mergeable(&self.dense.p, pid);
-            let merge = r.pieces.windows(2).any(|w| w.iter().all(mergeable));
-            let spent = r.pieces.iter().all(|&pid| idle(self.dense.p[pid as usize]));
-            if !self.dirty.contains(base) && (merge || spent) {
+            if !self.dirty.contains(base) && r.pieces.windows(2).any(|w| w.iter().all(mergeable)) {
                 return Err(format!("clean reservation {base} needs a walk"));
             }
         }
@@ -1650,9 +1678,10 @@ impl GmLakeAllocator {
         if listed != self.sblocks.len() || !self.s_by_size.iter().all(sized) {
             return Err("the size index does not hold exactly every sblock".to_owned());
         }
-        if parked_entries != parked_s {
+        if parked_entries != parked_s || parked_s != self.parked {
             return Err(format!(
-                "{parked_entries} parked-list entries but {parked_s} parked sblocks"
+                "{parked_entries} parked-list entries, {parked_s} parked sblocks, count {}",
+                self.parked
             ));
         }
         // 3. Live allocations point at correctly-assigned targets, and no
@@ -1899,11 +1928,13 @@ impl AllocatorCore for GmLakeAllocator {
     /// GMLake's proactive defrag pass, gentler than the OOM fallback:
     ///
     /// 1. **sPool GC** — destroys every unassigned sBlock structure, ready
-    ///    or blocked, and counts each in `evictions`. A view is VA only
-    ///    (§3.3 `StitchFree`): dropping it un-references its parts, so idle
-    ///    neighbours can merge and a later request of another shape splits
-    ///    or stitches them without creating memory. A ready view kept here
-    ///    would pin its parts apart for a shape that may never recur.
+    ///    or blocked, in id order, and counts each in `evictions`. A view
+    ///    is VA only (§3.3 `StitchFree`): dropping it un-references its
+    ///    parts, so idle neighbours can merge and a later request of another
+    ///    shape splits or stitches them without creating memory. A ready
+    ///    view kept here would pin its parts apart for a shape that may
+    ///    never recur. The sweep reads the eviction list, and the parked
+    ///    lists only when a view is parked, never the assigned views.
     /// 2. **Dead-fragment release** — the reclaim walk merges idle
     ///    neighbours, then returns every reservation whose remaining
     ///    pieces are all idle and smaller than the fragmentation limit.
@@ -1912,9 +1943,14 @@ impl AllocatorCore for GmLakeAllocator {
     ///    capacity. Pieces at or above the limit stay reserved: the lake
     ///    goes back to the driver only through the S5 fallback or an
     ///    explicit `release_cached`. The walk visits only the reservations
-    ///    dirtied since the last one (step 1's included); one it spares for
-    ///    a piece at or above the limit stays dirty, so a second pass over
-    ///    an unchanged pool of live reservations visits none.
+    ///    dirtied since the last one (step 1's included), and one it spares
+    ///    for a piece at or above the limit leaves the dirty set, so a
+    ///    second pass over an unchanged pool visits none.
+    ///
+    /// A pass costs what changed since the last one: `O(u)` teardowns for
+    /// the `u` unassigned views and a walk over the `d` dirty reservations,
+    /// with nothing scanned when both are empty. That is what lets a caller
+    /// run it at every large free rather than once per step.
     ///
     /// Returns the physical bytes released (structure GC frees only virtual
     /// address space, which is unmetered).
@@ -2014,6 +2050,11 @@ impl GmLakeAllocator {
     /// The dense flags and the size index, for tests that corrupt them.
     pub(crate) fn dense_state(&mut self) -> (&mut Dense, &mut IdMap<u64, Vec<SBlockId>>) {
         (&mut self.dense, &mut self.s_by_size)
+    }
+
+    /// The parked-view count, for tests that corrupt it.
+    pub(crate) fn parked_count(&mut self) -> &mut usize {
+        &mut self.parked
     }
 
     /// What the next pass — `compact` if `compact`, else `release_cached` —

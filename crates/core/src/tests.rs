@@ -1483,14 +1483,20 @@ fn a_second_compact_over_an_unchanged_pool_visits_no_reservation() {
     assert_eq!(visits(&mut l), 2, "both reservations changed");
     assert_eq!(l.pblock_count(), 3, "A's idle tail merged");
     assert_eq!(visits(&mut l), 0, "nothing changed since");
-    // B goes idle, but its 8 MiB piece is above the limit.
+    // B goes idle, but its 8 MiB piece is above the limit: the walk spares
+    // it, and a spared reservation leaves the dirty set.
     l.deallocate(b.id).unwrap();
     assert_eq!(visits(&mut l), 1);
-    assert_eq!(visits(&mut l), 1, "a spared reservation stays dirty");
+    assert_eq!(visits(&mut l), 0, "a spared reservation is not re-walked");
+    // `release_cached` spares nothing: it puts B back and releases it, and
+    // leaves A, whose head is live.
+    let before = l.work_counters();
+    assert_eq!(l.release_cached(), mib(8));
+    assert_eq!(work_since(&l, before).reclaim_visits, 1);
     l.deallocate(head.id).unwrap();
     let before = l.work_counters();
-    assert_eq!(l.release_cached(), mib(24));
-    assert_eq!(work_since(&l, before).reclaim_visits, 2);
+    assert_eq!(l.release_cached(), mib(16));
+    assert_eq!(work_since(&l, before).reclaim_visits, 1);
     assert!(l.driver().snapshot().is_quiescent());
     l.validate().unwrap();
 }
@@ -1668,9 +1674,14 @@ fn tearing_down_a_parked_view_clears_its_witness_flag() {
     let view_b = l.allocate(AllocRequest::new(mib(20))).unwrap();
     assert_eq!((l.sblock_count(), l.state_counters().evictions), (2, 0));
     l.validate().unwrap();
+    // The parked-view count is held to the parked lists.
+    assert_eq!(*l.parked_count(), 1);
+    *l.parked_count() = 0;
+    assert!(l.validate().unwrap_err().contains("parked"));
+    *l.parked_count() = 1;
     // `compact` destroys A, blocked and unassigned, while it is parked.
     l.compact();
-    assert_eq!(l.sblock_count(), 1);
+    assert_eq!((l.sblock_count(), *l.parked_count()), (1, 0));
     l.validate().unwrap();
     for id in [view_b.id, held[0].id, held[1].id] {
         l.deallocate(id).unwrap();

@@ -20,12 +20,15 @@
 //!   (oldest-idle first) and retries once, before an active tenant can
 //!   see a device-level OOM. Tenants are this layer's to evict, so the
 //!   eviction lives here; the pool below recovers only what it caches;
-//! * a defrag pass on every step — each [`ServingService::step`] retires
-//!   the pool's completed event stamps and compacts it ([`DefragStats`]
-//!   counts the passes). Over GMLake a compaction drops the departed
-//!   tenants' stitched views and keeps the physical memory for the next
-//!   arrivals. The pass needs no schedule of its own: GMLake defragments
-//!   inside the allocator, and training pools run no pass at all.
+//! * a defrag pass at each large free — [`ServingService::free`] of a
+//!   block at or above 2 MiB, each [`ServingService::depart`] that frees
+//!   one, and every [`ServingService::step`] retire the pool's completed
+//!   event stamps and compact it ([`DefragStats`] counts the passes).
+//!   Over GMLake a compaction drops the freed stitched views, so their
+//!   parts merge with idle neighbours before the next request, and keeps
+//!   the physical memory for it. The pass needs no schedule of its own:
+//!   GMLake defragments inside the allocator, a pass costs only what
+//!   changed since the last one, and training pools run no pass at all.
 //!
 //! Quota violations surface as the recoverable
 //! [`AllocError::QuotaExceeded`](gmlake_alloc_api::AllocError::QuotaExceeded)

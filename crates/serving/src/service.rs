@@ -1,13 +1,16 @@
 //! The multi-tenant serving front-end over one pool: quota-bracketed
-//! allocation, admission control, idle-tenant eviction on OOM, and the
-//! step that retries queued arrivals and compacts the pool.
+//! allocation, admission control, idle-tenant eviction on OOM, the defrag
+//! pass run at each large free, and the step that retries queued arrivals
+//! and compacts the pool.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use gmlake_alloc_api::{AllocError, AllocRequest, Allocation, AllocationId, StreamId};
+use gmlake_alloc_api::{
+    AllocError, AllocRequest, Allocation, AllocationId, StreamId, SMALL_THRESHOLD,
+};
 use gmlake_runtime::PoolHandle;
 use gmlake_telemetry::EventKind;
 
@@ -99,7 +102,7 @@ pub struct StepOutcome {
     pub dequeued: u64,
     /// Queued arrivals that timed out this step.
     pub timed_out: u64,
-    /// Bytes this step's defrag pass gave back to the driver.
+    /// Bytes this step's own defrag pass gave back to the driver.
     pub defrag_reclaimed: u64,
 }
 
@@ -114,14 +117,16 @@ pub struct ServingStats {
     pub allocs_evicted: u64,
 }
 
-/// Cumulative counters of the defrag pass every [`ServingService::step`]
-/// runs.
+/// Cumulative counters of the defrag pass that every
+/// [`ServingService::step`] runs, and every large [`ServingService::free`]
+/// and [`ServingService::depart`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DefragStats {
     /// Always 0: the one kind of pass counts in `aggressive_passes`. Kept
     /// because the benchmark package still reads it.
     pub periodic_passes: u64,
-    /// Passes run (`process_events` + `compact`), one per step.
+    /// Passes run (`process_events` + `compact`): one per step, and one
+    /// per large free or departure.
     pub aggressive_passes: u64,
     /// Physical bytes the passes gave back to the driver.
     pub bytes_reclaimed: u64,
@@ -155,9 +160,11 @@ struct ServingInner {
 /// * **eviction** — a real OOM first drops *idle* tenants' working sets
 ///   (oldest-idle first) and retries once, before the failure can reach
 ///   an active tenant;
-/// * **defrag** — every step retires the pool's completed event stamps
-///   and compacts it: over GMLake the departed tenants' stitched views go
-///   and the physical memory stays for the next arrivals.
+/// * **defrag** — a free of a block at or above [`SMALL_THRESHOLD`], a
+///   departure that frees one, and every step retire the pool's completed
+///   event stamps and compact it: over GMLake the freed stitched views go
+///   at once, their parts merge with idle neighbours, and the physical
+///   memory stays for the next request.
 ///
 /// Cloning is cheap and shares the service. All methods take `&self`.
 ///
@@ -292,7 +299,11 @@ impl ServingService {
         }
     }
 
-    /// Frees `id` for `tenant` from the tenant's own stream.
+    /// Frees `id` for `tenant` from the tenant's own stream. A block at or
+    /// above [`SMALL_THRESHOLD`] is then defragmented at once: the pass
+    /// [`ServingService::step`] runs (`process_events`, then `compact`)
+    /// runs here too, so the next request meets its bytes merged instead
+    /// of pinned under a view that the next step would tear down.
     ///
     /// # Errors
     ///
@@ -300,19 +311,17 @@ impl ServingService {
     /// `tenant` (never allocated, double-freed, or dropped by an OOM
     /// eviction).
     pub fn free(&self, tenant: TenantId, id: AllocationId) -> Result<(), AllocError> {
-        let (_, stream) = self
-            .inner
-            .registry
-            .credit(tenant, id)
-            .ok_or(AllocError::UnknownAllocation(id))?;
-        self.inner.pool.free_on_stream(id, stream)
+        self.inner.free(tenant, id, None)
     }
 
     /// Frees `id` for `tenant`, with the free issued from `stream` (a
     /// cross-stream free goes to the pool's core, told the stream, see
     /// [`DeviceAllocator::free_on_stream`]). Quota credit is immediate —
     /// the bytes are logically the tenant's no longer, even while the
-    /// freeing stream's work still holds the block.
+    /// freeing stream's work still holds the block. A free from the
+    /// tenant's own stream defragments as [`ServingService::free`] does; a
+    /// cross-stream one leaves it to the next step, because the block's
+    /// fresh event would make a pass now wait for it on the host.
     ///
     /// # Errors
     ///
@@ -325,24 +334,27 @@ impl ServingService {
         id: AllocationId,
         stream: StreamId,
     ) -> Result<(), AllocError> {
-        self.inner
-            .registry
-            .credit(tenant, id)
-            .ok_or(AllocError::UnknownAllocation(id))?;
-        self.inner.pool.free_on_stream(id, stream)
+        self.inner.free(tenant, id, Some(stream))
     }
 
     /// Departs `tenant`: frees its remaining live allocations and releases
     /// its quota commitment. Returns the bytes released, or `None` for an
-    /// unknown tenant.
+    /// unknown tenant. If any of those blocks was at or above
+    /// [`SMALL_THRESHOLD`], one defrag pass runs after the last free, as
+    /// for [`ServingService::free`].
     pub fn depart(&self, tenant: TenantId) -> Option<u64> {
         let inner = &self.inner;
         let (live, stream) = inner.registry.remove(tenant)?;
         let mut released = 0;
+        let mut large = false;
         for (id, size) in live {
             if inner.pool.free_on_stream(id, stream).is_ok() {
                 released += size;
+                large |= size >= SMALL_THRESHOLD;
             }
+        }
+        if large {
+            inner.defrag();
         }
         inner.emit(EventKind::TenantChurn, released, tenant.0, 0);
         Some(released)
@@ -352,6 +364,9 @@ impl ServingService {
     /// admitting while capacity allows), expires overdue ones, then runs
     /// the defrag pass: `process_events` (retiring completed event
     /// stamps, so `compact` sees those blocks unguarded) and `compact`.
+    /// The large frees since the last step ran the same pass already; the
+    /// step's own catches what they left: small frees, cross-stream frees
+    /// and stamps retired since.
     pub fn step(&self) -> StepOutcome {
         let inner = &self.inner;
         let step = inner.step.fetch_add(1, Ordering::Relaxed) + 1;
@@ -379,15 +394,9 @@ impl ServingService {
                 outcome.timed_out += 1;
             }
         }
-        // No serving lock is held across a pool call, so a step cannot
-        // deadlock against the pool's own locks.
+        // The pass holds no serving lock (see `ServingInner::defrag`).
         drop(adm);
-        inner.pool.process_events();
-        let bytes = inner.pool.compact();
-        let mut defrag = inner.defrag.lock();
-        defrag.aggressive_passes += 1;
-        defrag.bytes_reclaimed += bytes;
-        outcome.defrag_reclaimed = bytes;
+        outcome.defrag_reclaimed = inner.defrag();
         outcome
     }
 
@@ -444,6 +453,38 @@ impl ServingService {
 }
 
 impl ServingInner {
+    /// The free rules of [`ServingService::free`] (`from` is `None`) and
+    /// [`ServingService::free_from`].
+    fn free(
+        &self,
+        tenant: TenantId,
+        id: AllocationId,
+        from: Option<StreamId>,
+    ) -> Result<(), AllocError> {
+        let (size, own) = self
+            .registry
+            .credit(tenant, id)
+            .ok_or(AllocError::UnknownAllocation(id))?;
+        let stream = from.unwrap_or(own);
+        self.pool.free_on_stream(id, stream)?;
+        if stream == own && size >= SMALL_THRESHOLD {
+            self.defrag();
+        }
+        Ok(())
+    }
+
+    /// One defrag pass: `process_events`, then `compact`, counted. Runs
+    /// with no serving lock held, so it cannot deadlock against the pool's
+    /// own locks. Returns the bytes it gave back to the driver.
+    fn defrag(&self) -> u64 {
+        self.pool.process_events();
+        let bytes = self.pool.compact();
+        let mut defrag = self.defrag.lock();
+        defrag.aggressive_passes += 1;
+        defrag.bytes_reclaimed += bytes;
+        bytes
+    }
+
     /// Registers a tenant (capacity already checked), updating stats and
     /// telemetry. `verdict` is the admission event code (0 or 3).
     fn admit(
@@ -774,10 +815,10 @@ mod tests {
     }
 
     #[test]
-    fn every_step_compacts() {
-        // A quiet caching pool (one arrival) with a third of its bytes
-        // idle: the first step already runs the pass, and the caching
-        // core's `compact` gives the idle 16 MiB back.
+    fn a_large_free_gives_a_caching_pools_idle_bytes_back_at_once() {
+        // A quiet caching pool (one arrival): the 16 MiB free runs the
+        // pass, and the caching core's `compact` gives the bytes back
+        // before any step. A small free runs none.
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let pool = PoolService::new()
             .register(DeviceId(0), Box::new(CachingAllocator::new(driver)))
@@ -786,10 +827,8 @@ mod tests {
         let t = serving.offer(mib(64)).tenant().unwrap();
         let kept = serving.alloc(t, mib(32)).unwrap();
         let a = serving.alloc(t, mib(16)).unwrap();
-        serving.free(t, a.id).unwrap();
         assert_eq!(serving.pool().stats().reserved_bytes, mib(48));
-        let out = serving.step();
-        assert_eq!((out.step, out.defrag_reclaimed), (1, mib(16)));
+        serving.free(t, a.id).unwrap();
         assert_eq!(serving.pool().stats().reserved_bytes, mib(32));
         assert_eq!(
             serving.defrag_stats(),
@@ -799,8 +838,13 @@ mod tests {
                 bytes_reclaimed: mib(16),
             }
         );
-        // Nothing idle is left: the next step's pass finds nothing.
-        assert_eq!(serving.step().defrag_reclaimed, 0);
+        let small = serving.alloc(t, mib(1)).unwrap();
+        serving.free(t, small.id).unwrap();
+        assert_eq!(serving.defrag_stats().aggressive_passes, 1);
+        // The step's own pass gives back what the small free left: the
+        // caching core's 2 MiB small segment.
+        let out = serving.step();
+        assert_eq!((out.step, out.defrag_reclaimed), (1, mib(2)));
         assert_eq!(serving.defrag_stats().aggressive_passes, 2);
         serving.free(t, kept.id).unwrap();
     }
@@ -815,9 +859,10 @@ mod tests {
     }
 
     #[test]
-    fn an_aggressive_pass_drops_departed_views_and_keeps_the_lake() {
+    fn a_departure_drops_its_views_and_keeps_the_lake() {
         let (serving, driver) = serving_over(ServingConfig::new(mib(256)));
-        // A tenant leaves a stitched 10 MiB view over 4 + 6 MiB behind.
+        // A tenant holds a stitched 10 MiB view over 4 + 6 MiB, each freed
+        // part having run a pass.
         let t = serving.offer(mib(64)).tenant().unwrap();
         let a = serving.alloc(t, mib(4)).unwrap();
         let b = serving.alloc(t, mib(6)).unwrap();
@@ -825,15 +870,21 @@ mod tests {
         serving.free(t, b.id).unwrap();
         serving.alloc(t, mib(10)).unwrap();
         assert_eq!(lake(&serving, |l| l.state_counters().stitches), 1);
-        serving.depart(t);
-        // The step's pass drops the departed tenant's view and keeps its
-        // bytes.
+        // The departure's one pass drops the view and keeps its bytes.
         let before = driver.stats();
-        assert_eq!(serving.step().defrag_reclaimed, 0, "no byte goes back");
-        assert_eq!(serving.defrag_stats().aggressive_passes, 1);
+        serving.depart(t);
+        assert_eq!(
+            serving.defrag_stats(),
+            DefragStats {
+                periodic_passes: 0,
+                aggressive_passes: 3,
+                bytes_reclaimed: 0,
+            }
+        );
         assert_eq!(driver.stats().release.calls, before.release.calls);
         assert_eq!(lake(&serving, |l| l.sblock_count()), 0, "view dropped");
         assert_eq!(serving.pool().stats().reserved_bytes, mib(10));
+        assert_eq!(serving.step().defrag_reclaimed, 0, "no byte goes back");
         // The next arrival, of another shape, reuses the bytes.
         let u = serving.offer(mib(64)).tenant().unwrap();
         let c = serving.alloc(u, mib(8)).unwrap();
@@ -857,7 +908,7 @@ mod tests {
         }
         serving.depart(t);
         serving.step();
-        assert_eq!(serving.defrag_stats().aggressive_passes, 1);
+        assert_eq!(serving.defrag_stats().aggressive_passes, 2, "depart, step");
         assert_eq!(serving.pool().stats().reserved_bytes, mib(140));
         // 220 MiB is more than the 40 MiB block plus the 116 MiB the
         // device has free: S4's top-up fails, S5 gives the whole cache
@@ -873,6 +924,78 @@ mod tests {
         assert_eq!(serving.pool().stats().oom_count, 0);
         assert_eq!(serving.serving_stats().tenants_evicted, 0);
         serving.free(u, big.id).unwrap();
+        lake(&serving, |l| l.validate()).unwrap();
+    }
+
+    #[test]
+    fn a_freed_stitched_view_is_gone_before_the_next_alloc() {
+        let (serving, driver) = serving_over(ServingConfig::new(mib(256)));
+        let t = serving.offer(mib(64)).tenant().unwrap();
+        // One 16 MiB reservation, split into A 4 | H 2 | B 6 | G 4.
+        let x = serving.alloc(t, mib(16)).unwrap();
+        serving.free(t, x.id).unwrap();
+        let [a, h, b, g] = [4, 2, 6, 4].map(|m| serving.alloc(t, mib(m)).unwrap());
+        serving.free(t, a.id).unwrap();
+        serving.free(t, b.id).unwrap();
+        // A and B are apart, so 10 MiB stitches them; H then goes idle
+        // between two referenced parts.
+        let v = serving.alloc(t, mib(10)).unwrap();
+        serving.free(t, h.id).unwrap();
+        assert_eq!(lake(&serving, |l| l.state_counters().stitches), 1);
+        let before = driver.stats();
+        let counters = lake(&serving, |l| l.state_counters());
+        // The view's free drops it, and A, H and B merge into 12 MiB.
+        serving.free(t, v.id).unwrap();
+        assert_eq!(
+            lake(&serving, |l| (l.sblock_count(), l.pblock_count())),
+            (0, 2)
+        );
+        // The next 10 MiB request splits the merged piece: no map, no
+        // access call.
+        let c = serving.alloc(t, mib(10)).unwrap();
+        let after = lake(&serving, |l| l.state_counters());
+        assert_eq!((after.single, after.stitches), (counters.single + 1, 1));
+        assert_eq!(driver.stats().map.calls, before.map.calls);
+        assert_eq!(driver.stats().set_access.calls, before.set_access.calls);
+        assert_eq!(serving.pool().stats().reserved_bytes, mib(16));
+        for id in [c.id, g.id] {
+            serving.free(t, id).unwrap();
+        }
+        lake(&serving, |l| l.validate()).unwrap();
+    }
+
+    #[test]
+    fn a_cross_stream_free_leaves_its_view_to_the_step() {
+        let (serving, driver) = serving_over(ServingConfig::new(mib(256)));
+        let t = serving.offer(mib(64)).tenant().unwrap();
+        let own = serving.usage(t).unwrap().stream;
+        let a = serving.alloc(t, mib(4)).unwrap();
+        let b = serving.alloc(t, mib(6)).unwrap();
+        serving.free(t, a.id).unwrap();
+        serving.free(t, b.id).unwrap();
+        assert_eq!(serving.defrag_stats().aggressive_passes, 2, "own stream");
+        let v = serving.alloc(t, mib(10)).unwrap();
+        // Another stream, with work in flight, frees the view: the core
+        // stamps its parts with that stream's event, and no pass runs, so
+        // nothing waits for the event on the host.
+        let other = StreamId(own.0 + 1);
+        driver.stream_launch(other, 1_000_000);
+        let before = driver.stats();
+        serving.free_from(t, v.id, other).unwrap();
+        assert_eq!(
+            driver.stats().event_record.calls,
+            before.event_record.calls + 1
+        );
+        assert_eq!(driver.stats().event_sync.calls, before.event_sync.calls);
+        assert_eq!(serving.defrag_stats().aggressive_passes, 2);
+        assert_eq!(lake(&serving, |l| l.sblock_count()), 1);
+        // Once the stream's work is done, the step retires the stamp and
+        // drops the view, still without a host wait.
+        driver.advance_clock(1_000_000);
+        serving.step();
+        assert_eq!(serving.defrag_stats().aggressive_passes, 3);
+        assert_eq!(lake(&serving, |l| l.sblock_count()), 0);
+        assert_eq!(driver.stats().event_sync.calls, before.event_sync.calls);
         lake(&serving, |l| l.validate()).unwrap();
     }
 

@@ -471,15 +471,21 @@ mod tests {
         // schedule went and every step began to run the pass: 192 steps,
         // 192 passes where the schedule ran 188 (it skipped steps 1-4,
         // before 8 tenants had arrived); the bytes are unchanged, because
-        // those early steps had nothing to give back.
+        // those early steps had nothing to give back. And once more when
+        // large frees and departures began to run the pass too: 35 046
+        // passes, the 192 steps' and 34 854 at large frees and departures.
+        // A reservation stranded below the 32 MiB limit now goes back at
+        // the free that strands it, where a later request of the same step
+        // could take it first, so more bytes go back (3 605 004 288 at
+        // 152d990; the cause is read off the release rule, not traced).
         assert_eq!(
             (
                 defrag.periodic_passes,
                 defrag.aggressive_passes,
                 defrag.bytes_reclaimed
             ),
-            (0, 192, 3_605_004_288),
-            "one pass per step on this seeded plan"
+            (0, 35_046, 15_521_021_952),
+            "a pass per step, per large free and per departure on this seeded plan"
         );
     }
 }
