@@ -45,15 +45,20 @@
 //! reclaim walk of [`GmLakeAllocator::release_cached`] (the OOM fallback)
 //! and `compact`, or on drop. The walk visits the *dirty* reservations in
 //! VA order, merges idle neighbours among their pieces (bookkeeping only)
-//! and returns those whose every piece is idle. A reservation turns dirty
-//! only where one of its pieces may have become idle or mergeable: an
-//! unreferenced pBlock's free, an inactive block losing its last view, a
-//! retired stamp, a split or a fresh `Alloc`. A view's parts are
+//! and returns those whose every piece is idle: all of them for
+//! `release_cached`; for `compact`, those whose pieces are all below its
+//! limit, `frag_limit` or the byte-weighted mean size of the large
+//! requests served (Σa²/Σa), whichever is larger. A reservation turns
+//! dirty only where one of its pieces may have become idle or mergeable:
+//! an unreferenced pBlock's free, an inactive block losing its last view,
+//! a retired stamp, a split or a fresh `Alloc`. A view's parts are
 //! referenced, so its free marks nothing; the teardown of its last view
 //! does. Every visited reservation leaves the set but one whose release
-//! faulted, so a `compact` over an unchanged pool visits none;
-//! `release_cached`, which spares nothing, first re-adds the fully idle
-//! reservations that `compact` spared.
+//! faulted and a wholly idle one that a stamp keeps in pieces. A wholly
+//! idle one-piece reservation that `compact` spares goes to a
+//! `(size, base)` index instead: a later `compact` whose limit has risen
+//! past its size, and every `release_cached`, move it back. So a
+//! `compact` over an unchanged pool, at an unchanged limit, visits none.
 //!
 //! # Hot-path data structures
 //!
@@ -309,9 +314,18 @@ pub struct GmLakeAllocator {
     /// Bases of the reservations the next reclaim walk visits: each may
     /// have a piece that became idle or mergeable since its last walk.
     /// Every other one has no two adjacent mergeable pieces, and either a
-    /// live or referenced piece or an idle one that `compact` spared, so a
-    /// `compact` walk would leave it as it is.
+    /// live or referenced piece or is in `spared`, so a `compact` walk at
+    /// the same limit would leave it as it is.
     dirty: BTreeSet<VirtAddr>,
+    /// Wholly idle one-piece reservations a `compact` walk spared, keyed
+    /// `(size, base)`. A later `compact` whose limit passes a size, and
+    /// every `release_cached`, move the entry back to `dirty`. An entry
+    /// may outlive its reservation's idleness; such a one costs one visit.
+    spared: BTreeSet<(u64, VirtAddr)>,
+    /// Σa and Σa² over the aligned sizes `a` of the large requests handed
+    /// out: their ratio is the byte-weighted mean request, which
+    /// `compact`'s limit follows (see [`Self::compact_limit`]).
+    served: (u128, u128),
     /// pBlocks keyed `(size, id)`: the inactive unreferenced ones, and every
     /// referenced one, active or not (see [`TieredPIndex`]).
     p_index: TieredPIndex,
@@ -389,6 +403,8 @@ impl GmLakeAllocator {
             dense: Dense::default(),
             reservations: BTreeMap::new(),
             dirty: BTreeSet::new(),
+            spared: BTreeSet::new(),
+            served: (0, 0),
             p_index: TieredPIndex::new(),
             s_by_size: IdMap::default(),
             lru: LruList::default(),
@@ -1075,6 +1091,7 @@ impl GmLakeAllocator {
     fn forget_reservation(&mut self, base: VirtAddr) {
         let r = self.reservations.remove(&base).expect("recorded");
         self.dirty.remove(&base);
+        self.spared.remove(&(r.size, base));
         for pid in r.pieces {
             debug_assert!(mergeable(&self.dense.p, pid), "busy piece");
             self.remove_pblock(pid);
@@ -1085,20 +1102,23 @@ impl GmLakeAllocator {
 
     /// The reclaim walk of `release_cached` and `compact`: one pass over the
     /// `d` dirty reservations in VA order, a lookup among all `r` each,
-    /// `O(d log r)` plus their pieces. Every other reservation has a live or referenced piece
-    /// and nothing to merge, so a walk over all of them would do no more
-    /// (`validate()` checks that). It merges each run of VA-adjacent
-    /// mergeable pieces into its first one — bookkeeping only, no driver
-    /// call — and then returns to the device every reservation whose pieces
-    /// are all inactive and unreferenced and each `releasable` by size.
-    /// Such a reservation stays dirty until it goes, so a faulted release is
-    /// retried; every other one leaves the set, one the predicate spares
-    /// included (`release_cached_impl` puts the spared ones back).
-    /// Returns the bytes released.
-    fn reclaim(&mut self, releasable: impl Fn(u64) -> bool) -> u64 {
+    /// `O(d log r)` plus their pieces. Every other reservation has a live
+    /// or referenced piece and nothing to merge, or is in `spared` (the
+    /// callers move back what their limit reaches), so a walk over all of
+    /// them would do no more (`validate()` checks that). It merges each run
+    /// of VA-adjacent mergeable pieces into its first one — bookkeeping
+    /// only, no driver call — and then returns to the device every
+    /// reservation whose pieces are all inactive and unreferenced and each
+    /// below `limit`. Such a reservation stays dirty until it goes, so a
+    /// faulted release is retried. A wholly idle one the limit spares goes
+    /// to `spared` if its pieces merged into one, and otherwise, kept apart
+    /// by a stamp, stays dirty until the stamp retires; every other one
+    /// leaves the set. Returns the bytes released.
+    fn reclaim(&mut self, limit: u64) -> u64 {
         bump(&self.work.reclaim_visits, self.dirty.len() as u64);
         let (pblocks, index) = (&mut self.pblocks, &mut self.p_index);
         let (reservations, flags) = (&mut self.reservations, &self.dense.p);
+        let spared = &mut self.spared;
         let mut doomed = Vec::new();
         self.dirty.retain(|&base| {
             let r = reservations.get_mut(&base).expect("dirty, so recorded");
@@ -1114,12 +1134,18 @@ impl GmLakeAllocator {
                 }
                 merge
             });
-            let spent = r.pieces.iter().all(|&pid| idle(flags[pid as usize]));
-            let doom = spent && r.pieces.iter().all(|&pid| releasable(pblocks[pid].size));
-            if doom {
-                doomed.push((base, r.size));
+            if !r.pieces.iter().all(|&pid| idle(flags[pid as usize])) {
+                return false;
             }
-            doom
+            if r.pieces.iter().all(|&pid| pblocks[pid].size < limit) {
+                doomed.push((base, r.size));
+                return true;
+            }
+            let whole = r.pieces.len() == 1;
+            if whole {
+                spared.insert((r.size, base));
+            }
+            !whole
         });
         let mut released = 0;
         for (base, size) in doomed {
@@ -1311,7 +1337,7 @@ impl GmLakeAllocator {
                 capacity: self.driver.capacity(),
             });
         };
-        match self.best_fit(aligned) {
+        let result = match self.best_fit(aligned) {
             BestFit::ExactS(sid) => {
                 self.counters.record(AllocState::ExactMatch);
                 self.emit(EventKind::StitchDecision, aligned, 1, 1);
@@ -1397,7 +1423,14 @@ impl GmLakeAllocator {
                     Ok(self.register_allocation(Target::S(sid), va, size, req.size))
                 }
             }
+        };
+        // A hand-out counts towards `compact`'s limit; a failure does not.
+        if result.is_ok() {
+            let a = u128::from(aligned);
+            self.served.0 += a;
+            self.served.1 += a * a;
         }
+        result
     }
 
     /// Maps a failed `Alloc` driver call: a genuine device OOM keeps its
@@ -1420,20 +1453,37 @@ impl GmLakeAllocator {
     /// pool's cached segments. Returns bytes of physical memory released.
     /// The view sweep visits the unassigned views; the reclaim walk visits
     /// the reservations dirtied since the last one, the teardowns' included,
-    /// and the fully idle ones, which a `compact` may have spared: finding
-    /// those is one `O(pieces)` scan, paid on this path alone.
+    /// and every one `compact` spared, all of `spared` moved back.
     fn release_cached_impl(&mut self) -> u64 {
         self.drop_unassigned_views();
-        let flags = &self.dense.p;
-        for (&base, r) in &self.reservations {
-            if r.pieces.iter().all(|&pid| idle(flags[pid as usize])) && self.dirty.insert(base) {
-                bump(&self.work.reclaim_marks, 1);
-            }
-        }
-        let mut released = self.reclaim(|_| true);
+        self.unspare(u64::MAX);
+        let mut released = self.reclaim(u64::MAX);
         released += self.small.release_cached();
         self.sync_reserved();
         released
+    }
+
+    /// Moves the entries of `spared` below `limit` back to the dirty set,
+    /// counted: a walk at `limit` may release them.
+    fn unspare(&mut self, limit: u64) {
+        let kept = self.spared.split_off(&(limit, VirtAddr::NULL));
+        for (_, base) in std::mem::replace(&mut self.spared, kept) {
+            if self.dirty.insert(base) {
+                bump(&self.work.reclaim_marks, 1);
+            }
+        }
+    }
+
+    /// `compact`'s release limit: `frag_limit`, or the byte-weighted mean
+    /// size of the large requests served so far (Σa²/Σa), if larger. A
+    /// reservation below it serves that traffic only as one part of a
+    /// stitch, so `compact` gives it back and the next S4 creates one of
+    /// the size the traffic asks for.
+    pub(crate) fn compact_limit(&self) -> u64 {
+        let (sum, squares) = self.served;
+        // The mean is at most the largest size counted, so it fits.
+        let mean = squares.checked_div(sum).unwrap_or(0) as u64;
+        self.config.frag_limit.max(mean)
     }
 
     /// Tears down every view not assigned to a tensor, in id order, and
@@ -1586,17 +1636,24 @@ impl GmLakeAllocator {
                 return Err(format!("reservation {base}: pieces end at {cursor}"));
             }
             listed += r.pieces.len();
-            // Outside the dirty set a reclaim walk would merge nothing. A
-            // clean, fully idle one was spared by `compact`, which would
-            // spare it again; `release_cached` re-adds it.
+            // Outside the dirty set a reclaim walk would merge nothing, and
+            // a wholly idle one is in `spared`, for the next pass whose limit
+            // passes its size.
             let mergeable = |&pid: &PBlockId| mergeable(&self.dense.p, pid);
-            if !self.dirty.contains(base) && r.pieces.windows(2).any(|w| w.iter().all(mergeable)) {
+            let spent = r.pieces.iter().all(|&pid| idle(self.dense.p[pid as usize]));
+            let spared = self.spared.contains(&(r.size, *base));
+            if !self.dirty.contains(base)
+                && (r.pieces.windows(2).any(|w| w.iter().all(mergeable)) || spent && !spared)
+            {
                 return Err(format!("clean reservation {base} needs a walk"));
             }
         }
         let recorded = |base: &VirtAddr| self.reservations.contains_key(base);
-        if !self.dirty.iter().all(recorded) {
-            return Err("a dirty reservation is not recorded".to_owned());
+        let sized = |(size, base): &(u64, VirtAddr)| {
+            self.reservations.get(base).is_some_and(|r| r.size == *size)
+        };
+        if !self.dirty.iter().all(recorded) || !self.spared.iter().all(sized) {
+            return Err("a dirty or spared reservation is not recorded".to_owned());
         }
         if listed != self.pblocks.len() {
             return Err(format!(
@@ -1935,29 +1992,36 @@ impl AllocatorCore for GmLakeAllocator {
     ///    view kept here would pin its parts apart for a shape that may
     ///    never recur. The sweep reads the eviction list, and the parked
     ///    lists only when a view is parked, never the assigned views.
-    /// 2. **Dead-fragment release** — the reclaim walk merges idle
+    /// 2. **Undersized release** — the reclaim walk merges idle
     ///    neighbours, then returns every reservation whose remaining
-    ///    pieces are all idle and smaller than the fragmentation limit.
-    ///    Such pieces are excluded from stitching by the §4.2.3 robustness
-    ///    rule, so short of an improbable exact match they are stranded
-    ///    capacity. Pieces at or above the limit stay reserved: the lake
-    ///    goes back to the driver only through the S5 fallback or an
-    ///    explicit `release_cached`. The walk visits only the reservations
-    ///    dirtied since the last one (step 1's included), and one it spares
-    ///    for a piece at or above the limit leaves the dirty set, so a
-    ///    second pass over an unchanged pool visits none.
+    ///    pieces are all idle and below the limit: `frag_limit`, or the
+    ///    byte-weighted mean size of the large requests handed out so far
+    ///    (Σa²/Σa over their aligned sizes), whichever is larger. A piece
+    ///    below `frag_limit` is kept out of stitching by the §4.2.3
+    ///    robustness rule, so short of an improbable exact match it is
+    ///    stranded capacity. A piece below the mean request serves that
+    ///    traffic only as one part of a stitch, one mapping and one access
+    ///    call per part; given back, its bytes return as one contiguous
+    ///    reservation at the next S4. Pieces at or above the limit stay
+    ///    reserved for the next requests. The walk visits only the
+    ///    reservations dirtied since the last one (step 1's included) and
+    ///    the spared ones the limit has risen past; one it spares leaves
+    ///    the dirty set, so a second pass over an unchanged pool at an
+    ///    unchanged limit visits none.
     ///
     /// A pass costs what changed since the last one: `O(u)` teardowns for
-    /// the `u` unassigned views and a walk over the `d` dirty reservations,
-    /// with nothing scanned when both are empty. That is what lets a caller
-    /// run it at every large free rather than once per step.
+    /// the `u` unassigned views and a walk over the `d` dirty reservations
+    /// and the spared ones below the limit, with nothing scanned when those
+    /// are empty. That is what lets a caller run it at every large free
+    /// rather than once per step.
     ///
     /// Returns the physical bytes released (structure GC frees only virtual
     /// address space, which is unmetered).
     fn compact(&mut self) -> u64 {
         self.counters.evictions += self.drop_unassigned_views();
-        let frag_limit = self.config.frag_limit;
-        let released = self.reclaim(|size| size < frag_limit);
+        let limit = self.compact_limit();
+        self.unspare(limit);
+        let released = self.reclaim(limit);
         self.sync_reserved();
         self.emit(EventKind::Defrag, released, 0, 0);
         released
@@ -2066,7 +2130,7 @@ impl GmLakeAllocator {
     pub(crate) fn reference_reclaim(&self, compact: bool) -> Vec<(VirtAddr, u64)> {
         let kept = |sid: &SBlockId| self.sblocks[*sid].assigned_to.is_some();
         let limit = if compact {
-            self.config.frag_limit
+            self.compact_limit()
         } else {
             u64::MAX
         };

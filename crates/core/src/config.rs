@@ -22,6 +22,13 @@ pub struct GmLakeConfig {
     /// low (4 MiB) to minimize whole-block internal waste, and sweep the
     /// knob in `repro ablation-frag-limit` to show the trade-off the paper
     /// describes (§4.2.3).
+    ///
+    /// It is also the floor of `compact`'s release limit: a `compact` pass
+    /// gives back a wholly idle reservation whose pieces are all below
+    /// this or below the byte-weighted mean size of the large requests
+    /// served so far, whichever is larger. Of the workspace's layers only
+    /// serving runs `compact`; the S5 fallback and `release_cached` give
+    /// back every wholly idle reservation whatever its size.
     pub frag_limit: u64,
     /// Maximum number of cached sBlock structures before the LRU
     /// `StitchFree` pass evicts inactive ones (§3.3.2). The paper notes

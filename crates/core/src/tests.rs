@@ -764,7 +764,7 @@ fn deallocate_is_cheap_no_driver_calls() {
 }
 
 #[test]
-fn compact_drops_every_unassigned_view_and_keeps_the_lake() {
+fn compact_drops_every_unassigned_view_and_returns_its_undersized_parts() {
     // The 4 MiB default limit: the 4 and 6 MiB pieces are at or above it.
     let mut l = lake_with(DeviceConfig::small_test(), GmLakeConfig::default());
     // Build a cached stitched view: 4 + 6 freed, 10 stitched, then freed.
@@ -780,20 +780,104 @@ fn compact_drops_every_unassigned_view_and_keeps_the_lake() {
     assert_eq!(l.sblock_count(), 1, "the assigned view survives");
     assert_eq!(l.state_counters().evictions, 0);
     // Freed, the view is ready (every part inactive): the pass drops it
-    // all the same, counts it, and keeps its bytes reserved.
+    // all the same and counts it. Its parts are smaller than the requests
+    // served, whose byte-weighted mean is (16 + 36 + 100) / 20 = 7.6 MiB,
+    // so both reservations go back.
     l.deallocate(c.id).unwrap();
-    assert_eq!(l.compact(), 0, "no piece is below the limit");
+    assert_eq!(l.compact(), mib(10), "both parts are below the mean");
     l.validate().unwrap();
     assert_eq!(l.sblock_count(), 0, "the ready view is dropped");
     assert_eq!(l.state_counters().evictions, 1);
-    assert_eq!(l.reserved_physical(), mib(10), "the lake is kept");
+    assert_eq!((l.reserved_physical(), l.pblock_count()), (0, 0));
     assert_eq!(l.stats().reserved_bytes, l.driver().phys_in_use());
-    // The next request of that size is served from the lake.
-    let creates = l.driver().stats().create.calls;
+    // The next request of that size gets one reservation of its own: no
+    // stitch, and so one map and one access call.
+    let before = l.driver().stats();
     let d = l.allocate(AllocRequest::new(mib(10))).unwrap();
-    assert_eq!(l.driver().stats().create.calls, creates, "no mem_create");
+    let after = l.driver().stats();
+    assert_eq!(after.create.calls - before.create.calls, 1);
+    assert_eq!(after.map.calls - before.map.calls, 1);
+    assert_eq!(after.set_access.calls - before.set_access.calls, 1);
+    assert_eq!(l.state_counters().stitches, 1, "no second stitch");
     assert_eq!(l.reserved_physical(), mib(10));
     l.deallocate(d.id).unwrap();
+    l.validate().unwrap();
+}
+
+/// `compact`'s limit is the byte-weighted mean of the large requests
+/// served, Σa²/Σa, when that is above `frag_limit`: an idle reservation
+/// below it goes back, one at or above it stays.
+#[test]
+fn compact_returns_idle_reservations_below_the_mean_request_and_keeps_the_rest() {
+    let freed = |sizes: &[u64]| {
+        let mut l = lake();
+        let held: Vec<_> = sizes
+            .iter()
+            .map(|&m| l.allocate(AllocRequest::new(mib(m))).unwrap())
+            .collect();
+        for a in held {
+            l.deallocate(a.id).unwrap();
+        }
+        l
+    };
+    // Two requests of 12 MiB: the mean is 12 MiB, and a reservation at the
+    // limit stays.
+    let mut l = freed(&[12, 12]);
+    assert_eq!(l.compact(), 0);
+    assert_eq!(l.reserved_physical(), mib(24));
+    l.validate().unwrap();
+    // 8, 24 and 40 MiB: the mean is (64 + 576 + 1600) / 72 = 31.1 MiB, so
+    // the 8 and 24 MiB reservations go back and the 40 MiB one stays.
+    let mut l = freed(&[8, 24, 40]);
+    let before = l.driver().stats();
+    assert_eq!(l.compact(), mib(32));
+    assert_eq!(l.driver().stats().release.calls - before.release.calls, 2);
+    assert_eq!(l.reserved_physical(), mib(40));
+    assert_eq!(l.stats().reserved_bytes, l.driver().phys_in_use());
+    l.validate().unwrap();
+    // A second pass finds nothing more.
+    assert_eq!(l.compact(), 0);
+}
+
+/// A request that is not handed out — one too large to align, or one the
+/// device cannot hold even after the S5 fallback — leaves `compact`'s
+/// limit where it was.
+#[test]
+fn a_refused_request_leaves_the_compact_limit_unchanged() {
+    let mut l = lake();
+    let a = l.allocate(AllocRequest::new(mib(8))).unwrap();
+    assert_eq!(l.compact_limit(), mib(8));
+    for size in [mib(512), u64::MAX] {
+        let err = l.allocate(AllocRequest::new(size)).unwrap_err();
+        assert!(matches!(err, AllocError::OutOfMemory { .. }), "{err}");
+        assert_eq!(l.compact_limit(), mib(8), "a {size} B refusal counted");
+    }
+    // So the 8 MiB reservation sits at the limit, and stays.
+    l.deallocate(a.id).unwrap();
+    assert_eq!(l.compact(), 0);
+    assert_eq!(l.reserved_physical(), mib(8));
+    l.validate().unwrap();
+}
+
+/// Squares of sizes near an 80 GiB device's capacity pass `u64`; the
+/// figure is kept wide enough that the limit stays exact.
+#[test]
+fn the_compact_limit_holds_sizes_near_device_capacity() {
+    use gmlake_alloc_api::gib;
+    let dev = DeviceConfig::small_test()
+        .with_capacity(gib(80))
+        .with_backing(false);
+    let mut l = lake_with(dev, test_config());
+    let big = l.allocate(AllocRequest::new(gib(72))).unwrap();
+    let small = l.allocate(AllocRequest::new(gib(4))).unwrap();
+    // (72² + 4²) / 76 GiB, to the byte.
+    let square = |n: u64| u128::from(gib(n)).pow(2);
+    let expected = (square(72) + square(4)) / u128::from(gib(76));
+    assert_eq!(u128::from(l.compact_limit()), expected);
+    l.deallocate(big.id).unwrap();
+    l.deallocate(small.id).unwrap();
+    assert_eq!(l.compact(), gib(4), "only the 4 GiB one is below the mean");
+    assert_eq!(l.reserved_physical(), gib(72));
     l.validate().unwrap();
 }
 
@@ -1229,19 +1313,23 @@ mod golden {
     /// Re-pinned again when `compact` came to drop every unassigned view,
     /// ready ones too: the programs' `Compact` steps now clear the ready
     /// views, so later requests of those sizes split or stitch instead of
-    /// matching exactly.
-    const DECISIONS: [u64; 2] = [908_418_255_905_761_633, 7_849_709_493_241_644_612];
+    /// matching exactly. And once more when `compact`'s limit came to follow
+    /// the byte-weighted mean of the requests served: the programs'
+    /// `Compact` steps now give back idle reservations below it, so later
+    /// requests create memory where they would have stitched or split.
+    const DECISIONS: [u64; 2] = [5_885_399_393_657_257_592, 1_286_563_970_032_802_783];
 
     /// Re-pinned with `DECISIONS`, for the same reason, and once more,
     /// alone, when an exact view match stopped preferring a view last held
     /// by the requesting stream: the second program's stream-aware hand-outs
     /// get the lowest-id view of the size, so the same decisions hand out
     /// other VAs. Re-pinned with `DECISIONS` when `compact` came to drop
-    /// ready views.
+    /// ready views, and again when its limit came to follow the mean
+    /// request.
     const TRAFFIC: [u64; 3] = [
-        15_133_034_386_876_387_925,
-        16_099_030_523_161_893_782,
-        406_234_800_050_578_568,
+        5_371_864_989_839_870_010,
+        10_401_024_861_896_174_529,
+        16_351_293_691_435_686_063,
     ];
 
     fn fnv(hash: &mut u64, bytes: &[u8]) {
@@ -1310,8 +1398,9 @@ mod golden {
     /// programs above an S3 always splits its last candidate, so no view
     /// maps more than its request, and neither hash above saw that change.
     /// This one moved with it, and again with `DECISIONS` when `compact`
-    /// came to drop ready views.
-    const DEFAULT_LIMIT_DECISIONS: u64 = 6_534_787_480_339_905_988;
+    /// came to drop ready views, and with `DECISIONS` when `compact`'s limit
+    /// came to follow the mean request.
+    const DEFAULT_LIMIT_DECISIONS: u64 = 6_906_720_670_998_706_022;
 
     #[test]
     fn default_limit_decisions_match_the_recorded_hash() {
@@ -1459,15 +1548,15 @@ fn s1_flip_cost_is_bounded_by_sharing_and_flat_over_iterations() {
 }
 
 /// The reclaim walk visits only what changed since the last one: once every
-/// reservation holds a live piece, a second `compact` visits none, and one
-/// the fragmentation limit spares stays dirty, visited by every pass until
-/// it goes.
+/// reservation holds a live piece, a second `compact` visits none, and a
+/// wholly idle one the limit spares is not visited again while the limit
+/// stays put.
 #[test]
 fn a_second_compact_over_an_unchanged_pool_visits_no_reservation() {
     let cfg = GmLakeConfig::default().with_frag_limit(mib(6));
     let mut l = lake_with(DeviceConfig::small_test(), cfg);
     let a = l.allocate(AllocRequest::new(mib(16))).unwrap();
-    let b = l.allocate(AllocRequest::new(mib(8))).unwrap();
+    let b = l.allocate(AllocRequest::new(mib(24))).unwrap();
     l.deallocate(a.id).unwrap();
     // Two S2 splits cut A into 4 | 4 | 8; the middle frees.
     let head = l.allocate(AllocRequest::new(mib(4))).unwrap();
@@ -1483,21 +1572,60 @@ fn a_second_compact_over_an_unchanged_pool_visits_no_reservation() {
     assert_eq!(visits(&mut l), 2, "both reservations changed");
     assert_eq!(l.pblock_count(), 3, "A's idle tail merged");
     assert_eq!(visits(&mut l), 0, "nothing changed since");
-    // B goes idle, but its 8 MiB piece is above the limit: the walk spares
-    // it, and a spared reservation leaves the dirty set.
+    // B goes idle, but its 24 MiB piece is above the limit, the mean
+    // request of (256 + 576 + 16 + 16) / 48 = 18 MiB: the walk spares it,
+    // and a spared reservation leaves the dirty set.
     l.deallocate(b.id).unwrap();
+    assert_eq!(l.compact_limit(), mib(18));
     assert_eq!(visits(&mut l), 1);
     assert_eq!(visits(&mut l), 0, "a spared reservation is not re-walked");
     // `release_cached` spares nothing: it puts B back and releases it, and
     // leaves A, whose head is live.
     let before = l.work_counters();
-    assert_eq!(l.release_cached(), mib(8));
+    assert_eq!(l.release_cached(), mib(24));
     assert_eq!(work_since(&l, before).reclaim_visits, 1);
     l.deallocate(head.id).unwrap();
     let before = l.work_counters();
     assert_eq!(l.release_cached(), mib(16));
     assert_eq!(work_since(&l, before).reclaim_visits, 1);
     assert!(l.driver().snapshot().is_quiescent());
+    l.validate().unwrap();
+}
+
+/// A wholly idle reservation a pass spared goes back at the first pass
+/// whose limit has risen past it, in one visit: the rise moves it from the
+/// spared index back into the walk.
+#[test]
+fn a_spared_reservation_goes_back_once_the_mean_request_passes_it() {
+    let mut l = lake();
+    let x = l.allocate(AllocRequest::new(mib(16))).unwrap();
+    let y = l.allocate(AllocRequest::new(mib(32))).unwrap();
+    // 24 hand-outs of one 2 MiB block keep the mean low: 1 376 / 96 MiB.
+    for _ in 0..24 {
+        let a = l.allocate(AllocRequest::new(mib(2))).unwrap();
+        l.deallocate(a.id).unwrap();
+    }
+    l.deallocate(x.id).unwrap();
+    l.deallocate(y.id).unwrap();
+    let limit = l.compact_limit();
+    assert!(mib(14) < limit && limit < mib(16), "{limit}");
+    // The 2 MiB reservation goes back; X and Y are spared.
+    assert_eq!(l.compact(), mib(2));
+    let before = l.work_counters();
+    assert_eq!(l.compact(), 0);
+    assert_eq!(work_since(&l, before).reclaim_visits, 0);
+    // 24 MiB is an S2 split of Y, and lifts the mean past X's 16 MiB.
+    let z = l.allocate(AllocRequest::new(mib(24))).unwrap();
+    assert_eq!(l.state_counters().single, 1);
+    assert!(l.compact_limit() > mib(16));
+    // The pass visits X, out of the index, and Y, dirtied by the split,
+    // and gives back X alone.
+    let before = l.work_counters();
+    assert_eq!(l.compact(), mib(16));
+    assert_eq!(work_since(&l, before).reclaim_visits, 2);
+    assert_eq!(l.reserved_physical(), mib(32));
+    l.validate().unwrap();
+    l.deallocate(z.id).unwrap();
     l.validate().unwrap();
 }
 
@@ -1508,17 +1636,18 @@ fn a_second_compact_over_an_unchanged_pool_visits_no_reservation() {
 fn a_split_before_a_faulted_stitch_leaves_its_reservation_dirty() {
     use gmlake_gpu_sim::{FaultOp, FaultPlan};
     let mut l = lake();
-    let b = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    let b = l.allocate(AllocRequest::new(mib(14))).unwrap();
     let a = l.allocate(AllocRequest::new(mib(16))).unwrap();
     l.deallocate(a.id).unwrap();
-    // A is 8 live | 8 idle, and clean after the walk.
+    // A is 8 live | 8 idle, and clean after the walk, which keeps B: 14 MiB
+    // is above the mean request, (196 + 256 + 64) / 38 = 13.6 MiB.
     let head = l.allocate(AllocRequest::new(mib(8))).unwrap();
     l.deallocate(b.id).unwrap();
-    l.compact();
-    // 14 MiB stitches [10, 8] and splits A's idle 8 into 4 | 4 first.
+    assert_eq!(l.compact(), 0);
+    // 18 MiB stitches [14, 4] and splits A's idle 8 into 4 | 4 first.
     l.driver()
         .set_fault_plan(FaultPlan::new().fail_nth(FaultOp::Map, 1));
-    let err = l.allocate(AllocRequest::new(mib(14))).unwrap_err();
+    let err = l.allocate(AllocRequest::new(mib(18))).unwrap_err();
     assert!(matches!(err, AllocError::DriverFault { .. }), "{err}");
     assert_eq!((l.state_counters().splits, l.pblock_count()), (2, 4));
     l.validate().unwrap();
@@ -1771,10 +1900,10 @@ fn validate_checks_the_dense_state() {
 fn active_part_leaves_the_index_when_its_last_view_is_torn_down() {
     let mut l = lake();
     let a = l.allocate(AllocRequest::new(mib(4))).unwrap();
-    let b = l.allocate(AllocRequest::new(mib(6))).unwrap();
+    let b = l.allocate(AllocRequest::new(mib(12))).unwrap();
     l.deallocate(a.id).unwrap();
     l.deallocate(b.id).unwrap();
-    let v = l.allocate(AllocRequest::new(mib(10))).unwrap();
+    let v = l.allocate(AllocRequest::new(mib(16))).unwrap();
     assert_eq!(l.state_counters().stitches, 1, "V stitches both blocks");
     l.deallocate(v.id).unwrap();
     l.validate().unwrap();
@@ -1787,11 +1916,12 @@ fn active_part_leaves_the_index_when_its_last_view_is_torn_down() {
     assert_eq!(work_since(&l, before).index_ops, 0);
     l.validate().unwrap();
     l.assert_bestfit_agrees(mib(4));
-    l.assert_bestfit_agrees(mib(6));
+    l.assert_bestfit_agrees(mib(12));
     // V is blocked, so compact destroys it: `a` leaves the index (one
     // remove), `b` moves to the unreferenced tier (a remove and an insert).
+    // `b` stays: 12 MiB is the mean request, (16 + 144 + 256 + 16) / 36.
     let before = l.work_counters();
-    assert_eq!(l.compact(), 0, "nothing idle below the fragmentation limit");
+    assert_eq!(l.compact(), 0, "nothing idle below the limit");
     assert_eq!(l.sblock_count(), 0);
     assert_eq!(work_since(&l, before).index_ops, 3);
     l.validate().unwrap();

@@ -25,8 +25,10 @@
 //!   one, and every [`ServingService::step`] retire the pool's completed
 //!   event stamps and compact it ([`DefragStats`] counts the passes).
 //!   Over GMLake a compaction drops the freed stitched views, so their
-//!   parts merge with idle neighbours before the next request, and keeps
-//!   the physical memory for it. The pass needs no schedule of its own:
+//!   parts merge with idle neighbours before the next request, gives
+//!   back the idle reservations smaller than the mean request served,
+//!   and keeps the rest of the physical memory for the next requests.
+//!   The pass needs no schedule of its own:
 //!   GMLake defragments inside the allocator, a pass costs only what
 //!   changed since the last one, and training pools run no pass at all.
 //!

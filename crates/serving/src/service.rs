@@ -163,8 +163,9 @@ struct ServingInner {
 /// * **defrag** — a free of a block at or above [`SMALL_THRESHOLD`], a
 ///   departure that frees one, and every step retire the pool's completed
 ///   event stamps and compact it: over GMLake the freed stitched views go
-///   at once, their parts merge with idle neighbours, and the physical
-///   memory stays for the next request.
+///   at once, their parts merge with idle neighbours, idle reservations
+///   smaller than the mean request served go back to the driver, and the
+///   rest of the physical memory stays for the next request.
 ///
 /// Cloning is cheap and shares the service. All methods take `&self`.
 ///
@@ -861,8 +862,16 @@ mod tests {
     #[test]
     fn a_departure_drops_its_views_and_keeps_the_lake() {
         let (serving, driver) = serving_over(ServingConfig::new(mib(256)));
-        // A tenant holds a stitched 10 MiB view over 4 + 6 MiB, each freed
-        // part having run a pass.
+        // Tenant U's 50 hand-outs of one 2 MiB block keep the mean request
+        // low, and U holds the block.
+        let u = serving.offer(mib(16)).tenant().unwrap();
+        for _ in 0..49 {
+            let a = serving.alloc(u, mib(2)).unwrap();
+            serving.free(u, a.id).unwrap();
+        }
+        let pinned = serving.alloc(u, mib(2)).unwrap();
+        // Tenant T holds a stitched 10 MiB view over 4 + 6 MiB, each freed
+        // part having run a pass; the mean request is 352 / 120 MiB.
         let t = serving.offer(mib(64)).tenant().unwrap();
         let a = serving.alloc(t, mib(4)).unwrap();
         let b = serving.alloc(t, mib(6)).unwrap();
@@ -870,7 +879,53 @@ mod tests {
         serving.free(t, b.id).unwrap();
         serving.alloc(t, mib(10)).unwrap();
         assert_eq!(lake(&serving, |l| l.state_counters().stitches), 1);
-        // The departure's one pass drops the view and keeps its bytes.
+        // The departure's one pass drops the view and keeps its bytes: both
+        // parts are above the mean request.
+        let before = driver.stats();
+        serving.depart(t);
+        assert_eq!(
+            serving.defrag_stats(),
+            DefragStats {
+                periodic_passes: 0,
+                aggressive_passes: 52,
+                bytes_reclaimed: 0,
+            }
+        );
+        assert_eq!(driver.stats().release.calls, before.release.calls);
+        assert_eq!(lake(&serving, |l| l.sblock_count()), 0, "view dropped");
+        assert_eq!(serving.pool().stats().reserved_bytes, mib(12));
+        assert_eq!(serving.step().defrag_reclaimed, 0, "no byte goes back");
+        // The next arrival, of another shape, reuses the bytes.
+        let w = serving.offer(mib(64)).tenant().unwrap();
+        let c = serving.alloc(w, mib(8)).unwrap();
+        assert_eq!(c.size, mib(8));
+        assert_eq!(driver.stats().create.calls, before.create.calls);
+        assert_eq!(serving.pool().stats().reserved_bytes, mib(12));
+        serving.free(w, c.id).unwrap();
+        serving.free(u, pinned.id).unwrap();
+        lake(&serving, |l| l.validate()).unwrap();
+    }
+
+    #[test]
+    fn a_departure_gives_back_its_too_small_parts_at_its_pass() {
+        let (serving, driver) = serving_over(ServingConfig::new(mib(256)));
+        let t = serving.offer(mib(64)).tenant().unwrap();
+        // 4 then 6 MiB: the mean request is 52 / 10 = 5.2 MiB, so the pass
+        // at the 4 MiB free gives that reservation back, and the one at
+        // the 6 MiB free keeps it.
+        let a = serving.alloc(t, mib(4)).unwrap();
+        let b = serving.alloc(t, mib(6)).unwrap();
+        serving.free(t, a.id).unwrap();
+        assert_eq!(serving.defrag_stats().bytes_reclaimed, mib(4));
+        serving.free(t, b.id).unwrap();
+        assert_eq!(serving.pool().stats().reserved_bytes, mib(6));
+        // 10 MiB stitches the 6 MiB block with 4 fresh MiB; the mean is now
+        // 152 / 20 = 7.6 MiB.
+        serving.alloc(t, mib(10)).unwrap();
+        let counters = lake(&serving, |l| l.state_counters());
+        assert_eq!((counters.stitches, counters.insufficient), (1, 3));
+        // The departure's pass drops the view, and both its parts are below
+        // the mean: both reservations go back at that pass.
         let before = driver.stats();
         serving.depart(t);
         assert_eq!(
@@ -878,19 +933,17 @@ mod tests {
             DefragStats {
                 periodic_passes: 0,
                 aggressive_passes: 3,
-                bytes_reclaimed: 0,
+                bytes_reclaimed: mib(14),
             }
         );
-        assert_eq!(driver.stats().release.calls, before.release.calls);
-        assert_eq!(lake(&serving, |l| l.sblock_count()), 0, "view dropped");
-        assert_eq!(serving.pool().stats().reserved_bytes, mib(10));
-        assert_eq!(serving.step().defrag_reclaimed, 0, "no byte goes back");
-        // The next arrival, of another shape, reuses the bytes.
+        assert_eq!(driver.stats().release.calls - before.release.calls, 2);
+        assert_eq!(serving.pool().stats().reserved_bytes, 0);
+        // The next 10 MiB request gets one reservation of its size, with no
+        // stitch.
         let u = serving.offer(mib(64)).tenant().unwrap();
-        let c = serving.alloc(u, mib(8)).unwrap();
-        assert_eq!(c.size, mib(8));
-        assert_eq!(driver.stats().create.calls, before.create.calls);
-        assert_eq!(serving.pool().stats().reserved_bytes, mib(10));
+        let c = serving.alloc(u, mib(10)).unwrap();
+        assert_eq!(driver.stats().create.calls - before.create.calls, 1);
+        assert_eq!(lake(&serving, |l| l.state_counters().stitches), 1);
         serving.free(u, c.id).unwrap();
         lake(&serving, |l| l.validate()).unwrap();
     }
