@@ -857,7 +857,9 @@ impl DeviceAllocator {
     /// pass at every large free: without the flush, small-path misses
     /// fall 36 935 → 584, but 155 975 680 B sit parked at the peak
     /// (0 with it) and peak reserved rises 0.24 %, 43 308 285 952 →
-    /// 43 411 046 400 B, with stall unchanged to 0.1 %.
+    /// 43 411 046 400 B, with stall unchanged to 0.1 %. Flushing at the
+    /// serving step's pass only, not at the large-free passes, read stall
+    /// −0.15 %, peak +2 MiB and no measurable host time.
     pub fn compact(&self) -> u64 {
         self.flush();
         self.inner.core.lock().compact()

@@ -22,6 +22,9 @@ fn probe(cfg: TrainConfig) {
     if cfg.streams > 1 {
         label += &format!("/{}streams", cfg.streams);
     }
+    if cfg.seed != TrainConfig::new(cfg.model.clone(), cfg.strategies).seed {
+        label += &format!("/seed{}", cfg.seed);
+    }
     println!(
         "{:<28} conv={:<5} S1={:<6} S2={:<4} S3={:<5} S4={:<4} stitch={:<5} split={:<5} evict={:<5} alloc_ms={:<8.1} {}",
         label,
@@ -79,4 +82,14 @@ fn main() {
     // Offload's copy stream beside compute: the only row whose exact view
     // matches come from two streams, which share every cached view.
     probe(six(ModelSpec::opt_13b(), StrategySet::LRO).with_streams(2));
+    // Other trace seeds of the two rows that converge by iteration 2: a
+    // change to an S3 decision can move that edge either way at any seed.
+    for seed in 1..=5 {
+        probe(six(ModelSpec::opt_13b(), StrategySet::LR).with_seed(seed));
+        probe(
+            six(ModelSpec::opt_13b(), StrategySet::LRO)
+                .with_streams(2)
+                .with_seed(seed),
+        );
+    }
 }

@@ -10,7 +10,9 @@
 //! * **S3** multiple pBlocks — `Stitch` them into a new sBlock, splitting
 //!   the final candidate down to the request unless the remainder would
 //!   fall below `frag_limit`, in which case it is kept whole and the view
-//!   maps more than the request;
+//!   maps more than the request. Among unreferenced blocks the final
+//!   candidate is the smallest one kept whole this way, if one covers the
+//!   rest; only otherwise is it the next in descending order, split;
 //! * **S4** insufficient — `Alloc` a fresh reservation, stitching it with
 //!   whatever leftovers exist;
 //! * **S5** — out of memory: release every cached structure and retry
@@ -525,6 +527,12 @@ impl GmLakeAllocator {
     // ------------------------------------------------------------------
     // Internal machinery
     // ------------------------------------------------------------------
+
+    /// The remainder below which S2 and S3 keep a block whole rather than
+    /// split it.
+    fn keep_whole(&self) -> u64 {
+        self.config.frag_limit.max(self.chunk)
+    }
 
     /// `size` rounded up to whole chunks; `None` past `u64::MAX`.
     fn align_up(&self, size: u64) -> Option<u64> {
@@ -1304,6 +1312,7 @@ impl GmLakeAllocator {
     /// parked view is known blocked) and marking the parts of the available
     /// ones.
     fn best_fit(&mut self, aligned: u64) -> BestFit {
+        let limits = (self.config.frag_limit, self.keep_whole());
         let (dense, sblocks, work) = (&self.dense, &self.sblocks, &self.work);
         let (lru, marks) = (&self.lru, &mut self.available_parts);
         let views = self.s_by_size.get(&aligned).map_or(&[][..], Vec::as_slice);
@@ -1311,7 +1320,7 @@ impl GmLakeAllocator {
             aligned,
             views,
             &self.p_index,
-            self.config.frag_limit,
+            limits,
             |sid| Self::available(dense, sblocks, work, sid),
             |pid| Self::active_entry(dense, work, pid),
             move || {
@@ -1356,7 +1365,7 @@ impl GmLakeAllocator {
                 self.emit(EventKind::StitchDecision, aligned, 2, 1);
                 let block_size = self.pblocks[pid].size;
                 let remainder = block_size - aligned;
-                if remainder >= self.config.frag_limit.max(self.chunk) {
+                if remainder >= self.keep_whole() {
                     // Splitting reshapes the pool, so it counts against
                     // convergence.
                     self.iter_non_exact += 1;
@@ -1382,7 +1391,7 @@ impl GmLakeAllocator {
                     let rest_sum = sum - last_size;
                     let need = aligned - rest_sum;
                     debug_assert!(need > 0 && need <= last_size);
-                    if last_size - need >= self.config.frag_limit.max(self.chunk) {
+                    if last_size - need >= self.keep_whole() {
                         ids.push(self.split_pblock(last, need));
                     } else {
                         ids.push(last); // keep whole; sBlock will be oversized
@@ -1722,7 +1731,7 @@ impl GmLakeAllocator {
         // The size index: each list non-empty and strictly ascending, and
         // together every view once, under the request it was stitched for,
         // which it maps with less than a splittable remainder to spare.
-        let limit = self.config.frag_limit.max(self.chunk);
+        let limit = self.keep_whole();
         let fits = |s: &SBlock| s.size >= s.request && s.size - s.request < limit;
         let sized = |(&size, v): (&u64, &Vec<SBlockId>)| {
             let live = |&sid: &SBlockId| {
@@ -2093,6 +2102,7 @@ impl GmLakeAllocator {
             &indexes.available_views,
             &indexes.inactive_pblocks,
             self.config.frag_limit,
+            self.keep_whole(),
             |pid| self.stitch_cost(pid, |sid| self.scan_available(&self.sblocks[sid])),
         )
     }

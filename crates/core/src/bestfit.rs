@@ -31,6 +31,15 @@
 //! keeps the "tape" of cached sBlocks intact, which is what lets the
 //! allocator converge to the S1-only steady state the paper describes
 //! (§4.2.2).
+//!
+//! A second one closes an S3 walk. Algorithm 1 (lines 11-13) adds blocks
+//! from largest to smallest until they cover the request and splits the
+//! last one. In the unreferenced tier, the walk first probes for the
+//! smallest block that covers the rest with a remainder below the
+//! caller's keep-whole threshold, and closes with it, unsplit, if there is
+//! one. The larger block it would have split stays whole for a later S2
+//! or S1, with no driver call. The referenced tiers keep the plain
+//! descending walk.
 
 use std::collections::btree_set::Range;
 use std::collections::BTreeSet;
@@ -48,7 +57,11 @@ pub(crate) enum BestFit {
     Single(PBlockId),
     /// S3: multiple pBlocks, each smaller than the request, whose total
     /// size covers it. Ordered by descending size; the last entry is the
-    /// one a split may apply to. `sum` is their total size.
+    /// one a split may apply to. `sum` is their total size. When the walk
+    /// closes in the unreferenced tier, the last entry is the smallest
+    /// unreferenced candidate that covers the rest with a remainder below
+    /// the keep-whole threshold, so that it needs no split; only if none
+    /// does is it the next candidate in descending order, as in Algorithm 1.
     Multiple { ids: Vec<PBlockId>, sum: u64 },
     /// S4: all eligible inactive pBlocks together are too small. `ids` is
     /// the candidate list (possibly empty), `sum` their total size.
@@ -147,14 +160,18 @@ impl TieredPIndex {
 /// `available_parts` is called at most once, and only when an S3/S4 walk
 /// runs out of unreferenced blocks and finds an inactive referenced one: it
 /// returns, indexed by pBlock id, whether the block is part of an available
-/// view ([`StitchCost::ReferencedAvailable`]). Blocks smaller than
-/// `frag_limit` are skipped as *stitching candidates* (the robustness rule
-/// of §4.2.3) but still serve exact matches.
+/// view ([`StitchCost::ReferencedAvailable`]). `limits` is
+/// `(frag_limit, keep_whole)`. Blocks smaller than `frag_limit` are skipped
+/// as *stitching candidates* (the robustness rule of §4.2.3) but still
+/// serve exact matches. `keep_whole` is the remainder below which the
+/// caller keeps a stitch's last part whole instead of splitting it; an S3
+/// closed in the unreferenced tier takes the smallest block that stays
+/// whole under it (see [`BestFit::Multiple`]).
 pub(crate) fn best_fit_indexed<M: std::ops::Deref<Target = [bool]>>(
     bsize: u64,
     views: &[SBlockId],
     p_index: &TieredPIndex,
-    frag_limit: u64,
+    (frag_limit, keep_whole): (u64, u64),
     view_available: impl Fn(SBlockId) -> bool,
     is_active: impl Fn(PBlockId) -> bool,
     available_parts: impl FnOnce() -> M,
@@ -198,22 +215,31 @@ pub(crate) fn best_fit_indexed<M: std::ops::Deref<Target = [bool]>>(
     // cached views are blocked anyway, and only as a last resort blocks
     // belonging to a fully-inactive cached view (consuming those poisons a
     // ready exact-match candidate and is what sustains re-stitch limit
-    // cycles on periodic workloads). The inactive referenced blocks are
-    // walked once: blocked ones are taken as they come, available ones are
-    // set aside and follow in the same order — the reference's second and
-    // third pass.
+    // cycles on periodic workloads). Lines 11-13 would `Split` the
+    // unreferenced candidate that covers the rest; a smaller unreferenced
+    // block that covers it whole closes the stitch instead, so the larger
+    // one stays for a later S2. The inactive referenced blocks are walked
+    // once, in plain descending order: blocked ones are taken as they come,
+    // available ones are set aside and follow in the same order — the
+    // reference's second and third pass.
     let mut ids = Vec::new();
     let mut sum = 0u64;
+    for &(size, pid) in eligible(unref, frag_limit) {
+        let need = bsize - sum;
+        if size >= need {
+            let (size, pid) = whole_fit(unref, need, frag_limit, keep_whole).unwrap_or((size, pid));
+            ids.push(pid);
+            sum += size;
+            return BestFit::Multiple { ids, sum };
+        }
+        ids.push(pid);
+        sum += size;
+    }
     let mut take = |pid: PBlockId, size: u64| {
         ids.push(pid);
         sum += size;
         sum >= bsize
     };
-    for &(size, pid) in eligible(unref, frag_limit) {
-        if take(pid, size) {
-            return BestFit::Multiple { ids, sum };
-        }
-    }
     let mut referenced = eligible(referenced, frag_limit).filter(idle).peekable();
     if referenced.peek().is_some() {
         let available = available_parts();
@@ -244,6 +270,20 @@ fn larger(tier: &BTreeSet<(u64, PBlockId)>, size: u64) -> Range<'_, (u64, PBlock
     tier.range((size, u64::MAX)..)
 }
 
+/// The smallest stitching candidate of `tier` that covers `need`, if it
+/// exceeds `need` by less than `keep_whole`, so that the stitch keeps it
+/// whole. A descending walk has taken only blocks above the candidate that
+/// covers `need`, so this one is never among them.
+fn whole_fit(
+    tier: &BTreeSet<(u64, PBlockId)>,
+    need: u64,
+    frag_limit: u64,
+    keep_whole: u64,
+) -> Option<(u64, PBlockId)> {
+    let &(size, pid) = tier.range((need.max(frag_limit), 0)..).next()?;
+    (size - need < keep_whole).then_some((size, pid))
+}
+
 /// A tier's stitching candidates, largest first. Below `frag_limit` a block
 /// is too small to be worth stitching — and in descending order so are all
 /// behind it.
@@ -264,6 +304,7 @@ pub(crate) fn best_fit_reference(
     s_inactive: &BTreeSet<(u64, SBlockId)>,
     p_inactive: &BTreeSet<(u64, PBlockId)>,
     frag_limit: u64,
+    keep_whole: u64,
     stitch_cost: impl Fn(PBlockId) -> StitchCost,
 ) -> BestFit {
     debug_assert!(bsize > 0);
@@ -300,7 +341,9 @@ pub(crate) fn best_fit_reference(
         return BestFit::Single(pid);
     }
     // S3/S4: greedy accumulation in descending size order, one full pass per
-    // cost tier.
+    // cost tier. In the unreferenced pass, the candidate that covers the
+    // rest gives way to the smallest untaken unreferenced candidate that
+    // covers it with a remainder below `keep_whole`, if there is one.
     let mut ids = Vec::new();
     let mut sum = 0u64;
     let passes = [
@@ -317,6 +360,20 @@ pub(crate) fn best_fit_reference(
             if stitch_cost(pid) != pass {
                 continue;
             }
+            let need = bsize - sum;
+            let (size, pid) = if pass == StitchCost::Unreferenced && size >= need {
+                let whole = p_inactive.iter().find(|&&(s, p)| {
+                    s >= need.max(frag_limit)
+                        && stitch_cost(p) == StitchCost::Unreferenced
+                        && !ids.contains(&p)
+                });
+                match whole {
+                    Some(&(s, p)) if s - need < keep_whole => (s, p),
+                    _ => (size, pid),
+                }
+            } else {
+                (size, pid)
+            };
             ids.push(pid);
             sum += size;
             if sum >= bsize {
@@ -336,6 +393,13 @@ mod tests {
     }
 
     const NO_LIMIT: u64 = 0;
+
+    /// The remainder below which the caller keeps a stitch's last part
+    /// whole (the allocator's `frag_limit.max(chunk)`).
+    const KEEP_WHOLE: u64 = 32;
+
+    /// `(frag_limit, keep_whole)` with no limit.
+    const LIMITS: (u64, u64) = (NO_LIMIT, KEEP_WHOLE);
 
     /// No pBlock referenced by an sBlock.
     fn unreferenced(_: PBlockId) -> StitchCost {
@@ -392,14 +456,21 @@ mod tests {
             skips.set(skips.get() + hit as u64);
             hit
         };
-        let reference = best_fit_reference(bsize, s_inactive, p_inactive, frag_limit, stitch_cost);
+        let reference = best_fit_reference(
+            bsize,
+            s_inactive,
+            p_inactive,
+            frag_limit,
+            KEEP_WHOLE,
+            stitch_cost,
+        );
         let sized = s_inactive.range((bsize, 0)..=(bsize, u64::MAX));
         let views: Vec<SBlockId> = sized.map(|&(_, sid)| sid).collect();
         let indexed = best_fit_indexed(
             bsize,
             &views,
             &index,
-            frag_limit,
+            (frag_limit, KEEP_WHOLE),
             |_| true,
             is_active,
             || available,
@@ -480,12 +551,13 @@ mod tests {
     fn multiple_accumulates_descending() {
         let s = BTreeSet::new();
         let p = set(&[(60, 1), (50, 2), (40, 3), (30, 4)]);
-        // 60 + 50 = 110 >= 100: stop there.
+        // 60 first; the 50 would cover the last 40, but the 40 covers it
+        // whole, so 60 + 40 = 100 closes the stitch and the 50 stays.
         assert_eq!(
             best_fit(100, &s, &p, NO_LIMIT, unreferenced),
             BestFit::Multiple {
-                ids: vec![1, 2],
-                sum: 110
+                ids: vec![1, 3],
+                sum: 100
             }
         );
     }
@@ -588,16 +660,76 @@ mod tests {
 
     #[test]
     fn greedy_prefers_largest_blocks_first() {
-        // Greedy takes 90 then 80 (sum 170 >= 100) even though 60+40 would
-        // waste less. Linear-time greediness is the paper's efficiency
-        // argument (§4.2.2); exactness is restored by the post-split.
+        // Greedy takes 90 first even though 60 + 40 would waste less.
+        // Linear-time greediness is the paper's efficiency argument
+        // (§4.2.2). The last 10 closes with the 40, which a stitch keeps
+        // whole (30 to spare, below `KEEP_WHOLE`), not with a split of the
+        // 80: one range probe per S3.
         let s = BTreeSet::new();
         let p = set(&[(90, 1), (80, 2), (60, 3), (40, 4)]);
         assert_eq!(
             best_fit(100, &s, &p, NO_LIMIT, unreferenced),
             BestFit::Multiple {
+                ids: vec![1, 4],
+                sum: 130
+            }
+        );
+    }
+
+    #[test]
+    fn a_stitch_closes_with_the_smallest_block_that_fits_whole() {
+        let s = BTreeSet::new();
+        let p = set(&[(64, 1), (40, 2), (30, 3), (24, 4), (20, 5)]);
+        // 64 first; 24 is left, which the 24 covers exactly.
+        assert_eq!(
+            best_fit(88, &s, &p, NO_LIMIT, unreferenced),
+            BestFit::Multiple {
+                ids: vec![1, 4],
+                sum: 88
+            }
+        );
+        // Below `frag_limit` a block is no candidate, however well it fits:
+        // 64 + 30 = 94 closes it instead.
+        assert_eq!(
+            best_fit(88, &s, &p, 25, unreferenced),
+            BestFit::Multiple {
+                ids: vec![1, 3],
+                sum: 94
+            }
+        );
+    }
+
+    #[test]
+    fn without_a_whole_fit_the_next_largest_block_is_split() {
+        let s = BTreeSet::new();
+        let p = set(&[(90, 1), (80, 2), (60, 3)]);
+        // The smallest block covering the last 10 is the 60, which would
+        // leave 50, not below `KEEP_WHOLE`: close with the 80, as
+        // Algorithm 1 does, for the caller to split.
+        assert_eq!(
+            best_fit(100, &s, &p, NO_LIMIT, unreferenced),
+            BestFit::Multiple {
                 ids: vec![1, 2],
                 sum: 170
+            }
+        );
+    }
+
+    #[test]
+    fn a_referenced_tier_close_stays_in_descending_order() {
+        let s = BTreeSet::new();
+        let p = set(&[(60, 1), (50, 2), (30, 3)]);
+        let cost = |pid: PBlockId| match pid {
+            3 => StitchCost::Unreferenced,
+            _ => StitchCost::ReferencedBlocked,
+        };
+        // The unreferenced 30 leaves 50, which the referenced 50 would fit
+        // whole; the referenced walk takes the 60 all the same.
+        assert_eq!(
+            best_fit(80, &s, &p, NO_LIMIT, cost),
+            BestFit::Multiple {
+                ids: vec![3, 1],
+                sum: 90
             }
         );
     }
@@ -639,7 +771,7 @@ mod tests {
         let fit = |available: &[SBlockId]| {
             let none = || -> Vec<bool> { unreachable!("S1 and S4 on an empty pool ask nothing") };
             let ask = |sid| available.contains(&sid);
-            best_fit_indexed(100, &[1, 2, 3], &empty, NO_LIMIT, ask, |_| false, none)
+            best_fit_indexed(100, &[1, 2, 3], &empty, LIMITS, ask, |_| false, none)
         };
         assert_eq!(fit(&[2, 3, 4]), BestFit::ExactS(2), "lowest available id");
         let nothing = BestFit::Insufficient {
@@ -717,8 +849,9 @@ mod tests {
         index.insert(false, 30, 4);
         index.insert(true, 60, 1);
         let none = || -> Vec<bool> { unreachable!("no inactive referenced block") };
-        let indexed = best_fit_indexed(90, &[], &index, NO_LIMIT, |_| true, |pid| pid == 1, none);
-        let reference = best_fit_reference(90, &s, &set(&[(30, 4)]), NO_LIMIT, unreferenced);
+        let indexed = best_fit_indexed(90, &[], &index, LIMITS, |_| true, |pid| pid == 1, none);
+        let p = set(&[(30, 4)]);
+        let reference = best_fit_reference(90, &s, &p, NO_LIMIT, KEEP_WHOLE, unreferenced);
         assert_eq!(indexed, reference);
         assert_eq!(
             indexed,

@@ -348,6 +348,44 @@ fn s3_with_split_of_final_candidate() {
     l.validate().unwrap();
 }
 
+/// An S3 closes with the smallest idle block that covers the rest whole,
+/// not with a split of the next-largest, so that block stays whole for the
+/// next request of its size: an S1 hit with no driver call.
+#[test]
+fn a_stitch_closes_whole_and_leaves_the_larger_block_for_its_request() {
+    let mut l = lake();
+    let driver = l.driver().clone();
+    let held: Vec<_> = [64, 40, 24]
+        .map(|s| l.allocate(AllocRequest::new(mib(s))).unwrap())
+        .into();
+    for a in held {
+        l.deallocate(a.id).unwrap();
+    }
+    assert_eq!(driver.snapshot().reservations, 3);
+    // Need 88: 64 first, then the 24 covers the last 24 exactly; the 40
+    // is neither taken nor split.
+    let view = l.allocate(AllocRequest::new(mib(88))).unwrap();
+    let counters = l.state_counters();
+    assert_eq!(
+        (counters.multi, counters.stitches, counters.splits),
+        (1, 1, 0)
+    );
+    let before = driver.stats();
+    let b = l.allocate(AllocRequest::new(mib(40))).unwrap();
+    let after = driver.stats();
+    assert_eq!(after.map.calls - before.map.calls, 0, "zero map");
+    assert_eq!(
+        after.set_access.calls - before.set_access.calls,
+        0,
+        "zero set_access"
+    );
+    assert_eq!(l.state_counters().exact, counters.exact + 1);
+    assert_eq!(l.reserved_physical(), mib(128), "no new memory");
+    l.deallocate(b.id).unwrap();
+    l.deallocate(view.id).unwrap();
+    l.validate().unwrap();
+}
+
 /// At the default 4 MiB fragmentation limit an S3 keeps a final candidate
 /// whole rather than split off a 2 MiB remainder, so the view maps more
 /// than the request. It is filed under the request, so repeating the
@@ -1317,19 +1355,23 @@ mod golden {
     /// the byte-weighted mean of the requests served: the programs'
     /// `Compact` steps now give back idle reservations below it, so later
     /// requests create memory where they would have stitched or split.
-    const DECISIONS: [u64; 2] = [5_885_399_393_657_257_592, 1_286_563_970_032_802_783];
+    /// Re-pinned once more when an S3 came to close with the smallest
+    /// unreferenced block that it keeps whole, where one exists, instead of
+    /// splitting the next-largest: the programs' stitches take other parts.
+    const DECISIONS: [u64; 2] = [8_614_086_430_606_349_480, 8_582_670_581_258_979_513];
 
     /// Re-pinned with `DECISIONS`, for the same reason, and once more,
     /// alone, when an exact view match stopped preferring a view last held
     /// by the requesting stream: the second program's stream-aware hand-outs
     /// get the lowest-id view of the size, so the same decisions hand out
     /// other VAs. Re-pinned with `DECISIONS` when `compact` came to drop
-    /// ready views, and again when its limit came to follow the mean
-    /// request.
+    /// ready views, again when its limit came to follow the mean request,
+    /// and with `DECISIONS` when an S3 came to close with a block it keeps
+    /// whole.
     const TRAFFIC: [u64; 3] = [
-        5_371_864_989_839_870_010,
-        10_401_024_861_896_174_529,
-        16_351_293_691_435_686_063,
+        10_792_160_718_651_777_403,
+        15_825_752_746_008_814_267,
+        4_064_665_126_286_783_989,
     ];
 
     fn fnv(hash: &mut u64, bytes: &[u8]) {
@@ -1399,8 +1441,9 @@ mod golden {
     /// maps more than its request, and neither hash above saw that change.
     /// This one moved with it, and again with `DECISIONS` when `compact`
     /// came to drop ready views, and with `DECISIONS` when `compact`'s limit
-    /// came to follow the mean request.
-    const DEFAULT_LIMIT_DECISIONS: u64 = 6_906_720_670_998_706_022;
+    /// came to follow the mean request and when an S3 came to close with a
+    /// block it keeps whole.
+    const DEFAULT_LIMIT_DECISIONS: u64 = 2_689_607_314_373_061_062;
 
     #[test]
     fn default_limit_decisions_match_the_recorded_hash() {
