@@ -1,25 +1,17 @@
 //! Admission control: whether a device accepts a new tenant's quota
-//! commitment, and what happens when it is over committed capacity.
-
-use std::collections::VecDeque;
+//! commitment. One rule: an arrival that fits under the committed-quota
+//! ceiling is admitted; one that does not sheds idle tenants, oldest-idle
+//! first, until it fits, and is refused if shedding every idle tenant
+//! still leaves it over.
 
 use crate::tenant::TenantId;
 
-/// What to do with a tenant arrival that would push the device's
-/// committed quota past its limit.
+/// The name of serving's one admission rule. Kept because the benchmark
+/// package still states it through
+/// [`ServingConfig::with_policy`](crate::ServingConfig::with_policy); it
+/// retires at ROADMAP item 11(a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPolicy {
-    /// Refuse the arrival outright. The cheapest policy, and the only one
-    /// that never delays an answer — serving front-ends that can route the
-    /// job to another device want this.
-    Reject,
-    /// Park the arrival in a FIFO queue and retry it at every service
-    /// step, up to `max_wait_steps`; past that the arrival times out and
-    /// is refused.
-    Queue {
-        /// Steps an arrival may wait before timing out.
-        max_wait_steps: u64,
-    },
     /// Evict idle tenants (oldest-idle first, never active ones) until the
     /// arrival fits, then admit it; refuse if shedding every idle tenant
     /// still leaves the device over committed capacity.
@@ -32,13 +24,11 @@ pub enum AdmissionPolicy {
 pub enum AdmissionVerdict {
     /// The tenant is registered and may allocate.
     Admitted(TenantId),
-    /// The device refused the arrival (policy [`AdmissionPolicy::Reject`],
-    /// or [`AdmissionPolicy::Shed`] with nothing left to shed).
+    /// The device refused the arrival: nothing idle was left to shed.
     Rejected,
-    /// The arrival is queued; [`ServingService::step`] will admit it when
-    /// capacity frees, or time it out.
-    ///
-    /// [`ServingService::step`]: crate::ServingService::step
+    /// Never returned: serving queues no arrival. Kept because the
+    /// benchmark package still matches on it; it retires at ROADMAP item
+    /// 11(a).
     Queued,
     /// Idle tenants were shed to make room, then the tenant was admitted.
     AdmittedAfterShed(TenantId),
@@ -57,50 +47,32 @@ impl AdmissionVerdict {
 /// Cumulative admission-control counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
-    /// Arrivals admitted immediately (including dequeued ones).
+    /// Arrivals admitted (immediately or after a shed).
     pub admitted: u64,
-    /// Arrivals refused outright.
+    /// Arrivals refused.
     pub rejected: u64,
-    /// Arrivals parked in the queue at least once.
-    pub queued: u64,
-    /// Queued arrivals that timed out waiting.
-    pub queue_timeouts: u64,
     /// Arrivals admitted only after shedding idle tenants.
     pub shed_admits: u64,
-    /// Idle tenants evicted by the shed policy.
+    /// Idle tenants evicted to admit an arrival.
     pub tenants_shed: u64,
     /// Peak simultaneously-registered tenants.
     pub peak_tenants: u64,
 }
 
-/// One parked arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct QueuedArrival {
-    /// The quota the arrival asked to commit.
-    pub quota_bytes: u64,
-    /// The step the arrival was first queued at.
-    pub queued_at: u64,
-}
-
-/// Commitment-capacity bookkeeping plus the waiting queue. The controller
-/// decides *whether* an arrival fits; the
-/// [`ServingService`](crate::ServingService) owns the side effects
-/// (registering tenants, shedding, telemetry).
+/// Commitment-capacity bookkeeping. The controller decides *whether* an
+/// arrival fits; the [`ServingService`](crate::ServingService) owns the
+/// side effects (registering tenants, shedding, telemetry).
 #[derive(Debug)]
 pub(crate) struct AdmissionController {
     /// Committed-quota ceiling: device capacity × overcommit factor.
     pub limit_bytes: u64,
-    pub policy: AdmissionPolicy,
-    pub queue: VecDeque<QueuedArrival>,
     pub stats: AdmissionStats,
 }
 
 impl AdmissionController {
-    pub fn new(limit_bytes: u64, policy: AdmissionPolicy) -> Self {
+    pub fn new(limit_bytes: u64) -> Self {
         AdmissionController {
             limit_bytes,
-            policy,
-            queue: VecDeque::new(),
             stats: AdmissionStats::default(),
         }
     }
@@ -112,22 +84,6 @@ impl AdmissionController {
             .checked_add(quota_bytes)
             .is_some_and(|total| total <= self.limit_bytes)
     }
-
-    /// Drops queued arrivals older than `max_wait` steps, counting each as
-    /// a timeout; returns them for telemetry.
-    pub fn expire(&mut self, now_step: u64, max_wait: u64) -> Vec<QueuedArrival> {
-        let mut expired = Vec::new();
-        self.queue.retain(|q| {
-            if now_step.saturating_sub(q.queued_at) > max_wait {
-                expired.push(*q);
-                false
-            } else {
-                true
-            }
-        });
-        self.stats.queue_timeouts += expired.len() as u64;
-        expired
-    }
 }
 
 #[cfg(test)]
@@ -136,30 +92,11 @@ mod tests {
 
     #[test]
     fn fits_is_inclusive_at_the_limit() {
-        let c = AdmissionController::new(100, AdmissionPolicy::Reject);
+        let c = AdmissionController::new(100);
         assert!(c.fits(60, 40));
         assert!(!c.fits(60, 41));
         assert!(c.fits(0, 100));
         assert!(!c.fits(60, u64::MAX), "an overflowing sum never fits");
-    }
-
-    #[test]
-    fn expire_drops_only_overdue_arrivals_in_order() {
-        let mut c = AdmissionController::new(100, AdmissionPolicy::Queue { max_wait_steps: 5 });
-        c.queue.push_back(QueuedArrival {
-            quota_bytes: 10,
-            queued_at: 0,
-        });
-        c.queue.push_back(QueuedArrival {
-            quota_bytes: 20,
-            queued_at: 4,
-        });
-        let expired = c.expire(6, 5);
-        assert_eq!(expired.len(), 1);
-        assert_eq!(expired[0].quota_bytes, 10);
-        assert_eq!(c.queue.len(), 1);
-        assert_eq!(c.stats.queue_timeouts, 1);
-        assert_eq!(c.expire(6, 5).len(), 0, "idempotent at the same step");
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! * [`TenantRegistry`] — per-tenant byte quotas with exact two-phase
 //!   charge accounting (reserve before the pool call, settle the rounded
 //!   size after), live-allocation books, idle tracking;
-//! * [`AdmissionPolicy`] — arrivals commit quota against
-//!   `capacity × overcommit`; over the ceiling they are rejected, queued
-//!   with a bounded wait, or admitted by shedding idle tenants;
+//! * admission — arrivals commit quota against `capacity × overcommit`;
+//!   over the ceiling idle tenants are shed (oldest-idle first) until the
+//!   arrival fits, and it is refused if they cannot make room;
 //! * idle-tenant eviction — on an out-of-memory failure
 //!   [`ServingService::alloc`] drops *idle* tenants' working sets
 //!   (oldest-idle first) and retries once, before an active tenant can
@@ -38,9 +38,9 @@
 //! device is consulted.
 //!
 //! See `docs/serving.md` for the design narrative and
-//! `gmlake-workload`'s serving generator and replayer for the churn
-//! workloads built on top of this crate (the whole-system benchmark's
-//! `serve_churn` workload measures them).
+//! `gmlake-workload`'s serving plan generator for the churn workloads
+//! driven through this crate (the whole-system benchmark's `serve_churn`
+//! workload measures them).
 
 #![warn(missing_docs)]
 

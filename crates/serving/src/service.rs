@@ -1,7 +1,6 @@
 //! The multi-tenant serving front-end over one pool: quota-bracketed
-//! allocation, admission control, idle-tenant eviction on OOM, the defrag
-//! pass run at each large free, and the step that retries queued arrivals
-//! and compacts the pool.
+//! allocation, admission control, idle-tenant eviction on OOM, and the
+//! defrag pass run at each large free and at every step.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,13 +13,11 @@ use gmlake_alloc_api::{
 use gmlake_runtime::PoolHandle;
 use gmlake_telemetry::EventKind;
 
-use crate::admission::{
-    AdmissionController, AdmissionPolicy, AdmissionStats, AdmissionVerdict, QueuedArrival,
-};
+use crate::admission::{AdmissionController, AdmissionPolicy, AdmissionStats, AdmissionVerdict};
 use crate::tenant::{ChargeError, TenantId, TenantRegistry, TenantUsage};
 
 /// Sentinel tenant id in [`EventKind::TenantAdmission`] records for
-/// verdicts that never produced a tenant (rejected, queued, timed out).
+/// refused arrivals, which never produced a tenant.
 const NO_TENANT: u64 = u64::MAX;
 
 /// Configuration of a [`ServingService`].
@@ -33,10 +30,8 @@ pub struct ServingConfig {
     /// never overcommits; serving fleets typically run above it because
     /// tenants rarely peak together.
     pub overcommit: f64,
-    /// What happens to arrivals past the ceiling.
-    pub policy: AdmissionPolicy,
     /// Steps without allocation activity after which a tenant counts as
-    /// idle — eligible for OOM eviction and the shed policy (clamped
+    /// idle — eligible for OOM eviction and for shedding (clamped
     /// to at least 1 so a tenant mid-allocation is never idle).
     pub idle_after_steps: u64,
     /// Logical GPU streams to spread tenants across round-robin. Should
@@ -46,14 +41,12 @@ pub struct ServingConfig {
 }
 
 impl ServingConfig {
-    /// A config for a device of `capacity_bytes` with no overcommit, the
-    /// [`AdmissionPolicy::Reject`] policy, 4 streams and an 8-step idle
-    /// horizon.
+    /// A config for a device of `capacity_bytes` with no overcommit, 4
+    /// streams and an 8-step idle horizon.
     pub fn new(capacity_bytes: u64) -> Self {
         ServingConfig {
             capacity_bytes,
             overcommit: 1.0,
-            policy: AdmissionPolicy::Reject,
             idle_after_steps: 8,
             streams: 4,
         }
@@ -66,10 +59,11 @@ impl ServingConfig {
         self
     }
 
-    /// Sets the admission policy.
+    /// Changes nothing: [`AdmissionPolicy::Shed`] is the one admission
+    /// rule. Kept because the benchmark package still calls it; it
+    /// retires at ROADMAP item 11(a).
     #[must_use]
-    pub fn with_policy(mut self, policy: AdmissionPolicy) -> Self {
-        self.policy = policy;
+    pub fn with_policy(self, _policy: AdmissionPolicy) -> Self {
         self
     }
 
@@ -98,10 +92,6 @@ impl ServingConfig {
 pub struct StepOutcome {
     /// The step number just completed (1-based).
     pub step: u64,
-    /// Queued arrivals admitted this step.
-    pub dequeued: u64,
-    /// Queued arrivals that timed out this step.
-    pub timed_out: u64,
     /// Bytes this step's own defrag pass gave back to the driver.
     pub defrag_reclaimed: u64,
 }
@@ -123,7 +113,8 @@ pub struct ServingStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DefragStats {
     /// Always 0: the one kind of pass counts in `aggressive_passes`. Kept
-    /// because the benchmark package still reads it.
+    /// because the benchmark package still reads it; it retires at ROADMAP
+    /// item 11(a).
     pub periodic_passes: u64,
     /// Passes run (`process_events` + `compact`): one per step, and one
     /// per large free or departure.
@@ -154,9 +145,9 @@ struct ServingInner {
 ///   [`AllocError::QuotaExceeded`], never a device-level OOM that would
 ///   punish its neighbours;
 /// * **admission** — arrivals commit their quota against
-///   `capacity × overcommit`; past the ceiling they are rejected, queued
-///   (bounded wait), or admitted by shedding idle tenants
-///   ([`AdmissionPolicy`]);
+///   `capacity × overcommit`; past the ceiling idle tenants are shed,
+///   oldest-idle first, until the arrival fits, and it is refused if they
+///   cannot make room;
 /// * **eviction** — a real OOM first drops *idle* tenants' working sets
 ///   (oldest-idle first) and retries once, before the failure can reach
 ///   an active tenant;
@@ -198,7 +189,7 @@ impl ServingService {
     pub fn new(pool: PoolHandle, cfg: ServingConfig) -> Self {
         let inner = Arc::new(ServingInner {
             registry: TenantRegistry::new(cfg.streams),
-            admission: Mutex::new(AdmissionController::new(cfg.limit_bytes(), cfg.policy)),
+            admission: Mutex::new(AdmissionController::new(cfg.limit_bytes())),
             step: AtomicU64::new(0),
             defrag: Mutex::new(DefragStats::default()),
             evictions: Mutex::new(ServingStats::default()),
@@ -214,9 +205,10 @@ impl ServingService {
     }
 
     /// Offers a tenant arrival committing `quota_bytes`. Fits are
-    /// admitted immediately; past the ceiling the configured
-    /// [`AdmissionPolicy`] decides (see [`AdmissionVerdict`]). Queued
-    /// arrivals are retried by [`ServingService::step`].
+    /// admitted immediately; past the ceiling idle tenants are shed,
+    /// oldest-idle first, until the arrival fits, and it is refused if
+    /// shedding every idle tenant still leaves it over (see
+    /// [`AdmissionVerdict`]).
     pub fn offer(&self, quota_bytes: u64) -> AdmissionVerdict {
         let inner = &self.inner;
         let now = inner.step.load(Ordering::Relaxed);
@@ -225,33 +217,15 @@ impl ServingService {
             let id = inner.admit(&mut adm, quota_bytes, now, 0);
             return AdmissionVerdict::Admitted(id);
         }
-        match adm.policy {
-            AdmissionPolicy::Reject => {
-                adm.stats.rejected += 1;
-                inner.emit(EventKind::TenantAdmission, quota_bytes, NO_TENANT, 1);
-                AdmissionVerdict::Rejected
-            }
-            AdmissionPolicy::Queue { .. } => {
-                adm.queue.push_back(QueuedArrival {
-                    quota_bytes,
-                    queued_at: now,
-                });
-                adm.stats.queued += 1;
-                inner.emit(EventKind::TenantAdmission, quota_bytes, NO_TENANT, 2);
-                AdmissionVerdict::Queued
-            }
-            AdmissionPolicy::Shed => {
-                inner.shed_until_fits(&mut adm, quota_bytes, now);
-                if adm.fits(inner.registry.committed_bytes(), quota_bytes) {
-                    let id = inner.admit(&mut adm, quota_bytes, now, 3);
-                    adm.stats.shed_admits += 1;
-                    AdmissionVerdict::AdmittedAfterShed(id)
-                } else {
-                    adm.stats.rejected += 1;
-                    inner.emit(EventKind::TenantAdmission, quota_bytes, NO_TENANT, 1);
-                    AdmissionVerdict::Rejected
-                }
-            }
+        inner.shed_until_fits(&mut adm, quota_bytes, now);
+        if adm.fits(inner.registry.committed_bytes(), quota_bytes) {
+            let id = inner.admit(&mut adm, quota_bytes, now, 3);
+            adm.stats.shed_admits += 1;
+            AdmissionVerdict::AdmittedAfterShed(id)
+        } else {
+            adm.stats.rejected += 1;
+            inner.emit(EventKind::TenantAdmission, quota_bytes, NO_TENANT, 1);
+            AdmissionVerdict::Rejected
         }
     }
 
@@ -312,30 +286,16 @@ impl ServingService {
     /// `tenant` (never allocated, double-freed, or dropped by an OOM
     /// eviction).
     pub fn free(&self, tenant: TenantId, id: AllocationId) -> Result<(), AllocError> {
-        self.inner.free(tenant, id, None)
-    }
-
-    /// Frees `id` for `tenant`, with the free issued from `stream` (a
-    /// cross-stream free goes to the pool's core, told the stream, see
-    /// [`DeviceAllocator::free_on_stream`]). Quota credit is immediate —
-    /// the bytes are logically the tenant's no longer, even while the
-    /// freeing stream's work still holds the block. A free from the
-    /// tenant's own stream defragments as [`ServingService::free`] does; a
-    /// cross-stream one leaves it to the next step, because the block's
-    /// fresh event would make a pass now wait for it on the host.
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError::UnknownAllocation`] as for [`ServingService::free`].
-    ///
-    /// [`DeviceAllocator::free_on_stream`]: gmlake_alloc_api::DeviceAllocator::free_on_stream
-    pub fn free_from(
-        &self,
-        tenant: TenantId,
-        id: AllocationId,
-        stream: StreamId,
-    ) -> Result<(), AllocError> {
-        self.inner.free(tenant, id, Some(stream))
+        let inner = &self.inner;
+        let (size, stream) = inner
+            .registry
+            .credit(tenant, id)
+            .ok_or(AllocError::UnknownAllocation(id))?;
+        inner.pool.free_on_stream(id, stream)?;
+        if size >= SMALL_THRESHOLD {
+            inner.defrag();
+        }
+        Ok(())
     }
 
     /// Departs `tenant`: frees its remaining live allocations and releases
@@ -346,14 +306,7 @@ impl ServingService {
     pub fn depart(&self, tenant: TenantId) -> Option<u64> {
         let inner = &self.inner;
         let (live, stream) = inner.registry.remove(tenant)?;
-        let mut released = 0;
-        let mut large = false;
-        for (id, size) in live {
-            if inner.pool.free_on_stream(id, stream).is_ok() {
-                released += size;
-                large |= size >= SMALL_THRESHOLD;
-            }
-        }
+        let (released, large) = inner.free_all(live, stream);
         if large {
             inner.defrag();
         }
@@ -361,44 +314,18 @@ impl ServingService {
         Some(released)
     }
 
-    /// Advances the service by one step: retries queued arrivals (FIFO,
-    /// admitting while capacity allows), expires overdue ones, then runs
-    /// the defrag pass: `process_events` (retiring completed event
-    /// stamps, so `compact` sees those blocks unguarded) and `compact`.
-    /// The large frees since the last step ran the same pass already; the
-    /// step's own catches what they left: small frees, cross-stream frees
-    /// and stamps retired since.
+    /// Advances the service by one step and runs the defrag pass:
+    /// `process_events` (retiring completed event stamps, so `compact`
+    /// sees those blocks unguarded) and `compact`. The large frees since
+    /// the last step ran the same pass already; the step's own catches
+    /// what they left: small frees and stamps retired since.
     pub fn step(&self) -> StepOutcome {
         let inner = &self.inner;
         let step = inner.step.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut outcome = StepOutcome {
+        StepOutcome {
             step,
-            ..StepOutcome::default()
-        };
-        let mut adm = inner.admission.lock();
-        while let Some(front) = adm.queue.front().copied() {
-            if !adm.fits(inner.registry.committed_bytes(), front.quota_bytes) {
-                break;
-            }
-            adm.queue.pop_front();
-            inner.admit(&mut adm, front.quota_bytes, step, 0);
-            outcome.dequeued += 1;
+            defrag_reclaimed: inner.defrag(),
         }
-        if let AdmissionPolicy::Queue { max_wait_steps } = adm.policy {
-            for expired in adm.expire(step, max_wait_steps) {
-                inner.emit(
-                    EventKind::TenantAdmission,
-                    expired.quota_bytes,
-                    NO_TENANT,
-                    4,
-                );
-                outcome.timed_out += 1;
-            }
-        }
-        // The pass holds no serving lock (see `ServingInner::defrag`).
-        drop(adm);
-        outcome.defrag_reclaimed = inner.defrag();
-        outcome
     }
 
     /// Completed steps.
@@ -437,11 +364,6 @@ impl ServingService {
         self.inner.admission.lock().stats
     }
 
-    /// Arrivals currently waiting in the admission queue.
-    pub fn queue_len(&self) -> usize {
-        self.inner.admission.lock().queue.len()
-    }
-
     /// Counters of the service's defrag passes.
     pub fn defrag_stats(&self) -> DefragStats {
         *self.inner.defrag.lock()
@@ -454,24 +376,20 @@ impl ServingService {
 }
 
 impl ServingInner {
-    /// The free rules of [`ServingService::free`] (`from` is `None`) and
-    /// [`ServingService::free_from`].
-    fn free(
-        &self,
-        tenant: TenantId,
-        id: AllocationId,
-        from: Option<StreamId>,
-    ) -> Result<(), AllocError> {
-        let (size, own) = self
-            .registry
-            .credit(tenant, id)
-            .ok_or(AllocError::UnknownAllocation(id))?;
-        let stream = from.unwrap_or(own);
-        self.pool.free_on_stream(id, stream)?;
-        if stream == own && size >= SMALL_THRESHOLD {
-            self.defrag();
+    /// Frees every allocation of a tenant's working set (already taken off
+    /// the books) on its `stream`. Returns the bytes released and whether
+    /// any freed block was at or above [`SMALL_THRESHOLD`]; each caller
+    /// decides what pass, if any, follows.
+    fn free_all(&self, live: Vec<(AllocationId, u64)>, stream: StreamId) -> (u64, bool) {
+        let mut released = 0;
+        let mut large = false;
+        for (id, size) in live {
+            if self.pool.free_on_stream(id, stream).is_ok() {
+                released += size;
+                large |= size >= SMALL_THRESHOLD;
+            }
         }
-        Ok(())
+        (released, large)
     }
 
     /// One defrag pass: `process_events`, then `compact`, counted. Runs
@@ -503,8 +421,8 @@ impl ServingInner {
         id
     }
 
-    /// The shed policy's hammer: departs idle tenants (oldest-idle first)
-    /// until `quota_bytes` fits or no idle tenant remains.
+    /// The shed: departs idle tenants (oldest-idle first) until
+    /// `quota_bytes` fits or no idle tenant remains. It runs no pass.
     fn shed_until_fits(&self, adm: &mut AdmissionController, quota_bytes: u64, now: u64) {
         for tenant in self
             .registry
@@ -516,13 +434,8 @@ impl ServingInner {
             let Some((live, stream)) = self.registry.remove(tenant) else {
                 continue;
             };
-            let mut released = 0;
             let dropped = live.len() as u64;
-            for (id, size) in live {
-                if self.pool.free_on_stream(id, stream).is_ok() {
-                    released += size;
-                }
-            }
+            let (released, _) = self.free_all(live, stream);
             adm.stats.tenants_shed += 1;
             self.emit(EventKind::TenantEvict, released, tenant.0, dropped);
             self.emit(EventKind::TenantChurn, released, tenant.0, 0);
@@ -533,7 +446,7 @@ impl ServingInner {
     /// first, active tenants untouched) until `needed` bytes are credited
     /// back, then retires the core's completed event stamps so the retried
     /// allocation reaches the freed blocks without a wait. Unlike the shed
-    /// policy this keeps the tenants registered — their quota commitment
+    /// this keeps the tenants registered — their quota commitment
     /// survives, only their (rebuildable) working set is gone.
     fn flush_idle(&self, needed: u64) -> u64 {
         let now = self.step.load(Ordering::Relaxed);
@@ -551,13 +464,8 @@ impl ServingInner {
             if live.is_empty() {
                 continue;
             }
-            let mut released = 0;
             let dropped = live.len() as u64;
-            for (id, size) in live {
-                if self.pool.free_on_stream(id, stream).is_ok() {
-                    released += size;
-                }
-            }
+            let (released, _) = self.free_all(live, stream);
             let mut ev = self.evictions.lock();
             ev.tenants_evicted += 1;
             ev.bytes_evicted += released;
@@ -688,13 +596,17 @@ mod tests {
     }
 
     #[test]
-    fn reject_policy_refuses_past_the_ceiling() {
-        let (serving, _) = serving_over(ServingConfig::new(mib(256)));
-        assert!(serving.offer(mib(200)).tenant().is_some());
+    fn shed_with_nothing_idle_refuses_past_the_ceiling() {
+        let (serving, _) = serving_over(ServingConfig::new(mib(256)).with_idle_after(2));
+        let t = serving.offer(mib(200)).tenant().unwrap();
+        // One step short of the idle horizon: nothing may be shed.
+        serving.step();
         assert_eq!(serving.offer(mib(100)), AdmissionVerdict::Rejected);
+        assert_eq!(serving.usage(t).unwrap().quota_bytes, mib(200));
         assert!(serving.offer(mib(56)).tenant().is_some(), "exact fit");
         let s = serving.admission_stats();
         assert_eq!((s.admitted, s.rejected), (2, 1));
+        assert_eq!((s.shed_admits, s.tenants_shed), (0, 0));
         assert_eq!(s.peak_tenants, 2);
     }
 
@@ -708,37 +620,8 @@ mod tests {
     }
 
     #[test]
-    fn queue_policy_admits_when_capacity_frees_and_times_out() {
-        let (serving, _) = serving_over(
-            ServingConfig::new(mib(256)).with_policy(AdmissionPolicy::Queue { max_wait_steps: 2 }),
-        );
-        let t = serving.offer(mib(200)).tenant().unwrap();
-        assert_eq!(serving.offer(mib(100)), AdmissionVerdict::Queued);
-        assert_eq!(serving.offer(mib(120)), AdmissionVerdict::Queued);
-        assert_eq!(serving.queue_len(), 2);
-        // Nothing freed: the queue just waits.
-        assert_eq!(serving.step().dequeued, 0);
-        serving.depart(t);
-        // FIFO: the 100 MiB arrival goes first, and 120 MiB then also fits.
-        let out = serving.step();
-        assert_eq!(out.dequeued, 2);
-        assert_eq!(serving.tenant_count(), 2);
-        // A fresh arrival overflows again and eventually times out.
-        assert_eq!(serving.offer(mib(100)), AdmissionVerdict::Queued);
-        let waited: u64 = (0..4).map(|_| serving.step().timed_out).sum();
-        assert_eq!(waited, 1, "timed out after max_wait_steps");
-        let s = serving.admission_stats();
-        assert_eq!(s.queue_timeouts, 1);
-        assert_eq!(s.queued, 3);
-    }
-
-    #[test]
     fn shed_policy_evicts_only_idle_tenants() {
-        let (serving, _) = serving_over(
-            ServingConfig::new(mib(256))
-                .with_policy(AdmissionPolicy::Shed)
-                .with_idle_after(2),
-        );
+        let (serving, _) = serving_over(ServingConfig::new(mib(256)).with_idle_after(2));
         let idle = serving.offer(mib(150)).tenant().unwrap();
         let active = serving.offer(mib(60)).tenant().unwrap();
         let held = serving.alloc(idle, mib(20)).unwrap();
@@ -1018,57 +901,17 @@ mod tests {
     }
 
     #[test]
-    fn a_cross_stream_free_leaves_its_view_to_the_step() {
-        let (serving, driver) = serving_over(ServingConfig::new(mib(256)));
-        let t = serving.offer(mib(64)).tenant().unwrap();
-        let own = serving.usage(t).unwrap().stream;
-        let a = serving.alloc(t, mib(4)).unwrap();
-        let b = serving.alloc(t, mib(6)).unwrap();
-        serving.free(t, a.id).unwrap();
-        serving.free(t, b.id).unwrap();
-        assert_eq!(serving.defrag_stats().aggressive_passes, 2, "own stream");
-        let v = serving.alloc(t, mib(10)).unwrap();
-        // Another stream, with work in flight, frees the view: the core
-        // stamps its parts with that stream's event, and no pass runs, so
-        // nothing waits for the event on the host.
-        let other = StreamId(own.0 + 1);
-        driver.stream_launch(other, 1_000_000);
-        let before = driver.stats();
-        serving.free_from(t, v.id, other).unwrap();
-        assert_eq!(
-            driver.stats().event_record.calls,
-            before.event_record.calls + 1
-        );
-        assert_eq!(driver.stats().event_sync.calls, before.event_sync.calls);
-        assert_eq!(serving.defrag_stats().aggressive_passes, 2);
-        assert_eq!(lake(&serving, |l| l.sblock_count()), 1);
-        // Once the stream's work is done, the step retires the stamp and
-        // drops the view, still without a host wait.
-        driver.advance_clock(1_000_000);
-        serving.step();
-        assert_eq!(serving.defrag_stats().aggressive_passes, 3);
-        assert_eq!(lake(&serving, |l| l.sblock_count()), 0);
-        assert_eq!(driver.stats().event_sync.calls, before.event_sync.calls);
-        lake(&serving, |l| l.validate()).unwrap();
-    }
-
-    #[test]
     fn an_overflowing_quota_is_never_admitted() {
         // `committed + u64::MAX` wraps past the limit: it must read as
-        // "does not fit" under every policy, here and on the queue retry.
-        for policy in [
-            AdmissionPolicy::Reject,
-            AdmissionPolicy::Queue { max_wait_steps: 4 },
-            AdmissionPolicy::Shed,
-        ] {
-            let (serving, _) = serving_over(ServingConfig::new(mib(256)).with_policy(policy));
-            assert!(serving.offer(mib(64)).tenant().is_some());
-            let verdict = serving.offer(u64::MAX);
-            assert_eq!(verdict.tenant(), None, "{policy:?}: {verdict:?}");
-            serving.step();
-            assert_eq!(serving.committed_bytes(), mib(64), "{policy:?}");
-            assert_eq!(serving.tenant_count(), 1, "{policy:?}");
-        }
+        // "does not fit", before and after the shed.
+        let (serving, _) = serving_over(ServingConfig::new(mib(256)).with_idle_after(1));
+        assert!(serving.offer(mib(64)).tenant().is_some());
+        serving.step();
+        let verdict = serving.offer(u64::MAX);
+        assert_eq!(verdict, AdmissionVerdict::Rejected);
+        assert_eq!(serving.admission_stats().tenants_shed, 1, "the shed ran");
+        assert_eq!(serving.committed_bytes(), 0);
+        assert_eq!(serving.tenant_count(), 0);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub enum EventKind {
     FaultInjected,
     /// The serving admission controller ruled on a tenant. `bytes` =
     /// requested quota, `a` = tenant id, `b` = verdict (0 admitted,
-    /// 1 rejected, 2 queued, 3 shed-then-admitted, 4 queue timeout).
+    /// 1 rejected, 3 shed-then-admitted; 2 and 4 are no longer emitted).
     TenantAdmission,
     /// A tenant arrived at or departed from a serving pool. `bytes` =
     /// tenant quota, `a` = tenant id, `b` = 1 arrival, 0 departure.

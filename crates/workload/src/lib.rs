@@ -49,9 +49,7 @@ pub use generator::TraceGenerator;
 pub use metrics::{mean, mem_reduction_ratio, to_gib};
 pub use model::ModelSpec;
 pub use replay::{ReplayOptions, ReplayOutcome, ReplayReport, Replayer, Sample};
-pub use serving::{
-    PlannedTenant, ServingPlan, ServingReplayer, ServingReport, ServingWorkloadConfig,
-};
+pub use serving::{PlannedTenant, ServingPlan, ServingWorkloadConfig};
 pub use strategy::{Platform, StrategySet, TrainConfig};
 pub use suite::{headline_suite, table2, Table2Row};
 pub use timing::{ideal_iteration_ns, layer_timing, optimizer_ns, pcie_ns, LayerTiming};

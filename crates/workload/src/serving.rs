@@ -1,4 +1,4 @@
-//! Serving workloads: tenant churn over a [`ServingService`].
+//! Serving workloads: tenant churn plans.
 //!
 //! Training traces (the rest of this crate) are iteration-periodic streams
 //! from one job that owns the device. Serving is the opposite regime —
@@ -8,19 +8,14 @@
 //! generator below produces that regime deterministically from a seed:
 //! geometric inter-arrivals, heterogeneous footprints drawn from the
 //! model corpus ([`ModelSpec::all`]), geometric lifetimes, per-tenant
-//! request rates. The replayer drives a [`ServingService`] through the
-//! plan, timing every allocation into a latency [`Histogram`] so the
-//! tail (p99/p999) under churn can be gated in CI.
-
-use std::collections::HashMap;
-use std::time::Instant;
+//! request rates. Driving a plan through a serving front-end is the
+//! caller's job (the whole-system benchmark's `serve_churn` workload and
+//! the facade's `serving_quota` tests do it).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use gmlake_alloc_api::{mib, AllocError, AllocationId};
-use gmlake_serving::{ServingService, TenantId};
-use gmlake_telemetry::{Histogram, HistogramSummary};
+use gmlake_alloc_api::mib;
 
 use crate::model::ModelSpec;
 
@@ -164,200 +159,9 @@ fn geometric(rng: &mut StdRng, mean: u64) -> u64 {
     n
 }
 
-/// What happened when a [`ServingPlan`] was replayed against a service.
-#[derive(Debug)]
-pub struct ServingReport {
-    /// Wall-clock latency of every allocation attempt (resident and
-    /// request), nanoseconds.
-    pub alloc_latency: Histogram,
-    /// Allocation attempts issued.
-    pub attempts: u64,
-    /// Attempts refused with [`AllocError::QuotaExceeded`].
-    pub quota_rejections: u64,
-    /// Attempts that failed with a device-level OOM (should stay 0 when
-    /// the idle-tenant eviction works).
-    pub oom_failures: u64,
-    /// Tenant arrivals offered / admitted (immediately or after shed).
-    pub offered: u64,
-    /// Arrivals admitted.
-    pub admitted: u64,
-    /// Planned departures executed.
-    pub departed: u64,
-    /// Peak simultaneously-live tenants observed by the replayer.
-    pub peak_tenants: u64,
-    /// Mean per-tenant fragmentation (1 − requested/used) over the
-    /// tenants still live at the end of the run.
-    pub mean_tenant_fragmentation: f64,
-}
-
-impl ServingReport {
-    /// Latency summary (count/min/mean/percentiles) of all attempts.
-    pub fn latency_summary(&self) -> HistogramSummary {
-        self.alloc_latency.summary()
-    }
-}
-
-/// Replays a [`ServingPlan`] against a [`ServingService`], timing every
-/// allocation.
-///
-/// Per step: offer due arrivals (pinning each admitted tenant's resident
-/// working set), free the previous step's transient requests, issue this
-/// step's, depart tenants whose lifetime expired, then advance
-/// [`ServingService::step`]. Evictions on OOM are tolerated:
-/// a tenant whose working set was dropped simply re-pins it on its next
-/// request burst.
-#[derive(Debug)]
-pub struct ServingReplayer {
-    plan: ServingPlan,
-}
-
-/// Live replay state of one admitted tenant.
-#[derive(Debug)]
-struct LiveTenant {
-    id: TenantId,
-    depart_at: u64,
-    plan_idx: usize,
-    resident: Vec<AllocationId>,
-    transient: Vec<AllocationId>,
-}
-
-impl ServingReplayer {
-    /// Creates a replayer for `plan`.
-    pub fn new(plan: ServingPlan) -> Self {
-        ServingReplayer { plan }
-    }
-
-    /// Runs the plan to completion and reports.
-    pub fn run(&self, serving: &ServingService) -> ServingReport {
-        let mut report = ServingReport {
-            alloc_latency: Histogram::new(),
-            attempts: 0,
-            quota_rejections: 0,
-            oom_failures: 0,
-            offered: 0,
-            admitted: 0,
-            departed: 0,
-            peak_tenants: 0,
-            mean_tenant_fragmentation: 0.0,
-        };
-        let mut live: HashMap<u64, LiveTenant> = HashMap::new();
-        let mut next_arrival = 0usize;
-        for step in 0..self.plan.cfg.steps {
-            // Arrivals due this step.
-            while next_arrival < self.plan.tenants.len()
-                && self.plan.tenants[next_arrival].arrive_step <= step
-            {
-                let planned = &self.plan.tenants[next_arrival];
-                report.offered += 1;
-                // Queued arrivals are simply lost to this replayer.
-                if let Some(id) = serving.offer(planned.quota_bytes).tenant() {
-                    report.admitted += 1;
-                    live.insert(
-                        id.0,
-                        LiveTenant {
-                            id,
-                            depart_at: step + planned.lifetime_steps,
-                            plan_idx: next_arrival,
-                            resident: Vec::new(),
-                            transient: Vec::new(),
-                        },
-                    );
-                }
-                next_arrival += 1;
-            }
-            report.peak_tenants = report.peak_tenants.max(live.len() as u64);
-
-            // Per-tenant work, ascending tenant id for determinism.
-            let mut ids: Vec<u64> = live.keys().copied().collect();
-            ids.sort_unstable();
-            let mut departures = Vec::new();
-            for tid in ids {
-                let t = live.get_mut(&tid).expect("live");
-                let planned = &self.plan.tenants[t.plan_idx];
-                // Previous step's transient requests retire first.
-                for id in t.transient.drain(..) {
-                    let _ = serving.free(t.id, id);
-                }
-                if step + 1 >= t.depart_at {
-                    departures.push(tid);
-                    continue;
-                }
-                // Re-pin the resident set if missing (first step after
-                // admission, or after an OOM eviction dropped it).
-                if t.resident.is_empty() || serving.usage(t.id).map_or(0, |u| u.used_bytes) == 0 {
-                    t.resident.clear();
-                    for &size in &planned.resident {
-                        match timed_alloc(serving, t.id, size, &mut report) {
-                            Some(a) => t.resident.push(a),
-                            None => break,
-                        }
-                    }
-                }
-                for _ in 0..planned.requests_per_step {
-                    if let Some(a) = timed_alloc(serving, t.id, planned.request_bytes, &mut report)
-                    {
-                        t.transient.push(a);
-                    }
-                }
-            }
-            for tid in departures {
-                let t = live.remove(&tid).expect("departing");
-                serving.depart(t.id);
-                report.departed += 1;
-            }
-            serving.step();
-        }
-        // Drain the survivors so the pool quiesces.
-        let frags: Vec<f64> = serving
-            .usages()
-            .iter()
-            .map(|(_, u)| u.fragmentation())
-            .collect();
-        if !frags.is_empty() {
-            report.mean_tenant_fragmentation = frags.iter().sum::<f64>() / frags.len() as f64;
-        }
-        for (_, t) in live.drain() {
-            serving.depart(t.id);
-            report.departed += 1;
-        }
-        report
-    }
-}
-
-/// One timed allocation attempt; failures are classified into the report.
-fn timed_alloc(
-    serving: &ServingService,
-    tenant: TenantId,
-    bytes: u64,
-    report: &mut ServingReport,
-) -> Option<AllocationId> {
-    report.attempts += 1;
-    let t0 = Instant::now();
-    let out = serving.alloc(tenant, bytes);
-    report.alloc_latency.record(t0.elapsed().as_nanos() as u64);
-    match out {
-        Ok(a) => Some(a.id),
-        Err(AllocError::QuotaExceeded { .. }) => {
-            report.quota_rejections += 1;
-            None
-        }
-        Err(AllocError::OutOfMemory { .. }) => {
-            report.oom_failures += 1;
-            None
-        }
-        Err(_) => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmlake_alloc_api::{gib, mib, AllocatorCore};
-    use gmlake_caching::CachingAllocator;
-    use gmlake_core::{GmLakeAllocator, GmLakeConfig};
-    use gmlake_gpu_sim::{CudaDriver, DeviceConfig};
-    use gmlake_runtime::{DeviceId, PoolService};
-    use gmlake_serving::{AdmissionPolicy, DefragStats, ServingConfig};
 
     #[test]
     fn plans_are_deterministic_and_seed_sensitive() {
@@ -391,115 +195,5 @@ mod tests {
             assert!(t.lifetime_steps >= 1);
         }
         assert!(models.len() >= 4, "footprints drawn across the corpus");
-    }
-
-    /// Replays `workload`'s plan through a fresh service over `core` and
-    /// checks what every replay must end in: each attempt timed, every
-    /// tenant departed, the pool quiescent.
-    fn replay_to_quiescence(
-        core: Box<dyn AllocatorCore + Send>,
-        config: ServingConfig,
-        workload: ServingWorkloadConfig,
-    ) -> (ServingReport, DefragStats) {
-        let pool = PoolService::new().register(DeviceId(0), core).unwrap();
-        let serving = ServingService::new(pool, config);
-        let report = ServingReplayer::new(ServingPlan::generate(workload)).run(&serving);
-        assert!(report.attempts > 0);
-        assert_eq!(report.alloc_latency.count(), report.attempts);
-        assert!(report.admitted > 0);
-        assert_eq!(serving.used_bytes(), 0, "every tenant departed");
-        assert_eq!(serving.pool().stats().active_bytes, 0, "pool quiesced");
-        (report, serving.defrag_stats())
-    }
-
-    #[test]
-    fn replay_reaches_quiescence_and_times_allocations() {
-        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-        let (report, _) = replay_to_quiescence(
-            Box::new(CachingAllocator::new(driver)),
-            ServingConfig::new(gib(2))
-                .with_overcommit(4.0)
-                .with_policy(AdmissionPolicy::Shed)
-                .with_idle_after(4),
-            ServingWorkloadConfig {
-                seed: 11,
-                steps: 48,
-                arrivals_per_step: 1.0,
-                mean_lifetime_steps: 12,
-                shard_range: (256, 1024),
-                requests_per_step: (1, 2),
-            },
-        );
-        assert!(report.latency_summary().p99_ns >= report.latency_summary().p50_ns);
-    }
-
-    #[test]
-    fn seeded_churn_sustains_100_tenants_on_one_device_without_oom() {
-        // The serving subsystem's acceptance floor: on one simulated
-        // A100-80G a GMLake pool multiplexes at least 100 simultaneous
-        // tenants of this seeded plan, and no device-level OOM leaks
-        // past the idle-tenant eviction.
-        let driver = CudaDriver::new(DeviceConfig::a100_80g().with_backing(false));
-        let (report, defrag) = replay_to_quiescence(
-            Box::new(GmLakeAllocator::new(
-                driver,
-                GmLakeConfig::default().with_frag_limit(mib(32)),
-            )),
-            ServingConfig::new(gib(80))
-                .with_overcommit(1.5)
-                .with_policy(AdmissionPolicy::Shed)
-                .with_idle_after(8)
-                .with_streams(4),
-            ServingWorkloadConfig {
-                seed: 0x5E12_B008,
-                steps: 192,
-                arrivals_per_step: 2.0,
-                mean_lifetime_steps: 96,
-                shard_range: (32, 128),
-                requests_per_step: (1, 4),
-            },
-        );
-        assert!(report.peak_tenants >= 100, "peak {}", report.peak_tenants);
-        assert_eq!(report.oom_failures, 0);
-        // Re-pinned when the core started releasing whole reservations: a
-        // pass keeps the idle pieces of a partly live one, merged, so it
-        // finds fewer bytes to release (76 778 831 872 at af4688d). And
-        // again when the aggressive pass stopped calling `release_cached`:
-        // it now returns only reservations stranded below the
-        // fragmentation limit and keeps the rest for the next arrivals
-        // (76 694 945 792 at eeb7849). And once more when the churn-keyed
-        // schedule went and every step began to run the pass: 192 steps,
-        // 192 passes where the schedule ran 188 (it skipped steps 1-4,
-        // before 8 tenants had arrived); the bytes are unchanged, because
-        // those early steps had nothing to give back. And once more when
-        // large frees and departures began to run the pass too: 35 046
-        // passes, the 192 steps' and 34 854 at large frees and departures.
-        // A reservation stranded below the 32 MiB limit now goes back at
-        // the free that strands it, where a later request of the same step
-        // could take it first, so more bytes go back (3 605 004 288 at
-        // 152d990; the cause is read off the release rule, not traced).
-        // And once more when `compact`'s limit came to follow the mean
-        // request served: an idle reservation below it goes back, so twice
-        // the bytes do (15 521 021 952 at 98c1668). Quota refusals fall
-        // 15 478 → 12 277 and the tenants' mean fragmentation 0.1629 →
-        // 0.1599, so 3 134 more transient requests are served; their frees
-        // run 3 047 more passes and departures 4 more (read off the
-        // replay's counts; that fewer hand-outs map more than their request
-        // and so overrun a quota is inferred, not traced). And once more
-        // when an S3 came to close with the smallest idle block it keeps
-        // whole instead of a split of the next-largest: quota refusals rise
-        // 12 277 → 12 412 and the tenants' mean fragmentation falls 0.1599
-        // → 0.1501, so 119 fewer frees and departures run a pass and fewer
-        // bytes go back (31 409 045 504 at 309d0f6). The counts are read
-        // off the replay; why the refusals rise is not traced.
-        assert_eq!(
-            (
-                defrag.periodic_passes,
-                defrag.aggressive_passes,
-                defrag.bytes_reclaimed
-            ),
-            (0, 37_978, 30_920_409_088),
-            "a pass per step, per large free and per departure on this seeded plan"
-        );
     }
 }
